@@ -83,8 +83,6 @@ const PASS_THROUGH_WITH_VALUE: &[&str] = &[
     "--max-delay-ms",
     "--threads",
     "--workers",
-    "--topology",
-    "--keep-alive",
 ];
 
 fn parse_args(argv: &[String]) -> Args {

@@ -219,7 +219,7 @@ fn check_serve(v: &Json, c: &mut Checker) -> String {
     let results = c.arr(v, "results").to_vec();
     let mut best = 0.0f64;
     for r in &results {
-        c.str_in(r, "topology", &["epoll", "thread_per_conn", "pool", "replicated"]);
+        c.str_in(r, "topology", &["epoll", "replicated"]);
         c.str_in(r, "mode", &["request", "stream", "idle_fleet", "chaos"]);
         c.str_in(r, "policy", &["eager", "coalesce"]);
         for k in [
@@ -350,6 +350,13 @@ mod tests {
         let headline =
             check_bench_text(&serve_json("replicated", "chaos", 1.0)).expect("valid serve passes");
         assert!(headline.contains("1 cells"), "{headline}");
+    }
+
+    #[test]
+    fn serve_cell_of_a_deleted_topology_is_rejected() {
+        let errs = check_bench_text(&serve_json("pool", "request", 1.0))
+            .expect_err("only epoll and replicated cells exist");
+        assert!(errs.iter().any(|e| e.contains("topology")), "{errs:?}");
     }
 
     #[test]

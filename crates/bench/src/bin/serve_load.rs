@@ -3,34 +3,27 @@
 //! star).
 //!
 //! Starts the daemon in-process on an ephemeral port, then drives it over
-//! real HTTP (the versioned `/v1` routes) across a grid of **connection
-//! topologies × client counts**, and writes per-cell p50/p99 latency,
-//! tables/sec, and connection-reuse rate to `BENCH_serve.json`. Four
-//! request-mode configurations:
+//! real HTTP (the versioned `/v1` routes) across a grid of client counts,
+//! and writes per-cell p50/p99 latency, tables/sec, and connection-reuse
+//! rate to `BENCH_serve.json`. Three direct-daemon modes:
 //!
-//! * `epoll/eager` — the reactor topology (one event-loop thread owns
-//!   every socket, workers see only parsed requests), the current default;
-//! * `pool/eager` — the fixed worker pool with readiness probes;
-//! * `thread_per_conn` — the pre-pool daemon (one handler thread per
-//!   connection), the PR-4 baseline;
-//! * `pool/coalesce` — the pool with a 5 ms batching deadline.
+//! * **request** — closed-loop single-table `/v1/annotate` clients;
+//! * **stream** — each client holds one `/annotate_stream` connection and
+//!   pipelines tables through it (window of 16);
+//! * **idle_fleet** — hundreds-to-thousands of keep-alive connections park
+//!   for the whole cell (bookending it with one request each on the same
+//!   connection) while a small active set measures latency — the scenario
+//!   the epoll reactor exists for;
 //!
-//! plus a **stream** mode where each client holds one `/annotate_stream`
-//! connection and pipelines tables through it (window of 16), and an
-//! **idle_fleet** mode where hundreds-to-thousands of keep-alive
-//! connections park for the whole cell (bookending it with one request
-//! each on the same connection) while a small active set measures latency
-//! — the scenario the epoll rewrite exists for.
+//! then **replicated** cells (real replica processes behind the in-process
+//! balancer) and one **chaos** cell (a crash-looping replica).
 //!
 //! Clients are closed-loop (send → wait → repeat) on persistent
 //! connections; they reconnect only when a request fails, so the reported
 //! `conn_reuse_rate` (1 − (connects − clients)/requests, i.e. excluding
 //! each client's unavoidable first dial) is a direct measurement of
 //! keep-alive doing its job: exactly 1.0 means no connection was ever
-//! re-dialed. All daemons run simultaneously and trials are interleaved
-//! across topologies (best of two rounds per cell): sequential
-//! per-topology runs hand the later one a systematically warmer process,
-//! a drift on the same scale as the effect being measured.
+//! re-dialed. Request and stream cells report the best of two trials.
 //!
 //! Run: `cargo run --release -p doduo-bench --bin serve_load -- --scale quick`
 
@@ -41,9 +34,7 @@ use doduo_serve::BatchConfig;
 use doduo_served::bootstrap::synthetic_world;
 use doduo_served::http::Client;
 use doduo_served::json::table_to_json;
-use doduo_served::{
-    percentiles, BatchPolicy, Percentiles, ServeConfig, Server, Topology as ServedTopology,
-};
+use doduo_served::{percentiles, BatchPolicy, Percentiles, ServeConfig, Server};
 use doduo_tensor::default_threads;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -51,6 +42,10 @@ use std::time::{Duration, Instant};
 
 /// Pipelined tables in flight per streaming client.
 const STREAM_CLIENT_WINDOW: usize = 16;
+
+/// The direct daemon's batching deadline: the "eager" policy every cell
+/// reports (flush as soon as the dispatcher is free).
+const MAX_DELAY_MS: u64 = 0;
 
 /// Cap on how long a shed client honors a server `Retry-After` hint — the
 /// hints are in whole seconds, far coarser than bench cell durations.
@@ -60,8 +55,6 @@ struct Cell {
     topology: &'static str,
     mode: &'static str,
     workers: usize,
-    policy: &'static str,
-    max_delay_ms: u64,
     /// Replica processes behind the balancer; `0` = direct daemon.
     replicas: usize,
     clients: usize,
@@ -79,6 +72,34 @@ struct Cell {
 }
 
 impl Cell {
+    /// The cell for one trial against the direct daemon (`replicas == 0`)
+    /// or a balanced fleet.
+    fn new(
+        topology: &'static str,
+        mode: &'static str,
+        workers: usize,
+        replicas: usize,
+        clients: usize,
+        t: Trial,
+        restarts: u64,
+    ) -> Cell {
+        Cell {
+            topology,
+            mode,
+            workers,
+            replicas,
+            clients,
+            requests: t.requests,
+            connects: t.connects,
+            sheds: t.sheds,
+            errors: t.errors,
+            restarts,
+            secs: t.secs,
+            tables_per_sec: t.tables_per_sec(),
+            latency_ms: t.lat,
+        }
+    }
+
     /// Fraction of answered (non-shed) requests that succeeded.
     fn availability(&self) -> f64 {
         if self.requests + self.errors == 0 {
@@ -97,6 +118,22 @@ struct Trial {
     errors: usize,
     secs: f64,
     lat: Percentiles,
+}
+
+impl Trial {
+    fn tables_per_sec(&self) -> f64 {
+        self.requests as f64 / self.secs
+    }
+
+    /// The higher-throughput of two runs of `run`.
+    fn best_of_two(run: impl Fn() -> Trial) -> Trial {
+        let (a, b) = (run(), run());
+        if b.tables_per_sec() > a.tables_per_sec() {
+            b
+        } else {
+            a
+        }
+    }
 }
 
 fn to_ms(p: Percentiles) -> Percentiles {
@@ -302,17 +339,9 @@ fn run_idle_fleet_cell(
     }
 }
 
-struct TopoSpec {
-    name: &'static str,
-    kind: ServedTopology,
-    workers: usize,
-    policy: &'static str,
-    delay_ms: u64,
-}
-
 fn main() {
     let opts = ExpOptions::from_args_for(
-        "Serving load bench: daemon topologies under concurrent clients, writes BENCH_serve.json",
+        "Serving load bench: the daemon under concurrent clients, writes BENCH_serve.json",
     );
     let started = Instant::now();
     let quick = opts.scale == Scale::Quick;
@@ -330,203 +359,65 @@ fn main() {
         if quick { (1.0, vec![1, 4, 16, 64]) } else { (2.0, vec![1, 2, 4, 8, 16, 32, 64]) };
     let stream_clients: Vec<usize> = if quick { vec![1, 4, 16] } else { vec![1, 4, 16, 64] };
     let stream_per_client = if quick { 48 } else { 128 };
-    let pool_workers = ServeConfig::default().workers;
-    let topologies = [
-        TopoSpec {
-            name: "epoll",
-            kind: ServedTopology::Epoll,
-            workers: pool_workers,
-            policy: "eager",
-            delay_ms: 0,
-        },
-        TopoSpec {
-            name: "pool",
-            kind: ServedTopology::Pool,
-            workers: pool_workers,
-            policy: "eager",
-            delay_ms: 0,
-        },
-        TopoSpec {
-            name: "thread_per_conn",
-            kind: ServedTopology::ThreadPerConn,
-            workers: 0,
-            policy: "eager",
-            delay_ms: 0,
-        },
-        TopoSpec {
-            name: "pool",
-            kind: ServedTopology::Pool,
-            workers: pool_workers,
-            policy: "coalesce",
-            delay_ms: 5,
-        },
-    ];
+    let cell_duration = Duration::from_secs_f64(cell_secs);
 
-    // All four daemons run simultaneously (each on its own ephemeral
-    // port) and trials are interleaved across topologies at every client
-    // count, taking the best of two rounds per cell. Sequential
-    // per-topology runs would hand the later topology a systematically
-    // warmer process (CPU frequency, allocator, page cache) — on a 1-core
-    // container that drift is the same magnitude as the effect being
-    // measured.
-    let servers: Vec<Server> = topologies
-        .iter()
-        .map(|topo| {
-            let cfg = ServeConfig {
-                addr: "127.0.0.1:0".into(),
-                topology: topo.kind,
-                policy: BatchPolicy {
-                    max_delay: Duration::from_millis(topo.delay_ms),
-                    ..BatchPolicy::default()
-                },
-                engine: BatchConfig { threads: n_threads, ..BatchConfig::default() },
-                workers: topo.workers,
-                // Room for the 1024-connection idle fleet plus actives.
-                max_connections: 2048,
-                ..ServeConfig::default()
-            };
-            Server::bind(cfg).expect("bind ephemeral port")
-        })
-        .collect();
-    let addrs: Vec<String> = servers.iter().map(|s| s.addr().to_string()).collect();
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        policy: BatchPolicy {
+            max_delay: Duration::from_millis(MAX_DELAY_MS),
+            ..BatchPolicy::default()
+        },
+        engine: BatchConfig { threads: n_threads, ..BatchConfig::default() },
+        // Room for the 1024-connection idle fleet plus actives.
+        max_connections: 2048,
+        ..ServeConfig::default()
+    };
+    let workers = cfg.workers;
+    let server = Server::bind(cfg).expect("bind ephemeral port");
+    let addr = server.addr().to_string();
+    let addr = addr.as_str();
 
     let mut cells: Vec<Cell> = Vec::new();
     std::thread::scope(|scope| {
-        let runners: Vec<_> = servers
-            .iter()
-            .map(|server| {
-                let bundle = world.bundle.clone();
-                scope.spawn(move || server.run(bundle))
-            })
-            .collect();
-        // Warm-up pass per daemon: fill its tokenization cache, fault pages.
-        for addr in &addrs {
-            let _ = run_request_cell(addr, &bodies, 2, Duration::from_secs_f64(cell_secs / 2.0));
-        }
+        let bundle = world.bundle.clone();
+        let runner = scope.spawn(|| server.run(bundle));
+        // Warm-up pass: fill the tokenization cache, fault pages.
+        let _ = run_request_cell(addr, &bodies, 2, cell_duration / 2);
         for &clients in &client_grid {
-            let mut best: Vec<Option<Trial>> = vec![None; topologies.len()];
-            for _round in 0..2 {
-                for (t, addr) in addrs.iter().enumerate() {
-                    let trial = run_request_cell(
-                        addr,
-                        &bodies,
-                        clients,
-                        Duration::from_secs_f64(cell_secs),
-                    );
-                    let better = best[t].as_ref().is_none_or(|b| {
-                        trial.requests as f64 / trial.secs > b.requests as f64 / b.secs
-                    });
-                    if better {
-                        best[t] = Some(trial);
-                    }
-                }
-            }
-            for (topo, trial) in topologies.iter().zip(best) {
-                let t = trial.expect("two rounds ran");
-                let cell = Cell {
-                    topology: topo.name,
-                    mode: "request",
-                    workers: topo.workers,
-                    policy: topo.policy,
-                    max_delay_ms: topo.delay_ms,
-                    replicas: 0,
-                    clients,
-                    requests: t.requests,
-                    connects: t.connects,
-                    sheds: t.sheds,
-                    errors: t.errors,
-                    restarts: 0,
-                    secs: t.secs,
-                    tables_per_sec: t.requests as f64 / t.secs,
-                    latency_ms: t.lat,
-                };
-                eprintln!(
-                    "[serve_load] {:>15}/{:<8} clients {clients:>2}: {:>7.1} tables/sec, \
-                     p50 {:>6.2} ms, p99 {:>7.2} ms, reuse {:.3} ({} reqs)",
-                    topo.name,
-                    topo.policy,
-                    cell.tables_per_sec,
-                    cell.latency_ms.p50,
-                    cell.latency_ms.p99,
-                    reuse_rate(&cell),
-                    t.requests
-                );
-                cells.push(cell);
-            }
-        }
-        // Stream mode rides the default daemon (topology 0: epoll/eager).
-        let (stream_topo, stream_addr) = (&topologies[0], &addrs[0]);
-        for &clients in &stream_clients {
-            let t = (0..2)
-                .map(|_| run_stream_cell(stream_addr, &bodies, clients, stream_per_client))
-                .max_by(|a, b| {
-                    (a.requests as f64 / a.secs).total_cmp(&(b.requests as f64 / b.secs))
-                })
-                .expect("two trials");
-            let cell = Cell {
-                topology: stream_topo.name,
-                mode: "stream",
-                workers: stream_topo.workers,
-                policy: stream_topo.policy,
-                max_delay_ms: stream_topo.delay_ms,
-                replicas: 0,
-                clients,
-                requests: t.requests,
-                connects: t.connects,
-                sheds: t.sheds,
-                errors: t.errors,
-                restarts: 0,
-                secs: t.secs,
-                tables_per_sec: t.requests as f64 / t.secs,
-                latency_ms: t.lat,
-            };
+            let t = Trial::best_of_two(|| run_request_cell(addr, &bodies, clients, cell_duration));
+            let cell = Cell::new("epoll", "request", workers, 0, clients, t, 0);
             eprintln!(
-                "[serve_load] {:>15}/{:<8} clients {clients:>2}: {:>7.1} tables/sec, \
-                 p50 {:>6.2} ms, p99 {:>7.2} ms ({} tables)",
-                "stream",
-                stream_topo.policy,
+                "[serve_load] {:>10} clients {clients:>2}: {:>7.1} tables/sec, p50 {:>6.2} ms, \
+                 p99 {:>7.2} ms, reuse {:.3} ({} reqs)",
+                "request",
                 cell.tables_per_sec,
                 cell.latency_ms.p50,
                 cell.latency_ms.p99,
+                reuse_rate(&cell),
                 t.requests
             );
             cells.push(cell);
         }
-        // High-connection idle fleets: the epoll reactor at 256 and 1024
-        // parked keep-alive connections, with the probing pool at 256 as
-        // the A/B comparison (the pool's per-pass readiness probes are
-        // exactly the churn the reactor eliminates).
-        let idle_active = 16;
-        for &(t, fleet) in &[(0usize, 256usize), (0, 1024), (1, 256)] {
-            let topo = &topologies[t];
-            let trial = run_idle_fleet_cell(
-                &addrs[t],
-                &bodies,
-                fleet,
-                idle_active,
-                Duration::from_secs_f64(cell_secs),
-            );
-            let cell = Cell {
-                topology: topo.name,
-                mode: "idle_fleet",
-                workers: topo.workers,
-                policy: topo.policy,
-                max_delay_ms: topo.delay_ms,
-                replicas: 0,
-                clients: fleet + idle_active,
-                requests: trial.requests,
-                connects: trial.connects,
-                sheds: trial.sheds,
-                errors: trial.errors,
-                restarts: 0,
-                secs: trial.secs,
-                tables_per_sec: trial.requests as f64 / trial.secs,
-                latency_ms: trial.lat,
-            };
+        for &clients in &stream_clients {
+            let t =
+                Trial::best_of_two(|| run_stream_cell(addr, &bodies, clients, stream_per_client));
+            let cell = Cell::new("epoll", "stream", workers, 0, clients, t, 0);
             eprintln!(
-                "[serve_load] {:>15}/{:<8} fleet {fleet:>4}+{idle_active}: {:>7.1} tables/sec, \
+                "[serve_load] {:>10} clients {clients:>2}: {:>7.1} tables/sec, p50 {:>6.2} ms, \
+                 p99 {:>7.2} ms ({} tables)",
+                "stream", cell.tables_per_sec, cell.latency_ms.p50, cell.latency_ms.p99, t.requests
+            );
+            cells.push(cell);
+        }
+        // High-connection idle fleets: 256 and 1024 parked keep-alive
+        // connections behind a small active set.
+        let idle_active = 16;
+        for &fleet in &[256usize, 1024] {
+            let t = run_idle_fleet_cell(addr, &bodies, fleet, idle_active, cell_duration);
+            let cell = Cell::new("epoll", "idle_fleet", workers, 0, fleet + idle_active, t, 0);
+            eprintln!(
+                "[serve_load] {:>10} fleet {fleet:>4}+{idle_active}: {:>7.1} tables/sec, \
                  p50 {:>6.2} ms, p99 {:>7.2} ms, reuse {:.3}, {} errors",
-                topo.name,
                 "idle",
                 cell.tables_per_sec,
                 cell.latency_ms.p50,
@@ -536,12 +427,8 @@ fn main() {
             );
             cells.push(cell);
         }
-        for server in &servers {
-            server.handle().shutdown();
-        }
-        for runner in runners {
-            runner.join().expect("daemon thread exits");
-        }
+        server.handle().shutdown();
+        runner.join().expect("daemon thread exits");
     });
 
     // ------------------------------------------------------------------
@@ -565,30 +452,14 @@ fn main() {
             replicas,
             &[],
             replicated_clients,
-            Duration::from_secs_f64(cell_secs),
+            cell_duration,
         );
-        let cell = Cell {
-            topology: "replicated",
-            mode: "request",
-            workers: 2,
-            policy: "eager",
-            max_delay_ms: 0,
-            replicas,
-            clients: replicated_clients,
-            requests: trial.requests,
-            connects: trial.connects,
-            sheds: trial.sheds,
-            errors: trial.errors,
-            restarts,
-            secs: trial.secs,
-            tables_per_sec: trial.requests as f64 / trial.secs,
-            latency_ms: trial.lat,
-        };
+        let cell =
+            Cell::new("replicated", "request", 2, replicas, replicated_clients, trial, restarts);
         eprintln!(
-            "[serve_load] {:>15}/{:<8} clients {replicated_clients:>2}: {:>7.1} tables/sec, \
+            "[serve_load] {:>10} clients {replicated_clients:>2}: {:>7.1} tables/sec, \
              p50 {:>6.2} ms, p99 {:>7.2} ms ({} reqs, {} replicas)",
             "replicated",
-            "eager",
             cell.tables_per_sec,
             cell.latency_ms.p50,
             cell.latency_ms.p99,
@@ -610,29 +481,12 @@ fn main() {
         3,
         &[(0, "crash_after=25,seed=7")],
         chaos_clients,
-        Duration::from_secs_f64(cell_secs * 3.0),
+        cell_duration * 3,
     );
-    let chaos_cell = Cell {
-        topology: "replicated",
-        mode: "chaos",
-        workers: 2,
-        policy: "eager",
-        max_delay_ms: 0,
-        replicas: 3,
-        clients: chaos_clients,
-        requests: trial.requests,
-        connects: trial.connects,
-        sheds: trial.sheds,
-        errors: trial.errors,
-        restarts,
-        secs: trial.secs,
-        tables_per_sec: trial.requests as f64 / trial.secs,
-        latency_ms: trial.lat,
-    };
+    let chaos_cell = Cell::new("replicated", "chaos", 2, 3, chaos_clients, trial, restarts);
     eprintln!(
-        "[serve_load] {:>15}/{:<8} clients {chaos_clients:>2}: {:>7.1} tables/sec, \
+        "[serve_load] {:>10} clients {chaos_clients:>2}: {:>7.1} tables/sec, \
          availability {:.4}, {} restarts, {} sheds",
-        "replicated",
         "chaos",
         chaos_cell.tables_per_sec,
         chaos_cell.availability(),
@@ -647,7 +501,6 @@ fn main() {
         &[
             "topology",
             "mode",
-            "policy",
             "repl",
             "clients",
             "tables/sec",
@@ -661,7 +514,6 @@ fn main() {
         r.row(&[
             c.topology.to_string(),
             c.mode.to_string(),
-            c.policy.to_string(),
             c.replicas.to_string(),
             c.clients.to_string(),
             format!("{:.1}", c.tables_per_sec),
@@ -693,51 +545,6 @@ fn main() {
         chaos.restarts >= 1,
     );
     r.check("no cell saw client-visible errors", cells.iter().all(|c| c.errors == 0));
-    let tps = |topology: &str, mode: &str, policy: &str, clients: usize| {
-        cells
-            .iter()
-            .find(|c| {
-                c.topology == topology
-                    && c.mode == mode
-                    && c.policy == policy
-                    && c.clients == clients
-            })
-            .map(|c| c.tables_per_sec)
-            .unwrap_or(0.0)
-    };
-    // The PR-5 acceptance bar: the pool with keep-alive must sustain at
-    // least the thread-per-connection eager baseline at 16 clients.
-    let baseline = tps("thread_per_conn", "request", "eager", 16);
-    let pooled = tps("pool", "request", "eager", 16);
-    r.check(
-        format!(
-            "pool sustains thread-per-conn eager at 16 clients ({pooled:.1} vs {baseline:.1} t/s)"
-        )
-        .as_str(),
-        pooled >= baseline * 0.95,
-    );
-    // The reactor's acceptance bar: at 64 clients the epoll loop beats the
-    // probing pool on both throughput and tail latency (this is where the
-    // pool's per-pass readiness probes start costing).
-    let p99 = |topology: &str, mode: &str, clients: usize| {
-        cells
-            .iter()
-            .find(|c| c.topology == topology && c.mode == mode && c.clients == clients)
-            .map(|c| c.latency_ms.p99)
-            .unwrap_or(f64::INFINITY)
-    };
-    let (epoll64, pool64) =
-        (tps("epoll", "request", "eager", 64), tps("pool", "request", "eager", 64));
-    r.check(
-        format!("epoll beats pool on tables/sec at 64 clients ({epoll64:.1} vs {pool64:.1} t/s)")
-            .as_str(),
-        epoll64 >= pool64,
-    );
-    let (ep99, pp99) = (p99("epoll", "request", 64), p99("pool", "request", 64));
-    r.check(
-        format!("epoll beats pool on p99 at 64 clients ({ep99:.2} vs {pp99:.2} ms)").as_str(),
-        ep99 <= pp99,
-    );
     // `connects == clients` means every client kept its one connection for
     // the whole cell — keep-alive never dropped it. This covers the idle
     // fleets too: a reaped parked connection would show up as a fleet
@@ -751,8 +558,13 @@ fn main() {
     );
     // Flat tail under a 4x larger parked fleet: the reactor's per-turn work
     // scales with *ready* connections, not resident ones.
-    let (idle256, idle1024) =
-        (p99("epoll", "idle_fleet", 256 + 16), p99("epoll", "idle_fleet", 1024 + 16));
+    let idle_p99 = |clients: usize| {
+        cells
+            .iter()
+            .find(|c| c.mode == "idle_fleet" && c.clients == clients)
+            .map_or(f64::INFINITY, |c| c.latency_ms.p99)
+    };
+    let (idle256, idle1024) = (idle_p99(256 + 16), idle_p99(1024 + 16));
     r.check(
         format!(
             "epoll p99 stays flat from 256 to 1024 parked conns ({idle256:.2} -> {idle1024:.2} ms)"
@@ -881,8 +693,8 @@ fn render_json(
     out.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"topology\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"policy\": \"{}\", \
-             \"max_delay_ms\": {}, \"replicas\": {}, \"clients\": {}, \"requests\": {}, \
+            "    {{\"topology\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"policy\": \"eager\", \
+             \"max_delay_ms\": {MAX_DELAY_MS}, \"replicas\": {}, \"clients\": {}, \"requests\": {}, \
              \"connects\": {}, \"sheds\": {}, \"errors\": {}, \"restarts\": {}, \
              \"availability\": {:.4}, \"conn_reuse_rate\": {:.4}, \"secs\": {:.3}, \
              \"tables_per_sec\": {:.3}, \
@@ -891,8 +703,6 @@ fn render_json(
             c.topology,
             c.mode,
             c.workers,
-            c.policy,
-            c.max_delay_ms,
             c.replicas,
             c.clients,
             c.requests,

@@ -86,7 +86,7 @@ impl Default for PretrainRecipe {
             pack_to: mini.max_seq,
             // Off by default: at miniature scale the packed phase degrades
             // the phase-A weights faster than it teaches long-range
-            // structure (see DESIGN.md); fine-tuning adapts position
+            // structure (see ARCHITECTURE.md); fine-tuning adapts position
             // embeddings on its own, as the paper also observes (§6.1).
             pack_epochs: 0,
         }

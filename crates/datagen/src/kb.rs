@@ -1,8 +1,8 @@
 //! The synthetic knowledge base.
 //!
-//! Stands in for Freebase + Wikipedia in the paper's pipeline (DESIGN.md
-//! §1): a closed world of entities and facts from which *both* the LM
-//! pretraining corpus (so the language model genuinely stores this
+//! Stands in for Freebase + Wikipedia in the paper's pipeline (see
+//! ARCHITECTURE.md): a closed world of entities and facts from which *both*
+//! the LM pretraining corpus (so the language model genuinely stores this
 //! knowledge) and the table benchmarks (so annotations are grounded in the
 //! same facts) are generated. All generation is seeded and deterministic.
 

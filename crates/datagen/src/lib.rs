@@ -1,6 +1,7 @@
 //! # doduo-datagen
 //!
-//! Synthetic data substrate for the DODUO reproduction (DESIGN.md §1):
+//! Synthetic data substrate for the DODUO reproduction (ARCHITECTURE.md,
+//! "Crate dependency graph"):
 //!
 //! * [`kb`] — a closed-world knowledge base (people, films, cities, teams,
 //!   books, kingdoms, ...) standing in for Freebase, with the §1 name

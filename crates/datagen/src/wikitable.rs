@@ -4,8 +4,8 @@
 //! knowledge base, *multi-label* Freebase-style column types, and relation
 //! annotations connecting the table's subject column (index 0) to each other
 //! column. The vocabulary is scaled down from 255 types / 121 relations to
-//! ~40 / ~30 (DESIGN.md §1) but keeps the classes the paper analyses by name
-//! (Tables 10 and 12): `music.artist`, `music.writer`,
+//! ~40 / ~30 (see ARCHITECTURE.md) but keeps the classes the paper analyses
+//! by name (Tables 10 and 12): `music.artist`, `music.writer`,
 //! `american_football.*`, `film.film.produced_by`,
 //! `people.person.place_of_birth`, and so on.
 

@@ -10,7 +10,7 @@
 use crate::bootstrap::synthetic_world;
 use crate::chaos::ChaosConfig;
 use crate::validate::{check_label_equivalence, offline_response, offline_response_quant};
-use crate::{BatchPolicy, ServeConfig, Server, Topology};
+use crate::{BatchPolicy, ServeConfig, Server};
 use doduo_core::AnnotatorBundle;
 use doduo_serve::BatchConfig;
 use std::time::Duration;
@@ -29,8 +29,6 @@ struct Args {
     max_delay_ms: u64,
     threads: usize,
     workers: usize,
-    topology: Topology,
-    keep_alive: bool,
     chaos: Option<ChaosConfig>,
     port_file: Option<String>,
     feedback_finetune: bool,
@@ -53,11 +51,7 @@ fn usage() -> ! {
            --max-delay-ms T        flush when the oldest request waited T ms (default 2)\n\
            --threads K             engine worker threads (default: all cores)\n\
            --quant int8|off        int8 inference (accuracy-gated; default off)\n\
-           --workers W             request worker threads; 0 = one thread per\n\
-                                   connection (default 16)\n\
-           --topology T            connection handling: epoll (reactor; default),\n\
-                                   pool (probe/requeue workers), thread_per_conn\n\
-           --keep-alive on|off     honor HTTP keep-alive (default on)\n\
+           --workers W             request worker threads, at least 1 (default 16)\n\
            --port-file FILE        write the bound address to FILE after bind\n\
                                    (how a supervisor discovers an ephemeral port)\n\
            --chaos SPEC            deterministic fault injection, e.g.\n\
@@ -91,8 +85,6 @@ fn parse_args(argv: &[String]) -> Args {
         max_delay_ms: 2,
         threads: doduo_tensor::default_threads(),
         workers: ServeConfig::default().workers,
-        topology: Topology::Epoll,
-        keep_alive: true,
         chaos: None,
         port_file: None,
         feedback_finetune: false,
@@ -138,18 +130,11 @@ fn parse_args(argv: &[String]) -> Args {
                 args.max_delay_ms = value(&mut i).parse().unwrap_or_else(|_| usage())
             }
             "--threads" => args.threads = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--workers" => args.workers = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--topology" => {
-                args.topology = value(&mut i).parse().unwrap_or_else(|e| {
-                    eprintln!("[served] {e}");
+            "--workers" => {
+                args.workers = value(&mut i).parse().unwrap_or_else(|_| usage());
+                if args.workers == 0 {
+                    eprintln!("--workers must be at least 1");
                     usage()
-                })
-            }
-            "--keep-alive" => {
-                args.keep_alive = match value(&mut i).as_str() {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    _ => usage(),
                 }
             }
             "--chaos" => {
@@ -268,13 +253,10 @@ pub fn run(argv: &[String]) -> i32 {
             ..BatchConfig::default()
         },
         workers: args.workers,
-        topology: args.topology,
-        keep_alive: args.keep_alive,
         chaos: args.chaos.clone(),
         feedback_finetune: args.feedback_finetune,
         ..ServeConfig::default()
     };
-    let topo = cfg.effective_topology();
     let server = match Server::bind(cfg) {
         Ok(s) => s,
         Err(e) => {
@@ -295,18 +277,14 @@ pub fn run(argv: &[String]) -> i32 {
     }
     eprintln!(
         "[served] listening on {} ({}; flush at {} seqs / {} tokens / {} ms; {} engine threads; \
-         {}; keep-alive {}{})",
+         {} workers{})",
         server.addr(),
         if args.quant { "int8" } else { "f32" },
         args.max_batch_seqs,
         args.max_batch_tokens,
         args.max_delay_ms,
         args.threads.max(1),
-        match topo {
-            Topology::ThreadPerConn => "thread-per-connection".to_string(),
-            t => format!("{} topology, {} workers", t.name(), args.workers),
-        },
-        if args.keep_alive { "on" } else { "off" },
+        args.workers,
         if args.chaos.is_some() { "; CHAOS INJECTION ON" } else { "" },
     );
     server.run(bundle);

@@ -1,11 +1,10 @@
 //! Transport-independent request handling.
 //!
 //! The [`Handler`] trait is the seam between "how bytes arrive" and "what
-//! the response is": the epoll reactor, the legacy worker pool, the
-//! thread-per-connection fallback, and the scripted mock backends in
-//! `doduo-balance`'s failover tests all parse HTTP their own way but
-//! dispatch through the same `fn handle(&self, &HttpRequest) ->
-//! HttpResponse`. Streaming (`POST /annotate_stream`) is the one endpoint
+//! the response is": the epoll reactor, its request workers, and the
+//! scripted mock backends in `doduo-balance`'s failover tests (over
+//! [`serve_blocking`]) parse HTTP their own way but dispatch through the
+//! same `fn handle(&self, &HttpRequest) -> HttpResponse`. Streaming (`POST /annotate_stream`) is the one endpoint
 //! outside this seam — it consumes its body incrementally and owns its
 //! connection to the end, so each transport hands it off explicitly.
 //!
@@ -202,8 +201,8 @@ pub fn write_http_response(
 /// A minimal blocking HTTP server over a [`Handler`]: nonblocking accept
 /// loop, one thread per connection, full head+body parse per request.
 /// This is the scripted-backend driver `doduo-balance`'s failover tests
-/// use in place of hand-rolled mini-servers; the production topologies
-/// live in `server.rs`. Returns when `stop` flips true.
+/// use in place of hand-rolled mini-servers; the production daemon lives
+/// in `server.rs`. Returns when `stop` flips true.
 pub fn serve_blocking<H: Handler>(
     listener: TcpListener,
     handler: &H,

@@ -11,7 +11,7 @@
 //! the plain endpoints read the whole body with [`read_body`]. Size limits
 //! are enforced incrementally ([`MAX_HEAD_BYTES`], [`MAX_BODY_BYTES`] →
 //! HTTP 413) and every read carries a wall-clock deadline so a byte-dripping
-//! client cannot pin a pool worker (→ HTTP 408).
+//! client cannot pin a thread (→ HTTP 408).
 //!
 //! Two parsing styles share one grammar: the blocking readers
 //! ([`read_head`], [`BodyReader`]) pull from a `BufRead`, while the sans-IO
@@ -19,7 +19,7 @@
 //! buffer — that is what the epoll reactor feeds from non-blocking reads.
 //! Both route through the same request-line/header functions, so the
 //! hardening guarantees (smuggling rejections, size caps) hold identically
-//! under every topology.
+//! for the reactor, the taken-over streams and `doduo-balance`'s proxy.
 //!
 //! Every 4xx/5xx body uses one JSON error envelope (see
 //! [`error_envelope`]): `{"error": {"code", "message", "retry_after_ms"?}}`
@@ -532,7 +532,7 @@ impl BodyReader {
 /// here; the decoder consumes what it can, appends decoded body bytes to
 /// `out`, and remembers its position across calls. Error classification
 /// (bad chunk framing → 400, size caps → 413) matches the blocking reader
-/// exactly, so the hardening suite holds under both topologies.
+/// exactly, so both forms reject the same inputs.
 #[derive(Debug)]
 pub struct BodyDecoder {
     framing: BodyFraming,

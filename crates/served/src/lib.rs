@@ -16,17 +16,15 @@
 //! shortest-round-trip float formatting, so "bit-identical" is observable
 //! as *byte*-identical response bodies.
 //!
-//! Connections are served by an **epoll reactor** by default: one thread
-//! owns the listener and every parked keep-alive connection, drives
-//! per-connection state machines off readiness events, and hands fully
-//! parsed requests to worker threads that never touch a socket (an
-//! `eventfd` wakes the reactor when a response is ready). The legacy
-//! fixed worker pool (`--topology pool`) and thread-per-connection mode
-//! (`--workers 0`) remain as A/B baselines. `POST /annotate_stream` adds a
-//! streaming multi-table mode — a chunked upload of table objects answered
-//! by a chunked NDJSON stream of per-table results, each emitted as its
-//! micro-batch flushes and each byte-identical to the single-table
-//! `/annotate` response.
+//! Connections are served by an **epoll reactor**: one thread owns the
+//! listener and every parked keep-alive connection, drives per-connection
+//! state machines off readiness events, and submits `/annotate` work to
+//! the batching queue itself (an `eventfd` wakes it when the dispatcher
+//! has a response ready); requests that may block go to a small set of
+//! worker threads. `POST /annotate_stream` adds a streaming multi-table
+//! mode — a chunked upload of table objects answered by a chunked NDJSON
+//! stream of per-table results, each emitted as its micro-batch flushes
+//! and each byte-identical to the single-table `/annotate` response.
 //!
 //! Everything is hand-rolled on `std` (TCP, HTTP, JSON, threads): the
 //! workspace is offline-only by policy, and the daemon inherits that.
@@ -37,7 +35,7 @@
 //!   (blocking and sans-IO parsers), the unified error envelope, plus a
 //!   tiny blocking client for tests and load benches.
 //! * [`handler`] — the transport-independent [`Handler`]
-//!   trait and `/v1` path canonicalization shared by every topology and by
+//!   trait and `/v1` path canonicalization shared by the daemon and by
 //!   `doduo-balance`'s test backends.
 //! * [`reactor`] — the epoll event loop: connection state machines, timer
 //!   wheel, eventfd completion routing.
@@ -47,8 +45,8 @@
 //!   attribution, and the bounded feedback journal behind the opt-in
 //!   fine-tune loop (`POST /v1/feedback`, `--feedback-finetune`).
 //! * [`stats`] — latency percentiles and aggregate counters (`/stats`).
-//! * [`server`] — accept loop, topologies (reactor / worker pool /
-//!   thread-per-conn), dispatcher, streaming, graceful shutdown.
+//! * [`server`] — reactor wiring, request workers, dispatcher, streaming,
+//!   graceful shutdown.
 //! * [`bootstrap`] — the deterministic synthetic serving world shared by
 //!   the daemon's `--synthetic` mode, the `serve_load` bench, and CI.
 //! * [`validate`] — the online == offline equivalence check and the
@@ -82,5 +80,5 @@ pub mod validate;
 pub use handler::{canonical_path, Handler, HttpRequest, HttpResponse};
 pub use lifecycle::{EngineSlot, FeedbackJournal, Lifecycle, VersionedEngine};
 pub use queue::{BatchPolicy, Batcher, FlushReason, PushRejected, SharedBatcher};
-pub use server::{ServeConfig, Server, ServerHandle, Topology};
+pub use server::{ServeConfig, Server, ServerHandle};
 pub use stats::{percentiles, Percentiles, ServerStats};

@@ -243,8 +243,8 @@ impl FeedbackJournal {
 }
 
 /// Everything the serving stack shares about the live model: the swap slot
-/// plus the feedback journal. One per daemon, threaded through every
-/// topology in place of the old fixed `&BatchAnnotator`.
+/// plus the feedback journal. One per daemon, shared by the reactor, the
+/// request workers and the fine-tune loop.
 pub struct Lifecycle {
     slot: EngineSlot,
     journal: FeedbackJournal,

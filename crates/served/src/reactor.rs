@@ -1,4 +1,4 @@
-//! The epoll event loop behind the default serving topology.
+//! The epoll event loop that owns the daemon's connections.
 //!
 //! One reactor thread owns the listener and every parked connection. Each
 //! connection is a small state machine —
@@ -12,9 +12,7 @@
 //! — where every edge has a timeout budget tracked by a hashed
 //! [`TimerWheel`]. Sockets are nonblocking; reads and writes happen only
 //! when epoll reports readiness, so ten thousand idle keep-alive
-//! connections cost zero syscalls between requests (the worker pool they
-//! replace paid two `fcntl`s plus a `peek` per parked connection per
-//! probe round).
+//! connections cost zero syscalls between requests.
 //!
 //! The reactor never computes responses for work that can block: a fully
 //! parsed request is handed to the [`Driver`], which either answers

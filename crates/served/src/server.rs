@@ -2,31 +2,27 @@
 //! dispatcher thread that drains the batching queue into the batched
 //! annotation engine.
 //!
-//! ## Thread topology (epoll reactor, the default)
+//! ## Threads
 //!
 //! ```text
 //! reactor × 1 (caller's thread, epoll)   owns the listener and every
 //!   │        connection; parses requests sans-IO as bytes arrive; quick
-//!   │        GET endpoints answered inline; /annotate handed off
-//!   ├── request worker × W   pop a parsed request → decode tables →
-//!   │        serialize (cache) → push job → block on reply channel →
-//!   │        completion (eventfd) wakes the reactor to write
-//!   └── dispatcher × 1       wait for budget/deadline → flatten jobs
-//!            → annotate_groups_each (fans micro-batches across engine
-//!              threads) → route each table's annotation back as its
-//!              micro-batch completes (streams get per-table sends)
+//!   │        GET endpoints answered inline; /annotate decoded, tokenized
+//!   │        (cache) and pushed to the batching queue right here
+//!   ├── dispatcher × 1       wait for budget/deadline → flatten jobs
+//!   │        → annotate_groups_each (fans micro-batches across engine
+//!   │          threads) → the engine callback renders each /annotate
+//!   │          response when its last table completes and routes it back
+//!   │          (eventfd wakes the reactor to write); streams get
+//!   │          per-table sends
+//!   └── request worker × W   everything that may block: taken-over
+//!            /annotate_stream sessions, /v1/model, /v1/feedback, and
+//!            /annotate on a chaos-configured daemon
 //! ```
 //!
-//! Workers never block on sockets; the reactor never blocks on the
-//! engine. `--topology pool` keeps the previous fixed worker pool
-//! (readiness probes + requeueing of parked connections) and `workers: 0`
-//! the pre-pool thread-per-connection mode — both as A/B baselines for
-//! `serve_load`. All three topologies parse the same HTTP grammar and
-//! dispatch through the same [`Handler`] route core, so responses are
-//! byte-identical across them.
-//!
-//! Workers do the per-request work (parsing, tokenization through the
-//! LRU cache) so the dispatcher's serial section is just the packed forward
+//! The reactor never blocks on the engine, and only a worker that owns a
+//! streaming session ever touches a socket. Tokenizing before the queue
+//! push keeps the dispatcher's serial section to the packed forward
 //! passes. All threads are scoped: [`Server::run`] returns only after every
 //! worker and the dispatcher have exited, so shutdown is a real barrier —
 //! in-flight requests get answers, queued jobs get drained, and the process
@@ -55,16 +51,15 @@
 //! ## Shutdown
 //!
 //! `POST /shutdown` (or [`ServerHandle::shutdown`]) sets one atomic flag.
-//! The accept loop stops accepting; workers notice at their next queue pop
-//! (or after the in-flight response) and exit; the dispatcher drains what
-//! is queued, answers it, and exits.
+//! The reactor stops accepting and drains; workers notice at their next
+//! work-queue poll (or after the in-flight response) and exit; the
+//! dispatcher drains what is queued, answers it, and exits.
 
 use crate::chaos::{ChaosConfig, ChaosPlan, ChaosState};
-use crate::handler::{canonical_path, write_http_response, Handler, HttpRequest, HttpResponse};
+use crate::handler::{canonical_path, Handler, HttpRequest, HttpResponse};
 use crate::http::{
-    read_body, read_head, write_chunk, write_chunked_head, write_continue, write_error,
-    write_last_chunk, write_unavailable, BodyFraming, BodyReader, Head, Prefixed, ReadError,
-    MAX_BODY_BYTES,
+    write_chunk, write_chunked_head, write_continue, write_error, write_last_chunk,
+    write_unavailable, BodyFraming, BodyReader, Head, Prefixed, ReadError, MAX_BODY_BYTES,
 };
 use crate::json::{
     annotation_to_json, annotations_response, table_from_json, Json, StreamSplitter,
@@ -83,7 +78,7 @@ use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Close a parked keep-alive connection after this much idle time.
@@ -96,71 +91,29 @@ const STREAM_WINDOW: usize = 64;
 /// `Retry-After` hint (seconds) on backpressure 503s.
 const RETRY_AFTER_SECS: u64 = 1;
 
-/// How connections are multiplexed onto threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Topology {
-    /// One epoll reactor thread owns every connection; worker threads see
-    /// only parsed requests. The default.
-    Epoll,
-    /// Fixed worker pool with readiness probes and connection requeueing
-    /// (the pre-reactor default, kept as an A/B baseline).
-    Pool,
-    /// One thread per connection (the oldest baseline; also selected by
-    /// `workers: 0`).
-    ThreadPerConn,
-}
-
-impl Topology {
-    /// The CLI/bench name (`epoll`, `pool`, `thread_per_conn`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Topology::Epoll => "epoll",
-            Topology::Pool => "pool",
-            Topology::ThreadPerConn => "thread_per_conn",
-        }
-    }
-}
-
-impl std::str::FromStr for Topology {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Topology, String> {
-        match s {
-            "epoll" => Ok(Topology::Epoll),
-            "pool" => Ok(Topology::Pool),
-            "thread_per_conn" => Ok(Topology::ThreadPerConn),
-            other => Err(format!("unknown topology {other:?} (epoll, pool, thread_per_conn)")),
-        }
-    }
-}
-
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (port 0 picks a free port).
     pub addr: String,
-    /// Connection multiplexing strategy. `workers: 0` overrides this to
-    /// [`Topology::ThreadPerConn`] for backward compatibility.
-    pub topology: Topology,
     /// Dynamic micro-batching policy.
     pub policy: BatchPolicy,
     /// Engine knobs (micro-batch cuts, worker threads, tokenization cache).
     pub engine: BatchConfig,
-    /// Socket read timeout; also the granularity at which idle
-    /// thread-per-connection handlers notice shutdown.
+    /// Socket read timeout of a taken-over streaming connection, and the
+    /// reactor's grace window: when `request_deadline` expires, a client
+    /// whose last byte arrived within this long gets a 408, one silent for
+    /// longer is closed without a response.
     pub read_timeout: Duration,
     /// Maximum concurrent connections; beyond it new ones get 503+close.
     pub max_connections: usize,
-    /// Connection worker threads. `0` selects the legacy
-    /// thread-per-connection topology (one scoped thread per accepted
-    /// socket) instead of the pool.
+    /// Request worker threads: they serve what may block (streaming
+    /// sessions, `/v1/model`, `/v1/feedback`, chaos runs). At least one —
+    /// [`Server::bind`] rejects `0`.
     pub workers: usize,
-    /// Whether to honor HTTP keep-alive. `false` forces `connection:
-    /// close` after every response — the pre-keep-alive behavior, kept as
-    /// a benchmark baseline.
-    pub keep_alive: bool,
     /// Wall-clock bound on reading one request (head + body) once its
     /// first byte has arrived; a slower client gets 408 and is closed so
-    /// it cannot pin a worker.
+    /// it cannot hold a connection slot.
     pub request_deadline: Duration,
     /// Abort an `/annotate_stream` connection after this long without
     /// input progress or pending results.
@@ -184,13 +137,11 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:7878".into(),
-            topology: Topology::Epoll,
             policy: BatchPolicy::default(),
             engine: BatchConfig::default(),
             read_timeout: Duration::from_millis(200),
             max_connections: 1024,
             workers: 16,
-            keep_alive: true,
             request_deadline: Duration::from_secs(10),
             stream_idle_timeout: Duration::from_secs(30),
             chaos: None,
@@ -199,22 +150,10 @@ impl Default for ServeConfig {
     }
 }
 
-impl ServeConfig {
-    /// The topology that will actually run: `workers: 0` has always meant
-    /// thread-per-connection and still does, whatever `topology` says.
-    pub fn effective_topology(&self) -> Topology {
-        if self.workers == 0 {
-            Topology::ThreadPerConn
-        } else {
-            self.topology
-        }
-    }
-}
-
 /// How a queued job's annotations are delivered.
 enum Reply {
     /// One send with every table of the request, in request order
-    /// (`/annotate` on a blocking worker thread).
+    /// (`/annotate` on a blocking worker thread — chaos daemons only).
     Batch(mpsc::Sender<Vec<TableAnnotation>>),
     /// One `(stream_index, annotation)` send for this job's single table,
     /// fired as soon as its micro-batch completes (`/annotate_stream`).
@@ -223,10 +162,10 @@ enum Reply {
         index: usize,
         tx: mpsc::Sender<(usize, TableAnnotation)>,
     },
-    /// The rendered 200 response routed straight back to the epoll
-    /// reactor when the job's last table completes (`/annotate` under the
-    /// epoll topology — the submitting worker never blocks, so in-flight
-    /// requests are bounded by connections, not worker count).
+    /// The rendered 200 response routed straight back to the reactor when
+    /// the job's last table completes (`/annotate` — nothing blocks
+    /// waiting, so in-flight requests are bounded by connections, not
+    /// worker count).
     Reactor {
         /// The reactor connection awaiting this response.
         ticket: Ticket,
@@ -253,123 +192,6 @@ struct Job {
     reply: Reply,
 }
 
-/// One pooled connection between requests.
-struct Conn {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-    /// Requests already served on this connection (keep-alive reuse).
-    requests: u64,
-    /// When the connection last finished a request (idle-timeout clock).
-    idle_since: Instant,
-    /// Cached `O_NONBLOCK` state, so parked connections keep the flag set
-    /// across probes instead of paying two `fcntl`s per probe (the socket
-    /// flips back to blocking only when a request is about to be parsed).
-    nonblocking: bool,
-}
-
-/// What a readiness probe of a parked connection found.
-enum Readiness {
-    /// Bytes are waiting (buffered or on the socket) — parse a request.
-    Ready,
-    /// No bytes; park it again.
-    Idle,
-    /// Peer closed (or the socket errored).
-    Gone,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> std::io::Result<Conn> {
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Conn { stream, reader, requests: 0, idle_since: Instant::now(), nonblocking: false })
-    }
-
-    /// Flips `O_NONBLOCK` only when the cached state disagrees.
-    fn set_nonblocking(&mut self, nonblocking: bool) -> std::io::Result<()> {
-        if self.nonblocking != nonblocking {
-            self.stream.set_nonblocking(nonblocking)?;
-            self.nonblocking = nonblocking;
-        }
-        Ok(())
-    }
-
-    /// Non-blocking readiness probe: buffered bytes count as ready; else a
-    /// zero-timeout peek distinguishes waiting data / idle / closed. A
-    /// parked connection stays in nonblocking mode between probes — the
-    /// flag flips back to blocking only on `Ready`, when a request parse
-    /// is about to commit, so each idle probe costs one `peek` instead of
-    /// two `fcntl`s plus a `peek`.
-    fn readiness(&mut self) -> Readiness {
-        if !self.reader.buffer().is_empty() {
-            if self.set_nonblocking(false).is_err() {
-                return Readiness::Gone;
-            }
-            return Readiness::Ready;
-        }
-        if self.set_nonblocking(true).is_err() {
-            return Readiness::Gone;
-        }
-        let mut probe = [0u8; 1];
-        match self.stream.peek(&mut probe) {
-            Ok(0) => Readiness::Gone,
-            Ok(_) => {
-                if self.set_nonblocking(false).is_err() {
-                    return Readiness::Gone;
-                }
-                Readiness::Ready
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Readiness::Idle
-            }
-            Err(_) => Readiness::Gone,
-        }
-    }
-}
-
-/// The connection queue the accept loop feeds and workers drain.
-struct ConnQueue {
-    q: Mutex<VecDeque<Conn>>,
-    wake: Condvar,
-}
-
-impl ConnQueue {
-    fn new() -> ConnQueue {
-        ConnQueue { q: Mutex::new(VecDeque::new()), wake: Condvar::new() }
-    }
-
-    fn push(&self, conn: Conn) {
-        self.q.lock().expect("conn queue lock").push_back(conn);
-        self.wake.notify_one();
-    }
-
-    fn pop(&self, timeout: Duration) -> Option<Conn> {
-        let mut guard = self.q.lock().expect("conn queue lock");
-        if let Some(c) = guard.pop_front() {
-            return Some(c);
-        }
-        let (mut guard, _) = self.wake.wait_timeout(guard, timeout).expect("conn queue lock");
-        guard.pop_front()
-    }
-
-    fn len(&self) -> usize {
-        self.q.lock().expect("conn queue lock").len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn clear(&self) {
-        self.q.lock().expect("conn queue lock").clear();
-    }
-
-    fn notify_all(&self) {
-        self.wake.notify_all();
-    }
-}
-
 struct Shared {
     shutdown: AtomicBool,
     /// True once the engine is built and the daemon is accepting work —
@@ -377,12 +199,11 @@ struct Shared {
     ready: AtomicBool,
     connections: AtomicUsize,
     queue: SharedBatcher<Job>,
-    conns: ConnQueue,
     stats: ServerStats,
     started: Instant,
     chaos: Option<ChaosState>,
-    /// The epoll reactor's completion queue, installed while that
-    /// topology runs so shutdown can wake `epoll_wait` immediately.
+    /// The reactor's completion queue, installed while [`Server::run`]
+    /// serves so shutdown can wake `epoll_wait` immediately.
     waker: Mutex<Option<Arc<Router>>>,
 }
 
@@ -401,7 +222,6 @@ impl Shared {
         self.queue.close();
         self.shutdown.store(true, Ordering::SeqCst);
         self.queue.notify();
-        self.conns.notify_all();
         if let Some(router) = self.waker.lock().expect("waker lock").as_ref() {
             router.nudge();
         }
@@ -443,8 +263,16 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener. Serving starts with [`Server::run`].
+    /// Binds the listener. Serving starts with [`Server::run`]. Zero
+    /// workers is `InvalidInput`: streams, `/v1/model` and chaos requests
+    /// would be accepted and never served.
     pub fn bind(cfg: ServeConfig) -> std::io::Result<Server> {
+        if cfg.workers == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "workers must be at least 1",
+            ));
+        }
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -452,8 +280,7 @@ impl Server {
             ready: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
             queue: SharedBatcher::new(cfg.policy.clone()),
-            conns: ConnQueue::new(),
-            stats: ServerStats::with_topology(cfg.effective_topology().name(), cfg.workers),
+            stats: ServerStats::with_workers(cfg.workers),
             started: Instant::now(),
             chaos: cfg.chaos.clone().map(ChaosState::new),
             waker: Mutex::new(None),
@@ -469,47 +296,6 @@ impl Server {
     /// A remote control usable from other threads.
     pub fn handle(&self) -> ServerHandle {
         ServerHandle { shared: Arc::clone(&self.shared) }
-    }
-
-    /// Accepts one pending socket, applies socket options and the
-    /// connection cap, and returns it ready for serving.
-    fn admit(&self) -> Option<TcpStream> {
-        let shared = &self.shared;
-        match self.listener.accept() {
-            Ok((stream, _)) => {
-                if stream.set_nonblocking(false).is_err()
-                    || stream.set_read_timeout(Some(self.cfg.read_timeout)).is_err()
-                    || stream.set_write_timeout(Some(Duration::from_secs(30))).is_err()
-                    || stream.set_nodelay(true).is_err()
-                {
-                    return None;
-                }
-                if shared.connections.load(Ordering::SeqCst) >= self.cfg.max_connections {
-                    shared.stats.conns_rejected.fetch_add(1, Ordering::Relaxed);
-                    let mut stream = stream;
-                    let _ = write_unavailable(
-                        &mut stream,
-                        "overloaded",
-                        "too many connections",
-                        false,
-                        RETRY_AFTER_SECS,
-                    );
-                    return None;
-                }
-                shared.connections.fetch_add(1, Ordering::SeqCst);
-                shared.stats.conns_accepted.fetch_add(1, Ordering::Relaxed);
-                Some(stream)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-                None
-            }
-            Err(e) => {
-                eprintln!("[served] accept error: {e}");
-                std::thread::sleep(Duration::from_millis(50));
-                None
-            }
-        }
     }
 
     /// Serves until shutdown. Blocks the calling thread; all worker threads
@@ -531,81 +317,41 @@ impl Server {
             if cfg.feedback_finetune {
                 scope.spawn(move || finetune_loop(shared, lifecycle));
             }
-            match cfg.effective_topology() {
-                Topology::ThreadPerConn => {
-                    // Legacy topology: one scoped thread per connection.
-                    while !shared.shutting_down() {
-                        if let Some(stream) = self.admit() {
-                            scope.spawn(move || {
-                                if let Ok(mut conn) = Conn::new(stream) {
-                                    thread_per_conn_loop(&mut conn, shared, lifecycle, cfg);
-                                }
-                                shared.end_conn();
-                            });
-                        }
-                    }
-                }
-                Topology::Pool => {
-                    for w in 0..cfg.workers {
-                        scope.spawn(move || worker_loop(shared, lifecycle, cfg, w));
-                    }
-                    while !shared.shutting_down() {
-                        if let Some(stream) = self.admit() {
-                            match Conn::new(stream) {
-                                Ok(conn) => shared.conns.push(conn),
-                                Err(_) => shared.end_conn(),
-                            }
-                        }
-                    }
-                }
-                Topology::Epoll => {
-                    let (work_tx, work_rx) = mpsc::channel::<Work>();
-                    let work_rx = Arc::new(Mutex::new(work_rx));
-                    let driver = EpollDriver {
-                        listener: &self.listener,
-                        shared,
-                        lifecycle,
-                        cfg,
-                        work: work_tx,
-                    };
-                    let rcfg = ReactorConfig {
-                        request_deadline: cfg.request_deadline,
-                        idle_timeout: CONN_IDLE_TIMEOUT,
-                        dispatch_timeout: Duration::from_secs(35),
-                        write_timeout: Duration::from_secs(30),
-                        read_grace: cfg.read_timeout,
-                        ..ReactorConfig::default()
-                    };
-                    let mut reactor = Reactor::new(rcfg, driver).expect("epoll reactor setup");
-                    reactor.set_listener(self.listener.as_raw_fd()).expect("register listener");
-                    let router = reactor.router();
-                    *shared.waker.lock().expect("waker lock") = Some(Arc::clone(&router));
-                    for w in 0..cfg.workers {
-                        let work_rx = Arc::clone(&work_rx);
-                        let router = Arc::clone(&router);
-                        scope.spawn(move || {
-                            epoll_worker_loop(shared, lifecycle, cfg, &work_rx, &router, w)
-                        });
-                    }
-                    if let Err(e) = reactor.run(&shared.shutdown, Duration::from_secs(5)) {
-                        eprintln!("[served] reactor error: {e}");
-                        shared.request_shutdown();
-                    }
-                    *shared.waker.lock().expect("waker lock") = None;
-                }
+            let (work_tx, work_rx) = mpsc::channel::<Work>();
+            let work_rx = Arc::new(Mutex::new(work_rx));
+            let driver =
+                EpollDriver { listener: &self.listener, shared, lifecycle, cfg, work: work_tx };
+            let rcfg = ReactorConfig {
+                request_deadline: cfg.request_deadline,
+                idle_timeout: CONN_IDLE_TIMEOUT,
+                dispatch_timeout: Duration::from_secs(35),
+                write_timeout: Duration::from_secs(30),
+                read_grace: cfg.read_timeout,
+                ..ReactorConfig::default()
+            };
+            let mut reactor = Reactor::new(rcfg, driver).expect("epoll reactor setup");
+            reactor.set_listener(self.listener.as_raw_fd()).expect("register listener");
+            let router = reactor.router();
+            *shared.waker.lock().expect("waker lock") = Some(Arc::clone(&router));
+            for w in 0..cfg.workers {
+                let work_rx = Arc::clone(&work_rx);
+                let router = Arc::clone(&router);
+                scope
+                    .spawn(move || epoll_worker_loop(shared, lifecycle, cfg, &work_rx, &router, w));
             }
+            if let Err(e) = reactor.run(&shared.shutdown, Duration::from_secs(5)) {
+                eprintln!("[served] reactor error: {e}");
+                shared.request_shutdown();
+            }
+            *shared.waker.lock().expect("waker lock") = None;
             shared.queue.notify();
-            shared.conns.notify_all();
         });
-        // Parked connections left in the queue at shutdown are closed now,
-        // so a stopped daemon holds no sockets.
-        self.shared.conns.clear();
     }
 }
 
 // ----------------------------------------------------------- epoll driver
 
-/// Work items the reactor hands to the epoll topology's worker threads.
+/// Work items the reactor hands to the request worker threads.
 enum Work {
     /// A fully parsed request to answer through the [`Handler`] core.
     Request { ticket: Ticket, req: HttpRequest },
@@ -672,7 +418,7 @@ impl<'s> Driver<TcpStream> for EpollDriver<'s> {
         if prior_requests > 0 {
             self.shared.stats.keepalive_reused.fetch_add(1, Ordering::Relaxed);
         }
-        let keep_policy = self.cfg.keep_alive && !self.shared.shutting_down();
+        let keep_policy = !self.shared.shutting_down();
         let canon_is = |p: &str| canonical_path(&req.path) == p;
         if req.method == "POST" && canon_is("/annotate") {
             // The engine-bound route never blocks the reactor: tokenize
@@ -750,8 +496,8 @@ impl<'s> Driver<TcpStream> for EpollDriver<'s> {
     }
 }
 
-/// Forces `connection: close` on a response when keep-alive is disabled by
-/// policy (config or shutdown) rather than by the client.
+/// Forces `connection: close` on a response when the daemon (shutting
+/// down), not the client, ends keep-alive.
 fn apply_keep_policy(resp: HttpResponse, keep_policy: bool) -> HttpResponse {
     if keep_policy {
         resp
@@ -760,10 +506,10 @@ fn apply_keep_policy(resp: HttpResponse, keep_policy: bool) -> HttpResponse {
     }
 }
 
-/// One epoll-topology worker: pops parsed requests (or taken-over
-/// streams), runs the [`Handler`] core, and routes the response back to
-/// the reactor. Never touches a socket except for streaming sessions,
-/// which it owns end-to-end.
+/// One request worker: pops parsed requests (or taken-over streams), runs
+/// the [`Handler`] core, and routes the response back to the reactor.
+/// Never touches a socket except for streaming sessions, which it owns
+/// end-to-end.
 fn epoll_worker_loop(
     shared: &Shared,
     lifecycle: &Lifecycle,
@@ -799,7 +545,7 @@ fn epoll_worker_loop(
 
 /// Serves a streaming connection the reactor handed over: back to
 /// blocking mode, replay the bytes the reactor already read, then run the
-/// same multiplexed stream session the pool topology uses.
+/// multiplexed stream session.
 fn serve_takeover_stream(
     stream: TcpStream,
     head: Head,
@@ -829,6 +575,31 @@ fn serve_takeover_stream(
 }
 
 // ------------------------------------------------------------- dispatcher
+
+/// Collects the annotations of one whole-request job (`Reply::Batch` /
+/// `Reply::Reactor`): slots filled by whichever engine thread finishes
+/// each table.
+struct Collect {
+    slots: Mutex<Vec<Option<TableAnnotation>>>,
+    left: AtomicUsize,
+}
+
+impl Collect {
+    fn new(n: usize) -> Collect {
+        Collect { slots: Mutex::new((0..n).map(|_| None).collect()), left: AtomicUsize::new(n) }
+    }
+
+    /// Files table `li`'s annotation; the call that fills the last open
+    /// slot gets every annotation back in request order.
+    fn fill(&self, li: usize, ann: TableAnnotation) -> Option<Vec<TableAnnotation>> {
+        let mut slots = self.slots.lock().expect("collector lock");
+        slots[li] = Some(ann);
+        if self.left.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return None;
+        }
+        Some(slots.iter_mut().map(|s| s.take().expect("slot filled")).collect())
+    }
+}
 
 /// The dispatcher: waits until the queue policy releases a batch, runs the
 /// packed forward passes, and routes each table's annotation back the
@@ -860,20 +631,11 @@ fn dispatcher_loop(shared: &Shared) {
         let total_tables: usize = counts.iter().sum();
         shared.stats.record_batch(reason, total_tables as u64);
 
-        // Per-`Batch`-job collectors: slots filled by whichever engine
-        // thread finishes each table, one send when the count hits zero.
-        struct Collect {
-            slots: Mutex<Vec<Option<TableAnnotation>>>,
-            left: AtomicUsize,
-        }
         let collectors: Vec<Option<Collect>> = jobs
             .iter()
             .zip(&counts)
             .map(|(job, &n)| match &job.reply {
-                Reply::Batch(_) | Reply::Reactor { .. } => Some(Collect {
-                    slots: Mutex::new((0..n).map(|_| None).collect()),
-                    left: AtomicUsize::new(n),
-                }),
+                Reply::Batch(_) | Reply::Reactor { .. } => Some(Collect::new(n)),
                 Reply::Stream { .. } => None,
             })
             .collect();
@@ -894,6 +656,10 @@ fn dispatcher_loop(shared: &Shared) {
             let routes = &routes;
             engine.engine().annotate_groups_each(&flat, &|fi, ann| {
                 let (ji, li) = routes[fi];
+                // Whole-request jobs: every annotation in request order
+                // once this table was the last one outstanding.
+                let complete =
+                    |ann| collectors[ji].as_ref().expect("collector exists for job").fill(li, ann);
                 match &jobs[ji].reply {
                     // A dead receiver means the handler gave up (client
                     // vanished); dropping its annotations is the right
@@ -902,35 +668,17 @@ fn dispatcher_loop(shared: &Shared) {
                         let _ = tx.send((*index, ann));
                     }
                     Reply::Batch(tx) => {
-                        let c = collectors[ji].as_ref().expect("collector exists for batch job");
-                        c.slots.lock().expect("collector lock")[li] = Some(ann);
-                        if c.left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            let anns: Vec<TableAnnotation> = c
-                                .slots
-                                .lock()
-                                .expect("collector lock")
-                                .iter_mut()
-                                .map(|s| s.take().expect("slot filled"))
-                                .collect();
+                        if let Some(anns) = complete(ann) {
                             let _ = tx.send(anns);
                         }
                     }
-                    // Epoll-topology jobs render and route here, on
-                    // whichever engine thread finishes the last table — no
-                    // worker is blocked waiting, and a stale ticket
-                    // (connection reaped meanwhile) is dropped by the
-                    // router's generation check.
+                    // Reactor jobs render and route here, on whichever
+                    // engine thread finishes the last table — no worker is
+                    // blocked waiting, and a stale ticket (connection
+                    // reaped meanwhile) is dropped by the router's
+                    // generation check.
                     Reply::Reactor { ticket, router, wrapped, t0, counts, legacy } => {
-                        let c = collectors[ji].as_ref().expect("collector exists for reactor job");
-                        c.slots.lock().expect("collector lock")[li] = Some(ann);
-                        if c.left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            let anns: Vec<TableAnnotation> = c
-                                .slots
-                                .lock()
-                                .expect("collector lock")
-                                .iter_mut()
-                                .map(|s| s.take().expect("slot filled"))
-                                .collect();
+                        if let Some(anns) = complete(ann) {
                             let (tables, seqs, tokens) = *counts;
                             shared.stats.record_request(t0.elapsed(), tables, seqs, tokens);
                             let body = annotations_response(&anns, *wrapped);
@@ -977,198 +725,11 @@ fn finetune_loop(shared: &Shared, lifecycle: &Lifecycle) {
     }
 }
 
-// ---------------------------------------------------------------- workers
-
-/// One pool worker: pop a connection, probe readiness, serve one request if
-/// bytes are waiting, park it again otherwise. Backs off briefly when a
-/// scan finds nothing but idle connections so an idle daemon doesn't spin.
-fn worker_loop(shared: &Shared, lifecycle: &Lifecycle, cfg: &ServeConfig, worker: usize) {
-    let mut idle_streak = 0usize;
-    while !shared.shutting_down() {
-        let Some(mut conn) = shared.conns.pop(Duration::from_millis(10)) else {
-            idle_streak = 0;
-            continue;
-        };
-        if shared.shutting_down() {
-            shared.end_conn();
-            return;
-        }
-        match conn.readiness() {
-            Readiness::Ready => {
-                idle_streak = 0;
-                // Sticky serving: while no other connection is waiting,
-                // keep this one and block on its next request directly
-                // (the read timeout bounds each wait, so a conn arriving
-                // for a fully-sticky pool is picked up within one cycle).
-                // This makes the pool behave like thread-per-connection
-                // whenever connections ≤ workers — no requeue/probe churn
-                // on the closed-loop hot path — and multiplex beyond that.
-                loop {
-                    match serve_one_request(&mut conn, shared, lifecycle, cfg, Some(worker)) {
-                        Next::Close => {
-                            shared.end_conn();
-                            break;
-                        }
-                        Next::Served => conn.idle_since = Instant::now(),
-                        Next::Idle => {}
-                    }
-                    if shared.shutting_down() || conn.idle_since.elapsed() > CONN_IDLE_TIMEOUT {
-                        shared.end_conn();
-                        break;
-                    }
-                    if !shared.conns.is_empty() {
-                        shared.conns.push(conn);
-                        break;
-                    }
-                }
-            }
-            Readiness::Idle => {
-                if conn.idle_since.elapsed() > CONN_IDLE_TIMEOUT {
-                    shared.end_conn();
-                } else {
-                    shared.conns.push(conn);
-                    idle_streak += 1;
-                    // A full lap of idle-only connections: sleep so the
-                    // probe loop doesn't busy-spin on a quiet daemon.
-                    if idle_streak > shared.conns.len().max(8) {
-                        idle_streak = 0;
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            }
-            Readiness::Gone => shared.end_conn(),
-        }
-    }
-}
-
-/// Legacy thread-per-connection handler: blockingly serve requests until
-/// the connection closes or shutdown is requested. Idle read timeouts poll
-/// the shutdown flag, exactly as in the pre-pool daemon.
-fn thread_per_conn_loop(
-    conn: &mut Conn,
-    shared: &Shared,
-    lifecycle: &Lifecycle,
-    cfg: &ServeConfig,
-) {
-    loop {
-        if shared.shutting_down() {
-            return;
-        }
-        match serve_one_request(conn, shared, lifecycle, cfg, None) {
-            Next::Served | Next::Idle => continue,
-            Next::Close => return,
-        }
-    }
-}
-
-/// What happened on one serve attempt.
-enum Next {
-    /// A request was answered and the connection stays open.
-    Served,
-    /// No request arrived before the read timeout (idle keep-alive).
-    Idle,
-    /// The connection is finished (error, `connection: close`, stream end).
-    Close,
-}
-
-/// Reads and answers exactly one request on `conn`. An idle read timeout
-/// before the first byte returns [`Next::Idle`] (the caller parks or
-/// retries); every error path answers with the right status where the wire
-/// still permits one, then closes.
-fn serve_one_request(
-    conn: &mut Conn,
-    shared: &Shared,
-    lifecycle: &Lifecycle,
-    cfg: &ServeConfig,
-    worker: Option<usize>,
-) -> Next {
-    let deadline = Instant::now() + cfg.request_deadline;
-    let head = match read_head(&mut conn.reader, deadline) {
-        Ok(h) => h,
-        Err(ReadError::TimedOut) => return Next::Idle, // idle keep-alive
-        Err(ReadError::Eof) => return Next::Close,
-        Err(ReadError::Bad(msg)) => {
-            shared.stats.requests_failed.fetch_add(1, Ordering::Relaxed);
-            let _ = write_error(&mut conn.stream, 400, "Bad Request", &msg, false);
-            return Next::Close;
-        }
-        Err(ReadError::TooLarge(msg)) => {
-            shared.stats.requests_failed.fetch_add(1, Ordering::Relaxed);
-            let _ = write_error(&mut conn.stream, 413, "Payload Too Large", &msg, false);
-            return Next::Close;
-        }
-        Err(ReadError::TooSlow) => {
-            shared.stats.requests_failed.fetch_add(1, Ordering::Relaxed);
-            let _ =
-                write_error(&mut conn.stream, 408, "Request Timeout", "request too slow", false);
-            return Next::Close;
-        }
-        Err(ReadError::Io(_)) => return Next::Close,
-    };
-    conn.requests += 1;
-    if conn.requests > 1 {
-        shared.stats.keepalive_reused.fetch_add(1, Ordering::Relaxed);
-    }
-    if let Some(w) = worker {
-        shared.stats.record_worker(w);
-    }
-
-    // The streaming endpoint consumes its body incrementally and owns its
-    // connection to the end; everything else buffers the body first.
-    if head.method == "POST" && canonical_path(&head.path) == "/annotate_stream" {
-        return handle_stream(conn, shared, lifecycle, cfg, &head);
-    }
-
-    if head.expect_continue
-        && head.framing != BodyFraming::None
-        && write_continue(&mut conn.stream).is_err()
-    {
-        return Next::Close;
-    }
-    let body = match read_body(&mut conn.reader, head.framing, deadline) {
-        Ok(b) => b,
-        Err(ReadError::TooLarge(msg)) => {
-            shared.stats.requests_failed.fetch_add(1, Ordering::Relaxed);
-            let _ = write_error(&mut conn.stream, 413, "Payload Too Large", &msg, false);
-            return Next::Close;
-        }
-        Err(ReadError::Bad(msg)) => {
-            shared.stats.requests_failed.fetch_add(1, Ordering::Relaxed);
-            let _ = write_error(&mut conn.stream, 400, "Bad Request", &msg, false);
-            return Next::Close;
-        }
-        Err(ReadError::TooSlow) => {
-            shared.stats.requests_failed.fetch_add(1, Ordering::Relaxed);
-            let _ =
-                write_error(&mut conn.stream, 408, "Request Timeout", "request too slow", false);
-            return Next::Close;
-        }
-        Err(_) => return Next::Close,
-    };
-
-    // From here the request is fully buffered: route it through the same
-    // Handler core the reactor and the balancer's test backends use.
-    let keep_policy = cfg.keep_alive && !shared.shutting_down();
-    let req = HttpRequest::from_head(&head, body);
-    let handler = EngineHandler { shared, lifecycle, cfg };
-    let resp = apply_keep_policy(handler.handle(&req), keep_policy);
-    let severs = matches!(resp, HttpResponse::RawThenClose(_) | HttpResponse::Hangup);
-    match write_http_response(&mut conn.stream, &resp, req.keep_alive) {
-        Ok(true) => Next::Served,
-        Ok(false) => {
-            if severs {
-                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            }
-            Next::Close
-        }
-        Err(_) => Next::Close,
-    }
-}
-
 // ------------------------------------------------------------ handler core
 
-/// The daemon's request→response core: every topology (and nothing else)
-/// routes buffered requests through this [`Handler`]. Paths are matched
+/// The daemon's request→response core: the reactor (inline routes) and
+/// the request workers route buffered requests through this [`Handler`].
+/// Paths are matched
 /// after [`canonical_path`], so `/v1/...` and legacy unprefixed routes
 /// behave identically — except that a known route reached through its
 /// deprecated unprefixed alias is counted in `legacy_route_hits` and
@@ -1379,23 +940,9 @@ fn decode_stream_table(
 /// `POST /annotate_stream`: multiplexes body reads, queue pushes, and
 /// in-order result writes on the handling worker's thread. The connection
 /// always closes afterwards (the chunked response is terminated either
-/// cleanly or after an in-band `{"error": ...}` object).
-fn handle_stream(
-    conn: &mut Conn,
-    shared: &Shared,
-    lifecycle: &Lifecycle,
-    cfg: &ServeConfig,
-    head: &Head,
-) -> Next {
-    let Conn { stream, reader, .. } = conn;
-    let _ = stream_session(stream, reader, shared, lifecycle, cfg, head);
-    let _ = conn.stream.set_read_timeout(Some(cfg.read_timeout));
-    Next::Close
-}
-
-/// The streaming session body, generic over the input reader so the pool
-/// path (buffered socket) and the epoll takeover path (reactor leftovers
-/// replayed via [`Prefixed`] in front of the socket) share it.
+/// cleanly or after an in-band `{"error": ...}` object). `reader` is the
+/// reactor's leftover bytes replayed via [`Prefixed`] in front of the
+/// socket.
 fn stream_session(
     stream: &mut TcpStream,
     reader: &mut impl BufRead,
@@ -1624,7 +1171,7 @@ struct PreparedAnnotate {
 
 /// The decode/validate/tokenize prefix shared by both `/annotate` paths
 /// (blocking worker and reactor-completed). Tokenizing on the calling
-/// worker thread warms the shared LRU cache and lets the queue count real
+/// thread warms the shared LRU cache and lets the queue count real
 /// tokens, keeping the dispatcher compute-only; errors come back as
 /// ready-to-send responses with the failure already counted.
 fn prepare_annotate(
@@ -1669,10 +1216,9 @@ fn annotate_unavailable(shared: &Shared, code: &str, msg: &str) -> HttpResponse 
 }
 
 /// `POST /annotate`: decode, tokenize, submit to the batching queue, and
-/// wait for the flushed result. Runs on a blocking worker thread (the
-/// pool and thread-per-connection topologies, plus chaos-configured epoll
-/// daemons — injected stalls must block one request's thread, never an
-/// engine callback). The engine is captured once, before the queue push:
+/// wait for the flushed result. Runs on a blocking worker thread, on
+/// chaos-configured daemons only — injected stalls must block one
+/// request's thread, never the reactor or an engine callback. The engine is captured once, before the queue push:
 /// the response is produced by exactly that model and says so in its
 /// `x-model-version` header, however many swaps land while the job waits.
 fn annotate_response(shared: &Shared, lifecycle: &Lifecycle, body: &[u8]) -> HttpResponse {
@@ -1726,11 +1272,11 @@ fn annotate_response(shared: &Shared, lifecycle: &Lifecycle, body: &[u8]) -> Htt
     HttpResponse::json(200, body).with_header("x-model-version", &engine.label())
 }
 
-/// `POST /annotate` under the epoll topology: same decode/tokenize/
+/// `POST /annotate` from the reactor thread: same decode/tokenize/
 /// admission as [`annotate_response`], but the job carries the
 /// connection's reactor ticket instead of a blocking reply channel — the
 /// dispatcher's engine callback renders and routes the response when the
-/// last table completes, and this worker is free for the next request the
+/// last table completes, and the reactor is free for the next request the
 /// moment the push succeeds. In-flight annotate requests are then bounded
 /// by connections rather than worker count, which keeps micro-batches
 /// full at high fan-in (and drops two thread hand-offs per request).
@@ -1789,4 +1335,16 @@ fn render_torn_response(body: &str) -> Vec<u8> {
     .into_bytes();
     out.extend_from_slice(&body.as_bytes()[..body.len() / 2]);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bind_rejects_zero_workers() {
+        let cfg = ServeConfig { addr: "127.0.0.1:0".into(), workers: 0, ..ServeConfig::default() };
+        let err = Server::bind(cfg).err().expect("zero workers must not bind");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
 }

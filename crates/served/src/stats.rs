@@ -33,7 +33,7 @@ pub struct ServerStats {
     pub flush_shutdown: AtomicU64,
     /// Jobs bounced off the full queue (HTTP 503).
     pub rejected_full: AtomicU64,
-    /// Connections accepted into the pool (or handler threads).
+    /// Connections accepted by the reactor.
     pub conns_accepted: AtomicU64,
     /// Connections turned away with 503 at the accept loop.
     pub conns_rejected: AtomicU64,
@@ -49,12 +49,8 @@ pub struct ServerStats {
     pub streams_failed: AtomicU64,
     /// Tables annotated through streams (also counted in `tables`).
     pub stream_tables: AtomicU64,
-    /// Requests handled per pool worker (empty in thread-per-connection
-    /// mode).
+    /// Requests (and taken-over streams) handled per request worker.
     worker_requests: Vec<AtomicU64>,
-    /// Connection-handling topology name reported in `/stats`
-    /// (`"epoll"`, `"pool"`, `"thread_per_conn"`).
-    topology: &'static str,
     latencies_us: Mutex<Ring>,
     batch_tables: Mutex<Ring>,
 }
@@ -144,26 +140,23 @@ pub fn percentiles(samples: &[u64]) -> Percentiles {
 }
 
 impl ServerStats {
-    /// Stats for a daemon running `topology` with `workers` request
-    /// workers (0 for the thread-per-connection topology).
-    pub fn with_topology(topology: &'static str, workers: usize) -> ServerStats {
+    /// Stats for a daemon with `workers` request workers.
+    pub fn with_workers(workers: usize) -> ServerStats {
         ServerStats {
             worker_requests: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            topology,
             ..ServerStats::default()
         }
     }
 
-    /// Credits one handled request to pool worker `id` (no-op when out of
-    /// range, i.e. in thread-per-connection mode).
+    /// Credits one handled request to worker `id` (no-op when out of
+    /// range).
     pub fn record_worker(&self, id: usize) {
         if let Some(w) = self.worker_requests.get(id) {
             w.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Per-worker handled-request counts (empty in thread-per-connection
-    /// mode).
+    /// Per-worker handled-request counts.
     pub fn worker_requests(&self) -> Vec<u64> {
         self.worker_requests.iter().map(|w| w.load(Ordering::Relaxed)).collect()
     }
@@ -237,7 +230,7 @@ impl ServerStats {
         let mut model_version = String::new();
         crate::json::push_escaped(&mut model_version, &model.model_version);
         format!(
-            "{{\"topology\":\"{}\",\"uptime_secs\":{:.3},\"requests_ok\":{},\"requests_failed\":{},\
+            "{{\"uptime_secs\":{:.3},\"requests_ok\":{},\"requests_failed\":{},\
              \"rejected_queue_full\":{},\"tables\":{},\"sequences\":{},\"tokens\":{},\
              \"queue_depth\":{queue_depth},\"cache_hit_rate\":{cache_hit_rate:.4},\
              \"legacy_route_hits\":{},\
@@ -251,7 +244,6 @@ impl ServerStats {
              \"mean\":{:.3},\"p50\":{:.3},\"p99\":{:.3},\"max\":{:.3}}},\
              \"batch_tables\":{{\"window_count\":{bat_window},\"total_count\":{bat_total},\
              \"mean\":{:.3},\"p50\":{:.0},\"p99\":{:.0}}}}}\n",
-            if self.topology.is_empty() { "unknown" } else { self.topology },
             uptime.as_secs_f64(),
             self.requests_ok.load(Ordering::Relaxed),
             self.requests_failed.load(Ordering::Relaxed),

@@ -238,20 +238,6 @@ fn oversized_table_is_rejected_not_crashed() {
 }
 
 #[test]
-fn thread_per_connection_mode_is_byte_identical() {
-    let world = synthetic_world(true, 42);
-    let cfg = ServeConfig { workers: 0, ..test_config(BatchPolicy::default()) };
-    with_server_cfg(&world, cfg, |addr| {
-        let mut c = Client::connect(addr, Some(Duration::from_secs(30))).expect("connect");
-        for t in world.tables.iter().take(3) {
-            let resp = c.request("POST", "/annotate", table_to_json(t).as_bytes()).expect("req");
-            assert_eq!(resp.status, 200);
-            assert_eq!(resp.body, offline_bytes(&world, t), "table {}", t.id);
-        }
-    });
-}
-
-#[test]
 fn keep_alive_reuses_connections_across_many_requests() {
     let world = synthetic_world(true, 42);
     with_server(&world, BatchPolicy::default(), |addr| {
@@ -269,12 +255,12 @@ fn keep_alive_reuses_connections_across_many_requests() {
         let workers = s.get("workers").expect("workers section");
         let per_worker = workers.get("requests").and_then(Json::as_array).expect("array");
         let total: f64 = per_worker.iter().filter_map(Json::as_f64).sum();
-        // Under the epoll topology no request here crosses a worker
-        // thread: quick GET routes are answered inline on the reactor, and
-        // annotates are submitted to the batching queue from the reactor
-        // and completed by the dispatcher's engine callback. Workers only
-        // see taken-over streams and chaos runs.
-        assert_eq!(total, 0.0, "epoll annotates bypass the worker pool, got {total}");
+        // No request here crosses a worker thread: quick GET routes are
+        // answered inline on the reactor, and annotates are submitted to
+        // the batching queue from the reactor and completed by the
+        // dispatcher's engine callback. Workers only see taken-over
+        // streams and chaos runs.
+        assert_eq!(total, 0.0, "annotates bypass the request workers, got {total}");
         // The requests still count as served.
         assert_eq!(s.get("requests_ok").and_then(Json::as_f64), Some(10.0));
     });

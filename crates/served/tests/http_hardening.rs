@@ -2,31 +2,26 @@
 //! sockets: malformed request lines, oversized heads/bodies, premature
 //! EOF, byte-at-a-time split writes, pipelining, wrong `Content-Length`,
 //! and bad chunked framing. Error-class requests must get the right status
-//! (400/413), and a poisoned connection must never wedge a pool worker —
+//! (400/413), and a poisoned connection must never wedge the daemon —
 //! after any of these, a well-formed request is still answered promptly.
 
 use doduo_served::bootstrap::{synthetic_world, SyntheticWorld};
 use doduo_served::http::Client;
 use doduo_served::json::table_to_json;
-use doduo_served::{BatchPolicy, ServeConfig, Server, ServerHandle, Topology};
+use doduo_served::{BatchPolicy, ServeConfig, Server, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// Every adversarial scenario runs against both serving topologies: the
-/// epoll reactor (default) and the probe/requeue worker pool it replaced.
-const TOPOLOGIES: &[Topology] = &[Topology::Epoll, Topology::Pool];
-
-/// A small pool (2 workers) with short timeouts, so wedged-worker bugs
+/// Two request workers and short timeouts, so wedged-connection bugs
 /// surface as test timeouts quickly.
-fn hardened_config(topology: Topology) -> ServeConfig {
+fn hardened_config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".into(),
         policy: BatchPolicy::default(),
         read_timeout: Duration::from_millis(50),
         request_deadline: Duration::from_secs(2),
         workers: 2,
-        topology,
         ..ServeConfig::default()
     }
 }
@@ -39,12 +34,9 @@ impl Drop for ShutdownOnDrop {
     }
 }
 
-/// Runs `body` once per serving topology (epoll reactor, then legacy
-/// pool), each against a fresh server.
-fn with_server(world: &SyntheticWorld, body: impl Fn(&str) + Send + Sync) {
-    for &topology in TOPOLOGIES {
-        with_server_cfg(world, hardened_config(topology), &body);
-    }
+/// Runs `body` against a fresh server.
+fn with_server(world: &SyntheticWorld, body: impl FnOnce(&str) + Send) {
+    with_server_cfg(world, hardened_config(), body);
 }
 
 /// Raw connection: write whatever bytes, read whatever comes back.
@@ -314,19 +306,19 @@ fn chunked_annotate_body_is_byte_identical() {
 }
 
 #[test]
-fn poisoned_connections_never_wedge_the_pool() {
+fn poisoned_connections_never_wedge_the_daemon() {
     let world = synthetic_world(true, 42);
     with_server(&world, |addr| {
-        // More slow/partial connections than pool workers (2), all holding
-        // a half-sent request head open.
+        // More slow/partial connections than request workers (2), all
+        // holding a half-sent request head open.
         let mut poison = Vec::new();
         for _ in 0..4 {
             let mut s = raw(addr);
             s.write_all(b"POST /annotate HTTP/1.1\r\ncontent-len").expect("write partial");
             poison.push(s); // keep sockets open
         }
-        // A well-formed request must still be answered promptly: stalled
-        // reads are cut off at the read timeout, freeing their workers.
+        // A well-formed request must still be answered promptly: a stalled
+        // read holds only its own connection slot.
         let start = std::time::Instant::now();
         assert_still_serving(addr);
         assert!(
@@ -471,22 +463,20 @@ fn unknown_routes_get_404_with_envelope() {
 #[test]
 fn connection_cap_503_carries_retry_after() {
     let world = synthetic_world(true, 42);
-    for &topology in TOPOLOGIES {
-        let cfg = ServeConfig { max_connections: 1, ..hardened_config(topology) };
-        with_server_cfg(&world, cfg, |addr| {
-            let _held = raw(addr); // occupies the only connection slot
-            std::thread::sleep(Duration::from_millis(100)); // let it be admitted
-            let mut turned_away = raw(addr);
-            let resp = read_all(&mut turned_away);
-            assert!(resp.starts_with("HTTP/1.1 503"), "over-cap connection: {resp:?}");
-            let lower = resp.to_ascii_lowercase();
-            assert!(lower.contains("retry-after:"), "503 must carry Retry-After: {resp:?}");
-            assert!(
-                resp.contains("\"code\":\"overloaded\"") && resp.contains("\"retry_after_ms\""),
-                "503 carries the backpressure envelope: {resp:?}"
-            );
-        });
-    }
+    let cfg = ServeConfig { max_connections: 1, ..hardened_config() };
+    with_server_cfg(&world, cfg, |addr| {
+        let _held = raw(addr); // occupies the only connection slot
+        std::thread::sleep(Duration::from_millis(100)); // let it be admitted
+        let mut turned_away = raw(addr);
+        let resp = read_all(&mut turned_away);
+        assert!(resp.starts_with("HTTP/1.1 503"), "over-cap connection: {resp:?}");
+        let lower = resp.to_ascii_lowercase();
+        assert!(lower.contains("retry-after:"), "503 must carry Retry-After: {resp:?}");
+        assert!(
+            resp.contains("\"code\":\"overloaded\"") && resp.contains("\"retry_after_ms\""),
+            "503 carries the backpressure envelope: {resp:?}"
+        );
+    });
 }
 
 /// Chaos reset faults sever the connection after a *partial* response (the
@@ -495,42 +485,35 @@ fn connection_cap_503_carries_retry_after() {
 #[test]
 fn chaos_reset_sends_a_torn_response_and_the_daemon_survives() {
     let world = synthetic_world(true, 42);
-    for &topology in TOPOLOGIES {
-        let chaos = doduo_served::chaos::ChaosConfig::parse("reset_prob=1.0,seed=3").expect("spec");
-        let cfg = ServeConfig { chaos: Some(chaos), ..hardened_config(topology) };
-        with_server_cfg(&world, cfg, |addr| {
-            let t = &world.tables[0];
-            let body = table_to_json(t);
-            let mut s = raw(addr);
-            s.write_all(
-                format!(
-                    "POST /annotate HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n{body}",
-                    body.len()
-                )
-                .as_bytes(),
+    let chaos = doduo_served::chaos::ChaosConfig::parse("reset_prob=1.0,seed=3").expect("spec");
+    let cfg = ServeConfig { chaos: Some(chaos), ..hardened_config() };
+    with_server_cfg(&world, cfg, |addr| {
+        let t = &world.tables[0];
+        let body = table_to_json(t);
+        let mut s = raw(addr);
+        s.write_all(
+            format!(
+                "POST /annotate HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n{body}",
+                body.len()
             )
-            .expect("write request");
-            let resp = read_all(&mut s); // ends at the chaos-severed EOF
-            assert!(
-                resp.starts_with("HTTP/1.1 200"),
-                "torn response still starts cleanly: {resp:?}"
-            );
-            let advertised: usize = resp
-                .lines()
-                .find_map(|l| {
-                    l.to_ascii_lowercase().strip_prefix("content-length:").map(String::from)
-                })
-                .and_then(|v| v.trim().parse().ok())
-                .expect("content-length advertised");
-            let received = resp.split("\r\n\r\n").nth(1).map_or(0, str::len);
-            assert!(
-                received < advertised,
-                "the body must be torn: got {received} of {advertised} bytes"
-            );
-            // The fault is per-connection: the daemon is still healthy.
-            assert_still_serving(addr);
-        });
-    }
+            .as_bytes(),
+        )
+        .expect("write request");
+        let resp = read_all(&mut s); // ends at the chaos-severed EOF
+        assert!(resp.starts_with("HTTP/1.1 200"), "torn response still starts cleanly: {resp:?}");
+        let advertised: usize = resp
+            .lines()
+            .find_map(|l| l.to_ascii_lowercase().strip_prefix("content-length:").map(String::from))
+            .and_then(|v| v.trim().parse().ok())
+            .expect("content-length advertised");
+        let received = resp.split("\r\n\r\n").nth(1).map_or(0, str::len);
+        assert!(
+            received < advertised,
+            "the body must be torn: got {received} of {advertised} bytes"
+        );
+        // The fault is per-connection: the daemon is still healthy.
+        assert_still_serving(addr);
+    });
 }
 
 /// Chaos delay faults hold the response back without corrupting it: the
@@ -539,25 +522,23 @@ fn chaos_reset_sends_a_torn_response_and_the_daemon_survives() {
 #[test]
 fn chaos_delay_postpones_but_never_corrupts() {
     let world = synthetic_world(true, 42);
-    for &topology in TOPOLOGIES {
-        let chaos = doduo_served::chaos::ChaosConfig::parse("delay_ms=300,seed=4").expect("spec");
-        let cfg = ServeConfig { chaos: Some(chaos), ..hardened_config(topology) };
-        with_server_cfg(&world, cfg, |addr| {
-            let t = &world.tables[0];
-            let offline = {
-                let ann = world.annotator().annotate(t);
-                doduo_served::json::annotations_response(&[ann], false)
-            };
-            let mut c = Client::connect(addr, Some(Duration::from_secs(10))).expect("connect");
-            let start = std::time::Instant::now();
-            let r = c.request("POST", "/annotate", table_to_json(t).as_bytes()).expect("annotate");
-            assert!(
-                start.elapsed() >= Duration::from_millis(300),
-                "delay fault must hold the response, elapsed {:?}",
-                start.elapsed()
-            );
-            assert_eq!(r.status, 200);
-            assert_eq!(r.body, offline.as_bytes(), "delayed response must stay byte-identical");
-        });
-    }
+    let chaos = doduo_served::chaos::ChaosConfig::parse("delay_ms=300,seed=4").expect("spec");
+    let cfg = ServeConfig { chaos: Some(chaos), ..hardened_config() };
+    with_server_cfg(&world, cfg, |addr| {
+        let t = &world.tables[0];
+        let offline = {
+            let ann = world.annotator().annotate(t);
+            doduo_served::json::annotations_response(&[ann], false)
+        };
+        let mut c = Client::connect(addr, Some(Duration::from_secs(10))).expect("connect");
+        let start = std::time::Instant::now();
+        let r = c.request("POST", "/annotate", table_to_json(t).as_bytes()).expect("annotate");
+        assert!(
+            start.elapsed() >= Duration::from_millis(300),
+            "delay fault must hold the response, elapsed {:?}",
+            start.elapsed()
+        );
+        assert_eq!(r.status, 200);
+        assert_eq!(r.body, offline.as_bytes(), "delayed response must stay byte-identical");
+    });
 }

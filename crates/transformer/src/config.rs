@@ -6,7 +6,8 @@
 /// WordPiece-30k). That is far beyond CPU-trainable scale, so the default
 /// here is a miniature with the same shape: post-LayerNorm residual blocks,
 /// GELU feed-forward of 4× width, learned absolute position embeddings.
-/// DESIGN.md §1 documents this substitution.
+/// ARCHITECTURE.md ("Quick-scale vs full-scale experiments") documents
+/// this substitution.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EncoderConfig {
     /// WordPiece vocabulary size (set from the trained tokenizer).

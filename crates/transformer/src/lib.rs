@@ -2,7 +2,8 @@
 //!
 //! A from-scratch, CPU-trainable BERT-style Transformer encoder — the
 //! "pre-trained language model" substrate of the DODUO reproduction
-//! (DESIGN.md §1 documents the BERT-base → miniature substitution).
+//! (ARCHITECTURE.md, "Quick-scale vs full-scale experiments", documents
+//! the BERT-base → miniature substitution).
 //!
 //! Provides:
 //! * [`EncoderConfig`] / [`Encoder`] — post-LN Transformer blocks with

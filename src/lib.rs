@@ -3,7 +3,7 @@
 //! Umbrella crate for the DODUO (SIGMOD 2022) reproduction. It re-exports
 //! the workspace crates under one roof and hosts the runnable examples and
 //! the cross-crate integration tests. See `README.md` for the tour and
-//! `DESIGN.md` for the substitution ledger.
+//! `ARCHITECTURE.md` for how the crates fit together.
 
 pub use doduo_baselines as baselines;
 pub use doduo_core as core;

@@ -1,0 +1,55 @@
+//! The daemon over a real socket, in the tier-1 suite: one `/v1/annotate`
+//! request and one `/v1/annotate_stream` session must answer with exactly
+//! the bytes offline annotation produces, and `POST /v1/shutdown` must
+//! make `Server::run` return.
+
+use doduo_served::bootstrap::synthetic_world;
+use doduo_served::http::Client;
+use doduo_served::json::table_to_json;
+use doduo_served::validate::offline_response;
+use doduo_served::{ServeConfig, Server};
+use std::time::Duration;
+
+#[test]
+fn daemon_answers_offline_bytes_and_shuts_down() {
+    let world = synthetic_world(true, 42);
+    let server = Server::bind(ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() })
+        .expect("bind ephemeral port");
+    let addr = server.addr().to_string();
+    let bodies: Vec<String> = world.tables.iter().take(3).map(table_to_json).collect();
+    let offline = |body: &str| offline_response(&world.bundle, body).expect("offline annotate");
+    std::thread::scope(|scope| {
+        let runner = scope.spawn(|| server.run(world.bundle.clone()));
+        // A failed assertion below must still stop the server, or the
+        // scope's join would hang instead of reporting it.
+        let _guard = ShutdownOnDrop(server.handle());
+
+        let mut c = Client::connect(&addr, Some(Duration::from_secs(10))).expect("connect");
+        let resp = c.request("POST", "/v1/annotate", bodies[0].as_bytes()).expect("annotate");
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.body, offline(&bodies[0]).as_bytes(), "/v1/annotate == offline");
+
+        let mut s = Client::connect(&addr, Some(Duration::from_secs(10))).expect("connect");
+        s.stream_open("/v1/annotate_stream").expect("open stream");
+        for body in &bodies {
+            s.stream_send(format!("{body}\n").as_bytes()).expect("send table");
+        }
+        s.stream_finish().expect("finish upload");
+        let (status, lines) = s.stream_collect().expect("collect stream");
+        assert_eq!(status, 200);
+        let expected: Vec<String> = bodies.iter().map(|b| offline(b)).collect();
+        assert_eq!(lines, expected, "one offline-identical line per streamed table, in order");
+
+        let bye = c.request("POST", "/v1/shutdown", b"").expect("shutdown answered");
+        assert_eq!(bye.status, 200);
+        runner.join().expect("run() returns after POST /v1/shutdown");
+    });
+}
+
+struct ShutdownOnDrop(doduo_served::ServerHandle);
+
+impl Drop for ShutdownOnDrop {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
+}
