@@ -14,7 +14,7 @@
 use crate::model::{DoduoModel, InputMode};
 use crate::trainer::decode_labels;
 use doduo_table::{LabelVocab, SerializedTable, Table};
-use doduo_tensor::{softmax_row, AttnMask, ParamStore, Tape};
+use doduo_tensor::{vmath, AttnMask, ParamStore, Tape};
 use doduo_tokenizer::WordPiece;
 use doduo_transformer::BatchSeq;
 use rand::rngs::StdRng;
@@ -65,10 +65,6 @@ pub struct Annotator<'a> {
     pub rel_vocab: &'a LabelVocab,
 }
 
-fn sigmoid(z: f32) -> f32 {
-    1.0 / (1.0 + (-z).exp())
-}
-
 /// Scored labels from one logit row, sorted descending, with the set the
 /// decision rule would emit placed first: sigmoid probabilities in
 /// multi-label mode, softmax probabilities otherwise, truncated to the
@@ -76,11 +72,9 @@ fn sigmoid(z: f32) -> f32 {
 pub fn scored_labels(logits: &[f32], vocab: &LabelVocab, multi_label: bool) -> Vec<(String, f32)> {
     let mut scores: Vec<f32> = logits.to_vec();
     if multi_label {
-        for s in scores.iter_mut() {
-            *s = sigmoid(*s);
-        }
+        vmath::sigmoid(&mut scores);
     } else {
-        softmax_row(&mut scores);
+        vmath::softmax_row(&mut scores);
     }
     let chosen = decode_labels(logits, multi_label);
     let mut rows: Vec<(String, f32)> =

@@ -633,32 +633,6 @@ pub fn matmul_tn_naive(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// `A B` with a branch that skips zero elements of `A` — the old default
-/// kernel's "sparsity" shortcut, now **opt-in**: the per-element branch
-/// pessimizes dense inputs, so use this only where the left operand is
-/// known to carry masked / mostly-zero rows (none of the tape's dense
-/// activations qualify). Bit-identical to [`matmul_naive`] on finite
-/// inputs (skipping `0·b` only drops an exact `+0.0`/`-0.0` addend).
-pub fn matmul_masked(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.cols(), b.rows(), "matmul inner dims: {:?} x {:?}", a.shape(), b.shape());
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = Tensor::zeros(m, n);
-    for i in 0..m {
-        let a_row = a.row(i);
-        let o_row = out.row_mut(i);
-        for (p, &a_ip) in a_row.iter().enumerate().take(k) {
-            if a_ip == 0.0 {
-                continue;
-            }
-            let b_row = &b.data()[p * n..(p + 1) * n];
-            for (o, &bv) in o_row.iter_mut().zip(b_row.iter()) {
-                *o += a_ip * bv;
-            }
-        }
-    }
-    out
-}
-
 /// True when `m`×`n`×`k` is big enough for packing to pay off — the size
 /// heuristic behind the [`crate::tensor`] dispatchers. Requires the AVX2
 /// micro-kernel: on hosts without it the portable tile (compiled for
@@ -712,19 +686,6 @@ mod tests {
         for threads in [2, 3, 8] {
             bits_eq(&matmul_blocked(&a, &b, threads), &one, "threads");
         }
-    }
-
-    #[test]
-    fn masked_matches_naive_on_finite_inputs() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut a = Tensor::randn(9, 14, 1.0, &mut rng);
-        for (i, v) in a.data_mut().iter_mut().enumerate() {
-            if i % 3 == 0 {
-                *v = 0.0;
-            }
-        }
-        let b = Tensor::randn(14, 21, 1.0, &mut rng);
-        bits_eq(&matmul_masked(&a, &b), &matmul_naive(&a, &b), "masked");
     }
 
     #[test]

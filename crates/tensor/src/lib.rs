@@ -9,6 +9,9 @@
 //! * [`kernels`] — the cache-blocked, register-tiled GEMM layer those entry
 //!   points dispatch to (packed panels, row-stripe threading, bit-identical
 //!   to the naive loops by construction).
+//! * [`vmath`] — the in-repo, vectorised `exp`/`tanh` under GELU, softmax
+//!   and sigmoid: no libm, so values are a function of the input bits alone,
+//!   the same on every host and vector tier.
 //! * [`quant`] — the opt-in int8 serving path ([`QuantizedLinear`]):
 //!   per-output-channel symmetric weight quantization with dynamic per-row
 //!   activation scales, accuracy-gated rather than bit-identical (see the
@@ -37,11 +40,13 @@ pub mod quant;
 pub mod serialize;
 pub mod tape;
 pub mod tensor;
+pub mod vmath;
 
 pub use kernels::{gemm_threads, set_gemm_threads};
 pub use optim::{Adam, LrSchedule};
 pub use parallel::{accumulate_parallel, default_threads};
 pub use params::{Gradients, Param, ParamId, ParamStore};
 pub use quant::{quantize_row_i8, QuantizedLinear};
-pub use tape::{softmax_row, AttnMask, NodeId, Tape, MASK_NEG};
+pub use tape::{AttnMask, NodeId, Tape, MASK_NEG};
 pub use tensor::{matmul, matmul_nt, matmul_tn, Tensor};
+pub use vmath::softmax_row;

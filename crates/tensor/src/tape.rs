@@ -14,6 +14,7 @@
 use crate::kernels::{gemm_nn, gemm_nt, gemm_tn, View};
 use crate::params::{Gradients, ParamId, ParamStore};
 use crate::tensor::{matmul, matmul_nt, matmul_tn, Tensor};
+use crate::vmath;
 use rand::Rng;
 use std::sync::Arc;
 
@@ -273,17 +274,15 @@ impl<'s> Tape<'s> {
 
     /// GELU activation (tanh approximation, as in BERT).
     pub fn gelu(&mut self, x: NodeId) -> NodeId {
-        let tx = self.value(x);
-        let data: Vec<f32> = tx.data().iter().map(|&v| gelu_fwd(v)).collect();
-        let v = Tensor::from_vec(tx.rows(), tx.cols(), data);
+        let mut v = self.value(x).clone();
+        vmath::gelu(v.data_mut());
         self.push(v, Op::Gelu { x })
     }
 
     /// Elementwise hyperbolic tangent.
     pub fn tanh(&mut self, x: NodeId) -> NodeId {
-        let tx = self.value(x);
-        let data: Vec<f32> = tx.data().iter().map(|v| v.tanh()).collect();
-        let v = Tensor::from_vec(tx.rows(), tx.cols(), data);
+        let mut v = self.value(x).clone();
+        vmath::tanh(v.data_mut());
         self.push(v, Op::Tanh { x })
     }
 
@@ -300,17 +299,14 @@ impl<'s> Tape<'s> {
         const EPS: f32 = 1e-5;
         let gn = self.param(gamma);
         let bn = self.param(beta);
-        let tx = self.value(x);
+        let (tx, tg, tb) = (self.value(x), self.value(gn), self.value(bn));
         let (rows, cols) = tx.shape();
-        let tg = self.value(gn).clone();
-        let tb = self.value(bn).clone();
         assert_eq!(tg.shape(), (1, cols), "layer_norm gamma shape");
         assert_eq!(tb.shape(), (1, cols), "layer_norm beta shape");
 
         let mut out = Tensor::zeros(rows, cols);
         let mut means = Vec::with_capacity(rows);
         let mut rstds = Vec::with_capacity(rows);
-        let tx = self.value(x);
         for r in 0..rows {
             let row = tx.row(r);
             let mean = row.iter().sum::<f32>() / cols as f32;
@@ -329,11 +325,9 @@ impl<'s> Tape<'s> {
 
     /// Row-wise softmax.
     pub fn softmax(&mut self, x: NodeId) -> NodeId {
-        let tx = self.value(x);
-        let mut v = tx.clone();
-        for r in 0..v.rows() {
-            softmax_row(v.row_mut(r));
-        }
+        let mut v = self.value(x).clone();
+        let cols = v.cols();
+        vmath::softmax_rows(v.data_mut(), cols);
         self.push(v, Op::Softmax { x })
     }
 
@@ -600,9 +594,9 @@ impl<'s> Tape<'s> {
         let (n, c) = tl.shape();
         assert_eq!(targets.len(), n, "softmax_ce target count");
         let mut probs = tl.clone();
+        vmath::softmax_rows(probs.data_mut(), c);
         let mut loss = 0.0f32;
         for r in 0..n {
-            softmax_row(probs.row_mut(r));
             let t = targets[r] as usize;
             assert!(t < c, "softmax_ce target {t} out of range {c}");
             loss -= probs.get(r, t).max(1e-12).ln();
@@ -631,17 +625,18 @@ impl<'s> Tape<'s> {
         assert!(pos_weight > 0.0, "pos_weight must be positive");
         let tl = self.value(logits);
         assert_eq!(tl.shape(), targets.shape(), "bce_logits shape mismatch");
-        let mut sig = tl.clone();
+        // softplus(x) = max(x,0) + ln(1 + e^{-|x|}) is the stable form.
+        let mut tail: Vec<f32> = tl.data().iter().map(|z| -z.abs()).collect();
+        vmath::exp(&mut tail);
         let mut loss = 0.0f32;
-        for (z, t) in tl.data().iter().zip(targets.data().iter()) {
-            // softplus(x) = max(x,0) + ln(1 + e^{-|x|}) is the stable form.
-            let softplus_neg = (-z).max(0.0) + (-z.abs()).exp().ln_1p(); // -log sigmoid(z)
-            let softplus_pos = z.max(0.0) + (-z.abs()).exp().ln_1p(); // -log (1 - sigmoid(z))
+        for ((z, t), e) in tl.data().iter().zip(targets.data().iter()).zip(tail.iter()) {
+            let ln_tail = e.ln_1p();
+            let softplus_neg = (-z).max(0.0) + ln_tail; // -log sigmoid(z)
+            let softplus_pos = z.max(0.0) + ln_tail; // -log (1 - sigmoid(z))
             loss += pos_weight * t * softplus_neg + (1.0 - t) * softplus_pos;
         }
-        for s in sig.data_mut() {
-            *s = sigmoid(*s);
-        }
+        let mut sig = tl.clone();
+        vmath::sigmoid(sig.data_mut());
         loss /= tl.len() as f32;
         self.push(
             Tensor::scalar(loss),
@@ -701,8 +696,8 @@ impl<'s> Tape<'s> {
                     acc(&mut local, *x, dx);
                 }
                 Op::Gelu { x } => {
-                    let tx = self.value(*x);
-                    let dx = elementwise(&g, tx, |g, x| g * gelu_grad(x));
+                    let mut dx = g;
+                    vmath::gelu_grad(dx.data_mut(), self.value(*x).data());
                     acc(&mut local, *x, dx);
                 }
                 Op::Tanh { x } => {
@@ -717,7 +712,7 @@ impl<'s> Tape<'s> {
                 }
                 Op::LayerNorm { x, gamma, beta, mean, rstd } => {
                     let tx = self.value(*x);
-                    let tg = self.value(*gamma).clone();
+                    let tg = self.value(*gamma);
                     let (rows, cols) = tx.shape();
                     let mut dgamma = Tensor::zeros(1, cols);
                     let mut dbeta = Tensor::zeros(1, cols);
@@ -1014,11 +1009,11 @@ fn validate_blocks(rows: usize, masks: &[Option<AttnMask>], lens: Option<&[usize
 }
 
 /// Computes one head's post-softmax probability matrix into
-/// `p[..len * len]`: `S = Q Kᵀ` through the blocked GEMM layer, then
-/// `s * scale + mask` per element (the naive kernels' exact order) and a
-/// row softmax. The single kernel behind every attention forward — single
-/// and batched, fused and unfused — and behind the batched backward's
-/// recompute, so all sites are bit-identical by construction.
+/// `p[..len * len]`: `S = Q Kᵀ` through the blocked GEMM layer, then the
+/// row softmax of `s * scale + mask` in [`vmath`]'s three reads per row.
+/// The single kernel behind every attention forward — single and batched,
+/// fused and unfused — and behind the batched backward's recompute, so all
+/// sites are bit-identical by construction.
 fn attn_probs_block(
     p: &mut [f32],
     q: View<'_>,
@@ -1030,14 +1025,7 @@ fn attn_probs_block(
 ) {
     p[..len * len].fill(0.0);
     gemm_nt(p, len, 0, (len, len, dh), q, k);
-    for i in 0..len {
-        let row = &mut p[i * len..(i + 1) * len];
-        let m_row = mask.map(|m| &m[i * len..(i + 1) * len]);
-        for (j, s) in row.iter_mut().enumerate() {
-            *s = *s * scale + m_row.map_or(0.0, |m| m[j]);
-        }
-        softmax_row(row);
-    }
+    vmath::softmax_rows_scaled(&mut p[..len * len], len, scale, mask);
 }
 
 /// Fused-attention forward over one block of [`Tape::mha_batch`]: rows
@@ -1213,41 +1201,6 @@ fn elementwise(g: &Tensor, x: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
     debug_assert_eq!(g.shape(), x.shape());
     let data: Vec<f32> = g.data().iter().zip(x.data().iter()).map(|(&g, &x)| f(g, x)).collect();
     Tensor::from_vec(g.rows(), g.cols(), data)
-}
-
-#[inline]
-fn sigmoid(z: f32) -> f32 {
-    1.0 / (1.0 + (-z).exp())
-}
-
-/// In-place, numerically-stable softmax of one row.
-#[inline]
-pub fn softmax_row(row: &mut [f32]) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    let inv = 1.0 / sum;
-    for v in row.iter_mut() {
-        *v *= inv;
-    }
-}
-
-const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
-
-#[inline]
-fn gelu_fwd(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + 0.044_715 * x * x * x)).tanh())
-}
-
-#[inline]
-fn gelu_grad(x: f32) -> f32 {
-    let u = GELU_C * (x + 0.044_715 * x * x * x);
-    let t = u.tanh();
-    let du = GELU_C * (1.0 + 3.0 * 0.044_715 * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 }
 
 #[cfg(test)]

@@ -1,0 +1,355 @@
+//! Vectorised, libm-free transcendentals: the one `exp`/`tanh` under GELU,
+//! softmax and sigmoid.
+//!
+//! Written the way [`crate::kernels`] writes its micro-kernel: plain Rust
+//! over fixed-width lane arrays, one body instantiated twice — the
+//! [`portable`] module (baseline vector unit) and, through the dispatching
+//! functions at the module root, a `#[target_feature(enable = "avx2")]`
+//! copy chosen at run time by the GEMM layer's AVX2 detection.
+//!
+//! # Numerics policy: one definition, identical everywhere
+//!
+//! Every kernel uses only separately-rounded `+ - * /`, comparisons with
+//! select, and bit casts — no `mul_add`, no libm. Each of those is exactly
+//! rounded by IEEE 754, and Rust never contracts or reassociates float
+//! arithmetic, so a result is a pure function of the input **bits**: the
+//! same on the portable and the AVX2 tier, on every host and under every
+//! libm, which `f32::exp`/`f32::tanh` (not correctly rounded, different
+//! between libm builds) never were. FMA is left out on purpose: fusing a
+//! multiply-add rounds once instead of twice, so a tier with FMA and one
+//! without would disagree in the last bit.
+//!
+//! The tail of a slice is padded to a full lane array and runs through the
+//! same lane code, so an element's result depends on nothing but its own
+//! value — not its position, its neighbours or the slice length. Softmax
+//! sums a row in a fixed lane-wise tree, so a row's result depends on the
+//! row alone.
+//!
+//! # Algorithms and error bounds
+//!
+//! * `exp(x)`: `n = round(x · log2 e)` (round-to-nearest-even by adding and
+//!   subtracting `1.5 · 2^23`), `r = x − n·ln2_hi − n·ln2_lo` (Cody–Waite:
+//!   `ln2_hi` has 9 significant bits, so `n·ln2_hi` is exact), the Cephes
+//!   degree-5 polynomial for `e^r` on `|r| ≤ ln2/2`, and `2^n` built from
+//!   the exponent bits. Inputs below `ln 2^-126` select exactly `0.0` (no
+//!   subnormal results), inputs from `128 ln 2` up give `+inf`, NaN gives
+//!   NaN. Below 1 ulp over every `f32` in `[-87, 88]` (checked
+//!   exhaustively against `f64`).
+//! * `tanh(x) = sign(x) · (1 − e) / (1 + e)` with `e = exp(−2|x|)`:
+//!   absolute error below `2e-7`, exactly `±1` once `e` underflows against
+//!   1, `tanh(±0) = ±0`.
+//! * `sigmoid(x) = 1 / (1 + exp(−x))`.
+//! * `gelu(x) = 0.5 x (1 + tanh(√(2/π) (x + 0.044715 x³)))` (BERT's tanh
+//!   form): `gelu(x) == x` bitwise for `x ≥ 10`, `±0` for `x ≤ −10`.
+//! * softmax: row max, `exp(v − max)` with a lane-wise sum reduced in a
+//!   fixed tree, one multiply by the reciprocal.
+#![allow(clippy::needless_range_loop)] // fixed-bound lane loops are what LLVM vectorises
+
+use crate::kernels::has_avx2;
+use std::f32::consts::LOG2_E;
+
+/// Elements per lane array: one 256-bit vector on the AVX2 tier, two
+/// 128-bit ones on the portable tier.
+const LANES: usize = 8;
+
+/// `1.5 · 2^23`: adding it to `|v| < 2^22` leaves `round(v)` in the low
+/// mantissa bits (round-to-nearest-even, done by the adder itself).
+const ROUND_MAGIC: f32 = 12_582_912.0;
+/// High part of `ln 2` (0.693359375), 9 significant bits: `n · LN2_HI` is
+/// exact for every `|n| ≤ 128`.
+const LN2_HI: f32 = 355.0 / 512.0;
+/// `ln 2 − LN2_HI`.
+const LN2_LO: f32 = -2.121_944_4e-4;
+/// Smallest input whose `exp` is a normal number: the first `f32` above
+/// `ln 2^-126`. Below it the result is exactly `0.0`.
+const EXP_UNDERFLOW: f32 = -87.336_54;
+/// Inputs are clamped here; anything from `128 ln 2 ≈ 88.7228` up already
+/// overflows to `+inf` through the scale factor.
+const EXP_CLAMP: f32 = 89.0;
+
+/// `e^x` for one lane; see the module docs for the algorithm.
+#[inline(always)]
+fn exp1(x: f32) -> f32 {
+    // Comparison selects rather than `f32::max`/`min`: they pass NaN on.
+    let xc = if x < EXP_UNDERFLOW { EXP_UNDERFLOW } else { x };
+    let xc = if xc > EXP_CLAMP { EXP_CLAMP } else { xc };
+    let t = xc * LOG2_E + ROUND_MAGIC;
+    let n = t - ROUND_MAGIC; // in -126..=128
+    let r = (xc - n * LN2_HI) - n * LN2_LO;
+    let mut p = 1.987_569_1e-4_f32;
+    p = p * r + 1.398_199_9e-3;
+    p = p * r + 8.333_452e-3;
+    p = p * r + 4.166_579_6e-2;
+    p = p * r + 1.666_666_6e-1;
+    p = p * r + 5.0e-1;
+    let y = (r + (r * r) * p) + 1.0;
+    // 2^n from the exponent bits: `t`'s low mantissa bits hold `n` in two's
+    // complement, so shifting them into the exponent field and adding the
+    // bias yields 2^n for n ≤ 127; n = 128 is 2^127 · 2.
+    let t127 = if t > ROUND_MAGIC + 127.0 { ROUND_MAGIC + 127.0 } else { t };
+    let scale = f32::from_bits((t127.to_bits() << 23).wrapping_add(0x3F80_0000));
+    let y = (y * scale) * (1.0 + (t - t127));
+    if x < EXP_UNDERFLOW {
+        0.0
+    } else {
+        y
+    }
+}
+
+/// `tanh x` for one lane.
+#[inline(always)]
+fn tanh1(x: f32) -> f32 {
+    let e = exp1(-2.0 * x.abs());
+    ((1.0 - e) / (1.0 + e)).copysign(x)
+}
+
+/// Logistic sigmoid for one lane.
+#[inline(always)]
+fn sigmoid1(x: f32) -> f32 {
+    1.0 / (1.0 + exp1(-x))
+}
+
+const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
+const GELU_A: f32 = 0.044_715;
+
+/// `tanh` of GELU's inner cubic, shared by the value and its derivative.
+#[inline(always)]
+fn gelu_tanh1(x: f32) -> f32 {
+    tanh1(GELU_C * (x + GELU_A * x * x * x))
+}
+
+/// GELU (tanh form) for one lane.
+#[inline(always)]
+fn gelu1(x: f32) -> f32 {
+    0.5 * x * (1.0 + gelu_tanh1(x))
+}
+
+/// Derivative of [`gelu1`].
+#[inline(always)]
+fn gelu_grad1(x: f32) -> f32 {
+    let t = gelu_tanh1(x);
+    let du = GELU_C * (1.0 + 3.0 * GELU_A * x * x);
+    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+}
+
+/// Runs `f` over `row` one lane array at a time, in place, handing it the
+/// matching lanes of each `extra` slice. The tail is copied into a lane
+/// array padded with `pad` (`extra` tails with `0.0`), run through the
+/// same `f`, and its valid prefix copied back.
+#[inline(always)]
+fn for_lanes<const K: usize>(
+    row: &mut [f32],
+    extra: [&[f32]; K],
+    pad: f32,
+    mut f: impl FnMut(&mut [f32; LANES], [&[f32; LANES]; K]),
+) {
+    for e in extra {
+        assert_eq!(e.len(), row.len(), "vmath operand length mismatch");
+    }
+    let full = row.len() / LANES * LANES;
+    let (body, tail) = row.split_at_mut(full);
+    for (i, c) in body.chunks_exact_mut(LANES).enumerate() {
+        let e = extra.map(|e| e[i * LANES..(i + 1) * LANES].try_into().expect("LANES chunk"));
+        f(c.try_into().expect("LANES chunk"), e);
+    }
+    let n = tail.len();
+    if n > 0 {
+        // Lane-by-lane copies with a fixed trip count: the compiler turns
+        // them into masked moves, where slice copies would call memcpy.
+        let mut buf = [pad; LANES];
+        let mut ebuf = [[0.0f32; LANES]; K];
+        for l in 0..LANES {
+            if l < n {
+                buf[l] = tail[l];
+                for (b, e) in ebuf.iter_mut().zip(extra) {
+                    b[l] = e[full + l];
+                }
+            }
+        }
+        f(&mut buf, ebuf.each_ref());
+        for l in 0..LANES {
+            if l < n {
+                tail[l] = buf[l];
+            }
+        }
+    }
+}
+
+/// Applies `f` to every element of `xs` through the lane code.
+#[inline(always)]
+fn map_lanes(xs: &mut [f32], f: impl Fn(f32) -> f32) {
+    for_lanes(xs, [], 0.0, |c, []| {
+        for l in 0..LANES {
+            c[l] = f(c[l]);
+        }
+    });
+}
+
+/// Reduces a lane array pairwise in a fixed tree: `(0,4) (1,5) (2,6) (3,7)`,
+/// then `(0,2) (1,3)`, then `(0,1)`.
+#[inline(always)]
+fn reduce_lanes(mut a: [f32; LANES], f: impl Fn(f32, f32) -> f32) -> f32 {
+    let mut w = LANES / 2;
+    while w > 0 {
+        for l in 0..w {
+            a[l] = f(a[l], a[l + w]);
+        }
+        w /= 2;
+    }
+    a[0]
+}
+
+/// `a > b ? a : b` — a NaN in `a` is ignored, one in `b` is kept, the same
+/// way on every tier (unlike `f32::max`, whose NaN handling costs a blend).
+#[inline(always)]
+fn max_select(a: f32, b: f32) -> f32 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// Pass 1 of an attention row: `v ← v · scale (+ mask)` and the maximum of
+/// the results, in one read of the row.
+#[inline(always)]
+fn scale_mask_max(row: &mut [f32], scale: f32, mask: Option<&[f32]>) -> f32 {
+    let mut m = [f32::NEG_INFINITY; LANES];
+    // Padded lanes hold -inf · scale (+ 0) = -inf and never win the max;
+    // that needs scale > 0, which `softmax_rows_scaled` asserts.
+    match mask {
+        Some(mask) => for_lanes(row, [mask], f32::NEG_INFINITY, |c, [k]| {
+            for l in 0..LANES {
+                c[l] = c[l] * scale + k[l];
+                m[l] = max_select(c[l], m[l]);
+            }
+        }),
+        None => for_lanes(row, [], f32::NEG_INFINITY, |c, []| {
+            for l in 0..LANES {
+                c[l] *= scale;
+                m[l] = max_select(c[l], m[l]);
+            }
+        }),
+    }
+    reduce_lanes(m, max_select)
+}
+
+/// Passes 2 and 3 of a softmax row whose maximum is `max`:
+/// `v ← exp(v − max)` with the lane-wise sum, then `v ← v · (1 / sum)`.
+/// A row whose maximum is `-inf` (every entry `-inf`) has no largest
+/// entry to favour and becomes uniform.
+#[inline(always)]
+fn softmax_finish(row: &mut [f32], max: f32) {
+    if max == f32::NEG_INFINITY {
+        row.fill(1.0 / row.len() as f32);
+        return;
+    }
+    let mut acc = [0.0f32; LANES];
+    // Padded lanes hold exp(-inf - max) = 0.0 and add nothing.
+    for_lanes(row, [], f32::NEG_INFINITY, |c, []| {
+        for l in 0..LANES {
+            c[l] = exp1(c[l] - max);
+            acc[l] += c[l];
+        }
+    });
+    let inv = 1.0 / reduce_lanes(acc, |a, b| a + b);
+    for v in row.iter_mut() {
+        *v *= inv;
+    }
+}
+
+/// Declares each kernel twice from one body: `portable::name` compiled for
+/// the baseline target, and `name`, which runs the same body inside a
+/// `#[target_feature(enable = "avx2")]` function when the host has AVX2.
+macro_rules! tiers {
+    ($($(#[$doc:meta])* pub fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block)*) => {
+        /// The portable instantiation of every kernel: the body the
+        /// dispatching functions of the parent module run when the host
+        /// lacks AVX2. Public so that property tests can hold the two tiers
+        /// against each other; callers want the parent module's functions.
+        pub mod portable {
+            use super::*;
+            $(
+                $(#[$doc])*
+                #[inline(always)]
+                pub fn $name($($arg: $ty),*) $body
+            )*
+        }
+        $(
+            $(#[$doc])*
+            pub fn $name($($arg: $ty),*) {
+                #[cfg(target_arch = "x86_64")]
+                if has_avx2() {
+                    #[target_feature(enable = "avx2")]
+                    fn avx2($($arg: $ty),*) {
+                        portable::$name($($arg),*)
+                    }
+                    // SAFETY: has_avx2() confirmed AVX2 support on this CPU.
+                    unsafe { avx2($($arg),*) };
+                    return;
+                }
+                portable::$name($($arg),*)
+            }
+        )*
+    };
+}
+
+tiers! {
+    /// `x ← e^x`, elementwise.
+    pub fn exp(xs: &mut [f32]) {
+        map_lanes(xs, exp1);
+    }
+
+    /// `x ← tanh x`, elementwise.
+    pub fn tanh(xs: &mut [f32]) {
+        map_lanes(xs, tanh1);
+    }
+
+    /// `x ← 1 / (1 + e^-x)`, elementwise.
+    pub fn sigmoid(xs: &mut [f32]) {
+        map_lanes(xs, sigmoid1);
+    }
+
+    /// `x ← gelu(x)` (tanh approximation, as in BERT), elementwise.
+    pub fn gelu(xs: &mut [f32]) {
+        map_lanes(xs, gelu1);
+    }
+
+    /// `g ← g · gelu'(x)`, elementwise: the GELU backward.
+    pub fn gelu_grad(gs: &mut [f32], xs: &[f32]) {
+        for_lanes(gs, [xs], 0.0, |g, [x]| {
+            for l in 0..LANES {
+                g[l] *= gelu_grad1(x[l]);
+            }
+        });
+    }
+
+    /// In-place, numerically-stable softmax of `v · scale + mask` over
+    /// every `cols`-wide row of `data` (`mask`, if given, has `data`'s
+    /// shape; `scale` must be positive): an attention block's scores to
+    /// probabilities in three reads per row. A row of `-inf` only becomes
+    /// uniform; `cols == 0` is a no-op.
+    pub fn softmax_rows_scaled(data: &mut [f32], cols: usize, scale: f32, mask: Option<&[f32]>) {
+        assert!(scale > 0.0, "softmax scale must be positive");
+        if cols == 0 {
+            return;
+        }
+        assert_eq!(data.len() % cols, 0, "softmax data must hold whole rows");
+        for (i, row) in data.chunks_exact_mut(cols).enumerate() {
+            let m_row = mask.map(|m| &m[i * cols..(i + 1) * cols]);
+            let max = scale_mask_max(row, scale, m_row);
+            softmax_finish(row, max);
+        }
+    }
+}
+
+/// In-place softmax of every `cols`-wide row of `data`:
+/// [`softmax_rows_scaled`] with scale 1 (`v · 1.0` is `v`, bit for bit).
+pub fn softmax_rows(data: &mut [f32], cols: usize) {
+    softmax_rows_scaled(data, cols, 1.0, None);
+}
+
+/// In-place softmax of one row; see [`softmax_rows_scaled`].
+pub fn softmax_row(row: &mut [f32]) {
+    softmax_rows(row, row.len());
+}
