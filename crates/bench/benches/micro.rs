@@ -38,17 +38,13 @@ fn bench_matmul(c: &mut Criterion) {
 fn bench_mha(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let store = ParamStore::new();
-    let q = Tensor::randn(76, 96, 0.3, &mut rng);
-    let k = Tensor::randn(76, 96, 0.3, &mut rng);
-    let v = Tensor::randn(76, 96, 0.3, &mut rng);
+    let qkv = Tensor::randn(76, 3 * 96, 0.3, &mut rng);
     c.bench_function("mha_fused_s76_d96_h4", |bench| {
         bench.iter_batched(
             || Tape::inference(&store),
             |mut tape| {
-                let qn = tape.input(q.clone());
-                let kn = tape.input(k.clone());
-                let vn = tape.input(v.clone());
-                black_box(tape.mha(qn, kn, vn, 4, None));
+                let qkv = tape.input(qkv.clone());
+                black_box(tape.mha_batch_qkv(qkv, 4, &[None], None));
             },
             BatchSize::SmallInput,
         )

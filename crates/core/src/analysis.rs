@@ -11,6 +11,7 @@ use doduo_eval::DependencyAccumulator;
 use doduo_table::Dataset;
 use doduo_tensor::Tape;
 use doduo_tokenizer::WordPiece;
+use doduo_transformer::BatchSeq;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -32,16 +33,10 @@ pub fn attention_dependency(
         let st = model.serialize_for_types(&at.table, tok).remove(0);
         let mask = model.visibility_mask(&st);
         let mut tape = Tape::inference(store);
-        let mut attn_nodes = Vec::new();
-        model.encoder.forward_collect_attn(
-            &mut tape,
-            &st.ids,
-            mask.as_ref(),
-            &mut rng,
-            &mut attn_nodes,
-        );
-        let last = *attn_nodes.last().expect("at least one layer");
-        let (probs, heads) = tape.mha_probs(last).expect("mha node");
+        let seq = BatchSeq { ids: &st.ids, mask: mask.as_ref() };
+        let enc = model.encoder.forward_batch(&mut tape, &[seq], &mut rng);
+        let last = *enc.attn.last().expect("at least one layer");
+        let (probs, heads) = tape.attn_probs(last, 0).expect("attention node");
         let s = st.ids.len();
         for (ci, &pi) in st.cls_positions.iter().enumerate() {
             for (cj, &pj) in st.cls_positions.iter().enumerate() {

@@ -93,6 +93,10 @@ pub enum BundleError {
     },
     /// The weight section failed to load.
     Weights(serialize::LoadError),
+    /// The named parameter holds a NaN or an infinity: the blob is intact
+    /// (a diverged fine-tune saves a CRC-valid checkpoint) but the model
+    /// it describes cannot score anything.
+    NonFinite(String),
 }
 
 impl std::fmt::Display for BundleError {
@@ -114,6 +118,9 @@ impl std::fmt::Display for BundleError {
                  the checkpoint is corrupt"
             ),
             BundleError::Weights(e) => write!(f, "bundle weights: {e}"),
+            BundleError::NonFinite(name) => {
+                write!(f, "bundle parameter {name} holds non-finite values")
+            }
         }
     }
 }
@@ -281,9 +288,10 @@ impl AnnotatorBundle {
     /// Decodes a [`AnnotatorBundle::save`] blob. The model is rebuilt from
     /// the recorded configuration and every weight is overwritten from the
     /// checkpoint, so annotations are bit-identical to the saved bundle's.
-    /// Strictness is two-layered: structural damage fails with an error
-    /// naming the section, and the payload CRC (verified after parsing)
-    /// rejects any bit flip the structure could not notice.
+    /// Strictness is layered: structural damage fails with an error
+    /// naming the section, the payload CRC (verified after parsing)
+    /// rejects any bit flip the structure could not notice, and an intact
+    /// blob whose weights hold a NaN or an infinity is rejected by name.
     pub fn load(data: &[u8]) -> Result<AnnotatorBundle, BundleError> {
         let mut r = Reader { buf: data, pos: 0, section: "header" };
         if r.take(MAGIC.len())? != MAGIC {
@@ -349,6 +357,9 @@ impl AnnotatorBundle {
         let mut rng = StdRng::seed_from_u64(0);
         let model = DoduoModel::new(&mut store, cfg, &prefix, &mut rng);
         serialize::load(&mut store, weights).map_err(BundleError::Weights)?;
+        if let Some((_, p)) = store.iter().find(|(_, p)| p.value.has_non_finite()) {
+            return Err(BundleError::NonFinite(p.name.clone()));
+        }
         Ok(AnnotatorBundle { store, model, tokenizer, type_vocab, rel_vocab, prefix })
     }
 

@@ -18,9 +18,10 @@
 //! * [`checkpoint`] — self-contained [`AnnotatorBundle`] checkpoints
 //!   (weights + config + tokenizer + label vocabularies in one artifact)
 //!   for serving processes that restart from disk.
-//! * [`quant`] — the opt-in int8 serving twin ([`QuantizedModel`]), built
-//!   once from a loaded bundle's f32 weights and accuracy-gated by the
-//!   repro harness (two-tier numerics policy, see `doduo_tensor::quant`).
+//! * [`quant`] — the opt-in int8 serving tier ([`QuantizedModel`]): the
+//!   quantized weights only, built once from a loaded bundle's f32 weights,
+//!   annotating through the predictor's one walk, and accuracy-gated by
+//!   the repro harness (two-tier numerics policy, see `doduo_tensor::quant`).
 //!
 //! The paper's model variants map to configurations of the same structs:
 //!

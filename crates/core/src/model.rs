@@ -21,7 +21,7 @@ use doduo_table::{
 };
 use doduo_tensor::{AttnMask, NodeId, ParamId, ParamStore, Tape};
 use doduo_tokenizer::WordPiece;
-use doduo_transformer::{mask_from_fn, Encoder, EncoderConfig};
+use doduo_transformer::{mask_from_fn, Dense, Encoder, EncoderConfig};
 use rand::Rng;
 
 /// How tables are presented to the encoder.
@@ -96,6 +96,49 @@ impl DoduoConfig {
     pub fn with_serialize(mut self, s: SerializeConfig) -> Self {
         self.serialize = s;
         self
+    }
+}
+
+/// The two output heads `{g_type, g_rel}` as a forward applies them — each
+/// dense → GELU → dense — over whichever tier's [`Dense`] layers: the f32
+/// parameters ([`DoduoModel::heads`]) or their int8 twins
+/// (`QuantizedModel::heads`).
+pub(crate) struct Heads<'a> {
+    pub(crate) type_dense: Dense<'a>,
+    pub(crate) type_out: Dense<'a>,
+    pub(crate) rel_dense: Dense<'a>,
+    pub(crate) rel_out: Dense<'a>,
+}
+
+fn head(tape: &mut Tape<'_>, x: NodeId, dense: Dense<'_>, out: Dense<'_>) -> NodeId {
+    let h = dense.apply(tape, x);
+    let act = tape.gelu(h);
+    out.apply(tape, act)
+}
+
+impl Heads<'_> {
+    /// Column-type logits `[n_cols, |C_type|]` from column embeddings.
+    pub(crate) fn type_logits(&self, tape: &mut Tape<'_>, cols: NodeId) -> NodeId {
+        head(tape, cols, self.type_dense, self.type_out)
+    }
+
+    /// Relation logits from a `[n, d]` column-embedding node and parallel
+    /// subject/object row indices into it (eq. 2's
+    /// `g_rel(LM(T)_{i_j} ⊕ LM(T)_{i_k})`). The batched annotation walk
+    /// selects rows out of a whole batch's packed column matrix here.
+    pub(crate) fn rel_logits(
+        &self,
+        tape: &mut Tape<'_>,
+        cols: NodeId,
+        subj: &[u32],
+        obj: &[u32],
+    ) -> NodeId {
+        assert_eq!(subj.len(), obj.len(), "subject/object index count mismatch");
+        assert!(!subj.is_empty(), "no relation pairs requested");
+        let a = tape.row_select(cols, subj);
+        let b = tape.row_select(cols, obj);
+        let pair = tape.concat_cols(a, b);
+        head(tape, pair, self.rel_dense, self.rel_out)
     }
 }
 
@@ -193,11 +236,14 @@ impl DoduoModel {
         tape.row_select(enc, &st.cls_positions)
     }
 
-    /// Column-type logits `[n_cols, |C_type|]` from column embeddings.
-    pub fn type_logits_from_embeddings(&self, tape: &mut Tape<'_>, cols: NodeId) -> NodeId {
-        let h = tape.linear(cols, self.type_dense_w, self.type_dense_b);
-        let a = tape.gelu(h);
-        tape.linear(a, self.type_out_w, self.type_out_b)
+    /// Both heads over this model's f32 parameters.
+    pub(crate) fn heads(&self) -> Heads<'static> {
+        Heads {
+            type_dense: Dense::F32 { w: self.type_dense_w, b: self.type_dense_b },
+            type_out: Dense::F32 { w: self.type_out_w, b: self.type_out_b },
+            rel_dense: Dense::F32 { w: self.rel_dense_w, b: self.rel_dense_b },
+            rel_out: Dense::F32 { w: self.rel_out_w, b: self.rel_out_b },
+        }
     }
 
     /// Column-type logits for every column of a serialized table.
@@ -208,7 +254,7 @@ impl DoduoModel {
         rng: &mut R,
     ) -> NodeId {
         let cols = self.column_embeddings(tape, st, rng);
-        self.type_logits_from_embeddings(tape, cols)
+        self.heads().type_logits(tape, cols)
     }
 
     /// Relation logits `[n_pairs, |C_rel|]` for the given `(subject,
@@ -229,28 +275,7 @@ impl DoduoModel {
         let cols = self.column_embeddings(tape, st, rng);
         let subj: Vec<u32> = pairs.iter().map(|p| p.0 as u32).collect();
         let obj: Vec<u32> = pairs.iter().map(|p| p.1 as u32).collect();
-        self.rel_logits_from_embeddings(tape, cols, &subj, &obj)
-    }
-
-    /// Relation logits from a `[n, d]` column-embedding node and parallel
-    /// subject/object row indices into it (eq. 2's
-    /// `g_rel(LM(T)_{i_j} ⊕ LM(T)_{i_k})`). The batched annotation path
-    /// selects rows out of a whole batch's packed column matrix here.
-    pub fn rel_logits_from_embeddings(
-        &self,
-        tape: &mut Tape<'_>,
-        cols: NodeId,
-        subj: &[u32],
-        obj: &[u32],
-    ) -> NodeId {
-        assert_eq!(subj.len(), obj.len(), "subject/object index count mismatch");
-        assert!(!subj.is_empty(), "no relation pairs requested");
-        let a = tape.row_select(cols, subj);
-        let b = tape.row_select(cols, obj);
-        let pair = tape.concat_cols(a, b);
-        let h = tape.linear(pair, self.rel_dense_w, self.rel_dense_b);
-        let act = tape.gelu(h);
-        tape.linear(act, self.rel_out_w, self.rel_out_b)
+        self.heads().rel_logits(tape, cols, &subj, &obj)
     }
 
     /// Relation logits for a *single-column-pair* serialization (the
@@ -267,9 +292,8 @@ impl DoduoModel {
             "single-pair logits need single-column mode"
         );
         let cols = self.column_embeddings(tape, st, rng);
-        let h = tape.linear(cols, self.rel_dense_w, self.rel_dense_b);
-        let act = tape.gelu(h);
-        tape.linear(act, self.rel_out_w, self.rel_out_b)
+        let heads = self.heads();
+        head(tape, cols, heads.rel_dense, heads.rel_out)
     }
 
     /// Serializes `table` according to this model's input mode for the
@@ -417,7 +441,7 @@ mod tests {
         let mask = m_vis.visibility_mask(st).unwrap();
         let enc = m_full.encoder.forward(&mut tape2, &st.ids, Some(&mask), &mut rng);
         let cols = tape2.row_select(enc, &st.cls_positions);
-        let vis = m_full.type_logits_from_embeddings(&mut tape2, cols);
+        let vis = m_full.heads().type_logits(&mut tape2, cols);
         let d: f32 = tape1
             .value(full)
             .data()

@@ -2,16 +2,20 @@
 //! code"* — here, Rust): annotate an unseen table with types, relations and
 //! contextualized column embeddings.
 //!
-//! All annotation funnels through one batched inference path:
-//! [`Annotator::annotate_serialized`] packs any number of serialized
-//! tables into a single ragged forward pass (`Encoder::forward_batch`),
-//! selects every `[CLS]` row of the whole batch at once, and runs each
-//! classification head exactly once per batch. [`Annotator::annotate`] is
-//! the batch of one. Deduplicating tokenization, choosing batch
-//! compositions, and fanning batches across worker threads are serving
-//! concerns layered on top by `doduo-serve`'s `BatchAnnotator`.
+//! All annotation, f32 and int8, funnels through one walk
+//! (`Annotator::annotate_tier`): pack any number of serialized tables into
+//! a single ragged forward pass, select every `[CLS]` row of the whole
+//! batch at once, run each classification head exactly once per batch, and
+//! scatter the logits into [`TableAnnotation`]s. The tiers differ only in
+//! whose dense layers the encoder and the heads apply (`Dense`):
+//! [`Annotator::annotate_serialized`] passes the f32 parameters,
+//! `QuantizedModel::annotate_serialized` their int8 twins.
+//! [`Annotator::annotate`] is the batch of one. Deduplicating tokenization,
+//! choosing batch compositions, and fanning batches across worker threads
+//! are serving concerns layered on top by `doduo-serve`'s `BatchAnnotator`.
 
 use crate::model::{DoduoModel, InputMode};
+use crate::quant::QuantizedModel;
 use crate::trainer::decode_labels;
 use doduo_table::{LabelVocab, SerializedTable, Table};
 use doduo_tensor::{vmath, AttnMask, ParamStore, Tape};
@@ -79,7 +83,9 @@ pub fn scored_labels(logits: &[f32], vocab: &LabelVocab, multi_label: bool) -> V
     let chosen = decode_labels(logits, multi_label);
     let mut rows: Vec<(String, f32)> =
         scores.iter().enumerate().map(|(i, &s)| (vocab.name(i as u32).to_string(), s)).collect();
-    rows.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite scores"));
+    // `total_cmp`: a total order even over non-finite scores, so a poisoned
+    // checkpoint can mis-rank labels but never panic a serving thread.
+    rows.sort_by(|a, b| b.1.total_cmp(&a.1));
     // Keep the decision-rule labels plus the next best few for context.
     let keep = chosen.len().max(3).min(rows.len());
     rows.truncate(keep);
@@ -115,6 +121,17 @@ impl Annotator<'_> {
     /// each annotation is bit-identical to what [`Annotator::annotate`]
     /// produces for that table alone.
     pub fn annotate_serialized(&self, groups: &[&[SerializedTable]]) -> Vec<TableAnnotation> {
+        self.annotate_tier(None, groups)
+    }
+
+    /// The one annotation walk. `quant` selects the tier: `None` applies
+    /// the model's f32 dense layers, `Some` their int8 twins; everything
+    /// else — packing, `[CLS]` selection, head order, scatter — is shared.
+    pub(crate) fn annotate_tier(
+        &self,
+        quant: Option<&QuantizedModel>,
+        groups: &[&[SerializedTable]],
+    ) -> Vec<TableAnnotation> {
         if groups.is_empty() {
             return Vec::new();
         }
@@ -133,9 +150,14 @@ impl Annotator<'_> {
             .map(|(st, m)| BatchSeq { ids: &st.ids, mask: m.as_ref() })
             .collect();
 
-        let mut rng = StdRng::seed_from_u64(0);
         let mut tape = Tape::inference(self.store);
-        let enc = self.model.encoder.forward_batch(&mut tape, &seqs, &mut rng);
+        let (enc, heads) = match quant {
+            None => {
+                let mut rng = StdRng::seed_from_u64(0);
+                (self.model.encoder.forward_batch(&mut tape, &seqs, &mut rng), self.model.heads())
+            }
+            Some(q) => (q.encoder.forward_batch(&mut tape, &seqs), q.heads()),
+        };
 
         // Every column's `[CLS]` row across the whole batch, in
         // (sequence, column) order; `col_row0[b]` is sequence b's first row
@@ -147,7 +169,7 @@ impl Annotator<'_> {
             cls_rows.extend(st.cls_positions.iter().map(|&p| enc.row_of(b, p as usize) as u32));
         }
         let cols = tape.row_select(enc.node, &cls_rows);
-        let type_logits = self.model.type_logits_from_embeddings(&mut tape, cols);
+        let type_logits = heads.type_logits(&mut tape, cols);
 
         // Relation pairs (0, j) per table-wise sequence with 2+ columns.
         let mut subj: Vec<u32> = Vec::new();
@@ -160,8 +182,7 @@ impl Annotator<'_> {
                 }
             }
         }
-        let rel_logits = (!subj.is_empty())
-            .then(|| self.model.rel_logits_from_embeddings(&mut tape, cols, &subj, &obj));
+        let rel_logits = (!subj.is_empty()).then(|| heads.rel_logits(&mut tape, cols, &subj, &obj));
 
         // Scatter head outputs back into per-table annotations.
         let tv = tape.value(type_logits);

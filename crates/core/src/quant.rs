@@ -1,11 +1,13 @@
-//! The int8-quantized serving twin of [`DoduoModel`] — opt-in, built once
+//! The int8-quantized serving tier of [`DoduoModel`] — opt-in, built once
 //! from trained f32 weights at bundle load.
 //!
-//! [`QuantizedModel`] pairs a [`QuantEncoder`] with quantized
-//! versions of both classification heads and mirrors
-//! [`Annotator::annotate_serialized`] op for op: the same ragged batch
-//! packing, `[CLS]` row selection, head order and output scatter, with
-//! every dense layer running the int8 kernels. The numerics contract is
+//! [`QuantizedModel`] holds only quantized weights: a [`QuantEncoder`] and
+//! int8 versions of both classification heads' dense layers. Annotation is
+//! not reimplemented here — [`QuantizedModel::annotate_serialized`] is the
+//! annotator's one walk (`Annotator::annotate_tier`) told to apply these
+//! int8 layers where the f32 tier applies its parameters, so the ragged
+//! batch packing, `[CLS]` row selection, head order and output scatter are
+//! the same code. The numerics contract is
 //! the accuracy-gated tier of the two-tier policy (`doduo_tensor::quant`):
 //! outputs are not bit-equal to f32 — the repro harness gates them on the
 //! paper's qualitative checks and pinned micro-F1 drift — but they are
@@ -13,17 +15,15 @@
 //! host, so batched quantized annotation still equals one-by-one
 //! quantized annotation exactly.
 
-use crate::model::{DoduoModel, InputMode};
-use crate::predictor::{
-    scored_labels, Annotator, ColumnTypePrediction, RelationPrediction, TableAnnotation,
-};
+use crate::model::{DoduoModel, Heads};
+use crate::predictor::{Annotator, TableAnnotation};
 use doduo_table::SerializedTable;
-use doduo_tensor::{AttnMask, ParamStore, QuantizedLinear, Tape};
-use doduo_transformer::{BatchSeq, QuantEncoder};
+use doduo_tensor::{ParamStore, QuantizedLinear};
+use doduo_transformer::{Dense, QuantEncoder};
 
 /// Int8-quantized encoder + heads, reusable across forward passes.
 pub struct QuantizedModel {
-    encoder: QuantEncoder,
+    pub(crate) encoder: QuantEncoder,
     type_dense: QuantizedLinear,
     type_out: QuantizedLinear,
     rel_dense: QuantizedLinear,
@@ -36,28 +36,27 @@ impl QuantizedModel {
     /// LayerNorms stay f32 and are shared with the source model by
     /// parameter id.
     pub fn from_model(model: &DoduoModel, store: &ParamStore) -> QuantizedModel {
+        let q = |w, b| QuantizedLinear::from_f32(store.get(w), store.get(b));
         QuantizedModel {
             encoder: QuantEncoder::from_encoder(&model.encoder, store),
-            type_dense: QuantizedLinear::from_f32(
-                store.get(model.type_dense_w),
-                store.get(model.type_dense_b),
-            ),
-            type_out: QuantizedLinear::from_f32(
-                store.get(model.type_out_w),
-                store.get(model.type_out_b),
-            ),
-            rel_dense: QuantizedLinear::from_f32(
-                store.get(model.rel_dense_w),
-                store.get(model.rel_dense_b),
-            ),
-            rel_out: QuantizedLinear::from_f32(
-                store.get(model.rel_out_w),
-                store.get(model.rel_out_b),
-            ),
+            type_dense: q(model.type_dense_w, model.type_dense_b),
+            type_out: q(model.type_out_w, model.type_out_b),
+            rel_dense: q(model.rel_dense_w, model.rel_dense_b),
+            rel_out: q(model.rel_out_w, model.rel_out_b),
         }
     }
 
-    /// The quantized mirror of [`Annotator::annotate_serialized`]: same
+    /// Both heads over the int8 layers.
+    pub(crate) fn heads(&self) -> Heads<'_> {
+        Heads {
+            type_dense: Dense::Int8(&self.type_dense),
+            type_out: Dense::Int8(&self.type_out),
+            rel_dense: Dense::Int8(&self.rel_dense),
+            rel_out: Dense::Int8(&self.rel_out),
+        }
+    }
+
+    /// [`Annotator::annotate_serialized`] through the int8 tier: same
     /// inputs, same output structure and ordering, int8 dense layers.
     /// `ann` supplies the configuration, f32 parameter store (for the
     /// shared embeddings/LayerNorms), and label vocabularies.
@@ -66,103 +65,7 @@ impl QuantizedModel {
         ann: &Annotator<'_>,
         groups: &[&[SerializedTable]],
     ) -> Vec<TableAnnotation> {
-        if groups.is_empty() {
-            return Vec::new();
-        }
-        let cfg = ann.model.config();
-        let ml = cfg.multi_label;
-        let table_wise = cfg.input_mode == InputMode::TableWise;
-
-        let sts: Vec<&SerializedTable> = groups.iter().flat_map(|g| g.iter()).collect();
-        assert!(!sts.is_empty(), "every table serializes to at least one sequence");
-        let vis: Vec<Option<AttnMask>> =
-            sts.iter().map(|st| ann.model.visibility_mask(st)).collect();
-        let seqs: Vec<BatchSeq<'_>> = sts
-            .iter()
-            .zip(vis.iter())
-            .map(|(st, m)| BatchSeq { ids: &st.ids, mask: m.as_ref() })
-            .collect();
-
-        let mut tape = Tape::inference(ann.store);
-        let enc = self.encoder.forward_batch(&mut tape, &seqs);
-
-        let mut cls_rows: Vec<u32> = Vec::new();
-        let mut col_row0: Vec<usize> = Vec::with_capacity(sts.len());
-        for (b, st) in sts.iter().enumerate() {
-            col_row0.push(cls_rows.len());
-            cls_rows.extend(st.cls_positions.iter().map(|&p| enc.row_of(b, p as usize) as u32));
-        }
-        let cols = tape.row_select(enc.node, &cls_rows);
-
-        // Type head: dense → GELU → out, both dense layers int8.
-        let h = {
-            let t = self.type_dense.forward(tape.value(cols));
-            tape.input(t)
-        };
-        let a = tape.gelu(h);
-        let type_logits = {
-            let t = self.type_out.forward(tape.value(a));
-            tape.input(t)
-        };
-
-        // Relation pairs (0, j) per table-wise sequence with 2+ columns.
-        let mut subj: Vec<u32> = Vec::new();
-        let mut obj: Vec<u32> = Vec::new();
-        if table_wise && !ann.rel_vocab.is_empty() {
-            for (b, st) in sts.iter().enumerate() {
-                for j in 1..st.n_cols() {
-                    subj.push(col_row0[b] as u32);
-                    obj.push((col_row0[b] + j) as u32);
-                }
-            }
-        }
-        let rel_logits = (!subj.is_empty()).then(|| {
-            let s = tape.row_select(cols, &subj);
-            let o = tape.row_select(cols, &obj);
-            let pair = tape.concat_cols(s, o);
-            let h = {
-                let t = self.rel_dense.forward(tape.value(pair));
-                tape.input(t)
-            };
-            let act = tape.gelu(h);
-            let t = self.rel_out.forward(tape.value(act));
-            tape.input(t)
-        });
-
-        // Scatter head outputs back into per-table annotations — the same
-        // walk as the f32 path.
-        let tv = tape.value(type_logits);
-        let rv = rel_logits.map(|n| tape.value(n));
-        let mut out = Vec::with_capacity(groups.len());
-        let mut seq = 0usize;
-        let mut rel_row = 0usize;
-        for group in groups {
-            let mut types = Vec::new();
-            let mut relations = Vec::new();
-            for st in group.iter() {
-                let row0 = col_row0[seq];
-                for c in 0..st.n_cols() {
-                    types.push(ColumnTypePrediction {
-                        column: types.len(),
-                        labels: scored_labels(tv.row(row0 + c), ann.type_vocab, ml),
-                    });
-                }
-                if table_wise && !ann.rel_vocab.is_empty() {
-                    for j in 1..st.n_cols() {
-                        let v = rv.expect("relation logits exist when pairs do");
-                        relations.push(RelationPrediction {
-                            subject: 0,
-                            object: j,
-                            labels: scored_labels(v.row(rel_row), ann.rel_vocab, ml),
-                        });
-                        rel_row += 1;
-                    }
-                }
-                seq += 1;
-            }
-            out.push(TableAnnotation { types, relations });
-        }
-        out
+        ann.annotate_tier(Some(self), groups)
     }
 }
 
@@ -171,6 +74,7 @@ mod tests {
     use super::*;
     use crate::model::{AttentionMode, DoduoConfig};
     use doduo_table::{Column, LabelVocab, SerializeConfig, Table};
+    use doduo_tensor::ParamStore;
     use doduo_tokenizer::{TrainConfig as TokTrain, WordPiece};
     use doduo_transformer::EncoderConfig;
     use rand::rngs::StdRng;

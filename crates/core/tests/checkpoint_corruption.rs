@@ -207,6 +207,28 @@ fn quantized_mode_rejects_the_same_corruptions() {
     }
 }
 
+/// A diverged fine-tune saves a blob that is structurally perfect and
+/// CRC-valid but holds NaN/inf weights. Serving it would feed non-finite
+/// scores to every request, so `load` rejects it by parameter name — in
+/// the f32 and the int8 pipeline alike, before quantization.
+#[test]
+fn non_finite_weights_are_rejected_at_load() {
+    for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut b = bundle();
+        let id = b.store.find("m.type.out.w").expect("type head weight");
+        b.store.get_mut(id).data_mut()[3] = poison;
+        let blob = b.save();
+        for quant in [false, true] {
+            let loaded = AnnotatorBundle::load(&blob).map(|l| quant.then(|| l.quantized()));
+            match loaded {
+                Err(BundleError::NonFinite(name)) => assert_eq!(name, "m.type.out.w"),
+                Err(other) => panic!("{poison} weight: wrong error {other}"),
+                Ok(_) => panic!("{poison} weight loaded (quant: {quant})"),
+            }
+        }
+    }
+}
+
 /// A clean blob quantizes identically whether the bundle was freshly built
 /// or round-tripped through checkpoint bytes: the weights the CRC protects
 /// are the weights the int8 packer reads.

@@ -15,7 +15,7 @@
 //! 2. **Packed batches** — sequences are packed row-wise, unpadded, into
 //!    one ragged forward pass (`Encoder::forward_batch`), paying tape and
 //!    scheduling overhead once per batch instead of once per table, while
-//!    `Tape::mha_batch` keeps attention block-diagonal and each table
+//!    `Tape::mha_batch_qkv` keeps attention block-diagonal and each table
 //!    pays exactly its own compute.
 //! 3. **Thread fan-out** — micro-batches are striped across
 //!    `std::thread::scope` workers (defaulting to

@@ -179,3 +179,41 @@ fn corrupt_upload_is_rejected_and_the_live_model_is_untouched() {
         runner.join().expect("server thread exits cleanly");
     });
 }
+
+/// A diverged fine-tune's checkpoint — intact, CRC-valid, one weight NaN —
+/// must be turned away at the door (400 `bad_bundle`) instead of reaching
+/// an engine thread: the old model keeps its version label and keeps
+/// answering byte-identically to offline.
+#[test]
+fn non_finite_upload_is_rejected_and_serving_continues() {
+    let m = two_models();
+    let mut poisoned = doduo_core::AnnotatorBundle::load(&m.blob_b).expect("blob B loads");
+    let id = poisoned.store.find("m.type.out.w").expect("type head weight");
+    poisoned.store.get_mut(id).data_mut()[0] = f32::NAN;
+    let blob = poisoned.save();
+    assert!(blob_crc(&blob).is_some(), "the poisoned blob is a well-formed bundle");
+
+    let server = Server::bind(test_config()).expect("bind ephemeral port");
+    let addr = server.addr().to_string();
+    std::thread::scope(|scope| {
+        let guard = ShutdownOnDrop(server.handle());
+        let runner = scope.spawn(|| server.run(m.boot.bundle.clone()));
+
+        let mut c = Client::connect(&addr, Some(Duration::from_secs(30))).expect("connect");
+        let resp = c.request("POST", "/v1/model", &blob).expect("poisoned upload answered");
+        let body = String::from_utf8_lossy(&resp.body).to_string();
+        assert_eq!(resp.status, 400, "a non-finite checkpoint must be rejected: {body}");
+        assert!(body.contains("bad_bundle") && body.contains("m.type.out.w"), "body: {body}");
+
+        for (body, reference) in m.bodies.iter().zip(&m.refs_a) {
+            let resp = c.request("POST", "/v1/annotate", body.as_bytes()).expect("annotate");
+            assert_eq!(resp.status, 200);
+            assert_eq!(&resp.body, reference, "the boot model must still be serving");
+            let v = resp.model_version.expect("version header");
+            assert_eq!(v, format!("1{}", m.crc_a), "version must be unchanged");
+        }
+
+        drop(guard);
+        runner.join().expect("server thread exits cleanly");
+    });
+}

@@ -7,8 +7,9 @@
 //! immutably, so several tapes can run on worker threads concurrently.
 //!
 //! The op set is exactly what a BERT-style encoder plus classification heads
-//! needs; multi-head attention is a single fused op so no general reshape /
-//! transpose machinery is required.
+//! needs; multi-head attention is a single fused op over packed, ragged
+//! blocks ([`Tape::mha_batch_qkv`]) — a lone sequence is the batch of one —
+//! so no general reshape / transpose machinery is required.
 #![allow(clippy::needless_range_loop)] // index loops over matrix coordinates are clearest here
 
 use crate::kernels::{gemm_nn, gemm_nt, gemm_tn, View};
@@ -94,35 +95,9 @@ enum Op {
         a: NodeId,
         b: NodeId,
     },
-    /// Fused multi-head self-attention core: `softmax(QK^T * scale + mask) V`
-    /// per head, heads concatenated. `probs` caches the post-softmax
-    /// attention for backward and for attention analysis (Figure 6).
-    Mha {
-        q: NodeId,
-        k: NodeId,
-        v: NodeId,
-        heads: usize,
-        probs: Vec<f32>,
-    },
-    /// Block-diagonal batched attention: sequences packed row-wise (no
-    /// padding) attend only within their own block. The batched inference
-    /// path packs one table per block. Unlike [`Op::Mha`], attention
-    /// probabilities are NOT cached — a large batch would hold
-    /// `heads * sum(len^2)` floats per layer — they are recomputed from
-    /// `q`/`k` (bit-identically) if backward runs.
-    MhaBatch {
-        q: NodeId,
-        k: NodeId,
-        v: NodeId,
-        heads: usize,
-        /// Length of each packed block; they sum to the node's row count.
-        lens: Vec<usize>,
-        /// Per-block additive masks, kept for the backward recompute.
-        masks: Vec<Option<AttnMask>>,
-    },
     /// Fused Q/K/V projection: `[X Wq + bq | X Wk + bk | X Wv + bv]` in one
     /// pass over `X`, producing `[rows, 3d]`. One activation read instead
-    /// of three — the memory-bandwidth win behind the batched serving path.
+    /// of three.
     FusedQkv {
         x: NodeId,
         /// Weight nodes `[wq, wk, wv]` (each `[d_in, d]`).
@@ -130,11 +105,19 @@ enum Op {
         /// Bias nodes `[bq, bk, bv]` (each `[1, d]`).
         bs: [NodeId; 3],
     },
-    /// [`Op::MhaBatch`] over a fused `[rows, 3d]` Q|K|V node.
+    /// Multi-head self-attention `softmax(QKᵀ · scale + mask) V` per head,
+    /// heads concatenated, over a fused `[rows, 3d]` Q|K|V node whose rows
+    /// pack one or more sequences: each attends only within its own block
+    /// (no padding). Attention probabilities are NOT cached — a large batch
+    /// would hold `heads * sum(len^2)` floats per layer — backward and
+    /// [`Tape::attn_probs`] recompute them from the node's input through
+    /// the forward's own kernel, hence bit-identically.
     MhaBatchQkv {
         qkv: NodeId,
         heads: usize,
+        /// Length of each packed block; they sum to the node's row count.
         lens: Vec<usize>,
+        /// Per-block additive masks, kept for the recompute.
         masks: Vec<Option<AttnMask>>,
     },
     /// Inverted-dropout; `mask` holds `0` or `1/(1-p)` per element.
@@ -369,110 +352,6 @@ impl<'s> Tape<'s> {
         self.push(out, Op::ConcatCols { a, b })
     }
 
-    /// Fused multi-head attention core over projected `q`, `k`, `v`
-    /// (each `[S, d]`, `d % heads == 0`). `mask`, if given, is an additive
-    /// `[S, S]` matrix (use [`MASK_NEG`] for hidden pairs — TURL's
-    /// visibility matrix plugs in here).
-    pub fn mha(
-        &mut self,
-        q: NodeId,
-        k: NodeId,
-        v: NodeId,
-        heads: usize,
-        mask: Option<&AttnMask>,
-    ) -> NodeId {
-        let (tq, tk, tv) = (self.value(q), self.value(k), self.value(v));
-        let (s, d) = tq.shape();
-        assert_eq!(tk.shape(), (s, d), "mha k shape");
-        assert_eq!(tv.shape(), (s, d), "mha v shape");
-        assert!(d % heads == 0, "hidden dim {d} not divisible by {heads} heads");
-        if let Some(m) = mask {
-            assert_eq!(m.len(), s * s, "mask must be [S, S]");
-        }
-        let mask = mask.map(|m| m.as_slice());
-        let dh = d / heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut out = Tensor::zeros(s, d);
-        let mut probs = vec![0.0f32; heads * s * s];
-        for h in 0..heads {
-            let off = h * dh;
-            let p = &mut probs[h * s * s..(h + 1) * s * s];
-            attn_probs_block(
-                p,
-                View::at(tq.data(), d, 0, off),
-                View::at(tk.data(), d, 0, off),
-                s,
-                dh,
-                scale,
-                mask,
-            );
-            gemm_nn(
-                out.data_mut(),
-                d,
-                off,
-                (s, dh, s),
-                View::at(p, s, 0, 0),
-                View::at(tv.data(), d, 0, off),
-            );
-        }
-        self.push(out, Op::Mha { q, k, v, heads, probs })
-    }
-
-    /// Block-diagonal batched variant of [`Tape::mha`]: `q`, `k`, `v` pack
-    /// `masks.len()` sequences of equal (padded) length `S` row-wise into
-    /// `[B * S, d]` matrices, and attention is computed independently inside
-    /// each `[S, S]` block — tokens never attend across sequences. Each
-    /// sequence carries its own optional additive `[S, S]` mask, which is
-    /// where both padding masks and per-table visibility matrices plug in.
-    ///
-    /// Per block, the arithmetic is exactly [`Tape::mha`]'s, so a batched
-    /// forward is bit-identical to `B` separate single-sequence forwards.
-    ///
-    /// `lens`, when given, holds each packed sequence's length (they must
-    /// sum to the row count) — this is the ragged layout the serving path
-    /// uses, with no padding anywhere. `None` splits the rows into
-    /// `masks.len()` equal blocks. Each mask, if present, has its own
-    /// block's `[len_b, len_b]` shape.
-    pub fn mha_batch(
-        &mut self,
-        q: NodeId,
-        k: NodeId,
-        v: NodeId,
-        heads: usize,
-        masks: &[Option<AttnMask>],
-        lens: Option<&[usize]>,
-    ) -> NodeId {
-        let (tq, tk, tv) = (self.value(q), self.value(k), self.value(v));
-        let (rows, d) = tq.shape();
-        let blocks = masks.len();
-        assert!(blocks > 0, "mha_batch needs at least one sequence");
-        assert_eq!(tk.shape(), (rows, d), "mha_batch k shape");
-        assert_eq!(tv.shape(), (rows, d), "mha_batch v shape");
-        assert!(d % heads == 0, "hidden dim {d} not divisible by {heads} heads");
-        let lens = validate_blocks(rows, masks, lens);
-
-        let mut out = Tensor::zeros(rows, d);
-        let max_len = lens.iter().copied().max().expect("non-empty");
-        let mut p_buf = vec![0.0f32; max_len * max_len];
-        let mut row0 = 0usize;
-        for (b, mask) in masks.iter().enumerate() {
-            let len = lens[b];
-            mha_batch_forward_block(
-                tq,
-                tk,
-                tv,
-                row0,
-                len,
-                heads,
-                mask.as_ref().map(|m| m.as_slice()),
-                &mut out,
-                &mut p_buf,
-            );
-            row0 += len;
-        }
-        self.push(out, Op::MhaBatch { q, k, v, heads, lens, masks: masks.to_vec() })
-    }
-
     /// Fused Q/K/V projection `[x Wq + bq | x Wk + bk | x Wv + bv]` →
     /// `[rows, 3d]`. Streams `x` once instead of three times; each output
     /// element is computed with exactly the accumulation order of
@@ -522,9 +401,21 @@ impl<'s> Tape<'s> {
         self.push(out, Op::FusedQkv { x, ws, bs })
     }
 
-    /// [`Tape::mha_batch`] over a fused `[rows, 3d]` Q|K|V node from
-    /// [`Tape::fused_qkv`] — avoids materializing separate q/k/v tensors.
-    /// Bit-identical to the unfused path.
+    /// Multi-head self-attention over a fused `[rows, 3d]` Q|K|V node
+    /// (from [`Tape::fused_qkv`], or any node of that layout) — the one
+    /// attention op; `d % heads == 0`.
+    ///
+    /// The rows pack `masks.len()` sequences back to back and attention is
+    /// computed independently inside each block — tokens never attend
+    /// across sequences. `lens`, when given, holds each packed sequence's
+    /// length (they must sum to the row count): the ragged layout, with no
+    /// padding anywhere. `None` splits the rows into `masks.len()` equal
+    /// blocks. Each mask, if present, is an additive `[len_b, len_b]`
+    /// matrix (use [`MASK_NEG`] for hidden pairs — TURL's visibility
+    /// matrix plugs in here).
+    ///
+    /// Per block the arithmetic does not depend on what else is packed, so
+    /// a batched forward is bit-identical to one forward per sequence.
     pub fn mha_batch_qkv(
         &mut self,
         qkv: NodeId,
@@ -536,39 +427,50 @@ impl<'s> Tape<'s> {
         let (rows, d3) = t.shape();
         assert!(d3 % 3 == 0, "fused qkv width must be 3d");
         let d = d3 / 3;
-        let blocks = masks.len();
-        assert!(blocks > 0, "mha_batch_qkv needs at least one sequence");
+        assert!(!masks.is_empty(), "mha_batch_qkv needs at least one sequence");
         assert!(d % heads == 0, "hidden dim {d} not divisible by {heads} heads");
         let lens = validate_blocks(rows, masks, lens);
 
+        let dh = d / heads;
+        let scale = 1.0 / (dh as f32).sqrt();
         let mut out = Tensor::zeros(rows, d);
         let max_len = lens.iter().copied().max().expect("non-empty");
         let mut p_buf = vec![0.0f32; max_len * max_len];
         let mut row0 = 0usize;
-        for (b, mask) in masks.iter().enumerate() {
-            let len = lens[b];
-            qkv_forward_block(
-                t,
-                d,
-                row0,
-                len,
-                heads,
-                mask.as_ref().map(|m| m.as_slice()),
-                &mut out,
-                &mut p_buf,
-            );
+        for (&len, mask) in lens.iter().zip(masks.iter()) {
+            let mask = mask.as_ref().map(|m| m.as_slice());
+            for h in 0..heads {
+                let [q, k, v] = head_views(t, d, row0, h * dh);
+                attn_probs_block(&mut p_buf, q, k, len, dh, scale, mask);
+                let p = View::at(&p_buf, len, 0, 0);
+                gemm_nn(&mut out.data_mut()[row0 * d..], d, h * dh, (len, dh, len), p, v);
+            }
             row0 += len;
         }
         self.push(out, Op::MhaBatchQkv { qkv, heads, lens, masks: masks.to_vec() })
     }
 
-    /// Post-softmax attention probabilities of an [`Tape::mha`] node,
-    /// flattened `[heads, S, S]`. Used by the attention analysis (Figure 6).
-    pub fn mha_probs(&self, id: NodeId) -> Option<(&[f32], usize)> {
-        match &self.nodes[id].op {
-            Op::Mha { heads, probs, .. } => Some((probs.as_slice(), *heads)),
-            _ => None,
+    /// Post-softmax attention probabilities of packed sequence `block` of a
+    /// [`Tape::mha_batch_qkv`] node, flattened `[heads, len, len]`, with the
+    /// head count. Recomputed on demand through the forward's own kernel,
+    /// so they are the very bits the forward multiplied into `V`. Used by
+    /// the attention analysis (Figure 6). `None` for any other node.
+    pub fn attn_probs(&self, id: NodeId, block: usize) -> Option<(Vec<f32>, usize)> {
+        let Op::MhaBatchQkv { qkv, heads, lens, masks } = &self.nodes[id].op else {
+            return None;
+        };
+        let t = self.value(*qkv);
+        let d = t.cols() / 3;
+        let dh = d / heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let (len, row0) = (lens[block], lens[..block].iter().sum());
+        let mask = masks[block].as_ref().map(|m| m.as_slice());
+        let mut probs = vec![0.0f32; heads * len * len];
+        for (h, p) in probs.chunks_exact_mut(len * len).enumerate() {
+            let [q, k, _] = head_views(t, d, row0, h * dh);
+            attn_probs_block(p, q, k, len, dh, scale, mask);
         }
+        Some((probs, *heads))
     }
 
     /// Inverted dropout with keep probability `1 - p`. A no-op on inference
@@ -791,94 +693,17 @@ impl<'s> Tape<'s> {
                     acc(&mut local, *a, da);
                     acc(&mut local, *b, db);
                 }
-                Op::Mha { q, k, v, heads, probs } => {
-                    let (tq, tk, tv) = (self.value(*q), self.value(*k), self.value(*v));
-                    let (s, d) = tq.shape();
-                    let dh = d / heads;
-                    let scale = 1.0 / (dh as f32).sqrt();
-                    let mut dq = Tensor::zeros(s, d);
-                    let mut dk = Tensor::zeros(s, d);
-                    let mut dv = Tensor::zeros(s, d);
-                    let mut dp_buf = vec![0.0f32; s * s];
-                    for h in 0..*heads {
-                        let off = h * dh;
-                        attn_head_backward(
-                            &probs[h * s * s..(h + 1) * s * s],
-                            &mut dp_buf,
-                            AttnHeadViews {
-                                g: View::at(g.data(), d, 0, off),
-                                q: View::at(tq.data(), d, 0, off),
-                                k: View::at(tk.data(), d, 0, off),
-                                v: View::at(tv.data(), d, 0, off),
-                            },
-                            (s, dh),
-                            scale,
-                            (d, off),
-                            dq.data_mut(),
-                            dk.data_mut(),
-                            dv.data_mut(),
-                        );
-                    }
-                    acc(&mut local, *q, dq);
-                    acc(&mut local, *k, dk);
-                    acc(&mut local, *v, dv);
-                }
-                Op::MhaBatch { q, k, v, heads, lens, masks } => {
-                    let (tq, tk, tv) = (self.value(*q), self.value(*k), self.value(*v));
-                    let (rows, d) = tq.shape();
-                    let dh = d / heads;
-                    let scale = 1.0 / (dh as f32).sqrt();
-                    let mut dq = Tensor::zeros(rows, d);
-                    let mut dk = Tensor::zeros(rows, d);
-                    let mut dv = Tensor::zeros(rows, d);
-                    let max_len = lens.iter().copied().max().expect("non-empty");
-                    let mut p_buf = vec![0.0f32; max_len * max_len];
-                    let mut dp_buf = vec![0.0f32; max_len * max_len];
-                    let mut row0 = 0usize;
-                    for (&len, mask) in lens.iter().zip(masks.iter()) {
-                        let mask = mask.as_ref().map(|m| m.as_slice());
-                        for h in 0..*heads {
-                            let off = h * dh;
-                            // Probabilities are recomputed via the same
-                            // kernel the forward used — bit-identical.
-                            attn_probs_block(
-                                &mut p_buf,
-                                View::at(tq.data(), d, row0, off),
-                                View::at(tk.data(), d, row0, off),
-                                len,
-                                dh,
-                                scale,
-                                mask,
-                            );
-                            attn_head_backward(
-                                &p_buf,
-                                &mut dp_buf,
-                                AttnHeadViews {
-                                    g: View::at(g.data(), d, row0, off),
-                                    q: View::at(tq.data(), d, row0, off),
-                                    k: View::at(tk.data(), d, row0, off),
-                                    v: View::at(tv.data(), d, row0, off),
-                                },
-                                (len, dh),
-                                scale,
-                                (d, off),
-                                &mut dq.data_mut()[row0 * d..],
-                                &mut dk.data_mut()[row0 * d..],
-                                &mut dv.data_mut()[row0 * d..],
-                            );
-                        }
-                        row0 += len;
-                    }
-                    acc(&mut local, *q, dq);
-                    acc(&mut local, *k, dk);
-                    acc(&mut local, *v, dv);
-                }
                 Op::FusedQkv { x, ws, bs } => {
                     let tx = self.value(*x);
                     let (rows, k) = tx.shape();
                     let d = self.value(ws[0]).cols();
-                    let mut dx = Tensor::zeros(rows, k);
-                    for t in 0..3 {
+                    // V, then K, then Q: the order in which three separate
+                    // dense layers recorded as q, k, v would hand their
+                    // input-gradients to `x` on the reverse walk. Each is a
+                    // product computed on its own and then added — float
+                    // addition does not associate, so accumulating the
+                    // three GEMMs into one buffer would move bits.
+                    for t in (0..3).rev() {
                         // This projection's gradient is the `[t*d, (t+1)*d)`
                         // column slice of `g`, consumed in place as a
                         // strided view — no materialized copy.
@@ -892,18 +717,13 @@ impl<'s> Tape<'s> {
                                 *o += gv;
                             }
                         }
-                        gemm_nt(
-                            dx.data_mut(),
-                            k,
-                            0,
-                            (rows, k, d),
-                            g_t,
-                            View::of(self.value(ws[t])),
-                        );
+                        let mut dx = Tensor::zeros(rows, k);
+                        let w = View::of(self.value(ws[t]));
+                        gemm_nt(dx.data_mut(), k, 0, (rows, k, d), g_t, w);
                         acc(&mut local, ws[t], dw);
                         acc(&mut local, bs[t], db);
+                        acc(&mut local, *x, dx);
                     }
-                    acc(&mut local, *x, dx);
                 }
                 Op::MhaBatchQkv { qkv, heads, lens, masks } => {
                     let t = self.value(*qkv);
@@ -920,22 +740,17 @@ impl<'s> Tape<'s> {
                         let mask = mask.as_ref().map(|m| m.as_slice());
                         for h in 0..*heads {
                             let off = h * dh;
-                            attn_probs_block(
-                                &mut p_buf,
-                                View::at(t.data(), d3, row0, off),
-                                View::at(t.data(), d3, row0, d + off),
-                                len,
-                                dh,
-                                scale,
-                                mask,
-                            );
-                            attn_head_backward_fused(
+                            let [q, k, v] = head_views(t, d, row0, off);
+                            // Recomputed via the same kernel the forward
+                            // used — bit-identical.
+                            attn_probs_block(&mut p_buf, q, k, len, dh, scale, mask);
+                            attn_head_backward(
                                 &p_buf,
                                 &mut dp_buf,
                                 View::at(g.data(), d, row0, off),
-                                t,
-                                &mut dqkv,
-                                (row0, len, dh),
+                                [q, k, v],
+                                &mut dqkv.data_mut()[row0 * d3..],
+                                (len, dh),
                                 (d, off),
                                 scale,
                             );
@@ -979,8 +794,8 @@ impl<'s> Tape<'s> {
     }
 }
 
-/// Resolves and validates the block layout shared by [`Tape::mha_batch`]
-/// and [`Tape::mha_batch_qkv`]: explicit `lens` must sum to `rows` (ragged
+/// Resolves and validates the block layout of [`Tape::mha_batch_qkv`]:
+/// explicit `lens` must sum to `rows` (ragged
 /// packing), `None` splits `rows` into `masks.len()` equal blocks, and
 /// every per-block mask must be `[len, len]`-shaped.
 fn validate_blocks(rows: usize, masks: &[Option<AttnMask>], lens: Option<&[usize]>) -> Vec<usize> {
@@ -1011,9 +826,9 @@ fn validate_blocks(rows: usize, masks: &[Option<AttnMask>], lens: Option<&[usize
 /// Computes one head's post-softmax probability matrix into
 /// `p[..len * len]`: `S = Q Kᵀ` through the blocked GEMM layer, then the
 /// row softmax of `s * scale + mask` in [`vmath`]'s three reads per row.
-/// The single kernel behind every attention forward — single and batched,
-/// fused and unfused — and behind the batched backward's recompute, so all
-/// sites are bit-identical by construction.
+/// The single kernel behind the attention forward, the backward's
+/// recompute and [`Tape::attn_probs`], so all three agree bit for bit by
+/// construction.
 fn attn_probs_block(
     p: &mut [f32],
     q: View<'_>,
@@ -1028,150 +843,38 @@ fn attn_probs_block(
     vmath::softmax_rows_scaled(&mut p[..len * len], len, scale, mask);
 }
 
-/// Fused-attention forward over one block of [`Tape::mha_batch`]: rows
-/// `[row0, row0 + len)` attend among themselves, one GEMM pair per head.
-/// Probabilities live only in the `p_buf` scratch — nothing is cached
-/// (backward recomputes them via the same [`attn_probs_block`]).
-#[allow(clippy::too_many_arguments)] // a private kernel, not an API surface
-fn mha_batch_forward_block(
-    tq: &Tensor,
-    tk: &Tensor,
-    tv: &Tensor,
-    row0: usize,
-    len: usize,
-    heads: usize,
-    mask: Option<&[f32]>,
-    out: &mut Tensor,
-    p_buf: &mut [f32],
-) {
-    let d = tq.cols();
-    let dh = d / heads;
-    let scale = 1.0 / (dh as f32).sqrt();
-    for h in 0..heads {
-        let off = h * dh;
-        attn_probs_block(
-            p_buf,
-            View::at(tq.data(), d, row0, off),
-            View::at(tk.data(), d, row0, off),
-            len,
-            dh,
-            scale,
-            mask,
-        );
-        gemm_nn(
-            &mut out.data_mut()[row0 * d..],
-            d,
-            off,
-            (len, dh, len),
-            View::at(p_buf, len, 0, 0),
-            View::at(tv.data(), d, row0, off),
-        );
-    }
-}
-
-/// Forward for one block of [`Tape::mha_batch_qkv`]: like
-/// [`mha_batch_forward_block`] but reading Q, K and V from one packed
-/// `[rows, 3d]` tensor at column bases `0`, `d` and `2d` — the [`View`]s
-/// make the column slicing free.
-#[allow(clippy::too_many_arguments)] // a private kernel, not an API surface
-fn qkv_forward_block(
-    t: &Tensor,
-    d: usize,
-    row0: usize,
-    len: usize,
-    heads: usize,
-    mask: Option<&[f32]>,
-    out: &mut Tensor,
-    p_buf: &mut [f32],
-) {
-    let d3 = 3 * d;
-    let dh = d / heads;
-    let scale = 1.0 / (dh as f32).sqrt();
-    for h in 0..heads {
-        let off = h * dh;
-        attn_probs_block(
-            p_buf,
-            View::at(t.data(), d3, row0, off),
-            View::at(t.data(), d3, row0, d + off),
-            len,
-            dh,
-            scale,
-            mask,
-        );
-        gemm_nn(
-            &mut out.data_mut()[row0 * d..],
-            d,
-            off,
-            (len, dh, len),
-            View::at(p_buf, len, 0, 0),
-            View::at(t.data(), d3, row0, 2 * d + off),
-        );
-    }
-}
-
-/// One head's `[len, dh]` activation views into the attention backward:
-/// the upstream gradient plus the Q/K/V values (column offsets already
-/// folded in).
-struct AttnHeadViews<'a> {
-    g: View<'a>,
-    q: View<'a>,
-    k: View<'a>,
-    v: View<'a>,
+/// One head's Q, K and V `[len, dh]` windows of a packed `[rows, 3d]`
+/// tensor: rows from `row0`, columns `off..off + dh` past the bases `0`,
+/// `d` and `2d` — the [`View`]s make the slicing free.
+fn head_views(t: &Tensor, d: usize, row0: usize, off: usize) -> [View<'_>; 3] {
+    [0, d, 2 * d].map(|base| View::at(t.data(), 3 * d, row0, base + off))
 }
 
 /// Attention backward for one `(block, head)` pair, all products through
 /// the GEMM layer: `dP = G Vᵀ`, `dV += Pᵀ G`, then the softmax Jacobian
 /// turns `dP` into `dS` in place (`ds = p * (dp - ⟨dp, p⟩) * scale`, the
-/// naive kernels' exact order), and `dQ += dS K`, `dK += dSᵀ Q`. The
-/// gradient targets are the `[row0.., off..off+dh]` windows described by
-/// `(ldc, col0)`; each `d*` slice starts at the block's first row.
+/// naive kernels' exact order), and `dQ += dS K`, `dK += dSᵀ Q`. The three
+/// gradients land in the `[.., off..off + dh]` windows of the Q, K and V
+/// column segments of `dqkv`, which starts at the block's first row
+/// (sequential GEMM calls, since the segments alias one buffer).
 #[allow(clippy::too_many_arguments)] // a private kernel, not an API surface
 fn attn_head_backward(
     p: &[f32],
     dp: &mut [f32],
-    views: AttnHeadViews<'_>,
-    (len, dh): (usize, usize),
-    scale: f32,
-    (ldc, col0): (usize, usize),
-    dq: &mut [f32],
-    dk: &mut [f32],
-    dv: &mut [f32],
-) {
-    dp[..len * len].fill(0.0);
-    gemm_nt(dp, len, 0, (len, len, dh), views.g, views.v);
-    gemm_tn(dv, ldc, col0, (len, dh, len), View::at(p, len, 0, 0), views.g);
-    softmax_jacobian_rows(p, dp, len, scale);
-    gemm_nn(dq, ldc, col0, (len, dh, len), View::at(dp, len, 0, 0), views.k);
-    gemm_tn(dk, ldc, col0, (len, dh, len), View::at(dp, len, 0, 0), views.q);
-}
-
-/// [`attn_head_backward`] for the packed `[rows, 3d]` layout of
-/// [`Tape::mha_batch_qkv`]: Q/K/V values come from `t` at column bases
-/// `0`, `d`, `2d` and the three gradients land in the matching column
-/// segments of `dqkv` (sequential GEMM calls, since the segments alias one
-/// buffer).
-#[allow(clippy::too_many_arguments)] // a private kernel, not an API surface
-fn attn_head_backward_fused(
-    p: &[f32],
-    dp: &mut [f32],
     g: View<'_>,
-    t: &Tensor,
-    dqkv: &mut Tensor,
-    (row0, len, dh): (usize, usize, usize),
+    [q, k, v]: [View<'_>; 3],
+    dqkv: &mut [f32],
+    (len, dh): (usize, usize),
     (d, off): (usize, usize),
     scale: f32,
 ) {
     let d3 = 3 * d;
-    let q = View::at(t.data(), d3, row0, off);
-    let k = View::at(t.data(), d3, row0, d + off);
-    let v = View::at(t.data(), d3, row0, 2 * d + off);
     dp[..len * len].fill(0.0);
     gemm_nt(dp, len, 0, (len, len, dh), g, v);
-    let dc = &mut dqkv.data_mut()[row0 * d3..];
-    gemm_tn(dc, d3, 2 * d + off, (len, dh, len), View::at(p, len, 0, 0), g);
+    gemm_tn(dqkv, d3, 2 * d + off, (len, dh, len), View::at(p, len, 0, 0), g);
     softmax_jacobian_rows(p, dp, len, scale);
-    gemm_nn(dc, d3, off, (len, dh, len), View::at(dp, len, 0, 0), k);
-    gemm_tn(dc, d3, d + off, (len, dh, len), View::at(dp, len, 0, 0), q);
+    gemm_nn(dqkv, d3, off, (len, dh, len), View::at(dp, len, 0, 0), k);
+    gemm_tn(dqkv, d3, d + off, (len, dh, len), View::at(dp, len, 0, 0), q);
 }
 
 /// Applies the row-wise softmax Jacobian in place:
@@ -1251,6 +954,13 @@ mod tests {
         StdRng::seed_from_u64(7)
     }
 
+    /// Packs separate `q`, `k`, `v` nodes into the `[rows, 3d]` layout the
+    /// attention op reads.
+    fn pack_qkv(tape: &mut Tape, q: NodeId, k: NodeId, v: NodeId) -> NodeId {
+        let qk = tape.concat_cols(q, k);
+        tape.concat_cols(qk, v)
+    }
+
     #[test]
     fn gradcheck_linear_gelu_ce() {
         let mut rng = rng();
@@ -1306,7 +1016,8 @@ mod tests {
                 let qn = tape.param(q);
                 let kn = tape.param(k);
                 let vn = tape.param(v);
-                let att = tape.mha(qn, kn, vn, 2, None);
+                let qkv = pack_qkv(tape, qn, kn, vn);
+                let att = tape.mha_batch_qkv(qkv, 2, &[None], None);
                 let h = tape.linear(att, proj, pb);
                 tape.softmax_ce(h, &[0, 1, 2, 0])
             },
@@ -1332,71 +1043,9 @@ mod tests {
                 let qn = tape.param(q);
                 let kn = tape.param(k);
                 let vn = tape.param(v);
-                let att = tape.mha(qn, kn, vn, 2, Some(&mask));
+                let qkv = pack_qkv(tape, qn, kn, vn);
+                let att = tape.mha_batch_qkv(qkv, 2, &[Some(mask.clone())], None);
                 tape.softmax_ce(att, &[0, 1, 2])
-            },
-            3e-2,
-        );
-    }
-
-    #[test]
-    fn mha_batch_matches_per_sequence_mha_bitwise() {
-        let mut rng = rng();
-        let store = ParamStore::new();
-        let (blocks, s, d) = (3, 4, 6);
-        let q = Tensor::randn(blocks * s, d, 0.8, &mut rng);
-        let k = Tensor::randn(blocks * s, d, 0.8, &mut rng);
-        let v = Tensor::randn(blocks * s, d, 0.8, &mut rng);
-        // Block 1 carries a restrictive mask, the others attend freely.
-        let mut m = vec![0.0f32; s * s];
-        m[1] = MASK_NEG;
-        m[s] = MASK_NEG;
-        let masks: Vec<Option<AttnMask>> = vec![None, Some(Arc::new(m)), None];
-
-        let mut batch_tape = Tape::inference(&store);
-        let (qn, kn, vn) =
-            (batch_tape.input(q.clone()), batch_tape.input(k.clone()), batch_tape.input(v.clone()));
-        let batched = batch_tape.mha_batch(qn, kn, vn, 2, &masks, None);
-        let batched_val = batch_tape.value(batched);
-
-        for (b, mask) in masks.iter().enumerate() {
-            let slice =
-                |t: &Tensor| Tensor::from_vec(s, d, t.data()[b * s * d..(b + 1) * s * d].to_vec());
-            let mut tape = Tape::inference(&store);
-            let (qs, ks, vs) =
-                (tape.input(slice(&q)), tape.input(slice(&k)), tape.input(slice(&v)));
-            let single = tape.mha(qs, ks, vs, 2, mask.as_ref());
-            let single_val = tape.value(single);
-            for i in 0..s * d {
-                assert_eq!(
-                    batched_val.data()[b * s * d + i].to_bits(),
-                    single_val.data()[i].to_bits(),
-                    "block {b} element {i} must be bit-identical"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn gradcheck_mha_batch() {
-        let mut rng = rng();
-        let mut store = ParamStore::new();
-        // Two blocks of length 3 packed into 6 rows.
-        let q = store.add_randn("q", 6, 4, 0.7, &mut rng);
-        let k = store.add_randn("k", 6, 4, 0.7, &mut rng);
-        let v = store.add_randn("v", 6, 4, 0.7, &mut rng);
-        let mut m = vec![0.0f32; 9];
-        m[2] = MASK_NEG;
-        m[6] = MASK_NEG;
-        let masks: Vec<Option<AttnMask>> = vec![None, Some(Arc::new(m))];
-        gradcheck(
-            &mut store,
-            move |tape| {
-                let qn = tape.param(q);
-                let kn = tape.param(k);
-                let vn = tape.param(v);
-                let att = tape.mha_batch(qn, kn, vn, 2, &masks, None);
-                tape.softmax_ce(att, &[0, 1, 2, 3, 0, 1])
             },
             3e-2,
         );
@@ -1435,32 +1084,60 @@ mod tests {
     }
 
     #[test]
-    fn mha_batch_qkv_matches_unfused_bitwise() {
+    fn fused_qkv_backward_matches_generic_ops_bitwise() {
+        // One attention sub-layer with its residual, built twice over the
+        // same weights: from the fused projection, and from three `linear`s
+        // glued with `concat_cols`. Every parameter gradient and the input
+        // gradient must agree bit for bit — in particular the order in
+        // which the residual and the three projections' input-gradients
+        // are summed into `x` (residual, then V, K, Q).
         let mut rng = rng();
-        let store = ParamStore::new();
-        let (lens, d) = (vec![3usize, 4], 6usize);
+        let mut store = ParamStore::new();
+        let (d, heads) = (6usize, 2usize);
+        let lens = vec![3usize, 4, 2];
         let rows: usize = lens.iter().sum();
-        let q = Tensor::randn(rows, d, 0.8, &mut rng);
-        let k = Tensor::randn(rows, d, 0.8, &mut rng);
-        let v = Tensor::randn(rows, d, 0.8, &mut rng);
-        let mut packed = Tensor::zeros(rows, 3 * d);
-        for r in 0..rows {
-            packed.row_mut(r)[..d].copy_from_slice(q.row(r));
-            packed.row_mut(r)[d..2 * d].copy_from_slice(k.row(r));
-            packed.row_mut(r)[2 * d..].copy_from_slice(v.row(r));
-        }
+        let x = store.add_randn("x", rows, d, 0.7, &mut rng);
+        let mut dense = |name: &str, store: &mut ParamStore| {
+            let w = store.add_randn(format!("w{name}"), d, d, 0.5, &mut rng);
+            let b = store.add_randn(format!("b{name}"), 1, d, 0.3, &mut rng);
+            (w, b)
+        };
+        let (wq, bq) = dense("q", &mut store);
+        let (wk, bk) = dense("k", &mut store);
+        let (wv, bv) = dense("v", &mut store);
+        let (wo, bo) = dense("o", &mut store);
         let mut m = vec![0.0f32; 16];
         m[1] = MASK_NEG;
-        let masks: Vec<Option<AttnMask>> = vec![None, Some(Arc::new(m))];
+        m[4] = MASK_NEG;
+        let masks: Vec<Option<AttnMask>> = vec![None, Some(Arc::new(m)), None];
+        let targets: Vec<u32> = (0..rows as u32).map(|r| r % d as u32).collect();
 
-        let mut t1 = Tape::inference(&store);
-        let (qn, kn, vn) = (t1.input(q), t1.input(k), t1.input(v));
-        let unfused = t1.mha_batch(qn, kn, vn, 2, &masks, Some(&lens));
-        let mut t2 = Tape::inference(&store);
-        let pn = t2.input(packed);
-        let fused = t2.mha_batch_qkv(pn, 2, &masks, Some(&lens));
-        for (a, b) in t1.value(unfused).data().iter().zip(t2.value(fused).data().iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let run = |fused: bool| {
+            let mut grads = Gradients::new(&store);
+            let mut tape = Tape::inference(&store);
+            let xn = tape.param(x);
+            let qkv = if fused {
+                tape.fused_qkv(xn, wq, bq, wk, bk, wv, bv)
+            } else {
+                let q = tape.linear(xn, wq, bq);
+                let k = tape.linear(xn, wk, bk);
+                let v = tape.linear(xn, wv, bv);
+                let qk = tape.concat_cols(q, k);
+                tape.concat_cols(qk, v)
+            };
+            let att = tape.mha_batch_qkv(qkv, heads, &masks, Some(&lens));
+            let proj = tape.linear(att, wo, bo);
+            let res = tape.add(xn, proj);
+            let loss = tape.softmax_ce(res, &targets);
+            tape.backward(loss, &mut grads);
+            grads
+        };
+        let (f, g) = (run(true), run(false));
+        for pid in 0..store.len() {
+            let (a, b) = (f.get(pid).expect("fused grad"), g.get(pid).expect("generic grad"));
+            for (i, (u, v)) in a.data().iter().zip(b.data()).enumerate() {
+                assert_eq!(u.to_bits(), v.to_bits(), "{} [{i}]: {u} vs {v}", store.name(pid));
+            }
         }
     }
 
@@ -1493,42 +1170,39 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "equal blocks")]
-    fn mha_batch_rejects_ragged_blocks() {
+    fn attention_without_lens_rejects_unequal_blocks() {
         let store = ParamStore::new();
         let mut tape = Tape::inference(&store);
-        let x = tape.input(Tensor::zeros(5, 4));
-        tape.mha_batch(x, x, x, 2, &[None, None], None);
+        let x = tape.input(Tensor::zeros(5, 12));
+        tape.mha_batch_qkv(x, 2, &[None, None], None);
     }
 
     #[test]
-    fn mha_batch_ragged_blocks_match_per_sequence_mha_bitwise() {
+    fn packed_ragged_blocks_match_each_block_alone_bitwise() {
         // Three packed sequences of different lengths (3, 5, 2), the middle
-        // one masked: each block must reproduce its standalone mha exactly.
+        // one masked: each block's output rows and attention probabilities
+        // must be exactly what that block produces as a batch of one.
         let mut rng = rng();
         let store = ParamStore::new();
         let (lens, d) = (vec![3usize, 5, 2], 4usize);
         let rows: usize = lens.iter().sum();
-        let q = Tensor::randn(rows, d, 0.9, &mut rng);
-        let k = Tensor::randn(rows, d, 0.9, &mut rng);
-        let v = Tensor::randn(rows, d, 0.9, &mut rng);
+        let qkv = Tensor::randn(rows, 3 * d, 0.9, &mut rng);
         let mut m = vec![0.0f32; 25];
         m[1] = MASK_NEG;
         m[5] = MASK_NEG;
         let masks: Vec<Option<AttnMask>> = vec![None, Some(Arc::new(m)), None];
 
         let mut bt = Tape::inference(&store);
-        let (qn, kn, vn) = (bt.input(q.clone()), bt.input(k.clone()), bt.input(v.clone()));
-        let batched = bt.mha_batch(qn, kn, vn, 2, &masks, Some(&lens));
+        let packed = bt.input(qkv.clone());
+        let batched = bt.mha_batch_qkv(packed, 2, &masks, Some(&lens));
         let bv = bt.value(batched);
 
         let mut row0 = 0usize;
         for (b, (&len, mask)) in lens.iter().zip(masks.iter()).enumerate() {
-            let slice = |t: &Tensor| {
-                Tensor::from_vec(len, d, t.data()[row0 * d..(row0 + len) * d].to_vec())
-            };
+            let block = qkv.data()[row0 * 3 * d..(row0 + len) * 3 * d].to_vec();
             let mut st = Tape::inference(&store);
-            let (qs, ks, vs) = (st.input(slice(&q)), st.input(slice(&k)), st.input(slice(&v)));
-            let single = st.mha(qs, ks, vs, 2, mask.as_ref());
+            let alone = st.input(Tensor::from_vec(len, 3 * d, block));
+            let single = st.mha_batch_qkv(alone, 2, std::slice::from_ref(mask), None);
             let sv = st.value(single);
             for i in 0..len * d {
                 assert_eq!(
@@ -1537,6 +1211,10 @@ mod tests {
                     "ragged block {b} element {i}"
                 );
             }
+            let (bp, sp) = (bt.attn_probs(batched, b).unwrap(), st.attn_probs(single, 0).unwrap());
+            assert_eq!(bp.1, sp.1);
+            assert_eq!(bp.0.len(), 2 * len * len);
+            assert!(bp.0.iter().zip(&sp.0).all(|(x, y)| x.to_bits() == y.to_bits()));
             row0 += len;
         }
     }
@@ -1649,13 +1327,15 @@ mod tests {
         let v = Tensor::randn(s, 4, 1.0, &mut rng);
         let mut tape = Tape::inference(&store);
         let (qn, kn, vn) = (tape.input(q), tape.input(k), tape.input(v.clone()));
-        let out = tape.mha(qn, kn, vn, 2, Some(&mask));
+        let qkv = pack_qkv(&mut tape, qn, kn, vn);
+        let out = tape.mha_batch_qkv(qkv, 2, &[Some(mask)], None);
         // With only itself visible, row 0 output is exactly v[0].
         for c in 0..4 {
             assert!((tape.value(out).get(0, c) - v.get(0, c)).abs() < 1e-5);
         }
-        let (probs, heads) = tape.mha_probs(out).unwrap();
+        let (probs, heads) = tape.attn_probs(out, 0).unwrap();
         assert_eq!(heads, 2);
+        assert!(tape.attn_probs(qkv, 0).is_none(), "only attention nodes have probabilities");
         assert!((probs[0] - 1.0).abs() < 1e-5, "masked row must put all mass on itself");
     }
 

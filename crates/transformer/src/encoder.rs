@@ -1,27 +1,98 @@
 //! The Transformer encoder (Figure 3 of the paper).
 //!
-//! Post-LayerNorm BERT blocks over one token sequence. The fused
-//! multi-head-attention op optionally takes an additive visibility mask,
-//! which is how the TURL baseline's restricted attention is expressed
-//! (§5.4: TURL removes "cross-column" edges; Doduo uses full attention).
+//! Post-LayerNorm BERT blocks, written down once: `encode` embeds a
+//! batch of sequences packed row-wise and unpadded into one ragged
+//! `[sum(len), d]` activation and walks the one loop over encoder layers.
+//! Attention is `Tape::mha_batch_qkv`, block-diagonal over the packed
+//! sequences and optionally restricted per sequence by an additive
+//! visibility mask — how the TURL baseline's attention is expressed (§5.4:
+//! TURL removes "cross-column" edges; Doduo uses full attention). Every
+//! other op (dense layers, LayerNorm, GELU, residual adds) is row-wise, so
+//! what a sequence's rows come out as does not depend on what else is
+//! packed with them.
 //!
-//! Two forward paths share the same weights and arithmetic:
+//! The loop is parameterised by one thing only: *how a dense layer is
+//! applied* — [`Dense`]. That is all training, f32 serving and int8
+//! serving differ in:
 //!
-//! * [`Encoder::forward`] — one sequence per call; this is what training
-//!   uses (one table = one tape, gradient fan-out happens across tapes via
-//!   `doduo_tensor::accumulate_parallel`).
-//! * [`Encoder::forward_batch`] — the serving path: several sequences are
-//!   packed row-wise, unpadded, into one ragged `[sum(len), d]` activation,
-//!   with attention kept block-diagonal by `Tape::mha_batch`. All
-//!   non-attention ops (dense layers, LayerNorm, GELU) are row-wise, so the
-//!   batched forward is bit-identical to `B` single-sequence forwards while
-//!   paying the tape/bookkeeping overhead once per batch instead of once
-//!   per table and adding zero padding waste.
+//! * [`Encoder::forward_batch`] applies every dense layer in f32 on the
+//!   tape (differentiable). [`Encoder::forward`] is the same call on a
+//!   batch of one — what fine-tuning, MLM pre-training and
+//!   `column_embeddings` use (one table = one tape; gradient fan-out
+//!   happens across tapes via `doduo_tensor::accumulate_parallel`).
+//! * `QuantEncoder::forward_batch` (in [`crate::quant`]) hands the same
+//!   loop int8 kernels.
+//!
+//! Batched ≡ sequential and serving ≡ training therefore hold by
+//! construction: there is no second op sequence to drift from.
 
 use crate::config::EncoderConfig;
-use doduo_tensor::{AttnMask, NodeId, ParamId, ParamStore, Tape, MASK_NEG};
+use doduo_tensor::{AttnMask, NodeId, ParamId, ParamStore, QuantizedLinear, Tape, MASK_NEG};
 use rand::Rng;
 use std::sync::Arc;
+
+/// How one dense layer `y = x W + b` is applied — the seam between the
+/// f32 and int8 tiers, shared by the encoder's layer loop and the
+/// classification heads in `doduo-core`.
+#[derive(Clone, Copy)]
+pub enum Dense<'a> {
+    /// f32 on the tape, differentiable: `Tape::linear`.
+    F32 {
+        /// Weight `[d_in, d_out]`.
+        w: ParamId,
+        /// Bias `[1, d_out]`.
+        b: ParamId,
+    },
+    /// The three attention projections as one `[rows, 3d]` node, f32 on
+    /// the tape: `Tape::fused_qkv` (bit-identical to three `F32` layers,
+    /// forward and backward).
+    FusedQkv {
+        /// Weights `[wq, wk, wv]`.
+        ws: [ParamId; 3],
+        /// Biases `[bq, bk, bv]`.
+        bs: [ParamId; 3],
+    },
+    /// The int8 kernels, off the tape: the dequantized output re-enters as
+    /// a constant input, so no gradient flows (inference only).
+    Int8(&'a QuantizedLinear),
+}
+
+impl Dense<'_> {
+    /// Applies the layer to node `x`, returning the output node.
+    pub fn apply(self, tape: &mut Tape<'_>, x: NodeId) -> NodeId {
+        match self {
+            Dense::F32 { w, b } => tape.linear(x, w, b),
+            Dense::FusedQkv { ws: [wq, wk, wv], bs: [bq, bk, bv] } => {
+                tape.fused_qkv(x, wq, bq, wk, bk, wv, bv)
+            }
+            Dense::Int8(q) => {
+                let y = q.forward(tape.value(x));
+                tape.input(y)
+            }
+        }
+    }
+}
+
+/// The embedding tables and their LayerNorm — always f32, shared by id
+/// between the f32 encoder and its int8 twin.
+#[derive(Clone, Copy)]
+pub(crate) struct Embeddings {
+    tok: ParamId,
+    pos: ParamId,
+    ln_g: ParamId,
+    ln_b: ParamId,
+}
+
+/// One Transformer block as the layer loop sees it: four dense layers and
+/// two LayerNorms `(gain, bias)`.
+pub(crate) struct Block<'a> {
+    pub(crate) qkv: Dense<'a>,
+    pub(crate) wo: Dense<'a>,
+    pub(crate) w1: Dense<'a>,
+    pub(crate) w2: Dense<'a>,
+    pub(crate) ln1: (ParamId, ParamId),
+    pub(crate) ln2: (ParamId, ParamId),
+}
 
 pub(crate) struct LayerParams {
     pub(crate) wq: ParamId,
@@ -32,23 +103,34 @@ pub(crate) struct LayerParams {
     pub(crate) bv: ParamId,
     pub(crate) wo: ParamId,
     pub(crate) bo: ParamId,
-    pub(crate) ln1_g: ParamId,
-    pub(crate) ln1_b: ParamId,
+    pub(crate) ln1: (ParamId, ParamId),
     pub(crate) w1: ParamId,
     pub(crate) b1: ParamId,
     pub(crate) w2: ParamId,
     pub(crate) b2: ParamId,
-    pub(crate) ln2_g: ParamId,
-    pub(crate) ln2_b: ParamId,
+    pub(crate) ln2: (ParamId, ParamId),
+}
+
+impl LayerParams {
+    fn block(&self) -> Block<'static> {
+        Block {
+            qkv: Dense::FusedQkv {
+                ws: [self.wq, self.wk, self.wv],
+                bs: [self.bq, self.bk, self.bv],
+            },
+            wo: Dense::F32 { w: self.wo, b: self.bo },
+            w1: Dense::F32 { w: self.w1, b: self.b1 },
+            w2: Dense::F32 { w: self.w2, b: self.b2 },
+            ln1: self.ln1,
+            ln2: self.ln2,
+        }
+    }
 }
 
 /// A BERT-style encoder whose weights live in a shared [`ParamStore`].
 pub struct Encoder {
     cfg: EncoderConfig,
-    pub(crate) tok_emb: ParamId,
-    pub(crate) pos_emb: ParamId,
-    pub(crate) emb_ln_g: ParamId,
-    pub(crate) emb_ln_b: ParamId,
+    pub(crate) emb: Embeddings,
     pub(crate) layers: Vec<LayerParams>,
 }
 
@@ -66,11 +148,12 @@ impl Encoder {
     ) -> Self {
         cfg.validate();
         let d = cfg.hidden;
-        let tok_emb =
-            store.add_randn(format!("{prefix}.emb.tok"), cfg.vocab_size, d, INIT_STD, rng);
-        let pos_emb = store.add_randn(format!("{prefix}.emb.pos"), cfg.max_seq, d, INIT_STD, rng);
-        let emb_ln_g = store.add_ones(format!("{prefix}.emb.ln.g"), 1, d);
-        let emb_ln_b = store.add_zeros(format!("{prefix}.emb.ln.b"), 1, d);
+        let emb = Embeddings {
+            tok: store.add_randn(format!("{prefix}.emb.tok"), cfg.vocab_size, d, INIT_STD, rng),
+            pos: store.add_randn(format!("{prefix}.emb.pos"), cfg.max_seq, d, INIT_STD, rng),
+            ln_g: store.add_ones(format!("{prefix}.emb.ln.g"), 1, d),
+            ln_b: store.add_zeros(format!("{prefix}.emb.ln.b"), 1, d),
+        };
         let mut layers = Vec::with_capacity(cfg.layers);
         for l in 0..cfg.layers {
             let p = |s: &str| format!("{prefix}.l{l}.{s}");
@@ -83,24 +166,23 @@ impl Encoder {
                 bv: store.add_zeros(p("attn.bv"), 1, d),
                 wo: store.add_randn(p("attn.wo"), d, d, INIT_STD, rng),
                 bo: store.add_zeros(p("attn.bo"), 1, d),
-                ln1_g: store.add_ones(p("ln1.g"), 1, d),
-                ln1_b: store.add_zeros(p("ln1.b"), 1, d),
+                ln1: (store.add_ones(p("ln1.g"), 1, d), store.add_zeros(p("ln1.b"), 1, d)),
                 w1: store.add_randn(p("ffn.w1"), d, cfg.ffn, INIT_STD, rng),
                 b1: store.add_zeros(p("ffn.b1"), 1, cfg.ffn),
                 w2: store.add_randn(p("ffn.w2"), cfg.ffn, d, INIT_STD, rng),
                 b2: store.add_zeros(p("ffn.b2"), 1, d),
-                ln2_g: store.add_ones(p("ln2.g"), 1, d),
-                ln2_b: store.add_zeros(p("ln2.b"), 1, d),
+                ln2: (store.add_ones(p("ln2.g"), 1, d), store.add_zeros(p("ln2.b"), 1, d)),
             });
         }
-        Encoder { cfg, tok_emb, pos_emb, emb_ln_g, emb_ln_b, layers }
+        Encoder { cfg, emb, layers }
     }
 
     pub fn config(&self) -> &EncoderConfig {
         &self.cfg
     }
 
-    /// Encodes `ids`, returning the `[S, d]` top-layer representation node.
+    /// Encodes `ids`, returning the `[S, d]` top-layer representation node:
+    /// [`Encoder::forward_batch`] on a batch of one.
     pub fn forward<R: Rng + ?Sized>(
         &self,
         tape: &mut Tape<'_>,
@@ -108,21 +190,7 @@ impl Encoder {
         mask: Option<&AttnMask>,
         rng: &mut R,
     ) -> NodeId {
-        self.forward_impl(tape, ids, mask, rng, None)
-    }
-
-    /// Like [`Encoder::forward`], also appending each layer's fused MHA node
-    /// id to `attn_nodes` so callers can read attention probabilities
-    /// (Figure 6's analysis uses the last layer).
-    pub fn forward_collect_attn<R: Rng + ?Sized>(
-        &self,
-        tape: &mut Tape<'_>,
-        ids: &[u32],
-        mask: Option<&AttnMask>,
-        rng: &mut R,
-        attn_nodes: &mut Vec<NodeId>,
-    ) -> NodeId {
-        self.forward_impl(tape, ids, mask, rng, Some(attn_nodes))
+        self.forward_batch(tape, &[BatchSeq { ids, mask }], rng).node
     }
 
     /// Encodes a batch of sequences in one packed forward pass.
@@ -131,121 +199,91 @@ impl Encoder {
     /// layout): the returned [`BatchEncoding`] points at the
     /// `[sum(len_b), d]` top-layer activation, with sequence `b` occupying
     /// rows `[offset_b, offset_b + len_b)` (see [`BatchEncoding::row_of`]).
-    /// Attention stays block-diagonal via `Tape::mha_batch`'s per-block
+    /// Attention stays block-diagonal via `Tape::mha_batch_qkv`'s per-block
     /// lengths, so every sequence pays exactly its own `O(len^2)` attention
     /// and `O(len)` dense-layer work — batching adds zero wasted compute.
     /// Per-sequence visibility masks (the TURL baseline) apply at their
     /// native `[len_b, len_b]` shape.
     ///
-    /// On an inference tape this is bit-identical to calling
-    /// [`Encoder::forward`] once per sequence; see `Tape::mha_batch`.
+    /// On an inference tape each sequence's rows are bit-identical to
+    /// encoding it alone. On a training tape the dropout masks are drawn
+    /// from `rng` over the packed activation, so a sequence's rows also
+    /// depend on its position in the batch (the trainer packs one).
     pub fn forward_batch<R: Rng + ?Sized>(
         &self,
         tape: &mut Tape<'_>,
         seqs: &[BatchSeq<'_>],
         rng: &mut R,
     ) -> BatchEncoding {
-        assert!(!seqs.is_empty(), "cannot encode an empty batch");
+        encode(tape, &self.cfg, &self.emb, self.layers.iter().map(LayerParams::block), seqs, rng)
+    }
+}
 
-        // Pack ids and positions; masks and block lengths are built once
-        // and shared across layers.
-        let total: usize = seqs.iter().map(|q| q.ids.len()).sum();
-        let mut ids = Vec::with_capacity(total);
-        let mut positions = Vec::with_capacity(total);
-        let mut masks: Vec<Option<AttnMask>> = Vec::with_capacity(seqs.len());
-        let mut lens = Vec::with_capacity(seqs.len());
-        let mut offsets = Vec::with_capacity(seqs.len());
-        for seq in seqs {
-            let len = seq.ids.len();
-            assert!(len > 0, "cannot encode an empty sequence");
-            assert!(
-                len <= self.cfg.max_seq,
-                "sequence length {len} exceeds max_seq {}",
-                self.cfg.max_seq
-            );
-            offsets.push(ids.len());
-            ids.extend_from_slice(seq.ids);
-            positions.extend(0..len as u32);
-            masks.push(seq.mask.map(Arc::clone));
-            lens.push(len);
-        }
+/// The one forward definition: packs `seqs`, embeds them, and runs the
+/// layer loop, applying each block's dense layers however its [`Dense`]s
+/// say. Dropout is active on training tapes only (a no-op that draws
+/// nothing from `rng` otherwise).
+pub(crate) fn encode<'a, R: Rng + ?Sized>(
+    tape: &mut Tape<'_>,
+    cfg: &EncoderConfig,
+    emb: &Embeddings,
+    blocks: impl Iterator<Item = Block<'a>>,
+    seqs: &[BatchSeq<'_>],
+    rng: &mut R,
+) -> BatchEncoding {
+    assert!(!seqs.is_empty(), "cannot encode an empty batch");
 
-        let p = self.cfg.dropout;
-        let tok = tape.embedding(self.tok_emb, &ids);
-        let pos = tape.embedding(self.pos_emb, &positions);
-        let sum = tape.add(tok, pos);
-        let normed = tape.layer_norm(sum, self.emb_ln_g, self.emb_ln_b);
-        let mut x = tape.dropout(normed, p, rng);
-
-        for layer in &self.layers {
-            // One fused pass over `x` for all three projections, attention
-            // straight off the packed Q|K|V — the serving path's
-            // memory-bandwidth savers (both bit-identical to the unfused
-            // training-path ops).
-            let qkv = tape.fused_qkv(x, layer.wq, layer.bq, layer.wk, layer.bk, layer.wv, layer.bv);
-            let att = tape.mha_batch_qkv(qkv, self.cfg.heads, &masks, Some(&lens));
-            let proj = tape.linear(att, layer.wo, layer.bo);
-            let proj = tape.dropout(proj, p, rng);
-            let res1 = tape.add(x, proj);
-            let h = tape.layer_norm(res1, layer.ln1_g, layer.ln1_b);
-
-            let f1 = tape.linear(h, layer.w1, layer.b1);
-            let act = tape.gelu(f1);
-            let f2 = tape.linear(act, layer.w2, layer.b2);
-            let f2 = tape.dropout(f2, p, rng);
-            let res2 = tape.add(h, f2);
-            x = tape.layer_norm(res2, layer.ln2_g, layer.ln2_b);
-        }
-        BatchEncoding { node: x, offsets }
+    // Pack ids and positions; masks and block lengths are built once and
+    // shared across layers.
+    let total: usize = seqs.iter().map(|q| q.ids.len()).sum();
+    let mut ids = Vec::with_capacity(total);
+    let mut positions = Vec::with_capacity(total);
+    let mut masks: Vec<Option<AttnMask>> = Vec::with_capacity(seqs.len());
+    let mut lens = Vec::with_capacity(seqs.len());
+    let mut offsets = Vec::with_capacity(seqs.len());
+    for seq in seqs {
+        let len = seq.ids.len();
+        assert!(len > 0, "cannot encode an empty sequence");
+        assert!(len <= cfg.max_seq, "sequence length {len} exceeds max_seq {}", cfg.max_seq);
+        offsets.push(ids.len());
+        ids.extend_from_slice(seq.ids);
+        positions.extend(0..len as u32);
+        masks.push(seq.mask.map(Arc::clone));
+        lens.push(len);
     }
 
-    fn forward_impl<R: Rng + ?Sized>(
-        &self,
-        tape: &mut Tape<'_>,
-        ids: &[u32],
-        mask: Option<&AttnMask>,
-        rng: &mut R,
-        mut attn_nodes: Option<&mut Vec<NodeId>>,
-    ) -> NodeId {
-        let s = ids.len();
-        assert!(s > 0, "cannot encode an empty sequence");
-        assert!(s <= self.cfg.max_seq, "sequence length {s} exceeds max_seq {}", self.cfg.max_seq);
-        let p = self.cfg.dropout;
-        let positions: Vec<u32> = (0..s as u32).collect();
-        let tok = tape.embedding(self.tok_emb, ids);
-        let pos = tape.embedding(self.pos_emb, &positions);
-        let sum = tape.add(tok, pos);
-        let normed = tape.layer_norm(sum, self.emb_ln_g, self.emb_ln_b);
-        let mut x = tape.dropout(normed, p, rng);
+    let p = cfg.dropout;
+    let tok = tape.embedding(emb.tok, &ids);
+    let pos = tape.embedding(emb.pos, &positions);
+    let sum = tape.add(tok, pos);
+    let normed = tape.layer_norm(sum, emb.ln_g, emb.ln_b);
+    let mut x = tape.dropout(normed, p, rng);
 
-        for layer in &self.layers {
-            let q = tape.linear(x, layer.wq, layer.bq);
-            let k = tape.linear(x, layer.wk, layer.bk);
-            let v = tape.linear(x, layer.wv, layer.bv);
-            let att = tape.mha(q, k, v, self.cfg.heads, mask);
-            if let Some(nodes) = attn_nodes.as_deref_mut() {
-                nodes.push(att);
-            }
-            let proj = tape.linear(att, layer.wo, layer.bo);
-            let proj = tape.dropout(proj, p, rng);
-            let res1 = tape.add(x, proj);
-            let h = tape.layer_norm(res1, layer.ln1_g, layer.ln1_b);
+    let mut attn = Vec::with_capacity(cfg.layers);
+    for block in blocks {
+        let qkv = block.qkv.apply(tape, x);
+        let att = tape.mha_batch_qkv(qkv, cfg.heads, &masks, Some(&lens));
+        attn.push(att);
+        let proj = block.wo.apply(tape, att);
+        let proj = tape.dropout(proj, p, rng);
+        let res1 = tape.add(x, proj);
+        let h = tape.layer_norm(res1, block.ln1.0, block.ln1.1);
 
-            let f1 = tape.linear(h, layer.w1, layer.b1);
-            let act = tape.gelu(f1);
-            let f2 = tape.linear(act, layer.w2, layer.b2);
-            let f2 = tape.dropout(f2, p, rng);
-            let res2 = tape.add(h, f2);
-            x = tape.layer_norm(res2, layer.ln2_g, layer.ln2_b);
-        }
-        x
+        let f1 = block.w1.apply(tape, h);
+        let act = tape.gelu(f1);
+        let f2 = block.w2.apply(tape, act);
+        let f2 = tape.dropout(f2, p, rng);
+        let res2 = tape.add(h, f2);
+        x = tape.layer_norm(res2, block.ln2.0, block.ln2.1);
     }
+    BatchEncoding { node: x, attn, offsets }
 }
 
 /// One sequence of a batched forward pass.
 #[derive(Clone, Copy)]
 pub struct BatchSeq<'a> {
-    /// Token ids, unpadded (padding is added by [`Encoder::forward_batch`]).
+    /// Token ids, unpadded — and they stay that way: sequences are packed
+    /// back to back, nothing is ever padded.
     pub ids: &'a [u32],
     /// Optional additive visibility mask sized `[ids.len(), ids.len()]`
     /// (e.g. the TURL baseline's column-visibility matrix).
@@ -257,6 +295,10 @@ pub struct BatchEncoding {
     /// The packed `[sum(len_b), hidden]` top-layer activation node;
     /// sequence `b`'s token `t` lives at row `offsets[b] + t`.
     pub node: NodeId,
+    /// Each layer's attention node, bottom layer first; sequence `b`'s
+    /// attention probabilities are `Tape::attn_probs(attn[l], b)`
+    /// (Figure 6's analysis reads the last layer).
+    pub attn: Vec<NodeId>,
     /// Starting activation row of each packed sequence.
     pub(crate) offsets: Vec<usize>,
 }
@@ -440,21 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_of_one_equals_plain_forward() {
-        let (store, enc) = build();
-        let ids = [2u32, 5, 6, 3];
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut t1 = Tape::inference(&store);
-        let a = enc.forward(&mut t1, &ids, None, &mut rng);
-        let mut t2 = Tape::inference(&store);
-        let b = enc.forward_batch(&mut t2, &[BatchSeq { ids: &ids, mask: None }], &mut rng);
-        assert_eq!(b.row_of(0, 0), 0);
-        for (x, y) in t1.value(a).data().iter().zip(t2.value(b.node).data().iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "empty batch")]
     fn empty_batch_panics() {
         let (store, enc) = build();
@@ -464,21 +491,21 @@ mod tests {
     }
 
     #[test]
-    fn attn_collection_yields_one_node_per_layer() {
+    fn encoding_carries_one_attention_node_per_layer() {
         let (store, enc) = build();
         let mut rng = StdRng::seed_from_u64(8);
         let mut tape = Tape::inference(&store);
-        let mut nodes = Vec::new();
-        enc.forward_collect_attn(&mut tape, &[2, 5, 3], None, &mut rng, &mut nodes);
-        assert_eq!(nodes.len(), enc.config().layers);
-        let (probs, heads) = tape.mha_probs(nodes[0]).unwrap();
-        assert_eq!(heads, enc.config().heads);
-        // Each attention row sums to 1.
-        let s = 3;
-        for h in 0..heads {
-            for i in 0..s {
-                let sum: f32 = probs[h * s * s + i * s..h * s * s + (i + 1) * s].iter().sum();
-                assert!((sum - 1.0).abs() < 1e-4);
+        let seqs =
+            [BatchSeq { ids: &[2, 5, 3], mask: None }, BatchSeq { ids: &[2, 3], mask: None }];
+        let out = enc.forward_batch(&mut tape, &seqs, &mut rng);
+        assert_eq!(out.attn.len(), enc.config().layers);
+        for (b, s) in [3usize, 2].into_iter().enumerate() {
+            let (probs, heads) = tape.attn_probs(out.attn[0], b).unwrap();
+            assert_eq!(heads, enc.config().heads);
+            assert_eq!(probs.len(), heads * s * s);
+            // Each attention row sums to 1.
+            for row in probs.chunks_exact(s) {
+                assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-4);
             }
         }
     }

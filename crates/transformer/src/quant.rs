@@ -1,26 +1,28 @@
-//! The int8-quantized serving twin of [`Encoder`].
+//! The int8-quantized serving tier of [`Encoder`].
 //!
-//! [`QuantEncoder`] is built once from a trained f32 encoder and mirrors
-//! [`Encoder::forward_batch`](crate::Encoder::forward_batch) op for op,
-//! swapping only the dense layers for
-//! [`QuantizedLinear`] kernels: embeddings,
-//! LayerNorm, GELU, residual adds and the fused multi-head attention stay
-//! in exact f32 on the tape, while the four GEMMs per layer (fused Q|K|V,
-//! attention output, and both FFN matrices) run in int8 and inject their
-//! dequantized outputs back as tape inputs. Because quantization scales
-//! are per output channel, fusing Q/K/V into one kernel call is
-//! numerically identical to three separate quantized projections.
+//! [`QuantEncoder`] is built once from a trained f32 encoder and holds
+//! only what differs from it: the four dense layers of every block (fused
+//! Q|K|V, attention output, both FFN matrices) as
+//! [`QuantizedLinear`] kernels. Its forward is
+//! the encoder's one layer loop (`encoder::encode`) handed
+//! [`Dense::Int8`] for those layers: they run in int8
+//! off the tape and inject their dequantized outputs back as tape inputs,
+//! while embeddings, LayerNorm, GELU, residual adds and attention are the
+//! very same f32 ops on the tape, on parameters shared with the f32
+//! encoder by id. Because quantization scales are per output channel,
+//! fusing Q/K/V into one kernel call is numerically identical to three
+//! separate quantized projections.
 //!
 //! Inference only: the tape records no gradient path through the injected
-//! nodes, and dropout (a no-op on inference tapes anyway) is skipped. The
-//! numerics contract is the accuracy-gated tier of the two-tier policy
-//! described in `doduo_tensor::quant` — not bit-equal to f32, but
+//! nodes. The numerics contract is the accuracy-gated tier of the two-tier
+//! policy described in `doduo_tensor::quant` — not bit-equal to f32, but
 //! bit-stable across kernels and thread counts on a host.
 
 use crate::config::EncoderConfig;
-use crate::encoder::{BatchEncoding, BatchSeq, Encoder};
-use doduo_tensor::{AttnMask, ParamId, ParamStore, QuantizedLinear, Tape};
-use std::sync::Arc;
+use crate::encoder::{encode, BatchEncoding, BatchSeq, Block, Dense, Embeddings, Encoder};
+use doduo_tensor::{ParamId, ParamStore, QuantizedLinear, Tape};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 struct QuantLayer {
     /// Fused `[d, 3d]` Q|K|V projection (columns in the order
@@ -32,20 +34,28 @@ struct QuantLayer {
     w1: QuantizedLinear,
     /// FFN down-projection `[ffn, d]`.
     w2: QuantizedLinear,
-    ln1_g: ParamId,
-    ln1_b: ParamId,
-    ln2_g: ParamId,
-    ln2_b: ParamId,
+    ln1: (ParamId, ParamId),
+    ln2: (ParamId, ParamId),
+}
+
+impl QuantLayer {
+    fn block(&self) -> Block<'_> {
+        Block {
+            qkv: Dense::Int8(&self.qkv),
+            wo: Dense::Int8(&self.wo),
+            w1: Dense::Int8(&self.w1),
+            w2: Dense::Int8(&self.w2),
+            ln1: self.ln1,
+            ln2: self.ln2,
+        }
+    }
 }
 
 /// An inference-only encoder whose dense layers were quantized to int8
 /// from a trained f32 [`Encoder`].
 pub struct QuantEncoder {
     cfg: EncoderConfig,
-    tok_emb: ParamId,
-    pos_emb: ParamId,
-    emb_ln_g: ParamId,
-    emb_ln_b: ParamId,
+    emb: Embeddings,
     layers: Vec<QuantLayer>,
 }
 
@@ -66,20 +76,11 @@ impl QuantEncoder {
                 wo: QuantizedLinear::from_f32(store.get(l.wo), store.get(l.bo)),
                 w1: QuantizedLinear::from_f32(store.get(l.w1), store.get(l.b1)),
                 w2: QuantizedLinear::from_f32(store.get(l.w2), store.get(l.b2)),
-                ln1_g: l.ln1_g,
-                ln1_b: l.ln1_b,
-                ln2_g: l.ln2_g,
-                ln2_b: l.ln2_b,
+                ln1: l.ln1,
+                ln2: l.ln2,
             })
             .collect();
-        QuantEncoder {
-            cfg: enc.config().clone(),
-            tok_emb: enc.tok_emb,
-            pos_emb: enc.pos_emb,
-            emb_ln_g: enc.emb_ln_g,
-            emb_ln_b: enc.emb_ln_b,
-            layers,
-        }
+        QuantEncoder { cfg: enc.config().clone(), emb: enc.emb, layers }
     }
 
     /// The configuration inherited from the f32 encoder.
@@ -87,56 +88,15 @@ impl QuantEncoder {
         &self.cfg
     }
 
-    /// The quantized mirror of
-    /// [`Encoder::forward_batch`](crate::Encoder::forward_batch): same
-    /// ragged packing, same op sequence, int8 dense layers. `tape` must be
-    /// an inference tape.
+    /// [`Encoder::forward_batch`] with
+    /// int8 dense layers: same ragged packing, same loop, same tape ops
+    /// around them. `tape` must be an inference tape.
     pub fn forward_batch(&self, tape: &mut Tape<'_>, seqs: &[BatchSeq<'_>]) -> BatchEncoding {
-        assert!(!seqs.is_empty(), "cannot encode an empty batch");
-        let total: usize = seqs.iter().map(|q| q.ids.len()).sum();
-        let mut ids = Vec::with_capacity(total);
-        let mut positions = Vec::with_capacity(total);
-        let mut masks: Vec<Option<AttnMask>> = Vec::with_capacity(seqs.len());
-        let mut lens = Vec::with_capacity(seqs.len());
-        let mut offsets = Vec::with_capacity(seqs.len());
-        for seq in seqs {
-            let len = seq.ids.len();
-            assert!(len > 0, "cannot encode an empty sequence");
-            assert!(
-                len <= self.cfg.max_seq,
-                "sequence length {len} exceeds max_seq {}",
-                self.cfg.max_seq
-            );
-            offsets.push(ids.len());
-            ids.extend_from_slice(seq.ids);
-            positions.extend(0..len as u32);
-            masks.push(seq.mask.map(Arc::clone));
-            lens.push(len);
-        }
-
-        let tok = tape.embedding(self.tok_emb, &ids);
-        let pos = tape.embedding(self.pos_emb, &positions);
-        let sum = tape.add(tok, pos);
-        let mut x = tape.layer_norm(sum, self.emb_ln_g, self.emb_ln_b);
-
-        for layer in &self.layers {
-            let qkv_t = layer.qkv.forward(tape.value(x));
-            let qkv = tape.input(qkv_t);
-            let att = tape.mha_batch_qkv(qkv, self.cfg.heads, &masks, Some(&lens));
-            let proj_t = layer.wo.forward(tape.value(att));
-            let proj = tape.input(proj_t);
-            let res1 = tape.add(x, proj);
-            let h = tape.layer_norm(res1, layer.ln1_g, layer.ln1_b);
-
-            let f1_t = layer.w1.forward(tape.value(h));
-            let f1 = tape.input(f1_t);
-            let act = tape.gelu(f1);
-            let f2_t = layer.w2.forward(tape.value(act));
-            let f2 = tape.input(f2_t);
-            let res2 = tape.add(h, f2);
-            x = tape.layer_norm(res2, layer.ln2_g, layer.ln2_b);
-        }
-        BatchEncoding { node: x, offsets }
+        assert!(!tape.is_training(), "the int8 tier is inference-only");
+        // Never drawn from: dropout is a no-op on inference tapes.
+        let mut rng = StdRng::seed_from_u64(0);
+        let blocks = self.layers.iter().map(QuantLayer::block);
+        encode(tape, &self.cfg, &self.emb, blocks, seqs, &mut rng)
     }
 }
 

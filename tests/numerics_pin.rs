@@ -1,18 +1,27 @@
 //! Pins the numerics to literals: the first tier-1 test that fails when a
 //! value depends on the host rather than on (code, seed).
 //!
-//! Two digests, so a mismatch says where to look. The first covers the
+//! Three digests, so a mismatch says where to look. The first covers the
 //! in-repo transcendentals alone — `+ - * /` and bit casts on a fixed grid,
 //! a pure function of `vmath`'s code on every host, vector tier and libm.
 //! The second covers the bytes the system renders for `ci/smoke_table.json`
 //! from the seeded synthetic world, f32 and int8: it also rides on weight
 //! initialisation (`Tensor::randn` still calls libm's `ln`/`cos`), the GEMM
-//! tiers and the JSON float formatting. Regenerate a literal only with a
-//! change that means to move values, and name it in CHANGES.md.
+//! tiers and the JSON float formatting. The third covers the backward
+//! pass: a short seeded MLM + two-task fine-tune (dropout on, Adam steps)
+//! on that same world, digested as the checkpoint it would save — the
+//! only test faster than `repro --only tables` that notices a moved
+//! gradient bit. Regenerate a literal only with a change that means to
+//! move values, and name it in CHANGES.md.
 
+use doduo_core::{prepare, train, AnnotatorBundle, Task, TrainConfig};
+use doduo_datagen::{generate_wikitable, KbConfig, KnowledgeBase, WikiTableConfig};
 use doduo_served::bootstrap::synthetic_world;
 use doduo_served::validate::{offline_response, offline_response_quant};
 use doduo_tensor::vmath;
+use doduo_transformer::{pretrain_mlm, MlmConfig, MlmHead};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes
@@ -51,4 +60,43 @@ fn smoke_table_annotation_matches_its_pinned_digest() {
         (0xe4f0_19d8_e6be_21c0, 0x69ad_faf3_e570_c123),
         "(f32, int8) responses moved: {digests:#018x?}\nf32: {f32_bytes}\nint8: {int8_bytes}"
     );
+}
+
+#[test]
+fn seeded_training_matches_its_pinned_digest() {
+    // The world's own labelled corpus (same knowledge base, same generator
+    // config, so label ids line up with the model's heads): 16 tables to
+    // train on, 4 to validate.
+    let world = synthetic_world(true, 42);
+    let kb = KnowledgeBase::generate(&KbConfig::default(), 42);
+    let mut train_ds = generate_wikitable(
+        &kb,
+        &WikiTableConfig { n_tables: 64, min_rows: 4, max_rows: 8, seed: 42 },
+    );
+    let mut valid_ds = train_ds.clone();
+    valid_ds.tables.drain(..16);
+    valid_ds.tables.truncate(4);
+    train_ds.tables.truncate(16);
+
+    let mut bundle = AnnotatorBundle::load(&world.bundle.save()).expect("own checkpoint loads");
+    let train_p = prepare(&bundle.model, &train_ds, &bundle.tokenizer);
+    let valid_p = prepare(&bundle.model, &valid_ds, &bundle.tokenizer);
+    assert!(!train_p.rels.is_empty(), "the relation task must take steps too");
+
+    // Four MLM steps over the training sequences. The head lives outside
+    // the model's parameter prefix, so the checkpoint below holds exactly
+    // the model's weights.
+    let cfg = bundle.model.config().encoder.clone();
+    let head = MlmHead::new(&mut bundle.store, &cfg, "pin", &mut StdRng::seed_from_u64(42));
+    let seqs: Vec<Vec<u32>> = train_p.types.iter().take(8).map(|ex| ex.st.ids.clone()).collect();
+    let mlm = MlmConfig { epochs: 2, batch_size: 4, threads: 2, ..MlmConfig::default() };
+    pretrain_mlm(&bundle.model.encoder, &head, &mut bundle.store, &seqs, &mlm);
+
+    // One epoch of Algorithm 1 over both tasks: two optimizer steps each.
+    let tc = TrainConfig { epochs: 1, batch_size: 8, threads: 2, ..TrainConfig::default() };
+    let tasks = [Task::ColumnType, Task::ColumnRelation];
+    train(&bundle.model, &mut bundle.store, &train_p, &valid_p, &tasks, &tc);
+
+    let digest = fnv1a(bundle.save());
+    assert_eq!(digest, 0xed11_dd01_cb7e_ff13, "trained checkpoint moved: {digest:#018x}");
 }
