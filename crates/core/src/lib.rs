@@ -51,7 +51,7 @@ pub use pipeline::{
     PretrainedLm, ENC_PREFIX,
 };
 pub use predictor::{
-    scored_labels, Annotator, ColumnTypePrediction, RelationPrediction, TableAnnotation,
+    scored_labels, Annotator, ColumnTypePrediction, Logits, RelationPrediction, TableAnnotation,
 };
 pub use quant::QuantizedModel;
 pub use trainer::{

@@ -21,7 +21,7 @@ use doduo_table::{
 };
 use doduo_tensor::{AttnMask, NodeId, ParamId, ParamStore, Tape};
 use doduo_tokenizer::WordPiece;
-use doduo_transformer::{mask_from_fn, Dense, Encoder, EncoderConfig};
+use doduo_transformer::{mask_from_fn, Dense, Encoder, EncoderConfig, Ops};
 use rand::Rng;
 
 /// How tables are presented to the encoder.
@@ -100,9 +100,10 @@ impl DoduoConfig {
 }
 
 /// The two output heads `{g_type, g_rel}` as a forward applies them — each
-/// dense → GELU → dense — over whichever tier's [`Dense`] layers: the f32
-/// parameters ([`DoduoModel::heads`]) or their int8 twins
-/// (`QuantizedModel::heads`).
+/// dense → GELU → dense — over whichever tier's [`Dense`] layers (the f32
+/// parameters, [`DoduoModel::heads`], or their int8 twins,
+/// `QuantizedModel::heads`) and on whichever backend ([`Ops`]: a tape or
+/// the serving executor).
 pub(crate) struct Heads<'a> {
     pub(crate) type_dense: Dense<'a>,
     pub(crate) type_out: Dense<'a>,
@@ -110,35 +111,40 @@ pub(crate) struct Heads<'a> {
     pub(crate) rel_out: Dense<'a>,
 }
 
-fn head(tape: &mut Tape<'_>, x: NodeId, dense: Dense<'_>, out: Dense<'_>) -> NodeId {
-    let h = dense.apply(tape, x);
-    let act = tape.gelu(h);
-    out.apply(tape, act)
+fn head<F: Ops>(f: &mut F, x: &F::Node, dense: Dense<'_>, out: Dense<'_>) -> F::Node {
+    let h = f.dense(x, dense);
+    let act = f.gelu(h);
+    let logits = f.dense(&act, out);
+    f.free(act);
+    logits
 }
 
 impl Heads<'_> {
     /// Column-type logits `[n_cols, |C_type|]` from column embeddings.
-    pub(crate) fn type_logits(&self, tape: &mut Tape<'_>, cols: NodeId) -> NodeId {
-        head(tape, cols, self.type_dense, self.type_out)
+    pub(crate) fn type_logits<F: Ops>(&self, f: &mut F, cols: &F::Node) -> F::Node {
+        head(f, cols, self.type_dense, self.type_out)
     }
 
-    /// Relation logits from a `[n, d]` column-embedding node and parallel
-    /// subject/object row indices into it (eq. 2's
-    /// `g_rel(LM(T)_{i_j} ⊕ LM(T)_{i_k})`). The batched annotation walk
-    /// selects rows out of a whole batch's packed column matrix here.
-    pub(crate) fn rel_logits(
+    /// Relation logits for `n` column pairs, from a `[_, d]`
+    /// column-embedding node and parallel subject/object row indices into
+    /// it (eq. 2's `g_rel(LM(T)_{i_j} ⊕ LM(T)_{i_k})`). The batched
+    /// annotation walk selects rows out of a whole batch's packed column
+    /// matrix here.
+    pub(crate) fn rel_logits<F: Ops>(
         &self,
-        tape: &mut Tape<'_>,
-        cols: NodeId,
-        subj: &[u32],
-        obj: &[u32],
-    ) -> NodeId {
-        assert_eq!(subj.len(), obj.len(), "subject/object index count mismatch");
-        assert!(!subj.is_empty(), "no relation pairs requested");
-        let a = tape.row_select(cols, subj);
-        let b = tape.row_select(cols, obj);
-        let pair = tape.concat_cols(a, b);
-        head(tape, pair, self.rel_dense, self.rel_out)
+        f: &mut F,
+        cols: &F::Node,
+        n: usize,
+        subj: impl Iterator<Item = u32>,
+        obj: impl Iterator<Item = u32>,
+    ) -> F::Node {
+        assert!(n > 0, "no relation pairs requested");
+        let a = f.row_select(cols, n, subj);
+        let b = f.row_select(cols, n, obj);
+        let pair = f.concat_cols(a, b);
+        let logits = head(f, &pair, self.rel_dense, self.rel_out);
+        f.free(pair);
+        logits
     }
 }
 
@@ -254,7 +260,7 @@ impl DoduoModel {
         rng: &mut R,
     ) -> NodeId {
         let cols = self.column_embeddings(tape, st, rng);
-        self.heads().type_logits(tape, cols)
+        self.heads().type_logits(tape, &cols)
     }
 
     /// Relation logits `[n_pairs, |C_rel|]` for the given `(subject,
@@ -273,9 +279,9 @@ impl DoduoModel {
         );
         assert!(!pairs.is_empty(), "no relation pairs requested");
         let cols = self.column_embeddings(tape, st, rng);
-        let subj: Vec<u32> = pairs.iter().map(|p| p.0 as u32).collect();
-        let obj: Vec<u32> = pairs.iter().map(|p| p.1 as u32).collect();
-        self.heads().rel_logits(tape, cols, &subj, &obj)
+        let subj = pairs.iter().map(|p| p.0 as u32);
+        let obj = pairs.iter().map(|p| p.1 as u32);
+        self.heads().rel_logits(tape, &cols, pairs.len(), subj, obj)
     }
 
     /// Relation logits for a *single-column-pair* serialization (the
@@ -293,7 +299,7 @@ impl DoduoModel {
         );
         let cols = self.column_embeddings(tape, st, rng);
         let heads = self.heads();
-        head(tape, cols, heads.rel_dense, heads.rel_out)
+        head(tape, &cols, heads.rel_dense, heads.rel_out)
     }
 
     /// Serializes `table` according to this model's input mode for the
@@ -441,7 +447,7 @@ mod tests {
         let mask = m_vis.visibility_mask(st).unwrap();
         let enc = m_full.encoder.forward(&mut tape2, &st.ids, Some(&mask), &mut rng);
         let cols = tape2.row_select(enc, &st.cls_positions);
-        let vis = m_full.heads().type_logits(&mut tape2, cols);
+        let vis = m_full.heads().type_logits(&mut tape2, &cols);
         let d: f32 = tape1
             .value(full)
             .data()

@@ -3,24 +3,28 @@
 //! contextualized column embeddings.
 //!
 //! All annotation, f32 and int8, funnels through one walk
-//! (`Annotator::annotate_tier`): pack any number of serialized tables into
-//! a single ragged forward pass, select every `[CLS]` row of the whole
-//! batch at once, run each classification head exactly once per batch, and
-//! scatter the logits into [`TableAnnotation`]s. The tiers differ only in
-//! whose dense layers the encoder and the heads apply (`Dense`):
-//! [`Annotator::annotate_serialized`] passes the f32 parameters,
-//! `QuantizedModel::annotate_serialized` their int8 twins.
+//! (`Annotator::forward`): pack any number of serialized tables into a
+//! single ragged forward pass, select every `[CLS]` row of the whole batch
+//! at once and run each classification head exactly once per batch. The
+//! tiers differ only in whose dense layers the encoder and the heads apply
+//! (`Dense`): [`Annotator::annotate_serialized`] passes the f32 parameters,
+//! `QuantizedModel::annotate_serialized` their int8 twins. The walk is
+//! generic over its backend (`doduo_transformer::Ops`); serving runs it on
+//! the tape-free `doduo_tensor::Executor` — no node is recorded, and after
+//! a thread's first micro-batch no activation is allocated
+//! ([`Annotator::with_logits`]) — and then scatters the logits into
+//! [`TableAnnotation`]s, the only allocations of a steady-state call.
 //! [`Annotator::annotate`] is the batch of one. Deduplicating tokenization,
 //! choosing batch compositions, and fanning batches across worker threads
 //! are serving concerns layered on top by `doduo-serve`'s `BatchAnnotator`.
 
-use crate::model::{DoduoModel, InputMode};
+use crate::model::{AttentionMode, DoduoModel, InputMode};
 use crate::quant::QuantizedModel;
 use crate::trainer::decode_labels;
 use doduo_table::{LabelVocab, SerializedTable, Table};
-use doduo_tensor::{vmath, AttnMask, ParamStore, Tape};
+use doduo_tensor::{vmath, AttnMask, Executor, ParamStore, Tape};
 use doduo_tokenizer::WordPiece;
-use doduo_transformer::BatchSeq;
+use doduo_transformer::{BatchSeq, Ops};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -80,16 +84,39 @@ pub fn scored_labels(logits: &[f32], vocab: &LabelVocab, multi_label: bool) -> V
     } else {
         vmath::softmax_row(&mut scores);
     }
-    let chosen = decode_labels(logits, multi_label);
-    let mut rows: Vec<(String, f32)> =
-        scores.iter().enumerate().map(|(i, &s)| (vocab.name(i as u32).to_string(), s)).collect();
+    let mut ranked: Vec<(u32, f32)> = (0u32..).zip(scores).collect();
     // `total_cmp`: a total order even over non-finite scores, so a poisoned
     // checkpoint can mis-rank labels but never panic a serving thread.
-    rows.sort_by(|a, b| b.1.total_cmp(&a.1));
-    // Keep the decision-rule labels plus the next best few for context.
-    let keep = chosen.len().max(3).min(rows.len());
-    rows.truncate(keep);
-    rows
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+    // Keep the decision-rule labels plus the next best few for context,
+    // and only now look their names up.
+    let keep = decode_labels(logits, multi_label).len().max(3).min(ranked.len());
+    ranked[..keep].iter().map(|&(i, s)| (vocab.name(i).to_string(), s)).collect()
+}
+
+/// What one forward leaves behind for the scatter: the packed batch's
+/// head outputs, on whichever backend computed them.
+struct Scores<N> {
+    /// `[total_cols, |C_type|]`, in (sequence, column) order.
+    types: N,
+    /// `[total_pairs, |C_rel|]`, every `(0, j)` pair in the same order;
+    /// `None` when the batch has no pair to score.
+    rels: Option<N>,
+}
+
+/// Raw head outputs of one packed forward, borrowed from the executor that
+/// computed them ([`Annotator::with_logits`]): row-major, one row per
+/// column (per `(0, j)` pair), in (table, sequence, column) order.
+pub struct Logits<'a> {
+    /// Column-type logits, `n_types` per row.
+    pub types: &'a [f32],
+    /// Width of a `types` row.
+    pub n_types: usize,
+    /// Relation logits, `n_rels` per row; empty when no table of the batch
+    /// has a column pair to score.
+    pub rels: &'a [f32],
+    /// Width of a `rels` row.
+    pub n_rels: usize,
 }
 
 impl Annotator<'_> {
@@ -101,9 +128,9 @@ impl Annotator<'_> {
         self.annotate_all(std::slice::from_ref(table)).pop().expect("one table in, one out")
     }
 
-    /// Annotates a slice of tables in one packed forward pass (one tape,
-    /// single-threaded). This is the building block `doduo-serve` composes
-    /// into micro-batches and fans across threads.
+    /// Annotates a slice of tables in one packed forward pass on the calling
+    /// thread. This is the building block `doduo-serve` composes into
+    /// micro-batches and fans across threads.
     pub fn annotate_all(&self, tables: &[Table]) -> Vec<TableAnnotation> {
         let groups: Vec<Vec<SerializedTable>> =
             tables.iter().map(|t| self.model.serialize_for_types(t, self.tokenizer)).collect();
@@ -114,8 +141,8 @@ impl Annotator<'_> {
     /// Annotates pre-serialized tables: each group is the output of
     /// `DoduoModel::serialize_for_types` for one table (one sequence in
     /// table-wise mode, one per column in single-column mode). All
-    /// sequences of all groups run through a single
-    /// `Encoder::forward_batch` call; the type head runs once over every
+    /// sequences of all groups run through a single packed encoder
+    /// forward; the type head runs once over every
     /// `[CLS]` row of the batch and the relation head once over every
     /// `(0, j)` pair of every table. Output order matches input order, and
     /// each annotation is bit-identical to what [`Annotator::annotate`]
@@ -124,9 +151,104 @@ impl Annotator<'_> {
         self.annotate_tier(None, groups)
     }
 
-    /// The one annotation walk. `quant` selects the tier: `None` applies
-    /// the model's f32 dense layers, `Some` their int8 twins; everything
-    /// else — packing, `[CLS]` selection, head order, scatter — is shared.
+    /// The one annotation walk, on backend `f`: encoder over every sequence
+    /// of every group as one ragged batch, then both heads once. `quant`
+    /// selects the tier: `None` applies the model's f32 dense layers,
+    /// `Some` their int8 twins; everything else — packing, `[CLS]`
+    /// selection, head order — is shared.
+    fn forward<F: Ops>(
+        &self,
+        f: &mut F,
+        quant: Option<&QuantizedModel>,
+        groups: &[&[SerializedTable]],
+    ) -> Scores<F::Node> {
+        let cfg = self.model.config();
+        let sts = || groups.iter().flat_map(|g| g.iter());
+        assert!(sts().next().is_some(), "every table serializes to at least one sequence");
+        // TURL-style visibility masks are built per call; full attention
+        // (Doduo) has none and this stays empty.
+        let vis: Vec<AttnMask> = match cfg.attention {
+            AttentionMode::Full => Vec::new(),
+            AttentionMode::ColumnVisibility => sts()
+                .map(|st| self.model.visibility_mask(st).expect("visibility mode builds masks"))
+                .collect(),
+        };
+        let seqs = sts().enumerate().map(|(b, st)| BatchSeq { ids: &st.ids, mask: vis.get(b) });
+        let (enc, heads) = match quant {
+            // Never drawn from: serving backends have no dropout.
+            None => (
+                self.model.encoder.encode(f, seqs, &mut StdRng::seed_from_u64(0)),
+                self.model.heads(),
+            ),
+            Some(q) => (q.encoder.encode(f, seqs), q.heads()),
+        };
+
+        // `(first activation row, first column row, sequence)` of every
+        // packed sequence: where its tokens start in the encoder output and
+        // where its columns start in the `[total_cols, d]` matrix selected
+        // from it.
+        let placed = || {
+            sts().scan((0usize, 0usize), |(row0, col0), st| {
+                let at = (*row0, *col0, st);
+                *row0 += st.len();
+                *col0 += st.n_cols();
+                Some(at)
+            })
+        };
+        let total_cols = sts().map(SerializedTable::n_cols).sum();
+        let cls_rows = placed().flat_map(|(row0, _, st)| {
+            st.cls_positions.iter().map(move |&p| (row0 + p as usize) as u32)
+        });
+        let cols = f.row_select(&enc, total_cols, cls_rows);
+        f.free(enc);
+        let types = heads.type_logits(f, &cols);
+
+        // Relation pairs (0, j) per table-wise sequence with 2+ columns.
+        let with_rels = self.scores_relations();
+        let pairs = || {
+            placed()
+                .filter(move |_| with_rels)
+                .flat_map(|(_, col0, st)| (1..st.n_cols()).map(move |j| (col0, col0 + j)))
+        };
+        let n_pairs = pairs().count();
+        let rels = (n_pairs > 0).then(|| {
+            let subj = pairs().map(|p| p.0 as u32);
+            let obj = pairs().map(|p| p.1 as u32);
+            heads.rel_logits(f, &cols, n_pairs, subj, obj)
+        });
+        f.free(cols);
+        Scores { types, rels }
+    }
+
+    /// True when sequences are whole tables whose `(0, j)` column pairs get
+    /// relation scores.
+    fn scores_relations(&self) -> bool {
+        self.model.config().input_mode == InputMode::TableWise && !self.rel_vocab.is_empty()
+    }
+
+    /// Runs the encoder and both heads over `groups` (as
+    /// [`Annotator::annotate_serialized`] takes them) on the calling
+    /// thread's executor and hands the raw logits to `read`. `quant`
+    /// selects the int8 tier. This is all of a call's arithmetic: with full
+    /// attention it allocates nothing once the thread has run a micro-batch
+    /// at least as large.
+    pub fn with_logits<T>(
+        &self,
+        quant: Option<&QuantizedModel>,
+        groups: &[&[SerializedTable]],
+        read: impl FnOnce(Logits<'_>) -> T,
+    ) -> T {
+        let mut ex = Executor::new(self.store);
+        let scores = self.forward(&mut ex, quant, groups);
+        read(Logits {
+            types: ex.value(&scores.types),
+            n_types: scores.types.cols(),
+            rels: scores.rels.as_ref().map_or(&[], |r| ex.value(r)),
+            n_rels: scores.rels.as_ref().map_or(0, |r| r.cols()),
+        })
+    }
+
+    /// [`Annotator::with_logits`], scattered into per-table annotations.
     pub(crate) fn annotate_tier(
         &self,
         quant: Option<&QuantizedModel>,
@@ -135,88 +257,39 @@ impl Annotator<'_> {
         if groups.is_empty() {
             return Vec::new();
         }
-        let cfg = self.model.config();
-        let ml = cfg.multi_label;
-        let table_wise = cfg.input_mode == InputMode::TableWise;
-
-        // Flatten every sequence of every group into one batch.
-        let sts: Vec<&SerializedTable> = groups.iter().flat_map(|g| g.iter()).collect();
-        assert!(!sts.is_empty(), "every table serializes to at least one sequence");
-        let vis: Vec<Option<AttnMask>> =
-            sts.iter().map(|st| self.model.visibility_mask(st)).collect();
-        let seqs: Vec<BatchSeq<'_>> = sts
-            .iter()
-            .zip(vis.iter())
-            .map(|(st, m)| BatchSeq { ids: &st.ids, mask: m.as_ref() })
-            .collect();
-
-        let mut tape = Tape::inference(self.store);
-        let (enc, heads) = match quant {
-            None => {
-                let mut rng = StdRng::seed_from_u64(0);
-                (self.model.encoder.forward_batch(&mut tape, &seqs, &mut rng), self.model.heads())
-            }
-            Some(q) => (q.encoder.forward_batch(&mut tape, &seqs), q.heads()),
-        };
-
-        // Every column's `[CLS]` row across the whole batch, in
-        // (sequence, column) order; `col_row0[b]` is sequence b's first row
-        // in the resulting `[total_cols, d]` matrix.
-        let mut cls_rows: Vec<u32> = Vec::new();
-        let mut col_row0: Vec<usize> = Vec::with_capacity(sts.len());
-        for (b, st) in sts.iter().enumerate() {
-            col_row0.push(cls_rows.len());
-            cls_rows.extend(st.cls_positions.iter().map(|&p| enc.row_of(b, p as usize) as u32));
-        }
-        let cols = tape.row_select(enc.node, &cls_rows);
-        let type_logits = heads.type_logits(&mut tape, cols);
-
-        // Relation pairs (0, j) per table-wise sequence with 2+ columns.
-        let mut subj: Vec<u32> = Vec::new();
-        let mut obj: Vec<u32> = Vec::new();
-        if table_wise && !self.rel_vocab.is_empty() {
-            for (b, st) in sts.iter().enumerate() {
-                for j in 1..st.n_cols() {
-                    subj.push(col_row0[b] as u32);
-                    obj.push((col_row0[b] + j) as u32);
-                }
-            }
-        }
-        let rel_logits = (!subj.is_empty()).then(|| heads.rel_logits(&mut tape, cols, &subj, &obj));
-
-        // Scatter head outputs back into per-table annotations.
-        let tv = tape.value(type_logits);
-        let rv = rel_logits.map(|n| tape.value(n));
-        let mut out = Vec::with_capacity(groups.len());
-        let mut seq = 0usize;
-        let mut rel_row = 0usize;
-        for group in groups {
-            let mut types = Vec::new();
-            let mut relations = Vec::new();
-            for st in group.iter() {
-                let row0 = col_row0[seq];
-                for c in 0..st.n_cols() {
-                    types.push(ColumnTypePrediction {
-                        column: types.len(),
-                        labels: scored_labels(tv.row(row0 + c), self.type_vocab, ml),
-                    });
-                }
-                if table_wise && !self.rel_vocab.is_empty() {
-                    for j in 1..st.n_cols() {
-                        let v = rv.expect("relation logits exist when pairs do");
-                        relations.push(RelationPrediction {
-                            subject: 0,
-                            object: j,
-                            labels: scored_labels(v.row(rel_row), self.rel_vocab, ml),
-                        });
-                        rel_row += 1;
+        let ml = self.model.config().multi_label;
+        let with_rels = self.scores_relations();
+        self.with_logits(quant, groups, |logits| {
+            let mut type_rows = logits.types.chunks_exact(logits.n_types);
+            // (`n_rels` is 0 when nothing was scored; no row is asked for then.)
+            let mut rel_rows = logits.rels.chunks_exact(logits.n_rels.max(1));
+            let next = |rows: &mut std::slice::ChunksExact<'_, f32>, vocab| {
+                scored_labels(rows.next().expect("one logit row per column and pair"), vocab, ml)
+            };
+            groups
+                .iter()
+                .map(|group| {
+                    let mut types = Vec::new();
+                    let mut relations = Vec::new();
+                    for st in group.iter() {
+                        for _ in 0..st.n_cols() {
+                            types.push(ColumnTypePrediction {
+                                column: types.len(),
+                                labels: next(&mut type_rows, self.type_vocab),
+                            });
+                        }
+                        for j in (1..st.n_cols()).filter(|_| with_rels) {
+                            relations.push(RelationPrediction {
+                                subject: 0,
+                                object: j,
+                                labels: next(&mut rel_rows, self.rel_vocab),
+                            });
+                        }
                     }
-                }
-                seq += 1;
-            }
-            out.push(TableAnnotation { types, relations });
-        }
-        out
+                    TableAnnotation { types, relations }
+                })
+                .collect()
+        })
     }
 
     /// Contextualized column embeddings (the `[CLS]` outputs, §4.3) — the
@@ -385,6 +458,104 @@ mod tests {
                 for ((n1, s1), (n2, s2)) in x.labels.iter().zip(&y.labels) {
                     assert_eq!(n1, n2);
                     assert_eq!(s1.to_bits(), s2.to_bits(), "rel scores must be bit-identical");
+                }
+            }
+        }
+    }
+
+    /// A serialized table of `len` random tokens split into `n_cols`
+    /// columns (each opening with its `[CLS]`), the last token a `[SEP]`.
+    fn random_table(len: usize, n_cols: usize, vocab: usize, rng: &mut StdRng) -> SerializedTable {
+        use rand::Rng;
+        let n_cols = n_cols.clamp(1, len);
+        let cls_positions: Vec<u32> = (0..n_cols).map(|c| (c * len / n_cols) as u32).collect();
+        let mut col_of_token: Vec<u32> = (0..len as u32)
+            .map(|i| cls_positions.iter().filter(|&&p| p <= i).count() as u32 - 1)
+            .collect();
+        if len > n_cols {
+            col_of_token[len - 1] = doduo_table::NO_COLUMN;
+        }
+        let ids = (0..len).map(|_| rng.gen_range(0..vocab as u32)).collect();
+        SerializedTable { ids, cls_positions, col_of_token }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// The serving executor against the recording tape, on the same
+        /// generic walk: encoder output rows and both heads' logits, f32
+        /// and int8 tiers, ragged batches with and without visibility
+        /// masks — equal under `to_bits`.
+        #[test]
+        fn executor_matches_tape_bitwise(
+            lens in proptest::collection::vec(1usize..65, 1..7),
+            cols in 1usize..5,
+            turl in 0u8..2,
+            seed in 0u64..1000,
+        ) {
+            use proptest::prop_assert_eq;
+            let tok = WordPiece::train(
+                ["alpha beta gamma one two three"],
+                &TokTrain { merges: 60, min_pair_count: 1, max_word_len: 16 },
+            );
+            let mut rng = StdRng::seed_from_u64(seed);
+            let enc = EncoderConfig::tiny(tok.vocab_size());
+            let vocab = enc.vocab_size;
+            let attention =
+                if turl == 1 { AttentionMode::ColumnVisibility } else { AttentionMode::Full };
+            let cfg = DoduoConfig::new(enc, 5, 3, true).with_attention(attention);
+            let mut store = ParamStore::new();
+            let model = DoduoModel::new(&mut store, cfg, "m", &mut rng);
+            // Fresh heads start near zero; spread every weight out so each
+            // op's output has bits worth comparing.
+            for p in 0..store.len() {
+                let shape = store.get(p).shape();
+                *store.get_mut(p) = doduo_tensor::Tensor::randn(shape.0, shape.1, 0.3, &mut rng);
+            }
+            let (mut tv, mut rv) = (LabelVocab::new(), LabelVocab::new());
+            (0..5).for_each(|i| { tv.intern(&format!("t.{i}")); });
+            (0..3).for_each(|i| { rv.intern(&format!("r.{i}")); });
+            let ann = Annotator {
+                model: &model,
+                store: &store,
+                tokenizer: &tok,
+                type_vocab: &tv,
+                rel_vocab: &rv,
+            };
+            let qm = QuantizedModel::from_model(&model, &store);
+            let tables: Vec<Vec<SerializedTable>> =
+                lens.iter().map(|&len| vec![random_table(len, cols, vocab, &mut rng)]).collect();
+            let groups: Vec<&[SerializedTable]> = tables.iter().map(Vec::as_slice).collect();
+            let masks: Vec<Option<AttnMask>> =
+                tables.iter().map(|g| model.visibility_mask(&g[0])).collect();
+            let seqs = || {
+                tables.iter().zip(&masks).map(|(g, m)| BatchSeq { ids: &g[0].ids, mask: m.as_ref() })
+            };
+
+            for quant in [None, Some(&qm)] {
+                let mut tape = Tape::inference(&store);
+                let mut ex = Executor::new(&store);
+                let (on_tape, on_ex) = match quant {
+                    None => (
+                        model.encoder.encode(&mut tape, seqs(), &mut StdRng::seed_from_u64(0)),
+                        model.encoder.encode(&mut ex, seqs(), &mut StdRng::seed_from_u64(0)),
+                    ),
+                    Some(q) => (q.encoder.encode(&mut tape, seqs()), q.encoder.encode(&mut ex, seqs())),
+                };
+                prop_assert_eq!(bits(tape.value(on_tape).data()), bits(ex.value(&on_ex)));
+                ex.free(on_ex);
+
+                let want = ann.forward(&mut tape, quant, &groups);
+                let got = ann.forward(&mut ex, quant, &groups);
+                prop_assert_eq!(tape.value(want.types).shape(), (got.types.rows(), got.types.cols()));
+                prop_assert_eq!(bits(tape.value(want.types).data()), bits(ex.value(&got.types)));
+                prop_assert_eq!(want.rels.is_some(), got.rels.is_some());
+                if let (Some(w), Some(g)) = (want.rels, got.rels) {
+                    prop_assert_eq!(bits(tape.value(w).data()), bits(ex.value(&g)));
                 }
             }
         }

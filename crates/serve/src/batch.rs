@@ -10,9 +10,13 @@
 //!    never changes compute, only scheduling balance);
 //! 3. cut the ordered list into micro-batches of at most
 //!    [`BatchConfig::max_batch`] sequences;
-//! 4. stripe micro-batches across scoped worker threads, each running
-//!    `Annotator::annotate_serialized` (one tape, one packed forward per
-//!    micro-batch), and scatter results back into input order.
+//! 4. stripe micro-batches across the calling thread and
+//!    [`BatchConfig::threads`]` − 1` scoped workers, each running
+//!    `Annotator::annotate_serialized` (one packed, tape-free forward per
+//!    micro-batch on the thread's executor arena), and scatter results back
+//!    into input order. With one engine thread — a one-core host, the
+//!    daemon's dispatcher — no thread is created per call, so the arena,
+//!    the GEMM pack panels and the allocator stay warm between calls.
 //!
 //! Stages 2–4 never change the numbers — only how they are scheduled — so
 //! the output is bit-identical to sequential `Annotator::annotate` calls.
@@ -54,7 +58,7 @@ pub struct BatchConfig {
     /// cache sizes; raise it on accelerators where big uniform launches
     /// win.
     pub max_batch_tokens: usize,
-    /// Worker threads to fan micro-batches across.
+    /// Threads to fan micro-batches across, the calling thread included.
     pub threads: usize,
     /// Columns the tokenization cache keeps resident.
     pub cache_capacity: usize,
@@ -166,8 +170,9 @@ impl BatchAnnotator {
     /// Like [`BatchAnnotator::annotate_groups`], but delivers each group's
     /// annotation through `on_done(group_index, annotation)` *as soon as its
     /// micro-batch finishes* instead of waiting for the whole call. The
-    /// callback runs on whichever worker thread completed the micro-batch
-    /// (hence `Sync`), at most once per group, with indices into `groups`.
+    /// callback runs on whichever thread completed the micro-batch — the
+    /// caller's own for stripe 0, always so with one engine thread (hence
+    /// `Sync`) — at most once per group, with indices into `groups`.
     /// Streaming front ends (the daemon's `/annotate_stream`) use this to
     /// push per-table results while later micro-batches are still running;
     /// the annotations themselves are bit-identical to
@@ -209,32 +214,32 @@ impl BatchAnnotator {
             batches.push(cur);
         }
 
-        // Stage 4: stripe micro-batches across scoped workers sharing the
-        // read-only parameter store, delivering each group's annotation the
-        // moment its micro-batch completes.
+        // Stage 4: stripe micro-batches across the calling thread (stripe 0)
+        // and `threads - 1` scoped workers sharing the read-only parameter
+        // store, delivering each group's annotation the moment its
+        // micro-batch completes. With one engine thread nothing is spawned:
+        // the caller's executor arena, GEMM pack panels and allocator stay
+        // warm from one call to the next.
         let threads = self.cfg.threads.clamp(1, batches.len());
-        let batches = &batches;
-        let bundle = &self.bundle;
-        let quant = self.quant.as_ref();
+        let annotator = self.bundle.annotator();
+        let run_stripe = |w: usize| {
+            for batch in batches.iter().skip(w).step_by(threads) {
+                let sliced: Vec<&[SerializedTable]> =
+                    batch.iter().map(|&i| groups[i].as_slice()).collect();
+                let anns = match &self.quant {
+                    Some(qm) => qm.annotate_serialized(&annotator, &sliced),
+                    None => annotator.annotate_serialized(&sliced),
+                };
+                for (&i, ann) in batch.iter().zip(anns) {
+                    on_done(i, ann);
+                }
+            }
+        };
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let annotator = bundle.annotator();
-                        for batch in batches.iter().skip(w).step_by(threads) {
-                            let sliced: Vec<&[SerializedTable]> =
-                                batch.iter().map(|&i| groups[i].as_slice()).collect();
-                            let anns = match quant {
-                                Some(qm) => qm.annotate_serialized(&annotator, &sliced),
-                                None => annotator.annotate_serialized(&sliced),
-                            };
-                            for (&i, ann) in batch.iter().zip(anns) {
-                                on_done(i, ann);
-                            }
-                        }
-                    })
-                })
-                .collect();
+            let run_stripe = &run_stripe;
+            let handles: Vec<_> =
+                (1..threads).map(|w| scope.spawn(move || run_stripe(w))).collect();
+            run_stripe(0);
             for h in handles {
                 h.join().expect("annotation worker panicked");
             }

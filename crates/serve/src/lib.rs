@@ -13,14 +13,15 @@
 //!    (dimension tables, shared vocabularies, re-submitted tables) skip
 //!    the tokenizer entirely.
 //! 2. **Packed batches** — sequences are packed row-wise, unpadded, into
-//!    one ragged forward pass (`Encoder::forward_batch`), paying tape and
-//!    scheduling overhead once per batch instead of once per table, while
-//!    `Tape::mha_batch_qkv` keeps attention block-diagonal and each table
-//!    pays exactly its own compute.
-//! 3. **Thread fan-out** — micro-batches are striped across
-//!    `std::thread::scope` workers (defaulting to
-//!    `doduo_tensor::parallel::default_threads`), which share the
-//!    read-only `ParamStore` without locking.
+//!    one ragged forward pass on the tape-free executor
+//!    (`Encoder::encode`), paying scheduling overhead once per batch
+//!    instead of once per table, while block-diagonal attention makes each
+//!    table pay exactly its own compute.
+//! 3. **Thread fan-out** — micro-batches are striped across the calling
+//!    thread and `threads − 1` `std::thread::scope` workers (`threads`
+//!    defaulting to `doduo_tensor::parallel::default_threads`), which
+//!    share the read-only `ParamStore` without locking; one engine thread
+//!    means no spawn at all.
 //!
 //! All of it is *observationally free*: results are bit-identical to
 //! calling `Annotator::annotate` once per table, in input order, at every

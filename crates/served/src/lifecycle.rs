@@ -25,8 +25,9 @@
 //! [`FeedbackJournal`]. When the daemon runs with `--feedback-finetune`, a
 //! background thread folds accumulated entries into a short fine-tune of a
 //! *copy* of the current bundle (via a save/load round-trip — training
-//! never mutates the serving weights) and self-swaps the result through
-//! the same slot, closing the serve → correct → retrain → serve loop.
+//! never mutates the serving weights) and self-swaps the retrained
+//! checkpoint through [`EngineSlot::swap_blob`], the route uploads take,
+//! closing the serve → correct → retrain → serve loop.
 
 use doduo_core::{blob_crc, trainer, AnnotatorBundle, Task, TrainConfig};
 use doduo_serve::{BatchAnnotator, BatchConfig};
@@ -136,25 +137,22 @@ impl EngineSlot {
     /// Strict-loads a checkpoint blob, builds the replacement engine off
     /// the hot path, and swaps it in. Returns the new engine. In-flight
     /// batches keep the `Arc` they captured and finish on the old model.
+    /// The only way a model reaches the slot after boot — uploads and the
+    /// fine-tune loop alike — so every installed model has passed
+    /// [`AnnotatorBundle::load`]'s checks (structure, CRC, finite weights).
     pub fn swap_blob(&self, blob: &[u8]) -> Result<Arc<VersionedEngine>, SwapError> {
         let crc = blob_crc(blob)
             .ok_or_else(|| SwapError::BadBundle("not a checkpoint blob (bad magic)".into()))?;
         let bundle =
             AnnotatorBundle::load(blob).map_err(|e| SwapError::BadBundle(format!("{e:?}")))?;
-        Ok(self.install(Arc::new(bundle), crc))
-    }
-
-    /// Installs an already-validated bundle whose payload CRC is `crc`
-    /// (the fine-tune loop, which just serialized the bundle itself).
-    pub fn install(&self, bundle: Arc<AnnotatorBundle>, crc: u32) -> Arc<VersionedEngine> {
         // All expensive work (engine build, quantization) happens here,
         // before the lock.
-        let engine = BatchAnnotator::with_config(bundle, self.engine_cfg.clone());
+        let engine = BatchAnnotator::with_config(Arc::new(bundle), self.engine_cfg.clone());
         let version = self.next_version.fetch_add(1, Ordering::SeqCst);
         let fresh = Arc::new(VersionedEngine { engine, version, crc });
         *self.current.lock().expect("engine slot lock") = Arc::clone(&fresh);
         self.swaps.fetch_add(1, Ordering::SeqCst);
-        fresh
+        Ok(fresh)
     }
 }
 
@@ -277,13 +275,15 @@ impl Lifecycle {
 
 /// Runs one fine-tune cycle over `entries` against (a copy of) `base`'s
 /// bundle: short column-type training on the corrected labels, then a
-/// save/serialize to fresh checkpoint bytes. Returns the retrained bundle
-/// plus its payload CRC, ready for [`EngineSlot::install`]. Errors are
-/// returned as strings (a failed cycle must never take the daemon down).
+/// save to fresh checkpoint bytes — which the caller installs through
+/// [`EngineSlot::swap_blob`] like any upload, so a cycle that diverged to
+/// NaN weights is rejected there and the current engine keeps serving.
+/// Errors are returned as strings (a failed cycle must never take the
+/// daemon down).
 pub fn finetune_bundle(
     base: &VersionedEngine,
     entries: &[FeedbackEntry],
-) -> Result<(Arc<AnnotatorBundle>, u32), String> {
+) -> Result<Vec<u8>, String> {
     let bundle = base.engine().bundle();
     // Train on a deep copy: serving weights stay immutable, and a failed
     // or interrupted cycle leaves the current engine untouched.
@@ -330,9 +330,7 @@ pub fn finetune_bundle(
         ..TrainConfig::default()
     };
     trainer::train(&fresh.model, &mut fresh.store, &prepared, &prepared, &[Task::ColumnType], &cfg);
-    let blob = fresh.save();
-    let crc = blob_crc(&blob).ok_or("retrained bundle failed to serialize")?;
-    Ok((Arc::new(fresh), crc))
+    Ok(fresh.save())
 }
 
 #[cfg(test)]
@@ -408,10 +406,28 @@ mod tests {
                 types: t.columns.iter().map(|_| vec![label.clone()]).collect(),
             })
             .collect();
-        let (bundle, crc) = finetune_bundle(&base, &entries).expect("finetune runs");
-        let engine = lc.slot().install(bundle, crc);
+        let blob = finetune_bundle(&base, &entries).expect("finetune runs");
+        let engine = lc.slot().swap_blob(&blob).expect("retrained bundle installs");
         assert_eq!(engine.version(), 2);
+        assert_eq!(engine.crc(), blob_crc(&blob).expect("crc"));
         assert_eq!(lc.slot().swaps(), 1);
         assert_eq!(lc.current().label(), engine.label());
+    }
+
+    #[test]
+    fn diverged_retrained_bundle_is_rejected_and_old_engine_stays_current() {
+        // What a fine-tune cycle that diverged hands to the install step: a
+        // structurally perfect, CRC-valid checkpoint with a NaN weight.
+        let w = synthetic_world(true, 42);
+        let slot = EngineSlot::new(Arc::clone(&w.bundle), BatchConfig::default());
+        let before = slot.current().label();
+        let mut poisoned = AnnotatorBundle::load(&w.bundle.save()).expect("copy loads");
+        poisoned.store.get_mut(0).data_mut()[0] = f32::NAN;
+        match slot.swap_blob(&poisoned.save()) {
+            Err(SwapError::BadBundle(msg)) => assert!(msg.contains("NonFinite"), "{msg}"),
+            Ok(_) => panic!("a NaN-poisoned bundle was installed"),
+        }
+        assert_eq!(slot.current().label(), before, "the old engine is still current");
+        assert_eq!(slot.swaps(), 0);
     }
 }

@@ -709,9 +709,10 @@ fn finetune_loop(shared: &Shared, lifecycle: &Lifecycle) {
             continue;
         }
         let base = lifecycle.current();
-        match finetune_bundle(&base, &entries) {
-            Ok((bundle, crc)) => {
-                let fresh = lifecycle.slot().install(bundle, crc);
+        let swapped = finetune_bundle(&base, &entries)
+            .and_then(|blob| lifecycle.slot().swap_blob(&blob).map_err(|e| e.to_string()));
+        match swapped {
+            Ok(fresh) => {
                 lifecycle.journal().record_finetune();
                 eprintln!(
                     "[served] feedback fine-tune: {} entries folded; model {} -> {}",

@@ -6,9 +6,10 @@
 //! cache-resident panels ([`KC`]×[`NC`] for B, [`MC`]×[`KC`] for A), and a
 //! register micro-kernel computes an [`MR`]×[`NR`] output tile per
 //! iteration of the packed k loop. On top sits optional row-stripe
-//! multi-threading (distinct threads own disjoint output rows) and a size
+//! multi-threading (distinct threads own disjoint output rows) and a shape
 //! heuristic that falls back to the plain loops where packing overhead
-//! would dominate.
+//! would dominate: products under `BLOCKED_MIN_FLOPS` (2^11), and products
+//! of at most `SMALL_MAX_ROWS` (3) rows against an untransposed B.
 //!
 //! # Numerics policy: bit-identical
 //!
@@ -28,8 +29,9 @@
 //!
 //! Intra-GEMM threads default to **1**: training parallelizes at the
 //! table level (`accumulate_parallel`) and serving at the micro-batch
-//! level (`BatchAnnotator`), so the cores are usually owned by an outer
-//! loop already. [`set_gemm_threads`] is the explicit lever for
+//! level (`BatchAnnotator`: the calling thread plus `threads − 1` scoped
+//! workers), so the cores are usually owned by an outer loop already —
+//! and a thread that keeps calling keeps its packing panels warm. [`set_gemm_threads`] is the explicit lever for
 //! single-stream workloads (e.g. latency-sensitive serving of one big
 //! table); the row stripes are then cut so every thread gets at least
 //! [`MIN_FLOPS_PER_THREAD`] of work, so small matmuls never pay a spawn.
@@ -59,10 +61,21 @@ pub const MC: usize = 120;
 /// extra GEMM thread is not worth its spawn cost.
 pub const MIN_FLOPS_PER_THREAD: usize = 1 << 20;
 
-/// Work floor below which the public entry points use the naive loops:
-/// packing touches O(mn + mk + kn) memory, which only pays off once the
-/// O(mnk) kernel work dwarfs it.
-const BLOCKED_MIN_FLOPS: usize = 1 << 16;
+/// Work floor below which the entry points use the plain loops: packing
+/// touches O(mn + mk + kn) memory, which only pays off once the O(mnk)
+/// kernel work dwarfs it. Sized by timing [`gemm_small`] against the packed
+/// kernel with warm thread-local panels on attention's per-head shapes
+/// (`len`×`len`×24 and `len`×24×`len`): the packed kernel wins `A Bᵀ` from
+/// about 800 FLOPs up and the other two layouts from about 4,500, and in
+/// between neither is ahead by more than ~0.1 µs a call.
+const BLOCKED_MIN_FLOPS: usize = 1 << 11;
+
+/// Row count up to which a product against an untransposed B stays on the
+/// plain loops whatever its size: packing B costs O(kn) — about what three
+/// rows of [`gemm_small`]'s vector multiply-adds cost — and with fewer rows
+/// than that, most of an [`MR`]-row register tile multiplies padding.
+/// (Measured at `m`×96×96 … `m`×384×96: plain wins up to 3 rows, ties at 4.)
+const SMALL_MAX_ROWS: usize = 3;
 
 static GEMM_THREADS: AtomicUsize = AtomicUsize::new(1);
 
@@ -92,13 +105,14 @@ fn effective_threads(m: usize, n: usize, k: usize, budget: usize) -> usize {
 // ---------------------------------------------------------------------------
 
 /// Read-only strided view used to feed packing: element `(r, c)` lives at
-/// `data[off + r * stride + c]`. Lets the tape run GEMM over column slices
-/// (per-head Q/K/V panels, fused QKV segments) without copying them out.
+/// `data[off + r * stride + c]`. Lets the forward backends run GEMM over
+/// column slices (per-head Q/K/V panels, fused QKV segments) without
+/// copying them out.
 #[derive(Clone, Copy)]
-pub(crate) struct View<'a> {
-    pub data: &'a [f32],
-    pub off: usize,
-    pub stride: usize,
+pub struct View<'a> {
+    data: &'a [f32],
+    off: usize,
+    stride: usize,
 }
 
 impl<'a> View<'a> {
@@ -440,7 +454,7 @@ fn gemm_threaded(
     if m == 0 || n == 0 || k == 0 {
         return; // += of an empty product leaves C untouched
     }
-    if 2 * m * n * k < BLOCKED_MIN_FLOPS {
+    if 2 * m * n * k < BLOCKED_MIN_FLOPS || (m <= SMALL_MAX_ROWS && matches!(b_src, Src::N(_))) {
         // Packing would dominate; the plain loops keep the identical
         // per-element accumulation order, so this changes nothing but speed.
         gemm_small(m, n, k, a_src, b_src, c, ldc, c_col0);
@@ -478,32 +492,49 @@ fn gemm_small(
     ldc: usize,
     c_col0: usize,
 ) {
-    let a = |i: usize, p: usize| match a_src {
-        Src::N(v) => v.data[v.off + i * v.stride + p],
-        Src::T(v) => v.data[v.off + p * v.stride + i],
-    };
-    let b = |p: usize, j: usize| match b_src {
-        Src::N(v) => v.data[v.off + p * v.stride + j],
-        Src::T(v) => v.data[v.off + j * v.stride + p],
+    // Element `(i, p)` of op(A) is `ad[i * a_rs + p * a_cs]`.
+    let (ad, a_rs, a_cs) = match a_src {
+        Src::N(v) => (&v.data[v.off..], v.stride, 1),
+        Src::T(v) => (&v.data[v.off..], 1, v.stride),
     };
     for i in 0..m {
         let c_row = &mut c[i * ldc + c_col0..i * ldc + c_col0 + n];
-        for (j, o) in c_row.iter_mut().enumerate() {
-            let mut acc = *o;
-            for p in 0..k {
-                acc += a(i, p) * b(p, j);
+        match b_src {
+            // B's rows are contiguous along n: one lane per output column,
+            // each rank-1 step a vector multiply-add over the row.
+            Src::N(bv) => {
+                for p in 0..k {
+                    let a_ip = ad[i * a_rs + p * a_cs];
+                    for (o, &b_pj) in c_row.iter_mut().zip(bv.row(p, 0, n)) {
+                        *o += a_ip * b_pj;
+                    }
+                }
             }
-            *o = acc;
+            // Bᵀ: each output is the dot product of two contiguous k-runs.
+            // Nothing to vectorise without reassociating, which is why
+            // this layout crosses over to the packed kernel so early.
+            Src::T(bv) => {
+                for (j, o) in c_row.iter_mut().enumerate() {
+                    let mut acc = *o;
+                    for (p, &b_jp) in bv.row(j, 0, k).iter().enumerate() {
+                        acc += ad[i * a_rs + p * a_cs] * b_jp;
+                    }
+                    *o = acc;
+                }
+            }
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Crate-internal strided entry points (used by the tape's attention ops)
+// Strided entry points (what the tape and the executor call; public so the
+// property tests can pin them to the naive loops from outside the crate)
 // ---------------------------------------------------------------------------
 
-/// `C += A B` over strided views: `a` is `[m, k]`, `b` is `[k, n]`.
-pub(crate) fn gemm_nn(
+/// `C += A B` over strided views: `a` is `[m, k]`, `b` is `[k, n]`. `c`
+/// starts at the output's first row, has row stride `ldc`, and the product
+/// lands `c_col0` columns in — single-threaded, like its two siblings.
+pub fn gemm_nn(
     c: &mut [f32],
     ldc: usize,
     c_col0: usize,
@@ -514,8 +545,26 @@ pub(crate) fn gemm_nn(
     gemm_threaded(m, n, k, Src::N(a), Src::N(b), c, ldc, c_col0, 1);
 }
 
+/// [`gemm_nn`] as a dense layer calls it — [`crate::tensor::matmul`] and
+/// the executor's linear ops alike: under the process-global thread budget,
+/// and on the packed kernel only where [`blocked_worthwhile`] says so.
+pub(crate) fn gemm_nn_dense(
+    c: &mut [f32],
+    ldc: usize,
+    c_col0: usize,
+    (m, n, k): (usize, usize, usize),
+    a: View<'_>,
+    b: View<'_>,
+) {
+    if blocked_worthwhile(m, n, k) {
+        gemm_threaded(m, n, k, Src::N(a), Src::N(b), c, ldc, c_col0, gemm_threads());
+    } else {
+        gemm_small(m, n, k, Src::N(a), Src::N(b), c, ldc, c_col0);
+    }
+}
+
 /// `C += A Bᵀ` over strided views: `a` is `[m, k]`, `b` is `[n, k]`.
-pub(crate) fn gemm_nt(
+pub fn gemm_nt(
     c: &mut [f32],
     ldc: usize,
     c_col0: usize,
@@ -527,7 +576,7 @@ pub(crate) fn gemm_nt(
 }
 
 /// `C += Aᵀ B` over strided views: `a` is `[k, m]`, `b` is `[k, n]`.
-pub(crate) fn gemm_tn(
+pub fn gemm_tn(
     c: &mut [f32],
     ldc: usize,
     c_col0: usize,

@@ -21,6 +21,9 @@
 //!   attention with optional visibility masks (for the TURL baseline),
 //!   dropout, and the two losses the paper uses (softmax cross-entropy for
 //!   VizNet, BCE-with-logits for the multi-label WikiTable tasks).
+//! * [`Executor`] — the forward-only twin of the tape for serving: the same
+//!   forward ops through the same arithmetic, over a per-thread pool of
+//!   reusable buffers — no nodes, no per-op allocation.
 //! * [`ParamStore`] / [`Gradients`] — named shared weights and mergeable
 //!   gradient buffers, so mini-batch items can run on worker threads.
 //! * [`Adam`] / [`LrSchedule`] — the paper's optimizer (ε = 1e-8, linear
@@ -32,6 +35,8 @@
 //! beyond the attention visibility mask.
 #![warn(missing_docs)]
 
+pub mod exec;
+mod forward;
 pub mod kernels;
 pub mod optim;
 pub mod parallel;
@@ -42,11 +47,12 @@ pub mod tape;
 pub mod tensor;
 pub mod vmath;
 
+pub use exec::{Executor, Slot};
 pub use kernels::{gemm_threads, set_gemm_threads};
 pub use optim::{Adam, LrSchedule};
 pub use parallel::{accumulate_parallel, default_threads};
 pub use params::{Gradients, Param, ParamId, ParamStore};
-pub use quant::{quantize_row_i8, QuantizedLinear};
+pub use quant::{quantize_row_i8, QuantScratch, QuantizedLinear};
 pub use tape::{AttnMask, NodeId, Tape, MASK_NEG};
 pub use tensor::{matmul, matmul_nt, matmul_tn, Tensor};
 pub use vmath::softmax_row;

@@ -48,6 +48,7 @@
 //! * **Scalar** — a portable loop over the packed layout; both the
 //!   fallback and the reference oracle for the property tests.
 
+use crate::forward::grow;
 use crate::kernels::{self, MIN_FLOPS_PER_THREAD};
 use crate::tensor::Tensor;
 
@@ -345,64 +346,94 @@ impl QuantizedLinear {
         self.forward_with_threads(x, kernels::gemm_threads())
     }
 
+    /// [`QuantizedLinear::forward`] into a caller-owned `[m, n]` slot, with
+    /// the activation codes staged in a reusable [`QuantScratch`]: what the
+    /// tape-free executor calls, allocating nothing once the scratch has
+    /// grown. `x` is `m` rows of `k`, row-major.
+    pub fn forward_into(&self, x: &[f32], m: usize, out: &mut [f32], scratch: &mut QuantScratch) {
+        self.run(x, m, out, kernels::gemm_threads(), best_kern(), scratch);
+    }
+
     /// [`QuantizedLinear::forward`] with an explicit thread budget (each
     /// output row is computed independently, so the result is bitwise
     /// invariant to the split).
     pub fn forward_with_threads(&self, x: &Tensor, threads: usize) -> Tensor {
-        self.run(x, threads, best_kern())
+        self.run_fresh(x, threads, best_kern())
     }
 
     /// The portable scalar kernel, single-threaded — the reference oracle
     /// the SIMD paths must match bit for bit.
     pub fn forward_scalar(&self, x: &Tensor) -> Tensor {
-        self.run(x, 1, Kern::Scalar)
+        self.run_fresh(x, 1, Kern::Scalar)
     }
 
     /// The AVX2 kernel, single-threaded; `None` when the host lacks AVX2.
     /// Exists so tests can force-compare kernels on one machine.
     pub fn forward_simd(&self, x: &Tensor) -> Option<Tensor> {
-        kernels::has_avx2().then(|| self.run(x, 1, Kern::Avx2))
+        kernels::has_avx2().then(|| self.run_fresh(x, 1, Kern::Avx2))
     }
 
     /// The AVX-512 VNNI kernel, single-threaded; `None` when the host
     /// lacks it. Exists so tests can force-compare kernels on one machine.
     pub fn forward_vnni(&self, x: &Tensor) -> Option<Tensor> {
-        has_vnni().then(|| self.run(x, 1, Kern::Vnni))
+        has_vnni().then(|| self.run_fresh(x, 1, Kern::Vnni))
     }
 
-    fn run(&self, x: &Tensor, threads: usize, kern: Kern) -> Tensor {
-        let (m, xk) = x.shape();
-        assert_eq!(xk, self.k, "quantized linear expects [m, {}] input", self.k);
-        let mut out = Tensor::zeros(m, self.n);
+    /// [`QuantizedLinear::run`] into a fresh tensor with a fresh scratch.
+    fn run_fresh(&self, x: &Tensor, threads: usize, kern: Kern) -> Tensor {
+        assert_eq!(x.cols(), self.k, "quantized linear expects [m, {}] input", self.k);
+        let mut out = Tensor::zeros(x.rows(), self.n);
+        self.run(x.data(), x.rows(), out.data_mut(), threads, kern, &mut QuantScratch::default());
+        out
+    }
+
+    fn run(
+        &self,
+        x: &[f32],
+        m: usize,
+        out: &mut [f32],
+        threads: usize,
+        kern: Kern,
+        scratch: &mut QuantScratch,
+    ) {
+        assert_eq!(x.len(), m * self.k, "quantized linear expects [m, {}] input", self.k);
+        assert_eq!(out.len(), m * self.n, "quantized linear writes [m, {}] output", self.n);
         if m == 0 || self.n == 0 {
-            return out;
+            return;
         }
         // Dynamic per-row activation quantization (row-independent, so it
         // cannot break thread invariance), shared by every kernel.
-        let mut qa = vec![0i16; m * self.kp];
-        let mut a_scales = vec![0f32; m];
-        for r in 0..m {
-            a_scales[r] = quantize_row_i16(x.row(r), &mut qa[r * self.kp..(r + 1) * self.kp]);
+        let QuantScratch { qa, qa8, a_scales } = scratch;
+        grow(qa, m * self.kp);
+        grow(a_scales, m);
+        let (qa, a_scales) = (&mut qa[..m * self.kp], &mut a_scales[..m]);
+        for (r, scale) in a_scales.iter_mut().enumerate() {
+            let codes = &mut qa[r * self.kp..(r + 1) * self.kp];
+            *scale = quantize_row_i16(&x[r * self.k..(r + 1) * self.k], codes);
         }
         // The VNNI kernel consumes the same codes biased into u8.
-        let mut qa8 = Vec::new();
-        if kern == Kern::Vnni {
-            qa8 = qa.iter().map(|&c| (i32::from(c) + 128) as u8).collect();
-        }
+        let qa8: &[u8] = if kern == Kern::Vnni {
+            grow(qa8, qa.len());
+            for (o, &c) in qa8.iter_mut().zip(qa.iter()) {
+                *o = (i32::from(c) + 128) as u8;
+            }
+            &qa8[..qa.len()]
+        } else {
+            &[]
+        };
         let t = effective_threads(m, self.n, self.k, threads);
         if t <= 1 {
-            self.stripe(&qa, &qa8, &a_scales, 0, out.data_mut(), kern);
-            return out;
+            self.stripe(qa, qa8, a_scales, 0, out, kern);
+            return;
         }
         let rows_per = m.div_ceil(t);
-        let (qa, qa8, a_scales) = (&qa, &qa8, &a_scales);
+        let (qa, a_scales) = (&*qa, &*a_scales);
         let n = self.n;
         std::thread::scope(|scope| {
-            for (i, chunk) in out.data_mut().chunks_mut(rows_per * n).enumerate() {
+            for (i, chunk) in out.chunks_mut(rows_per * n).enumerate() {
                 scope.spawn(move || self.stripe(qa, qa8, a_scales, i * rows_per, chunk, kern));
             }
         });
-        out
     }
 
     /// Computes output rows `[row0, row0 + chunk_rows)` into `out`.
@@ -640,6 +671,16 @@ impl QuantizedLinear {
             out[j0..].copy_from_slice(&tmp[..rest]);
         }
     }
+}
+
+/// Reusable staging for [`QuantizedLinear::forward_into`]: the quantized
+/// activation codes and per-row scales of one call. Grow-only, so a caller
+/// that keeps one around stops allocating after its largest input.
+#[derive(Default)]
+pub struct QuantScratch {
+    qa: Vec<i16>,
+    qa8: Vec<u8>,
+    a_scales: Vec<f32>,
 }
 
 /// Threads actually worth spawning for one `m`×`n`×`k` quantized GEMM

@@ -10,8 +10,20 @@
 //! needs; multi-head attention is a single fused op over packed, ragged
 //! blocks ([`Tape::mha_batch_qkv`]) — a lone sequence is the batch of one —
 //! so no general reshape / transpose machinery is required.
+//!
+//! The tape is the *recording* backend: use it when something will be
+//! differentiated or an intermediate will be looked at (training, the
+//! attention analysis, op-by-op replays). A forward that only wants its
+//! result — serving — runs the same ops on [`crate::Executor`], which
+//! records nothing and reuses its buffers. Both compute every forward op
+//! through the functions of the crate-private `forward` module, so they
+//! agree bit for bit.
 #![allow(clippy::needless_range_loop)] // index loops over matrix coordinates are clearest here
 
+use crate::forward::{
+    add_bias_rows, attention_forward, attn_probs_block, concat_rows, dense_segment, gather_rows,
+    head_views, layer_norm_rows,
+};
 use crate::kernels::{gemm_nn, gemm_nt, gemm_tn, View};
 use crate::params::{Gradients, ParamId, ParamStore};
 use crate::tensor::{matmul, matmul_nt, matmul_tn, Tensor};
@@ -231,11 +243,7 @@ impl<'s> Tape<'s> {
         assert_eq!(tb.rows(), 1, "bias must be a row vector");
         assert_eq!(tx.cols(), tb.cols(), "add_row width mismatch");
         let mut v = tx.clone();
-        for r in 0..v.rows() {
-            for (o, &bv) in v.row_mut(r).iter_mut().zip(tb.row(0).iter()) {
-                *o += bv;
-            }
-        }
+        add_bias_rows(v.data_mut(), tb.cols(), 0, tb.row(0));
         self.push(v, Op::AddRow { x, bias })
     }
 
@@ -279,7 +287,6 @@ impl<'s> Tape<'s> {
 
     /// Row-wise LayerNorm with learned gain/bias.
     pub fn layer_norm(&mut self, x: NodeId, gamma: ParamId, beta: ParamId) -> NodeId {
-        const EPS: f32 = 1e-5;
         let gn = self.param(gamma);
         let bn = self.param(beta);
         let (tx, tg, tb) = (self.value(x), self.value(gn), self.value(bn));
@@ -290,19 +297,10 @@ impl<'s> Tape<'s> {
         let mut out = Tensor::zeros(rows, cols);
         let mut means = Vec::with_capacity(rows);
         let mut rstds = Vec::with_capacity(rows);
-        for r in 0..rows {
-            let row = tx.row(r);
-            let mean = row.iter().sum::<f32>() / cols as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-            let rstd = 1.0 / (var + EPS).sqrt();
+        layer_norm_rows(tx.data(), cols, tg.data(), tb.data(), out.data_mut(), |mean, rstd| {
             means.push(mean);
             rstds.push(rstd);
-            let orow = out.row_mut(r);
-            for c in 0..cols {
-                let xhat = (row[c] - mean) * rstd;
-                orow[c] = xhat * tg.data()[c] + tb.data()[c];
-            }
-        }
+        });
         self.push(out, Op::LayerNorm { x, gamma: gn, beta: bn, mean: means, rstd: rstds })
     }
 
@@ -318,13 +316,8 @@ impl<'s> Tape<'s> {
     pub fn embedding(&mut self, weight: ParamId, ids: &[u32]) -> NodeId {
         let wn = self.param(weight);
         let w = self.value(wn);
-        let d = w.cols();
-        let v_rows = w.rows();
-        let mut out = Tensor::zeros(ids.len(), d);
-        for (r, &id) in ids.iter().enumerate() {
-            assert!((id as usize) < v_rows, "embedding id {id} out of range {v_rows}");
-            out.row_mut(r).copy_from_slice(w.row(id as usize));
-        }
+        let mut out = Tensor::zeros(ids.len(), w.cols());
+        gather_rows(w.data(), w.cols(), ids.iter().copied(), out.data_mut(), "embedding");
         self.push(out, Op::Embedding { weight: wn, ids: ids.to_vec() })
     }
 
@@ -332,10 +325,7 @@ impl<'s> Tape<'s> {
     pub fn row_select(&mut self, x: NodeId, idxs: &[u32]) -> NodeId {
         let tx = self.value(x);
         let mut out = Tensor::zeros(idxs.len(), tx.cols());
-        for (r, &i) in idxs.iter().enumerate() {
-            assert!((i as usize) < tx.rows(), "row_select index out of range");
-            out.row_mut(r).copy_from_slice(tx.row(i as usize));
-        }
+        gather_rows(tx.data(), tx.cols(), idxs.iter().copied(), out.data_mut(), "row_select");
         self.push(out, Op::RowSelect { x, idxs: idxs.to_vec() })
     }
 
@@ -345,10 +335,7 @@ impl<'s> Tape<'s> {
         assert_eq!(ta.rows(), tb.rows(), "concat_cols row mismatch");
         let (n, da, db) = (ta.rows(), ta.cols(), tb.cols());
         let mut out = Tensor::zeros(n, da + db);
-        for r in 0..n {
-            out.row_mut(r)[..da].copy_from_slice(ta.row(r));
-            out.row_mut(r)[da..].copy_from_slice(tb.row(r));
-        }
+        concat_rows(ta.data(), da, tb.data(), db, out.data_mut());
         self.push(out, Op::ConcatCols { a, b })
     }
 
@@ -378,25 +365,13 @@ impl<'s> Tape<'s> {
             assert_eq!(self.value(b).shape(), (1, d), "fused_qkv bias shape");
         }
         let mut out = Tensor::zeros(rows, 3 * d);
-        {
-            let tw = [self.value(ws[0]), self.value(ws[1]), self.value(ws[2])];
-            let tb = [self.value(bs[0]), self.value(bs[1]), self.value(bs[2])];
-            let tx = self.value(x);
-            // Three GEMMs into the output's column segments, then the bias
-            // rows: per element that is `sum_k x·w` then `+ b` — exactly
-            // [`Tape::linear`]'s order, so the fused node stays
-            // bit-identical to three separate dense layers.
-            for (t, w) in tw.iter().enumerate() {
-                gemm_nn(out.data_mut(), 3 * d, t * d, (rows, d, k), View::of(tx), View::of(w));
-            }
-            for i in 0..rows {
-                let o_row = out.row_mut(i);
-                for (t, b) in tb.iter().enumerate() {
-                    for (o, &bv_) in o_row[t * d..(t + 1) * d].iter_mut().zip(b.row(0).iter()) {
-                        *o += bv_;
-                    }
-                }
-            }
+        // Each projection is a dense layer into its own column segment:
+        // per element `sum_k x·w` then `+ b` — exactly [`Tape::linear`]'s
+        // order, so the fused node stays bit-identical to three separate
+        // dense layers.
+        for (t, (&w, &b)) in ws.iter().zip(bs.iter()).enumerate() {
+            let (x, w, b) = (View::of(self.value(x)), self.value(w), self.value(b));
+            dense_segment(out.data_mut(), 3 * d, t * d, rows, x, w, b);
         }
         self.push(out, Op::FusedQkv { x, ws, bs })
     }
@@ -428,25 +403,12 @@ impl<'s> Tape<'s> {
         assert!(d3 % 3 == 0, "fused qkv width must be 3d");
         let d = d3 / 3;
         assert!(!masks.is_empty(), "mha_batch_qkv needs at least one sequence");
-        assert!(d % heads == 0, "hidden dim {d} not divisible by {heads} heads");
-        let lens = validate_blocks(rows, masks, lens);
+        let lens = resolve_blocks(rows, masks.len(), lens);
 
-        let dh = d / heads;
-        let scale = 1.0 / (dh as f32).sqrt();
         let mut out = Tensor::zeros(rows, d);
-        let max_len = lens.iter().copied().max().expect("non-empty");
-        let mut p_buf = vec![0.0f32; max_len * max_len];
-        let mut row0 = 0usize;
-        for (&len, mask) in lens.iter().zip(masks.iter()) {
-            let mask = mask.as_ref().map(|m| m.as_slice());
-            for h in 0..heads {
-                let [q, k, v] = head_views(t, d, row0, h * dh);
-                attn_probs_block(&mut p_buf, q, k, len, dh, scale, mask);
-                let p = View::at(&p_buf, len, 0, 0);
-                gemm_nn(&mut out.data_mut()[row0 * d..], d, h * dh, (len, dh, len), p, v);
-            }
-            row0 += len;
-        }
+        let blocks =
+            lens.iter().zip(masks).map(|(&len, m)| (len, m.as_ref().map(|m| m.as_slice())));
+        attention_forward(t.data(), (rows, d, heads), blocks, out.data_mut(), &mut Vec::new());
         self.push(out, Op::MhaBatchQkv { qkv, heads, lens, masks: masks.to_vec() })
     }
 
@@ -467,7 +429,7 @@ impl<'s> Tape<'s> {
         let mask = masks[block].as_ref().map(|m| m.as_slice());
         let mut probs = vec![0.0f32; heads * len * len];
         for (h, p) in probs.chunks_exact_mut(len * len).enumerate() {
-            let [q, k, _] = head_views(t, d, row0, h * dh);
+            let [q, k, _] = head_views(t.data(), d, row0, h * dh);
             attn_probs_block(p, q, k, len, dh, scale, mask);
         }
         Some((probs, *heads))
@@ -740,7 +702,7 @@ impl<'s> Tape<'s> {
                         let mask = mask.as_ref().map(|m| m.as_slice());
                         for h in 0..*heads {
                             let off = h * dh;
-                            let [q, k, v] = head_views(t, d, row0, off);
+                            let [q, k, v] = head_views(t.data(), d, row0, off);
                             // Recomputed via the same kernel the forward
                             // used — bit-identical.
                             attn_probs_block(&mut p_buf, q, k, len, dh, scale, mask);
@@ -794,17 +756,14 @@ impl<'s> Tape<'s> {
     }
 }
 
-/// Resolves and validates the block layout of [`Tape::mha_batch_qkv`]:
-/// explicit `lens` must sum to `rows` (ragged
-/// packing), `None` splits `rows` into `masks.len()` equal blocks, and
-/// every per-block mask must be `[len, len]`-shaped.
-fn validate_blocks(rows: usize, masks: &[Option<AttnMask>], lens: Option<&[usize]>) -> Vec<usize> {
-    let blocks = masks.len();
-    let lens: Vec<usize> = match lens {
+/// Resolves the block layout of [`Tape::mha_batch_qkv`]: explicit `lens`
+/// are taken as given (one per block), `None` splits `rows` into `blocks`
+/// equal blocks. That they sum to `rows` and fit their masks is checked by
+/// the forward kernel itself.
+fn resolve_blocks(rows: usize, blocks: usize, lens: Option<&[usize]>) -> Vec<usize> {
+    match lens {
         Some(l) => {
             assert_eq!(l.len(), blocks, "one length per block");
-            assert!(l.iter().all(|&n| n >= 1), "blocks cannot be empty");
-            assert_eq!(l.iter().sum::<usize>(), rows, "block lengths must sum to the rows");
             l.to_vec()
         }
         None => {
@@ -814,40 +773,7 @@ fn validate_blocks(rows: usize, masks: &[Option<AttnMask>], lens: Option<&[usize
             );
             vec![rows / blocks; blocks]
         }
-    };
-    for (m, &len) in masks.iter().zip(lens.iter()) {
-        if let Some(m) = m {
-            assert_eq!(m.len(), len * len, "per-sequence mask must be [len, len]");
-        }
     }
-    lens
-}
-
-/// Computes one head's post-softmax probability matrix into
-/// `p[..len * len]`: `S = Q Kᵀ` through the blocked GEMM layer, then the
-/// row softmax of `s * scale + mask` in [`vmath`]'s three reads per row.
-/// The single kernel behind the attention forward, the backward's
-/// recompute and [`Tape::attn_probs`], so all three agree bit for bit by
-/// construction.
-fn attn_probs_block(
-    p: &mut [f32],
-    q: View<'_>,
-    k: View<'_>,
-    len: usize,
-    dh: usize,
-    scale: f32,
-    mask: Option<&[f32]>,
-) {
-    p[..len * len].fill(0.0);
-    gemm_nt(p, len, 0, (len, len, dh), q, k);
-    vmath::softmax_rows_scaled(&mut p[..len * len], len, scale, mask);
-}
-
-/// One head's Q, K and V `[len, dh]` windows of a packed `[rows, 3d]`
-/// tensor: rows from `row0`, columns `off..off + dh` past the bases `0`,
-/// `d` and `2d` — the [`View`]s make the slicing free.
-fn head_views(t: &Tensor, d: usize, row0: usize, off: usize) -> [View<'_>; 3] {
-    [0, d, 2 * d].map(|base| View::at(t.data(), 3 * d, row0, base + off))
 }
 
 /// Attention backward for one `(block, head)` pair, all products through

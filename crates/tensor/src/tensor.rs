@@ -5,6 +5,7 @@
 //! matrix is `[in, out]`, a scalar loss is `[1, 1]`. Avoiding general N-d
 //! shapes keeps the autograd kernels simple and fast.
 
+use crate::kernels::View;
 use rand::Rng;
 
 /// A dense row-major matrix of `f32` values.
@@ -191,11 +192,11 @@ impl Tensor {
 /// the plain ikj loop. Both paths produce bit-identical results — see the
 /// numerics policy in [`crate::kernels`].
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    if crate::kernels::blocked_worthwhile(a.rows, b.cols, a.cols) {
-        crate::kernels::matmul_blocked(a, b, crate::kernels::gemm_threads())
-    } else {
-        crate::kernels::matmul_naive(a, b)
-    }
+    assert_eq!(a.cols, b.rows, "matmul inner dims: {:?} x {:?}", a.shape(), b.shape());
+    let mut out = Tensor::zeros(a.rows, b.cols);
+    let dims = (a.rows, b.cols, a.cols);
+    crate::kernels::gemm_nn_dense(&mut out.data, b.cols, 0, dims, View::of(a), View::of(b));
+    out
 }
 
 /// `C = A * B^T` where `A` is `[m, k]` and `B` is `[n, k]`.

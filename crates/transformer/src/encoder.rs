@@ -3,75 +3,34 @@
 //! Post-LayerNorm BERT blocks, written down once: `encode` embeds a
 //! batch of sequences packed row-wise and unpadded into one ragged
 //! `[sum(len), d]` activation and walks the one loop over encoder layers.
-//! Attention is `Tape::mha_batch_qkv`, block-diagonal over the packed
-//! sequences and optionally restricted per sequence by an additive
-//! visibility mask — how the TURL baseline's attention is expressed (§5.4:
-//! TURL removes "cross-column" edges; Doduo uses full attention). Every
-//! other op (dense layers, LayerNorm, GELU, residual adds) is row-wise, so
-//! what a sequence's rows come out as does not depend on what else is
-//! packed with them.
+//! Attention is block-diagonal over the packed sequences and optionally
+//! restricted per sequence by an additive visibility mask — how the TURL
+//! baseline's attention is expressed (§5.4: TURL removes "cross-column"
+//! edges; Doduo uses full attention). Every other op (dense layers,
+//! LayerNorm, GELU, residual adds) is row-wise, so what a sequence's rows
+//! come out as does not depend on what else is packed with them.
 //!
-//! The loop is parameterised by one thing only: *how a dense layer is
-//! applied* — [`Dense`]. That is all training, f32 serving and int8
-//! serving differ in:
+//! The loop is parameterised by two things only:
 //!
-//! * [`Encoder::forward_batch`] applies every dense layer in f32 on the
-//!   tape (differentiable). [`Encoder::forward`] is the same call on a
-//!   batch of one — what fine-tuning, MLM pre-training and
-//!   `column_embeddings` use (one table = one tape; gradient fan-out
-//!   happens across tapes via `doduo_tensor::accumulate_parallel`).
-//! * `QuantEncoder::forward_batch` (in [`crate::quant`]) hands the same
-//!   loop int8 kernels.
+//! * *how a dense layer is applied* — [`Dense`]: f32 parameters
+//!   ([`Encoder`]) or their int8 twins (`QuantEncoder` in [`crate::quant`]);
+//! * *what executes the ops* — [`Ops`]: a recording [`Tape`]
+//!   (differentiable; [`Encoder::forward_batch`], and [`Encoder::forward`]
+//!   as the batch of one — what fine-tuning, MLM pre-training and
+//!   `column_embeddings` use, one table = one tape, gradient fan-out across
+//!   tapes via `doduo_tensor::accumulate_parallel`) or the tape-free
+//!   `doduo_tensor::Executor` that serving runs on ([`Encoder::encode`]
+//!   takes either).
 //!
-//! Batched ≡ sequential and serving ≡ training therefore hold by
-//! construction: there is no second op sequence to drift from.
+//! Batched ≡ sequential, serving ≡ training and executor ≡ tape therefore
+//! hold by construction: there is no second op sequence to drift from, and
+//! both backends call the same arithmetic.
 
 use crate::config::EncoderConfig;
-use doduo_tensor::{AttnMask, NodeId, ParamId, ParamStore, QuantizedLinear, Tape, MASK_NEG};
+use crate::ops::{Dense, Ops};
+use doduo_tensor::{AttnMask, NodeId, ParamId, ParamStore, Tape, MASK_NEG};
 use rand::Rng;
 use std::sync::Arc;
-
-/// How one dense layer `y = x W + b` is applied — the seam between the
-/// f32 and int8 tiers, shared by the encoder's layer loop and the
-/// classification heads in `doduo-core`.
-#[derive(Clone, Copy)]
-pub enum Dense<'a> {
-    /// f32 on the tape, differentiable: `Tape::linear`.
-    F32 {
-        /// Weight `[d_in, d_out]`.
-        w: ParamId,
-        /// Bias `[1, d_out]`.
-        b: ParamId,
-    },
-    /// The three attention projections as one `[rows, 3d]` node, f32 on
-    /// the tape: `Tape::fused_qkv` (bit-identical to three `F32` layers,
-    /// forward and backward).
-    FusedQkv {
-        /// Weights `[wq, wk, wv]`.
-        ws: [ParamId; 3],
-        /// Biases `[bq, bk, bv]`.
-        bs: [ParamId; 3],
-    },
-    /// The int8 kernels, off the tape: the dequantized output re-enters as
-    /// a constant input, so no gradient flows (inference only).
-    Int8(&'a QuantizedLinear),
-}
-
-impl Dense<'_> {
-    /// Applies the layer to node `x`, returning the output node.
-    pub fn apply(self, tape: &mut Tape<'_>, x: NodeId) -> NodeId {
-        match self {
-            Dense::F32 { w, b } => tape.linear(x, w, b),
-            Dense::FusedQkv { ws: [wq, wk, wv], bs: [bq, bk, bv] } => {
-                tape.fused_qkv(x, wq, bq, wk, bk, wv, bv)
-            }
-            Dense::Int8(q) => {
-                let y = q.forward(tape.value(x));
-                tape.input(y)
-            }
-        }
-    }
-}
 
 /// The embedding tables and their LayerNorm — always f32, shared by id
 /// between the f32 encoder and its int8 twin.
@@ -193,7 +152,7 @@ impl Encoder {
         self.forward_batch(tape, &[BatchSeq { ids, mask }], rng).node
     }
 
-    /// Encodes a batch of sequences in one packed forward pass.
+    /// Encodes a batch of sequences in one packed forward pass on a tape.
     ///
     /// Sequences are concatenated row-wise with **no padding** (the ragged
     /// layout): the returned [`BatchEncoding`] points at the
@@ -215,68 +174,96 @@ impl Encoder {
         seqs: &[BatchSeq<'_>],
         rng: &mut R,
     ) -> BatchEncoding {
-        encode(tape, &self.cfg, &self.emb, self.layers.iter().map(LayerParams::block), seqs, rng)
+        let blocks = self.layers.iter().map(LayerParams::block);
+        encode_on_tape(tape, &self.cfg, &self.emb, blocks, seqs, rng)
+    }
+
+    /// The same packed forward on whichever backend `f` is — a [`Tape`] or
+    /// the tape-free `doduo_tensor::Executor` serving uses — returning just
+    /// the `[sum(len_b), d]` top-layer activation (sequence `b`'s token `t`
+    /// at row `sum(len[..b]) + t`). Bit-identical across backends.
+    pub fn encode<'a, F: Ops, R: Rng + ?Sized>(
+        &self,
+        f: &mut F,
+        seqs: impl Iterator<Item = BatchSeq<'a>> + Clone,
+        rng: &mut R,
+    ) -> F::Node {
+        let blocks = self.layers.iter().map(LayerParams::block);
+        encode(f, &self.cfg, &self.emb, blocks, seqs, rng, |_| {})
     }
 }
 
-/// The one forward definition: packs `seqs`, embeds them, and runs the
-/// layer loop, applying each block's dense layers however its [`Dense`]s
-/// say. Dropout is active on training tapes only (a no-op that draws
-/// nothing from `rng` otherwise).
-pub(crate) fn encode<'a, R: Rng + ?Sized>(
-    tape: &mut Tape<'_>,
+/// The one forward definition: embeds `seqs` packed back to back and runs
+/// the layer loop on backend `f`, applying each block's dense layers
+/// however its [`Dense`]s say. Dropout is active on training tapes only (a
+/// no-op that draws nothing from `rng` otherwise). Each layer's attention
+/// node is shown to `on_attention` before it is consumed (a tape's caller
+/// keeps the ids; the executor's has nothing to keep).
+pub(crate) fn encode<'a, 'q, F: Ops, R: Rng + ?Sized>(
+    f: &mut F,
     cfg: &EncoderConfig,
     emb: &Embeddings,
-    blocks: impl Iterator<Item = Block<'a>>,
-    seqs: &[BatchSeq<'_>],
+    blocks: impl Iterator<Item = Block<'q>>,
+    seqs: impl Iterator<Item = BatchSeq<'a>> + Clone,
     rng: &mut R,
-) -> BatchEncoding {
-    assert!(!seqs.is_empty(), "cannot encode an empty batch");
-
-    // Pack ids and positions; masks and block lengths are built once and
-    // shared across layers.
-    let total: usize = seqs.iter().map(|q| q.ids.len()).sum();
-    let mut ids = Vec::with_capacity(total);
-    let mut positions = Vec::with_capacity(total);
-    let mut masks: Vec<Option<AttnMask>> = Vec::with_capacity(seqs.len());
-    let mut lens = Vec::with_capacity(seqs.len());
-    let mut offsets = Vec::with_capacity(seqs.len());
-    for seq in seqs {
+    mut on_attention: impl FnMut(&F::Node),
+) -> F::Node {
+    let mut total = 0usize;
+    for seq in seqs.clone() {
         let len = seq.ids.len();
         assert!(len > 0, "cannot encode an empty sequence");
         assert!(len <= cfg.max_seq, "sequence length {len} exceeds max_seq {}", cfg.max_seq);
-        offsets.push(ids.len());
-        ids.extend_from_slice(seq.ids);
-        positions.extend(0..len as u32);
-        masks.push(seq.mask.map(Arc::clone));
-        lens.push(len);
+        total += len;
     }
+    assert!(total > 0, "cannot encode an empty batch");
 
     let p = cfg.dropout;
-    let tok = tape.embedding(emb.tok, &ids);
-    let pos = tape.embedding(emb.pos, &positions);
-    let sum = tape.add(tok, pos);
-    let normed = tape.layer_norm(sum, emb.ln_g, emb.ln_b);
-    let mut x = tape.dropout(normed, p, rng);
+    let tok = f.embedding(emb.tok, total, seqs.clone().flat_map(|s| s.ids.iter().copied()));
+    let pos = f.embedding(emb.pos, total, seqs.clone().flat_map(|s| 0..s.ids.len() as u32));
+    let sum = f.add(tok, pos);
+    let normed = f.layer_norm(sum, emb.ln_g, emb.ln_b);
+    let mut x = f.dropout(normed, p, rng);
 
-    let mut attn = Vec::with_capacity(cfg.layers);
     for block in blocks {
-        let qkv = block.qkv.apply(tape, x);
-        let att = tape.mha_batch_qkv(qkv, cfg.heads, &masks, Some(&lens));
-        attn.push(att);
-        let proj = block.wo.apply(tape, att);
-        let proj = tape.dropout(proj, p, rng);
-        let res1 = tape.add(x, proj);
-        let h = tape.layer_norm(res1, block.ln1.0, block.ln1.1);
+        let qkv = f.dense(&x, block.qkv);
+        let att = f.attention(qkv, cfg.heads, seqs.clone());
+        on_attention(&att);
+        let proj = f.dense(&att, block.wo);
+        f.free(att);
+        let proj = f.dropout(proj, p, rng);
+        let res1 = f.add(x, proj);
+        let h = f.layer_norm(res1, block.ln1.0, block.ln1.1);
 
-        let f1 = block.w1.apply(tape, h);
-        let act = tape.gelu(f1);
-        let f2 = block.w2.apply(tape, act);
-        let f2 = tape.dropout(f2, p, rng);
-        let res2 = tape.add(h, f2);
-        x = tape.layer_norm(res2, block.ln2.0, block.ln2.1);
+        let f1 = f.dense(&h, block.w1);
+        let act = f.gelu(f1);
+        let f2 = f.dense(&act, block.w2);
+        f.free(act);
+        let f2 = f.dropout(f2, p, rng);
+        let res2 = f.add(h, f2);
+        x = f.layer_norm(res2, block.ln2.0, block.ln2.1);
     }
-    BatchEncoding { node: x, attn, offsets }
+    x
+}
+
+/// [`encode`] on a tape, keeping what only a tape can give back: each
+/// layer's attention node and the packed sequences' row offsets.
+pub(crate) fn encode_on_tape<'q, R: Rng + ?Sized>(
+    tape: &mut Tape<'_>,
+    cfg: &EncoderConfig,
+    emb: &Embeddings,
+    blocks: impl Iterator<Item = Block<'q>>,
+    seqs: &[BatchSeq<'_>],
+    rng: &mut R,
+) -> BatchEncoding {
+    let mut attn = Vec::with_capacity(cfg.layers);
+    let node = encode(tape, cfg, emb, blocks, seqs.iter().copied(), rng, |&att| attn.push(att));
+    let mut offsets = Vec::with_capacity(seqs.len());
+    let mut row = 0usize;
+    for seq in seqs {
+        offsets.push(row);
+        row += seq.ids.len();
+    }
+    BatchEncoding { node, attn, offsets }
 }
 
 /// One sequence of a batched forward pass.

@@ -24,11 +24,13 @@
 pub mod config;
 pub mod encoder;
 pub mod mlm;
+pub mod ops;
 pub mod quant;
 
 pub use config::EncoderConfig;
-pub use encoder::{mask_from_fn, BatchEncoding, BatchSeq, Dense, Encoder};
+pub use encoder::{mask_from_fn, BatchEncoding, BatchSeq, Encoder};
 pub use mlm::{
     mask_tokens, mlm_eval_loss, pretrain_mlm, pseudo_perplexity, MaskedExample, MlmConfig, MlmHead,
 };
+pub use ops::{Dense, Ops};
 pub use quant::QuantEncoder;

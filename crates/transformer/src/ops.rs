@@ -1,0 +1,236 @@
+//! The ops the forward definition is written in, and its two backends.
+//!
+//! `encoder::encode` (the layer loop) and `doduo-core`'s classification
+//! heads are generic over [`Ops`] — the dozen operations a BERT-style
+//! forward needs. Two backends implement them, both over the same
+//! arithmetic in `doduo-tensor` (so they agree bit for bit):
+//!
+//! * [`Tape`] *records*: every op pushes a node, values are kept, and
+//!   `backward` can differentiate the result. Training, the attention
+//!   analysis and anything that wants to look at an intermediate use it.
+//! * [`Executor`] *runs*: outputs land in a per-thread pool of reusable
+//!   buffers, a consumed input's buffer goes straight back to the pool, and
+//!   nothing is recorded. Serving uses it.
+//!
+//! [`Ops::Node`] is deliberately not required to be `Copy`: an op that
+//! takes a node by value consumes it, and generic code can neither reuse
+//! it nor forget to hand it on — which is what lets the executor recycle a
+//! buffer the moment its last reader is done. (The tape's nodes are plain
+//! indices that stay valid; it simply ignores the protocol.)
+
+use crate::encoder::BatchSeq;
+use doduo_tensor::{AttnMask, Executor, NodeId, ParamId, QuantizedLinear, Slot, Tape};
+use rand::Rng;
+use std::sync::Arc;
+
+/// How one dense layer `y = x W + b` is applied — the seam between the
+/// f32 and int8 tiers, shared by the encoder's layer loop and the
+/// classification heads in `doduo-core`.
+#[derive(Clone, Copy)]
+pub enum Dense<'a> {
+    /// f32, differentiable on a tape.
+    F32 {
+        /// Weight `[d_in, d_out]`.
+        w: ParamId,
+        /// Bias `[1, d_out]`.
+        b: ParamId,
+    },
+    /// The three attention projections as one `[rows, 3d]` activation, f32
+    /// (bit-identical to three `F32` layers, forward and backward).
+    FusedQkv {
+        /// Weights `[wq, wk, wv]`.
+        ws: [ParamId; 3],
+        /// Biases `[bq, bk, bv]`.
+        bs: [ParamId; 3],
+    },
+    /// The int8 kernels. On a tape the dequantized output re-enters as a
+    /// constant input, so no gradient flows (inference only).
+    Int8(&'a QuantizedLinear),
+}
+
+/// The operations a forward pass is written in; see the module docs.
+pub trait Ops {
+    /// Handle to a `[rows, cols]` activation.
+    type Node;
+
+    /// True when dropout is active (training tapes only).
+    fn is_training(&self) -> bool;
+
+    /// Gathers the `rows` embedding rows `ids` of parameter `weight`.
+    fn embedding(
+        &mut self,
+        weight: ParamId,
+        rows: usize,
+        ids: impl Iterator<Item = u32>,
+    ) -> Self::Node;
+
+    /// Elementwise sum of two same-shaped nodes.
+    fn add(&mut self, a: Self::Node, b: Self::Node) -> Self::Node;
+
+    /// Row-wise LayerNorm with learned gain/bias.
+    fn layer_norm(&mut self, x: Self::Node, gamma: ParamId, beta: ParamId) -> Self::Node;
+
+    /// Applies one dense layer; `x` stays live.
+    fn dense(&mut self, x: &Self::Node, layer: Dense<'_>) -> Self::Node;
+
+    /// Multi-head self-attention over a fused `[rows, 3d]` Q|K|V node whose
+    /// rows pack `seqs` back to back: block-diagonal, each sequence
+    /// optionally restricted by its visibility mask.
+    fn attention<'a>(
+        &mut self,
+        qkv: Self::Node,
+        heads: usize,
+        seqs: impl Iterator<Item = BatchSeq<'a>> + Clone,
+    ) -> Self::Node;
+
+    /// GELU activation.
+    fn gelu(&mut self, x: Self::Node) -> Self::Node;
+
+    /// Inverted dropout with keep probability `1 - p`; the identity (drawing
+    /// nothing from `rng`) unless [`Ops::is_training`].
+    fn dropout<R: Rng + ?Sized>(&mut self, x: Self::Node, p: f32, rng: &mut R) -> Self::Node;
+
+    /// Selects the `n` rows `idxs` of `x`; `x` stays live.
+    fn row_select(
+        &mut self,
+        x: &Self::Node,
+        n: usize,
+        idxs: impl Iterator<Item = u32>,
+    ) -> Self::Node;
+
+    /// `[n, da] ++ [n, db] -> [n, da + db]` column-wise concatenation.
+    fn concat_cols(&mut self, a: Self::Node, b: Self::Node) -> Self::Node;
+
+    /// Declares that nothing will read `x` again (the ops that take a node
+    /// by reference leave that to the caller).
+    fn free(&mut self, x: Self::Node);
+}
+
+impl Ops for Tape<'_> {
+    type Node = NodeId;
+
+    fn is_training(&self) -> bool {
+        Tape::is_training(self)
+    }
+
+    fn embedding(
+        &mut self,
+        weight: ParamId,
+        rows: usize,
+        ids: impl Iterator<Item = u32>,
+    ) -> NodeId {
+        let ids: Vec<u32> = ids.collect();
+        debug_assert_eq!(ids.len(), rows);
+        Tape::embedding(self, weight, &ids)
+    }
+
+    fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        Tape::add(self, a, b)
+    }
+
+    fn layer_norm(&mut self, x: NodeId, gamma: ParamId, beta: ParamId) -> NodeId {
+        Tape::layer_norm(self, x, gamma, beta)
+    }
+
+    fn dense(&mut self, &x: &NodeId, layer: Dense<'_>) -> NodeId {
+        match layer {
+            Dense::F32 { w, b } => self.linear(x, w, b),
+            Dense::FusedQkv { ws: [wq, wk, wv], bs: [bq, bk, bv] } => {
+                self.fused_qkv(x, wq, bq, wk, bk, wv, bv)
+            }
+            Dense::Int8(q) => {
+                let y = q.forward(self.value(x));
+                self.input(y)
+            }
+        }
+    }
+
+    fn attention<'a>(
+        &mut self,
+        qkv: NodeId,
+        heads: usize,
+        seqs: impl Iterator<Item = BatchSeq<'a>> + Clone,
+    ) -> NodeId {
+        let lens: Vec<usize> = seqs.clone().map(|s| s.ids.len()).collect();
+        let masks: Vec<Option<AttnMask>> = seqs.map(|s| s.mask.map(Arc::clone)).collect();
+        self.mha_batch_qkv(qkv, heads, &masks, Some(&lens))
+    }
+
+    fn gelu(&mut self, x: NodeId) -> NodeId {
+        Tape::gelu(self, x)
+    }
+
+    fn dropout<R: Rng + ?Sized>(&mut self, x: NodeId, p: f32, rng: &mut R) -> NodeId {
+        Tape::dropout(self, x, p, rng)
+    }
+
+    fn row_select(&mut self, &x: &NodeId, n: usize, idxs: impl Iterator<Item = u32>) -> NodeId {
+        let idxs: Vec<u32> = idxs.collect();
+        debug_assert_eq!(idxs.len(), n);
+        Tape::row_select(self, x, &idxs)
+    }
+
+    fn concat_cols(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        Tape::concat_cols(self, a, b)
+    }
+
+    fn free(&mut self, _: NodeId) {}
+}
+
+impl Ops for Executor<'_> {
+    type Node = Slot;
+
+    fn is_training(&self) -> bool {
+        false
+    }
+
+    fn embedding(&mut self, weight: ParamId, rows: usize, ids: impl Iterator<Item = u32>) -> Slot {
+        Executor::embedding(self, weight, rows, ids)
+    }
+
+    fn add(&mut self, a: Slot, b: Slot) -> Slot {
+        Executor::add(self, a, b)
+    }
+
+    fn layer_norm(&mut self, x: Slot, gamma: ParamId, beta: ParamId) -> Slot {
+        Executor::layer_norm(self, x, gamma, beta)
+    }
+
+    fn dense(&mut self, x: &Slot, layer: Dense<'_>) -> Slot {
+        match layer {
+            Dense::F32 { w, b } => self.linear(x, w, b),
+            Dense::FusedQkv { ws, bs } => self.fused_qkv(x, ws, bs),
+            Dense::Int8(q) => self.quant_linear(x, q),
+        }
+    }
+
+    fn attention<'a>(
+        &mut self,
+        qkv: Slot,
+        heads: usize,
+        seqs: impl Iterator<Item = BatchSeq<'a>> + Clone,
+    ) -> Slot {
+        let blocks = seqs.map(|s| (s.ids.len(), s.mask.map(|m| m.as_slice())));
+        Executor::attention(self, qkv, heads, blocks)
+    }
+
+    fn gelu(&mut self, x: Slot) -> Slot {
+        Executor::gelu(self, x)
+    }
+
+    fn dropout<R: Rng + ?Sized>(&mut self, x: Slot, _: f32, _: &mut R) -> Slot {
+        x
+    }
+
+    fn row_select(&mut self, x: &Slot, n: usize, idxs: impl Iterator<Item = u32>) -> Slot {
+        Executor::row_select(self, x, n, idxs)
+    }
+
+    fn concat_cols(&mut self, a: Slot, b: Slot) -> Slot {
+        Executor::concat_cols(self, a, b)
+    }
+
+    fn free(&mut self, x: Slot) {
+        Executor::free(self, x);
+    }
+}

@@ -5,21 +5,22 @@
 //! Q|K|V, attention output, both FFN matrices) as
 //! [`QuantizedLinear`] kernels. Its forward is
 //! the encoder's one layer loop (`encoder::encode`) handed
-//! [`Dense::Int8`] for those layers: they run in int8
-//! off the tape and inject their dequantized outputs back as tape inputs,
-//! while embeddings, LayerNorm, GELU, residual adds and attention are the
-//! very same f32 ops on the tape, on parameters shared with the f32
-//! encoder by id. Because quantization scales are per output channel,
-//! fusing Q/K/V into one kernel call is numerically identical to three
-//! separate quantized projections.
+//! [`Dense::Int8`] for those layers, on either backend: the executor
+//! dequantizes them straight into its slots, a tape runs them off the tape
+//! and injects their outputs back as constant inputs, while embeddings,
+//! LayerNorm, GELU, residual adds and attention are the very same f32 ops,
+//! on parameters shared with the f32 encoder by id. Because quantization
+//! scales are per output channel, fusing Q/K/V into one kernel call is
+//! numerically identical to three separate quantized projections.
 //!
-//! Inference only: the tape records no gradient path through the injected
+//! Inference only: a tape records no gradient path through the injected
 //! nodes. The numerics contract is the accuracy-gated tier of the two-tier
 //! policy described in `doduo_tensor::quant` — not bit-equal to f32, but
-//! bit-stable across kernels and thread counts on a host.
+//! bit-stable across kernels, backends and thread counts on a host.
 
 use crate::config::EncoderConfig;
-use crate::encoder::{encode, BatchEncoding, BatchSeq, Block, Dense, Embeddings, Encoder};
+use crate::encoder::{encode, encode_on_tape, BatchEncoding, BatchSeq, Block, Embeddings, Encoder};
+use crate::ops::{Dense, Ops};
 use doduo_tensor::{ParamId, ParamStore, QuantizedLinear, Tape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,15 +89,28 @@ impl QuantEncoder {
         &self.cfg
     }
 
-    /// [`Encoder::forward_batch`] with
-    /// int8 dense layers: same ragged packing, same loop, same tape ops
-    /// around them. `tape` must be an inference tape.
+    /// [`Encoder::forward_batch`] with int8 dense layers: same ragged
+    /// packing, same loop, same tape ops around them. `tape` must be an
+    /// inference tape.
     pub fn forward_batch(&self, tape: &mut Tape<'_>, seqs: &[BatchSeq<'_>]) -> BatchEncoding {
         assert!(!tape.is_training(), "the int8 tier is inference-only");
         // Never drawn from: dropout is a no-op on inference tapes.
         let mut rng = StdRng::seed_from_u64(0);
         let blocks = self.layers.iter().map(QuantLayer::block);
-        encode(tape, &self.cfg, &self.emb, blocks, seqs, &mut rng)
+        encode_on_tape(tape, &self.cfg, &self.emb, blocks, seqs, &mut rng)
+    }
+
+    /// [`Encoder::encode`] with int8 dense layers, on whichever
+    /// (inference) backend `f` is.
+    pub fn encode<'a, F: Ops>(
+        &self,
+        f: &mut F,
+        seqs: impl Iterator<Item = BatchSeq<'a>> + Clone,
+    ) -> F::Node {
+        assert!(!f.is_training(), "the int8 tier is inference-only");
+        let mut rng = StdRng::seed_from_u64(0);
+        let blocks = self.layers.iter().map(QuantLayer::block);
+        encode(f, &self.cfg, &self.emb, blocks, seqs, &mut rng, |_| {})
     }
 }
 
