@@ -35,6 +35,38 @@ fn bench_matmul(c: &mut Criterion) {
     });
 }
 
+/// The encoder's widest dense product (`rows`×96×384) with B packed into
+/// the thread's scratch on every call — a tape's weights — against the same
+/// product over a [`kernels::PackedB`] packed once — what the serving
+/// executor borrows from its `ParamStore`. 19 rows is `bulk_narrow`'s
+/// sequence (where the constant packing is a quarter of the call), 166
+/// `bulk_wide`'s (where it is amortised over the rows).
+fn bench_dense_b_source(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(2);
+    let w = Tensor::randn(96, 384, 1.0, &mut rng);
+    let panel = kernels::PackedB::pack(&w);
+    for rows in [19usize, 166] {
+        let x = Tensor::randn(rows, 96, 1.0, &mut rng);
+        let mut y = vec![0.0f32; rows * 384];
+        c.bench_function(&format!("dense_{rows}x96x384_per_call_pack"), |bench| {
+            bench.iter(|| {
+                y.fill(0.0);
+                let (x, w) = (kernels::View::of(black_box(&x)), kernels::View::of(black_box(&w)));
+                kernels::gemm_nn(&mut y, 384, 0, (rows, 384, 96), x, w);
+                black_box(&mut y);
+            })
+        });
+        c.bench_function(&format!("dense_{rows}x96x384_borrowed_panel"), |bench| {
+            bench.iter(|| {
+                y.fill(0.0);
+                let x = kernels::View::of(black_box(&x));
+                kernels::gemm_nn_packed(&mut y, 384, 0, rows, x, black_box(&panel), 1);
+                black_box(&mut y);
+            })
+        });
+    }
+}
+
 fn bench_mha(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let store = ParamStore::new();
@@ -98,6 +130,7 @@ fn bench_kmeans(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_matmul,
+    bench_dense_b_source,
     bench_mha,
     bench_tokenize_and_serialize,
     bench_sherlock_features,

@@ -556,8 +556,9 @@ fn main() {
             .filter(|c| c.mode == "request" || c.mode == "idle_fleet")
             .all(|c| c.connects == c.clients),
     );
-    // Flat tail under a 4x larger parked fleet: the reactor's per-turn work
-    // scales with *ready* connections, not resident ones.
+    // Bounded tail under a 4x larger parked fleet: the reactor's per-turn
+    // work scales with *ready* connections, not resident ones. The bar is a
+    // loose one (3x plus 10 ms of scheduling noise) and the label says so.
     let idle_p99 = |clients: usize| {
         cells
             .iter()
@@ -567,7 +568,7 @@ fn main() {
     let (idle256, idle1024) = (idle_p99(256 + 16), idle_p99(1024 + 16));
     r.check(
         format!(
-            "epoll p99 stays flat from 256 to 1024 parked conns ({idle256:.2} -> {idle1024:.2} ms)"
+            "epoll p99 at 1024 parked conns <= 3x its p99 at 256 + 10 ms ({idle256:.2} -> {idle1024:.2} ms)"
         )
         .as_str(),
         idle1024 <= idle256 * 3.0 + 10.0,

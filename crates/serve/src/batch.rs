@@ -41,6 +41,7 @@ use doduo_table::{
     table_wise_budget, SerializedTable, Table,
 };
 use std::cmp::Reverse;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// Tuning knobs for [`BatchAnnotator`].
@@ -291,18 +292,21 @@ impl BatchAnnotator {
         include_metadata: bool,
     ) -> Arc<Vec<u32>> {
         let column = &table.columns[col];
-        let mut key =
-            String::with_capacity(32 + column.values.iter().map(String::len).sum::<usize>());
-        key.push_str(&format!("b{budget}|m{}|", include_metadata as u8));
+        // Sized for the whole key (each fragment carries a short length
+        // prefix), so building it is one allocation.
+        let name_len = column.name.as_ref().map_or(0, String::len);
+        let mut key = String::with_capacity(
+            32 + name_len + column.values.iter().map(|v| v.len() + 6).sum::<usize>(),
+        );
+        // (`write!` into a `String` cannot fail.)
+        let _ = write!(key, "b{budget}|m{}|", include_metadata as u8);
         if include_metadata {
             if let Some(name) = &column.name {
-                key.push_str(&format!("n{}:", name.len()));
-                key.push_str(name);
+                let _ = write!(key, "n{}:{name}", name.len());
             }
         }
         for v in &column.values {
-            key.push_str(&format!("|{}:", v.len()));
-            key.push_str(v);
+            let _ = write!(key, "|{}:{v}", v.len());
         }
         self.cache.lock().expect("cache lock").get_or_insert_with(&key, || {
             column_tokens(table, col, &self.bundle.tokenizer, budget, include_metadata)

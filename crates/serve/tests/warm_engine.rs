@@ -1,6 +1,8 @@
 //! What the serving forward costs besides arithmetic, pinned: a warm
-//! engine thread allocates nothing for encoder + heads, and an engine with
-//! one thread never leaves its caller's.
+//! engine thread allocates nothing for encoder + heads, an engine with one
+//! thread never leaves its caller's, and only the f32 executor ever holds
+//! packed weight panels — which then keep its dense layers out of the
+//! per-call packing scratch.
 //!
 //! The binary installs a counting allocator (per-thread counts, so tests
 //! running side by side do not see each other).
@@ -9,7 +11,7 @@ use doduo_core::{AnnotatorBundle, DoduoConfig, DoduoModel, Logits, TableAnnotati
 use doduo_datagen::{generate_wikitable, KbConfig, KnowledgeBase, WikiTableConfig};
 use doduo_serve::{BatchAnnotator, BatchConfig};
 use doduo_table::{SerializeConfig, SerializedTable, Table};
-use doduo_tensor::ParamStore;
+use doduo_tensor::{kernels, ParamStore, Tape};
 use doduo_tokenizer::{TrainConfig as TokTrain, WordPiece};
 use doduo_transformer::EncoderConfig;
 use rand::rngs::StdRng;
@@ -136,6 +138,64 @@ fn steady_state_forward_allocates_nothing() {
         };
         let bound: usize = 8 + anns.iter().map(|a| 4 + 12 * rows(a) + labels(a)).sum::<usize>();
         assert!(n as usize <= bound, "annotating allocated {n} times, output bound {bound}");
+    }
+}
+
+#[test]
+fn only_the_f32_executor_builds_weight_panels() {
+    let (bundle, tables) = world();
+    let engine = engine(&bundle, 1);
+    let groups: Vec<Vec<SerializedTable>> =
+        tables.iter().map(|t| engine.serialize_table(t)).collect();
+    let all: Vec<&[SerializedTable]> = groups.iter().map(Vec::as_slice).collect();
+    let annotator = bundle.annotator();
+    let store = &bundle.store;
+
+    // A training tape's weights move every step: its dense layers pack per
+    // call and never ask the store for a panel.
+    let mut rng = StdRng::seed_from_u64(1);
+    for st in groups.iter().flatten() {
+        let mut tape = Tape::new(store);
+        let logits = bundle.model.type_logits(&mut tape, st, &mut rng);
+        assert!(tape.value(logits).data().iter().all(|v| v.is_finite()));
+    }
+    assert_eq!(store.panel_stats(), (0, 0), "a tape forward built a panel");
+
+    // The int8 tier's encoder and heads are `QuantizedLinear`s with their
+    // own packed codes: no f32 panel either.
+    let quantized = bundle.quantized();
+    let anns = quantized.annotate_serialized(&annotator, &all);
+    assert_eq!(anns.len(), all.len());
+    assert_eq!(store.panel_stats(), (0, 0), "an int8 forward built an f32 panel");
+
+    // The f32 executor builds one per dense weight it multiplies by (where
+    // dense layers run the packed kernel at all: it needs AVX2), and so
+    // packs nothing for them. On a thread that has run nothing else, the
+    // B-side scratch ends up holding what attention's per-head K and V
+    // panels of the longest sequence need — less than any one of the
+    // encoder's weight matrices would.
+    let scratch = thread::scope(|s| {
+        let forward = s.spawn(|| {
+            annotator.annotate_serialized(&all);
+            kernels::pack_scratch_len().1
+        });
+        forward.join().expect("forward thread")
+    });
+    let enc = &bundle.model.config().encoder;
+    let (d, dh) = (enc.hidden, enc.hidden / enc.heads);
+    let longest = groups.iter().flatten().map(|st| st.ids.len()).max().expect("tables");
+    let attention_need = (longest.div_ceil(kernels::NR) * kernels::NR * dh)
+        .max(dh.div_ceil(kernels::NR) * kernels::NR * longest);
+    assert!(attention_need < d * d, "the bound must tell attention from a dense layer");
+    assert!(
+        scratch <= attention_need,
+        "dense layers grew the B scratch: {scratch} floats, attention needs {attention_need}"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        let (built, bytes) = store.panel_stats();
+        assert!(built >= 6 * enc.layers, "{built} panels for {} layers", enc.layers);
+        assert!(bytes >= enc.layers * (4 * d * d + 2 * d * enc.ffn) * 4);
     }
 }
 

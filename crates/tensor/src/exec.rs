@@ -18,7 +18,13 @@
 //! * the pool, attention's probability scratch and the int8 activation
 //!   staging live in a grow-only per-thread arena that [`Executor::new`]
 //!   borrows and `Drop` hands back: once a thread has run its largest
-//!   micro-batch, a forward allocates nothing.
+//!   micro-batch, a forward allocates nothing;
+//! * a dense layer's weight is a constant for as long as the executor's
+//!   `&ParamStore` lives, so its GEMM borrows the store's packed panel of
+//!   it ([`ParamStore::panel`], built by the first product that wants one)
+//!   instead of re-packing the matrix on every call as a tape — whose
+//!   weights move every step — must. Same loop nest, same micro-kernel,
+//!   same bits.
 
 use crate::forward::{
     attention_forward, concat_rows, dense_segment, gather_rows, grow, layer_norm_rows,
@@ -157,30 +163,37 @@ impl<'s> Executor<'s> {
         self.checkin(slot, out)
     }
 
+    /// `y[.., col0..] = x W + b` into a zeroed column segment of the
+    /// `ldc`-wide `y`, on the store's panel of `w` (built by the first
+    /// product that wants one).
+    fn dense_into(&self, y: &mut [f32], ldc: usize, col0: usize, x: &Slot, w: ParamId, b: ParamId) {
+        let store = self.store;
+        let (wt, bt) = (store.get(w), store.get(b));
+        assert_eq!(wt.rows(), x.cols, "dense weight shape");
+        let xv = View::at(self.value(x), x.cols, 0, 0);
+        dense_segment(y, ldc, col0, x.rows, xv, wt, bt, Some(&|| store.panel(w)));
+    }
+
     /// `y = x W + b` — the standard dense layer.
     pub fn linear(&mut self, x: &Slot, w: ParamId, b: ParamId) -> Slot {
-        let store = self.store;
-        let (w, b) = (store.get(w), store.get(b));
-        assert_eq!(w.rows(), x.cols, "linear weight shape");
-        let (slot, mut out) = self.checkout(x.rows, w.cols());
+        let n = self.store.get(w).cols();
+        let (slot, mut out) = self.checkout(x.rows, n);
         let y = &mut out[..slot.len()];
         y.fill(0.0);
-        dense_segment(y, w.cols(), 0, x.rows, View::at(self.value(x), x.cols, 0, 0), w, b);
+        self.dense_into(y, n, 0, x, w, b);
         self.checkin(slot, out)
     }
 
     /// The three attention projections `[x Wq + bq | x Wk + bk | x Wv + bv]`
     /// as one `[rows, 3d]` activation.
     pub fn fused_qkv(&mut self, x: &Slot, ws: [ParamId; 3], bs: [ParamId; 3]) -> Slot {
-        let store = self.store;
-        let d = store.get(ws[0]).cols();
+        let d = self.store.get(ws[0]).cols();
         let (slot, mut out) = self.checkout(x.rows, 3 * d);
         let y = &mut out[..slot.len()];
         y.fill(0.0);
         for (t, (&w, &b)) in ws.iter().zip(bs.iter()).enumerate() {
-            let (w, b) = (store.get(w), store.get(b));
-            assert_eq!(w.shape(), (x.cols, d), "fused_qkv weight shape");
-            dense_segment(y, 3 * d, t * d, x.rows, View::at(self.value(x), x.cols, 0, 0), w, b);
+            assert_eq!(self.store.get(w).cols(), d, "fused_qkv weight shape");
+            self.dense_into(y, 3 * d, t * d, x, w, b);
         }
         self.checkin(slot, out)
     }
@@ -320,5 +333,69 @@ mod tests {
         for (x, y) in ex.value(&cat).iter().zip(want.data()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+
+    #[test]
+    fn a_written_weight_is_never_served_from_an_old_panel() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let x0 = Tensor::randn(7, 24, 0.5, &mut rng);
+        let build = |w: &Tensor| {
+            let mut store = ParamStore::new();
+            let emb = store.add("emb", x0.clone());
+            let w = store.add("w", w.clone());
+            let b = store.add_zeros("b", 1, 40);
+            (store, emb, w, b)
+        };
+        let forward = |store: &ParamStore, (emb, w, b): (ParamId, ParamId, ParamId)| {
+            let mut ex = Executor::new(store);
+            let x = ex.embedding(emb, 7, 0..7u32);
+            let y = ex.linear(&x, w, b);
+            ex.value(&y).iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+        };
+        // Whether this host's dense layers run on panels at all.
+        let panels = usize::from(crate::kernels::has_avx2());
+
+        let w0 = Tensor::randn(24, 40, 0.5, &mut rng);
+        let (mut store, emb, w, b) = build(&w0);
+        let ids = (emb, w, b);
+        assert_eq!(store.panel_stats().0, 0, "nothing is packed before a forward asks");
+        let y0 = forward(&store, ids);
+        assert_eq!(store.panel_stats().0, panels);
+
+        // Through `get_mut` ...
+        let mut w1 = w0.clone();
+        w1.data_mut()[5] += 1.0;
+        store.get_mut(w).data_mut()[5] += 1.0;
+        assert_eq!(store.panel_stats(), (0, 0), "get_mut drops the panel");
+        let y1 = forward(&store, ids);
+        assert_ne!(y1, y0);
+        assert_eq!(y1, forward(&build(&w1).0, ids), "get_mut: served from a stale panel");
+
+        // ... and through `set_value`.
+        let w2 = Tensor::randn(24, 40, 0.5, &mut rng);
+        store.set_value(w, w2.clone());
+        assert_eq!(store.panel_stats(), (0, 0), "set_value drops the panel");
+        assert_eq!(forward(&store, ids), forward(&build(&w2).0, ids), "set_value: stale panel");
+
+        // A clone shares no panel with its source: it starts empty and
+        // packs its own.
+        let twin = store.clone();
+        assert_eq!(twin.panel_stats(), (0, 0));
+        assert_eq!(forward(&twin, ids), forward(&store, ids));
+        assert_eq!(twin.panel_stats().0, panels);
+
+        // Two threads racing the first use build one panel and agree.
+        let fresh = build(&w2).0;
+        let gate = std::sync::Barrier::new(2);
+        let race = || {
+            gate.wait();
+            (forward(&fresh, ids), fresh.panel(w) as *const _ as usize)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(race);
+            (race(), other.join().expect("racing forward"))
+        });
+        assert_eq!(a, b, "racing first users disagree on the panel or its product");
+        assert_eq!(fresh.panel_stats().0, 1);
     }
 }

@@ -6,9 +6,12 @@
 //! them offers bottoms out in a function of this module, of
 //! [`crate::kernels`] or of [`crate::vmath`], over plain slices, so the two
 //! produce the same bits by construction and no arithmetic exists twice.
+//! The one thing a backend chooses is where a dense layer's B panels come
+//! from ([`dense_segment`]'s `panel`): the executor offers its store's
+//! packed-once panel, the tape nothing — one kernel either way.
 #![allow(clippy::needless_range_loop)] // index loops over matrix coordinates are clearest here
 
-use crate::kernels::{gemm_nn, gemm_nn_dense, gemm_nt, View};
+use crate::kernels::{gemm_nn, gemm_nn_dense, gemm_nt, PackedB, View};
 use crate::tensor::Tensor;
 use crate::vmath;
 
@@ -91,8 +94,12 @@ pub(crate) fn layer_norm_rows(
 /// and only then the bias, so a layer computed into a segment (the fused
 /// Q|K|V projection) or on its own has the bits of a matmul followed by a
 /// bias add. `out` has `rows` rows of stride `ldc`; the segment must hold
-/// zeros on entry.
-pub(crate) fn dense_segment(
+/// zeros on entry. `panel` offers `w` packed once (the executor, whose
+/// weights are a store's and constant for its lifetime); `None` packs it
+/// per call (a tape, whose weights move every step) — same kernel, same
+/// bits either way.
+#[allow(clippy::too_many_arguments)] // a matrix segment, three operands and where B comes from
+pub(crate) fn dense_segment<'p>(
     out: &mut [f32],
     ldc: usize,
     col0: usize,
@@ -100,10 +107,11 @@ pub(crate) fn dense_segment(
     x: View<'_>,
     w: &Tensor,
     b: &Tensor,
+    panel: Option<&dyn Fn() -> &'p PackedB>,
 ) {
     let (k, n) = w.shape();
     assert_eq!(b.shape(), (1, n), "dense bias shape");
-    gemm_nn_dense(out, ldc, col0, (rows, n, k), x, View::of(w));
+    gemm_nn_dense(out, ldc, col0, (rows, n, k), x, View::of(w), panel);
     add_bias_rows(out, ldc, col0, b.row(0));
 }
 

@@ -2,14 +2,36 @@
 //!
 //! Every forward and backward pass in this reproduction bottoms out in one
 //! of three matmul variants (`C += A B`, `C += A Bᵀ`, `C += Aᵀ B`). This
-//! module implements them BLIS-style: operands are packed into
+//! module implements them BLIS-style: operands are laid out as
 //! cache-resident panels ([`KC`]×[`NC`] for B, [`MC`]×[`KC`] for A), and a
-//! register micro-kernel computes an [`MR`]×[`NR`] output tile per
-//! iteration of the packed k loop. On top sits optional row-stripe
-//! multi-threading (distinct threads own disjoint output rows) and a shape
-//! heuristic that falls back to the plain loops where packing overhead
-//! would dominate: products under `BLOCKED_MIN_FLOPS` (2^11), and products
-//! of at most `SMALL_MAX_ROWS` (3) rows against an untransposed B.
+//! register micro-kernel computes an output tile of up to [`MR`]×[`NR`] per
+//! iteration of the packed k loop — instantiated for every row count
+//! `1..=MR`, so the last row panel of a product multiplies its real rows
+//! only (19 rows are three full tiles and a 1-row one, not four full ones
+//! with five rows of zeros).
+//!
+//! One blocked loop nest (`gemm_stripe`) serves two sources of B panels:
+//!
+//! * **packed per call** into the calling thread's scratch — any operand
+//!   that may differ next call: a training tape's weights (they move every
+//!   optimizer step), attention's per-head `K` and `V`, backward products;
+//! * **borrowed** from a [`PackedB`] — a constant `[k, n]` matrix packed
+//!   once into exactly the sequence of panels the loop nest consumes. The
+//!   serving executor's dense layers multiply by the store's weights this
+//!   way ([`crate::ParamStore::panel`]), which removes an O(kn) re-layout
+//!   of a constant from every call — at 19 rows, a quarter of a dense
+//!   layer's time — and lets row-stripe threads share one copy.
+//!
+//! Same micro-kernel, same k order, one accumulator per element: the two
+//! sources produce the same bits.
+//!
+//! On top sits optional row-stripe multi-threading (distinct threads own
+//! disjoint output rows) and a shape heuristic that falls back to the
+//! plain loops where the packed kernel's overhead would dominate: products
+//! under `BLOCKED_MIN_FLOPS` (2^11), and products of at most
+//! `SMALL_MAX_ROWS` (2) rows against an untransposed B (packing it would
+//! cost more than the product; and a matrix that only ever sees so few rows
+//! is not worth the memory of a panel either).
 //!
 //! # Numerics policy: bit-identical
 //!
@@ -71,11 +93,24 @@ pub const MIN_FLOPS_PER_THREAD: usize = 1 << 20;
 const BLOCKED_MIN_FLOPS: usize = 1 << 11;
 
 /// Row count up to which a product against an untransposed B stays on the
-/// plain loops whatever its size: packing B costs O(kn) — about what three
-/// rows of [`gemm_small`]'s vector multiply-adds cost — and with fewer rows
-/// than that, most of an [`MR`]-row register tile multiplies padding.
-/// (Measured at `m`×96×96 … `m`×384×96: plain wins up to 3 rows, ties at 4.)
-const SMALL_MAX_ROWS: usize = 3;
+/// plain loops whatever its size. When B is packed per call the reason is
+/// time: packing costs O(kn) — about what two or three rows of
+/// [`gemm_small`]'s vector multiply-adds cost. (Warm timing, `m`×96×96 /
+/// `m`×96×384 / `m`×384×96, plain vs. packed per call: 2 rows 2.2 vs 3.1 /
+/// 9.8 vs 12.8 / 9.0 vs 12.3 µs; 3 rows 3.3 vs 3.3 / 14.6 vs 13.4 / 14.4
+/// vs 13.1 µs.)
+///
+/// When B is a borrowed [`PackedB`] the reason is memory. Nothing is packed
+/// but `m` rows of A and the edge tile multiplies exactly `m` rows, so the
+/// packed kernel is ahead from one row up (1 row 0.8 vs 1.0 / 3.9 vs 6.6 /
+/// 2.5 vs 4.4 µs; 3 rows 1.2 vs 3.3 / 5.0 vs 14.6 / 4.6 vs 14.4 µs) — but
+/// at one or two rows that is about a microsecond a call, and asking for
+/// the panel builds it: the classification heads of a two-column table
+/// would pin 0.2 MB of panels (a fortieth of the serving process) to save
+/// 3 µs of its 370. So [`gemm_nn_dense`] applies the same floor to both
+/// sources, and a matrix that only ever sees one or two rows never gets a
+/// panel.
+const SMALL_MAX_ROWS: usize = 2;
 
 static GEMM_THREADS: AtomicUsize = AtomicUsize::new(1);
 
@@ -149,10 +184,11 @@ pub(crate) enum Src<'a> {
 // ---------------------------------------------------------------------------
 
 /// Packs `mc` rows × `kc` k's of A (rows `i0..`, k's `p0..`) into
-/// `ceil(mc / MR)` micro-panels, each laid out p-major `[kc][MR]`. Rows
-/// past `mc` are zero-filled: padded lanes accumulate zeros and are never
-/// stored, keeping one kernel for interior and edge tiles. The loop order
-/// follows the operand layout so reads are always contiguous.
+/// `ceil(mc / MR)` micro-panels, each laid out p-major `[kc][MR]`. A short
+/// last panel keeps the `MR` stride and leaves its unused lanes as they
+/// were: the micro-kernel is instantiated for the exact row count and never
+/// reads them. The loop order follows the operand layout so reads are
+/// always contiguous.
 #[inline]
 fn pack_a(buf: &mut [f32], src: Src<'_>, i0: usize, mc: usize, p0: usize, kc: usize) {
     for pi in 0..mc.div_ceil(MR) {
@@ -176,13 +212,6 @@ fn pack_a(buf: &mut [f32], src: Src<'_>, i0: usize, mc: usize, p0: usize, kc: us
                 for p in 0..kc {
                     let row = v.row(p0 + p, i_start, i_start + rows);
                     panel[p * MR..p * MR + rows].copy_from_slice(row);
-                }
-            }
-        }
-        if rows < MR {
-            for p in 0..kc {
-                for d in &mut panel[p * MR + rows..(p + 1) * MR] {
-                    *d = 0.0;
                 }
             }
         }
@@ -229,24 +258,110 @@ fn pack_b(buf: &mut [f32], src: Src<'_>, p0: usize, kc: usize, j0: usize, nc: us
     }
 }
 
+/// A constant `[k, n]` B operand packed once, in exactly the order the
+/// blocked driver consumes it: for each [`NC`] column block, for each
+/// [`KC`] block of k, the `ceil(nc / NR)` zero-padded `[kc][NR]`
+/// micro-panels `pack_b` would have written into the thread's scratch on
+/// every call. A product that borrows one skips that packing, and its
+/// row-stripe threads share the one copy.
+///
+/// Immutable: a `PackedB` is a snapshot of the matrix it was packed from.
+/// Whoever caches one owns dropping it when that matrix changes (see
+/// [`crate::ParamStore::panel`]).
+#[derive(Debug)]
+pub struct PackedB {
+    k: usize,
+    n: usize,
+    /// The panels, from `data[start..]`, with up to a cache line of slack.
+    data: Vec<f32>,
+    /// First float of `data` on a 64-byte boundary. The micro-kernel reads
+    /// a panel as rows of `NR` floats — exactly one line — in two 32-byte
+    /// loads; from a merely 16-byte-aligned allocation every other load
+    /// straddles two lines, which costs a dense layer 7–10% at any row
+    /// count (measured: 85 → 78 µs per encoder layer at 19 rows, 745 → 690
+    /// at 166). `data` is never reallocated, so the offset stays right.
+    start: usize,
+}
+
+impl PackedB {
+    /// Packs the `[k, n]` matrix `b`.
+    pub fn pack(b: &Tensor) -> Self {
+        let (k, n) = b.shape();
+        const LINE: usize = 64 / std::mem::size_of::<f32>();
+        let mut data = vec![0.0f32; k * n.div_ceil(NR) * NR + LINE - 1];
+        let start = data.as_ptr().align_offset(64) % LINE;
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                let block = &mut data[Self::block_range(start, k, (jc, pc), (nc, kc))];
+                pack_b(block, Src::N(View::of(b)), pc, kc, jc, nc);
+            }
+        }
+        PackedB { k, n, data, start }
+    }
+
+    /// `(k, n)` of the matrix this was packed from.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.k, self.n)
+    }
+
+    /// Bytes of packed panel held.
+    pub fn bytes(&self) -> usize {
+        self.data.len() * std::mem::size_of::<f32>()
+    }
+
+    /// Where the `nc`-column, `kc`-deep block at `(jc, pc)` lives in `data`:
+    /// every earlier column block is a full `NC` (a multiple of `NR`) wide
+    /// over all of k, and this block's earlier k blocks are each `KC` deep
+    /// over its padded width.
+    fn block_range(
+        start: usize,
+        k: usize,
+        (jc, pc): (usize, usize),
+        (nc, kc): (usize, usize),
+    ) -> std::ops::Range<usize> {
+        let width = nc.div_ceil(NR) * NR;
+        let at = start + jc * k + pc * width;
+        at..at + width * kc
+    }
+
+    /// The `nc`-column, `kc`-deep block at `(jc, pc)`.
+    fn block(&self, jc: usize, pc: usize, nc: usize, kc: usize) -> &[f32] {
+        &self.data[Self::block_range(self.start, self.k, (jc, pc), (nc, kc))]
+    }
+}
+
+/// Where the blocked driver takes its B panels from.
+#[derive(Clone, Copy)]
+enum BSrc<'a> {
+    /// Packed into the calling thread's scratch, per `(jc, pc)` block, on
+    /// every call: operands that change between calls (a training tape's
+    /// weights, attention's per-head K and V, backward products).
+    Pack(Src<'a>),
+    /// Borrowed from a panel packed once: a constant weight.
+    Panels(&'a PackedB),
+}
+
 // ---------------------------------------------------------------------------
 // Micro-kernel
 // ---------------------------------------------------------------------------
 
 /// The rank-1 update loop shared by every micro-kernel instantiation: adds
-/// `kc` outer products from the packed panels into the register tile, k in
-/// increasing order with one accumulator per element — the bit-identity
-/// contract. All loop bounds are compile-time constants so LLVM promotes
-/// `acc` to registers (SROA) and vectorizes the `NR` lanes; multiplies and
-/// adds stay separately rounded (no FMA contraction), so the operation
-/// sequence per element is exactly the naive loops'.
+/// `kc` outer products from the packed panels into the `M`-row register
+/// tile, k in increasing order with one accumulator per element — the
+/// bit-identity contract. The A panel keeps its [`MR`] stride whatever `M`
+/// is. All loop bounds are compile-time constants so LLVM promotes `acc` to
+/// registers (SROA) and vectorizes the `NR` lanes; multiplies and adds stay
+/// separately rounded (no FMA contraction), so the operation sequence per
+/// element is exactly the naive loops'.
 #[inline(always)]
-fn accumulate_tile(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn accumulate_tile<const M: usize>(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; M]) {
     #[inline(always)]
-    fn step(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; MR]) {
+    fn step<const M: usize>(a: &[f32], b: &[f32], acc: &mut [[f32; NR]; M]) {
         let a: &[f32; MR] = a.try_into().expect("MR chunk");
         let b: &[f32; NR] = b.try_into().expect("NR chunk");
-        for i in 0..MR {
+        for i in 0..M {
             let aip = a[i];
             for j in 0..NR {
                 acc[i][j] += aip * b[j];
@@ -267,22 +382,15 @@ fn accumulate_tile(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR])
     }
 }
 
-/// Shared micro-kernel body: full tiles load/store C with constant bounds
-/// so the accumulator lives in registers; edge tiles (`mr < MR` or
-/// `nr < NR`) stage C through the zero-padded stack tile, keeping the hot
-/// loop's constant bounds either way.
+/// One `M`×`nr` output tile: `M` is exact — a short last row panel
+/// multiplies its real rows only — while a narrow tile (`nr < NR`) stages C
+/// through the zero-padded columns of the stack tile (B's panels are
+/// zero-padded to `NR`), keeping the hot loop's constant bounds either way.
 #[inline(always)]
-fn microkernel_impl(
-    kc: usize,
-    ap: &[f32],
-    bp: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    if mr == MR && nr == NR {
-        let mut acc = [[0.0f32; NR]; MR];
+fn tile<const M: usize>(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, nr: usize) {
+    const { assert!(M >= 1 && M <= MR) };
+    let mut acc = [[0.0f32; NR]; M];
+    if nr == NR {
         for (i, row) in acc.iter_mut().enumerate() {
             *row = c[i * ldc..i * ldc + NR].try_into().expect("NR row");
         }
@@ -291,20 +399,48 @@ fn microkernel_impl(
             c[i * ldc..i * ldc + NR].copy_from_slice(row);
         }
     } else {
-        let mut acc = [[0.0f32; NR]; MR];
-        for (i, row) in acc.iter_mut().take(mr).enumerate() {
+        for (i, row) in acc.iter_mut().enumerate() {
             row[..nr].copy_from_slice(&c[i * ldc..i * ldc + nr]);
         }
         accumulate_tile(kc, ap, bp, &mut acc);
-        for (i, row) in acc.iter().take(mr).enumerate() {
+        for (i, row) in acc.iter().enumerate() {
             c[i * ldc..i * ldc + nr].copy_from_slice(&row[..nr]);
         }
     }
 }
 
-/// AVX2 instantiation of [`microkernel_impl`]: same Rust code compiled
-/// with 256-bit vectors (the register tile is 12 ymm accumulators). Only
-/// `vmulps`/`vaddps` are emitted — `#[target_feature]` alone never
+/// Computes one `mr`×`nr` output tile (`1 ≤ mr ≤ MR`, `1 ≤ nr ≤ NR`):
+/// loads the current C tile into the register accumulator, adds `kc`
+/// rank-1 updates from the packed panels, and stores it back. `c` starts at
+/// the tile's `(0, 0)` and has row stride `ldc`. Compiled for the baseline
+/// target; [`microkernel`] is what the driver calls. Public so the property
+/// tests can hold this instantiation to the naive loops on hosts whose
+/// dispatch never reaches it.
+#[inline(always)]
+pub fn microkernel_portable(
+    kc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+) {
+    assert!((1..=NR).contains(&nr), "micro-kernel tile width {nr}");
+    match mr {
+        1 => tile::<1>(kc, ap, bp, c, ldc, nr),
+        2 => tile::<2>(kc, ap, bp, c, ldc, nr),
+        3 => tile::<3>(kc, ap, bp, c, ldc, nr),
+        4 => tile::<4>(kc, ap, bp, c, ldc, nr),
+        5 => tile::<5>(kc, ap, bp, c, ldc, nr),
+        6 => tile::<6>(kc, ap, bp, c, ldc, nr),
+        _ => panic!("micro-kernel tile height {mr}"),
+    }
+}
+
+/// AVX2 instantiation of [`microkernel_portable`]: same Rust code compiled
+/// with 256-bit vectors (the full register tile is 12 ymm accumulators).
+/// Only `vmulps`/`vaddps` are emitted — `#[target_feature]` alone never
 /// introduces FMA contraction — so results stay bit-identical to the
 /// portable instantiation and the naive loops.
 #[cfg(target_arch = "x86_64")]
@@ -318,7 +454,7 @@ fn microkernel_avx2(
     mr: usize,
     nr: usize,
 ) {
-    microkernel_impl(kc, ap, bp, c, ldc, mr, nr);
+    microkernel_portable(kc, ap, bp, c, ldc, mr, nr);
 }
 
 /// True once per process if the host has AVX2 (the fast micro-kernel's
@@ -335,12 +471,9 @@ pub(crate) fn has_avx2() -> bool {
     }
 }
 
-/// Computes one `mr`×`nr` output tile: loads the current C tile into the
-/// register accumulator, adds `kc` rank-1 updates from the packed panels,
-/// and stores it back. `c` starts at the tile's `(0, 0)` and has row
-/// stride `ldc`.
-#[allow(clippy::too_many_arguments)] // a private kernel, not an API surface
-fn microkernel(
+/// [`microkernel_portable`] on the widest vector tier the host has — the
+/// AVX2 instantiation where available. Same contract, same bits.
+pub fn microkernel(
     kc: usize,
     ap: &[f32],
     bp: &[f32],
@@ -348,7 +481,23 @@ fn microkernel(
     ldc: usize,
     mr: usize,
     nr: usize,
+) {
+    microkernel_on(has_avx2(), kc, ap, bp, c, ldc, mr, nr);
+}
+
+/// [`microkernel`] with the tier already detected (`avx2` must come from
+/// [`has_avx2`]), so the driver asks once per GEMM, not once per tile.
+#[allow(clippy::too_many_arguments)] // a private kernel, not an API surface
+#[inline]
+fn microkernel_on(
     avx2: bool,
+    kc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    mr: usize,
+    nr: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx2 {
@@ -360,7 +509,7 @@ fn microkernel(
         return;
     }
     let _ = avx2;
-    microkernel_impl(kc, ap, bp, c, ldc, mr, nr);
+    microkernel_portable(kc, ap, bp, c, ldc, mr, nr);
 }
 
 // ---------------------------------------------------------------------------
@@ -369,38 +518,48 @@ fn microkernel(
 
 thread_local! {
     /// Per-thread packing scratch `(A panels, B panels)`, grown on demand
-    /// so the hot path never calls the allocator after warm-up.
+    /// so the hot path never calls the allocator after warm-up. The B side
+    /// grows only for products that pack B per call.
     static PACK_BUFS: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Floats held by the calling thread's packing scratch, `(A side, B side)`
+/// — how a test sees that products over borrowed panels left the B side
+/// alone.
+pub fn pack_scratch_len() -> (usize, usize) {
+    PACK_BUFS.with_borrow(|(a, b)| (a.len(), b.len()))
 }
 
 /// Runs the blocked GEMM over output rows `[m0, m1)`. `c` holds exactly
 /// those rows (row stride `ldc`), offset `c_col0` columns in; the sources
 /// are indexed with absolute coordinates.
-#[allow(clippy::too_many_arguments)] // the single-thread core below gemm_threaded
+#[allow(clippy::too_many_arguments)] // the single-thread core below gemm_blocked
 fn gemm_stripe(
     m0: usize,
     m1: usize,
     n: usize,
     k: usize,
     a_src: Src<'_>,
-    b_src: Src<'_>,
+    b_src: BSrc<'_>,
     c: &mut [f32],
     ldc: usize,
     c_col0: usize,
 ) {
     let avx2 = has_avx2();
     PACK_BUFS.with_borrow_mut(|(ap_buf, bp_buf)| {
-        let kc_max = KC.min(k.max(1));
+        let kc_max = KC.min(k);
         // Grow-only: pack writes every slot it later reads, so stale data
         // past the current panel sizes is harmless and shrinking would
         // just churn when call sites alternate between shapes.
-        let a_need = MC.div_ceil(MR) * MR * kc_max;
+        let a_need = MC.min(m1 - m0).div_ceil(MR) * MR * kc_max;
         if ap_buf.len() < a_need {
             ap_buf.resize(a_need, 0.0);
         }
-        let b_need = NC.min(n.max(1)).div_ceil(NR) * NR * kc_max;
-        if bp_buf.len() < b_need {
-            bp_buf.resize(b_need, 0.0);
+        if let BSrc::Pack(_) = b_src {
+            let b_need = NC.min(n).div_ceil(NR) * NR * kc_max;
+            if bp_buf.len() < b_need {
+                bp_buf.resize(b_need, 0.0);
+            }
         }
         let mut jc = 0;
         while jc < n {
@@ -408,7 +567,13 @@ fn gemm_stripe(
             let mut pc = 0;
             while pc < k {
                 let kc = KC.min(k - pc);
-                pack_b(bp_buf, b_src, pc, kc, jc, nc);
+                let b_block: &[f32] = match b_src {
+                    BSrc::Pack(src) => {
+                        pack_b(bp_buf, src, pc, kc, jc, nc);
+                        bp_buf
+                    }
+                    BSrc::Panels(panels) => panels.block(jc, pc, nc, kc),
+                };
                 let mut ic = m0;
                 while ic < m1 {
                     let mc = MC.min(m1 - ic);
@@ -416,13 +581,13 @@ fn gemm_stripe(
                     let mut jr = 0;
                     while jr < nc {
                         let nr = NR.min(nc - jr);
-                        let bp = &bp_buf[(jr / NR) * kc * NR..][..kc * NR];
+                        let bp = &b_block[(jr / NR) * kc * NR..][..kc * NR];
                         let mut ir = 0;
                         while ir < mc {
                             let mr = MR.min(mc - ir);
                             let ap = &ap_buf[(ir / MR) * kc * MR..][..kc * MR];
                             let c_off = (ic - m0 + ir) * ldc + c_col0 + jc + jr;
-                            microkernel(kc, ap, bp, &mut c[c_off..], ldc, mr, nr, avx2);
+                            microkernel_on(avx2, kc, ap, bp, &mut c[c_off..], ldc, mr, nr);
                             ir += MR;
                         }
                         jr += NR;
@@ -436,10 +601,42 @@ fn gemm_stripe(
     });
 }
 
-/// `C += op(A) op(B)` over the whole output, splitting rows into stripes
-/// across up to `threads` OS threads. `c` holds `m` rows of stride `ldc`,
-/// offset `c_col0` columns in.
+/// `C += op(A) B` on the packed kernel over the whole (non-empty) output,
+/// splitting rows into stripes across up to `threads` OS threads — which
+/// share a borrowed B panel, and each pack their own otherwise. `c` holds
+/// `m` rows of stride `ldc`, offset `c_col0` columns in.
 #[allow(clippy::too_many_arguments)] // the one internal fan-in point below the typed wrappers
+fn gemm_blocked(
+    m: usize,
+    n: usize,
+    k: usize,
+    a_src: Src<'_>,
+    b_src: BSrc<'_>,
+    c: &mut [f32],
+    ldc: usize,
+    c_col0: usize,
+    threads: usize,
+) {
+    let threads = effective_threads(m, n, k, threads);
+    if threads <= 1 {
+        gemm_stripe(0, m, n, k, a_src, b_src, c, ldc, c_col0);
+        return;
+    }
+    // Equal MR-aligned stripes (the last may be short): chunk boundaries
+    // fall on row boundaries, so each worker owns disjoint output rows.
+    let stripe_rows = m.div_ceil(threads).div_ceil(MR) * MR;
+    std::thread::scope(|scope| {
+        for (si, chunk) in c.chunks_mut(stripe_rows * ldc).enumerate() {
+            let m0 = si * stripe_rows;
+            let m1 = (m0 + stripe_rows).min(m);
+            scope.spawn(move || gemm_stripe(m0, m1, n, k, a_src, b_src, chunk, ldc, c_col0));
+        }
+    });
+}
+
+/// `C += op(A) op(B)` for operands packed per call: the plain loops where
+/// packing would dominate, the packed kernel under `threads` otherwise.
+#[allow(clippy::too_many_arguments)] // mirrors gemm_blocked's signature
 fn gemm_threaded(
     m: usize,
     n: usize,
@@ -460,21 +657,7 @@ fn gemm_threaded(
         gemm_small(m, n, k, a_src, b_src, c, ldc, c_col0);
         return;
     }
-    let threads = effective_threads(m, n, k, threads);
-    if threads <= 1 {
-        gemm_stripe(0, m, n, k, a_src, b_src, c, ldc, c_col0);
-        return;
-    }
-    // Equal MR-aligned stripes (the last may be short): chunk boundaries
-    // fall on row boundaries, so each worker owns disjoint output rows.
-    let stripe_rows = m.div_ceil(threads).div_ceil(MR) * MR;
-    std::thread::scope(|scope| {
-        for (si, chunk) in c.chunks_mut(stripe_rows * ldc).enumerate() {
-            let m0 = si * stripe_rows;
-            let m1 = (m0 + stripe_rows).min(m);
-            scope.spawn(move || gemm_stripe(m0, m1, n, k, a_src, b_src, chunk, ldc, c_col0));
-        }
-    });
+    gemm_blocked(m, n, k, a_src, BSrc::Pack(b_src), c, ldc, c_col0, threads);
 }
 
 /// Unblocked `C += op(A) op(B)` for matrices too small to amortize
@@ -546,21 +729,50 @@ pub fn gemm_nn(
 }
 
 /// [`gemm_nn`] as a dense layer calls it — [`crate::tensor::matmul`] and
-/// the executor's linear ops alike: under the process-global thread budget,
-/// and on the packed kernel only where [`blocked_worthwhile`] says so.
-pub(crate) fn gemm_nn_dense(
+/// both forward backends: under the process-global thread budget, and on
+/// the packed kernel only where [`blocked_worthwhile`] and the
+/// `SMALL_MAX_ROWS` floor say so. `panel` is how a caller whose `b` is a
+/// constant offers its [`PackedB`]: it is asked (and so the panel built)
+/// only by a product that will run on it; `None` packs `b` per call.
+pub(crate) fn gemm_nn_dense<'p>(
     c: &mut [f32],
     ldc: usize,
     c_col0: usize,
     (m, n, k): (usize, usize, usize),
     a: View<'_>,
     b: View<'_>,
+    panel: Option<&dyn Fn() -> &'p PackedB>,
 ) {
-    if blocked_worthwhile(m, n, k) {
-        gemm_threaded(m, n, k, Src::N(a), Src::N(b), c, ldc, c_col0, gemm_threads());
-    } else {
+    if !blocked_worthwhile(m, n, k) {
         gemm_small(m, n, k, Src::N(a), Src::N(b), c, ldc, c_col0);
+        return;
     }
+    match panel {
+        Some(panel) if m > SMALL_MAX_ROWS => {
+            gemm_nn_packed(c, ldc, c_col0, m, a, panel(), gemm_threads());
+        }
+        _ => gemm_threaded(m, n, k, Src::N(a), Src::N(b), c, ldc, c_col0, gemm_threads()),
+    }
+}
+
+/// `C += A B` with `b` borrowed already packed: `a` is `[m, k]` for `b`'s
+/// `(k, n)`; always the packed kernel, under up to `threads` row-stripe
+/// threads that share the panel. Bit-identical to [`gemm_nn`] over the
+/// matrix `b` was packed from.
+pub fn gemm_nn_packed(
+    c: &mut [f32],
+    ldc: usize,
+    c_col0: usize,
+    m: usize,
+    a: View<'_>,
+    b: &PackedB,
+    threads: usize,
+) {
+    let (k, n) = b.shape();
+    if m == 0 || n == 0 || k == 0 {
+        return; // += of an empty product leaves C untouched
+    }
+    gemm_blocked(m, n, k, Src::N(a), BSrc::Panels(b), c, ldc, c_col0, threads);
 }
 
 /// `C += A Bᵀ` over strided views: `a` is `[m, k]`, `b` is `[n, k]`.
@@ -745,5 +957,33 @@ mod tests {
         assert_eq!(c.shape(), (3, 4));
         assert!(c.data().iter().all(|&v| v == 0.0));
         assert_eq!(matmul_blocked(&Tensor::zeros(0, 5), &Tensor::zeros(5, 2), 2).shape(), (0, 2));
+    }
+
+    #[test]
+    fn packed_b_is_the_per_call_panel_sequence() {
+        // Block by block, in the driver's `jc → pc` order, a `PackedB`
+        // holds what `pack_b` writes into the scratch for that block —
+        // including k > KC, n > NC and a ragged last NR panel.
+        let mut rng = StdRng::seed_from_u64(13);
+        for &(k, n) in &[(1, 1), (96, 96), (KC + 40, NR + 3), (384, 96), (7, NC + NR + 5)] {
+            let b = Tensor::randn(k, n, 1.0, &mut rng);
+            let packed = PackedB::pack(&b);
+            let mut seen = 0;
+            for jc in (0..n).step_by(NC) {
+                let nc = NC.min(n - jc);
+                for pc in (0..k).step_by(KC) {
+                    let kc = KC.min(k - pc);
+                    let mut scratch = vec![f32::NAN; nc.div_ceil(NR) * NR * kc];
+                    pack_b(&mut scratch, Src::N(View::of(&b)), pc, kc, jc, nc);
+                    let block = packed.block(jc, pc, nc, kc);
+                    let at = packed.start + seen;
+                    assert_eq!(block.as_ptr(), packed.data[at..].as_ptr(), "blocks are in order");
+                    assert_eq!(block, &scratch[..], "{k}x{n} block ({jc}, {pc})");
+                    seen += block.len();
+                }
+            }
+            assert_eq!(packed.data[packed.start..].as_ptr() as usize % 64, 0, "on a cache line");
+            assert_eq!(seen + 15, packed.data.len(), "{k}x{n}: the blocks and a line of slack");
+        }
     }
 }

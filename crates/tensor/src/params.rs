@@ -4,9 +4,20 @@
 //! on per-sequence [`crate::Tape`]s that borrow the store immutably, so
 //! mini-batch items can be processed on worker threads; each worker collects
 //! its own [`Gradients`], which are merged and applied by the optimizer.
+//!
+//! Beside each weight the store keeps, lazily, its packed GEMM panel
+//! ([`ParamStore::panel`]): the serving executor multiplies by the same
+//! constant matrices on every call, so the first product lays a weight out
+//! once in the order the blocked kernel reads it and later ones borrow
+//! that. A panel is derived state with one rule — writing a weight drops
+//! its panel — which the borrow checker enforces, because every mutable
+//! route to a value ([`ParamStore::get_mut`], [`ParamStore::set_value`])
+//! takes `&mut self`. Trainers and tapes never ask for one.
 
+use crate::kernels::PackedB;
 use crate::Tensor;
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Index of a parameter inside a [`ParamStore`].
 pub type ParamId = usize;
@@ -24,6 +35,19 @@ pub struct Param {
 #[derive(Clone, Debug, Default)]
 pub struct ParamStore {
     params: Vec<Param>,
+    panels: Panels,
+}
+
+/// One lazily built GEMM panel per parameter id (see [`ParamStore::panel`]).
+/// A derived value, not state: a cloned store starts with none and builds
+/// its own.
+#[derive(Debug, Default)]
+struct Panels(Vec<OnceLock<PackedB>>);
+
+impl Clone for Panels {
+    fn clone(&self) -> Self {
+        Panels(self.0.iter().map(|_| OnceLock::new()).collect())
+    }
 }
 
 impl ParamStore {
@@ -38,6 +62,7 @@ impl ParamStore {
         let name = name.into();
         assert!(self.params.iter().all(|p| p.name != name), "duplicate parameter name: {name}");
         self.params.push(Param { name, value });
+        self.panels.0.push(OnceLock::new());
         self.params.len() - 1
     }
 
@@ -79,8 +104,29 @@ impl ParamStore {
     }
 
     /// Mutable weights of parameter `id` (the optimizer's entry point).
+    /// Drops `id`'s panel: whatever is written, no product sees the old one.
     pub fn get_mut(&mut self, id: ParamId) -> &mut Tensor {
+        self.panels.0[id].take();
         &mut self.params[id].value
+    }
+
+    /// Parameter `id` (a `[k, n]` dense weight) as the packed B panel of
+    /// the blocked GEMM, built on first use — concurrent first users build
+    /// one — and kept until `id` is next written. [`ParamStore::get_mut`]
+    /// and [`ParamStore::set_value`] are the only mutable routes to a
+    /// value and both take `&mut self`, which no outstanding `&PackedB`
+    /// survives: a panel of weights since overwritten cannot be observed.
+    /// Only [`crate::Executor`]'s dense layers ask; a store that only ever
+    /// trains, or serves through int8 layers, never holds one.
+    pub fn panel(&self, id: ParamId) -> &PackedB {
+        self.panels.0[id].get_or_init(|| PackedB::pack(&self.params[id].value))
+    }
+
+    /// `(panels currently built, their bytes)` — what the f32 serving path
+    /// added to this store's footprint.
+    pub fn panel_stats(&self) -> (usize, usize) {
+        let built = self.panels.0.iter().filter_map(OnceLock::get);
+        built.fold((0, 0), |(n, bytes), p| (n + 1, bytes + p.bytes()))
     }
 
     /// The name parameter `id` was registered under.
@@ -112,6 +158,7 @@ impl ParamStore {
             "set_value shape mismatch for {}",
             self.params[id].name
         );
+        self.panels.0[id].take();
         self.params[id].value = value;
     }
 }

@@ -371,7 +371,7 @@ impl<'s> Tape<'s> {
         // dense layers.
         for (t, (&w, &b)) in ws.iter().zip(bs.iter()).enumerate() {
             let (x, w, b) = (View::of(self.value(x)), self.value(w), self.value(b));
-            dense_segment(out.data_mut(), 3 * d, t * d, rows, x, w, b);
+            dense_segment(out.data_mut(), 3 * d, t * d, rows, x, w, b, None);
         }
         self.push(out, Op::FusedQkv { x, ws, bs })
     }

@@ -8,8 +8,9 @@
 //! the sampled distribution.
 
 use doduo_tensor::kernels::{
-    gemm_nn, gemm_nt, gemm_tn, matmul_blocked, matmul_naive, matmul_nt_blocked, matmul_nt_naive,
-    matmul_tn_blocked, matmul_tn_naive, View,
+    gemm_nn, gemm_nn_packed, gemm_nt, gemm_tn, matmul_blocked, matmul_naive, matmul_nt_blocked,
+    matmul_nt_naive, matmul_tn_blocked, matmul_tn_naive, microkernel, microkernel_portable,
+    PackedB, View, MR, NR,
 };
 use doduo_tensor::{matmul, matmul_nt, matmul_tn, QuantizedLinear, Tensor};
 use proptest::prelude::*;
@@ -184,6 +185,112 @@ fn strided_entry_points_match_naive_on_both_sides_of_the_cutover() {
                         );
                         for (j, (x, y)) in got.iter().zip(want.row(i)).enumerate() {
                             assert_eq!(x.to_bits(), y.to_bits(), "{what} {m}x{n}x{k} ({i},{j})");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn packed_panels_match_per_call_packing_and_naive_bitwise() {
+    // A dense layer over a borrowed `PackedB` against the same product with
+    // B packed per call and against the naive loops: every row count up to
+    // 40 (so every `m % MR` edge tile), widths on both sides of NR and NC,
+    // depths on both sides of KC, A read through a strided view, C written
+    // `PAD` columns into a wider output it must not otherwise touch, and
+    // the panel shared by one, two and three row-stripe threads.
+    const PAD: usize = 3;
+    const SENTINEL: f32 = -7.5;
+    for n in [1usize, 15, 16, 17, 96, 288, 530] {
+        for k in [1usize, 24, 96, 257, 384] {
+            let b = tensor(k, n, (n * 1000 + k) as u64);
+            let panel = PackedB::pack(&b);
+            assert_eq!(panel.shape(), (k, n));
+            for m in 1..=40usize {
+                let a = tensor(m, k, (m * 7919 + n * 31 + k) as u64);
+                let (a_buf, a_stride) = embedded(&a, PAD);
+                let a_view = View::at(&a_buf, a_stride, PAD, PAD);
+                let want = matmul_naive(&a, &b);
+                let ldc = n + 2 * PAD;
+                let fresh = || {
+                    let mut c = vec![SENTINEL; m * ldc];
+                    for row in c.chunks_exact_mut(ldc) {
+                        row[PAD..PAD + n].fill(0.0);
+                    }
+                    c
+                };
+                let check = |c: &[f32], what: &str| {
+                    for (i, row) in c.chunks_exact(ldc).enumerate() {
+                        let (left, rest) = row.split_at(PAD);
+                        let (got, right) = rest.split_at(n);
+                        assert!(
+                            left.iter().chain(right).all(|&v| v == SENTINEL),
+                            "{what} {m}x{n}x{k}: wrote outside its columns in row {i}"
+                        );
+                        for (j, (x, y)) in got.iter().zip(want.row(i)).enumerate() {
+                            assert_eq!(x.to_bits(), y.to_bits(), "{what} {m}x{n}x{k} ({i},{j})");
+                        }
+                    }
+                };
+                let mut c = fresh();
+                gemm_nn(&mut c, ldc, PAD, (m, n, k), a_view, View::of(&b));
+                check(&c, "per-call");
+                for threads in [1usize, 2, 3] {
+                    let mut c = fresh();
+                    gemm_nn_packed(&mut c, ldc, PAD, m, a_view, &panel, threads);
+                    check(&c, "panel");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn edge_tiles_match_on_both_tiers() {
+    // Every micro-kernel instantiation — each exact row count, each tile
+    // width, k on both sides of the unroll by 4 — on the portable tier
+    // (which dispatch reaches only on a host without AVX2, i.e. never in
+    // CI) and on the host's best tier, against the naive loops. The A
+    // panel's unused lanes hold NaN: an instantiation that read one would
+    // show it.
+    const LDC: usize = NR + 5;
+    type Tile = fn(usize, &[f32], &[f32], &mut [f32], usize, usize, usize);
+    let tiers: [(&str, Tile); 2] = [("portable", microkernel_portable), ("host", microkernel)];
+    for mr in 1..=MR {
+        for nr in 1..=NR {
+            for kc in [1usize, 3, 4, 24, 96] {
+                let seed = ((mr * 17 + nr) * 101 + kc) as u64;
+                let (a, b, c0) =
+                    (tensor(kc, mr, seed), tensor(kc, nr, seed + 1), tensor(mr, nr, seed + 2));
+                let mut ap = vec![f32::NAN; kc * MR];
+                let mut bp = vec![0.0f32; kc * NR];
+                for p in 0..kc {
+                    ap[p * MR..p * MR + mr].copy_from_slice(a.row(p));
+                    bp[p * NR..p * NR + nr].copy_from_slice(b.row(p));
+                }
+                for (tier, tile) in tiers {
+                    let mut c = vec![f32::NAN; MR * LDC];
+                    for i in 0..mr {
+                        c[i * LDC..i * LDC + nr].copy_from_slice(c0.row(i));
+                    }
+                    tile(kc, &ap, &bp, &mut c, LDC, mr, nr);
+                    for (i, row) in c.chunks_exact(LDC).enumerate() {
+                        for (j, got) in row.iter().enumerate() {
+                            if i < mr && j < nr {
+                                let mut want = c0.row(i)[j];
+                                for p in 0..kc {
+                                    want += a.row(p)[i] * b.row(p)[j];
+                                }
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "{tier} {mr}x{nr}x{kc} ({i},{j})"
+                                );
+                            } else {
+                                assert!(got.is_nan(), "{tier} {mr}x{nr}x{kc}: wrote ({i},{j})");
+                            }
                         }
                     }
                 }

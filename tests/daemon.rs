@@ -1,6 +1,9 @@
 //! The daemon over a real socket, in the tier-1 suite: one `/v1/annotate`
 //! request and one `/v1/annotate_stream` session must answer with exactly
-//! the bytes offline annotation produces, and `POST /v1/shutdown` must
+//! the bytes offline annotation produces; after `POST /v1/model` installs a
+//! second checkpoint, with exactly the bytes offline annotation under
+//! *that* bundle produces (nothing derived from the old weights — a packed
+//! GEMM panel, say — may outlive the swap); and `POST /v1/shutdown` must
 //! make `Server::run` return.
 
 use doduo_served::bootstrap::synthetic_world;
@@ -39,6 +42,21 @@ fn daemon_answers_offline_bytes_and_shuts_down() {
         assert_eq!(status, 200);
         let expected: Vec<String> = bodies.iter().map(|b| offline(b)).collect();
         assert_eq!(lines, expected, "one offline-identical line per streamed table, in order");
+
+        let next = synthetic_world(true, 99);
+        let swap = c.request("POST", "/v1/model", &next.bundle.save()).expect("model upload");
+        assert_eq!(swap.status, 200, "swap rejected: {}", String::from_utf8_lossy(&swap.body));
+        for body in &bodies {
+            let resp = c.request("POST", "/v1/annotate", body.as_bytes()).expect("annotate");
+            assert_eq!(resp.status, 200);
+            let want = offline_response(&next.bundle, body).expect("offline annotate, new model");
+            assert_ne!(want, offline(body), "the two models must disagree for this to bite");
+            assert_eq!(
+                resp.body,
+                want.as_bytes(),
+                "/v1/annotate after a swap == offline, new model"
+            );
+        }
 
         let bye = c.request("POST", "/v1/shutdown", b"").expect("shutdown answered");
         assert_eq!(bye.status, 200);
