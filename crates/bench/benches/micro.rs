@@ -11,8 +11,9 @@ use doduo_datagen::{
 };
 use doduo_eval::kmeans;
 use doduo_table::{serialize_table, SerializeConfig};
-use doduo_tensor::{kernels, matmul, ParamStore, Tape, Tensor};
+use doduo_tensor::{kernels, matmul, Executor, ParamStore, Tape, Tensor};
 use doduo_tokenizer::{TrainConfig, WordPiece};
+use doduo_transformer::{all_rows, BatchSeq, Encoder, EncoderConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -62,6 +63,38 @@ fn bench_dense_b_source(c: &mut Criterion) {
                 let x = kernels::View::of(black_box(&x));
                 kernels::gemm_nn_packed(&mut y, 384, 0, rows, x, black_box(&panel), 1);
                 black_box(&mut y);
+            })
+        });
+    }
+}
+
+/// One `mini`-shaped block on the serving executor (a one-layer encoder, so
+/// its only block is the top one; the embedding gather and LayerNorm ride
+/// along in both arms), computing every row against only the `[CLS]` rows
+/// the heads read: `bulk_narrow`'s 19-token 2-column sequence and
+/// `bulk_wide`'s 166-token 5-column one.
+fn bench_encoder_top_block(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut store = ParamStore::new();
+    let cfg = EncoderConfig { layers: 1, ..EncoderConfig::mini(500) };
+    let enc = Encoder::new(&mut store, cfg, "enc", &mut rng);
+    for (len, n_cols) in [(19usize, 2usize), (166, 5)] {
+        let ids: Vec<u32> = (0..len as u32).map(|i| 5 + i % 400).collect();
+        let cls: Vec<u32> = (0..n_cols).map(|col| (col * len / n_cols) as u32).collect();
+        let seq = std::iter::once(BatchSeq { ids: &ids, mask: None });
+        c.bench_function(&format!("encoder_top_block_{len}x{n_cols}_all_rows"), |bench| {
+            bench.iter(|| {
+                let mut ex = Executor::new(&store);
+                let out = enc.encode(&mut ex, seq.clone(), all_rows(), &mut rng);
+                black_box(ex.value(&out));
+            })
+        });
+        c.bench_function(&format!("encoder_top_block_{len}x{n_cols}_kept_rows"), |bench| {
+            bench.iter(|| {
+                let mut ex = Executor::new(&store);
+                let keep = std::iter::once(Some(cls.as_slice()));
+                let out = enc.encode(&mut ex, seq.clone(), keep, &mut rng);
+                black_box(ex.value(&out));
             })
         });
     }
@@ -131,6 +164,7 @@ criterion_group!(
     benches,
     bench_matmul,
     bench_dense_b_source,
+    bench_encoder_top_block,
     bench_mha,
     bench_tokenize_and_serialize,
     bench_sherlock_features,

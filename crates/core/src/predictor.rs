@@ -4,8 +4,11 @@
 //!
 //! All annotation, f32 and int8, funnels through one walk
 //! (`Annotator::forward`): pack any number of serialized tables into a
-//! single ragged forward pass, select every `[CLS]` row of the whole batch
-//! at once and run each classification head exactly once per batch. The
+//! single ragged forward pass whose top block computes only what the heads
+//! read — every `[CLS]` row of the whole batch, so the encoder's output *is*
+//! the column matrix (`Annotator::encode_columns`, which
+//! [`Annotator::column_embeddings`] shares) — and run each classification
+//! head exactly once per batch. The
 //! tiers differ only in whose dense layers the encoder and the heads apply
 //! (`Dense`): [`Annotator::annotate_serialized`] passes the f32 parameters,
 //! `QuantizedModel::annotate_serialized` their int8 twins. The walk is
@@ -22,7 +25,7 @@ use crate::model::{AttentionMode, DoduoModel, InputMode};
 use crate::quant::QuantizedModel;
 use crate::trainer::decode_labels;
 use doduo_table::{LabelVocab, SerializedTable, Table};
-use doduo_tensor::{vmath, AttnMask, Executor, ParamStore, Tape};
+use doduo_tensor::{vmath, AttnMask, Executor, ParamStore};
 use doduo_tokenizer::WordPiece;
 use doduo_transformer::{BatchSeq, Ops};
 use rand::rngs::StdRng;
@@ -151,64 +154,64 @@ impl Annotator<'_> {
         self.annotate_tier(None, groups)
     }
 
-    /// The one annotation walk, on backend `f`: encoder over every sequence
-    /// of every group as one ragged batch, then both heads once. `quant`
-    /// selects the tier: `None` applies the model's f32 dense layers,
-    /// `Some` their int8 twins; everything else — packing, `[CLS]`
-    /// selection, head order — is shared.
-    fn forward<F: Ops>(
+    /// The encoder half of the walk, on backend `f`: every sequence of every
+    /// group as one ragged batch, keeping of the top layer what the heads
+    /// read — each sequence's `[CLS]` rows. The result is the
+    /// `[total_cols, d]` column matrix (eq. 1's input), in (group,
+    /// sequence, column) order; the top block computes nothing else.
+    /// `quant` selects the tier: `None` applies the model's f32 dense
+    /// layers, `Some` their int8 twins.
+    fn encode_columns<F: Ops>(
         &self,
         f: &mut F,
         quant: Option<&QuantizedModel>,
         groups: &[&[SerializedTable]],
-    ) -> Scores<F::Node> {
-        let cfg = self.model.config();
+    ) -> F::Node {
         let sts = || groups.iter().flat_map(|g| g.iter());
         assert!(sts().next().is_some(), "every table serializes to at least one sequence");
         // TURL-style visibility masks are built per call; full attention
         // (Doduo) has none and this stays empty.
-        let vis: Vec<AttnMask> = match cfg.attention {
+        let vis: Vec<AttnMask> = match self.model.config().attention {
             AttentionMode::Full => Vec::new(),
             AttentionMode::ColumnVisibility => sts()
                 .map(|st| self.model.visibility_mask(st).expect("visibility mode builds masks"))
                 .collect(),
         };
         let seqs = sts().enumerate().map(|(b, st)| BatchSeq { ids: &st.ids, mask: vis.get(b) });
-        let (enc, heads) = match quant {
+        let cls = sts().map(|st| Some(st.cls_positions.as_slice()));
+        match quant {
             // Never drawn from: serving backends have no dropout.
-            None => (
-                self.model.encoder.encode(f, seqs, &mut StdRng::seed_from_u64(0)),
-                self.model.heads(),
-            ),
-            Some(q) => (q.encoder.encode(f, seqs), q.heads()),
-        };
+            None => self.model.encoder.encode(f, seqs, cls, &mut StdRng::seed_from_u64(0)),
+            Some(q) => q.encoder.encode(f, seqs, cls),
+        }
+    }
 
-        // `(first activation row, first column row, sequence)` of every
-        // packed sequence: where its tokens start in the encoder output and
-        // where its columns start in the `[total_cols, d]` matrix selected
-        // from it.
-        let placed = || {
-            sts().scan((0usize, 0usize), |(row0, col0), st| {
-                let at = (*row0, *col0, st);
-                *row0 += st.len();
-                *col0 += st.n_cols();
-                Some(at)
-            })
-        };
-        let total_cols = sts().map(SerializedTable::n_cols).sum();
-        let cls_rows = placed().flat_map(|(row0, _, st)| {
-            st.cls_positions.iter().map(move |&p| (row0 + p as usize) as u32)
-        });
-        let cols = f.row_select(&enc, total_cols, cls_rows);
-        f.free(enc);
+    /// The one annotation walk, on backend `f`:
+    /// [`Annotator::encode_columns`], then both heads once over its column
+    /// matrix. Everything but whose dense layers run — packing, `[CLS]`
+    /// selection, head order — is shared between the tiers.
+    fn forward<F: Ops>(
+        &self,
+        f: &mut F,
+        quant: Option<&QuantizedModel>,
+        groups: &[&[SerializedTable]],
+    ) -> Scores<F::Node> {
+        let cols = self.encode_columns(f, quant, groups);
+        let heads = quant.map_or_else(|| self.model.heads(), QuantizedModel::heads);
         let types = heads.type_logits(f, &cols);
 
-        // Relation pairs (0, j) per table-wise sequence with 2+ columns.
+        // Relation pairs (0, j) per table-wise sequence with 2+ columns,
+        // as rows of the column matrix.
         let with_rels = self.scores_relations();
         let pairs = || {
-            placed()
-                .filter(move |_| with_rels)
-                .flat_map(|(_, col0, st)| (1..st.n_cols()).map(move |j| (col0, col0 + j)))
+            let sts = groups.iter().flat_map(|g| g.iter());
+            sts.scan(0usize, |col0, st| {
+                let at = *col0;
+                *col0 += st.n_cols();
+                Some((at, st.n_cols()))
+            })
+            .filter(move |_| with_rels)
+            .flat_map(|(col0, n)| (1..n).map(move |j| (col0, col0 + j)))
         };
         let n_pairs = pairs().count();
         let rels = (n_pairs > 0).then(|| {
@@ -293,28 +296,14 @@ impl Annotator<'_> {
     }
 
     /// Contextualized column embeddings (the `[CLS]` outputs, §4.3) — the
-    /// representation the §7 case study clusters.
+    /// representation the §7 case study clusters. One packed forward on the
+    /// calling thread's executor whatever the input mode, through the same
+    /// `Annotator::encode_columns` annotation uses.
     pub fn column_embeddings(&self, table: &Table) -> Vec<Vec<f32>> {
-        let mut rng = StdRng::seed_from_u64(0);
-        match self.model.config().input_mode {
-            InputMode::TableWise => {
-                let st = self.model.serialize_for_types(table, self.tokenizer).remove(0);
-                let mut tape = Tape::inference(self.store);
-                let cols = self.model.column_embeddings(&mut tape, &st, &mut rng);
-                let v = tape.value(cols);
-                (0..v.rows()).map(|r| v.row(r).to_vec()).collect()
-            }
-            InputMode::SingleColumn => self
-                .model
-                .serialize_for_types(table, self.tokenizer)
-                .iter()
-                .map(|st| {
-                    let mut tape = Tape::inference(self.store);
-                    let cols = self.model.column_embeddings(&mut tape, st, &mut rng);
-                    tape.value(cols).row(0).to_vec()
-                })
-                .collect(),
-        }
+        let sts = self.model.serialize_for_types(table, self.tokenizer);
+        let mut ex = Executor::new(self.store);
+        let cols = self.encode_columns(&mut ex, None, &[&sts]);
+        ex.value(&cols).chunks_exact(cols.cols()).map(<[f32]>::to_vec).collect()
     }
 
     /// The top predicted type name per column (a convenience for clustering
@@ -335,6 +324,7 @@ mod tests {
     use super::*;
     use crate::model::{AttentionMode, DoduoConfig};
     use doduo_table::{Column, LabelVocab, SerializeConfig};
+    use doduo_tensor::Tape;
     use doduo_tokenizer::TrainConfig as TokTrain;
     use doduo_transformer::EncoderConfig;
 
@@ -486,10 +476,13 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(24))]
 
-        /// The serving executor against the recording tape, on the same
-        /// generic walk: encoder output rows and both heads' logits, f32
-        /// and int8 tiers, ragged batches with and without visibility
-        /// masks — equal under `to_bits`.
+        /// The serving executor, whose top block computes the `[CLS]` rows
+        /// only, against the recording tape run at full width
+        /// (`forward_batch`, then `row_select`, then the heads): column
+        /// embeddings and both heads' logits, f32 and int8 tiers, ragged
+        /// batches down to single-`[CLS]` one-token sequences, with and
+        /// without visibility masks — equal under `to_bits`. The tape
+        /// running the pruned walk itself must land on the same bits.
         #[test]
         fn executor_matches_tape_bitwise(
             lens in proptest::collection::vec(1usize..65, 1..7),
@@ -532,31 +525,119 @@ mod tests {
             let groups: Vec<&[SerializedTable]> = tables.iter().map(Vec::as_slice).collect();
             let masks: Vec<Option<AttnMask>> =
                 tables.iter().map(|g| model.visibility_mask(&g[0])).collect();
-            let seqs = || {
-                tables.iter().zip(&masks).map(|(g, m)| BatchSeq { ids: &g[0].ids, mask: m.as_ref() })
-            };
+            let batch: Vec<BatchSeq<'_>> = tables
+                .iter()
+                .zip(&masks)
+                .map(|(g, m)| BatchSeq { ids: &g[0].ids, mask: m.as_ref() })
+                .collect();
 
             for quant in [None, Some(&qm)] {
+                // Full width: every top-layer row, then the `[CLS]` ones.
                 let mut tape = Tape::inference(&store);
-                let mut ex = Executor::new(&store);
-                let (on_tape, on_ex) = match quant {
-                    None => (
-                        model.encoder.encode(&mut tape, seqs(), &mut StdRng::seed_from_u64(0)),
-                        model.encoder.encode(&mut ex, seqs(), &mut StdRng::seed_from_u64(0)),
-                    ),
-                    Some(q) => (q.encoder.encode(&mut tape, seqs()), q.encoder.encode(&mut ex, seqs())),
+                let full = match quant {
+                    None => model.encoder.forward_batch(&mut tape, &batch, &mut rng),
+                    Some(q) => q.encoder.forward_batch(&mut tape, &batch),
                 };
-                prop_assert_eq!(bits(tape.value(on_tape).data()), bits(ex.value(&on_ex)));
-                ex.free(on_ex);
+                let cls_rows: Vec<u32> = tables
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(b, g)| g[0].cls_positions.iter().map(move |&p| (b, p as usize)))
+                    .map(|(b, p)| full.row_of(b, p) as u32)
+                    .collect();
+                let want_cols = tape.row_select(full.node, &cls_rows);
 
-                let want = ann.forward(&mut tape, quant, &groups);
+                let mut ex = Executor::new(&store);
+                let got_cols = ann.encode_columns(&mut ex, quant, &groups);
+                prop_assert_eq!(
+                    tape.value(want_cols).shape(),
+                    (got_cols.rows(), got_cols.cols())
+                );
+                prop_assert_eq!(bits(tape.value(want_cols).data()), bits(ex.value(&got_cols)));
+                ex.free(got_cols);
+                let mut pruned_tape = Tape::inference(&store);
+                let on_tape = ann.encode_columns(&mut pruned_tape, quant, &groups);
+                prop_assert_eq!(
+                    bits(tape.value(want_cols).data()),
+                    bits(pruned_tape.value(on_tape).data())
+                );
+
+                // Heads over the full-width tape's columns, pair by pair.
+                let heads = quant.map_or_else(|| model.heads(), QuantizedModel::heads);
+                let want_types = heads.type_logits(&mut tape, &want_cols);
+                let col0s = tables.iter().scan(0usize, |c, g| {
+                    let at = *c;
+                    *c += g[0].n_cols();
+                    Some(at)
+                });
+                let pairs: Vec<(u32, u32)> = tables
+                    .iter()
+                    .zip(col0s)
+                    .flat_map(|(g, c0)| (1..g[0].n_cols()).map(move |j| (c0 as u32, (c0 + j) as u32)))
+                    .collect();
+                let want_rels = (!pairs.is_empty()).then(|| {
+                    let (subj, obj) = (pairs.iter().map(|p| p.0), pairs.iter().map(|p| p.1));
+                    heads.rel_logits(&mut tape, &want_cols, pairs.len(), subj, obj)
+                });
+
                 let got = ann.forward(&mut ex, quant, &groups);
-                prop_assert_eq!(tape.value(want.types).shape(), (got.types.rows(), got.types.cols()));
-                prop_assert_eq!(bits(tape.value(want.types).data()), bits(ex.value(&got.types)));
-                prop_assert_eq!(want.rels.is_some(), got.rels.is_some());
-                if let (Some(w), Some(g)) = (want.rels, got.rels) {
+                prop_assert_eq!(
+                    tape.value(want_types).shape(),
+                    (got.types.rows(), got.types.cols())
+                );
+                prop_assert_eq!(bits(tape.value(want_types).data()), bits(ex.value(&got.types)));
+                prop_assert_eq!(want_rels.is_some(), got.rels.is_some());
+                if let (Some(w), Some(g)) = (want_rels, got.rels) {
                     prop_assert_eq!(bits(tape.value(w).data()), bits(ex.value(&g)));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn column_embeddings_match_the_tape_bitwise_in_both_input_modes() {
+        use crate::model::InputMode;
+        let (_, _, tok, tv, rv) = setup();
+        let wide = Table::new(
+            "w",
+            vec![
+                Column::new(vec!["one two three".into(), "alpha".into()]),
+                Column::new(vec!["beta".into()]),
+                Column::new(vec!["two".into(), "gamma".into()]),
+            ],
+        );
+        for mode in [InputMode::TableWise, InputMode::SingleColumn] {
+            let mut store = ParamStore::new();
+            let mut rng = StdRng::seed_from_u64(3);
+            let enc = EncoderConfig::tiny(tok.vocab_size());
+            let max_seq = enc.max_seq;
+            let cfg = DoduoConfig::new(enc, 3, 2, true)
+                .with_input_mode(mode)
+                .with_serialize(SerializeConfig::new(8, max_seq));
+            let model = DoduoModel::new(&mut store, cfg, "m", &mut rng);
+            let ann = Annotator {
+                model: &model,
+                store: &store,
+                tokenizer: &tok,
+                type_vocab: &tv,
+                rel_vocab: &rv,
+            };
+            for table in [table(), wide.clone()] {
+                // One inference tape per sequence, full width, `[CLS]` rows
+                // selected afterwards: what this method used to run.
+                let want: Vec<Vec<u32>> = model
+                    .serialize_for_types(&table, &tok)
+                    .iter()
+                    .flat_map(|st| {
+                        let mut tape = Tape::inference(&store);
+                        let cols = model.column_embeddings(&mut tape, st, &mut rng);
+                        let v = tape.value(cols);
+                        (0..v.rows()).map(|r| bits(v.row(r))).collect::<Vec<_>>()
+                    })
+                    .collect();
+                let got: Vec<Vec<u32>> =
+                    ann.column_embeddings(&table).iter().map(|e| bits(e)).collect();
+                assert_eq!(got.len(), table.n_cols());
+                assert_eq!(got, want, "{mode:?}");
             }
         }
     }

@@ -11,7 +11,7 @@ use doduo_core::{AnnotatorBundle, DoduoConfig, DoduoModel, Logits, TableAnnotati
 use doduo_datagen::{generate_wikitable, KbConfig, KnowledgeBase, WikiTableConfig};
 use doduo_serve::{BatchAnnotator, BatchConfig};
 use doduo_table::{SerializeConfig, SerializedTable, Table};
-use doduo_tensor::{kernels, ParamStore, Tape};
+use doduo_tensor::{exec, kernels, ParamStore, Tape};
 use doduo_tokenizer::{TrainConfig as TokTrain, WordPiece};
 use doduo_transformer::EncoderConfig;
 use rand::rngs::StdRng;
@@ -116,6 +116,14 @@ fn steady_state_forward_allocates_nothing() {
         // One warm-up call at the largest size grows the arena, the GEMM
         // pack panels and (int8) the activation staging ...
         annotator.with_logits(quant, &all, checksum);
+        // What it grew to is no more than before the top block stopped at
+        // the `[CLS]` rows (137,824 pooled floats and a 1,156-float
+        // attention scratch, either tier, on this world): the top layer's
+        // buffers now hold a row per column, and the kept queries' scores
+        // plus their gathered Q rows fit inside the lower blocks' `len²`.
+        let (pool, scratch) = exec::arena_len();
+        assert!(pool <= 137_824, "executor pool grew to {pool} floats");
+        assert!(scratch <= 1_156, "attention scratch grew to {scratch} floats");
         // ... after which encoder + heads over the same micro-batch, or any
         // smaller one, never reach the allocator.
         for batch in [&all[..], &all[..7], &all[3..4], &all[10..]] {

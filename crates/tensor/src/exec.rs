@@ -18,7 +18,12 @@
 //! * the pool, attention's probability scratch and the int8 activation
 //!   staging live in a grow-only per-thread arena that [`Executor::new`]
 //!   borrows and `Drop` hands back: once a thread has run its largest
-//!   micro-batch, a forward allocates nothing;
+//!   micro-batch, a forward allocates nothing ([`arena_len`] reports what
+//!   it holds);
+//! * attention computes the query rows its caller names and no others
+//!   ([`AttnBlock::keep`], borrowed positions — nothing is collected): the
+//!   top encoder block's output, and every buffer after it, is one row per
+//!   `[CLS]` instead of one per token;
 //! * a dense layer's weight is a constant for as long as the executor's
 //!   `&ParamStore` lives, so its GEMM borrows the store's packed panel of
 //!   it ([`ParamStore::panel`], built by the first product that wants one)
@@ -27,7 +32,7 @@
 //!   same bits.
 
 use crate::forward::{
-    attention_forward, concat_rows, dense_segment, gather_rows, grow, layer_norm_rows,
+    attention_forward, concat_rows, dense_segment, gather_rows, grow, layer_norm_rows, AttnBlock,
 };
 use crate::kernels::View;
 use crate::params::{ParamId, ParamStore};
@@ -53,6 +58,16 @@ struct Arena {
 
 thread_local! {
     static ARENA: Cell<Arena> = Cell::new(Arena::default());
+}
+
+/// Floats held by the calling thread's arena, `(buffer pool, attention
+/// scratch)`, while no [`Executor`] is alive on it — how a test sees what a
+/// forward's working set settled at.
+pub fn arena_len() -> (usize, usize) {
+    let arena = ARENA.take();
+    let len = (arena.bufs.iter().map(Vec::len).sum(), arena.probs.len());
+    ARENA.set(arena);
+    len
 }
 
 /// A live activation of an [`Executor`]: `[rows, cols]`, row-major.
@@ -208,17 +223,20 @@ impl<'s> Executor<'s> {
 
     /// Multi-head self-attention over a fused `[rows, 3d]` Q|K|V
     /// activation; consumes it. `blocks` yields each packed sequence's
-    /// length and optional additive `[len, len]` mask, borrowed for the
-    /// call (see `Tape::mha_batch_qkv` for the layout).
+    /// length, optional additive `[len, len]` mask and the query rows it
+    /// wants, borrowed for the call (see `Tape::mha_batch_qkv` for the
+    /// layout). The result holds the wanted rows only, block after block:
+    /// `[rows, d]` when every block wants them all.
     pub fn attention<'m>(
         &mut self,
         qkv: Slot,
         heads: usize,
-        blocks: impl Iterator<Item = (usize, Option<&'m [f32]>)> + Clone,
+        blocks: impl Iterator<Item = AttnBlock<'m>> + Clone,
     ) -> Slot {
         assert!(qkv.cols.is_multiple_of(3), "fused qkv width must be 3d");
         let (rows, d) = (qkv.rows, qkv.cols / 3);
-        let (slot, mut out) = self.checkout(rows, d);
+        let queries = blocks.clone().map(|b| b.queries()).sum();
+        let (slot, mut out) = self.checkout(queries, d);
         let y = &mut out[..slot.len()];
         y.fill(0.0);
         let Arena { bufs, probs, .. } = &mut self.arena;
@@ -321,7 +339,10 @@ mod tests {
         let e = ex.embedding(emb, ids.len(), ids.iter().copied());
         let n = ex.layer_norm(e, g, be);
         let qkv = ex.fused_qkv(&n, ws, bs);
-        let blocks = [(3usize, None), (4usize, Some(mask.as_slice()))];
+        let blocks = [
+            AttnBlock { len: 3, mask: None, keep: None },
+            AttnBlock { len: 4, mask: Some(mask.as_slice()), keep: None },
+        ];
         let att = ex.attention(qkv, 2, blocks.iter().copied());
         let res = ex.add(n, att);
         let (a, b) = (

@@ -9,6 +9,14 @@
 //! The one thing a backend chooses is where a dense layer's B panels come
 //! from ([`dense_segment`]'s `panel`): the executor offers its store's
 //! packed-once panel, the tape nothing — one kernel either way.
+//!
+//! Attention is written once too, over *which query rows a block computes*
+//! ([`AttnBlock::keep`]): every row is the case `None`, and a caller that
+//! will read only some rows of the result — serving's top encoder block
+//! reads the `[CLS]` rows — names them and gets those rows alone, with the
+//! bits the full computation gives them. Keys and values always span the
+//! block; each score is one accumulator over increasing k and softmax and
+//! `P·V` are row-wise, so a row cannot tell whether its neighbours exist.
 #![allow(clippy::needless_range_loop)] // index loops over matrix coordinates are clearest here
 
 use crate::kernels::{gemm_nn, gemm_nn_dense, gemm_nt, PackedB, View};
@@ -115,12 +123,36 @@ pub(crate) fn dense_segment<'p>(
     add_bias_rows(out, ldc, col0, b.row(0));
 }
 
-/// Computes one head's post-softmax probability matrix into
-/// `p[..len * len]`: `S = Q Kᵀ` through the blocked GEMM layer, then the
-/// row softmax of `s * scale + mask` in [`vmath`]'s three reads per row.
-/// The single kernel behind the attention forward of both backends, the
-/// backward's recompute and `Tape::attn_probs`, so all of them agree bit
-/// for bit by construction.
+/// One packed sequence as attention sees it.
+#[derive(Clone, Copy)]
+pub struct AttnBlock<'m> {
+    /// Tokens in the sequence: its rows of the packed Q|K|V buffer.
+    pub len: usize,
+    /// Optional additive `[len, len]` visibility mask.
+    pub mask: Option<&'m [f32]>,
+    /// The query positions whose output rows are computed, in output order;
+    /// `None` is every row. Keys and values always span the whole block.
+    pub keep: Option<&'m [u32]>,
+}
+
+impl AttnBlock<'_> {
+    /// Output rows this block produces.
+    pub fn queries(&self) -> usize {
+        self.keep.map_or(self.len, <[u32]>::len)
+    }
+}
+
+/// Computes one head's post-softmax probabilities into `p[..m * len]`, one
+/// row per query: `S = Q Kᵀ` through the blocked GEMM layer, then the row
+/// softmax of `s * scale + mask` in [`vmath`]'s three reads per row. `q`
+/// holds the `m` query rows — all `len` of the block when `keep` is `None`,
+/// else the rows at positions `keep`, whose mask rows they take. A row's
+/// bits depend on its own query and the block's keys only (one accumulator
+/// per score, k increasing; softmax is row-wise), never on which other
+/// rows were asked for. The single kernel behind the attention forward of
+/// both backends, the backward's recompute and `Tape::attn_probs`, so all
+/// of them agree bit for bit by construction.
+#[allow(clippy::too_many_arguments)] // two operands, their shape, and the block's mask and kept rows
 pub(crate) fn attn_probs_block(
     p: &mut [f32],
     q: View<'_>,
@@ -129,10 +161,21 @@ pub(crate) fn attn_probs_block(
     dh: usize,
     scale: f32,
     mask: Option<&[f32]>,
+    keep: Option<&[u32]>,
 ) {
-    p[..len * len].fill(0.0);
-    gemm_nt(p, len, 0, (len, len, dh), q, k);
-    vmath::softmax_rows_scaled(&mut p[..len * len], len, scale, mask);
+    let m = keep.map_or(len, <[u32]>::len);
+    let p = &mut p[..m * len];
+    p.fill(0.0);
+    gemm_nt(p, len, 0, (m, len, dh), q, k);
+    match keep {
+        None => vmath::softmax_rows_scaled(p, len, scale, mask),
+        Some(keep) => {
+            for (row, &pos) in p.chunks_exact_mut(len).zip(keep) {
+                let mask_row = mask.map(|m| &m[pos as usize * len..][..len]);
+                vmath::softmax_rows_scaled(row, len, scale, mask_row);
+            }
+        }
+    }
 }
 
 /// One head's Q, K and V `[len, dh]` windows of a packed `[rows, 3d]`
@@ -144,38 +187,58 @@ pub(crate) fn head_views(qkv: &[f32], d: usize, row0: usize, off: usize) -> [Vie
 
 /// Multi-head self-attention `softmax(Q Kᵀ · scale + mask) V` per head,
 /// heads concatenated, over a packed `[rows, 3d]` Q|K|V buffer into the
-/// zeroed `[rows, d]` `out`. `blocks` yields each packed sequence's length
-/// and optional additive `[len, len]` mask; tokens attend only within their
-/// block, and a block's arithmetic does not depend on what else is packed.
-/// `p_buf` is the probability scratch, grown to the longest block's square.
+/// zeroed `out`: `[rows, d]`, or fewer rows where a block names the query
+/// positions it wants ([`AttnBlock::keep`]) — those rows only, block after
+/// block, with the bits they have when every row is computed. Tokens
+/// attend only within their block, and a block's arithmetic does not depend
+/// on what else is packed. `scratch` holds the probabilities (and a
+/// pruned block's gathered query rows), grown to the largest block's need.
 pub(crate) fn attention_forward<'m>(
     qkv: &[f32],
     (rows, d, heads): (usize, usize, usize),
-    blocks: impl Iterator<Item = (usize, Option<&'m [f32]>)> + Clone,
+    blocks: impl Iterator<Item = AttnBlock<'m>> + Clone,
     out: &mut [f32],
-    p_buf: &mut Vec<f32>,
+    scratch: &mut Vec<f32>,
 ) {
     assert!(d % heads == 0, "hidden dim {d} not divisible by {heads} heads");
-    let (mut total, mut max_len) = (0usize, 0usize);
-    for (len, mask) in blocks.clone() {
-        assert!(len >= 1, "blocks cannot be empty");
-        assert!(mask.is_none_or(|m| m.len() == len * len), "per-sequence mask must be [len, len]");
-        total += len;
-        max_len = max_len.max(len);
+    let (mut total, mut out_rows, mut need) = (0usize, 0usize, 0usize);
+    for b in blocks.clone() {
+        assert!(b.len >= 1, "blocks cannot be empty");
+        assert!(
+            b.mask.is_none_or(|m| m.len() == b.len * b.len),
+            "per-sequence mask must be [len, len]"
+        );
+        let m = b.queries();
+        total += b.len;
+        out_rows += m;
+        need = need.max(m * b.len + b.keep.map_or(0, |_| m * d));
     }
     assert_eq!(total, rows, "block lengths must sum to the rows");
-    grow(p_buf, max_len * max_len);
+    assert_eq!(out.len(), out_rows * d, "attention output must be [queries, d]");
+    grow(scratch, need);
 
     let dh = d / heads;
     let scale = 1.0 / (dh as f32).sqrt();
-    let mut row0 = 0usize;
-    for (len, mask) in blocks {
+    let (mut row0, mut out0) = (0usize, 0usize);
+    for b in blocks {
+        let m = b.queries();
+        let (p_buf, q_kept) = scratch.split_at_mut(m * b.len);
+        if let Some(keep) = b.keep {
+            // The Q segment of each kept row, so the head loop reads its
+            // queries from consecutive rows like the full case does.
+            for (q_row, &pos) in q_kept.chunks_exact_mut(d).zip(keep) {
+                assert!((pos as usize) < b.len, "kept position {pos} out of range {}", b.len);
+                q_row.copy_from_slice(&qkv[(row0 + pos as usize) * 3 * d..][..d]);
+            }
+        }
         for h in 0..heads {
             let [q, k, v] = head_views(qkv, d, row0, h * dh);
-            attn_probs_block(p_buf, q, k, len, dh, scale, mask);
-            let p = View::at(p_buf, len, 0, 0);
-            gemm_nn(&mut out[row0 * d..], d, h * dh, (len, dh, len), p, v);
+            let q = if b.keep.is_some() { View::at(q_kept, d, 0, h * dh) } else { q };
+            attn_probs_block(p_buf, q, k, b.len, dh, scale, b.mask, b.keep);
+            let p = View::at(p_buf, b.len, 0, 0);
+            gemm_nn(&mut out[out0 * d..], d, h * dh, (m, dh, b.len), p, v);
         }
-        row0 += len;
+        row0 += b.len;
+        out0 += m;
     }
 }

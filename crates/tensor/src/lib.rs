@@ -48,6 +48,7 @@ pub mod tensor;
 pub mod vmath;
 
 pub use exec::{Executor, Slot};
+pub use forward::AttnBlock;
 pub use kernels::{gemm_threads, set_gemm_threads};
 pub use optim::{Adam, LrSchedule};
 pub use parallel::{accumulate_parallel, default_threads};

@@ -22,7 +22,7 @@
 
 use crate::forward::{
     add_bias_rows, attention_forward, attn_probs_block, concat_rows, dense_segment, gather_rows,
-    head_views, layer_norm_rows,
+    head_views, layer_norm_rows, AttnBlock,
 };
 use crate::kernels::{gemm_nn, gemm_nt, gemm_tn, View};
 use crate::params::{Gradients, ParamId, ParamStore};
@@ -406,8 +406,11 @@ impl<'s> Tape<'s> {
         let lens = resolve_blocks(rows, masks.len(), lens);
 
         let mut out = Tensor::zeros(rows, d);
-        let blocks =
-            lens.iter().zip(masks).map(|(&len, m)| (len, m.as_ref().map(|m| m.as_slice())));
+        let blocks = lens.iter().zip(masks).map(|(&len, m)| AttnBlock {
+            len,
+            mask: m.as_ref().map(|m| m.as_slice()),
+            keep: None,
+        });
         attention_forward(t.data(), (rows, d, heads), blocks, out.data_mut(), &mut Vec::new());
         self.push(out, Op::MhaBatchQkv { qkv, heads, lens, masks: masks.to_vec() })
     }
@@ -430,7 +433,7 @@ impl<'s> Tape<'s> {
         let mut probs = vec![0.0f32; heads * len * len];
         for (h, p) in probs.chunks_exact_mut(len * len).enumerate() {
             let [q, k, _] = head_views(t.data(), d, row0, h * dh);
-            attn_probs_block(p, q, k, len, dh, scale, mask);
+            attn_probs_block(p, q, k, len, dh, scale, mask, None);
         }
         Some((probs, *heads))
     }
@@ -705,7 +708,7 @@ impl<'s> Tape<'s> {
                             let [q, k, v] = head_views(t.data(), d, row0, off);
                             // Recomputed via the same kernel the forward
                             // used — bit-identical.
-                            attn_probs_block(&mut p_buf, q, k, len, dh, scale, mask);
+                            attn_probs_block(&mut p_buf, q, k, len, dh, scale, mask, None);
                             attn_head_backward(
                                 &p_buf,
                                 &mut dp_buf,
@@ -1142,6 +1145,55 @@ mod tests {
             assert_eq!(bp.0.len(), 2 * len * len);
             assert!(bp.0.iter().zip(&sp.0).all(|(x, y)| x.to_bits() == y.to_bits()));
             row0 += len;
+        }
+    }
+
+    #[test]
+    fn kept_query_rows_match_full_attention_rows_bitwise() {
+        // Attention asked for some query rows only must give those rows the
+        // bits they have when every row is computed. Lens 3/5/2 stay on the
+        // plain loops, 40/70/9 reach the packed kernel; the middle block is
+        // masked; per block keep = first row / scattered rows / all rows.
+        let mut rng = rng();
+        let store = ParamStore::new();
+        for (lens, d, heads) in [([3usize, 5, 2], 4usize, 2usize), ([40, 70, 9], 48, 2)] {
+            let rows: usize = lens.iter().sum();
+            let qkv = Tensor::randn(rows, 3 * d, 0.9, &mut rng);
+            let mut m = vec![0.0f32; lens[1] * lens[1]];
+            for i in (1..m.len()).step_by(4) {
+                m[i] = MASK_NEG;
+            }
+            let masks = [None, Some(m.as_slice()), None];
+            let mut tape = Tape::inference(&store);
+            let packed = tape.input(qkv.clone());
+            let arcs = masks.map(|m| m.map(|m| Arc::new(m.to_vec())));
+            let full = tape.mha_batch_qkv(packed, heads, &arcs, Some(&lens));
+            let full = tape.value(full);
+
+            // Out of order on purpose: output rows follow `keep`'s order.
+            let scattered = lens.map(|len| vec![len as u32 - 1, 0, len as u32 / 2]);
+            let all: Vec<u32> = (0..lens[2] as u32).collect();
+            let first = [0u32];
+            for keeps in [
+                [Some(&first[..]), Some(&scattered[1][..]), Some(&all[..])],
+                [Some(&scattered[0][..]), None, Some(&first[..])],
+                [None, Some(&first[..]), Some(&scattered[2][..])],
+            ] {
+                let blocks =
+                    (0..3).map(|b| AttnBlock { len: lens[b], mask: masks[b], keep: keeps[b] });
+                let want: Vec<u32> = (0..3)
+                    .flat_map(|b| {
+                        let row0: usize = lens[..b].iter().sum();
+                        let keep = keeps[b].map_or((0..lens[b] as u32).collect(), <[u32]>::to_vec);
+                        keep.into_iter().map(move |p| row0 + p as usize)
+                    })
+                    .flat_map(|r| full.row(r).iter().map(|v| v.to_bits()))
+                    .collect();
+                let mut out = vec![0.0f32; want.len()];
+                attention_forward(qkv.data(), (rows, d, heads), blocks, &mut out, &mut Vec::new());
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "lens {lens:?} keep {keeps:?}");
+            }
         }
     }
 

@@ -10,24 +10,29 @@
 //! LayerNorm, GELU, residual adds) is row-wise, so what a sequence's rows
 //! come out as does not depend on what else is packed with them.
 //!
-//! The loop is parameterised by two things only:
+//! The loop is parameterised by two things only (and told one fact about
+//! its caller: which top-layer rows will be read — `keep`, see
+//! [`Encoder::encode`] — so that the last block can stop at them):
 //!
 //! * *how a dense layer is applied* — [`Dense`]: f32 parameters
 //!   ([`Encoder`]) or their int8 twins (`QuantEncoder` in [`crate::quant`]);
 //! * *what executes the ops* — [`Ops`]: a recording [`Tape`]
 //!   (differentiable; [`Encoder::forward_batch`], and [`Encoder::forward`]
-//!   as the batch of one — what fine-tuning, MLM pre-training and
-//!   `column_embeddings` use, one table = one tape, gradient fan-out across
-//!   tapes via `doduo_tensor::accumulate_parallel`) or the tape-free
-//!   `doduo_tensor::Executor` that serving runs on ([`Encoder::encode`]
-//!   takes either).
+//!   as the batch of one — what fine-tuning and MLM pre-training use, one
+//!   table = one tape, gradient fan-out across tapes via
+//!   `doduo_tensor::accumulate_parallel`; always every row) or the
+//!   tape-free `doduo_tensor::Executor` that serving runs on
+//!   ([`Encoder::encode`] takes either).
 //!
 //! Batched ≡ sequential, serving ≡ training and executor ≡ tape therefore
 //! hold by construction: there is no second op sequence to drift from, and
-//! both backends call the same arithmetic.
+//! both backends call the same arithmetic. So does pruned ≡ unpruned: the
+//! top block's kept rows go through the same ops as everyone else's, only
+//! fewer of them (the argument is on `encode`, the proof
+//! `executor_matches_tape_bitwise` in `doduo-core`).
 
 use crate::config::EncoderConfig;
-use crate::ops::{Dense, Ops};
+use crate::ops::{kept_rows, Dense, Ops};
 use doduo_tensor::{AttnMask, NodeId, ParamId, ParamStore, Tape, MASK_NEG};
 use rand::Rng;
 use std::sync::Arc;
@@ -180,17 +185,29 @@ impl Encoder {
 
     /// The same packed forward on whichever backend `f` is — a [`Tape`] or
     /// the tape-free `doduo_tensor::Executor` serving uses — returning just
-    /// the `[sum(len_b), d]` top-layer activation (sequence `b`'s token `t`
-    /// at row `sum(len[..b]) + t`). Bit-identical across backends.
+    /// the top-layer activation. `keep` names, sequence by sequence, the
+    /// positions whose top-layer rows the caller will read (Doduo's heads
+    /// read the `[CLS]` rows only): the result holds exactly those rows,
+    /// sequence after sequence, and the last block computes nothing else.
+    /// `None` keeps a sequence whole; under [`all_rows`] the result is the
+    /// `[sum(len_b), d]` activation with sequence `b`'s token `t` at row
+    /// `sum(len[..b]) + t`. A kept row's bits do not depend on what else
+    /// was kept, nor on the backend.
     pub fn encode<'a, F: Ops, R: Rng + ?Sized>(
         &self,
         f: &mut F,
         seqs: impl Iterator<Item = BatchSeq<'a>> + Clone,
+        keep: impl Iterator<Item = Option<&'a [u32]>> + Clone,
         rng: &mut R,
     ) -> F::Node {
         let blocks = self.layers.iter().map(LayerParams::block);
-        encode(f, &self.cfg, &self.emb, blocks, seqs, rng, |_| {})
+        encode(f, &self.cfg, &self.emb, blocks, seqs, keep, rng, |_| {})
     }
+}
+
+/// The `keep` of a caller that reads every top-layer row of every sequence.
+pub fn all_rows<'a>() -> impl Iterator<Item = Option<&'a [u32]>> + Clone {
+    std::iter::repeat(None)
 }
 
 /// The one forward definition: embeds `seqs` packed back to back and runs
@@ -199,12 +216,24 @@ impl Encoder {
 /// no-op that draws nothing from `rng` otherwise). Each layer's attention
 /// node is shown to `on_attention` before it is consumed (a tape's caller
 /// keeps the ids; the executor's has nothing to keep).
+///
+/// `keep` is what the caller will read of the result (see
+/// [`Encoder::encode`]). Blocks below the top run every row — the block
+/// above needs each token's K and V. The top block still projects Q|K|V for
+/// every token, but computes attention for the kept query rows only, takes
+/// the residual input at those rows, and runs everything after on them. All
+/// of that is row-wise, and a GEMM element is one accumulator over
+/// increasing k whatever rows surround it, so a kept row comes out with the
+/// bits the full-width block gives it. When nothing is dropped the top block
+/// is a block like the others: same ops, same recorded nodes.
+#[allow(clippy::too_many_arguments)] // the loop's backend, weights, inputs and the two things a caller may ask of it
 pub(crate) fn encode<'a, 'q, F: Ops, R: Rng + ?Sized>(
     f: &mut F,
     cfg: &EncoderConfig,
     emb: &Embeddings,
     blocks: impl Iterator<Item = Block<'q>>,
     seqs: impl Iterator<Item = BatchSeq<'a>> + Clone,
+    keep: impl Iterator<Item = Option<&'a [u32]>> + Clone,
     rng: &mut R,
     mut on_attention: impl FnMut(&F::Node),
 ) -> F::Node {
@@ -216,6 +245,7 @@ pub(crate) fn encode<'a, 'q, F: Ops, R: Rng + ?Sized>(
         total += len;
     }
     assert!(total > 0, "cannot encode an empty batch");
+    let drops_rows = seqs.clone().zip(keep.clone()).any(|(_, k)| k.is_some());
 
     let p = cfg.dropout;
     let tok = f.embedding(emb.tok, total, seqs.clone().flat_map(|s| s.ids.iter().copied()));
@@ -224,10 +254,17 @@ pub(crate) fn encode<'a, 'q, F: Ops, R: Rng + ?Sized>(
     let normed = f.layer_norm(sum, emb.ln_g, emb.ln_b);
     let mut x = f.dropout(normed, p, rng);
 
-    for block in blocks {
+    for (l, block) in blocks.enumerate() {
+        let top = l + 1 == cfg.layers;
+        let kept = keep.clone().map(move |k| k.filter(|_| top));
         let qkv = f.dense(&x, block.qkv);
-        let att = f.attention(qkv, cfg.heads, seqs.clone());
+        let att = f.attention(qkv, cfg.heads, seqs.clone(), kept.clone());
         on_attention(&att);
+        if top && drops_rows {
+            let rows = kept_rows(seqs.clone(), kept);
+            let x_kept = f.row_select(&x, rows.clone().count(), rows);
+            f.free(std::mem::replace(&mut x, x_kept));
+        }
         let proj = f.dense(&att, block.wo);
         f.free(att);
         let proj = f.dropout(proj, p, rng);
@@ -245,8 +282,8 @@ pub(crate) fn encode<'a, 'q, F: Ops, R: Rng + ?Sized>(
     x
 }
 
-/// [`encode`] on a tape, keeping what only a tape can give back: each
-/// layer's attention node and the packed sequences' row offsets.
+/// [`encode`] of every row on a tape, keeping what only a tape can give
+/// back: each layer's attention node and the packed sequences' row offsets.
 pub(crate) fn encode_on_tape<'q, R: Rng + ?Sized>(
     tape: &mut Tape<'_>,
     cfg: &EncoderConfig,
@@ -256,7 +293,8 @@ pub(crate) fn encode_on_tape<'q, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> BatchEncoding {
     let mut attn = Vec::with_capacity(cfg.layers);
-    let node = encode(tape, cfg, emb, blocks, seqs.iter().copied(), rng, |&att| attn.push(att));
+    let seq_iter = seqs.iter().copied();
+    let node = encode(tape, cfg, emb, blocks, seq_iter, all_rows(), rng, |&att| attn.push(att));
     let mut offsets = Vec::with_capacity(seqs.len());
     let mut row = 0usize;
     for seq in seqs {

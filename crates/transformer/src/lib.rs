@@ -28,7 +28,7 @@ pub mod ops;
 pub mod quant;
 
 pub use config::EncoderConfig;
-pub use encoder::{mask_from_fn, BatchEncoding, BatchSeq, Encoder};
+pub use encoder::{all_rows, mask_from_fn, BatchEncoding, BatchSeq, Encoder};
 pub use mlm::{
     mask_tokens, mlm_eval_loss, pretrain_mlm, pseudo_perplexity, MaskedExample, MlmConfig, MlmHead,
 };

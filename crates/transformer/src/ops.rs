@@ -12,6 +12,12 @@
 //!   buffers, a consumed input's buffer goes straight back to the pool, and
 //!   nothing is recorded. Serving uses it.
 //!
+//! Attention is the one op that can be asked for less than its input's rows
+//! ([`Ops::attention`]'s `keep`): the executor then computes the named query
+//! rows only, the tape its full attention node followed by a `row_select` of
+//! them — no new tape op, still differentiable, and by construction the
+//! full-width reference the executor's result is compared with.
+//!
 //! [`Ops::Node`] is deliberately not required to be `Copy`: an op that
 //! takes a node by value consumes it, and generic code can neither reuse
 //! it nor forget to hand it on — which is what lets the executor recycle a
@@ -19,7 +25,7 @@
 //! indices that stay valid; it simply ignores the protocol.)
 
 use crate::encoder::BatchSeq;
-use doduo_tensor::{AttnMask, Executor, NodeId, ParamId, QuantizedLinear, Slot, Tape};
+use doduo_tensor::{AttnBlock, AttnMask, Executor, NodeId, ParamId, QuantizedLinear, Slot, Tape};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -75,12 +81,17 @@ pub trait Ops {
 
     /// Multi-head self-attention over a fused `[rows, 3d]` Q|K|V node whose
     /// rows pack `seqs` back to back: block-diagonal, each sequence
-    /// optionally restricted by its visibility mask.
+    /// optionally restricted by its visibility mask. `keep` says, sequence
+    /// by sequence, which of its positions' output rows the caller will
+    /// read (`None`: all of them), in the order it will read them; the
+    /// result is those rows only, sequence after sequence, each with the
+    /// bits it has when nothing is skipped.
     fn attention<'a>(
         &mut self,
         qkv: Self::Node,
         heads: usize,
         seqs: impl Iterator<Item = BatchSeq<'a>> + Clone,
+        keep: impl Iterator<Item = Option<&'a [u32]>> + Clone,
     ) -> Self::Node;
 
     /// GELU activation.
@@ -104,6 +115,28 @@ pub trait Ops {
     /// Declares that nothing will read `x` again (the ops that take a node
     /// by reference leave that to the caller).
     fn free(&mut self, x: Self::Node);
+}
+
+/// The rows of a packed activation that survive `keep`: for each sequence of
+/// `seqs` its kept positions — every position under `None` — offset by where
+/// the sequence starts. Borrowed, lazy and `Clone`: the executor walks it
+/// without allocating.
+pub(crate) fn kept_rows<'a, S, K>(
+    seqs: S,
+    keep: K,
+) -> impl Iterator<Item = u32> + Clone + use<'a, S, K>
+where
+    S: Iterator<Item = BatchSeq<'a>> + Clone,
+    K: Iterator<Item = Option<&'a [u32]>> + Clone,
+{
+    seqs.zip(keep)
+        .scan(0u32, |row0, (seq, keep)| {
+            let (first, len) = (*row0, seq.ids.len() as u32);
+            *row0 += len;
+            let n = keep.map_or(len, |k| k.len() as u32);
+            Some((0..n).map(move |i| first + keep.map_or(i, |k| k[i as usize])))
+        })
+        .flatten()
 }
 
 impl Ops for Tape<'_> {
@@ -145,15 +178,25 @@ impl Ops for Tape<'_> {
         }
     }
 
+    /// The full attention node, then — only if some sequence keeps fewer
+    /// than all its rows — a `row_select` of the kept ones: differentiable
+    /// with no new backward, and the reference the executor's skipped rows
+    /// are held against.
     fn attention<'a>(
         &mut self,
         qkv: NodeId,
         heads: usize,
         seqs: impl Iterator<Item = BatchSeq<'a>> + Clone,
+        keep: impl Iterator<Item = Option<&'a [u32]>> + Clone,
     ) -> NodeId {
         let lens: Vec<usize> = seqs.clone().map(|s| s.ids.len()).collect();
-        let masks: Vec<Option<AttnMask>> = seqs.map(|s| s.mask.map(Arc::clone)).collect();
-        self.mha_batch_qkv(qkv, heads, &masks, Some(&lens))
+        let masks: Vec<Option<AttnMask>> = seqs.clone().map(|s| s.mask.map(Arc::clone)).collect();
+        let att = self.mha_batch_qkv(qkv, heads, &masks, Some(&lens));
+        if keep.clone().take(lens.len()).all(|k| k.is_none()) {
+            return att;
+        }
+        let rows: Vec<u32> = kept_rows(seqs, keep).collect();
+        Tape::row_select(self, att, &rows)
     }
 
     fn gelu(&mut self, x: NodeId) -> NodeId {
@@ -209,8 +252,13 @@ impl Ops for Executor<'_> {
         qkv: Slot,
         heads: usize,
         seqs: impl Iterator<Item = BatchSeq<'a>> + Clone,
+        keep: impl Iterator<Item = Option<&'a [u32]>> + Clone,
     ) -> Slot {
-        let blocks = seqs.map(|s| (s.ids.len(), s.mask.map(|m| m.as_slice())));
+        let blocks = seqs.zip(keep).map(|(s, keep)| AttnBlock {
+            len: s.ids.len(),
+            mask: s.mask.map(|m| m.as_slice()),
+            keep,
+        });
         Executor::attention(self, qkv, heads, blocks)
     }
 

@@ -13,6 +13,11 @@
 //! scales are per output channel, fusing Q/K/V into one kernel call is
 //! numerically identical to three separate quantized projections.
 //!
+//! The top block stops at the rows its caller keeps exactly as the f32
+//! encoder's does ([`QuantEncoder::encode`]'s `keep`): an int8 layer
+//! quantizes its input row by row, so a kept row's codes, scale and output
+//! are what they are at full width.
+//!
 //! Inference only: a tape records no gradient path through the injected
 //! nodes. The numerics contract is the accuracy-gated tier of the two-tier
 //! policy described in `doduo_tensor::quant` — not bit-equal to f32, but
@@ -101,16 +106,18 @@ impl QuantEncoder {
     }
 
     /// [`Encoder::encode`] with int8 dense layers, on whichever
-    /// (inference) backend `f` is.
+    /// (inference) backend `f` is. Activations are quantized row by row,
+    /// so the rows `keep` names come out as they do at full width here too.
     pub fn encode<'a, F: Ops>(
         &self,
         f: &mut F,
         seqs: impl Iterator<Item = BatchSeq<'a>> + Clone,
+        keep: impl Iterator<Item = Option<&'a [u32]>> + Clone,
     ) -> F::Node {
         assert!(!f.is_training(), "the int8 tier is inference-only");
         let mut rng = StdRng::seed_from_u64(0);
         let blocks = self.layers.iter().map(QuantLayer::block);
-        encode(f, &self.cfg, &self.emb, blocks, seqs, &mut rng, |_| {})
+        encode(f, &self.cfg, &self.emb, blocks, seqs, keep, &mut rng, |_| {})
     }
 }
 
