@@ -11,7 +11,7 @@ use doduo_datagen::{
 };
 use doduo_eval::kmeans;
 use doduo_table::{serialize_table, SerializeConfig};
-use doduo_tensor::{kernels, matmul, Executor, ParamStore, Tape, Tensor};
+use doduo_tensor::{kernels, matmul, AttnBlock, Executor, ParamStore, Tape, Tensor};
 use doduo_tokenizer::{TrainConfig, WordPiece};
 use doduo_transformer::{all_rows, BatchSeq, Encoder, EncoderConfig};
 use rand::rngs::StdRng;
@@ -43,6 +43,9 @@ fn bench_matmul(c: &mut Criterion) {
 /// sequence (where the constant packing is a quarter of the call), 166
 /// `bulk_wide`'s (where it is amortised over the rows).
 fn bench_dense_b_source(c: &mut Criterion) {
+    // Every f32 cell of this file runs on this tier (`kernels::Tier`): the
+    // micro-kernel, and the lane width of GELU.
+    println!("f32 vector tier dispatched on this host: {}", kernels::Tier::detect().name());
     let mut rng = StdRng::seed_from_u64(2);
     let w = Tensor::randn(96, 384, 1.0, &mut rng);
     let panel = kernels::PackedB::pack(&w);
@@ -96,6 +99,63 @@ fn bench_encoder_top_block(c: &mut Criterion) {
                 let out = enc.encode(&mut ex, seq.clone(), keep, &mut rng);
                 black_box(ex.value(&out));
             })
+        });
+    }
+}
+
+/// The non-GEMM ops of one `mini` encoder block on the serving executor, at
+/// `bulk_narrow`'s 19 and `bulk_wide`'s 166 rows: GELU over the FFN's
+/// `[166, 384]` activation, LayerNorm over `[rows, 96]`, and four-head
+/// attention over a `[166, 288]` Q|K|V — every query row (`full`) and the
+/// top block's five `[CLS]` rows only (`kept5`). Each input is an embedding
+/// gather made in the untimed setup, since the ops consume their operand.
+fn bench_executor_ops(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut store = ParamStore::new();
+    let act = store.add_randn("act", 166, 384, 1.0, &mut rng);
+    let hid = store.add_randn("hid", 166, 96, 1.0, &mut rng);
+    let qkv = store.add_randn("qkv", 166, 288, 0.3, &mut rng);
+    let gamma = store.add_randn("gamma", 1, 96, 1.0, &mut rng);
+    let beta = store.add_randn("beta", 1, 96, 1.0, &mut rng);
+    let input = |param, rows: usize| {
+        let mut ex = Executor::new(&store);
+        let x = ex.embedding(param, rows, 0..rows as u32);
+        (ex, x)
+    };
+    c.bench_function("gelu_166x384", |bench| {
+        bench.iter_batched(
+            || input(act, 166),
+            |(mut ex, x)| {
+                let y = ex.gelu(x);
+                black_box(ex.value(&y));
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    for rows in [19usize, 166] {
+        c.bench_function(&format!("layer_norm_{rows}x96"), |bench| {
+            bench.iter_batched(
+                || input(hid, rows),
+                |(mut ex, x)| {
+                    let y = ex.layer_norm(x, gamma, beta);
+                    black_box(ex.value(&y));
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    let cls: Vec<u32> = (0..5).map(|col| col * 166 / 5).collect();
+    for (name, keep) in [("full", None), ("kept5", Some(cls.as_slice()))] {
+        c.bench_function(&format!("attention_166_h4_{name}"), |bench| {
+            bench.iter_batched(
+                || input(qkv, 166),
+                |(mut ex, x)| {
+                    let block = AttnBlock { len: 166, mask: None, keep };
+                    let y = ex.attention(x, 4, std::iter::once(block));
+                    black_box(ex.value(&y));
+                },
+                BatchSize::SmallInput,
+            )
         });
     }
 }
@@ -165,6 +225,7 @@ criterion_group!(
     bench_matmul,
     bench_dense_b_source,
     bench_encoder_top_block,
+    bench_executor_ops,
     bench_mha,
     bench_tokenize_and_serialize,
     bench_sherlock_features,

@@ -136,16 +136,23 @@ impl HostMeta {
     }
 }
 
+/// The SIMD features a kernel tier dispatches on, in report order: `avx2`
+/// (the f32 AVX2 tier and the int8 AVX2 kernel), `fma` (never used — the
+/// bit-identity contract — but it tells hosts apart), `avx512f` (the f32
+/// AVX-512 tier, `doduo_tensor::kernels::Tier`) and `avx512vnni` (the int8
+/// VNNI kernel).
 fn detect_target_features() -> String {
     let mut features: Vec<&str> = Vec::new();
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            features.push("avx2");
+        macro_rules! probe {
+            ($($feature:tt),*) => {$(
+                if std::arch::is_x86_feature_detected!($feature) {
+                    features.push($feature);
+                }
+            )*};
         }
-        if std::arch::is_x86_feature_detected!("fma") {
-            features.push("fma");
-        }
+        probe!("avx2", "fma", "avx512f", "avx512vnni");
     }
     if features.is_empty() {
         "none".to_string()
@@ -228,5 +235,23 @@ mod tests {
         assert!(h.json_line().starts_with("  \"host\": {"));
         assert!(h.json_line().ends_with("},\n"));
         assert_eq!(HostMeta::detect(Scale::Full).scale, "full");
+    }
+
+    #[test]
+    fn target_features_name_the_tiers_that_dispatch() {
+        use doduo_tensor::kernels::Tier;
+        let reported = detect_target_features();
+        let has = |f: &str| reported.split(',').any(|r| r == f);
+        // What the f32 stack runs on must be readable off the artifact.
+        assert_eq!(has("avx2"), Tier::detect() >= Tier::Avx2, "{reported}");
+        if Tier::detect() == Tier::Avx512 {
+            assert!(has("avx512f"), "{reported}");
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            assert_eq!(has("avx512f"), std::arch::is_x86_feature_detected!("avx512f"));
+            assert_eq!(has("avx512vnni"), std::arch::is_x86_feature_detected!("avx512vnni"));
+        }
+        assert!(!reported.is_empty() && !reported.contains(' '), "a bare list: {reported:?}");
     }
 }

@@ -3,9 +3,10 @@
 //! Every forward and backward pass in this reproduction bottoms out in one
 //! of three matmul variants (`C += A B`, `C += A Bᵀ`, `C += Aᵀ B`). This
 //! module implements them BLIS-style: operands are laid out as
-//! cache-resident panels ([`KC`]×[`NC`] for B, [`MC`]×[`KC`] for A), and a
-//! register micro-kernel computes an output tile of up to [`MR`]×[`NR`] per
-//! iteration of the packed k loop — instantiated for every row count
+//! cache-resident panels ([`KC`]×[`NC`] for B, [`MC`]×[`KC`] for A on the
+//! tiers that pack it), and a register micro-kernel computes an output tile
+//! of up to [`MR`]×[`NR`] per iteration of the packed k loop — instantiated
+//! for every row count
 //! `1..=MR`, so the last row panel of a product multiplies its real rows
 //! only (19 rows are three full tiles and a 1-row one, not four full ones
 //! with five rows of zeros).
@@ -33,6 +34,37 @@
 //! cost more than the product; and a matrix that only ever sees so few rows
 //! is not worth the memory of a panel either).
 //!
+//! # Vector tiers
+//!
+//! The micro-kernel exists on three [`Tier`]s, chosen by what the CPU
+//! reports and nothing else ([`Tier::detect`]; no flag, feature or variable):
+//!
+//! * **portable** and **AVX2** are one Rust body (`accumulate_tile`) that
+//!   LLVM vectorises over the `NR` lanes, compiled for the baseline target
+//!   and again under `#[target_feature(enable = "avx2")]` (12 ymm
+//!   accumulators). They read A from panels `pack_a` lays out.
+//! * **AVX-512** (F + VL + DQ + BW) is written with `std::arch` intrinsics:
+//!   a row of `NR` = 16 floats is one zmm register, so the tile is one
+//!   accumulator per row, each k step a broadcast, `vmulps`, `vaddps`. It is
+//!   *not* the shared body compiled a third time — under `avx512f` LLVM
+//!   vectorises that body across rows with gathers and scatters and the
+//!   fused QKV product at 166 rows goes from 222 to 3,271 µs. Its A operand
+//!   is an [`ATile`] — a slice, a row stride and a k stride — so it reads a
+//!   row-major or a transposed operand where it lies and `pack_a` is not
+//!   called at all: the A side of the thread's scratch stays empty on this
+//!   tier. (Attention's `P·V` re-laid-out the `[len, len]` probabilities
+//!   once per head: 41 of its 152 µs at 166 tokens.) Under the no-FMA
+//!   contract AVX2 issues `mul` + `add` over three 256-bit ports and AVX-512
+//!   over two 512-bit ones — 4/3 the lanes per cycle, measured 1.24–1.37x on
+//!   the tile; 12×32 and 8×48 tiles add at most 0.08x more, not worth a
+//!   second panel layout.
+//!
+//! `MR`, `NR`, `KC`, `NC`, `pack_b`, [`PackedB`] and the loop nest are the
+//! same on every tier; a tier changes only how one tile's rank-1 updates
+//! are issued, never their order. Each tier stays callable by name
+//! ([`microkernel_on`], [`matmul_blocked_on`]) so the property tests hold
+//! every tier of the host to the naive loops, not only the dispatched one.
+//!
 //! # Numerics policy: bit-identical
 //!
 //! The micro-kernel keeps exactly **one accumulator per output element**
@@ -40,10 +72,12 @@
 //! operation sequence as the naive loops (Rust/LLVM never reassociates
 //! float additions without fast-math). k-blocking preserves this by
 //! loading the partial output tile into registers at the start of each
-//! [`KC`] block instead of summing blocks separately, and row-stripe
+//! [`KC`] block instead of summing blocks separately, row-stripe
 //! threading trivially preserves it because threads own disjoint output
-//! elements. Consequently `blocked == naive` **bitwise**, at every thread
-//! count — the serving equivalence tests keep their byte-identical
+//! elements, and every tier multiplies and adds in two separately rounded
+//! steps (no FMA anywhere: fusing rounds once instead of twice).
+//! Consequently `blocked == naive` **bitwise**, on every tier and at every
+//! thread count — the serving equivalence tests keep their byte-identical
 //! contract, and the property tests in `tests/gemm_props.rs` assert exact
 //! bit equality rather than a tolerance.
 //!
@@ -53,20 +87,22 @@
 //! table level (`accumulate_parallel`) and serving at the micro-batch
 //! level (`BatchAnnotator`: the calling thread plus `threads − 1` scoped
 //! workers), so the cores are usually owned by an outer loop already —
-//! and a thread that keeps calling keeps its packing panels warm. [`set_gemm_threads`] is the explicit lever for
-//! single-stream workloads (e.g. latency-sensitive serving of one big
-//! table); the row stripes are then cut so every thread gets at least
+//! and a thread that keeps calling keeps its packing panels warm.
+//! [`set_gemm_threads`] is the explicit lever for single-stream workloads
+//! (e.g. latency-sensitive serving of one big table); the row stripes are then cut so every thread gets at least
 //! [`MIN_FLOPS_PER_THREAD`] of work, so small matmuls never pay a spawn.
 
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Rows of the micro-kernel register tile.
 pub const MR: usize = 6;
 /// Columns of the micro-kernel register tile: two AVX vectors, so the
 /// `MR`×`NR` accumulator occupies 12 of the 16 ymm registers on the AVX2
-/// fast path (leaving room for the B panel loads and the A broadcast).
+/// tier (leaving room for the B panel loads and the A broadcast), and one
+/// AVX-512 vector, so it is 6 of the 32 zmm registers there.
 pub const NR: usize = 16;
 /// k-dimension cache block: packed panels span at most `KC` of k, sized so
 /// an `NR`×`KC` B sliver stays L1-resident.
@@ -87,9 +123,17 @@ pub const MIN_FLOPS_PER_THREAD: usize = 1 << 20;
 /// touches O(mn + mk + kn) memory, which only pays off once the O(mnk)
 /// kernel work dwarfs it. Sized by timing [`gemm_small`] against the packed
 /// kernel with warm thread-local panels on attention's per-head shapes
-/// (`len`×`len`×24 and `len`×24×`len`): the packed kernel wins `A Bᵀ` from
-/// about 800 FLOPs up and the other two layouts from about 4,500, and in
-/// between neither is ahead by more than ~0.1 µs a call.
+/// (`len`×`len`×24 and `len`×24×`len`): on the AVX2 tier the packed kernel
+/// wins `A Bᵀ` from about 800 FLOPs up and the other two layouts from about
+/// 4,500, and in between neither is ahead by more than ~0.1 µs a call.
+///
+/// Re-timed on the AVX-512 tier, where A is not packed: `A Bᵀ` still crosses
+/// at about 800 FLOPs (len 4: plain 0.19 vs packed 0.14 µs; len 3: 0.10 vs
+/// 0.14) and the other two layouts now at about 1,500 (len 5: 0.11 vs 0.11;
+/// len 6: 0.14 vs 0.12; len 8: 0.23 vs 0.23; len 10: 0.38 vs 0.26). The
+/// crossover of those two moved down, but 2^11 sits between the two
+/// crossovers on either tier and what a different cut would recover is
+/// ≤ 0.2 µs a call on 5- and 6-token sequences — one value serves all tiers.
 const BLOCKED_MIN_FLOPS: usize = 1 << 11;
 
 /// Row count up to which a product against an untransposed B stays on the
@@ -98,12 +142,15 @@ const BLOCKED_MIN_FLOPS: usize = 1 << 11;
 /// [`gemm_small`]'s vector multiply-adds cost. (Warm timing, `m`×96×96 /
 /// `m`×96×384 / `m`×384×96, plain vs. packed per call: 2 rows 2.2 vs 3.1 /
 /// 9.8 vs 12.8 / 9.0 vs 12.3 µs; 3 rows 3.3 vs 3.3 / 14.6 vs 13.4 / 14.4
-/// vs 13.1 µs.)
+/// vs 13.1 µs. Re-timed on the AVX-512 tier, the crossover did not move:
+/// 2 rows 1.8 vs 2.1 / 8.1 vs 12.2 / 8.7 vs 9.4; 3 rows 2.7 vs 2.3 / 12.1
+/// vs 12.2 / 11.6 vs 11.5; 4 rows 3.6 vs 2.4 / 16.1 vs 12.8 / 15.5 vs 12.3.)
 ///
 /// When B is a borrowed [`PackedB`] the reason is memory. Nothing is packed
 /// but `m` rows of A and the edge tile multiplies exactly `m` rows, so the
 /// packed kernel is ahead from one row up (1 row 0.8 vs 1.0 / 3.9 vs 6.6 /
-/// 2.5 vs 4.4 µs; 3 rows 1.2 vs 3.3 / 5.0 vs 14.6 / 4.6 vs 14.4 µs) — but
+/// 2.5 vs 4.4 µs; 3 rows 1.2 vs 3.3 / 5.0 vs 14.6 / 4.6 vs 14.4 µs; on the
+/// AVX-512 tier 1 row 0.6 vs 0.9 / 2.3 vs 4.0 / 2.8 vs 4.2) — but
 /// at one or two rows that is about a microsecond a call, and asking for
 /// the panel builds it: the classification heads of a two-column table
 /// would pin 0.2 MB of panels (a fortieth of the serving process) to save
@@ -409,15 +456,13 @@ fn tile<const M: usize>(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: u
     }
 }
 
-/// Computes one `mr`×`nr` output tile (`1 ≤ mr ≤ MR`, `1 ≤ nr ≤ NR`):
-/// loads the current C tile into the register accumulator, adds `kc`
-/// rank-1 updates from the packed panels, and stores it back. `c` starts at
-/// the tile's `(0, 0)` and has row stride `ldc`. Compiled for the baseline
-/// target; [`microkernel`] is what the driver calls. Public so the property
-/// tests can hold this instantiation to the naive loops on hosts whose
-/// dispatch never reaches it.
+/// The `mr`×`nr` tile (`1 ≤ mr ≤ MR`, `1 ≤ nr ≤ NR`) of the two
+/// autovectorised tiers: loads the current C tile into the register
+/// accumulator, adds `kc` rank-1 updates from the packed panels, and stores
+/// it back. `c` starts at the tile's `(0, 0)` and has row stride `ldc`.
+/// Compiled here for the baseline target — [`Tier::Portable`].
 #[inline(always)]
-pub fn microkernel_portable(
+fn microkernel_portable(
     kc: usize,
     ap: &[f32],
     bp: &[f32],
@@ -438,7 +483,7 @@ pub fn microkernel_portable(
     }
 }
 
-/// AVX2 instantiation of [`microkernel_portable`]: same Rust code compiled
+/// [`Tier::Avx2`]: the same Rust code as [`microkernel_portable`] compiled
 /// with 256-bit vectors (the full register tile is 12 ymm accumulators).
 /// Only `vmulps`/`vaddps` are emitted — `#[target_feature]` alone never
 /// introduces FMA contraction — so results stay bit-identical to the
@@ -457,42 +502,232 @@ fn microkernel_avx2(
     microkernel_portable(kc, ap, bp, c, ldc, mr, nr);
 }
 
-/// True once per process if the host has AVX2 (the fast micro-kernel's
-/// requirement; detection result is cached by the stdlib).
+/// One `M`×`nr` tile of [`Tier::Avx512`], in `std::arch` intrinsics: one zmm
+/// accumulator per tile row (a row of `NR` = 16 floats is exactly one
+/// register, and a row of a B panel one load), each k step a broadcast of
+/// `A[i, p]`, `_mm512_mul_ps`, then `_mm512_add_ps` — two separately rounded
+/// operations, never `fmadd`, k increasing: the operation sequence of
+/// [`accumulate_tile`] and the naive loops, element for element. `M` is
+/// exact by const generic; a narrow tile (`nr < NR`) loads and stores C
+/// under a k-mask instead of staging it through the stack (B's panels are
+/// zero-padded, and what the masked-off lanes compute is never stored).
+///
+/// A is read where it lies: element `(i, p)` is `a.data[i * a.rs + p * a.ks]`.
+///
+/// Hand-written because the shared Rust body does not survive this target:
+/// under `#[target_feature(enable = "avx512f")]` LLVM vectorises
+/// `accumulate_tile` *across rows*, with `vgatherqps`/`vscatterqps`, and the
+/// fused QKV product at 166 rows goes from 222 to 3,271 µs.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn tile_avx512<const M: usize>(
+    kc: usize,
+    a: ATile<'_>,
+    bp: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    nr: usize,
+) {
+    use std::arch::x86_64::*;
+    const { assert!(M >= 1 && M <= MR && NR == 16) };
+    assert!((1..=NR).contains(&nr), "micro-kernel tile width {nr}");
+    // Every address the loops below form, checked (without wrapping) before
+    // the first read: `kc` rows of B, the last element of A the strides
+    // reach, and `nr` floats of each of the `M` rows of C.
+    let at = |i: usize, rs: usize, p: usize, ks: usize| {
+        i.checked_mul(rs).and_then(|r| p.checked_mul(ks).and_then(|k| r.checked_add(k)))
+    };
+    assert!(kc.checked_mul(NR).is_some_and(|n| n <= bp.len()), "B panel shorter than kc rows");
+    assert!(
+        kc == 0 || at(M - 1, a.rs, kc - 1, a.ks).is_some_and(|last| last < a.data.len()),
+        "A tile out of bounds"
+    );
+    assert!(at(M - 1, ldc, nr, 1).is_some_and(|end| end <= c.len()), "C tile out of bounds");
+    let mask: __mmask16 = (u32::MAX >> (32 - nr)) as u16;
+    let (ap, bp, cp) = (a.data.as_ptr(), bp.as_ptr(), c.as_mut_ptr());
+    let mut acc = [_mm512_setzero_ps(); M];
+    for (i, row) in acc.iter_mut().enumerate() {
+        // SAFETY: lanes `..nr` of row `i` lie inside `c` (asserted above);
+        // a masked load does not touch the lanes its mask clears.
+        *row = unsafe { _mm512_maskz_loadu_ps(mask, cp.add(i * ldc)) };
+    }
+    for p in 0..kc {
+        // SAFETY: `p < kc` and `bp` holds `kc * NR` floats (asserted above).
+        let b = unsafe { _mm512_loadu_ps(bp.add(p * NR)) };
+        for (i, row) in acc.iter_mut().enumerate() {
+            // SAFETY: `i ≤ M − 1` and `p ≤ kc − 1`, so the offset is at most
+            // the one asserted to be inside `a.data`.
+            let a_ip = _mm512_set1_ps(unsafe { *ap.add(i * a.rs + p * a.ks) });
+            *row = _mm512_add_ps(*row, _mm512_mul_ps(a_ip, b));
+        }
+    }
+    for (i, row) in acc.iter().enumerate() {
+        // SAFETY: as for the load — only lanes `..nr` of row `i` are written.
+        unsafe { _mm512_mask_storeu_ps(cp.add(i * ldc), mask, *row) };
+    }
+}
+
+/// [`tile_avx512`] at the run-time row count.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn microkernel_avx512(
+    kc: usize,
+    a: ATile<'_>,
+    bp: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+) {
+    match mr {
+        1 => tile_avx512::<1>(kc, a, bp, c, ldc, nr),
+        2 => tile_avx512::<2>(kc, a, bp, c, ldc, nr),
+        3 => tile_avx512::<3>(kc, a, bp, c, ldc, nr),
+        4 => tile_avx512::<4>(kc, a, bp, c, ldc, nr),
+        5 => tile_avx512::<5>(kc, a, bp, c, ldc, nr),
+        6 => tile_avx512::<6>(kc, a, bp, c, ldc, nr),
+        _ => panic!("micro-kernel tile height {mr}"),
+    }
+}
+
+/// The vector tiers of the f32 stack, lowest first. Which one runs is a fact
+/// of the CPU ([`Tier::detect`]), never of a flag: every tier computes the
+/// same bits, so there is nothing to choose but speed. The module docs say
+/// what differs between them; [`crate::vmath`] instantiates its kernels per
+/// tier too.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Tier {
+    /// Baseline target features only.
+    Portable,
+    /// AVX2.
+    Avx2,
+    /// AVX-512 F + VL + DQ + BW (and AVX2 below it).
+    Avx512,
+}
+
+impl Tier {
+    /// The widest tier this CPU has — what every dispatching entry point
+    /// runs on. Detected once per process.
+    pub fn detect() -> Tier {
+        static TIER: OnceLock<Tier> = OnceLock::new();
+        *TIER.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                use std::arch::is_x86_feature_detected as has;
+                if has!("avx2") {
+                    let avx512 =
+                        has!("avx512f") && has!("avx512vl") && has!("avx512dq") && has!("avx512bw");
+                    return if avx512 { Tier::Avx512 } else { Tier::Avx2 };
+                }
+            }
+            Tier::Portable
+        })
+    }
+
+    /// Every tier this CPU can run — [`Tier::detect`] and all below it —
+    /// lowest first: what a test iterates to reach the instantiations
+    /// dispatch never picks on its host.
+    pub fn host() -> &'static [Tier] {
+        static ALL: [Tier; 3] = [Tier::Portable, Tier::Avx2, Tier::Avx512];
+        &ALL[..=Tier::detect() as usize]
+    }
+
+    /// `portable`, `avx2` or `avx512`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Tier::Portable => "portable",
+            Tier::Avx2 => "avx2",
+            Tier::Avx512 => "avx512",
+        }
+    }
+
+    /// Whether this tier's tile reads A through strides (an [`ATile`] of any
+    /// shape) rather than from a packed panel only.
+    pub fn reads_a_in_place(self) -> bool {
+        self == Tier::Avx512
+    }
+}
+
+/// True if the host has AVX2 (what the int8 layer's own kernels ask).
 #[inline]
 pub(crate) fn has_avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
+    Tier::detect() >= Tier::Avx2
+}
+
+/// The A operand of one micro-kernel tile: element `(i, p)` — tile row `i`,
+/// depth `p` — is `data[i * rs + p * ks]`. A packed panel is `(1, MR)`; the
+/// tier that reads A in place ([`Tier::reads_a_in_place`]) also takes a
+/// row-major window `(lda, 1)` or a transposed one `(1, lda)`.
+#[derive(Clone, Copy)]
+pub struct ATile<'a> {
+    data: &'a [f32],
+    rs: usize,
+    ks: usize,
+}
+
+impl<'a> ATile<'a> {
+    /// A packed A panel: p-major `[kc][MR]`, the layout `pack_a` writes.
+    pub fn packed(panel: &'a [f32]) -> Self {
+        ATile { data: panel, rs: 1, ks: MR }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
+
+    /// `data` read through a row stride and a k stride.
+    pub fn strided(data: &'a [f32], rs: usize, ks: usize) -> Self {
+        ATile { data, rs, ks }
+    }
+
+    /// Rows `i0..`, depths `p0..` of `op(A)`, where it lies.
+    fn of(src: Src<'a>, i0: usize, p0: usize) -> Self {
+        match src {
+            Src::N(v) => ATile::strided(&v.data[v.off + i0 * v.stride + p0..], v.stride, 1),
+            Src::T(v) => ATile::strided(&v.data[v.off + p0 * v.stride + i0..], 1, v.stride),
+        }
     }
 }
 
-/// [`microkernel_portable`] on the widest vector tier the host has — the
-/// AVX2 instantiation where available. Same contract, same bits.
-pub fn microkernel(
+/// Computes one `mr`×`nr` output tile (`1 ≤ mr ≤ MR`, `1 ≤ nr ≤ NR`) on
+/// `tier`: `C[i, j] += Σ_p A[i, p] · B[p, j]` over `kc` rows of the packed B
+/// panel `bp`, one accumulator per element, p increasing. `c` starts at the
+/// tile's `(0, 0)` and has row stride `ldc`. Same bits on every tier. Public
+/// so the property tests can hold each tier of [`Tier::host`] to the naive
+/// loops, whichever one dispatch picks here.
+///
+/// # Panics
+/// If the host lacks `tier`, if `a` is not a packed panel on a tier that
+/// does not read A in place, or if a slice is too short for the tile.
+#[allow(clippy::too_many_arguments)] // a kernel's operands, not an API surface
+pub fn microkernel_on(
+    tier: Tier,
     kc: usize,
-    ap: &[f32],
+    a: ATile<'_>,
     bp: &[f32],
     c: &mut [f32],
     ldc: usize,
     mr: usize,
     nr: usize,
 ) {
-    microkernel_on(has_avx2(), kc, ap, bp, c, ldc, mr, nr);
+    assert!(tier <= Tier::detect(), "this CPU has no {} tier", tier.name());
+    assert!(
+        tier.reads_a_in_place() || (a.rs, a.ks) == (1, MR),
+        "the {} tile reads packed A only",
+        tier.name()
+    );
+    // SAFETY: the host has `tier`, asserted above.
+    unsafe { microkernel_unchecked(tier, kc, a, bp, c, ldc, mr, nr) }
 }
 
-/// [`microkernel`] with the tier already detected (`avx2` must come from
-/// [`has_avx2`]), so the driver asks once per GEMM, not once per tile.
+/// [`microkernel_on`] without the look at the CPU, so the driver asks once
+/// per GEMM, not once per tile. On a tier that does not read A in place `a`
+/// must be a packed panel (the driver builds nothing else there).
+///
+/// # Safety
+/// The host must have `tier`: it is [`Tier::detect`]'s answer or below it.
 #[allow(clippy::too_many_arguments)] // a private kernel, not an API surface
 #[inline]
-fn microkernel_on(
-    avx2: bool,
+unsafe fn microkernel_unchecked(
+    tier: Tier,
     kc: usize,
-    ap: &[f32],
+    a: ATile<'_>,
     bp: &[f32],
     c: &mut [f32],
     ldc: usize,
@@ -500,16 +735,22 @@ fn microkernel_on(
     nr: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if avx2 {
-        // SAFETY: `avx2` is only true when is_x86_feature_detected!
-        // confirmed AVX2 support on this CPU.
-        unsafe {
-            microkernel_avx2(kc, ap, bp, c, ldc, mr, nr);
-        }
+    if tier == Tier::Avx512 {
+        // SAFETY: the caller guarantees the host has this tier, which
+        // `Tier::detect` reports only with `avx512f` detected; the tile
+        // bounds every pointer it forms by assertions on its slices.
+        unsafe { microkernel_avx512(kc, a, bp, c, ldc, mr, nr) };
         return;
     }
-    let _ = avx2;
-    microkernel_portable(kc, ap, bp, c, ldc, mr, nr);
+    debug_assert_eq!((a.rs, a.ks), (1, MR), "the {} tile reads packed A only", tier.name());
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx2 {
+        // SAFETY: the caller guarantees the host has this tier, which
+        // `Tier::detect` reports only with `avx2` detected.
+        unsafe { microkernel_avx2(kc, a.data, bp, c, ldc, mr, nr) };
+        return;
+    }
+    microkernel_portable(kc, a.data, bp, c, ldc, mr, nr);
 }
 
 // ---------------------------------------------------------------------------
@@ -530,11 +771,12 @@ pub fn pack_scratch_len() -> (usize, usize) {
     PACK_BUFS.with_borrow(|(a, b)| (a.len(), b.len()))
 }
 
-/// Runs the blocked GEMM over output rows `[m0, m1)`. `c` holds exactly
-/// those rows (row stride `ldc`), offset `c_col0` columns in; the sources
-/// are indexed with absolute coordinates.
+/// Runs the blocked GEMM over output rows `[m0, m1)` on `tier`'s
+/// micro-kernel. `c` holds exactly those rows (row stride `ldc`), offset
+/// `c_col0` columns in; the sources are indexed with absolute coordinates.
 #[allow(clippy::too_many_arguments)] // the single-thread core below gemm_blocked
 fn gemm_stripe(
+    tier: Tier,
     m0: usize,
     m1: usize,
     n: usize,
@@ -545,13 +787,16 @@ fn gemm_stripe(
     ldc: usize,
     c_col0: usize,
 ) {
-    let avx2 = has_avx2();
+    assert!(tier <= Tier::detect(), "this CPU has no {} tier", tier.name());
+    // On the tier whose tile reads A through strides nothing is packed on
+    // the A side: the tile takes its rows from the operand itself.
+    let a_in_place = tier.reads_a_in_place();
     PACK_BUFS.with_borrow_mut(|(ap_buf, bp_buf)| {
         let kc_max = KC.min(k);
         // Grow-only: pack writes every slot it later reads, so stale data
         // past the current panel sizes is harmless and shrinking would
         // just churn when call sites alternate between shapes.
-        let a_need = MC.min(m1 - m0).div_ceil(MR) * MR * kc_max;
+        let a_need = if a_in_place { 0 } else { MC.min(m1 - m0).div_ceil(MR) * MR * kc_max };
         if ap_buf.len() < a_need {
             ap_buf.resize(a_need, 0.0);
         }
@@ -577,7 +822,9 @@ fn gemm_stripe(
                 let mut ic = m0;
                 while ic < m1 {
                     let mc = MC.min(m1 - ic);
-                    pack_a(ap_buf, a_src, ic, mc, pc, kc);
+                    if !a_in_place {
+                        pack_a(ap_buf, a_src, ic, mc, pc, kc);
+                    }
                     let mut jr = 0;
                     while jr < nc {
                         let nr = NR.min(nc - jr);
@@ -585,9 +832,16 @@ fn gemm_stripe(
                         let mut ir = 0;
                         while ir < mc {
                             let mr = MR.min(mc - ir);
-                            let ap = &ap_buf[(ir / MR) * kc * MR..][..kc * MR];
+                            let a = if a_in_place {
+                                ATile::of(a_src, ic + ir, pc)
+                            } else {
+                                ATile::packed(&ap_buf[(ir / MR) * kc * MR..][..kc * MR])
+                            };
                             let c_off = (ic - m0 + ir) * ldc + c_col0 + jc + jr;
-                            microkernel_on(avx2, kc, ap, bp, &mut c[c_off..], ldc, mr, nr);
+                            // SAFETY: the host has `tier`, asserted on entry.
+                            unsafe {
+                                microkernel_unchecked(tier, kc, a, bp, &mut c[c_off..], ldc, mr, nr)
+                            };
                             ir += MR;
                         }
                         jr += NR;
@@ -607,6 +861,7 @@ fn gemm_stripe(
 /// `m` rows of stride `ldc`, offset `c_col0` columns in.
 #[allow(clippy::too_many_arguments)] // the one internal fan-in point below the typed wrappers
 fn gemm_blocked(
+    tier: Tier,
     m: usize,
     n: usize,
     k: usize,
@@ -619,7 +874,7 @@ fn gemm_blocked(
 ) {
     let threads = effective_threads(m, n, k, threads);
     if threads <= 1 {
-        gemm_stripe(0, m, n, k, a_src, b_src, c, ldc, c_col0);
+        gemm_stripe(tier, 0, m, n, k, a_src, b_src, c, ldc, c_col0);
         return;
     }
     // Equal MR-aligned stripes (the last may be short): chunk boundaries
@@ -629,7 +884,7 @@ fn gemm_blocked(
         for (si, chunk) in c.chunks_mut(stripe_rows * ldc).enumerate() {
             let m0 = si * stripe_rows;
             let m1 = (m0 + stripe_rows).min(m);
-            scope.spawn(move || gemm_stripe(m0, m1, n, k, a_src, b_src, chunk, ldc, c_col0));
+            scope.spawn(move || gemm_stripe(tier, m0, m1, n, k, a_src, b_src, chunk, ldc, c_col0));
         }
     });
 }
@@ -638,6 +893,7 @@ fn gemm_blocked(
 /// packing would dominate, the packed kernel under `threads` otherwise.
 #[allow(clippy::too_many_arguments)] // mirrors gemm_blocked's signature
 fn gemm_threaded(
+    tier: Tier,
     m: usize,
     n: usize,
     k: usize,
@@ -657,7 +913,7 @@ fn gemm_threaded(
         gemm_small(m, n, k, a_src, b_src, c, ldc, c_col0);
         return;
     }
-    gemm_blocked(m, n, k, a_src, BSrc::Pack(b_src), c, ldc, c_col0, threads);
+    gemm_blocked(tier, m, n, k, a_src, BSrc::Pack(b_src), c, ldc, c_col0, threads);
 }
 
 /// Unblocked `C += op(A) op(B)` for matrices too small to amortize
@@ -725,7 +981,7 @@ pub fn gemm_nn(
     a: View<'_>,
     b: View<'_>,
 ) {
-    gemm_threaded(m, n, k, Src::N(a), Src::N(b), c, ldc, c_col0, 1);
+    gemm_threaded(Tier::detect(), m, n, k, Src::N(a), Src::N(b), c, ldc, c_col0, 1);
 }
 
 /// [`gemm_nn`] as a dense layer calls it — [`crate::tensor::matmul`] and
@@ -751,7 +1007,10 @@ pub(crate) fn gemm_nn_dense<'p>(
         Some(panel) if m > SMALL_MAX_ROWS => {
             gemm_nn_packed(c, ldc, c_col0, m, a, panel(), gemm_threads());
         }
-        _ => gemm_threaded(m, n, k, Src::N(a), Src::N(b), c, ldc, c_col0, gemm_threads()),
+        _ => {
+            let (a, b) = (Src::N(a), Src::N(b));
+            gemm_threaded(Tier::detect(), m, n, k, a, b, c, ldc, c_col0, gemm_threads())
+        }
     }
 }
 
@@ -772,7 +1031,7 @@ pub fn gemm_nn_packed(
     if m == 0 || n == 0 || k == 0 {
         return; // += of an empty product leaves C untouched
     }
-    gemm_blocked(m, n, k, Src::N(a), BSrc::Panels(b), c, ldc, c_col0, threads);
+    gemm_blocked(Tier::detect(), m, n, k, Src::N(a), BSrc::Panels(b), c, ldc, c_col0, threads);
 }
 
 /// `C += A Bᵀ` over strided views: `a` is `[m, k]`, `b` is `[n, k]`.
@@ -784,7 +1043,7 @@ pub fn gemm_nt(
     a: View<'_>,
     b: View<'_>,
 ) {
-    gemm_threaded(m, n, k, Src::N(a), Src::T(b), c, ldc, c_col0, 1);
+    gemm_threaded(Tier::detect(), m, n, k, Src::N(a), Src::T(b), c, ldc, c_col0, 1);
 }
 
 /// `C += Aᵀ B` over strided views: `a` is `[k, m]`, `b` is `[k, n]`.
@@ -796,44 +1055,64 @@ pub fn gemm_tn(
     a: View<'_>,
     b: View<'_>,
 ) {
-    gemm_threaded(m, n, k, Src::T(a), Src::N(b), c, ldc, c_col0, 1);
+    gemm_threaded(Tier::detect(), m, n, k, Src::T(a), Src::N(b), c, ldc, c_col0, 1);
 }
 
 // ---------------------------------------------------------------------------
 // Public whole-tensor entry points
 // ---------------------------------------------------------------------------
 
+/// Which operand of a whole-tensor product is stored transposed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layout {
+    /// `A B`: `A` is `[m, k]`, `B` is `[k, n]`.
+    NN,
+    /// `A Bᵀ`: `A` is `[m, k]`, `B` is `[n, k]`.
+    NT,
+    /// `Aᵀ B`: `A` is `[k, m]`, `B` is `[k, n]`.
+    TN,
+}
+
+/// The blocked product of `a` and `b` under `layout`, on `tier`'s
+/// micro-kernel and up to `threads` row-stripe threads: what
+/// [`matmul_blocked`] and its two siblings compute on [`Tier::detect`]'s.
+/// Public so the property tests can run the whole loop nest on every tier
+/// of [`Tier::host`]; panics if the host lacks `tier`.
+pub fn matmul_blocked_on(
+    tier: Tier,
+    layout: Layout,
+    a: &Tensor,
+    b: &Tensor,
+    threads: usize,
+) -> Tensor {
+    let (av, bv) = (View::of(a), View::of(b));
+    let ((m, ka, a_src), (kb, n, b_src)) = match layout {
+        Layout::NN => ((a.rows(), a.cols(), Src::N(av)), (b.rows(), b.cols(), Src::N(bv))),
+        Layout::NT => ((a.rows(), a.cols(), Src::N(av)), (b.cols(), b.rows(), Src::T(bv))),
+        Layout::TN => ((a.cols(), a.rows(), Src::T(av)), (b.rows(), b.cols(), Src::N(bv))),
+    };
+    assert_eq!(ka, kb, "{layout:?} matmul inner dims: {:?} x {:?}", a.shape(), b.shape());
+    let mut out = Tensor::zeros(m, n);
+    gemm_threaded(tier, m, n, ka, a_src, b_src, out.data_mut(), n, 0, threads);
+    out
+}
+
 /// Blocked `A B` (`A` is `[m, k]`, `B` is `[k, n]`) using up to `threads`
 /// row-stripe threads. Bit-identical to [`matmul_naive`] at every thread
 /// count; prefer [`crate::tensor::matmul`], which picks naive vs blocked
 /// by size and applies the global thread budget.
 pub fn matmul_blocked(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
-    assert_eq!(a.cols(), b.rows(), "matmul inner dims: {:?} x {:?}", a.shape(), b.shape());
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = Tensor::zeros(m, n);
-    let (av, bv) = (View::of(a), View::of(b));
-    gemm_threaded(m, n, k, Src::N(av), Src::N(bv), out.data_mut(), n, 0, threads);
-    out
+    matmul_blocked_on(Tier::detect(), Layout::NN, a, b, threads)
 }
 
 /// Blocked `A Bᵀ` (`A` is `[m, k]`, `B` is `[n, k]`); see [`matmul_blocked`].
 pub fn matmul_nt_blocked(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
-    assert_eq!(a.cols(), b.cols(), "matmul_nt inner dims: {:?} x {:?}^T", a.shape(), b.shape());
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    let mut out = Tensor::zeros(m, n);
-    let (av, bv) = (View::of(a), View::of(b));
-    gemm_threaded(m, n, k, Src::N(av), Src::T(bv), out.data_mut(), n, 0, threads);
-    out
+    matmul_blocked_on(Tier::detect(), Layout::NT, a, b, threads)
 }
 
 /// Blocked `Aᵀ B` (`A` is `[k, m]`, `B` is `[k, n]`); see [`matmul_blocked`].
 pub fn matmul_tn_blocked(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
-    assert_eq!(a.rows(), b.rows(), "matmul_tn inner dims: {:?}^T x {:?}", a.shape(), b.shape());
-    let (m, n, k) = (a.cols(), b.cols(), a.rows());
-    let mut out = Tensor::zeros(m, n);
-    let (av, bv) = (View::of(a), View::of(b));
-    gemm_threaded(m, n, k, Src::T(av), Src::N(bv), out.data_mut(), n, 0, threads);
-    out
+    matmul_blocked_on(Tier::detect(), Layout::TN, a, b, threads)
 }
 
 /// Naive reference `A B`: plain ikj loops, the kernel the blocked path
@@ -900,7 +1179,8 @@ pub fn matmul_tn_naive(a: &Tensor, b: &Tensor) -> Tensor {
 /// baseline SSE2) does not beat the naive saxpy loops, which already sit
 /// near SSE2 peak, so dispatch keeps the naive path there.
 pub(crate) fn blocked_worthwhile(m: usize, n: usize, k: usize) -> bool {
-    has_avx2() && 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k) >= BLOCKED_MIN_FLOPS
+    Tier::detect() >= Tier::Avx2
+        && 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k) >= BLOCKED_MIN_FLOPS
 }
 
 #[cfg(test)]

@@ -1,11 +1,20 @@
 //! Vectorised, libm-free transcendentals: the one `exp`/`tanh` under GELU,
 //! softmax and sigmoid.
 //!
-//! Written the way [`crate::kernels`] writes its micro-kernel: plain Rust
-//! over fixed-width lane arrays, one body instantiated twice — the
-//! [`portable`] module (baseline vector unit) and, through the dispatching
-//! functions at the module root, a `#[target_feature(enable = "avx2")]`
-//! copy chosen at run time by the GEMM layer's AVX2 detection.
+//! Plain Rust over fixed-width lane arrays, one body per kernel, generic
+//! over its lane count and instantiated per vector tier of the GEMM layer
+//! ([`crate::kernels::Tier`], detected from the CPU): 8 lanes compiled for
+//! the baseline target, 8 lanes under `#[target_feature(enable = "avx2")]`,
+//! and — for the elementwise kernels `exp`, `tanh`, `sigmoid`, `gelu` and
+//! `gelu_grad` — 16 lanes under the AVX-512 features (`gelu` over 166×384:
+//! about 95 → 65 µs). Unlike the GEMM tile, these bodies autovectorise
+//! cleanly at 512 bits, so no intrinsics are needed. An elementwise result
+//! depends on its own input bits alone, so the lane count cannot show in it.
+//! `softmax_rows_scaled` is the exception and stays at 8 lanes on every
+//! tier: its row sum is reduced lane-wise in a fixed tree, the shape of that
+//! tree is part of the bit contract, and a 16-lane `exp` inside it measured
+//! 1.18x when this tier was prototyped — not worth a second reduction shape. The functions at the module
+//! root run the host's widest tier; [`on`] runs a named one.
 //!
 //! # Numerics policy: one definition, identical everywhere
 //!
@@ -13,8 +22,8 @@
 //! select, and bit casts — no `mul_add`, no libm. Each of those is exactly
 //! rounded by IEEE 754, and Rust never contracts or reassociates float
 //! arithmetic, so a result is a pure function of the input **bits**: the
-//! same on the portable and the AVX2 tier, on every host and under every
-//! libm, which `f32::exp`/`f32::tanh` (not correctly rounded, different
+//! same on every tier and at either lane count, on every host and under
+//! every libm, which `f32::exp`/`f32::tanh` (not correctly rounded, different
 //! between libm builds) never were. FMA is left out on purpose: fusing a
 //! multiply-add rounds once instead of twice, so a tier with FMA and one
 //! without would disagree in the last bit.
@@ -45,11 +54,12 @@
 //!   fixed tree, one multiply by the reciprocal.
 #![allow(clippy::needless_range_loop)] // fixed-bound lane loops are what LLVM vectorises
 
-use crate::kernels::has_avx2;
+use crate::kernels::Tier;
 use std::f32::consts::LOG2_E;
 
-/// Elements per lane array: one 256-bit vector on the AVX2 tier, two
-/// 128-bit ones on the portable tier.
+/// Elements per lane array on the portable tier (two 128-bit vectors) and
+/// the AVX2 tier (one 256-bit vector), and of softmax on every tier. The
+/// AVX-512 tier runs the elementwise kernels over 16 (one 512-bit vector).
 const LANES: usize = 8;
 
 /// `1.5 · 2^23`: adding it to `|v| < 2^22` leaves `round(v)` in the low
@@ -137,28 +147,28 @@ fn gelu_grad1(x: f32) -> f32 {
 /// array padded with `pad` (`extra` tails with `0.0`), run through the
 /// same `f`, and its valid prefix copied back.
 #[inline(always)]
-fn for_lanes<const K: usize>(
+fn for_lanes<const L: usize, const K: usize>(
     row: &mut [f32],
     extra: [&[f32]; K],
     pad: f32,
-    mut f: impl FnMut(&mut [f32; LANES], [&[f32; LANES]; K]),
+    mut f: impl FnMut(&mut [f32; L], [&[f32; L]; K]),
 ) {
     for e in extra {
         assert_eq!(e.len(), row.len(), "vmath operand length mismatch");
     }
-    let full = row.len() / LANES * LANES;
+    let full = row.len() / L * L;
     let (body, tail) = row.split_at_mut(full);
-    for (i, c) in body.chunks_exact_mut(LANES).enumerate() {
-        let e = extra.map(|e| e[i * LANES..(i + 1) * LANES].try_into().expect("LANES chunk"));
-        f(c.try_into().expect("LANES chunk"), e);
+    for (i, c) in body.chunks_exact_mut(L).enumerate() {
+        let e = extra.map(|e| e[i * L..(i + 1) * L].try_into().expect("lane chunk"));
+        f(c.try_into().expect("lane chunk"), e);
     }
     let n = tail.len();
     if n > 0 {
         // Lane-by-lane copies with a fixed trip count: the compiler turns
         // them into masked moves, where slice copies would call memcpy.
-        let mut buf = [pad; LANES];
-        let mut ebuf = [[0.0f32; LANES]; K];
-        for l in 0..LANES {
+        let mut buf = [pad; L];
+        let mut ebuf = [[0.0f32; L]; K];
+        for l in 0..L {
             if l < n {
                 buf[l] = tail[l];
                 for (b, e) in ebuf.iter_mut().zip(extra) {
@@ -167,7 +177,7 @@ fn for_lanes<const K: usize>(
             }
         }
         f(&mut buf, ebuf.each_ref());
-        for l in 0..LANES {
+        for l in 0..L {
             if l < n {
                 tail[l] = buf[l];
             }
@@ -175,11 +185,11 @@ fn for_lanes<const K: usize>(
     }
 }
 
-/// Applies `f` to every element of `xs` through the lane code.
+/// Applies `f` to every element of `xs` through `L`-lane code.
 #[inline(always)]
-fn map_lanes(xs: &mut [f32], f: impl Fn(f32) -> f32) {
-    for_lanes(xs, [], 0.0, |c, []| {
-        for l in 0..LANES {
+fn map_lanes<const L: usize>(xs: &mut [f32], f: impl Fn(f32) -> f32) {
+    for_lanes(xs, [], 0.0, |c: &mut [f32; L], []| {
+        for l in 0..L {
             c[l] = f(c[l]);
         }
     });
@@ -218,13 +228,13 @@ fn scale_mask_max(row: &mut [f32], scale: f32, mask: Option<&[f32]>) -> f32 {
     // Padded lanes hold -inf · scale (+ 0) = -inf and never win the max;
     // that needs scale > 0, which `softmax_rows_scaled` asserts.
     match mask {
-        Some(mask) => for_lanes(row, [mask], f32::NEG_INFINITY, |c, [k]| {
+        Some(mask) => for_lanes(row, [mask], f32::NEG_INFINITY, |c: &mut [f32; LANES], [k]| {
             for l in 0..LANES {
                 c[l] = c[l] * scale + k[l];
                 m[l] = max_select(c[l], m[l]);
             }
         }),
-        None => for_lanes(row, [], f32::NEG_INFINITY, |c, []| {
+        None => for_lanes(row, [], f32::NEG_INFINITY, |c: &mut [f32; LANES], []| {
             for l in 0..LANES {
                 c[l] *= scale;
                 m[l] = max_select(c[l], m[l]);
@@ -246,7 +256,7 @@ fn softmax_finish(row: &mut [f32], max: f32) {
     }
     let mut acc = [0.0f32; LANES];
     // Padded lanes hold exp(-inf - max) = 0.0 and add nothing.
-    for_lanes(row, [], f32::NEG_INFINITY, |c, []| {
+    for_lanes(row, [], f32::NEG_INFINITY, |c: &mut [f32; LANES], []| {
         for l in 0..LANES {
             c[l] = exp1(c[l] - max);
             acc[l] += c[l];
@@ -258,37 +268,71 @@ fn softmax_finish(row: &mut [f32], max: f32) {
     }
 }
 
-/// Declares each kernel twice from one body: `portable::name` compiled for
-/// the baseline target, and `name`, which runs the same body inside a
-/// `#[target_feature(enable = "avx2")]` function when the host has AVX2.
+/// Declares each kernel once and instantiates it per [`Tier`]. The body is
+/// generic over its lane count `L`: [`LANES`] on the portable and the AVX2
+/// tier, and the count written after `=` on the AVX-512 tier — a kernel that
+/// writes `= 8` there has no third instantiation and runs its AVX2 one.
+/// Emits `on::name(tier, ..)`, which runs the named tier's instantiation,
+/// and `name(..)`, which runs [`Tier::detect`]'s.
 macro_rules! tiers {
-    ($($(#[$doc:meta])* pub fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block)*) => {
-        /// The portable instantiation of every kernel: the body the
-        /// dispatching functions of the parent module run when the host
-        /// lacks AVX2. Public so that property tests can hold the two tiers
-        /// against each other; callers want the parent module's functions.
-        pub mod portable {
+    ($(
+        $(#[$doc:meta])*
+        pub fn $name:ident<$l:ident = $wide:literal>($($arg:ident: $ty:ty),* $(,)?) $body:block
+    )*) => {
+        /// The one body of each kernel, over `L` lanes.
+        mod body {
+            use super::*;
+            $(
+                #[inline(always)]
+                pub fn $name<const $l: usize>($($arg: $ty),*) $body
+            )*
+        }
+
+        /// Every kernel on a named tier of the host. Public so that property
+        /// tests can hold the tiers against each other; callers want the
+        /// parent module's functions, which pick the host's widest.
+        pub mod on {
             use super::*;
             $(
                 $(#[$doc])*
-                #[inline(always)]
-                pub fn $name($($arg: $ty),*) $body
+                ///
+                /// Runs `tier`'s instantiation; panics if the host lacks it.
+                pub fn $name(tier: Tier, $($arg: $ty),*) {
+                    assert!(tier <= Tier::detect(), "this CPU has no {} tier", tier.name());
+                    #[cfg(target_arch = "x86_64")]
+                    {
+                        #[target_feature(enable = "avx2")]
+                        fn avx2($($arg: $ty),*) {
+                            body::$name::<LANES>($($arg),*)
+                        }
+                        #[target_feature(enable = "avx512f,avx512vl,avx512dq,avx512bw")]
+                        fn avx512($($arg: $ty),*) {
+                            body::$name::<$wide>($($arg),*)
+                        }
+                        if tier == Tier::Avx512 && $wide != LANES {
+                            // SAFETY: the host has `tier` (asserted above),
+                            // and `Tier::detect` reports `Avx512` only with
+                            // all four of these features detected.
+                            unsafe { avx512($($arg),*) };
+                            return;
+                        }
+                        if tier >= Tier::Avx2 {
+                            // SAFETY: the host has `tier` (asserted above),
+                            // and `Tier::detect` reports `Avx2` or above
+                            // only with `avx2` detected.
+                            unsafe { avx2($($arg),*) };
+                            return;
+                        }
+                    }
+                    body::$name::<LANES>($($arg),*)
+                }
             )*
         }
+
         $(
             $(#[$doc])*
             pub fn $name($($arg: $ty),*) {
-                #[cfg(target_arch = "x86_64")]
-                if has_avx2() {
-                    #[target_feature(enable = "avx2")]
-                    fn avx2($($arg: $ty),*) {
-                        portable::$name($($arg),*)
-                    }
-                    // SAFETY: has_avx2() confirmed AVX2 support on this CPU.
-                    unsafe { avx2($($arg),*) };
-                    return;
-                }
-                portable::$name($($arg),*)
+                on::$name(Tier::detect(), $($arg),*)
             }
         )*
     };
@@ -296,29 +340,29 @@ macro_rules! tiers {
 
 tiers! {
     /// `x ← e^x`, elementwise.
-    pub fn exp(xs: &mut [f32]) {
-        map_lanes(xs, exp1);
+    pub fn exp<L = 16>(xs: &mut [f32]) {
+        map_lanes::<L>(xs, exp1);
     }
 
     /// `x ← tanh x`, elementwise.
-    pub fn tanh(xs: &mut [f32]) {
-        map_lanes(xs, tanh1);
+    pub fn tanh<L = 16>(xs: &mut [f32]) {
+        map_lanes::<L>(xs, tanh1);
     }
 
     /// `x ← 1 / (1 + e^-x)`, elementwise.
-    pub fn sigmoid(xs: &mut [f32]) {
-        map_lanes(xs, sigmoid1);
+    pub fn sigmoid<L = 16>(xs: &mut [f32]) {
+        map_lanes::<L>(xs, sigmoid1);
     }
 
     /// `x ← gelu(x)` (tanh approximation, as in BERT), elementwise.
-    pub fn gelu(xs: &mut [f32]) {
-        map_lanes(xs, gelu1);
+    pub fn gelu<L = 16>(xs: &mut [f32]) {
+        map_lanes::<L>(xs, gelu1);
     }
 
     /// `g ← g · gelu'(x)`, elementwise: the GELU backward.
-    pub fn gelu_grad(gs: &mut [f32], xs: &[f32]) {
-        for_lanes(gs, [xs], 0.0, |g, [x]| {
-            for l in 0..LANES {
+    pub fn gelu_grad<L = 16>(gs: &mut [f32], xs: &[f32]) {
+        for_lanes(gs, [xs], 0.0, |g: &mut [f32; L], [x]| {
+            for l in 0..L {
                 g[l] *= gelu_grad1(x[l]);
             }
         });
@@ -328,8 +372,10 @@ tiers! {
     /// every `cols`-wide row of `data` (`mask`, if given, has `data`'s
     /// shape; `scale` must be positive): an attention block's scores to
     /// probabilities in three reads per row. A row of `-inf` only becomes
-    /// uniform; `cols == 0` is a no-op.
-    pub fn softmax_rows_scaled(data: &mut [f32], cols: usize, scale: f32, mask: Option<&[f32]>) {
+    /// uniform; `cols == 0` is a no-op. Eight lanes on every tier: the
+    /// lane-wise sum tree is part of the bit contract.
+    pub fn softmax_rows_scaled<L = 8>(data: &mut [f32], cols: usize, scale: f32, mask: Option<&[f32]>) {
+        const { assert!(L == LANES) };
         assert!(scale > 0.0, "softmax scale must be positive");
         if cols == 0 {
             return;

@@ -2,15 +2,17 @@
 //!
 //! The kernel layer's numerics policy (see `doduo_tensor::kernels`) is
 //! *bit-identity*: blocked, small-path, and threaded results must equal
-//! the naive loops exactly, not merely within a tolerance. These tests
+//! the naive loops exactly, not merely within a tolerance — on every vector
+//! tier the host can run (`Tier::host()`), not only the one dispatch picks
+//! here: on an AVX-512 host nothing else would reach the AVX2 tile, and on
+//! neither would anything reach the portable one. These tests
 //! therefore assert on `f32::to_bits` across randomly drawn ragged shapes,
 //! with the degenerate edges (`k = 0`, one row, one column) forced into
 //! the sampled distribution.
 
 use doduo_tensor::kernels::{
-    gemm_nn, gemm_nn_packed, gemm_nt, gemm_tn, matmul_blocked, matmul_naive, matmul_nt_blocked,
-    matmul_nt_naive, matmul_tn_blocked, matmul_tn_naive, microkernel, microkernel_portable,
-    PackedB, View, MR, NR,
+    gemm_nn, gemm_nn_packed, gemm_nt, gemm_tn, matmul_blocked, matmul_blocked_on, matmul_naive,
+    matmul_nt_naive, matmul_tn_naive, microkernel_on, ATile, Layout, PackedB, Tier, View, MR, NR,
 };
 use doduo_tensor::{matmul, matmul_nt, matmul_tn, QuantizedLinear, Tensor};
 use proptest::prelude::*;
@@ -54,28 +56,36 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn blocked_nn_matches_naive_bitwise(m in dim(), k in dim(), n in dim(), seed in 0u64..1000) {
+    fn blocked_nn_matches_naive_bitwise_on_every_tier(m in dim(), k in dim(), n in dim(), seed in 0u64..1000) {
         let a = tensor(m, k, seed);
         let b = tensor(k, n, seed.wrapping_add(1));
-        prop_assert!(assert_bits_eq(&matmul_blocked(&a, &b, 1), &matmul_naive(&a, &b), "nn").is_ok());
+        let want = matmul_naive(&a, &b);
+        for &tier in Tier::host() {
+            let got = matmul_blocked_on(tier, Layout::NN, &a, &b, 1);
+            prop_assert!(assert_bits_eq(&got, &want, tier.name()).is_ok());
+        }
     }
 
     #[test]
-    fn blocked_nt_matches_naive_bitwise(m in dim(), k in dim(), n in dim(), seed in 0u64..1000) {
+    fn blocked_nt_matches_naive_bitwise_on_every_tier(m in dim(), k in dim(), n in dim(), seed in 0u64..1000) {
         let a = tensor(m, k, seed);
         let b = tensor(n, k, seed.wrapping_add(1));
-        prop_assert!(
-            assert_bits_eq(&matmul_nt_blocked(&a, &b, 1), &matmul_nt_naive(&a, &b), "nt").is_ok()
-        );
+        let want = matmul_nt_naive(&a, &b);
+        for &tier in Tier::host() {
+            let got = matmul_blocked_on(tier, Layout::NT, &a, &b, 1);
+            prop_assert!(assert_bits_eq(&got, &want, tier.name()).is_ok());
+        }
     }
 
     #[test]
-    fn blocked_tn_matches_naive_bitwise(m in dim(), k in dim(), n in dim(), seed in 0u64..1000) {
+    fn blocked_tn_matches_naive_bitwise_on_every_tier(m in dim(), k in dim(), n in dim(), seed in 0u64..1000) {
         let a = tensor(k, m, seed);
         let b = tensor(k, n, seed.wrapping_add(1));
-        prop_assert!(
-            assert_bits_eq(&matmul_tn_blocked(&a, &b, 1), &matmul_tn_naive(&a, &b), "tn").is_ok()
-        );
+        let want = matmul_tn_naive(&a, &b);
+        for &tier in Tier::host() {
+            let got = matmul_blocked_on(tier, Layout::TN, &a, &b, 1);
+            prop_assert!(assert_bits_eq(&got, &want, tier.name()).is_ok());
+        }
     }
 
     #[test]
@@ -248,48 +258,67 @@ fn packed_panels_match_per_call_packing_and_naive_bitwise() {
 }
 
 #[test]
-fn edge_tiles_match_on_both_tiers() {
+fn edge_tiles_match_on_every_tier() {
     // Every micro-kernel instantiation — each exact row count, each tile
-    // width, k on both sides of the unroll by 4 — on the portable tier
-    // (which dispatch reaches only on a host without AVX2, i.e. never in
-    // CI) and on the host's best tier, against the naive loops. The A
-    // panel's unused lanes hold NaN: an instantiation that read one would
-    // show it.
+    // width, k on both sides of the unroll by 4 — on every tier this host
+    // can run (dispatch reaches one of them; the others only here), against
+    // the naive loops. The tiers run are printed: CI's log must say whether
+    // a runner had the zmm tile at all.
+    //
+    // A comes in every form its tier reads: the packed `[kc][MR]` panel,
+    // whose unused lanes hold NaN, and — on the tier that reads A where it
+    // lies — a row-major window (`lda > kc`) and a transposed one
+    // (`lda > mr`) of a buffer that is NaN everywhere else. C outside the
+    // tile is NaN too: a tile that read or wrote past its edge would show it.
     const LDC: usize = NR + 5;
-    type Tile = fn(usize, &[f32], &[f32], &mut [f32], usize, usize, usize);
-    let tiers: [(&str, Tile); 2] = [("portable", microkernel_portable), ("host", microkernel)];
+    const GAP: usize = 3;
+    let names: Vec<&str> = Tier::host().iter().map(|t| t.name()).collect();
+    println!("micro-kernel tiers exercised on this host: {}", names.join(", "));
     for mr in 1..=MR {
         for nr in 1..=NR {
             for kc in [1usize, 3, 4, 24, 96] {
                 let seed = ((mr * 17 + nr) * 101 + kc) as u64;
                 let (a, b, c0) =
                     (tensor(kc, mr, seed), tensor(kc, nr, seed + 1), tensor(mr, nr, seed + 2));
-                let mut ap = vec![f32::NAN; kc * MR];
                 let mut bp = vec![0.0f32; kc * NR];
+                let mut packed = vec![f32::NAN; kc * MR];
+                // `a` is stored `[kc, mr]`: the transposed window is `a` in a
+                // wider buffer, the row-major one its transpose in one.
+                let (lda_n, lda_t) = (kc + GAP, mr + GAP);
+                let mut row_major = vec![f32::NAN; mr * lda_n];
+                let mut transposed = vec![f32::NAN; kc * lda_t];
                 for p in 0..kc {
-                    ap[p * MR..p * MR + mr].copy_from_slice(a.row(p));
                     bp[p * NR..p * NR + nr].copy_from_slice(b.row(p));
-                }
-                for (tier, tile) in tiers {
-                    let mut c = vec![f32::NAN; MR * LDC];
+                    packed[p * MR..p * MR + mr].copy_from_slice(a.row(p));
+                    transposed[p * lda_t..p * lda_t + mr].copy_from_slice(a.row(p));
                     for i in 0..mr {
-                        c[i * LDC..i * LDC + nr].copy_from_slice(c0.row(i));
+                        row_major[i * lda_n + p] = a.row(p)[i];
                     }
-                    tile(kc, &ap, &bp, &mut c, LDC, mr, nr);
-                    for (i, row) in c.chunks_exact(LDC).enumerate() {
-                        for (j, got) in row.iter().enumerate() {
-                            if i < mr && j < nr {
-                                let mut want = c0.row(i)[j];
-                                for p in 0..kc {
-                                    want += a.row(p)[i] * b.row(p)[j];
+                }
+                for &tier in Tier::host() {
+                    let mut forms = vec![("packed", ATile::packed(&packed))];
+                    if tier.reads_a_in_place() {
+                        forms.push(("row-major", ATile::strided(&row_major, lda_n, 1)));
+                        forms.push(("transposed", ATile::strided(&transposed, 1, lda_t)));
+                    }
+                    for (form, a_tile) in forms {
+                        let what = format!("{} {form} A {mr}x{nr}x{kc}", tier.name());
+                        let mut c = vec![f32::NAN; MR * LDC];
+                        for i in 0..mr {
+                            c[i * LDC..i * LDC + nr].copy_from_slice(c0.row(i));
+                        }
+                        microkernel_on(tier, kc, a_tile, &bp, &mut c, LDC, mr, nr);
+                        for (i, row) in c.chunks_exact(LDC).enumerate() {
+                            for (j, got) in row.iter().enumerate() {
+                                if i < mr && j < nr {
+                                    let mut want = c0.row(i)[j];
+                                    for p in 0..kc {
+                                        want += a.row(p)[i] * b.row(p)[j];
+                                    }
+                                    assert_eq!(got.to_bits(), want.to_bits(), "{what} ({i},{j})");
+                                } else {
+                                    assert!(got.is_nan(), "{what}: wrote ({i},{j})");
                                 }
-                                assert_eq!(
-                                    got.to_bits(),
-                                    want.to_bits(),
-                                    "{tier} {mr}x{nr}x{kc} ({i},{j})"
-                                );
-                            } else {
-                                assert!(got.is_nan(), "{tier} {mr}x{nr}x{kc}: wrote ({i},{j})");
                             }
                         }
                     }

@@ -1,20 +1,22 @@
 //! Property tests for the in-repo transcendentals (`doduo_tensor::vmath`).
 //!
-//! Two contracts are pinned here. **Identity**: the AVX2 and the portable
-//! instantiation of every kernel agree under `f32::to_bits` on random and
-//! special inputs at every slice length across the lane width, and an
-//! element's result is the same alone, at any offset and inside any longer
-//! slice. **Accuracy**: each function stays within its documented bound of
+//! Two contracts are pinned here. **Identity**: every instantiation the host
+//! can run (`Tier::host()`: portable, AVX2 and the 16-lane AVX-512 one)
+//! agrees with the portable one under `f32::to_bits` on random and special
+//! inputs at every slice length across both lane widths, and an element's
+//! result is the same alone, at any offset and inside any longer slice. **Accuracy**: each function stays within its documented bound of
 //! an `f64` reference — that reference is the only libm in the picture.
 
-use doduo_tensor::vmath::{self, portable};
+use doduo_tensor::kernels::Tier;
+use doduo_tensor::vmath::{self, on};
 use doduo_tensor::MASK_NEG;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Longest slice tried: eight lane arrays and a three-element tail.
-const MAX_LEN: usize = 67;
+/// Longest slice tried: four 16-lane arrays (eight 8-lane ones) and a
+/// six-element tail, so every tail length of either width occurs.
+const MAX_LEN: usize = 70;
 
 /// Inputs every kernel must treat identically on both tiers: signed zeros,
 /// subnormals, the `exp` range ends, the thresholds around them, huge
@@ -78,25 +80,30 @@ fn same(a: &[f32], b: &[f32]) -> Result<(), String> {
 }
 
 type Kernel = fn(&mut [f32]);
+type TierKernel = fn(Tier, &mut [f32]);
 
-/// Every elementwise kernel as `(name, dispatching tier, portable tier)`.
-/// `gelu_grad` runs with a gradient of ones, which leaves `gelu'(x)`.
-fn elementwise() -> [(&'static str, Kernel, Kernel); 5] {
-    fn grad(f: fn(&mut [f32], &[f32]), xs: &mut [f32]) {
+/// Every elementwise kernel as `(name, dispatching form, form on a named
+/// tier)`. `gelu_grad` runs with a gradient of ones, which leaves `gelu'(x)`.
+fn elementwise() -> [(&'static str, Kernel, TierKernel); 5] {
+    fn grad(f: impl Fn(&mut [f32], &[f32]), xs: &mut [f32]) {
         let x = xs.to_vec();
         xs.fill(1.0);
         f(xs, &x);
     }
     [
-        ("exp", vmath::exp, portable::exp),
-        ("tanh", vmath::tanh, portable::tanh),
-        ("sigmoid", vmath::sigmoid, portable::sigmoid),
-        ("gelu", vmath::gelu, portable::gelu),
-        ("gelu_grad", |xs| grad(vmath::gelu_grad, xs), |xs| grad(portable::gelu_grad, xs)),
+        ("exp", vmath::exp, on::exp),
+        ("tanh", vmath::tanh, on::tanh),
+        ("sigmoid", vmath::sigmoid, on::sigmoid),
+        ("gelu", vmath::gelu, on::gelu),
+        (
+            "gelu_grad",
+            |xs| grad(vmath::gelu_grad, xs),
+            |t, xs| grad(|g, x| on::gelu_grad(t, g, x), xs),
+        ),
     ]
 }
 
-fn apply(f: Kernel, xs: &[f32]) -> Vec<f32> {
+fn apply(f: impl Fn(&mut [f32]), xs: &[f32]) -> Vec<f32> {
     let mut v = xs.to_vec();
     f(&mut v);
     v
@@ -108,10 +115,15 @@ proptest! {
     #[test]
     fn tiers_agree_bitwise_at_every_length(seed in 0u64..1_000_000) {
         let xs = inputs(MAX_LEN, seed);
-        for (name, fast, slow) in elementwise() {
+        for (name, dispatched, on_tier) in elementwise() {
             for len in 0..=MAX_LEN {
-                let r = same(&apply(fast, &xs[..len]), &apply(slow, &xs[..len]));
-                prop_assert!(r.is_ok(), "{name} len {len}: {r:?}");
+                let want = apply(|v| on_tier(Tier::Portable, v), &xs[..len]);
+                for &tier in Tier::host() {
+                    let r = same(&apply(|v| on_tier(tier, v), &xs[..len]), &want);
+                    prop_assert!(r.is_ok(), "{name} on {} len {len}: {r:?}", tier.name());
+                }
+                let r = same(&apply(dispatched, &xs[..len]), &want);
+                prop_assert!(r.is_ok(), "{name} dispatched len {len}: {r:?}");
             }
         }
     }
@@ -141,11 +153,14 @@ proptest! {
             let mask: Vec<f32> =
                 (0..rows * cols).map(|_| if rng.gen_range(0..4u32) == 0 { MASK_NEG } else { 0.0 }).collect();
             for (scale, mask) in [(1.0f32, None), (0.25, None), (0.176_776_7, Some(mask.as_slice()))] {
-                let (mut a, mut b) = (data.clone(), data.clone());
+                let mut a = data.clone();
                 vmath::softmax_rows_scaled(&mut a, cols, scale, mask);
-                portable::softmax_rows_scaled(&mut b, cols, scale, mask);
-                let r = same(&a, &b);
-                prop_assert!(r.is_ok(), "cols {cols} scale {scale}: {r:?}");
+                for &tier in Tier::host() {
+                    let mut b = data.clone();
+                    on::softmax_rows_scaled(tier, &mut b, cols, scale, mask);
+                    let r = same(&a, &b);
+                    prop_assert!(r.is_ok(), "{} cols {cols} scale {scale}: {r:?}", tier.name());
+                }
                 // A row's result depends on the row alone, not on its block.
                 if cols > 0 {
                     let mut first = data[..cols].to_vec();
