@@ -51,7 +51,8 @@ fn usage() -> ! {
            --max-delay-ms T        flush when the oldest request waited T ms (default 2)\n\
            --threads K             engine worker threads (default: all cores)\n\
            --quant int8|off        int8 inference (accuracy-gated; default off)\n\
-           --workers W             request worker threads, at least 1 (default 16)\n\
+           --workers W             threads for requests that may block: model\n\
+                                   uploads, feedback (at least 1; default 16)\n\
            --port-file FILE        write the bound address to FILE after bind\n\
                                    (how a supervisor discovers an ephemeral port)\n\
            --chaos SPEC            deterministic fault injection, e.g.\n\

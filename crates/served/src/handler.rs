@@ -4,9 +4,10 @@
 //! the response is": the epoll reactor, its request workers, and the
 //! scripted mock backends in `doduo-balance`'s failover tests (over
 //! [`serve_blocking`]) parse HTTP their own way but dispatch through the
-//! same `fn handle(&self, &HttpRequest) -> HttpResponse`. Streaming (`POST /annotate_stream`) is the one endpoint
-//! outside this seam — it consumes its body incrementally and owns its
-//! connection to the end, so each transport hands it off explicitly.
+//! same `fn handle(&self, &HttpRequest) -> HttpResponse`. Streaming
+//! (`POST /annotate_stream`) is the one endpoint outside this seam: it
+//! never has a fully received request, so it is a state of the reactor's
+//! connection machine ([`crate::reactor::StreamHooks`]) instead.
 //!
 //! [`canonical_path`] implements the `/v1` API versioning: every route is
 //! mounted under `/v1/` with the legacy unprefixed path kept as an alias,

@@ -1,25 +1,21 @@
-//! Minimal HTTP/1.1 on blocking std sockets — just enough of RFC 9112 for
-//! the daemon's endpoints: request-line + header parsing, `Content-Length`
+//! Minimal HTTP/1.1 on std sockets — just enough of RFC 9112 for the
+//! daemon's endpoints: request-line + header parsing, `Content-Length`
 //! *and* chunked transfer-encoded bodies, keep-alive, `Expect:
 //! 100-continue`, and response writing (fixed-length and chunked).
 //! Hand-rolled because the workspace is offline-only (no hyper/axum); the
 //! surface is deliberately tiny and strict.
 //!
-//! The parser is split head/body so the daemon can route *before* buffering
-//! a body: `/annotate_stream` consumes its (usually chunked) body
-//! incrementally through [`BodyReader`] while results stream back, whereas
-//! the plain endpoints read the whole body with [`read_body`]. Size limits
-//! are enforced incrementally ([`MAX_HEAD_BYTES`], [`MAX_BODY_BYTES`] →
-//! HTTP 413) and every read carries a wall-clock deadline so a byte-dripping
-//! client cannot pin a thread (→ HTTP 408).
-//!
-//! Two parsing styles share one grammar: the blocking readers
-//! ([`read_head`], [`BodyReader`]) pull from a `BufRead`, while the sans-IO
-//! forms ([`parse_head`], [`BodyDecoder`]) consume from a caller-owned byte
-//! buffer — that is what the epoll reactor feeds from non-blocking reads.
-//! Both route through the same request-line/header functions, so the
-//! hardening guarantees (smuggling rejections, size caps) hold identically
-//! for the reactor, the taken-over streams and `doduo-balance`'s proxy.
+//! The parser is split head/body so a server can route *before* buffering a
+//! body. The grammar lives in the sans-IO forms — [`parse_head`] and
+//! [`BodyDecoder`] consume from a caller-owned byte buffer, which is what
+//! the epoll reactor feeds from non-blocking reads: whole bodies for the
+//! plain endpoints, an uncapped incremental decode for `/annotate_stream`.
+//! The blocking readers ([`read_head`], [`read_body`]) that
+//! `doduo-balance`'s proxy and [`crate::handler::serve_blocking`] use pull
+//! from a `BufRead` and go through the same request-line/header functions
+//! and the same [`BodyDecoder`], so the hardening guarantees (smuggling
+//! rejections, size caps → HTTP 413, wall-clock deadlines → HTTP 408) hold
+//! identically on every transport.
 //!
 //! Every 4xx/5xx body uses one JSON error envelope (see
 //! [`error_envelope`]): `{"error": {"code", "message", "retry_after_ms"?}}`
@@ -62,21 +58,6 @@ pub struct Head {
     pub expect_continue: bool,
     /// How the body is framed.
     pub framing: BodyFraming,
-}
-
-/// One parsed HTTP request (head + fully buffered body).
-#[derive(Debug)]
-pub struct Request {
-    /// Upper-cased method (`GET`, `POST`, ...).
-    pub method: String,
-    /// Request target path (query string stripped).
-    pub path: String,
-    /// Raw query string (without `?`), empty if absent.
-    pub query: String,
-    /// Body bytes.
-    pub body: Vec<u8>,
-    /// Whether the connection should stay open after the response.
-    pub keep_alive: bool,
 }
 
 /// Why reading a request failed.
@@ -299,83 +280,32 @@ pub fn parse_head(buf: &[u8]) -> Result<Option<(Head, usize)>, ReadError> {
     Ok(Some((head.finish(), end)))
 }
 
-/// Reads one full request (head + buffered body) — the convenience form
-/// used by tests and simple callers. Does **not** send `100 Continue`; the
-/// daemon handles that itself because it needs the write half.
-pub fn read_request(reader: &mut impl BufRead) -> Result<Request, ReadError> {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let head = read_head(reader, deadline)?;
-    let body = read_body(reader, head.framing, deadline)?;
-    Ok(Request {
-        method: head.method,
-        path: head.path,
-        query: head.query,
-        body,
-        keep_alive: head.keep_alive,
-    })
-}
-
-/// Buffers a whole request body under [`MAX_BODY_BYTES`]. Mid-body
-/// timeouts are fatal (the connection is out of sync); `deadline` bounds
-/// total wall time.
+/// Buffers a whole request body under [`MAX_BODY_BYTES`] through a
+/// [`BodyDecoder`], consuming exactly the body's bytes from `reader` (a
+/// pipelined next request stays buffered). A mid-body read timeout is an
+/// I/O error like any other (the connection is out of sync); `deadline`
+/// bounds total wall time.
 pub fn read_body(
     reader: &mut impl BufRead,
     framing: BodyFraming,
     deadline: Instant,
 ) -> Result<Vec<u8>, ReadError> {
-    if let BodyFraming::Length(n) = framing {
-        // Reject a declared-oversized body before buffering any of it.
-        if n > MAX_BODY_BYTES {
-            return Err(ReadError::TooLarge(format!("body of {n} bytes exceeds limit")));
-        }
-    }
+    let mut decoder = BodyDecoder::new(framing);
     let mut body = Vec::new();
-    let mut r = BodyReader::new(framing);
-    let mut buf = [0u8; 8 * 1024];
-    loop {
-        match r.read_some(reader, &mut buf) {
-            Ok(0) => return Ok(body),
-            Ok(n) => {
-                if body.len() + n > MAX_BODY_BYTES {
-                    return Err(ReadError::TooLarge("body exceeds limit".into()));
-                }
-                body.extend_from_slice(&buf[..n]);
-                if Instant::now() > deadline {
-                    return Err(ReadError::TooSlow);
-                }
-            }
-            Err(ReadError::TimedOut) => {
-                return Err(ReadError::Io(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "timed out mid-body",
-                )))
-            }
-            Err(e) => return Err(e),
+    // A declared-oversized body is rejected before any of it is read.
+    decoder.push(&[], &mut body)?;
+    while !decoder.is_done() {
+        let used = match reader.fill_buf() {
+            Ok([]) => return Err(ReadError::Eof),
+            Ok(buf) => decoder.push(buf, &mut body)?,
+            Err(e) => return Err(ReadError::Io(e)),
+        };
+        reader.consume(used);
+        if Instant::now() > deadline {
+            return Err(ReadError::TooSlow);
         }
     }
-}
-
-/// Incremental request-body reader: decodes `Content-Length` or chunked
-/// framing one slice at a time, preserving its state across socket read
-/// timeouts so a caller can interleave other work (the streaming endpoint
-/// polls annotation results between reads). `Ok(0)` means the body is
-/// complete; [`ReadError::TimedOut`] is always retryable here.
-#[derive(Debug)]
-pub struct BodyReader {
-    framing: BodyFraming,
-    /// Bytes left in the current content-length body or chunk payload.
-    remaining: usize,
-    /// Chunked state machine position.
-    state: ChunkState,
-    /// Partial chunk-header line carried across timeouts.
-    partial: Vec<u8>,
-    /// Total body bytes produced so far.
-    produced: usize,
-    /// Cap on `produced` (→ 413), or `None` for endpoints that consume the
-    /// body incrementally and bound their memory another way (the
-    /// streaming endpoint caps per-document size and read-ahead instead —
-    /// a stream's *total* length is legitimately unbounded).
-    total_cap: Option<usize>,
+    Ok(body)
 }
 
 #[derive(Debug, PartialEq, Eq)]
@@ -392,147 +322,12 @@ enum ChunkState {
     Done,
 }
 
-impl BodyReader {
-    /// A reader at the start of a body framed as `framing`, capped at
-    /// [`MAX_BODY_BYTES`] total (the right default for buffered bodies).
-    pub fn new(framing: BodyFraming) -> BodyReader {
-        Self::with_cap(framing, Some(MAX_BODY_BYTES))
-    }
-
-    /// A reader without the total-size cap, for callers that consume the
-    /// body incrementally and bound memory themselves.
-    pub fn unbounded(framing: BodyFraming) -> BodyReader {
-        Self::with_cap(framing, None)
-    }
-
-    fn with_cap(framing: BodyFraming, total_cap: Option<usize>) -> BodyReader {
-        let (remaining, state) = match framing {
-            BodyFraming::None => (0, ChunkState::Done),
-            BodyFraming::Length(n) => (n, if n == 0 { ChunkState::Done } else { ChunkState::Data }),
-            BodyFraming::Chunked => (0, ChunkState::Size),
-        };
-        BodyReader { framing, remaining, state, partial: Vec::new(), produced: 0, total_cap }
-    }
-
-    /// True once the body has been fully consumed.
-    pub fn is_done(&self) -> bool {
-        self.state == ChunkState::Done
-    }
-
-    /// Reads some body bytes into `buf`. Returns `Ok(0)` when the body is
-    /// complete. [`ReadError::TimedOut`] leaves the reader in a resumable
-    /// state (call again later); other errors are fatal.
-    pub fn read_some(
-        &mut self,
-        reader: &mut impl BufRead,
-        buf: &mut [u8],
-    ) -> Result<usize, ReadError> {
-        loop {
-            match self.state {
-                ChunkState::Done => return Ok(0),
-                ChunkState::Data => {
-                    let want = self.remaining.min(buf.len());
-                    let n = match reader.read(&mut buf[..want]) {
-                        Ok(0) => return Err(ReadError::Eof),
-                        Ok(n) => n,
-                        Err(e) => return Err(io_err(e)),
-                    };
-                    self.remaining -= n;
-                    self.produced += n;
-                    if self.total_cap.is_some_and(|cap| self.produced > cap) {
-                        return Err(ReadError::TooLarge("body exceeds limit".into()));
-                    }
-                    if self.remaining == 0 {
-                        self.state = match self.framing {
-                            BodyFraming::Length(_) => ChunkState::Done,
-                            BodyFraming::Chunked => ChunkState::DataEnd,
-                            BodyFraming::None => unreachable!("no-body framing has no data"),
-                        };
-                    }
-                    return Ok(n);
-                }
-                ChunkState::Size => {
-                    let Some(line) = self.try_line(reader)? else { continue };
-                    let hex = line.split(';').next().unwrap_or("").trim();
-                    let size = usize::from_str_radix(hex, 16)
-                        .map_err(|_| ReadError::Bad(format!("bad chunk size: {hex:?}")))?;
-                    if size == 0 {
-                        self.state = ChunkState::Trailer;
-                    } else {
-                        if self.total_cap.is_some_and(|cap| self.produced + size > cap) {
-                            return Err(ReadError::TooLarge("chunked body exceeds limit".into()));
-                        }
-                        self.remaining = size;
-                        self.state = ChunkState::Data;
-                    }
-                }
-                ChunkState::DataEnd => {
-                    let Some(line) = self.try_line(reader)? else { continue };
-                    if !line.is_empty() {
-                        return Err(ReadError::Bad("missing CRLF after chunk data".into()));
-                    }
-                    self.state = ChunkState::Size;
-                }
-                ChunkState::Trailer => {
-                    let Some(line) = self.try_line(reader)? else { continue };
-                    if line.is_empty() {
-                        self.state = ChunkState::Done;
-                        return Ok(0);
-                    }
-                    // Trailer fields are read and discarded.
-                }
-            }
-        }
-    }
-
-    /// Reads one CRLF-terminated framing line, accumulating partial bytes
-    /// across timeouts. `Ok(None)` never happens (loops internally until a
-    /// full line, timeout, or error) — it returns `Some(line)` without the
-    /// terminator.
-    fn try_line(&mut self, reader: &mut impl BufRead) -> Result<Option<String>, ReadError> {
-        loop {
-            let (used, done) = {
-                let chunk = match reader.fill_buf() {
-                    Ok(b) => b,
-                    Err(e) => return Err(io_err(e)),
-                };
-                if chunk.is_empty() {
-                    return Err(ReadError::Eof);
-                }
-                match chunk.iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        self.partial.extend_from_slice(&chunk[..=pos]);
-                        (pos + 1, true)
-                    }
-                    None => {
-                        self.partial.extend_from_slice(chunk);
-                        (chunk.len(), false)
-                    }
-                }
-            };
-            reader.consume(used);
-            if self.partial.len() > 256 {
-                return Err(ReadError::Bad("chunk framing line too long".into()));
-            }
-            if done {
-                let line = std::str::from_utf8(&self.partial)
-                    .map_err(|_| ReadError::Bad("chunk framing is not valid UTF-8".into()))?
-                    .trim_end()
-                    .to_string();
-                self.partial.clear();
-                return Ok(Some(line));
-            }
-        }
-    }
-}
-
-/// Sans-IO counterpart of [`BodyReader`]: decodes `Content-Length` or
-/// chunked framing from caller-owned buffers instead of a socket. The epoll
-/// reactor appends whatever its non-blocking reads return and feeds it
-/// here; the decoder consumes what it can, appends decoded body bytes to
-/// `out`, and remembers its position across calls. Error classification
-/// (bad chunk framing → 400, size caps → 413) matches the blocking reader
-/// exactly, so both forms reject the same inputs.
+/// The request-body decoder: `Content-Length` or chunked framing, sans-IO.
+/// The caller appends whatever its reads return and feeds it here; the
+/// decoder consumes what it can, appends decoded body bytes to `out`, and
+/// remembers its position across calls. Bad chunk framing is
+/// [`ReadError::Bad`] (→ 400), a body past its cap [`ReadError::TooLarge`]
+/// (→ 413).
 #[derive(Debug)]
 pub struct BodyDecoder {
     framing: BodyFraming,
@@ -541,21 +336,32 @@ pub struct BodyDecoder {
     state: ChunkState,
     /// Partial chunk-header line carried across feeds.
     partial: Vec<u8>,
-    /// Total body bytes produced so far (cap → 413).
+    /// Total body bytes produced so far.
     produced: usize,
+    /// Cap on `produced` (→ 413).
+    cap: usize,
 }
 
 impl BodyDecoder {
     /// A decoder at the start of a body framed as `framing`, capped at
-    /// [`MAX_BODY_BYTES`] total. A declared-oversized `Content-Length` is
-    /// rejected on the first [`BodyDecoder::push`], before buffering.
+    /// [`MAX_BODY_BYTES`] total (the right default for buffered bodies). A
+    /// declared-oversized `Content-Length` is rejected on the first
+    /// [`BodyDecoder::push`], before buffering.
     pub fn new(framing: BodyFraming) -> BodyDecoder {
         let (remaining, state) = match framing {
             BodyFraming::None => (0, ChunkState::Done),
             BodyFraming::Length(n) => (n, if n == 0 { ChunkState::Done } else { ChunkState::Data }),
             BodyFraming::Chunked => (0, ChunkState::Size),
         };
-        BodyDecoder { framing, remaining, state, partial: Vec::new(), produced: 0 }
+        let partial = Vec::new();
+        BodyDecoder { framing, remaining, state, partial, produced: 0, cap: MAX_BODY_BYTES }
+    }
+
+    /// [`BodyDecoder::new`] without the total-size cap, for a caller that
+    /// consumes the body incrementally and bounds its memory another way: a
+    /// stream caps its documents and read-ahead, not its total length.
+    pub fn unbounded(framing: BodyFraming) -> BodyDecoder {
+        BodyDecoder { cap: usize::MAX, ..BodyDecoder::new(framing) }
     }
 
     /// True once the body has been fully decoded.
@@ -570,7 +376,7 @@ impl BodyDecoder {
     /// needed).
     pub fn push(&mut self, input: &[u8], out: &mut Vec<u8>) -> Result<usize, ReadError> {
         if let BodyFraming::Length(n) = self.framing {
-            if n > MAX_BODY_BYTES {
+            if n > self.cap {
                 return Err(ReadError::TooLarge(format!("body of {n} bytes exceeds limit")));
             }
         }
@@ -584,7 +390,7 @@ impl BodyDecoder {
                         return Ok(used);
                     }
                     let take = self.remaining.min(rest.len());
-                    if self.produced + take > MAX_BODY_BYTES {
+                    if self.produced.saturating_add(take) > self.cap {
                         return Err(ReadError::TooLarge("body exceeds limit".into()));
                     }
                     out.extend_from_slice(&rest[..take]);
@@ -607,7 +413,7 @@ impl BodyDecoder {
                     if size == 0 {
                         self.state = ChunkState::Trailer;
                     } else {
-                        if self.produced + size > MAX_BODY_BYTES {
+                        if self.produced.saturating_add(size) > self.cap {
                             return Err(ReadError::TooLarge("chunked body exceeds limit".into()));
                         }
                         self.remaining = size;
@@ -658,35 +464,6 @@ impl BodyDecoder {
             .to_string();
         self.partial.clear();
         Ok(Some(line))
-    }
-}
-
-/// A reader that replays `prefix` bytes before delegating to `inner` — how
-/// the reactor hands a streaming connection (whose head and early body
-/// bytes it already consumed into its buffer) to a blocking stream handler
-/// without losing a byte.
-pub struct Prefixed<R> {
-    prefix: Vec<u8>,
-    pos: usize,
-    inner: R,
-}
-
-impl<R: Read> Prefixed<R> {
-    /// Wraps `inner`, yielding `prefix` first.
-    pub fn new(prefix: Vec<u8>, inner: R) -> Prefixed<R> {
-        Prefixed { prefix, pos: 0, inner }
-    }
-}
-
-impl<R: Read> Read for Prefixed<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.pos < self.prefix.len() {
-            let n = (self.prefix.len() - self.pos).min(buf.len());
-            buf[..n].copy_from_slice(&self.prefix[self.pos..self.pos + n]);
-            self.pos += n;
-            return Ok(n);
-        }
-        self.inner.read(buf)
     }
 }
 
@@ -851,20 +628,7 @@ pub fn write_error(
     message: &str,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    write_error_code(stream, status, reason, code_for_status(status), message, keep_alive)
-}
-
-/// [`write_error`] with an explicit envelope `code` when the default
-/// status-derived one is too coarse.
-pub fn write_error_code(
-    stream: &mut impl Write,
-    status: u16,
-    reason: &str,
-    code: &str,
-    message: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let body = error_envelope(code, message, None);
+    let body = error_envelope(code_for_status(status), message, None);
     write_response(stream, status, reason, "application/json", &body, keep_alive)
 }
 

@@ -24,7 +24,8 @@
 //! worker threads. `POST /annotate_stream` adds a streaming multi-table
 //! mode — a chunked upload of table objects answered by a chunked NDJSON
 //! stream of per-table results, each emitted as its micro-batch flushes
-//! and each byte-identical to the single-table `/annotate` response.
+//! and each byte-identical to the single-table `/annotate` response —
+//! served full duplex on the same reactor, as one more connection state.
 //!
 //! Everything is hand-rolled on `std` (TCP, HTTP, JSON, threads): the
 //! workspace is offline-only by policy, and the daemon inherits that.
@@ -32,21 +33,21 @@
 //! * [`json`] — JSON value parser + the wire codecs (tables in,
 //!   annotations out) + the incremental stream splitter.
 //! * [`http`] — minimal HTTP/1.1 request/response with chunked framing
-//!   (blocking and sans-IO parsers), the unified error envelope, plus a
-//!   tiny blocking client for tests and load benches.
+//!   (one sans-IO grammar, blocking readers over it), the unified error
+//!   envelope, plus a tiny blocking client for tests and load benches.
 //! * [`handler`] — the transport-independent [`Handler`]
 //!   trait and `/v1` path canonicalization shared by the daemon and by
 //!   `doduo-balance`'s test backends.
-//! * [`reactor`] — the epoll event loop: connection state machines, timer
-//!   wheel, eventfd completion routing.
+//! * [`reactor`] — the epoll event loop: the connection state machine
+//!   (streams included), timer wheel, eventfd completion routing.
 //! * [`queue`] — the deterministic batching core and its `Condvar` wrapper.
 //! * [`lifecycle`] — the versioned live-model layer: atomic blue/green
 //!   hot-swap (`POST /v1/model`), per-response `x-model-version`
 //!   attribution, and the bounded feedback journal behind the opt-in
 //!   fine-tune loop (`POST /v1/feedback`, `--feedback-finetune`).
 //! * [`stats`] — latency percentiles and aggregate counters (`/stats`).
-//! * [`server`] — reactor wiring, request workers, dispatcher, streaming,
-//!   graceful shutdown.
+//! * [`server`] — reactor wiring, request workers, dispatcher, the
+//!   socket-free stream session, graceful shutdown.
 //! * [`bootstrap`] — the deterministic synthetic serving world shared by
 //!   the daemon's `--synthetic` mode, the `serve_load` bench, and CI.
 //! * [`validate`] — the online == offline equivalence check and the

@@ -1,11 +1,13 @@
 //! The epoll event loop that owns the daemon's connections.
 //!
-//! One reactor thread owns the listener and every parked connection. Each
+//! One reactor thread owns the listener and every connection. Each
 //! connection is a small state machine —
 //!
 //! ```text
 //!   Idle ──bytes──▶ Reading ──full request──▶ Dispatched ──completion──▶ Writing
-//!    ▲  (75 s)        (request deadline)        (dispatch backstop)    (write stall)
+//!    ▲  (75 s)      │ (request deadline)       (dispatch backstop)    (write stall)
+//!    │              └─stream head─▶ Streaming ──session done──▶ Writing ──▶ close
+//!    │                              (session deadline, write stall)
 //!    └──────────────────── outbox drained, keep-alive ───────────────────────┘
 //! ```
 //!
@@ -19,24 +21,33 @@
 //! immediately (`GET` endpoints, errors) or queues it for worker threads.
 //! Workers never touch sockets — they push a [`Completion`] into the
 //! [`Router`] and signal its `eventfd`, which wakes the reactor to write
-//! the bytes out. Streaming requests (`POST /annotate_stream`) are the one
-//! exception: the reactor hands the raw socket plus any buffered bytes
-//! back to the driver at head-parse time, before the body is consumed.
+//! the bytes out.
+//!
+//! A request whose head the driver claims ([`Driver::open_stream`]) is
+//! answered at once with a chunked `200` head and goes full duplex in
+//! `Streaming`: decoded body bytes go to the connection's [`StreamHooks`]
+//! session, finished tables come back through the [`Router`] as rendered
+//! lines, and every event appends chunks to the outbox and says whether
+//! it wants more input. `EPOLLIN` is watched only while it does *and* the
+//! outbox is empty, `EPOLLOUT` only while it is not — a client that
+//! uploads without reading is paused, then severed after `write_timeout`.
 //!
 //! Timer entries and dispatch tickets carry a `slot | gen << 32` token;
 //! the generation bumps on every state transition, so a stale timer (or a
 //! completion for a connection that died) is recognized by a mismatched
-//! generation and dropped — lazy cancellation, no timer deletion needed.
+//! generation and dropped — lazy cancellation, no timer deletion needed. A
+//! stream keeps one generation to its end (its ticket outlives many
+//! events); its timers are checked against the one deadline it tracks.
 //! Epoll registrations carry a separate `slot | epoch << 32` token whose
-//! epoch bumps only when the slot's socket changes hands (close or
-//! stream hand-over): readiness events stay valid across the per-request
-//! generation churn, which lets the reactor skip `epoll_ctl` entirely
-//! whenever a transition keeps the kernel's interest mask unchanged.
+//! epoch bumps only when the slot's socket is closed: readiness events
+//! stay valid across the per-request generation churn, which lets the
+//! reactor skip `epoll_ctl` entirely whenever a transition keeps the
+//! kernel's interest mask unchanged.
 
 use crate::handler::{render_http_response, HttpRequest, HttpResponse};
-use crate::http::{parse_head, BodyDecoder, BodyFraming, Head, ReadError};
-use epoll::{Epoll, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use std::io::{Read, Write};
+use crate::http::{parse_head, write_chunked_head, BodyDecoder, BodyFraming, Head, ReadError};
+use epoll::{Epoll, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
+use std::io::{ErrorKind, Read, Write};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -109,20 +120,15 @@ pub trait Driver<S: Source>: Sync {
         Ok(None)
     }
 
-    /// Returns true when this request head names an endpoint that owns
-    /// its connection to the end (streaming); the reactor then calls
-    /// [`Driver::take_over`] instead of buffering the body.
-    fn wants_takeover(&self, head: &Head) -> bool {
-        let _ = head;
-        false
-    }
+    /// The per-connection state of an open stream.
+    type Stream: StreamHooks;
 
-    /// Receives a taken-over connection: the raw stream (still
-    /// nonblocking), its parsed head, bytes read past the head, and the
-    /// number of requests previously served on the connection.
-    fn take_over(&self, stream: S, head: Head, leftover: Vec<u8>, prior_requests: u64) {
-        let _ = (stream, head, leftover, prior_requests);
-    }
+    /// Claims a request head as a stream; `None` for an ordinary request,
+    /// whose body the reactor buffers for [`Driver::dispatch`]. `ticket`
+    /// addresses the connection for [`Router::line`] until the stream ends.
+    /// Must not block.
+    fn open_stream(&self, head: &Head, ticket: Ticket, prior_requests: u64)
+        -> Option<Self::Stream>;
 
     /// Routes one fully received request. `prior_requests` is the number
     /// of requests already served on this connection (for keep-alive
@@ -133,11 +139,46 @@ pub trait Driver<S: Source>: Sync {
     /// reactor already wrote the error envelope; this is for counters.
     fn on_request_error(&self) {}
 
-    /// A connection was admitted into the reactor.
-    fn on_open(&self) {}
-
-    /// A connection left the reactor (closed or taken over).
+    /// A connection left the reactor.
     fn on_close(&self) {}
+}
+
+/// How a stream's request body ended.
+pub enum BodyEnd {
+    /// The framing completed (last chunk, or `Content-Length` bytes).
+    Complete,
+    /// The peer sent FIN before the framing completed.
+    Truncated,
+    /// The framing was malformed; the reason to report.
+    Bad(String),
+}
+
+/// What a stream session wants from its connection after an event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Next {
+    /// Deliver more body bytes as they arrive.
+    Read,
+    /// Leave body bytes in the socket until a later event says `Read`.
+    Hold,
+    /// The response is complete: drain the outbox, then close.
+    Close,
+}
+
+/// One open stream, driven by the reactor. Every event may append whole
+/// response chunks to `out`, the connection's outbox. The session is
+/// dropped when its response is complete or its connection is lost.
+pub trait StreamHooks {
+    /// Decoded body bytes arrived; `end` is set on the final call.
+    fn on_body(&mut self, bytes: &[u8], end: Option<BodyEnd>, out: &mut Vec<u8>) -> Next;
+
+    /// Table `index`'s rendered result line arrived through [`Router::line`].
+    fn on_line(&mut self, index: usize, line: String, out: &mut Vec<u8>) -> Next;
+
+    /// [`StreamHooks::deadline`] passed, or shutdown began.
+    fn on_timer(&mut self, now: Instant, out: &mut Vec<u8>) -> Next;
+
+    /// When the session next wants [`StreamHooks::on_timer`].
+    fn deadline(&self, now: Instant) -> Instant;
 }
 
 /// Timeout budgets and sizing for a [`Reactor`].
@@ -151,7 +192,8 @@ pub struct ReactorConfig {
     /// Backstop for a queued request whose completion never arrives; the
     /// worker's own timeout should fire first and answer `500`.
     pub dispatch_timeout: Duration,
-    /// Budget for draining a response to a slow-reading client.
+    /// Budget for draining a response (a stream's outbox: from when the
+    /// socket first pushes back) to a slow-reading client.
     pub write_timeout: Duration,
     /// Discriminates a slow-loris from a dead client when
     /// `request_deadline` expires mid-request: a client whose last byte
@@ -170,8 +212,8 @@ impl Default for ReactorConfig {
             request_deadline: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(75),
             dispatch_timeout: Duration::from_secs(35),
-            write_timeout: Duration::from_secs(10),
-            read_grace: Duration::from_secs(5),
+            write_timeout: Duration::from_secs(30),
+            read_grace: Duration::from_millis(200),
             timer_granularity: Duration::from_millis(25),
         }
     }
@@ -274,12 +316,14 @@ impl TimerWheel {
 
 // --------------------------------------------------------------- completions
 
-/// A worker's finished response, addressed by connection [`Ticket`].
-pub struct Completion {
-    /// The ticket handed to [`Driver::dispatch`].
-    pub ticket: Ticket,
-    /// The response to render and write.
-    pub resp: HttpResponse,
+/// Finished work addressed to a connection by the [`Ticket`] handed to
+/// [`Driver::dispatch`] or [`Driver::open_stream`].
+pub enum Completion {
+    /// A dispatched request's response, to render and write.
+    Response(Ticket, HttpResponse),
+    /// One table of an open stream: its position in the stream and its
+    /// rendered result line.
+    Line(Ticket, usize, String),
 }
 
 /// The worker→reactor completion queue: a mutexed vector plus an
@@ -296,16 +340,27 @@ impl Router {
         Ok(Router { done: Mutex::new(Vec::new()), wake: EventFd::new()? })
     }
 
-    /// Delivers a worker's response and wakes the reactor. The `eventfd`
-    /// is only signalled on the empty→non-empty transition: the reactor
-    /// drains the whole queue per turn (eventfd first, then the vector),
-    /// so a completion that lands behind an undelivered one rides the
-    /// signal already in flight. A dispatcher finishing a micro-batch of
-    /// jobs pays one wake syscall, not one per job.
+    /// Delivers a worker's response and wakes the reactor.
     pub fn complete(&self, ticket: Ticket, resp: HttpResponse) {
+        self.push(Completion::Response(ticket, resp));
+    }
+
+    /// Delivers one finished table of the stream opened under `ticket`. A
+    /// stream that has ended meanwhile no longer holds that ticket, and the
+    /// reactor drops the line.
+    pub fn line(&self, ticket: Ticket, index: usize, line: String) {
+        self.push(Completion::Line(ticket, index, line));
+    }
+
+    /// The `eventfd` is only signalled on the empty→non-empty transition:
+    /// the reactor drains the whole queue per turn (eventfd first, then the
+    /// vector), so a completion that lands behind an undelivered one rides
+    /// the signal already in flight. A dispatcher finishing a micro-batch
+    /// of jobs pays one wake syscall, not one per job.
+    fn push(&self, completion: Completion) {
         let first = {
             let mut done = self.done.lock().expect("router lock");
-            done.push(Completion { ticket, resp });
+            done.push(completion);
             done.len() == 1
         };
         if first {
@@ -327,14 +382,15 @@ impl Router {
 // ------------------------------------------------------------- connections
 
 /// Which timeout is armed and what readiness means right now.
-#[derive(Debug)]
-enum ConnState {
+enum ConnState<T> {
     /// Keep-alive parking: no partial request buffered.
     Idle,
     /// A request's first byte has arrived; head/body parsing in progress.
     Reading,
     /// Request handed to workers; socket reads are paused.
     Dispatched,
+    /// An open stream: body bytes in, response chunks out, on one socket.
+    Streaming(OpenStream<T>),
     /// Response bytes draining from the outbox.
     Writing {
         /// Park for another request once drained (vs. close).
@@ -344,9 +400,23 @@ enum ConnState {
     },
 }
 
-struct ConnEntry<S> {
+/// A connection's open stream: the driver's session plus what the reactor
+/// tracks to drive it.
+struct OpenStream<T> {
+    session: T,
+    /// The session's last verdict was [`Next::Read`] and the body is not
+    /// over; reads also wait for the outbox to drain.
+    wants_body: bool,
+    /// When the outbox first met `EAGAIN` since it was last empty.
+    stalled_since: Option<Instant>,
+    /// The earliest deadline armed on the wheel for this stream; entries
+    /// armed for a later time than this fire as no-ops.
+    timer_at: Option<Instant>,
+}
+
+struct ConnEntry<S, T> {
     stream: S,
-    state: ConnState,
+    state: ConnState<T>,
     /// Raw bytes read but not yet consumed by parsing.
     inbuf: Vec<u8>,
     /// Parsed head of the in-progress request.
@@ -362,8 +432,6 @@ struct ConnEntry<S> {
     requests: u64,
     /// The dispatched request's keep-alive wish (consulted at completion).
     req_keep_alive: bool,
-    /// Peer sent FIN (no more request bytes will arrive).
-    saw_rdhup: bool,
     /// When the last request byte arrived (see `ReactorConfig::read_grace`).
     last_read: Instant,
 }
@@ -378,13 +446,13 @@ pub struct Reactor<S: Source, D: Driver<S>> {
     epoll: Epoll,
     router: Arc<Router>,
     wheel: TimerWheel,
-    conns: Vec<Option<ConnEntry<S>>>,
+    conns: Vec<Option<ConnEntry<S, D::Stream>>>,
     /// Per-slot request generation: bumped on every state transition so
     /// timers and dispatch tickets from a superseded state are lazily
     /// cancelled. Memory-only — never re-registered with the kernel.
     gens: Vec<u32>,
-    /// Per-slot connection epoch: bumped only when a slot's socket
-    /// changes hands (close/hand-over). This is what epoll registrations
+    /// Per-slot connection epoch: bumped only when a slot's socket is
+    /// closed. This is what epoll registrations
     /// carry, so readiness events survive the per-request gen churn while
     /// events for a recycled slot still drop.
     epochs: Vec<u32>,
@@ -461,8 +529,8 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
                 self.conns.len() - 1
             }
         };
-        self.epoll.add(stream.as_raw_fd(), self.evtoken(slot), EPOLLIN | EPOLLRDHUP)?;
-        self.interests[slot] = EPOLLIN | EPOLLRDHUP;
+        self.epoll.add(stream.as_raw_fd(), self.evtoken(slot), EPOLLIN)?;
+        self.interests[slot] = EPOLLIN;
         let token = self.token(slot);
         self.conns[slot] = Some(ConnEntry {
             stream,
@@ -475,12 +543,10 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
             outpos: 0,
             requests: 0,
             req_keep_alive: true,
-            saw_rdhup: false,
             last_read: Instant::now(),
         });
         self.active += 1;
         self.wheel.insert(Instant::now() + self.cfg.idle_timeout, token);
-        self.driver.on_open();
         Ok(())
     }
 
@@ -544,21 +610,6 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
         }
     }
 
-    /// Releases the connection to the driver for streaming: epoll
-    /// deregistration, slot free, stream + buffered bytes handed over.
-    fn hand_over(&mut self, slot: usize, head: Head) {
-        if let Some(conn) = self.conns[slot].take() {
-            let _ = self.epoll.delete(conn.stream.as_raw_fd());
-            self.gens[slot] = self.gens[slot].wrapping_add(1);
-            self.epochs[slot] = self.epochs[slot].wrapping_add(1);
-            self.free.push(slot);
-            self.active -= 1;
-            // No `on_close` here: `take_over` transfers connection
-            // accounting to the driver along with the socket.
-            self.driver.take_over(conn.stream, head, conn.inbuf, conn.requests);
-        }
-    }
-
     /// One full event-loop iteration: wait (bounded by `cap` and the
     /// nearest timer), service readiness, drain completions, fire timers.
     /// Exposed for tests; [`Reactor::run`] loops it.
@@ -591,8 +642,8 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
     }
 
     /// Runs the loop until `stop` flips true, then drains: new accepts
-    /// halt, parked connections close, in-flight requests get `grace` to
-    /// finish writing.
+    /// halt, parked connections close, in-flight requests and open streams
+    /// get `grace` to finish writing.
     pub fn run(&mut self, stop: &AtomicBool, grace: Duration) -> std::io::Result<()> {
         let mut grace_until: Option<Instant> = None;
         loop {
@@ -603,10 +654,12 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
                         let _ = self.epoll.delete(fd);
                     }
                     for slot in 0..self.conns.len() {
-                        if let Some(conn) = self.conns[slot].as_ref() {
-                            if matches!(conn.state, ConnState::Idle | ConnState::Reading) {
-                                self.close(slot, false);
-                            }
+                        match self.conns[slot].as_ref().map(|conn| &conn.state) {
+                            Some(ConnState::Idle | ConnState::Reading) => self.close(slot, false),
+                            // A stream learns of the drain from its timer
+                            // event and ends itself in-band.
+                            Some(ConnState::Streaming(_)) => self.stream_timer(slot),
+                            _ => {}
                         }
                     }
                 }
@@ -650,23 +703,9 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
             self.close(slot, false);
             return;
         }
-        if flags & EPOLLRDHUP != 0 {
-            let conn = self.conns[slot].as_mut().expect("checked");
-            conn.saw_rdhup = true;
-            if matches!(conn.state, ConnState::Idle) && conn.inbuf.is_empty() {
-                self.close(slot, false);
-                return;
-            }
-            if matches!(conn.state, ConnState::Dispatched) {
-                // Nothing to read while dispatched; silence the
-                // level-triggered RDHUP until the completion arrives.
-                self.set_interest(slot, 0);
-            }
-        }
-        if flags & EPOLLIN != 0 {
-            if !self.fill_inbuf(slot) {
-                return; // closed
-            }
+        // A peer's FIN needs no flag of its own: it reads as end-of-file,
+        // behind whatever bytes came before it.
+        if flags & EPOLLIN != 0 && self.fill_inbuf(slot) {
             self.advance(slot);
         }
         if flags & EPOLLOUT != 0 {
@@ -674,55 +713,40 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
         }
     }
 
-    /// Reads until `EAGAIN`/EOF into the connection's input buffer.
-    /// Returns false when the connection was closed.
+    /// One read's worth of bytes into the input buffer (level-triggered
+    /// readiness brings the rest next turn), which bounds what is buffered
+    /// ahead of parsing or handed to a stream session in one event.
+    /// Returns false when there is nothing to advance over.
     fn fill_inbuf(&mut self, slot: usize) -> bool {
         let mut scratch = [0u8; 16 * 1024];
-        loop {
-            let conn = match self.conns[slot].as_mut() {
-                Some(c) => c,
-                None => return false,
-            };
-            match conn.stream.read(&mut scratch) {
-                Ok(0) => {
-                    // EOF. Mid-request → drop silently (matches the
-                    // blocking parser's `Eof` close); idle with no bytes →
-                    // plain close.
-                    self.close(slot, false);
-                    return false;
+        let Some(conn) = self.conns[slot].as_mut() else { return false };
+        match conn.stream.read(&mut scratch) {
+            // EOF. A stream's session hears of it; mid-request → drop
+            // silently; idle with no bytes → plain close.
+            Ok(0) => {
+                match conn.state {
+                    ConnState::Streaming(_) => self.stream_feed(slot, &[], true),
+                    _ => self.close(slot, false),
                 }
-                Ok(n) => {
-                    let drained = n < scratch.len();
-                    conn.inbuf.extend_from_slice(&scratch[..n]);
-                    conn.last_read = Instant::now();
-                    if matches!(conn.state, ConnState::Idle) {
-                        conn.state = ConnState::Reading;
-                        let interest = EPOLLIN
-                            | EPOLLRDHUP
-                            | if conn.outbox.len() > conn.outpos { EPOLLOUT } else { 0 };
-                        self.retoken(slot, interest);
-                        self.arm(slot, self.cfg.request_deadline);
-                    }
-                    // A short read means the socket is drained for now —
-                    // skip the extra read that would only report `EAGAIN`.
-                    // If more bytes race in behind the short read, the
-                    // level-triggered registration fires again next turn.
-                    if drained {
-                        return true;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close(slot, false);
-                    return false;
-                }
+                false
+            }
+            // `advance` takes an idle connection with bytes to `Reading`.
+            Ok(n) => {
+                conn.inbuf.extend_from_slice(&scratch[..n]);
+                conn.last_read = Instant::now();
+                true
+            }
+            // Nothing yet: level-triggered readiness calls again.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => false,
+            Err(_) => {
+                self.close(slot, false);
+                false
             }
         }
     }
 
     /// Drives the parse → dispatch state machine over whatever is
-    /// buffered. Only meaningful in `Idle`/`Reading`.
+    /// buffered. Only meaningful in `Idle`/`Reading`/`Streaming`.
     fn advance(&mut self, slot: usize) {
         loop {
             let conn = match self.conns[slot].as_mut() {
@@ -731,6 +755,11 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
             };
             match conn.state {
                 ConnState::Idle | ConnState::Reading => {}
+                // Whatever was read is the open stream's body.
+                ConnState::Streaming(_) => {
+                    let wire = std::mem::take(&mut conn.inbuf);
+                    return self.stream_feed(slot, &wire, false);
+                }
                 _ => return,
             }
             if conn.head.is_none() {
@@ -739,7 +768,7 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
                 }
                 if matches!(conn.state, ConnState::Idle) {
                     conn.state = ConnState::Reading;
-                    self.retoken(slot, EPOLLIN | EPOLLRDHUP);
+                    self.retoken(slot, EPOLLIN);
                     self.arm(slot, self.cfg.request_deadline);
                     continue;
                 }
@@ -747,13 +776,28 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
                     Ok(None) => return, // need more bytes
                     Ok(Some((head, consumed))) => {
                         conn.inbuf.drain(..consumed);
-                        if self.driver.wants_takeover(&head) {
-                            self.hand_over(slot, head);
-                            return;
-                        }
-                        let conn = self.conns[slot].as_mut().expect("checked");
                         if head.expect_continue && head.framing != BodyFraming::None {
                             conn.outbox.extend_from_slice(b"HTTP/1.1 100 Continue\r\n\r\n");
+                        }
+                        // Opening bumps no generation: the ticket is the
+                        // `Reading` token, current to the stream's end.
+                        let (prior, ticket) = (conn.requests, self.token(slot));
+                        let opened = self.driver.open_stream(&head, ticket, prior);
+                        let conn = self.conns[slot].as_mut().expect("checked");
+                        if let Some(session) = opened {
+                            // The `200` head goes out now; the next turn of
+                            // this loop feeds the body bytes behind the head.
+                            conn.requests += 1;
+                            write_chunked_head(&mut conn.outbox, 200, "OK", "application/x-ndjson")
+                                .expect("writes to memory");
+                            conn.decoder = Some(BodyDecoder::unbounded(head.framing));
+                            conn.state = ConnState::Streaming(OpenStream {
+                                session,
+                                wants_body: true,
+                                stalled_since: None,
+                                timer_at: None,
+                            });
+                            continue;
                         }
                         conn.decoder = Some(BodyDecoder::new(head.framing));
                         conn.head = Some(head);
@@ -830,7 +874,7 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
             Dispatch::Respond(resp) => self.queue_response(slot, &resp, keep_wish),
             // Pause reads until the completion arrives. An inline respond
             // moved straight on to Writing and never needed the change.
-            Dispatch::Queued => self.set_interest(slot, EPOLLRDHUP),
+            Dispatch::Queued => self.set_interest(slot, 0),
         }
     }
 
@@ -876,15 +920,20 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
                     return;
                 }
                 Ok(n) => conn.outpos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    let interest = match conn.state {
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    let interest = match &mut conn.state {
                         ConnState::Writing { .. } => EPOLLOUT,
-                        _ => EPOLLIN | EPOLLRDHUP | EPOLLOUT,
+                        // An un-drained outbox pauses a stream's intake.
+                        ConnState::Streaming(open) => {
+                            open.stalled_since.get_or_insert_with(Instant::now);
+                            EPOLLOUT
+                        }
+                        _ => EPOLLIN | EPOLLOUT,
                     };
                     self.set_interest(slot, interest);
                     return;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.close(slot, false);
                     return;
@@ -899,22 +948,30 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
             Some(c) => c,
             None => return,
         };
-        match conn.state {
-            ConnState::Writing { keep, sever } => {
+        match &mut conn.state {
+            &mut ConnState::Writing { keep, sever } => {
                 if sever || !keep {
                     self.close(slot, sever);
                     return;
                 }
-                conn.requests_served_reset();
+                conn.head = None;
+                conn.decoder = None;
+                conn.bodybuf.clear();
                 conn.state = ConnState::Idle;
-                self.retoken(slot, EPOLLIN | EPOLLRDHUP);
+                self.retoken(slot, EPOLLIN);
                 self.arm(slot, self.cfg.idle_timeout);
                 // Pipelined bytes may already hold the next request.
                 self.advance(slot);
             }
             // A mid-read flush (100 Continue): back to read-only interest.
             ConnState::Reading | ConnState::Idle => {
-                self.set_interest(slot, EPOLLIN | EPOLLRDHUP);
+                self.set_interest(slot, EPOLLIN);
+            }
+            // Caught up with the client: intake may resume.
+            ConnState::Streaming(open) => {
+                open.stalled_since = None;
+                let interest = if open.wants_body { EPOLLIN } else { 0 };
+                self.set_interest(slot, interest);
             }
             ConnState::Dispatched => {}
         }
@@ -922,17 +979,96 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
 
     /// Routes queued worker completions to their connections.
     fn drain_completions(&mut self) {
-        for Completion { ticket, resp } in self.router.drain() {
+        for done in self.router.drain() {
+            let (Completion::Response(ticket, _) | Completion::Line(ticket, ..)) = done;
             let slot = ticket_slot(ticket);
-            if slot >= self.conns.len()
-                || self.gens[slot] != ticket_gen(ticket)
-                || self.conns[slot].is_none()
-            {
-                continue; // connection died while the worker ran
+            if slot >= self.conns.len() || self.gens[slot] != ticket_gen(ticket) {
+                continue; // connection (or stream) ended while the worker ran
             }
-            let keep = self.conns[slot].as_ref().expect("checked").req_keep_alive;
-            self.queue_response(slot, &resp, keep);
+            let Some(conn) = self.conns[slot].as_mut() else { continue };
+            match (done, &mut conn.state) {
+                (Completion::Response(_, resp), _) => {
+                    let keep = conn.req_keep_alive;
+                    self.queue_response(slot, &resp, keep);
+                }
+                (Completion::Line(_, index, line), ConnState::Streaming(open)) => {
+                    let next = open.session.on_line(index, line, &mut conn.outbox);
+                    self.stream_settle(slot, next);
+                }
+                (Completion::Line(..), _) => {}
+            }
         }
+    }
+
+    // ------------------------------------------------------------ streaming
+
+    /// Decodes `wire` bytes of a stream's body (`eof`: the peer sent FIN
+    /// behind them) and hands the session what they decode to.
+    fn stream_feed(&mut self, slot: usize, wire: &[u8], eof: bool) {
+        let Some(conn) = self.conns[slot].as_mut() else { return };
+        let ConnState::Streaming(open) = &mut conn.state else { return };
+        let Some(decoder) = conn.decoder.as_mut() else { return };
+        let mut body = std::mem::take(&mut conn.bodybuf);
+        body.clear();
+        // On a framing error `body` still holds what decoded before it.
+        let end = match decoder.push(wire, &mut body) {
+            Ok(_) if decoder.is_done() => Some(BodyEnd::Complete),
+            Ok(_) if eof => Some(BodyEnd::Truncated),
+            Ok(_) => None,
+            Err(ReadError::Bad(msg) | ReadError::TooLarge(msg)) => Some(BodyEnd::Bad(msg)),
+            Err(e) => Some(BodyEnd::Bad(format!("{e:?}"))),
+        };
+        if end.is_some() {
+            conn.decoder = None;
+        }
+        let next = open.session.on_body(&body, end, &mut conn.outbox);
+        conn.bodybuf = body;
+        self.stream_settle(slot, next);
+    }
+
+    /// Applies a session's verdict: end the response, or flush what the
+    /// event appended and re-point interest and the timer.
+    fn stream_settle(&mut self, slot: usize, next: Next) {
+        let Some(conn) = self.conns[slot].as_mut() else { return };
+        let ConnState::Streaming(open) = &mut conn.state else { return };
+        if next == Next::Close {
+            // Replacing the state drops the session: with `close`, one of
+            // the two places a stream ends.
+            conn.state = ConnState::Writing { keep: false, sever: false };
+            self.bump_gen(slot);
+            self.arm(slot, self.cfg.write_timeout);
+            self.pump_out(slot);
+            return;
+        }
+        open.wants_body = next == Next::Read && conn.decoder.is_some();
+        // Drained → `finish_write`, `EAGAIN` → `pump_out`'s own `Streaming`
+        // arm: either way the interest mask is right for the new verdict.
+        self.pump_out(slot);
+        // Keep one wheel entry at or before the stream's next deadline: the
+        // session's own, or the write stall's if that comes first.
+        let (now, token) = (Instant::now(), self.token(slot));
+        let Some(conn) = self.conns[slot].as_mut() else { return };
+        let ConnState::Streaming(open) = &mut conn.state else { return };
+        let stall = open.stalled_since.map(|since| since + self.cfg.write_timeout);
+        let due = stall.into_iter().fold(open.session.deadline(now), Instant::min);
+        if open.timer_at.is_none_or(|at| due < at) {
+            open.timer_at = Some(due);
+            self.wheel.insert(due, token);
+        }
+    }
+
+    /// A stream's timer event (also sent once when shutdown begins): cut a
+    /// reader that stopped reading, else let the session check its clocks.
+    fn stream_timer(&mut self, slot: usize) {
+        let now = Instant::now();
+        let write_timeout = self.cfg.write_timeout;
+        let Some(conn) = self.conns[slot].as_mut() else { return };
+        let ConnState::Streaming(open) = &mut conn.state else { return };
+        if open.stalled_since.is_some_and(|since| now >= since + write_timeout) {
+            return self.close(slot, false);
+        }
+        let next = open.session.on_timer(now, &mut conn.outbox);
+        self.stream_settle(slot, next);
     }
 
     /// A timer fired with a still-current generation: the budget for the
@@ -945,7 +1081,16 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
         {
             return; // lazily cancelled
         }
-        let conn = self.conns[slot].as_ref().expect("checked");
+        let conn = self.conns[slot].as_mut().expect("checked");
+        if let ConnState::Streaming(open) = &mut conn.state {
+            // An entry armed for later than the tracked deadline (or left
+            // from `Reading`) is superseded, not due.
+            if open.timer_at.is_some_and(|at| Instant::now() < at) {
+                return;
+            }
+            open.timer_at = None;
+            return self.stream_timer(slot);
+        }
         let reading = matches!(conn.state, ConnState::Reading);
         // A dribbling client (bytes within the grace window) earns the
         // `408`; one that went silent mid-request is closed without a
@@ -957,15 +1102,6 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
         } else {
             self.close(slot, false);
         }
-    }
-}
-
-impl<S> ConnEntry<S> {
-    /// Hook for per-request field resets between keep-alive requests.
-    fn requests_served_reset(&mut self) {
-        self.head = None;
-        self.decoder = None;
-        self.bodybuf.clear();
     }
 }
 
@@ -994,9 +1130,88 @@ mod tests {
         tickets: Mutex<Vec<Ticket>>,
         closed: AtomicUsize,
         errors: AtomicUsize,
+        /// Filler bytes in each result line of a `/stream` session.
+        line_len: AtomicUsize,
+        /// `/stream` sessions emit nothing themselves: the test routes
+        /// lines back through the [`Router`] by the recorded ticket.
+        deferred: AtomicBool,
+    }
+
+    /// A session that answers each newline-terminated body line with one
+    /// chunked result line, in order, and ends when the body does.
+    struct TestStream {
+        line_len: usize,
+        deferred: bool,
+        mid_line: bool,
+        taken: usize,
+        emitted: usize,
+        body_over: bool,
+    }
+
+    impl TestStream {
+        fn emit(&mut self, out: &mut Vec<u8>) {
+            let line = format!("{:06} {}\n", self.emitted, "x".repeat(self.line_len));
+            crate::http::write_chunk(out, line.as_bytes()).expect("memory write");
+            self.emitted += 1;
+        }
+
+        fn next(&mut self, out: &mut Vec<u8>) -> Next {
+            if !self.body_over {
+                return Next::Read;
+            }
+            if self.emitted < self.taken {
+                return Next::Hold;
+            }
+            crate::http::write_last_chunk(out).expect("memory write");
+            Next::Close
+        }
+    }
+
+    impl StreamHooks for TestStream {
+        fn on_body(&mut self, bytes: &[u8], end: Option<BodyEnd>, out: &mut Vec<u8>) -> Next {
+            for &b in bytes {
+                self.mid_line = b != b'\n';
+                if !self.mid_line {
+                    self.taken += 1;
+                    if !self.deferred {
+                        self.emit(out);
+                    }
+                }
+            }
+            self.body_over = end.is_some();
+            self.next(out)
+        }
+        fn on_line(&mut self, index: usize, _line: String, out: &mut Vec<u8>) -> Next {
+            assert_eq!(index, self.emitted, "the test routes lines in order");
+            self.emit(out);
+            self.next(out)
+        }
+        fn on_timer(&mut self, _now: Instant, out: &mut Vec<u8>) -> Next {
+            self.next(out)
+        }
+        fn deadline(&self, now: Instant) -> Instant {
+            now + Duration::from_secs(3600)
+        }
     }
 
     impl Driver<UnixStream> for TestDriver {
+        type Stream = TestStream;
+
+        fn open_stream(&self, head: &Head, ticket: Ticket, _prior: u64) -> Option<TestStream> {
+            if head.path != "/stream" {
+                return None;
+            }
+            self.tickets.lock().expect("tickets").push(ticket);
+            Some(TestStream {
+                line_len: self.line_len.load(Ordering::SeqCst),
+                deferred: self.deferred.load(Ordering::SeqCst),
+                mid_line: false,
+                taken: 0,
+                emitted: 0,
+                body_over: false,
+            })
+        }
+
         fn dispatch(&self, ticket: Ticket, req: HttpRequest, _prior: u64) -> Dispatch {
             match self.mode {
                 Mode::Echo => Dispatch::Respond(HttpResponse::json(
@@ -1026,6 +1241,8 @@ mod tests {
                 tickets: Mutex::new(Vec::new()),
                 closed: AtomicUsize::new(0),
                 errors: AtomicUsize::new(0),
+                line_len: AtomicUsize::new(0),
+                deferred: AtomicBool::new(false),
             },
         )
         .expect("reactor")
@@ -1050,8 +1267,8 @@ mod tests {
             match peer.read(&mut buf) {
                 Ok(0) => return true,
                 Ok(n) => out.extend_from_slice(&buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => return true,
             }
         }
@@ -1083,8 +1300,17 @@ mod tests {
         budget: Duration,
         mut done: impl FnMut() -> bool,
     ) {
+        drive_with(r, budget, |_| done());
+    }
+
+    /// [`drive_until`] for a condition that looks into the reactor.
+    fn drive_with(
+        r: &mut Reactor<UnixStream, TestDriver>,
+        budget: Duration,
+        mut done: impl FnMut(&Reactor<UnixStream, TestDriver>) -> bool,
+    ) {
         let end = Instant::now() + budget;
-        while !done() {
+        while !done(r) {
             assert!(Instant::now() < end, "reactor did not converge within {budget:?}");
             r.turn(Duration::from_millis(2)).expect("turn");
         }
@@ -1384,5 +1610,159 @@ mod tests {
             assert!(scratch.is_empty(), "idle peers receive nothing");
         }
         assert_eq!(r.connections(), 257, "every connection still parked");
+    }
+
+    // --------------------------------------------------------- streaming
+
+    const STREAM_HEAD: &[u8] = b"POST /stream HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n";
+
+    /// `n` body lines of `width` bytes, one chunk each, with the last chunk.
+    fn stream_body(n: usize, width: usize) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for i in 0..n {
+            let line = format!("{i:0w$}\n", w = width - 1);
+            crate::http::write_chunk(&mut wire, line.as_bytes()).expect("memory write");
+        }
+        crate::http::write_last_chunk(&mut wire).expect("memory write");
+        wire
+    }
+
+    /// Writes as much of `wire[*sent..]` as the nonblocking peer takes.
+    fn write_available(mut peer: &UnixStream, wire: &[u8], sent: &mut usize) {
+        peer.set_nonblocking(true).expect("peer nonblocking");
+        while *sent < wire.len() {
+            match peer.write(&wire[*sent..]) {
+                Ok(n) => *sent += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => panic!("peer write: {e}"),
+            }
+        }
+    }
+
+    fn outbox_len(r: &Reactor<UnixStream, TestDriver>, slot: usize) -> usize {
+        r.conns[slot].as_ref().map_or(0, |c| c.outbox.len() - c.outpos)
+    }
+
+    #[test]
+    fn stream_chunks_drain_through_partial_writes_while_the_body_keeps_arriving() {
+        // 300 result lines of ~4 KB against a socketpair buffer of a few
+        // hundred KB: the outbox must meet EAGAIN, resume from EPOLLOUT,
+        // and intake must resume behind it — all on one connection.
+        const LINES: usize = 300;
+        let mut r = reactor(quick_cfg(), Mode::Echo);
+        r.driver().line_len.store(4096, Ordering::SeqCst);
+        let (a, b) = UnixStream::pair().expect("pair");
+        r.insert(a).expect("insert");
+
+        let mut wire = STREAM_HEAD.to_vec();
+        wire.extend_from_slice(&stream_body(LINES, 64));
+        let (mut sent, mut turns, mut stalled) = (0usize, 0usize, false);
+        let mut buf = Vec::new();
+        drive_with(&mut r, Duration::from_secs(20), |r| {
+            write_available(&b, &wire, &mut sent);
+            stalled |= outbox_len(r, 0) > 0;
+            turns += 1;
+            // Let the outbox back up before the peer starts reading.
+            (stalled || turns > 2000) && read_available(&b, &mut buf)
+        });
+        assert!(stalled, "the outbox never met EAGAIN; the test needs bigger lines");
+        assert_eq!(sent, wire.len(), "the whole body was taken in");
+        let text = String::from_utf8_lossy(&buf).into_owned();
+        assert!(text.starts_with("HTTP/1.1 200"), "{}", &text[..text.len().min(200)]);
+        assert!(text.contains("transfer-encoding: chunked"));
+        let mut at = 0;
+        for i in 0..LINES {
+            let tag = format!("\r\n{i:06} x");
+            at += text[at..].find(&tag).unwrap_or_else(|| panic!("line {i} missing or late"));
+        }
+        assert!(text.ends_with("0\r\n\r\n"), "terminating chunk");
+        assert_eq!(r.connections(), 0, "a finished stream closes its connection");
+    }
+
+    #[test]
+    fn stream_line_for_a_reaped_slot_is_dropped() {
+        let mut r = reactor(quick_cfg(), Mode::Echo);
+        r.driver().deferred.store(true, Ordering::SeqCst);
+        let router = r.router();
+        let (a, b) = UnixStream::pair().expect("pair");
+        r.insert(a).expect("insert");
+        let mut wire = STREAM_HEAD.to_vec();
+        crate::http::write_chunk(&mut wire, b"one\ntwo\n").expect("memory write");
+        (&b).write_all(&wire).expect("write");
+        let mut buf = Vec::new();
+        drive_until(&mut r, SEC, || {
+            read_available(&b, &mut buf);
+            buf.ends_with(b"\r\n\r\n")
+        });
+        let ticket = r.driver().tickets.lock().expect("tickets")[0];
+
+        // The first line reaches the open stream.
+        router.line(ticket, 0, String::new());
+        drive_until(&mut r, SEC, || {
+            read_available(&b, &mut buf);
+            count(&buf, b"000000 ") == 1
+        });
+
+        // The client goes away; its slot is taken by a new connection.
+        drop(b);
+        drive_until_empty(&mut r, SEC);
+        let (a2, b2) = UnixStream::pair().expect("pair");
+        r.insert(a2).expect("insert");
+        router.line(ticket, 1, String::new());
+        let deadline = Instant::now() + Duration::from_millis(50);
+        while Instant::now() < deadline {
+            r.turn(Duration::from_millis(2)).expect("turn");
+        }
+        let mut stray = Vec::new();
+        assert!(!read_available(&b2, &mut stray), "the slot's new tenant stays open");
+        assert!(stray.is_empty(), "and was sent nothing: {stray:?}");
+        assert_eq!(r.connections(), 1);
+    }
+
+    #[test]
+    fn stream_reader_that_never_reads_is_paused_then_severed() {
+        // 2,000 tables of 256 bytes, ~1 KB of result each, and a peer that
+        // never reads: intake must stop once the socket pushes back (the
+        // outbox holds at most what one 16 KB read produced — 64 lines),
+        // other connections must be served meanwhile, and `write_timeout`
+        // must cut the stream.
+        const WINDOW: usize = 64;
+        let cfg = ReactorConfig {
+            write_timeout: Duration::from_millis(150),
+            timer_granularity: Duration::from_millis(5),
+            ..ReactorConfig::default()
+        };
+        let mut r = reactor(cfg, Mode::Echo);
+        r.driver().line_len.store(1024, Ordering::SeqCst);
+        let (a, b) = UnixStream::pair().expect("pair");
+        r.insert(a).expect("insert");
+        let (a2, other) = UnixStream::pair().expect("pair");
+        r.insert(a2).expect("insert");
+
+        let mut wire = STREAM_HEAD.to_vec();
+        wire.extend_from_slice(&stream_body(2000, 256));
+        let t0 = Instant::now();
+        let (mut sent, mut peak, mut asked) = (0usize, 0usize, false);
+        let mut answer = Vec::new();
+        drive_with(&mut r, Duration::from_secs(10), |r| {
+            if r.connections() == 2 {
+                write_available(&b, &wire, &mut sent);
+            }
+            peak = peak.max(outbox_len(r, 0));
+            if peak > 0 && !asked {
+                // The stream is stalled right now: ask on the other socket.
+                (&other).write_all(&request("POST", "/v1/annotate", b"{}")).expect("write");
+                asked = true;
+            }
+            read_available(&other, &mut answer);
+            r.connections() == 1 && response_complete(&answer)
+        });
+        assert!(t0.elapsed() < Duration::from_secs(5), "severed after {:?}", t0.elapsed());
+        assert!(String::from_utf8_lossy(&answer).contains("\"path\":\"/v1/annotate\""));
+        assert!(sent < wire.len(), "intake paused: {sent} of {} bytes taken", wire.len());
+        let line = 6 + 1 + 1024 + 1 + 8; // tag, space, filler, newline, chunk framing
+        assert!(peak <= WINDOW * line + 256, "outbox peaked at {peak} bytes");
+        assert_eq!(r.driver().closed.load(Ordering::SeqCst), 1);
     }
 }

@@ -6,27 +6,27 @@
 //!
 //! ```text
 //! reactor × 1 (caller's thread, epoll)   owns the listener and every
-//!   │        connection; parses requests sans-IO as bytes arrive; quick
-//!   │        GET endpoints answered inline; /annotate decoded, tokenized
-//!   │        (cache) and pushed to the batching queue right here
+//!   │        connection, streams included; parses requests sans-IO as
+//!   │        bytes arrive; quick GET endpoints answered inline; /annotate
+//!   │        and each /annotate_stream table decoded, tokenized (cache)
+//!   │        and pushed to the batching queue right here
 //!   ├── dispatcher × 1       wait for budget/deadline → flatten jobs
 //!   │        → annotate_groups_each (fans micro-batches across engine
 //!   │          threads) → the engine callback renders each /annotate
-//!   │          response when its last table completes and routes it back
-//!   │          (eventfd wakes the reactor to write); streams get
-//!   │          per-table sends
-//!   └── request worker × W   everything that may block: taken-over
-//!            /annotate_stream sessions, /v1/model, /v1/feedback, and
-//!            /annotate on a chaos-configured daemon
+//!   │          response when its last table completes, and each stream
+//!   │          table's line as it completes, and routes it back (eventfd
+//!   │          wakes the reactor to write)
+//!   └── request worker × W   what may block, none of it owning a socket:
+//!            /v1/model, /v1/feedback, and /annotate on a chaos-configured
+//!            daemon
 //! ```
 //!
-//! The reactor never blocks on the engine, and only a worker that owns a
-//! streaming session ever touches a socket. Tokenizing before the queue
-//! push keeps the dispatcher's serial section to the packed forward
-//! passes. All threads are scoped: [`Server::run`] returns only after every
-//! worker and the dispatcher have exited, so shutdown is a real barrier —
-//! in-flight requests get answers, queued jobs get drained, and the process
-//! can exit 0.
+//! The reactor never blocks on the engine and no other thread touches a
+//! socket. Tokenizing before the queue push keeps the dispatcher's serial
+//! section to the packed forward passes. All threads are scoped:
+//! [`Server::run`] returns only after every worker and the dispatcher have
+//! exited, so shutdown is a real barrier — in-flight requests get answers,
+//! queued jobs get drained, and the process can exit 0.
 //!
 //! ## Streaming
 //!
@@ -35,31 +35,32 @@
 //! chunked NDJSON response: one annotation object per table, in input
 //! order, each emitted as soon as its micro-batch flushes. Every result
 //! line is byte-identical to the single-table `/annotate` (and offline
-//! `--oneshot`) body for the same table. The handling worker multiplexes
-//! reading, queue pushes (with backpressure), and result writes on one
-//! thread using short read timeouts.
+//! `--oneshot`) body for the same table. A stream is a state of its
+//! reactor connection; `StreamSession` is the socket-free half that
+//! splits documents, submits tables under backpressure and orders results.
 //!
 //! ## Model lifecycle
 //!
 //! The engine is not fixed at startup: every request captures the current
-//! [`VersionedEngine`] `Arc` when it is serialized, jobs carry it through
-//! the queue, and the dispatcher partitions each flush by engine identity
-//! — so `POST /v1/model` can blue/green-swap a new checkpoint in between
-//! micro-batches while in-flight work finishes on the model it started
-//! with. See [`crate::lifecycle`].
+//! [`VersionedEngine`] `Arc` when it is serialized (a stream: when it
+//! opens), jobs carry it through the queue, and the dispatcher partitions
+//! each flush by engine identity — so `POST /v1/model` can blue/green-swap
+//! a new checkpoint in between micro-batches while in-flight work finishes
+//! on the model it started with. See [`crate::lifecycle`].
 //!
 //! ## Shutdown
 //!
 //! `POST /shutdown` (or [`ServerHandle::shutdown`]) sets one atomic flag.
-//! The reactor stops accepting and drains; workers notice at their next
-//! work-queue poll (or after the in-flight response) and exit; the
-//! dispatcher drains what is queued, answers it, and exits.
+//! The reactor stops accepting and drains — open streams are told, flush
+//! what they had submitted and end in-band; the dispatcher drains what is
+//! queued, answers it, and exits; the workers exit when the reactor (and
+//! with it their work queue's sender) is gone.
 
 use crate::chaos::{ChaosConfig, ChaosPlan, ChaosState};
 use crate::handler::{canonical_path, Handler, HttpRequest, HttpResponse};
 use crate::http::{
-    write_chunk, write_chunked_head, write_continue, write_error, write_last_chunk,
-    write_unavailable, BodyFraming, BodyReader, Head, Prefixed, ReadError, MAX_BODY_BYTES,
+    error_envelope, write_chunk, write_last_chunk, write_unavailable, BodyFraming, Head,
+    MAX_BODY_BYTES,
 };
 use crate::json::{
     annotation_to_json, annotations_response, table_from_json, Json, StreamSplitter,
@@ -68,26 +69,25 @@ use crate::lifecycle::{
     finetune_bundle, FeedbackEntry, Lifecycle, VersionedEngine, FINETUNE_BATCH,
 };
 use crate::queue::{BatchPolicy, PushRejected, SharedBatcher};
-use crate::reactor::{Dispatch, Driver, Reactor, ReactorConfig, Router, Ticket};
+use crate::reactor::{
+    BodyEnd, Dispatch, Driver, Next, Reactor, ReactorConfig, Router, StreamHooks, Ticket,
+};
 use crate::stats::{ModelStatus, ServerStats};
 use doduo_core::{AnnotatorBundle, TableAnnotation};
 use doduo_serve::{BatchAnnotator, BatchConfig};
 use doduo_table::{SerializedTable, Table};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Close a parked keep-alive connection after this much idle time.
-const CONN_IDLE_TIMEOUT: Duration = Duration::from_secs(75);
-/// Read timeout while multiplexing a stream (low so queued results flush
-/// promptly even when the client pauses between tables).
-const STREAM_POLL: Duration = Duration::from_millis(20);
 /// Parsed-but-not-yet-queued tables a stream may buffer (read-ahead cap).
 const STREAM_WINDOW: usize = 64;
+/// How soon a stream with nothing in flight (no result of its own to wake
+/// it) retries a push that bounced off a full queue.
+const QUEUE_RETRY: Duration = Duration::from_millis(10);
 /// `Retry-After` hint (seconds) on backpressure 503s.
 const RETRY_AFTER_SECS: u64 = 1;
 
@@ -100,23 +100,18 @@ pub struct ServeConfig {
     pub policy: BatchPolicy,
     /// Engine knobs (micro-batch cuts, worker threads, tokenization cache).
     pub engine: BatchConfig,
-    /// Socket read timeout of a taken-over streaming connection, and the
-    /// reactor's grace window: when `request_deadline` expires, a client
-    /// whose last byte arrived within this long gets a 408, one silent for
-    /// longer is closed without a response.
-    pub read_timeout: Duration,
     /// Maximum concurrent connections; beyond it new ones get 503+close.
     pub max_connections: usize,
-    /// Request worker threads: they serve what may block (streaming
-    /// sessions, `/v1/model`, `/v1/feedback`, chaos runs). At least one —
-    /// [`Server::bind`] rejects `0`.
+    /// Request worker threads: they serve what may block (`/v1/model`,
+    /// `/v1/feedback`, chaos runs). At least one — [`Server::bind`]
+    /// rejects `0`.
     pub workers: usize,
     /// Wall-clock bound on reading one request (head + body) once its
     /// first byte has arrived; a slower client gets 408 and is closed so
     /// it cannot hold a connection slot.
     pub request_deadline: Duration,
-    /// Abort an `/annotate_stream` connection after this long without
-    /// input progress or pending results.
+    /// End an `/annotate_stream` session in-band after this long without a
+    /// completed document, an accepted push or an emitted line.
     pub stream_idle_timeout: Duration,
     /// Deterministic fault injection (`--chaos`), for exercising the
     /// replicated-serving failure paths. `None` in production.
@@ -139,7 +134,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:7878".into(),
             policy: BatchPolicy::default(),
             engine: BatchConfig::default(),
-            read_timeout: Duration::from_millis(200),
             max_connections: 1024,
             workers: 16,
             request_deadline: Duration::from_secs(10),
@@ -155,12 +149,15 @@ enum Reply {
     /// One send with every table of the request, in request order
     /// (`/annotate` on a blocking worker thread — chaos daemons only).
     Batch(mpsc::Sender<Vec<TableAnnotation>>),
-    /// One `(stream_index, annotation)` send for this job's single table,
-    /// fired as soon as its micro-batch completes (`/annotate_stream`).
+    /// This job's single table, rendered as its stream's result line and
+    /// routed to its connection as soon as its micro-batch completes.
     Stream {
         /// The table's position in its stream (for in-order emission).
         index: usize,
-        tx: mpsc::Sender<(usize, TableAnnotation)>,
+        /// The reactor connection the stream runs on.
+        ticket: Ticket,
+        /// The reactor's completion queue.
+        router: Arc<Router>,
     },
     /// The rendered 200 response routed straight back to the reactor when
     /// the job's last table completes (`/annotate` — nothing blocks
@@ -212,11 +209,6 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Accounting for a connection leaving the daemon (any path).
-    fn end_conn(&self) {
-        self.connections.fetch_sub(1, Ordering::SeqCst);
-    }
-
     /// Close-before-flag shutdown ordering (see `ServerHandle::shutdown`).
     fn request_shutdown(&self) {
         self.queue.close();
@@ -264,8 +256,8 @@ pub struct Server {
 
 impl Server {
     /// Binds the listener. Serving starts with [`Server::run`]. Zero
-    /// workers is `InvalidInput`: streams, `/v1/model` and chaos requests
-    /// would be accepted and never served.
+    /// workers is `InvalidInput`: `/v1/model`, `/v1/feedback` and chaos
+    /// requests would be accepted and never served.
     pub fn bind(cfg: ServeConfig) -> std::io::Result<Server> {
         if cfg.workers == 0 {
             return Err(std::io::Error::new(
@@ -321,14 +313,8 @@ impl Server {
             let work_rx = Arc::new(Mutex::new(work_rx));
             let driver =
                 EpollDriver { listener: &self.listener, shared, lifecycle, cfg, work: work_tx };
-            let rcfg = ReactorConfig {
-                request_deadline: cfg.request_deadline,
-                idle_timeout: CONN_IDLE_TIMEOUT,
-                dispatch_timeout: Duration::from_secs(35),
-                write_timeout: Duration::from_secs(30),
-                read_grace: cfg.read_timeout,
-                ..ReactorConfig::default()
-            };
+            let rcfg =
+                ReactorConfig { request_deadline: cfg.request_deadline, ..Default::default() };
             let mut reactor = Reactor::new(rcfg, driver).expect("epoll reactor setup");
             reactor.set_listener(self.listener.as_raw_fd()).expect("register listener");
             let router = reactor.router();
@@ -345,22 +331,21 @@ impl Server {
             }
             *shared.waker.lock().expect("waker lock") = None;
             shared.queue.notify();
+            // The reactor owns the driver and with it the work queue's only
+            // sender: dropping it disconnects the workers' blocking `recv`.
+            drop(reactor);
         });
     }
 }
 
 // ----------------------------------------------------------- epoll driver
 
-/// Work items the reactor hands to the request worker threads.
-enum Work {
-    /// A fully parsed request to answer through the [`Handler`] core.
-    Request { ticket: Ticket, req: HttpRequest },
-    /// A taken-over streaming connection to serve to completion.
-    Stream { stream: TcpStream, head: Head, leftover: Vec<u8> },
-}
+/// A fully parsed request for a worker thread to answer through the
+/// [`Handler`] core, and the connection waiting for it.
+type Work = (Ticket, HttpRequest);
 
 /// The [`Driver`] wiring the reactor into the daemon: accept + admission
-/// control, `/v1` routing, streaming takeover, and stats.
+/// control, `/v1` routing, stream sessions, and stats.
 struct EpollDriver<'s> {
     listener: &'s TcpListener,
     shared: &'s Shared,
@@ -370,6 +355,8 @@ struct EpollDriver<'s> {
 }
 
 impl<'s> Driver<TcpStream> for EpollDriver<'s> {
+    type Stream = StreamSession<'s>;
+
     fn accept(&self) -> std::io::Result<Option<TcpStream>> {
         match self.listener.accept() {
             Ok((stream, _)) => {
@@ -401,17 +388,46 @@ impl<'s> Driver<TcpStream> for EpollDriver<'s> {
         }
     }
 
-    fn wants_takeover(&self, head: &Head) -> bool {
-        head.method == "POST" && canonical_path(&head.path) == "/annotate_stream"
-    }
-
-    fn take_over(&self, stream: TcpStream, head: Head, leftover: Vec<u8>, prior_requests: u64) {
+    fn open_stream(
+        &self,
+        head: &Head,
+        ticket: Ticket,
+        prior_requests: u64,
+    ) -> Option<StreamSession<'s>> {
+        // A stream head with no body framing is an ordinary (and bad)
+        // request: `dispatch` answers it 400.
+        if head.method != "POST"
+            || canonical_path(&head.path) != "/annotate_stream"
+            || head.framing == BodyFraming::None
+        {
+            return None;
+        }
+        let stats = &self.shared.stats;
         if prior_requests > 0 {
-            self.shared.stats.keepalive_reused.fetch_add(1, Ordering::Relaxed);
+            stats.keepalive_reused.fetch_add(1, Ordering::Relaxed);
         }
-        if self.work.send(Work::Stream { stream, head, leftover }).is_err() {
-            self.shared.end_conn();
+        // The chunked response head commits before any result flows, so
+        // deprecation is counted but not headered here.
+        if !head.path.starts_with("/v1") {
+            stats.legacy_route_hits.fetch_add(1, Ordering::Relaxed);
         }
+        let router = self.shared.waker.lock().expect("waker lock").clone();
+        Some(StreamSession {
+            shared: self.shared,
+            engine: self.lifecycle.current(),
+            idle_timeout: self.cfg.stream_idle_timeout,
+            ticket,
+            router: router.expect("the router is installed while the reactor runs"),
+            splitter: StreamSplitter::new(MAX_BODY_BYTES),
+            pending: VecDeque::new(),
+            done: BTreeMap::new(),
+            submitted: 0,
+            emitted: 0,
+            input_done: false,
+            error: None,
+            ended: false,
+            last_progress: Instant::now(),
+        })
     }
 
     fn dispatch(&self, ticket: Ticket, req: HttpRequest, prior_requests: u64) -> Dispatch {
@@ -419,6 +435,18 @@ impl<'s> Driver<TcpStream> for EpollDriver<'s> {
             self.shared.stats.keepalive_reused.fetch_add(1, Ordering::Relaxed);
         }
         let keep_policy = !self.shared.shutting_down();
+        // Hands a request that may block to the worker threads.
+        let to_worker = |req| match self.work.send((ticket, req)) {
+            Ok(()) => Dispatch::Queued,
+            Err(_) => Dispatch::Respond(apply_keep_policy(
+                HttpResponse::unavailable(
+                    "shutting_down",
+                    "server is shutting down",
+                    RETRY_AFTER_SECS,
+                ),
+                keep_policy,
+            )),
+        };
         let canon_is = |p: &str| canonical_path(&req.path) == p;
         if req.method == "POST" && canon_is("/annotate") {
             // The engine-bound route never blocks the reactor: tokenize
@@ -453,32 +481,12 @@ impl<'s> Driver<TcpStream> for EpollDriver<'s> {
                     };
                 }
             }
-            match self.work.send(Work::Request { ticket, req }) {
-                Ok(()) => Dispatch::Queued,
-                Err(_) => Dispatch::Respond(apply_keep_policy(
-                    HttpResponse::unavailable(
-                        "shutting_down",
-                        "server is shutting down",
-                        RETRY_AFTER_SECS,
-                    ),
-                    keep_policy,
-                )),
-            }
+            to_worker(req)
         } else if req.method == "POST" && (canon_is("/model") || canon_is("/feedback")) {
             // Lifecycle routes run on worker threads: a model upload builds
             // a whole engine (deserialize, possibly requantize), far too
             // slow for the reactor thread that owns every connection.
-            match self.work.send(Work::Request { ticket, req }) {
-                Ok(()) => Dispatch::Queued,
-                Err(_) => Dispatch::Respond(apply_keep_policy(
-                    HttpResponse::unavailable(
-                        "shutting_down",
-                        "server is shutting down",
-                        RETRY_AFTER_SECS,
-                    ),
-                    keep_policy,
-                )),
-            }
+            to_worker(req)
         } else {
             // Everything else is queue-free and answered inline.
             let handler =
@@ -492,7 +500,7 @@ impl<'s> Driver<TcpStream> for EpollDriver<'s> {
     }
 
     fn on_close(&self) {
-        self.shared.end_conn();
+        self.shared.connections.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -506,10 +514,9 @@ fn apply_keep_policy(resp: HttpResponse, keep_policy: bool) -> HttpResponse {
     }
 }
 
-/// One request worker: pops parsed requests (or taken-over streams), runs
-/// the [`Handler`] core, and routes the response back to the reactor.
-/// Never touches a socket except for streaming sessions, which it owns
-/// end-to-end.
+/// One request worker: pops parsed requests, runs the [`Handler`] core,
+/// and routes the response back to the reactor. Never touches a socket.
+/// Exits when the reactor, which holds the queue's sender, is gone.
 fn epoll_worker_loop(
     shared: &Shared,
     lifecycle: &Lifecycle,
@@ -519,59 +526,12 @@ fn epoll_worker_loop(
     worker: usize,
 ) {
     loop {
-        let work = {
-            let rx = work_rx.lock().expect("work queue lock");
-            rx.recv_timeout(Duration::from_millis(20))
-        };
-        match work {
-            Ok(Work::Request { ticket, req }) => {
-                shared.stats.record_worker(worker);
-                let handler = EngineHandler { shared, lifecycle, cfg };
-                router.complete(ticket, handler.handle(&req));
-            }
-            Ok(Work::Stream { stream, head, leftover }) => {
-                shared.stats.record_worker(worker);
-                serve_takeover_stream(stream, head, leftover, shared, lifecycle, cfg);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shared.shutting_down() {
-                    return;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        }
+        let work = work_rx.lock().expect("work queue lock").recv();
+        let Ok((ticket, req)) = work else { return };
+        shared.stats.record_worker(worker);
+        let handler = EngineHandler { shared, lifecycle, cfg };
+        router.complete(ticket, handler.handle(&req));
     }
-}
-
-/// Serves a streaming connection the reactor handed over: back to
-/// blocking mode, replay the bytes the reactor already read, then run the
-/// multiplexed stream session.
-fn serve_takeover_stream(
-    stream: TcpStream,
-    head: Head,
-    leftover: Vec<u8>,
-    shared: &Shared,
-    lifecycle: &Lifecycle,
-    cfg: &ServeConfig,
-) {
-    let mut stream = stream;
-    let ok = stream.set_nonblocking(false).is_ok()
-        && stream.set_read_timeout(Some(cfg.read_timeout)).is_ok()
-        && stream.set_write_timeout(Some(Duration::from_secs(30))).is_ok();
-    if !ok {
-        shared.end_conn();
-        return;
-    }
-    let clone = match stream.try_clone() {
-        Ok(c) => c,
-        Err(_) => {
-            shared.end_conn();
-            return;
-        }
-    };
-    let mut reader = BufReader::new(Prefixed::new(leftover, clone));
-    let _ = stream_session(&mut stream, &mut reader, shared, lifecycle, cfg, &head);
-    shared.end_conn();
 }
 
 // ------------------------------------------------------------- dispatcher
@@ -603,8 +563,9 @@ impl Collect {
 
 /// The dispatcher: waits until the queue policy releases a batch, runs the
 /// packed forward passes, and routes each table's annotation back the
-/// moment its micro-batch completes — streams get per-table sends,
-/// `/annotate` jobs get one send when their last table finishes. Exits when
+/// moment its micro-batch completes — streams get a rendered line per
+/// table, `/annotate` jobs one response when their last table finishes.
+/// Exits when
 /// shutdown is set and the queue is drained.
 ///
 /// Every job carries the engine it was serialized against, and the flush
@@ -661,12 +622,14 @@ fn dispatcher_loop(shared: &Shared) {
                 let complete =
                     |ann| collectors[ji].as_ref().expect("collector exists for job").fill(li, ann);
                 match &jobs[ji].reply {
-                    // A dead receiver means the handler gave up (client
-                    // vanished); dropping its annotations is the right
-                    // outcome.
-                    Reply::Stream { index, tx } => {
-                        let _ = tx.send((*index, ann));
+                    // A stream that ended meanwhile no longer holds its
+                    // ticket; the router's generation check drops the line.
+                    Reply::Stream { index, ticket, router } => {
+                        let mut line = annotation_to_json(&ann);
+                        line.push('\n');
+                        router.line(*ticket, *index, line);
                     }
+                    // A dead receiver means the worker gave up waiting.
                     Reply::Batch(tx) => {
                         if let Some(anns) = complete(ann) {
                             let _ = tx.send(anns);
@@ -800,6 +763,13 @@ impl<'s> EngineHandler<'s> {
                 Some(HttpResponse::json(200, "{\"status\":\"shutting down\"}\n").close())
             }
             ("POST", "/annotate") => Some(annotate_response(shared, lifecycle, &req.body)),
+            // With body framing the reactor opens a stream instead.
+            ("POST", "/annotate_stream") => {
+                shared.stats.requests_failed.fetch_add(1, Ordering::Relaxed);
+                shared.stats.record_stream(0, false);
+                let msg = "streaming requires a chunked or content-length body";
+                Some(HttpResponse::error(400, msg))
+            }
             ("POST", "/model") => Some(model_swap_response(shared, lifecycle, &req.body)),
             ("POST", "/feedback") => Some(feedback_response(shared, lifecycle, &req.body)),
             _ => None,
@@ -916,249 +886,203 @@ fn feedback_response(shared: &Shared, lifecycle: &Lifecycle, body: &[u8]) -> Htt
 
 // --------------------------------------------------------------- annotate
 
-/// Decodes one stream-element document into a serialized group plus its
-/// queue cost, applying the same validation as `/annotate`.
-fn decode_stream_table(
+/// The validate/tokenize step every annotate path shares: each table's
+/// serialized group plus the request's queue cost `(groups, seqs, tokens)`.
+/// Tokenizing on the calling thread warms the shared LRU cache and lets
+/// the queue count real tokens, keeping the dispatcher compute-only.
+fn tokenize(
     engine: &BatchAnnotator,
-    doc: &str,
-) -> Result<(Vec<SerializedTable>, usize, usize), String> {
-    let v = Json::parse(doc)?;
-    let table: Table = table_from_json(&v)?;
+    tables: &[Table],
+) -> Result<(Vec<Vec<SerializedTable>>, usize, usize), String> {
+    // Oversized tables would serialize past the encoder's max_seq; reject
+    // rather than panic the dispatcher.
     let max_cols = engine.annotator().model.config().serialize.max_supported_cols();
-    if table.n_cols() > max_cols {
+    if let Some(t) = tables.iter().find(|t| t.n_cols() > max_cols) {
         return Err(format!(
             "table {:?} has {} columns; this model serves at most {max_cols}",
-            table.id,
-            table.n_cols()
+            t.id,
+            t.n_cols()
         ));
     }
-    let group = engine.serialize_table(&table);
-    let seqs = group.len();
-    let tokens = group.iter().map(SerializedTable::len).sum();
-    Ok((group, seqs, tokens))
+    let groups: Vec<Vec<SerializedTable>> =
+        tables.iter().map(|t| engine.serialize_table(t)).collect();
+    let seqs = groups.iter().map(Vec::len).sum();
+    let tokens = groups.iter().flatten().map(SerializedTable::len).sum();
+    Ok((groups, seqs, tokens))
 }
 
-/// `POST /annotate_stream`: multiplexes body reads, queue pushes, and
-/// in-order result writes on the handling worker's thread. The connection
-/// always closes afterwards (the chunked response is terminated either
-/// cleanly or after an in-band `{"error": ...}` object). `reader` is the
-/// reactor's leftover bytes replayed via [`Prefixed`] in front of the
-/// socket.
-fn stream_session(
-    stream: &mut TcpStream,
-    reader: &mut impl BufRead,
-    shared: &Shared,
-    lifecycle: &Lifecycle,
-    cfg: &ServeConfig,
-    head: &Head,
-) -> std::io::Result<()> {
-    // One engine per stream, captured up front: a hot-swap mid-stream must
-    // not change the model under a session, so every table of a stream is
-    // annotated by the model that was serving when the stream began. (The
-    // chunked response head has already committed by the time results
-    // flow, so deprecation is counted but not headered here.)
-    let engine = lifecycle.current();
-    if !head.path.starts_with("/v1") {
-        shared.stats.legacy_route_hits.fetch_add(1, Ordering::Relaxed);
-    }
-    if head.framing == BodyFraming::None {
-        shared.stats.requests_failed.fetch_add(1, Ordering::Relaxed);
-        shared.stats.record_stream(0, false);
-        return write_error(
-            stream,
-            400,
-            "Bad Request",
-            "streaming requires a chunked or content-length body",
-            false,
-        );
-    }
-    if head.expect_continue {
-        write_continue(stream)?;
-    }
-    write_chunked_head(stream, 200, "OK", "application/x-ndjson")?;
-    // Short poll timeout: the loop below alternates between reading input
-    // and flushing results, so neither side can stall the other for long.
-    let _ = stream.set_read_timeout(Some(STREAM_POLL));
+/// One `POST /annotate_stream` session, socket-free: the reactor feeds it
+/// decoded body bytes, finished lines and timer events; each event appends
+/// whole response chunks to the connection's outbox and says whether more
+/// input is wanted. The connection always closes afterwards (the chunked
+/// response ends cleanly or after an in-band `{"error": ...}` object).
+///
+/// One engine per stream, captured when it opens: a hot-swap mid-stream
+/// must not change the model under a session. And one place a stream
+/// reaches `/v1/stats`, however it ends: the session's `Drop` — the reactor
+/// drops it when the response is complete or the connection is lost.
+struct StreamSession<'s> {
+    shared: &'s Shared,
+    engine: Arc<VersionedEngine>,
+    idle_timeout: Duration,
+    ticket: Ticket,
+    router: Arc<Router>,
+    /// Caps each document; the stream's total length is unbounded.
+    splitter: StreamSplitter,
+    /// Parsed, not yet queued: one table's `(groups, seqs, tokens)` each;
+    /// the front one is table number `submitted`.
+    pending: VecDeque<(Vec<Vec<SerializedTable>>, usize, usize)>,
+    /// Finished lines waiting for an earlier table's.
+    done: BTreeMap<usize, String>,
+    submitted: usize,
+    emitted: usize,
+    /// No more tables will be parsed (body over, or an error ended intake).
+    input_done: bool,
+    /// The first error; reported in-band after every result still owed.
+    error: Option<String>,
+    /// The terminating chunk was written.
+    ended: bool,
+    /// A completed document, an accepted push, an emitted line — not raw
+    /// bytes, so a client dribbling them cannot outlast the idle timeout.
+    last_progress: Instant,
+}
 
-    let (tx, rx) = mpsc::channel::<(usize, TableAnnotation)>();
-    // Unbounded total length: a stream may legitimately carry any number
-    // of tables. Memory stays bounded by the per-document cap below and
-    // the STREAM_WINDOW read-ahead limit.
-    let mut body = BodyReader::unbounded(head.framing);
-    let mut splitter = StreamSplitter::new(MAX_BODY_BYTES);
-    let mut pending: VecDeque<(usize, Vec<SerializedTable>, usize, usize)> = VecDeque::new();
-    let mut done: BTreeMap<usize, TableAnnotation> = BTreeMap::new();
-    let mut parsed = 0usize;
-    let mut emitted = 0usize;
-    let (mut seqs_total, mut tokens_total) = (0u64, 0u64);
-    let mut input_done = false;
-    // A decode/validation error ends intake but lets every table parsed
-    // before it finish, so the client gets all usable results before the
-    // in-band error object; a fatal error (dead queue, idle timeout, lost
-    // connection) stops the loop immediately.
-    let mut error: Option<String> = None;
-    let mut fatal = false;
-    let mut last_progress = Instant::now();
-    let mut buf = [0u8; 8 * 1024];
-
-    loop {
-        // 1. Flush finished annotations, in input order.
-        while let Ok((i, ann)) = rx.try_recv() {
-            done.insert(i, ann);
+impl StreamSession<'_> {
+    /// Ends intake on an error. What was queued before it still finishes, so
+    /// the client gets every usable result before the in-band error object;
+    /// what was parsed but not queued does too unless `give_up` (shutdown,
+    /// idle timeout).
+    fn fail(&mut self, msg: &str, give_up: bool) {
+        self.error.get_or_insert_with(|| msg.into());
+        self.input_done = true;
+        if give_up {
+            self.pending.clear();
         }
-        while let Some(ann) = done.remove(&emitted) {
-            let mut line = annotation_to_json(&ann);
-            line.push('\n');
-            write_chunk(stream, line.as_bytes())?;
-            emitted += 1;
-            last_progress = Instant::now();
-        }
+    }
 
-        // 2. Submit parsed tables, respecting queue backpressure (a full
-        //    queue simply pauses the stream's intake; the rejected job is
-        //    handed back, so retries never clone the serialized group).
-        while let Some((index, group, seqs, tokens)) = pending.pop_front() {
-            let job = Job {
-                groups: vec![group],
-                engine: Arc::clone(&engine),
-                reply: Reply::Stream { index, tx: tx.clone() },
+    /// Splits, decodes and tokenizes the tables `bytes` complete.
+    fn take_in(&mut self, bytes: &[u8]) -> Result<(), String> {
+        for doc in self.splitter.push(bytes)? {
+            self.last_progress = Instant::now();
+            let table = table_from_json(&Json::parse(&doc)?)?;
+            self.pending.push_back(tokenize(self.engine.engine(), &[table])?);
+        }
+        Ok(())
+    }
+
+    /// Queues parsed tables until the queue pushes back, then says what the
+    /// session wants next — ending the response once every table taken in
+    /// has been answered. A full queue simply pauses intake: the rejected
+    /// job is handed back, so retries never clone the serialized group.
+    fn settle(&mut self, out: &mut Vec<u8>) -> Next {
+        while let Some((groups, seqs, tokens)) = self.pending.pop_front() {
+            let reply = Reply::Stream {
+                index: self.submitted,
+                ticket: self.ticket,
+                router: Arc::clone(&self.router),
             };
-            match shared.queue.push(job, seqs, tokens) {
+            let job = Job { groups, engine: Arc::clone(&self.engine), reply };
+            match self.shared.queue.push(job, seqs, tokens) {
                 Ok(()) => {
-                    seqs_total += seqs as u64;
-                    tokens_total += tokens as u64;
-                    last_progress = Instant::now();
+                    self.submitted += 1;
+                    self.shared.stats.seqs.fetch_add(seqs as u64, Ordering::Relaxed);
+                    self.shared.stats.tokens.fetch_add(tokens as u64, Ordering::Relaxed);
+                    self.last_progress = Instant::now();
                 }
-                Err((PushRejected::Full, mut job)) => {
-                    let group = job.groups.pop().expect("stream job has one group");
-                    pending.push_front((index, group, seqs, tokens));
+                Err((PushRejected::Full, job)) => {
+                    self.pending.push_front((job.groups, seqs, tokens));
                     break;
                 }
-                Err((PushRejected::Closed, _)) => {
-                    error = Some("server is shutting down".into());
-                    fatal = true;
-                    break;
-                }
+                Err((PushRejected::Closed, _)) => self.fail("server is shutting down", true),
             }
         }
-        if fatal {
-            break;
+        if !self.input_done {
+            return if self.pending.len() < STREAM_WINDOW { Next::Read } else { Next::Hold };
         }
-        if input_done && pending.is_empty() && emitted == parsed {
-            break;
+        if !self.pending.is_empty() || self.emitted < self.submitted {
+            return Next::Hold;
         }
-        // Shutdown is fatal for streams: their worker must exit so
-        // `Server::run`'s scoped join can complete. What was already
-        // submitted is still drained and flushed below.
-        if shared.shutting_down() {
-            error = Some("server is shutting down".into());
-            break;
-        }
-        if last_progress.elapsed() > cfg.stream_idle_timeout {
-            error = Some("stream idle timeout".into());
-            break;
-        }
+        self.finish(out)
+    }
 
-        // 3. Pull more input (bounded read-ahead), or wait for results.
-        if !input_done && pending.len() < STREAM_WINDOW {
-            match body.read_some(reader, &mut buf) {
-                Ok(0) => {
-                    input_done = true;
-                    if splitter.mid_document() {
-                        error = Some("stream ended mid-table".into());
-                    }
-                }
-                Ok(n) => {
-                    // Deliberately NOT progress by itself: only a completed
-                    // document (below) resets the idle clock, so a client
-                    // dribbling meaningless bytes cannot pin this worker
-                    // past stream_idle_timeout.
-                    match splitter.push(&buf[..n]) {
-                        Ok(docs) => {
-                            for doc in docs {
-                                last_progress = Instant::now();
-                                match decode_stream_table(engine.engine(), &doc) {
-                                    Ok((group, seqs, tokens)) => {
-                                        pending.push_back((parsed, group, seqs, tokens));
-                                        parsed += 1;
-                                    }
-                                    Err(msg) => {
-                                        error = Some(msg);
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        Err(msg) => error = Some(msg),
-                    }
-                    if error.is_some() {
-                        input_done = true; // finish prior tables, then report
-                    }
-                }
-                Err(ReadError::TimedOut) => {}
-                Err(ReadError::Eof) => {
-                    error = Some("connection closed mid-stream".into());
-                    break;
-                }
-                Err(ReadError::Bad(msg)) | Err(ReadError::TooLarge(msg)) => {
-                    error = Some(msg);
-                    input_done = true;
-                }
-                Err(ReadError::TooSlow) => {
-                    error = Some("stream too slow".into());
-                    input_done = true;
-                }
-                Err(ReadError::Io(e)) => return Err(e),
+    /// The end of the response: the error, if any, in the HTTP-level error
+    /// envelope but in-band as the final NDJSON object (the status line
+    /// already went out as 200), then the last chunk.
+    fn finish(&mut self, out: &mut Vec<u8>) -> Next {
+        if let Some(msg) = &self.error {
+            let code = match msg.as_str() {
+                "server is shutting down" => "shutting_down",
+                "stream idle timeout" => "timeout",
+                _ => "stream_error",
+            };
+            write_chunk(out, error_envelope(code, msg, None).as_bytes()).expect("memory write");
+        }
+        write_last_chunk(out).expect("memory write");
+        self.ended = true;
+        Next::Close
+    }
+}
+
+impl StreamHooks for StreamSession<'_> {
+    fn on_body(&mut self, bytes: &[u8], end: Option<BodyEnd>, out: &mut Vec<u8>) -> Next {
+        // Bytes behind an error are not looked at.
+        if !self.input_done {
+            if let Err(msg) = self.take_in(bytes) {
+                self.fail(&msg, false);
             }
+        }
+        match end {
+            None => {}
+            Some(BodyEnd::Bad(msg)) => self.fail(&msg, false),
+            Some(_) if self.splitter.mid_document() => self.fail("stream ended mid-table", false),
+            Some(BodyEnd::Truncated) => self.fail("connection closed mid-stream", false),
+            Some(BodyEnd::Complete) => self.input_done = true,
+        }
+        self.settle(out)
+    }
+
+    fn on_line(&mut self, index: usize, line: String, out: &mut Vec<u8>) -> Next {
+        self.done.insert(index, line);
+        while let Some(line) = self.done.remove(&self.emitted) {
+            write_chunk(out, line.as_bytes()).expect("memory write");
+            self.emitted += 1;
+            self.last_progress = Instant::now();
+        }
+        self.settle(out)
+    }
+
+    fn on_timer(&mut self, now: Instant, out: &mut Vec<u8>) -> Next {
+        if self.shared.shutting_down() {
+            self.fail("server is shutting down", true);
+        } else if now.saturating_duration_since(self.last_progress) > self.idle_timeout {
+            // Nothing of this stream's moved for a whole timeout, results
+            // in flight included: do not wait for them.
+            self.fail("stream idle timeout", true);
+            return self.finish(out);
+        }
+        self.settle(out)
+    }
+
+    fn deadline(&self, now: Instant) -> Instant {
+        // Only a full queue leaves tables pending; with no result of the
+        // stream's own in flight to retry the push, the timer must.
+        if !self.pending.is_empty() && self.emitted == self.submitted {
+            now + QUEUE_RETRY
         } else {
-            match rx.recv_timeout(Duration::from_millis(10)) {
-                Ok((i, ann)) => {
-                    done.insert(i, ann);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => unreachable!("tx held locally"),
-            }
+            self.last_progress + self.idle_timeout
         }
     }
+}
 
-    // A fatal exit may leave submitted jobs in flight; they are still
-    // drained (the queue closes before the dispatcher stops), so wait
-    // briefly and flush them — the error object lands after every result
-    // the client can still use.
-    if error.is_some() {
-        let submitted = parsed - pending.len();
-        let give_up = Instant::now() + Duration::from_secs(5);
-        while emitted < submitted && Instant::now() < give_up {
-            if let Ok((i, ann)) = rx.recv_timeout(Duration::from_millis(50)) {
-                done.insert(i, ann);
-            }
-            while let Some(ann) = done.remove(&emitted) {
-                let mut line = annotation_to_json(&ann);
-                line.push('\n');
-                write_chunk(stream, line.as_bytes())?;
-                emitted += 1;
-            }
-        }
+impl Drop for StreamSession<'_> {
+    fn drop(&mut self) {
+        // Dropped before its terminating chunk: the connection was lost.
+        let ok = self.ended && self.error.is_none();
+        let stats = &self.shared.stats;
+        stats.record_stream(self.emitted as u64, ok);
+        let counter = if ok { &stats.requests_ok } else { &stats.requests_failed };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
-    shared.stats.seqs.fetch_add(seqs_total, Ordering::Relaxed);
-    shared.stats.tokens.fetch_add(tokens_total, Ordering::Relaxed);
-    shared.stats.record_stream(emitted as u64, error.is_none());
-    if let Some(msg) = error {
-        shared.stats.requests_failed.fetch_add(1, Ordering::Relaxed);
-        // Same envelope shape as HTTP-level errors, delivered in-band as
-        // the stream's final NDJSON object (the status line already went
-        // out as 200).
-        let code = match msg.as_str() {
-            "server is shutting down" => "shutting_down",
-            "stream idle timeout" => "timeout",
-            _ => "stream_error",
-        };
-        let line = crate::http::error_envelope(code, &msg, None);
-        write_chunk(stream, line.as_bytes())?;
-    } else {
-        shared.stats.requests_ok.fetch_add(1, Ordering::Relaxed);
-    }
-    write_last_chunk(stream)
 }
 
 /// A decoded, tokenized `/annotate` request ready for the batching queue.
@@ -1171,9 +1095,7 @@ struct PreparedAnnotate {
 }
 
 /// The decode/validate/tokenize prefix shared by both `/annotate` paths
-/// (blocking worker and reactor-completed). Tokenizing on the calling
-/// thread warms the shared LRU cache and lets the queue count real
-/// tokens, keeping the dispatcher compute-only; errors come back as
+/// (blocking worker and reactor-completed); errors come back as
 /// ready-to-send responses with the failure already counted.
 fn prepare_annotate(
     shared: &Shared,
@@ -1192,21 +1114,7 @@ fn prepare_annotate(
         Ok(t) => t,
         Err(msg) => return Err(fail(&msg)),
     };
-    // Oversized tables would serialize past the encoder's max_seq; reject
-    // rather than panic the dispatcher.
-    let max_cols = engine.annotator().model.config().serialize.max_supported_cols();
-    if let Some(t) = tables.iter().find(|t| t.n_cols() > max_cols) {
-        let msg = format!(
-            "table {:?} has {} columns; this model serves at most {max_cols}",
-            t.id,
-            t.n_cols()
-        );
-        return Err(fail(&msg));
-    }
-    let groups: Vec<Vec<SerializedTable>> =
-        tables.iter().map(|t| engine.serialize_table(t)).collect();
-    let seqs: usize = groups.iter().map(Vec::len).sum();
-    let tokens: usize = groups.iter().flat_map(|g| g.iter()).map(SerializedTable::len).sum();
+    let (groups, seqs, tokens) = tokenize(engine, &tables).map_err(|msg| fail(&msg))?;
     Ok(PreparedAnnotate { groups, wrapped, seqs, tokens })
 }
 
@@ -1253,9 +1161,9 @@ fn annotate_response(shared: &Shared, lifecycle: &Lifecycle, body: &[u8]) -> Htt
         }
     }
     // An accepted push is always drained (the queue closes before the
-    // dispatcher stops); the timeout is a belt-and-braces guard against a
-    // panicked dispatcher.
-    let anns = match rx.recv_timeout(Duration::from_secs(30)) {
+    // dispatcher stops); the sender only drops unanswered if the dispatcher
+    // panicked with the job in hand.
+    let anns = match rx.recv() {
         Ok(a) => a,
         Err(_) => return annotate_unavailable(shared, "timeout", "annotation timed out"),
     };
@@ -1341,11 +1249,220 @@ fn render_torn_response(body: &str) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bootstrap::synthetic_world;
+    use crate::http::BodyDecoder;
+    use crate::json::table_to_json;
 
     #[test]
     fn bind_rejects_zero_workers() {
         let cfg = ServeConfig { addr: "127.0.0.1:0".into(), workers: 0, ..ServeConfig::default() };
         let err = Server::bind(cfg).err().expect("zero workers must not bind");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+
+    // ------------------------------------------- StreamSession, no socket
+
+    /// What a session needs around it: the daemon's shared state with a
+    /// queue of `max_queue_jobs`, an engine, a router nobody drains, and
+    /// request documents.
+    struct Rig {
+        server: Server,
+        lifecycle: Lifecycle,
+        router: Arc<Router>,
+        docs: Vec<String>,
+    }
+
+    const TICKET: Ticket = 7;
+
+    impl std::ops::Deref for Rig {
+        type Target = Shared;
+        fn deref(&self) -> &Shared {
+            &self.server.shared
+        }
+    }
+
+    impl Rig {
+        fn new(max_queue_jobs: usize) -> Rig {
+            let world = synthetic_world(true, 42);
+            let policy = BatchPolicy { max_queue_jobs, ..BatchPolicy::default() };
+            let cfg = ServeConfig { addr: "127.0.0.1:0".into(), policy, ..ServeConfig::default() };
+            Rig {
+                server: Server::bind(cfg).expect("bind"),
+                lifecycle: Lifecycle::new(world.bundle.clone(), BatchConfig::default()),
+                router: Arc::new(Router::new().expect("router")),
+                docs: world.tables.iter().map(|t| format!("{}\n", table_to_json(t))).collect(),
+            }
+        }
+
+        /// Opens a session the way the reactor's driver does.
+        fn open(&self) -> StreamSession<'_> {
+            *self.waker.lock().expect("waker lock") = Some(Arc::clone(&self.router));
+            let (work, _) = mpsc::channel();
+            let driver = EpollDriver {
+                listener: &self.server.listener,
+                shared: self,
+                lifecycle: &self.lifecycle,
+                cfg: &self.server.cfg,
+                work,
+            };
+            let head = crate::http::parse_head(
+                b"POST /v1/annotate_stream HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n",
+            );
+            let (head, _) = head.expect("well-formed").expect("complete");
+            driver.open_stream(&head, TICKET, 0).expect("a stream head")
+        }
+
+        /// Takes everything queued, as the dispatcher would.
+        fn drain_queue(&self) -> Vec<Job> {
+            let mut jobs = Vec::new();
+            while self.queue.depth() > 0 {
+                jobs.extend(self.queue.wait_for_batch(|| true).expect("non-empty").0);
+            }
+            jobs
+        }
+
+        /// Occupies one queue slot with another connection's job.
+        fn push_foreign_job(&self) {
+            let reply =
+                Reply::Stream { index: 0, ticket: TICKET + 1, router: Arc::clone(&self.router) };
+            let job = Job { groups: Vec::new(), engine: self.lifecycle.current(), reply };
+            assert!(self.queue.push(job, 1, 1).is_ok());
+        }
+
+        fn stat(&self, counter: &std::sync::atomic::AtomicU64) -> u64 {
+            counter.load(Ordering::Relaxed)
+        }
+    }
+
+    /// Dechunks a session's output; `.1` says whether the last chunk came.
+    fn dechunk(out: &[u8]) -> (String, bool) {
+        let mut decoder = BodyDecoder::new(BodyFraming::Chunked);
+        let mut body = Vec::new();
+        let used = decoder.push(out, &mut body).expect("well-formed chunks");
+        assert_eq!(used, out.len());
+        (String::from_utf8(body).expect("utf8"), decoder.is_done())
+    }
+
+    #[test]
+    fn results_completing_in_reverse_order_are_emitted_in_input_order() {
+        let rig = Rig::new(1024);
+        let mut s = rig.open();
+        let mut out = Vec::new();
+        let three = rig.docs[..3].concat();
+        assert_eq!(s.on_body(three.as_bytes(), None, &mut out), Next::Read);
+        assert_eq!(rig.queue.depth(), 3, "every table went straight to the queue");
+        assert_eq!(s.on_line(2, "c\n".into(), &mut out), Next::Read);
+        assert_eq!(s.on_line(1, "b\n".into(), &mut out), Next::Read);
+        assert!(out.is_empty(), "nothing may overtake table 0");
+        assert_eq!(s.on_line(0, "a\n".into(), &mut out), Next::Read);
+        assert_eq!(dechunk(&out), ("a\nb\nc\n".into(), false));
+        assert_eq!(s.on_body(b"", Some(BodyEnd::Complete), &mut out), Next::Close);
+        assert_eq!(dechunk(&out), ("a\nb\nc\n".into(), true));
+
+        let stats = &rig.stats;
+        assert_eq!(rig.stat(&stats.streams_ok), 0, "recorded when dropped, not before");
+        drop(s);
+        assert_eq!(rig.stat(&stats.streams_ok), 1);
+        assert_eq!(rig.stat(&stats.requests_ok), 1);
+        assert_eq!(rig.stat(&stats.stream_tables), 3);
+        assert_eq!(rig.stat(&stats.seqs), 3);
+        assert!(rig.stat(&stats.tokens) > 0);
+    }
+
+    #[test]
+    fn a_full_queue_pauses_and_resumes_without_cloning_a_group() {
+        let rig = Rig::new(2);
+        let mut s = rig.open();
+        let mut out = Vec::new();
+        let four = rig.docs[..4].concat();
+        assert_eq!(s.on_body(four.as_bytes(), None, &mut out), Next::Read);
+        assert_eq!((s.submitted, s.pending.len()), (2, 2), "two queued, two bounced");
+        let held = s.pending[0].0[0].as_ptr();
+        // Its own results are in flight, so they — not a retry timer — wake it.
+        let now = Instant::now();
+        assert!(s.deadline(now) > now + QUEUE_RETRY);
+        assert_eq!(rig.drain_queue().len(), 2);
+        assert_eq!(s.on_line(0, "a\n".into(), &mut out), Next::Read);
+        assert_eq!((s.submitted, s.pending.len()), (4, 0), "a result resumed the pushes");
+        let jobs = rig.drain_queue();
+        assert!(matches!(jobs[0].reply, Reply::Stream { index: 2, ticket: TICKET, .. }));
+        assert_eq!(jobs[0].groups[0].as_ptr(), held, "the bounced group itself was queued");
+
+        // With nothing of its own in flight only the timer can retry.
+        rig.push_foreign_job();
+        rig.push_foreign_job();
+        for i in 1..4 {
+            s.on_line(i, "x\n".into(), &mut out);
+        }
+        assert_eq!(s.on_body(rig.docs[4].as_bytes(), None, &mut out), Next::Read);
+        assert_eq!((s.submitted, s.pending.len()), (4, 1));
+        let now = Instant::now();
+        assert_eq!(s.deadline(now), now + QUEUE_RETRY);
+        rig.drain_queue();
+        assert_eq!(s.on_timer(Instant::now(), &mut out), Next::Read);
+        assert_eq!((s.submitted, s.pending.len()), (5, 0));
+    }
+
+    #[test]
+    fn read_ahead_stops_at_the_window() {
+        let rig = Rig::new(1);
+        rig.push_foreign_job();
+        let mut s = rig.open();
+        let mut out = Vec::new();
+        for i in 0..STREAM_WINDOW {
+            let doc = &rig.docs[i % rig.docs.len()];
+            let want = if i + 1 < STREAM_WINDOW { Next::Read } else { Next::Hold };
+            assert_eq!(s.on_body(doc.as_bytes(), None, &mut out), want, "table {i}");
+        }
+        assert_eq!((s.submitted, s.pending.len()), (0, STREAM_WINDOW));
+        rig.drain_queue();
+        assert_eq!(s.on_timer(Instant::now(), &mut out), Next::Read, "room again");
+        assert_eq!((s.submitted, s.pending.len()), (1, STREAM_WINDOW - 1));
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn an_error_after_table_k_still_emits_the_tables_before_it() {
+        let rig = Rig::new(1024);
+        let mut s = rig.open();
+        let mut out = Vec::new();
+        let body = format!("{}{}{{\"columns\": 7}}\n{}", rig.docs[0], rig.docs[1], rig.docs[2]);
+        assert_eq!(s.on_body(body.as_bytes(), None, &mut out), Next::Hold, "intake is over");
+        assert_eq!(s.submitted, 2, "nothing behind the bad document is taken in");
+        assert_eq!(s.on_line(1, "b\n".into(), &mut out), Next::Hold);
+        assert_eq!(s.on_line(0, "a\n".into(), &mut out), Next::Close);
+        let (text, ended) = dechunk(&out);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(&lines[..2], ["a", "b"]);
+        assert!(lines[2].contains("\"code\":\"stream_error\""), "{}", lines[2]);
+        assert!(ended && lines.len() == 3);
+        drop(s);
+        let stats = &rig.stats;
+        assert_eq!(rig.stat(&stats.streams_failed), 1);
+        assert_eq!(rig.stat(&stats.requests_failed), 1);
+        assert_eq!(rig.stat(&stats.stream_tables), 2);
+    }
+
+    #[test]
+    fn shutdown_flushes_what_was_submitted_then_ends_in_band() {
+        let rig = Rig::new(1);
+        let mut s = rig.open();
+        let mut out = Vec::new();
+        let two = rig.docs[..2].concat();
+        assert_eq!(s.on_body(two.as_bytes(), None, &mut out), Next::Read);
+        assert_eq!((s.submitted, s.pending.len()), (1, 1));
+        rig.request_shutdown();
+        assert_eq!(s.on_timer(Instant::now(), &mut out), Next::Hold, "one result is owed");
+        assert!(s.pending.is_empty(), "what was never queued is given up");
+        assert_eq!(s.on_line(0, "a\n".into(), &mut out), Next::Close);
+        let (text, ended) = dechunk(&out);
+        assert!(text.starts_with("a\n{\"error\":{\"code\":\"shutting_down\""), "{text}");
+        assert!(ended);
+
+        // A session the connection is lost under counts as failed too.
+        let lost = rig.open();
+        drop(lost);
+        drop(s);
+        assert_eq!(rig.stat(&rig.stats.streams_failed), 2);
     }
 }

@@ -49,7 +49,7 @@ pub struct ServerStats {
     pub streams_failed: AtomicU64,
     /// Tables annotated through streams (also counted in `tables`).
     pub stream_tables: AtomicU64,
-    /// Requests (and taken-over streams) handled per request worker.
+    /// Requests handled per request worker.
     worker_requests: Vec<AtomicU64>,
     latencies_us: Mutex<Ring>,
     batch_tables: Mutex<Ring>,

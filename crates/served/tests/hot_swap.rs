@@ -3,7 +3,8 @@
 //! checkpoints. The invariant is *exactly-one-model per response*: every
 //! body is byte-identical to the offline annotation under one of the two
 //! bundles — never a torn mix — and the `x-model-version` header names the
-//! model that actually produced those bytes (its CRC matches the blob).
+//! model that actually produced those bytes (its CRC matches the blob). A
+//! stream is one response: it keeps the model it opened under to its end.
 
 use doduo_core::blob_crc;
 use doduo_serve::BatchConfig;
@@ -19,7 +20,6 @@ fn test_config() -> ServeConfig {
         addr: "127.0.0.1:0".into(),
         policy: BatchPolicy::default(),
         engine: BatchConfig { threads: 2, ..BatchConfig::default() },
-        read_timeout: Duration::from_millis(50),
         ..ServeConfig::default()
     }
 }
@@ -212,6 +212,47 @@ fn non_finite_upload_is_rejected_and_serving_continues() {
             let v = resp.model_version.expect("version header");
             assert_eq!(v, format!("1{}", m.crc_a), "version must be unchanged");
         }
+
+        drop(guard);
+        runner.join().expect("server thread exits cleanly");
+    });
+}
+
+/// One model per stream: a stream that straddles `POST /v1/model` answers
+/// every line — before and after the swap — with the bundle it opened
+/// under, while requests admitted after the swap get the new one.
+#[test]
+fn a_stream_that_straddles_a_swap_keeps_the_model_it_opened_under() {
+    let m = two_models();
+    let server = Server::bind(test_config()).expect("bind ephemeral port");
+    let addr = server.addr().to_string();
+
+    std::thread::scope(|scope| {
+        let guard = ShutdownOnDrop(server.handle());
+        let runner = scope.spawn(|| server.run(m.boot.bundle.clone()));
+
+        let mut s = Client::connect(&addr, Some(Duration::from_secs(30))).expect("connect");
+        s.stream_open("/v1/annotate_stream").expect("open stream");
+        assert_eq!(s.stream_status().expect("status"), 200);
+        let mut send_and_check = |i: usize, when: &str| {
+            s.stream_send(format!("{}\n", m.bodies[i]).as_bytes()).expect("send table");
+            let line = s.stream_next_line().expect("read").expect("a result line");
+            assert_eq!(line.as_bytes(), m.refs_a[i], "table {i} {when} the swap: old bundle");
+        };
+        send_and_check(0, "before");
+
+        let mut c = Client::connect(&addr, Some(Duration::from_secs(30))).expect("connect");
+        let swap = c.request("POST", "/v1/model", &m.blob_b).expect("model upload");
+        assert_eq!(swap.status, 200, "{}", String::from_utf8_lossy(&swap.body));
+        let resp = c.request("POST", "/v1/annotate", m.bodies[0].as_bytes()).expect("annotate");
+        let v = resp.model_version.expect("version header");
+        assert!(v.ends_with(&m.crc_b), "admitted after the swap, answered by {v}");
+        assert_eq!(resp.body, m.refs_b[0]);
+
+        send_and_check(1, "after");
+        send_and_check(2, "after");
+        s.stream_finish().expect("finish upload");
+        assert_eq!(s.stream_next_line().expect("end of stream"), None, "no error object");
 
         drop(guard);
         runner.join().expect("server thread exits cleanly");

@@ -24,7 +24,6 @@ fn test_config(policy: BatchPolicy) -> ServeConfig {
         addr: "127.0.0.1:0".into(),
         policy,
         engine: BatchConfig { threads: 2, ..BatchConfig::default() },
-        read_timeout: Duration::from_millis(50),
         ..ServeConfig::default()
     }
 }
@@ -441,11 +440,7 @@ fn shutdown_with_an_open_stream_still_returns_promptly() {
 #[test]
 fn shutdown_endpoint_stops_the_server() {
     let world = synthetic_world(true, 42);
-    let cfg = ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        read_timeout: Duration::from_millis(50),
-        ..ServeConfig::default()
-    };
+    let cfg = ServeConfig { addr: "127.0.0.1:0".into(), ..ServeConfig::default() };
     let server = Server::bind(cfg).expect("bind");
     let addr = server.addr().to_string();
     std::thread::scope(|scope| {

@@ -4,14 +4,18 @@
 //! and bad chunked framing. Error-class requests must get the right status
 //! (400/413), and a poisoned connection must never wedge the daemon —
 //! after any of these, a well-formed request is still answered promptly.
+//! The same for `/v1/annotate_stream`, whose errors are in-band once the
+//! `200` head is out, and whose open sessions must cost the daemon a
+//! connection slot and nothing else.
 
 use doduo_served::bootstrap::{synthetic_world, SyntheticWorld};
 use doduo_served::http::Client;
-use doduo_served::json::table_to_json;
+use doduo_served::json::{annotations_response, table_to_json, Json};
 use doduo_served::{BatchPolicy, ServeConfig, Server, ServerHandle};
+use doduo_table::Table;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Two request workers and short timeouts, so wedged-connection bugs
 /// surface as test timeouts quickly.
@@ -19,7 +23,6 @@ fn hardened_config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".into(),
         policy: BatchPolicy::default(),
-        read_timeout: Duration::from_millis(50),
         request_deadline: Duration::from_secs(2),
         workers: 2,
         ..ServeConfig::default()
@@ -540,5 +543,232 @@ fn chaos_delay_postpones_but_never_corrupts() {
         );
         assert_eq!(r.status, 200);
         assert_eq!(r.body, offline.as_bytes(), "delayed response must stay byte-identical");
+    });
+}
+
+// ---------------------------------------------------------------------------
+// `/v1/annotate_stream` over raw sockets.
+// ---------------------------------------------------------------------------
+
+const STREAM_HEAD: &str = "POST /v1/annotate_stream HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n";
+
+/// One table as a stream document (and, annotated, as the offline bytes of
+/// its result line).
+fn doc(t: &Table) -> String {
+    format!("{}\n", table_to_json(t))
+}
+
+fn offline_line(world: &SyntheticWorld, t: &Table) -> String {
+    annotations_response(&[world.annotator().annotate(t)], false)
+}
+
+fn chunk(data: &str) -> String {
+    format!("{:x}\r\n{data}\r\n", data.len())
+}
+
+/// Splits a raw chunked response into its status line and dechunked body
+/// lines; panics unless the terminating chunk is the last thing in it.
+fn stream_lines(resp: &str) -> (String, Vec<String>) {
+    let (head, mut rest) = resp.split_once("\r\n\r\n").expect("response head");
+    assert!(head.to_ascii_lowercase().contains("transfer-encoding: chunked"), "{head}");
+    let mut body = String::new();
+    loop {
+        let (size, after) = rest.split_once("\r\n").expect("chunk size line");
+        let size = usize::from_str_radix(size, 16).expect("hex chunk size");
+        if size == 0 {
+            assert_eq!(after, "\r\n", "nothing follows the terminating chunk");
+            break;
+        }
+        body.push_str(&after[..size]);
+        rest = after[size..].strip_prefix("\r\n").expect("CRLF after chunk data");
+    }
+    let status = head.lines().next().expect("status line").to_string();
+    (status, body.split_inclusive('\n').map(String::from).collect())
+}
+
+fn stats(addr: &str) -> Json {
+    let mut c = Client::connect(addr, Some(Duration::from_secs(5))).expect("connect");
+    let r = c.request("GET", "/v1/stats", b"").expect("stats");
+    Json::parse(std::str::from_utf8(&r.body).expect("utf8").trim()).expect("stats JSON")
+}
+
+fn stat(stats: &Json, path: &[&str]) -> f64 {
+    path.iter().fold(stats, |v, k| v.get(k).expect("stats key")).as_f64().expect("number")
+}
+
+/// Open, idle streams hold connections, not workers: with more of them than
+/// the two request workers, a new stream and a worker-served route are both
+/// answered at once.
+#[test]
+fn idle_streams_do_not_starve_the_worker_pool() {
+    let world = synthetic_world(true, 42);
+    with_server(&world, |addr| {
+        let second = Duration::from_secs(1);
+        let idle: Vec<Client> = (0..3)
+            .map(|_| {
+                let mut c = Client::connect(addr, Some(second)).expect("connect");
+                c.stream_open("/v1/annotate_stream").expect("open");
+                assert_eq!(c.stream_status().expect("head of an idle stream"), 200);
+                c
+            })
+            .collect();
+
+        let t = &world.tables[0];
+        let start = Instant::now();
+        let mut fourth = Client::connect(addr, Some(second)).expect("connect");
+        fourth.stream_open("/v1/annotate_stream").expect("open");
+        assert_eq!(fourth.stream_status().expect("the fourth stream's head"), 200);
+        fourth.stream_send(doc(t).as_bytes()).expect("send");
+        let line = fourth.stream_next_line().expect("first line").expect("a result");
+        assert_eq!(line, offline_line(&world, t));
+        assert!(start.elapsed() < second, "fourth stream waited {:?}", start.elapsed());
+
+        let start = Instant::now();
+        let types = vec!["[]"; t.n_cols()].join(",");
+        let feedback = format!("{{\"table\": {}, \"types\": [{types}]}}", table_to_json(t));
+        let mut c = Client::connect(addr, Some(second)).expect("connect");
+        let r = c.request("POST", "/v1/feedback", feedback.as_bytes()).expect("feedback answered");
+        assert_eq!(r.status, 200, "{}", String::from_utf8_lossy(&r.body));
+        assert!(start.elapsed() < second, "feedback waited {:?}", start.elapsed());
+        drop(idle);
+    });
+}
+
+/// A client that resets mid-stream still shows up in `/v1/stats`, with the
+/// tables it was sent.
+#[test]
+fn a_broken_stream_is_still_counted() {
+    let world = synthetic_world(true, 42);
+    with_server(&world, |addr| {
+        let before = stats(addr);
+        let mut s = raw(addr);
+        let mut upload = STREAM_HEAD.to_string();
+        for t in world.tables.iter().take(40) {
+            upload.push_str(&chunk(&doc(t)));
+        }
+        s.write_all(upload.as_bytes()).expect("upload");
+        // Read into the first result line, then drop the socket with the
+        // rest unread: the daemon's next write or read fails.
+        let mut seen = Vec::new();
+        let mut buf = [0u8; 64];
+        while !seen.windows(9).any(|w| w == b"\"types\":[") {
+            let n = s.read(&mut buf).expect("response bytes");
+            assert!(n > 0, "stream ended early: {}", String::from_utf8_lossy(&seen));
+            seen.extend_from_slice(&buf[..n]);
+        }
+        drop(s);
+
+        let delta = |now: &Json, path: &[&str]| stat(now, path) - stat(&before, path);
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let now = loop {
+            let now = stats(addr);
+            if delta(&now, &["streams", "failed"]) == 1.0 {
+                break now;
+            }
+            assert!(Instant::now() < deadline, "the broken stream was never recorded");
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        assert_eq!(delta(&now, &["requests_failed"]), 1.0);
+        assert_eq!(delta(&now, &["streams", "ok"]), 0.0);
+        let emitted = delta(&now, &["streams", "tables"]);
+        assert!((1.0..=40.0).contains(&emitted), "emitted {emitted}");
+        assert_eq!(delta(&now, &["tables"]), emitted);
+        let submitted = delta(&now, &["sequences"]);
+        assert!((emitted..=40.0).contains(&submitted), "submitted {submitted}");
+        assert!(delta(&now, &["tokens"]) >= submitted);
+    });
+}
+
+#[test]
+fn stream_without_framing_gets_400_and_the_connection_stays_usable() {
+    let world = synthetic_world(true, 42);
+    with_server(&world, |addr| {
+        let mut s = raw(addr);
+        s.write_all(b"POST /v1/annotate_stream HTTP/1.1\r\n\r\n").expect("write");
+        let mut resp = Vec::new();
+        let mut buf = [0u8; 1024];
+        while !resp.ends_with(b"}}\n") {
+            let n = s.read(&mut buf).expect("400 answered");
+            assert!(n > 0, "closed before the envelope: {}", String::from_utf8_lossy(&resp));
+            resp.extend_from_slice(&buf[..n]);
+        }
+        let resp = String::from_utf8_lossy(&resp).into_owned();
+        assert!(resp.starts_with("HTTP/1.1 400"), "{resp:?}");
+        assert!(resp.contains("\"code\":\"bad_request\"") && resp.contains("chunked"), "{resp:?}");
+        assert!(resp.contains("connection: keep-alive"), "{resp:?}");
+        // Same socket, next request.
+        s.write_all(b"GET /v1/healthz HTTP/1.1\r\nconnection: close\r\n\r\n").expect("write");
+        let resp = read_all(&mut s);
+        assert!(resp.starts_with("HTTP/1.1 200"), "{resp:?}");
+    });
+}
+
+#[test]
+fn stream_bad_chunk_size_after_two_tables_gets_both_results_then_the_error() {
+    let world = synthetic_world(true, 42);
+    with_server(&world, |addr| {
+        let (a, b) = (&world.tables[0], &world.tables[1]);
+        let mut s = raw(addr);
+        let upload = format!("{STREAM_HEAD}{}{}zz\r\n", chunk(&doc(a)), chunk(&doc(b)));
+        s.write_all(upload.as_bytes()).expect("write");
+        let (status, lines) = stream_lines(&read_all(&mut s));
+        assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert_eq!(lines[0], offline_line(&world, a));
+        assert_eq!(lines[1], offline_line(&world, b));
+        assert!(lines[2].contains("\"code\":\"stream_error\""), "{}", lines[2]);
+        assert!(lines[2].contains("bad chunk size"), "{}", lines[2]);
+        assert_still_serving(addr);
+    });
+}
+
+#[test]
+fn stream_fin_mid_document_reports_a_truncated_table() {
+    let world = synthetic_world(true, 42);
+    with_server(&world, |addr| {
+        let (a, b) = (&world.tables[0], &world.tables[1]);
+        let half = doc(b);
+        let mut s = raw(addr);
+        let upload = format!("{STREAM_HEAD}{}{}", chunk(&doc(a)), chunk(&half[..half.len() / 2]));
+        s.write_all(upload.as_bytes()).expect("write");
+        s.shutdown(std::net::Shutdown::Write).expect("half-close");
+        let (_, lines) = stream_lines(&read_all(&mut s));
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert_eq!(lines[0], offline_line(&world, a));
+        assert!(lines[1].contains("stream ended mid-table"), "{}", lines[1]);
+    });
+}
+
+#[test]
+fn content_length_framed_stream_matches_offline() {
+    let world = synthetic_world(true, 42);
+    with_server(&world, |addr| {
+        let tables: Vec<&Table> = world.tables.iter().take(3).collect();
+        let body: String = tables.iter().map(|t| doc(t)).collect();
+        let mut s = raw(addr);
+        let upload = format!(
+            "POST /v1/annotate_stream HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        s.write_all(upload.as_bytes()).expect("write");
+        let (status, lines) = stream_lines(&read_all(&mut s));
+        assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+        let want: Vec<String> = tables.iter().map(|t| offline_line(&world, t)).collect();
+        assert_eq!(lines, want, "one offline-identical line per table, no error object");
+    });
+}
+
+#[test]
+fn byte_at_a_time_stream_still_parses() {
+    let world = synthetic_world(true, 42);
+    with_server(&world, |addr| {
+        let (a, b) = (&world.tables[0], &world.tables[1]);
+        let upload = format!("{STREAM_HEAD}{}{}0\r\n\r\n", chunk(&doc(a)), chunk(&doc(b)));
+        let mut s = raw(addr);
+        for byte in upload.as_bytes() {
+            s.write_all(std::slice::from_ref(byte)).expect("write one byte");
+        }
+        let (_, lines) = stream_lines(&read_all(&mut s));
+        assert_eq!(lines, [offline_line(&world, a), offline_line(&world, b)]);
     });
 }

@@ -1,6 +1,7 @@
 //! The daemon over a real socket, in the tier-1 suite: one `/v1/annotate`
-//! request and one `/v1/annotate_stream` session must answer with exactly
-//! the bytes offline annotation produces; after `POST /v1/model` installs a
+//! request and one `/v1/annotate_stream` session — driven full duplex, the
+//! way the benchmark's client drives it — must answer with exactly the
+//! bytes offline annotation produces; after `POST /v1/model` installs a
 //! second checkpoint, with exactly the bytes offline annotation under
 //! *that* bundle produces (nothing derived from the old weights — a packed
 //! GEMM panel, say — may outlive the swap); and `POST /v1/shutdown` must
@@ -32,15 +33,25 @@ fn daemon_answers_offline_bytes_and_shuts_down() {
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, offline(&bodies[0]).as_bytes(), "/v1/annotate == offline");
 
+        // A window of 4 tables in flight, the next one sent only once a
+        // line has come back, the upload finished last: the daemon reads
+        // and writes the one connection at the same time throughout.
+        let streamed: Vec<String> = world.tables.iter().take(12).map(table_to_json).collect();
         let mut s = Client::connect(&addr, Some(Duration::from_secs(10))).expect("connect");
         s.stream_open("/v1/annotate_stream").expect("open stream");
-        for body in &bodies {
-            s.stream_send(format!("{body}\n").as_bytes()).expect("send table");
+        assert_eq!(s.stream_status().expect("head before any table is sent"), 200);
+        let mut lines = Vec::new();
+        let mut sent = 0;
+        while lines.len() < streamed.len() {
+            while sent < streamed.len() && sent - lines.len() < 4 {
+                s.stream_send(format!("{}\n", streamed[sent]).as_bytes()).expect("send table");
+                sent += 1;
+            }
+            lines.push(s.stream_next_line().expect("read line").expect("a line per table"));
         }
         s.stream_finish().expect("finish upload");
-        let (status, lines) = s.stream_collect().expect("collect stream");
-        assert_eq!(status, 200);
-        let expected: Vec<String> = bodies.iter().map(|b| offline(b)).collect();
+        assert_eq!(s.stream_next_line().expect("end of stream"), None, "no error object");
+        let expected: Vec<String> = streamed.iter().map(|b| offline(b)).collect();
         assert_eq!(lines, expected, "one offline-identical line per streamed table, in order");
 
         let next = synthetic_world(true, 99);
