@@ -1,5 +1,5 @@
-//! Criterion micro-benchmarks for the hot substrate paths: matmul and fused
-//! attention (the training bottleneck), tokenization, table serialization,
+//! Criterion micro-benchmarks for the hot substrate paths: matmul, fused
+//! attention and one whole training step (`train_step/*`), tokenization, table serialization,
 //! Sherlock featurization, LDA inference and k-means. `cargo bench` runs
 //! these; the per-table experiment *binaries* regenerate the paper's
 //! numbers (`cargo run --release -p doduo-bench --bin table3 ...`).
@@ -11,7 +11,7 @@ use doduo_datagen::{
 };
 use doduo_eval::kmeans;
 use doduo_table::{serialize_table, SerializeConfig};
-use doduo_tensor::{kernels, matmul, AttnBlock, Executor, ParamStore, Tape, Tensor};
+use doduo_tensor::{kernels, matmul, AttnBlock, Executor, Gradients, ParamStore, Tape, Tensor};
 use doduo_tokenizer::{TrainConfig, WordPiece};
 use doduo_transformer::{all_rows, BatchSeq, Encoder, EncoderConfig};
 use rand::rngs::StdRng;
@@ -176,6 +176,45 @@ fn bench_mha(c: &mut Criterion) {
     });
 }
 
+/// One training step's tape work on the full `mini` encoder at `finetune`'s
+/// shape — 52 tokens, 3 columns, dropout on: forward, a dense head and BCE
+/// over the `[CLS]` rows, `backward` — with the top block computing and
+/// differentiating every row then selecting (`all_rows`) against only the
+/// rows the loss reads (`kept`, what the trainers record). Same loss and
+/// gradient bits either way (`tests/grad_bits.rs`).
+fn bench_train_step(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut store = ParamStore::new();
+    let enc = Encoder::new(&mut store, EncoderConfig::mini(500), "enc", &mut rng);
+    let (w, b) =
+        (store.add_randn("head.w", 96, 12, 0.02, &mut rng), store.add_zeros("head.b", 1, 12));
+    let (len, n_cols) = (52usize, 3usize);
+    let ids: Vec<u32> = (0..len as u32).map(|i| 5 + i % 400).collect();
+    let cls: Vec<u32> = (0..n_cols).map(|col| (col * len / n_cols) as u32).collect();
+    let targets = Tensor::zeros(n_cols, 12);
+    let seq = std::iter::once(BatchSeq { ids: &ids, mask: None });
+    for kept in [false, true] {
+        let name = if kept { "train_step/kept" } else { "train_step/all_rows" };
+        c.bench_function(name, |bench| {
+            bench.iter(|| {
+                let mut tape = Tape::new(&store);
+                let cols = if kept {
+                    let keep = std::iter::once(Some(cls.as_slice()));
+                    enc.encode(&mut tape, seq.clone(), keep, &mut rng)
+                } else {
+                    let every_row = enc.encode(&mut tape, seq.clone(), all_rows(), &mut rng);
+                    tape.row_select(every_row, &cls)
+                };
+                let logits = tape.linear(cols, w, b);
+                let loss = tape.bce_logits_weighted(logits, &targets, 3.0);
+                let mut grads = Gradients::new(&store);
+                tape.backward(loss, &mut grads);
+                black_box(grads.get(w));
+            })
+        });
+    }
+}
+
 fn bench_tokenize_and_serialize(c: &mut Criterion) {
     let kb = KnowledgeBase::generate(&KbConfig::default(), 42);
     let ds = generate_wikitable(&kb, &WikiTableConfig { n_tables: 50, ..Default::default() });
@@ -227,6 +266,7 @@ criterion_group!(
     bench_encoder_top_block,
     bench_executor_ops,
     bench_mha,
+    bench_train_step,
     bench_tokenize_and_serialize,
     bench_sherlock_features,
     bench_kmeans

@@ -19,9 +19,9 @@ use doduo_table::{
     serialize_column_pair, serialize_single_column, serialize_table, SerializeConfig,
     SerializedTable, Table, NO_COLUMN,
 };
-use doduo_tensor::{AttnMask, NodeId, ParamId, ParamStore, Tape};
+use doduo_tensor::{AttnMask, ParamId, ParamStore};
 use doduo_tokenizer::WordPiece;
-use doduo_transformer::{mask_from_fn, Dense, Encoder, EncoderConfig, Ops};
+use doduo_transformer::{mask_from_fn, BatchSeq, Dense, Encoder, EncoderConfig, Ops};
 use rand::Rng;
 
 /// How tables are presented to the encoder.
@@ -229,17 +229,23 @@ impl DoduoModel {
         }
     }
 
-    /// Encodes a serialized table and returns the `[n_cols, d]` matrix of
-    /// contextualized column representations (the `[CLS]` rows, §4.3).
-    pub fn column_embeddings<R: Rng + ?Sized>(
+    /// Encodes a serialized table on backend `f` — a training tape (`rng`
+    /// feeds its dropout), an inference tape or the executor — and returns
+    /// the `[n_cols, d]` matrix of contextualized column representations
+    /// (the `[CLS]` rows, §4.3). Those rows are all the heads read, so they
+    /// are all the encoder keeps of its top layer: the last block computes
+    /// — and a tape's `backward` differentiates — `n_cols` rows, not
+    /// `st.len()`, to the bits and the `rng` state of doing them all.
+    pub fn column_embeddings<F: Ops, R: Rng + ?Sized>(
         &self,
-        tape: &mut Tape<'_>,
+        f: &mut F,
         st: &SerializedTable,
         rng: &mut R,
-    ) -> NodeId {
+    ) -> F::Node {
         let mask = self.visibility_mask(st);
-        let enc = self.encoder.forward(tape, &st.ids, mask.as_ref(), rng);
-        tape.row_select(enc, &st.cls_positions)
+        let seq = std::iter::once(BatchSeq { ids: &st.ids, mask: mask.as_ref() });
+        let cls = std::iter::once(Some(st.cls_positions.as_slice()));
+        self.encoder.encode(f, seq, cls, rng)
     }
 
     /// Both heads over this model's f32 parameters.
@@ -252,54 +258,61 @@ impl DoduoModel {
         }
     }
 
-    /// Column-type logits for every column of a serialized table.
-    pub fn type_logits<R: Rng + ?Sized>(
+    /// Column-type logits for every column of a serialized table, on
+    /// backend `f` (see [`DoduoModel::column_embeddings`]).
+    pub fn type_logits<F: Ops, R: Rng + ?Sized>(
         &self,
-        tape: &mut Tape<'_>,
+        f: &mut F,
         st: &SerializedTable,
         rng: &mut R,
-    ) -> NodeId {
-        let cols = self.column_embeddings(tape, st, rng);
-        self.heads().type_logits(tape, &cols)
+    ) -> F::Node {
+        let cols = self.column_embeddings(f, st, rng);
+        let logits = self.heads().type_logits(f, &cols);
+        f.free(cols);
+        logits
     }
 
     /// Relation logits `[n_pairs, |C_rel|]` for the given `(subject,
     /// object)` column-index pairs of a table-wise serialization (eq. 2).
-    pub fn rel_logits<R: Rng + ?Sized>(
+    pub fn rel_logits<F: Ops, R: Rng + ?Sized>(
         &self,
-        tape: &mut Tape<'_>,
+        f: &mut F,
         st: &SerializedTable,
         pairs: &[(usize, usize)],
         rng: &mut R,
-    ) -> NodeId {
+    ) -> F::Node {
         assert_eq!(
             self.cfg.input_mode,
             InputMode::TableWise,
             "pairwise logits need table-wise mode"
         );
         assert!(!pairs.is_empty(), "no relation pairs requested");
-        let cols = self.column_embeddings(tape, st, rng);
+        let cols = self.column_embeddings(f, st, rng);
         let subj = pairs.iter().map(|p| p.0 as u32);
         let obj = pairs.iter().map(|p| p.1 as u32);
-        self.heads().rel_logits(tape, &cols, pairs.len(), subj, obj)
+        let logits = self.heads().rel_logits(f, &cols, pairs.len(), subj, obj);
+        f.free(cols);
+        logits
     }
 
     /// Relation logits for a *single-column-pair* serialization (the
     /// `DosoloSCol` path): the pair's one `[CLS]` embedding feeds the head.
-    pub fn rel_logits_single<R: Rng + ?Sized>(
+    pub fn rel_logits_single<F: Ops, R: Rng + ?Sized>(
         &self,
-        tape: &mut Tape<'_>,
+        f: &mut F,
         st: &SerializedTable,
         rng: &mut R,
-    ) -> NodeId {
+    ) -> F::Node {
         assert_eq!(
             self.cfg.input_mode,
             InputMode::SingleColumn,
             "single-pair logits need single-column mode"
         );
-        let cols = self.column_embeddings(tape, st, rng);
+        let cols = self.column_embeddings(f, st, rng);
         let heads = self.heads();
-        head(tape, &cols, heads.rel_dense, heads.rel_out)
+        let logits = head(f, &cols, heads.rel_dense, heads.rel_out);
+        f.free(cols);
+        logits
     }
 
     /// Serializes `table` according to this model's input mode for the
@@ -330,6 +343,7 @@ impl DoduoModel {
 mod tests {
     use super::*;
     use doduo_table::{Column, Table};
+    use doduo_tensor::Tape;
     use doduo_tokenizer::{TrainConfig, WordPiece};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -404,6 +418,62 @@ mod tests {
         let mut tape = Tape::inference(&store);
         let logits = m.rel_logits_single(&mut tape, &st, &mut rng);
         assert_eq!(tape.value(logits).shape(), (1, 4));
+    }
+
+    #[test]
+    fn training_logits_and_gradients_match_every_row_then_select_bitwise() {
+        // What the trainer records — the encoder keeping the `[CLS]` rows,
+        // dropout on — against the same heads over every top-layer row and
+        // a `row_select`: logits, every gradient and the next draw from the
+        // dropout stream, for both heads, with and without TURL's mask.
+        use doduo_tensor::{Gradients, Tensor};
+        for attention in [AttentionMode::Full, AttentionMode::ColumnVisibility] {
+            let t = tok();
+            let mut store = ParamStore::new();
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut enc = EncoderConfig::tiny(t.vocab_size());
+            enc.dropout = 0.1;
+            let cfg = DoduoConfig::new(enc, 7, 4, true).with_attention(attention);
+            let m = DoduoModel::new(&mut store, cfg, "doduo", &mut rng);
+            for p in 0..store.len() {
+                let (r, c) = store.get(p).shape();
+                *store.get_mut(p) = Tensor::randn(r, c, 0.2, &mut rng);
+            }
+            let st = &m.serialize_for_types(&table(), &t)[0];
+            let pairs = [(0usize, 1usize), (0, 2)];
+            for rel in [false, true] {
+                let run = |kept: bool| {
+                    let mut rng = StdRng::seed_from_u64(9);
+                    let mut tape = Tape::new(&store);
+                    let logits = match (kept, rel) {
+                        (true, false) => m.type_logits(&mut tape, st, &mut rng),
+                        (true, true) => m.rel_logits(&mut tape, st, &pairs, &mut rng),
+                        (false, _) => {
+                            let mask = m.visibility_mask(st);
+                            let every_row =
+                                m.encoder.forward(&mut tape, &st.ids, mask.as_ref(), &mut rng);
+                            let cols = tape.row_select(every_row, &st.cls_positions);
+                            if rel {
+                                let (subj, obj) = (pairs.iter().map(|p| p.0 as u32), [1u32, 2]);
+                                m.heads().rel_logits(&mut tape, &cols, 2, subj, obj.into_iter())
+                            } else {
+                                m.heads().type_logits(&mut tape, &cols)
+                            }
+                        }
+                    };
+                    let (rows, cols) = tape.value(logits).shape();
+                    let loss = tape.bce_logits(logits, &Tensor::full(rows, cols, 1.0));
+                    let mut grads = Gradients::new(&store);
+                    tape.backward(loss, &mut grads);
+                    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
+                    let grads: Vec<Option<Vec<u32>>> =
+                        (0..store.len()).map(|p| grads.get(p).map(bits)).collect();
+                    let logits: Vec<u32> = bits(tape.value(logits));
+                    (logits, grads, rng.gen::<u64>())
+                };
+                assert_eq!(run(true), run(false), "{attention:?}, relation head: {rel}");
+            }
+        }
     }
 
     #[test]

@@ -482,7 +482,8 @@ mod tests {
         /// embeddings and both heads' logits, f32 and int8 tiers, ragged
         /// batches down to single-`[CLS]` one-token sequences, with and
         /// without visibility masks — equal under `to_bits`. The tape
-        /// running the pruned walk itself must land on the same bits.
+        /// running the pruned walk itself (its kept attention node, no
+        /// longer full-width by construction) must land on the same bits.
         #[test]
         fn executor_matches_tape_bitwise(
             lens in proptest::collection::vec(1usize..65, 1..7),
@@ -622,14 +623,18 @@ mod tests {
                 rel_vocab: &rv,
             };
             for table in [table(), wide.clone()] {
-                // One inference tape per sequence, full width, `[CLS]` rows
-                // selected afterwards: what this method used to run.
+                // One inference tape per sequence, every top-layer row,
+                // `[CLS]` rows selected afterwards — the full-width
+                // reference, built explicitly.
                 let want: Vec<Vec<u32>> = model
                     .serialize_for_types(&table, &tok)
                     .iter()
                     .flat_map(|st| {
                         let mut tape = Tape::inference(&store);
-                        let cols = model.column_embeddings(&mut tape, st, &mut rng);
+                        let mask = model.visibility_mask(st);
+                        let every_row =
+                            model.encoder.forward(&mut tape, &st.ids, mask.as_ref(), &mut rng);
+                        let cols = tape.row_select(every_row, &st.cls_positions);
                         let v = tape.value(cols);
                         (0..v.rows()).map(|r| bits(v.row(r))).collect::<Vec<_>>()
                     })

@@ -9,7 +9,9 @@
 use crate::model::{DoduoModel, InputMode};
 use doduo_eval::{multi_label_micro, Prf};
 use doduo_table::{Dataset, SerializedTable};
-use doduo_tensor::{accumulate_parallel, Adam, Gradients, LrSchedule, ParamStore, Tape, Tensor};
+use doduo_tensor::{
+    accumulate_parallel, Adam, Executor, Gradients, LrSchedule, ParamStore, Slot, Tensor,
+};
 use doduo_tokenizer::WordPiece;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -242,6 +244,21 @@ fn parallel_map<T: Sync, O: Send>(
     })
 }
 
+/// One evaluation forward on the calling thread's tape-free executor — the
+/// same generic model code the trainer records on a tape, hence the same
+/// logits bit for bit (`executor_matches_tape_bitwise`) — decoded row by
+/// row. `logits` runs the model; the `rng` it is handed is never drawn from
+/// (no dropout off a training tape).
+fn predict_rows(
+    store: &ParamStore,
+    multi_label: bool,
+    logits: impl FnOnce(&mut Executor<'_>, &mut StdRng) -> Slot,
+) -> Vec<Vec<u32>> {
+    let mut ex = Executor::new(store);
+    let logits = logits(&mut ex, &mut StdRng::seed_from_u64(0));
+    ex.value(&logits).chunks_exact(logits.cols()).map(|z| decode_labels(z, multi_label)).collect()
+}
+
 /// Predicts column types for prepared examples.
 pub fn predict_types(
     model: &DoduoModel,
@@ -251,14 +268,7 @@ pub fn predict_types(
 ) -> Predictions {
     let ml = model.config().multi_label;
     let results = parallel_map(examples, threads, |ex| {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut tape = Tape::inference(store);
-        let logits = model.type_logits(&mut tape, &ex.st, &mut rng);
-        let v = tape.value(logits);
-        let mut preds = Vec::with_capacity(v.rows());
-        for r in 0..v.rows() {
-            preds.push(decode_labels(v.row(r), ml));
-        }
+        let preds = predict_rows(store, ml, |f, rng| model.type_logits(f, &ex.st, rng));
         (preds, ex.gold.clone())
     });
     let mut out = Predictions::default();
@@ -278,11 +288,7 @@ pub fn predict_rels(
 ) -> Predictions {
     let ml = model.config().multi_label;
     let results = parallel_map(examples, threads, |ex| {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut tape = Tape::inference(store);
-        let logits = model.rel_logits(&mut tape, &ex.st, &ex.pairs, &mut rng);
-        let v = tape.value(logits);
-        let preds: Vec<Vec<u32>> = (0..v.rows()).map(|r| decode_labels(v.row(r), ml)).collect();
+        let preds = predict_rows(store, ml, |f, rng| model.rel_logits(f, &ex.st, &ex.pairs, rng));
         let gold: Vec<Vec<u32>> = ex.gold.iter().map(|&g| vec![g]).collect();
         (preds, gold)
     });
@@ -303,10 +309,8 @@ pub fn predict_rels_single(
 ) -> Predictions {
     let ml = model.config().multi_label;
     let results = parallel_map(examples, threads, |ex| {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut tape = Tape::inference(store);
-        let logits = model.rel_logits_single(&mut tape, &ex.st, &mut rng);
-        (decode_labels(tape.value(logits).row(0), ml), vec![ex.gold])
+        let mut preds = predict_rows(store, ml, |f, rng| model.rel_logits_single(f, &ex.st, rng));
+        (preds.swap_remove(0), vec![ex.gold])
     });
     let mut out = Predictions::default();
     for (p, g) in results {

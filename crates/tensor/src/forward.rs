@@ -19,9 +19,10 @@
 //!
 //! Attention is written once too, over *which query rows a block computes*
 //! ([`AttnBlock::keep`]): every row is the case `None`, and a caller that
-//! will read only some rows of the result — serving's top encoder block
-//! reads the `[CLS]` rows — names them and gets those rows alone, with the
-//! bits the full computation gives them. Keys and values always span the
+//! will read only some rows of the result — the top encoder block, serving
+//! or training, reads the `[CLS]` rows (the masked positions under MLM) —
+//! names them and gets those rows alone, with the bits the full computation
+//! gives them. Keys and values always span the
 //! block; each score is one accumulator over increasing k and softmax and
 //! `P·V` are row-wise, so a row cannot tell whether its neighbours exist.
 #![allow(clippy::needless_range_loop)] // index loops over matrix coordinates are clearest here
@@ -235,6 +236,23 @@ pub(crate) fn head_views(qkv: &[f32], d: usize, row0: usize, off: usize) -> [Vie
     [0, d, 2 * d].map(|base| View::at(qkv, 3 * d, row0, base + off))
 }
 
+/// Copies the Q segment of each kept row of the block `(row0, len)` of a
+/// packed `[rows, 3d]` buffer into the next row of `q_kept` (`[_, d]`), so a
+/// head loop reads a pruned block's queries from consecutive rows like the
+/// full case does — the forward here, and the tape's backward recompute.
+pub(crate) fn gather_queries(
+    qkv: &[f32],
+    d: usize,
+    (row0, len): (usize, usize),
+    keep: &[u32],
+    q_kept: &mut [f32],
+) {
+    for (q_row, &pos) in q_kept.chunks_exact_mut(d).zip(keep) {
+        assert!((pos as usize) < len, "kept position {pos} out of range {len}");
+        q_row.copy_from_slice(&qkv[(row0 + pos as usize) * 3 * d..][..d]);
+    }
+}
+
 /// Multi-head self-attention `softmax(Q Kᵀ · scale + mask) V` per head,
 /// heads concatenated, over a packed `[rows, 3d]` Q|K|V buffer into the
 /// zeroed `out`: `[rows, d]`, or fewer rows where a block names the query
@@ -274,12 +292,7 @@ pub(crate) fn attention_forward<'m>(
         let m = b.queries();
         let (p_buf, q_kept) = scratch.split_at_mut(m * b.len);
         if let Some(keep) = b.keep {
-            // The Q segment of each kept row, so the head loop reads its
-            // queries from consecutive rows like the full case does.
-            for (q_row, &pos) in q_kept.chunks_exact_mut(d).zip(keep) {
-                assert!((pos as usize) < b.len, "kept position {pos} out of range {}", b.len);
-                q_row.copy_from_slice(&qkv[(row0 + pos as usize) * 3 * d..][..d]);
-            }
+            gather_queries(qkv, d, (row0, b.len), keep, q_kept);
         }
         for h in 0..heads {
             let [q, k, v] = head_views(qkv, d, row0, h * dh);

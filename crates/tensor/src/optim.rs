@@ -105,19 +105,22 @@ impl Adam {
             let m = self.m[pid].get_or_insert_with(|| Tensor::zeros(shape.0, shape.1));
             let v = self.v[pid].get_or_insert_with(|| Tensor::zeros(shape.0, shape.1));
             let p = store.get_mut(pid);
-            for i in 0..p.len() {
-                let gi = g.data()[i];
-                let mi = self.beta1 * m.data()[i] + (1.0 - self.beta1) * gi;
-                let vi = self.beta2 * v.data()[i] + (1.0 - self.beta2) * gi * gi;
-                m.data_mut()[i] = mi;
-                v.data_mut()[i] = vi;
-                let mhat = mi / bc1;
-                let vhat = vi / bc2;
-                let mut upd = lr * mhat / (vhat.sqrt() + self.eps);
-                if self.weight_decay > 0.0 {
-                    upd += lr * self.weight_decay * p.data()[i];
+            assert_eq!(g.len(), p.len(), "gradient misaligned with {pid}");
+            let (beta1, beta2, eps, wd) = (self.beta1, self.beta2, self.eps, self.weight_decay);
+            // Four zipped slices: no index is bounds-checked, and every
+            // operation is exact per lane (IEEE `sqrt` and `/` included), so
+            // whatever width this vectorises to, no bit depends on it.
+            let state = m.data_mut().iter_mut().zip(v.data_mut());
+            for ((pi, (mi, vi)), &gi) in p.data_mut().iter_mut().zip(state).zip(g.data()) {
+                *mi = beta1 * *mi + (1.0 - beta1) * gi;
+                *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
+                let mhat = *mi / bc1;
+                let vhat = *vi / bc2;
+                let mut upd = lr * mhat / (vhat.sqrt() + eps);
+                if wd > 0.0 {
+                    upd += lr * wd * *pi;
                 }
-                p.data_mut()[i] -= upd;
+                *pi -= upd;
             }
         }
     }

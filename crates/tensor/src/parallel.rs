@@ -18,6 +18,17 @@ use crate::tape::{NodeId, Tape};
 ///
 /// Returns `(gradients, total_loss)`; divide both by `items.len()` for
 /// mini-batch means (use [`Gradients::scale`]).
+///
+/// **`threads` is part of the numerics.** Each worker sums its contiguous
+/// chunk of `items` in order and the per-chunk sums are merged in chunk
+/// order, so the association of the batch's gradient (and loss) sum follows
+/// the chunking, which follows `threads`: the same call at another thread
+/// count agrees to rounding, not to the bit (`parallel_matches_serial`
+/// checks `1e-4`, by design). Fixed `threads` is deterministic run to run;
+/// the trainers default it to `cores − 1`, so a trained checkpoint depends
+/// on the host's core count unless the caller pins it. A reduction order
+/// that is a function of `items` alone would move every pinned training
+/// digest and is its own change (ROADMAP aim 3).
 pub fn accumulate_parallel<T, F>(
     store: &ParamStore,
     items: &[T],
@@ -86,6 +97,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// To `1e-4`, not to the bit: the chunked sum associates differently
+    /// from the serial one (see [`accumulate_parallel`]).
     #[test]
     fn parallel_matches_serial() {
         let mut rng = StdRng::seed_from_u64(3);

@@ -12,7 +12,9 @@
 //! that. A panel is derived state with one rule — writing a weight drops
 //! its panel — which the borrow checker enforces, because every mutable
 //! route to a value ([`ParamStore::get_mut`], [`ParamStore::set_value`])
-//! takes `&mut self`. Trainers and tapes never ask for one.
+//! takes `&mut self`. Tapes never ask for one; a trainer's store holds
+//! them only between an epoch's evaluation (which runs on the executor) and
+//! the next optimizer step, whose `get_mut` drops them.
 
 use crate::kernels::PackedB;
 use crate::Tensor;
@@ -117,7 +119,7 @@ impl ParamStore {
     /// value and both take `&mut self`, which no outstanding `&PackedB`
     /// survives: a panel of weights since overwritten cannot be observed.
     /// Only [`crate::Executor`]'s dense layers ask; a store that only ever
-    /// trains, or serves through int8 layers, never holds one.
+    /// records tapes, or serves through int8 layers, never holds one.
     pub fn panel(&self, id: ParamId) -> &PackedB {
         self.panels.0[id].get_or_init(|| PackedB::pack(&self.params[id].value))
     }
@@ -206,6 +208,31 @@ impl Gradients {
         }
     }
 
+    /// Adds row `r` of `g` into row `rows[r]` of the slot for `id` — the
+    /// gradient of a row gather (an embedding lookup) without the dense
+    /// `[vocab, d]` matrix of mostly zeros: rows of `g` that hit the same
+    /// target are summed first, in row order from `+0.0`, and the sum is
+    /// added into the slot, so each touched element sees the additions the
+    /// dense detour made (`slot + ((0 + g_a) + g_b)`) and an untouched one
+    /// sees none.
+    pub fn accumulate_rows(&mut self, id: ParamId, rows: &[u32], g: &Tensor, store: &ParamStore) {
+        let shape = store.get(id).shape();
+        assert_eq!(g.shape(), (rows.len(), shape.1), "row gradient shape for {}", store.name(id));
+        let slot = self.slots[id].get_or_insert_with(|| Tensor::zeros(shape.0, shape.1));
+        // Stable by target: equal targets keep their rows of `g` in order.
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by_key(|&r| rows[r]);
+        let mut sum = vec![0.0f32; shape.1];
+        for same in order.chunk_by(|&a, &b| rows[a] == rows[b]) {
+            sum.fill(0.0);
+            for &r in same {
+                sum.iter_mut().zip(g.row(r)).for_each(|(s, &gv)| *s += gv);
+            }
+            let target = slot.row_mut(rows[same[0]] as usize);
+            target.iter_mut().zip(&sum).for_each(|(o, &s)| *o += s);
+        }
+    }
+
     /// Merges another accumulator (e.g. from a worker thread) into this one.
     pub fn merge(&mut self, other: Gradients) {
         assert_eq!(self.slots.len(), other.slots.len(), "merging misaligned gradients");
@@ -240,7 +267,8 @@ impl Gradients {
         norm
     }
 
-    /// Clears all accumulated gradients, keeping allocations.
+    /// Clears all accumulated gradients: every slot goes back to `None` and
+    /// its buffer is dropped (the next contribution allocates afresh).
     pub fn zero(&mut self) {
         for slot in self.slots.iter_mut() {
             *slot = None;

@@ -11,6 +11,14 @@
 //! blocks ([`Tape::mha_batch_qkv`]) — a lone sequence is the batch of one —
 //! so no general reshape / transpose machinery is required.
 //!
+//! Two ops know that a caller may hold only some rows of an activation,
+//! which is what lets a trainer's top encoder block compute — and
+//! differentiate — only the rows its loss reads, to the bits of computing
+//! them all: attention can be asked for a block's kept query rows
+//! ([`Tape::mha_batch_qkv_kept`]; backward reduces over exactly those), and
+//! dropout is defined on the full-width activation ([`Tape::dropout_rows`]:
+//! every row's masks are drawn, the held rows' applied).
+//!
 //! The tape is the *recording* backend: use it when something will be
 //! differentiated or an intermediate will be looked at (training, the
 //! attention analysis, op-by-op replays). A forward that only wants its
@@ -21,8 +29,8 @@
 #![allow(clippy::needless_range_loop)] // index loops over matrix coordinates are clearest here
 
 use crate::forward::{
-    add_bias_rows, attention_forward, attn_probs_block, concat_rows, dense_segment, gather_rows,
-    head_views, layer_norm_rows, AttnBlock,
+    add_bias_rows, attention_forward, attn_probs_block, concat_rows, dense_segment, gather_queries,
+    gather_rows, head_views, layer_norm_rows, AttnBlock,
 };
 use crate::kernels::{gemm_nn, gemm_nt, gemm_tn, View};
 use crate::params::{Gradients, ParamId, ParamStore};
@@ -127,12 +135,17 @@ enum Op {
     MhaBatchQkv {
         qkv: NodeId,
         heads: usize,
-        /// Length of each packed block; they sum to the node's row count.
+        /// Length of each packed block; they sum to the input's row count.
         lens: Vec<usize>,
         /// Per-block additive masks, kept for the recompute.
         masks: Vec<Option<AttnMask>>,
+        /// Per block, the query positions whose output rows the node holds
+        /// (strictly ascending), `None` for every row: the node's rows are
+        /// those, block after block.
+        keep: Vec<Option<Vec<u32>>>,
     },
-    /// Inverted-dropout; `mask` holds `0` or `1/(1-p)` per element.
+    /// Inverted-dropout; `mask` holds `0` or `1/(1-p)` per element of `x`
+    /// (the masks of the rows `x` holds, when the stream was drawn wider).
     Dropout {
         x: NodeId,
         mask: Vec<f32>,
@@ -398,30 +411,59 @@ impl<'s> Tape<'s> {
         masks: &[Option<AttnMask>],
         lens: Option<&[usize]>,
     ) -> NodeId {
+        self.mha_batch_qkv_kept(qkv, heads, masks, lens, vec![None; masks.len()])
+    }
+
+    /// [`Tape::mha_batch_qkv`] for a caller that will read only some of the
+    /// output rows: `keep[b]` names the query positions of block `b` whose
+    /// rows the node holds (`None`: all of them), and the node is those
+    /// rows, block after block — each with the bits it has when every row
+    /// is computed, keys and values still spanning the block. Backward
+    /// differentiates what was computed: `P` is recomputed for the kept
+    /// queries only and every product over queries (`dV`, `dK`) reduces
+    /// over them alone. A dropped query's output has no reader, so its
+    /// gradient row is exactly `+0.0` and it only ever added `+0.0` terms to
+    /// accumulators that start at `+0.0`: leaving it out moves no bit of
+    /// `dQ|dK|dV`, provided the kept rows are reduced in the order the full
+    /// reduction meets them — positions must be strictly ascending.
+    pub fn mha_batch_qkv_kept(
+        &mut self,
+        qkv: NodeId,
+        heads: usize,
+        masks: &[Option<AttnMask>],
+        lens: Option<&[usize]>,
+        keep: Vec<Option<Vec<u32>>>,
+    ) -> NodeId {
         let t = self.value(qkv);
         let (rows, d3) = t.shape();
         assert!(d3 % 3 == 0, "fused qkv width must be 3d");
         let d = d3 / 3;
         assert!(!masks.is_empty(), "mha_batch_qkv needs at least one sequence");
         let lens = resolve_blocks(rows, masks.len(), lens);
+        assert_eq!(keep.len(), lens.len(), "one keep per block");
+        for k in keep.iter().flatten() {
+            assert!(k.windows(2).all(|w| w[0] < w[1]), "kept positions must ascend: {k:?}");
+        }
 
-        let mut out = Tensor::zeros(rows, d);
-        let blocks = lens.iter().zip(masks).map(|(&len, m)| AttnBlock {
+        let blocks = lens.iter().zip(masks).zip(&keep).map(|((&len, m), k)| AttnBlock {
             len,
             mask: m.as_ref().map(|m| m.as_slice()),
-            keep: None,
+            keep: k.as_deref(),
         });
+        let queries = blocks.clone().map(|b| b.queries()).sum();
+        let mut out = Tensor::zeros(queries, d);
         attention_forward(t.data(), (rows, d, heads), blocks, out.data_mut(), &mut Vec::new());
-        self.push(out, Op::MhaBatchQkv { qkv, heads, lens, masks: masks.to_vec() })
+        self.push(out, Op::MhaBatchQkv { qkv, heads, lens, masks: masks.to_vec(), keep })
     }
 
     /// Post-softmax attention probabilities of packed sequence `block` of a
-    /// [`Tape::mha_batch_qkv`] node, flattened `[heads, len, len]`, with the
-    /// head count. Recomputed on demand through the forward's own kernel,
+    /// [`Tape::mha_batch_qkv`] node, flattened `[heads, len, len]` (every
+    /// query, whatever the node kept), with the head count. Recomputed on
+    /// demand through the forward's own kernel,
     /// so they are the very bits the forward multiplied into `V`. Used by
     /// the attention analysis (Figure 6). `None` for any other node.
     pub fn attn_probs(&self, id: NodeId, block: usize) -> Option<(Vec<f32>, usize)> {
-        let Op::MhaBatchQkv { qkv, heads, lens, masks } = &self.nodes[id].op else {
+        let Op::MhaBatchQkv { qkv, heads, lens, masks, .. } = &self.nodes[id].op else {
             return None;
         };
         let t = self.value(*qkv);
@@ -441,16 +483,50 @@ impl<'s> Tape<'s> {
     /// Inverted dropout with keep probability `1 - p`. A no-op on inference
     /// tapes.
     pub fn dropout<R: Rng + ?Sized>(&mut self, x: NodeId, p: f32, rng: &mut R) -> NodeId {
+        let rows = self.value(x).rows();
+        self.dropout_rows(x, rows, 0..rows as u32, p, rng)
+    }
+
+    /// [`Tape::dropout`] *defined on a wider activation*: `x` holds the rows
+    /// `rows` (strictly ascending) of a `[total, cols]` activation. The
+    /// `total × cols` mask stream is drawn from `rng` exactly as dropout of
+    /// the whole activation draws it, row-major, and the masks of the rows
+    /// `x` holds are applied — so those rows, every later draw and where
+    /// `rng` ends are what the full-width op gives; the other rows' masks
+    /// are drawn and dropped. This is what lets a block that computes only
+    /// some rows train the model the full-width block trains.
+    pub fn dropout_rows<R: Rng + ?Sized>(
+        &mut self,
+        x: NodeId,
+        total: usize,
+        rows: impl Iterator<Item = u32>,
+        p: f32,
+        rng: &mut R,
+    ) -> NodeId {
         if !self.training || p <= 0.0 {
             return x;
         }
         assert!(p < 1.0, "dropout probability must be < 1");
         let keep = 1.0 - p;
         let tx = self.value(x);
-        let mask: Vec<f32> =
-            (0..tx.len()).map(|_| if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 }).collect();
+        let cols = tx.cols();
+        let mut draw = || if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 };
+        let mut mask: Vec<f32> = Vec::with_capacity(tx.len());
+        // The rows before `next` have had their masks drawn.
+        let mut next = 0usize;
+        for r in rows.map(|r| r as usize).chain([total]) {
+            assert!(next <= r && r <= total, "dropout rows must ascend within {total} rows");
+            for _ in next * cols..r * cols {
+                draw(); // a row `x` does not hold: drawn and dropped
+            }
+            if r < total {
+                mask.extend((0..cols).map(|_| draw()));
+            }
+            next = r + 1;
+        }
+        assert_eq!(mask.len(), tx.len(), "dropout: one row index per row of the input");
         let data: Vec<f32> = tx.data().iter().zip(mask.iter()).map(|(v, m)| v * m).collect();
-        let v = Tensor::from_vec(tx.rows(), tx.cols(), data);
+        let v = Tensor::from_vec(tx.rows(), cols, data);
         self.push(v, Op::Dropout { x, mask })
     }
 
@@ -627,14 +703,12 @@ impl<'s> Tape<'s> {
                     acc(&mut local, *x, dx);
                 }
                 Op::Embedding { weight, ids } => {
-                    let w = self.value(*weight);
-                    let mut dw = Tensor::zeros(w.rows(), w.cols());
-                    for (r, &idd) in ids.iter().enumerate() {
-                        for (o, &gv) in dw.row_mut(idd as usize).iter_mut().zip(g.row(r).iter()) {
-                            *o += gv;
-                        }
-                    }
-                    acc(&mut local, *weight, dw);
+                    // Straight into the table's gradient rows: no dense
+                    // `[vocab, d]` detour through `local`.
+                    let Op::Param(pid) = self.nodes[*weight].op else {
+                        unreachable!("Tape::embedding gathers from a parameter node")
+                    };
+                    grads.accumulate_rows(pid, ids, &g, self.store);
                 }
                 Op::RowSelect { x, idxs } => {
                     let tx = self.value(*x);
@@ -690,37 +764,57 @@ impl<'s> Tape<'s> {
                         acc(&mut local, *x, dx);
                     }
                 }
-                Op::MhaBatchQkv { qkv, heads, lens, masks } => {
+                Op::MhaBatchQkv { qkv, heads, lens, masks, keep } => {
                     let t = self.value(*qkv);
                     let (rows, d3) = t.shape();
                     let d = d3 / 3;
                     let dh = d / heads;
                     let scale = 1.0 / (dh as f32).sqrt();
                     let mut dqkv = Tensor::zeros(rows, d3);
-                    let max_len = lens.iter().copied().max().expect("non-empty");
-                    let mut p_buf = vec![0.0f32; max_len * max_len];
-                    let mut dp_buf = vec![0.0f32; max_len * max_len];
-                    let mut row0 = 0usize;
-                    for (&len, mask) in lens.iter().zip(masks.iter()) {
+                    // `m` query rows of a `len`-token block: all of them, or
+                    // the kept ones.
+                    let queries = |b: usize| keep[b].as_ref().map_or(lens[b], Vec::len);
+                    let blocks = 0..lens.len();
+                    let max_p = blocks.clone().map(|b| queries(b) * lens[b]).max().expect("blocks");
+                    let max_q = blocks.map(queries).max().expect("blocks") * d;
+                    let mut p_buf = vec![0.0f32; max_p];
+                    let mut dp_buf = vec![0.0f32; max_p];
+                    let (mut q_kept, mut dq_buf) = (vec![0.0f32; max_q], vec![0.0f32; max_q]);
+                    let (mut row0, mut out0) = (0usize, 0usize);
+                    for (b, (&len, mask)) in lens.iter().zip(masks.iter()).enumerate() {
                         let mask = mask.as_ref().map(|m| m.as_slice());
+                        let (keep, m) = (keep[b].as_deref(), queries(b));
+                        if let Some(keep) = keep {
+                            gather_queries(t.data(), d, (row0, len), keep, &mut q_kept);
+                        }
+                        let dq = &mut dq_buf[..m * d];
+                        dq.fill(0.0);
                         for h in 0..*heads {
                             let off = h * dh;
                             let [q, k, v] = head_views(t.data(), d, row0, off);
+                            let q = if keep.is_some() { View::at(&q_kept, d, 0, off) } else { q };
                             // Recomputed via the same kernel the forward
                             // used — bit-identical.
-                            attn_probs_block(&mut p_buf, q, k, len, dh, scale, mask, None);
+                            attn_probs_block(&mut p_buf, q, k, len, dh, scale, mask, keep);
                             attn_head_backward(
                                 &p_buf,
                                 &mut dp_buf,
-                                View::at(g.data(), d, row0, off),
+                                View::at(g.data(), d, out0, off),
                                 [q, k, v],
+                                dq,
                                 &mut dqkv.data_mut()[row0 * d3..],
-                                (len, dh),
+                                (m, len, dh),
                                 (d, off),
                                 scale,
                             );
                         }
+                        // Each query's dQ row, home to the row it came from.
+                        for (i, dq_row) in dq.chunks_exact(d).enumerate() {
+                            let pos = keep.map_or(i, |k| k[i] as usize);
+                            dqkv.row_mut(row0 + pos)[..d].copy_from_slice(dq_row);
+                        }
                         row0 += len;
+                        out0 += m;
                     }
                     acc(&mut local, *qkv, dqkv);
                 }
@@ -779,37 +873,42 @@ fn resolve_blocks(rows: usize, blocks: usize, lens: Option<&[usize]>) -> Vec<usi
     }
 }
 
-/// Attention backward for one `(block, head)` pair, all products through
-/// the GEMM layer: `dP = G Vᵀ`, `dV += Pᵀ G`, then the softmax Jacobian
-/// turns `dP` into `dS` in place (`ds = p * (dp - ⟨dp, p⟩) * scale`, the
-/// naive kernels' exact order), and `dQ += dS K`, `dK += dSᵀ Q`. The three
-/// gradients land in the `[.., off..off + dh]` windows of the Q, K and V
-/// column segments of `dqkv`, which starts at the block's first row
-/// (sequential GEMM calls, since the segments alias one buffer).
+/// Attention backward for one `(block, head)` pair over the block's `m`
+/// query rows (`p`, `g` and `q` hold one row per query — all `len` of them,
+/// or the kept ones in ascending position), all products through the GEMM
+/// layer: `dP = G Vᵀ`, `dV += Pᵀ G`, then the softmax Jacobian turns `dP`
+/// into `dS` in place (`ds = p * (dp - ⟨dp, p⟩) * scale`, the naive kernels'
+/// exact order), and `dQ += dS K`, `dK += dSᵀ Q`. `dQ` lands in the
+/// `[.., off..off + dh]` window of the zeroed `[m, d]` buffer `dq`, one row
+/// per query (the caller carries each home); `dK` and `dV` in the same
+/// window of the K and V column segments of `dqkv`, which starts at the
+/// block's first row and spans its `len` tokens — each element one
+/// accumulator from `+0.0` over the queries in the order given.
 #[allow(clippy::too_many_arguments)] // a private kernel, not an API surface
 fn attn_head_backward(
     p: &[f32],
     dp: &mut [f32],
     g: View<'_>,
     [q, k, v]: [View<'_>; 3],
+    dq: &mut [f32],
     dqkv: &mut [f32],
-    (len, dh): (usize, usize),
+    (m, len, dh): (usize, usize, usize),
     (d, off): (usize, usize),
     scale: f32,
 ) {
     let d3 = 3 * d;
-    dp[..len * len].fill(0.0);
-    gemm_nt(dp, len, 0, (len, len, dh), g, v);
-    gemm_tn(dqkv, d3, 2 * d + off, (len, dh, len), View::at(p, len, 0, 0), g);
-    softmax_jacobian_rows(p, dp, len, scale);
-    gemm_nn(dqkv, d3, off, (len, dh, len), View::at(dp, len, 0, 0), k);
-    gemm_tn(dqkv, d3, d + off, (len, dh, len), View::at(dp, len, 0, 0), q);
+    dp[..m * len].fill(0.0);
+    gemm_nt(dp, len, 0, (m, len, dh), g, v);
+    gemm_tn(dqkv, d3, 2 * d + off, (len, dh, m), View::at(p, len, 0, 0), g);
+    softmax_jacobian_rows(p, dp, m, len, scale);
+    gemm_nn(dq, d, off, (m, dh, len), View::at(dp, len, 0, 0), k);
+    gemm_tn(dqkv, d3, d + off, (len, dh, m), View::at(dp, len, 0, 0), q);
 }
 
-/// Applies the row-wise softmax Jacobian in place:
+/// Applies the row-wise softmax Jacobian in place to `m` rows of `len`:
 /// `dp[i][j] <- p[i][j] * (dp[i][j] - ⟨dp[i], p[i]⟩) * scale`.
-fn softmax_jacobian_rows(p: &[f32], dp: &mut [f32], len: usize, scale: f32) {
-    for i in 0..len {
+fn softmax_jacobian_rows(p: &[f32], dp: &mut [f32], m: usize, len: usize, scale: f32) {
+    for i in 0..m {
         let p_row = &p[i * len..(i + 1) * len];
         let dp_row = &mut dp[i * len..(i + 1) * len];
         let mut dot = 0.0f32;
@@ -1098,6 +1197,47 @@ mod tests {
     }
 
     #[test]
+    fn gradcheck_kept_attention() {
+        // Two packed blocks (the second masked), the first keeping two of
+        // its three query rows and the second its last: the loss reads the
+        // kept rows only, and the kept node's backward must be the
+        // derivative of exactly that.
+        let mut rng = rng();
+        let mut store = ParamStore::new();
+        let x = store.add_randn("x", 5, 6, 0.7, &mut rng);
+        let wq = store.add_randn("wq", 6, 4, 0.5, &mut rng);
+        let bq = store.add_randn("bq", 1, 4, 0.3, &mut rng);
+        let wk = store.add_randn("wk", 6, 4, 0.5, &mut rng);
+        let bk = store.add_randn("bk", 1, 4, 0.3, &mut rng);
+        let wv = store.add_randn("wv", 6, 4, 0.5, &mut rng);
+        let bv = store.add_randn("bv", 1, 4, 0.3, &mut rng);
+        let mut m = vec![0.0f32; 4];
+        m[1] = MASK_NEG;
+        let masks: Vec<Option<AttnMask>> = vec![None, Some(Arc::new(m))];
+        let lens = vec![3usize, 2];
+        gradcheck(
+            &mut store,
+            move |tape| {
+                let xn = tape.param(x);
+                let qkv = tape.fused_qkv(xn, wq, bq, wk, bk, wv, bv);
+                let keep = vec![Some(vec![0, 2]), Some(vec![1])];
+                let att = tape.mha_batch_qkv_kept(qkv, 2, &masks, Some(&lens), keep);
+                tape.softmax_ce(att, &[0, 1, 2])
+            },
+            3e-2,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "kept positions must ascend")]
+    fn kept_attention_rejects_descending_positions() {
+        let store = ParamStore::new();
+        let mut tape = Tape::inference(&store);
+        let x = tape.input(Tensor::zeros(4, 12));
+        tape.mha_batch_qkv_kept(x, 2, &[None], None, vec![Some(vec![2, 1])]);
+    }
+
+    #[test]
     #[should_panic(expected = "equal blocks")]
     fn attention_without_lens_rejects_unequal_blocks() {
         let store = ParamStore::new();
@@ -1194,6 +1334,161 @@ mod tests {
                 let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(got, want, "lens {lens:?} keep {keeps:?}");
             }
+        }
+    }
+
+    #[test]
+    fn kept_attention_node_matches_full_node_then_select_bitwise() {
+        // The tape's kept attention node against the reference built
+        // explicitly — the full node, then a `row_select` of the kept rows —
+        // forward values and the gradient reaching Q|K|V, under `to_bits`.
+        // Ragged blocks, small (plain loops) and large (packed kernel), the
+        // middle one masked; keeps ascending: first row / scattered / all /
+        // none dropped.
+        let mut rng = rng();
+        for (lens, d, heads) in [([3usize, 5, 2], 4usize, 2usize), ([40, 70, 9], 48, 2)] {
+            let rows: usize = lens.iter().sum();
+            let mut store = ParamStore::new();
+            let qkv = store.add_randn("qkv", rows, 3 * d, 0.9, &mut rng);
+            let mut m = vec![0.0f32; lens[1] * lens[1]];
+            for i in (1..m.len()).step_by(4) {
+                m[i] = MASK_NEG;
+            }
+            let masks: Vec<Option<AttnMask>> = vec![None, Some(Arc::new(m)), None];
+            let scattered = lens.map(|len| {
+                let mut k = vec![0, len as u32 / 2, len as u32 - 1];
+                k.dedup();
+                k
+            });
+            let all: Vec<u32> = (0..lens[2] as u32).collect();
+            for keep in [
+                vec![Some(vec![0]), Some(scattered[1].clone()), Some(all.clone())],
+                vec![Some(scattered[0].clone()), None, Some(vec![lens[2] as u32 - 1])],
+                vec![None, Some(vec![0]), Some(scattered[2].clone())],
+            ] {
+                let kept_rows: Vec<u32> = (0..3)
+                    .flat_map(|b| {
+                        let row0: u32 = lens[..b].iter().sum::<usize>() as u32;
+                        let k = keep[b].clone().unwrap_or_else(|| (0..lens[b] as u32).collect());
+                        k.into_iter().map(move |p| row0 + p)
+                    })
+                    .collect();
+                let targets: Vec<u32> = (0..kept_rows.len() as u32).map(|r| r % d as u32).collect();
+                let run = |pruned: bool| {
+                    let mut grads = Gradients::new(&store);
+                    let mut tape = Tape::new(&store);
+                    let x = tape.param(qkv);
+                    let att = if pruned {
+                        tape.mha_batch_qkv_kept(x, heads, &masks, Some(&lens), keep.clone())
+                    } else {
+                        let full = tape.mha_batch_qkv(x, heads, &masks, Some(&lens));
+                        tape.row_select(full, &kept_rows)
+                    };
+                    let loss = tape.softmax_ce(att, &targets);
+                    tape.backward(loss, &mut grads);
+                    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
+                    let (out, dqkv): (Vec<u32>, Vec<u32>) =
+                        (bits(tape.value(att)), bits(grads.get(qkv).expect("qkv gradient")));
+                    (out, dqkv)
+                };
+                let (kept, full) = (run(true), run(false));
+                assert_eq!(kept.0, full.0, "forward, lens {lens:?} keep {keep:?}");
+                assert_eq!(kept.1, full.1, "dQ|dK|dV, lens {lens:?} keep {keep:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn dropout_of_kept_rows_is_full_width_dropout_then_select() {
+        // `dropout_rows` over some rows of a wider activation: those rows
+        // get the masks full-width dropout draws for them (so backward
+        // multiplies by the same ones), and the stream ends where the
+        // full-width draw ends.
+        let store = ParamStore::new();
+        let x = Tensor::randn(9, 5, 1.0, &mut rng());
+        for rows in [vec![0u32, 4, 8], vec![2, 3, 7], vec![8]] {
+            let picked: Vec<f32> =
+                rows.iter().flat_map(|&r| x.row(r as usize).iter().copied()).collect();
+            let picked = Tensor::from_vec(rows.len(), 5, picked);
+
+            let mut full_rng = StdRng::seed_from_u64(21);
+            let mut full = Tape::new(&store);
+            let xn = full.input(x.clone());
+            let dropped = full.dropout(xn, 0.4, &mut full_rng);
+            let want = full.row_select(dropped, &rows);
+
+            let mut kept_rng = StdRng::seed_from_u64(21);
+            let mut kept = Tape::new(&store);
+            let pn = kept.input(picked);
+            let got = kept.dropout_rows(pn, 9, rows.iter().copied(), 0.4, &mut kept_rng);
+
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(bits(kept.value(got)), bits(full.value(want)), "rows {rows:?}");
+            assert_eq!(kept_rng.gen::<u64>(), full_rng.gen::<u64>(), "rows {rows:?}: stream");
+            let (Op::Dropout { mask: km, .. }, Op::Dropout { mask: fm, .. }) =
+                (&kept.nodes[got].op, &full.nodes[dropped].op)
+            else {
+                panic!("dropout nodes");
+            };
+            let want_mask: Vec<f32> =
+                rows.iter().flat_map(|&r| fm[r as usize * 5..][..5].iter().copied()).collect();
+            assert_eq!(km, &want_mask, "rows {rows:?}: backward multiplies by these");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dropout rows must ascend")]
+    fn dropout_rows_rejects_unordered_rows() {
+        let store = ParamStore::new();
+        let mut tape = Tape::new(&store);
+        let x = tape.input(Tensor::zeros(2, 3));
+        tape.dropout_rows(x, 5, [3u32, 1].into_iter(), 0.5, &mut rng());
+    }
+
+    #[test]
+    fn embedding_backward_touches_only_its_rows_with_the_dense_bits() {
+        // Repeated ids sum in row order from +0.0 and are then added into
+        // the slot — across two backward passes into one `Gradients`, the
+        // bits of scattering into a dense zero `[vocab, d]` matrix and
+        // adding that.
+        let mut rng = rng();
+        let mut store = ParamStore::new();
+        let emb = store.add_randn("emb", 7, 4, 0.7, &mut rng);
+        let ids = [3u32, 1, 3, 6, 1, 3];
+        let targets = [0u32, 1, 2, 3, 0, 1];
+        let mut grads = Gradients::new(&store);
+        let mut dense = Tensor::zeros(7, 4);
+        for pass in 0..2 {
+            let mut tape = Tape::inference(&store);
+            let e = tape.embedding(emb, &ids);
+            let loss = tape.softmax_ce(e, &targets);
+            tape.backward(loss, &mut grads);
+            // d loss / d e, scattered the old way.
+            let Op::SoftmaxCe { probs, .. } = &tape.nodes[loss].op else { panic!("loss node") };
+            let mut g = probs.clone();
+            for (r, &t) in targets.iter().enumerate() {
+                let v = g.get(r, t as usize) - 1.0;
+                g.set(r, t as usize, v);
+            }
+            g.scale_assign(1.0 / ids.len() as f32);
+            let mut dw = Tensor::zeros(7, 4);
+            for (r, &id) in ids.iter().enumerate() {
+                for (o, &gv) in dw.row_mut(id as usize).iter_mut().zip(g.row(r)) {
+                    *o += gv;
+                }
+            }
+            if pass == 0 {
+                dense = dw;
+            } else {
+                dense.add_assign(&dw);
+            }
+        }
+        let got = grads.get(emb).expect("embedding gradient");
+        for (i, (a, b)) in got.data().iter().zip(dense.data()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "element {i}: {a} vs {b}");
+        }
+        for untouched in [0usize, 2, 4, 5] {
+            assert!(got.row(untouched).iter().all(|v| v.to_bits() == 0), "row {untouched}");
         }
     }
 

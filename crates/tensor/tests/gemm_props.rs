@@ -89,6 +89,35 @@ proptest! {
     }
 
     #[test]
+    fn zero_rows_of_the_reduction_move_no_bit_on_any_tier(
+        m in dim(), kept in 1usize..40, n in dim(), seed in 0u64..1000, stride in 1usize..9,
+    ) {
+        // What lets a training tape differentiate only the rows its loss
+        // reads: in `Aᵀ G` (a weight gradient; attention's `dK`, `dV`) a
+        // row of `G` that is exactly zero — of either sign — adds `±0.0` to
+        // accumulators that start at `+0.0` and changes none of them, so
+        // the product over the non-zero rows alone, in their order, has the
+        // same bits. One live row in every `stride`; k reaches past `KC`.
+        let k = kept * stride + stride / 2;
+        let a = tensor(k, m, seed);
+        let mut g = tensor(k, n, seed.wrapping_add(1));
+        let live: Vec<usize> = (0..k).filter(|r| r % stride == stride / 2).collect();
+        for r in (0..k).filter(|r| !live.contains(r)) {
+            g.row_mut(r).fill(if r % 2 == 0 { 0.0 } else { -0.0 });
+        }
+        let pick = |t: &Tensor| {
+            let data: Vec<f32> = live.iter().flat_map(|&r| t.row(r).iter().copied()).collect();
+            Tensor::from_vec(live.len(), t.cols(), data)
+        };
+        let (a_kept, g_kept) = (pick(&a), pick(&g));
+        for &tier in Tier::host() {
+            let full = matmul_blocked_on(tier, Layout::TN, &a, &g, 1);
+            let pruned = matmul_blocked_on(tier, Layout::TN, &a_kept, &g_kept, 1);
+            prop_assert!(assert_bits_eq(&pruned, &full, tier.name()).is_ok());
+        }
+    }
+
+    #[test]
     fn blocked_is_thread_count_invariant(m in dim(), k in dim(), n in dim(), seed in 0u64..1000) {
         // Row-stripe threading must not change a single bit, whatever the
         // requested worker count.

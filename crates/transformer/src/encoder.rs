@@ -17,19 +17,24 @@
 //! * *how a dense layer is applied* — [`Dense`]: f32 parameters
 //!   ([`Encoder`]) or their int8 twins (`QuantEncoder` in [`crate::quant`]);
 //! * *what executes the ops* — [`Ops`]: a recording [`Tape`]
-//!   (differentiable; [`Encoder::forward_batch`], and [`Encoder::forward`]
-//!   as the batch of one — what fine-tuning and MLM pre-training use, one
+//!   (differentiable — what fine-tuning and MLM pre-training use, one
 //!   table = one tape, gradient fan-out across tapes via
-//!   `doduo_tensor::accumulate_parallel`; always every row) or the
-//!   tape-free `doduo_tensor::Executor` that serving runs on
-//!   ([`Encoder::encode`] takes either).
+//!   `doduo_tensor::accumulate_parallel`) or the tape-free
+//!   `doduo_tensor::Executor` that serving and the trainer's evaluators run
+//!   on. [`Encoder::encode`] takes either and honours `keep` on both;
+//!   [`Encoder::forward_batch`], and [`Encoder::forward`] as the batch of
+//!   one, are the every-row calls on a tape for callers that read every row
+//!   or an attention node (Figure 6's analysis).
 //!
 //! Batched ≡ sequential, serving ≡ training and executor ≡ tape therefore
 //! hold by construction: there is no second op sequence to drift from, and
-//! both backends call the same arithmetic. So does pruned ≡ unpruned: the
-//! top block's kept rows go through the same ops as everyone else's, only
-//! fewer of them (the argument is on `encode`, the proof
-//! `executor_matches_tape_bitwise` in `doduo-core`).
+//! both backends call the same arithmetic. So does pruned ≡ unpruned,
+//! forward *and backward*, dropout on: the top block's kept rows go through
+//! the same ops as everyone else's, only fewer of them, their dropout masks
+//! are the ones the full-width block draws for them, and the rows left out
+//! only ever sent `+0.0` down the backward pass (the argument is on
+//! `encode`; the proofs are `executor_matches_tape_bitwise` in `doduo-core`
+//! and `tests/grad_bits.rs` at the workspace root).
 
 use crate::config::EncoderConfig;
 use crate::ops::{kept_rows, Dense, Ops};
@@ -192,7 +197,12 @@ impl Encoder {
     /// `None` keeps a sequence whole; under [`all_rows`] the result is the
     /// `[sum(len_b), d]` activation with sequence `b`'s token `t` at row
     /// `sum(len[..b]) + t`. A kept row's bits do not depend on what else
-    /// was kept, nor on the backend.
+    /// was kept, nor on the backend — on a training tape either: dropout
+    /// masks are drawn for the whole packed activation whatever is kept, so
+    /// kept rows, the gradients `backward` gives, and where `rng` ends are
+    /// those of [`all_rows`] followed by a `row_select`. A tape
+    /// differentiates over the kept rows in order: each sequence's
+    /// positions must be strictly ascending there.
     pub fn encode<'a, F: Ops, R: Rng + ?Sized>(
         &self,
         f: &mut F,
@@ -226,6 +236,17 @@ pub fn all_rows<'a>() -> impl Iterator<Item = Option<&'a [u32]>> + Clone {
 /// increasing k whatever rows surround it, so a kept row comes out with the
 /// bits the full-width block gives it. When nothing is dropped the top block
 /// is a block like the others: same ops, same recorded nodes.
+///
+/// That holds on a training tape too, which is what lets every trainer keep
+/// only what its loss reads. Dropout inside the block is defined on the
+/// full-width activation ([`Ops::dropout`]): all `total` rows' masks are
+/// drawn, the kept rows get theirs. And `backward` loses nothing: a row the
+/// loss never reads has a gradient of exactly `+0.0`, every reduction over
+/// rows (bias and LayerNorm gradients, `Aᵀ G` weight gradients, attention's
+/// `dK` and `dV`) is one accumulator from `+0.0` in row order, and adding
+/// `±0.0` to such an accumulator never changes it — so reducing over the
+/// kept rows alone, in ascending order, gives every gradient its full-width
+/// bits.
 #[allow(clippy::too_many_arguments)] // the loop's backend, weights, inputs and the two things a caller may ask of it
 pub(crate) fn encode<'a, 'q, F: Ops, R: Rng + ?Sized>(
     f: &mut F,
@@ -247,12 +268,17 @@ pub(crate) fn encode<'a, 'q, F: Ops, R: Rng + ?Sized>(
     assert!(total > 0, "cannot encode an empty batch");
     let drops_rows = seqs.clone().zip(keep.clone()).any(|(_, k)| k.is_some());
 
-    let p = cfg.dropout;
+    // Dropout only where it is live: elsewhere (the executor, an inference
+    // tape) a node passes as it came and the rows it holds are never even
+    // enumerated.
+    let (p, training) = (cfg.dropout, f.is_training());
     let tok = f.embedding(emb.tok, total, seqs.clone().flat_map(|s| s.ids.iter().copied()));
     let pos = f.embedding(emb.pos, total, seqs.clone().flat_map(|s| 0..s.ids.len() as u32));
     let sum = f.add(tok, pos);
-    let normed = f.layer_norm(sum, emb.ln_g, emb.ln_b);
-    let mut x = f.dropout(normed, p, rng);
+    let mut x = f.layer_norm(sum, emb.ln_g, emb.ln_b);
+    if training {
+        x = f.dropout(x, total, 0..total as u32, p, rng);
+    }
 
     for (l, block) in blocks.enumerate() {
         let top = l + 1 == cfg.layers;
@@ -261,21 +287,28 @@ pub(crate) fn encode<'a, 'q, F: Ops, R: Rng + ?Sized>(
         let att = f.attention(qkv, cfg.heads, seqs.clone(), kept.clone());
         on_attention(&att);
         if top && drops_rows {
-            let rows = kept_rows(seqs.clone(), kept);
+            let rows = kept_rows(seqs.clone(), kept.clone());
             let x_kept = f.row_select(&x, rows.clone().count(), rows);
             f.free(std::mem::replace(&mut x, x_kept));
         }
-        let proj = f.dense(&att, block.wo);
+        // The rows of the `total`-row activation this block's later ops
+        // hold: the kept ones in the top block, all of them below it.
+        let held = || kept_rows(seqs.clone(), kept.clone());
+        let mut proj = f.dense(&att, block.wo);
         f.free(att);
-        let proj = f.dropout(proj, p, rng);
+        if training {
+            proj = f.dropout(proj, total, held(), p, rng);
+        }
         let res1 = f.add(x, proj);
         let h = f.layer_norm(res1, block.ln1.0, block.ln1.1);
 
         let f1 = f.dense(&h, block.w1);
         let act = f.gelu(f1);
-        let f2 = f.dense(&act, block.w2);
+        let mut f2 = f.dense(&act, block.w2);
         f.free(act);
-        let f2 = f.dropout(f2, p, rng);
+        if training {
+            f2 = f.dropout(f2, total, held(), p, rng);
+        }
         let res2 = f.add(h, f2);
         x = f.layer_norm(res2, block.ln2.0, block.ln2.1);
     }

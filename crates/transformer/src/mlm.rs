@@ -8,7 +8,7 @@
 //! head, the pretraining loop, and pseudo-perplexity scoring.
 
 use crate::config::EncoderConfig;
-use crate::encoder::Encoder;
+use crate::encoder::{BatchSeq, Encoder};
 use doduo_tensor::{
     accumulate_parallel, Adam, Gradients, LrSchedule, NodeId, ParamId, ParamStore, Tape,
 };
@@ -40,12 +40,29 @@ impl MlmHead {
         }
     }
 
-    /// Vocabulary logits for the selected positions of an encoded sequence.
-    pub fn logits(&self, tape: &mut Tape<'_>, encoded: NodeId, positions: &[u32]) -> NodeId {
-        let picked = tape.row_select(encoded, positions);
+    /// Vocabulary logits for each row of `picked` — the top-layer rows of
+    /// the positions being predicted.
+    pub fn logits(&self, tape: &mut Tape<'_>, picked: NodeId) -> NodeId {
         let h = tape.linear(picked, self.dense_w, self.dense_b);
         let act = tape.gelu(h);
         tape.linear(act, self.dec_w, self.dec_b)
+    }
+
+    /// Encodes `ids` and returns the vocabulary logits at `positions`
+    /// (strictly ascending) — all the MLM loss reads of the sequence, so
+    /// the encoder keeps exactly those top-layer rows: its last block
+    /// computes, and `backward` differentiates, nothing else.
+    pub fn logits_at<R: Rng + ?Sized>(
+        &self,
+        tape: &mut Tape<'_>,
+        encoder: &Encoder,
+        ids: &[u32],
+        positions: &[u32],
+        rng: &mut R,
+    ) -> NodeId {
+        let seq = std::iter::once(BatchSeq { ids, mask: None });
+        let picked = encoder.encode(tape, seq, std::iter::once(Some(positions)), rng);
+        self.logits(tape, picked)
     }
 }
 
@@ -147,8 +164,8 @@ pub fn pretrain_mlm(
                     let mut item_rng =
                         StdRng::seed_from_u64(salt ^ (k as u64).wrapping_mul(0x9E3779B97F4A7C15));
                     let ex = mask_tokens(&sequences[idx], vocab_size, cfg.mask_prob, &mut item_rng);
-                    let enc = encoder.forward(tape, &ex.input, None, &mut item_rng);
-                    let logits = head.logits(tape, enc, &ex.positions);
+                    let logits =
+                        head.logits_at(tape, encoder, &ex.input, &ex.positions, &mut item_rng);
                     tape.softmax_ce(logits, &ex.targets)
                 });
             grads.scale(1.0 / batch.len() as f32);
@@ -184,8 +201,7 @@ pub fn pseudo_perplexity(
         let mut input = ids.to_vec();
         input[i] = MASK;
         let mut tape = Tape::inference(store);
-        let enc = encoder.forward(&mut tape, &input, None, &mut rng);
-        let logits = head.logits(&mut tape, enc, &[i as u32]);
+        let logits = head.logits_at(&mut tape, encoder, &input, &[i as u32], &mut rng);
         // softmax_ce with the original token as target = -log p(token|ctx).
         let loss = tape.softmax_ce(logits, &[ids[i]]);
         nll += tape.value(loss).scalar_value();
@@ -220,8 +236,7 @@ pub fn mlm_eval_loss(
             continue;
         }
         let mut tape = Tape::inference(store);
-        let enc = encoder.forward(&mut tape, &ex.input, None, &mut rng);
-        let logits = head.logits(&mut tape, enc, &ex.positions);
+        let logits = head.logits_at(&mut tape, encoder, &ex.input, &ex.positions, &mut rng);
         let loss = tape.softmax_ce(logits, &ex.targets);
         total += tape.value(loss).scalar_value();
         n += 1;
@@ -243,8 +258,7 @@ pub fn mlm_example_grads(
     let mut grads = Gradients::new(store);
     let mut rng = StdRng::seed_from_u64(0);
     let mut tape = Tape::inference(store);
-    let enc = encoder.forward(&mut tape, &ex.input, None, &mut rng);
-    let logits = head.logits(&mut tape, enc, &ex.positions);
+    let logits = head.logits_at(&mut tape, encoder, &ex.input, &ex.positions, &mut rng);
     let loss = tape.softmax_ce(logits, &ex.targets);
     tape.backward(loss, &mut grads);
     grads

@@ -13,10 +13,19 @@
 //!   nothing is recorded. Serving uses it.
 //!
 //! Attention is the one op that can be asked for less than its input's rows
-//! ([`Ops::attention`]'s `keep`): the executor then computes the named query
-//! rows only, the tape its full attention node followed by a `row_select` of
-//! them — no new tape op, still differentiable, and by construction the
-//! full-width reference the executor's result is compared with.
+//! ([`Ops::attention`]'s `keep`), and on both backends it then computes the
+//! named query rows and nothing else: the executor through
+//! `AttnBlock::keep`, the tape through the same kernel in an attention node
+//! that remembers which rows it holds and differentiates exactly those
+//! (`Tape::mha_batch_qkv_kept`). A test that wants the full-width reference
+//! builds it: every row, then a `row_select`.
+//!
+//! Dropout is the one op that draws, and it is *defined on the full-width
+//! activation* ([`Ops::dropout`]'s `total` and `rows`): a caller holding
+//! only some rows of an activation says which, the mask stream is drawn for
+//! all of it, and the held rows get their own masks. So a forward that
+//! stops computing rows nobody reads consumes the random stream, and trains
+//! the model, exactly as the forward that computes them all.
 //!
 //! [`Ops::Node`] is deliberately not required to be `Copy`: an op that
 //! takes a node by value consumes it, and generic code can neither reuse
@@ -97,9 +106,21 @@ pub trait Ops {
     /// GELU activation.
     fn gelu(&mut self, x: Self::Node) -> Self::Node;
 
-    /// Inverted dropout with keep probability `1 - p`; the identity (drawing
-    /// nothing from `rng`) unless [`Ops::is_training`].
-    fn dropout<R: Rng + ?Sized>(&mut self, x: Self::Node, p: f32, rng: &mut R) -> Self::Node;
+    /// Inverted dropout with keep probability `1 - p` of a `[total, cols]`
+    /// activation of which `x` holds the rows `rows` (ascending; `0..total`
+    /// when it holds them all): the whole activation's masks are drawn from
+    /// `rng`, row-major, and `x`'s rows get theirs — the bits, and the
+    /// stream position afterwards, of dropping out every row and selecting
+    /// these. The identity, drawing nothing and not looking at `rows`,
+    /// unless [`Ops::is_training`].
+    fn dropout<R: Rng + ?Sized>(
+        &mut self,
+        x: Self::Node,
+        total: usize,
+        rows: impl Iterator<Item = u32>,
+        p: f32,
+        rng: &mut R,
+    ) -> Self::Node;
 
     /// Selects the `n` rows `idxs` of `x`; `x` stays live.
     fn row_select(
@@ -178,10 +199,10 @@ impl Ops for Tape<'_> {
         }
     }
 
-    /// The full attention node, then — only if some sequence keeps fewer
-    /// than all its rows — a `row_select` of the kept ones: differentiable
-    /// with no new backward, and the reference the executor's skipped rows
-    /// are held against.
+    /// One attention node holding the kept rows (every row under `None`),
+    /// differentiated over exactly those; the tape owns what it must
+    /// remember, so lengths, masks and positions are collected. Kept
+    /// positions must ascend (`Tape::mha_batch_qkv_kept` says why).
     fn attention<'a>(
         &mut self,
         qkv: NodeId,
@@ -190,21 +211,24 @@ impl Ops for Tape<'_> {
         keep: impl Iterator<Item = Option<&'a [u32]>> + Clone,
     ) -> NodeId {
         let lens: Vec<usize> = seqs.clone().map(|s| s.ids.len()).collect();
-        let masks: Vec<Option<AttnMask>> = seqs.clone().map(|s| s.mask.map(Arc::clone)).collect();
-        let att = self.mha_batch_qkv(qkv, heads, &masks, Some(&lens));
-        if keep.clone().take(lens.len()).all(|k| k.is_none()) {
-            return att;
-        }
-        let rows: Vec<u32> = kept_rows(seqs, keep).collect();
-        Tape::row_select(self, att, &rows)
+        let masks: Vec<Option<AttnMask>> = seqs.map(|s| s.mask.map(Arc::clone)).collect();
+        let keep = keep.take(lens.len()).map(|k| k.map(<[u32]>::to_vec)).collect();
+        self.mha_batch_qkv_kept(qkv, heads, &masks, Some(&lens), keep)
     }
 
     fn gelu(&mut self, x: NodeId) -> NodeId {
         Tape::gelu(self, x)
     }
 
-    fn dropout<R: Rng + ?Sized>(&mut self, x: NodeId, p: f32, rng: &mut R) -> NodeId {
-        Tape::dropout(self, x, p, rng)
+    fn dropout<R: Rng + ?Sized>(
+        &mut self,
+        x: NodeId,
+        total: usize,
+        rows: impl Iterator<Item = u32>,
+        p: f32,
+        rng: &mut R,
+    ) -> NodeId {
+        self.dropout_rows(x, total, rows, p, rng)
     }
 
     fn row_select(&mut self, &x: &NodeId, n: usize, idxs: impl Iterator<Item = u32>) -> NodeId {
@@ -266,7 +290,14 @@ impl Ops for Executor<'_> {
         Executor::gelu(self, x)
     }
 
-    fn dropout<R: Rng + ?Sized>(&mut self, x: Slot, _: f32, _: &mut R) -> Slot {
+    fn dropout<R: Rng + ?Sized>(
+        &mut self,
+        x: Slot,
+        _: usize,
+        _: impl Iterator<Item = u32>,
+        _: f32,
+        _: &mut R,
+    ) -> Slot {
         x
     }
 
