@@ -137,10 +137,10 @@ impl HostMeta {
 }
 
 /// The SIMD features a kernel tier dispatches on, in report order: `avx2`
-/// (the f32 AVX2 tier and the int8 AVX2 kernel), `fma` (never used — the
-/// bit-identity contract — but it tells hosts apart), `avx512f` (the f32
-/// AVX-512 tier, `doduo_tensor::kernels::Tier`) and `avx512vnni` (the int8
-/// VNNI kernel).
+/// and `fma` (together the AVX2 tier of `doduo_tensor::kernels::Tier`: the
+/// f32 GEMM step is a fused multiply-add, and the int8 AVX2 kernel rides on
+/// the same tier), `avx512f` (the f32 AVX-512 tier) and `avx512vnni` (the
+/// int8 VNNI kernel).
 fn detect_target_features() -> String {
     let mut features: Vec<&str> = Vec::new();
     #[cfg(target_arch = "x86_64")]
@@ -243,7 +243,7 @@ mod tests {
         let reported = detect_target_features();
         let has = |f: &str| reported.split(',').any(|r| r == f);
         // What the f32 stack runs on must be readable off the artifact.
-        assert_eq!(has("avx2"), Tier::detect() >= Tier::Avx2, "{reported}");
+        assert_eq!(has("avx2") && has("fma"), Tier::detect() >= Tier::Avx2, "{reported}");
         if Tier::detect() == Tier::Avx512 {
             assert!(has("avx512f"), "{reported}");
         }
@@ -251,6 +251,9 @@ mod tests {
         {
             assert_eq!(has("avx512f"), std::arch::is_x86_feature_detected!("avx512f"));
             assert_eq!(has("avx512vnni"), std::arch::is_x86_feature_detected!("avx512vnni"));
+            if Tier::detect_int8() == Tier::Avx512 {
+                assert!(has("avx512vnni"), "{reported}");
+            }
         }
         assert!(!reported.is_empty() && !reported.contains(' '), "a bare list: {reported:?}");
     }

@@ -199,8 +199,7 @@ fn only_the_f32_executor_builds_weight_panels() {
         scratch <= attention_need,
         "dense layers grew the B scratch: {scratch} floats, attention needs {attention_need}"
     );
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if kernels::Tier::detect() >= kernels::Tier::Avx2 {
         let (built, bytes) = store.panel_stats();
         assert!(built >= 6 * enc.layers, "{built} panels for {} layers", enc.layers);
         assert!(bytes >= enc.layers * (4 * d * d + 2 * d * enc.ffn) * 4);

@@ -152,9 +152,13 @@ pub fn serialize_table(table: &Table, tok: &WordPiece, cfg: &SerializeConfig) ->
 /// byte-identically.
 pub fn assemble_table_wise<T: AsRef<[u32]>>(col_tokens: &[T]) -> SerializedTable {
     assert!(!col_tokens.is_empty(), "cannot serialize a table with no columns");
-    let mut ids = Vec::new();
+    // One `[CLS]` per column and the trailing `[SEP]`: the length is known,
+    // so neither vector grows by doubling (at 166 tokens that took several
+    // reallocations each and ended 60% over size).
+    let len = col_tokens.iter().map(|t| t.as_ref().len() + 1).sum::<usize>() + 1;
+    let mut ids = Vec::with_capacity(len);
     let mut cls_positions = Vec::with_capacity(col_tokens.len());
-    let mut col_of_token = Vec::new();
+    let mut col_of_token = Vec::with_capacity(len);
     for (c, toks) in col_tokens.iter().enumerate() {
         let toks = toks.as_ref();
         cls_positions.push(ids.len() as u32);

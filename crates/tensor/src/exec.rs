@@ -374,7 +374,7 @@ mod tests {
             ex.value(&y).iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
         };
         // Whether this host's dense layers run on panels at all.
-        let panels = usize::from(crate::kernels::has_avx2());
+        let panels = usize::from(crate::kernels::Tier::detect() >= crate::kernels::Tier::Avx2);
 
         let w0 = Tensor::randn(24, 40, 0.5, &mut rng);
         let (mut store, emb, w, b) = build(&w0);

@@ -23,8 +23,8 @@
 //!   of a constant from every call — at 19 rows, a quarter of a dense
 //!   layer's time — and lets row-stripe threads share one copy.
 //!
-//! Same micro-kernel, same k order, one accumulator per element: the two
-//! sources produce the same bits.
+//! Same micro-kernel, same k order, one accumulator per element, one fused
+//! multiply-add per step: the two sources produce the same bits.
 //!
 //! On top sits optional row-stripe multi-threading (distinct threads own
 //! disjoint output rows) and a shape heuristic that falls back to the
@@ -41,45 +41,91 @@
 //!
 //! * **portable** and **AVX2** are one Rust body (`accumulate_tile`) that
 //!   LLVM vectorises over the `NR` lanes, compiled for the baseline target
-//!   and again under `#[target_feature(enable = "avx2")]` (12 ymm
-//!   accumulators). They read A from panels `pack_a` lays out.
-//! * **AVX-512** (F + VL + DQ + BW) is written with `std::arch` intrinsics:
-//!   a row of `NR` = 16 floats is one zmm register, so the tile is one
-//!   accumulator per row, each k step a broadcast, `vmulps`, `vaddps`. It is
-//!   *not* the shared body compiled a third time — under `avx512f` LLVM
+//!   and again under `#[target_feature(enable = "avx2,fma")]` (12 ymm
+//!   accumulators, each k step of a row a broadcast and two `vfmadd231ps`).
+//!   They read A from panels `pack_a` lays out.
+//! * **AVX-512** (F + VL + DQ + BW, over AVX2 + FMA) is written with
+//!   `std::arch` intrinsics: a row of `NR` = 16 floats is one zmm register,
+//!   and the tile spans **two adjacent `NR` panels** of the one panel layout
+//!   — 6×32, twelve accumulators, each k step two row loads of B and per
+//!   tile row a broadcast and two `vfmadd231ps`. Twelve because a fused
+//!   step has four cycles of latency and two ports to issue on, so eight
+//!   independent chains are the least that keep them busy and the six of a
+//!   6×16 tile cannot (ISSUE 22's prototype: `bulk_narrow` 1.25x with the
+//!   fused one-panel tile, 1.45x with two panels). An odd last panel takes
+//!   the one-panel tile, and `nr < 16` edges stay masked. It is *not*
+//!   the shared body compiled a third time — under `avx512f` LLVM
 //!   vectorises that body across rows with gathers and scatters and the
 //!   fused QKV product at 166 rows goes from 222 to 3,271 µs. Its A operand
 //!   is an [`ATile`] — a slice, a row stride and a k stride — so it reads a
 //!   row-major or a transposed operand where it lies and `pack_a` is not
 //!   called at all: the A side of the thread's scratch stays empty on this
 //!   tier. (Attention's `P·V` re-laid-out the `[len, len]` probabilities
-//!   once per head: 41 of its 152 µs at 166 tokens.) Under the no-FMA
-//!   contract AVX2 issues `mul` + `add` over three 256-bit ports and AVX-512
-//!   over two 512-bit ones — 4/3 the lanes per cycle, measured 1.24–1.37x on
-//!   the tile; 12×32 and 8×48 tiles add at most 0.08x more, not worth a
-//!   second panel layout.
+//!   once per head: 41 of its 152 µs at 166 tokens.)
 //!
 //! `MR`, `NR`, `KC`, `NC`, `pack_b`, [`PackedB`] and the loop nest are the
 //! same on every tier; a tier changes only how one tile's rank-1 updates
 //! are issued, never their order. Each tier stays callable by name
-//! ([`microkernel_on`], [`matmul_blocked_on`]) so the property tests hold
-//! every tier of the host to the naive loops, not only the dispatched one.
+//! ([`microkernel_on`], [`matmul_blocked_on`], [`gemm_nn_packed_on`],
+//! [`matmul_naive_on`]) so the property tests hold every tier of the host
+//! to the contract, not only the dispatched one.
 //!
-//! # Numerics policy: bit-identical
+//! `gemm_nn_packed`, µs on one core of a Sapphire Rapids host (best of 60
+//! interleaved rounds; GMAC/s in brackets). `unfused` is the AVX-512 6×16
+//! tile this replaced, timed in the same session: 16 MAC/cycle, what two
+//! 512-bit ports give when every MAC is a `vmulps` *and* a `vaddps`.
 //!
-//! The micro-kernel keeps exactly **one accumulator per output element**
-//! and walks the k dimension in increasing order — the same floating-point
-//! operation sequence as the naive loops (Rust/LLVM never reassociates
-//! float additions without fast-math). k-blocking preserves this by
-//! loading the partial output tile into registers at the start of each
-//! [`KC`] block instead of summing blocks separately, row-stripe
-//! threading trivially preserves it because threads own disjoint output
-//! elements, and every tier multiplies and adds in two separately rounded
-//! steps (no FMA anywhere: fusing rounds once instead of twice).
-//! Consequently `blocked == naive` **bitwise**, on every tier and at every
-//! thread count — the serving equivalence tests keep their byte-identical
-//! contract, and the property tests in `tests/gemm_props.rs` assert exact
-//! bit equality rather than a tolerance.
+//! ```text
+//!             166×96×384   166×384×96   166×96×96   52×96×384   19×96×384
+//! unfused     123.8 (49)   116.4 (53)   30.0 (51)   38.4 (50)   15.6 (45)
+//! avx512       66.1 (93)    62.6 (98)   16.4 (93)   20.2 (95)    8.4 (84)
+//! avx2        123.5 (50)   120.8 (51)   33.3 (46)   38.2 (50)   15.8 (44)
+//! portable   16,700 (0.4)
+//! ```
+//!
+//! The portable row is what x86-64 without the FMA instruction pays: one
+//! libm call per multiply-add, over a hundred times the AVX2 tier's time
+//! (and on a CPU that really lacks the instruction, `fmaf` is software on
+//! top of that). It is there to be correct — a pre-Haswell x86, or a VM
+//! that hides `fma` — not to be fast; aarch64 fuses at baseline (`fmla`)
+//! and its portable tier vectorises.
+//!
+//! # Numerics policy: bit-identical, one fused step
+//!
+//! The whole GEMM layer has **one arithmetic step**,
+//! `acc ← fusedMultiplyAdd(a, b, acc)`: the exact product plus the
+//! accumulator, rounded once. Every route keeps exactly **one accumulator
+//! per output element** and walks the k dimension in increasing order — the
+//! micro-kernel tiles, `gemm_small` and the naive loops run the same
+//! operation sequence (Rust/LLVM never reassociates float arithmetic
+//! without fast-math). k-blocking preserves it by loading the partial
+//! output tile into registers at the start of each [`KC`] block instead of
+//! summing blocks separately, and row-stripe threading trivially preserves
+//! it because threads own disjoint output elements.
+//!
+//! The step is the same on every host because IEEE 754 specifies
+//! `fusedMultiplyAdd` exactly and `f32::mul_add` *is* that operation on
+//! every target: one `vfmadd` where the enclosing function enables `fma`
+//! (the AVX2 instantiations, and `_mm512_fmadd_ps` on the zmm tile), libm's
+//! correctly rounded `fmaf` where it does not. So a tier with the
+//! instruction and one without agree to the last bit, exactly as they did
+//! when the step was a separately rounded multiply and add — what may not
+//! happen is a *mix* of the two steps, which is why nothing selects between
+//! them and `gemm_props::every_tier_is_fused` runs every route on operands
+//! where the unfused step returns different bits. Consequently
+//! `blocked == naive` **bitwise**, on every tier and at every thread count —
+//! the serving equivalence tests keep their byte-identical contract, and
+//! the property tests in `tests/gemm_props.rs` assert exact bit equality
+//! rather than a tolerance.
+//!
+//! Fusing stops at this module's edge. [`crate::vmath`], LayerNorm's
+//! statistics and softmax's row sums stay separately rounded `+ − × ÷`
+//! (their digest in `tests/numerics_pin.rs` did not move when the GEMM step
+//! was fused): their cost is not multiply-add throughput, and their bit
+//! contracts — a polynomial's coefficients tuned for two roundings, a fixed
+//! lane-wise reduction tree — would each need re-deriving and re-pinning for
+//! no measured gain. The int8 kernels accumulate integers and dequantise in
+//! one separately rounded multiply and add, as before.
 //!
 //! # Threading model
 //!
@@ -99,10 +145,12 @@ use std::sync::OnceLock;
 
 /// Rows of the micro-kernel register tile.
 pub const MR: usize = 6;
-/// Columns of the micro-kernel register tile: two AVX vectors, so the
-/// `MR`×`NR` accumulator occupies 12 of the 16 ymm registers on the AVX2
-/// tier (leaving room for the B panel loads and the A broadcast), and one
-/// AVX-512 vector, so it is 6 of the 32 zmm registers there.
+/// Columns of a B micro-panel, and of the register tile on the two
+/// autovectorised tiers: two AVX vectors, so the `MR`×`NR` accumulator
+/// occupies 12 of the 16 ymm registers on the AVX2 tier (leaving room for
+/// the B panel loads and the A broadcast). It is one AVX-512 vector, and
+/// that tier's tile spans two panels ([`Tier::tile_width`]): 12 of the 32
+/// zmm registers.
 pub const NR: usize = 16;
 /// k-dimension cache block: packed panels span at most `KC` of k, sized so
 /// an `NR`×`KC` B sliver stays L1-resident.
@@ -123,40 +171,66 @@ pub const MIN_FLOPS_PER_THREAD: usize = 1 << 20;
 /// touches O(mn + mk + kn) memory, which only pays off once the O(mnk)
 /// kernel work dwarfs it. Sized by timing [`gemm_small`] against the packed
 /// kernel with warm thread-local panels on attention's per-head shapes
-/// (`len`×`len`×24 and `len`×24×`len`): on the AVX2 tier the packed kernel
-/// wins `A Bᵀ` from about 800 FLOPs up and the other two layouts from about
-/// 4,500, and in between neither is ahead by more than ~0.1 µs a call.
+/// (`len`×`len`×24 and `len`×24×`len`), both sides on the fused step (the
+/// plain loops run their 8-lane `avx2,fma` instantiation on either tier).
+/// Plain vs packed, µs a call:
 ///
-/// Re-timed on the AVX-512 tier, where A is not packed: `A Bᵀ` still crosses
-/// at about 800 FLOPs (len 4: plain 0.19 vs packed 0.14 µs; len 3: 0.10 vs
-/// 0.14) and the other two layouts now at about 1,500 (len 5: 0.11 vs 0.11;
-/// len 6: 0.14 vs 0.12; len 8: 0.23 vs 0.23; len 10: 0.38 vs 0.26). The
-/// crossover of those two moved down, but 2^11 sits between the two
-/// crossovers on either tier and what a different cut would recover is
-/// ≤ 0.2 µs a call on 5- and 6-token sequences — one value serves all tiers.
+/// ```text
+/// len (FLOPs)        3 (432)      4 (768)      5 (1,200)    6 (1,728)    7 (2,352)    8 (3,072)
+/// avx2    A Bᵀ     0.13 / 0.17  0.23 / 0.19  0.35 / 0.21  0.49 / 0.23  0.64 / 0.30  0.93 / 0.31
+///         A B      0.05 / 0.11  0.08 / 0.12  0.11 / 0.15  0.15 / 0.18  0.25 / 0.23  0.31 / 0.24
+///         Aᵀ B     0.05 / 0.10  0.08 / 0.11  0.11 / 0.13  0.15 / 0.16  0.21 / 0.22  0.31 / 0.22
+/// avx512  A Bᵀ     0.13 / 0.15  0.23 / 0.16  0.36 / 0.17  0.40 / 0.13  0.50 / 0.17  0.69 / 0.17
+///         A B      0.05 / 0.08  0.08 / 0.08  0.11 / 0.09  0.12 / 0.09  0.19 / 0.10  0.25 / 0.11
+///         Aᵀ B     0.05 / 0.07  0.08 / 0.08  0.11 / 0.10  0.12 / 0.08  0.19 / 0.10  0.24 / 0.11
+/// ```
+///
+/// `A Bᵀ` crosses at about 800 FLOPs on both tiers, where it crossed on the
+/// unfused kernels (its plain loop is a dependent chain either way). The
+/// other two layouts cross at about 2,200 on AVX2 (it was 4,500: the packed
+/// tile gained more from fusing than the 8-lane plain loop did) and about
+/// 1,000 on AVX-512 (it was 1,500). 2^11 still sits between the crossovers
+/// on either tier — on AVX2's, as it happens — and what a different cut
+/// would recover is ≤ 0.3 µs a call on 5- and 6-token sequences: one value
+/// serves all tiers, unchanged.
 const BLOCKED_MIN_FLOPS: usize = 1 << 11;
 
 /// Row count up to which a product against an untransposed B stays on the
 /// plain loops whatever its size. When B is packed per call the reason is
-/// time: packing costs O(kn) — about what two or three rows of
-/// [`gemm_small`]'s vector multiply-adds cost. (Warm timing, `m`×96×96 /
-/// `m`×96×384 / `m`×384×96, plain vs. packed per call: 2 rows 2.2 vs 3.1 /
-/// 9.8 vs 12.8 / 9.0 vs 12.3 µs; 3 rows 3.3 vs 3.3 / 14.6 vs 13.4 / 14.4
-/// vs 13.1 µs. Re-timed on the AVX-512 tier, the crossover did not move:
-/// 2 rows 1.8 vs 2.1 / 8.1 vs 12.2 / 8.7 vs 9.4; 3 rows 2.7 vs 2.3 / 12.1
-/// vs 12.2 / 11.6 vs 11.5; 4 rows 3.6 vs 2.4 / 16.1 vs 12.8 / 15.5 vs 12.3.)
+/// time: packing costs O(kn) — about what three rows of [`gemm_small`]'s
+/// vector multiply-adds cost. Warm timing on the fused kernels, `m`×96×96 /
+/// `m`×96×384 / `m`×384×96, plain vs. packed per call, µs:
+///
+/// ```text
+///          avx2                                        avx512
+/// 2 rows   0.9 vs 2.2 /  4.5 vs  9.0 /  8.3 vs 11.8    0.9 vs 1.8 /  5.1 vs  9.5 /  5.3 vs 8.8
+/// 3 rows   1.3 vs 2.5 /  6.8 vs  9.2 / 11.6 vs 10.5    1.4 vs 2.0 /  8.7 vs  9.6 /  8.4 vs 8.8
+/// 4 rows   1.7 vs 2.8 /  9.6 vs 10.2 / 12.9 vs  9.9    1.8 vs 2.0 / 12.9 vs 11.2 / 10.4 vs 8.4
+/// 5 rows   2.5 vs 2.9 / 11.6 vs 10.6 / 17.9 vs 12.9    2.7 vs 2.5 / 18.2 vs 13.6 / 14.2 vs 9.7
+/// ```
+///
+/// The per-call crossover moved up by about a row (unfused, three rows were
+/// a tie; now the plain loops lead there by up to 2.4 µs and lose from four
+/// rows): the plain loops went from four separately rounded lanes to eight
+/// fused ones, and packing B did not get cheaper. The constant did not
+/// follow, because it is also the borrowed-panel floor below, where three
+/// rows are 3–5x ahead on the panel; what a second constant would recover is
+/// those ≤ 2.4 µs on a training tape's 3-row products.
 ///
 /// When B is a borrowed [`PackedB`] the reason is memory. Nothing is packed
 /// but `m` rows of A and the edge tile multiplies exactly `m` rows, so the
-/// packed kernel is ahead from one row up (1 row 0.8 vs 1.0 / 3.9 vs 6.6 /
-/// 2.5 vs 4.4 µs; 3 rows 1.2 vs 3.3 / 5.0 vs 14.6 / 4.6 vs 14.4 µs; on the
-/// AVX-512 tier 1 row 0.6 vs 0.9 / 2.3 vs 4.0 / 2.8 vs 4.2) — but
-/// at one or two rows that is about a microsecond a call, and asking for
-/// the panel builds it: the classification heads of a two-column table
-/// would pin 0.2 MB of panels (a fortieth of the serving process) to save
-/// 3 µs of its 370. So [`gemm_nn_dense`] applies the same floor to both
-/// sources, and a matrix that only ever sees one or two rows never gets a
-/// panel.
+/// packed kernel is ahead from two rows up on AVX2 and from one on AVX-512
+/// (plain vs borrowed, same shapes: AVX2 1 row 0.5 vs 0.7 / 2.5 vs 2.8 /
+/// 3.3 vs 3.6, 2 rows 0.9 vs 0.6 / 4.5 vs 2.3 / 8.3 vs 3.5, 3 rows 1.3 vs
+/// 0.7 / 6.8 vs 2.6 / 11.6 vs 3.1; AVX-512 1 row 0.7 vs 0.4 / 2.3 vs 1.2 /
+/// 3.3 vs 1.6, 2 rows 0.9 vs 0.4 / 5.1 vs 1.5 / 5.3 vs 1.7, 3 rows 1.4 vs
+/// 0.4 / 8.7 vs 2.6 / 8.4 vs 1.6) — but asking for the panel builds it. At
+/// two rows that is the whole top block of a ≤ 2-column table (`wo`, `w1`,
+/// `w2`: about 8 µs of a ~190 µs call) plus its classification heads
+/// (3 µs), against 0.33 MB + 0.2 MB of panels — a twentieth of a serving
+/// process that only ever sees such tables — for one call in twenty-five.
+/// So [`gemm_nn_dense`] applies the same floor to both sources, and a
+/// matrix that only ever sees one or two rows never gets a panel.
 const SMALL_MAX_ROWS: usize = 2;
 
 static GEMM_THREADS: AtomicUsize = AtomicUsize::new(1);
@@ -394,14 +468,16 @@ enum BSrc<'a> {
 // Micro-kernel
 // ---------------------------------------------------------------------------
 
-/// The rank-1 update loop shared by every micro-kernel instantiation: adds
-/// `kc` outer products from the packed panels into the `M`-row register
-/// tile, k in increasing order with one accumulator per element — the
-/// bit-identity contract. The A panel keeps its [`MR`] stride whatever `M`
-/// is. All loop bounds are compile-time constants so LLVM promotes `acc` to
-/// registers (SROA) and vectorizes the `NR` lanes; multiplies and adds stay
-/// separately rounded (no FMA contraction), so the operation sequence per
-/// element is exactly the naive loops'.
+/// The rank-1 update loop shared by the two autovectorised micro-kernel
+/// instantiations: folds `kc` outer products from the packed panels into the
+/// `M`-row register tile, k in increasing order, one accumulator per
+/// element, each step one `mul_add` — the bit-identity contract. The A panel
+/// keeps its [`MR`] stride whatever `M` is. All loop bounds are compile-time
+/// constants so LLVM promotes `acc` to registers (SROA) and vectorizes the
+/// `NR` lanes: `vfmadd231ps` where the enclosing function enables `fma`, a
+/// call to libm's `fmaf` per element where it does not — the same correctly
+/// rounded result either way, so the operation sequence per element is
+/// exactly the naive loops'.
 #[inline(always)]
 fn accumulate_tile<const M: usize>(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; M]) {
     #[inline(always)]
@@ -411,11 +487,11 @@ fn accumulate_tile<const M: usize>(kc: usize, ap: &[f32], bp: &[f32], acc: &mut 
         for i in 0..M {
             let aip = a[i];
             for j in 0..NR {
-                acc[i][j] += aip * b[j];
+                acc[i][j] = aip.mul_add(b[j], acc[i][j]);
             }
         }
     }
-    // Unroll k by 4 (plain unrolling: each element still sees its addends
+    // Unroll k by 4 (plain unrolling: each element still sees its products
     // strictly in increasing-k order, so bit-identity is unaffected).
     let k4 = kc / 4 * 4;
     let (a4, b4) = (&ap[..k4 * MR], &bp[..k4 * NR]);
@@ -484,12 +560,14 @@ fn microkernel_portable(
 }
 
 /// [`Tier::Avx2`]: the same Rust code as [`microkernel_portable`] compiled
-/// with 256-bit vectors (the full register tile is 12 ymm accumulators).
-/// Only `vmulps`/`vaddps` are emitted — `#[target_feature]` alone never
-/// introduces FMA contraction — so results stay bit-identical to the
+/// with 256-bit vectors and the FMA instruction, so the full register tile
+/// is 12 ymm accumulators — twelve independent chains, enough to cover the
+/// fused step's 4-cycle latency on two ports — and each k step of a row is a
+/// broadcast and two `vfmadd231ps`. `mul_add` is the correctly rounded fused
+/// result with or without the instruction, so the bits are those of the
 /// portable instantiation and the naive loops.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn microkernel_avx2(
     kc: usize,
     ap: &[f32],
@@ -502,15 +580,22 @@ fn microkernel_avx2(
     microkernel_portable(kc, ap, bp, c, ldc, mr, nr);
 }
 
-/// One `M`×`nr` tile of [`Tier::Avx512`], in `std::arch` intrinsics: one zmm
-/// accumulator per tile row (a row of `NR` = 16 floats is exactly one
-/// register, and a row of a B panel one load), each k step a broadcast of
-/// `A[i, p]`, `_mm512_mul_ps`, then `_mm512_add_ps` — two separately rounded
-/// operations, never `fmadd`, k increasing: the operation sequence of
-/// [`accumulate_tile`] and the naive loops, element for element. `M` is
-/// exact by const generic; a narrow tile (`nr < NR`) loads and stores C
-/// under a k-mask instead of staging it through the stack (B's panels are
-/// zero-padded, and what the masked-off lanes compute is never stored).
+/// One `M`×`nr` tile of [`Tier::Avx512`] over `P` adjacent B panels
+/// (`(P − 1)·NR < nr ≤ P·NR`), in `std::arch` intrinsics: one zmm
+/// accumulator per tile row and panel (a row of `NR` = 16 floats is exactly
+/// one register, and a row of a B panel one load), each k step a broadcast
+/// of `A[i, p]` and one `_mm512_fmadd_ps` per panel, k increasing: the
+/// operation sequence of [`accumulate_tile`] and the naive loops, element
+/// for element. `bp` holds the `P` panels back to back, `[kc][NR]` each, as
+/// `pack_b` lays them out. `M` is exact by const generic; the last panel of
+/// a ragged tile loads and stores C under a k-mask instead of staging it
+/// through the stack (B's panels are zero-padded, and what the masked-off
+/// lanes compute is never stored).
+///
+/// `P` = 2 is what the driver runs wherever two panels are left: a fused
+/// step has four cycles of latency and issues on two ports, so the six
+/// chains of a one-panel tile keep them at most three-quarters busy;
+/// twelve cover the latency.
 ///
 /// A is read where it lies: element `(i, p)` is `a.data[i * a.rs + p * a.ks]`.
 ///
@@ -520,7 +605,7 @@ fn microkernel_avx2(
 /// fused QKV product at 166 rows goes from 222 to 3,271 µs.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn tile_avx512<const M: usize>(
+fn tile_avx512<const M: usize, const P: usize>(
     kc: usize,
     a: ATile<'_>,
     bp: &[f32],
@@ -529,45 +614,65 @@ fn tile_avx512<const M: usize>(
     nr: usize,
 ) {
     use std::arch::x86_64::*;
-    const { assert!(M >= 1 && M <= MR && NR == 16) };
-    assert!((1..=NR).contains(&nr), "micro-kernel tile width {nr}");
+    const { assert!(M >= 1 && M <= MR && NR == 16 && (P == 1 || P == 2)) };
+    assert!(((P - 1) * NR + 1..=P * NR).contains(&nr), "{P}-panel tile width {nr}");
     // Every address the loops below form, checked (without wrapping) before
-    // the first read: `kc` rows of B, the last element of A the strides
-    // reach, and `nr` floats of each of the `M` rows of C.
+    // the first read: `kc` rows of each B panel, the last element of A the
+    // strides reach, and `nr` floats of each of the `M` rows of C.
     let at = |i: usize, rs: usize, p: usize, ks: usize| {
         i.checked_mul(rs).and_then(|r| p.checked_mul(ks).and_then(|k| r.checked_add(k)))
     };
-    assert!(kc.checked_mul(NR).is_some_and(|n| n <= bp.len()), "B panel shorter than kc rows");
+    assert!(
+        P.checked_mul(kc).and_then(|rows| rows.checked_mul(NR)).is_some_and(|n| n <= bp.len()),
+        "B panels shorter than kc rows"
+    );
     assert!(
         kc == 0 || at(M - 1, a.rs, kc - 1, a.ks).is_some_and(|last| last < a.data.len()),
         "A tile out of bounds"
     );
     assert!(at(M - 1, ldc, nr, 1).is_some_and(|end| end <= c.len()), "C tile out of bounds");
-    let mask: __mmask16 = (u32::MAX >> (32 - nr)) as u16;
+    // Panel `q` owns lanes `q·NR..`: all 16 of them but for the last panel.
+    let mut masks = [0 as __mmask16; P];
+    for (q, mask) in masks.iter_mut().enumerate() {
+        *mask = (u32::MAX >> (32 - NR.min(nr - q * NR))) as u16;
+    }
     let (ap, bp, cp) = (a.data.as_ptr(), bp.as_ptr(), c.as_mut_ptr());
-    let mut acc = [_mm512_setzero_ps(); M];
+    let mut acc = [[_mm512_setzero_ps(); P]; M];
     for (i, row) in acc.iter_mut().enumerate() {
-        // SAFETY: lanes `..nr` of row `i` lie inside `c` (asserted above);
-        // a masked load does not touch the lanes its mask clears.
-        *row = unsafe { _mm512_maskz_loadu_ps(mask, cp.add(i * ldc)) };
+        for (q, lanes) in row.iter_mut().enumerate() {
+            // SAFETY: lanes `..nr` of row `i` lie inside `c` (asserted
+            // above), the mask keeps panel `q`'s share of them, and a masked
+            // load does not touch the lanes its mask clears.
+            *lanes = unsafe { _mm512_maskz_loadu_ps(masks[q], cp.add(i * ldc + q * NR)) };
+        }
     }
     for p in 0..kc {
-        // SAFETY: `p < kc` and `bp` holds `kc * NR` floats (asserted above).
-        let b = unsafe { _mm512_loadu_ps(bp.add(p * NR)) };
+        let mut b = [_mm512_setzero_ps(); P];
+        for (q, lanes) in b.iter_mut().enumerate() {
+            // SAFETY: `q < P`, `p < kc`, and `bp` holds `P * kc * NR` floats
+            // (asserted above).
+            *lanes = unsafe { _mm512_loadu_ps(bp.add((q * kc + p) * NR)) };
+        }
         for (i, row) in acc.iter_mut().enumerate() {
             // SAFETY: `i ≤ M − 1` and `p ≤ kc − 1`, so the offset is at most
             // the one asserted to be inside `a.data`.
             let a_ip = _mm512_set1_ps(unsafe { *ap.add(i * a.rs + p * a.ks) });
-            *row = _mm512_add_ps(*row, _mm512_mul_ps(a_ip, b));
+            for (lanes, &b) in row.iter_mut().zip(&b) {
+                *lanes = _mm512_fmadd_ps(a_ip, b, *lanes);
+            }
         }
     }
     for (i, row) in acc.iter().enumerate() {
-        // SAFETY: as for the load — only lanes `..nr` of row `i` are written.
-        unsafe { _mm512_mask_storeu_ps(cp.add(i * ldc), mask, *row) };
+        for (q, &lanes) in row.iter().enumerate() {
+            // SAFETY: as for the load — only panel `q`'s share of lanes
+            // `..nr` of row `i` is written.
+            unsafe { _mm512_mask_storeu_ps(cp.add(i * ldc + q * NR), masks[q], lanes) };
+        }
     }
 }
 
-/// [`tile_avx512`] at the run-time row count.
+/// [`tile_avx512`] at the run-time row count and width: two panels wherever
+/// `nr` reaches into a second one.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn microkernel_avx512(
@@ -579,49 +684,76 @@ fn microkernel_avx512(
     mr: usize,
     nr: usize,
 ) {
-    match mr {
-        1 => tile_avx512::<1>(kc, a, bp, c, ldc, nr),
-        2 => tile_avx512::<2>(kc, a, bp, c, ldc, nr),
-        3 => tile_avx512::<3>(kc, a, bp, c, ldc, nr),
-        4 => tile_avx512::<4>(kc, a, bp, c, ldc, nr),
-        5 => tile_avx512::<5>(kc, a, bp, c, ldc, nr),
-        6 => tile_avx512::<6>(kc, a, bp, c, ldc, nr),
-        _ => panic!("micro-kernel tile height {mr}"),
+    macro_rules! rows {
+        ($($m:literal),*) => {
+            match (mr, nr.div_ceil(NR)) {
+                $(($m, 1) => tile_avx512::<$m, 1>(kc, a, bp, c, ldc, nr),
+                  ($m, 2) => tile_avx512::<$m, 2>(kc, a, bp, c, ldc, nr),)*
+                _ => panic!("micro-kernel tile {mr}x{nr}"),
+            }
+        };
     }
+    rows!(1, 2, 3, 4, 5, 6)
 }
 
-/// The vector tiers of the f32 stack, lowest first. Which one runs is a fact
-/// of the CPU ([`Tier::detect`]), never of a flag: every tier computes the
-/// same bits, so there is nothing to choose but speed. The module docs say
-/// what differs between them; [`crate::vmath`] instantiates its kernels per
-/// tier too.
+/// The vector tiers of the kernel layer, lowest first. Which one runs is a
+/// fact of the CPU ([`Tier::detect`]), never of a flag: every tier computes
+/// the same bits, so there is nothing to choose but speed. The module docs
+/// say what differs between them; [`crate::vmath`] instantiates its kernels
+/// per tier too, and [`crate::quant`] picks its integer kernel by the same
+/// enum ([`Tier::detect_int8`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tier {
     /// Baseline target features only.
     Portable,
-    /// AVX2.
+    /// AVX2 + FMA.
     Avx2,
-    /// AVX-512 F + VL + DQ + BW (and AVX2 below it).
+    /// AVX-512 F + VL + DQ + BW (and AVX2 + FMA below it). For the int8
+    /// kernels, those and VNNI.
     Avx512,
 }
 
+/// What the process knows about its CPU: one look, shared by the f32 and
+/// the int8 stack.
+struct Cpu {
+    f32: Tier,
+    int8: Tier,
+}
+
+fn cpu() -> &'static Cpu {
+    static CPU: OnceLock<Cpu> = OnceLock::new();
+    CPU.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            // No vector tier without the FMA instruction: the GEMM step is
+            // a fused multiply-add, and a tile that had to call libm for it
+            // would be no faster than the portable one.
+            if has!("avx2") && has!("fma") {
+                let avx512 =
+                    has!("avx512f") && has!("avx512vl") && has!("avx512dq") && has!("avx512bw");
+                let f32 = if avx512 { Tier::Avx512 } else { Tier::Avx2 };
+                let int8 = if avx512 && has!("avx512vnni") { Tier::Avx512 } else { Tier::Avx2 };
+                return Cpu { f32, int8 };
+            }
+        }
+        Cpu { f32: Tier::Portable, int8: Tier::Portable }
+    })
+}
+
 impl Tier {
-    /// The widest tier this CPU has — what every dispatching entry point
+    /// The widest tier this CPU has — what every dispatching f32 entry point
     /// runs on. Detected once per process.
     pub fn detect() -> Tier {
-        static TIER: OnceLock<Tier> = OnceLock::new();
-        *TIER.get_or_init(|| {
-            #[cfg(target_arch = "x86_64")]
-            {
-                use std::arch::is_x86_feature_detected as has;
-                if has!("avx2") {
-                    let avx512 =
-                        has!("avx512f") && has!("avx512vl") && has!("avx512dq") && has!("avx512bw");
-                    return if avx512 { Tier::Avx512 } else { Tier::Avx2 };
-                }
-            }
-            Tier::Portable
-        })
+        cpu().f32
+    }
+
+    /// The tier the int8 kernels run on, from the same look at the CPU:
+    /// [`Tier::detect`]'s, except that [`Tier::Avx512`] there is `vpdpbusd`
+    /// on zmm, so a host whose AVX-512 lacks VNNI runs the AVX2 integer
+    /// kernel under AVX-512 f32 ones.
+    pub fn detect_int8() -> Tier {
+        cpu().int8
     }
 
     /// Every tier this CPU can run — [`Tier::detect`] and all below it —
@@ -646,12 +778,15 @@ impl Tier {
     pub fn reads_a_in_place(self) -> bool {
         self == Tier::Avx512
     }
-}
 
-/// True if the host has AVX2 (what the int8 layer's own kernels ask).
-#[inline]
-pub(crate) fn has_avx2() -> bool {
-    Tier::detect() >= Tier::Avx2
+    /// Columns of this tier's widest tile: [`NR`], or two adjacent `NR`
+    /// panels where that is what keeps the fused step's ports busy.
+    pub fn tile_width(self) -> usize {
+        match self {
+            Tier::Avx512 => 2 * NR,
+            Tier::Portable | Tier::Avx2 => NR,
+        }
+    }
 }
 
 /// The A operand of one micro-kernel tile: element `(i, p)` — tile row `i`,
@@ -685,16 +820,18 @@ impl<'a> ATile<'a> {
     }
 }
 
-/// Computes one `mr`×`nr` output tile (`1 ≤ mr ≤ MR`, `1 ≤ nr ≤ NR`) on
-/// `tier`: `C[i, j] += Σ_p A[i, p] · B[p, j]` over `kc` rows of the packed B
-/// panel `bp`, one accumulator per element, p increasing. `c` starts at the
-/// tile's `(0, 0)` and has row stride `ldc`. Same bits on every tier. Public
-/// so the property tests can hold each tier of [`Tier::host`] to the naive
-/// loops, whichever one dispatch picks here.
+/// Computes one `mr`×`nr` output tile (`1 ≤ mr ≤ MR`, `1 ≤ nr ≤`
+/// [`Tier::tile_width`]) on `tier`: `C[i, j] ← fma(A[i, p], B[p, j], C[i, j])`
+/// for p increasing over the `kc` rows of the packed B panels `bp` —
+/// `ceil(nr / NR)` of them back to back, `[kc][NR]` each — one accumulator
+/// per element. `c` starts at the tile's `(0, 0)` and has row stride `ldc`.
+/// Same bits on every tier. Public so the property tests can hold each tier
+/// of [`Tier::host`] to the naive loops, whichever one dispatch picks here.
 ///
 /// # Panics
-/// If the host lacks `tier`, if `a` is not a packed panel on a tier that
-/// does not read A in place, or if a slice is too short for the tile.
+/// If the host lacks `tier`, if `nr` is wider than its tile, if `a` is not a
+/// packed panel on a tier that does not read A in place, or if a slice is
+/// too short for the tile.
 #[allow(clippy::too_many_arguments)] // a kernel's operands, not an API surface
 pub fn microkernel_on(
     tier: Tier,
@@ -707,6 +844,7 @@ pub fn microkernel_on(
     nr: usize,
 ) {
     assert!(tier <= Tier::detect(), "this CPU has no {} tier", tier.name());
+    assert!((1..=tier.tile_width()).contains(&nr), "{} tile width {nr}", tier.name());
     assert!(
         tier.reads_a_in_place() || (a.rs, a.ks) == (1, MR),
         "the {} tile reads packed A only",
@@ -718,7 +856,8 @@ pub fn microkernel_on(
 
 /// [`microkernel_on`] without the look at the CPU, so the driver asks once
 /// per GEMM, not once per tile. On a tier that does not read A in place `a`
-/// must be a packed panel (the driver builds nothing else there).
+/// must be a packed panel (the driver builds nothing else there), and `nr`
+/// is at most [`Tier::tile_width`] (every tile asserts its own).
 ///
 /// # Safety
 /// The host must have `tier`: it is [`Tier::detect`]'s answer or below it.
@@ -746,7 +885,7 @@ unsafe fn microkernel_unchecked(
     #[cfg(target_arch = "x86_64")]
     if tier == Tier::Avx2 {
         // SAFETY: the caller guarantees the host has this tier, which
-        // `Tier::detect` reports only with `avx2` detected.
+        // `Tier::detect` reports only with `avx2` and `fma` detected.
         unsafe { microkernel_avx2(kc, a.data, bp, c, ldc, mr, nr) };
         return;
     }
@@ -791,6 +930,7 @@ fn gemm_stripe(
     // On the tier whose tile reads A through strides nothing is packed on
     // the A side: the tile takes its rows from the operand itself.
     let a_in_place = tier.reads_a_in_place();
+    let tile_width = tier.tile_width();
     PACK_BUFS.with_borrow_mut(|(ap_buf, bp_buf)| {
         let kc_max = KC.min(k);
         // Grow-only: pack writes every slot it later reads, so stale data
@@ -825,10 +965,13 @@ fn gemm_stripe(
                     if !a_in_place {
                         pack_a(ap_buf, a_src, ic, mc, pc, kc);
                     }
+                    // The tier's tile spans one or two NR panels, which lie
+                    // back to back in the block; the last tile of an odd
+                    // panel count takes the one that is left.
                     let mut jr = 0;
                     while jr < nc {
-                        let nr = NR.min(nc - jr);
-                        let bp = &b_block[(jr / NR) * kc * NR..][..kc * NR];
+                        let nr = tile_width.min(nc - jr);
+                        let bp = &b_block[(jr / NR) * kc * NR..][..nr.div_ceil(NR) * kc * NR];
                         let mut ir = 0;
                         while ir < mc {
                             let mr = MR.min(mc - ir);
@@ -844,7 +987,7 @@ fn gemm_stripe(
                             };
                             ir += MR;
                         }
-                        jr += NR;
+                        jr += tile_width;
                     }
                     ic += MC;
                 }
@@ -910,55 +1053,92 @@ fn gemm_threaded(
     if 2 * m * n * k < BLOCKED_MIN_FLOPS || (m <= SMALL_MAX_ROWS && matches!(b_src, Src::N(_))) {
         // Packing would dominate; the plain loops keep the identical
         // per-element accumulation order, so this changes nothing but speed.
-        gemm_small(m, n, k, a_src, b_src, c, ldc, c_col0);
+        gemm_small(tier, m, n, k, a_src, b_src, c, ldc, c_col0);
         return;
     }
     gemm_blocked(tier, m, n, k, a_src, BSrc::Pack(b_src), c, ldc, c_col0, threads);
 }
 
-/// Unblocked `C += op(A) op(B)` for matrices too small to amortize
-/// packing: one accumulator per element, k increasing — the same
-/// operation sequence as the blocked kernel, so the two are bitwise
-/// interchangeable.
-#[allow(clippy::too_many_arguments)] // mirrors gemm_threaded's signature
-fn gemm_small(
-    m: usize,
-    n: usize,
-    k: usize,
-    a_src: Src<'_>,
-    b_src: Src<'_>,
-    c: &mut [f32],
-    ldc: usize,
-    c_col0: usize,
-) {
-    // Element `(i, p)` of op(A) is `ad[i * a_rs + p * a_cs]`.
-    let (ad, a_rs, a_cs) = match a_src {
-        Src::N(v) => (&v.data[v.off..], v.stride, 1),
-        Src::T(v) => (&v.data[v.off..], 1, v.stride),
+/// Declares `fn name(tier, args..)` around one plain-loop body, compiled for
+/// the baseline target and again under `avx2,fma`: the body's `mul_add` is
+/// the hardware instruction (vectorised where the loop allows) on every tier
+/// from [`Tier::Avx2`] up and libm's `fmaf` on [`Tier::Portable`] — the same
+/// bits, since both are the correctly rounded fused result. There is no
+/// third instantiation: these loops are the small-shape path and the test
+/// oracle, and the blocked kernel takes over before a wider vector would
+/// show.
+macro_rules! plain_loops {
+    ($(#[$doc:meta])* $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block) => {
+        $(#[$doc])*
+        #[allow(clippy::too_many_arguments)] // operands of a kernel, plus its tier
+        $vis fn $name(tier: Tier, $($arg: $ty),*) {
+            #[inline(always)]
+            #[allow(clippy::too_many_arguments)]
+            fn body($($arg: $ty),*) $body
+            assert!(tier <= Tier::detect(), "this CPU has no {} tier", tier.name());
+            #[cfg(target_arch = "x86_64")]
+            if tier >= Tier::Avx2 {
+                #[target_feature(enable = "avx2,fma")]
+                #[allow(clippy::too_many_arguments)]
+                fn fused($($arg: $ty),*) {
+                    body($($arg),*)
+                }
+                // SAFETY: the host has `tier` (asserted above), and
+                // `Tier::detect` reports `Avx2` or above only with `avx2`
+                // and `fma` detected.
+                unsafe { fused($($arg),*) };
+                return;
+            }
+            body($($arg),*)
+        }
     };
-    for i in 0..m {
-        let c_row = &mut c[i * ldc + c_col0..i * ldc + c_col0 + n];
-        match b_src {
-            // B's rows are contiguous along n: one lane per output column,
-            // each rank-1 step a vector multiply-add over the row.
-            Src::N(bv) => {
-                for p in 0..k {
-                    let a_ip = ad[i * a_rs + p * a_cs];
-                    for (o, &b_pj) in c_row.iter_mut().zip(bv.row(p, 0, n)) {
-                        *o += a_ip * b_pj;
+}
+
+plain_loops! {
+    /// Unblocked `C += op(A) op(B)` for matrices too small to amortize
+    /// packing: one accumulator per element, k increasing, one `mul_add` a
+    /// step — the same operation sequence as the blocked kernel, so the two
+    /// are bitwise interchangeable.
+    fn gemm_small(
+        m: usize,
+        n: usize,
+        k: usize,
+        a_src: Src<'_>,
+        b_src: Src<'_>,
+        c: &mut [f32],
+        ldc: usize,
+        c_col0: usize,
+    ) {
+        // Element `(i, p)` of op(A) is `ad[i * a_rs + p * a_cs]`.
+        let (ad, a_rs, a_cs) = match a_src {
+            Src::N(v) => (&v.data[v.off..], v.stride, 1),
+            Src::T(v) => (&v.data[v.off..], 1, v.stride),
+        };
+        for i in 0..m {
+            let c_row = &mut c[i * ldc + c_col0..i * ldc + c_col0 + n];
+            match b_src {
+                // B's rows are contiguous along n: one lane per output
+                // column, each rank-1 step a vector multiply-add over the row.
+                Src::N(bv) => {
+                    for p in 0..k {
+                        let a_ip = ad[i * a_rs + p * a_cs];
+                        for (o, &b_pj) in c_row.iter_mut().zip(bv.row(p, 0, n)) {
+                            *o = a_ip.mul_add(b_pj, *o);
+                        }
                     }
                 }
-            }
-            // Bᵀ: each output is the dot product of two contiguous k-runs.
-            // Nothing to vectorise without reassociating, which is why
-            // this layout crosses over to the packed kernel so early.
-            Src::T(bv) => {
-                for (j, o) in c_row.iter_mut().enumerate() {
-                    let mut acc = *o;
-                    for (p, &b_jp) in bv.row(j, 0, k).iter().enumerate() {
-                        acc += ad[i * a_rs + p * a_cs] * b_jp;
+                // Bᵀ: each output is the dot product of two contiguous
+                // k-runs. Nothing to vectorise without reassociating, which
+                // is why this layout crosses over to the packed kernel so
+                // early.
+                Src::T(bv) => {
+                    for (j, o) in c_row.iter_mut().enumerate() {
+                        let mut acc = *o;
+                        for (p, &b_jp) in bv.row(j, 0, k).iter().enumerate() {
+                            acc = ad[i * a_rs + p * a_cs].mul_add(b_jp, acc);
+                        }
+                        *o = acc;
                     }
-                    *o = acc;
                 }
             }
         }
@@ -1000,7 +1180,7 @@ pub(crate) fn gemm_nn_dense<'p>(
     panel: Option<&dyn Fn() -> &'p PackedB>,
 ) {
     if !blocked_worthwhile(m, n, k) {
-        gemm_small(m, n, k, Src::N(a), Src::N(b), c, ldc, c_col0);
+        gemm_small(Tier::detect(), m, n, k, Src::N(a), Src::N(b), c, ldc, c_col0);
         return;
     }
     match panel {
@@ -1027,11 +1207,28 @@ pub fn gemm_nn_packed(
     b: &PackedB,
     threads: usize,
 ) {
+    gemm_nn_packed_on(Tier::detect(), c, ldc, c_col0, m, a, b, threads);
+}
+
+/// [`gemm_nn_packed`] on `tier`'s micro-kernel, so the property tests can
+/// run borrowed panels through every tier of [`Tier::host`]; panics if the
+/// host lacks `tier`.
+#[allow(clippy::too_many_arguments)] // gemm_nn_packed's, plus the tier
+pub fn gemm_nn_packed_on(
+    tier: Tier,
+    c: &mut [f32],
+    ldc: usize,
+    c_col0: usize,
+    m: usize,
+    a: View<'_>,
+    b: &PackedB,
+    threads: usize,
+) {
     let (k, n) = b.shape();
     if m == 0 || n == 0 || k == 0 {
         return; // += of an empty product leaves C untouched
     }
-    gemm_blocked(Tier::detect(), m, n, k, Src::N(a), BSrc::Panels(b), c, ldc, c_col0, threads);
+    gemm_blocked(tier, m, n, k, Src::N(a), BSrc::Panels(b), c, ldc, c_col0, threads);
 }
 
 /// `C += A Bᵀ` over strided views: `a` is `[m, k]`, `b` is `[n, k]`.
@@ -1115,69 +1312,96 @@ pub fn matmul_tn_blocked(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
     matmul_blocked_on(Tier::detect(), Layout::TN, a, b, threads)
 }
 
+plain_loops! {
+    /// `out += A B` in plain ikj loops.
+    fn naive_nn(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+        let n = b.cols();
+        for i in 0..a.rows() {
+            let o_row = out.row_mut(i);
+            for (p, &a_ip) in a.row(i).iter().enumerate() {
+                for (o, &bv) in o_row.iter_mut().zip(&b.data()[p * n..(p + 1) * n]) {
+                    *o = a_ip.mul_add(bv, *o);
+                }
+            }
+        }
+    }
+}
+
+plain_loops! {
+    /// `out = A Bᵀ` in row-dot-row loops.
+    fn naive_nt(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+        for i in 0..a.rows() {
+            let a_row = a.row(i);
+            for (j, o) in out.row_mut(i).iter_mut().enumerate() {
+                let mut acc = 0.0f32;
+                for (&x, &y) in a_row.iter().zip(b.row(j)) {
+                    acc = x.mul_add(y, acc);
+                }
+                *o = acc;
+            }
+        }
+    }
+}
+
+plain_loops! {
+    /// `out += Aᵀ B` in rank-1 update loops.
+    fn naive_tn(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+        let n = b.cols();
+        for p in 0..a.rows() {
+            let b_row = b.row(p);
+            for (i, &a_pi) in a.row(p).iter().enumerate() {
+                for (o, &bv) in out.data_mut()[i * n..(i + 1) * n].iter_mut().zip(b_row) {
+                    *o = a_pi.mul_add(bv, *o);
+                }
+            }
+        }
+    }
+}
+
+/// The naive product of `a` and `b` under `layout` — plain loops, one
+/// accumulator per element, k increasing, one `mul_add` a step — compiled
+/// for `tier`: the contract every blocked path must match bitwise, and
+/// itself the same bits on every tier. Public so the property tests can
+/// hold the portable instantiation (libm's `fmaf`) against the hardware one;
+/// panics if the host lacks `tier`.
+pub fn matmul_naive_on(tier: Tier, layout: Layout, a: &Tensor, b: &Tensor) -> Tensor {
+    let (m, ka, kb, n) = match layout {
+        Layout::NN => (a.rows(), a.cols(), b.rows(), b.cols()),
+        Layout::NT => (a.rows(), a.cols(), b.cols(), b.rows()),
+        Layout::TN => (a.cols(), a.rows(), b.rows(), b.cols()),
+    };
+    assert_eq!(ka, kb, "{layout:?} matmul inner dims: {:?} x {:?}", a.shape(), b.shape());
+    let mut out = Tensor::zeros(m, n);
+    match layout {
+        Layout::NN => naive_nn(tier, a, b, &mut out),
+        Layout::NT => naive_nt(tier, a, b, &mut out),
+        Layout::TN => naive_tn(tier, a, b, &mut out),
+    }
+    out
+}
+
 /// Naive reference `A B`: plain ikj loops, the kernel the blocked path
 /// must match bitwise. Kept public as the property-test oracle and the
 /// baseline of the `gemm` micro-bench.
 pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.cols(), b.rows(), "matmul inner dims: {:?} x {:?}", a.shape(), b.shape());
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = Tensor::zeros(m, n);
-    for i in 0..m {
-        let a_row = a.row(i);
-        let o_row = out.row_mut(i);
-        for (p, &a_ip) in a_row.iter().enumerate().take(k) {
-            let b_row = &b.data()[p * n..(p + 1) * n];
-            for (o, &bv) in o_row.iter_mut().zip(b_row.iter()) {
-                *o += a_ip * bv;
-            }
-        }
-    }
-    out
+    matmul_naive_on(Tier::detect(), Layout::NN, a, b)
 }
 
 /// Naive reference `A Bᵀ` (row-dot-row loops); see [`matmul_naive`].
 pub fn matmul_nt_naive(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.cols(), b.cols(), "matmul_nt inner dims: {:?} x {:?}^T", a.shape(), b.shape());
-    let (m, n) = (a.rows(), b.rows());
-    let mut out = Tensor::zeros(m, n);
-    for i in 0..m {
-        let a_row = a.row(i);
-        let o_row = out.row_mut(i);
-        for (j, o) in o_row.iter_mut().enumerate() {
-            let b_row = b.row(j);
-            let mut acc = 0.0f32;
-            for (x, y) in a_row.iter().zip(b_row.iter()) {
-                acc += x * y;
-            }
-            *o = acc;
-        }
-    }
-    out
+    matmul_naive_on(Tier::detect(), Layout::NT, a, b)
 }
 
 /// Naive reference `Aᵀ B` (rank-1 update loops); see [`matmul_naive`].
 pub fn matmul_tn_naive(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.rows(), b.rows(), "matmul_tn inner dims: {:?}^T x {:?}", a.shape(), b.shape());
-    let (m, n, k) = (a.cols(), b.cols(), a.rows());
-    let mut out = Tensor::zeros(m, n);
-    for p in 0..k {
-        let a_row = a.row(p);
-        let b_row = b.row(p);
-        for (i, &a_pi) in a_row.iter().enumerate().take(m) {
-            let o_row = &mut out.data_mut()[i * n..(i + 1) * n];
-            for (o, &bv) in o_row.iter_mut().zip(b_row.iter()) {
-                *o += a_pi * bv;
-            }
-        }
-    }
-    out
+    matmul_naive_on(Tier::detect(), Layout::TN, a, b)
 }
 
 /// True when `m`×`n`×`k` is big enough for packing to pay off — the size
 /// heuristic behind the [`crate::tensor`] dispatchers. Requires the AVX2
-/// micro-kernel: on hosts without it the portable tile (compiled for
-/// baseline SSE2) does not beat the naive saxpy loops, which already sit
-/// near SSE2 peak, so dispatch keeps the naive path there.
+/// micro-kernel: on hosts without it both the portable tile and the naive
+/// loops spend their time in libm's `fmaf`, one call per multiply-add, and
+/// packing only adds to that, so dispatch keeps the naive path there.
 pub(crate) fn blocked_worthwhile(m: usize, n: usize, k: usize) -> bool {
     Tier::detect() >= Tier::Avx2
         && 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k) >= BLOCKED_MIN_FLOPS

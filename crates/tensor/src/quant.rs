@@ -30,7 +30,9 @@
 //!
 //! ## Kernels
 //!
-//! Three tiers behind runtime feature detection, fastest available wins:
+//! Three tiers, named by the same [`Tier`] the f32 stack dispatches on and
+//! read off the CPU in the same once-per-process look
+//! ([`Tier::detect_int8`]); fastest available wins:
 //!
 //! * **AVX-512 VNNI** — quantized columns packed into panels of 16 with
 //!   `k`-quads interleaved across lanes, the operand order `vpdpbusd`
@@ -49,7 +51,7 @@
 //!   fallback and the reference oracle for the property tests.
 
 use crate::forward::grow;
-use crate::kernels::{self, MIN_FLOPS_PER_THREAD};
+use crate::kernels::{self, Tier, MIN_FLOPS_PER_THREAD};
 use crate::tensor::Tensor;
 
 /// Packed columns per AVX2 weight panel — one i32 accumulator lane per
@@ -101,8 +103,8 @@ pub fn quantize_row_i8(row: &[f32], out: &mut [i8]) -> f32 {
 /// implementations produce identical codes for finite inputs.
 fn quantize_row_i16(row: &[f32], out: &mut [i16]) -> f32 {
     #[cfg(target_arch = "x86_64")]
-    if kernels::has_avx2() {
-        // SAFETY: AVX2 presence was just checked at runtime.
+    if Tier::detect_int8() >= Tier::Avx2 {
+        // SAFETY: the detection reports `Avx2` or above only with `avx2`.
         return unsafe { quantize_row_i16_avx2(row, out) };
     }
     quantize_row_i16_scalar(row, out)
@@ -190,39 +192,6 @@ unsafe fn quantize_row_i16_avx2(row: &[f32], out: &mut [i16]) -> f32 {
         *o = 0;
     }
     amax / 127.0
-}
-
-/// Which inner kernel a forward pass runs with. Selected once per call;
-/// all variants produce bit-identical outputs.
-#[derive(Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-enum Kern {
-    Scalar,
-    Avx2,
-    Vnni,
-}
-
-/// Runtime check for the AVX-512 VNNI tier (`vpdpbusd` on zmm).
-fn has_vnni() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vnni")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Fastest kernel the host supports.
-fn best_kern() -> Kern {
-    if has_vnni() {
-        Kern::Vnni
-    } else if kernels::has_avx2() {
-        Kern::Avx2
-    } else {
-        Kern::Scalar
-    }
 }
 
 /// A dense layer (`y = x·W + b`) with per-output-channel symmetric int8
@@ -351,39 +320,39 @@ impl QuantizedLinear {
     /// tape-free executor calls, allocating nothing once the scratch has
     /// grown. `x` is `m` rows of `k`, row-major.
     pub fn forward_into(&self, x: &[f32], m: usize, out: &mut [f32], scratch: &mut QuantScratch) {
-        self.run(x, m, out, kernels::gemm_threads(), best_kern(), scratch);
+        self.run(x, m, out, kernels::gemm_threads(), Tier::detect_int8(), scratch);
     }
 
     /// [`QuantizedLinear::forward`] with an explicit thread budget (each
     /// output row is computed independently, so the result is bitwise
     /// invariant to the split).
     pub fn forward_with_threads(&self, x: &Tensor, threads: usize) -> Tensor {
-        self.run_fresh(x, threads, best_kern())
+        self.run_fresh(x, threads, Tier::detect_int8())
     }
 
     /// The portable scalar kernel, single-threaded — the reference oracle
     /// the SIMD paths must match bit for bit.
     pub fn forward_scalar(&self, x: &Tensor) -> Tensor {
-        self.run_fresh(x, 1, Kern::Scalar)
+        self.run_fresh(x, 1, Tier::Portable)
     }
 
     /// The AVX2 kernel, single-threaded; `None` when the host lacks AVX2.
     /// Exists so tests can force-compare kernels on one machine.
     pub fn forward_simd(&self, x: &Tensor) -> Option<Tensor> {
-        kernels::has_avx2().then(|| self.run_fresh(x, 1, Kern::Avx2))
+        (Tier::detect_int8() >= Tier::Avx2).then(|| self.run_fresh(x, 1, Tier::Avx2))
     }
 
     /// The AVX-512 VNNI kernel, single-threaded; `None` when the host
     /// lacks it. Exists so tests can force-compare kernels on one machine.
     pub fn forward_vnni(&self, x: &Tensor) -> Option<Tensor> {
-        has_vnni().then(|| self.run_fresh(x, 1, Kern::Vnni))
+        (Tier::detect_int8() == Tier::Avx512).then(|| self.run_fresh(x, 1, Tier::Avx512))
     }
 
     /// [`QuantizedLinear::run`] into a fresh tensor with a fresh scratch.
-    fn run_fresh(&self, x: &Tensor, threads: usize, kern: Kern) -> Tensor {
+    fn run_fresh(&self, x: &Tensor, threads: usize, tier: Tier) -> Tensor {
         assert_eq!(x.cols(), self.k, "quantized linear expects [m, {}] input", self.k);
         let mut out = Tensor::zeros(x.rows(), self.n);
-        self.run(x.data(), x.rows(), out.data_mut(), threads, kern, &mut QuantScratch::default());
+        self.run(x.data(), x.rows(), out.data_mut(), threads, tier, &mut QuantScratch::default());
         out
     }
 
@@ -393,7 +362,7 @@ impl QuantizedLinear {
         m: usize,
         out: &mut [f32],
         threads: usize,
-        kern: Kern,
+        tier: Tier,
         scratch: &mut QuantScratch,
     ) {
         assert_eq!(x.len(), m * self.k, "quantized linear expects [m, {}] input", self.k);
@@ -412,7 +381,7 @@ impl QuantizedLinear {
             *scale = quantize_row_i16(&x[r * self.k..(r + 1) * self.k], codes);
         }
         // The VNNI kernel consumes the same codes biased into u8.
-        let qa8: &[u8] = if kern == Kern::Vnni {
+        let qa8: &[u8] = if tier == Tier::Avx512 {
             grow(qa8, qa.len());
             for (o, &c) in qa8.iter_mut().zip(qa.iter()) {
                 *o = (i32::from(c) + 128) as u8;
@@ -423,7 +392,7 @@ impl QuantizedLinear {
         };
         let t = effective_threads(m, self.n, self.k, threads);
         if t <= 1 {
-            self.stripe(qa, qa8, a_scales, 0, out, kern);
+            self.stripe(qa, qa8, a_scales, 0, out, tier);
             return;
         }
         let rows_per = m.div_ceil(t);
@@ -431,7 +400,7 @@ impl QuantizedLinear {
         let n = self.n;
         std::thread::scope(|scope| {
             for (i, chunk) in out.chunks_mut(rows_per * n).enumerate() {
-                scope.spawn(move || self.stripe(qa, qa8, a_scales, i * rows_per, chunk, kern));
+                scope.spawn(move || self.stripe(qa, qa8, a_scales, i * rows_per, chunk, tier));
             }
         });
     }
@@ -444,30 +413,30 @@ impl QuantizedLinear {
         a_scales: &[f32],
         row0: usize,
         out: &mut [f32],
-        kern: Kern,
+        tier: Tier,
     ) {
         #[cfg(not(target_arch = "x86_64"))]
-        let _ = (qa8, kern);
+        let _ = (qa8, tier);
         let rows = out.len() / self.n;
         for r in 0..rows {
             let row = row0 + r;
             let orow = &mut out[r * self.n..(r + 1) * self.n];
-            // SAFETY: each SIMD variant is only ever selected when its
-            // feature set was detected at runtime (see `best_kern`,
-            // `forward_simd`, `forward_vnni`).
+            // SAFETY: every caller passes `Tier::detect_int8`'s answer or a
+            // tier below it, and that reports `Avx2` only with `avx2`
+            // detected and `Avx512` only with `avx512f` and `avx512vnni`.
             #[cfg(target_arch = "x86_64")]
-            match kern {
-                Kern::Vnni => {
+            match tier {
+                Tier::Avx512 => {
                     let a8 = &qa8[row * self.kp..(row + 1) * self.kp];
                     unsafe { self.row_forward_vnni(a8, a_scales[row], orow) };
                     continue;
                 }
-                Kern::Avx2 => {
+                Tier::Avx2 => {
                     let a = &qa[row * self.kp..(row + 1) * self.kp];
                     unsafe { self.row_forward_avx2(a, a_scales[row], orow) };
                     continue;
                 }
-                Kern::Scalar => {}
+                Tier::Portable => {}
             }
             let a = &qa[row * self.kp..(row + 1) * self.kp];
             self.row_forward_scalar(a, a_scales[row], orow);

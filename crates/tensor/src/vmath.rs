@@ -24,9 +24,19 @@
 //! arithmetic, so a result is a pure function of the input **bits**: the
 //! same on every tier and at either lane count, on every host and under
 //! every libm, which `f32::exp`/`f32::tanh` (not correctly rounded, different
-//! between libm builds) never were. FMA is left out on purpose: fusing a
-//! multiply-add rounds once instead of twice, so a tier with FMA and one
-//! without would disagree in the last bit.
+//! between libm builds) never were.
+//!
+//! The GEMM layer's step *is* a fused multiply-add ([`crate::kernels`]) —
+//! `fusedMultiplyAdd` is exactly specified too, so fusing would be just as
+//! host-independent here. It is left out of this module on purpose, not on
+//! principle: these kernels are bound by their dependent chains and by
+//! division, not by multiply-add throughput; the polynomial's coefficients
+//! and the error bounds below were fitted and checked for two roundings per
+//! Horner step; and every result is pinned (`tests/numerics_pin.rs`, the
+//! digest that did not move when the GEMM step was fused). The tier
+//! instantiations therefore enable `avx2` and the AVX-512 features but
+//! never `fma`, and with no `mul_add` in the source the compiler has nothing
+//! to fuse.
 //!
 //! The tail of a slice is padded to a full lane array and runs through the
 //! same lane code, so an element's result depends on nothing but its own

@@ -9,10 +9,16 @@
 //! therefore assert on `f32::to_bits` across randomly drawn ragged shapes,
 //! with the degenerate edges (`k = 0`, one row, one column) forced into
 //! the sampled distribution.
+//!
+//! The naive loops are themselves held to the contract's one arithmetic
+//! step — `acc ← fma(a, b, acc)`, k increasing, one accumulator per element
+//! — by `every_tier_is_fused`, on operands where a separately rounded
+//! multiply and add would return different bits.
 
 use doduo_tensor::kernels::{
-    gemm_nn, gemm_nn_packed, gemm_nt, gemm_tn, matmul_blocked, matmul_blocked_on, matmul_naive,
-    matmul_nt_naive, matmul_tn_naive, microkernel_on, ATile, Layout, PackedB, Tier, View, MR, NR,
+    gemm_nn, gemm_nn_packed_on, gemm_nt, gemm_tn, matmul_blocked, matmul_blocked_on, matmul_naive,
+    matmul_naive_on, matmul_nt_naive, matmul_tn_naive, microkernel_on, ATile, Layout, PackedB,
+    Tier, View, MR, NR,
 };
 use doduo_tensor::{matmul, matmul_nt, matmul_tn, QuantizedLinear, Tensor};
 use proptest::prelude::*;
@@ -239,7 +245,8 @@ fn packed_panels_match_per_call_packing_and_naive_bitwise() {
     // 40 (so every `m % MR` edge tile), widths on both sides of NR and NC,
     // depths on both sides of KC, A read through a strided view, C written
     // `PAD` columns into a wider output it must not otherwise touch, and
-    // the panel shared by one, two and three row-stripe threads.
+    // the panel shared by one, two and three row-stripe threads — on every
+    // tier of the host.
     const PAD: usize = 3;
     const SENTINEL: f32 = -7.5;
     for n in [1usize, 15, 16, 17, 96, 288, 530] {
@@ -276,40 +283,58 @@ fn packed_panels_match_per_call_packing_and_naive_bitwise() {
                 let mut c = fresh();
                 gemm_nn(&mut c, ldc, PAD, (m, n, k), a_view, View::of(&b));
                 check(&c, "per-call");
-                for threads in [1usize, 2, 3] {
-                    let mut c = fresh();
-                    gemm_nn_packed(&mut c, ldc, PAD, m, a_view, &panel, threads);
-                    check(&c, "panel");
+                for &tier in Tier::host() {
+                    for threads in [1usize, 2, 3] {
+                        let mut c = fresh();
+                        gemm_nn_packed_on(tier, &mut c, ldc, PAD, m, a_view, &panel, threads);
+                        check(&c, tier.name());
+                    }
                 }
             }
         }
     }
 }
 
+/// `b` (`[kc, nr]`) as `pack_b` lays it out: `ceil(nr / NR)` zero-padded
+/// `[kc][NR]` panels, back to back.
+fn b_panels(b: &Tensor) -> Vec<f32> {
+    let (kc, nr) = b.shape();
+    let mut bp = vec![0.0f32; nr.div_ceil(NR) * kc * NR];
+    for p in 0..kc {
+        for (j, &v) in b.row(p).iter().enumerate() {
+            bp[((j / NR) * kc + p) * NR + j % NR] = v;
+        }
+    }
+    bp
+}
+
 #[test]
 fn edge_tiles_match_on_every_tier() {
     // Every micro-kernel instantiation — each exact row count, each tile
-    // width, k on both sides of the unroll by 4 — on every tier this host
-    // can run (dispatch reaches one of them; the others only here), against
-    // the naive loops. The tiers run are printed: CI's log must say whether
-    // a runner had the zmm tile at all.
+    // width up to the tier's widest (two B panels side by side on the tier
+    // whose tile takes two), k on both sides of the unroll by 4 — on every
+    // tier this host can run (dispatch reaches one of them; the others only
+    // here), against the contract written out by hand: one `mul_add` per
+    // step, k increasing. The tiers run are printed: CI's log must say
+    // whether a runner had the zmm tile at all.
     //
     // A comes in every form its tier reads: the packed `[kc][MR]` panel,
     // whose unused lanes hold NaN, and — on the tier that reads A where it
     // lies — a row-major window (`lda > kc`) and a transposed one
     // (`lda > mr`) of a buffer that is NaN everywhere else. C outside the
     // tile is NaN too: a tile that read or wrote past its edge would show it.
-    const LDC: usize = NR + 5;
     const GAP: usize = 3;
     let names: Vec<&str> = Tier::host().iter().map(|t| t.name()).collect();
     println!("micro-kernel tiers exercised on this host: {}", names.join(", "));
+    let widest = Tier::host().iter().map(|t| t.tile_width()).max().expect("a tier");
+    let ldc = widest + 5;
     for mr in 1..=MR {
-        for nr in 1..=NR {
+        for nr in 1..=widest {
             for kc in [1usize, 3, 4, 24, 96] {
                 let seed = ((mr * 17 + nr) * 101 + kc) as u64;
                 let (a, b, c0) =
                     (tensor(kc, mr, seed), tensor(kc, nr, seed + 1), tensor(mr, nr, seed + 2));
-                let mut bp = vec![0.0f32; kc * NR];
+                let bp = b_panels(&b);
                 let mut packed = vec![f32::NAN; kc * MR];
                 // `a` is stored `[kc, mr]`: the transposed window is `a` in a
                 // wider buffer, the row-major one its transpose in one.
@@ -317,14 +342,13 @@ fn edge_tiles_match_on_every_tier() {
                 let mut row_major = vec![f32::NAN; mr * lda_n];
                 let mut transposed = vec![f32::NAN; kc * lda_t];
                 for p in 0..kc {
-                    bp[p * NR..p * NR + nr].copy_from_slice(b.row(p));
                     packed[p * MR..p * MR + mr].copy_from_slice(a.row(p));
                     transposed[p * lda_t..p * lda_t + mr].copy_from_slice(a.row(p));
                     for i in 0..mr {
                         row_major[i * lda_n + p] = a.row(p)[i];
                     }
                 }
-                for &tier in Tier::host() {
+                for &tier in Tier::host().iter().filter(|t| nr <= t.tile_width()) {
                     let mut forms = vec![("packed", ATile::packed(&packed))];
                     if tier.reads_a_in_place() {
                         forms.push(("row-major", ATile::strided(&row_major, lda_n, 1)));
@@ -332,17 +356,17 @@ fn edge_tiles_match_on_every_tier() {
                     }
                     for (form, a_tile) in forms {
                         let what = format!("{} {form} A {mr}x{nr}x{kc}", tier.name());
-                        let mut c = vec![f32::NAN; MR * LDC];
+                        let mut c = vec![f32::NAN; MR * ldc];
                         for i in 0..mr {
-                            c[i * LDC..i * LDC + nr].copy_from_slice(c0.row(i));
+                            c[i * ldc..i * ldc + nr].copy_from_slice(c0.row(i));
                         }
-                        microkernel_on(tier, kc, a_tile, &bp, &mut c, LDC, mr, nr);
-                        for (i, row) in c.chunks_exact(LDC).enumerate() {
+                        microkernel_on(tier, kc, a_tile, &bp, &mut c, ldc, mr, nr);
+                        for (i, row) in c.chunks_exact(ldc).enumerate() {
                             for (j, got) in row.iter().enumerate() {
                                 if i < mr && j < nr {
                                     let mut want = c0.row(i)[j];
                                     for p in 0..kc {
-                                        want += a.row(p)[i] * b.row(p)[j];
+                                        want = a.row(p)[i].mul_add(b.row(p)[j], want);
                                     }
                                     assert_eq!(got.to_bits(), want.to_bits(), "{what} ({i},{j})");
                                 } else {
@@ -353,6 +377,112 @@ fn edge_tiles_match_on_every_tier() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// `[m, 2q]` and `[2q, n]` operands whose product tells a fused step from
+/// an unfused one in every element: columns `2t` and `2t + 1` of A are the
+/// same `x`, rows `2t` and `2t + 1` of B are `y` and `−y`. Rounding each
+/// product before adding it, a pair adds `round(xy)` and takes it off again,
+/// so every accumulator is back at exactly zero after every pair; fused,
+/// the second step of the first pair leaves `round(xy) − xy` — the low half
+/// of the product, which a separately rounded multiply never sees — and the
+/// sum goes on from there.
+fn cancelling_pairs(m: usize, n: usize, q: usize, seed: u64) -> (Tensor, Tensor) {
+    let (x, y) = (tensor(m, q, seed), tensor(q, n, seed + 1));
+    let mut a = Tensor::zeros(m, 2 * q);
+    let mut b = Tensor::zeros(2 * q, n);
+    for t in 0..q {
+        for i in 0..m {
+            a.row_mut(i)[2 * t..2 * t + 2].fill(x.row(i)[t]);
+        }
+        b.row_mut(2 * t).copy_from_slice(y.row(t));
+        for (d, &v) in b.row_mut(2 * t + 1).iter_mut().zip(y.row(t)) {
+            *d = -v;
+        }
+    }
+    (a, b)
+}
+
+/// `A B` by the contract's step, written out: `acc ← fma(a, b, acc)` from
+/// zero, k increasing. Checks on the way that these operands do tell the two
+/// steps apart: the unfused chain ends at exactly zero, the fused one does not.
+fn fused_product(a: &Tensor, b: &Tensor) -> Tensor {
+    let mut want = Tensor::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for j in 0..b.cols() {
+            let (mut fused, mut unfused) = (0.0f32, 0.0f32);
+            for p in 0..a.cols() {
+                fused = a.row(i)[p].mul_add(b.row(p)[j], fused);
+                unfused += a.row(i)[p] * b.row(p)[j];
+            }
+            assert_eq!(unfused, 0.0, "({i},{j}): the unfused step cancels");
+            assert_ne!(fused, 0.0, "({i},{j}): the fused step keeps the products' low halves");
+            want.row_mut(i)[j] = fused;
+        }
+    }
+    want
+}
+
+#[test]
+fn every_tier_is_fused() {
+    // The GEMM layer has one arithmetic step and it is a fused multiply-add.
+    // Every route to it — each tier's tile, the whole loop nest under all
+    // three layouts on both sides of the plain-loop cut-over and across
+    // row-stripe threads, a borrowed panel, and the naive loops everything
+    // else is checked against, the portable instantiations' libm route
+    // included — must return the fused bits on operands where the unfused
+    // step returns exact zeros. The tiers held are printed for CI's log.
+    let names: Vec<&str> = Tier::host().iter().map(|t| t.name()).collect();
+    println!("tiers held to the fused oracle on this host: {}", names.join(", "));
+    let eq = |got: &Tensor, want: &Tensor, what: &str| {
+        if let Err(e) = assert_bits_eq(got, want, what) {
+            panic!("{e}");
+        }
+    };
+    for &tier in Tier::host() {
+        let name = tier.name();
+        // One tile: every row count, a narrow, a full and (where the tier
+        // has one) a two-panel width, k past the unroll by 4.
+        for mr in 1..=MR {
+            for nr in
+                [1, NR - 1, NR, NR + 1, 2 * NR].into_iter().filter(|&w| w <= tier.tile_width())
+            {
+                let (a, b) = cancelling_pairs(mr, nr, 3, (mr * 40 + nr) as u64);
+                let want = fused_product(&a, &b);
+                let kc = a.cols();
+                let mut packed = vec![0.0f32; kc * MR];
+                for p in 0..kc {
+                    for i in 0..mr {
+                        packed[p * MR + i] = a.row(i)[p];
+                    }
+                }
+                let (bp, mut c) = (b_panels(&b), Tensor::zeros(mr, nr));
+                microkernel_on(tier, kc, ATile::packed(&packed), &bp, c.data_mut(), nr, mr, nr);
+                eq(&c, &want, &format!("{name} tile {mr}x{nr}"));
+            }
+        }
+        // The loop nest and the naive loops, per layout: a blocked shape
+        // with a ragged last tile, a shape on the plain loops (two rows for
+        // `A B`, under the FLOP floor for the other two), and one big
+        // enough to be cut into four row stripes.
+        for (m, n, q, threads) in [(13, 37, 12, 1), (2, 37, 12, 1), (3, 5, 4, 1), (96, 160, 70, 4)]
+        {
+            let (a, b) = cancelling_pairs(m, n, q, (m * 1000 + n) as u64);
+            let want = fused_product(&a, &b);
+            let (at, bt) = (a.transpose(), b.transpose());
+            for (layout, a, b) in
+                [(Layout::NN, &a, &b), (Layout::NT, &a, &bt), (Layout::TN, &at, &b)]
+            {
+                let what = format!("{name} {layout:?} {m}x{n}x{}", 2 * q);
+                eq(&matmul_blocked_on(tier, layout, a, b, threads), &want, &what);
+                eq(&matmul_naive_on(tier, layout, a, b), &want, &format!("naive {what}"));
+            }
+            let panel = PackedB::pack(&b);
+            let mut c = Tensor::zeros(m, n);
+            gemm_nn_packed_on(tier, c.data_mut(), n, 0, m, View::of(&a), &panel, threads);
+            eq(&c, &want, &format!("{name} borrowed panel {m}x{n}x{}", 2 * q));
         }
     }
 }
