@@ -20,7 +20,9 @@
 //! [`crate::backoff::Backoff`]) and are budgeted: more than
 //! `restart_budget` respawns inside `restart_window` marks the slot
 //! [`ReplicaState::Failed`] — a crash loop is a deploy problem, not
-//! something to hide behind infinite restarts. A restarted replica is
+//! something to hide behind infinite restarts. A spawn that fails outright
+//! (missing or non-executable `program`) is charged like a crash, so a
+//! fleet that can never start ends `Failed` too. A restarted replica is
 //! **re-admitted only after `/readyz` returns 200**, so the balancer never
 //! routes to a process that is still loading its checkpoint.
 
@@ -144,10 +146,8 @@ struct Slot {
     child: Option<Child>,
     addr: Option<String>,
     state: ReplicaState,
-    /// Successful `spawn_child` calls so far.
-    spawns: u64,
-    /// Spawns beyond the first (what `/stats` reports).
-    restarts: u64,
+    /// `spawn_child` attempts so far, failed ones included.
+    spawn_attempts: u64,
     recent_respawns: VecDeque<Instant>,
     backoff: Backoff,
     respawn_at: Instant,
@@ -156,6 +156,13 @@ struct Slot {
     port_file: PathBuf,
     /// Static backend: never spawned, probed, or restarted by us.
     external: bool,
+}
+
+impl Slot {
+    /// Spawn attempts beyond the first (what `/stats` reports).
+    fn restarts(&self) -> u64 {
+        self.spawn_attempts.saturating_sub(1)
+    }
 }
 
 /// The shared replica table: the supervisor mutates it, the proxy reads
@@ -178,8 +185,7 @@ impl Registry {
                 child: None,
                 addr: None,
                 state: ReplicaState::Down,
-                spawns: 0,
-                restarts: 0,
+                spawn_attempts: 0,
                 recent_respawns: VecDeque::new(),
                 backoff: Backoff::new(cfg.restart_backoff_base, cfg.restart_backoff_cap),
                 respawn_at: Instant::now(),
@@ -208,8 +214,7 @@ impl Registry {
                 child: None,
                 addr: Some(addr.clone()),
                 state: ReplicaState::Ready,
-                spawns: 0,
-                restarts: 0,
+                spawn_attempts: 0,
                 recent_respawns: VecDeque::new(),
                 backoff: Backoff::new(Duration::from_millis(100), Duration::from_secs(2)),
                 respawn_at: Instant::now(),
@@ -265,7 +270,7 @@ impl Registry {
                 state: s.state,
                 addr: s.addr.clone(),
                 pid: s.child.as_ref().map(Child::id),
-                restarts: s.restarts,
+                restarts: s.restarts(),
             })
             .collect()
     }
@@ -274,7 +279,7 @@ impl Registry {
     /// spawn).
     pub fn total_restarts(&self) -> u64 {
         let slots = self.slots.lock().expect("registry lock");
-        slots.iter().map(|s| s.restarts).sum()
+        slots.iter().map(Slot::restarts).sum()
     }
 }
 
@@ -340,9 +345,10 @@ fn run_tick(reg: &Registry, cfg: &SupervisorConfig, tick: u32) {
             match s.state {
                 ReplicaState::Down => {
                     if s.child.is_none() && Instant::now() >= s.respawn_at {
-                        // Budget check before burning another respawn: only
-                        // spawns beyond the first count, over a sliding
-                        // window.
+                        // Budget check before burning another respawn: every
+                        // attempt beyond the first counts, over a sliding
+                        // window — a spawn that fails (missing or
+                        // non-executable program) is charged like a crash.
                         let now = Instant::now();
                         while s
                             .recent_respawns
@@ -363,13 +369,12 @@ fn run_tick(reg: &Registry, cfg: &SupervisorConfig, tick: u32) {
                             reg.permanent_failures.fetch_add(1, Ordering::SeqCst);
                             continue;
                         }
-                        if s.spawns > 0 {
+                        if s.spawn_attempts > 0 {
                             s.recent_respawns.push_back(now);
-                            s.restarts += 1;
                         }
+                        s.spawn_attempts += 1;
                         match spawn_child(cfg, s) {
                             Ok(child) => {
-                                s.spawns += 1;
                                 s.child = Some(child);
                                 s.state = ReplicaState::Starting;
                                 s.started_at = now;
@@ -440,7 +445,7 @@ fn run_tick(reg: &Registry, cfg: &SupervisorConfig, tick: u32) {
                     "[balance] replica {} ready at {} ({} restart(s) so far)",
                     s.id,
                     s.addr.as_deref().unwrap_or("?"),
-                    s.restarts,
+                    s.restarts(),
                 );
                 s.state = ReplicaState::Ready;
                 s.failed_probes = 0;

@@ -4,9 +4,10 @@
 //! before-response failures and complete 5xxs fail over; mid-response
 //! failures abort with 502 after exactly one dispatch; 4xxs are forwarded
 //! untouched; overload sheds with `503 + Retry-After`; slow-loris clients
-//! are cut off with 408.
+//! are cut off with 408; a fleet whose program cannot be spawned exhausts
+//! its restart budget and stops the balancer with an error.
 
-use doduo_balance::{BalanceConfig, BalanceHandle, Balancer};
+use doduo_balance::{BalanceConfig, BalanceHandle, Balancer, SupervisorConfig};
 use doduo_served::handler::serve_blocking;
 use doduo_served::http::Client;
 use doduo_served::{HttpRequest, HttpResponse};
@@ -428,4 +429,37 @@ fn local_endpoints_report_health_and_readiness() {
 
     handle.shutdown();
     thread.join().expect("join").expect("clean run");
+}
+
+/// A replica whose program cannot even be spawned is charged to the restart
+/// budget like a crash: it ends `Failed`, and with every replica failed the
+/// balancer gives up with an error instead of retrying forever.
+#[test]
+fn a_replica_that_never_starts_exhausts_the_budget_and_stops_the_balancer() {
+    let sup = SupervisorConfig {
+        probe_interval: Duration::from_millis(5),
+        restart_backoff_base: Duration::from_millis(5),
+        restart_backoff_cap: Duration::from_millis(20),
+        restart_budget: 3,
+        restart_window: Duration::from_secs(60),
+        ..SupervisorConfig::new("/nonexistent/doduo-served".into(), 1)
+    };
+    let cfg = BalanceConfig {
+        addr: "127.0.0.1:0".into(),
+        supervisor: Some(sup),
+        ..BalanceConfig::default()
+    };
+    let (_addr, handle, thread) = start_balancer(cfg);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(thread.join().expect("join")));
+    let ran = rx.recv_timeout(Duration::from_secs(10)).unwrap_or_else(|_| {
+        handle.shutdown();
+        panic!("balancer still retrying a program that cannot start: {}", handle.stats_json())
+    });
+    let err = ran.expect_err("every replica failed: run() is an error");
+    assert!(err.contains("permanently failed"), "{err}");
+    assert_eq!(handle.permanent_failures(), 1);
+    let stats = handle.stats_json();
+    assert!(stats.contains("\"state\":\"failed\""), "stats: {stats}");
+    assert_eq!(handle.total_restarts(), 3, "the budget, spent on spawn attempts: {stats}");
 }

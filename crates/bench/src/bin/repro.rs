@@ -25,11 +25,11 @@
 //!    prove every `/annotate` response byte-identical to offline, then
 //!    decode the daemon's responses into prediction sets and re-run the
 //!    Table-3 qualitative checks against the *served* model.
-//! 4. **bench** — re-run `gemm`/`throughput`/`serve_load`, rewriting the
-//!    committed `BENCH_*.json` in place (each stamped with the `host`
-//!    metadata block).
-//! 5. **check** — `report --check` over the artifacts in the working
-//!    directory.
+//! 4. **bench** — re-run `gemm` and `serve_load`, which rewrite the
+//!    committed `BENCH_gemm.json` / `BENCH_serve.json` in place (validated
+//!    and stamped with the `host` metadata block by the bins themselves),
+//!    print their tables and count their `[FAIL]` lines. Every other
+//!    performance number comes from `benchmark/run.sh`.
 
 use doduo_bench::report::{pct, Report};
 use doduo_bench::stages::{select_stages, StageDef};
@@ -41,7 +41,7 @@ use doduo_served::json::table_to_json;
 use doduo_served::validate::{check_online_equivalence, offline_response_quant};
 use doduo_served::{ServeConfig, Server};
 use doduo_table::{AnnotatedTable, LabelVocab};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
@@ -67,12 +67,9 @@ const TABLE_BINS: &[&str] = &[
 ];
 
 /// The bench binaries the `bench` stage re-runs; each rewrites its
-/// committed artifact in the working directory.
-const BENCH_BINS: &[(&str, &str)] = &[
-    ("gemm", "BENCH_gemm.json"),
-    ("throughput", "BENCH_throughput.json"),
-    ("serve_load", "BENCH_serve.json"),
-];
+/// committed artifact (`BENCH_gemm.json`, `BENCH_serve.json`) in the
+/// working directory, or exits nonzero.
+const BENCH_BINS: &[&str] = &["gemm", "serve_load"];
 
 struct ReproArgs {
     opts: ExpOptions,
@@ -92,7 +89,7 @@ fn usage(bin: &str) -> String {
          \n\
          Outputs land in repro_out/; run from the repository root so the bench\n\
          stage rewrites the committed BENCH_*.json files.",
-        shared_usage(bin, "one-command reproduction harness: tables, train, serve, bench, check"),
+        shared_usage(bin, "one-command reproduction harness: tables, train, serve, bench"),
         doduo_bench::stages::STAGES.iter().map(|s| s.name).collect::<Vec<_>>().join(", "),
     )
 }
@@ -462,31 +459,19 @@ impl Harness {
     }
 
     fn stage_bench(&mut self) -> Result<String, String> {
-        let mut written = Vec::new();
-        for (bin, artifact) in BENCH_BINS {
+        let mut failing = 0;
+        for bin in BENCH_BINS {
             let t = Instant::now();
-            self.run_sibling(bin, &[])?;
-            // Each bench bin writes its artifact into the working
-            // directory; verify it exists and carries the host block.
-            doduo_bench::artifact::check_bench_file(Path::new(artifact))
-                .map_err(|errs| format!("{artifact} (from {bin}): {}", errs.join("; ")))?;
-            eprintln!("[repro] bench: {bin} rewrote {artifact} in {:?}", t.elapsed());
-            written.push(*artifact);
+            // The sibling's stdout is its `Report` table: a bar that failed
+            // on this host's clocks is at least read.
+            let stdout = self.run_sibling(bin, &[])?;
+            print!("{stdout}");
+            failing += stdout.matches("[FAIL]").count();
+            eprintln!("[repro] bench: {bin} rewrote its artifact in {:?}", t.elapsed());
         }
-        Ok(format!("rewrote {} with host metadata", written.join(", ")))
-    }
-
-    fn stage_check(&mut self) -> Result<String, String> {
-        let out = Command::new(self.sibling("report"))
-            .arg("--check")
-            .output()
-            .map_err(|e| format!("cannot run report: {e}"))?;
-        print!("{}", String::from_utf8_lossy(&out.stdout));
-        eprint!("{}", String::from_utf8_lossy(&out.stderr));
-        if !out.status.success() {
-            return Err("report --check found schema violations".into());
-        }
-        Ok("all bench artifacts pass report --check".into())
+        Ok(format!(
+            "rewrote BENCH_gemm.json, BENCH_serve.json ({failing} failing report-only checks)"
+        ))
     }
 
     fn run_stage(&mut self, s: &StageDef) -> Result<String, String> {
@@ -495,7 +480,6 @@ impl Harness {
             "train" => self.stage_train(),
             "serve" => self.stage_serve(),
             "bench" => self.stage_bench(),
-            "check" => self.stage_check(),
             other => Err(format!("stage {other} has no implementation")),
         }
     }

@@ -1,6 +1,6 @@
 //! Shared infrastructure for the `repro` master binary and the bench bins:
 //! the reproduction stage graph (selection + dependency ordering) and the
-//! host-metadata block every `BENCH_*.json` artifact is stamped with.
+//! host-metadata block both `BENCH_*.json` artifacts are stamped with.
 //!
 //! The stage graph is deliberately data, not code: `repro` maps each
 //! [`StageDef`] to its implementation, while the graph itself (names,
@@ -43,12 +43,7 @@ pub const STAGES: &[StageDef] = &[
     StageDef {
         name: "bench",
         deps: &[],
-        about: "re-run gemm/throughput/serve_load and rewrite the committed BENCH_*.json",
-    },
-    StageDef {
-        name: "check",
-        deps: &[],
-        about: "validate every BENCH_*.json schema + host metadata (report --check)",
+        about: "re-run gemm and serve_load, rewriting BENCH_gemm.json and BENCH_serve.json",
     },
 ];
 
@@ -98,8 +93,9 @@ pub struct HostMeta {
     /// Runtime-detected SIMD features the kernel layer dispatches on
     /// (comma-separated; `"none"` when nothing relevant is available).
     pub target_features: String,
-    /// Short git commit of the working tree, or `"unknown"` outside a
-    /// repository.
+    /// Short git commit of the working tree — with a `-dirty` suffix when
+    /// the tree has uncommitted changes, since the numbers then belong to
+    /// no commit — or `"unknown"` outside a repository.
     pub commit: String,
     /// The `--scale` the numbers were measured at.
     pub scale: &'static str,
@@ -161,16 +157,20 @@ fn detect_target_features() -> String {
     }
 }
 
+/// Trimmed stdout of a successful `git` invocation in the working directory.
+fn git(args: &[&str]) -> Option<String> {
+    let out = std::process::Command::new("git").args(args).output().ok()?;
+    out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
 fn detect_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    match git(&["rev-parse", "--short", "HEAD"]).filter(|rev| !rev.is_empty()) {
+        None => "unknown".to_string(),
+        Some(rev) if git(&["status", "--porcelain"]).is_some_and(|s| !s.is_empty()) => {
+            format!("{rev}-dirty")
+        }
+        Some(rev) => rev,
+    }
 }
 
 #[cfg(test)]
@@ -184,14 +184,14 @@ mod tests {
     #[test]
     fn empty_selection_runs_everything_in_order() {
         let all = select_stages(&[]).expect("empty selection is valid");
-        assert_eq!(names(&all), vec!["tables", "train", "serve", "bench", "check"]);
+        assert_eq!(names(&all), vec!["tables", "train", "serve", "bench"]);
     }
 
     #[test]
     fn selection_preserves_canonical_order() {
         let picked =
-            select_stages(&["check".to_string(), "tables".to_string()]).expect("valid names");
-        assert_eq!(names(&picked), vec!["tables", "check"]);
+            select_stages(&["bench".to_string(), "tables".to_string()]).expect("valid names");
+        assert_eq!(names(&picked), vec!["tables", "bench"]);
     }
 
     #[test]
@@ -208,9 +208,12 @@ mod tests {
 
     #[test]
     fn unknown_stage_is_an_error_listing_valid_names() {
-        let err = select_stages(&["tables".to_string(), "deploy".to_string()]).unwrap_err();
-        assert!(err.contains("deploy"), "error names the bad stage: {err}");
-        assert!(err.contains("tables") && err.contains("serve"), "error lists stages: {err}");
+        // `check` was a stage until the bench bins validated their own output.
+        for bad in ["deploy", "check"] {
+            let err = select_stages(&["tables".to_string(), bad.to_string()]).unwrap_err();
+            assert!(err.contains(bad), "error names the bad stage: {err}");
+            assert!(err.contains("tables") && err.contains("serve"), "error lists stages: {err}");
+        }
     }
 
     #[test]
@@ -235,6 +238,17 @@ mod tests {
         assert!(h.json_line().starts_with("  \"host\": {"));
         assert!(h.json_line().ends_with("},\n"));
         assert_eq!(HostMeta::detect(Scale::Full).scale, "full");
+        // The stamp names a commit only when the tree is that commit.
+        if h.commit != "unknown" {
+            let (rev, dirty) = match h.commit.strip_suffix("-dirty") {
+                Some(rev) => (rev, true),
+                None => (h.commit.as_str(), false),
+            };
+            assert!(rev.chars().all(|c| c.is_ascii_hexdigit()) && !rev.is_empty(), "{}", h.commit);
+            let porcelain =
+                git(&["status", "--porcelain"]).expect("rev-parse worked, so does this");
+            assert_eq!(dirty, !porcelain.is_empty(), "{}: {porcelain:?}", h.commit);
+        }
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! what lets CI diff a daemon response against `--oneshot` output with
 //! `cmp`.
 //!
-//! The recipe intentionally mirrors the `throughput` bench: seeded
-//! knowledge base → serving-realistic WikiTable corpus → WordPiece →
-//! paper-shaped `mini` encoder.
+//! The recipe: seeded knowledge base → serving-realistic WikiTable corpus →
+//! WordPiece → paper-shaped `mini` encoder.
 
 use doduo_core::{Annotator, AnnotatorBundle, DoduoConfig, DoduoModel};
 use doduo_datagen::{generate_wikitable, KbConfig, KnowledgeBase, WikiTableConfig};
