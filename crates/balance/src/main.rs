@@ -62,8 +62,8 @@ fn usage() -> ! {
            --seed N                seed for retry/restart jitter (default 0)\n\
          \n\
          Every unrecognized flag (and its value) is passed through to the\n\
-         replicas verbatim: --checkpoint, --synthetic, --workers, --threads,\n\
-         --quant, --max-batch, ... — see `doduo-balance replica --help`.\n\
+         replicas verbatim: --checkpoint, --synthetic, --threads, --quant,\n\
+         --max-batch, ... — see `doduo-balance replica --help`.\n\
          \n\
          doduo-balance replica <args…>   run the doduo-served CLI in-process"
     );
@@ -82,7 +82,6 @@ const PASS_THROUGH_WITH_VALUE: &[&str] = &[
     "--max-batch-tokens",
     "--max-delay-ms",
     "--threads",
-    "--workers",
 ];
 
 fn parse_args(argv: &[String]) -> Args {

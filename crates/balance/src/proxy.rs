@@ -3,7 +3,7 @@
 //!
 //! ## Retry semantics (the idempotency argument)
 //!
-//! `/annotate` is deterministic and side-effect-free: the same body yields
+//! `/v1/annotate` is deterministic and side-effect-free: the same body yields
 //! byte-identical responses on every healthy replica (the daemon's
 //! byte-identity contract). Re-dispatching a request is therefore safe
 //! **iff the client-visible response never started** — the failure classes
@@ -29,10 +29,9 @@
 use crate::backend::{Backend, BackendResponse, ForwardError};
 use crate::backoff::{Backoff, SplitMix64};
 use crate::supervisor::{supervise, Registry, ReplicaState, SupervisorConfig};
-use doduo_served::canonical_path;
 use doduo_served::http::{
-    read_body, read_head, reason_for, write_continue, write_error, write_response,
-    write_unavailable, Head, ReadError,
+    read_body, read_head, reason_for, write_continue, write_error, write_read_error,
+    write_response, write_unavailable, Head, ReadError,
 };
 use std::collections::{HashMap, HashSet};
 use std::io::{BufReader, Write};
@@ -103,7 +102,7 @@ impl Default for BalanceConfig {
     }
 }
 
-/// Aggregate balancer counters (served at `GET /stats`).
+/// Aggregate balancer counters (served at `GET /v1/stats`).
 #[derive(Debug, Default)]
 pub struct BalanceStats {
     /// Requests answered with a replica's complete response (any status
@@ -225,7 +224,7 @@ impl BalanceHandle {
         self.shared.shutting_down()
     }
 
-    /// The balancer stats document (same JSON as `GET /stats`).
+    /// The balancer stats document (same JSON as `GET /v1/stats`).
     pub fn stats_json(&self) -> String {
         self.shared.stats_json()
     }
@@ -392,27 +391,17 @@ fn conn_loop(stream: TcpStream, shared: &Shared, cfg: &BalanceConfig) {
         let head = match read_head(&mut reader, deadline) {
             Ok(h) => h,
             Err(ReadError::TimedOut) => continue, // idle keep-alive
-            Err(ReadError::Eof) => return,
-            Err(ReadError::Bad(msg)) => {
-                let _ = write_error(&mut stream, 400, "Bad Request", &msg, false);
+            Err(e) => {
+                let _ = write_read_error(&mut stream, &e);
                 return;
             }
-            Err(ReadError::TooLarge(msg)) => {
-                let _ = write_error(&mut stream, 413, "Payload Too Large", &msg, false);
-                return;
-            }
-            Err(ReadError::TooSlow) => {
-                let _ = write_error(&mut stream, 408, "Request Timeout", "request too slow", false);
-                return;
-            }
-            Err(ReadError::Io(_)) => return,
         };
         let keep_alive = head.keep_alive && cfg.keep_alive && !shared.shutting_down();
 
         // Streaming is deliberately not proxied: a chunked response has no
         // single commit point, so the balancer's retry semantics cannot
         // apply. Clients stream against a replica directly.
-        if head.method == "POST" && canonical_path(&head.path) == "/annotate_stream" {
+        if head.method == "POST" && head.path == "/v1/annotate_stream" {
             let _ = write_error(
                 &mut stream,
                 501,
@@ -428,26 +417,21 @@ fn conn_loop(stream: TcpStream, shared: &Shared, cfg: &BalanceConfig) {
         }
         let body = match read_body(&mut reader, head.framing, deadline) {
             Ok(b) => b,
-            Err(ReadError::TooLarge(msg)) => {
-                let _ = write_error(&mut stream, 413, "Payload Too Large", &msg, false);
+            Err(e) => {
+                let _ = write_read_error(&mut stream, &e);
                 return;
             }
-            Err(ReadError::Bad(msg)) => {
-                let _ = write_error(&mut stream, 400, "Bad Request", &msg, false);
-                return;
-            }
-            Err(ReadError::TooSlow) => {
-                let _ = write_error(&mut stream, 408, "Request Timeout", "request too slow", false);
-                return;
-            }
-            Err(_) => return,
         };
 
-        // Local endpoints answer under `/v1` and the legacy unprefixed
-        // aliases alike, mirroring the replicas.
-        let ok = match (head.method.as_str(), canonical_path(&head.path)) {
+        // Local endpoints and proxied routes alike have one name, the
+        // literal `/v1/...` path the replicas serve.
+        let ok = match (head.method.as_str(), head.path.as_str()) {
+            (method, path) if !path.starts_with("/v1/") => {
+                let msg = format!("no route for {method} {path}");
+                write_error(&mut stream, 404, "Not Found", &msg, keep_alive)
+            }
             // Balancer liveness: 200 while the front process serves at all.
-            ("GET", "/healthz") => {
+            ("GET", "/v1/healthz") => {
                 let ready = shared.registry.ready_order().len();
                 let body = format!(
                     "{{\"status\":\"ok\",\"ready_replicas\":{ready},\"uptime_secs\":{:.3}}}\n",
@@ -456,7 +440,7 @@ fn conn_loop(stream: TcpStream, shared: &Shared, cfg: &BalanceConfig) {
                 write_response(&mut stream, 200, "OK", "application/json", &body, keep_alive)
             }
             // Balancer readiness: can it actually route traffic somewhere?
-            ("GET", "/readyz") => {
+            ("GET", "/v1/readyz") => {
                 if shared.registry.ready_order().is_empty() {
                     write_unavailable(
                         &mut stream,
@@ -476,14 +460,14 @@ fn conn_loop(stream: TcpStream, shared: &Shared, cfg: &BalanceConfig) {
                     )
                 }
             }
-            ("GET", "/stats") => {
+            ("GET", "/v1/stats") => {
                 let body = shared.stats_json();
                 write_response(&mut stream, 200, "OK", "application/json", &body, keep_alive)
             }
             // Model uploads are a *fleet* operation, not a proxied request:
             // all ready replicas must accept the new bundle or none keep it.
-            ("POST", "/model") => fan_out_model(&mut stream, &body, shared, cfg, keep_alive),
-            ("POST", "/shutdown") => {
+            ("POST", "/v1/model") => fan_out_model(&mut stream, &body, shared, cfg, keep_alive),
+            ("POST", "/v1/shutdown") => {
                 let _ = write_response(
                     &mut stream,
                     200,

@@ -65,8 +65,6 @@ impl BalancerProc {
             port_file.to_str().expect("utf8"),
             "--port-dir",
             dir.to_str().expect("utf8"),
-            "--workers",
-            "2",
             "--threads",
             "1",
             "--seed",
@@ -93,7 +91,7 @@ impl BalancerProc {
         loop {
             assert!(Instant::now() < deadline, "balancer never became ready");
             if let Ok(mut c) = Client::connect(&addr, Some(Duration::from_millis(500))) {
-                if let Ok(resp) = c.request("GET", "/readyz", b"") {
+                if let Ok(resp) = c.request("GET", "/v1/readyz", b"") {
                     if resp.status == 200 {
                         break;
                     }
@@ -107,7 +105,7 @@ impl BalancerProc {
     fn stats(&self) -> String {
         let mut c =
             Client::connect(&self.addr, Some(Duration::from_secs(5))).expect("connect for stats");
-        let resp = c.request("GET", "/stats", b"").expect("stats");
+        let resp = c.request("GET", "/v1/stats", b"").expect("stats");
         assert_eq!(resp.status, 200);
         String::from_utf8(resp.body).expect("utf8 stats")
     }
@@ -118,7 +116,7 @@ impl Drop for BalancerProc {
         // Graceful first: the balancer stops its replica children on the
         // way out; a bare kill would orphan them.
         if let Ok(mut c) = Client::connect(&self.addr, Some(Duration::from_millis(500))) {
-            let _ = c.request("POST", "/shutdown", b"");
+            let _ = c.request("POST", "/v1/shutdown", b"");
         }
         let deadline = Instant::now() + Duration::from_secs(15);
         while Instant::now() < deadline {
@@ -157,7 +155,7 @@ fn crash_faults_are_invisible_and_the_replica_is_restarted() {
     for i in 0..40 {
         let idx = i % n_tables;
         let body = table_to_json(&world.tables[idx]);
-        let resp = client.request("POST", "/annotate", body.as_bytes()).expect("request");
+        let resp = client.request("POST", "/v1/annotate", body.as_bytes()).expect("request");
         assert_eq!(resp.status, 200, "request {i}: retryable faults must be client-invisible");
         assert_eq!(
             resp.body,
@@ -205,7 +203,7 @@ fn stalled_replica_times_out_and_fails_over() {
         let idx = i % world.tables.len().min(3);
         let body = table_to_json(&world.tables[idx]);
         let t0 = Instant::now();
-        let resp = client.request("POST", "/annotate", body.as_bytes()).expect("request");
+        let resp = client.request("POST", "/v1/annotate", body.as_bytes()).expect("request");
         assert_eq!(resp.status, 200, "request {i}: a stalled replica must not surface errors");
         assert_eq!(resp.body, offline_bytes(&world, idx), "request {i}: byte-identity");
         assert!(
@@ -241,7 +239,7 @@ fn mid_response_resets_surface_as_502_without_redispatch() {
         // to keep the schedule independent of keep-alive pooling.
         let mut client =
             Client::connect(&proc.addr, Some(Duration::from_secs(30))).expect("connect");
-        let resp = client.request("POST", "/annotate", body.as_bytes()).expect("request");
+        let resp = client.request("POST", "/v1/annotate", body.as_bytes()).expect("request");
         match resp.status {
             200 => {
                 assert_eq!(resp.body, offline_bytes(&world, idx), "request {i}: byte-identity");
@@ -301,7 +299,7 @@ fn model_swap_under_crash_chaos_is_atomic_and_converges() {
     let mut client = Client::connect(&proc.addr, Some(Duration::from_secs(30))).expect("connect");
     for i in 0..12 {
         let idx = i % n_tables;
-        let resp = client.request("POST", "/annotate", bodies[idx].as_bytes()).expect("request");
+        let resp = client.request("POST", "/v1/annotate", bodies[idx].as_bytes()).expect("request");
         assert_eq!(resp.status, 200, "request {i}: crashes stay client-invisible");
         assert_eq!(resp.body, old_refs[idx], "request {i}: pre-swap byte-identity");
         let v = resp.model_version.as_deref().expect("pre-swap version header");
@@ -314,7 +312,7 @@ fn model_swap_under_crash_chaos_is_atomic_and_converges() {
     loop {
         assert!(Instant::now() < deadline, "fleet swap never committed under chaos");
         let mut c = Client::connect(&proc.addr, Some(Duration::from_secs(30))).expect("connect");
-        let resp = c.request("POST", "/model", &new_blob).expect("model upload");
+        let resp = c.request("POST", "/v1/model", &new_blob).expect("model upload");
         let body = String::from_utf8_lossy(&resp.body).to_string();
         if resp.status == 200 {
             assert!(body.contains("\"status\":\"swapped\""), "commit body: {body}");
@@ -334,7 +332,7 @@ fn model_swap_under_crash_chaos_is_atomic_and_converges() {
         assert!(Instant::now() < deadline, "fleet never converged on the new model");
         let idx = i % n_tables;
         i += 1;
-        let resp = client.request("POST", "/annotate", bodies[idx].as_bytes()).expect("request");
+        let resp = client.request("POST", "/v1/annotate", bodies[idx].as_bytes()).expect("request");
         assert_eq!(resp.status, 200, "request {i}: crashes stay client-invisible");
         let v = resp.model_version.as_deref().expect("post-swap version header").to_string();
         if resp.body == new_refs[idx] {
@@ -385,7 +383,7 @@ fn crash_loop_exhausts_the_restart_budget_and_is_escalated() {
     loop {
         let idx = (sent as usize) % world.tables.len().min(3);
         let body = table_to_json(&world.tables[idx]);
-        let resp = client.request("POST", "/annotate", body.as_bytes()).expect("request");
+        let resp = client.request("POST", "/v1/annotate", body.as_bytes()).expect("request");
         assert_eq!(resp.status, 200, "request {sent}: crashes stay client-invisible");
         assert_eq!(resp.body, offline_bytes(&world, idx), "request {sent}: byte-identity");
         sent += 1;
@@ -403,7 +401,7 @@ fn crash_loop_exhausts_the_restart_budget_and_is_escalated() {
     for i in 0..5 {
         let idx = i % world.tables.len().min(3);
         let body = table_to_json(&world.tables[idx]);
-        let resp = client.request("POST", "/annotate", body.as_bytes()).expect("request");
+        let resp = client.request("POST", "/v1/annotate", body.as_bytes()).expect("request");
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, offline_bytes(&world, idx));
     }

@@ -122,7 +122,7 @@ fn cfg_with_backends(backends: Vec<String>) -> BalanceConfig {
 fn get_stats(addr: &SocketAddr) -> String {
     let mut client = Client::connect(&addr.to_string(), Some(Duration::from_secs(5)))
         .expect("connect for stats");
-    let resp = client.request("GET", "/stats", b"").expect("stats");
+    let resp = client.request("GET", "/v1/stats", b"").expect("stats");
     assert_eq!(resp.status, 200);
     String::from_utf8(resp.body).expect("utf8 stats")
 }
@@ -141,7 +141,7 @@ fn connect_refused_fails_over_to_the_next_replica() {
 
     let mut client =
         Client::connect(&addr.to_string(), Some(Duration::from_secs(5))).expect("connect");
-    let resp = client.request("POST", "/annotate", b"{}").expect("request");
+    let resp = client.request("POST", "/v1/annotate", b"{}").expect("request");
     assert_eq!(resp.status, 200);
     assert_eq!(resp.body, b"{\"mock\":200}\n");
     assert_eq!(live.hits.load(Ordering::SeqCst), 1);
@@ -164,7 +164,7 @@ fn close_before_response_is_retried_elsewhere() {
 
     let mut client =
         Client::connect(&addr.to_string(), Some(Duration::from_secs(5))).expect("connect");
-    let resp = client.request("POST", "/annotate", b"{}").expect("request");
+    let resp = client.request("POST", "/v1/annotate", b"{}").expect("request");
     assert_eq!(resp.status, 200, "zero response bytes flowed, so the request was retryable");
     assert_eq!(flaky.hits.load(Ordering::SeqCst), 1);
     assert_eq!(live.hits.load(Ordering::SeqCst), 1);
@@ -182,7 +182,7 @@ fn complete_5xx_fails_over_and_exhaustion_forwards_the_last_5xx() {
 
     let mut client =
         Client::connect(&addr.to_string(), Some(Duration::from_secs(5))).expect("connect");
-    let resp = client.request("POST", "/annotate", b"{}").expect("request");
+    let resp = client.request("POST", "/v1/annotate", b"{}").expect("request");
     assert_eq!(resp.status, 200, "the healthy replica's answer wins over the 500");
     assert_eq!(sick.hits.load(Ordering::SeqCst), 1);
 
@@ -195,7 +195,7 @@ fn complete_5xx_fails_over_and_exhaustion_forwards_the_last_5xx() {
     let (addr, handle, thread) = start_balancer(cfg_with_backends(vec![sick2.addr.clone()]));
     let mut client =
         Client::connect(&addr.to_string(), Some(Duration::from_secs(5))).expect("connect");
-    let resp = client.request("POST", "/annotate", b"{}").expect("request");
+    let resp = client.request("POST", "/v1/annotate", b"{}").expect("request");
     assert_eq!(resp.status, 500);
     assert_eq!(resp.body, b"{\"mock\":500}\n", "the replica's own 5xx body is preserved");
     assert_eq!(sick2.hits.load(Ordering::SeqCst), 2, "one dispatch per retry round");
@@ -216,7 +216,7 @@ fn retry_exhaustion_forwards_the_backends_retry_after_hint() {
 
     let mut client =
         Client::connect(&addr.to_string(), Some(Duration::from_secs(5))).expect("connect");
-    let resp = client.request("POST", "/annotate", b"{}").expect("request");
+    let resp = client.request("POST", "/v1/annotate", b"{}").expect("request");
     assert_eq!(resp.status, 503);
     assert_eq!(resp.retry_after, Some(7), "the replica's own hint must survive the relay");
     assert_eq!(busy.hits.load(Ordering::SeqCst), 2, "one dispatch per retry round");
@@ -228,13 +228,13 @@ fn retry_exhaustion_forwards_the_backends_retry_after_hint() {
 /// Proxied responses re-emit the replica's `x-model-version` header, so a
 /// client can tell which model answered even through the balancer.
 #[test]
-fn annotate_responses_relay_the_model_version_header() {
+fn annotate_answers_relay_the_model_version_header() {
     let live = mock(Behavior::Versioned);
     let (addr, handle, thread) = start_balancer(cfg_with_backends(vec![live.addr.clone()]));
 
     let mut client =
         Client::connect(&addr.to_string(), Some(Duration::from_secs(5))).expect("connect");
-    let resp = client.request("POST", "/annotate", b"{}").expect("request");
+    let resp = client.request("POST", "/v1/annotate", b"{}").expect("request");
     assert_eq!(resp.status, 200);
     assert_eq!(resp.model_version.as_deref(), Some("9-deadbeef"), "version header relayed");
 
@@ -253,7 +253,7 @@ fn model_fanout_commits_when_every_replica_accepts() {
 
     let mut client =
         Client::connect(&addr.to_string(), Some(Duration::from_secs(5))).expect("connect");
-    let resp = client.request("POST", "/model", b"FAKEBLOB").expect("request");
+    let resp = client.request("POST", "/v1/model", b"FAKEBLOB").expect("request");
     assert_eq!(resp.status, 200);
     let body = String::from_utf8(resp.body).expect("utf8");
     assert!(body.contains("\"status\":\"swapped\""), "body: {body}");
@@ -281,7 +281,7 @@ fn model_fanout_is_all_or_nothing_when_a_replica_rejects() {
 
     let mut client =
         Client::connect(&addr.to_string(), Some(Duration::from_secs(5))).expect("connect");
-    let resp = client.request("POST", "/model", b"FAKEBLOB").expect("request");
+    let resp = client.request("POST", "/v1/model", b"FAKEBLOB").expect("request");
     assert_eq!(resp.status, 502, "a partial swap must surface as a gateway error");
     let body = String::from_utf8(resp.body).expect("utf8");
     assert!(body.contains("\"code\":\"swap_rejected\""), "body: {body}");
@@ -309,7 +309,7 @@ fn mid_response_failure_aborts_with_502_after_exactly_one_dispatch() {
 
     let mut client =
         Client::connect(&addr.to_string(), Some(Duration::from_secs(5))).expect("connect");
-    let resp = client.request("POST", "/annotate", b"{}").expect("request");
+    let resp = client.request("POST", "/v1/annotate", b"{}").expect("request");
     assert_eq!(resp.status, 502, "response bytes flowed, so no retry is allowed");
     assert_eq!(torn.hits.load(Ordering::SeqCst), 1, "exactly one dispatch");
     assert_eq!(live.hits.load(Ordering::SeqCst), 0, "never re-dispatched to the healthy replica");
@@ -331,7 +331,7 @@ fn complete_4xx_is_forwarded_without_retry() {
 
     let mut client =
         Client::connect(&addr.to_string(), Some(Duration::from_secs(5))).expect("connect");
-    let resp = client.request("POST", "/annotate", b"not json").expect("request");
+    let resp = client.request("POST", "/v1/annotate", b"not json").expect("request");
     assert_eq!(resp.status, 400, "a complete 4xx means the request is bad, not the replica");
     assert_eq!(resp.body, b"{\"mock\":400}\n");
     assert_eq!(strict.hits.load(Ordering::SeqCst), 1);
@@ -352,7 +352,7 @@ fn overload_sheds_with_503_and_retry_after() {
 
     let mut client =
         Client::connect(&addr.to_string(), Some(Duration::from_secs(5))).expect("connect");
-    let resp = client.request("POST", "/annotate", b"{}").expect("request");
+    let resp = client.request("POST", "/v1/annotate", b"{}").expect("request");
     assert_eq!(resp.status, 503);
     assert_eq!(resp.retry_after, Some(1), "sheds carry a Retry-After hint");
     assert_eq!(live.hits.load(Ordering::SeqCst), 0, "shed requests never reach a replica");
@@ -403,17 +403,25 @@ fn local_endpoints_report_health_and_readiness() {
     let mut client =
         Client::connect(&addr.to_string(), Some(Duration::from_secs(5))).expect("connect");
 
-    let resp = client.request("GET", "/healthz", b"").expect("healthz");
+    let resp = client.request("GET", "/v1/healthz", b"").expect("healthz");
     assert_eq!(resp.status, 200, "the balancer itself is alive");
     let body = String::from_utf8(resp.body).expect("utf8");
     assert!(body.contains("\"ready_replicas\":0"), "healthz: {body}");
 
-    let resp = client.request("GET", "/readyz", b"").expect("readyz");
+    let resp = client.request("GET", "/v1/readyz", b"").expect("readyz");
     assert_eq!(resp.status, 503, "nowhere to route traffic");
     assert_eq!(resp.retry_after, Some(1));
 
+    // A route has one name: the unprefixed paths are unknown here too.
+    for (method, path) in [("GET", "/healthz"), ("POST", "/annotate")] {
+        let resp = client.request(method, path, b"{}").expect("answered");
+        assert_eq!(resp.status, 404, "{path}");
+        let body = String::from_utf8(resp.body).expect("utf8");
+        assert!(body.contains("\"code\":\"not_found\""), "{path}: {body}");
+    }
+
     // Streaming is not proxied.
-    let resp = client.request("POST", "/annotate_stream", b"{}").expect("stream");
+    let resp = client.request("POST", "/v1/annotate_stream", b"{}").expect("stream");
     assert_eq!(resp.status, 501);
 
     handle.shutdown();
@@ -424,7 +432,7 @@ fn local_endpoints_report_health_and_readiness() {
     let (addr, handle, thread) = start_balancer(cfg_with_backends(vec![live.addr.clone()]));
     let mut client =
         Client::connect(&addr.to_string(), Some(Duration::from_secs(5))).expect("connect");
-    let resp = client.request("GET", "/readyz", b"").expect("readyz");
+    let resp = client.request("GET", "/v1/readyz", b"").expect("readyz");
     assert_eq!(resp.status, 200);
 
     handle.shutdown();

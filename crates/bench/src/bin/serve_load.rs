@@ -221,10 +221,9 @@ struct Fleets {
 
 impl Fleets {
     /// One cell: `replicas` real daemon processes (same checkpoint, one
-    /// engine thread and two request workers each) behind an in-process
-    /// balancer, driven by the closed-loop clients. `chaos` assigns
-    /// per-replica fault specs. Fails if the fleet does not come up or the
-    /// balancer does not run cleanly.
+    /// engine thread each) behind an in-process balancer, driven by the
+    /// closed-loop clients. `chaos` assigns per-replica fault specs. Fails
+    /// if the fleet does not come up or the balancer does not run cleanly.
     fn run_cell(
         &self,
         mode: &'static str,
@@ -241,8 +240,6 @@ impl Fleets {
             common_args: vec![
                 "--checkpoint".into(),
                 self.ckpt.to_str().expect("utf8").into(),
-                "--workers".into(),
-                "2".into(),
                 "--threads".into(),
                 "1".into(),
             ],

@@ -15,21 +15,24 @@
 //! ```
 //!
 //! * `crash_after=N` — the process exits (code 86, before any response
-//!   byte) on the Nth `/annotate` request it sees, counting from 1;
+//!   byte) on the Nth `/v1/annotate` request it sees, counting from 1;
 //!   `crash_after=0` crashes on the first. Because no response byte was
 //!   written, a balancer may safely retry the request elsewhere.
-//! * `delay_ms=D` — sleep D ms before writing each `/annotate` response
-//!   (a slow replica; still answers correctly).
+//! * `delay_ms=D` — hold each finished `/v1/annotate` response back D ms
+//!   before writing it (a slow replica; still answers correctly). The
+//!   response waits on the reactor's timer wheel: delayed requests overlap,
+//!   and nothing else the daemon serves waits behind them.
 //! * `reset_prob=P` — with probability P per request, write roughly half
 //!   of the response and then sever the connection (a torn, *mid-response*
 //!   failure — the one case a correct balancer must NOT retry).
 //! * `seed=S` — seed for the `reset_prob` coin flips.
 //!
-//! Note on determinism under concurrency: the RNG *stream* is fixed by the
-//! seed, but which worker thread draws which value depends on scheduling.
-//! Tests therefore either run chaos daemons single-threaded, use
-//! probabilities 0.0/1.0 (scheduling-independent), or assert scheduling
-//! -independent invariants (e.g. "every 200 is byte-identical").
+//! Determinism under concurrency: there is one draw per `/v1/annotate`
+//! request, made on the reactor thread when the request has fully arrived —
+//! so the Nth request to arrive gets the Nth value of the seeded stream,
+//! whatever the engine threads are doing. Two daemons with one seed, fed
+//! the same requests one after another, fail the same ones; concurrent
+//! clients race only for their arrival order.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -38,10 +41,11 @@ use std::time::Duration;
 /// Parsed `--chaos` specification.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChaosConfig {
-    /// Exit the process on the Nth `/annotate` request (1-based; `Some(0)`
-    /// crashes on the first request).
+    /// Exit the process on the Nth `/v1/annotate` request (1-based;
+    /// `Some(0)` crashes on the first request).
     pub crash_after: Option<u64>,
-    /// Sleep this long before writing each `/annotate` response.
+    /// Hold each finished `/v1/annotate` response back this long (on the
+    /// reactor's timer wheel; no thread sleeps).
     pub delay: Duration,
     /// Probability, per request, of writing a partial response and then
     /// severing the connection.
@@ -92,12 +96,12 @@ impl ChaosConfig {
     }
 }
 
-/// The faults to inject into one `/annotate` request.
+/// The faults to inject into one `/v1/annotate` request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChaosPlan {
     /// Exit the process before any response byte (retryable by a balancer).
     pub crash: bool,
-    /// Sleep this long before writing the response.
+    /// Hold the finished response back this long before writing it.
     pub delay: Option<Duration>,
     /// Write a partial response, then sever the connection (NOT retryable).
     pub reset: bool,
@@ -118,7 +122,8 @@ impl ChaosState {
         ChaosState { cfg, served: AtomicU64::new(0), rng }
     }
 
-    /// Called once per `/annotate` request; returns the faults to inject.
+    /// Called once per `/v1/annotate` request, in arrival order, on the
+    /// reactor thread; returns the faults to inject.
     pub fn on_annotate(&self) -> ChaosPlan {
         let n = self.served.fetch_add(1, Ordering::SeqCst) + 1; // 1-based
         let coin = if self.cfg.reset_prob > 0.0 {

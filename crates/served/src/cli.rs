@@ -28,7 +28,6 @@ struct Args {
     max_batch_tokens: usize,
     max_delay_ms: u64,
     threads: usize,
-    workers: usize,
     chaos: Option<ChaosConfig>,
     port_file: Option<String>,
     feedback_finetune: bool,
@@ -49,10 +48,9 @@ fn usage() -> ! {
            --max-batch N           flush at N pending sequences (default 32)\n\
            --max-batch-tokens N    flush at N pending tokens (default 192)\n\
            --max-delay-ms T        flush when the oldest request waited T ms (default 2)\n\
-           --threads K             engine worker threads (default: all cores)\n\
+           --threads K             engine worker threads (default: cores - 1,\n\
+                                   at least 1)\n\
            --quant int8|off        int8 inference (accuracy-gated; default off)\n\
-           --workers W             threads for requests that may block: model\n\
-                                   uploads, feedback (at least 1; default 16)\n\
            --port-file FILE        write the bound address to FILE after bind\n\
                                    (how a supervisor discovers an ephemeral port)\n\
            --chaos SPEC            deterministic fault injection, e.g.\n\
@@ -63,7 +61,7 @@ fn usage() -> ! {
          \n\
          other:\n\
            --oneshot FILE          annotate request FILE offline, print the exact\n\
-                                   /annotate response bytes, and exit\n\
+                                   /v1/annotate response bytes, and exit\n\
            --compare-labels A B    exit 0 iff response files A and B decode to\n\
                                    identical prediction sets (the int8 gate:\n\
                                    scores may differ, labels must not flip)"
@@ -85,7 +83,6 @@ fn parse_args(argv: &[String]) -> Args {
         max_batch_tokens: 192,
         max_delay_ms: 2,
         threads: doduo_tensor::default_threads(),
-        workers: ServeConfig::default().workers,
         chaos: None,
         port_file: None,
         feedback_finetune: false,
@@ -131,13 +128,6 @@ fn parse_args(argv: &[String]) -> Args {
                 args.max_delay_ms = value(&mut i).parse().unwrap_or_else(|_| usage())
             }
             "--threads" => args.threads = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--workers" => {
-                args.workers = value(&mut i).parse().unwrap_or_else(|_| usage());
-                if args.workers == 0 {
-                    eprintln!("--workers must be at least 1");
-                    usage()
-                }
-            }
             "--chaos" => {
                 args.chaos = Some(ChaosConfig::parse(&value(&mut i)).unwrap_or_else(|e| {
                     eprintln!("[served] {e}");
@@ -253,7 +243,6 @@ pub fn run(argv: &[String]) -> i32 {
             quant: args.quant,
             ..BatchConfig::default()
         },
-        workers: args.workers,
         chaos: args.chaos.clone(),
         feedback_finetune: args.feedback_finetune,
         ..ServeConfig::default()
@@ -277,15 +266,13 @@ pub fn run(argv: &[String]) -> i32 {
         }
     }
     eprintln!(
-        "[served] listening on {} ({}; flush at {} seqs / {} tokens / {} ms; {} engine threads; \
-         {} workers{})",
+        "[served] listening on {} ({}; flush at {} seqs / {} tokens / {} ms; {} engine threads{})",
         server.addr(),
         if args.quant { "int8" } else { "f32" },
         args.max_batch_seqs,
         args.max_batch_tokens,
         args.max_delay_ms,
         args.threads.max(1),
-        args.workers,
         if args.chaos.is_some() { "; CHAOS INJECTION ON" } else { "" },
     );
     server.run(bundle);

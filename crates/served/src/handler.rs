@@ -1,17 +1,15 @@
 //! Transport-independent request handling.
 //!
-//! The [`Handler`] trait is the seam between "how bytes arrive" and "what
-//! the response is": the epoll reactor, its request workers, and the
-//! scripted mock backends in `doduo-balance`'s failover tests (over
-//! [`serve_blocking`]) parse HTTP their own way but dispatch through the
-//! same `fn handle(&self, &HttpRequest) -> HttpResponse`. Streaming
-//! (`POST /annotate_stream`) is the one endpoint outside this seam: it
-//! never has a fully received request, so it is a state of the reactor's
+//! [`HttpRequest`] and [`HttpResponse`] are the seam between "how bytes
+//! arrive" and "what the response is": the epoll reactor hands its driver
+//! the one and renders the other, and the [`Handler`] trait puts the same
+//! pair behind [`serve_blocking`], the blocking server the scripted mock
+//! backends in `doduo-balance`'s failover tests run on. Streaming (`POST
+//! /v1/annotate_stream`) is the one endpoint outside this seam: it never
+//! has a fully received request, so it is a state of the reactor's
 //! connection machine ([`crate::reactor::StreamHooks`]) instead.
 //!
-//! [`canonical_path`] implements the `/v1` API versioning: every route is
-//! mounted under `/v1/` with the legacy unprefixed path kept as an alias,
-//! and handlers match on the canonical (unprefixed) form.
+//! Routes have one name each, the literal `/v1/...` path.
 
 use crate::http::{self, Head};
 use std::io::Write;
@@ -24,8 +22,7 @@ use std::time::{Duration, Instant};
 pub struct HttpRequest {
     /// Uppercased request method (`GET`, `POST`, ...).
     pub method: String,
-    /// Request path as sent by the client (possibly `/v1`-prefixed; use
-    /// [`canonical_path`] when routing).
+    /// Request path as sent by the client (query string stripped).
     pub path: String,
     /// Raw query string (no leading `?`; empty when absent).
     pub query: String,
@@ -136,29 +133,17 @@ impl HttpResponse {
     }
 }
 
-/// The request→response core every transport drives.
+/// A request→response core for [`serve_blocking`] to drive.
 pub trait Handler: Sync {
     /// Produces the response for one fully received request. Implementors
-    /// may block (e.g. `/annotate` waits on the batching queue) but must
-    /// never touch the client socket — the transport owns it.
+    /// may block but must never touch the client socket — the transport
+    /// owns it.
     fn handle(&self, req: &HttpRequest) -> HttpResponse;
 }
 
 impl<F: Fn(&HttpRequest) -> HttpResponse + Sync> Handler for F {
     fn handle(&self, req: &HttpRequest) -> HttpResponse {
         self(req)
-    }
-}
-
-/// Strips the `/v1` API-version prefix, mapping versioned routes onto the
-/// canonical unprefixed names handlers match on. Unprefixed (legacy) paths
-/// pass through unchanged, so both `/v1/annotate` and `/annotate` resolve
-/// to `/annotate`.
-pub fn canonical_path(path: &str) -> &str {
-    match path.strip_prefix("/v1") {
-        Some("") => "/",
-        Some(rest) if rest.starts_with('/') => rest,
-        _ => path,
     }
 }
 
@@ -239,23 +224,8 @@ fn serve_blocking_conn<H: Handler>(stream: TcpStream, handler: &H, stop: &Atomic
         let head = match http::read_head(&mut reader, deadline) {
             Ok(h) => h,
             Err(http::ReadError::TimedOut) => continue, // idle keep-alive
-            Err(http::ReadError::Eof) | Err(http::ReadError::Io(_)) => return,
-            Err(http::ReadError::Bad(msg)) => {
-                let _ = http::write_error(&mut stream, 400, "Bad Request", &msg, false);
-                return;
-            }
-            Err(http::ReadError::TooLarge(msg)) => {
-                let _ = http::write_error(&mut stream, 413, "Payload Too Large", &msg, false);
-                return;
-            }
-            Err(http::ReadError::TooSlow) => {
-                let _ = http::write_error(
-                    &mut stream,
-                    408,
-                    "Request Timeout",
-                    "request too slow",
-                    false,
-                );
+            Err(e) => {
+                let _ = http::write_read_error(&mut stream, &e);
                 return;
             }
         };
@@ -287,17 +257,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn canonical_path_strips_exactly_the_v1_prefix() {
-        assert_eq!(canonical_path("/v1/annotate"), "/annotate");
-        assert_eq!(canonical_path("/v1/stats"), "/stats");
-        assert_eq!(canonical_path("/annotate"), "/annotate");
-        assert_eq!(canonical_path("/v1"), "/");
-        assert_eq!(canonical_path("/v12/annotate"), "/v12/annotate");
-        assert_eq!(canonical_path("/v1annotate"), "/v1annotate");
-        assert_eq!(canonical_path("/"), "/");
-    }
-
-    #[test]
     fn render_respects_close_and_client_keep_alive() {
         let resp = HttpResponse::json(200, "{}\n");
         let (bytes, keep) = render_http_response(&resp, true);
@@ -317,11 +276,11 @@ mod tests {
     fn with_header_appends_to_the_header_section() {
         let resp = HttpResponse::json(200, "{}\n")
             .with_header("x-model-version", "3-deadbeef")
-            .with_header("deprecation", "true");
+            .with_header("retry-after", "2");
         let (bytes, _) = render_http_response(&resp, true);
         let text = String::from_utf8_lossy(&bytes);
         assert!(text.contains("x-model-version: 3-deadbeef"), "{text}");
-        assert!(text.contains("deprecation: true"), "{text}");
+        assert!(text.contains("retry-after: 2"), "{text}");
         // Raw variants have no header section; the call must be a no-op.
         let raw = HttpResponse::RawThenClose(b"x".to_vec()).with_header("a", "b");
         let (bytes, _) = render_http_response(&raw, true);
@@ -354,8 +313,10 @@ mod tests {
         let thread = {
             let stop = std::sync::Arc::clone(&stop);
             std::thread::spawn(move || {
-                let handler = |req: &HttpRequest| match canonical_path(&req.path) {
-                    "/echo" => HttpResponse::json(200, format!("{{\"len\":{}}}\n", req.body.len())),
+                let handler = |req: &HttpRequest| match req.path.as_str() {
+                    "/v1/echo" => {
+                        HttpResponse::json(200, format!("{{\"len\":{}}}\n", req.body.len()))
+                    }
                     p => HttpResponse::error(404, &format!("no route for {} {p}", req.method)),
                 };
                 serve_blocking(listener, &handler, &stop).expect("serve");
@@ -364,15 +325,31 @@ mod tests {
 
         let mut client =
             crate::http::Client::connect(&addr, Some(Duration::from_secs(5))).expect("connect");
-        let resp = client.request("POST", "/v1/echo", b"hello").expect("versioned echo");
+        let resp = client.request("POST", "/v1/echo", b"hello").expect("echo");
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, b"{\"len\":5}\n");
-        let resp = client.request("POST", "/echo", b"hi").expect("legacy echo");
-        assert_eq!(resp.status, 200, "unprefixed alias still served");
         let resp = client.request("GET", "/nope", b"").expect("miss");
         assert_eq!(resp.status, 404);
         let body = String::from_utf8(resp.body).expect("utf8");
         assert!(body.contains("\"code\":\"not_found\""), "{body}");
+
+        // Two pipelined requests in one write, then one a byte at a time:
+        // `read_head` takes exactly a head's bytes, so each body — and the
+        // request behind it — is still in the reader.
+        use std::io::Read;
+        let mut raw = TcpStream::connect(&addr).expect("connect");
+        let two = b"POST /v1/echo HTTP/1.1\r\ncontent-length: 3\r\n\r\nabc\
+                    POST /v1/echo HTTP/1.1\r\ncontent-length: 5\r\n\r\nhello";
+        raw.write_all(two).expect("write both");
+        for byte in
+            b"POST /v1/echo HTTP/1.1\r\ncontent-length: 7\r\nconnection: close\r\n\r\ndribble"
+        {
+            raw.write_all(std::slice::from_ref(byte)).expect("write one byte");
+        }
+        let mut answers = String::new();
+        raw.read_to_string(&mut answers).expect("read to the close");
+        let lens: Vec<&str> = answers.split("{\"len\":").skip(1).map(|a| &a[..1]).collect();
+        assert_eq!(lens, ["3", "5", "7"], "{answers}");
 
         stop.store(true, Ordering::SeqCst);
         drop(client);

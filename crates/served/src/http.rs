@@ -6,23 +6,23 @@
 //! surface is deliberately tiny and strict.
 //!
 //! The parser is split head/body so a server can route *before* buffering a
-//! body. The grammar lives in the sans-IO forms — [`parse_head`] and
-//! [`BodyDecoder`] consume from a caller-owned byte buffer, which is what
-//! the epoll reactor feeds from non-blocking reads: whole bodies for the
-//! plain endpoints, an uncapped incremental decode for `/annotate_stream`.
-//! The blocking readers ([`read_head`], [`read_body`]) that
-//! `doduo-balance`'s proxy and [`crate::handler::serve_blocking`] use pull
-//! from a `BufRead` and go through the same request-line/header functions
-//! and the same [`BodyDecoder`], so the hardening guarantees (smuggling
-//! rejections, size caps → HTTP 413, wall-clock deadlines → HTTP 408) hold
-//! identically on every transport.
+//! body. There is one grammar, sans-IO — [`parse_head`] and [`BodyDecoder`]
+//! consume from a caller-owned byte buffer — and two drivers of it: the
+//! epoll reactor feeds them from non-blocking reads (whole bodies for the
+//! plain endpoints, an uncapped incremental decode for
+//! `/v1/annotate_stream`), and the blocking readers ([`read_head`],
+//! [`read_body`]) that `doduo-balance`'s proxy and
+//! [`crate::handler::serve_blocking`] use feed them from a `BufRead`. The
+//! hardening guarantees (smuggling rejections, size caps → HTTP 413,
+//! wall-clock deadlines → HTTP 408, see [`ReadError::status`]) therefore
+//! hold identically on every transport.
 //!
 //! Every 4xx/5xx body uses one JSON error envelope (see
 //! [`error_envelope`]): `{"error": {"code", "message", "retry_after_ms"?}}`
 //! — shared verbatim by `doduo-balance`, so clients parse one shape no
 //! matter which tier rejected them.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -79,11 +79,16 @@ pub enum ReadError {
     Io(std::io::Error),
 }
 
-fn io_err(e: std::io::Error) -> ReadError {
-    match e.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => ReadError::TimedOut,
-        std::io::ErrorKind::UnexpectedEof => ReadError::Eof,
-        _ => ReadError::Io(e),
+impl ReadError {
+    /// The status and message that answer this failure, or `None` when no
+    /// answer is possible and the connection is just closed.
+    pub fn status(&self) -> Option<(u16, &str)> {
+        match self {
+            ReadError::Bad(msg) => Some((400, msg)),
+            ReadError::TooLarge(msg) => Some((413, msg)),
+            ReadError::TooSlow => Some((408, "request too slow")),
+            ReadError::Eof | ReadError::TimedOut | ReadError::Io(_) => None,
+        }
     }
 }
 
@@ -185,61 +190,46 @@ impl HeadBuilder {
     }
 }
 
-/// Reads one request head. With a read timeout set on the underlying
-/// socket, returns [`ReadError::TimedOut`] when the peer is idle *before
-/// the first byte* so callers can poll a shutdown flag between requests; a
-/// timeout after partial data is fatal for the connection. `deadline`
-/// bounds the total wall time the head may take once its first byte has
-/// arrived.
+/// Reads one request head: [`parse_head`] over bytes pulled from `reader`,
+/// consuming exactly the head (body bytes and pipelined requests stay
+/// buffered). With a read timeout set on the underlying socket, returns
+/// [`ReadError::TimedOut`] when the peer is idle *before the first byte* so
+/// callers can poll a shutdown flag between requests; a timeout after
+/// partial data is fatal for the connection (the bytes are consumed), so it
+/// surfaces as an I/O error. `deadline` bounds the total wall time the head
+/// may take once its first byte has arrived.
 pub fn read_head(reader: &mut impl BufRead, deadline: Instant) -> Result<Head, ReadError> {
-    let mut line = String::new();
-    let mut head_bytes = 0usize;
-    let n = match read_line_capped(reader, &mut line, &mut head_bytes, deadline) {
-        Ok(n) => n,
-        // A timeout before any byte of the request line is an idle
-        // keep-alive connection — retryable. A timeout after partial data
-        // is not (the bytes are consumed), so surface it as an I/O error
-        // and let the caller close the connection.
-        Err(ReadError::TimedOut) if !line.is_empty() => {
-            return Err(ReadError::Io(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "timed out mid-request",
-            )))
-        }
-        Err(e) => return Err(e),
-    };
-    if n == 0 {
-        return Err(ReadError::Eof);
-    }
-    let mut head = HeadBuilder::from_request_line(&line)?;
-
-    // From here on a timeout is always mid-request: fatal for the
-    // connection, never retryable.
-    let fatal_timeout = |e: ReadError| match e {
-        ReadError::TimedOut => ReadError::Io(std::io::Error::new(
-            std::io::ErrorKind::TimedOut,
-            "timed out mid-request",
-        )),
-        other => other,
-    };
+    let mut buf: Vec<u8> = Vec::new();
     loop {
-        line.clear();
-        read_line_capped(reader, &mut line, &mut head_bytes, deadline).map_err(&fatal_timeout)?;
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() {
-            break;
+        let fresh = match reader.fill_buf() {
+            Ok([]) => return Err(ReadError::Eof),
+            Ok(fresh) => fresh,
+            Err(e)
+                if buf.is_empty()
+                    && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+            {
+                return Err(ReadError::TimedOut)
+            }
+            Err(e) => return Err(ReadError::Io(e)),
+        };
+        let (before, n) = (buf.len(), fresh.len());
+        buf.extend_from_slice(fresh);
+        let parsed = parse_head(&buf)?;
+        reader.consume(parsed.as_ref().map_or(n, |(_, end)| end - before));
+        if Instant::now() > deadline {
+            return Err(ReadError::TooSlow);
         }
-        head.apply_header(trimmed)?;
+        if let Some((head, _)) = parsed {
+            return Ok(head);
+        }
     }
-    Ok(head.finish())
 }
 
-/// Sans-IO form of [`read_head`]: parses one request head from the front of
-/// `buf` (bytes accumulated by a non-blocking reader). Returns
-/// `Ok(Some((head, consumed)))` when a complete head is present,
-/// `Ok(None)` when more bytes are needed, and the same [`ReadError::Bad`] /
-/// [`ReadError::TooLarge`] classifications as the blocking reader —
-/// including the incremental [`MAX_HEAD_BYTES`] cap, which fires even
+/// The request-head grammar, sans-IO: parses one head from the front of
+/// `buf` (bytes accumulated by the caller's reads). Returns
+/// `Ok(Some((head, consumed)))` when a complete head is present, `Ok(None)`
+/// when more bytes are needed, [`ReadError::Bad`] for a malformed one and
+/// [`ReadError::TooLarge`] past [`MAX_HEAD_BYTES`] — a cap that fires even
 /// before the head terminator arrives.
 pub fn parse_head(buf: &[u8]) -> Result<Option<(Head, usize)>, ReadError> {
     // Find the blank line ending the head: the first "\n" followed by an
@@ -467,61 +457,6 @@ impl BodyDecoder {
     }
 }
 
-/// `read_line` with the head cap enforced *incrementally*: a peer that
-/// streams an endless header line without `\n` is cut off at
-/// [`MAX_HEAD_BYTES`] instead of buffering unbounded memory. On timeout,
-/// bytes consumed so far are preserved in `line` so the caller can tell an
-/// idle connection (empty) from a stalled mid-request one. `deadline`
-/// bounds total wall time across reads.
-fn read_line_capped(
-    reader: &mut impl BufRead,
-    line: &mut String,
-    head_bytes: &mut usize,
-    deadline: Instant,
-) -> Result<usize, ReadError> {
-    let mut bytes: Vec<u8> = Vec::new();
-    let total = loop {
-        let (used, done) = {
-            let buf = match reader.fill_buf() {
-                Ok(b) => b,
-                Err(e) => {
-                    line.push_str(&String::from_utf8_lossy(&bytes));
-                    return Err(io_err(e));
-                }
-            };
-            if buf.is_empty() {
-                break bytes.len(); // EOF
-            }
-            match buf.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    bytes.extend_from_slice(&buf[..=pos]);
-                    (pos + 1, true)
-                }
-                None => {
-                    bytes.extend_from_slice(buf);
-                    (buf.len(), false)
-                }
-            }
-        };
-        reader.consume(used);
-        *head_bytes += used;
-        if *head_bytes > MAX_HEAD_BYTES {
-            return Err(ReadError::TooLarge("request head too large".into()));
-        }
-        if Instant::now() > deadline {
-            return Err(ReadError::TooSlow);
-        }
-        if done {
-            break bytes.len();
-        }
-    };
-    line.push_str(
-        std::str::from_utf8(&bytes)
-            .map_err(|_| ReadError::Bad("request head is not valid UTF-8".into()))?,
-    );
-    Ok(total)
-}
-
 /// The canonical reason phrase for the status codes this workspace emits.
 pub fn reason_for(status: u16) -> &'static str {
     match status {
@@ -632,6 +567,16 @@ pub fn write_error(
     write_response(stream, status, reason, "application/json", &body, keep_alive)
 }
 
+/// Answers a request that could not be read with the envelope for
+/// [`ReadError::status`]; writes nothing when there is none. Either way the
+/// caller closes the connection.
+pub fn write_read_error(stream: &mut impl Write, err: &ReadError) -> std::io::Result<()> {
+    match err.status() {
+        Some((status, msg)) => write_error(stream, status, reason_for(status), msg, false),
+        None => Ok(()),
+    }
+}
+
 /// The daemon's standard backpressure response: `503 Service Unavailable`
 /// with a `Retry-After` header plus the matching `retry_after_ms`
 /// envelope field, so well-behaved clients (the balancer, the
@@ -725,9 +670,6 @@ pub struct Response {
     /// `"{version}-{crc:08x}"` label of the model that produced this
     /// response.
     pub model_version: Option<String>,
-    /// True when the response carried a `Deprecation` header (the request
-    /// used a legacy unprefixed route).
-    pub deprecated: bool,
 }
 
 /// Parsed response head fields [`Client::read_response_head`] extracts.
@@ -738,7 +680,6 @@ struct RespHead {
     chunked: bool,
     retry_after: Option<u64>,
     model_version: Option<String>,
-    deprecated: bool,
 }
 
 impl Client {
@@ -771,7 +712,6 @@ impl Client {
             body,
             retry_after: head.retry_after,
             model_version: head.model_version,
-            deprecated: head.deprecated,
         })
     }
 
@@ -810,8 +750,6 @@ impl Client {
                         head.retry_after = value.trim().parse().ok();
                     } else if name.eq_ignore_ascii_case("x-model-version") {
                         head.model_version = Some(value.trim().to_string());
-                    } else if name.eq_ignore_ascii_case("deprecation") {
-                        head.deprecated = true;
                     }
                 }
             }
@@ -822,7 +760,7 @@ impl Client {
         Ok(head)
     }
 
-    /// Opens a chunked-upload request (e.g. to `/annotate_stream`). Send
+    /// Opens a chunked-upload request (e.g. to `/v1/annotate_stream`). Send
     /// body pieces with [`Client::stream_send`], end the upload with
     /// [`Client::stream_finish`], and read results with
     /// [`Client::stream_status`] / [`Client::stream_next_line`] — reading

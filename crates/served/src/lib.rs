@@ -18,14 +18,15 @@
 //!
 //! Connections are served by an **epoll reactor**: one thread owns the
 //! listener and every parked keep-alive connection, drives per-connection
-//! state machines off readiness events, and submits `/annotate` work to
-//! the batching queue itself (an `eventfd` wakes it when the dispatcher
-//! has a response ready); requests that may block go to a small set of
-//! worker threads. `POST /annotate_stream` adds a streaming multi-table
-//! mode — a chunked upload of table objects answered by a chunked NDJSON
-//! stream of per-table results, each emitted as its micro-batch flushes
-//! and each byte-identical to the single-table `/annotate` response —
-//! served full duplex on the same reactor, as one more connection state.
+//! state machines off readiness events, and submits `/v1/annotate` work
+//! to the batching queue itself (an `eventfd` wakes it when the dispatcher
+//! has a response ready); the one request that may block, a `/v1/model`
+//! upload, goes to a loader thread. `POST /v1/annotate_stream` adds a
+//! streaming multi-table mode — a chunked upload of table objects answered
+//! by a chunked NDJSON stream of per-table results, each emitted as its
+//! micro-batch flushes and each byte-identical to the single-table
+//! `/v1/annotate` response — served full duplex on the same reactor, as
+//! one more connection state.
 //!
 //! Everything is hand-rolled on `std` (TCP, HTTP, JSON, threads): the
 //! workspace is offline-only by policy, and the daemon inherits that.
@@ -35,9 +36,9 @@
 //! * [`http`] — minimal HTTP/1.1 request/response with chunked framing
 //!   (one sans-IO grammar, blocking readers over it), the unified error
 //!   envelope, plus a tiny blocking client for tests and load benches.
-//! * [`handler`] — the transport-independent [`Handler`]
-//!   trait and `/v1` path canonicalization shared by the daemon and by
-//!   `doduo-balance`'s test backends.
+//! * [`handler`] — the transport-independent request / response types,
+//!   and the [`Handler`] trait + blocking server `doduo-balance`'s test
+//!   backends run on.
 //! * [`reactor`] — the epoll event loop: the connection state machine
 //!   (streams included), timer wheel, eventfd completion routing.
 //! * [`queue`] — the deterministic batching core and its `Condvar` wrapper.
@@ -45,8 +46,8 @@
 //!   hot-swap (`POST /v1/model`), per-response `x-model-version`
 //!   attribution, and the bounded feedback journal behind the opt-in
 //!   fine-tune loop (`POST /v1/feedback`, `--feedback-finetune`).
-//! * [`stats`] — latency percentiles and aggregate counters (`/stats`).
-//! * [`server`] — reactor wiring, request workers, dispatcher, the
+//! * [`stats`] — latency percentiles and aggregate counters (`/v1/stats`).
+//! * [`server`] — reactor wiring, routes, dispatcher, model loader, the
 //!   socket-free stream session, graceful shutdown.
 //! * [`bootstrap`] — the deterministic synthetic serving world shared by
 //!   the daemon's `--synthetic` mode, the `serve_load` bench, and CI.
@@ -60,9 +61,8 @@
 //! Endpoints are mounted under `/v1` (`POST /v1/annotate`, `POST
 //! /v1/annotate_stream`, `POST /v1/model` (hot-swap upload), `POST
 //! /v1/feedback` (corrected labels), `GET /v1/healthz` (liveness), `GET
-//! /v1/readyz` (readiness), `GET /v1/stats`, `POST /v1/shutdown`); the
-//! legacy unprefixed paths remain as deprecated aliases and answer with a
-//! `Deprecation: true` header.
+//! /v1/readyz` (readiness), `GET /v1/stats`, `POST /v1/shutdown`); any
+//! other path answers `404`.
 #![warn(missing_docs)]
 
 pub mod bootstrap;
@@ -78,7 +78,7 @@ pub mod server;
 pub mod stats;
 pub mod validate;
 
-pub use handler::{canonical_path, Handler, HttpRequest, HttpResponse};
+pub use handler::{Handler, HttpRequest, HttpResponse};
 pub use lifecycle::{EngineSlot, FeedbackJournal, Lifecycle, VersionedEngine};
 pub use queue::{BatchPolicy, Batcher, FlushReason, PushRejected, SharedBatcher};
 pub use server::{ServeConfig, Server, ServerHandle};

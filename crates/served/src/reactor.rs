@@ -18,10 +18,12 @@
 //!
 //! The reactor never computes responses for work that can block: a fully
 //! parsed request is handed to the [`Driver`], which either answers
-//! immediately (`GET` endpoints, errors) or queues it for worker threads.
-//! Workers never touch sockets — they push a [`Completion`] into the
-//! [`Router`] and signal its `eventfd`, which wakes the reactor to write
-//! the bytes out.
+//! immediately (queue-free endpoints, errors) or queues it for another
+//! thread (the dispatcher's engine callback, the model loader). Those never
+//! touch sockets — they push a [`Completion`] into the [`Router`] and signal
+//! its `eventfd`, which wakes the reactor to write the bytes out. A
+//! completion may carry a not-before instant (a chaos delay): the reactor
+//! parks it on its `Dispatched` connection and a wheel timer writes it.
 //!
 //! A request whose head the driver claims ([`Driver::open_stream`]) is
 //! answered at once with a chunked `200` head and goes full duplex in
@@ -59,7 +61,7 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 
 /// A connection ticket: `slot | generation << 32`. Valid only until the
-/// connection transitions state; the [`Router`] uses it to route worker
+/// connection transitions state; the [`Router`] uses it to route
 /// completions back to the right connection (or drop them if it died).
 pub type Ticket = u64;
 
@@ -106,7 +108,7 @@ impl Source for std::os::unix::net::UnixStream {
 pub enum Dispatch {
     /// Answer now (the driver computed the response without blocking).
     Respond(HttpResponse),
-    /// The request was handed to worker threads; a [`Completion`] carrying
+    /// The request was queued for another thread; a [`Completion`] carrying
     /// this connection's [`Ticket`] will arrive through the [`Router`].
     Queued,
 }
@@ -189,8 +191,8 @@ pub struct ReactorConfig {
     pub request_deadline: Duration,
     /// How long a keep-alive connection may sit idle between requests.
     pub idle_timeout: Duration,
-    /// Backstop for a queued request whose completion never arrives; the
-    /// worker's own timeout should fire first and answer `500`.
+    /// Backstop for a queued request whose completion never arrives (or is
+    /// held back for longer than this): the connection is closed.
     pub dispatch_timeout: Duration,
     /// Budget for draining a response (a stream's outbox: from when the
     /// socket first pushes back) to a slow-reading client.
@@ -319,16 +321,17 @@ impl TimerWheel {
 /// Finished work addressed to a connection by the [`Ticket`] handed to
 /// [`Driver::dispatch`] or [`Driver::open_stream`].
 pub enum Completion {
-    /// A dispatched request's response, to render and write.
-    Response(Ticket, HttpResponse),
+    /// A dispatched request's response, to render and write — held back
+    /// until the instant, if one is given.
+    Response(Ticket, HttpResponse, Option<Instant>),
     /// One table of an open stream: its position in the stream and its
     /// rendered result line.
     Line(Ticket, usize, String),
 }
 
-/// The worker→reactor completion queue: a mutexed vector plus an
-/// `eventfd` that wakes the reactor out of `epoll_wait`. Cloned into every
-/// worker thread via `Arc`.
+/// The completion queue into the reactor: a mutexed vector plus an
+/// `eventfd` that wakes the reactor out of `epoll_wait`. Shared via `Arc`
+/// with every thread that finishes queued work.
 pub struct Router {
     done: Mutex<Vec<Completion>>,
     wake: EventFd,
@@ -340,9 +343,10 @@ impl Router {
         Ok(Router { done: Mutex::new(Vec::new()), wake: EventFd::new()? })
     }
 
-    /// Delivers a worker's response and wakes the reactor.
-    pub fn complete(&self, ticket: Ticket, resp: HttpResponse) {
-        self.push(Completion::Response(ticket, resp));
+    /// Delivers a queued request's response and wakes the reactor, which
+    /// writes it at once, or no earlier than `not_before`.
+    pub fn complete(&self, ticket: Ticket, resp: HttpResponse, not_before: Option<Instant>) {
+        self.push(Completion::Response(ticket, resp, not_before));
     }
 
     /// Delivers one finished table of the stream opened under `ticket`. A
@@ -387,8 +391,9 @@ enum ConnState<T> {
     Idle,
     /// A request's first byte has arrived; head/body parsing in progress.
     Reading,
-    /// Request handed to workers; socket reads are paused.
-    Dispatched,
+    /// Request queued elsewhere; socket reads are paused. Holds a
+    /// completion that arrived ahead of its not-before instant.
+    Dispatched(Option<(Instant, HttpResponse)>),
     /// An open stream: body bytes in, response chunks out, on one socket.
     Streaming(OpenStream<T>),
     /// Response bytes draining from the outbox.
@@ -492,7 +497,7 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
         })
     }
 
-    /// The completion queue to hand to worker threads.
+    /// The completion queue to hand to the threads that finish queued work.
     pub fn router(&self) -> Arc<Router> {
         Arc::clone(&self.router)
     }
@@ -838,16 +843,12 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
     /// one is still possible) and close after draining.
     fn fail_request(&mut self, slot: usize, err: &ReadError) {
         self.driver.on_request_error();
-        let resp = match err {
-            ReadError::Bad(msg) => HttpResponse::error(400, msg),
-            ReadError::TooLarge(msg) => HttpResponse::error(413, msg),
-            ReadError::TooSlow => HttpResponse::error(408, "request too slow"),
-            _ => {
-                self.close(slot, false);
-                return;
+        match err.status() {
+            Some((status, msg)) => {
+                self.queue_response(slot, &HttpResponse::error(status, msg), false)
             }
-        };
-        self.queue_response(slot, &resp, false);
+            None => self.close(slot, false),
+        }
     }
 
     /// Hands the buffered request to the driver and transitions by its
@@ -866,7 +867,7 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
         // Move to Dispatched *before* calling out so the ticket the driver
         // sees stays valid until the completion (or an immediate answer)
         // arrives.
-        conn.state = ConnState::Dispatched;
+        conn.state = ConnState::Dispatched(None);
         self.bump_gen(slot);
         self.arm(slot, self.cfg.dispatch_timeout);
         let ticket = self.token(slot);
@@ -973,21 +974,29 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
                 let interest = if open.wants_body { EPOLLIN } else { 0 };
                 self.set_interest(slot, interest);
             }
-            ConnState::Dispatched => {}
+            ConnState::Dispatched(_) => {}
         }
     }
 
-    /// Routes queued worker completions to their connections.
+    /// Routes queued completions to their connections.
     fn drain_completions(&mut self) {
         for done in self.router.drain() {
-            let (Completion::Response(ticket, _) | Completion::Line(ticket, ..)) = done;
+            let (Completion::Response(ticket, ..) | Completion::Line(ticket, ..)) = done;
             let slot = ticket_slot(ticket);
             if slot >= self.conns.len() || self.gens[slot] != ticket_gen(ticket) {
-                continue; // connection (or stream) ended while the worker ran
+                continue; // connection (or stream) ended while the work ran
             }
             let Some(conn) = self.conns[slot].as_mut() else { continue };
             match (done, &mut conn.state) {
-                (Completion::Response(_, resp), _) => {
+                // Ahead of its not-before: parked until the timer armed
+                // here fires (the ticket is the connection's timer token).
+                (Completion::Response(_, resp, Some(at)), ConnState::Dispatched(held))
+                    if at > Instant::now() =>
+                {
+                    *held = Some((at, resp));
+                    self.wheel.insert(at, ticket);
+                }
+                (Completion::Response(_, resp, _), _) => {
                     let keep = conn.req_keep_alive;
                     self.queue_response(slot, &resp, keep);
                 }
@@ -1090,6 +1099,14 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
             }
             open.timer_at = None;
             return self.stream_timer(slot);
+        }
+        if let ConnState::Dispatched(held) = &mut conn.state {
+            // A held completion whose instant has come is written; any
+            // other expiry here is the dispatch backstop's.
+            if let Some((_, resp)) = held.take_if(|(at, _)| Instant::now() >= *at) {
+                let keep = conn.req_keep_alive;
+                return self.queue_response(slot, &resp, keep);
+            }
         }
         let reading = matches!(conn.state, ConnState::Reading);
         // A dribbling client (bytes within the grace window) earns the
@@ -1327,6 +1344,17 @@ mod tests {
 
     const SEC: Duration = Duration::from_secs(5);
 
+    /// Queues one request on a fresh connection and returns its peer end
+    /// and ticket (the `n`th the driver has recorded).
+    fn queued_request(r: &mut Reactor<UnixStream, TestDriver>, n: usize) -> (UnixStream, Ticket) {
+        let (a, b) = UnixStream::pair().expect("pair");
+        r.insert(a).expect("insert");
+        (&b).write_all(&request("POST", "/v1/annotate", b"{}")).expect("write");
+        drive_with(r, SEC, |r| r.driver().tickets.lock().expect("tickets").len() > n);
+        let ticket = r.driver().tickets.lock().expect("tickets")[n];
+        (b, ticket)
+    }
+
     // ------------------------------------------------------- timer wheel
 
     #[test]
@@ -1444,20 +1472,9 @@ mod tests {
     fn queued_completion_routes_back_to_its_connection() {
         let mut r = reactor(quick_cfg(), Mode::Queue);
         let router = r.router();
-        let (a, b) = UnixStream::pair().expect("pair");
-        r.insert(a).expect("insert");
-        (&b).write_all(&request("POST", "/annotate", b"{}")).expect("write");
+        let (b, ticket) = queued_request(&mut r, 0);
 
-        let end = Instant::now() + SEC;
-        let ticket = loop {
-            if let Some(t) = r.driver().tickets.lock().expect("tickets").first().copied() {
-                break t;
-            }
-            assert!(Instant::now() < end, "request never dispatched");
-            r.turn(Duration::from_millis(2)).expect("turn");
-        };
-
-        router.complete(ticket, HttpResponse::json(200, "{\"done\":true}\n"));
+        router.complete(ticket, HttpResponse::json(200, "{\"done\":true}\n"), None);
         let mut buf = Vec::new();
         drive_until(&mut r, SEC, || {
             read_available(&b, &mut buf);
@@ -1480,22 +1497,11 @@ mod tests {
         };
         let mut r = reactor(cfg, Mode::Queue);
         let router = r.router();
-        let (a, b) = UnixStream::pair().expect("pair");
-        r.insert(a).expect("insert");
-        (&b).write_all(&request("POST", "/annotate", b"{}")).expect("write");
-
-        let end = Instant::now() + SEC;
-        let ticket = loop {
-            if let Some(t) = r.driver().tickets.lock().expect("tickets").first().copied() {
-                break t;
-            }
-            assert!(Instant::now() < end, "request never dispatched");
-            r.turn(Duration::from_millis(2)).expect("turn");
-        };
+        let (b, ticket) = queued_request(&mut r, 0);
         drive_until_empty(&mut r, SEC);
 
         // The worker answers a connection that no longer exists.
-        router.complete(ticket, HttpResponse::json(200, "{\"late\":true}\n"));
+        router.complete(ticket, HttpResponse::json(200, "{\"late\":true}\n"), None);
         let deadline = Instant::now() + Duration::from_millis(50);
         while Instant::now() < deadline {
             r.turn(Duration::from_millis(2)).expect("turn");
@@ -1504,6 +1510,73 @@ mod tests {
         assert!(read_available(&b, &mut buf), "peer sees EOF");
         assert!(buf.is_empty(), "nothing written for the dead connection");
         assert_eq!(r.connections(), 0);
+    }
+
+    #[test]
+    fn held_completion_is_written_by_its_timer_and_blocks_nobody() {
+        let tick = Duration::from_millis(50);
+        let cfg = ReactorConfig { timer_granularity: tick, ..ReactorConfig::default() };
+        let mut r = reactor(cfg, Mode::Queue);
+        let router = r.router();
+        let (held_peer, held) = queued_request(&mut r, 0);
+        let not_before = Instant::now() + 3 * tick;
+        router.complete(held, HttpResponse::json(200, "{\"held\":true}\n"), Some(not_before));
+
+        // While it is held, another connection is served start to finish.
+        let (other_peer, other) = queued_request(&mut r, 1);
+        router.complete(other, HttpResponse::json(200, "{\"other\":true}\n"), None);
+        let (mut held_buf, mut other_buf) = (Vec::new(), Vec::new());
+        drive_until(&mut r, SEC, || {
+            read_available(&other_peer, &mut other_buf);
+            response_complete(&other_buf)
+        });
+        assert!(Instant::now() < not_before, "the second request was answered within the hold");
+        read_available(&held_peer, &mut held_buf);
+        assert!(held_buf.is_empty(), "nothing on the wire before the not-before");
+
+        let mut first_byte = None;
+        drive_until(&mut r, SEC, || {
+            read_available(&held_peer, &mut held_buf);
+            first_byte = first_byte.or((!held_buf.is_empty()).then(Instant::now));
+            response_complete(&held_buf)
+        });
+        assert!(first_byte.expect("written") >= not_before, "a timer never fires early");
+        assert!(String::from_utf8_lossy(&held_buf).contains("\"held\":true"));
+        assert_eq!(r.connections(), 2, "both connections parked for keep-alive");
+
+        // A not-before already in the past is no hold at all.
+        let (late_peer, late) = queued_request(&mut r, 2);
+        router.complete(late, HttpResponse::json(200, "{\"late\":true}\n"), Some(not_before));
+        r.turn(Duration::from_millis(2)).expect("turn");
+        let mut late_buf = Vec::new();
+        read_available(&late_peer, &mut late_buf);
+        assert!(response_complete(&late_buf), "written in the turn that drained it");
+    }
+
+    #[test]
+    fn held_completion_for_a_reaped_connection_is_dropped() {
+        let tick = Duration::from_millis(5);
+        let cfg = ReactorConfig { timer_granularity: tick, ..ReactorConfig::default() };
+        let mut r = reactor(cfg, Mode::Queue);
+        let router = r.router();
+        let (peer, ticket) = queued_request(&mut r, 0);
+        let not_before = Instant::now() + 4 * tick;
+        router.complete(ticket, HttpResponse::json(200, "{\"held\":true}\n"), Some(not_before));
+        r.turn(Duration::from_millis(2)).expect("turn");
+
+        // The client goes away while its response is held; its slot gets a
+        // new tenant before the hold's timer fires.
+        drop(peer);
+        drive_until_empty(&mut r, SEC);
+        let (a2, b2) = UnixStream::pair().expect("pair");
+        r.insert(a2).expect("insert");
+        while Instant::now() < not_before + 4 * tick {
+            r.turn(Duration::from_millis(2)).expect("turn");
+        }
+        let mut stray = Vec::new();
+        assert!(!read_available(&b2, &mut stray), "the slot's new tenant stays open");
+        assert!(stray.is_empty(), "and was sent nothing: {stray:?}");
+        assert_eq!(r.connections(), 1);
     }
 
     #[test]

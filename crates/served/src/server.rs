@@ -7,34 +7,35 @@
 //! ```text
 //! reactor × 1 (caller's thread, epoll)   owns the listener and every
 //!   │        connection, streams included; parses requests sans-IO as
-//!   │        bytes arrive; quick GET endpoints answered inline; /annotate
-//!   │        and each /annotate_stream table decoded, tokenized (cache)
-//!   │        and pushed to the batching queue right here
+//!   │        bytes arrive; queue-free endpoints (/v1/feedback included)
+//!   │        answered inline; /v1/annotate and each /v1/annotate_stream
+//!   │        table decoded, tokenized (cache) and pushed to the batching
+//!   │        queue right here
 //!   ├── dispatcher × 1       wait for budget/deadline → flatten jobs
 //!   │        → annotate_groups_each (fans micro-batches across engine
-//!   │          threads) → the engine callback renders each /annotate
+//!   │          threads) → the engine callback renders each /v1/annotate
 //!   │          response when its last table completes, and each stream
 //!   │          table's line as it completes, and routes it back (eventfd
 //!   │          wakes the reactor to write)
-//!   └── request worker × W   what may block, none of it owning a socket:
-//!            /v1/model, /v1/feedback, and /annotate on a chaos-configured
-//!            daemon
+//!   └── loader × 1           /v1/model only: strict-loads an uploaded
+//!            checkpoint and builds its engine, one upload at a time, and
+//!            routes the answer back like the dispatcher does
 //! ```
 //!
 //! The reactor never blocks on the engine and no other thread touches a
 //! socket. Tokenizing before the queue push keeps the dispatcher's serial
 //! section to the packed forward passes. All threads are scoped:
-//! [`Server::run`] returns only after every worker and the dispatcher have
+//! [`Server::run`] returns only after the loader and the dispatcher have
 //! exited, so shutdown is a real barrier — in-flight requests get answers,
 //! queued jobs get drained, and the process can exit 0.
 //!
 //! ## Streaming
 //!
-//! `POST /annotate_stream` reads a chunked (or length-framed) body carrying
+//! `POST /v1/annotate_stream` reads a chunked (or length-framed) body carrying
 //! a whitespace-separated sequence of table JSON objects and writes back a
 //! chunked NDJSON response: one annotation object per table, in input
 //! order, each emitted as soon as its micro-batch flushes. Every result
-//! line is byte-identical to the single-table `/annotate` (and offline
+//! line is byte-identical to the single-table `/v1/annotate` (and offline
 //! `--oneshot`) body for the same table. A stream is a state of its
 //! reactor connection; `StreamSession` is the socket-free half that
 //! splits documents, submits tables under backpressure and orders results.
@@ -50,14 +51,14 @@
 //!
 //! ## Shutdown
 //!
-//! `POST /shutdown` (or [`ServerHandle::shutdown`]) sets one atomic flag.
-//! The reactor stops accepting and drains — open streams are told, flush
-//! what they had submitted and end in-band; the dispatcher drains what is
-//! queued, answers it, and exits; the workers exit when the reactor (and
-//! with it their work queue's sender) is gone.
+//! `POST /v1/shutdown` (or [`ServerHandle::shutdown`]) sets one atomic
+//! flag. The reactor stops accepting and drains — open streams are told,
+//! flush what they had submitted and end in-band; the dispatcher drains what
+//! is queued, answers it, and exits; the loader exits when the reactor (and
+//! with it the upload queue's sender) is gone.
 
 use crate::chaos::{ChaosConfig, ChaosPlan, ChaosState};
-use crate::handler::{canonical_path, Handler, HttpRequest, HttpResponse};
+use crate::handler::{HttpRequest, HttpResponse};
 use crate::http::{
     error_envelope, write_chunk, write_last_chunk, write_unavailable, BodyFraming, Head,
     MAX_BODY_BYTES,
@@ -102,10 +103,6 @@ pub struct ServeConfig {
     pub engine: BatchConfig,
     /// Maximum concurrent connections; beyond it new ones get 503+close.
     pub max_connections: usize,
-    /// Request worker threads: they serve what may block (`/v1/model`,
-    /// `/v1/feedback`, chaos runs). At least one — [`Server::bind`]
-    /// rejects `0`.
-    pub workers: usize,
     /// Wall-clock bound on reading one request (head + body) once its
     /// first byte has arrived; a slower client gets 408 and is closed so
     /// it cannot hold a connection slot.
@@ -114,7 +111,10 @@ pub struct ServeConfig {
     /// completed document, an accepted push or an emitted line.
     pub stream_idle_timeout: Duration,
     /// Deterministic fault injection (`--chaos`), for exercising the
-    /// replicated-serving failure paths. `None` in production.
+    /// replicated-serving failure paths. `None` in production. One plan is
+    /// drawn per `/v1/annotate`, on the reactor thread, in arrival order; a
+    /// delayed response waits on the reactor's timer wheel, so a delay
+    /// holds its own connection and no thread.
     ///
     /// **Crash faults call `std::process::exit`** — only enable
     /// `crash_after` on a daemon running in its own process (the
@@ -135,7 +135,6 @@ impl Default for ServeConfig {
             policy: BatchPolicy::default(),
             engine: BatchConfig::default(),
             max_connections: 1024,
-            workers: 16,
             request_deadline: Duration::from_secs(10),
             stream_idle_timeout: Duration::from_secs(30),
             chaos: None,
@@ -146,9 +145,6 @@ impl Default for ServeConfig {
 
 /// How a queued job's annotations are delivered.
 enum Reply {
-    /// One send with every table of the request, in request order
-    /// (`/annotate` on a blocking worker thread — chaos daemons only).
-    Batch(mpsc::Sender<Vec<TableAnnotation>>),
     /// This job's single table, rendered as its stream's result line and
     /// routed to its connection as soon as its micro-batch completes.
     Stream {
@@ -160,9 +156,8 @@ enum Reply {
         router: Arc<Router>,
     },
     /// The rendered 200 response routed straight back to the reactor when
-    /// the job's last table completes (`/annotate` — nothing blocks
-    /// waiting, so in-flight requests are bounded by connections, not
-    /// worker count).
+    /// the job's last table completes (`/v1/annotate` — nothing blocks
+    /// waiting, so in-flight requests are bounded by connections).
     Reactor {
         /// The reactor connection awaiting this response.
         ticket: Ticket,
@@ -174,9 +169,9 @@ enum Reply {
         t0: Instant,
         /// `(tables, seqs, tokens)` recorded with the completion.
         counts: (u64, u64, u64),
-        /// The request arrived on a deprecated unprefixed route; the
-        /// dispatcher-rendered response carries the `Deprecation` header.
-        legacy: bool,
+        /// The request's injected faults: `reset` tears the rendered
+        /// response, `delay` holds it back (`crash` fired before the push).
+        chaos: Option<ChaosPlan>,
     },
 }
 
@@ -255,16 +250,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener. Serving starts with [`Server::run`]. Zero
-    /// workers is `InvalidInput`: `/v1/model`, `/v1/feedback` and chaos
-    /// requests would be accepted and never served.
+    /// Binds the listener. Serving starts with [`Server::run`].
     pub fn bind(cfg: ServeConfig) -> std::io::Result<Server> {
-        if cfg.workers == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "workers must be at least 1",
-            ));
-        }
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -272,7 +259,7 @@ impl Server {
             ready: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
             queue: SharedBatcher::new(cfg.policy.clone()),
-            stats: ServerStats::with_workers(cfg.workers),
+            stats: ServerStats::default(),
             started: Instant::now(),
             chaos: cfg.chaos.clone().map(ChaosState::new),
             waker: Mutex::new(None),
@@ -290,7 +277,7 @@ impl Server {
         ServerHandle { shared: Arc::clone(&self.shared) }
     }
 
-    /// Serves until shutdown. Blocks the calling thread; all worker threads
+    /// Serves until shutdown. Blocks the calling thread; the other threads
     /// are scoped inside, so when this returns the daemon is fully stopped.
     ///
     /// `bundle` becomes model version 1; `POST /v1/model` hot-swaps later
@@ -309,30 +296,23 @@ impl Server {
             if cfg.feedback_finetune {
                 scope.spawn(move || finetune_loop(shared, lifecycle));
             }
-            let (work_tx, work_rx) = mpsc::channel::<Work>();
-            let work_rx = Arc::new(Mutex::new(work_rx));
-            let driver =
-                EpollDriver { listener: &self.listener, shared, lifecycle, cfg, work: work_tx };
+            let (uploads, upload_rx) = mpsc::channel::<Upload>();
+            let driver = EpollDriver { listener: &self.listener, shared, lifecycle, cfg, uploads };
             let rcfg =
                 ReactorConfig { request_deadline: cfg.request_deadline, ..Default::default() };
             let mut reactor = Reactor::new(rcfg, driver).expect("epoll reactor setup");
             reactor.set_listener(self.listener.as_raw_fd()).expect("register listener");
             let router = reactor.router();
             *shared.waker.lock().expect("waker lock") = Some(Arc::clone(&router));
-            for w in 0..cfg.workers {
-                let work_rx = Arc::clone(&work_rx);
-                let router = Arc::clone(&router);
-                scope
-                    .spawn(move || epoll_worker_loop(shared, lifecycle, cfg, &work_rx, &router, w));
-            }
+            scope.spawn(move || loader_loop(shared, lifecycle, &upload_rx, &router));
             if let Err(e) = reactor.run(&shared.shutdown, Duration::from_secs(5)) {
                 eprintln!("[served] reactor error: {e}");
                 shared.request_shutdown();
             }
             *shared.waker.lock().expect("waker lock") = None;
             shared.queue.notify();
-            // The reactor owns the driver and with it the work queue's only
-            // sender: dropping it disconnects the workers' blocking `recv`.
+            // The reactor owns the driver and with it the upload queue's only
+            // sender: dropping it ends the loader's blocking `recv`.
             drop(reactor);
         });
     }
@@ -340,9 +320,9 @@ impl Server {
 
 // ----------------------------------------------------------- epoll driver
 
-/// A fully parsed request for a worker thread to answer through the
-/// [`Handler`] core, and the connection waiting for it.
-type Work = (Ticket, HttpRequest);
+/// A `POST /v1/model` body for the loader thread, and the connection
+/// waiting for its answer.
+type Upload = (Ticket, Vec<u8>);
 
 /// The [`Driver`] wiring the reactor into the daemon: accept + admission
 /// control, `/v1` routing, stream sessions, and stats.
@@ -351,7 +331,7 @@ struct EpollDriver<'s> {
     shared: &'s Shared,
     lifecycle: &'s Lifecycle,
     cfg: &'s ServeConfig,
-    work: mpsc::Sender<Work>,
+    uploads: mpsc::Sender<Upload>,
 }
 
 impl<'s> Driver<TcpStream> for EpollDriver<'s> {
@@ -397,27 +377,20 @@ impl<'s> Driver<TcpStream> for EpollDriver<'s> {
         // A stream head with no body framing is an ordinary (and bad)
         // request: `dispatch` answers it 400.
         if head.method != "POST"
-            || canonical_path(&head.path) != "/annotate_stream"
+            || head.path != "/v1/annotate_stream"
             || head.framing == BodyFraming::None
         {
             return None;
         }
-        let stats = &self.shared.stats;
         if prior_requests > 0 {
-            stats.keepalive_reused.fetch_add(1, Ordering::Relaxed);
+            self.shared.stats.keepalive_reused.fetch_add(1, Ordering::Relaxed);
         }
-        // The chunked response head commits before any result flows, so
-        // deprecation is counted but not headered here.
-        if !head.path.starts_with("/v1") {
-            stats.legacy_route_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        let router = self.shared.waker.lock().expect("waker lock").clone();
         Some(StreamSession {
             shared: self.shared,
             engine: self.lifecycle.current(),
             idle_timeout: self.cfg.stream_idle_timeout,
             ticket,
-            router: router.expect("the router is installed while the reactor runs"),
+            router: self.router(),
             splitter: StreamSplitter::new(MAX_BODY_BYTES),
             pending: VecDeque::new(),
             done: BTreeMap::new(),
@@ -435,63 +408,43 @@ impl<'s> Driver<TcpStream> for EpollDriver<'s> {
             self.shared.stats.keepalive_reused.fetch_add(1, Ordering::Relaxed);
         }
         let keep_policy = !self.shared.shutting_down();
-        // Hands a request that may block to the worker threads.
-        let to_worker = |req| match self.work.send((ticket, req)) {
-            Ok(()) => Dispatch::Queued,
-            Err(_) => Dispatch::Respond(apply_keep_policy(
-                HttpResponse::unavailable(
-                    "shutting_down",
-                    "server is shutting down",
-                    RETRY_AFTER_SECS,
-                ),
-                keep_policy,
-            )),
-        };
-        let canon_is = |p: &str| canonical_path(&req.path) == p;
-        if req.method == "POST" && canon_is("/annotate") {
-            // The engine-bound route never blocks the reactor: tokenize
-            // and push to the batching queue right here, and let the
-            // dispatcher's engine callback route the finished response
-            // back through the completion channel. Chaos runs are the
-            // exception — injected stalls must block a worker thread, so
-            // they take the queued blocking path.
-            if self.shared.chaos.is_none() {
-                let router = self.shared.waker.lock().expect("waker lock").clone();
-                if let Some(router) = router {
-                    // This fast path bypasses the Handler core, so the
-                    // deprecated-alias accounting happens here.
-                    let legacy = !req.path.starts_with("/v1");
-                    if legacy {
-                        self.shared.stats.legacy_route_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return match annotate_submit(
-                        self.shared,
-                        self.lifecycle,
-                        &router,
-                        ticket,
-                        legacy,
-                        &req.body,
-                    ) {
-                        None => Dispatch::Queued,
-                        Some(resp) => {
-                            let resp =
-                                if legacy { resp.with_header("deprecation", "true") } else { resp };
-                            Dispatch::Respond(apply_keep_policy(resp, keep_policy))
-                        }
-                    };
+        match (req.method.as_str(), req.path.as_str()) {
+            // The engine-bound route never blocks the reactor: tokenize and
+            // push to the batching queue right here, and let the
+            // dispatcher's engine callback route the finished response back
+            // through the completion channel.
+            ("POST", "/v1/annotate") => {
+                // This request's injected faults, drawn in arrival order. A
+                // crash fires before any byte of a response exists, which is
+                // exactly the failure a balancer may safely retry.
+                let plan = self.shared.chaos.as_ref().map(ChaosState::on_annotate);
+                if plan.is_some_and(|p| p.crash) {
+                    eprintln!("[served] chaos: crash_after reached; exiting before response");
+                    std::process::exit(86);
+                }
+                let router = self.router();
+                match annotate_submit(self.shared, self.lifecycle, &router, ticket, plan, &req.body)
+                {
+                    None => Dispatch::Queued,
+                    Some(resp) => Dispatch::Respond(apply_keep_policy(resp, keep_policy)),
                 }
             }
-            to_worker(req)
-        } else if req.method == "POST" && (canon_is("/model") || canon_is("/feedback")) {
-            // Lifecycle routes run on worker threads: a model upload builds
-            // a whole engine (deserialize, possibly requantize), far too
-            // slow for the reactor thread that owns every connection.
-            to_worker(req)
-        } else {
+            // A model upload builds a whole engine (deserialize, possibly
+            // requantize), far too slow for the thread that owns every
+            // connection: the loader thread takes it.
+            ("POST", "/v1/model") => match self.uploads.send((ticket, req.body)) {
+                Ok(()) => Dispatch::Queued,
+                Err(_) => Dispatch::Respond(apply_keep_policy(
+                    HttpResponse::unavailable(
+                        "shutting_down",
+                        "server is shutting down",
+                        RETRY_AFTER_SECS,
+                    ),
+                    keep_policy,
+                )),
+            },
             // Everything else is queue-free and answered inline.
-            let handler =
-                EngineHandler { shared: self.shared, lifecycle: self.lifecycle, cfg: self.cfg };
-            Dispatch::Respond(handler.handle(&req))
+            _ => Dispatch::Respond(self.route(&req)),
         }
     }
 
@@ -514,31 +467,25 @@ fn apply_keep_policy(resp: HttpResponse, keep_policy: bool) -> HttpResponse {
     }
 }
 
-/// One request worker: pops parsed requests, runs the [`Handler`] core,
-/// and routes the response back to the reactor. Never touches a socket.
-/// Exits when the reactor, which holds the queue's sender, is gone.
-fn epoll_worker_loop(
+/// The loader thread: takes `POST /v1/model` uploads one at a time (which
+/// also serialises them), installs each, and routes the answer back to the
+/// reactor. Never touches a socket. Exits when the reactor, which holds the
+/// queue's sender, is gone.
+fn loader_loop(
     shared: &Shared,
     lifecycle: &Lifecycle,
-    cfg: &ServeConfig,
-    work_rx: &Mutex<mpsc::Receiver<Work>>,
+    uploads: &mpsc::Receiver<Upload>,
     router: &Router,
-    worker: usize,
 ) {
-    loop {
-        let work = work_rx.lock().expect("work queue lock").recv();
-        let Ok((ticket, req)) = work else { return };
-        shared.stats.record_worker(worker);
-        let handler = EngineHandler { shared, lifecycle, cfg };
-        router.complete(ticket, handler.handle(&req));
+    for (ticket, blob) in uploads {
+        router.complete(ticket, model_swap_response(shared, lifecycle, &blob), None);
     }
 }
 
 // ------------------------------------------------------------- dispatcher
 
-/// Collects the annotations of one whole-request job (`Reply::Batch` /
-/// `Reply::Reactor`): slots filled by whichever engine thread finishes
-/// each table.
+/// Collects the annotations of one whole-request job (`Reply::Reactor`):
+/// slots filled by whichever engine thread finishes each table.
 struct Collect {
     slots: Mutex<Vec<Option<TableAnnotation>>>,
     left: AtomicUsize,
@@ -564,9 +511,8 @@ impl Collect {
 /// The dispatcher: waits until the queue policy releases a batch, runs the
 /// packed forward passes, and routes each table's annotation back the
 /// moment its micro-batch completes — streams get a rendered line per
-/// table, `/annotate` jobs one response when their last table finishes.
-/// Exits when
-/// shutdown is set and the queue is drained.
+/// table, `/v1/annotate` jobs one response when their last table finishes.
+/// Exits when shutdown is set and the queue is drained.
 ///
 /// Every job carries the engine it was serialized against, and the flush
 /// is partitioned by engine identity (`Arc::ptr_eq`): a hot-swap landing
@@ -596,7 +542,7 @@ fn dispatcher_loop(shared: &Shared) {
             .iter()
             .zip(&counts)
             .map(|(job, &n)| match &job.reply {
-                Reply::Batch(_) | Reply::Reactor { .. } => Some(Collect::new(n)),
+                Reply::Reactor { .. } => Some(Collect::new(n)),
                 Reply::Stream { .. } => None,
             })
             .collect();
@@ -617,10 +563,6 @@ fn dispatcher_loop(shared: &Shared) {
             let routes = &routes;
             engine.engine().annotate_groups_each(&flat, &|fi, ann| {
                 let (ji, li) = routes[fi];
-                // Whole-request jobs: every annotation in request order
-                // once this table was the last one outstanding.
-                let complete =
-                    |ann| collectors[ji].as_ref().expect("collector exists for job").fill(li, ann);
                 match &jobs[ji].reply {
                     // A stream that ended meanwhile no longer holds its
                     // ticket; the router's generation check drops the line.
@@ -629,29 +571,30 @@ fn dispatcher_loop(shared: &Shared) {
                         line.push('\n');
                         router.line(*ticket, *index, line);
                     }
-                    // A dead receiver means the worker gave up waiting.
-                    Reply::Batch(tx) => {
-                        if let Some(anns) = complete(ann) {
-                            let _ = tx.send(anns);
-                        }
-                    }
-                    // Reactor jobs render and route here, on whichever
-                    // engine thread finishes the last table — no worker is
-                    // blocked waiting, and a stale ticket (connection
-                    // reaped meanwhile) is dropped by the router's
-                    // generation check.
-                    Reply::Reactor { ticket, router, wrapped, t0, counts, legacy } => {
-                        if let Some(anns) = complete(ann) {
-                            let (tables, seqs, tokens) = *counts;
-                            shared.stats.record_request(t0.elapsed(), tables, seqs, tokens);
-                            let body = annotations_response(&anns, *wrapped);
-                            let mut resp = HttpResponse::json(200, body)
-                                .with_header("x-model-version", &jobs[ji].engine.label());
-                            if *legacy {
-                                resp = resp.with_header("deprecation", "true");
-                            }
-                            router.complete(*ticket, resp);
-                        }
+                    // Whole-request jobs render and route here, on whichever
+                    // engine thread finishes the last table — nothing is
+                    // blocked waiting, and a stale ticket (connection reaped
+                    // meanwhile) is dropped by the router's generation
+                    // check.
+                    Reply::Reactor { ticket, router, wrapped, t0, counts, chaos } => {
+                        let collector = collectors[ji].as_ref().expect("collector exists for job");
+                        let Some(anns) = collector.fill(li, ann) else { return };
+                        let (tables, seqs, tokens) = *counts;
+                        shared.stats.record_request(t0.elapsed(), tables, seqs, tokens);
+                        let body = annotations_response(&anns, *wrapped);
+                        let resp = if chaos.is_some_and(|p| p.reset) {
+                            eprintln!(
+                                "[served] chaos: severing connection after a partial response"
+                            );
+                            HttpResponse::RawThenClose(render_torn_response(&body))
+                        } else {
+                            HttpResponse::json(200, body)
+                                .with_header("x-model-version", &jobs[ji].engine.label())
+                        };
+                        // A chaos delay holds the finished response on the
+                        // reactor's timer wheel, not a thread.
+                        let not_before = chaos.and_then(|p| p.delay).map(|d| Instant::now() + d);
+                        router.complete(*ticket, resp, not_before);
                     }
                 }
             });
@@ -689,55 +632,49 @@ fn finetune_loop(shared: &Shared, lifecycle: &Lifecycle) {
     }
 }
 
-// ------------------------------------------------------------ handler core
+// ---------------------------------------------------------- inline routes
 
-/// The daemon's request→response core: the reactor (inline routes) and
-/// the request workers route buffered requests through this [`Handler`].
-/// Paths are matched
-/// after [`canonical_path`], so `/v1/...` and legacy unprefixed routes
-/// behave identically — except that a known route reached through its
-/// deprecated unprefixed alias is counted in `legacy_route_hits` and
-/// answered with a `Deprecation: true` header.
-struct EngineHandler<'s> {
-    shared: &'s Shared,
-    lifecycle: &'s Lifecycle,
-    cfg: &'s ServeConfig,
-}
+impl EpollDriver<'_> {
+    /// The reactor's completion queue.
+    fn router(&self) -> Arc<Router> {
+        let router = self.shared.waker.lock().expect("waker lock").clone();
+        router.expect("the router is installed while the reactor runs")
+    }
 
-impl<'s> EngineHandler<'s> {
-    /// Routes one request; `None` means no such route (404).
-    fn route(&self, req: &HttpRequest) -> Option<HttpResponse> {
+    /// Answers one queue-free request on the reactor thread. Routes are the
+    /// literal `/v1/...` paths; anything else is a 404.
+    fn route(&self, req: &HttpRequest) -> HttpResponse {
         let (shared, lifecycle, cfg) = (self.shared, self.lifecycle, self.cfg);
-        match (req.method.as_str(), canonical_path(&req.path)) {
+        match (req.method.as_str(), req.path.as_str()) {
             // Liveness: always 200 while the process can answer at all.
             // The `ready` field mirrors `/readyz` for humans; probes that
             // gate traffic admission must use `/readyz` (which flips to
             // 503).
-            ("GET", "/healthz") => {
+            ("GET", "/v1/healthz") => {
                 let ready = shared.ready.load(Ordering::SeqCst) && !shared.shutting_down();
-                Some(HttpResponse::json(
+                HttpResponse::json(
                     200,
                     format!(
                         "{{\"status\":\"ok\",\"ready\":{ready},\"uptime_secs\":{:.3}}}\n",
                         shared.started.elapsed().as_secs_f64()
                     ),
-                ))
+                )
             }
             // Readiness: 200 only while the daemon should receive new
             // traffic (engine up, not shutting down, queue below
             // capacity). The balancer re-admits a restarted replica only
             // after this passes.
-            ("GET", "/readyz") => {
+            ("GET", "/v1/readyz") => {
                 let ready = shared.ready.load(Ordering::SeqCst)
                     && !shared.shutting_down()
                     && shared.queue.depth() < cfg.policy.max_queue_jobs;
-                Some(if ready {
+                if ready {
                     HttpResponse::json(200, "{\"status\":\"ready\"}\n")
                 } else {
                     HttpResponse::unavailable("not_ready", "not ready", RETRY_AFTER_SECS)
-                })
+                }
             }
-            ("GET", "/stats") => {
+            ("GET", "/v1/stats") => {
                 let engine = lifecycle.current();
                 let journal = lifecycle.journal();
                 let model = ModelStatus {
@@ -748,7 +685,7 @@ impl<'s> EngineHandler<'s> {
                     feedback_pending: journal.pending() as u64,
                     finetunes: journal.finetunes(),
                 };
-                Some(HttpResponse::json(
+                HttpResponse::json(
                     200,
                     shared.stats.to_json(
                         shared.started.elapsed(),
@@ -756,40 +693,21 @@ impl<'s> EngineHandler<'s> {
                         engine.engine().cache_stats().hit_rate(),
                         &model,
                     ),
-                ))
+                )
             }
-            ("POST", "/shutdown") => {
+            ("POST", "/v1/shutdown") => {
                 shared.request_shutdown();
-                Some(HttpResponse::json(200, "{\"status\":\"shutting down\"}\n").close())
+                HttpResponse::json(200, "{\"status\":\"shutting down\"}\n").close()
             }
-            ("POST", "/annotate") => Some(annotate_response(shared, lifecycle, &req.body)),
             // With body framing the reactor opens a stream instead.
-            ("POST", "/annotate_stream") => {
+            ("POST", "/v1/annotate_stream") => {
                 shared.stats.requests_failed.fetch_add(1, Ordering::Relaxed);
                 shared.stats.record_stream(0, false);
-                let msg = "streaming requires a chunked or content-length body";
-                Some(HttpResponse::error(400, msg))
+                HttpResponse::error(400, "streaming requires a chunked or content-length body")
             }
-            ("POST", "/model") => Some(model_swap_response(shared, lifecycle, &req.body)),
-            ("POST", "/feedback") => Some(feedback_response(shared, lifecycle, &req.body)),
-            _ => None,
-        }
-    }
-}
-
-impl<'s> Handler for EngineHandler<'s> {
-    fn handle(&self, req: &HttpRequest) -> HttpResponse {
-        match self.route(req) {
-            Some(resp) if !req.path.starts_with("/v1") => {
-                // A known route reached through its deprecated unprefixed
-                // alias: count it and flag the response, so clients that
-                // never migrated are measurable instead of invisible.
-                self.shared.stats.legacy_route_hits.fetch_add(1, Ordering::Relaxed);
-                resp.with_header("deprecation", "true")
-            }
-            Some(resp) => resp,
-            None => {
-                self.shared.stats.requests_failed.fetch_add(1, Ordering::Relaxed);
+            ("POST", "/v1/feedback") => feedback_response(shared, lifecycle, &req.body),
+            _ => {
+                shared.stats.requests_failed.fetch_add(1, Ordering::Relaxed);
                 HttpResponse::error(404, &format!("no route for {} {}", req.method, req.path))
             }
         }
@@ -798,7 +716,7 @@ impl<'s> Handler for EngineHandler<'s> {
 
 // -------------------------------------------------------------- lifecycle
 
-/// `POST /model`: CRC-check and strict-load the uploaded checkpoint blob,
+/// `POST /v1/model`: CRC-check and strict-load the uploaded checkpoint blob,
 /// build the replacement engine off the hot path, and swap it in between
 /// micro-batch flushes. In-flight requests finish on the model they
 /// captured; everything admitted after the swap serves the new one.
@@ -824,7 +742,7 @@ fn model_swap_response(shared: &Shared, lifecycle: &Lifecycle, body: &[u8]) -> H
     }
 }
 
-/// `POST /feedback`: validate one corrected-label observation
+/// `POST /v1/feedback`: validate one corrected-label observation
 /// (`{"table": {...}, "types": [[label, ...], ...]}`, one label list per
 /// column, labels from the serving type vocabulary) and append it to the
 /// journal. The entry only trains a model when the daemon runs with
@@ -911,7 +829,7 @@ fn tokenize(
     Ok((groups, seqs, tokens))
 }
 
-/// One `POST /annotate_stream` session, socket-free: the reactor feeds it
+/// One `POST /v1/annotate_stream` session, socket-free: the reactor feeds it
 /// decoded body bytes, finished lines and timer events; each event appends
 /// whole response chunks to the connection's outbox and says whether more
 /// input is wanted. The connection always closes afterwards (the chunked
@@ -1094,9 +1012,8 @@ struct PreparedAnnotate {
     tokens: usize,
 }
 
-/// The decode/validate/tokenize prefix shared by both `/annotate` paths
-/// (blocking worker and reactor-completed); errors come back as
-/// ready-to-send responses with the failure already counted.
+/// The decode/validate/tokenize prefix of `/v1/annotate`; errors come back
+/// as ready-to-send responses with the failure already counted.
 fn prepare_annotate(
     shared: &Shared,
     engine: &BatchAnnotator,
@@ -1124,79 +1041,22 @@ fn annotate_unavailable(shared: &Shared, code: &str, msg: &str) -> HttpResponse 
     HttpResponse::unavailable(code, msg, RETRY_AFTER_SECS)
 }
 
-/// `POST /annotate`: decode, tokenize, submit to the batching queue, and
-/// wait for the flushed result. Runs on a blocking worker thread, on
-/// chaos-configured daemons only — injected stalls must block one
-/// request's thread, never the reactor or an engine callback. The engine is captured once, before the queue push:
-/// the response is produced by exactly that model and says so in its
-/// `x-model-version` header, however many swaps land while the job waits.
-fn annotate_response(shared: &Shared, lifecycle: &Lifecycle, body: &[u8]) -> HttpResponse {
-    let t0 = Instant::now();
-    let engine = lifecycle.current();
-    // Decide this request's injected faults up front: a crash fault fires
-    // before any byte of a response exists, which is exactly the failure a
-    // balancer may safely retry.
-    let plan: Option<ChaosPlan> = shared.chaos.as_ref().map(ChaosState::on_annotate);
-    if plan.is_some_and(|p| p.crash) {
-        eprintln!("[served] chaos: crash_after reached; exiting before response");
-        std::process::exit(86);
-    }
-    let prep = match prepare_annotate(shared, engine.engine(), body) {
-        Ok(p) => p,
-        Err(resp) => return resp,
-    };
-    let n_tables = prep.groups.len() as u64;
-    let (seqs, tokens, wrapped) = (prep.seqs, prep.tokens, prep.wrapped);
-
-    let (tx, rx) = mpsc::channel();
-    let job = Job { groups: prep.groups, engine: Arc::clone(&engine), reply: Reply::Batch(tx) };
-    match shared.queue.push(job, seqs, tokens) {
-        Ok(()) => {}
-        Err((PushRejected::Closed, _)) => {
-            return annotate_unavailable(shared, "shutting_down", "server is shutting down");
-        }
-        Err((PushRejected::Full, _)) => {
-            shared.stats.rejected_full.fetch_add(1, Ordering::Relaxed);
-            return annotate_unavailable(shared, "queue_full", "annotation queue is full");
-        }
-    }
-    // An accepted push is always drained (the queue closes before the
-    // dispatcher stops); the sender only drops unanswered if the dispatcher
-    // panicked with the job in hand.
-    let anns = match rx.recv() {
-        Ok(a) => a,
-        Err(_) => return annotate_unavailable(shared, "timeout", "annotation timed out"),
-    };
-    shared.stats.record_request(t0.elapsed(), n_tables, seqs as u64, tokens as u64);
-    let body = annotations_response(&anns, wrapped);
-    if let Some(p) = plan {
-        if let Some(d) = p.delay {
-            std::thread::sleep(d);
-        }
-        if p.reset {
-            eprintln!("[served] chaos: severing connection after a partial response");
-            return HttpResponse::RawThenClose(render_torn_response(&body));
-        }
-    }
-    HttpResponse::json(200, body).with_header("x-model-version", &engine.label())
-}
-
-/// `POST /annotate` from the reactor thread: same decode/tokenize/
-/// admission as [`annotate_response`], but the job carries the
-/// connection's reactor ticket instead of a blocking reply channel — the
-/// dispatcher's engine callback renders and routes the response when the
-/// last table completes, and the reactor is free for the next request the
-/// moment the push succeeds. In-flight annotate requests are then bounded
-/// by connections rather than worker count, which keeps micro-batches
-/// full at high fan-in (and drops two thread hand-offs per request).
-/// Returns a response only when the request must be answered immediately
-/// (validation failure or queue backpressure).
+/// `POST /v1/annotate`, on the reactor thread: decode, tokenize and push;
+/// the job carries the connection's reactor ticket, so the dispatcher's
+/// engine callback renders and routes the response when the last table
+/// completes, and the reactor is free for the next request the moment the
+/// push succeeds. In-flight annotate requests are bounded by connections,
+/// which keeps micro-batches full at high fan-in. The engine is captured
+/// once, before the queue push: the response is produced by exactly that
+/// model and says so in its `x-model-version` header, however many swaps
+/// land while the job waits. Returns a response only when the request must
+/// be answered immediately (validation failure or queue backpressure).
 fn annotate_submit(
     shared: &Shared,
     lifecycle: &Lifecycle,
     router: &Arc<Router>,
     ticket: Ticket,
-    legacy: bool,
+    chaos: Option<ChaosPlan>,
     body: &[u8],
 ) -> Option<HttpResponse> {
     let t0 = Instant::now();
@@ -1216,7 +1076,7 @@ fn annotate_submit(
             wrapped: prep.wrapped,
             t0,
             counts,
-            legacy,
+            chaos,
         },
     };
     match shared.queue.push(job, seqs, tokens) {
@@ -1252,13 +1112,6 @@ mod tests {
     use crate::bootstrap::synthetic_world;
     use crate::http::BodyDecoder;
     use crate::json::table_to_json;
-
-    #[test]
-    fn bind_rejects_zero_workers() {
-        let cfg = ServeConfig { addr: "127.0.0.1:0".into(), workers: 0, ..ServeConfig::default() };
-        let err = Server::bind(cfg).err().expect("zero workers must not bind");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    }
 
     // ------------------------------------------- StreamSession, no socket
 
@@ -1297,13 +1150,13 @@ mod tests {
         /// Opens a session the way the reactor's driver does.
         fn open(&self) -> StreamSession<'_> {
             *self.waker.lock().expect("waker lock") = Some(Arc::clone(&self.router));
-            let (work, _) = mpsc::channel();
+            let (uploads, _) = mpsc::channel();
             let driver = EpollDriver {
                 listener: &self.server.listener,
                 shared: self,
                 lifecycle: &self.lifecycle,
                 cfg: &self.server.cfg,
-                work,
+                uploads,
             };
             let head = crate::http::parse_head(
                 b"POST /v1/annotate_stream HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n",

@@ -1,5 +1,5 @@
 //! Serving statistics: per-request latency percentiles and aggregate
-//! counters, exposed by the daemon at `/stats`.
+//! counters, exposed by the daemon at `/v1/stats`.
 //!
 //! Latencies go into a fixed-size ring (most recent `CAP` requests) so the
 //! daemon's memory stays bounded no matter how long it runs; counters are
@@ -39,18 +39,12 @@ pub struct ServerStats {
     pub conns_rejected: AtomicU64,
     /// Requests served on an already-used connection (keep-alive reuse).
     pub keepalive_reused: AtomicU64,
-    /// Requests that arrived on a deprecated unprefixed route (the `/v1`
-    /// aliases) — the migration-progress counter the deprecation headers
-    /// point at.
-    pub legacy_route_hits: AtomicU64,
     /// `/annotate_stream` streams completed without a stream-level error.
     pub streams_ok: AtomicU64,
     /// Streams that ended with an in-band error object.
     pub streams_failed: AtomicU64,
     /// Tables annotated through streams (also counted in `tables`).
     pub stream_tables: AtomicU64,
-    /// Requests handled per request worker.
-    worker_requests: Vec<AtomicU64>,
     latencies_us: Mutex<Ring>,
     batch_tables: Mutex<Ring>,
 }
@@ -140,27 +134,6 @@ pub fn percentiles(samples: &[u64]) -> Percentiles {
 }
 
 impl ServerStats {
-    /// Stats for a daemon with `workers` request workers.
-    pub fn with_workers(workers: usize) -> ServerStats {
-        ServerStats {
-            worker_requests: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            ..ServerStats::default()
-        }
-    }
-
-    /// Credits one handled request to worker `id` (no-op when out of
-    /// range).
-    pub fn record_worker(&self, id: usize) {
-        if let Some(w) = self.worker_requests.get(id) {
-            w.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Per-worker handled-request counts.
-    pub fn worker_requests(&self) -> Vec<u64> {
-        self.worker_requests.iter().map(|w| w.load(Ordering::Relaxed)).collect()
-    }
-
     /// Records one completed (or failed) `/annotate_stream` stream of
     /// `tables` annotated tables.
     pub fn record_stream(&self, tables: u64, ok: bool) {
@@ -225,20 +198,16 @@ impl ServerStats {
         // never report it.
         let (lat_window, lat_total) = self.latencies_us.lock().expect("stats lock").counts();
         let (bat_window, bat_total) = self.batch_tables.lock().expect("stats lock").counts();
-        let workers = self.worker_requests();
-        let worker_json = workers.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
         let mut model_version = String::new();
         crate::json::push_escaped(&mut model_version, &model.model_version);
         format!(
             "{{\"uptime_secs\":{:.3},\"requests_ok\":{},\"requests_failed\":{},\
              \"rejected_queue_full\":{},\"tables\":{},\"sequences\":{},\"tokens\":{},\
              \"queue_depth\":{queue_depth},\"cache_hit_rate\":{cache_hit_rate:.4},\
-             \"legacy_route_hits\":{},\
              \"model\":{{\"version\":{model_version},\"swaps\":{},\
              \"feedback\":{{\"accepted\":{},\"dropped\":{},\"pending\":{},\"finetunes\":{}}}}},\
              \"connections\":{{\"accepted\":{},\"rejected\":{},\"keepalive_reused\":{}}},\
              \"streams\":{{\"ok\":{},\"failed\":{},\"tables\":{}}},\
-             \"workers\":{{\"count\":{},\"requests\":[{worker_json}]}},\
              \"flushes\":{{\"budget\":{},\"deadline\":{},\"shutdown\":{}}},\
              \"latency_ms\":{{\"window_count\":{lat_window},\"total_count\":{lat_total},\
              \"mean\":{:.3},\"p50\":{:.3},\"p99\":{:.3},\"max\":{:.3}}},\
@@ -251,7 +220,6 @@ impl ServerStats {
             self.tables.load(Ordering::Relaxed),
             self.seqs.load(Ordering::Relaxed),
             self.tokens.load(Ordering::Relaxed),
-            self.legacy_route_hits.load(Ordering::Relaxed),
             model.swaps,
             model.feedback_accepted,
             model.feedback_dropped,
@@ -263,7 +231,6 @@ impl ServerStats {
             self.streams_ok.load(Ordering::Relaxed),
             self.streams_failed.load(Ordering::Relaxed),
             self.stream_tables.load(Ordering::Relaxed),
-            workers.len(),
             self.flush_budget.load(Ordering::Relaxed),
             self.flush_deadline.load(Ordering::Relaxed),
             self.flush_shutdown.load(Ordering::Relaxed),
@@ -300,7 +267,6 @@ mod tests {
         let s = ServerStats::default();
         s.record_request(Duration::from_micros(1500), 1, 1, 40);
         s.record_batch(FlushReason::Deadline, 1);
-        s.legacy_route_hits.fetch_add(3, Ordering::Relaxed);
         let model = ModelStatus {
             model_version: "2-0badf00d".into(),
             swaps: 1,
@@ -313,7 +279,6 @@ mod tests {
         let v = crate::json::Json::parse(body.trim()).expect("stats body parses");
         assert_eq!(v.get("requests_ok").and_then(|j| j.as_f64()), Some(1.0));
         assert_eq!(v.get("queue_depth").and_then(|j| j.as_f64()), Some(2.0));
-        assert_eq!(v.get("legacy_route_hits").and_then(|j| j.as_f64()), Some(3.0));
         let m = v.get("model").expect("model");
         assert_eq!(m.get("version").and_then(|j| j.as_str()), Some("2-0badf00d"));
         assert_eq!(m.get("swaps").and_then(|j| j.as_f64()), Some(1.0));

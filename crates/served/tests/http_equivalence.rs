@@ -13,7 +13,7 @@ use std::time::Duration;
 
 /// The offline reference bytes for one table: per-table `annotate` through
 /// the same response encoder the daemon uses. Also exactly one line of an
-/// `/annotate_stream` response for the same table.
+/// `/v1/annotate_stream` response for the same table.
 fn offline_bytes(world: &SyntheticWorld, t: &Table) -> Vec<u8> {
     let ann = world.annotator().annotate(t);
     annotations_response(&[ann], false).into_bytes()
@@ -69,14 +69,14 @@ fn healthz_stats_and_errors() {
     let world = synthetic_world(true, 42);
     with_server(&world, BatchPolicy::default(), |addr| {
         let mut c = Client::connect(addr, Some(Duration::from_secs(10))).expect("connect");
-        let health = c.request("GET", "/healthz", b"").expect("healthz");
+        let health = c.request("GET", "/v1/healthz", b"").expect("healthz");
         assert_eq!(health.status, 200);
         let v = Json::parse(std::str::from_utf8(&health.body).unwrap().trim()).unwrap();
         assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"));
 
         // Malformed JSON → 400 (connection closes after an error).
         let mut c2 = Client::connect(addr, Some(Duration::from_secs(10))).expect("connect");
-        let bad = c2.request("POST", "/annotate", b"{not json").expect("bad body answered");
+        let bad = c2.request("POST", "/v1/annotate", b"{not json").expect("bad body answered");
         assert_eq!(bad.status, 400);
 
         // Unknown route → 404; keep-alive survives it.
@@ -85,9 +85,9 @@ fn healthz_stats_and_errors() {
 
         // A valid single-table request on the same connection, then stats.
         let t = &world.tables[0];
-        let ok = c.request("POST", "/annotate", table_to_json(t).as_bytes()).expect("annotate");
+        let ok = c.request("POST", "/v1/annotate", table_to_json(t).as_bytes()).expect("annotate");
         assert_eq!(ok.status, 200);
-        let stats = c.request("GET", "/stats", b"").expect("stats");
+        let stats = c.request("GET", "/v1/stats", b"").expect("stats");
         assert_eq!(stats.status, 200);
         let s = Json::parse(std::str::from_utf8(&stats.body).unwrap().trim()).unwrap();
         assert_eq!(s.get("requests_ok").and_then(Json::as_f64), Some(1.0));
@@ -107,7 +107,7 @@ fn sequential_responses_are_byte_identical_to_offline() {
     with_server(&world, BatchPolicy::default(), |addr| {
         let mut c = Client::connect(addr, Some(Duration::from_secs(30))).expect("connect");
         for t in world.tables.iter().take(6) {
-            let resp = c.request("POST", "/annotate", table_to_json(t).as_bytes()).expect("req");
+            let resp = c.request("POST", "/v1/annotate", table_to_json(t).as_bytes()).expect("req");
             assert_eq!(resp.status, 200);
             assert_eq!(
                 resp.body,
@@ -116,40 +116,6 @@ fn sequential_responses_are_byte_identical_to_offline() {
                 t.id
             );
         }
-    });
-}
-
-/// The versioned `/v1/...` routes are aliases of the legacy unprefixed
-/// routes: same handlers, byte-identical annotation bodies, and the
-/// streaming endpoint works under the prefix too.
-#[test]
-fn v1_routes_are_byte_identical_aliases() {
-    let world = synthetic_world(true, 42);
-    with_server(&world, BatchPolicy::default(), |addr| {
-        let mut c = Client::connect(addr, Some(Duration::from_secs(30))).expect("connect");
-        for t in world.tables.iter().take(3) {
-            let legacy =
-                c.request("POST", "/annotate", table_to_json(t).as_bytes()).expect("legacy");
-            let v1 = c.request("POST", "/v1/annotate", table_to_json(t).as_bytes()).expect("v1");
-            assert_eq!(v1.status, 200, "table {}", t.id);
-            assert_eq!(v1.body, legacy.body, "alias must answer identically for {}", t.id);
-            assert_eq!(v1.body, offline_bytes(&world, t), "and match offline for {}", t.id);
-        }
-        let stats = c.request("GET", "/v1/stats", b"").expect("stats");
-        assert_eq!(stats.status, 200);
-        Json::parse(std::str::from_utf8(&stats.body).expect("utf8")).expect("valid stats JSON");
-
-        let mut s = Client::connect(addr, Some(Duration::from_secs(30))).expect("connect");
-        s.stream_open("/v1/annotate_stream").expect("open stream");
-        assert_eq!(s.stream_status().expect("status"), 200);
-        let t = &world.tables[0];
-        let mut doc = table_to_json(t);
-        doc.push('\n');
-        s.stream_send(doc.as_bytes()).expect("send table");
-        let line = s.stream_next_line().expect("read result").expect("one result");
-        assert_eq!(line.as_bytes(), offline_bytes(&world, t).as_slice());
-        s.stream_finish().expect("finish upload");
-        assert_eq!(s.stream_next_line().expect("end of stream"), None);
     });
 }
 
@@ -177,7 +143,7 @@ fn concurrent_burst_is_byte_identical_and_batched() {
                     let t = &world_ref.tables[k % world_ref.tables.len()];
                     for _ in 0..2 {
                         let resp = c
-                            .request("POST", "/annotate", table_to_json(t).as_bytes())
+                            .request("POST", "/v1/annotate", table_to_json(t).as_bytes())
                             .expect("annotate");
                         assert_eq!(resp.status, 200);
                         assert_eq!(resp.body, offline_bytes(world_ref, t), "table {}", t.id);
@@ -192,7 +158,7 @@ fn concurrent_burst_is_byte_identical_and_batched() {
         // With 24 requests and an 8-sequence budget, coalescing must have
         // produced at least one multi-table batch.
         let mut c = Client::connect(addr, Some(Duration::from_secs(10))).expect("connect");
-        let stats = c.request("GET", "/stats", b"").expect("stats");
+        let stats = c.request("GET", "/v1/stats", b"").expect("stats");
         let s = Json::parse(std::str::from_utf8(&stats.body).unwrap().trim()).unwrap();
         assert_eq!(s.get("requests_ok").and_then(Json::as_f64), Some(2.0 * n_clients as f64));
         let mean_batch =
@@ -211,7 +177,7 @@ fn multi_table_requests_round_trip() {
             "{{\"tables\":[{}]}}",
             ts.iter().map(|t| table_to_json(t)).collect::<Vec<_>>().join(",")
         );
-        let resp = c.request("POST", "/annotate", body.as_bytes()).expect("annotate");
+        let resp = c.request("POST", "/v1/annotate", body.as_bytes()).expect("annotate");
         assert_eq!(resp.status, 200);
         let anns: Vec<_> = ts.iter().map(|t| world.annotator().annotate(t)).collect();
         assert_eq!(resp.body, annotations_response(&anns, true).into_bytes());
@@ -226,12 +192,12 @@ fn oversized_table_is_rejected_not_crashed() {
         let max_cols = world.bundle.annotator().model.config().serialize.max_supported_cols();
         let cols: Vec<String> = (0..max_cols + 1).map(|i| format!("[\"cell {i}\"]")).collect();
         let body = format!("{{\"columns\":[{}]}}", cols.join(","));
-        let resp = c.request("POST", "/annotate", body.as_bytes()).expect("answered");
+        let resp = c.request("POST", "/v1/annotate", body.as_bytes()).expect("answered");
         assert_eq!(resp.status, 400);
         // The daemon still serves afterwards.
         let mut c2 = Client::connect(addr, Some(Duration::from_secs(10))).expect("connect");
         let t = &world.tables[0];
-        let ok = c2.request("POST", "/annotate", table_to_json(t).as_bytes()).expect("annotate");
+        let ok = c2.request("POST", "/v1/annotate", table_to_json(t).as_bytes()).expect("annotate");
         assert_eq!(ok.status, 200);
     });
 }
@@ -242,25 +208,15 @@ fn keep_alive_reuses_connections_across_many_requests() {
     with_server(&world, BatchPolicy::default(), |addr| {
         let mut c = Client::connect(addr, Some(Duration::from_secs(30))).expect("connect");
         for t in world.tables.iter().take(10) {
-            let resp = c.request("POST", "/annotate", table_to_json(t).as_bytes()).expect("req");
+            let resp = c.request("POST", "/v1/annotate", table_to_json(t).as_bytes()).expect("req");
             assert_eq!(resp.status, 200);
         }
-        let stats = c.request("GET", "/stats", b"").expect("stats");
+        let stats = c.request("GET", "/v1/stats", b"").expect("stats");
         let s = Json::parse(std::str::from_utf8(&stats.body).unwrap().trim()).unwrap();
         let conns = s.get("connections").expect("connections section");
         assert_eq!(conns.get("accepted").and_then(Json::as_f64), Some(1.0));
         // 11 requests so far on one connection: 10 reuses before this one.
         assert_eq!(conns.get("keepalive_reused").and_then(Json::as_f64), Some(10.0));
-        let workers = s.get("workers").expect("workers section");
-        let per_worker = workers.get("requests").and_then(Json::as_array).expect("array");
-        let total: f64 = per_worker.iter().filter_map(Json::as_f64).sum();
-        // No request here crosses a worker thread: quick GET routes are
-        // answered inline on the reactor, and annotates are submitted to
-        // the batching queue from the reactor and completed by the
-        // dispatcher's engine callback. Workers only see taken-over
-        // streams and chaos runs.
-        assert_eq!(total, 0.0, "annotates bypass the request workers, got {total}");
-        // The requests still count as served.
         assert_eq!(s.get("requests_ok").and_then(Json::as_f64), Some(10.0));
     });
 }
@@ -270,7 +226,7 @@ fn stream_results_arrive_incrementally_and_byte_identical() {
     let world = synthetic_world(true, 42);
     with_server(&world, BatchPolicy::default(), |addr| {
         let mut c = Client::connect(addr, Some(Duration::from_secs(30))).expect("connect");
-        c.stream_open("/annotate_stream").expect("open stream");
+        c.stream_open("/v1/annotate_stream").expect("open stream");
         assert_eq!(c.stream_status().expect("status"), 200);
         // Interleave: each result is read back *before* the next table is
         // sent (and before the upload is finished), proving per-table
@@ -298,7 +254,7 @@ fn stream_of_split_chunks_matches_offline_in_order() {
             payload.push('\n');
         }
         let mut c = Client::connect(addr, Some(Duration::from_secs(30))).expect("connect");
-        c.stream_open("/annotate_stream").expect("open stream");
+        c.stream_open("/v1/annotate_stream").expect("open stream");
         // Deliberately awkward chunking: 97-byte pieces that split JSON
         // documents (and UTF-8-free ASCII) at arbitrary points.
         for piece in payload.as_bytes().chunks(97) {
@@ -314,7 +270,7 @@ fn stream_of_split_chunks_matches_offline_in_order() {
 
         // Stream accounting is visible in /stats.
         let mut c2 = Client::connect(addr, Some(Duration::from_secs(10))).expect("connect");
-        let stats = c2.request("GET", "/stats", b"").expect("stats");
+        let stats = c2.request("GET", "/v1/stats", b"").expect("stats");
         let s = Json::parse(std::str::from_utf8(&stats.body).unwrap().trim()).unwrap();
         let streams = s.get("streams").expect("streams section");
         assert!(streams.get("ok").and_then(Json::as_f64).unwrap_or(0.0) >= 1.0);
@@ -327,7 +283,7 @@ fn stream_total_length_is_not_capped() {
     let world = synthetic_world(true, 42);
     with_server(&world, BatchPolicy::default(), |addr| {
         let mut c = Client::connect(addr, Some(Duration::from_secs(30))).expect("connect");
-        c.stream_open("/annotate_stream").expect("open stream");
+        c.stream_open("/v1/annotate_stream").expect("open stream");
         assert_eq!(c.stream_status().expect("status"), 200);
         let t = &world.tables[0];
         let mut doc = table_to_json(t);
@@ -359,7 +315,7 @@ fn idle_stream_is_cut_not_pinned() {
     };
     with_server_cfg(&world, cfg, |addr| {
         let mut c = Client::connect(addr, Some(Duration::from_secs(10))).expect("connect");
-        c.stream_open("/annotate_stream").expect("open stream");
+        c.stream_open("/v1/annotate_stream").expect("open stream");
         assert_eq!(c.stream_status().expect("status"), 200);
         let t = &world.tables[0];
         let mut doc = table_to_json(t);
@@ -394,7 +350,7 @@ fn stream_bad_table_gets_results_then_inband_error() {
     let world = synthetic_world(true, 42);
     with_server(&world, BatchPolicy::default(), |addr| {
         let mut c = Client::connect(addr, Some(Duration::from_secs(30))).expect("connect");
-        c.stream_open("/annotate_stream").expect("open stream");
+        c.stream_open("/v1/annotate_stream").expect("open stream");
         let t = &world.tables[0];
         let mut doc = table_to_json(t);
         doc.push('\n');
@@ -419,7 +375,7 @@ fn shutdown_with_an_open_stream_still_returns_promptly() {
     std::thread::scope(|scope| {
         let runner = scope.spawn(|| server.run(world.bundle.clone()));
         let mut c = Client::connect(&addr, Some(Duration::from_secs(10))).expect("connect");
-        c.stream_open("/annotate_stream").expect("open stream");
+        c.stream_open("/v1/annotate_stream").expect("open stream");
         assert_eq!(c.stream_status().expect("status"), 200);
         let t = &world.tables[0];
         let mut doc = table_to_json(t);
@@ -447,9 +403,9 @@ fn shutdown_endpoint_stops_the_server() {
         let runner = scope.spawn(|| server.run(world.bundle.clone()));
         let mut c = Client::connect(&addr, Some(Duration::from_secs(10))).expect("connect");
         let t = &world.tables[1];
-        let ok = c.request("POST", "/annotate", table_to_json(t).as_bytes()).expect("annotate");
+        let ok = c.request("POST", "/v1/annotate", table_to_json(t).as_bytes()).expect("annotate");
         assert_eq!(ok.status, 200);
-        let resp = c.request("POST", "/shutdown", b"").expect("shutdown answered");
+        let resp = c.request("POST", "/v1/shutdown", b"").expect("shutdown answered");
         assert_eq!(resp.status, 200);
         runner.join().expect("run() returns after POST /shutdown");
     });

@@ -17,14 +17,13 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Two request workers and short timeouts, so wedged-connection bugs
-/// surface as test timeouts quickly.
+/// Short timeouts, so wedged-connection bugs surface as test timeouts
+/// quickly.
 fn hardened_config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".into(),
         policy: BatchPolicy::default(),
         request_deadline: Duration::from_secs(2),
-        workers: 2,
         ..ServeConfig::default()
     }
 }
@@ -64,11 +63,11 @@ fn read_all(s: &mut TcpStream) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// Asserts the daemon still answers a good request quickly — the "no
-/// worker is wedged" check used after every poisoning scenario.
+/// Asserts the daemon still answers a good request quickly — the "nothing
+/// is wedged" check used after every poisoning scenario.
 fn assert_still_serving(addr: &str) {
     let mut c = Client::connect(addr, Some(Duration::from_secs(5))).expect("connect");
-    let r = c.request("GET", "/healthz", b"").expect("healthz answered");
+    let r = c.request("GET", "/v1/healthz", b"").expect("healthz answered");
     assert_eq!(r.status, 200, "daemon must still serve after adversarial input");
 }
 
@@ -79,9 +78,9 @@ fn malformed_request_lines_get_400() {
         for bad in [
             "GARBAGE\r\n\r\n",
             "GET\r\n\r\n",
-            "GET /healthz\r\n\r\n",          // missing version
-            "GET /healthz SMTP/1.0\r\n\r\n", // wrong protocol
-            "\r\nGET /healthz HTTP/1.1\r\n\r\n",
+            "GET /v1/healthz\r\n\r\n",          // missing version
+            "GET /v1/healthz SMTP/1.0\r\n\r\n", // wrong protocol
+            "\r\nGET /v1/healthz HTTP/1.1\r\n\r\n",
         ] {
             let mut s = raw(addr);
             s.write_all(bad.as_bytes()).expect("write");
@@ -101,10 +100,10 @@ fn malformed_headers_get_400() {
     let world = synthetic_world(true, 42);
     with_server(&world, |addr| {
         for bad in [
-            "GET /healthz HTTP/1.1\r\nno-colon-here\r\n\r\n",
-            "POST /annotate HTTP/1.1\r\ncontent-length: banana\r\n\r\n",
-            "POST /annotate HTTP/1.1\r\ntransfer-encoding: gzip\r\n\r\n",
-            "POST /annotate HTTP/1.1\r\nexpect: 200-maybe\r\n\r\n",
+            "GET /v1/healthz HTTP/1.1\r\nno-colon-here\r\n\r\n",
+            "POST /v1/annotate HTTP/1.1\r\ncontent-length: banana\r\n\r\n",
+            "POST /v1/annotate HTTP/1.1\r\ntransfer-encoding: gzip\r\n\r\n",
+            "POST /v1/annotate HTTP/1.1\r\nexpect: 200-maybe\r\n\r\n",
         ] {
             let mut s = raw(addr);
             s.write_all(bad.as_bytes()).expect("write");
@@ -122,7 +121,7 @@ fn oversized_head_gets_413_without_unbounded_buffering() {
         // One endless header line, no newline: the incremental cap must cut
         // it off at MAX_HEAD_BYTES, not buffer until the writer stops.
         let mut s = raw(addr);
-        s.write_all(b"GET /healthz HTTP/1.1\r\nx-junk: ").expect("write");
+        s.write_all(b"GET /v1/healthz HTTP/1.1\r\nx-junk: ").expect("write");
         let junk = vec![b'a'; 64 * 1024];
         let _ = s.write_all(&junk); // may fail once the server answers+closes
         let resp = read_all(&mut s);
@@ -134,7 +133,7 @@ fn oversized_head_gets_413_without_unbounded_buffering() {
 
         // Many well-formed headers adding past the cap: same outcome.
         let mut s = raw(addr);
-        s.write_all(b"GET /healthz HTTP/1.1\r\n").expect("write");
+        s.write_all(b"GET /v1/healthz HTTP/1.1\r\n").expect("write");
         for i in 0..300 {
             if s.write_all(format!("x-h{i}: {}\r\n", "v".repeat(100)).as_bytes()).is_err() {
                 break;
@@ -152,7 +151,8 @@ fn oversized_body_gets_413_before_upload() {
     with_server(&world, |addr| {
         let mut s = raw(addr);
         // Declared 9 MB: rejected from the declaration alone, no body sent.
-        s.write_all(b"POST /annotate HTTP/1.1\r\ncontent-length: 9437184\r\n\r\n").expect("write");
+        s.write_all(b"POST /v1/annotate HTTP/1.1\r\ncontent-length: 9437184\r\n\r\n")
+            .expect("write");
         let resp = read_all(&mut s);
         assert!(resp.starts_with("HTTP/1.1 413"), "got {resp:?}");
         assert_still_serving(addr);
@@ -164,7 +164,7 @@ fn premature_eof_mid_body_never_wedges() {
     let world = synthetic_world(true, 42);
     with_server(&world, |addr| {
         let mut s = raw(addr);
-        s.write_all(b"POST /annotate HTTP/1.1\r\ncontent-length: 100\r\n\r\n{\"colu")
+        s.write_all(b"POST /v1/annotate HTTP/1.1\r\ncontent-length: 100\r\n\r\n{\"colu")
             .expect("write");
         s.shutdown(std::net::Shutdown::Write).expect("half-close");
         // The server cannot answer a request it never fully received; it
@@ -182,7 +182,7 @@ fn byte_at_a_time_request_still_parses() {
         let t = &world.tables[0];
         let body = table_to_json(t);
         let req = format!(
-            "POST /annotate HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{}",
+            "POST /v1/annotate HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{}",
             body.len(),
             body
         );
@@ -205,7 +205,7 @@ fn pipelined_requests_are_all_answered() {
         // Three requests in one write; the last closes the connection so
         // read_all terminates deterministically.
         s.write_all(
-            b"GET /healthz HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\n\r\nGET /healthz \
+            b"GET /v1/healthz HTTP/1.1\r\n\r\nGET /v1/healthz HTTP/1.1\r\n\r\nGET /v1/healthz \
               HTTP/1.1\r\nconnection: close\r\n\r\n",
         )
         .expect("write");
@@ -224,7 +224,7 @@ fn wrong_content_length_poisons_only_its_connection() {
         // misread as a second valid request.
         let body = b"{\"columns\": [[\"a\"]]}";
         let mut s = raw(addr);
-        s.write_all(b"POST /annotate HTTP/1.1\r\ncontent-length: 5\r\n\r\n").expect("write");
+        s.write_all(b"POST /v1/annotate HTTP/1.1\r\ncontent-length: 5\r\n\r\n").expect("write");
         s.write_all(body).expect("write");
         let resp = read_all(&mut s);
         assert!(resp.starts_with("HTTP/1.1 400"), "truncated JSON is a 400: {resp:?}");
@@ -242,9 +242,9 @@ fn conflicting_body_framings_get_400() {
         // conflict differently disagree on where the body ends. The daemon
         // refuses to resolve it at all.
         for bad in [
-            "POST /annotate HTTP/1.1\r\ntransfer-encoding: chunked\r\ncontent-length: \
+            "POST /v1/annotate HTTP/1.1\r\ntransfer-encoding: chunked\r\ncontent-length: \
              5\r\n\r\n0\r\n\r\n",
-            "POST /annotate HTTP/1.1\r\ncontent-length: 5\r\ntransfer-encoding: \
+            "POST /v1/annotate HTTP/1.1\r\ncontent-length: 5\r\ntransfer-encoding: \
              chunked\r\n\r\n0\r\n\r\n",
         ] {
             let mut s = raw(addr);
@@ -255,7 +255,7 @@ fn conflicting_body_framings_get_400() {
         // Duplicate Content-Length is the same smuggling class.
         let mut s = raw(addr);
         s.write_all(
-            b"POST /annotate HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 500\r\n\r\nhello",
+            b"POST /v1/annotate HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 500\r\n\r\nhello",
         )
         .expect("write");
         let resp = read_all(&mut s);
@@ -269,7 +269,7 @@ fn bad_chunked_framing_gets_400() {
     let world = synthetic_world(true, 42);
     with_server(&world, |addr| {
         let mut s = raw(addr);
-        s.write_all(b"POST /annotate HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\nzz\r\n")
+        s.write_all(b"POST /v1/annotate HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\nzz\r\n")
             .expect("write");
         let resp = read_all(&mut s);
         assert!(resp.starts_with("HTTP/1.1 400"), "bad chunk size is a 400: {resp:?}");
@@ -285,7 +285,7 @@ fn chunked_annotate_body_is_byte_identical() {
         let body = table_to_json(t);
         let mut s = raw(addr);
         s.write_all(
-            b"POST /annotate HTTP/1.1\r\ntransfer-encoding: chunked\r\nconnection: \
+            b"POST /v1/annotate HTTP/1.1\r\ntransfer-encoding: chunked\r\nconnection: \
                       close\r\n\r\n",
         )
         .expect("write");
@@ -312,12 +312,12 @@ fn chunked_annotate_body_is_byte_identical() {
 fn poisoned_connections_never_wedge_the_daemon() {
     let world = synthetic_world(true, 42);
     with_server(&world, |addr| {
-        // More slow/partial connections than request workers (2), all
-        // holding a half-sent request head open.
+        // Several slow/partial connections, all holding a half-sent
+        // request head open.
         let mut poison = Vec::new();
         for _ in 0..4 {
             let mut s = raw(addr);
-            s.write_all(b"POST /annotate HTTP/1.1\r\ncontent-len").expect("write partial");
+            s.write_all(b"POST /v1/annotate HTTP/1.1\r\ncontent-len").expect("write partial");
             poison.push(s); // keep sockets open
         }
         // A well-formed request must still be answered promptly: a stalled
@@ -364,7 +364,7 @@ fn empty_tables_and_empty_columns_get_400() {
     with_server(&world, |addr| {
         for body in ["{\"tables\": []}", "{\"id\": \"t\", \"columns\": []}"] {
             let mut c = Client::connect(addr, Some(Duration::from_secs(5))).expect("connect");
-            let r = c.request("POST", "/annotate", body.as_bytes()).expect("answered");
+            let r = c.request("POST", "/v1/annotate", body.as_bytes()).expect("answered");
             assert_eq!(r.status, 400, "body {body:?} must be a request error");
         }
         assert_still_serving(addr);
@@ -382,40 +382,9 @@ fn deeply_nested_json_gets_400_not_a_stack_overflow() {
         body.push_str(&"]".repeat(4096));
         body.push('}');
         let mut c = Client::connect(addr, Some(Duration::from_secs(5))).expect("connect");
-        let r = c.request("POST", "/annotate", body.as_bytes()).expect("answered");
+        let r = c.request("POST", "/v1/annotate", body.as_bytes()).expect("answered");
         assert_eq!(r.status, 400, "deep nesting must hit the depth bound");
         assert_still_serving(addr);
-    });
-}
-
-/// The unprefixed legacy aliases are no longer blind spots: every hit is
-/// counted in `/v1/stats` as `legacy_route_hits`, and the response carries
-/// a `Deprecation` header so clients can find themselves in logs. `/v1`
-/// routes carry neither.
-#[test]
-fn legacy_aliases_are_counted_and_marked_deprecated() {
-    let world = synthetic_world(true, 42);
-    with_server(&world, |addr| {
-        let mut c = Client::connect(addr, Some(Duration::from_secs(5))).expect("connect");
-        let body = table_to_json(&world.tables[0]);
-
-        let legacy = c.request("POST", "/annotate", body.as_bytes()).expect("legacy annotate");
-        assert_eq!(legacy.status, 200);
-        assert!(legacy.deprecated, "legacy alias must carry a Deprecation header");
-
-        let legacy_get = c.request("GET", "/healthz", b"").expect("legacy healthz");
-        assert_eq!(legacy_get.status, 200);
-        assert!(legacy_get.deprecated, "legacy alias must carry a Deprecation header");
-
-        let v1 = c.request("POST", "/v1/annotate", body.as_bytes()).expect("v1 annotate");
-        assert_eq!(v1.status, 200);
-        assert!(!v1.deprecated, "versioned routes are not deprecated");
-
-        let stats = c.request("GET", "/v1/stats", b"").expect("stats");
-        assert_eq!(stats.status, 200);
-        assert!(!stats.deprecated);
-        let stats = String::from_utf8(stats.body).expect("utf8 stats");
-        assert!(stats.contains("\"legacy_route_hits\":2"), "stats: {stats}");
     });
 }
 
@@ -426,30 +395,33 @@ fn readyz_and_healthz_report_readiness() {
     let world = synthetic_world(true, 42);
     with_server(&world, |addr| {
         let mut c = Client::connect(addr, Some(Duration::from_secs(5))).expect("connect");
-        // The versioned routes and the legacy unprefixed aliases must agree.
-        for path in ["/healthz", "/v1/healthz"] {
-            let h = c.request("GET", path, b"").expect("healthz");
-            assert_eq!(h.status, 200, "{path}");
-            let body = String::from_utf8(h.body).expect("utf8");
-            assert!(body.contains("\"ready\":true"), "{path}: {body}");
-        }
-        for path in ["/readyz", "/v1/readyz"] {
-            let r = c.request("GET", path, b"").expect("readyz");
-            assert_eq!(r.status, 200, "{path}");
-        }
+        let h = c.request("GET", "/v1/healthz", b"").expect("healthz");
+        assert_eq!(h.status, 200);
+        let body = String::from_utf8(h.body).expect("utf8");
+        assert!(body.contains("\"ready\":true"), "{body}");
+        let r = c.request("GET", "/v1/readyz", b"").expect("readyz");
+        assert_eq!(r.status, 200);
     });
 }
 
 /// Unknown routes — versioned or not — answer `404` with the standard
-/// error envelope, and near-miss prefixes (`/v1x/...`) are not silently
-/// treated as `/v1/`.
+/// error envelope: near-miss prefixes (`/v1x/...`) are not silently treated
+/// as `/v1/`, and a route has no unprefixed second name.
 #[test]
 fn unknown_routes_get_404_with_envelope() {
     let world = synthetic_world(true, 42);
     with_server(&world, |addr| {
         let mut c = Client::connect(addr, Some(Duration::from_secs(5))).expect("connect");
-        for path in ["/nope", "/v1/nope", "/v1x/healthz", "/v1healthz"] {
-            let r = c.request("GET", path, b"").expect("answered");
+        let table = table_to_json(&world.tables[0]);
+        for (method, path, body) in [
+            ("GET", "/nope", ""),
+            ("GET", "/v1/nope", ""),
+            ("GET", "/v1x/healthz", ""),
+            ("GET", "/v1healthz", ""),
+            ("GET", "/healthz", ""),
+            ("POST", "/annotate", table.as_str()),
+        ] {
+            let r = c.request(method, path, body.as_bytes()).expect("answered");
             assert_eq!(r.status, 404, "{path}");
             let body = String::from_utf8(r.body).expect("utf8");
             assert!(
@@ -496,7 +468,7 @@ fn chaos_reset_sends_a_torn_response_and_the_daemon_survives() {
         let mut s = raw(addr);
         s.write_all(
             format!(
-                "POST /annotate HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n{body}",
+                "POST /v1/annotate HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n{body}",
                 body.len()
             )
             .as_bytes(),
@@ -517,6 +489,24 @@ fn chaos_reset_sends_a_torn_response_and_the_daemon_survives() {
         // The fault is per-connection: the daemon is still healthy.
         assert_still_serving(addr);
     });
+
+    // One draw per request, in arrival order: two daemons with one seed,
+    // fed the same 16 requests one after another, tear the same ones.
+    let torn_positions = || {
+        let chaos = doduo_served::chaos::ChaosConfig::parse("reset_prob=0.5,seed=9").expect("spec");
+        let cfg = ServeConfig { chaos: Some(chaos), ..hardened_config() };
+        with_server_cfg(&world, cfg, |addr| {
+            let torn = |i: usize| {
+                let body = table_to_json(&world.tables[i]);
+                let mut c = Client::connect(addr, Some(Duration::from_secs(5))).expect("connect");
+                c.request("POST", "/v1/annotate", body.as_bytes()).is_err()
+            };
+            (0..16).map(torn).collect::<Vec<bool>>()
+        })
+    };
+    let first = torn_positions();
+    assert_eq!(first, torn_positions(), "same seed, same arrival order, same faults");
+    assert!(first.contains(&true) && first.contains(&false), "{first:?}");
 }
 
 /// Chaos delay faults hold the response back without corrupting it: the
@@ -535,7 +525,7 @@ fn chaos_delay_postpones_but_never_corrupts() {
         };
         let mut c = Client::connect(addr, Some(Duration::from_secs(10))).expect("connect");
         let start = std::time::Instant::now();
-        let r = c.request("POST", "/annotate", table_to_json(t).as_bytes()).expect("annotate");
+        let r = c.request("POST", "/v1/annotate", table_to_json(t).as_bytes()).expect("annotate");
         assert!(
             start.elapsed() >= Duration::from_millis(300),
             "delay fault must hold the response, elapsed {:?}",
@@ -596,11 +586,10 @@ fn stat(stats: &Json, path: &[&str]) -> f64 {
     path.iter().fold(stats, |v, k| v.get(k).expect("stats key")).as_f64().expect("number")
 }
 
-/// Open, idle streams hold connections, not workers: with more of them than
-/// the two request workers, a new stream and a worker-served route are both
-/// answered at once.
+/// Open, idle streams hold connections and nothing else: beside three of
+/// them, a new stream and a `/v1/feedback` post are both answered at once.
 #[test]
-fn idle_streams_do_not_starve_the_worker_pool() {
+fn idle_streams_delay_neither_a_new_stream_nor_feedback() {
     let world = synthetic_world(true, 42);
     with_server(&world, |addr| {
         let second = Duration::from_secs(1);

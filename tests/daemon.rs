@@ -1,11 +1,13 @@
 //! The daemon over a real socket, in the tier-1 suite: one `/v1/annotate`
 //! request and one `/v1/annotate_stream` session — driven full duplex, the
 //! way the benchmark's client drives it — must answer with exactly the
-//! bytes offline annotation produces; after `POST /v1/model` installs a
-//! second checkpoint, with exactly the bytes offline annotation under
-//! *that* bundle produces (nothing derived from the old weights — a packed
-//! GEMM panel, say — may outlive the swap); and `POST /v1/shutdown` must
-//! make `Server::run` return.
+//! bytes offline annotation produces; after `POST /v1/model` (the one route
+//! with a thread of its own, the loader) re-installs the serving checkpoint,
+//! with the same bytes under version 2; after it installs a different one,
+//! with exactly the bytes offline annotation under *that* bundle produces
+//! (nothing derived from the old weights — a packed GEMM panel, say — may
+//! outlive the swap); `/v1/feedback` is answered inline, an unprefixed path
+//! is a 404; and `POST /v1/shutdown` must make `Server::run` return.
 
 use doduo_served::bootstrap::synthetic_world;
 use doduo_served::http::Client;
@@ -53,6 +55,21 @@ fn daemon_answers_offline_bytes_and_shuts_down() {
         assert_eq!(s.stream_next_line().expect("end of stream"), None, "no error object");
         let expected: Vec<String> = streamed.iter().map(|b| offline(b)).collect();
         assert_eq!(lines, expected, "one offline-identical line per streamed table, in order");
+
+        // The serving bundle's own blob, through the loader thread: a new
+        // version, the same bytes.
+        let swap = c.request("POST", "/v1/model", &world.bundle.save()).expect("model upload");
+        assert_eq!(swap.status, 200, "swap rejected: {}", String::from_utf8_lossy(&swap.body));
+        assert!(swap.model_version.is_some_and(|v| v.starts_with("2-")), "version 2 serves");
+        let resp = c.request("POST", "/v1/annotate", bodies[0].as_bytes()).expect("annotate");
+        assert_eq!(resp.body, offline(&bodies[0]).as_bytes(), "same weights, same bytes");
+
+        let types = vec!["[]"; world.tables[0].n_cols()].join(",");
+        let feedback = format!("{{\"table\": {}, \"types\": [{types}]}}", bodies[0]);
+        let resp = c.request("POST", "/v1/feedback", feedback.as_bytes()).expect("feedback");
+        assert!(String::from_utf8_lossy(&resp.body).contains("\"status\":\"accepted\""));
+        let resp = c.request("POST", "/annotate", bodies[0].as_bytes()).expect("answered");
+        assert_eq!(resp.status, 404, "a route has no unprefixed second name");
 
         let next = synthetic_world(true, 99);
         let swap = c.request("POST", "/v1/model", &next.bundle.save()).expect("model upload");
