@@ -15,7 +15,10 @@
 //!
 //! A complete response — any status — is not a transport failure; the
 //! *proxy* decides whether a complete `5xx` is worth retrying elsewhere.
+//! Past the first-byte probe, the head is read by the same function
+//! `doduo_served::http::Client` uses.
 
+use doduo_served::http::read_response_head;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
@@ -133,56 +136,24 @@ impl Backend {
             }
         };
         debug_assert!(started);
-        let mid = |e: std::io::Error| ForwardError::MidResponse(format!("{e}"));
-
-        let mut line = String::new();
-        self.reader.read_line(&mut line).map_err(mid)?;
-        let status: u16 = line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| ForwardError::MidResponse(format!("bad status line: {line:?}")))?;
-
-        let mut content_length = 0usize;
-        let mut content_type = String::from("application/json");
-        let mut retry_after = None;
-        let mut model_version = None;
-        let mut keep_alive = true;
-        loop {
-            line.clear();
-            let n = self.reader.read_line(&mut line).map_err(mid)?;
-            if n == 0 {
-                return Err(ForwardError::MidResponse("closed mid-headers".into()));
-            }
-            let t = line.trim_end();
-            if t.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = t.split_once(':') {
-                let value = value.trim();
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.parse().unwrap_or(0);
-                } else if name.eq_ignore_ascii_case("content-type") {
-                    content_type = value.to_string();
-                } else if name.eq_ignore_ascii_case("retry-after") {
-                    retry_after = value.parse().ok();
-                } else if name.eq_ignore_ascii_case("x-model-version") {
-                    model_version = Some(value.to_string());
-                } else if name.eq_ignore_ascii_case("connection")
-                    && value.eq_ignore_ascii_case("close")
-                {
-                    keep_alive = false;
-                } else if name.eq_ignore_ascii_case("transfer-encoding") {
-                    // Replicas only chunk `/annotate_stream`, which the
-                    // balancer never proxies; treat it as a torn response.
-                    return Err(ForwardError::MidResponse("unexpected chunked response".into()));
-                }
-            }
+        let head = read_response_head(&mut self.reader)
+            .map_err(|e| ForwardError::MidResponse(format!("{e}")))?;
+        if head.chunked {
+            // Replicas only chunk `/annotate_stream`, which the balancer
+            // never proxies; treat it as a torn response.
+            return Err(ForwardError::MidResponse("unexpected chunked response".into()));
         }
-        let mut body = vec![0u8; content_length];
+        let mut body = vec![0u8; head.content_length];
         self.reader
             .read_exact(&mut body)
             .map_err(|e| ForwardError::MidResponse(format!("body: {e}")))?;
-        Ok(BackendResponse { status, content_type, retry_after, model_version, body, keep_alive })
+        Ok(BackendResponse {
+            status: head.status,
+            content_type: head.content_type.unwrap_or_else(|| "application/json".into()),
+            retry_after: head.retry_after,
+            model_version: head.model_version,
+            body,
+            keep_alive: head.keep_alive,
+        })
     }
 }

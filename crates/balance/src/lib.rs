@@ -8,11 +8,13 @@
 //!   `/readyz` probe passes, restarts crashed ones under a rate-limited
 //!   restart budget with exponential backoff, and escalates a replica that
 //!   exhausts the budget to permanent failure.
-//! * [`proxy`] — an HTTP/1.1 keep-alive front that forwards each request
-//!   to a ready replica and fails over on connect errors, first-byte
-//!   timeouts, and complete `5xx`s — but never once response bytes have
-//!   flowed (mid-response failures abort with `502` after exactly one
-//!   dispatch). Overload sheds with `503 + Retry-After`.
+//! * [`proxy`] — an HTTP/1.1 keep-alive front, a second driver on the
+//!   daemon's epoll reactor (`doduo_served::reactor`), that forwards each
+//!   request to a ready replica on a forwarder thread and fails over on
+//!   connect errors, first-byte timeouts, and complete `5xx`s — but never
+//!   once response bytes have flowed (mid-response failures abort with
+//!   `502` after exactly one dispatch). Overload sheds with
+//!   `503 + Retry-After`; a parked client costs no thread.
 //! * [`backend`] — the balancer→replica connection and the
 //!   before-/mid-response failure classification the retry policy rests on.
 //! * [`backoff`] — capped exponential backoff with seeded jitter, shared by

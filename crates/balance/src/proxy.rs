@@ -1,5 +1,24 @@
-//! The balancer front: accepts client keep-alive connections, proxies each
-//! request to a `Ready` replica, and retries *safely*.
+//! The balancer front: a second [`Driver`] on the daemon's epoll reactor.
+//! It answers the local endpoints inline, proxies every other request to a
+//! `Ready` replica on a forwarder thread, and retries *safely*.
+//!
+//! ## Threads
+//!
+//! ```text
+//! reactor × 1 (caller's thread, epoll)   owns the listener and every client
+//!   │        connection (a parked keep-alive one costs no thread); answers
+//!   │        /v1/healthz, /v1/readyz, /v1/stats, /v1/shutdown, the 404s,
+//!   │        the stream 501 and the max_inflight shed inline
+//!   ├── forwarder × in-flight   one per proxied request or /v1/model
+//!   │        fan-out: the retry loop below over one pool of replica links,
+//!   │        its answer routed back through the reactor's Router
+//!   ├── supervisor × 1   (supervised mode) replicas spawned, probed,
+//!   │        restarted; ends the balancer when every replica has failed
+//!   └── catch-up × 1     (supervised mode) re-pushes the fleet model
+//! ```
+//!
+//! Idle, the balancer is three threads however many clients it parks;
+//! `max_inflight` bounds the forwarders.
 //!
 //! ## Retry semantics (the idempotency argument)
 //!
@@ -29,15 +48,17 @@
 use crate::backend::{Backend, BackendResponse, ForwardError};
 use crate::backoff::{Backoff, SplitMix64};
 use crate::supervisor::{supervise, Registry, ReplicaState, SupervisorConfig};
-use doduo_served::http::{
-    read_body, read_head, reason_for, write_continue, write_error, write_read_error,
-    write_response, write_unavailable, Head, ReadError,
+use doduo_served::json::push_escaped;
+use doduo_served::reactor::{
+    admit, Dispatch, Driver, NoStream, Reactor, ReactorConfig, Router, Ticket,
 };
+use doduo_served::{HttpRequest, HttpResponse};
 use std::collections::{HashMap, HashSet};
-use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// `Retry-After` hint (seconds) on shed and no-replica 503s.
@@ -71,12 +92,8 @@ pub struct BalanceConfig {
     /// Ceiling on the between-rounds retry delay.
     pub retry_backoff_cap: Duration,
     /// Wall-clock bound on reading one client request once its first byte
-    /// arrived (slow-loris guard, as in the replicas).
+    /// arrived (slow-loris guard: the reactor's `408`, as in the replicas).
     pub request_deadline: Duration,
-    /// Client-socket read timeout (idle keep-alive poll granularity).
-    pub read_timeout: Duration,
-    /// Honor HTTP keep-alive on client connections.
-    pub keep_alive: bool,
     /// Seed for retry jitter.
     pub seed: u64,
 }
@@ -95,8 +112,6 @@ impl Default for BalanceConfig {
             retry_backoff_base: Duration::from_millis(25),
             retry_backoff_cap: Duration::from_millis(500),
             request_deadline: Duration::from_secs(10),
-            read_timeout: Duration::from_millis(200),
-            keep_alive: true,
             seed: 0,
         }
     }
@@ -133,11 +148,14 @@ struct Shared {
     shutdown: AtomicBool,
     connections: AtomicUsize,
     inflight: AtomicUsize,
-    conn_seq: AtomicU64,
+    /// Forwards started so far: seeds each one's retry jitter.
+    forwards: AtomicU64,
     registry: Registry,
     stats: BalanceStats,
     started: Instant,
-    fatal: Mutex<Option<String>>,
+    /// Idle keep-alive links to the replicas by replica id, shared by every
+    /// forwarder.
+    links: Mutex<HashMap<usize, Vec<Backend>>>,
     /// The last model blob every replica accepted — the rollback image for
     /// a failed fan-out and the catch-up image for restarted replicas.
     last_model: Mutex<Option<Vec<u8>>>,
@@ -156,8 +174,18 @@ impl Shared {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
-    fn end_conn(&self) {
-        self.connections.fetch_sub(1, Ordering::SeqCst);
+    /// A parked link to replica `id`. A zero-timeout readiness probe weeds
+    /// out links whose replica restarted while they were parked — those
+    /// would otherwise burn a retry attempt as a before-response failure.
+    fn checkout(&self, id: usize) -> Option<Backend> {
+        let mut links = self.links.lock().expect("links lock");
+        let parked = links.get_mut(&id)?;
+        std::iter::from_fn(|| parked.pop()).find(|be| !be.is_stale())
+    }
+
+    /// Parks a link the replica keeps open for the next forward to reuse.
+    fn checkin(&self, id: usize, be: Backend) {
+        self.links.lock().expect("links lock").entry(id).or_default().push(be);
     }
 
     fn stats_json(&self) -> String {
@@ -266,11 +294,11 @@ impl Balancer {
             shutdown: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
-            conn_seq: AtomicU64::new(0),
+            forwards: AtomicU64::new(0),
             registry,
             stats: BalanceStats::default(),
             started: Instant::now(),
-            fatal: Mutex::new(None),
+            links: Mutex::new(HashMap::new()),
             last_model: Mutex::new(None),
             converged: Mutex::new(HashSet::new()),
         });
@@ -288,84 +316,180 @@ impl Balancer {
     }
 
     /// Serves until shutdown (or until every supervised replica has
-    /// permanently failed, which is an error). All threads — the
-    /// supervisor and one per client connection — are scoped inside, and
-    /// supervised children are stopped before this returns.
+    /// permanently failed, which is an error). The reactor runs on the
+    /// calling thread; the supervisor, the catch-up loop and the forwarders
+    /// are scoped inside, and supervised children are stopped before this
+    /// returns.
     pub fn run(&self) -> Result<(), String> {
         self.listener.set_nonblocking(true).map_err(|e| format!("listener: {e}"))?;
-        let shared = &self.shared;
-        let cfg = &self.cfg;
+        let (shared, cfg) = (&*self.shared, &self.cfg);
         std::thread::scope(|scope| {
-            if let Some(sup) = &cfg.supervisor {
-                scope.spawn(move || supervise(&shared.registry, sup, &shared.shutdown));
+            let driver = ProxyDriver {
+                listener: &self.listener,
+                shared,
+                cfg,
+                scope,
+                router: OnceLock::new(),
+            };
+            let rcfg = ReactorConfig {
+                request_deadline: cfg.request_deadline,
+                dispatch_timeout: dispatch_budget(cfg, shared.registry.snapshot().len()),
+                ..ReactorConfig::default()
+            };
+            let mut reactor = Reactor::new(rcfg, driver).map_err(|e| format!("reactor: {e}"))?;
+            reactor
+                .set_listener(self.listener.as_raw_fd())
+                .map_err(|e| format!("listener: {e}"))?;
+            let _ = reactor.driver().router.set(reactor.router());
+            let supervisor = cfg.supervisor.as_ref().map(|sup| {
                 // Catch-up: a replica restarted after a fleet-wide swap
                 // boots on its original checkpoint; re-push the accepted
                 // model before mixed-version answers can linger.
                 scope.spawn(move || catchup_loop(shared, cfg));
-            }
-            while !shared.shutting_down() {
-                if cfg.supervisor.is_some() && shared.registry.all_failed() {
-                    *shared.fatal.lock().expect("fatal lock") =
-                        Some("every replica permanently failed".into());
-                    shared.request_shutdown();
-                    break;
-                }
-                if let Some(stream) = self.admit() {
-                    scope.spawn(move || {
-                        conn_loop(stream, shared, cfg);
-                        shared.end_conn();
-                    });
-                }
-            }
-        });
-        match self.shared.fatal.lock().expect("fatal lock").take() {
-            Some(msg) => Err(msg),
-            None => Ok(()),
-        }
+                scope.spawn(move || supervise(&shared.registry, sup, &shared.shutdown))
+            });
+            let served = reactor.run(&shared.shutdown, Duration::from_secs(5));
+            shared.request_shutdown();
+            let verdict = supervisor
+                .map_or(Ok(()), |s| s.join().unwrap_or_else(|_| Err("supervisor panicked".into())));
+            served.map_err(|e| format!("reactor: {e}")).and(verdict)
+        })
+    }
+}
+
+/// The reactor's backstop for a forwarded request: the longest a forward
+/// can legitimately take, so that only a wedged one is cut. A proxied
+/// request makes at most `retry_rounds` passes over the replicas with a
+/// backoff between them, each attempt bounded by a connect and a write
+/// (`connect_timeout` each) and two waits for response bytes (the first
+/// byte, then the rest); a fan-out uploads to each replica once and may
+/// roll each back (an upload, or a stop bounded by 2 s).
+fn dispatch_budget(cfg: &BalanceConfig, replicas: usize) -> Duration {
+    let attempt = (cfg.connect_timeout + cfg.response_timeout) * 2;
+    let n = replicas.max(1) as u32;
+    let proxy = (attempt * n + cfg.retry_backoff_cap) * cfg.retry_rounds.max(1);
+    let fan_out = (attempt * 2 + Duration::from_secs(2)) * n;
+    proxy.max(fan_out) + Duration::from_secs(5)
+}
+
+/// The balancer's [`Driver`]: admission, the local endpoints answered
+/// inline, and everything else handed to a forwarder thread.
+struct ProxyDriver<'scope, 'env> {
+    listener: &'env TcpListener,
+    shared: &'env Shared,
+    cfg: &'env BalanceConfig,
+    scope: &'scope Scope<'scope, 'env>,
+    /// The reactor's completion queue, installed once the reactor exists.
+    router: OnceLock<Arc<Router>>,
+}
+
+impl<'scope, 'env> Driver<TcpStream> for ProxyDriver<'scope, 'env> {
+    type Stream = NoStream;
+
+    fn accept(&self) -> std::io::Result<Option<TcpStream>> {
+        let (shared, stats) = (self.shared, &self.shared.stats);
+        let cap = self.cfg.max_connections;
+        admit(self.listener, &shared.connections, cap, &stats.conns_accepted, &stats.conns_rejected)
     }
 
-    fn admit(&self) -> Option<TcpStream> {
-        let shared = &self.shared;
-        match self.listener.accept() {
-            Ok((stream, _)) => {
-                if stream.set_nonblocking(false).is_err()
-                    || stream.set_read_timeout(Some(self.cfg.read_timeout)).is_err()
-                    || stream.set_write_timeout(Some(Duration::from_secs(30))).is_err()
-                    || stream.set_nodelay(true).is_err()
-                {
-                    return None;
+    fn dispatch(&self, ticket: Ticket, req: HttpRequest, _prior: u64) -> Dispatch {
+        let (shared, cfg) = (self.shared, self.cfg);
+        // Local endpoints and proxied routes alike have one name, the
+        // literal `/v1/...` path the replicas serve.
+        let resp = match (req.method.as_str(), req.path.as_str()) {
+            (method, path) if !path.starts_with("/v1/") => {
+                HttpResponse::error(404, &format!("no route for {method} {path}"))
+            }
+            // Balancer liveness: 200 while the front process serves at all.
+            ("GET", "/v1/healthz") => HttpResponse::json(
+                200,
+                format!(
+                    "{{\"status\":\"ok\",\"ready_replicas\":{},\"uptime_secs\":{:.3}}}\n",
+                    shared.registry.ready_order().len(),
+                    shared.started.elapsed().as_secs_f64()
+                ),
+            ),
+            // Balancer readiness: can it actually route traffic somewhere?
+            ("GET", "/v1/readyz") if shared.registry.ready_order().is_empty() => {
+                HttpResponse::unavailable("no_ready_replica", "no ready replica", RETRY_AFTER_SECS)
+            }
+            ("GET", "/v1/readyz") => HttpResponse::json(200, "{\"status\":\"ready\"}\n"),
+            ("GET", "/v1/stats") => HttpResponse::json(200, shared.stats_json()),
+            ("POST", "/v1/shutdown") => {
+                shared.request_shutdown();
+                HttpResponse::json(200, "{\"status\":\"shutting down\"}\n").close()
+            }
+            // Streaming is deliberately not proxied: a chunked response has
+            // no single commit point, so the balancer's retry semantics
+            // cannot apply. Clients stream against a replica directly.
+            ("POST", "/v1/annotate_stream") => {
+                HttpResponse::error(501, "streaming is not proxied; connect to a replica directly")
+            }
+            // Model uploads are a *fleet* operation, not a proxied request:
+            // all ready replicas must accept the new bundle or none keep it.
+            ("POST", "/v1/model") => {
+                return self.forward(ticket, move || fan_out_model(&req.body, shared, cfg))
+            }
+            _ => match InflightGuard::enter(&shared.inflight, cfg.max_inflight) {
+                Some(guard) => {
+                    return self.forward(ticket, move || {
+                        let _guard = guard;
+                        proxy_request(&req, shared, cfg)
+                    })
                 }
-                if shared.connections.load(Ordering::SeqCst) >= self.cfg.max_connections {
-                    shared.stats.conns_rejected.fetch_add(1, Ordering::Relaxed);
-                    let mut stream = stream;
-                    let _ = write_unavailable(
-                        &mut stream,
-                        "overloaded",
-                        "too many connections",
-                        false,
-                        RETRY_AFTER_SECS,
-                    );
-                    return None;
+                None => {
+                    shared.stats.sheds.fetch_add(1, Ordering::Relaxed);
+                    HttpResponse::unavailable("overloaded", "balancer overloaded", RETRY_AFTER_SECS)
                 }
-                shared.connections.fetch_add(1, Ordering::SeqCst);
-                shared.stats.conns_accepted.fetch_add(1, Ordering::Relaxed);
-                Some(stream)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-                None
-            }
-            Err(e) => {
-                eprintln!("[balance] accept error: {e}");
-                std::thread::sleep(Duration::from_millis(50));
-                None
-            }
+            },
+        };
+        Dispatch::Respond(resp.close_if(shared.shutting_down()))
+    }
+
+    fn on_close(&self) {
+        self.shared.connections.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+impl<'scope> ProxyDriver<'scope, '_> {
+    /// Runs `work` on a forwarder thread of its own and routes its answer
+    /// back to the connection `ticket` addresses.
+    fn forward(
+        &self,
+        ticket: Ticket,
+        work: impl FnOnce() -> HttpResponse + Send + 'scope,
+    ) -> Dispatch {
+        let router = Arc::clone(self.router.get().expect("router installed before serving"));
+        let shared = self.shared;
+        // Once shutdown has begun, a connection answered here closes rather
+        // than parks again and holds up the reactor's drain.
+        let forwarder = move || {
+            let resp = work().close_if(shared.shutting_down());
+            router.complete(ticket, resp, None)
+        };
+        match std::thread::Builder::new().spawn_scoped(self.scope, forwarder) {
+            Ok(_) => Dispatch::Queued,
+            // `work`, and the in-flight slot it holds, went down unrun.
+            Err(_) => Dispatch::Respond(HttpResponse::unavailable(
+                "overloaded",
+                "no thread for the forward",
+                RETRY_AFTER_SECS,
+            )),
         }
     }
 }
 
-/// Decrements the inflight gauge on every exit path.
+/// One slot of the `max_inflight` gauge, released on every exit path.
 struct InflightGuard<'a>(&'a AtomicUsize);
+
+impl<'a> InflightGuard<'a> {
+    /// Takes a slot, or `None` at the cap (the guard dropped at once gives
+    /// its count back).
+    fn enter(inflight: &'a AtomicUsize, cap: usize) -> Option<InflightGuard<'a>> {
+        let guard = InflightGuard(inflight);
+        (inflight.fetch_add(1, Ordering::SeqCst) < cap).then_some(guard)
+    }
+}
 
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
@@ -373,200 +497,47 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
-/// Serves one client connection: local endpoints answered in place,
-/// everything else proxied with failover. Pooled backend connections are
-/// per-client-connection (no cross-client sharing, no locking).
-fn conn_loop(stream: TcpStream, shared: &Shared, cfg: &BalanceConfig) {
-    let mut stream = stream;
-    let Ok(clone) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(clone);
-    let mut backends: HashMap<usize, Backend> = HashMap::new();
-    let conn_id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
-    let mut rng = SplitMix64::new(cfg.seed.wrapping_add(conn_id));
-    loop {
-        if shared.shutting_down() {
-            return;
-        }
-        let deadline = Instant::now() + cfg.request_deadline;
-        let head = match read_head(&mut reader, deadline) {
-            Ok(h) => h,
-            Err(ReadError::TimedOut) => continue, // idle keep-alive
-            Err(e) => {
-                let _ = write_read_error(&mut stream, &e);
-                return;
-            }
-        };
-        let keep_alive = head.keep_alive && cfg.keep_alive && !shared.shutting_down();
-
-        // Streaming is deliberately not proxied: a chunked response has no
-        // single commit point, so the balancer's retry semantics cannot
-        // apply. Clients stream against a replica directly.
-        if head.method == "POST" && head.path == "/v1/annotate_stream" {
-            let _ = write_error(
-                &mut stream,
-                501,
-                "Not Implemented",
-                "streaming is not proxied; connect to a replica directly",
-                false,
-            );
-            return;
-        }
-
-        if head.expect_continue && write_continue(&mut stream).is_err() {
-            return;
-        }
-        let body = match read_body(&mut reader, head.framing, deadline) {
-            Ok(b) => b,
-            Err(e) => {
-                let _ = write_read_error(&mut stream, &e);
-                return;
-            }
-        };
-
-        // Local endpoints and proxied routes alike have one name, the
-        // literal `/v1/...` path the replicas serve.
-        let ok = match (head.method.as_str(), head.path.as_str()) {
-            (method, path) if !path.starts_with("/v1/") => {
-                let msg = format!("no route for {method} {path}");
-                write_error(&mut stream, 404, "Not Found", &msg, keep_alive)
-            }
-            // Balancer liveness: 200 while the front process serves at all.
-            ("GET", "/v1/healthz") => {
-                let ready = shared.registry.ready_order().len();
-                let body = format!(
-                    "{{\"status\":\"ok\",\"ready_replicas\":{ready},\"uptime_secs\":{:.3}}}\n",
-                    shared.started.elapsed().as_secs_f64()
-                );
-                write_response(&mut stream, 200, "OK", "application/json", &body, keep_alive)
-            }
-            // Balancer readiness: can it actually route traffic somewhere?
-            ("GET", "/v1/readyz") => {
-                if shared.registry.ready_order().is_empty() {
-                    write_unavailable(
-                        &mut stream,
-                        "no_ready_replica",
-                        "no ready replica",
-                        keep_alive,
-                        RETRY_AFTER_SECS,
-                    )
-                } else {
-                    write_response(
-                        &mut stream,
-                        200,
-                        "OK",
-                        "application/json",
-                        "{\"status\":\"ready\"}\n",
-                        keep_alive,
-                    )
-                }
-            }
-            ("GET", "/v1/stats") => {
-                let body = shared.stats_json();
-                write_response(&mut stream, 200, "OK", "application/json", &body, keep_alive)
-            }
-            // Model uploads are a *fleet* operation, not a proxied request:
-            // all ready replicas must accept the new bundle or none keep it.
-            ("POST", "/v1/model") => fan_out_model(&mut stream, &body, shared, cfg, keep_alive),
-            ("POST", "/v1/shutdown") => {
-                let _ = write_response(
-                    &mut stream,
-                    200,
-                    "OK",
-                    "application/json",
-                    "{\"status\":\"shutting down\"}\n",
-                    false,
-                );
-                shared.request_shutdown();
-                return;
-            }
-            _ => proxy_request(
-                &mut stream,
-                &head,
-                &body,
-                &mut backends,
-                shared,
-                cfg,
-                &mut rng,
-                keep_alive,
-            ),
-        };
-        if ok.is_err() || !keep_alive {
-            return;
-        }
-    }
-}
-
 /// Proxies one request with per-request failover (see module docs for the
-/// exact retry rules).
-#[allow(clippy::too_many_arguments)]
-fn proxy_request(
-    stream: &mut TcpStream,
-    head: &Head,
-    body: &[u8],
-    backends: &mut HashMap<usize, Backend>,
-    shared: &Shared,
-    cfg: &BalanceConfig,
-    rng: &mut SplitMix64,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    if shared.inflight.fetch_add(1, Ordering::SeqCst) >= cfg.max_inflight {
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        shared.stats.sheds.fetch_add(1, Ordering::Relaxed);
-        return write_unavailable(
-            stream,
-            "overloaded",
-            "balancer overloaded",
-            keep_alive,
-            RETRY_AFTER_SECS,
-        );
-    }
-    let _guard = InflightGuard(&shared.inflight);
-
-    let path = if head.query.is_empty() {
-        head.path.clone()
-    } else {
-        format!("{}?{}", head.path, head.query)
-    };
+/// exact retry rules), on its forwarder thread.
+fn proxy_request(req: &HttpRequest, shared: &Shared, cfg: &BalanceConfig) -> HttpResponse {
+    let path =
+        if req.query.is_empty() { req.path.clone() } else { format!("{}?{}", req.path, req.query) };
+    let mut rng =
+        SplitMix64::new(cfg.seed.wrapping_add(shared.forwards.fetch_add(1, Ordering::Relaxed)));
     let mut backoff = Backoff::new(cfg.retry_backoff_base, cfg.retry_backoff_cap);
     let mut attempts = 0u64;
     let mut last_5xx: Option<BackendResponse> = None;
     for round in 0..cfg.retry_rounds.max(1) {
         if round > 0 {
-            std::thread::sleep(backoff.next_delay(rng));
+            std::thread::sleep(backoff.next_delay(&mut rng));
         }
         for (id, addr) in shared.registry.ready_order() {
             if attempts > 0 {
                 shared.stats.retries.fetch_add(1, Ordering::Relaxed);
             }
             attempts += 1;
-            // Reuse this connection's pooled link to the replica, or dial.
-            // A zero-timeout readiness probe weeds out links whose replica
-            // restarted while they were parked — those would otherwise
-            // burn a retry attempt as a before-response failure.
-            let pooled = backends.remove(&id).filter(|b| !b.is_stale());
-            let mut be = match pooled {
+            // Reuse a parked link to the replica, or dial.
+            let mut be = match shared.checkout(id) {
                 Some(b) => b,
                 None => match Backend::connect(&addr, cfg.connect_timeout, cfg.response_timeout) {
                     Ok(b) => b,
                     Err(_) => continue,
                 },
             };
-            match be.forward(&head.method, &path, body) {
-                Ok(resp) if resp.status >= 500 => {
-                    // A complete 5xx: the replica answered "not me, not
-                    // now" — safe to try elsewhere, keep it as the answer
-                    // of last resort.
-                    if resp.keep_alive {
-                        backends.insert(id, be);
-                    }
-                    last_5xx = Some(resp);
-                }
+            match be.forward(&req.method, &path, &req.body) {
                 Ok(resp) => {
                     if resp.keep_alive {
-                        backends.insert(id, be);
+                        shared.checkin(id, be);
+                    }
+                    if resp.status >= 500 {
+                        // A complete 5xx: the replica answered "not me, not
+                        // now" — safe to try elsewhere, keep it as the
+                        // answer of last resort.
+                        last_5xx = Some(resp);
+                        continue;
                     }
                     shared.stats.requests_ok.fetch_add(1, Ordering::Relaxed);
-                    return relay(stream, &resp, keep_alive);
+                    return relay(resp);
                 }
                 Err(ForwardError::BeforeResponse(_)) => {
                     // Zero response bytes: the link is dead but the
@@ -576,13 +547,8 @@ fn proxy_request(
                 Err(ForwardError::MidResponse(msg)) => {
                     shared.stats.mid_response_aborts.fetch_add(1, Ordering::Relaxed);
                     shared.stats.requests_failed.fetch_add(1, Ordering::Relaxed);
-                    return write_error(
-                        stream,
-                        502,
-                        "Bad Gateway",
-                        &format!("replica failed mid-response ({msg}); not retried"),
-                        keep_alive,
-                    );
+                    let msg = format!("replica failed mid-response ({msg}); not retried");
+                    return HttpResponse::error(502, &msg);
                 }
             }
         }
@@ -590,39 +556,24 @@ fn proxy_request(
     shared.stats.requests_failed.fetch_add(1, Ordering::Relaxed);
     match last_5xx {
         // Every replica answered 5xx: forward the last one honestly.
-        Some(resp) => relay(stream, &resp, keep_alive),
-        None => write_unavailable(
-            stream,
-            "no_healthy_replica",
-            "no healthy replica",
-            keep_alive,
-            RETRY_AFTER_SECS,
-        ),
+        Some(resp) => relay(resp),
+        None => {
+            HttpResponse::unavailable("no_healthy_replica", "no healthy replica", RETRY_AFTER_SECS)
+        }
     }
 }
 
-/// Writes a replica's complete response back to the client, preserving
-/// status, content type, body bytes, and the `Retry-After` /
-/// `x-model-version` hints.
-fn relay(stream: &mut TcpStream, resp: &BackendResponse, keep_alive: bool) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
-        resp.status,
-        reason_for(resp.status),
-        resp.content_type,
-        resp.body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
+/// A replica's complete response, for the client: status, content type,
+/// the body bytes exactly, and the `Retry-After` / `x-model-version` hints.
+fn relay(resp: BackendResponse) -> HttpResponse {
+    let mut out = HttpResponse::text(resp.status, &resp.content_type, resp.body);
     if let Some(ra) = resp.retry_after {
-        head.push_str(&format!("retry-after: {ra}\r\n"));
+        out = out.with_header("retry-after", &ra.to_string());
     }
     if let Some(mv) = &resp.model_version {
-        head.push_str(&format!("x-model-version: {mv}\r\n"));
+        out = out.with_header("x-model-version", mv);
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&resp.body)?;
-    stream.flush()
+    out
 }
 
 // ------------------------------------------------------------- model swap
@@ -632,7 +583,8 @@ fn relay(stream: &mut TcpStream, resp: &BackendResponse, keep_alive: bool) -> st
 fn upload_model(addr: &str, blob: &[u8], cfg: &BalanceConfig) -> Result<BackendResponse, String> {
     let mut be = Backend::connect(addr, cfg.connect_timeout, cfg.response_timeout)
         .map_err(|e| format!("connect: {e}"))?;
-    be.forward("POST", "/v1/model", blob).map_err(|e| format!("{e:?}"))
+    be.forward("POST", "/v1/model", blob)
+        .map_err(|(ForwardError::BeforeResponse(msg) | ForwardError::MidResponse(msg))| msg)
 }
 
 /// The per-replica outcome of one fan-out, rendered into the report JSON.
@@ -648,26 +600,15 @@ struct SwapOutcome {
 /// replica is restarted by the supervisor on its boot checkpoint; better
 /// down than serving a model the fleet rejected) — and the client gets a
 /// per-replica report either way.
-fn fan_out_model(
-    stream: &mut TcpStream,
-    blob: &[u8],
-    shared: &Shared,
-    cfg: &BalanceConfig,
-    keep_alive: bool,
-) -> std::io::Result<()> {
+fn fan_out_model(blob: &[u8], shared: &Shared, cfg: &BalanceConfig) -> HttpResponse {
     if blob.is_empty() {
-        return write_error(stream, 400, "Bad Request", "empty model upload", keep_alive);
+        return HttpResponse::error(400, "empty model upload");
     }
     let mut ready = shared.registry.ready_order();
     ready.sort_by_key(|(id, _)| *id);
     if ready.is_empty() {
-        return write_unavailable(
-            stream,
-            "no_ready_replica",
-            "no ready replica to install the model on",
-            keep_alive,
-            RETRY_AFTER_SECS,
-        );
+        let msg = "no ready replica to install the model on";
+        return HttpResponse::unavailable("no_ready_replica", msg, RETRY_AFTER_SECS);
     }
 
     let mut outcomes: Vec<SwapOutcome> = Vec::new();
@@ -711,11 +652,13 @@ fn fan_out_model(
         shared.stats.model_swaps.fetch_add(1, Ordering::Relaxed);
         let version = version.unwrap_or_default();
         eprintln!("[balance] model swap committed on {} replica(s): {version}", accepted.len());
-        let body = format!(
-            "{{\"status\":\"swapped\",\"model_version\":\"{version}\",\"replicas\":[{}]}}\n",
-            render_outcomes(&outcomes),
+        return HttpResponse::json(
+            200,
+            format!(
+                "{{\"status\":\"swapped\",\"model_version\":\"{version}\",\"replicas\":[{}]}}\n",
+                render_outcomes(&outcomes),
+            ),
         );
-        return write_response(stream, 200, "OK", "application/json", &body, keep_alive);
     };
 
     // Roll back every accepter so no serving replica keeps the rejected
@@ -738,11 +681,11 @@ fn fan_out_model(
         }
     }
     eprintln!("[balance] model swap rolled back: {reason}");
-    let body = format!(
-        "{{\"error\":{{\"code\":\"swap_rejected\",\"message\":\"{reason}\"}},\"replicas\":[{}]}}\n",
-        render_outcomes(&outcomes),
-    );
-    write_response(stream, 502, "Bad Gateway", "application/json", &body, keep_alive)
+    // The envelope's escaping: the reason quotes a replica's own words.
+    let mut body = String::from("{\"error\":{\"code\":\"swap_rejected\",\"message\":");
+    push_escaped(&mut body, &reason);
+    body.push_str(&format!("}},\"replicas\":[{}]}}\n", render_outcomes(&outcomes)));
+    HttpResponse::json(502, body)
 }
 
 /// Last-resort rollback: stop a replica that accepted a model the fleet

@@ -308,17 +308,29 @@ fn probe_ready(addr: &str, timeout: Duration) -> bool {
 
 /// Runs the supervision loop until `shutdown` is set: spawn/respawn
 /// children, discover ports, probe readiness, enforce the restart budget.
-/// On exit every child is stopped — gracefully (`POST /shutdown`) where
-/// possible, killed otherwise — and reaped, so no zombies outlive the
-/// balancer.
-pub fn supervise(reg: &Registry, cfg: &SupervisorConfig, shutdown: &AtomicBool) {
+/// When every replica has permanently failed it sets `shutdown` itself and
+/// returns that as the error. On exit every child is stopped — gracefully
+/// (`POST /shutdown`) where possible, killed otherwise — and reaped, so no
+/// zombies outlive the balancer.
+pub fn supervise(
+    reg: &Registry,
+    cfg: &SupervisorConfig,
+    shutdown: &AtomicBool,
+) -> Result<(), String> {
     let mut tick = 0u32;
+    let mut verdict = Ok(());
     while !shutdown.load(Ordering::SeqCst) {
         run_tick(reg, cfg, tick);
+        if reg.all_failed() {
+            verdict = Err("every replica permanently failed".to_string());
+            shutdown.store(true, Ordering::SeqCst);
+            break;
+        }
         tick = tick.wrapping_add(1);
         std::thread::sleep(cfg.probe_interval);
     }
     stop_children(reg);
+    verdict
 }
 
 fn run_tick(reg: &Registry, cfg: &SupervisorConfig, tick: u32) {

@@ -2,17 +2,26 @@
 //!
 //! These tests pin the retry contract without real daemons in the loop:
 //! before-response failures and complete 5xxs fail over; mid-response
-//! failures abort with 502 after exactly one dispatch; 4xxs are forwarded
-//! untouched; overload sheds with `503 + Retry-After`; slow-loris clients
-//! are cut off with 408; a fleet whose program cannot be spawned exhausts
+//! failures (a torn body, a chunked head) abort with 502 after exactly one
+//! dispatch; 4xxs are forwarded untouched; a replica that closes after each
+//! answer costs no retry; overload sheds with `503 + Retry-After`;
+//! slow-loris clients are cut off with 408; a fleet swap that fails answers
+//! a parseable 502 report; a fleet whose program cannot be spawned exhausts
 //! its restart budget and stops the balancer with an error.
+//!
+//! The mocks are one more [`Driver`] on the daemon's epoll reactor — the
+//! workspace's one HTTP server — answering every request with
+//! `Dispatch::Respond`, so the HTTP plumbing under these tests is the
+//! shared implementation, not a hand-rolled mini-server.
 
 use doduo_balance::{BalanceConfig, BalanceHandle, Balancer, SupervisorConfig};
-use doduo_served::handler::serve_blocking;
 use doduo_served::http::Client;
+use doduo_served::json::Json;
+use doduo_served::reactor::{Dispatch, Driver, NoStream, Reactor, ReactorConfig, Ticket};
 use doduo_served::{HttpRequest, HttpResponse};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,6 +38,10 @@ enum Behavior {
     Busy(u64),
     /// Advertise a 20-byte body, send 5 bytes, sever the connection.
     PartialThenClose,
+    /// A complete-looking `transfer-encoding: chunked` head, then sever.
+    ChunkedThenClose,
+    /// Complete 200 with `connection: close`, then close.
+    CloseAfterResponse,
     /// Read the request, close without writing a byte.
     CloseBeforeResponse,
 }
@@ -50,41 +63,68 @@ impl Drop for Mock {
     }
 }
 
-/// A scripted backend over the same [`Handler`]-driven blocking server the
-/// daemon crate ships (`serve_blocking`), so the HTTP plumbing under these
-/// tests is the shared implementation, not a hand-rolled mini-server. The
-/// scripted part is just the response each fully received request earns.
-///
-/// [`Handler`]: doduo_served::Handler
+/// The scripted part of a mock: the response each fully received request
+/// earns.
+struct MockDriver {
+    listener: TcpListener,
+    behavior: Behavior,
+    hits: Arc<AtomicUsize>,
+}
+
+impl Driver<TcpStream> for MockDriver {
+    type Stream = NoStream;
+
+    fn accept(&self) -> std::io::Result<Option<TcpStream>> {
+        match self.listener.accept() {
+            Ok((stream, _)) => Ok(Some(stream)),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    fn dispatch(&self, _ticket: Ticket, _req: HttpRequest, _prior: u64) -> Dispatch {
+        self.hits.fetch_add(1, Ordering::SeqCst);
+        Dispatch::Respond(match self.behavior {
+            Behavior::Status(status) => {
+                HttpResponse::json(status, format!("{{\"mock\":{status}}}\n"))
+            }
+            Behavior::Versioned => HttpResponse::json(200, "{\"mock\":200}\n")
+                .with_header("x-model-version", "9-deadbeef"),
+            Behavior::Busy(secs) => HttpResponse::json(503, "{\"mock\":503}\n")
+                .with_header("retry-after", &secs.to_string()),
+            Behavior::PartialThenClose => {
+                let mut torn = b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+                      content-length: 20\r\nconnection: keep-alive\r\n\r\n"
+                    .to_vec();
+                torn.extend_from_slice(b"{\"tor");
+                HttpResponse::RawThenClose(torn)
+            }
+            Behavior::ChunkedThenClose => HttpResponse::RawThenClose(
+                b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+                  transfer-encoding: chunked\r\n\r\n5\r\n{\"mo\r\n"
+                    .to_vec(),
+            ),
+            Behavior::CloseAfterResponse => HttpResponse::json(200, "{\"mock\":200}\n").close(),
+            Behavior::CloseBeforeResponse => HttpResponse::Hangup,
+        })
+    }
+}
+
+/// A scripted backend: a [`MockDriver`] on its own reactor thread.
 fn mock(behavior: Behavior) -> Mock {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind mock");
+    listener.set_nonblocking(true).expect("nonblocking mock listener");
     let addr = listener.local_addr().expect("addr").to_string();
     let hits = Arc::new(AtomicUsize::new(0));
     let stop = Arc::new(AtomicBool::new(false));
     let thread = {
         let (hits, stop) = (Arc::clone(&hits), Arc::clone(&stop));
         std::thread::spawn(move || {
-            let handler = move |_req: &HttpRequest| {
-                hits.fetch_add(1, Ordering::SeqCst);
-                match behavior {
-                    Behavior::Status(status) => {
-                        HttpResponse::json(status, format!("{{\"mock\":{status}}}\n"))
-                    }
-                    Behavior::Versioned => HttpResponse::json(200, "{\"mock\":200}\n".to_string())
-                        .with_header("x-model-version", "9-deadbeef"),
-                    Behavior::Busy(secs) => HttpResponse::json(503, "{\"mock\":503}\n".to_string())
-                        .with_header("retry-after", &secs.to_string()),
-                    Behavior::PartialThenClose => {
-                        let mut torn = b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
-                              content-length: 20\r\nconnection: keep-alive\r\n\r\n"
-                            .to_vec();
-                        torn.extend_from_slice(b"{\"tor");
-                        HttpResponse::RawThenClose(torn)
-                    }
-                    Behavior::CloseBeforeResponse => HttpResponse::Hangup,
-                }
-            };
-            serve_blocking(listener, &handler, &stop).expect("serve mock");
+            let fd = listener.as_raw_fd();
+            let driver = MockDriver { listener, behavior, hits };
+            let mut reactor = Reactor::new(ReactorConfig::default(), driver).expect("mock reactor");
+            reactor.set_listener(fd).expect("register mock listener");
+            reactor.run(&stop, Duration::ZERO).expect("serve mock");
         })
     };
     Mock { addr, hits, stop, thread: Some(thread) }
@@ -300,6 +340,37 @@ fn model_fanout_is_all_or_nothing_when_a_replica_rejects() {
     thread.join().expect("join").expect("clean run");
 }
 
+/// A replica that dies mid-upload: the rejection report is JSON — the
+/// failure reason is escaped into the envelope, not spliced in raw.
+#[test]
+fn model_fanout_rejection_report_is_json_when_a_replica_dies_mid_upload() {
+    let ok = mock(Behavior::Status(200));
+    let dead = mock(Behavior::CloseBeforeResponse);
+    let (addr, handle, thread) =
+        start_balancer(cfg_with_backends(vec![ok.addr.clone(), dead.addr.clone()]));
+
+    let mut client =
+        Client::connect(&addr.to_string(), Some(Duration::from_secs(5))).expect("connect");
+    let resp = client.request("POST", "/v1/model", b"FAKEBLOB").expect("request");
+    assert_eq!(resp.status, 502);
+    let body = String::from_utf8(resp.body).expect("utf8");
+    let report = Json::parse(&body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    let error = report.get("error").expect("error object");
+    assert_eq!(error.get("code").and_then(Json::as_str), Some("swap_rejected"), "{body}");
+    assert!(error.get("message").and_then(Json::as_str).is_some(), "{body}");
+    let outcomes: Vec<&str> = report
+        .get("replicas")
+        .and_then(Json::as_array)
+        .expect("replicas")
+        .iter()
+        .map(|r| r.get("outcome").and_then(Json::as_str).expect("outcome"))
+        .collect();
+    assert_eq!(outcomes, ["stopped", "unreachable"], "{body}");
+
+    handle.shutdown();
+    thread.join().expect("join").expect("clean run");
+}
+
 #[test]
 fn mid_response_failure_aborts_with_502_after_exactly_one_dispatch() {
     let torn = mock(Behavior::PartialThenClose);
@@ -317,6 +388,50 @@ fn mid_response_failure_aborts_with_502_after_exactly_one_dispatch() {
     let stats = get_stats(&addr);
     assert_eq!(stat(&stats, "mid_response_aborts"), 1, "stats: {stats}");
     assert_eq!(stat(&stats, "requests_failed"), 1, "stats: {stats}");
+
+    handle.shutdown();
+    thread.join().expect("join").expect("clean run");
+}
+
+/// A chunked replica response is read through the shared response-head
+/// reader and is still a mid-response failure: the head already flowed.
+#[test]
+fn chunked_response_aborts_with_502_after_exactly_one_dispatch() {
+    let chunked = mock(Behavior::ChunkedThenClose);
+    let live = mock(Behavior::Status(200));
+    let (addr, handle, thread) =
+        start_balancer(cfg_with_backends(vec![chunked.addr.clone(), live.addr.clone()]));
+
+    let mut client =
+        Client::connect(&addr.to_string(), Some(Duration::from_secs(5))).expect("connect");
+    let resp = client.request("POST", "/v1/annotate", b"{}").expect("request");
+    assert_eq!(resp.status, 502, "a chunked head is a started response: no retry");
+    assert_eq!(chunked.hits.load(Ordering::SeqCst), 1, "exactly one dispatch");
+    assert_eq!(live.hits.load(Ordering::SeqCst), 0, "never re-dispatched to the healthy replica");
+    assert_eq!(stat(&get_stats(&addr), "mid_response_aborts"), 1);
+
+    handle.shutdown();
+    thread.join().expect("join").expect("clean run");
+}
+
+/// A replica that answers `connection: close` is never handed a request on
+/// the link it closed: the next request dials fresh and costs no retry.
+#[test]
+fn connection_close_answers_are_not_reused() {
+    let closer = mock(Behavior::CloseAfterResponse);
+    let (addr, handle, thread) = start_balancer(cfg_with_backends(vec![closer.addr.clone()]));
+
+    let mut client =
+        Client::connect(&addr.to_string(), Some(Duration::from_secs(5))).expect("connect");
+    for i in 0..2 {
+        let resp = client.request("POST", "/v1/annotate", b"{}").expect("request");
+        assert_eq!(resp.status, 200, "request {i}");
+        assert_eq!(resp.body, b"{\"mock\":200}\n");
+    }
+    assert_eq!(closer.hits.load(Ordering::SeqCst), 2);
+    let stats = get_stats(&addr);
+    assert_eq!(stat(&stats, "retries"), 0, "stats: {stats}");
+    assert_eq!(stat(&stats, "requests_ok"), 2, "stats: {stats}");
 
     handle.shutdown();
     thread.join().expect("join").expect("clean run");

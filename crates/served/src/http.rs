@@ -7,24 +7,24 @@
 //!
 //! The parser is split head/body so a server can route *before* buffering a
 //! body. There is one grammar, sans-IO — [`parse_head`] and [`BodyDecoder`]
-//! consume from a caller-owned byte buffer — and two drivers of it: the
-//! epoll reactor feeds them from non-blocking reads (whole bodies for the
-//! plain endpoints, an uncapped incremental decode for
-//! `/v1/annotate_stream`), and the blocking readers ([`read_head`],
-//! [`read_body`]) that `doduo-balance`'s proxy and
-//! [`crate::handler::serve_blocking`] use feed them from a `BufRead`. The
-//! hardening guarantees (smuggling rejections, size caps → HTTP 413,
-//! wall-clock deadlines → HTTP 408, see [`ReadError::status`]) therefore
-//! hold identically on every transport.
+//! consume from a caller-owned byte buffer — and one driver of it, the
+//! epoll reactor, which feeds them from non-blocking reads (whole bodies for
+//! the plain endpoints, an uncapped incremental decode for
+//! `/v1/annotate_stream`) for the daemon and `doduo-balance`'s front alike.
+//! The hardening guarantees (smuggling rejections, size caps → HTTP 413,
+//! wall-clock deadlines → HTTP 408, see [`ReadError::status`]) are therefore
+//! one implementation on both tiers. Responses are rendered in one place,
+//! [`render_response`]; the client side reads response heads through one
+//! function, [`read_response_head`].
 //!
 //! Every 4xx/5xx body uses one JSON error envelope (see
 //! [`error_envelope`]): `{"error": {"code", "message", "retry_after_ms"?}}`
 //! — shared verbatim by `doduo-balance`, so clients parse one shape no
 //! matter which tier rejected them.
 
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Upper bound on the request line + headers (DoS guard → 413).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -60,14 +60,9 @@ pub struct Head {
     pub framing: BodyFraming,
 }
 
-/// Why reading a request failed.
+/// Why reading a request failed. Every variant has an answer.
 #[derive(Debug)]
 pub enum ReadError {
-    /// Peer closed (or half-closed) before a request line — normal at the
-    /// end of a keep-alive connection.
-    Eof,
-    /// Read timed out (the caller decides whether to keep waiting).
-    TimedOut,
     /// Malformed request; the payload is a human-readable reason to send
     /// back as 400.
     Bad(String),
@@ -75,19 +70,15 @@ pub enum ReadError {
     TooLarge(String),
     /// The request dribbled in past its wall-clock deadline; send back 408.
     TooSlow,
-    /// Underlying socket error.
-    Io(std::io::Error),
 }
 
 impl ReadError {
-    /// The status and message that answer this failure, or `None` when no
-    /// answer is possible and the connection is just closed.
-    pub fn status(&self) -> Option<(u16, &str)> {
+    /// The status and message that answer this failure.
+    pub fn status(&self) -> (u16, &str) {
         match self {
-            ReadError::Bad(msg) => Some((400, msg)),
-            ReadError::TooLarge(msg) => Some((413, msg)),
-            ReadError::TooSlow => Some((408, "request too slow")),
-            ReadError::Eof | ReadError::TimedOut | ReadError::Io(_) => None,
+            ReadError::Bad(msg) => (400, msg),
+            ReadError::TooLarge(msg) => (413, msg),
+            ReadError::TooSlow => (408, "request too slow"),
         }
     }
 }
@@ -190,41 +181,6 @@ impl HeadBuilder {
     }
 }
 
-/// Reads one request head: [`parse_head`] over bytes pulled from `reader`,
-/// consuming exactly the head (body bytes and pipelined requests stay
-/// buffered). With a read timeout set on the underlying socket, returns
-/// [`ReadError::TimedOut`] when the peer is idle *before the first byte* so
-/// callers can poll a shutdown flag between requests; a timeout after
-/// partial data is fatal for the connection (the bytes are consumed), so it
-/// surfaces as an I/O error. `deadline` bounds the total wall time the head
-/// may take once its first byte has arrived.
-pub fn read_head(reader: &mut impl BufRead, deadline: Instant) -> Result<Head, ReadError> {
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let fresh = match reader.fill_buf() {
-            Ok([]) => return Err(ReadError::Eof),
-            Ok(fresh) => fresh,
-            Err(e)
-                if buf.is_empty()
-                    && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
-            {
-                return Err(ReadError::TimedOut)
-            }
-            Err(e) => return Err(ReadError::Io(e)),
-        };
-        let (before, n) = (buf.len(), fresh.len());
-        buf.extend_from_slice(fresh);
-        let parsed = parse_head(&buf)?;
-        reader.consume(parsed.as_ref().map_or(n, |(_, end)| end - before));
-        if Instant::now() > deadline {
-            return Err(ReadError::TooSlow);
-        }
-        if let Some((head, _)) = parsed {
-            return Ok(head);
-        }
-    }
-}
-
 /// The request-head grammar, sans-IO: parses one head from the front of
 /// `buf` (bytes accumulated by the caller's reads). Returns
 /// `Ok(Some((head, consumed)))` when a complete head is present, `Ok(None)`
@@ -268,34 +224,6 @@ pub fn parse_head(buf: &[u8]) -> Result<Option<(Head, usize)>, ReadError> {
         head.apply_header(trimmed)?;
     }
     Ok(Some((head.finish(), end)))
-}
-
-/// Buffers a whole request body under [`MAX_BODY_BYTES`] through a
-/// [`BodyDecoder`], consuming exactly the body's bytes from `reader` (a
-/// pipelined next request stays buffered). A mid-body read timeout is an
-/// I/O error like any other (the connection is out of sync); `deadline`
-/// bounds total wall time.
-pub fn read_body(
-    reader: &mut impl BufRead,
-    framing: BodyFraming,
-    deadline: Instant,
-) -> Result<Vec<u8>, ReadError> {
-    let mut decoder = BodyDecoder::new(framing);
-    let mut body = Vec::new();
-    // A declared-oversized body is rejected before any of it is read.
-    decoder.push(&[], &mut body)?;
-    while !decoder.is_done() {
-        let used = match reader.fill_buf() {
-            Ok([]) => return Err(ReadError::Eof),
-            Ok(buf) => decoder.push(buf, &mut body)?,
-            Err(e) => return Err(ReadError::Io(e)),
-        };
-        reader.consume(used);
-        if Instant::now() > deadline {
-            return Err(ReadError::TooSlow);
-        }
-    }
-    Ok(body)
 }
 
 #[derive(Debug, PartialEq, Eq)]
@@ -505,15 +433,14 @@ pub fn error_envelope(code: &str, message: &str, retry_after_ms: Option<u64>) ->
     body
 }
 
-/// Formats a full response (head + body) into one byte buffer — the
-/// building block the epoll reactor queues on a connection's outbox, and
-/// the body of the blocking writers below.
+/// Formats a full response (head + body) into one byte buffer — what the
+/// epoll reactor queues on a connection's outbox, on both tiers.
 pub fn render_response(
     status: u16,
     reason: &str,
     content_type: &str,
     extra: &str,
-    body: &str,
+    body: &[u8],
     keep_alive: bool,
 ) -> Vec<u8> {
     let mut out = format!(
@@ -523,89 +450,8 @@ pub fn render_response(
         if keep_alive { "keep-alive" } else { "close" },
     )
     .into_bytes();
-    out.extend_from_slice(body.as_bytes());
+    out.extend_from_slice(body);
     out
-}
-
-/// Writes one `text` response (JSON or plain) with standard headers.
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_response_extra(stream, status, reason, content_type, "", body, keep_alive)
-}
-
-/// [`write_response`] with extra pre-formatted header lines (each
-/// `name: value\r\n`) spliced in before the blank line.
-fn write_response_extra(
-    stream: &mut impl Write,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    extra: &str,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    stream.write_all(&render_response(status, reason, content_type, extra, body, keep_alive))?;
-    stream.flush()
-}
-
-/// Writes the unified error envelope with the code derived from the
-/// status via [`code_for_status`].
-pub fn write_error(
-    stream: &mut impl Write,
-    status: u16,
-    reason: &str,
-    message: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let body = error_envelope(code_for_status(status), message, None);
-    write_response(stream, status, reason, "application/json", &body, keep_alive)
-}
-
-/// Answers a request that could not be read with the envelope for
-/// [`ReadError::status`]; writes nothing when there is none. Either way the
-/// caller closes the connection.
-pub fn write_read_error(stream: &mut impl Write, err: &ReadError) -> std::io::Result<()> {
-    match err.status() {
-        Some((status, msg)) => write_error(stream, status, reason_for(status), msg, false),
-        None => Ok(()),
-    }
-}
-
-/// The daemon's standard backpressure response: `503 Service Unavailable`
-/// with a `Retry-After` header plus the matching `retry_after_ms`
-/// envelope field, so well-behaved clients (the balancer, the
-/// `serve_load` closed-loop clients) back off instead of hammering.
-pub fn write_unavailable(
-    stream: &mut impl Write,
-    code: &str,
-    message: &str,
-    keep_alive: bool,
-    retry_after_secs: u64,
-) -> std::io::Result<()> {
-    let body = error_envelope(code, message, Some(retry_after_secs * 1000));
-    let extra = format!("retry-after: {retry_after_secs}\r\n");
-    write_response_extra(
-        stream,
-        503,
-        "Service Unavailable",
-        "application/json",
-        &extra,
-        &body,
-        keep_alive,
-    )
-}
-
-/// Sends the `100 Continue` interim response an `Expect: 100-continue`
-/// client waits for before transmitting its body.
-pub fn write_continue(stream: &mut impl Write) -> std::io::Result<()> {
-    stream.write_all(b"HTTP/1.1 100 Continue\r\n\r\n")?;
-    stream.flush()
 }
 
 /// Starts a chunked (streaming) response: status line + headers, no body
@@ -672,14 +518,76 @@ pub struct Response {
     pub model_version: Option<String>,
 }
 
-/// Parsed response head fields [`Client::read_response_head`] extracts.
-#[derive(Debug, Default)]
-struct RespHead {
-    status: u16,
-    content_length: usize,
-    chunked: bool,
-    retry_after: Option<u64>,
-    model_version: Option<String>,
+/// The response-head fields [`read_response_head`] extracts.
+#[derive(Debug)]
+pub struct ResponseHead {
+    /// HTTP status code.
+    pub status: u16,
+    /// `Content-Length` (0 when absent).
+    pub content_length: usize,
+    /// `Transfer-Encoding: chunked`.
+    pub chunked: bool,
+    /// `Content-Type`, when sent.
+    pub content_type: Option<String>,
+    /// Seconds from a `Retry-After` header.
+    pub retry_after: Option<u64>,
+    /// The `x-model-version` header.
+    pub model_version: Option<String>,
+    /// False when the server sent `connection: close`.
+    pub keep_alive: bool,
+}
+
+/// Reads one response's status line and headers from `reader`, skipping
+/// interim `1xx` responses (`100 Continue`) — the one response-head reader
+/// of [`Client`] and `doduo-balance`'s replica links.
+pub fn read_response_head(reader: &mut impl BufRead) -> std::io::Result<ResponseHead> {
+    let mut line = String::new();
+    loop {
+        line.clear();
+        reader.read_line(&mut line)?;
+        let status: u16 = line
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| std::io::Error::other(format!("bad status line: {line:?}")))?;
+        let mut head = ResponseHead {
+            status,
+            content_length: 0,
+            chunked: false,
+            content_type: None,
+            retry_after: None,
+            model_version: None,
+            keep_alive: true,
+        };
+        loop {
+            line.clear();
+            if reader.read_line(&mut line)? == 0 {
+                return Err(std::io::Error::other("connection closed mid-headers"));
+            }
+            let t = line.trim_end();
+            if t.is_empty() {
+                break;
+            }
+            let Some((name, value)) = t.split_once(':') else { continue };
+            let value = value.trim();
+            if name.eq_ignore_ascii_case("content-length") {
+                head.content_length = value.parse().unwrap_or(0);
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                head.chunked = value.eq_ignore_ascii_case("chunked");
+            } else if name.eq_ignore_ascii_case("content-type") {
+                head.content_type = Some(value.to_string());
+            } else if name.eq_ignore_ascii_case("retry-after") {
+                head.retry_after = value.parse().ok();
+            } else if name.eq_ignore_ascii_case("x-model-version") {
+                head.model_version = Some(value.to_string());
+            } else if name.eq_ignore_ascii_case("connection") {
+                head.keep_alive = !value.eq_ignore_ascii_case("close");
+            }
+        }
+        if !(100..200).contains(&status) {
+            return Ok(head);
+        }
+    }
 }
 
 impl Client {
@@ -704,7 +612,7 @@ impl Client {
         self.stream.write_all(body)?;
         self.stream.flush()?;
 
-        let head = self.read_response_head()?;
+        let head = read_response_head(&mut self.reader)?;
         let mut body = vec![0u8; head.content_length];
         self.reader.read_exact(&mut body)?;
         Ok(Response {
@@ -713,51 +621,6 @@ impl Client {
             retry_after: head.retry_after,
             model_version: head.model_version,
         })
-    }
-
-    fn read_response_head(&mut self) -> std::io::Result<RespHead> {
-        let mut line = String::new();
-        // Skip interim 1xx responses (100 Continue) transparently.
-        let head = loop {
-            line.clear();
-            self.reader.read_line(&mut line)?;
-            let status: u16 = line
-                .split_whitespace()
-                .nth(1)
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| std::io::Error::other(format!("bad status line: {line:?}")))?;
-            let interim = (100..200).contains(&status);
-            // Headers (1xx interim responses have none of interest).
-            let mut head = RespHead { status, ..RespHead::default() };
-            loop {
-                line.clear();
-                let n = self.reader.read_line(&mut line)?;
-                if n == 0 {
-                    return Err(std::io::Error::other("connection closed mid-headers"));
-                }
-                let t = line.trim_end();
-                if t.is_empty() {
-                    break;
-                }
-                if let Some((name, value)) = t.split_once(':') {
-                    if name.eq_ignore_ascii_case("content-length") {
-                        head.content_length = value.trim().parse().unwrap_or(0);
-                    } else if name.eq_ignore_ascii_case("transfer-encoding")
-                        && value.trim().eq_ignore_ascii_case("chunked")
-                    {
-                        head.chunked = true;
-                    } else if name.eq_ignore_ascii_case("retry-after") {
-                        head.retry_after = value.trim().parse().ok();
-                    } else if name.eq_ignore_ascii_case("x-model-version") {
-                        head.model_version = Some(value.trim().to_string());
-                    }
-                }
-            }
-            if !interim {
-                break head;
-            }
-        };
-        Ok(head)
     }
 
     /// Opens a chunked-upload request (e.g. to `/v1/annotate_stream`). Send
@@ -797,7 +660,7 @@ impl Client {
     /// Reads the streaming response's status line + headers (call once,
     /// any time after [`Client::stream_open`]).
     pub fn stream_status(&mut self) -> std::io::Result<u16> {
-        let head = self.read_response_head()?;
+        let head = read_response_head(&mut self.reader)?;
         if !head.chunked {
             self.resp_done = true;
         }

@@ -34,13 +34,13 @@
 //! * [`json`] — JSON value parser + the wire codecs (tables in,
 //!   annotations out) + the incremental stream splitter.
 //! * [`http`] — minimal HTTP/1.1 request/response with chunked framing
-//!   (one sans-IO grammar, blocking readers over it), the unified error
+//!   (one sans-IO grammar, one response renderer), the unified error
 //!   envelope, plus a tiny blocking client for tests and load benches.
-//! * [`handler`] — the transport-independent request / response types,
-//!   and the [`Handler`] trait + blocking server `doduo-balance`'s test
-//!   backends run on.
+//! * [`handler`] — the transport-independent request / response types.
 //! * [`reactor`] — the epoll event loop: the connection state machine
-//!   (streams included), timer wheel, eventfd completion routing.
+//!   (streams included), timer wheel, eventfd completion routing, and the
+//!   TCP admission control. It is the workspace's one HTTP server:
+//!   `doduo-balance`'s front is a second [`reactor::Driver`] on it.
 //! * [`queue`] — the deterministic batching core and its `Condvar` wrapper.
 //! * [`lifecycle`] — the versioned live-model layer: atomic blue/green
 //!   hot-swap (`POST /v1/model`), per-response `x-model-version`
@@ -78,7 +78,7 @@ pub mod server;
 pub mod stats;
 pub mod validate;
 
-pub use handler::{Handler, HttpRequest, HttpResponse};
+pub use handler::{HttpRequest, HttpResponse};
 pub use lifecycle::{EngineSlot, FeedbackJournal, Lifecycle, VersionedEngine};
 pub use queue::{BatchPolicy, Batcher, FlushReason, PushRejected, SharedBatcher};
 pub use server::{ServeConfig, Server, ServerHandle};

@@ -1,7 +1,10 @@
-//! The epoll event loop that owns the daemon's connections.
+//! The epoll event loop: the workspace's one HTTP server.
 //!
-//! One reactor thread owns the listener and every connection. Each
-//! connection is a small state machine —
+//! One reactor thread owns the listener and every connection. Two
+//! [`Driver`]s run on it — the daemon's (`server.rs`) and
+//! `doduo-balance`'s front (its `ProxyDriver`) — and both admit
+//! connections through [`admit`]. Each connection is a small state
+//! machine —
 //!
 //! ```text
 //!   Idle ──bytes──▶ Reading ──full request──▶ Dispatched ──completion──▶ Writing
@@ -50,8 +53,9 @@ use crate::handler::{render_http_response, HttpRequest, HttpResponse};
 use crate::http::{parse_head, write_chunked_head, BodyDecoder, BodyFraming, Head, ReadError};
 use epoll::{Epoll, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use std::io::{ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -122,15 +126,17 @@ pub trait Driver<S: Source>: Sync {
         Ok(None)
     }
 
-    /// The per-connection state of an open stream.
+    /// The per-connection state of an open stream ([`NoStream`] for a
+    /// driver that opens none).
     type Stream: StreamHooks;
 
-    /// Claims a request head as a stream; `None` for an ordinary request,
-    /// whose body the reactor buffers for [`Driver::dispatch`]. `ticket`
-    /// addresses the connection for [`Router::line`] until the stream ends.
-    /// Must not block.
-    fn open_stream(&self, head: &Head, ticket: Ticket, prior_requests: u64)
-        -> Option<Self::Stream>;
+    /// Claims a request head as a stream; `None` (the default) for an
+    /// ordinary request, whose body the reactor buffers for
+    /// [`Driver::dispatch`]. `ticket` addresses the connection for
+    /// [`Router::line`] until the stream ends. Must not block.
+    fn open_stream(&self, _head: &Head, _ticket: Ticket, _prior: u64) -> Option<Self::Stream> {
+        None
+    }
 
     /// Routes one fully received request. `prior_requests` is the number
     /// of requests already served on this connection (for keep-alive
@@ -183,6 +189,64 @@ pub trait StreamHooks {
     fn deadline(&self, now: Instant) -> Instant;
 }
 
+/// The [`Driver::Stream`] of a driver that opens no streams (the
+/// balancer's front, scripted test backends): uninhabited, so no session
+/// ever exists.
+pub enum NoStream {}
+
+impl StreamHooks for NoStream {
+    fn on_body(&mut self, _: &[u8], _: Option<BodyEnd>, _: &mut Vec<u8>) -> Next {
+        match *self {}
+    }
+    fn on_line(&mut self, _: usize, _: String, _: &mut Vec<u8>) -> Next {
+        match *self {}
+    }
+    fn on_timer(&mut self, _: Instant, _: &mut Vec<u8>) -> Next {
+        match *self {}
+    }
+    fn deadline(&self, _: Instant) -> Instant {
+        match *self {}
+    }
+}
+
+/// The admission control of a TCP [`Driver::accept`]: takes one pending
+/// connection off the nonblocking `listener` (`None` when none is waiting),
+/// sets `TCP_NODELAY`, and holds `open` — the driver's live-connection
+/// count, which its [`Driver::on_close`] decrements — under `cap`. A
+/// connection beyond the cap gets a best-effort `503 + Retry-After` and is
+/// closed; `accepted` / `rejected` count both outcomes.
+pub fn admit(
+    listener: &TcpListener,
+    open: &AtomicUsize,
+    cap: usize,
+    accepted: &AtomicU64,
+    rejected: &AtomicU64,
+) -> std::io::Result<Option<TcpStream>> {
+    let stream = match listener.accept() {
+        Ok((stream, _)) => stream,
+        Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
+        Err(e) => {
+            // Out of descriptors, say: the listener stays readable, so back
+            // off instead of spinning on it.
+            eprintln!("[reactor] accept error: {e}");
+            std::thread::sleep(Duration::from_millis(50));
+            return Ok(None);
+        }
+    };
+    let _ = stream.set_nodelay(true);
+    if open.load(Ordering::SeqCst) >= cap {
+        rejected.fetch_add(1, Ordering::Relaxed);
+        // The fresh socket is still blocking: bound the write.
+        let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+        let busy = HttpResponse::unavailable("overloaded", "too many connections", 1).close();
+        let _ = (&stream).write_all(&render_http_response(&busy, false).0);
+        return Ok(None);
+    }
+    open.fetch_add(1, Ordering::SeqCst);
+    accepted.fetch_add(1, Ordering::Relaxed);
+    Ok(Some(stream))
+}
+
 /// Timeout budgets and sizing for a [`Reactor`].
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
@@ -200,8 +264,7 @@ pub struct ReactorConfig {
     /// Discriminates a slow-loris from a dead client when
     /// `request_deadline` expires mid-request: a client whose last byte
     /// arrived within this window gets a `408`; one silent for longer is
-    /// closed without a response (mirroring the blocking parser, which
-    /// turns a mid-request read timeout into a silent close).
+    /// closed without a response.
     pub read_grace: Duration,
     /// Timer wheel tick size; timers fire within one tick of their
     /// deadline, never early.
@@ -839,16 +902,12 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
         }
     }
 
-    /// A parse/deadline failure: write the matching error envelope (where
-    /// one is still possible) and close after draining.
+    /// A parse/deadline failure: write the matching error envelope and
+    /// close after draining.
     fn fail_request(&mut self, slot: usize, err: &ReadError) {
         self.driver.on_request_error();
-        match err.status() {
-            Some((status, msg)) => {
-                self.queue_response(slot, &HttpResponse::error(status, msg), false)
-            }
-            None => self.close(slot, false),
-        }
+        let (status, msg) = err.status();
+        self.queue_response(slot, &HttpResponse::error(status, msg), false)
     }
 
     /// Hands the buffered request to the driver and transitions by its
@@ -1024,8 +1083,7 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
             Ok(_) if decoder.is_done() => Some(BodyEnd::Complete),
             Ok(_) if eof => Some(BodyEnd::Truncated),
             Ok(_) => None,
-            Err(ReadError::Bad(msg) | ReadError::TooLarge(msg)) => Some(BodyEnd::Bad(msg)),
-            Err(e) => Some(BodyEnd::Bad(format!("{e:?}"))),
+            Err(e) => Some(BodyEnd::Bad(e.status().1.to_string())),
         };
         if end.is_some() {
             conn.decoder = None;
@@ -1111,8 +1169,7 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
         let reading = matches!(conn.state, ConnState::Reading);
         // A dribbling client (bytes within the grace window) earns the
         // `408`; one that went silent mid-request is closed without a
-        // response, exactly like the blocking parser's mid-request
-        // timeout.
+        // response.
         let dribbling = conn.last_read.elapsed() < self.cfg.read_grace;
         if reading && dribbling {
             self.fail_request(slot, &ReadError::TooSlow);
@@ -1609,7 +1666,7 @@ mod tests {
     #[test]
     fn deadline_silent_client_is_closed_without_a_response() {
         // With no grace window every mid-request expiry looks like a dead
-        // client: silent close, no 408 (the blocking parser's behavior).
+        // client: silent close, no 408.
         let cfg = ReactorConfig {
             request_deadline: Duration::from_millis(50),
             read_grace: Duration::ZERO,

@@ -60,8 +60,7 @@
 use crate::chaos::{ChaosConfig, ChaosPlan, ChaosState};
 use crate::handler::{HttpRequest, HttpResponse};
 use crate::http::{
-    error_envelope, write_chunk, write_last_chunk, write_unavailable, BodyFraming, Head,
-    MAX_BODY_BYTES,
+    error_envelope, write_chunk, write_last_chunk, BodyFraming, Head, MAX_BODY_BYTES,
 };
 use crate::json::{
     annotation_to_json, annotations_response, table_from_json, Json, StreamSplitter,
@@ -71,7 +70,7 @@ use crate::lifecycle::{
 };
 use crate::queue::{BatchPolicy, PushRejected, SharedBatcher};
 use crate::reactor::{
-    BodyEnd, Dispatch, Driver, Next, Reactor, ReactorConfig, Router, StreamHooks, Ticket,
+    admit, BodyEnd, Dispatch, Driver, Next, Reactor, ReactorConfig, Router, StreamHooks, Ticket,
 };
 use crate::stats::{ModelStatus, ServerStats};
 use doduo_core::{AnnotatorBundle, TableAnnotation};
@@ -338,34 +337,9 @@ impl<'s> Driver<TcpStream> for EpollDriver<'s> {
     type Stream = StreamSession<'s>;
 
     fn accept(&self) -> std::io::Result<Option<TcpStream>> {
-        match self.listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                if self.shared.connections.load(Ordering::SeqCst) >= self.cfg.max_connections {
-                    self.shared.stats.conns_rejected.fetch_add(1, Ordering::Relaxed);
-                    // Best-effort 503 on the still-blocking fresh socket.
-                    let mut stream = stream;
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                    let _ = write_unavailable(
-                        &mut stream,
-                        "overloaded",
-                        "too many connections",
-                        false,
-                        RETRY_AFTER_SECS,
-                    );
-                    return Ok(None);
-                }
-                self.shared.connections.fetch_add(1, Ordering::SeqCst);
-                self.shared.stats.conns_accepted.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(stream))
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => {
-                eprintln!("[served] accept error: {e}");
-                std::thread::sleep(Duration::from_millis(50));
-                Ok(None)
-            }
-        }
+        let (shared, stats) = (self.shared, &self.shared.stats);
+        let cap = self.cfg.max_connections;
+        admit(self.listener, &shared.connections, cap, &stats.conns_accepted, &stats.conns_rejected)
     }
 
     fn open_stream(
@@ -407,7 +381,8 @@ impl<'s> Driver<TcpStream> for EpollDriver<'s> {
         if prior_requests > 0 {
             self.shared.stats.keepalive_reused.fetch_add(1, Ordering::Relaxed);
         }
-        let keep_policy = !self.shared.shutting_down();
+        // While shutting down the daemon, not the client, ends keep-alive.
+        let shutting = self.shared.shutting_down();
         match (req.method.as_str(), req.path.as_str()) {
             // The engine-bound route never blocks the reactor: tokenize and
             // push to the batching queue right here, and let the
@@ -426,7 +401,7 @@ impl<'s> Driver<TcpStream> for EpollDriver<'s> {
                 match annotate_submit(self.shared, self.lifecycle, &router, ticket, plan, &req.body)
                 {
                     None => Dispatch::Queued,
-                    Some(resp) => Dispatch::Respond(apply_keep_policy(resp, keep_policy)),
+                    Some(resp) => Dispatch::Respond(resp.close_if(shutting)),
                 }
             }
             // A model upload builds a whole engine (deserialize, possibly
@@ -434,14 +409,14 @@ impl<'s> Driver<TcpStream> for EpollDriver<'s> {
             // connection: the loader thread takes it.
             ("POST", "/v1/model") => match self.uploads.send((ticket, req.body)) {
                 Ok(()) => Dispatch::Queued,
-                Err(_) => Dispatch::Respond(apply_keep_policy(
+                Err(_) => Dispatch::Respond(
                     HttpResponse::unavailable(
                         "shutting_down",
                         "server is shutting down",
                         RETRY_AFTER_SECS,
-                    ),
-                    keep_policy,
-                )),
+                    )
+                    .close_if(shutting),
+                ),
             },
             // Everything else is queue-free and answered inline.
             _ => Dispatch::Respond(self.route(&req)),
@@ -454,16 +429,6 @@ impl<'s> Driver<TcpStream> for EpollDriver<'s> {
 
     fn on_close(&self) {
         self.shared.connections.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Forces `connection: close` on a response when the daemon (shutting
-/// down), not the client, ends keep-alive.
-fn apply_keep_policy(resp: HttpResponse, keep_policy: bool) -> HttpResponse {
-    if keep_policy {
-        resp
-    } else {
-        resp.close()
     }
 }
 
