@@ -146,6 +146,12 @@ impl_uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 macro_rules! impl_uniform_float {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
+            // A few flops around one draw: left to the inliner's
+            // heuristics, whether `Tensor::randn` (every model
+            // construction, a checkpoint load's included) calls it out of
+            // line twice per element — about 3 ms of a 20 ms load — moved
+            // with unrelated edits elsewhere in the build.
+            #[inline]
             fn sample_uniform<R: RngCore + ?Sized>(
                 lo: Self,
                 hi: Self,

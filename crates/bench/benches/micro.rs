@@ -11,7 +11,9 @@ use doduo_datagen::{
 };
 use doduo_eval::kmeans;
 use doduo_table::{serialize_table, SerializeConfig};
-use doduo_tensor::{kernels, matmul, AttnBlock, Executor, Gradients, ParamStore, Tape, Tensor};
+use doduo_tensor::{
+    kernels, matmul, vmath, AttnBlock, Executor, Gradients, ParamStore, Tape, Tensor,
+};
 use doduo_tokenizer::{TrainConfig, WordPiece};
 use doduo_transformer::{all_rows, BatchSeq, Encoder, EncoderConfig};
 use rand::rngs::StdRng;
@@ -54,7 +56,6 @@ fn bench_dense_b_source(c: &mut Criterion) {
         let mut y = vec![0.0f32; rows * 384];
         c.bench_function(&format!("dense_{rows}x96x384_per_call_pack"), |bench| {
             bench.iter(|| {
-                y.fill(0.0);
                 let (x, w) = (kernels::View::of(black_box(&x)), kernels::View::of(black_box(&w)));
                 kernels::gemm_nn(&mut y, 384, 0, (rows, 384, 96), x, w);
                 black_box(&mut y);
@@ -62,9 +63,8 @@ fn bench_dense_b_source(c: &mut Criterion) {
         });
         c.bench_function(&format!("dense_{rows}x96x384_borrowed_panel"), |bench| {
             bench.iter(|| {
-                y.fill(0.0);
                 let x = kernels::View::of(black_box(&x));
-                kernels::gemm_nn_packed(&mut y, 384, 0, rows, x, black_box(&panel), 1);
+                kernels::gemm_nn_packed(&mut y, 384, 0, rows, x, black_box(&panel), None, 1);
                 black_box(&mut y);
             })
         });
@@ -103,12 +103,14 @@ fn bench_encoder_top_block(c: &mut Criterion) {
     }
 }
 
-/// The non-GEMM ops of one `mini` encoder block on the serving executor, at
+/// Single ops of one `mini` encoder block on the serving executor, at
 /// `bulk_narrow`'s 19 and `bulk_wide`'s 166 rows: GELU over the FFN's
-/// `[166, 384]` activation, LayerNorm over `[rows, 96]`, and four-head
+/// `[166, 384]` activation, LayerNorm over `[rows, 96]`, four-head
 /// attention over a `[166, 288]` Q|K|V — every query row (`full`) and the
-/// top block's five `[CLS]` rows only (`kept5`). Each input is an embedding
-/// gather made in the untimed setup, since the ops consume their operand.
+/// top block's five `[CLS]` rows only (`kept5`) — and, of that attention,
+/// the four heads' `[166, 166]` softmax alone; beside them the FFN's first
+/// dense layer with its bias (`Executor::linear`, on the store's panel).
+/// Each consumed input is an embedding gather made in the untimed setup.
 fn bench_executor_ops(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let mut store = ParamStore::new();
@@ -117,6 +119,8 @@ fn bench_executor_ops(c: &mut Criterion) {
     let qkv = store.add_randn("qkv", 166, 288, 0.3, &mut rng);
     let gamma = store.add_randn("gamma", 1, 96, 1.0, &mut rng);
     let beta = store.add_randn("beta", 1, 96, 1.0, &mut rng);
+    let w1 = store.add_randn("w1", 96, 384, 0.1, &mut rng);
+    let b1 = store.add_randn("b1", 1, 384, 0.1, &mut rng);
     let input = |param, rows: usize| {
         let mut ex = Executor::new(&store);
         let x = ex.embedding(param, rows, 0..rows as u32);
@@ -144,6 +148,23 @@ fn bench_executor_ops(c: &mut Criterion) {
             )
         });
     }
+    c.bench_function("dense_166x96x384_bias", |bench| {
+        let (mut ex, x) = input(hid, 166);
+        bench.iter(|| {
+            let y = ex.linear(&x, w1, b1);
+            black_box(ex.value(&y));
+            ex.free(y);
+        })
+    });
+    // Four heads' scores at `mini`'s 1/√24, softmaxed in place: each round
+    // takes the last one's probabilities, and no step of the kernel
+    // branches on a value.
+    let mut scores = Tensor::randn(4 * 166, 166, 3.0, &mut rng).into_vec();
+    c.bench_function("softmax_166x166_h4", |bench| {
+        bench.iter(|| {
+            vmath::softmax_rows_scaled(black_box(&mut scores), 166, 0.204_124_15, None);
+        })
+    });
     let cls: Vec<u32> = (0..5).map(|col| col * 166 / 5).collect();
     for (name, keep) in [("full", None), ("kept5", Some(cls.as_slice()))] {
         c.bench_function(&format!("attention_166_h4_{name}"), |bench| {

@@ -8,8 +8,10 @@
 //! [`crate::vmath`], hence to the same bits — over a small pool of reusable
 //! buffers instead:
 //!
-//! * an op's output lands in a free buffer of the pool (GEMMs accumulate
-//!   straight into it; bias, GELU and the residual add then work in place);
+//! * an op's output lands in a free buffer of the pool, whatever the buffer
+//!   held: every GEMM writes its segment, with a dense layer's bias added on
+//!   the kernel's store, so nothing is zero-filled first; GELU and the
+//!   residual add then work in place;
 //! * a [`Slot`] is a *linear* handle — neither `Copy` nor `Clone` — and an
 //!   op that takes one by value consumes it: its buffer either becomes the
 //!   output (in-place ops) or returns to the pool, so nothing outlives the
@@ -178,9 +180,9 @@ impl<'s> Executor<'s> {
         self.checkin(slot, out)
     }
 
-    /// `y[.., col0..] = x W + b` into a zeroed column segment of the
-    /// `ldc`-wide `y`, on the store's panel of `w` (built by the first
-    /// product that wants one).
+    /// `y[.., col0..] = x W + b` into a column segment of the `ldc`-wide
+    /// `y` (written, whatever it held), on the store's panel of `w` (built
+    /// by the first product that wants one).
     fn dense_into(&self, y: &mut [f32], ldc: usize, col0: usize, x: &Slot, w: ParamId, b: ParamId) {
         let store = self.store;
         let (wt, bt) = (store.get(w), store.get(b));
@@ -193,9 +195,7 @@ impl<'s> Executor<'s> {
     pub fn linear(&mut self, x: &Slot, w: ParamId, b: ParamId) -> Slot {
         let n = self.store.get(w).cols();
         let (slot, mut out) = self.checkout(x.rows, n);
-        let y = &mut out[..slot.len()];
-        y.fill(0.0);
-        self.dense_into(y, n, 0, x, w, b);
+        self.dense_into(&mut out[..slot.len()], n, 0, x, w, b);
         self.checkin(slot, out)
     }
 
@@ -205,7 +205,6 @@ impl<'s> Executor<'s> {
         let d = self.store.get(ws[0]).cols();
         let (slot, mut out) = self.checkout(x.rows, 3 * d);
         let y = &mut out[..slot.len()];
-        y.fill(0.0);
         for (t, (&w, &b)) in ws.iter().zip(bs.iter()).enumerate() {
             assert_eq!(self.store.get(w).cols(), d, "fused_qkv weight shape");
             self.dense_into(y, 3 * d, t * d, x, w, b);
@@ -238,7 +237,6 @@ impl<'s> Executor<'s> {
         let queries = blocks.clone().map(|b| b.queries()).sum();
         let (slot, mut out) = self.checkout(queries, d);
         let y = &mut out[..slot.len()];
-        y.fill(0.0);
         let Arena { bufs, probs, .. } = &mut self.arena;
         attention_forward(&bufs[qkv.buf][..qkv.len()], (rows, d, heads), blocks, y, probs);
         self.free(qkv);

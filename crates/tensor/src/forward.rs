@@ -71,16 +71,6 @@ pub(crate) fn concat_rows(a: &[f32], da: usize, b: &[f32], db: usize, out: &mut 
     }
 }
 
-/// Adds `bias` to columns `col0..col0 + bias.len()` of every row of the
-/// row-major `data` (row stride `stride`).
-pub(crate) fn add_bias_rows(data: &mut [f32], stride: usize, col0: usize, bias: &[f32]) {
-    for row in data.chunks_exact_mut(stride) {
-        for (o, &b) in row[col0..col0 + bias.len()].iter_mut().zip(bias) {
-            *o += b;
-        }
-    }
-}
-
 /// Rows whose mean and variance chains [`layer_norm_rows`] runs side by
 /// side. A row's sum is one sequential chain of `cols` dependent adds — the
 /// adder's latency, not its throughput, sets the pace — so independent rows
@@ -149,11 +139,12 @@ pub(crate) fn layer_norm_rows(
 }
 
 /// One dense layer into a column segment of a wider output:
-/// `out[.., col0..col0 + n] += x W`, then `+ b` — per element `sum_k x·w`
-/// and only then the bias, so a layer computed into a segment (the fused
-/// Q|K|V projection) or on its own has the bits of a matmul followed by a
-/// bias add. `out` has `rows` rows of stride `ldc`; the segment must hold
-/// zeros on entry. `panel` offers `w` packed once (the executor, whose
+/// `out[.., col0..col0 + n] = x W + b` — per element `sum_k x·w` and only
+/// then the bias, added by the kernel as it stores the last k-block, so a
+/// layer computed into a segment (the fused Q|K|V projection) or on its own
+/// has the bits of a matmul followed by a bias add. `out` has `rows` rows of
+/// stride `ldc`; the segment is written whatever it held, and nothing around
+/// it is touched. `panel` offers `w` packed once (the executor, whose
 /// weights are a store's and constant for its lifetime); `None` packs it
 /// per call (a tape, whose weights move every step) — same kernel, same
 /// bits either way.
@@ -170,8 +161,7 @@ pub(crate) fn dense_segment<'p>(
 ) {
     let (k, n) = w.shape();
     assert_eq!(b.shape(), (1, n), "dense bias shape");
-    gemm_nn_dense(out, ldc, col0, (rows, n, k), x, View::of(w), panel);
-    add_bias_rows(out, ldc, col0, b.row(0));
+    gemm_nn_dense(out, ldc, col0, (rows, n, k), x, View::of(w), Some(b.row(0)), panel);
 }
 
 /// One packed sequence as attention sees it.
@@ -216,7 +206,6 @@ pub(crate) fn attn_probs_block(
 ) {
     let m = keep.map_or(len, <[u32]>::len);
     let p = &mut p[..m * len];
-    p.fill(0.0);
     gemm_nt(p, len, 0, (m, len, dh), q, k);
     match keep {
         None => vmath::softmax_rows_scaled(p, len, scale, mask),
@@ -254,13 +243,14 @@ pub(crate) fn gather_queries(
 }
 
 /// Multi-head self-attention `softmax(Q Kᵀ · scale + mask) V` per head,
-/// heads concatenated, over a packed `[rows, 3d]` Q|K|V buffer into the
-/// zeroed `out`: `[rows, d]`, or fewer rows where a block names the query
-/// positions it wants ([`AttnBlock::keep`]) — those rows only, block after
-/// block, with the bits they have when every row is computed. Tokens
-/// attend only within their block, and a block's arithmetic does not depend
-/// on what else is packed. `scratch` holds the probabilities (and a
-/// pruned block's gathered query rows), grown to the largest block's need.
+/// heads concatenated, over a packed `[rows, 3d]` Q|K|V buffer into `out`,
+/// every element written whatever it held: `[rows, d]`, or fewer rows where
+/// a block names the query positions it wants ([`AttnBlock::keep`]) — those
+/// rows only, block after block, with the bits they have when every row is
+/// computed. Tokens attend only within their block, and a block's
+/// arithmetic does not depend on what else is packed. `scratch` holds the
+/// probabilities (and a pruned block's gathered query rows), grown to the
+/// largest block's need.
 pub(crate) fn attention_forward<'m>(
     qkv: &[f32],
     (rows, d, heads): (usize, usize, usize),

@@ -1,8 +1,13 @@
 //! Cache-blocked, register-tiled GEMM kernels.
 //!
 //! Every forward and backward pass in this reproduction bottoms out in one
-//! of three matmul variants (`C += A B`, `C += A Bᵀ`, `C += Aᵀ B`). This
-//! module implements them BLIS-style: operands are laid out as
+//! of three matmul variants (`C = A B`, `C = A Bᵀ`, `C = Aᵀ B`), each with
+//! an optional bias epilogue (`C = A B + b`, a dense layer). Every entry
+//! point *writes* its `m`×`n` segment of C — whatever the segment held is
+//! never read — so callers hand over uninitialised arena buffers instead of
+//! zero-filling them, and a dense layer's bias rides on the store of the
+//! last k-block instead of a second pass over C. This module implements
+//! them BLIS-style: operands are laid out as
 //! cache-resident panels ([`KC`]×[`NC`] for B, [`MC`]×[`KC`] for A on the
 //! tiers that pack it), and a register micro-kernel computes an output tile
 //! of up to [`MR`]×[`NR`] per iteration of the packed k loop — instantiated
@@ -66,9 +71,9 @@
 //! `MR`, `NR`, `KC`, `NC`, `pack_b`, [`PackedB`] and the loop nest are the
 //! same on every tier; a tier changes only how one tile's rank-1 updates
 //! are issued, never their order. Each tier stays callable by name
-//! ([`microkernel_on`], [`matmul_blocked_on`], [`gemm_nn_packed_on`],
-//! [`matmul_naive_on`]) so the property tests hold every tier of the host
-//! to the contract, not only the dispatched one.
+//! ([`microkernel_on`], [`gemm_on`], [`matmul_blocked_on`],
+//! [`gemm_nn_packed_on`], [`matmul_naive_on`]) so the property tests hold
+//! every tier of the host to the contract, not only the dispatched one.
 //!
 //! `gemm_nn_packed`, µs on one core of a Sapphire Rapids host (best of 60
 //! interleaved rounds; GMAC/s in brackets). `unfused` is the AVX-512 6×16
@@ -98,10 +103,15 @@
 //! per output element** and walks the k dimension in increasing order — the
 //! micro-kernel tiles, `gemm_small` and the naive loops run the same
 //! operation sequence (Rust/LLVM never reassociates float arithmetic
-//! without fast-math). k-blocking preserves it by loading the partial
-//! output tile into registers at the start of each [`KC`] block instead of
-//! summing blocks separately, and row-stripe threading trivially preserves
-//! it because threads own disjoint output elements.
+//! without fast-math). Each accumulator starts at `+0.0`: the first [`KC`]
+//! block of a product starts its register tile there without reading C (the
+//! bits a zero-filled C would have loaded), and every later block preserves
+//! the order by loading the partial output tile into registers instead of
+//! summing blocks separately ([`KBlock`]). Row-stripe threading trivially
+//! preserves it because threads own disjoint output elements. A bias is one
+//! separately rounded add of the finished sum, on the last block's store —
+//! never folded into a fused step — so `A B + b` has the bits of the product
+//! followed by a bias pass.
 //!
 //! The step is the same on every host because IEEE 754 specifies
 //! `fusedMultiplyAdd` exactly and `f32::mul_add` *is* that operation on
@@ -509,34 +519,61 @@ fn accumulate_tile<const M: usize>(kc: usize, ap: &[f32], bp: &[f32], acc: &mut 
 /// multiplies its real rows only — while a narrow tile (`nr < NR`) stages C
 /// through the zero-padded columns of the stack tile (B's panels are
 /// zero-padded to `NR`), keeping the hot loop's constant bounds either way.
+/// `pass` says whether C is read and whether a bias rides on the store.
 #[inline(always)]
-fn tile<const M: usize>(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, nr: usize) {
+fn tile<const M: usize>(
+    kc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    nr: usize,
+    pass: KBlock<'_>,
+) {
     const { assert!(M >= 1 && M <= MR) };
+    // Full-width rows move as fixed-size arrays; only a narrow tile pays
+    // for a copy of run-time length.
+    let full = nr == NR;
     let mut acc = [[0.0f32; NR]; M];
-    if nr == NR {
+    if !pass.first {
         for (i, row) in acc.iter_mut().enumerate() {
-            *row = c[i * ldc..i * ldc + NR].try_into().expect("NR row");
+            let c_row = &c[i * ldc..][..nr];
+            if full {
+                *row = c_row.try_into().expect("NR row");
+            } else {
+                row[..nr].copy_from_slice(c_row);
+            }
         }
-        accumulate_tile(kc, ap, bp, &mut acc);
-        for (i, row) in acc.iter().enumerate() {
-            c[i * ldc..i * ldc + NR].copy_from_slice(row);
+    }
+    accumulate_tile(kc, ap, bp, &mut acc);
+    if let Some(bias) = pass.bias {
+        // Padded to NR so the add keeps constant bounds; the padded lanes
+        // are not stored.
+        let mut b = [0.0f32; NR];
+        b[..nr].copy_from_slice(&bias[..nr]);
+        for row in acc.iter_mut() {
+            for j in 0..NR {
+                row[j] += b[j];
+            }
         }
-    } else {
-        for (i, row) in acc.iter_mut().enumerate() {
-            row[..nr].copy_from_slice(&c[i * ldc..i * ldc + nr]);
-        }
-        accumulate_tile(kc, ap, bp, &mut acc);
-        for (i, row) in acc.iter().enumerate() {
-            c[i * ldc..i * ldc + nr].copy_from_slice(&row[..nr]);
+    }
+    for (i, row) in acc.iter().enumerate() {
+        let c_row = &mut c[i * ldc..][..nr];
+        if full {
+            c_row.copy_from_slice(row);
+        } else {
+            c_row.copy_from_slice(&row[..nr]);
         }
     }
 }
 
 /// The `mr`×`nr` tile (`1 ≤ mr ≤ MR`, `1 ≤ nr ≤ NR`) of the two
-/// autovectorised tiers: loads the current C tile into the register
-/// accumulator, adds `kc` rank-1 updates from the packed panels, and stores
-/// it back. `c` starts at the tile's `(0, 0)` and has row stride `ldc`.
+/// autovectorised tiers: starts the register accumulator at `+0.0` or at
+/// the partial C tile (`pass`), adds `kc` rank-1 updates from the packed
+/// panels, and stores it — plus the bias, on the last k-block of a product
+/// that has one. `c` starts at the tile's `(0, 0)` and has row stride `ldc`.
 /// Compiled here for the baseline target — [`Tier::Portable`].
+#[allow(clippy::too_many_arguments)] // a kernel's operands, not an API surface
 #[inline(always)]
 fn microkernel_portable(
     kc: usize,
@@ -546,15 +583,16 @@ fn microkernel_portable(
     ldc: usize,
     mr: usize,
     nr: usize,
+    pass: KBlock<'_>,
 ) {
     assert!((1..=NR).contains(&nr), "micro-kernel tile width {nr}");
     match mr {
-        1 => tile::<1>(kc, ap, bp, c, ldc, nr),
-        2 => tile::<2>(kc, ap, bp, c, ldc, nr),
-        3 => tile::<3>(kc, ap, bp, c, ldc, nr),
-        4 => tile::<4>(kc, ap, bp, c, ldc, nr),
-        5 => tile::<5>(kc, ap, bp, c, ldc, nr),
-        6 => tile::<6>(kc, ap, bp, c, ldc, nr),
+        1 => tile::<1>(kc, ap, bp, c, ldc, nr, pass),
+        2 => tile::<2>(kc, ap, bp, c, ldc, nr, pass),
+        3 => tile::<3>(kc, ap, bp, c, ldc, nr, pass),
+        4 => tile::<4>(kc, ap, bp, c, ldc, nr, pass),
+        5 => tile::<5>(kc, ap, bp, c, ldc, nr, pass),
+        6 => tile::<6>(kc, ap, bp, c, ldc, nr, pass),
         _ => panic!("micro-kernel tile height {mr}"),
     }
 }
@@ -568,6 +606,7 @@ fn microkernel_portable(
 /// portable instantiation and the naive loops.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)] // a kernel's operands, not an API surface
 fn microkernel_avx2(
     kc: usize,
     ap: &[f32],
@@ -576,8 +615,9 @@ fn microkernel_avx2(
     ldc: usize,
     mr: usize,
     nr: usize,
+    pass: KBlock<'_>,
 ) {
-    microkernel_portable(kc, ap, bp, c, ldc, mr, nr);
+    microkernel_portable(kc, ap, bp, c, ldc, mr, nr, pass);
 }
 
 /// One `M`×`nr` tile of [`Tier::Avx512`] over `P` adjacent B panels
@@ -590,7 +630,9 @@ fn microkernel_avx2(
 /// `pack_b` lays them out. `M` is exact by const generic; the last panel of
 /// a ragged tile loads and stores C under a k-mask instead of staging it
 /// through the stack (B's panels are zero-padded, and what the masked-off
-/// lanes compute is never stored).
+/// lanes compute is never stored). On the product's first k-block the
+/// accumulators start at `+0.0` and C is not read; on its last, a bias is
+/// one `_mm512_add_ps` per register on the way to the store (`pass`).
 ///
 /// `P` = 2 is what the driver runs wherever two panels are left: a fused
 /// step has four cycles of latency and issues on two ports, so the six
@@ -612,6 +654,7 @@ fn tile_avx512<const M: usize, const P: usize>(
     c: &mut [f32],
     ldc: usize,
     nr: usize,
+    pass: KBlock<'_>,
 ) {
     use std::arch::x86_64::*;
     const { assert!(M >= 1 && M <= MR && NR == 16 && (P == 1 || P == 2)) };
@@ -631,6 +674,7 @@ fn tile_avx512<const M: usize, const P: usize>(
         "A tile out of bounds"
     );
     assert!(at(M - 1, ldc, nr, 1).is_some_and(|end| end <= c.len()), "C tile out of bounds");
+    assert!(pass.bias.is_none_or(|b| b.len() >= nr), "bias shorter than the tile");
     // Panel `q` owns lanes `q·NR..`: all 16 of them but for the last panel.
     let mut masks = [0 as __mmask16; P];
     for (q, mask) in masks.iter_mut().enumerate() {
@@ -638,12 +682,14 @@ fn tile_avx512<const M: usize, const P: usize>(
     }
     let (ap, bp, cp) = (a.data.as_ptr(), bp.as_ptr(), c.as_mut_ptr());
     let mut acc = [[_mm512_setzero_ps(); P]; M];
-    for (i, row) in acc.iter_mut().enumerate() {
-        for (q, lanes) in row.iter_mut().enumerate() {
-            // SAFETY: lanes `..nr` of row `i` lie inside `c` (asserted
-            // above), the mask keeps panel `q`'s share of them, and a masked
-            // load does not touch the lanes its mask clears.
-            *lanes = unsafe { _mm512_maskz_loadu_ps(masks[q], cp.add(i * ldc + q * NR)) };
+    if !pass.first {
+        for (i, row) in acc.iter_mut().enumerate() {
+            for (q, lanes) in row.iter_mut().enumerate() {
+                // SAFETY: lanes `..nr` of row `i` lie inside `c` (asserted
+                // above), the mask keeps panel `q`'s share of them, and a
+                // masked load does not touch the lanes its mask clears.
+                *lanes = unsafe { _mm512_maskz_loadu_ps(masks[q], cp.add(i * ldc + q * NR)) };
+            }
         }
     }
     for p in 0..kc {
@@ -662,6 +708,19 @@ fn tile_avx512<const M: usize, const P: usize>(
             }
         }
     }
+    if let Some(bias) = pass.bias {
+        let mut b = [_mm512_setzero_ps(); P];
+        for (q, lanes) in b.iter_mut().enumerate() {
+            // SAFETY: `bias` holds at least `nr` floats (asserted above) and
+            // the mask keeps panel `q`'s share of lanes `..nr`.
+            *lanes = unsafe { _mm512_maskz_loadu_ps(masks[q], bias.as_ptr().add(q * NR)) };
+        }
+        for row in acc.iter_mut() {
+            for (lanes, &b) in row.iter_mut().zip(&b) {
+                *lanes = _mm512_add_ps(*lanes, b);
+            }
+        }
+    }
     for (i, row) in acc.iter().enumerate() {
         for (q, &lanes) in row.iter().enumerate() {
             // SAFETY: as for the load — only panel `q`'s share of lanes
@@ -675,6 +734,7 @@ fn tile_avx512<const M: usize, const P: usize>(
 /// `nr` reaches into a second one.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)] // a kernel's operands, not an API surface
 fn microkernel_avx512(
     kc: usize,
     a: ATile<'_>,
@@ -683,12 +743,13 @@ fn microkernel_avx512(
     ldc: usize,
     mr: usize,
     nr: usize,
+    pass: KBlock<'_>,
 ) {
     macro_rules! rows {
         ($($m:literal),*) => {
             match (mr, nr.div_ceil(NR)) {
-                $(($m, 1) => tile_avx512::<$m, 1>(kc, a, bp, c, ldc, nr),
-                  ($m, 2) => tile_avx512::<$m, 2>(kc, a, bp, c, ldc, nr),)*
+                $(($m, 1) => tile_avx512::<$m, 1>(kc, a, bp, c, ldc, nr, pass),
+                  ($m, 2) => tile_avx512::<$m, 2>(kc, a, bp, c, ldc, nr, pass),)*
                 _ => panic!("micro-kernel tile {mr}x{nr}"),
             }
         };
@@ -820,13 +881,30 @@ impl<'a> ATile<'a> {
     }
 }
 
+/// Where one k-block of a product falls in it, which is what decides how a
+/// tile meets C: every entry point *writes* `C = op(A) op(B) (+ bias)`, and
+/// a product deeper than [`KC`] reaches its output in several k-blocks.
+#[derive(Clone, Copy, Debug)]
+pub struct KBlock<'a> {
+    /// The product's first k-block: the accumulators start at `+0.0` — the
+    /// bits a zero-filled C would load — and C is not read. A later block
+    /// loads the partial tile the one before it stored.
+    pub first: bool,
+    /// On the product's last k-block, the bias of the tile's columns (at
+    /// least `nr` values), added to every row as it is stored: one separately
+    /// rounded add after the last fused step, never folded into it.
+    pub bias: Option<&'a [f32]>,
+}
+
 /// Computes one `mr`×`nr` output tile (`1 ≤ mr ≤ MR`, `1 ≤ nr ≤`
 /// [`Tier::tile_width`]) on `tier`: `C[i, j] ← fma(A[i, p], B[p, j], C[i, j])`
 /// for p increasing over the `kc` rows of the packed B panels `bp` —
 /// `ceil(nr / NR)` of them back to back, `[kc][NR]` each — one accumulator
-/// per element. `c` starts at the tile's `(0, 0)` and has row stride `ldc`.
-/// Same bits on every tier. Public so the property tests can hold each tier
-/// of [`Tier::host`] to the naive loops, whichever one dispatch picks here.
+/// per element, which starts at `+0.0` or at C as `pass` says and gets its
+/// bias on the store. `c` starts at the tile's `(0, 0)` and has row stride
+/// `ldc`. Same bits on every tier. Public so the property tests can hold
+/// each tier of [`Tier::host`] to the naive loops, whichever one dispatch
+/// picks here.
 ///
 /// # Panics
 /// If the host lacks `tier`, if `nr` is wider than its tile, if `a` is not a
@@ -842,6 +920,7 @@ pub fn microkernel_on(
     ldc: usize,
     mr: usize,
     nr: usize,
+    pass: KBlock<'_>,
 ) {
     assert!(tier <= Tier::detect(), "this CPU has no {} tier", tier.name());
     assert!((1..=tier.tile_width()).contains(&nr), "{} tile width {nr}", tier.name());
@@ -851,7 +930,7 @@ pub fn microkernel_on(
         tier.name()
     );
     // SAFETY: the host has `tier`, asserted above.
-    unsafe { microkernel_unchecked(tier, kc, a, bp, c, ldc, mr, nr) }
+    unsafe { microkernel_unchecked(tier, kc, a, bp, c, ldc, mr, nr, pass) }
 }
 
 /// [`microkernel_on`] without the look at the CPU, so the driver asks once
@@ -872,13 +951,14 @@ unsafe fn microkernel_unchecked(
     ldc: usize,
     mr: usize,
     nr: usize,
+    pass: KBlock<'_>,
 ) {
     #[cfg(target_arch = "x86_64")]
     if tier == Tier::Avx512 {
         // SAFETY: the caller guarantees the host has this tier, which
         // `Tier::detect` reports only with `avx512f` detected; the tile
         // bounds every pointer it forms by assertions on its slices.
-        unsafe { microkernel_avx512(kc, a, bp, c, ldc, mr, nr) };
+        unsafe { microkernel_avx512(kc, a, bp, c, ldc, mr, nr, pass) };
         return;
     }
     debug_assert_eq!((a.rs, a.ks), (1, MR), "the {} tile reads packed A only", tier.name());
@@ -886,10 +966,10 @@ unsafe fn microkernel_unchecked(
     if tier == Tier::Avx2 {
         // SAFETY: the caller guarantees the host has this tier, which
         // `Tier::detect` reports only with `avx2` and `fma` detected.
-        unsafe { microkernel_avx2(kc, a.data, bp, c, ldc, mr, nr) };
+        unsafe { microkernel_avx2(kc, a.data, bp, c, ldc, mr, nr, pass) };
         return;
     }
-    microkernel_portable(kc, a.data, bp, c, ldc, mr, nr);
+    microkernel_portable(kc, a.data, bp, c, ldc, mr, nr, pass);
 }
 
 // ---------------------------------------------------------------------------
@@ -911,8 +991,11 @@ pub fn pack_scratch_len() -> (usize, usize) {
 }
 
 /// Runs the blocked GEMM over output rows `[m0, m1)` on `tier`'s
-/// micro-kernel. `c` holds exactly those rows (row stride `ldc`), offset
-/// `c_col0` columns in; the sources are indexed with absolute coordinates.
+/// micro-kernel, writing them: the first k-block's tiles start from `+0.0`,
+/// later ones load what the block before stored, and the last adds `bias`
+/// (`n` values, if any). `c` holds exactly those rows (row stride `ldc`),
+/// offset `c_col0` columns in; the sources are indexed with absolute
+/// coordinates. `k ≥ 1`.
 #[allow(clippy::too_many_arguments)] // the single-thread core below gemm_blocked
 fn gemm_stripe(
     tier: Tier,
@@ -925,6 +1008,7 @@ fn gemm_stripe(
     c: &mut [f32],
     ldc: usize,
     c_col0: usize,
+    bias: Option<&[f32]>,
 ) {
     assert!(tier <= Tier::detect(), "this CPU has no {} tier", tier.name());
     // On the tier whose tile reads A through strides nothing is packed on
@@ -952,6 +1036,7 @@ fn gemm_stripe(
             let mut pc = 0;
             while pc < k {
                 let kc = KC.min(k - pc);
+                let last = pc + kc == k;
                 let b_block: &[f32] = match b_src {
                     BSrc::Pack(src) => {
                         pack_b(bp_buf, src, pc, kc, jc, nc);
@@ -981,10 +1066,13 @@ fn gemm_stripe(
                                 ATile::packed(&ap_buf[(ir / MR) * kc * MR..][..kc * MR])
                             };
                             let c_off = (ic - m0 + ir) * ldc + c_col0 + jc + jr;
-                            // SAFETY: the host has `tier`, asserted on entry.
-                            unsafe {
-                                microkernel_unchecked(tier, kc, a, bp, &mut c[c_off..], ldc, mr, nr)
+                            let pass = KBlock {
+                                first: pc == 0,
+                                bias: bias.filter(|_| last).map(|b| &b[jc + jr..][..nr]),
                             };
+                            let c = &mut c[c_off..];
+                            // SAFETY: the host has `tier`, asserted on entry.
+                            unsafe { microkernel_unchecked(tier, kc, a, bp, c, ldc, mr, nr, pass) };
                             ir += MR;
                         }
                         jr += tile_width;
@@ -998,10 +1086,11 @@ fn gemm_stripe(
     });
 }
 
-/// `C += op(A) B` on the packed kernel over the whole (non-empty) output,
-/// splitting rows into stripes across up to `threads` OS threads — which
-/// share a borrowed B panel, and each pack their own otherwise. `c` holds
-/// `m` rows of stride `ldc`, offset `c_col0` columns in.
+/// `C = op(A) B (+ bias)` on the packed kernel over the whole (non-empty)
+/// output, splitting rows into stripes across up to `threads` OS threads —
+/// which share a borrowed B panel, and each pack their own otherwise. `c`
+/// holds `m` rows of stride `ldc`, offset `c_col0` columns in. An empty
+/// reduction (`k = 0`) writes the bias, or `+0.0`.
 #[allow(clippy::too_many_arguments)] // the one internal fan-in point below the typed wrappers
 fn gemm_blocked(
     tier: Tier,
@@ -1013,11 +1102,22 @@ fn gemm_blocked(
     c: &mut [f32],
     ldc: usize,
     c_col0: usize,
+    bias: Option<&[f32]>,
     threads: usize,
 ) {
+    if k == 0 {
+        for row in c.chunks_mut(ldc).take(m) {
+            let row = &mut row[c_col0..c_col0 + n];
+            match bias {
+                Some(b) => row.copy_from_slice(b),
+                None => row.fill(0.0),
+            }
+        }
+        return;
+    }
     let threads = effective_threads(m, n, k, threads);
     if threads <= 1 {
-        gemm_stripe(tier, 0, m, n, k, a_src, b_src, c, ldc, c_col0);
+        gemm_stripe(tier, 0, m, n, k, a_src, b_src, c, ldc, c_col0, bias);
         return;
     }
     // Equal MR-aligned stripes (the last may be short): chunk boundaries
@@ -1027,13 +1127,16 @@ fn gemm_blocked(
         for (si, chunk) in c.chunks_mut(stripe_rows * ldc).enumerate() {
             let m0 = si * stripe_rows;
             let m1 = (m0 + stripe_rows).min(m);
-            scope.spawn(move || gemm_stripe(tier, m0, m1, n, k, a_src, b_src, chunk, ldc, c_col0));
+            scope.spawn(move || {
+                gemm_stripe(tier, m0, m1, n, k, a_src, b_src, chunk, ldc, c_col0, bias)
+            });
         }
     });
 }
 
-/// `C += op(A) op(B)` for operands packed per call: the plain loops where
-/// packing would dominate, the packed kernel under `threads` otherwise.
+/// `C = op(A) op(B) (+ bias)` for operands packed per call: the plain loops
+/// where packing would dominate, the packed kernel under `threads`
+/// otherwise.
 #[allow(clippy::too_many_arguments)] // mirrors gemm_blocked's signature
 fn gemm_threaded(
     tier: Tier,
@@ -1045,18 +1148,19 @@ fn gemm_threaded(
     c: &mut [f32],
     ldc: usize,
     c_col0: usize,
+    bias: Option<&[f32]>,
     threads: usize,
 ) {
-    if m == 0 || n == 0 || k == 0 {
-        return; // += of an empty product leaves C untouched
+    if m == 0 || n == 0 {
+        return; // an empty output has nothing to write
     }
     if 2 * m * n * k < BLOCKED_MIN_FLOPS || (m <= SMALL_MAX_ROWS && matches!(b_src, Src::N(_))) {
         // Packing would dominate; the plain loops keep the identical
         // per-element accumulation order, so this changes nothing but speed.
-        gemm_small(tier, m, n, k, a_src, b_src, c, ldc, c_col0);
+        gemm_small(tier, m, n, k, a_src, b_src, c, ldc, c_col0, bias);
         return;
     }
-    gemm_blocked(tier, m, n, k, a_src, BSrc::Pack(b_src), c, ldc, c_col0, threads);
+    gemm_blocked(tier, m, n, k, a_src, BSrc::Pack(b_src), c, ldc, c_col0, bias, threads);
 }
 
 /// Declares `fn name(tier, args..)` around one plain-loop body, compiled for
@@ -1095,10 +1199,11 @@ macro_rules! plain_loops {
 }
 
 plain_loops! {
-    /// Unblocked `C += op(A) op(B)` for matrices too small to amortize
-    /// packing: one accumulator per element, k increasing, one `mul_add` a
-    /// step — the same operation sequence as the blocked kernel, so the two
-    /// are bitwise interchangeable.
+    /// Unblocked `C = op(A) op(B) (+ bias)` for matrices too small to
+    /// amortize packing: one accumulator per element from `+0.0`, k
+    /// increasing, one `mul_add` a step, then the bias as one add — the same
+    /// operation sequence as the blocked kernel, so the two are bitwise
+    /// interchangeable.
     fn gemm_small(
         m: usize,
         n: usize,
@@ -1108,6 +1213,7 @@ plain_loops! {
         c: &mut [f32],
         ldc: usize,
         c_col0: usize,
+        bias: Option<&[f32]>,
     ) {
         // Element `(i, p)` of op(A) is `ad[i * a_rs + p * a_cs]`.
         let (ad, a_rs, a_cs) = match a_src {
@@ -1120,6 +1226,7 @@ plain_loops! {
                 // B's rows are contiguous along n: one lane per output
                 // column, each rank-1 step a vector multiply-add over the row.
                 Src::N(bv) => {
+                    c_row.fill(0.0);
                     for p in 0..k {
                         let a_ip = ad[i * a_rs + p * a_cs];
                         for (o, &b_pj) in c_row.iter_mut().zip(bv.row(p, 0, n)) {
@@ -1133,12 +1240,17 @@ plain_loops! {
                 // early.
                 Src::T(bv) => {
                     for (j, o) in c_row.iter_mut().enumerate() {
-                        let mut acc = *o;
+                        let mut acc = 0.0f32;
                         for (p, &b_jp) in bv.row(j, 0, k).iter().enumerate() {
                             acc = ad[i * a_rs + p * a_cs].mul_add(b_jp, acc);
                         }
                         *o = acc;
                     }
+                }
+            }
+            if let Some(bias) = bias {
+                for (o, &b) in c_row.iter_mut().zip(bias) {
+                    *o += b;
                 }
             }
         }
@@ -1150,26 +1262,57 @@ plain_loops! {
 // property tests can pin them to the naive loops from outside the crate)
 // ---------------------------------------------------------------------------
 
-/// `C += A B` over strided views: `a` is `[m, k]`, `b` is `[k, n]`. `c`
-/// starts at the output's first row, has row stride `ldc`, and the product
-/// lands `c_col0` columns in — single-threaded, like its two siblings.
-pub fn gemm_nn(
+/// `C = op(A) op(B) (+ bias)` over strided views on `tier`, under up to
+/// `threads` row-stripe threads: the one strided product every other entry
+/// point of this section is. `layout` names the stored shapes of `a` and `b`
+/// as for the whole-tensor products; `c` starts at the output's first row,
+/// has row stride `ldc`, and the product lands `c_col0` columns in — the
+/// `m`×`n` segment is written whatever it held, nothing around it is
+/// touched. `bias` holds `n` values. Public so the property tests can run it
+/// on every tier of [`Tier::host`]; panics if the host lacks `tier`.
+#[allow(clippy::too_many_arguments)] // a product, its layout, its tier and its epilogue
+pub fn gemm_on(
+    tier: Tier,
+    layout: Layout,
     c: &mut [f32],
     ldc: usize,
     c_col0: usize,
     (m, n, k): (usize, usize, usize),
     a: View<'_>,
     b: View<'_>,
+    bias: Option<&[f32]>,
+    threads: usize,
 ) {
-    gemm_threaded(Tier::detect(), m, n, k, Src::N(a), Src::N(b), c, ldc, c_col0, 1);
+    let (a_src, b_src) = match layout {
+        Layout::NN => (Src::N(a), Src::N(b)),
+        Layout::NT => (Src::N(a), Src::T(b)),
+        Layout::TN => (Src::T(a), Src::N(b)),
+    };
+    assert!(bias.is_none_or(|b| b.len() == n), "bias must hold {n} values");
+    gemm_threaded(tier, m, n, k, a_src, b_src, c, ldc, c_col0, bias, threads);
+}
+
+/// `C = A B` over strided views: `a` is `[m, k]`, `b` is `[k, n]`;
+/// [`gemm_on`] on the host's tier, single-threaded like its two siblings.
+pub fn gemm_nn(
+    c: &mut [f32],
+    ldc: usize,
+    c_col0: usize,
+    dims: (usize, usize, usize),
+    a: View<'_>,
+    b: View<'_>,
+) {
+    gemm_on(Tier::detect(), Layout::NN, c, ldc, c_col0, dims, a, b, None, 1);
 }
 
 /// [`gemm_nn`] as a dense layer calls it — [`crate::tensor::matmul`] and
-/// both forward backends: under the process-global thread budget, and on
-/// the packed kernel only where [`blocked_worthwhile`] and the
-/// `SMALL_MAX_ROWS` floor say so. `panel` is how a caller whose `b` is a
-/// constant offers its [`PackedB`]: it is asked (and so the panel built)
-/// only by a product that will run on it; `None` packs `b` per call.
+/// both forward backends: with the layer's bias, under the process-global
+/// thread budget, and on the packed kernel only where
+/// [`blocked_worthwhile`] and the `SMALL_MAX_ROWS` floor say so. `panel` is
+/// how a caller whose `b` is a constant offers its [`PackedB`]: it is asked
+/// (and so the panel built) only by a product that will run on it; `None`
+/// packs `b` per call.
+#[allow(clippy::too_many_arguments)] // gemm_on's operands, plus where B comes from
 pub(crate) fn gemm_nn_dense<'p>(
     c: &mut [f32],
     ldc: usize,
@@ -1177,27 +1320,27 @@ pub(crate) fn gemm_nn_dense<'p>(
     (m, n, k): (usize, usize, usize),
     a: View<'_>,
     b: View<'_>,
+    bias: Option<&[f32]>,
     panel: Option<&dyn Fn() -> &'p PackedB>,
 ) {
+    let tier = Tier::detect();
     if !blocked_worthwhile(m, n, k) {
-        gemm_small(Tier::detect(), m, n, k, Src::N(a), Src::N(b), c, ldc, c_col0);
+        gemm_small(tier, m, n, k, Src::N(a), Src::N(b), c, ldc, c_col0, bias);
         return;
     }
     match panel {
         Some(panel) if m > SMALL_MAX_ROWS => {
-            gemm_nn_packed(c, ldc, c_col0, m, a, panel(), gemm_threads());
+            gemm_nn_packed_on(tier, c, ldc, c_col0, m, a, panel(), bias, gemm_threads());
         }
-        _ => {
-            let (a, b) = (Src::N(a), Src::N(b));
-            gemm_threaded(Tier::detect(), m, n, k, a, b, c, ldc, c_col0, gemm_threads())
-        }
+        _ => gemm_on(tier, Layout::NN, c, ldc, c_col0, (m, n, k), a, b, bias, gemm_threads()),
     }
 }
 
-/// `C += A B` with `b` borrowed already packed: `a` is `[m, k]` for `b`'s
-/// `(k, n)`; always the packed kernel, under up to `threads` row-stripe
-/// threads that share the panel. Bit-identical to [`gemm_nn`] over the
+/// `C = A B (+ bias)` with `b` borrowed already packed: `a` is `[m, k]` for
+/// `b`'s `(k, n)`; always the packed kernel, under up to `threads` row-stripe
+/// threads that share the panel. Bit-identical to [`gemm_on`] over the
 /// matrix `b` was packed from.
+#[allow(clippy::too_many_arguments)] // gemm_nn's operands, plus the epilogue and threads
 pub fn gemm_nn_packed(
     c: &mut [f32],
     ldc: usize,
@@ -1205,9 +1348,10 @@ pub fn gemm_nn_packed(
     m: usize,
     a: View<'_>,
     b: &PackedB,
+    bias: Option<&[f32]>,
     threads: usize,
 ) {
-    gemm_nn_packed_on(Tier::detect(), c, ldc, c_col0, m, a, b, threads);
+    gemm_nn_packed_on(Tier::detect(), c, ldc, c_col0, m, a, b, bias, threads);
 }
 
 /// [`gemm_nn_packed`] on `tier`'s micro-kernel, so the property tests can
@@ -1222,37 +1366,39 @@ pub fn gemm_nn_packed_on(
     m: usize,
     a: View<'_>,
     b: &PackedB,
+    bias: Option<&[f32]>,
     threads: usize,
 ) {
     let (k, n) = b.shape();
-    if m == 0 || n == 0 || k == 0 {
-        return; // += of an empty product leaves C untouched
+    assert!(bias.is_none_or(|b| b.len() == n), "bias must hold {n} values");
+    if m == 0 || n == 0 {
+        return; // an empty output has nothing to write
     }
-    gemm_blocked(tier, m, n, k, Src::N(a), BSrc::Panels(b), c, ldc, c_col0, threads);
+    gemm_blocked(tier, m, n, k, Src::N(a), BSrc::Panels(b), c, ldc, c_col0, bias, threads);
 }
 
-/// `C += A Bᵀ` over strided views: `a` is `[m, k]`, `b` is `[n, k]`.
+/// `C = A Bᵀ` over strided views: `a` is `[m, k]`, `b` is `[n, k]`.
 pub fn gemm_nt(
     c: &mut [f32],
     ldc: usize,
     c_col0: usize,
-    (m, n, k): (usize, usize, usize),
+    dims: (usize, usize, usize),
     a: View<'_>,
     b: View<'_>,
 ) {
-    gemm_threaded(Tier::detect(), m, n, k, Src::N(a), Src::T(b), c, ldc, c_col0, 1);
+    gemm_on(Tier::detect(), Layout::NT, c, ldc, c_col0, dims, a, b, None, 1);
 }
 
-/// `C += Aᵀ B` over strided views: `a` is `[k, m]`, `b` is `[k, n]`.
+/// `C = Aᵀ B` over strided views: `a` is `[k, m]`, `b` is `[k, n]`.
 pub fn gemm_tn(
     c: &mut [f32],
     ldc: usize,
     c_col0: usize,
-    (m, n, k): (usize, usize, usize),
+    dims: (usize, usize, usize),
     a: View<'_>,
     b: View<'_>,
 ) {
-    gemm_threaded(Tier::detect(), m, n, k, Src::T(a), Src::N(b), c, ldc, c_col0, 1);
+    gemm_on(Tier::detect(), Layout::TN, c, ldc, c_col0, dims, a, b, None, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -1270,6 +1416,22 @@ pub enum Layout {
     TN,
 }
 
+impl Layout {
+    /// `(m, n, k)` of `op(a) op(b)` under this layout.
+    ///
+    /// # Panics
+    /// If the inner dimensions differ.
+    fn dims(self, a: &Tensor, b: &Tensor) -> (usize, usize, usize) {
+        let ((m, ka), (kb, n)) = match self {
+            Layout::NN => ((a.rows(), a.cols()), (b.rows(), b.cols())),
+            Layout::NT => ((a.rows(), a.cols()), (b.cols(), b.rows())),
+            Layout::TN => ((a.cols(), a.rows()), (b.rows(), b.cols())),
+        };
+        assert_eq!(ka, kb, "{self:?} matmul inner dims: {:?} x {:?}", a.shape(), b.shape());
+        (m, n, ka)
+    }
+}
+
 /// The blocked product of `a` and `b` under `layout`, on `tier`'s
 /// micro-kernel and up to `threads` row-stripe threads: what
 /// [`matmul_blocked`] and its two siblings compute on [`Tier::detect`]'s.
@@ -1282,15 +1444,10 @@ pub fn matmul_blocked_on(
     b: &Tensor,
     threads: usize,
 ) -> Tensor {
-    let (av, bv) = (View::of(a), View::of(b));
-    let ((m, ka, a_src), (kb, n, b_src)) = match layout {
-        Layout::NN => ((a.rows(), a.cols(), Src::N(av)), (b.rows(), b.cols(), Src::N(bv))),
-        Layout::NT => ((a.rows(), a.cols(), Src::N(av)), (b.cols(), b.rows(), Src::T(bv))),
-        Layout::TN => ((a.cols(), a.rows(), Src::T(av)), (b.rows(), b.cols(), Src::N(bv))),
-    };
-    assert_eq!(ka, kb, "{layout:?} matmul inner dims: {:?} x {:?}", a.shape(), b.shape());
+    let (m, n, k) = layout.dims(a, b);
     let mut out = Tensor::zeros(m, n);
-    gemm_threaded(tier, m, n, ka, a_src, b_src, out.data_mut(), n, 0, threads);
+    let (av, bv) = (View::of(a), View::of(b));
+    gemm_on(tier, layout, out.data_mut(), n, 0, (m, n, k), av, bv, None, threads);
     out
 }
 
@@ -1313,11 +1470,12 @@ pub fn matmul_tn_blocked(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
 }
 
 plain_loops! {
-    /// `out += A B` in plain ikj loops.
+    /// `out = A B` in plain ikj loops.
     fn naive_nn(a: &Tensor, b: &Tensor, out: &mut Tensor) {
         let n = b.cols();
         for i in 0..a.rows() {
             let o_row = out.row_mut(i);
+            o_row.fill(0.0);
             for (p, &a_ip) in a.row(i).iter().enumerate() {
                 for (o, &bv) in o_row.iter_mut().zip(&b.data()[p * n..(p + 1) * n]) {
                     *o = a_ip.mul_add(bv, *o);
@@ -1344,9 +1502,10 @@ plain_loops! {
 }
 
 plain_loops! {
-    /// `out += Aᵀ B` in rank-1 update loops.
+    /// `out = Aᵀ B` in rank-1 update loops.
     fn naive_tn(a: &Tensor, b: &Tensor, out: &mut Tensor) {
         let n = b.cols();
+        out.data_mut().fill(0.0);
         for p in 0..a.rows() {
             let b_row = b.row(p);
             for (i, &a_pi) in a.row(p).iter().enumerate() {
@@ -1365,12 +1524,7 @@ plain_loops! {
 /// hold the portable instantiation (libm's `fmaf`) against the hardware one;
 /// panics if the host lacks `tier`.
 pub fn matmul_naive_on(tier: Tier, layout: Layout, a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, ka, kb, n) = match layout {
-        Layout::NN => (a.rows(), a.cols(), b.rows(), b.cols()),
-        Layout::NT => (a.rows(), a.cols(), b.cols(), b.rows()),
-        Layout::TN => (a.cols(), a.rows(), b.rows(), b.cols()),
-    };
-    assert_eq!(ka, kb, "{layout:?} matmul inner dims: {:?} x {:?}", a.shape(), b.shape());
+    let (m, n, _) = layout.dims(a, b);
     let mut out = Tensor::zeros(m, n);
     match layout {
         Layout::NN => naive_nn(tier, a, b, &mut out),

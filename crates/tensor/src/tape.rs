@@ -29,8 +29,8 @@
 #![allow(clippy::needless_range_loop)] // index loops over matrix coordinates are clearest here
 
 use crate::forward::{
-    add_bias_rows, attention_forward, attn_probs_block, concat_rows, dense_segment, gather_queries,
-    gather_rows, head_views, layer_norm_rows, AttnBlock,
+    attention_forward, attn_probs_block, concat_rows, dense_segment, gather_queries, gather_rows,
+    head_views, layer_norm_rows, AttnBlock,
 };
 use crate::kernels::{gemm_nn, gemm_nt, gemm_tn, View};
 use crate::params::{Gradients, ParamId, ParamStore};
@@ -256,7 +256,11 @@ impl<'s> Tape<'s> {
         assert_eq!(tb.rows(), 1, "bias must be a row vector");
         assert_eq!(tx.cols(), tb.cols(), "add_row width mismatch");
         let mut v = tx.clone();
-        add_bias_rows(v.data_mut(), tb.cols(), 0, tb.row(0));
+        for row in v.data_mut().chunks_exact_mut(tb.cols()) {
+            for (o, &b) in row.iter_mut().zip(tb.row(0)) {
+                *o += b;
+            }
+        }
         self.push(v, Op::AddRow { x, bias })
     }
 
@@ -770,6 +774,8 @@ impl<'s> Tape<'s> {
                     let d = d3 / 3;
                     let dh = d / heads;
                     let scale = 1.0 / (dh as f32).sqrt();
+                    // Every dK|dV element and each computed query's dQ row
+                    // is written below; a dropped query's dQ row stays +0.0.
                     let mut dqkv = Tensor::zeros(rows, d3);
                     // `m` query rows of a `len`-token block: all of them, or
                     // the kept ones.
@@ -788,7 +794,6 @@ impl<'s> Tape<'s> {
                             gather_queries(t.data(), d, (row0, len), keep, &mut q_kept);
                         }
                         let dq = &mut dq_buf[..m * d];
-                        dq.fill(0.0);
                         for h in 0..*heads {
                             let off = h * dh;
                             let [q, k, v] = head_views(t.data(), d, row0, off);
@@ -876,14 +881,15 @@ fn resolve_blocks(rows: usize, blocks: usize, lens: Option<&[usize]>) -> Vec<usi
 /// Attention backward for one `(block, head)` pair over the block's `m`
 /// query rows (`p`, `g` and `q` hold one row per query — all `len` of them,
 /// or the kept ones in ascending position), all products through the GEMM
-/// layer: `dP = G Vᵀ`, `dV += Pᵀ G`, then the softmax Jacobian turns `dP`
-/// into `dS` in place (`ds = p * (dp - ⟨dp, p⟩) * scale`, the naive kernels'
-/// exact order), and `dQ += dS K`, `dK += dSᵀ Q`. `dQ` lands in the
-/// `[.., off..off + dh]` window of the zeroed `[m, d]` buffer `dq`, one row
-/// per query (the caller carries each home); `dK` and `dV` in the same
-/// window of the K and V column segments of `dqkv`, which starts at the
-/// block's first row and spans its `len` tokens — each element one
-/// accumulator from `+0.0` over the queries in the order given.
+/// layer, each writing its output: `dP = G Vᵀ` into `dp`, `dV = Pᵀ G`, then
+/// the softmax Jacobian turns `dP` into `dS` in place (`ds = p * (dp -
+/// ⟨dp, p⟩) * scale`, the naive kernels' exact order), and `dQ = dS K`,
+/// `dK = dSᵀ Q`. `dQ` lands in the `[.., off..off + dh]` window of the
+/// `[m, d]` buffer `dq`, one row per query (the caller carries each home);
+/// `dK` and `dV` in the same window of the K and V column segments of
+/// `dqkv`, which starts at the block's first row and spans its `len` tokens
+/// — each element one accumulator from `+0.0` over the queries in the order
+/// given.
 #[allow(clippy::too_many_arguments)] // a private kernel, not an API surface
 fn attn_head_backward(
     p: &[f32],
@@ -897,7 +903,6 @@ fn attn_head_backward(
     scale: f32,
 ) {
     let d3 = 3 * d;
-    dp[..m * len].fill(0.0);
     gemm_nt(dp, len, 0, (m, len, dh), g, v);
     gemm_tn(dqkv, d3, 2 * d + off, (len, dh, m), View::at(p, len, 0, 0), g);
     softmax_jacobian_rows(p, dp, m, len, scale);

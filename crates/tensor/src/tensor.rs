@@ -194,8 +194,8 @@ impl Tensor {
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.cols, b.rows, "matmul inner dims: {:?} x {:?}", a.shape(), b.shape());
     let mut out = Tensor::zeros(a.rows, b.cols);
-    let dims = (a.rows, b.cols, a.cols);
-    crate::kernels::gemm_nn_dense(&mut out.data, b.cols, 0, dims, View::of(a), View::of(b), None);
+    let (dims, a, b) = ((a.rows, b.cols, a.cols), View::of(a), View::of(b));
+    crate::kernels::gemm_nn_dense(&mut out.data, dims.1, 0, dims, a, b, None, None);
     out
 }
 

@@ -5,16 +5,31 @@
 //! over its lane count and instantiated per vector tier of the GEMM layer
 //! ([`crate::kernels::Tier`], detected from the CPU): 8 lanes compiled for
 //! the baseline target, 8 lanes under `#[target_feature(enable = "avx2")]`,
-//! and — for the elementwise kernels `exp`, `tanh`, `sigmoid`, `gelu` and
-//! `gelu_grad` — 16 lanes under the AVX-512 features (`gelu` over 166×384:
-//! about 95 → 65 µs). Unlike the GEMM tile, these bodies autovectorise
-//! cleanly at 512 bits, so no intrinsics are needed. An elementwise result
-//! depends on its own input bits alone, so the lane count cannot show in it.
-//! `softmax_rows_scaled` is the exception and stays at 8 lanes on every
-//! tier: its row sum is reduced lane-wise in a fixed tree, the shape of that
-//! tree is part of the bit contract, and a 16-lane `exp` inside it measured
-//! 1.18x when this tier was prototyped — not worth a second reduction shape. The functions at the module
-//! root run the host's widest tier; [`on`] runs a named one.
+//! and 16 lanes under the AVX-512 features (`gelu` over 166×384: about
+//! 95 → 65 µs; four heads' 166×166 softmax: about 121 → 87 µs). Unlike
+//! the GEMM tile, these bodies autovectorise cleanly at 512 bits, so no
+//! intrinsics are needed. An elementwise result depends on its own input
+//! bits alone, so the lane count cannot show in it.
+//!
+//! Softmax is not elementwise, and its 16-lane body keeps the 8-lane one's
+//! order where order can show:
+//!
+//! * the row sum has eight accumulators on every tier, and a 16-lane chunk
+//!   adds its low half, then its high half — accumulator `l` still sums
+//!   elements `l, l+8, l+16, …` in that order, and the fixed tree that
+//!   reduces the eight is the same. A padded tail lane adds `exp(−inf) =
+//!   +0.0` to a sum of non-negative terms that started at `+0.0`, which
+//!   changes no bit, so the extra padding of a 16-lane tail is invisible;
+//! * the row max runs over 16 independent lanes and its own tree, because
+//!   its value does not depend on order: `max_select` never admits a NaN, so
+//!   the max is the largest non-NaN value (or `-inf`), which is unique but
+//!   for the sign of a zero — and a `±0` max only flips the sign of a zero
+//!   `exp` argument (`v − ±0` is `v` for every other `v`), where
+//!   `exp(±0) = 1` exactly.
+//!
+//! Scale and mask, `exp(v − max)` and the normalise are elementwise. The
+//! functions at the module root run the host's widest tier; [`on`] runs a
+//! named one.
 //!
 //! # Numerics policy: one definition, identical everywhere
 //!
@@ -41,8 +56,8 @@
 //! The tail of a slice is padded to a full lane array and runs through the
 //! same lane code, so an element's result depends on nothing but its own
 //! value — not its position, its neighbours or the slice length. Softmax
-//! sums a row in a fixed lane-wise tree, so a row's result depends on the
-//! row alone.
+//! sums a row in eight fixed lanes and a fixed tree, so a row's result
+//! depends on the row alone.
 //!
 //! # Algorithms and error bounds
 //!
@@ -60,7 +75,7 @@
 //! * `sigmoid(x) = 1 / (1 + exp(−x))`.
 //! * `gelu(x) = 0.5 x (1 + tanh(√(2/π) (x + 0.044715 x³)))` (BERT's tanh
 //!   form): `gelu(x) == x` bitwise for `x ≥ 10`, `±0` for `x ≤ −10`.
-//! * softmax: row max, `exp(v − max)` with a lane-wise sum reduced in a
+//! * softmax: row max, `exp(v − max)` with an eight-lane sum reduced in a
 //!   fixed tree, one multiply by the reciprocal.
 #![allow(clippy::needless_range_loop)] // fixed-bound lane loops are what LLVM vectorises
 
@@ -68,8 +83,9 @@ use crate::kernels::Tier;
 use std::f32::consts::LOG2_E;
 
 /// Elements per lane array on the portable tier (two 128-bit vectors) and
-/// the AVX2 tier (one 256-bit vector), and of softmax on every tier. The
-/// AVX-512 tier runs the elementwise kernels over 16 (one 512-bit vector).
+/// the AVX2 tier (one 256-bit vector), and softmax's sum accumulators on
+/// every tier. The AVX-512 tier runs its kernels over 16 (one 512-bit
+/// vector).
 const LANES: usize = 8;
 
 /// `1.5 · 2^23`: adding it to `|v| < 2^22` leaves `round(v)` in the low
@@ -205,11 +221,12 @@ fn map_lanes<const L: usize>(xs: &mut [f32], f: impl Fn(f32) -> f32) {
     });
 }
 
-/// Reduces a lane array pairwise in a fixed tree: `(0,4) (1,5) (2,6) (3,7)`,
-/// then `(0,2) (1,3)`, then `(0,1)`.
+/// Reduces a lane array pairwise in a fixed tree: for 8 lanes `(0,4) (1,5)
+/// (2,6) (3,7)`, then `(0,2) (1,3)`, then `(0,1)`; 16 lanes fold `(l, l+8)`
+/// first.
 #[inline(always)]
-fn reduce_lanes(mut a: [f32; LANES], f: impl Fn(f32, f32) -> f32) -> f32 {
-    let mut w = LANES / 2;
+fn reduce_lanes<const L: usize>(mut a: [f32; L], f: impl Fn(f32, f32) -> f32) -> f32 {
+    let mut w = L / 2;
     while w > 0 {
         for l in 0..w {
             a[l] = f(a[l], a[l + w]);
@@ -230,22 +247,23 @@ fn max_select(a: f32, b: f32) -> f32 {
     }
 }
 
-/// Pass 1 of an attention row: `v ← v · scale (+ mask)` and the maximum of
-/// the results, in one read of the row.
+/// Pass 1 of an attention row, over `L` lanes: `v ← v · scale (+ mask)` and
+/// the maximum of the results, in one read of the row. The lanes and their
+/// tree may be any: the module docs say why the max cannot tell.
 #[inline(always)]
-fn scale_mask_max(row: &mut [f32], scale: f32, mask: Option<&[f32]>) -> f32 {
-    let mut m = [f32::NEG_INFINITY; LANES];
+fn scale_mask_max<const L: usize>(row: &mut [f32], scale: f32, mask: Option<&[f32]>) -> f32 {
+    let mut m = [f32::NEG_INFINITY; L];
     // Padded lanes hold -inf · scale (+ 0) = -inf and never win the max;
     // that needs scale > 0, which `softmax_rows_scaled` asserts.
     match mask {
-        Some(mask) => for_lanes(row, [mask], f32::NEG_INFINITY, |c: &mut [f32; LANES], [k]| {
-            for l in 0..LANES {
+        Some(mask) => for_lanes(row, [mask], f32::NEG_INFINITY, |c: &mut [f32; L], [k]| {
+            for l in 0..L {
                 c[l] = c[l] * scale + k[l];
                 m[l] = max_select(c[l], m[l]);
             }
         }),
-        None => for_lanes(row, [], f32::NEG_INFINITY, |c: &mut [f32; LANES], []| {
-            for l in 0..LANES {
+        None => for_lanes(row, [], f32::NEG_INFINITY, |c: &mut [f32; L], []| {
+            for l in 0..L {
                 c[l] *= scale;
                 m[l] = max_select(c[l], m[l]);
             }
@@ -254,22 +272,29 @@ fn scale_mask_max(row: &mut [f32], scale: f32, mask: Option<&[f32]>) -> f32 {
     reduce_lanes(m, max_select)
 }
 
-/// Passes 2 and 3 of a softmax row whose maximum is `max`:
-/// `v ← exp(v − max)` with the lane-wise sum, then `v ← v · (1 / sum)`.
+/// Passes 2 and 3 of a softmax row whose maximum is `max`, over `L` lanes:
+/// `v ← exp(v − max)` into [`LANES`] sum accumulators — each `L`-lane chunk
+/// adds its `LANES`-wide parts low to high, so accumulator `l` sums elements
+/// `l, l + LANES, …` in order at any `L` — then `v ← v · (1 / sum)`.
 /// A row whose maximum is `-inf` (every entry `-inf`) has no largest
 /// entry to favour and becomes uniform.
 #[inline(always)]
-fn softmax_finish(row: &mut [f32], max: f32) {
+fn softmax_finish<const L: usize>(row: &mut [f32], max: f32) {
+    const { assert!(L.is_multiple_of(LANES)) };
     if max == f32::NEG_INFINITY {
         row.fill(1.0 / row.len() as f32);
         return;
     }
     let mut acc = [0.0f32; LANES];
-    // Padded lanes hold exp(-inf - max) = 0.0 and add nothing.
-    for_lanes(row, [], f32::NEG_INFINITY, |c: &mut [f32; LANES], []| {
-        for l in 0..LANES {
+    // Padded lanes hold exp(-inf - max) = +0.0 and add nothing.
+    for_lanes(row, [], f32::NEG_INFINITY, |c: &mut [f32; L], []| {
+        for l in 0..L {
             c[l] = exp1(c[l] - max);
-            acc[l] += c[l];
+        }
+        for part in c.chunks_exact(LANES) {
+            for l in 0..LANES {
+                acc[l] += part[l];
+            }
         }
     });
     let inv = 1.0 / reduce_lanes(acc, |a, b| a + b);
@@ -278,16 +303,18 @@ fn softmax_finish(row: &mut [f32], max: f32) {
     }
 }
 
+/// Lanes of every kernel on the AVX-512 tier: one 512-bit vector.
+const WIDE: usize = 16;
+
 /// Declares each kernel once and instantiates it per [`Tier`]. The body is
 /// generic over its lane count `L`: [`LANES`] on the portable and the AVX2
-/// tier, and the count written after `=` on the AVX-512 tier — a kernel that
-/// writes `= 8` there has no third instantiation and runs its AVX2 one.
-/// Emits `on::name(tier, ..)`, which runs the named tier's instantiation,
-/// and `name(..)`, which runs [`Tier::detect`]'s.
+/// tier, [`WIDE`] on the AVX-512 tier. Emits `on::name(tier, ..)`, which
+/// runs the named tier's instantiation, and `name(..)`, which runs
+/// [`Tier::detect`]'s.
 macro_rules! tiers {
     ($(
         $(#[$doc:meta])*
-        pub fn $name:ident<$l:ident = $wide:literal>($($arg:ident: $ty:ty),* $(,)?) $body:block
+        pub fn $name:ident<$l:ident>($($arg:ident: $ty:ty),* $(,)?) $body:block
     )*) => {
         /// The one body of each kernel, over `L` lanes.
         mod body {
@@ -317,9 +344,9 @@ macro_rules! tiers {
                         }
                         #[target_feature(enable = "avx512f,avx512vl,avx512dq,avx512bw")]
                         fn avx512($($arg: $ty),*) {
-                            body::$name::<$wide>($($arg),*)
+                            body::$name::<WIDE>($($arg),*)
                         }
-                        if tier == Tier::Avx512 && $wide != LANES {
+                        if tier == Tier::Avx512 {
                             // SAFETY: the host has `tier` (asserted above),
                             // and `Tier::detect` reports `Avx512` only with
                             // all four of these features detected.
@@ -350,27 +377,27 @@ macro_rules! tiers {
 
 tiers! {
     /// `x ← e^x`, elementwise.
-    pub fn exp<L = 16>(xs: &mut [f32]) {
+    pub fn exp<L>(xs: &mut [f32]) {
         map_lanes::<L>(xs, exp1);
     }
 
     /// `x ← tanh x`, elementwise.
-    pub fn tanh<L = 16>(xs: &mut [f32]) {
+    pub fn tanh<L>(xs: &mut [f32]) {
         map_lanes::<L>(xs, tanh1);
     }
 
     /// `x ← 1 / (1 + e^-x)`, elementwise.
-    pub fn sigmoid<L = 16>(xs: &mut [f32]) {
+    pub fn sigmoid<L>(xs: &mut [f32]) {
         map_lanes::<L>(xs, sigmoid1);
     }
 
     /// `x ← gelu(x)` (tanh approximation, as in BERT), elementwise.
-    pub fn gelu<L = 16>(xs: &mut [f32]) {
+    pub fn gelu<L>(xs: &mut [f32]) {
         map_lanes::<L>(xs, gelu1);
     }
 
     /// `g ← g · gelu'(x)`, elementwise: the GELU backward.
-    pub fn gelu_grad<L = 16>(gs: &mut [f32], xs: &[f32]) {
+    pub fn gelu_grad<L>(gs: &mut [f32], xs: &[f32]) {
         for_lanes(gs, [xs], 0.0, |g: &mut [f32; L], [x]| {
             for l in 0..L {
                 g[l] *= gelu_grad1(x[l]);
@@ -382,10 +409,10 @@ tiers! {
     /// every `cols`-wide row of `data` (`mask`, if given, has `data`'s
     /// shape; `scale` must be positive): an attention block's scores to
     /// probabilities in three reads per row. A row of `-inf` only becomes
-    /// uniform; `cols == 0` is a no-op. Eight lanes on every tier: the
-    /// lane-wise sum tree is part of the bit contract.
-    pub fn softmax_rows_scaled<L = 8>(data: &mut [f32], cols: usize, scale: f32, mask: Option<&[f32]>) {
-        const { assert!(L == LANES) };
+    /// uniform; `cols == 0` is a no-op. The row sum runs in eight ordered
+    /// accumulators at either lane count, so every tier returns the same
+    /// bits (see the module docs).
+    pub fn softmax_rows_scaled<L>(data: &mut [f32], cols: usize, scale: f32, mask: Option<&[f32]>) {
         assert!(scale > 0.0, "softmax scale must be positive");
         if cols == 0 {
             return;
@@ -393,8 +420,8 @@ tiers! {
         assert_eq!(data.len() % cols, 0, "softmax data must hold whole rows");
         for (i, row) in data.chunks_exact_mut(cols).enumerate() {
             let m_row = mask.map(|m| &m[i * cols..(i + 1) * cols]);
-            let max = scale_mask_max(row, scale, m_row);
-            softmax_finish(row, max);
+            let max = scale_mask_max::<L>(row, scale, m_row);
+            softmax_finish::<L>(row, max);
         }
     }
 }

@@ -16,9 +16,9 @@
 //! multiply and add would return different bits.
 
 use doduo_tensor::kernels::{
-    gemm_nn, gemm_nn_packed_on, gemm_nt, gemm_tn, matmul_blocked, matmul_blocked_on, matmul_naive,
-    matmul_naive_on, matmul_nt_naive, matmul_tn_naive, microkernel_on, ATile, Layout, PackedB,
-    Tier, View, MR, NR,
+    gemm_nn, gemm_nn_packed_on, gemm_nt, gemm_on, gemm_tn, matmul_blocked, matmul_blocked_on,
+    matmul_naive, matmul_naive_on, matmul_nt_naive, matmul_tn_naive, microkernel_on, ATile, KBlock,
+    Layout, PackedB, Tier, View, KC, MR, NC, NR,
 };
 use doduo_tensor::{matmul, matmul_nt, matmul_tn, QuantizedLinear, Tensor};
 use proptest::prelude::*;
@@ -286,8 +286,96 @@ fn packed_panels_match_per_call_packing_and_naive_bitwise() {
                 for &tier in Tier::host() {
                     for threads in [1usize, 2, 3] {
                         let mut c = fresh();
-                        gemm_nn_packed_on(tier, &mut c, ldc, PAD, m, a_view, &panel, threads);
+                        gemm_nn_packed_on(tier, &mut c, ldc, PAD, m, a_view, &panel, None, threads);
                         check(&c, tier.name());
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_entry_point_writes_its_segment() {
+    // `C = op(A) op(B) (+ b)`, not `C +=`: each entry point gets a target
+    // segment full of NaN — which any read of C would carry into the result
+    // — with sentinels in the columns around it, and must leave the naive
+    // loops' bits (plus the bias, one add per element) in the segment and
+    // every sentinel as it was. Shapes cover the plain loops (two rows
+    // against an untransposed B, and a product under the FLOP floor), the
+    // packed kernel with a ragged edge, several k-blocks (`k > KC`), several
+    // column blocks (`n > NC`), an empty reduction (`k = 0`: the bias, or
+    // zeros) and one big enough for three row stripes — on every tier, at
+    // one to three threads, with and without a bias; the single-threaded
+    // dispatching forms and a borrowed panel too.
+    const PAD: usize = 3;
+    const SENTINEL: f32 = -7.5;
+    for (m, n, k) in [
+        (2, 40, 24),
+        (3, 5, 4),
+        (13, 37, 12),
+        (19, 33, KC + 44),
+        (7, NC + 18, 9),
+        (5, 9, 0),
+        (120, 160, 96),
+    ] {
+        let seed = (m * 1000 + n) as u64 + k as u64;
+        let bias = tensor(1, n, seed + 7);
+        let ldc = n + 2 * PAD;
+        let run = |what: &str, bias: Option<&[f32]>, want: &Tensor, gemm: &dyn Fn(&mut [f32])| {
+            let mut c = vec![SENTINEL; m * ldc];
+            for row in c.chunks_exact_mut(ldc) {
+                row[PAD..PAD + n].fill(f32::NAN);
+            }
+            gemm(&mut c);
+            for (i, row) in c.chunks_exact(ldc).enumerate() {
+                let (left, rest) = row.split_at(PAD);
+                let (got, right) = rest.split_at(n);
+                assert!(
+                    left.iter().chain(right).all(|&v| v == SENTINEL),
+                    "{what} {m}x{n}x{k}: wrote outside its segment in row {i}"
+                );
+                for (j, (x, &y)) in got.iter().zip(want.row(i)).enumerate() {
+                    let y = bias.map_or(y, |b| y + b[j]);
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{what} {m}x{n}x{k} ({i},{j}): {x} vs {y}"
+                    );
+                }
+            }
+        };
+        let cases = [
+            (Layout::NN, (m, k), (k, n)),
+            (Layout::NT, (m, k), (n, k)),
+            (Layout::TN, (k, m), (k, n)),
+        ];
+        for (layout, a_shape, b_shape) in cases {
+            let a = tensor(a_shape.0, a_shape.1, seed);
+            let b = tensor(b_shape.0, b_shape.1, seed + 1);
+            let want = matmul_naive_on(Tier::Portable, layout, &a, &b);
+            let (av, bv) = (View::of(&a), View::of(&b));
+            let dispatched = match layout {
+                Layout::NN => gemm_nn,
+                Layout::NT => gemm_nt,
+                Layout::TN => gemm_tn,
+            };
+            run(&format!("{layout:?}"), None, &want, &|c| {
+                dispatched(c, ldc, PAD, (m, n, k), av, bv)
+            });
+            let panel = (layout == Layout::NN).then(|| PackedB::pack(&b));
+            for &tier in Tier::host() {
+                for threads in 1..=3 {
+                    for bias in [None, Some(bias.row(0))] {
+                        let what = format!("{} {layout:?} threads {threads}", tier.name());
+                        run(&what, bias, &want, &|c| {
+                            gemm_on(tier, layout, c, ldc, PAD, (m, n, k), av, bv, bias, threads)
+                        });
+                        if let Some(panel) = &panel {
+                            run(&format!("{what} borrowed panel"), bias, &want, &|c| {
+                                gemm_nn_packed_on(tier, c, ldc, PAD, m, av, panel, bias, threads)
+                            });
+                        }
                     }
                 }
             }
@@ -323,6 +411,9 @@ fn edge_tiles_match_on_every_tier() {
     // lies — a row-major window (`lda > kc`) and a transposed one
     // (`lda > mr`) of a buffer that is NaN everywhere else. C outside the
     // tile is NaN too: a tile that read or wrote past its edge would show it.
+    // And the tile runs as every k-block of a product: a later one, which
+    // loads C; the first, which must not read it (C's tile is NaN then); and
+    // either as the last, with a bias added on the store.
     const GAP: usize = 3;
     let names: Vec<&str> = Tier::host().iter().map(|t| t.name()).collect();
     println!("micro-kernel tiers exercised on this host: {}", names.join(", "));
@@ -334,6 +425,7 @@ fn edge_tiles_match_on_every_tier() {
                 let seed = ((mr * 17 + nr) * 101 + kc) as u64;
                 let (a, b, c0) =
                     (tensor(kc, mr, seed), tensor(kc, nr, seed + 1), tensor(mr, nr, seed + 2));
+                let bias = tensor(1, nr, seed + 3);
                 let bp = b_panels(&b);
                 let mut packed = vec![f32::NAN; kc * MR];
                 // `a` is stored `[kc, mr]`: the transposed window is `a` in a
@@ -354,19 +446,33 @@ fn edge_tiles_match_on_every_tier() {
                         forms.push(("row-major", ATile::strided(&row_major, lda_n, 1)));
                         forms.push(("transposed", ATile::strided(&transposed, 1, lda_t)));
                     }
-                    for (form, a_tile) in forms {
-                        let what = format!("{} {form} A {mr}x{nr}x{kc}", tier.name());
+                    let passes = [false, true].into_iter().flat_map(|first| {
+                        [None, Some(bias.row(0))].map(|bias| KBlock { first, bias })
+                    });
+                    for ((form, a_tile), pass) in
+                        forms.iter().flat_map(|&f| passes.clone().map(move |p| (f, p)))
+                    {
+                        let (first, biased) = (pass.first, pass.bias.is_some());
+                        let what = format!(
+                            "{} {form} A {mr}x{nr}x{kc} first {first} bias {biased}",
+                            tier.name()
+                        );
                         let mut c = vec![f32::NAN; MR * ldc];
-                        for i in 0..mr {
-                            c[i * ldc..i * ldc + nr].copy_from_slice(c0.row(i));
+                        if !pass.first {
+                            for i in 0..mr {
+                                c[i * ldc..i * ldc + nr].copy_from_slice(c0.row(i));
+                            }
                         }
-                        microkernel_on(tier, kc, a_tile, &bp, &mut c, ldc, mr, nr);
+                        microkernel_on(tier, kc, a_tile, &bp, &mut c, ldc, mr, nr, pass);
                         for (i, row) in c.chunks_exact(ldc).enumerate() {
                             for (j, got) in row.iter().enumerate() {
                                 if i < mr && j < nr {
-                                    let mut want = c0.row(i)[j];
+                                    let mut want = if pass.first { 0.0 } else { c0.row(i)[j] };
                                     for p in 0..kc {
                                         want = a.row(p)[i].mul_add(b.row(p)[j], want);
+                                    }
+                                    if let Some(bias) = pass.bias {
+                                        want += bias[j];
                                     }
                                     assert_eq!(got.to_bits(), want.to_bits(), "{what} ({i},{j})");
                                 } else {
@@ -459,7 +565,9 @@ fn every_tier_is_fused() {
                     }
                 }
                 let (bp, mut c) = (b_panels(&b), Tensor::zeros(mr, nr));
-                microkernel_on(tier, kc, ATile::packed(&packed), &bp, c.data_mut(), nr, mr, nr);
+                let a = ATile::packed(&packed);
+                let pass = KBlock { first: true, bias: None };
+                microkernel_on(tier, kc, a, &bp, c.data_mut(), nr, mr, nr, pass);
                 eq(&c, &want, &format!("{name} tile {mr}x{nr}"));
             }
         }
@@ -481,7 +589,7 @@ fn every_tier_is_fused() {
             }
             let panel = PackedB::pack(&b);
             let mut c = Tensor::zeros(m, n);
-            gemm_nn_packed_on(tier, c.data_mut(), n, 0, m, View::of(&a), &panel, threads);
+            gemm_nn_packed_on(tier, c.data_mut(), n, 0, m, View::of(&a), &panel, None, threads);
             eq(&c, &want, &format!("{name} borrowed panel {m}x{n}x{}", 2 * q));
         }
     }

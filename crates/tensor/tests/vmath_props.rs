@@ -202,6 +202,87 @@ proptest! {
     }
 }
 
+/// Softmax rows built where a wider body could part from the 8-lane one,
+/// each `len` long, one after another: a max of `±0` (both signs present,
+/// so which one wins depends on the reduction order), only `-0.0` at the
+/// top, a NaN score, a `+inf` score, all `-inf`, and a quarter `-inf`.
+fn adversarial_rows(len: usize, rng: &mut StdRng) -> Vec<f32> {
+    let mut rows = Vec::new();
+    for kind in 0..6 {
+        let mut row: Vec<f32> = (0..len).map(|_| rng.gen_range(-12.0f32..-0.5)).collect();
+        let mut at = || rng.gen_range(0..len);
+        match kind {
+            0 => {
+                for _ in 0..len.div_ceil(8) {
+                    row[at()] = 0.0;
+                    row[at()] = -0.0;
+                }
+            }
+            1 => row[at()] = -0.0,
+            2 => row[at()] = f32::NAN,
+            3 => row[at()] = f32::INFINITY,
+            4 => row.fill(f32::NEG_INFINITY),
+            _ => {
+                for _ in 0..len.div_ceil(4) {
+                    row[at()] = f32::NEG_INFINITY;
+                }
+            }
+        }
+        rows.extend(row);
+    }
+    rows
+}
+
+/// Masks for [`adversarial_rows`]' rows, in turn: a third `MASK_NEG`, a
+/// third `-inf`, a third `-inf` and a NaN, and all `-inf` (which hides every
+/// score).
+fn adversarial_masks(len: usize, rows: usize, rng: &mut StdRng) -> Vec<f32> {
+    let mut masks = Vec::new();
+    for r in 0..rows {
+        let hidden = if r % 4 == 0 { MASK_NEG } else { f32::NEG_INFINITY };
+        let mut row: Vec<f32> =
+            (0..len).map(|_| if rng.gen_range(0..3u32) == 0 { hidden } else { 0.0 }).collect();
+        match r % 4 {
+            2 => row[rng.gen_range(0..len)] = f32::NAN,
+            3 => row.fill(f32::NEG_INFINITY),
+            _ => {}
+        }
+        masks.extend(row);
+    }
+    masks
+}
+
+#[test]
+fn softmax_tiers_hold_the_portable_bits_on_adversarial_rows() {
+    // The AVX-512 softmax runs 16 lanes over the portable body's eight
+    // ordered sum accumulators, and its max over 16 lanes in its own tree.
+    // Held here to the 8-lane portable instantiation on the rows where that
+    // could show — a ±0 max, NaN in a score or a mask, -inf rows and mask
+    // entries — with and without a mask, at every length up to four 16-lane
+    // arrays and at 166 and 192 (`bulk_wide`'s and the longest sequence).
+    // The tiers run are printed: CI's log must say whether the 16-lane body
+    // was held on that runner.
+    let names: Vec<&str> = Tier::host().iter().map(|t| t.name()).collect();
+    println!("softmax tiers held to the 8-lane portable bits on this host: {}", names.join(", "));
+    let mut rng = StdRng::seed_from_u64(26);
+    for len in (1..=64usize).chain([166, 192]) {
+        let data = adversarial_rows(len, &mut rng);
+        let mask = adversarial_masks(len, data.len() / len, &mut rng);
+        for (scale, mask) in [(1.0f32, None), (0.204_124_15, None), (0.204_124_15, Some(&mask[..]))]
+        {
+            let mut want = data.clone();
+            on::softmax_rows_scaled(Tier::Portable, &mut want, len, scale, mask);
+            for &tier in Tier::host() {
+                let mut got = data.clone();
+                on::softmax_rows_scaled(tier, &mut got, len, scale, mask);
+                let r = same(&got, &want);
+                let masked = mask.is_some();
+                assert!(r.is_ok(), "{} len {len} scale {scale} mask {masked}: {r:?}", tier.name());
+            }
+        }
+    }
+}
+
 #[test]
 fn softmax_of_degenerate_rows_is_defined() {
     let mut empty: [f32; 0] = [];
