@@ -11,8 +11,10 @@ use doduo_datagen::{
 };
 use doduo_eval::kmeans;
 use doduo_table::{serialize_table, SerializeConfig};
+use doduo_tensor::kernels::Tier;
 use doduo_tensor::{
-    kernels, matmul, vmath, AttnBlock, Executor, Gradients, ParamStore, Tape, Tensor,
+    kernels, matmul, quantize_row_u8, vmath, AttnBlock, Executor, Gradients, ParamStore,
+    QuantScratch, QuantizedLinear, Tape, Tensor,
 };
 use doduo_tokenizer::{TrainConfig, WordPiece};
 use doduo_transformer::{all_rows, BatchSeq, Encoder, EncoderConfig};
@@ -66,6 +68,49 @@ fn bench_dense_b_source(c: &mut Criterion) {
                 let x = kernels::View::of(black_box(&x));
                 kernels::gemm_nn_packed(&mut y, 384, 0, rows, x, black_box(&panel), None, 1);
                 black_box(&mut y);
+            })
+        });
+    }
+}
+
+/// `bulk_wide_int8`'s two FFN products at its 166 rows, `166×96×384` and
+/// `166×384×96`, on each int8 vector tier the host has (`vnni`: the AVX-512
+/// tile; `avx2`: its tile, forced), through `forward_into` with a held
+/// [`QuantScratch`] so no allocation is timed: activation quantization, the
+/// integer product and dequantization. Beside them the VNNI tier's
+/// one-pass activation quantizer alone over `166×384`.
+fn bench_int8_dense(c: &mut Criterion) {
+    let int8 = Tier::detect_int8();
+    println!("int8 tier dispatched on this host: {}", int8.name());
+    let mut rng = StdRng::seed_from_u64(7);
+    for (k, n) in [(96usize, 384usize), (384, 96)] {
+        let q = QuantizedLinear::from_f32(
+            &Tensor::randn(k, n, 0.1, &mut rng),
+            &Tensor::randn(1, n, 0.1, &mut rng),
+        );
+        let x = Tensor::randn(166, k, 1.0, &mut rng);
+        let mut y = vec![0.0f32; 166 * n];
+        let mut scratch = QuantScratch::default();
+        for (tier, name) in [(Tier::Avx512, "vnni"), (Tier::Avx2, "avx2")] {
+            if tier > int8 {
+                continue;
+            }
+            c.bench_function(&format!("int8_dense_166x{k}x{n}_{name}"), |bench| {
+                bench.iter(|| {
+                    q.forward_into_on(tier, black_box(x.data()), 166, &mut y, &mut scratch);
+                    black_box(&mut y);
+                })
+            });
+        }
+    }
+    if int8 == Tier::Avx512 {
+        let x = Tensor::randn(166, 384, 1.0, &mut rng);
+        let mut codes = vec![0u8; 166 * 384];
+        c.bench_function("int8_quantize_166x384", |bench| {
+            bench.iter(|| {
+                for (row, out) in black_box(x.data()).chunks(384).zip(codes.chunks_mut(384)) {
+                    black_box(quantize_row_u8(row, out));
+                }
             })
         });
     }
@@ -284,6 +329,7 @@ criterion_group!(
     benches,
     bench_matmul,
     bench_dense_b_source,
+    bench_int8_dense,
     bench_encoder_top_block,
     bench_executor_ops,
     bench_mha,

@@ -75,14 +75,18 @@ struct Cell {
 
 /// What the int8 kernel of `tier` delivers over the blocked f32 kernel at
 /// its best mini-encoder shape. The f32 step is one fused multiply-add on
-/// every tier, so only VNNI's four-products-per-lane `vpdpbusd` is ahead of
-/// it (1.5–2.1x at the FFN shapes against the 6×32 zmm tile); the AVX2
-/// `madd_epi16` kernel runs level with the 6×16 ymm tile (0.7–1.1x), and
-/// there int8 buys weight bytes, not kernel time.
+/// every tier; the int8 tiles multiply four (`vpdpbusd`, 6 rows × 32
+/// columns) or two (`vpmaddwd`, 4 rows × 16 columns) products per lane and
+/// instruction. Measured on a 2-processor AVX-512 VNNI host, the best
+/// mini-encoder shape ran 1.9–3.4x the 6×32 zmm f32 tile on VNNI and
+/// 1.5–1.7x the 6×16 ymm tile with both forced to AVX2. A one-row kernel
+/// read 1.03–1.38x on VNNI and 0.7–1.1x on AVX2, so these bars catch its
+/// return.
 fn int8_bar(tier: Tier) -> f64 {
     match tier {
-        Tier::Avx512 => 1.4,
-        Tier::Avx2 | Tier::Portable => 1.0,
+        Tier::Avx512 => 2.0,
+        Tier::Avx2 => 1.3,
+        Tier::Portable => 1.0,
     }
 }
 

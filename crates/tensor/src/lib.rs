@@ -53,7 +53,7 @@ pub use kernels::{gemm_threads, set_gemm_threads};
 pub use optim::{Adam, LrSchedule};
 pub use parallel::{accumulate_parallel, default_threads};
 pub use params::{Gradients, Param, ParamId, ParamStore};
-pub use quant::{quantize_row_i8, QuantScratch, QuantizedLinear};
+pub use quant::{quantize_row_i8, quantize_row_u8, QuantScratch, QuantizedLinear};
 pub use tape::{AttnMask, NodeId, Tape, MASK_NEG};
 pub use tensor::{matmul, matmul_nt, matmul_tn, Tensor};
 pub use vmath::softmax_row;

@@ -32,23 +32,38 @@
 //!
 //! Three tiers, named by the same [`Tier`] the f32 stack dispatches on and
 //! read off the CPU in the same once-per-process look
-//! ([`Tier::detect_int8`]); fastest available wins:
+//! ([`Tier::detect_int8`]); fastest available wins. Both vector tiers are
+//! register tiles over several activation rows, so each weight load feeds
+//! every row of the tile:
 //!
 //! * **AVX-512 VNNI** — quantized columns packed into panels of 16 with
 //!   `k`-quads interleaved across lanes, the operand order `vpdpbusd`
 //!   consumes: one instruction multiplies four `u8 × i8` lanes per output
-//!   column and accumulates straight into that column's i32 lane.
-//!   `vpdpbusd` wants unsigned activations, so activation codes are biased
-//!   by +128 into `u8` and each accumulator starts at `-128 · Σ_i w[i][j]`
-//!   (precomputed at pack time) — an exact integer identity, so the result
-//!   equals the signed dot product bit for bit.
+//!   column and accumulates straight into that column's i32 lane. The tile
+//!   is up to `MV` = 6 rows × two panels, twelve zmm accumulators: each
+//!   k-quad loads the two panels once and gives every row its own
+//!   `vpdpbusd` per panel from a broadcast of that row's quad, so no chain
+//!   waits on another. `vpdpbusd` wants unsigned activations, so activation
+//!   codes are biased by +128 into `u8` and each accumulator starts at
+//!   `-128 · Σ_i w[i][j]` (precomputed at pack time) — an exact integer
+//!   identity, so the result equals the signed dot product bit for bit.
 //! * **AVX2** — panels of [`NR`] columns with `k`-pairs interleaved, the
-//!   layout `vpmaddwd` consumes directly: sign-extend a 16-byte half-panel
-//!   from i8 (`vpmovsxbw` — the exact-arithmetic variant of the classic
-//!   saturating `maddubs` idiom), multiply-add against a broadcast
-//!   activation pair, accumulate per-lane. No horizontal reductions.
-//! * **Scalar** — a portable loop over the packed layout; both the
-//!   fallback and the reference oracle for the property tests.
+//!   layout `vpmaddwd` consumes directly. The tile is up to `MA` = 4 rows
+//!   × two panels, eight ymm accumulators: each k-pair's weights are
+//!   sign-extended from i8 once per panel (`vpmovsxbw` — the
+//!   exact-arithmetic variant of the classic saturating `maddubs` idiom)
+//!   and multiply-added against every row's broadcast activation pair. No
+//!   horizontal reductions.
+//! * **Scalar** — a portable loop over the packed layout, one row at a
+//!   time; both the fallback and the reference oracle for the property
+//!   tests.
+//!
+//! Activations are quantized in one pass per row, straight into the codes
+//! the tier's kernel reads: biased `u8` for VNNI (16 lanes: abs-max, then
+//! round / clamp / +128 / narrow, [`quantize_row_u8`]), i16 for AVX2 and
+//! scalar. A thread's stripe of rows starts on a tile boundary. Integer
+//! accumulation is exact, so neither the tile, nor the stripe, nor the
+//! tier moves a bit.
 
 use crate::forward::grow;
 use crate::kernels::{self, Tier, MIN_FLOPS_PER_THREAD};
@@ -61,85 +76,141 @@ pub const NR: usize = 8;
 /// Packed columns per AVX-512 VNNI weight panel (16 i32 lanes per zmm).
 const NV: usize = 16;
 
+/// Activation rows per VNNI tile: two panels each, 12 of the 32 zmm
+/// registers as accumulators.
+const MV: usize = 6;
+
+/// Activation rows per AVX2 tile: two panels each, 8 ymm accumulators
+/// beside the two sign-extended weight panels and a broadcast, of 16.
+const MA: usize = 4;
+
 /// `k`-padding quantum: packed weight columns and quantized activation
 /// rows are zero-padded to a multiple of this many lanes so the SIMD inner
 /// loops have no remainder pass. Zero lanes contribute exactly 0 to the
 /// integer accumulator, so padding never changes the output.
 pub const QK: usize = 32;
 
+/// One code: `v` at `inv = 127 / amax`, rounded to nearest, ties to even,
+/// and clamped to the symmetric `[-127, 127]`. A NaN product — only
+/// `±0 · ∞` makes one, when `amax` is so small that `127 / amax` overflows
+/// — casts to code 0.
+#[inline]
+fn code(v: f32, inv: f32) -> i32 {
+    (v * inv).round_ties_even().clamp(-127.0, 127.0) as i32
+}
+
+/// `127 / amax` for a row whose largest magnitude is `amax`; `None` when the
+/// row quantizes to scale 0 and all-zero codes (all zero, empty, or not
+/// finite).
+fn inverse(amax: f32) -> Option<f32> {
+    (amax != 0.0 && amax.is_finite()).then(|| 127.0 / amax)
+}
+
+/// The scalar quantizer every vectorized one matches bit for bit: writes
+/// `store` of each of `row`'s codes into `out` (`store(0)` past the row) and
+/// returns the row's scale.
+fn quantize_scalar<T>(row: &[f32], out: &mut [T], store: impl Fn(i32) -> T) -> f32 {
+    assert!(out.len() >= row.len(), "quantize output buffer too small");
+    let amax = row.iter().fold(0f32, |amax, &v| amax.max(v.abs()));
+    let Some(inv) = inverse(amax) else {
+        out.iter_mut().for_each(|o| *o = store(0));
+        return 0.0;
+    };
+    let (head, tail) = out.split_at_mut(row.len());
+    for (o, &v) in head.iter_mut().zip(row) {
+        *o = store(code(v, inv));
+    }
+    tail.iter_mut().for_each(|o| *o = store(0));
+    amax / 127.0
+}
+
 /// Quantizes one f32 row symmetrically to i8 into `out` (which may be
 /// longer than `row`; the tail is zero-filled) and returns the scale such
 /// that `row[i] ≈ out[i] as f32 * scale`. Rounding is to nearest, ties to
-/// even — the same rule the vectorized activation quantizer uses, so codes
+/// even — the same rule the vectorized activation quantizers use, so codes
 /// are identical across implementations. An all-zero (or empty) row gets
 /// scale `0.0` and all-zero codes, so dequantization reproduces exact
 /// zeros.
 pub fn quantize_row_i8(row: &[f32], out: &mut [i8]) -> f32 {
+    quantize_scalar(row, out, |c| c as i8)
+}
+
+/// [`quantize_row_i8`]'s codes biased by +128 into `u8` — the unsigned
+/// operand `vpdpbusd` multiplies — and its scale, in one pass: what the
+/// VNNI kernel reads. The tail of `out` past `row` holds 128 (code 0).
+/// Runs 16 lanes wide where the host's int8 tier is AVX-512 VNNI.
+pub fn quantize_row_u8(row: &[f32], out: &mut [u8]) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if Tier::detect_int8() == Tier::Avx512 {
+        // SAFETY: the detection reports `Avx512` only with `avx512f`.
+        return unsafe { quantize_row_u8_avx512(row, out) };
+    }
+    quantize_scalar(row, out, |c| (c + 128) as u8)
+}
+
+/// Vectorized [`quantize_row_u8`]: a 16-lane abs-max scan, then one
+/// multiply / clamp / round-to-nearest-even convert / +128 / narrow pass.
+/// Every lane performs the scalar op sequence ([`code`]; clamping before
+/// the rounding convert is the same as after it, the bounds being
+/// integers), and a ragged last chunk loads and stores under a mask. A row
+/// whose `127 / amax` is not finite goes to the scalar loop.
+///
+/// # Safety
+/// The host must have `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn quantize_row_u8_avx512(row: &[f32], out: &mut [u8]) -> f32 {
+    use std::arch::x86_64::*;
+    const ROUND: i32 = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
     assert!(out.len() >= row.len(), "quantize output buffer too small");
-    let mut amax = 0f32;
-    for &v in row {
-        amax = amax.max(v.abs());
+    let (k, rp, op) = (row.len(), row.as_ptr(), out.as_mut_ptr());
+    // The lanes of the chunk at `i` that lie inside the row.
+    let lanes = |i: usize| (u32::MAX >> (32 - (k - i).min(16))) as __mmask16;
+    let mut vmax = _mm512_setzero_ps();
+    for i in (0..k).step_by(16) {
+        vmax = _mm512_max_ps(vmax, _mm512_abs_ps(_mm512_maskz_loadu_ps(lanes(i), rp.add(i))));
     }
-    if amax == 0.0 || !amax.is_finite() {
-        for o in out.iter_mut() {
-            *o = 0;
-        }
-        return 0.0;
-    }
-    let inv = 127.0 / amax;
-    for (o, &v) in out.iter_mut().zip(row.iter()) {
-        *o = (v * inv).round_ties_even().clamp(-127.0, 127.0) as i8;
-    }
-    for o in out[row.len()..].iter_mut() {
-        *o = 0;
+    let amax = _mm512_reduce_max_ps(vmax);
+    let Some(inv) = inverse(amax).filter(|inv| inv.is_finite()) else {
+        return quantize_scalar(row, out, |c| (c + 128) as u8);
+    };
+    out[k..].fill(128);
+    let (vinv, lo, hi) = (_mm512_set1_ps(inv), _mm512_set1_ps(-127.0), _mm512_set1_ps(127.0));
+    let bias = _mm512_set1_epi32(128);
+    for i in (0..k).step_by(16) {
+        let t = _mm512_mul_ps(_mm512_maskz_loadu_ps(lanes(i), rp.add(i)), vinv);
+        let c = _mm512_cvt_roundps_epi32::<ROUND>(_mm512_max_ps(lo, _mm512_min_ps(hi, t)));
+        _mm512_mask_cvtepi32_storeu_epi8(op.add(i) as *mut i8, lanes(i), _mm512_add_epi32(c, bias));
     }
     amax / 127.0
 }
 
-/// Same quantization as [`quantize_row_i8`] but written into an i16 buffer
-/// (the codes still lie in `[-127, 127]`) — the layout the AVX2 kernel's
-/// pair broadcasts consume without widening activations in the inner loop.
-/// Dispatches to a vectorized implementation when the host has AVX2; both
-/// implementations produce identical codes for finite inputs.
+/// [`quantize_row_i8`]'s codes in an i16 buffer (still in `[-127, 127]`) —
+/// the layout the AVX2 kernel's pair broadcasts consume without widening
+/// activations in the inner loop. Vectorized where the host has AVX2.
 fn quantize_row_i16(row: &[f32], out: &mut [i16]) -> f32 {
     #[cfg(target_arch = "x86_64")]
     if Tier::detect_int8() >= Tier::Avx2 {
         // SAFETY: the detection reports `Avx2` or above only with `avx2`.
         return unsafe { quantize_row_i16_avx2(row, out) };
     }
-    quantize_row_i16_scalar(row, out)
+    quantize_scalar(row, out, |c| c as i16)
 }
 
-fn quantize_row_i16_scalar(row: &[f32], out: &mut [i16]) -> f32 {
-    let mut amax = 0f32;
-    for &v in row {
-        amax = amax.max(v.abs());
-    }
-    if amax == 0.0 || !amax.is_finite() {
-        for o in out.iter_mut() {
-            *o = 0;
-        }
-        return 0.0;
-    }
-    let inv = 127.0 / amax;
-    for (o, &v) in out.iter_mut().zip(row.iter()) {
-        *o = (v * inv).round_ties_even().clamp(-127.0, 127.0) as i16;
-    }
-    for o in out[row.len()..].iter_mut() {
-        *o = 0;
-    }
-    amax / 127.0
-}
-
-/// Vectorized [`quantize_row_i16_scalar`]: 8-wide abs-max scan, then a
-/// 16-wide multiply / round-to-nearest-even / clamp / pack pass. Every
-/// lane performs exactly the scalar op sequence (`mul`, `roundps` nearest
-/// ties-even, min/max selection, exact int conversion), so codes match
-/// the scalar implementation bit for bit on finite inputs.
+/// Vectorized i16 [`quantize_scalar`]: 8-wide abs-max scan, then a 16-wide
+/// multiply / round-to-nearest-even / clamp / pack pass. Every lane
+/// performs exactly the scalar op sequence (`mul`, `roundps` nearest
+/// ties-even, min/max selection, exact int conversion), so codes match the
+/// scalar implementation bit for bit on finite inputs. A row whose
+/// `127 / amax` is not finite goes to the scalar loop.
+///
+/// # Safety
+/// The host must have `avx2`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn quantize_row_i16_avx2(row: &[f32], out: &mut [i16]) -> f32 {
     use std::arch::x86_64::*;
+    assert!(out.len() >= row.len(), "quantize output buffer too small");
     let k = row.len();
     let rp = row.as_ptr();
     let absmask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
@@ -159,13 +230,9 @@ unsafe fn quantize_row_i16_avx2(row: &[f32], out: &mut [i16]) -> f32 {
         amax = amax.max((*rp.add(i)).abs());
         i += 1;
     }
-    if amax == 0.0 || !amax.is_finite() {
-        for o in out.iter_mut() {
-            *o = 0;
-        }
-        return 0.0;
-    }
-    let inv = 127.0 / amax;
+    let Some(inv) = inverse(amax).filter(|inv| inv.is_finite()) else {
+        return quantize_scalar(row, out, |c| c as i16);
+    };
     let vinv = _mm256_set1_ps(inv);
     let lo = _mm256_set1_ps(-127.0);
     let hi = _mm256_set1_ps(127.0);
@@ -184,8 +251,7 @@ unsafe fn quantize_row_i16_avx2(row: &[f32], out: &mut [i16]) -> f32 {
         i += 16;
     }
     while i < k {
-        let v = *rp.add(i);
-        *op.add(i) = (v * inv).round_ties_even().clamp(-127.0, 127.0) as i16;
+        *op.add(i) = code(*rp.add(i), inv) as i16;
         i += 1;
     }
     for o in out[k..].iter_mut() {
@@ -336,16 +402,26 @@ impl QuantizedLinear {
         self.run_fresh(x, 1, Tier::Portable)
     }
 
-    /// The AVX2 kernel, single-threaded; `None` when the host lacks AVX2.
-    /// Exists so tests can force-compare kernels on one machine.
-    pub fn forward_simd(&self, x: &Tensor) -> Option<Tensor> {
-        (Tier::detect_int8() >= Tier::Avx2).then(|| self.run_fresh(x, 1, Tier::Avx2))
+    /// [`QuantizedLinear::forward_into`] on a named int8 tier,
+    /// single-threaded: how tests and benches reach the kernels dispatch
+    /// does not pick on their host.
+    ///
+    /// # Panics
+    /// If the host lacks `tier` (it is above [`Tier::detect_int8`]).
+    pub fn forward_into_on(
+        &self,
+        tier: Tier,
+        x: &[f32],
+        m: usize,
+        out: &mut [f32],
+        scratch: &mut QuantScratch,
+    ) {
+        self.run(x, m, out, 1, tier, scratch);
     }
 
-    /// The AVX-512 VNNI kernel, single-threaded; `None` when the host
-    /// lacks it. Exists so tests can force-compare kernels on one machine.
-    pub fn forward_vnni(&self, x: &Tensor) -> Option<Tensor> {
-        (Tier::detect_int8() == Tier::Avx512).then(|| self.run_fresh(x, 1, Tier::Avx512))
+    /// [`QuantizedLinear::forward_into_on`] into a fresh tensor.
+    pub fn forward_on(&self, tier: Tier, x: &Tensor) -> Tensor {
+        self.run_fresh(x, 1, tier)
     }
 
     /// [`QuantizedLinear::run`] into a fresh tensor with a fresh scratch.
@@ -365,38 +441,38 @@ impl QuantizedLinear {
         tier: Tier,
         scratch: &mut QuantScratch,
     ) {
+        assert!(tier <= Tier::detect_int8(), "this CPU has no int8 {} tier", tier.name());
         assert_eq!(x.len(), m * self.k, "quantized linear expects [m, {}] input", self.k);
         assert_eq!(out.len(), m * self.n, "quantized linear writes [m, {}] output", self.n);
         if m == 0 || self.n == 0 {
             return;
         }
         // Dynamic per-row activation quantization (row-independent, so it
-        // cannot break thread invariance), shared by every kernel.
+        // cannot break thread invariance), straight into the codes the
+        // tier's kernel reads.
         let QuantScratch { qa, qa8, a_scales } = scratch;
-        grow(qa, m * self.kp);
         grow(a_scales, m);
-        let (qa, a_scales) = (&mut qa[..m * self.kp], &mut a_scales[..m]);
-        for (r, scale) in a_scales.iter_mut().enumerate() {
-            let codes = &mut qa[r * self.kp..(r + 1) * self.kp];
-            *scale = quantize_row_i16(&x[r * self.k..(r + 1) * self.k], codes);
-        }
-        // The VNNI kernel consumes the same codes biased into u8.
-        let qa8: &[u8] = if tier == Tier::Avx512 {
-            grow(qa8, qa.len());
-            for (o, &c) in qa8.iter_mut().zip(qa.iter()) {
-                *o = (i32::from(c) + 128) as u8;
-            }
-            &qa8[..qa.len()]
+        let a_scales = &mut a_scales[..m];
+        let (k, kp) = (self.k, self.kp);
+        let (qa, qa8): (&[i16], &[u8]) = if tier == Tier::Avx512 {
+            (&[], quantize_rows(qa8, a_scales, x, k, kp, quantize_row_u8))
         } else {
-            &[]
+            (quantize_rows(qa, a_scales, x, k, kp, quantize_row_i16), &[])
         };
+        let a_scales = &*a_scales;
         let t = effective_threads(m, self.n, self.k, threads);
         if t <= 1 {
             self.stripe(qa, qa8, a_scales, 0, out, tier);
             return;
         }
-        let rows_per = m.div_ceil(t);
-        let (qa, a_scales) = (&*qa, &*a_scales);
+        // Stripes start on tile boundaries: only the last one has a short
+        // row tile.
+        let tile_rows = match tier {
+            Tier::Avx512 => MV,
+            Tier::Avx2 => MA,
+            Tier::Portable => 1,
+        };
+        let rows_per = m.div_ceil(t).next_multiple_of(tile_rows);
         let n = self.n;
         std::thread::scope(|scope| {
             for (i, chunk) in out.chunks_mut(rows_per * n).enumerate() {
@@ -405,7 +481,9 @@ impl QuantizedLinear {
         });
     }
 
-    /// Computes output rows `[row0, row0 + chunk_rows)` into `out`.
+    /// Computes output rows `[row0, row0 + out.len() / n)` into `out`, in
+    /// `tier`'s tiles. `qa` / `qa8` hold every row's codes, `kp` a row; only
+    /// the one `tier` reads is filled.
     fn stripe(
         &self,
         qa: &[i16],
@@ -415,31 +493,42 @@ impl QuantizedLinear {
         out: &mut [f32],
         tier: Tier,
     ) {
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = (qa8, tier);
-        let rows = out.len() / self.n;
-        for r in 0..rows {
-            let row = row0 + r;
-            let orow = &mut out[r * self.n..(r + 1) * self.n];
-            // SAFETY: every caller passes `Tier::detect_int8`'s answer or a
-            // tier below it, and that reports `Avx2` only with `avx2`
-            // detected and `Avx512` only with `avx512f` and `avx512vnni`.
-            #[cfg(target_arch = "x86_64")]
+        let (n, kp) = (self.n, self.kp);
+        let rows = out.len() / n;
+        #[cfg(target_arch = "x86_64")]
+        {
+            // Each tile's codes, scales and output rows, and the `<M, P>`
+            // instantiation that computes them.
+            macro_rules! tiles {
+                ($tile:ident, $codes:expr, $mr:expr, $panel:expr, $($m:literal),*) => {
+                    for_tiles(rows, $mr, n.div_ceil($panel), |r, mr, g, p| {
+                        let a = &$codes[(row0 + r) * kp..(row0 + r + mr) * kp];
+                        let s = &a_scales[row0 + r..row0 + r + mr];
+                        let o = &mut out[r * n..(r + mr) * n];
+                        // SAFETY: `run` asserted that the host has `tier`:
+                        // `Avx2` is reported only with `avx2` detected,
+                        // `Avx512` only with `avx512f` and `avx512vnni`.
+                        unsafe {
+                            match (mr, p) {
+                                $(($m, 1) => self.$tile::<$m, 1>(a, s, g, o),
+                                  ($m, 2) => self.$tile::<$m, 2>(a, s, g, o),)*
+                                _ => unreachable!("{mr}-row tile of {p} panels"),
+                            }
+                        }
+                    })
+                };
+            }
             match tier {
-                Tier::Avx512 => {
-                    let a8 = &qa8[row * self.kp..(row + 1) * self.kp];
-                    unsafe { self.row_forward_vnni(a8, a_scales[row], orow) };
-                    continue;
-                }
-                Tier::Avx2 => {
-                    let a = &qa[row * self.kp..(row + 1) * self.kp];
-                    unsafe { self.row_forward_avx2(a, a_scales[row], orow) };
-                    continue;
-                }
+                Tier::Avx512 => return tiles!(tile_vnni, qa8, MV, NV, 1, 2, 3, 4, 5, 6),
+                Tier::Avx2 => return tiles!(tile_avx2, qa, MA, NR, 1, 2, 3, 4),
                 Tier::Portable => {}
             }
-            let a = &qa[row * self.kp..(row + 1) * self.kp];
-            self.row_forward_scalar(a, a_scales[row], orow);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (qa8, tier);
+        for (r, o) in out.chunks_exact_mut(n).enumerate() {
+            let row = row0 + r;
+            self.row_forward_scalar(&qa[row * kp..(row + 1) * kp], a_scales[row], o);
         }
     }
 
@@ -459,122 +548,101 @@ impl QuantizedLinear {
         }
     }
 
-    /// AVX2 kernel: one activation row against two weight panels at a
-    /// time. Each 32-byte panel load carries two `k`-pairs of all [`NR`]
-    /// columns; sign-extend to i16, `vpmaddwd` against the broadcast
-    /// activation pair, accumulate per-lane. Integer adds are associative,
-    /// so the result is bit-identical to the scalar kernel.
+    /// AVX2 tile: `M` i16 activation rows (`a`, `kp` codes each) against
+    /// the `P` weight panels from `g`, one ymm accumulator per (row, panel).
+    /// Each k-pair's 16 weight bytes per panel are sign-extended to i16
+    /// once and `vpmaddwd`-ed against every row's broadcast activation pair.
+    /// Integer adds are associative, so the result is bit-identical to the
+    /// scalar kernel. `out` holds the tile's `M` rows of `n` outputs.
+    ///
+    /// # Safety
+    /// The host must have `avx2`. Every operand's extent is asserted.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn row_forward_avx2(&self, a: &[i16], a_scale: f32, out: &mut [f32]) {
+    unsafe fn tile_avx2<const M: usize, const P: usize>(
+        &self,
+        a: &[i16],
+        a_scales: &[f32],
+        g: usize,
+        out: &mut [f32],
+    ) {
         use std::arch::x86_64::*;
-        let kp = self.kp;
-        debug_assert_eq!(kp % 4, 0);
-        debug_assert_eq!(a.len(), kp);
-        let pairs = kp / 2;
-        let groups = self.np / NR;
-        let ap = a.as_ptr();
-        let mut g = 0usize;
-        while g + 2 <= groups {
-            let pa = self.w.as_ptr().add(g * kp * NR);
-            let pb = self.w.as_ptr().add((g + 1) * kp * NR);
-            let mut acc0 = _mm256_setzero_si256();
-            let mut acc1 = _mm256_setzero_si256();
-            let mut c = 0usize;
-            while c < pairs {
-                let b0 = _mm256_set1_epi32((ap.add(2 * c) as *const i32).read_unaligned());
-                let b1 = _mm256_set1_epi32((ap.add(2 * c + 2) as *const i32).read_unaligned());
-                let wa = _mm256_loadu_si256(pa.add(c * NR * 2) as *const __m256i);
-                let wb = _mm256_loadu_si256(pb.add(c * NR * 2) as *const __m256i);
-                let wa_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(wa));
-                let wa_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(wa, 1));
-                let wb_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(wb));
-                let wb_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(wb, 1));
-                acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(b0, wa_lo));
-                acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(b1, wa_hi));
-                acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(b0, wb_lo));
-                acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(b1, wb_hi));
-                c += 2;
+        const { assert!(M >= 1 && M <= MA && (P == 1 || P == 2)) };
+        let (kp, n) = (self.kp, self.n);
+        assert!(a.len() == M * kp && a_scales.len() == M && out.len() == M * n, "AVX2 tile rows");
+        assert!((g + P) * NR <= self.np, "AVX2 tile panels");
+        let (ap, wp) = (a.as_ptr(), self.w.as_ptr().add(g * kp * NR));
+        let mut acc = [[_mm256_setzero_si256(); P]; M];
+        for pair in 0..kp / 2 {
+            let mut w = [_mm256_setzero_si256(); P];
+            for (q, lanes) in w.iter_mut().enumerate() {
+                let bytes = _mm_loadu_si128(wp.add((q * kp + 2 * pair) * NR) as *const __m128i);
+                *lanes = _mm256_cvtepi8_epi16(bytes);
             }
-            self.dequant_store(acc0, a_scale, g * NR, out);
-            self.dequant_store(acc1, a_scale, (g + 1) * NR, out);
-            g += 2;
+            for (i, row) in acc.iter_mut().enumerate() {
+                let b =
+                    _mm256_set1_epi32((ap.add(i * kp + 2 * pair) as *const i32).read_unaligned());
+                for (lanes, &w) in row.iter_mut().zip(&w) {
+                    *lanes = _mm256_add_epi32(*lanes, _mm256_madd_epi16(b, w));
+                }
+            }
         }
-        if g < groups {
-            let pa = self.w.as_ptr().add(g * kp * NR);
-            let mut acc = _mm256_setzero_si256();
-            let mut c = 0usize;
-            while c < pairs {
-                let b0 = _mm256_set1_epi32((ap.add(2 * c) as *const i32).read_unaligned());
-                let b1 = _mm256_set1_epi32((ap.add(2 * c + 2) as *const i32).read_unaligned());
-                let wa = _mm256_loadu_si256(pa.add(c * NR * 2) as *const __m256i);
-                let wa_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(wa));
-                let wa_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(wa, 1));
-                acc = _mm256_add_epi32(acc, _mm256_madd_epi16(b0, wa_lo));
-                acc = _mm256_add_epi32(acc, _mm256_madd_epi16(b1, wa_hi));
-                c += 2;
+        for ((row, &scale), o) in acc.iter().zip(a_scales).zip(out.chunks_exact_mut(n)) {
+            for (q, &lanes) in row.iter().enumerate() {
+                self.dequant_store(lanes, scale, (g + q) * NR, o);
             }
-            self.dequant_store(acc, a_scale, g * NR, out);
         }
     }
 
-    /// AVX-512 VNNI kernel: one biased-u8 activation row against two
-    /// 16-column weight panels at a time. Each 64-byte panel load carries
-    /// one `k`-quad of all 16 columns; `vpdpbusd` multiplies it against a
-    /// broadcast activation quad and accumulates per-lane. Accumulators
-    /// start at the pack-time `-128·Σw` correction, so the final integers
-    /// equal the signed dot product exactly — bit-identical to the scalar
-    /// kernel.
+    /// AVX-512 VNNI tile: `M` biased-u8 activation rows (`a`, `kp` codes
+    /// each) against the `P` 16-column weight panels from `g`, one zmm
+    /// accumulator per (row, panel). Each k-quad loads the panels once and
+    /// gives every row one `vpdpbusd` per panel from a broadcast of its
+    /// quad; the `M·P` chains are independent. Accumulators start at the
+    /// pack-time `-128·Σw` correction, so the final integers equal the
+    /// signed dot product exactly — bit-identical to the scalar kernel.
+    /// `out` holds the tile's `M` rows of `n` outputs.
+    ///
+    /// # Safety
+    /// The host must have `avx512f` and `avx512vnni`. Every operand's
+    /// extent is asserted.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512vnni")]
-    unsafe fn row_forward_vnni(&self, a: &[u8], a_scale: f32, out: &mut [f32]) {
+    unsafe fn tile_vnni<const M: usize, const P: usize>(
+        &self,
+        a: &[u8],
+        a_scales: &[f32],
+        g: usize,
+        out: &mut [f32],
+    ) {
         use std::arch::x86_64::*;
-        let kp = self.kp;
-        debug_assert_eq!(kp % 8, 0);
-        debug_assert_eq!(a.len(), kp);
-        let quads = kp / 4;
-        let panels = self.np / NV;
-        let ap = a.as_ptr();
-        let wp = self.w4.as_ptr();
-        let cp = self.corr.as_ptr();
-        let mut g = 0usize;
-        while g + 2 <= panels {
-            let pa = wp.add(g * kp * NV);
-            let pb = wp.add((g + 1) * kp * NV);
-            let mut acc0 = _mm512_loadu_si512(cp.add(g * NV) as *const _);
-            let mut acc1 = _mm512_loadu_si512(cp.add((g + 1) * NV) as *const _);
-            let mut q = 0usize;
-            while q < quads {
-                let b0 = _mm512_set1_epi32((ap.add(4 * q) as *const i32).read_unaligned());
-                let b1 = _mm512_set1_epi32((ap.add(4 * q + 4) as *const i32).read_unaligned());
-                let w0a = _mm512_loadu_si512(pa.add(q * NV * 4) as *const _);
-                let w0b = _mm512_loadu_si512(pb.add(q * NV * 4) as *const _);
-                let w1a = _mm512_loadu_si512(pa.add((q + 1) * NV * 4) as *const _);
-                let w1b = _mm512_loadu_si512(pb.add((q + 1) * NV * 4) as *const _);
-                acc0 = _mm512_dpbusd_epi32(acc0, b0, w0a);
-                acc1 = _mm512_dpbusd_epi32(acc1, b0, w0b);
-                acc0 = _mm512_dpbusd_epi32(acc0, b1, w1a);
-                acc1 = _mm512_dpbusd_epi32(acc1, b1, w1b);
-                q += 2;
-            }
-            self.dequant_store_512(acc0, a_scale, g * NV, out);
-            self.dequant_store_512(acc1, a_scale, (g + 1) * NV, out);
-            g += 2;
+        const { assert!(M >= 1 && M <= MV && (P == 1 || P == 2)) };
+        let (kp, n) = (self.kp, self.n);
+        assert!(a.len() == M * kp && a_scales.len() == M && out.len() == M * n, "VNNI tile rows");
+        assert!((g + P) * NV <= self.np, "VNNI tile panels");
+        let (ap, wp) = (a.as_ptr(), self.w4.as_ptr().add(g * kp * NV));
+        let mut corr = [_mm512_setzero_si512(); P];
+        for (q, lanes) in corr.iter_mut().enumerate() {
+            *lanes = _mm512_loadu_si512(self.corr.as_ptr().add((g + q) * NV) as *const _);
         }
-        if g < panels {
-            let pa = wp.add(g * kp * NV);
-            let mut acc = _mm512_loadu_si512(cp.add(g * NV) as *const _);
-            let mut q = 0usize;
-            while q < quads {
-                let b0 = _mm512_set1_epi32((ap.add(4 * q) as *const i32).read_unaligned());
-                let b1 = _mm512_set1_epi32((ap.add(4 * q + 4) as *const i32).read_unaligned());
-                let w0 = _mm512_loadu_si512(pa.add(q * NV * 4) as *const _);
-                let w1 = _mm512_loadu_si512(pa.add((q + 1) * NV * 4) as *const _);
-                acc = _mm512_dpbusd_epi32(acc, b0, w0);
-                acc = _mm512_dpbusd_epi32(acc, b1, w1);
-                q += 2;
+        let mut acc = [corr; M];
+        for quad in 0..kp / 4 {
+            let mut w = [_mm512_setzero_si512(); P];
+            for (q, lanes) in w.iter_mut().enumerate() {
+                *lanes = _mm512_loadu_si512(wp.add((q * kp + 4 * quad) * NV) as *const _);
             }
-            self.dequant_store_512(acc, a_scale, g * NV, out);
+            for (i, row) in acc.iter_mut().enumerate() {
+                let b =
+                    _mm512_set1_epi32((ap.add(i * kp + 4 * quad) as *const i32).read_unaligned());
+                for (lanes, &w) in row.iter_mut().zip(&w) {
+                    *lanes = _mm512_dpbusd_epi32(*lanes, b, w);
+                }
+            }
+        }
+        for ((row, &scale), o) in acc.iter().zip(a_scales).zip(out.chunks_exact_mut(n)) {
+            for (q, &lanes) in row.iter().enumerate() {
+                self.dequant_store_512(lanes, scale, (g + q) * NV, o);
+            }
         }
     }
 
@@ -643,13 +711,48 @@ impl QuantizedLinear {
 }
 
 /// Reusable staging for [`QuantizedLinear::forward_into`]: the quantized
-/// activation codes and per-row scales of one call. Grow-only, so a caller
+/// activation codes (i16, or biased u8 on the VNNI tier) and per-row scales
+/// of one call. Grow-only, so a caller
 /// that keeps one around stops allocating after its largest input.
 #[derive(Default)]
 pub struct QuantScratch {
     qa: Vec<i16>,
     qa8: Vec<u8>,
     a_scales: Vec<f32>,
+}
+
+/// Quantizes the `scales.len()` rows of `x` (`k` wide) with `quantize`
+/// into `codes`, `kp` a row, and returns the codes written.
+fn quantize_rows<'a, T: Default + Clone>(
+    codes: &'a mut Vec<T>,
+    scales: &mut [f32],
+    x: &[f32],
+    k: usize,
+    kp: usize,
+    quantize: impl Fn(&[f32], &mut [T]) -> f32,
+) -> &'a [T] {
+    grow(codes, scales.len() * kp);
+    for (r, scale) in scales.iter_mut().enumerate() {
+        *scale = quantize(&x[r * k..(r + 1) * k], &mut codes[r * kp..(r + 1) * kp]);
+    }
+    &codes[..scales.len() * kp]
+}
+
+/// Calls `tile(r, mr, g, p)` for the tiles covering `rows` rows and
+/// `panels` weight panels: rows `r..r + mr` (`mr ≤ max_rows`) against
+/// panels `g..g + p` (`p ≤ 2`). Panel pairs are the outer loop, so a pair
+/// stays in L1 while the stripe's row tiles pass under it.
+fn for_tiles(
+    rows: usize,
+    max_rows: usize,
+    panels: usize,
+    mut tile: impl FnMut(usize, usize, usize, usize),
+) {
+    for g in (0..panels).step_by(2) {
+        for r in (0..rows).step_by(max_rows) {
+            tile(r, max_rows.min(rows - r), g, 2.min(panels - g));
+        }
+    }
 }
 
 /// Threads actually worth spawning for one `m`×`n`×`k` quantized GEMM
@@ -712,13 +815,18 @@ mod tests {
     #[test]
     fn vectorized_quantize_matches_scalar() {
         let mut rng = StdRng::seed_from_u64(11);
-        for k in [0usize, 1, 7, 8, 15, 16, 17, 96, 100] {
-            let row = Tensor::randn(1, k, 1.0, &mut rng);
+        let random =
+            [0usize, 1, 7, 8, 15, 16, 17, 96, 100].map(|k| Tensor::randn(1, k, 1.0, &mut rng));
+        // A row so small that `127 / amax` overflows: its zeros are
+        // `0 · ∞` lanes, which a vector convert would not take to code 0.
+        let tiny = (0..20).map(|i| [0.0, 1e-39, -1e-39][i % 3]).collect();
+        for row in random.into_iter().map(Tensor::into_vec).chain([tiny]) {
+            let k = row.len();
             let kp = k.div_ceil(QK) * QK;
             let mut a = vec![0i16; kp];
             let mut b = vec![0i16; kp];
-            let sa = quantize_row_i16_scalar(row.data(), &mut a);
-            let sb = quantize_row_i16(row.data(), &mut b);
+            let sa = quantize_scalar(&row, &mut a, |c| c as i16);
+            let sb = quantize_row_i16(&row, &mut b);
             assert_eq!(sa.to_bits(), sb.to_bits(), "scale mismatch at k={k}");
             assert_eq!(a, b, "codes mismatch at k={k}");
         }
@@ -762,28 +870,21 @@ mod tests {
     }
 
     #[test]
-    fn simd_matches_scalar_bitwise_when_available() {
+    fn every_host_tier_matches_scalar_bitwise() {
         let mut rng = StdRng::seed_from_u64(9);
         // Deliberately awkward shapes: n not a multiple of either panel
-        // width, k not a multiple of the padding quantum.
+        // width, k not a multiple of the padding quantum, m not a multiple
+        // of either tile's rows.
         let x = Tensor::randn(7, 100, 1.0, &mut rng);
         let w = Tensor::randn(100, 13, 0.2, &mut rng);
         let b = Tensor::randn(1, 13, 0.2, &mut rng);
         let q = QuantizedLinear::from_f32(&w, &b);
         let scalar = q.forward_scalar(&x);
-        if let Some(simd) = q.forward_simd(&x) {
-            for (a, b) in scalar.data().iter().zip(simd.data()) {
+        let tiers = Tier::host().iter().filter(|&&t| t <= Tier::detect_int8());
+        for y in tiers.map(|&t| q.forward_on(t, &x)).chain([q.forward(&x)]) {
+            for (a, b) in scalar.data().iter().zip(y.data()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
-        }
-        if let Some(vnni) = q.forward_vnni(&x) {
-            for (a, b) in scalar.data().iter().zip(vnni.data()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        let dispatched = q.forward(&x);
-        for (a, b) in scalar.data().iter().zip(dispatched.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

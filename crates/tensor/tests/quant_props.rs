@@ -2,11 +2,15 @@
 //!
 //! Two contracts, one per numeric tier (see `doduo_tensor::quant`):
 //!
-//! * **bit-identity within the tier** — the AVX2 and AVX-512 VNNI kernels,
+//! * **bit-identity within the tier** — the AVX2 and AVX-512 VNNI tiles,
 //!   the dispatching entry point, and every thread count must reproduce the
 //!   portable scalar kernel exactly (`f32::to_bits`), across randomly drawn
 //!   ragged shapes with the degenerate edges (`k = 0`, one row, one column,
-//!   non-multiples of the 8/16-column tiles) forced into the distribution;
+//!   non-multiples of the 8/16-column panels) forced into the distribution,
+//!   and across an explicit grid of every row count a tile can be left
+//!   with, odd and even panel counts and thread stripes with a short last
+//!   tile; the one-pass VNNI quantizer must write `quantize_row_i8`'s codes
+//!   + 128 on adversarial rows;
 //! * **bounded distance to f32** — the dequantized output must sit within
 //!   an analytic bound of the exact (f64) product, derived from the
 //!   per-output-channel weight scales and the per-row activation scale.
@@ -17,10 +21,11 @@
 //! the k reduction terms, plus a small allowance for the f32 dequantization
 //! arithmetic itself (integer accumulation is exact).
 
-use doduo_tensor::{quantize_row_i8, QuantizedLinear, Tensor};
+use doduo_tensor::kernels::Tier;
+use doduo_tensor::{quantize_row_i8, quantize_row_u8, QuantizedLinear, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Deterministic random tensor for a sampled `(shape, seed)`.
 fn tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
@@ -38,6 +43,120 @@ fn assert_bits_eq(a: &Tensor, b: &Tensor, what: &str) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The int8 tiers this host runs, lowest first.
+fn int8_tiers() -> impl Iterator<Item = Tier> {
+    Tier::host().iter().copied().filter(|&t| t <= Tier::detect_int8())
+}
+
+/// Every int8 tier of the host, and the dispatching entry point, against
+/// the scalar oracle on `x·W + b`.
+fn check_tiers(x: &Tensor, w: &Tensor, bias: &Tensor) -> Result<(), String> {
+    let q = QuantizedLinear::from_f32(w, bias);
+    let reference = q.forward_scalar(x);
+    for tier in int8_tiers() {
+        assert_bits_eq(&q.forward_on(tier, x), &reference, tier.name())?;
+    }
+    assert_bits_eq(&q.forward(x), &reference, "dispatched")
+}
+
+/// Every row count a 6-row (VNNI) or 4-row (AVX2) tile can be left with
+/// against odd and even panel counts of both widths (16-column VNNI and
+/// 8-column AVX2 panels: `n` = 16, 17, 31, 33, 48, 288 is 1, 2, 2, 3, 3, 18
+/// and 2, 3, 4, 5, 6, 36 of them), at depths that are no multiple of the
+/// k-quad or of the 32-lane padding quantum.
+#[test]
+fn tiles_match_scalar_on_edge_shapes() {
+    let ms = (1..=13).chain([19, 166]);
+    for (m, n, k) in ms.flat_map(|m| {
+        [16, 17, 31, 33, 48, 288].into_iter().flat_map(move |n| [1, 6, 37, 96].map(|k| (m, n, k)))
+    }) {
+        let seed = (m * 1_000_000 + n * 1000 + k) as u64;
+        let (x, w, bias) = (tensor(m, k, seed), tensor(k, n, seed + 1), tensor(1, n, seed + 2));
+        check_tiers(&x, &w, &bias).unwrap_or_else(|e| panic!("{m}x{k}x{n}: {e}"));
+    }
+    let tiers: Vec<_> = int8_tiers().map(Tier::name).collect();
+    println!("int8 tiers held to the scalar oracle on this host: {}", tiers.join(", "));
+}
+
+/// Thread stripes start on tile boundaries; with `m` no multiple of the
+/// tile, the last stripe ends in a short tile. Every shape is wide enough
+/// for 2–3 threads to clear the per-thread work floor.
+#[test]
+fn thread_stripes_match_scalar_with_short_last_tiles() {
+    for (m, k, n) in [(13, 384, 288), (37, 99, 288), (166, 96, 288), (166, 383, 96)] {
+        let seed = (m * k * n) as u64;
+        let (x, w, bias) = (tensor(m, k, seed), tensor(k, n, seed + 1), tensor(1, n, seed + 2));
+        let q = QuantizedLinear::from_f32(&w, &bias);
+        let reference = q.forward_scalar(&x);
+        for threads in 1..=3 {
+            let what = format!("{m}x{k}x{n} at {threads} threads");
+            assert_bits_eq(&q.forward_with_threads(&x, threads), &reference, &what).unwrap();
+        }
+    }
+}
+
+/// A row of `len` values drawn to corner the quantizer, at the magnitude
+/// `a = 127·2^e`, where `127 / a = 2^-e` is exact: `(c + ½)·2^e` then
+/// scales to an exact tie, `±a` to `±127`. Alongside: subnormals, signed
+/// zeros, values in between. `huge` rows add `±3e38`, which then sets the
+/// scale.
+fn adversarial_row(len: usize, e: i32, huge: bool, seed: u64) -> Vec<f32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let unit = 2f32.powi(e);
+    let sign = |rng: &mut StdRng| if rng.gen::<bool>() { 1.0f32 } else { -1.0 };
+    (0..len)
+        .map(|_| match rng.gen_range(0..if huge { 7 } else { 6 }) {
+            0 => (rng.gen_range(-127i32..127) as f32 + 0.5) * unit,
+            1 => sign(&mut rng) * 127.0 * unit,
+            2 => sign(&mut rng) * f32::from_bits(rng.gen_range(1u32..0x0080_0000)),
+            3 => sign(&mut rng) * 0.0,
+            4 | 5 => rng.gen_range(-127.0f32..127.0) * unit,
+            _ => sign(&mut rng) * 3e38,
+        })
+        .collect()
+}
+
+/// Row exponents: ordinary magnitudes, one near `f32::MAX`, and two tiny
+/// ones — one whose `127 / amax` is still finite and one where it
+/// overflows.
+const EXPONENTS: [i32; 6] = [0, -10, 20, 120, -125, -133];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The one-pass quantizer the VNNI kernel reads writes
+    /// `quantize_row_i8`'s codes + 128 and the same scale, into a buffer
+    /// padded past the row with code 0 (128).
+    #[test]
+    fn u8_codes_are_i8_codes_plus_128(len in 1usize..71, e in 0usize..6, huge in 0u8..2, zero in 0u8..8, seed in 0u64..1000) {
+        let mut row = adversarial_row(len, EXPONENTS[e], huge == 1, seed);
+        if zero == 0 {
+            row.iter_mut().for_each(|v| *v *= 0.0);
+        }
+        let padded = len.div_ceil(32) * 32 + 5;
+        let mut i8s = vec![0i8; padded];
+        let mut u8s = vec![0u8; padded];
+        let s8 = quantize_row_i8(&row, &mut i8s);
+        let su = quantize_row_u8(&row, &mut u8s);
+        prop_assert_eq!(s8.to_bits(), su.to_bits());
+        for (i, (&c, &u)) in i8s.iter().zip(&u8s).enumerate() {
+            prop_assert!(i32::from(c) + 128 == i32::from(u), "lane {i} of {len}: {c} vs {u} - 128 ({row:?})");
+        }
+    }
+
+    /// The same rows through whole layers: every tier quantizes them into
+    /// its own codes and must still match the scalar oracle.
+    #[test]
+    fn adversarial_rows_match_scalar_on_every_tier(m in 1usize..8, len in 1usize..71, e in 0usize..6, n in 1usize..40, seed in 0u64..1000) {
+        let data: Vec<f32> = (0..m)
+            .flat_map(|r| adversarial_row(len, EXPONENTS[e], r % 3 == 2, seed + r as u64))
+            .collect();
+        let x = Tensor::from_vec(m, len, data);
+        let (w, bias) = (tensor(len, n, seed), tensor(1, n, seed + 1));
+        check_tiers(&x, &w, &bias)?;
+    }
 }
 
 /// Dimension strategy biased toward the quantized kernels' edges: 0
@@ -67,15 +186,7 @@ proptest! {
         let x = tensor(m, k, seed);
         let w = tensor(k, n, seed.wrapping_add(1));
         let bias = tensor(1, n, seed.wrapping_add(2));
-        let q = QuantizedLinear::from_f32(&w, &bias);
-        let reference = q.forward_scalar(&x);
-        if let Some(avx2) = q.forward_simd(&x) {
-            prop_assert!(assert_bits_eq(&avx2, &reference, "avx2").is_ok());
-        }
-        if let Some(vnni) = q.forward_vnni(&x) {
-            prop_assert!(assert_bits_eq(&vnni, &reference, "vnni").is_ok());
-        }
-        prop_assert!(assert_bits_eq(&q.forward(&x), &reference, "dispatched").is_ok());
+        check_tiers(&x, &w, &bias)?;
     }
 
     /// The dequantized output stays within the analytic per-channel bound
