@@ -36,7 +36,7 @@ fn bench_matmul(c: &mut Criterion) {
         bench.iter(|| black_box(kernels::matmul_naive(black_box(&a), black_box(&b))))
     });
     c.bench_function("matmul_blocked_76x96x96", |bench| {
-        bench.iter(|| black_box(kernels::matmul_blocked(black_box(&a), black_box(&b), 1)))
+        bench.iter(|| black_box(kernels::matmul_blocked(black_box(&a), black_box(&b))))
     });
 }
 
@@ -66,7 +66,7 @@ fn bench_dense_b_source(c: &mut Criterion) {
         c.bench_function(&format!("dense_{rows}x96x384_borrowed_panel"), |bench| {
             bench.iter(|| {
                 let x = kernels::View::of(black_box(&x));
-                kernels::gemm_nn_packed(&mut y, 384, 0, rows, x, black_box(&panel), None, 1);
+                kernels::gemm_nn_packed(&mut y, 384, 0, rows, x, black_box(&panel), None);
                 black_box(&mut y);
             })
         });

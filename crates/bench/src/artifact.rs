@@ -116,18 +116,12 @@ impl Checker {
 }
 
 fn check_gemm(v: &Json, c: &mut Checker) {
-    c.num(v, "max_threads");
-    c.arr(v, "thread_grid");
     let shapes = c.arr(v, "shapes").to_vec();
     for s in &shapes {
         c.str_any(s, "label");
         c.str_in(s, "variant", &["nn", "nt", "tn"]);
-        for k in ["m", "k", "n", "naive_gflops", "speedup_blocked_1t_vs_naive"] {
+        for k in ["m", "k", "n", "naive_gflops", "blocked_gflops", "speedup_blocked_1t_vs_naive"] {
             c.num(s, k);
-        }
-        for b in c.arr(s, "blocked").to_vec() {
-            c.num(&b, "threads");
-            c.num(&b, "gflops");
         }
         // Forward (`nn`) shapes carry the int8 cell; its speedup must ride
         // along with it.
@@ -213,9 +207,9 @@ mod tests {
         let host_line = host.map(|h| format!("  \"host\": {h},\n")).unwrap_or_default();
         format!(
             "{{\n  \"bench\": \"gemm\",\n  \"scale\": \"quick\",\n  \"seed\": 42,\n{host_line}\
-             \"max_threads\": 1,\n  \"thread_grid\": [1],\n  \"shapes\": [\n    \
+             \"shapes\": [\n    \
              {{\"label\": \"s\", \"variant\": \"nn\", \"m\": 4, \"k\": 4, \"n\": 4, \
-             \"naive_gflops\": 1.0, \"blocked\": [{{\"threads\": 1, \"gflops\": 2.0}}], \
+             \"naive_gflops\": 1.0, \"blocked_gflops\": 2.0, \
              \"speedup_blocked_1t_vs_naive\": 2.0, \"int8_gops_1t\": 5.0, \
              \"speedup_int8_1t_vs_blocked_1t\": 2.5}}\n  ],\n  \
              \"min_speedup_blocked_1t_vs_naive_mini_shapes\": 2.0,\n  \

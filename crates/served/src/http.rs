@@ -43,7 +43,7 @@ pub enum BodyFraming {
 }
 
 /// One parsed request head (everything before the body).
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Head {
     /// Upper-cased method (`GET`, `POST`, ...).
     pub method: String,
@@ -140,9 +140,8 @@ impl HeadBuilder {
                 }
                 BodyFraming::None => {}
             }
-            let n: usize = value
-                .parse()
-                .map_err(|_| ReadError::Bad(format!("bad content-length: {value}")))?;
+            let n = framing_number(value, 10)
+                .ok_or_else(|| ReadError::Bad(format!("bad content-length: {value}")))?;
             self.framing = BodyFraming::Length(n);
         } else if name.eq_ignore_ascii_case("connection") {
             if value.eq_ignore_ascii_case("close") {
@@ -179,6 +178,18 @@ impl HeadBuilder {
             framing: self.framing,
         }
     }
+}
+
+/// A framing number as RFC 9112 spells it: `1*DIGIT` for a
+/// `Content-Length` (`radix` 10), `1*HEXDIG` for a chunk size (16) — digits
+/// and nothing else, or `None` (also past `usize`). `str::parse` and
+/// `from_str_radix` take a leading `+` too, and a length two peers may read
+/// differently is ambiguous framing, which this module rejects.
+fn framing_number(s: &str, radix: u32) -> Option<usize> {
+    if s.is_empty() || !s.chars().all(|c| c.is_digit(radix)) {
+        return None;
+    }
+    usize::from_str_radix(s, radix).ok()
 }
 
 /// The request-head grammar, sans-IO: parses one head from the front of
@@ -326,8 +337,8 @@ impl BodyDecoder {
                 ChunkState::Size => {
                     let Some(line) = self.take_line(rest, &mut used)? else { return Ok(used) };
                     let hex = line.split(';').next().unwrap_or("").trim();
-                    let size = usize::from_str_radix(hex, 16)
-                        .map_err(|_| ReadError::Bad(format!("bad chunk size: {hex:?}")))?;
+                    let size = framing_number(hex, 16)
+                        .ok_or_else(|| ReadError::Bad(format!("bad chunk size: {hex:?}")))?;
                     if size == 0 {
                         self.state = ChunkState::Trailer;
                     } else {
@@ -523,7 +534,7 @@ pub struct Response {
 pub struct ResponseHead {
     /// HTTP status code.
     pub status: u16,
-    /// `Content-Length` (0 when absent).
+    /// `Content-Length` (0 when absent; a malformed one is an error).
     pub content_length: usize,
     /// `Transfer-Encoding: chunked`.
     pub chunked: bool,
@@ -571,7 +582,9 @@ pub fn read_response_head(reader: &mut impl BufRead) -> std::io::Result<Response
             let Some((name, value)) = t.split_once(':') else { continue };
             let value = value.trim();
             if name.eq_ignore_ascii_case("content-length") {
-                head.content_length = value.parse().unwrap_or(0);
+                head.content_length = framing_number(value, 10).ok_or_else(|| {
+                    std::io::Error::other(format!("bad content-length: {value:?}"))
+                })?;
             } else if name.eq_ignore_ascii_case("transfer-encoding") {
                 head.chunked = value.eq_ignore_ascii_case("chunked");
             } else if name.eq_ignore_ascii_case("content-type") {
@@ -691,7 +704,7 @@ impl Client {
                 let mut line = String::new();
                 self.reader.read_line(&mut line)?;
                 let hex = line.trim();
-                let size = usize::from_str_radix(hex, 16).map_err(|_| {
+                let size = framing_number(hex, 16).ok_or_else(|| {
                     std::io::Error::other(format!("bad response chunk size: {hex:?}"))
                 })?;
                 if size == 0 {
@@ -728,5 +741,25 @@ impl Client {
             lines.push(line);
         }
         Ok((status, lines))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn response_content_length_is_digits_or_an_error() {
+        let head = |len: &str| {
+            let bytes = format!("HTTP/1.1 200 OK\r\ncontent-length: {len}\r\n\r\nhello");
+            read_response_head(&mut bytes.as_bytes()).map(|h| h.content_length)
+        };
+        assert_eq!(head("5").expect("a plain length"), 5);
+        // A replica link that read these as 5, or as 0, would forward a
+        // body the replica never framed.
+        for bad in ["+5", "-5", "5x", "0x5", "", "banana", "99999999999999999999999"] {
+            let err = head(bad).expect_err(bad);
+            assert!(err.to_string().contains("bad content-length"), "{bad:?}: {err}");
+        }
     }
 }

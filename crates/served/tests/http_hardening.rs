@@ -278,6 +278,32 @@ fn bad_chunked_framing_gets_400() {
 }
 
 #[test]
+fn signed_framing_numbers_get_400() {
+    // A framing number is digits and nothing else (`1*DIGIT`, `1*HEXDIG`).
+    // Rust's integer parsers also take a leading `+`, and a peer that reads
+    // `+5` differently would disagree on where the body ends — so a valid
+    // table behind a signed `Content-Length` or chunk size is refused.
+    let world = synthetic_world(true, 42);
+    with_server(&world, |addr| {
+        let body = table_to_json(&world.tables[0]);
+        for bad in [
+            format!("POST /v1/annotate HTTP/1.1\r\ncontent-length: +{}\r\n\r\n{body}", body.len()),
+            format!(
+                "POST /v1/annotate HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n+{:x}\r\n{body}\
+                 \r\n0\r\n\r\n",
+                body.len()
+            ),
+        ] {
+            let mut s = raw(addr);
+            s.write_all(bad.as_bytes()).expect("write");
+            let resp = read_all(&mut s);
+            assert!(resp.starts_with("HTTP/1.1 400"), "{bad:?} => {resp:?}");
+        }
+        assert_still_serving(addr);
+    });
+}
+
+#[test]
 fn chunked_annotate_body_is_byte_identical() {
     let world = synthetic_world(true, 42);
     with_server(&world, |addr| {

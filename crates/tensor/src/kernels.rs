@@ -16,7 +16,7 @@
 //! only (19 rows are three full tiles and a 1-row one, not four full ones
 //! with five rows of zeros).
 //!
-//! One blocked loop nest (`gemm_stripe`) serves two sources of B panels:
+//! One blocked loop nest (`gemm_blocked`) serves two sources of B panels:
 //!
 //! * **packed per call** into the calling thread's scratch — any operand
 //!   that may differ next call: a training tape's weights (they move every
@@ -26,14 +26,13 @@
 //!   serving executor's dense layers multiply by the store's weights this
 //!   way ([`crate::ParamStore::panel`]), which removes an O(kn) re-layout
 //!   of a constant from every call — at 19 rows, a quarter of a dense
-//!   layer's time — and lets row-stripe threads share one copy.
+//!   layer's time — and lets every engine thread share one copy.
 //!
 //! Same micro-kernel, same k order, one accumulator per element, one fused
 //! multiply-add per step: the two sources produce the same bits.
 //!
-//! On top sits optional row-stripe multi-threading (distinct threads own
-//! disjoint output rows) and a shape heuristic that falls back to the
-//! plain loops where the packed kernel's overhead would dominate: products
+//! On top sits a shape heuristic that falls back to the plain loops where
+//! the packed kernel's overhead would dominate: products
 //! under `BLOCKED_MIN_FLOPS` (2^11), and products of at most
 //! `SMALL_MAX_ROWS` (2) rows against an untransposed B (packing it would
 //! cost more than the product; and a matrix that only ever sees so few rows
@@ -107,10 +106,9 @@
 //! block of a product starts its register tile there without reading C (the
 //! bits a zero-filled C would have loaded), and every later block preserves
 //! the order by loading the partial output tile into registers instead of
-//! summing blocks separately ([`KBlock`]). Row-stripe threading trivially
-//! preserves it because threads own disjoint output elements. A bias is one
-//! separately rounded add of the finished sum, on the last block's store —
-//! never folded into a fused step — so `A B + b` has the bits of the product
+//! summing blocks separately ([`KBlock`]). A bias is one separately
+//! rounded add of the finished sum, on the last block's store — never
+//! folded into a fused step — so `A B + b` has the bits of the product
 //! followed by a bias pass.
 //!
 //! The step is the same on every host because IEEE 754 specifies
@@ -123,10 +121,9 @@
 //! happen is a *mix* of the two steps, which is why nothing selects between
 //! them and `gemm_props::every_tier_is_fused` runs every route on operands
 //! where the unfused step returns different bits. Consequently
-//! `blocked == naive` **bitwise**, on every tier and at every thread count —
-//! the serving equivalence tests keep their byte-identical contract, and
-//! the property tests in `tests/gemm_props.rs` assert exact bit equality
-//! rather than a tolerance.
+//! `blocked == naive` **bitwise**, on every tier — the serving equivalence
+//! tests keep their byte-identical contract, and the property tests in
+//! `tests/gemm_props.rs` assert exact bit equality rather than a tolerance.
 //!
 //! Fusing stops at this module's edge. [`crate::vmath`], LayerNorm's
 //! statistics and softmax's row sums stay separately rounded `+ − × ÷`
@@ -137,20 +134,16 @@
 //! no measured gain. The int8 kernels accumulate integers and dequantise in
 //! one separately rounded multiply and add, as before.
 //!
-//! # Threading model
+//! # Threading
 //!
-//! Intra-GEMM threads default to **1**: training parallelizes at the
-//! table level (`accumulate_parallel`) and serving at the micro-batch
-//! level (`BatchAnnotator`: the calling thread plus `threads − 1` scoped
-//! workers), so the cores are usually owned by an outer loop already —
-//! and a thread that keeps calling keeps its packing panels warm.
-//! [`set_gemm_threads`] is the explicit lever for single-stream workloads
-//! (e.g. latency-sensitive serving of one big table); the row stripes are then cut so every thread gets at least
-//! [`MIN_FLOPS_PER_THREAD`] of work, so small matmuls never pay a spawn.
+//! Every product runs on the thread that calls it. The cores belong to the
+//! outer loops: training parallelizes at the table level
+//! (`accumulate_parallel`) and serving at the micro-batch level
+//! (`BatchAnnotator`: the calling thread plus `threads − 1` scoped
+//! workers) — and a thread that keeps calling keeps its packing panels warm.
 
 use crate::tensor::Tensor;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Rows of the micro-kernel register tile.
@@ -172,10 +165,6 @@ pub const NC: usize = 512;
 /// block targets L2 residency; sized so the encoder's row counts (≤ 192
 /// tokens per sequence) need at most two blocks.
 pub const MC: usize = 120;
-
-/// Work floor (in FLOPs, counting one multiply-add as two) below which an
-/// extra GEMM thread is not worth its spawn cost.
-pub const MIN_FLOPS_PER_THREAD: usize = 1 << 20;
 
 /// Work floor below which the entry points use the plain loops: packing
 /// touches O(mn + mk + kn) memory, which only pays off once the O(mnk)
@@ -242,29 +231,6 @@ const BLOCKED_MIN_FLOPS: usize = 1 << 11;
 /// So [`gemm_nn_dense`] applies the same floor to both sources, and a
 /// matrix that only ever sees one or two rows never gets a panel.
 const SMALL_MAX_ROWS: usize = 2;
-
-static GEMM_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-global intra-GEMM thread budget (clamped to ≥ 1).
-///
-/// This is a *budget*, not a demand: each call threads only if its row
-/// count and FLOP volume justify the stripes (see [`MIN_FLOPS_PER_THREAD`]).
-/// Leave it at 1 (the default) when an outer layer — data-parallel
-/// training, the batch-serving fan-out — already owns the cores.
-pub fn set_gemm_threads(n: usize) {
-    GEMM_THREADS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The current intra-GEMM thread budget (see [`set_gemm_threads`]).
-pub fn gemm_threads() -> usize {
-    GEMM_THREADS.load(Ordering::Relaxed)
-}
-
-/// Threads actually worth using for one `m`×`n`×`k` GEMM under `budget`.
-fn effective_threads(m: usize, n: usize, k: usize, budget: usize) -> usize {
-    let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    budget.min(m.div_ceil(MR)).min((flops / MIN_FLOPS_PER_THREAD).max(1)).max(1)
-}
 
 // ---------------------------------------------------------------------------
 // Matrix views
@@ -393,8 +359,8 @@ fn pack_b(buf: &mut [f32], src: Src<'_>, p0: usize, kc: usize, j0: usize, nc: us
 /// blocked driver consumes it: for each [`NC`] column block, for each
 /// [`KC`] block of k, the `ceil(nc / NR)` zero-padded `[kc][NR]`
 /// micro-panels `pack_b` would have written into the thread's scratch on
-/// every call. A product that borrows one skips that packing, and its
-/// row-stripe threads share the one copy.
+/// every call. A product that borrows one skips that packing, and every
+/// thread that borrows it shares the one copy.
 ///
 /// Immutable: a `PackedB` is a snapshot of the matrix it was packed from.
 /// Whoever caches one owns dropping it when that matrix changes (see
@@ -990,17 +956,16 @@ pub fn pack_scratch_len() -> (usize, usize) {
     PACK_BUFS.with_borrow(|(a, b)| (a.len(), b.len()))
 }
 
-/// Runs the blocked GEMM over output rows `[m0, m1)` on `tier`'s
-/// micro-kernel, writing them: the first k-block's tiles start from `+0.0`,
-/// later ones load what the block before stored, and the last adds `bias`
-/// (`n` values, if any). `c` holds exactly those rows (row stride `ldc`),
-/// offset `c_col0` columns in; the sources are indexed with absolute
-/// coordinates. `k ≥ 1`.
-#[allow(clippy::too_many_arguments)] // the single-thread core below gemm_blocked
-fn gemm_stripe(
+/// `C = op(A) B (+ bias)` on `tier`'s packed kernel over the whole
+/// (non-empty) output, on the calling thread: the first k-block's tiles
+/// start from `+0.0`, later ones load what the block before stored, and the
+/// last adds `bias` (`n` values, if any). `c` holds `m` rows of stride
+/// `ldc`, offset `c_col0` columns in. An empty reduction (`k = 0`) writes
+/// the bias, or `+0.0`.
+#[allow(clippy::too_many_arguments)] // the one internal fan-in point below the typed wrappers
+fn gemm_blocked(
     tier: Tier,
-    m0: usize,
-    m1: usize,
+    m: usize,
     n: usize,
     k: usize,
     a_src: Src<'_>,
@@ -1010,6 +975,16 @@ fn gemm_stripe(
     c_col0: usize,
     bias: Option<&[f32]>,
 ) {
+    if k == 0 {
+        for row in c.chunks_mut(ldc).take(m) {
+            let row = &mut row[c_col0..c_col0 + n];
+            match bias {
+                Some(b) => row.copy_from_slice(b),
+                None => row.fill(0.0),
+            }
+        }
+        return;
+    }
     assert!(tier <= Tier::detect(), "this CPU has no {} tier", tier.name());
     // On the tier whose tile reads A through strides nothing is packed on
     // the A side: the tile takes its rows from the operand itself.
@@ -1020,7 +995,7 @@ fn gemm_stripe(
         // Grow-only: pack writes every slot it later reads, so stale data
         // past the current panel sizes is harmless and shrinking would
         // just churn when call sites alternate between shapes.
-        let a_need = if a_in_place { 0 } else { MC.min(m1 - m0).div_ceil(MR) * MR * kc_max };
+        let a_need = if a_in_place { 0 } else { MC.min(m).div_ceil(MR) * MR * kc_max };
         if ap_buf.len() < a_need {
             ap_buf.resize(a_need, 0.0);
         }
@@ -1044,9 +1019,9 @@ fn gemm_stripe(
                     }
                     BSrc::Panels(panels) => panels.block(jc, pc, nc, kc),
                 };
-                let mut ic = m0;
-                while ic < m1 {
-                    let mc = MC.min(m1 - ic);
+                let mut ic = 0;
+                while ic < m {
+                    let mc = MC.min(m - ic);
                     if !a_in_place {
                         pack_a(ap_buf, a_src, ic, mc, pc, kc);
                     }
@@ -1065,13 +1040,13 @@ fn gemm_stripe(
                             } else {
                                 ATile::packed(&ap_buf[(ir / MR) * kc * MR..][..kc * MR])
                             };
-                            let c_off = (ic - m0 + ir) * ldc + c_col0 + jc + jr;
+                            let c_off = (ic + ir) * ldc + c_col0 + jc + jr;
                             let pass = KBlock {
                                 first: pc == 0,
                                 bias: bias.filter(|_| last).map(|b| &b[jc + jr..][..nr]),
                             };
                             let c = &mut c[c_off..];
-                            // SAFETY: the host has `tier`, asserted on entry.
+                            // SAFETY: the host has `tier`, asserted above.
                             unsafe { microkernel_unchecked(tier, kc, a, bp, c, ldc, mr, nr, pass) };
                             ir += MR;
                         }
@@ -1084,83 +1059,6 @@ fn gemm_stripe(
             jc += NC;
         }
     });
-}
-
-/// `C = op(A) B (+ bias)` on the packed kernel over the whole (non-empty)
-/// output, splitting rows into stripes across up to `threads` OS threads —
-/// which share a borrowed B panel, and each pack their own otherwise. `c`
-/// holds `m` rows of stride `ldc`, offset `c_col0` columns in. An empty
-/// reduction (`k = 0`) writes the bias, or `+0.0`.
-#[allow(clippy::too_many_arguments)] // the one internal fan-in point below the typed wrappers
-fn gemm_blocked(
-    tier: Tier,
-    m: usize,
-    n: usize,
-    k: usize,
-    a_src: Src<'_>,
-    b_src: BSrc<'_>,
-    c: &mut [f32],
-    ldc: usize,
-    c_col0: usize,
-    bias: Option<&[f32]>,
-    threads: usize,
-) {
-    if k == 0 {
-        for row in c.chunks_mut(ldc).take(m) {
-            let row = &mut row[c_col0..c_col0 + n];
-            match bias {
-                Some(b) => row.copy_from_slice(b),
-                None => row.fill(0.0),
-            }
-        }
-        return;
-    }
-    let threads = effective_threads(m, n, k, threads);
-    if threads <= 1 {
-        gemm_stripe(tier, 0, m, n, k, a_src, b_src, c, ldc, c_col0, bias);
-        return;
-    }
-    // Equal MR-aligned stripes (the last may be short): chunk boundaries
-    // fall on row boundaries, so each worker owns disjoint output rows.
-    let stripe_rows = m.div_ceil(threads).div_ceil(MR) * MR;
-    std::thread::scope(|scope| {
-        for (si, chunk) in c.chunks_mut(stripe_rows * ldc).enumerate() {
-            let m0 = si * stripe_rows;
-            let m1 = (m0 + stripe_rows).min(m);
-            scope.spawn(move || {
-                gemm_stripe(tier, m0, m1, n, k, a_src, b_src, chunk, ldc, c_col0, bias)
-            });
-        }
-    });
-}
-
-/// `C = op(A) op(B) (+ bias)` for operands packed per call: the plain loops
-/// where packing would dominate, the packed kernel under `threads`
-/// otherwise.
-#[allow(clippy::too_many_arguments)] // mirrors gemm_blocked's signature
-fn gemm_threaded(
-    tier: Tier,
-    m: usize,
-    n: usize,
-    k: usize,
-    a_src: Src<'_>,
-    b_src: Src<'_>,
-    c: &mut [f32],
-    ldc: usize,
-    c_col0: usize,
-    bias: Option<&[f32]>,
-    threads: usize,
-) {
-    if m == 0 || n == 0 {
-        return; // an empty output has nothing to write
-    }
-    if 2 * m * n * k < BLOCKED_MIN_FLOPS || (m <= SMALL_MAX_ROWS && matches!(b_src, Src::N(_))) {
-        // Packing would dominate; the plain loops keep the identical
-        // per-element accumulation order, so this changes nothing but speed.
-        gemm_small(tier, m, n, k, a_src, b_src, c, ldc, c_col0, bias);
-        return;
-    }
-    gemm_blocked(tier, m, n, k, a_src, BSrc::Pack(b_src), c, ldc, c_col0, bias, threads);
 }
 
 /// Declares `fn name(tier, args..)` around one plain-loop body, compiled for
@@ -1262,14 +1160,15 @@ plain_loops! {
 // property tests can pin them to the naive loops from outside the crate)
 // ---------------------------------------------------------------------------
 
-/// `C = op(A) op(B) (+ bias)` over strided views on `tier`, under up to
-/// `threads` row-stripe threads: the one strided product every other entry
-/// point of this section is. `layout` names the stored shapes of `a` and `b`
-/// as for the whole-tensor products; `c` starts at the output's first row,
-/// has row stride `ldc`, and the product lands `c_col0` columns in — the
-/// `m`×`n` segment is written whatever it held, nothing around it is
-/// touched. `bias` holds `n` values. Public so the property tests can run it
-/// on every tier of [`Tier::host`]; panics if the host lacks `tier`.
+/// `C = op(A) op(B) (+ bias)` over strided views on `tier`: the one
+/// strided product every other entry point of this section is — the plain
+/// loops where packing would dominate, the packed kernel otherwise. `layout`
+/// names the stored shapes of `a` and `b` as for the whole-tensor products;
+/// `c` starts at the output's first row, has row stride `ldc`, and the
+/// product lands `c_col0` columns in — the `m`×`n` segment is written
+/// whatever it held, nothing around it is touched. `bias` holds `n` values.
+/// Public so the property tests can run it on every tier of [`Tier::host`];
+/// panics if the host lacks `tier`.
 #[allow(clippy::too_many_arguments)] // a product, its layout, its tier and its epilogue
 pub fn gemm_on(
     tier: Tier,
@@ -1281,7 +1180,6 @@ pub fn gemm_on(
     a: View<'_>,
     b: View<'_>,
     bias: Option<&[f32]>,
-    threads: usize,
 ) {
     let (a_src, b_src) = match layout {
         Layout::NN => (Src::N(a), Src::N(b)),
@@ -1289,11 +1187,20 @@ pub fn gemm_on(
         Layout::TN => (Src::T(a), Src::N(b)),
     };
     assert!(bias.is_none_or(|b| b.len() == n), "bias must hold {n} values");
-    gemm_threaded(tier, m, n, k, a_src, b_src, c, ldc, c_col0, bias, threads);
+    if m == 0 || n == 0 {
+        return; // an empty output has nothing to write
+    }
+    if 2 * m * n * k < BLOCKED_MIN_FLOPS || (m <= SMALL_MAX_ROWS && matches!(b_src, Src::N(_))) {
+        // Packing would dominate; the plain loops keep the identical
+        // per-element accumulation order, so this changes nothing but speed.
+        gemm_small(tier, m, n, k, a_src, b_src, c, ldc, c_col0, bias);
+        return;
+    }
+    gemm_blocked(tier, m, n, k, a_src, BSrc::Pack(b_src), c, ldc, c_col0, bias);
 }
 
 /// `C = A B` over strided views: `a` is `[m, k]`, `b` is `[k, n]`;
-/// [`gemm_on`] on the host's tier, single-threaded like its two siblings.
+/// [`gemm_on`] on the host's tier.
 pub fn gemm_nn(
     c: &mut [f32],
     ldc: usize,
@@ -1302,16 +1209,15 @@ pub fn gemm_nn(
     a: View<'_>,
     b: View<'_>,
 ) {
-    gemm_on(Tier::detect(), Layout::NN, c, ldc, c_col0, dims, a, b, None, 1);
+    gemm_on(Tier::detect(), Layout::NN, c, ldc, c_col0, dims, a, b, None);
 }
 
 /// [`gemm_nn`] as a dense layer calls it — [`crate::tensor::matmul`] and
-/// both forward backends: with the layer's bias, under the process-global
-/// thread budget, and on the packed kernel only where
-/// [`blocked_worthwhile`] and the `SMALL_MAX_ROWS` floor say so. `panel` is
-/// how a caller whose `b` is a constant offers its [`PackedB`]: it is asked
-/// (and so the panel built) only by a product that will run on it; `None`
-/// packs `b` per call.
+/// both forward backends: with the layer's bias, and on the packed kernel
+/// only where [`blocked_worthwhile`] and the `SMALL_MAX_ROWS` floor say so.
+/// `panel` is how a caller whose `b` is a constant offers its [`PackedB`]:
+/// it is asked (and so the panel built) only by a product that will run on
+/// it; `None` packs `b` per call.
 #[allow(clippy::too_many_arguments)] // gemm_on's operands, plus where B comes from
 pub(crate) fn gemm_nn_dense<'p>(
     c: &mut [f32],
@@ -1330,17 +1236,15 @@ pub(crate) fn gemm_nn_dense<'p>(
     }
     match panel {
         Some(panel) if m > SMALL_MAX_ROWS => {
-            gemm_nn_packed_on(tier, c, ldc, c_col0, m, a, panel(), bias, gemm_threads());
+            gemm_nn_packed_on(tier, c, ldc, c_col0, m, a, panel(), bias);
         }
-        _ => gemm_on(tier, Layout::NN, c, ldc, c_col0, (m, n, k), a, b, bias, gemm_threads()),
+        _ => gemm_on(tier, Layout::NN, c, ldc, c_col0, (m, n, k), a, b, bias),
     }
 }
 
 /// `C = A B (+ bias)` with `b` borrowed already packed: `a` is `[m, k]` for
-/// `b`'s `(k, n)`; always the packed kernel, under up to `threads` row-stripe
-/// threads that share the panel. Bit-identical to [`gemm_on`] over the
-/// matrix `b` was packed from.
-#[allow(clippy::too_many_arguments)] // gemm_nn's operands, plus the epilogue and threads
+/// `b`'s `(k, n)`; always the packed kernel. Bit-identical to [`gemm_on`]
+/// over the matrix `b` was packed from.
 pub fn gemm_nn_packed(
     c: &mut [f32],
     ldc: usize,
@@ -1349,9 +1253,8 @@ pub fn gemm_nn_packed(
     a: View<'_>,
     b: &PackedB,
     bias: Option<&[f32]>,
-    threads: usize,
 ) {
-    gemm_nn_packed_on(Tier::detect(), c, ldc, c_col0, m, a, b, bias, threads);
+    gemm_nn_packed_on(Tier::detect(), c, ldc, c_col0, m, a, b, bias);
 }
 
 /// [`gemm_nn_packed`] on `tier`'s micro-kernel, so the property tests can
@@ -1367,14 +1270,13 @@ pub fn gemm_nn_packed_on(
     a: View<'_>,
     b: &PackedB,
     bias: Option<&[f32]>,
-    threads: usize,
 ) {
     let (k, n) = b.shape();
     assert!(bias.is_none_or(|b| b.len() == n), "bias must hold {n} values");
     if m == 0 || n == 0 {
         return; // an empty output has nothing to write
     }
-    gemm_blocked(tier, m, n, k, Src::N(a), BSrc::Panels(b), c, ldc, c_col0, bias, threads);
+    gemm_blocked(tier, m, n, k, Src::N(a), BSrc::Panels(b), c, ldc, c_col0, bias);
 }
 
 /// `C = A Bᵀ` over strided views: `a` is `[m, k]`, `b` is `[n, k]`.
@@ -1386,7 +1288,7 @@ pub fn gemm_nt(
     a: View<'_>,
     b: View<'_>,
 ) {
-    gemm_on(Tier::detect(), Layout::NT, c, ldc, c_col0, dims, a, b, None, 1);
+    gemm_on(Tier::detect(), Layout::NT, c, ldc, c_col0, dims, a, b, None);
 }
 
 /// `C = Aᵀ B` over strided views: `a` is `[k, m]`, `b` is `[k, n]`.
@@ -1398,7 +1300,7 @@ pub fn gemm_tn(
     a: View<'_>,
     b: View<'_>,
 ) {
-    gemm_on(Tier::detect(), Layout::TN, c, ldc, c_col0, dims, a, b, None, 1);
+    gemm_on(Tier::detect(), Layout::TN, c, ldc, c_col0, dims, a, b, None);
 }
 
 // ---------------------------------------------------------------------------
@@ -1433,40 +1335,32 @@ impl Layout {
 }
 
 /// The blocked product of `a` and `b` under `layout`, on `tier`'s
-/// micro-kernel and up to `threads` row-stripe threads: what
-/// [`matmul_blocked`] and its two siblings compute on [`Tier::detect`]'s.
-/// Public so the property tests can run the whole loop nest on every tier
-/// of [`Tier::host`]; panics if the host lacks `tier`.
-pub fn matmul_blocked_on(
-    tier: Tier,
-    layout: Layout,
-    a: &Tensor,
-    b: &Tensor,
-    threads: usize,
-) -> Tensor {
+/// micro-kernel: what [`matmul_blocked`] and its two siblings compute on
+/// [`Tier::detect`]'s. Public so the property tests can run the whole loop
+/// nest on every tier of [`Tier::host`]; panics if the host lacks `tier`.
+pub fn matmul_blocked_on(tier: Tier, layout: Layout, a: &Tensor, b: &Tensor) -> Tensor {
     let (m, n, k) = layout.dims(a, b);
     let mut out = Tensor::zeros(m, n);
     let (av, bv) = (View::of(a), View::of(b));
-    gemm_on(tier, layout, out.data_mut(), n, 0, (m, n, k), av, bv, None, threads);
+    gemm_on(tier, layout, out.data_mut(), n, 0, (m, n, k), av, bv, None);
     out
 }
 
-/// Blocked `A B` (`A` is `[m, k]`, `B` is `[k, n]`) using up to `threads`
-/// row-stripe threads. Bit-identical to [`matmul_naive`] at every thread
-/// count; prefer [`crate::tensor::matmul`], which picks naive vs blocked
-/// by size and applies the global thread budget.
-pub fn matmul_blocked(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
-    matmul_blocked_on(Tier::detect(), Layout::NN, a, b, threads)
+/// Blocked `A B` (`A` is `[m, k]`, `B` is `[k, n]`). Bit-identical to
+/// [`matmul_naive`]; prefer [`crate::tensor::matmul`], which picks naive vs
+/// blocked by size.
+pub fn matmul_blocked(a: &Tensor, b: &Tensor) -> Tensor {
+    matmul_blocked_on(Tier::detect(), Layout::NN, a, b)
 }
 
 /// Blocked `A Bᵀ` (`A` is `[m, k]`, `B` is `[n, k]`); see [`matmul_blocked`].
-pub fn matmul_nt_blocked(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
-    matmul_blocked_on(Tier::detect(), Layout::NT, a, b, threads)
+pub fn matmul_nt_blocked(a: &Tensor, b: &Tensor) -> Tensor {
+    matmul_blocked_on(Tier::detect(), Layout::NT, a, b)
 }
 
 /// Blocked `Aᵀ B` (`A` is `[k, m]`, `B` is `[k, n]`); see [`matmul_blocked`].
-pub fn matmul_tn_blocked(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
-    matmul_blocked_on(Tier::detect(), Layout::TN, a, b, threads)
+pub fn matmul_tn_blocked(a: &Tensor, b: &Tensor) -> Tensor {
+    matmul_blocked_on(Tier::detect(), Layout::TN, a, b)
 }
 
 plain_loops! {
@@ -1588,22 +1482,11 @@ mod tests {
         ] {
             let a = Tensor::randn(m, k, 1.0, &mut rng);
             let b = Tensor::randn(k, n, 1.0, &mut rng);
-            bits_eq(&matmul_blocked(&a, &b, 1), &matmul_naive(&a, &b), "nn");
+            bits_eq(&matmul_blocked(&a, &b), &matmul_naive(&a, &b), "nn");
             let bt = b.transpose();
-            bits_eq(&matmul_nt_blocked(&a, &bt, 1), &matmul_nt_naive(&a, &bt), "nt");
+            bits_eq(&matmul_nt_blocked(&a, &bt), &matmul_nt_naive(&a, &bt), "nt");
             let at = a.transpose();
-            bits_eq(&matmul_tn_blocked(&at, &b, 1), &matmul_tn_naive(&at, &b), "tn");
-        }
-    }
-
-    #[test]
-    fn threaded_matches_single_thread_bitwise() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let a = Tensor::randn(193, 96, 1.0, &mut rng);
-        let b = Tensor::randn(96, 384, 1.0, &mut rng);
-        let one = matmul_blocked(&a, &b, 1);
-        for threads in [2, 3, 8] {
-            bits_eq(&matmul_blocked(&a, &b, threads), &one, "threads");
+            bits_eq(&matmul_tn_blocked(&at, &b), &matmul_tn_naive(&at, &b), "tn");
         }
     }
 
@@ -1611,10 +1494,10 @@ mod tests {
     fn degenerate_dims_yield_zero_output() {
         let a = Tensor::zeros(3, 0);
         let b = Tensor::zeros(0, 4);
-        let c = matmul_blocked(&a, &b, 4);
+        let c = matmul_blocked(&a, &b);
         assert_eq!(c.shape(), (3, 4));
         assert!(c.data().iter().all(|&v| v == 0.0));
-        assert_eq!(matmul_blocked(&Tensor::zeros(0, 5), &Tensor::zeros(5, 2), 2).shape(), (0, 2));
+        assert_eq!(matmul_blocked(&Tensor::zeros(0, 5), &Tensor::zeros(5, 2)).shape(), (0, 2));
     }
 
     #[test]

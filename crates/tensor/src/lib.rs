@@ -7,8 +7,8 @@
 //! * [`Tensor`] — row-major 2-D `f32` matrices with the handful of BLAS-like
 //!   kernels a Transformer needs ([`matmul`], [`matmul_nt`], [`matmul_tn`]).
 //! * [`kernels`] — the cache-blocked, register-tiled GEMM layer those entry
-//!   points dispatch to (packed panels, row-stripe threading, bit-identical
-//!   to the naive loops by construction).
+//!   points dispatch to (packed panels, vector tiers picked by the CPU,
+//!   bit-identical to the naive loops by construction).
 //! * [`vmath`] — the in-repo, vectorised `exp`/`tanh` under GELU, softmax
 //!   and sigmoid: no libm, so values are a function of the input bits alone,
 //!   the same on every host and vector tier.
@@ -49,7 +49,6 @@ pub mod vmath;
 
 pub use exec::{Executor, Slot};
 pub use forward::AttnBlock;
-pub use kernels::{gemm_threads, set_gemm_threads};
 pub use optim::{Adam, LrSchedule};
 pub use parallel::{accumulate_parallel, default_threads};
 pub use params::{Gradients, Param, ParamId, ParamStore};

@@ -17,12 +17,12 @@
 //! ## Two-tier numerics policy
 //!
 //! The f32 GEMMs in [`crate::kernels`] are the **bit-identical reference**:
-//! every f32 execution strategy (naive, blocked, threaded) produces the
-//! same bits. The quantized path is *not* bit-equal to f32 — it is
+//! every f32 execution strategy (naive, blocked, borrowed panels) produces
+//! the same bits. The quantized path is *not* bit-equal to f32 — it is
 //! **accuracy-gated** instead (the repro harness re-runs the paper's
 //! qualitative checks and pins micro-F1 drift under quantization). What
 //! *is* exact here: integer accumulation is associative, so every SIMD
-//! kernel, the scalar fallback, and every thread count produce
+//! kernel, every tile shape and the scalar fallback produce
 //! **bit-identical quantized outputs** — the same invariance contract the
 //! f32 layer has, one tier down. (Inputs are assumed finite; rows
 //! containing NaN are a degenerate case with unspecified codes, exactly as
@@ -61,12 +61,12 @@
 //! Activations are quantized in one pass per row, straight into the codes
 //! the tier's kernel reads: biased `u8` for VNNI (16 lanes: abs-max, then
 //! round / clamp / +128 / narrow, [`quantize_row_u8`]), i16 for AVX2 and
-//! scalar. A thread's stripe of rows starts on a tile boundary. Integer
-//! accumulation is exact, so neither the tile, nor the stripe, nor the
-//! tier moves a bit.
+//! scalar. Integer accumulation is exact, so neither the tile nor the tier
+//! moves a bit. Like the f32 kernels, a layer runs on the thread that calls
+//! it; the engine spreads micro-batches across cores above it.
 
 use crate::forward::grow;
-use crate::kernels::{self, Tier, MIN_FLOPS_PER_THREAD};
+use crate::kernels::Tier;
 use crate::tensor::Tensor;
 
 /// Packed columns per AVX2 weight panel — one i32 accumulator lane per
@@ -373,12 +373,11 @@ impl QuantizedLinear {
         &self.w_scales[..self.n]
     }
 
-    /// `y = x·W + b` for `x: [m, k]`, under the process-global
-    /// [`crate::kernels::gemm_threads`] budget, with the fastest available
-    /// kernel (AVX-512 VNNI, then AVX2, then scalar). Bit-identical to
-    /// [`QuantizedLinear::forward_scalar`] for any thread count.
+    /// `y = x·W + b` for `x: [m, k]`, with the fastest available kernel
+    /// (AVX-512 VNNI, then AVX2, then scalar). Bit-identical to
+    /// [`QuantizedLinear::forward_scalar`].
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.forward_with_threads(x, kernels::gemm_threads())
+        self.run_fresh(x, Tier::detect_int8())
     }
 
     /// [`QuantizedLinear::forward`] into a caller-owned `[m, n]` slot, with
@@ -386,25 +385,17 @@ impl QuantizedLinear {
     /// tape-free executor calls, allocating nothing once the scratch has
     /// grown. `x` is `m` rows of `k`, row-major.
     pub fn forward_into(&self, x: &[f32], m: usize, out: &mut [f32], scratch: &mut QuantScratch) {
-        self.run(x, m, out, kernels::gemm_threads(), Tier::detect_int8(), scratch);
+        self.run(x, m, out, Tier::detect_int8(), scratch);
     }
 
-    /// [`QuantizedLinear::forward`] with an explicit thread budget (each
-    /// output row is computed independently, so the result is bitwise
-    /// invariant to the split).
-    pub fn forward_with_threads(&self, x: &Tensor, threads: usize) -> Tensor {
-        self.run_fresh(x, threads, Tier::detect_int8())
-    }
-
-    /// The portable scalar kernel, single-threaded — the reference oracle
-    /// the SIMD paths must match bit for bit.
+    /// The portable scalar kernel — the reference oracle the SIMD paths
+    /// must match bit for bit.
     pub fn forward_scalar(&self, x: &Tensor) -> Tensor {
-        self.run_fresh(x, 1, Tier::Portable)
+        self.run_fresh(x, Tier::Portable)
     }
 
-    /// [`QuantizedLinear::forward_into`] on a named int8 tier,
-    /// single-threaded: how tests and benches reach the kernels dispatch
-    /// does not pick on their host.
+    /// [`QuantizedLinear::forward_into`] on a named int8 tier: how tests
+    /// and benches reach the kernels dispatch does not pick on their host.
     ///
     /// # Panics
     /// If the host lacks `tier` (it is above [`Tier::detect_int8`]).
@@ -416,40 +407,33 @@ impl QuantizedLinear {
         out: &mut [f32],
         scratch: &mut QuantScratch,
     ) {
-        self.run(x, m, out, 1, tier, scratch);
+        self.run(x, m, out, tier, scratch);
     }
 
     /// [`QuantizedLinear::forward_into_on`] into a fresh tensor.
     pub fn forward_on(&self, tier: Tier, x: &Tensor) -> Tensor {
-        self.run_fresh(x, 1, tier)
+        self.run_fresh(x, tier)
     }
 
     /// [`QuantizedLinear::run`] into a fresh tensor with a fresh scratch.
-    fn run_fresh(&self, x: &Tensor, threads: usize, tier: Tier) -> Tensor {
+    fn run_fresh(&self, x: &Tensor, tier: Tier) -> Tensor {
         assert_eq!(x.cols(), self.k, "quantized linear expects [m, {}] input", self.k);
         let mut out = Tensor::zeros(x.rows(), self.n);
-        self.run(x.data(), x.rows(), out.data_mut(), threads, tier, &mut QuantScratch::default());
+        self.run(x.data(), x.rows(), out.data_mut(), tier, &mut QuantScratch::default());
         out
     }
 
-    fn run(
-        &self,
-        x: &[f32],
-        m: usize,
-        out: &mut [f32],
-        threads: usize,
-        tier: Tier,
-        scratch: &mut QuantScratch,
-    ) {
+    /// Quantizes the `m` rows of `x`, then computes all of `out` in
+    /// `tier`'s tiles.
+    fn run(&self, x: &[f32], m: usize, out: &mut [f32], tier: Tier, scratch: &mut QuantScratch) {
         assert!(tier <= Tier::detect_int8(), "this CPU has no int8 {} tier", tier.name());
         assert_eq!(x.len(), m * self.k, "quantized linear expects [m, {}] input", self.k);
         assert_eq!(out.len(), m * self.n, "quantized linear writes [m, {}] output", self.n);
         if m == 0 || self.n == 0 {
             return;
         }
-        // Dynamic per-row activation quantization (row-independent, so it
-        // cannot break thread invariance), straight into the codes the
-        // tier's kernel reads.
+        // Dynamic per-row activation quantization, straight into the codes
+        // the tier's kernel reads.
         let QuantScratch { qa, qa8, a_scales } = scratch;
         grow(a_scales, m);
         let a_scales = &mut a_scales[..m];
@@ -459,51 +443,16 @@ impl QuantizedLinear {
         } else {
             (quantize_rows(qa, a_scales, x, k, kp, quantize_row_i16), &[])
         };
-        let a_scales = &*a_scales;
-        let t = effective_threads(m, self.n, self.k, threads);
-        if t <= 1 {
-            self.stripe(qa, qa8, a_scales, 0, out, tier);
-            return;
-        }
-        // Stripes start on tile boundaries: only the last one has a short
-        // row tile.
-        let tile_rows = match tier {
-            Tier::Avx512 => MV,
-            Tier::Avx2 => MA,
-            Tier::Portable => 1,
-        };
-        let rows_per = m.div_ceil(t).next_multiple_of(tile_rows);
-        let n = self.n;
-        std::thread::scope(|scope| {
-            for (i, chunk) in out.chunks_mut(rows_per * n).enumerate() {
-                scope.spawn(move || self.stripe(qa, qa8, a_scales, i * rows_per, chunk, tier));
-            }
-        });
-    }
-
-    /// Computes output rows `[row0, row0 + out.len() / n)` into `out`, in
-    /// `tier`'s tiles. `qa` / `qa8` hold every row's codes, `kp` a row; only
-    /// the one `tier` reads is filled.
-    fn stripe(
-        &self,
-        qa: &[i16],
-        qa8: &[u8],
-        a_scales: &[f32],
-        row0: usize,
-        out: &mut [f32],
-        tier: Tier,
-    ) {
-        let (n, kp) = (self.n, self.kp);
-        let rows = out.len() / n;
+        let (n, a_scales) = (self.n, &*a_scales);
         #[cfg(target_arch = "x86_64")]
         {
             // Each tile's codes, scales and output rows, and the `<M, P>`
             // instantiation that computes them.
             macro_rules! tiles {
                 ($tile:ident, $codes:expr, $mr:expr, $panel:expr, $($m:literal),*) => {
-                    for_tiles(rows, $mr, n.div_ceil($panel), |r, mr, g, p| {
-                        let a = &$codes[(row0 + r) * kp..(row0 + r + mr) * kp];
-                        let s = &a_scales[row0 + r..row0 + r + mr];
+                    for_tiles(m, $mr, n.div_ceil($panel), |r, mr, g, p| {
+                        let a = &$codes[r * kp..(r + mr) * kp];
+                        let s = &a_scales[r..r + mr];
                         let o = &mut out[r * n..(r + mr) * n];
                         // SAFETY: `run` asserted that the host has `tier`:
                         // `Avx2` is reported only with `avx2` detected,
@@ -527,8 +476,7 @@ impl QuantizedLinear {
         #[cfg(not(target_arch = "x86_64"))]
         let _ = (qa8, tier);
         for (r, o) in out.chunks_exact_mut(n).enumerate() {
-            let row = row0 + r;
-            self.row_forward_scalar(&qa[row * kp..(row + 1) * kp], a_scales[row], o);
+            self.row_forward_scalar(&qa[r * kp..(r + 1) * kp], a_scales[r], o);
         }
     }
 
@@ -741,7 +689,7 @@ fn quantize_rows<'a, T: Default + Clone>(
 /// Calls `tile(r, mr, g, p)` for the tiles covering `rows` rows and
 /// `panels` weight panels: rows `r..r + mr` (`mr ≤ max_rows`) against
 /// panels `g..g + p` (`p ≤ 2`). Panel pairs are the outer loop, so a pair
-/// stays in L1 while the stripe's row tiles pass under it.
+/// stays in L1 while the row tiles pass under it.
 fn for_tiles(
     rows: usize,
     max_rows: usize,
@@ -755,15 +703,8 @@ fn for_tiles(
     }
 }
 
-/// Threads actually worth spawning for one `m`×`n`×`k` quantized GEMM
-/// under `budget` (same work floor as the f32 layer).
-fn effective_threads(m: usize, n: usize, k: usize, budget: usize) -> usize {
-    let ops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    budget.min(m).min((ops / MIN_FLOPS_PER_THREAD).max(1)).max(1)
-}
-
 /// The one dequantization expression, shared verbatim by every kernel so
-/// the f32 rounding is identical across scalar/SIMD/threaded executions.
+/// the f32 rounding is identical across scalar and SIMD executions.
 #[inline]
 fn dequant(acc: i32, a_scale: f32, w_scale: f32, bias: f32) -> f32 {
     (acc as f32) * (a_scale * w_scale) + bias

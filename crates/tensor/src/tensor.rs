@@ -187,10 +187,9 @@ impl Tensor {
 /// `C = A * B` where `A` is `[m, k]` and `B` is `[k, n]`.
 ///
 /// Dispatches by size: matrices big enough to amortize panel packing go to
-/// the cache-blocked, register-tiled kernel in [`crate::kernels`] (with up
-/// to [`crate::kernels::gemm_threads`] row-stripe threads); small ones use
-/// the plain ikj loop. Both paths produce bit-identical results — see the
-/// numerics policy in [`crate::kernels`].
+/// the cache-blocked, register-tiled kernel in [`crate::kernels`]; small
+/// ones use the plain ikj loop. Both paths produce bit-identical results —
+/// see the numerics policy in [`crate::kernels`].
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.cols, b.rows, "matmul inner dims: {:?} x {:?}", a.shape(), b.shape());
     let mut out = Tensor::zeros(a.rows, b.cols);
@@ -205,7 +204,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 /// so the inner kernel is identical across all three variants.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     if crate::kernels::blocked_worthwhile(a.rows, b.rows, a.cols) {
-        crate::kernels::matmul_nt_blocked(a, b, crate::kernels::gemm_threads())
+        crate::kernels::matmul_nt_blocked(a, b)
     } else {
         crate::kernels::matmul_nt_naive(a, b)
     }
@@ -217,7 +216,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
 /// so the inner kernel is identical across all three variants.
 pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     if crate::kernels::blocked_worthwhile(a.cols, b.cols, a.rows) {
-        crate::kernels::matmul_tn_blocked(a, b, crate::kernels::gemm_threads())
+        crate::kernels::matmul_tn_blocked(a, b)
     } else {
         crate::kernels::matmul_tn_naive(a, b)
     }

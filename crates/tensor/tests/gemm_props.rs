@@ -1,8 +1,8 @@
 //! Property tests pinning the blocked GEMM layer to the naive reference.
 //!
 //! The kernel layer's numerics policy (see `doduo_tensor::kernels`) is
-//! *bit-identity*: blocked, small-path, and threaded results must equal
-//! the naive loops exactly, not merely within a tolerance — on every vector
+//! *bit-identity*: blocked, small-path and borrowed-panel results must
+//! equal the naive loops exactly, not merely within a tolerance — on every vector
 //! tier the host can run (`Tier::host()`), not only the one dispatch picks
 //! here: on an AVX-512 host nothing else would reach the AVX2 tile, and on
 //! neither would anything reach the portable one. These tests
@@ -16,11 +16,11 @@
 //! multiply and add would return different bits.
 
 use doduo_tensor::kernels::{
-    gemm_nn, gemm_nn_packed_on, gemm_nt, gemm_on, gemm_tn, matmul_blocked, matmul_blocked_on,
-    matmul_naive, matmul_naive_on, matmul_nt_naive, matmul_tn_naive, microkernel_on, ATile, KBlock,
-    Layout, PackedB, Tier, View, KC, MR, NC, NR,
+    gemm_nn, gemm_nn_packed_on, gemm_nt, gemm_on, gemm_tn, matmul_blocked_on, matmul_naive,
+    matmul_naive_on, matmul_nt_naive, matmul_tn_naive, microkernel_on, ATile, KBlock, Layout,
+    PackedB, Tier, View, KC, MR, NC, NR,
 };
-use doduo_tensor::{matmul, matmul_nt, matmul_tn, QuantizedLinear, Tensor};
+use doduo_tensor::{matmul, matmul_nt, matmul_tn, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,7 +67,7 @@ proptest! {
         let b = tensor(k, n, seed.wrapping_add(1));
         let want = matmul_naive(&a, &b);
         for &tier in Tier::host() {
-            let got = matmul_blocked_on(tier, Layout::NN, &a, &b, 1);
+            let got = matmul_blocked_on(tier, Layout::NN, &a, &b);
             prop_assert!(assert_bits_eq(&got, &want, tier.name()).is_ok());
         }
     }
@@ -78,7 +78,7 @@ proptest! {
         let b = tensor(n, k, seed.wrapping_add(1));
         let want = matmul_nt_naive(&a, &b);
         for &tier in Tier::host() {
-            let got = matmul_blocked_on(tier, Layout::NT, &a, &b, 1);
+            let got = matmul_blocked_on(tier, Layout::NT, &a, &b);
             prop_assert!(assert_bits_eq(&got, &want, tier.name()).is_ok());
         }
     }
@@ -89,7 +89,7 @@ proptest! {
         let b = tensor(k, n, seed.wrapping_add(1));
         let want = matmul_tn_naive(&a, &b);
         for &tier in Tier::host() {
-            let got = matmul_blocked_on(tier, Layout::TN, &a, &b, 1);
+            let got = matmul_blocked_on(tier, Layout::TN, &a, &b);
             prop_assert!(assert_bits_eq(&got, &want, tier.name()).is_ok());
         }
     }
@@ -117,40 +117,9 @@ proptest! {
         };
         let (a_kept, g_kept) = (pick(&a), pick(&g));
         for &tier in Tier::host() {
-            let full = matmul_blocked_on(tier, Layout::TN, &a, &g, 1);
-            let pruned = matmul_blocked_on(tier, Layout::TN, &a_kept, &g_kept, 1);
+            let full = matmul_blocked_on(tier, Layout::TN, &a, &g);
+            let pruned = matmul_blocked_on(tier, Layout::TN, &a_kept, &g_kept);
             prop_assert!(assert_bits_eq(&pruned, &full, tier.name()).is_ok());
-        }
-    }
-
-    #[test]
-    fn blocked_is_thread_count_invariant(m in dim(), k in dim(), n in dim(), seed in 0u64..1000) {
-        // Row-stripe threading must not change a single bit, whatever the
-        // requested worker count.
-        let a = tensor(m, k, seed);
-        let b = tensor(k, n, seed.wrapping_add(1));
-        let one = matmul_blocked(&a, &b, 1);
-        for threads in [2usize, 3, 7, 16] {
-            prop_assert!(
-                assert_bits_eq(&matmul_blocked(&a, &b, threads), &one, "threads").is_ok()
-            );
-        }
-    }
-
-    #[test]
-    fn quantized_forward_is_thread_count_invariant(m in dim(), k in dim(), n in dim(), seed in 0u64..1000) {
-        // The int8 layer shares the f32 GEMM's threading contract: each
-        // output row is quantized and reduced independently, so any worker
-        // count must reproduce the single-threaded scalar oracle's bits.
-        let x = tensor(m, k, seed);
-        let w = tensor(k, n, seed.wrapping_add(1));
-        let bias = tensor(1, n, seed.wrapping_add(2));
-        let q = QuantizedLinear::from_f32(&w, &bias);
-        let one = q.forward_scalar(&x);
-        for threads in [2usize, 3, 7, 16] {
-            prop_assert!(
-                assert_bits_eq(&q.forward_with_threads(&x, threads), &one, "quant threads").is_ok()
-            );
         }
     }
 
@@ -244,9 +213,8 @@ fn packed_panels_match_per_call_packing_and_naive_bitwise() {
     // B packed per call and against the naive loops: every row count up to
     // 40 (so every `m % MR` edge tile), widths on both sides of NR and NC,
     // depths on both sides of KC, A read through a strided view, C written
-    // `PAD` columns into a wider output it must not otherwise touch, and
-    // the panel shared by one, two and three row-stripe threads — on every
-    // tier of the host.
+    // `PAD` columns into a wider output it must not otherwise touch — on
+    // every tier of the host.
     const PAD: usize = 3;
     const SENTINEL: f32 = -7.5;
     for n in [1usize, 15, 16, 17, 96, 288, 530] {
@@ -284,11 +252,9 @@ fn packed_panels_match_per_call_packing_and_naive_bitwise() {
                 gemm_nn(&mut c, ldc, PAD, (m, n, k), a_view, View::of(&b));
                 check(&c, "per-call");
                 for &tier in Tier::host() {
-                    for threads in [1usize, 2, 3] {
-                        let mut c = fresh();
-                        gemm_nn_packed_on(tier, &mut c, ldc, PAD, m, a_view, &panel, None, threads);
-                        check(&c, tier.name());
-                    }
+                    let mut c = fresh();
+                    gemm_nn_packed_on(tier, &mut c, ldc, PAD, m, a_view, &panel, None);
+                    check(&c, tier.name());
                 }
             }
         }
@@ -305,9 +271,8 @@ fn every_entry_point_writes_its_segment() {
     // against an untransposed B, and a product under the FLOP floor), the
     // packed kernel with a ragged edge, several k-blocks (`k > KC`), several
     // column blocks (`n > NC`), an empty reduction (`k = 0`: the bias, or
-    // zeros) and one big enough for three row stripes — on every tier, at
-    // one to three threads, with and without a bias; the single-threaded
-    // dispatching forms and a borrowed panel too.
+    // zeros) and one of a full `MC` block of rows — on every tier, with and
+    // without a bias; the dispatching forms and a borrowed panel too.
     const PAD: usize = 3;
     const SENTINEL: f32 = -7.5;
     for (m, n, k) in [
@@ -365,17 +330,15 @@ fn every_entry_point_writes_its_segment() {
             });
             let panel = (layout == Layout::NN).then(|| PackedB::pack(&b));
             for &tier in Tier::host() {
-                for threads in 1..=3 {
-                    for bias in [None, Some(bias.row(0))] {
-                        let what = format!("{} {layout:?} threads {threads}", tier.name());
-                        run(&what, bias, &want, &|c| {
-                            gemm_on(tier, layout, c, ldc, PAD, (m, n, k), av, bv, bias, threads)
+                for bias in [None, Some(bias.row(0))] {
+                    let what = format!("{} {layout:?}", tier.name());
+                    run(&what, bias, &want, &|c| {
+                        gemm_on(tier, layout, c, ldc, PAD, (m, n, k), av, bv, bias)
+                    });
+                    if let Some(panel) = &panel {
+                        run(&format!("{what} borrowed panel"), bias, &want, &|c| {
+                            gemm_nn_packed_on(tier, c, ldc, PAD, m, av, panel, bias)
                         });
-                        if let Some(panel) = &panel {
-                            run(&format!("{what} borrowed panel"), bias, &want, &|c| {
-                                gemm_nn_packed_on(tier, c, ldc, PAD, m, av, panel, bias, threads)
-                            });
-                        }
                     }
                 }
             }
@@ -535,8 +498,8 @@ fn fused_product(a: &Tensor, b: &Tensor) -> Tensor {
 fn every_tier_is_fused() {
     // The GEMM layer has one arithmetic step and it is a fused multiply-add.
     // Every route to it — each tier's tile, the whole loop nest under all
-    // three layouts on both sides of the plain-loop cut-over and across
-    // row-stripe threads, a borrowed panel, and the naive loops everything
+    // three layouts on both sides of the plain-loop cut-over, a borrowed
+    // panel, and the naive loops everything
     // else is checked against, the portable instantiations' libm route
     // included — must return the fused bits on operands where the unfused
     // step returns exact zeros. The tiers held are printed for CI's log.
@@ -573,10 +536,9 @@ fn every_tier_is_fused() {
         }
         // The loop nest and the naive loops, per layout: a blocked shape
         // with a ragged last tile, a shape on the plain loops (two rows for
-        // `A B`, under the FLOP floor for the other two), and one big
-        // enough to be cut into four row stripes.
-        for (m, n, q, threads) in [(13, 37, 12, 1), (2, 37, 12, 1), (3, 5, 4, 1), (96, 160, 70, 4)]
-        {
+        // `A B`, under the FLOP floor for the other two), and one of many
+        // tiles in every direction.
+        for (m, n, q) in [(13, 37, 12), (2, 37, 12), (3, 5, 4), (96, 160, 70)] {
             let (a, b) = cancelling_pairs(m, n, q, (m * 1000 + n) as u64);
             let want = fused_product(&a, &b);
             let (at, bt) = (a.transpose(), b.transpose());
@@ -584,12 +546,12 @@ fn every_tier_is_fused() {
                 [(Layout::NN, &a, &b), (Layout::NT, &a, &bt), (Layout::TN, &at, &b)]
             {
                 let what = format!("{name} {layout:?} {m}x{n}x{}", 2 * q);
-                eq(&matmul_blocked_on(tier, layout, a, b, threads), &want, &what);
+                eq(&matmul_blocked_on(tier, layout, a, b), &want, &what);
                 eq(&matmul_naive_on(tier, layout, a, b), &want, &format!("naive {what}"));
             }
             let panel = PackedB::pack(&b);
             let mut c = Tensor::zeros(m, n);
-            gemm_nn_packed_on(tier, c.data_mut(), n, 0, m, View::of(&a), &panel, None, threads);
+            gemm_nn_packed_on(tier, c.data_mut(), n, 0, m, View::of(&a), &panel, None);
             eq(&c, &want, &format!("{name} borrowed panel {m}x{n}x{}", 2 * q));
         }
     }

@@ -1,10 +1,12 @@
 //! Property-based tests (proptest) over the core invariants of the
 //! reproduction: serialization structure, tokenizer behavior, metric
-//! bounds, clustering-metric invariances, and autograd correctness on
-//! randomly shaped inputs.
+//! bounds, clustering-metric invariances, autograd correctness on randomly
+//! shaped inputs, and the daemon's HTTP framing parsers on generated and
+//! arbitrary bytes.
 #![allow(clippy::needless_range_loop)]
 
 use doduo_eval::{completeness, connected_components, homogeneity, multi_label_micro, v_measure};
+use doduo_served::http::{parse_head, BodyDecoder, BodyFraming, Head, ReadError};
 use doduo_table::{serialize_table, Column, SerializeConfig, Table};
 use doduo_tensor::{Gradients, ParamStore, Tape, Tensor};
 use doduo_tokenizer::{TrainConfig, WordPiece, CLS, SEP};
@@ -202,6 +204,180 @@ proptest! {
                 (numeric - analytic).abs() < 0.05 + 0.05 * numeric.abs().max(analytic.abs()),
                 "grad mismatch at {}: {} vs {}", i, numeric, analytic
             );
+        }
+    }
+}
+
+/// The pipelined request after every generated one.
+const NEXT: &[u8] = b"GET /v1/healthz HTTP/1.1\r\n\r\n";
+
+/// Payload bytes (any value but 255, which the range leaves out).
+fn payload(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(0u8..255, len)
+}
+
+/// A valid request — random headers on CRLF or bare-LF lines, then no
+/// body, a `Content-Length` one, or a chunked one with random sizes,
+/// extensions, hex case and trailers — followed by [`NEXT`]. Returns the
+/// bytes, the head's length, its framing, the body and the body's length
+/// on the wire.
+fn wire() -> impl Strategy<Value = (Vec<u8>, usize, BodyFraming, Vec<u8>, usize)> {
+    let headers = proptest::collection::vec("x-[a-z]{1,6}: [a-z0-9]{0,10}", 0..4);
+    let ext = prop_oneof![Just(String::new()), ";[a-z]{1,5}", ";[a-z]{1,4}=[a-z0-9]{1,4}"];
+    let chunks = proptest::collection::vec((payload(1..40), ext, 0u8..2), 0..6);
+    let trailers = proptest::collection::vec("x-[a-z]{1,5}: [a-z]{0,6}", 0..3);
+    (headers, 0u8..2, 0u8..3, payload(0..300), chunks, trailers).prop_map(
+        |(headers, bare_lf, kind, payload, chunks, trailers)| {
+            let eol = if bare_lf == 1 { "\n" } else { "\r\n" };
+            let mut head = format!("POST /v1/annotate?q=1 HTTP/1.1{eol}");
+            headers.iter().for_each(|h| head.push_str(&format!("{h}{eol}")));
+            let (framing, framed, body) = match kind {
+                0 => (BodyFraming::None, Vec::new(), Vec::new()),
+                1 => {
+                    head.push_str(&format!("content-length: {}{eol}", payload.len()));
+                    (BodyFraming::Length(payload.len()), payload.clone(), payload)
+                }
+                _ => {
+                    head.push_str(&format!("transfer-encoding: chunked{eol}"));
+                    let mut framed = Vec::new();
+                    for (data, ext, upper) in &chunks {
+                        let n = data.len();
+                        let size = if *upper == 1 { format!("{n:X}") } else { format!("{n:x}") };
+                        framed.extend(
+                            [format!("{size}{ext}\r\n").as_bytes(), data, b"\r\n"].concat(),
+                        );
+                    }
+                    framed.extend_from_slice(b"0\r\n");
+                    trailers.iter().for_each(|t| framed.extend(format!("{t}\r\n").into_bytes()));
+                    framed.extend_from_slice(b"\r\n");
+                    (BodyFraming::Chunked, framed, chunks.into_iter().flat_map(|c| c.0).collect())
+                }
+            };
+            head.push_str(eol);
+            let framed_len = framed.len();
+            ([head.as_bytes(), &framed, NEXT].concat(), head.len(), framing, body, framed_len)
+        },
+    )
+}
+
+/// What feeding a request found: the head, the bytes the head and the body
+/// took, the body, and the bytes left over.
+type Fed = (Head, usize, usize, Vec<u8>, Vec<u8>);
+
+/// Feeds `bytes` the way the reactor does, in pieces of `pieces` (cycled):
+/// each is appended to a buffer, the head is parsed off its front once
+/// complete — every earlier parse must ask for more — and the decoder then
+/// eats from the front of what remains, all of it until the body ends.
+fn feed(bytes: &[u8], pieces: &[usize]) -> Result<Fed, String> {
+    let (mut buf, mut body, mut used) = (Vec::new(), Vec::new(), 0);
+    let mut head: Option<(Head, usize, BodyDecoder)> = None;
+    let mut at = 0;
+    for &len in pieces.iter().cycle() {
+        if at == bytes.len() {
+            break;
+        }
+        let end = (at + len).min(bytes.len());
+        buf.extend_from_slice(&bytes[at..end]);
+        at = end;
+        if head.is_none() {
+            let Some((h, n)) = parse_head(&buf).map_err(|e| format!("head: {e:?}"))? else {
+                continue;
+            };
+            buf.drain(..n);
+            let dec = BodyDecoder::new(h.framing);
+            head = Some((h, n, dec));
+        }
+        let (_, _, dec) = head.as_mut().expect("parsed above");
+        if !dec.is_done() {
+            let n = dec.push(&buf, &mut body).map_err(|e| format!("body: {e:?}"))?;
+            if !dec.is_done() && n != buf.len() {
+                return Err(format!("an unfinished body left {} bytes", buf.len() - n));
+            }
+            buf.drain(..n);
+            used += n;
+        }
+    }
+    let (h, n, dec) = head.ok_or("the head never completed")?;
+    if !dec.is_done() {
+        return Err("the body never completed".into());
+    }
+    Ok((h, n, used, body, buf))
+}
+
+/// Bytes built from HTTP's pieces often enough to reach the header and
+/// chunk grammars, and from any other byte.
+fn noise() -> impl Strategy<Value = Vec<u8>> {
+    let piece = prop_oneof![
+        (0u8..255).prop_map(|b| vec![b]),
+        Just(b"\r\n".to_vec()),
+        Just(b"POST / HTTP/1.1".to_vec()),
+        Just(b"content-length:".to_vec()),
+        Just(b"transfer-encoding: chunked".to_vec()),
+        "[0-9a-fA-F+;= ]{1,6}".prop_map(String::into_bytes),
+    ];
+    proptest::collection::vec(piece, 0..80).prop_map(|pieces| pieces.concat())
+}
+
+/// Decodes `bytes` under `framing`, capped and uncapped, in pieces of
+/// `pieces` (cycled): each push may take what it was given (or less, once
+/// the body ends) or reject with `Bad` / `TooLarge`.
+fn decode_noise(framing: BodyFraming, bytes: &[u8], pieces: &[usize]) -> Result<(), String> {
+    for mut dec in [BodyDecoder::new(framing), BodyDecoder::unbounded(framing)] {
+        let mut at = 0;
+        for &len in pieces.iter().cycle() {
+            if at == bytes.len() || dec.is_done() {
+                break;
+            }
+            let end = (at + len).min(bytes.len());
+            match dec.push(&bytes[at..end], &mut Vec::new()) {
+                Ok(n) if n <= end - at => at = end,
+                Ok(n) => return Err(format!("took {n} of {} bytes", end - at)),
+                Err(ReadError::Bad(_) | ReadError::TooLarge(_)) => break,
+                Err(e) => return Err(format!("a decode is not timed: {e:?}")),
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `parse_head` + `BodyDecoder` are split-invariant: a valid request
+    /// fed in any pieces gives the same head, bytes taken and body as one
+    /// whole feed, which finds what was generated and leaves the pipelined
+    /// request after it untouched.
+    #[test]
+    fn http_framing_is_split_invariant(w in wire(), pieces in proptest::collection::vec(1usize..24, 1..32)) {
+        let (bytes, head_len, framing, body, framed_len) = w;
+        let whole = feed(&bytes, &[bytes.len()])?;
+        prop_assert_eq!(whole.0.framing, framing);
+        prop_assert_eq!((whole.1, whole.2), (head_len, framed_len));
+        prop_assert_eq!((&whole.3[..], &whole.4[..]), (&body[..], NEXT));
+        prop_assert_eq!(feed(&bytes, &pieces)?, whole, "pieces {:?}", pieces);
+    }
+
+    /// Arbitrary bytes — alone, behind a request line, or as a chunked body
+    /// — never panic either parser: a head parse asks for more, is `Bad` or
+    /// `TooLarge`, or parses and its body then decodes or is rejected; and
+    /// every framing decodes the raw bytes the same ways.
+    #[test]
+    fn http_framing_never_panics_on_arbitrary_bytes(
+        form in 0u8..3, noise in noise(), len in 0usize..300, pieces in proptest::collection::vec(1usize..24, 1..8),
+    ) {
+        let prefix: &[u8] = match form {
+            0 => b"",
+            1 => b"POST /v1/annotate HTTP/1.1\r\n",
+            _ => b"POST /v1/annotate HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n",
+        };
+        let bytes = [prefix, &noise, if form == 1 { b"\r\n\r\n" } else { b"" }].concat();
+        match parse_head(&bytes) {
+            Ok(None) | Err(ReadError::Bad(_) | ReadError::TooLarge(_)) => {}
+            Err(e) => prop_assert!(false, "a head parse is not timed: {:?}", e),
+            Ok(Some((head, n))) => decode_noise(head.framing, &bytes[n..], &pieces)?,
+        }
+        for framing in [BodyFraming::None, BodyFraming::Length(len), BodyFraming::Chunked] {
+            decode_noise(framing, &bytes, &pieces)?;
         }
     }
 }
