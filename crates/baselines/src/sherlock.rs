@@ -7,9 +7,9 @@
 //! comparisons isolate.
 
 use crate::features::{column_features, FEATURE_DIMS};
-use doduo_eval::{multi_label_micro, Prf};
+use doduo_eval::{decode_labels, multi_label_micro, Prf};
 use doduo_table::Dataset;
-use doduo_tensor::{accumulate_parallel, Adam, LrSchedule, ParamId, ParamStore, Tape, Tensor};
+use doduo_tensor::{train_epoch, Adam, LrSchedule, ParamId, ParamStore, Tape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -137,40 +137,32 @@ impl Sherlock {
         let mut opt = Adam::new(store, LrSchedule::LinearDecay { lr0: cfg.lr, total_steps: steps });
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut order: Vec<usize> = (0..examples.len()).collect();
-        let mut losses = Vec::with_capacity(cfg.epochs);
-        for _ in 0..cfg.epochs {
-            for i in (1..order.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                order.swap(i, j);
-            }
-            let mut total = 0.0f32;
-            for batch in order.chunks(cfg.batch_size) {
-                let salt = rng.gen::<u64>();
-                let (mut grads, loss) =
-                    accumulate_parallel(store, batch, cfg.threads, |tape, &idx, k| {
-                        let mut item_rng = StdRng::seed_from_u64(
-                            salt ^ (k as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                        );
+        (0..cfg.epochs)
+            .map(|_| {
+                let total = train_epoch(
+                    store,
+                    &mut opt,
+                    &mut order,
+                    cfg.batch_size,
+                    cfg.threads,
+                    &mut rng,
+                    |tape, idx, rng| {
                         let ex = &examples[idx];
-                        let logits = self.logits(tape, &ex.features, &mut item_rng);
-                        if self.cfg.multi_label {
+                        let logits = self.logits(tape, &ex.features, rng);
+                        if cfg.multi_label {
                             let mut t = Tensor::zeros(1, self.n_classes);
                             for &g in &ex.gold {
                                 t.set(0, g as usize, 1.0);
                             }
-                            tape.bce_logits_weighted(logits, &t, self.cfg.pos_weight)
+                            tape.bce_logits_weighted(logits, &t, cfg.pos_weight)
                         } else {
                             tape.softmax_ce(logits, &[ex.gold[0]])
                         }
-                    });
-                grads.scale(1.0 / batch.len() as f32);
-                grads.clip_global_norm(5.0);
-                opt.step(store, &grads);
-                total += loss;
-            }
-            losses.push(total / examples.len() as f32);
-        }
-        losses
+                    },
+                );
+                total / examples.len() as f32
+            })
+            .collect()
     }
 
     /// Raw logits for one feature vector (inference).
@@ -187,7 +179,7 @@ impl Sherlock {
             .iter()
             .map(|ex| {
                 let logits = self.predict_logits(store, &ex.features);
-                decode(&logits, self.cfg.multi_label)
+                decode_labels(&logits, self.cfg.multi_label)
             })
             .collect()
     }
@@ -198,29 +190,6 @@ impl Sherlock {
         let gold: Vec<Vec<u32>> = examples.iter().map(|e| e.gold.clone()).collect();
         multi_label_micro(&pred, &gold)
     }
-}
-
-fn decode(logits: &[f32], multi_label: bool) -> Vec<u32> {
-    if multi_label {
-        let mut out: Vec<u32> =
-            logits.iter().enumerate().filter(|&(_, &z)| z > 0.0).map(|(i, _)| i as u32).collect();
-        if out.is_empty() {
-            out.push(argmax(logits));
-        }
-        out
-    } else {
-        vec![argmax(logits)]
-    }
-}
-
-fn argmax(xs: &[f32]) -> u32 {
-    let mut best = 0usize;
-    for (i, &x) in xs.iter().enumerate() {
-        if x > xs[best] {
-            best = i;
-        }
-    }
-    best as u32
 }
 
 #[cfg(test)]

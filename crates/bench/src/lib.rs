@@ -463,13 +463,11 @@ fn pretrain_recipe(scale: Scale) -> PretrainRecipe {
     match scale {
         Scale::Full => PretrainRecipe {
             mlm: MlmConfig { epochs: 12, ..Default::default() },
-            pack_epochs: 0,
             ..Default::default()
         },
         Scale::Quick => {
             let mut r = PretrainRecipe::default();
             r.mlm.epochs = 6;
-            r.pack_epochs = 0;
             r
         }
     }

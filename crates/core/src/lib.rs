@@ -45,6 +45,7 @@ pub mod trainer;
 
 pub use analysis::attention_dependency;
 pub use checkpoint::{blob_crc, AnnotatorBundle, BundleError};
+pub use doduo_eval::decode_labels;
 pub use model::{AttentionMode, DoduoConfig, DoduoModel, InputMode};
 pub use pipeline::{
     build_finetune_model, build_scratch_model, instantiate_lm, pretrain_lm, PretrainRecipe,
@@ -55,7 +56,7 @@ pub use predictor::{
 };
 pub use quant::QuantizedModel;
 pub use trainer::{
-    decode_labels, evaluate, predict_rels, predict_rels_single, predict_types, prepare, train,
-    EpochRecord, EvalScores, Predictions, Prepared, RelExample, RelSingleExample, Task,
-    TrainConfig, TrainReport, TypeExample,
+    evaluate, predict_rels, predict_rels_single, predict_types, prepare, train, EpochRecord,
+    EvalScores, Predictions, Prepared, RelExample, RelSingleExample, Task, TrainConfig,
+    TrainReport, TypeExample,
 };

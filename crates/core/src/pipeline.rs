@@ -3,7 +3,8 @@
 //! The paper fine-tunes an already-pretrained BERT; its Appendix A.5 shows a
 //! randomly-initialized Doduo reaches ~zero F1, i.e. pretraining is
 //! load-bearing. This module packages that pipeline: train a WordPiece
-//! tokenizer on a corpus, MLM-pretrain an encoder, and hand the frozen
+//! tokenizer on a corpus, MLM-pretrain an encoder on one corpus sentence
+//! per sequence (one [`pretrain_mlm`] run), and hand the frozen
 //! checkpoint to any number of fine-tuning model variants (Doduo, Dosolo,
 //! DosoloSCol, TURL-style, different token budgets) that all start from the
 //! *same* pretrained weights — mirroring how every row of the paper's
@@ -54,21 +55,6 @@ pub struct PretrainRecipe {
     pub dropout: f32,
     /// Masked-language-model objective hyper-parameters.
     pub mlm: MlmConfig,
-    /// Pack multiple sentences (separated by `[SEP]`) into sequences of up
-    /// to this many tokens, BERT-style. Crucial: fine-tuning serializes
-    /// whole tables into sequences much longer than a single corpus
-    /// sentence, and position embeddings only learn up to the pretraining
-    /// sequence length. `0` disables packing (one sentence per sequence).
-    pub pack_to: usize,
-    /// Epochs of the *packed* second phase. Pretraining is a two-phase
-    /// curriculum: phase A runs `mlm.epochs` over single sentences (fast
-    /// fact learning with strong local context), phase B runs `pack_epochs`
-    /// over packed `pack_to`-token sequences so position embeddings and
-    /// longer-range attention get trained at fine-tuning lengths. Packed
-    /// training from scratch stalls (with uniform initial attention, the
-    /// relevant context is diluted 16×), which is why the curriculum order
-    /// matters. `0` skips phase B.
-    pub pack_epochs: usize,
 }
 
 impl Default for PretrainRecipe {
@@ -83,12 +69,6 @@ impl Default for PretrainRecipe {
             max_seq: mini.max_seq,
             dropout: mini.dropout,
             mlm: MlmConfig::default(),
-            pack_to: mini.max_seq,
-            // Off by default: at miniature scale the packed phase degrades
-            // the phase-A weights faster than it teaches long-range
-            // structure (see ARCHITECTURE.md); fine-tuning adapts position
-            // embeddings on its own, as the paper also observes (§6.1).
-            pack_epochs: 0,
         }
     }
 }
@@ -106,8 +86,6 @@ impl PretrainRecipe {
             max_seq: tiny.max_seq,
             dropout: tiny.dropout,
             mlm: MlmConfig { epochs: 15, ..Default::default() },
-            pack_to: tiny.max_seq,
-            pack_epochs: 0,
         }
     }
 
@@ -134,7 +112,8 @@ pub fn pretrain_lm(corpus: &[String], recipe: &PretrainRecipe, seed: u64) -> Pre
     let head = MlmHead::new(&mut store, &config, ENC_PREFIX, &mut rng);
     let max_body = config.max_seq - 2;
 
-    // Phase A: one sentence per sequence — fast fact learning.
+    // One sentence per sequence: fine-tuning adapts the position embeddings
+    // past these lengths on its own, as the paper also observes (§6.1).
     let sentences: Vec<Vec<u32>> = corpus
         .iter()
         .map(|line| {
@@ -144,37 +123,7 @@ pub fn pretrain_lm(corpus: &[String], recipe: &PretrainRecipe, seed: u64) -> Pre
             ids
         })
         .collect();
-    let mut losses = pretrain_mlm(&encoder, &head, &mut store, &sentences, &recipe.mlm);
-
-    // Phase B: BERT-style packing up to `pack_to` tokens, so position
-    // embeddings and longer-range attention are trained at the lengths the
-    // fine-tuning serialization uses.
-    if recipe.pack_epochs > 0 && recipe.pack_to > 1 {
-        let cap = recipe.pack_to.min(config.max_seq);
-        let mut packed = Vec::new();
-        let mut cur: Vec<u32> = vec![CLS];
-        for line in corpus {
-            let ids = tokenizer.encode_with_budget(line, max_body);
-            // Every sentence ends with its own [SEP]; flush before the
-            // sentence that would overflow the cap.
-            if cur.len() + ids.len() + 1 > cap && cur.len() > 1 {
-                packed.push(std::mem::replace(&mut cur, vec![CLS]));
-            }
-            cur.extend(ids);
-            cur.push(SEP);
-            debug_assert!(cur.len() <= cap, "packed sequence overflow: {} > {cap}", cur.len());
-        }
-        if cur.len() > 1 {
-            packed.push(cur);
-        }
-        let phase_b = MlmConfig {
-            epochs: recipe.pack_epochs,
-            batch_size: recipe.mlm.batch_size.div_ceil(4).max(4),
-            seed: recipe.mlm.seed ^ 0xb,
-            ..recipe.mlm.clone()
-        };
-        losses.extend(pretrain_mlm(&encoder, &head, &mut store, &packed, &phase_b));
-    }
+    let losses = pretrain_mlm(&encoder, &head, &mut store, &sentences, &recipe.mlm);
     // Keep the MLM head in the checkpoint: fine-tuning models skip it via a
     // lenient load, while the probing analysis (Tables 12-13) needs it.
     let prefix = format!("{ENC_PREFIX}.");

@@ -23,7 +23,7 @@
 
 use crate::model::{AttentionMode, DoduoModel, InputMode};
 use crate::quant::QuantizedModel;
-use crate::trainer::decode_labels;
+use doduo_eval::decode_labels;
 use doduo_table::{LabelVocab, SerializedTable, Table};
 use doduo_tensor::{vmath, AttnMask, Executor, ParamStore};
 use doduo_tokenizer::WordPiece;

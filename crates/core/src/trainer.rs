@@ -2,19 +2,22 @@
 //!
 //! Each epoch iterates the task list; each task has its *own* optimizer
 //! (hard parameter sharing over the encoder, per-task Adam with a linear
-//! decay schedule and no warm-up, §5.3). Mini-batch items run on worker
-//! threads (one tape per serialized table) and the checkpoint with the best
+//! decay schedule and no warm-up, §5.3) and runs one
+//! [`doduo_tensor::train_epoch`] — the mini-batch loop MLM pretraining and
+//! the Sherlock/Sato MLP run too. Training and evaluation split their work
+//! per serialized table through the one chunked fan-out,
+//! [`doduo_tensor::parallel_map`], and the checkpoint with the best
 //! validation F1 is kept, exactly as the paper selects checkpoints.
 
 use crate::model::{DoduoModel, InputMode};
-use doduo_eval::{multi_label_micro, Prf};
+use doduo_eval::{decode_labels, multi_label_micro, Prf};
 use doduo_table::{Dataset, SerializedTable};
 use doduo_tensor::{
-    accumulate_parallel, Adam, Executor, Gradients, LrSchedule, ParamStore, Slot, Tensor,
+    parallel_map, train_epoch, Adam, Executor, LrSchedule, ParamStore, Slot, Tensor,
 };
 use doduo_tokenizer::WordPiece;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// The two annotation tasks of the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,15 +41,8 @@ pub struct TrainConfig {
     pub threads: usize,
     /// Seed for batch shuffling and dropout streams.
     pub seed: u64,
-    /// Global gradient-norm clip.
-    pub clip: f32,
     /// Keep the checkpoint with the best validation F1 (§5.3).
     pub select_best: bool,
-    /// Positive-class weight for the multi-label BCE losses (PyTorch's
-    /// `pos_weight`). `None` auto-computes `(C - avg_pos) / avg_pos` per
-    /// task (capped at 20) from the training labels; ignored for
-    /// single-label tasks.
-    pub pos_weight: Option<f32>,
 }
 
 impl Default for TrainConfig {
@@ -57,9 +53,7 @@ impl Default for TrainConfig {
             lr: 5e-3,
             threads: doduo_tensor::default_threads(),
             seed: 42,
-            clip: 5.0,
             select_best: true,
-            pos_weight: None,
         }
     }
 }
@@ -191,59 +185,6 @@ impl Predictions {
     }
 }
 
-/// Decodes logits into a label set: multi-label → sigmoid > 0.5 with argmax
-/// fallback (every column predicts at least one type, matching TURL's
-/// protocol); single-label → argmax.
-pub fn decode_labels(logits: &[f32], multi_label: bool) -> Vec<u32> {
-    if multi_label {
-        let mut out: Vec<u32> = logits
-            .iter()
-            .enumerate()
-            .filter(|&(_, &z)| z > 0.0) // sigmoid(z) > 0.5 ⇔ z > 0
-            .map(|(i, _)| i as u32)
-            .collect();
-        if out.is_empty() {
-            out.push(argmax(logits) as u32);
-        }
-        out
-    } else {
-        vec![argmax(logits) as u32]
-    }
-}
-
-fn argmax(xs: &[f32]) -> usize {
-    let mut best = 0;
-    for (i, &x) in xs.iter().enumerate() {
-        if x > xs[best] {
-            best = i;
-        }
-    }
-    best
-}
-
-/// Runs a read-only function over items on worker threads, preserving order.
-fn parallel_map<T: Sync, O: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&T) -> O + Sync,
-) -> Vec<O> {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| {
-                let f = &f;
-                scope.spawn(move || c.iter().map(f).collect::<Vec<O>>())
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("worker panicked")).collect()
-    })
-}
-
 /// One evaluation forward on the calling thread's tape-free executor — the
 /// same generic model code the trainer records on a tape, hence the same
 /// logits bit for bit (`executor_matches_tape_bitwise`) — decoded row by
@@ -259,6 +200,25 @@ fn predict_rows(
     ex.value(&logits).chunks_exact(logits.cols()).map(|z| decode_labels(z, multi_label)).collect()
 }
 
+/// Runs `predict` — which appends one example's predicted and gold label
+/// sets — over `examples` through the chunked fan-out, in input order.
+fn predict_all<E: Sync>(
+    examples: &[E],
+    threads: usize,
+    predict: impl Fn(&E, &mut Predictions) + Sync,
+) -> Predictions {
+    let mut out = Predictions::default();
+    for chunk in parallel_map(examples, threads, |_, chunk| {
+        let mut part = Predictions::default();
+        chunk.iter().for_each(|ex| predict(ex, &mut part));
+        part
+    }) {
+        out.pred.extend(chunk.pred);
+        out.gold.extend(chunk.gold);
+    }
+    out
+}
+
 /// Predicts column types for prepared examples.
 pub fn predict_types(
     model: &DoduoModel,
@@ -267,16 +227,10 @@ pub fn predict_types(
     threads: usize,
 ) -> Predictions {
     let ml = model.config().multi_label;
-    let results = parallel_map(examples, threads, |ex| {
-        let preds = predict_rows(store, ml, |f, rng| model.type_logits(f, &ex.st, rng));
-        (preds, ex.gold.clone())
-    });
-    let mut out = Predictions::default();
-    for (p, g) in results {
-        out.pred.extend(p);
-        out.gold.extend(g);
-    }
-    out
+    predict_all(examples, threads, |ex, out| {
+        out.pred.extend(predict_rows(store, ml, |f, rng| model.type_logits(f, &ex.st, rng)));
+        out.gold.extend_from_slice(&ex.gold);
+    })
 }
 
 /// Predicts relations for prepared table-wise examples.
@@ -287,17 +241,11 @@ pub fn predict_rels(
     threads: usize,
 ) -> Predictions {
     let ml = model.config().multi_label;
-    let results = parallel_map(examples, threads, |ex| {
-        let preds = predict_rows(store, ml, |f, rng| model.rel_logits(f, &ex.st, &ex.pairs, rng));
-        let gold: Vec<Vec<u32>> = ex.gold.iter().map(|&g| vec![g]).collect();
-        (preds, gold)
-    });
-    let mut out = Predictions::default();
-    for (p, g) in results {
-        out.pred.extend(p);
-        out.gold.extend(g);
-    }
-    out
+    predict_all(examples, threads, |ex, out| {
+        out.pred
+            .extend(predict_rows(store, ml, |f, rng| model.rel_logits(f, &ex.st, &ex.pairs, rng)));
+        out.gold.extend(ex.gold.iter().map(|&g| vec![g]));
+    })
 }
 
 /// Predicts relations for single-column-pair examples.
@@ -308,16 +256,11 @@ pub fn predict_rels_single(
     threads: usize,
 ) -> Predictions {
     let ml = model.config().multi_label;
-    let results = parallel_map(examples, threads, |ex| {
+    predict_all(examples, threads, |ex, out| {
         let mut preds = predict_rows(store, ml, |f, rng| model.rel_logits_single(f, &ex.st, rng));
-        (preds.swap_remove(0), vec![ex.gold])
-    });
-    let mut out = Predictions::default();
-    for (p, g) in results {
-        out.pred.push(p);
-        out.gold.push(g);
-    }
-    out
+        out.pred.push(preds.swap_remove(0));
+        out.gold.push(vec![ex.gold]);
+    })
 }
 
 /// Validation scores after an epoch.
@@ -432,22 +375,18 @@ pub fn train(
         let avg = total as f32 / n as f32;
         ((n_classes as f32 - avg) / avg).clamp(1.0, 20.0)
     };
-    let w_type = cfg.pos_weight.unwrap_or_else(|| {
-        auto_w(
-            &mut train_data.types.iter().flat_map(|e| e.gold.iter().map(|g| g.len())),
-            model.config().n_types,
-        )
-    });
-    let w_rel = cfg.pos_weight.unwrap_or_else(|| {
-        auto_w(
-            &mut train_data
-                .rels
-                .iter()
-                .flat_map(|e| e.gold.iter().map(|_| 1usize))
-                .chain(train_data.rels_single.iter().map(|_| 1usize)),
-            model.config().n_rels,
-        )
-    });
+    let w_type = auto_w(
+        &mut train_data.types.iter().flat_map(|e| e.gold.iter().map(|g| g.len())),
+        model.config().n_types,
+    );
+    let w_rel = auto_w(
+        &mut train_data
+            .rels
+            .iter()
+            .flat_map(|e| e.gold.iter().map(|_| 1usize))
+            .chain(train_data.rels_single.iter().map(|_| 1usize)),
+        model.config().n_rels,
+    );
 
     // One optimizer + schedule per task (Algorithm 1 line "optimizer O_i").
     let n_items = |task: Task| match task {
@@ -480,67 +419,56 @@ pub fn train(
                 continue;
             }
             let mut order: Vec<usize> = (0..n).collect();
-            for i in (1..order.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                order.swap(i, j);
-            }
-            let mut total = 0.0f32;
-            for batch in order.chunks(cfg.batch_size) {
-                let salt = rng.gen::<u64>();
-                let (mut grads, loss): (Gradients, f32) =
-                    accumulate_parallel(store, batch, cfg.threads, |tape, &idx, k| {
-                        let mut item_rng = StdRng::seed_from_u64(
-                            salt ^ (k as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                        );
-                        match task {
-                            Task::ColumnType => {
-                                let ex = &train_data.types[idx];
-                                let logits = model.type_logits(tape, &ex.st, &mut item_rng);
-                                if ml {
-                                    tape.bce_logits_weighted(
-                                        logits,
-                                        ex.multi_hot.as_ref().expect("ml targets"),
-                                        w_type,
-                                    )
-                                } else {
-                                    let targets: Vec<u32> = ex.gold.iter().map(|g| g[0]).collect();
-                                    tape.softmax_ce(logits, &targets)
-                                }
-                            }
-                            Task::ColumnRelation if single => {
-                                let ex = &train_data.rels_single[idx];
-                                let logits = model.rel_logits_single(tape, &ex.st, &mut item_rng);
-                                if ml {
-                                    tape.bce_logits_weighted(
-                                        logits,
-                                        ex.multi_hot.as_ref().expect("ml targets"),
-                                        w_rel,
-                                    )
-                                } else {
-                                    tape.softmax_ce(logits, &[ex.gold])
-                                }
-                            }
-                            Task::ColumnRelation => {
-                                let ex = &train_data.rels[idx];
-                                let logits =
-                                    model.rel_logits(tape, &ex.st, &ex.pairs, &mut item_rng);
-                                if ml {
-                                    tape.bce_logits_weighted(
-                                        logits,
-                                        ex.multi_hot.as_ref().expect("ml targets"),
-                                        w_rel,
-                                    )
-                                } else {
-                                    tape.softmax_ce(logits, &ex.gold)
-                                }
-                            }
+            let total = train_epoch(
+                store,
+                &mut opts[ti],
+                &mut order,
+                cfg.batch_size,
+                cfg.threads,
+                &mut rng,
+                |tape, idx, rng| match task {
+                    Task::ColumnType => {
+                        let ex = &train_data.types[idx];
+                        let logits = model.type_logits(tape, &ex.st, rng);
+                        if ml {
+                            tape.bce_logits_weighted(
+                                logits,
+                                ex.multi_hot.as_ref().expect("ml targets"),
+                                w_type,
+                            )
+                        } else {
+                            let targets: Vec<u32> = ex.gold.iter().map(|g| g[0]).collect();
+                            tape.softmax_ce(logits, &targets)
                         }
-                    });
-                grads.scale(1.0 / batch.len() as f32);
-                grads.clip_global_norm(cfg.clip);
-                opts[ti].step(store, &grads);
-                total += loss;
-            }
+                    }
+                    Task::ColumnRelation if single => {
+                        let ex = &train_data.rels_single[idx];
+                        let logits = model.rel_logits_single(tape, &ex.st, rng);
+                        if ml {
+                            tape.bce_logits_weighted(
+                                logits,
+                                ex.multi_hot.as_ref().expect("ml targets"),
+                                w_rel,
+                            )
+                        } else {
+                            tape.softmax_ce(logits, &[ex.gold])
+                        }
+                    }
+                    Task::ColumnRelation => {
+                        let ex = &train_data.rels[idx];
+                        let logits = model.rel_logits(tape, &ex.st, &ex.pairs, rng);
+                        if ml {
+                            tape.bce_logits_weighted(
+                                logits,
+                                ex.multi_hot.as_ref().expect("ml targets"),
+                                w_rel,
+                            )
+                        } else {
+                            tape.softmax_ce(logits, &ex.gold)
+                        }
+                    }
+                },
+            );
             task_losses.push((task, total / n as f32));
         }
 
@@ -606,13 +534,6 @@ mod tests {
             .with_serialize(SerializeConfig::new(8, max_seq));
         let model = DoduoModel::new(&mut store, cfg, "m", &mut rng);
         (store, model)
-    }
-
-    #[test]
-    fn decode_labels_multi_and_single() {
-        assert_eq!(decode_labels(&[-1.0, 2.0, 0.5], true), vec![1, 2]);
-        assert_eq!(decode_labels(&[-3.0, -2.0, -1.0], true), vec![2], "argmax fallback");
-        assert_eq!(decode_labels(&[0.1, 5.0, -1.0], false), vec![1]);
     }
 
     #[test]
@@ -749,9 +670,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<usize> = (0..37).collect();
-        let out = parallel_map(&items, 8, |&x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+    fn predictions_do_not_depend_on_threads() {
+        let (tok, train_ds, _valid) = tiny_setup();
+        let (store, model) = tiny_model(&tok, &train_ds, InputMode::TableWise);
+        let prepared = prepare(&model, &train_ds, &tok);
+        let at = |threads| predict_types(&model, &store, &prepared.types, threads);
+        let one = at(1);
+        assert_eq!(one.pred.len(), one.gold.len());
+        for threads in [2, 5] {
+            let other = at(threads);
+            assert_eq!((&other.pred, &other.gold), (&one.pred, &one.gold), "threads {threads}");
+        }
     }
 }

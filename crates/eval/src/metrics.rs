@@ -2,6 +2,9 @@
 //! * WikiTable tasks are multi-label → micro P/R/F1 over (item, label) pairs;
 //! * VizNet is single-label multi-class → micro F1 (= accuracy) and macro F1
 //!   (unweighted mean of per-class F1).
+//!
+//! [`decode_labels`] turns a row of logits into the label set these score,
+//! for Doduo and the Sherlock/Sato baselines alike.
 
 #![allow(clippy::needless_range_loop)] // index loops over matrix coordinates are clearest here
 /// A precision/recall/F1 triple (fractions in `[0, 1]`).
@@ -135,6 +138,36 @@ pub fn macro_f1(pred: &[u32], gold: &[u32], n_classes: usize) -> f64 {
     }
 }
 
+/// Decodes logits into a label set: multi-label → sigmoid > 0.5 with argmax
+/// fallback (every column predicts at least one type, matching TURL's
+/// protocol); single-label → argmax.
+pub fn decode_labels(logits: &[f32], multi_label: bool) -> Vec<u32> {
+    if multi_label {
+        let mut out: Vec<u32> = logits
+            .iter()
+            .enumerate()
+            .filter(|&(_, &z)| z > 0.0) // sigmoid(z) > 0.5 ⇔ z > 0
+            .map(|(i, _)| i as u32)
+            .collect();
+        if out.is_empty() {
+            out.push(argmax(logits) as u32);
+        }
+        out
+    } else {
+        vec![argmax(logits) as u32]
+    }
+}
+
+fn argmax(xs: &[f32]) -> usize {
+    let mut best = 0;
+    for (i, &x) in xs.iter().enumerate() {
+        if x > xs[best] {
+            best = i;
+        }
+    }
+    best
+}
+
 /// Class support (gold occurrence counts) for reporting.
 pub fn class_support(gold: &[u32], n_classes: usize) -> Vec<usize> {
     let mut s = vec![0usize; n_classes];
@@ -147,6 +180,13 @@ pub fn class_support(gold: &[u32], n_classes: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn decode_labels_multi_and_single() {
+        assert_eq!(decode_labels(&[-1.0, 2.0, 0.5], true), vec![1, 2]);
+        assert_eq!(decode_labels(&[-3.0, -2.0, -1.0], true), vec![2], "argmax fallback");
+        assert_eq!(decode_labels(&[0.1, 5.0, -1.0], false), vec![1]);
+    }
 
     #[test]
     fn perfect_predictions_score_one() {

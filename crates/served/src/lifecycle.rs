@@ -320,15 +320,8 @@ pub fn finetune_bundle(
         rel_vocab: fresh.rel_vocab.clone(),
     };
     let prepared = trainer::prepare(&fresh.model, &ds, &fresh.tokenizer);
-    let cfg = TrainConfig {
-        epochs: 1,
-        batch_size: 8,
-        lr: 1e-3,
-        threads: 1,
-        seed: 7,
-        select_best: false,
-        ..TrainConfig::default()
-    };
+    let cfg =
+        TrainConfig { epochs: 1, batch_size: 8, lr: 1e-3, threads: 1, seed: 7, select_best: false };
     trainer::train(&fresh.model, &mut fresh.store, &prepared, &prepared, &[Task::ColumnType], &cfg);
     Ok(fresh.save())
 }

@@ -137,8 +137,8 @@
 //! # Threading
 //!
 //! Every product runs on the thread that calls it. The cores belong to the
-//! outer loops: training parallelizes at the table level
-//! (`accumulate_parallel`) and serving at the micro-batch level
+//! outer loops: training and evaluation parallelize at the table level
+//! ([`crate::parallel_map`]) and serving at the micro-batch level
 //! (`BatchAnnotator`: the calling thread plus `threads − 1` scoped
 //! workers) — and a thread that keeps calling keeps its packing panels warm.
 

@@ -26,6 +26,9 @@
 //!   reusable buffers — no nodes, no per-op allocation.
 //! * [`ParamStore`] / [`Gradients`] — named shared weights and mergeable
 //!   gradient buffers, so mini-batch items can run on worker threads.
+//! * [`train_epoch`] / [`parallel_map`] — the one shuffled mini-batch loop
+//!   every trainer runs, and the one chunked fan-out it and the evaluators
+//!   share.
 //! * [`Adam`] / [`LrSchedule`] — the paper's optimizer (ε = 1e-8, linear
 //!   decay, one optimizer per task as in Algorithm 1).
 //! * [`serialize`] — binary checkpoints for the pretrain → fine-tune flow.
@@ -50,7 +53,7 @@ pub mod vmath;
 pub use exec::{Executor, Slot};
 pub use forward::AttnBlock;
 pub use optim::{Adam, LrSchedule};
-pub use parallel::{accumulate_parallel, default_threads};
+pub use parallel::{default_threads, parallel_map, train_epoch};
 pub use params::{Gradients, Param, ParamId, ParamStore};
 pub use quant::{quantize_row_i8, quantize_row_u8, QuantScratch, QuantizedLinear};
 pub use tape::{AttnMask, NodeId, Tape, MASK_NEG};

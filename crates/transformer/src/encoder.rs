@@ -18,8 +18,8 @@
 //!   ([`Encoder`]) or their int8 twins (`QuantEncoder` in [`crate::quant`]);
 //! * *what executes the ops* — [`Ops`]: a recording [`Tape`]
 //!   (differentiable — what fine-tuning and MLM pre-training use, one
-//!   table = one tape, gradient fan-out across tapes via
-//!   `doduo_tensor::accumulate_parallel`) or the tape-free
+//!   table = one tape, gradient fan-out across tapes in
+//!   `doduo_tensor::train_epoch`) or the tape-free
 //!   `doduo_tensor::Executor` that serving and the trainer's evaluators run
 //!   on. [`Encoder::encode`] takes either and honours `keep` on both;
 //!   [`Encoder::forward_batch`], and [`Encoder::forward`] as the batch of

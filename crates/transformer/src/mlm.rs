@@ -5,13 +5,12 @@
 //! (Appendix A.5) shows that a randomly-initialized model is useless and
 //! that fact knowledge is retrievable by perplexity templates. This module
 //! reproduces that machinery: BERT-style 80/10/10 token masking, the MLM
-//! head, the pretraining loop, and pseudo-perplexity scoring.
+//! head, pretraining (epochs of [`doduo_tensor::train_epoch`], the
+//! mini-batch loop fine-tuning runs too), and pseudo-perplexity scoring.
 
 use crate::config::EncoderConfig;
 use crate::encoder::{BatchSeq, Encoder};
-use doduo_tensor::{
-    accumulate_parallel, Adam, Gradients, LrSchedule, NodeId, ParamId, ParamStore, Tape,
-};
+use doduo_tensor::{train_epoch, Adam, Gradients, LrSchedule, NodeId, ParamId, ParamStore, Tape};
 use doduo_tokenizer::MASK;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -151,33 +150,24 @@ pub fn pretrain_mlm(
     let mut opt = Adam::new(store, LrSchedule::LinearDecay { lr0: cfg.lr, total_steps: steps });
     let mut order: Vec<usize> = (0..sequences.len()).collect();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-
-    for epoch in 0..cfg.epochs {
-        shuffle(&mut order, &mut rng);
-        let mut total = 0.0f32;
-        let mut count = 0usize;
-        for batch in order.chunks(cfg.batch_size) {
-            let salt = rng.gen::<u64>();
-            let (mut grads, loss) =
-                accumulate_parallel(store, batch, cfg.threads, |tape, &idx, k| {
-                    let mut item_rng =
-                        StdRng::seed_from_u64(salt ^ (k as u64).wrapping_mul(0x9E3779B97F4A7C15));
-                    let ex = mask_tokens(&sequences[idx], vocab_size, cfg.mask_prob, &mut item_rng);
-                    let logits =
-                        head.logits_at(tape, encoder, &ex.input, &ex.positions, &mut item_rng);
+    (0..cfg.epochs)
+        .map(|_| {
+            let total = train_epoch(
+                store,
+                &mut opt,
+                &mut order,
+                cfg.batch_size,
+                cfg.threads,
+                &mut rng,
+                |tape, idx, rng| {
+                    let ex = mask_tokens(&sequences[idx], vocab_size, cfg.mask_prob, rng);
+                    let logits = head.logits_at(tape, encoder, &ex.input, &ex.positions, rng);
                     tape.softmax_ce(logits, &ex.targets)
-                });
-            grads.scale(1.0 / batch.len() as f32);
-            grads.clip_global_norm(5.0);
-            opt.step(store, &grads);
-            total += loss;
-            count += batch.len();
-        }
-        let _ = epoch;
-        epoch_losses.push(total / count as f32);
-    }
-    epoch_losses
+                },
+            );
+            total / sequences.len() as f32
+        })
+        .collect()
 }
 
 /// Pseudo-perplexity of a token sequence under the masked LM (eq. 3 of the
@@ -207,14 +197,6 @@ pub fn pseudo_perplexity(
         nll += tape.value(loss).scalar_value();
     }
     (nll / eligible.len() as f32).exp()
-}
-
-/// Fisher-Yates shuffle on indices (kept local to avoid a rand feature dep).
-pub fn shuffle<R: Rng + ?Sized>(xs: &mut [usize], rng: &mut R) {
-    for i in (1..xs.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        xs.swap(i, j);
-    }
 }
 
 /// Mean MLM loss on a held-out set (no gradient, no masking randomness

@@ -1,7 +1,7 @@
 //! Pins the numerics to literals: the first tier-1 test that fails when a
 //! value depends on the host rather than on (code, seed).
 //!
-//! Three digests, so a mismatch says where to look. The first covers the
+//! Four digests, so a mismatch says where to look. The first covers the
 //! in-repo transcendentals alone — `+ - * /` and bit casts on a fixed grid,
 //! a pure function of `vmath`'s code on every host, vector tier and libm.
 //! The second covers the bytes the system renders for `ci/smoke_table.json`
@@ -11,15 +11,25 @@
 //! pass: a short seeded MLM + two-task fine-tune (dropout on, Adam steps)
 //! on that same world, digested as the checkpoint it would save — the
 //! only test faster than `repro --only tables` that notices a moved
-//! gradient bit. Regenerate a literal only with a change that means to
-//! move values, and name it in CHANGES.md.
+//! gradient bit. The fourth covers the training paths the third does not
+//! take: the single-label loss only VizNet trains, the single-column
+//! (DosoloSCol) relation head and the Sherlock MLP. Regenerate a literal
+//! only with a change that means to move values, and name it in
+//! CHANGES.md.
 
-use doduo_core::{prepare, train, AnnotatorBundle, Task, TrainConfig};
-use doduo_datagen::{generate_wikitable, KbConfig, KnowledgeBase, WikiTableConfig};
+use doduo_baselines::{featurize, Sherlock, SherlockConfig};
+use doduo_core::{
+    prepare, train, AnnotatorBundle, DoduoConfig, DoduoModel, InputMode, Task, TrainConfig,
+};
+use doduo_datagen::{
+    generate_viznet, generate_wikitable, KbConfig, KnowledgeBase, VizNetConfig, WikiTableConfig,
+};
 use doduo_served::bootstrap::synthetic_world;
 use doduo_served::validate::{offline_response, offline_response_quant};
-use doduo_tensor::vmath;
-use doduo_transformer::{pretrain_mlm, MlmConfig, MlmHead};
+use doduo_table::SerializeConfig;
+use doduo_tensor::{serialize, vmath, ParamStore};
+use doduo_tokenizer::{TrainConfig as TokTrain, WordPiece};
+use doduo_transformer::{pretrain_mlm, EncoderConfig, MlmConfig, MlmHead};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -99,4 +109,65 @@ fn seeded_training_matches_its_pinned_digest() {
 
     let digest = fnv1a(bundle.save());
     assert_eq!(digest, 0x5311_6dde_f467_7382, "trained checkpoint moved: {digest:#018x}");
+}
+
+#[test]
+fn single_label_single_column_and_sherlock_training_match_their_pinned_digest() {
+    let kb = KnowledgeBase::generate(&KbConfig::default(), 42);
+    let viznet = generate_viznet(&kb, &VizNetConfig { n_tables: 12, ..VizNetConfig::default() });
+    let wiki = generate_wikitable(
+        &kb,
+        &WikiTableConfig { n_tables: 12, min_rows: 2, max_rows: 4, seed: 42 },
+    );
+    let corpus = (viznet.tables.iter().chain(&wiki.tables))
+        .flat_map(|t| t.table.columns.iter())
+        .flat_map(|c| c.values.iter().map(String::as_str));
+    let tok =
+        WordPiece::train(corpus, &TokTrain { merges: 200, min_pair_count: 2, max_word_len: 24 });
+
+    // One epoch each, from seeded tiny models, digested as per-task losses,
+    // validation F1s and the trained weights: table-wise Doduo on VizNet
+    // (single-label, so every type loss is `softmax_ce`), then two-task
+    // DosoloSCol on WikiTable (one sequence per column and per relation
+    // pair, so relations run through `rel_logits_single`).
+    let runs = [
+        (&viznet, InputMode::TableWise, false, &[Task::ColumnType][..]),
+        (&wiki, InputMode::SingleColumn, true, &[Task::ColumnType, Task::ColumnRelation][..]),
+    ];
+    let mut bytes = Vec::new();
+    for (ds, mode, multi_label, tasks) in runs {
+        let enc = EncoderConfig::tiny(tok.vocab_size());
+        let max_seq = enc.max_seq;
+        let cfg =
+            DoduoConfig::new(enc, ds.type_vocab.len(), ds.rel_vocab.len().max(1), multi_label)
+                .with_input_mode(mode)
+                .with_serialize(SerializeConfig::new(8, max_seq));
+        let mut store = ParamStore::new();
+        let model = DoduoModel::new(&mut store, cfg, "m", &mut StdRng::seed_from_u64(42));
+        let data = prepare(&model, ds, &tok);
+        let tc = TrainConfig { epochs: 1, batch_size: 4, threads: 2, ..TrainConfig::default() };
+        let report = train(&model, &mut store, &data, &data, tasks, &tc);
+        let epoch = &report.epochs[0];
+        assert!(epoch.task_losses.iter().all(|(_, l)| l.is_finite()), "every task takes steps");
+        bytes.extend(epoch.task_losses.iter().flat_map(|(_, l)| l.to_bits().to_le_bytes()));
+        bytes.extend(epoch.valid.type_micro.f1.to_bits().to_le_bytes());
+        bytes.extend(epoch.valid.rel_micro.map_or(0, |r| r.f1.to_bits()).to_le_bytes());
+        bytes.extend_from_slice(&serialize::save(&store));
+    }
+
+    // Sherlock on the same VizNet columns: its epoch losses and weights.
+    let mut store = ParamStore::new();
+    let sherlock_cfg = SherlockConfig { epochs: 2, threads: 2, ..SherlockConfig::default() };
+    let sherlock = Sherlock::new(
+        &mut store,
+        viznet.type_vocab.len(),
+        sherlock_cfg,
+        &mut StdRng::seed_from_u64(42),
+    );
+    let losses = sherlock.train(&mut store, &featurize(&viznet));
+    bytes.extend(losses.iter().flat_map(|l| l.to_bits().to_le_bytes()));
+    bytes.extend_from_slice(&serialize::save(&store));
+
+    let digest = fnv1a(bytes);
+    assert_eq!(digest, 0xe4fa_1b46_eee2_3ce9, "trained weights moved: {digest:#018x}");
 }
