@@ -1,15 +1,18 @@
 //! Criterion micro-benchmarks for the hot substrate paths: matmul, fused
-//! attention and one whole training step (`train_step/*`), tokenization, table serialization,
+//! attention and one whole training step (`train_step/*`), checkpoint load and save
+//! (`bundle_{load,save}_mini`), tokenization, table serialization,
 //! Sherlock featurization, LDA inference and k-means. `cargo bench` runs
 //! these; the per-table experiment *binaries* regenerate the paper's
 //! numbers (`cargo run --release -p doduo-bench --bin table3 ...`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use doduo_baselines::column_features;
+use doduo_core::AnnotatorBundle;
 use doduo_datagen::{
     generate_viznet, generate_wikitable, KbConfig, KnowledgeBase, VizNetConfig, WikiTableConfig,
 };
 use doduo_eval::kmeans;
+use doduo_served::bootstrap::synthetic_world;
 use doduo_table::{serialize_table, SerializeConfig};
 use doduo_tensor::kernels::Tier;
 use doduo_tensor::{
@@ -281,6 +284,19 @@ fn bench_train_step(c: &mut Criterion) {
     }
 }
 
+/// The `mini` checkpoint every replica boot, `POST /v1/model` swap and
+/// benchmark workload starts from (the seeded serving world's, ~1.7 MB):
+/// `load` is CRC, section parse and a model built from the weight records;
+/// `save` is serialization and CRC.
+fn bench_checkpoint(c: &mut Criterion) {
+    let bundle = synthetic_world(true, 42).bundle;
+    let blob = bundle.save();
+    c.bench_function("bundle_load_mini", |bench| {
+        bench.iter(|| black_box(AnnotatorBundle::load(black_box(&blob)).expect("own blob loads")))
+    });
+    c.bench_function("bundle_save_mini", |bench| bench.iter(|| black_box(bundle.save())));
+}
+
 fn bench_tokenize_and_serialize(c: &mut Criterion) {
     let kb = KnowledgeBase::generate(&KbConfig::default(), 42);
     let ds = generate_wikitable(&kb, &WikiTableConfig { n_tables: 50, ..Default::default() });
@@ -334,6 +350,7 @@ criterion_group!(
     bench_executor_ops,
     bench_mha,
     bench_train_step,
+    bench_checkpoint,
     bench_tokenize_and_serialize,
     bench_sherlock_features,
     bench_kmeans

@@ -9,13 +9,20 @@
 //! the WordPiece vocabulary, both label vocabularies, and the weight records
 //! (via `serialize::save_filtered` on the model's parameter prefix).
 //!
-//! Loading is strict: every model parameter must be present with its exact
-//! shape, so a loaded bundle annotates bit-identically to the one saved.
-//! Corruption is detected, never absorbed: structural damage (truncation,
-//! garbled lengths) fails with an error naming the damaged section, and a
-//! CRC32 over the whole payload catches any surviving bit flip — including
-//! flips inside raw weight floats, which would otherwise decode "cleanly"
-//! into a silently different model.
+//! Loading is strict: the model is built once, by its own constructor,
+//! with each parameter taken from its weight record
+//! (`serialize::Records`), so every model parameter must have exactly one
+//! record of its exact shape and no record may be left over — a loaded
+//! bundle annotates bit-identically to the one saved, and its store lists
+//! the parameters in the order a freshly constructed one does. Nothing is
+//! drawn at random and then overwritten. Corruption is detected, never
+//! absorbed: structural damage (truncation, garbled lengths, lengths whose
+//! byte count overflows) fails with an error naming the damaged section,
+//! and a CRC32 over the whole payload catches any surviving bit flip —
+//! including flips inside raw weight floats, which would otherwise decode
+//! "cleanly" into a silently different model. The CRC runs eight bytes a
+//! step through compile-time tables; with the records read in place, a
+//! load costs about what reading the blob does.
 
 use crate::model::{AttentionMode, DoduoConfig, DoduoModel, InputMode};
 use crate::predictor::Annotator;
@@ -23,21 +30,60 @@ use doduo_table::{LabelVocab, SerializeConfig};
 use doduo_tensor::{serialize, ParamStore};
 use doduo_tokenizer::{Vocab, WordPiece};
 use doduo_transformer::EncoderConfig;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 const MAGIC: &[u8; 8] = b"DODUOBN2";
 
-/// CRC-32 (IEEE 802.3 polynomial, bitwise). Checkpoints are megabytes at
-/// most, so the table-free form is plenty fast and stays `std`-only.
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slicing-by-8 tables of the reflected IEEE 802.3 polynomial, built at
+/// compile time: `CRC_TABLES[0][b]` is the CRC register after shifting in
+/// byte `b`, and `CRC_TABLES[k][b]` after `b` and then `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3), eight bytes per step through [`CRC_TABLES`]: the
+/// values of the bit-at-a-time definition (the test oracle) at about a
+/// tenth of its cost, on the path of every load and save.
+fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -57,6 +103,9 @@ pub struct AnnotatorBundle {
     pub rel_vocab: LabelVocab,
     /// Parameter-name prefix the model was registered under.
     prefix: String,
+    /// The header CRC of the blob this bundle was loaded from; `None` for
+    /// a bundle built in memory.
+    crc: Option<u32>,
 }
 
 /// Errors produced when decoding an [`AnnotatorBundle`]. Structural errors
@@ -91,7 +140,12 @@ pub enum BundleError {
         /// CRC computed over the payload as read.
         computed: u32,
     },
-    /// The weight section failed to load.
+    /// The configuration section is internally inconsistent (no model of
+    /// that shape can be built), for the stated reason.
+    BadConfig(&'static str),
+    /// The weight section failed to load: it did not parse, or its records
+    /// are not exactly the model's parameters (the error names the first
+    /// one missing, duplicated, unknown or mis-shaped).
     Weights(serialize::LoadError),
     /// The named parameter holds a NaN or an infinity: the blob is intact
     /// (a diverged fine-tune saves a CRC-valid checkpoint) but the model
@@ -117,6 +171,7 @@ impl std::fmt::Display for BundleError {
                 "bundle checksum mismatch (stored {stored:#010x}, computed {computed:#010x}): \
                  the checkpoint is corrupt"
             ),
+            BundleError::BadConfig(why) => write!(f, "bundle config is inconsistent: {why}"),
             BundleError::Weights(e) => write!(f, "bundle weights: {e}"),
             BundleError::NonFinite(name) => {
                 write!(f, "bundle parameter {name} holds non-finite values")
@@ -217,7 +272,20 @@ impl AnnotatorBundle {
         rel_vocab: LabelVocab,
         prefix: impl Into<String>,
     ) -> Self {
-        AnnotatorBundle { store, model, tokenizer, type_vocab, rel_vocab, prefix: prefix.into() }
+        let prefix = prefix.into();
+        AnnotatorBundle { store, model, tokenizer, type_vocab, rel_vocab, prefix, crc: None }
+    }
+
+    /// The payload CRC32 this bundle's checkpoint header carries: the
+    /// fingerprint half of every `x-model-version` label. A bundle
+    /// [`AnnotatorBundle::load`] decoded answers with the CRC its bytes
+    /// were just verified against, at no cost; one built in memory has no
+    /// bytes yet and serializes itself once to find out. The two agree —
+    /// loading a blob `save` wrote and saving it again gives back the same
+    /// bytes — unless a loaded bundle's weights are written in place
+    /// afterwards (a fine-tune of a copy): save that one to fingerprint it.
+    pub fn crc(&self) -> u32 {
+        self.crc.unwrap_or_else(|| blob_crc(&self.save()).expect("a saved bundle has a header"))
     }
 
     /// A borrowed annotator over the bundle's parts.
@@ -279,19 +347,24 @@ impl AnnotatorBundle {
         put_vocab(&mut out, &self.rel_vocab);
         let dotted = format!("{}.", self.prefix);
         let weights = serialize::save_filtered(&self.store, |n| n.starts_with(&dotted));
-        put_blob(&mut out, &weights.to_vec());
+        put_blob(&mut out, &weights);
         let crc = crc32(&out[MAGIC.len() + 4..]);
         out[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&crc.to_le_bytes());
         out
     }
 
-    /// Decodes a [`AnnotatorBundle::save`] blob. The model is rebuilt from
-    /// the recorded configuration and every weight is overwritten from the
-    /// checkpoint, so annotations are bit-identical to the saved bundle's.
-    /// Strictness is layered: structural damage fails with an error
-    /// naming the section, the payload CRC (verified after parsing)
-    /// rejects any bit flip the structure could not notice, and an intact
-    /// blob whose weights hold a NaN or an infinity is rejected by name.
+    /// Decodes a [`AnnotatorBundle::save`] blob. The model is built from
+    /// the recorded configuration with every parameter taken from its
+    /// weight record — nothing is drawn and overwritten — so the store
+    /// lists the same names, shapes and ids as [`DoduoModel::new`] on that
+    /// configuration, and annotations are bit-identical to the saved
+    /// bundle's. Strictness is layered: structural damage fails with an
+    /// error naming the section, the payload CRC (verified after parsing)
+    /// rejects any bit flip the structure could not notice, an
+    /// inconsistent configuration is refused before anything is built, a
+    /// missing, duplicated, unknown or mis-shaped weight record fails
+    /// naming the parameter, and an intact blob whose weights hold a NaN
+    /// or an infinity is rejected by name.
     pub fn load(data: &[u8]) -> Result<AnnotatorBundle, BundleError> {
         let mut r = Reader { buf: data, pos: 0, section: "header" };
         if r.take(MAGIC.len())? != MAGIC {
@@ -343,6 +416,13 @@ impl AnnotatorBundle {
             return Err(BundleError::ChecksumMismatch { stored: stored_crc, computed });
         }
 
+        encoder.check().map_err(BundleError::BadConfig)?;
+        let mut records = serialize::Records::parse(weights).map_err(BundleError::Weights)?;
+        // Every layer owns several records, so more layers than records is a
+        // forged count: refuse it before the constructor loops over it.
+        if encoder.layers > records.len() {
+            return Err(BundleError::BadConfig("more encoder layers than weight records"));
+        }
         let mut ser = SerializeConfig::new(max_tokens_per_col, ser_max_seq);
         if include_metadata {
             ser = ser.with_metadata();
@@ -352,15 +432,13 @@ impl AnnotatorBundle {
             .with_attention(attention)
             .with_serialize(ser);
         let mut store = ParamStore::new();
-        // The initializer draws are overwritten below; the seed only has to
-        // be deterministic so failures reproduce.
-        let mut rng = StdRng::seed_from_u64(0);
-        let model = DoduoModel::new(&mut store, cfg, &prefix, &mut rng);
-        serialize::load(&mut store, weights).map_err(BundleError::Weights)?;
+        let model = DoduoModel::new(&mut store, cfg, &prefix, &mut records);
+        records.finish().map_err(BundleError::Weights)?;
         if let Some((_, p)) = store.iter().find(|(_, p)| p.value.has_non_finite()) {
             return Err(BundleError::NonFinite(p.name.clone()));
         }
-        Ok(AnnotatorBundle { store, model, tokenizer, type_vocab, rel_vocab, prefix })
+        let crc = Some(stored_crc);
+        Ok(AnnotatorBundle { store, model, tokenizer, type_vocab, rel_vocab, prefix, crc })
     }
 
     /// Writes [`AnnotatorBundle::save`]'s blob to `path`. The file is what
@@ -385,6 +463,36 @@ mod tests {
     use super::*;
     use doduo_table::{Column, Table};
     use doduo_tokenizer::TrainConfig as TokTrain;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The CRC-32 definition, one bit at a time: the oracle the table
+    /// form is held to.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_crc_matches_the_bitwise_definition() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926, "the IEEE check value");
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+        let mut rng = StdRng::seed_from_u64(31);
+        for len in 0..=64 {
+            for _ in 0..8 {
+                let buf: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u8)).collect();
+                assert_eq!(crc32(&buf), crc32_bitwise(&buf), "length {len}: {buf:?}");
+            }
+        }
+        let blob = bundle().save();
+        assert_eq!(crc32(&blob), crc32_bitwise(&blob), "a whole checkpoint");
+    }
 
     fn bundle() -> AnnotatorBundle {
         let tok = WordPiece::train(

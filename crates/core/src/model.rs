@@ -19,7 +19,7 @@ use doduo_table::{
     serialize_column_pair, serialize_single_column, serialize_table, SerializeConfig,
     SerializedTable, Table, NO_COLUMN,
 };
-use doduo_tensor::{AttnMask, ParamId, ParamStore};
+use doduo_tensor::{AttnMask, Fill, Init, ParamId, ParamStore};
 use doduo_tokenizer::WordPiece;
 use doduo_transformer::{mask_from_fn, BatchSeq, Dense, Encoder, EncoderConfig, Ops};
 use rand::Rng;
@@ -166,35 +166,36 @@ pub struct DoduoModel {
 impl DoduoModel {
     /// Registers encoder + head parameters. The relation head consumes `2d`
     /// (a pair of column embeddings) in table-wise mode and `d` (the single
-    /// `[CLS]` of a serialized pair) in single-column mode.
-    pub fn new<R: Rng + ?Sized>(
+    /// `[CLS]` of a serialized pair) in single-column mode. Every value
+    /// comes from `init`: drawn from a random source, or restored from a
+    /// checkpoint's records (see [`Encoder::new`]).
+    pub fn new<I: Init + ?Sized>(
         store: &mut ParamStore,
         cfg: DoduoConfig,
         prefix: &str,
-        rng: &mut R,
+        init: &mut I,
     ) -> Self {
-        let encoder = Encoder::new(store, cfg.encoder.clone(), prefix, rng);
+        let encoder = Encoder::new(store, cfg.encoder.clone(), prefix, init);
         let d = cfg.encoder.hidden;
         let rel_in = match cfg.input_mode {
             InputMode::TableWise => 2 * d,
             InputMode::SingleColumn => d,
         };
+        let (n_types, n_rels) = (cfg.n_types, cfg.n_rels.max(1));
+        let mut p = |s: &str, rows, cols, fill| {
+            store.init(format!("{prefix}.{s}"), rows, cols, fill, &mut *init)
+        };
+        let w = Fill::Randn(0.02);
         DoduoModel {
             encoder,
-            type_dense_w: store.add_randn(format!("{prefix}.type.dense.w"), d, d, 0.02, rng),
-            type_dense_b: store.add_zeros(format!("{prefix}.type.dense.b"), 1, d),
-            type_out_w: store.add_randn(format!("{prefix}.type.out.w"), d, cfg.n_types, 0.02, rng),
-            type_out_b: store.add_zeros(format!("{prefix}.type.out.b"), 1, cfg.n_types),
-            rel_dense_w: store.add_randn(format!("{prefix}.rel.dense.w"), rel_in, d, 0.02, rng),
-            rel_dense_b: store.add_zeros(format!("{prefix}.rel.dense.b"), 1, d),
-            rel_out_w: store.add_randn(
-                format!("{prefix}.rel.out.w"),
-                d,
-                cfg.n_rels.max(1),
-                0.02,
-                rng,
-            ),
-            rel_out_b: store.add_zeros(format!("{prefix}.rel.out.b"), 1, cfg.n_rels.max(1)),
+            type_dense_w: p("type.dense.w", d, d, w),
+            type_dense_b: p("type.dense.b", 1, d, Fill::Zeros),
+            type_out_w: p("type.out.w", d, n_types, w),
+            type_out_b: p("type.out.b", 1, n_types, Fill::Zeros),
+            rel_dense_w: p("rel.dense.w", rel_in, d, w),
+            rel_dense_b: p("rel.dense.b", 1, d, Fill::Zeros),
+            rel_out_w: p("rel.out.w", d, n_rels, w),
+            rel_out_b: p("rel.out.b", 1, n_rels, Fill::Zeros),
             cfg,
         }
     }

@@ -11,7 +11,7 @@
 //! tables starts from the same BERT-base.
 
 use crate::model::{DoduoConfig, DoduoModel};
-use doduo_tensor::serialize::{load_lenient, save_filtered};
+use doduo_tensor::serialize::{load_lenient, save_filtered, Records};
 use doduo_tensor::ParamStore;
 use doduo_tokenizer::{TrainConfig as TokTrainConfig, WordPiece, CLS, SEP};
 use doduo_transformer::{pretrain_mlm, Encoder, EncoderConfig, MlmConfig, MlmHead};
@@ -146,6 +146,9 @@ pub fn build_finetune_model(
         cfg.encoder, lm.config,
         "fine-tune encoder shape must match the pretrained checkpoint"
     );
+    // The encoder is drawn and then overwritten on purpose: the heads'
+    // initial values come from where the encoder's draws leave `rng`, and
+    // every fine-tuned model (and training digest) depends on them.
     let model = DoduoModel::new(&mut store, cfg, ENC_PREFIX, &mut rng);
     let (loaded, _skipped_mlm_head) =
         load_lenient(&mut store, &lm.weights).expect("pretrained weights must load");
@@ -157,14 +160,11 @@ pub fn build_finetune_model(
 /// a checkpoint, e.g. for the perplexity-probing analysis of Tables 12-13.
 pub fn instantiate_lm(lm: &PretrainedLm) -> (ParamStore, Encoder, MlmHead) {
     let mut store = ParamStore::new();
-    // Seed is irrelevant: every parameter is overwritten by the checkpoint.
-    let mut rng = StdRng::seed_from_u64(0);
-    let encoder = Encoder::new(&mut store, lm.config.clone(), ENC_PREFIX, &mut rng);
-    let head = MlmHead::new(&mut store, &lm.config, ENC_PREFIX, &mut rng);
-    let (loaded, skipped) =
-        load_lenient(&mut store, &lm.weights).expect("pretrained weights must load");
-    assert_eq!(skipped, 0, "LM checkpoint should fully match encoder+head");
-    assert_eq!(loaded, store.len(), "every LM parameter must come from the checkpoint");
+    // Every parameter is built from its checkpoint record; nothing is drawn.
+    let mut records = Records::parse(&lm.weights).expect("pretrained weights must parse");
+    let encoder = Encoder::new(&mut store, lm.config.clone(), ENC_PREFIX, &mut records);
+    let head = MlmHead::new(&mut store, &lm.config, ENC_PREFIX, &mut records);
+    records.finish().expect("LM checkpoint should fully match encoder+head");
     (store, encoder, head)
 }
 

@@ -3,11 +3,15 @@
 //! section-naming error — never a panic, never a silently different model.
 //! Bit flips in raw weight floats have no structure to trip over, so the
 //! payload CRC is what turns "loads fine, annotates differently" into an
-//! error.
+//! error. Blobs that pass the CRC because they were written that way (the
+//! header resealed after the damage) must still fail when their records
+//! are not exactly the model's parameters, or their config describes no
+//! model, naming what is wrong.
 
 use doduo_core::{AnnotatorBundle, BundleError, DoduoConfig, DoduoModel};
 use doduo_table::{Column, LabelVocab, SerializeConfig, Table};
-use doduo_tensor::ParamStore;
+use doduo_tensor::serialize::{self, LoadError};
+use doduo_tensor::{ParamStore, Tensor};
 use doduo_tokenizer::{TrainConfig as TokTrain, WordPiece};
 use doduo_transformer::EncoderConfig;
 use rand::rngs::StdRng;
@@ -78,6 +82,11 @@ fn is_structural(e: &BundleError) -> bool {
     )
 }
 
+/// `(id, name, shape)` of every parameter, in registration order.
+fn layout(store: &ParamStore) -> Vec<(usize, String, (usize, usize))> {
+    store.iter().map(|(id, p)| (id, p.name.clone(), p.value.shape())).collect()
+}
+
 #[test]
 fn clean_blob_round_trips() {
     let b = bundle();
@@ -85,16 +94,177 @@ fn clean_blob_round_trips() {
     let loaded = AnnotatorBundle::load(&blob).expect("clean blob loads");
     let a = b.annotator().annotate(&table());
     let c = loaded.annotator().annotate(&table());
+    assert_eq!((a.types.len(), a.relations.len()), (c.types.len(), c.relations.len()));
     for (x, y) in a.types.iter().zip(&c.types) {
         for ((n1, s1), (n2, s2)) in x.labels.iter().zip(&y.labels) {
             assert_eq!(n1, n2);
             assert_eq!(s1.to_bits(), s2.to_bits());
         }
     }
+    for (x, y) in a.relations.iter().zip(&c.relations) {
+        for ((n1, s1), (n2, s2)) in x.labels.iter().zip(&y.labels) {
+            assert_eq!(n1, n2);
+            assert_eq!(s1.to_bits(), s2.to_bits());
+        }
+    }
+    // Built from its records, the loaded store is the constructor's own:
+    // same names, shapes and ids in the same order (Adam state, gradient
+    // clipping and a fine-tune of the loaded bundle all walk that order),
+    // holding the saved values.
+    let mut fresh = ParamStore::new();
+    let cfg = loaded.model.config().clone();
+    DoduoModel::new(&mut fresh, cfg, "m", &mut StdRng::seed_from_u64(0));
+    assert_eq!(layout(&loaded.store), layout(&fresh));
+    assert_eq!(layout(&loaded.store), layout(&b.store));
+    for ((_, x), (_, y)) in loaded.store.iter().zip(b.store.iter()) {
+        assert!(x.value.data().iter().zip(y.value.data()).all(|(p, q)| p.to_bits() == q.to_bits()));
+    }
+    assert_eq!(loaded.crc(), b.crc(), "the verified header CRC is the saved one");
     // The layout map below must cover the blob exactly, or the per-section
     // assertions are aimed at the wrong bytes.
     let ranges = section_ranges(&b, blob.len());
     assert_eq!(ranges.last().expect("sections").2, blob.len());
+}
+
+/// Rewrites the header CRC to match the payload (the CRC-32 definition,
+/// bit by bit): a blob whose only fault is the one the test put in.
+fn reseal(blob: &mut [u8]) {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in &blob[12..] {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    blob[8..12].copy_from_slice(&(!crc).to_le_bytes());
+}
+
+/// `b`'s blob with its weights section replaced by `weights`, resealed.
+fn with_weights(b: &AnnotatorBundle, weights: &[u8]) -> Vec<u8> {
+    let blob = b.save();
+    let (_, lo, _) = *section_ranges(b, blob.len()).last().expect("weights section");
+    let mut out = [&blob[..lo], &(weights.len() as u32).to_le_bytes(), weights].concat();
+    reseal(&mut out);
+    out
+}
+
+/// The weight records `serialize::save` writes for `params`, in order.
+fn records(params: &[(String, Tensor)]) -> Vec<u8> {
+    let mut store = ParamStore::new();
+    for (name, value) in params {
+        store.add(name.clone(), value.clone());
+    }
+    serialize::save(&store).to_vec()
+}
+
+fn params(b: &AnnotatorBundle) -> Vec<(String, Tensor)> {
+    b.store.iter().map(|(_, p)| (p.name.clone(), p.value.clone())).collect()
+}
+
+/// Loads `b` with `weights` as its records, expecting a weights error that
+/// names `name`.
+fn weights_error(b: &AnnotatorBundle, weights: &[u8], name: &str) -> LoadError {
+    match AnnotatorBundle::load(&with_weights(b, weights)) {
+        Err(BundleError::Weights(e)) => {
+            assert!(e.to_string().contains(name), "the error must name {name}: {e}");
+            e
+        }
+        Err(other) => panic!("expected a weights error naming {name}, got {other}"),
+        Ok(_) => panic!("records faulty at {name} loaded"),
+    }
+}
+
+#[test]
+fn resealed_records_of_the_model_itself_load() {
+    let b = bundle();
+    let loaded = AnnotatorBundle::load(&with_weights(&b, &records(&params(&b)))).expect("loads");
+    assert_eq!(layout(&loaded.store), layout(&b.store));
+}
+
+/// Before records were the initializer, a blob without a record kept that
+/// parameter's seed-0 random draw and served different relation scores.
+#[test]
+fn a_missing_weight_record_is_rejected_by_name() {
+    let b = bundle();
+    let kept: Vec<_> = params(&b).into_iter().filter(|(n, _)| n != "m.rel.out.w").collect();
+    let err = weights_error(&b, &records(&kept), "m.rel.out.w");
+    assert_eq!(err, LoadError::MissingParam("m.rel.out.w".into()));
+}
+
+#[test]
+fn a_duplicated_weight_record_is_rejected_by_name() {
+    let b = bundle();
+    let all = params(&b);
+    let weights = records(&all);
+    let again = records(&all[3..4]);
+    let count = u32::from_le_bytes(weights[8..12].try_into().unwrap()) + 1;
+    let dup = [&weights[..8], &count.to_le_bytes(), &weights[12..], &again[12..]].concat();
+    let err = weights_error(&b, &dup, &all[3].0);
+    assert_eq!(err, LoadError::DuplicateParam(all[3].0.clone()));
+}
+
+#[test]
+fn an_unknown_weight_record_is_rejected_by_name() {
+    let b = bundle();
+    let mut all = params(&b);
+    all.push(("m.extra.w".into(), Tensor::zeros(2, 2)));
+    let err = weights_error(&b, &records(&all), "m.extra.w");
+    assert_eq!(err, LoadError::UnknownParam("m.extra.w".into()));
+}
+
+#[test]
+fn a_misshaped_weight_record_is_rejected_by_name() {
+    let b = bundle();
+    let mut all = params(&b);
+    let (name, value) = all.iter_mut().find(|(n, _)| n == "m.type.out.b").expect("type bias");
+    *value = Tensor::zeros(1, value.cols() + 1);
+    let name = name.clone();
+    match weights_error(&b, &records(&all), &name) {
+        LoadError::ShapeMismatch { name: n, expected, found } => {
+            assert_eq!((n.as_str(), expected, found), (name.as_str(), (1, 2), (1, 3)));
+        }
+        other => panic!("expected a shape mismatch, got {other}"),
+    }
+}
+
+/// A record declaring 2^31 × 2^31 floats: its byte count overflows `usize`,
+/// which used to panic the loader ("capacity overflow" in release builds,
+/// "attempt to multiply with overflow" in debug) — and with it the daemon
+/// thread that decodes `POST /v1/model` bodies.
+#[test]
+fn a_record_whose_size_overflows_is_an_error_not_a_panic() {
+    let b = bundle();
+    let mut weights = records(&params(&b));
+    // Record 0 follows the magic and count: name length, name, rows, cols.
+    let dims = 8 + 4 + 4 + b.store.name(0).len();
+    weights[dims..dims + 8].copy_from_slice(&[0, 0, 0, 0x80, 0, 0, 0, 0x80]);
+    match AnnotatorBundle::load(&with_weights(&b, &weights)) {
+        Err(BundleError::Weights(LoadError::Truncated)) => {}
+        Err(other) => panic!("expected a truncated weights section, got {other}"),
+        Ok(_) => panic!("an oversized record loaded"),
+    }
+}
+
+/// A config that passes the CRC but describes no buildable model — a
+/// zero head count, a width the heads do not divide, more layers than
+/// the blob has records — is an error, not a panic or a runaway build.
+#[test]
+fn an_inconsistent_config_is_rejected_before_building() {
+    let b = bundle();
+    let blob = b.save();
+    // Config u32s follow the 4 tag bytes: n_types, n_rels, budget,
+    // max_seq, vocab, hidden, layers, heads, ffn, max_seq.
+    let field = |i: usize| 12 + 4 + 4 * i;
+    for (i, value) in [(7usize, 0u32), (5, 33), (6, u32::MAX)] {
+        let mut bad = blob.clone();
+        bad[field(i)..field(i) + 4].copy_from_slice(&value.to_le_bytes());
+        reseal(&mut bad);
+        match AnnotatorBundle::load(&bad) {
+            Err(BundleError::BadConfig(why)) => assert!(!why.is_empty()),
+            Err(other) => panic!("config field {i} = {value}: wrong error {other}"),
+            Ok(_) => panic!("config field {i} = {value} loaded"),
+        }
+    }
 }
 
 #[test]

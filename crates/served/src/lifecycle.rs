@@ -19,7 +19,10 @@
 //! (the same checksum [`AnnotatorBundle::load`] verifies). Two uploads of
 //! the same bytes get distinct ordinals but share the CRC half, which is
 //! what lets a test (or the CI smoke) match a response to the exact
-//! checkpoint bytes that produced it.
+//! checkpoint bytes that produced it. An upload's CRC is read from its
+//! header, and so is a `--checkpoint` boot model's (the file it was loaded
+//! from); only a `--synthetic` boot, which has no file, serializes its
+//! bundle once to compute it ([`EngineSlot::new`]).
 //!
 //! `POST /v1/feedback` accumulates corrected labels into a bounded
 //! [`FeedbackJournal`]. When the daemon runs with `--feedback-finetune`, a
@@ -107,12 +110,14 @@ pub struct EngineSlot {
 }
 
 impl EngineSlot {
-    /// Builds the boot engine (version 1) around `bundle`. The boot CRC is
-    /// computed by serializing the bundle once, so a daemon started from
-    /// `--synthetic` and one started from the equivalent checkpoint file
-    /// report the same label.
+    /// Builds the boot engine (version 1) around `bundle`, labelled with
+    /// [`AnnotatorBundle::crc`]: a `--checkpoint` boot reuses the CRC its
+    /// file was just verified against (no re-serialization), and a
+    /// `--synthetic` boot, which has no file, serializes its bundle once to
+    /// compute it. Both give the same label for the same model (pinned by
+    /// the root `numerics_pin` suite).
     pub fn new(bundle: Arc<AnnotatorBundle>, engine_cfg: BatchConfig) -> EngineSlot {
-        let crc = blob_crc(&bundle.save()).expect("saved bundle has a checkpoint header");
+        let crc = bundle.crc();
         let engine = BatchAnnotator::with_config(bundle, engine_cfg.clone());
         EngineSlot {
             current: Mutex::new(Arc::new(VersionedEngine { engine, version: 1, crc })),

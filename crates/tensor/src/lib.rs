@@ -31,7 +31,9 @@
 //!   share.
 //! * [`Adam`] / [`LrSchedule`] — the paper's optimizer (ε = 1e-8, linear
 //!   decay, one optimizer per task as in Algorithm 1).
-//! * [`serialize`] — binary checkpoints for the pretrain → fine-tune flow.
+//! * [`serialize`] — binary checkpoints for the pretrain → fine-tune flow;
+//!   their parsed weight records ([`serialize::Records`]) are an [`Init`],
+//!   like any random source, so a loader builds a model from them directly.
 //!
 //! Design: one table = one sequence = one tape. There is no batching inside
 //! a tape, so shapes stay 2-D and no padding or masking machinery is needed
@@ -54,7 +56,7 @@ pub use exec::{Executor, Slot};
 pub use forward::AttnBlock;
 pub use optim::{Adam, LrSchedule};
 pub use parallel::{default_threads, parallel_map, train_epoch};
-pub use params::{Gradients, Param, ParamId, ParamStore};
+pub use params::{Fill, Gradients, Init, Param, ParamId, ParamStore};
 pub use quant::{quantize_row_i8, quantize_row_u8, QuantScratch, QuantizedLinear};
 pub use tape::{AttnMask, NodeId, Tape, MASK_NEG};
 pub use tensor::{matmul, matmul_nt, matmul_tn, Tensor};

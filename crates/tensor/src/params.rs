@@ -40,6 +40,39 @@ pub struct ParamStore {
     panels: Panels,
 }
 
+/// How a freshly drawn parameter starts out.
+#[derive(Clone, Copy, Debug)]
+pub enum Fill {
+    /// `N(0, std^2)` draws (weight matrices and embeddings).
+    Randn(f32),
+    /// Zeros (biases).
+    Zeros,
+    /// Ones (LayerNorm gains).
+    Ones,
+}
+
+/// Where a model constructor takes each parameter's value from. Every
+/// random source is one: it fills by [`Fill`], drawing in registration
+/// order. A checkpoint's parsed weight records
+/// ([`crate::serialize::Records`]) are the other: they hand each name its
+/// saved value and draw nothing. Constructors register every parameter
+/// through [`ParamStore::init`], so a model built from records lists the
+/// same names, shapes and ids, in the same order, as one drawn fresh.
+pub trait Init {
+    /// The value of parameter `name`, of shape `[rows, cols]`.
+    fn value(&mut self, name: &str, rows: usize, cols: usize, fill: Fill) -> Tensor;
+}
+
+impl<R: Rng + ?Sized> Init for R {
+    fn value(&mut self, _name: &str, rows: usize, cols: usize, fill: Fill) -> Tensor {
+        match fill {
+            Fill::Randn(std) => Tensor::randn(rows, cols, std, self),
+            Fill::Zeros => Tensor::zeros(rows, cols),
+            Fill::Ones => Tensor::full(rows, cols, 1.0),
+        }
+    }
+}
+
 /// One lazily built GEMM panel per parameter id (see [`ParamStore::panel`]).
 /// A derived value, not state: a cloned store starts with none and builds
 /// its own.
@@ -68,6 +101,22 @@ impl ParamStore {
         self.params.len() - 1
     }
 
+    /// Registers a `[rows, cols]` parameter whose value `init` provides:
+    /// drawn per `fill` from a random source, or read from a checkpoint's
+    /// records. What model constructors call.
+    pub fn init<I: Init + ?Sized>(
+        &mut self,
+        name: impl Into<String>,
+        rows: usize,
+        cols: usize,
+        fill: Fill,
+        init: &mut I,
+    ) -> ParamId {
+        let name = name.into();
+        let value = init.value(&name, rows, cols, fill);
+        self.add(name, value)
+    }
+
     /// Registers a `N(0, std^2)`-initialized matrix.
     pub fn add_randn<R: Rng + ?Sized>(
         &mut self,
@@ -83,11 +132,6 @@ impl ParamStore {
     /// Registers a zero-initialized matrix (biases).
     pub fn add_zeros(&mut self, name: impl Into<String>, rows: usize, cols: usize) -> ParamId {
         self.add(name, Tensor::zeros(rows, cols))
-    }
-
-    /// Registers a one-initialized matrix (LayerNorm gains).
-    pub fn add_ones(&mut self, name: impl Into<String>, rows: usize, cols: usize) -> ParamId {
-        self.add(name, Tensor::full(rows, cols, 1.0))
     }
 
     /// Number of registered parameters.

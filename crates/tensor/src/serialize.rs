@@ -3,10 +3,18 @@
 //! The paper ships fine-tuned checkpoints in its toolbox; we mirror that with
 //! a small self-describing binary format (magic, version, then
 //! `name / shape / f32-LE payload` records) built on the `bytes` crate.
+//!
+//! Decoding has one parser, [`Records::parse`], which checks every length
+//! against the bytes that are actually there (a record declaring more
+//! floats than fit in `usize` is as truncated as one declaring more than
+//! the buffer holds). Its result is used two ways: as the [`Init`] a model
+//! constructor builds every parameter from (a checkpoint load), or copied
+//! over a store that already exists ([`load`], [`load_lenient`]).
 
-use crate::params::ParamStore;
+use crate::params::{Fill, Init, ParamStore};
 use crate::Tensor;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use std::collections::HashMap;
 
 const MAGIC: &[u8; 8] = b"DODUOWT1";
 
@@ -21,6 +29,10 @@ pub enum LoadError {
     BadName,
     /// Checkpoint has a parameter the target store lacks (strict mode).
     UnknownParam(String),
+    /// The model has a parameter the checkpoint has no record of.
+    MissingParam(String),
+    /// The checkpoint holds two records under one name.
+    DuplicateParam(String),
     /// Shape in the checkpoint does not match the target parameter.
     ShapeMismatch {
         /// The offending parameter.
@@ -39,6 +51,8 @@ impl std::fmt::Display for LoadError {
             LoadError::Truncated => write!(f, "checkpoint truncated"),
             LoadError::BadName => write!(f, "parameter name is not valid UTF-8"),
             LoadError::UnknownParam(n) => write!(f, "checkpoint parameter {n} not in store"),
+            LoadError::MissingParam(n) => write!(f, "checkpoint has no record of parameter {n}"),
+            LoadError::DuplicateParam(n) => write!(f, "checkpoint holds parameter {n} twice"),
             LoadError::ShapeMismatch { name, expected, found } => write!(
                 f,
                 "shape mismatch for {name}: store has {expected:?}, checkpoint has {found:?}"
@@ -74,6 +88,122 @@ pub fn save_filtered(store: &ParamStore, keep: impl Fn(&str) -> bool) -> Bytes {
     buf.freeze()
 }
 
+/// One weight record, borrowed from the checkpoint bytes.
+struct Record<'a> {
+    name: &'a str,
+    shape: (usize, usize),
+    /// `shape.0 * shape.1` little-endian `f32`s.
+    payload: &'a [u8],
+}
+
+impl Record<'_> {
+    fn tensor(&self) -> Tensor {
+        let values = self
+            .payload
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().expect("chunks of 4 bytes")));
+        Tensor::from_vec(self.shape.0, self.shape.1, values.collect())
+    }
+}
+
+/// A checkpoint's weight records, parsed and not yet placed anywhere.
+///
+/// As an [`Init`], they give a model constructor each parameter's saved
+/// value by name and never draw: a loader builds its store once, in the
+/// constructor's own order, instead of drawing values and overwriting
+/// them. A parameter with no record, or a record of another shape, is
+/// noted (the constructor gets an empty placeholder and carries on) and
+/// reported by [`Records::finish`], which also rejects records the
+/// constructor never asked for.
+pub struct Records<'a> {
+    records: Vec<Record<'a>>,
+    by_name: HashMap<&'a str, usize>,
+    used: Vec<bool>,
+    /// The first parameter the constructor asked for that could not be
+    /// served.
+    error: Option<LoadError>,
+}
+
+fn take<'a>(data: &mut &'a [u8], n: usize) -> Result<&'a [u8], LoadError> {
+    if data.len() < n {
+        return Err(LoadError::Truncated);
+    }
+    let (head, rest) = data.split_at(n);
+    *data = rest;
+    Ok(head)
+}
+
+fn take_u32(data: &mut &[u8]) -> Result<usize, LoadError> {
+    Ok(u32::from_le_bytes(take(data, 4)?.try_into().expect("4 bytes")) as usize)
+}
+
+impl<'a> Records<'a> {
+    /// Parses a [`save`] blob: the magic, then every declared record, each
+    /// length checked before it is read. Two records under one name are an
+    /// error. Bytes after the last declared record are ignored.
+    pub fn parse(data: &'a [u8]) -> Result<Records<'a>, LoadError> {
+        let mut data = data.strip_prefix(MAGIC.as_slice()).ok_or(LoadError::BadMagic)?;
+        let count = take_u32(&mut data)?;
+        let (mut records, mut by_name) = (Vec::new(), HashMap::new());
+        for _ in 0..count {
+            let name_len = take_u32(&mut data)?;
+            let name =
+                std::str::from_utf8(take(&mut data, name_len)?).map_err(|_| LoadError::BadName)?;
+            let shape = (take_u32(&mut data)?, take_u32(&mut data)?);
+            let bytes = shape.0.checked_mul(shape.1).and_then(|n| n.checked_mul(4));
+            let payload = take(&mut data, bytes.ok_or(LoadError::Truncated)?)?;
+            if by_name.insert(name, records.len()).is_some() {
+                return Err(LoadError::DuplicateParam(name.to_owned()));
+            }
+            records.push(Record { name, shape, payload });
+        }
+        let used = vec![false; records.len()];
+        Ok(Records { records, by_name, used, error: None })
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// True when the checkpoint holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Ends a construction from these records: the first parameter that
+    /// had no record or a mis-shaped one, else the first record no
+    /// parameter asked for, else `Ok`.
+    pub fn finish(self) -> Result<(), LoadError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        match self.used.iter().position(|&u| !u) {
+            Some(i) => Err(LoadError::UnknownParam(self.records[i].name.to_owned())),
+            None => Ok(()),
+        }
+    }
+}
+
+impl Init for Records<'_> {
+    fn value(&mut self, name: &str, rows: usize, cols: usize, _fill: Fill) -> Tensor {
+        let failure = match self.by_name.get(name) {
+            Some(&i) => {
+                self.used[i] = true;
+                let rec = &self.records[i];
+                if rec.shape == (rows, cols) {
+                    return rec.tensor();
+                }
+                let (expected, found) = ((rows, cols), rec.shape);
+                LoadError::ShapeMismatch { name: name.to_owned(), expected, found }
+            }
+            None => LoadError::MissingParam(name.to_owned()),
+        };
+        self.error.get_or_insert(failure);
+        Tensor::zeros(0, 0)
+    }
+}
+
 /// Loads a checkpoint into `store`, matching parameters by name.
 ///
 /// Every checkpoint entry must exist in the store with the same shape;
@@ -94,58 +224,27 @@ pub fn load_lenient(store: &mut ParamStore, data: &[u8]) -> Result<(usize, usize
 
 fn load_impl(
     store: &mut ParamStore,
-    mut data: &[u8],
+    data: &[u8],
     strict: bool,
 ) -> Result<(usize, usize), LoadError> {
-    if data.remaining() < MAGIC.len() || &data[..MAGIC.len()] != MAGIC {
-        return Err(LoadError::BadMagic);
-    }
-    data.advance(MAGIC.len());
-    if data.remaining() < 4 {
-        return Err(LoadError::Truncated);
-    }
-    let count = data.get_u32_le() as usize;
+    let records = Records::parse(data)?;
     let mut loaded = 0;
-    let mut skipped = 0;
-    for _ in 0..count {
-        if data.remaining() < 4 {
-            return Err(LoadError::Truncated);
-        }
-        let name_len = data.get_u32_le() as usize;
-        if data.remaining() < name_len {
-            return Err(LoadError::Truncated);
-        }
-        let name =
-            std::str::from_utf8(&data[..name_len]).map_err(|_| LoadError::BadName)?.to_owned();
-        data.advance(name_len);
-        if data.remaining() < 8 {
-            return Err(LoadError::Truncated);
-        }
-        let rows = data.get_u32_le() as usize;
-        let cols = data.get_u32_le() as usize;
-        let n = rows * cols;
-        if data.remaining() < n * 4 {
-            return Err(LoadError::Truncated);
-        }
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            values.push(data.get_f32_le());
-        }
-        let Some(pid) = store.find(&name) else {
+    for rec in &records.records {
+        let Some(pid) = store.find(rec.name) else {
             if strict {
-                return Err(LoadError::UnknownParam(name));
+                return Err(LoadError::UnknownParam(rec.name.to_owned()));
             }
-            skipped += 1;
             continue;
         };
         let expected = store.get(pid).shape();
-        if expected != (rows, cols) {
-            return Err(LoadError::ShapeMismatch { name, expected, found: (rows, cols) });
+        if expected != rec.shape {
+            let name = rec.name.to_owned();
+            return Err(LoadError::ShapeMismatch { name, expected, found: rec.shape });
         }
-        store.set_value(pid, Tensor::from_vec(rows, cols, values));
+        store.set_value(pid, rec.tensor());
         loaded += 1;
     }
-    Ok((loaded, skipped))
+    Ok((loaded, records.len() - loaded))
 }
 
 #[cfg(test)]
@@ -163,6 +262,15 @@ mod tests {
         s
     }
 
+    /// The store `sample_store` registers, valued by `init`.
+    fn build(init: &mut impl Init) -> ParamStore {
+        let mut s = ParamStore::new();
+        s.init("enc.w", 3, 4, Fill::Randn(0.5), init);
+        s.init("enc.b", 1, 4, Fill::Randn(0.5), init);
+        s.init("head.w", 4, 2, Fill::Randn(0.5), init);
+        s
+    }
+
     #[test]
     fn roundtrip_restores_exact_values() {
         let src = sample_store();
@@ -175,6 +283,61 @@ mod tests {
         for pid in 0..src.len() {
             assert_eq!(src.get(pid).data(), dst.get(pid).data());
         }
+    }
+
+    #[test]
+    fn records_build_what_the_rng_built() {
+        // Drawn through `init`, the store is `sample_store`'s, bit for bit.
+        let src = build(&mut StdRng::seed_from_u64(5));
+        for ((_, a), (_, b)) in src.iter().zip(sample_store().iter()) {
+            assert_eq!(a.value.data(), b.value.data());
+        }
+        let blob = save(&src);
+        let mut records = Records::parse(&blob).unwrap();
+        let built = build(&mut records);
+        records.finish().unwrap();
+        assert_eq!(built.len(), src.len());
+        for ((i, a), (j, b)) in src.iter().zip(built.iter()) {
+            assert_eq!((i, &a.name, a.value.shape()), (j, &b.name, b.value.shape()));
+            assert_eq!(a.value.data(), b.value.data());
+        }
+    }
+
+    #[test]
+    fn records_reject_missing_misshaped_and_unused_parameters() {
+        let blob = save(&sample_store());
+        let mut records = Records::parse(&blob).unwrap();
+        let mut s = ParamStore::new();
+        s.init("enc.w", 3, 4, Fill::Zeros, &mut records);
+        s.init("enc.b", 1, 5, Fill::Zeros, &mut records);
+        s.init("extra", 1, 1, Fill::Zeros, &mut records);
+        match records.finish() {
+            Err(LoadError::ShapeMismatch { name, expected, found }) => {
+                assert_eq!((name.as_str(), expected, found), ("enc.b", (1, 5), (1, 4)));
+            }
+            other => panic!("expected the first failure, a shape mismatch, got {other:?}"),
+        }
+        let mut records = Records::parse(&blob).unwrap();
+        ParamStore::new().init("extra", 1, 1, Fill::Zeros, &mut records);
+        assert_eq!(records.finish(), Err(LoadError::MissingParam("extra".into())));
+        let mut records = Records::parse(&blob).unwrap();
+        ParamStore::new().init("enc.w", 3, 4, Fill::Zeros, &mut records);
+        assert_eq!(records.finish(), Err(LoadError::UnknownParam("enc.b".into())));
+    }
+
+    #[test]
+    fn oversized_and_duplicated_records_are_errors() {
+        let mut blob = save(&sample_store()).to_vec();
+        // Record 0 starts after magic + count: name length, "enc.w", rows, cols.
+        let dims = 8 + 4 + 4 + "enc.w".len();
+        blob[dims..dims + 8].copy_from_slice(&[0, 0, 0, 0x80, 0, 0, 0, 0x80]);
+        assert_eq!(Records::parse(&blob).err(), Some(LoadError::Truncated));
+        let mut s = ParamStore::new();
+        s.add_zeros("w", 1, 1);
+        let one = save(&s).to_vec();
+        let record = &one[12..];
+        let twice = [&one[..8], &2u32.to_le_bytes(), record, record].concat();
+        assert_eq!(Records::parse(&twice).err(), Some(LoadError::DuplicateParam("w".into())));
     }
 
     #[test]

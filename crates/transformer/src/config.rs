@@ -54,11 +54,26 @@ impl EncoderConfig {
         }
     }
 
+    /// Why the configuration is internally inconsistent, if it is — what a
+    /// checkpoint loader asks of a config it read from untrusted bytes.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.vocab_size <= 5 {
+            Err("vocab must include more than the special tokens")
+        } else if self.hidden == 0 || self.layers == 0 || self.heads == 0 {
+            Err("hidden width, layers and heads must be positive")
+        } else if !self.hidden.is_multiple_of(self.heads) {
+            Err("heads must divide hidden width")
+        } else if !(0.0..1.0).contains(&self.dropout) {
+            Err("dropout must lie in [0, 1)")
+        } else {
+            Ok(())
+        }
+    }
+
     /// Panics if the configuration is internally inconsistent.
     pub fn validate(&self) {
-        assert!(self.vocab_size > 5, "vocab must include more than the special tokens");
-        assert!(self.hidden > 0 && self.layers > 0 && self.heads > 0);
-        assert_eq!(self.hidden % self.heads, 0, "heads must divide hidden width");
-        assert!((0.0..1.0).contains(&self.dropout));
+        if let Err(why) = self.check() {
+            panic!("invalid encoder config: {why}");
+        }
     }
 }

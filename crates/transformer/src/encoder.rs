@@ -38,7 +38,8 @@
 
 use crate::config::EncoderConfig;
 use crate::ops::{kept_rows, Dense, Ops};
-use doduo_tensor::{AttnMask, NodeId, ParamId, ParamStore, Tape, MASK_NEG};
+use doduo_tensor::Fill::{Ones, Randn, Zeros};
+use doduo_tensor::{AttnMask, Init, NodeId, ParamId, ParamStore, Tape, MASK_NEG};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -106,41 +107,49 @@ pub struct Encoder {
 const INIT_STD: f32 = 0.02;
 
 impl Encoder {
-    /// Registers all encoder parameters under `prefix` (e.g. `"enc"`) and
-    /// initializes them BERT-style (`N(0, 0.02^2)`, zero biases, unit LN
-    /// gains).
-    pub fn new<R: Rng + ?Sized>(
+    /// Registers all encoder parameters under `prefix` (e.g. `"enc"`),
+    /// valued by `init`: a random source initializes them BERT-style
+    /// (`N(0, 0.02^2)`, zero biases, unit LN gains); a checkpoint's
+    /// records restore them.
+    pub fn new<I: Init + ?Sized>(
         store: &mut ParamStore,
         cfg: EncoderConfig,
         prefix: &str,
-        rng: &mut R,
+        init: &mut I,
     ) -> Self {
         cfg.validate();
         let d = cfg.hidden;
+        let w = Randn(INIT_STD);
         let emb = Embeddings {
-            tok: store.add_randn(format!("{prefix}.emb.tok"), cfg.vocab_size, d, INIT_STD, rng),
-            pos: store.add_randn(format!("{prefix}.emb.pos"), cfg.max_seq, d, INIT_STD, rng),
-            ln_g: store.add_ones(format!("{prefix}.emb.ln.g"), 1, d),
-            ln_b: store.add_zeros(format!("{prefix}.emb.ln.b"), 1, d),
+            tok: store.init(format!("{prefix}.emb.tok"), cfg.vocab_size, d, w, init),
+            pos: store.init(format!("{prefix}.emb.pos"), cfg.max_seq, d, w, init),
+            ln_g: store.init(format!("{prefix}.emb.ln.g"), 1, d, Ones, init),
+            ln_b: store.init(format!("{prefix}.emb.ln.b"), 1, d, Zeros, init),
         };
         let mut layers = Vec::with_capacity(cfg.layers);
         for l in 0..cfg.layers {
             let p = |s: &str| format!("{prefix}.l{l}.{s}");
             layers.push(LayerParams {
-                wq: store.add_randn(p("attn.wq"), d, d, INIT_STD, rng),
-                bq: store.add_zeros(p("attn.bq"), 1, d),
-                wk: store.add_randn(p("attn.wk"), d, d, INIT_STD, rng),
-                bk: store.add_zeros(p("attn.bk"), 1, d),
-                wv: store.add_randn(p("attn.wv"), d, d, INIT_STD, rng),
-                bv: store.add_zeros(p("attn.bv"), 1, d),
-                wo: store.add_randn(p("attn.wo"), d, d, INIT_STD, rng),
-                bo: store.add_zeros(p("attn.bo"), 1, d),
-                ln1: (store.add_ones(p("ln1.g"), 1, d), store.add_zeros(p("ln1.b"), 1, d)),
-                w1: store.add_randn(p("ffn.w1"), d, cfg.ffn, INIT_STD, rng),
-                b1: store.add_zeros(p("ffn.b1"), 1, cfg.ffn),
-                w2: store.add_randn(p("ffn.w2"), cfg.ffn, d, INIT_STD, rng),
-                b2: store.add_zeros(p("ffn.b2"), 1, d),
-                ln2: (store.add_ones(p("ln2.g"), 1, d), store.add_zeros(p("ln2.b"), 1, d)),
+                wq: store.init(p("attn.wq"), d, d, w, init),
+                bq: store.init(p("attn.bq"), 1, d, Zeros, init),
+                wk: store.init(p("attn.wk"), d, d, w, init),
+                bk: store.init(p("attn.bk"), 1, d, Zeros, init),
+                wv: store.init(p("attn.wv"), d, d, w, init),
+                bv: store.init(p("attn.bv"), 1, d, Zeros, init),
+                wo: store.init(p("attn.wo"), d, d, w, init),
+                bo: store.init(p("attn.bo"), 1, d, Zeros, init),
+                ln1: (
+                    store.init(p("ln1.g"), 1, d, Ones, init),
+                    store.init(p("ln1.b"), 1, d, Zeros, init),
+                ),
+                w1: store.init(p("ffn.w1"), d, cfg.ffn, w, init),
+                b1: store.init(p("ffn.b1"), 1, cfg.ffn, Zeros, init),
+                w2: store.init(p("ffn.w2"), cfg.ffn, d, w, init),
+                b2: store.init(p("ffn.b2"), 1, d, Zeros, init),
+                ln2: (
+                    store.init(p("ln2.g"), 1, d, Ones, init),
+                    store.init(p("ln2.b"), 1, d, Zeros, init),
+                ),
             });
         }
         Encoder { cfg, emb, layers }

@@ -10,7 +10,9 @@
 
 use crate::config::EncoderConfig;
 use crate::encoder::{BatchSeq, Encoder};
-use doduo_tensor::{train_epoch, Adam, Gradients, LrSchedule, NodeId, ParamId, ParamStore, Tape};
+use doduo_tensor::{
+    train_epoch, Adam, Fill, Gradients, Init, LrSchedule, NodeId, ParamId, ParamStore, Tape,
+};
 use doduo_tokenizer::MASK;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,18 +26,20 @@ pub struct MlmHead {
 }
 
 impl MlmHead {
-    pub fn new<R: Rng + ?Sized>(
+    /// Registers the head's parameters under `prefix`, valued by `init`
+    /// (see [`Encoder::new`]).
+    pub fn new<I: Init + ?Sized>(
         store: &mut ParamStore,
         cfg: &EncoderConfig,
         prefix: &str,
-        rng: &mut R,
+        init: &mut I,
     ) -> Self {
-        let d = cfg.hidden;
+        let (d, v, w) = (cfg.hidden, cfg.vocab_size, Fill::Randn(0.02));
         MlmHead {
-            dense_w: store.add_randn(format!("{prefix}.mlm.dense.w"), d, d, 0.02, rng),
-            dense_b: store.add_zeros(format!("{prefix}.mlm.dense.b"), 1, d),
-            dec_w: store.add_randn(format!("{prefix}.mlm.dec.w"), d, cfg.vocab_size, 0.02, rng),
-            dec_b: store.add_zeros(format!("{prefix}.mlm.dec.b"), 1, cfg.vocab_size),
+            dense_w: store.init(format!("{prefix}.mlm.dense.w"), d, d, w, init),
+            dense_b: store.init(format!("{prefix}.mlm.dense.b"), 1, d, Fill::Zeros, init),
+            dec_w: store.init(format!("{prefix}.mlm.dec.w"), d, v, w, init),
+            dec_b: store.init(format!("{prefix}.mlm.dec.b"), 1, v, Fill::Zeros, init),
         }
     }
 

@@ -9,6 +9,7 @@
 //! outlive the swap); `/v1/feedback` is answered inline, an unprefixed path
 //! is a 404; and `POST /v1/shutdown` must make `Server::run` return.
 
+use doduo_core::blob_crc;
 use doduo_served::bootstrap::synthetic_world;
 use doduo_served::http::Client;
 use doduo_served::json::table_to_json;
@@ -34,6 +35,8 @@ fn daemon_answers_offline_bytes_and_shuts_down() {
         let resp = c.request("POST", "/v1/annotate", bodies[0].as_bytes()).expect("annotate");
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, offline(&bodies[0]).as_bytes(), "/v1/annotate == offline");
+        let crc = blob_crc(&world.bundle.save()).expect("a saved bundle has a header CRC");
+        assert_eq!(resp.model_version, Some(format!("1-{crc:08x}")), "the boot model's label");
 
         // A window of 4 tables in flight, the next one sent only once a
         // line has come back, the upload finished last: the daemon reads

@@ -13,25 +13,30 @@
 //! only test faster than `repro --only tables` that notices a moved
 //! gradient bit. The fourth covers the training paths the third does not
 //! take: the single-label loss only VizNet trains, the single-column
-//! (DosoloSCol) relation head and the Sherlock MLP. Regenerate a literal
-//! only with a change that means to move values, and name it in
-//! CHANGES.md.
+//! (DosoloSCol) relation head and the Sherlock MLP. Beside the digests, the
+//! seeded world's checkpoint CRC is pinned: it is half of every
+//! `x-model-version` label. Regenerate a literal only with a change that
+//! means to move values, and name it in CHANGES.md.
 
 use doduo_baselines::{featurize, Sherlock, SherlockConfig};
 use doduo_core::{
-    prepare, train, AnnotatorBundle, DoduoConfig, DoduoModel, InputMode, Task, TrainConfig,
+    blob_crc, prepare, train, AnnotatorBundle, DoduoConfig, DoduoModel, InputMode, Task,
+    TrainConfig,
 };
 use doduo_datagen::{
     generate_viznet, generate_wikitable, KbConfig, KnowledgeBase, VizNetConfig, WikiTableConfig,
 };
+use doduo_serve::BatchConfig;
 use doduo_served::bootstrap::synthetic_world;
 use doduo_served::validate::{offline_response, offline_response_quant};
+use doduo_served::Lifecycle;
 use doduo_table::SerializeConfig;
 use doduo_tensor::{serialize, vmath, ParamStore};
 use doduo_tokenizer::{TrainConfig as TokTrain, WordPiece};
 use doduo_transformer::{pretrain_mlm, EncoderConfig, MlmConfig, MlmHead};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes
@@ -70,6 +75,22 @@ fn smoke_table_annotation_matches_its_pinned_digest() {
         (0xc35e_49da_dbbd_b97a, 0x69ad_faf3_e570_c123),
         "(f32, int8) responses moved: {digests:#018x?}\nf32: {f32_bytes}\nint8: {int8_bytes}"
     );
+}
+
+/// The seeded world's checkpoint CRC is the fingerprint half of the daemon's
+/// `x-model-version` label, so it is pinned like the bytes. A `--synthetic`
+/// boot (the bundle serializes itself once) and a `--checkpoint` boot of
+/// the same model (the CRC its file was verified against) report one label.
+#[test]
+fn synthetic_and_checkpoint_boots_report_the_pinned_model_version() {
+    let world = synthetic_world(true, 42);
+    let blob = world.bundle.save();
+    let crc = blob_crc(&blob).expect("a saved bundle has a header CRC");
+    assert_eq!(crc, 0xbb37_af60, "the seeded world's checkpoint CRC moved: {crc:#010x}");
+    let boot = |bundle| Lifecycle::new(bundle, BatchConfig::default()).current().label();
+    let from_file = Arc::new(AnnotatorBundle::load(&blob).expect("own checkpoint loads"));
+    assert_eq!(boot(world.bundle.clone()), format!("1-{crc:08x}"), "--synthetic");
+    assert_eq!(boot(from_file), format!("1-{crc:08x}"), "--checkpoint");
 }
 
 #[test]

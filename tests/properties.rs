@@ -1,15 +1,18 @@
 //! Property-based tests (proptest) over the core invariants of the
 //! reproduction: serialization structure, tokenizer behavior, metric
 //! bounds, clustering-metric invariances, autograd correctness on randomly
-//! shaped inputs, and the daemon's HTTP framing parsers on generated and
-//! arbitrary bytes.
+//! shaped inputs, and the two parsers of untrusted bytes — the daemon's
+//! HTTP framing and the checkpoint loader — on generated and arbitrary
+//! bytes.
 #![allow(clippy::needless_range_loop)]
 
+use doduo_core::{AnnotatorBundle, DoduoConfig, DoduoModel};
 use doduo_eval::{completeness, connected_components, homogeneity, multi_label_micro, v_measure};
 use doduo_served::http::{parse_head, BodyDecoder, BodyFraming, Head, ReadError};
-use doduo_table::{serialize_table, Column, SerializeConfig, Table};
+use doduo_table::{serialize_table, Column, LabelVocab, SerializeConfig, Table};
 use doduo_tensor::{Gradients, ParamStore, Tape, Tensor};
 use doduo_tokenizer::{TrainConfig, WordPiece, CLS, SEP};
+use doduo_transformer::EncoderConfig;
 use proptest::prelude::*;
 
 fn word() -> impl Strategy<Value = String> {
@@ -378,6 +381,92 @@ proptest! {
         }
         for framing in [BodyFraming::None, BodyFraming::Length(len), BodyFraming::Chunked] {
             decode_noise(framing, &bytes, &pieces)?;
+        }
+    }
+}
+
+/// A saved `tiny` bundle: the valid checkpoint the loader's fuzz target
+/// cuts and edits.
+fn checkpoint_blob() -> &'static [u8] {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::sync::OnceLock;
+    static BLOB: OnceLock<Vec<u8>> = OnceLock::new();
+    BLOB.get_or_init(|| {
+        let tok = WordPiece::train(
+            ["alpha beta gamma one two three"],
+            &TrainConfig { merges: 60, min_pair_count: 1, max_word_len: 16 },
+        );
+        let (mut types, mut rels) = (LabelVocab::new(), LabelVocab::new());
+        types.intern("t.a");
+        types.intern("t.b");
+        rels.intern("r.x");
+        let enc = EncoderConfig::tiny(tok.vocab_size());
+        let cfg = DoduoConfig::new(enc, 2, 1, true).with_serialize(SerializeConfig::new(8, 64));
+        let mut store = ParamStore::new();
+        let model = DoduoModel::new(&mut store, cfg, "m", &mut StdRng::seed_from_u64(3));
+        AnnotatorBundle::new(store, model, tok, types, rels, "m").save()
+    })
+}
+
+/// Rewrites a bundle blob's header CRC (bytes 8..12) to match its payload
+/// — the CRC-32 definition, one bit at a time — so an edit reaches the
+/// decoders behind the checksum instead of stopping at it.
+fn reseal(blob: &mut [u8]) {
+    if blob.len() < 12 {
+        return;
+    }
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in &blob[12..] {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    blob[8..12].copy_from_slice(&(!crc).to_le_bytes());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `AnnotatorBundle::load` — what `--checkpoint` and `POST /v1/model`
+    /// run on bytes from outside — returns a bundle or an error, never a
+    /// panic, on: random bytes, bare or behind the bundle magic with a
+    /// matching CRC; random prefixes of a valid blob; and random byte edits
+    /// of one, CRC fixed up after — a third anywhere, a third in the first
+    /// KiB (tokenizer, vocabularies, first record framing), a third in the
+    /// first 80 bytes (the config scalars).
+    /// Whatever loads reports the header CRC it was verified against and
+    /// saves to a blob that loads again.
+    #[test]
+    fn checkpoint_load_never_panics(
+        form in 0u8..4,
+        noise in proptest::collection::vec(0u8..255, 0..600),
+        cut in 0usize..usize::MAX,
+        edits in proptest::collection::vec((0u8..3, 0usize..usize::MAX, 0u8..255), 1..6),
+    ) {
+        let blob = checkpoint_blob();
+        let bytes = match form {
+            0 => noise,
+            1 => {
+                let mut b = [&blob[..12], &noise].concat();
+                reseal(&mut b);
+                b
+            }
+            2 => blob[..cut % (blob.len() + 1)].to_vec(),
+            _ => {
+                let mut b = blob.to_vec();
+                for (front, pos, byte) in edits {
+                    let span = [b.len(), 1024, 80][front as usize].min(b.len());
+                    b[pos % span] = byte;
+                }
+                reseal(&mut b);
+                b
+            }
+        };
+        if let Ok(loaded) = AnnotatorBundle::load(&bytes) {
+            prop_assert_eq!(Some(loaded.crc()), doduo_core::blob_crc(&bytes));
+            prop_assert!(AnnotatorBundle::load(&loaded.save()).is_ok(), "a loaded bundle re-saves");
         }
     }
 }
