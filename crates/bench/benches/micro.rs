@@ -1,5 +1,6 @@
-//! Criterion micro-benchmarks for the hot substrate paths: matmul, fused
-//! attention and one whole training step (`train_step/*`), checkpoint load and save
+//! Criterion micro-benchmarks for the hot substrate paths: a tape dense
+//! layer and the GEMM kernels under it, fused attention and one whole
+//! training step (`train_step/*`), checkpoint load and save
 //! (`bundle_{load,save}_mini`), tokenization, table serialization,
 //! Sherlock featurization, LDA inference and k-means. `cargo bench` runs
 //! these; the per-table experiment *binaries* regenerate the paper's
@@ -16,8 +17,8 @@ use doduo_served::bootstrap::synthetic_world;
 use doduo_table::{serialize_table, SerializeConfig};
 use doduo_tensor::kernels::Tier;
 use doduo_tensor::{
-    kernels, matmul, quantize_row_u8, vmath, AttnBlock, Executor, Gradients, ParamStore,
-    QuantScratch, QuantizedLinear, Tape, Tensor,
+    kernels, quantize_row_u8, vmath, AttnBlock, Executor, Gradients, ParamStore, QuantScratch,
+    QuantizedLinear, Tape, Tensor,
 };
 use doduo_tokenizer::{TrainConfig, WordPiece};
 use doduo_transformer::{all_rows, BatchSeq, Encoder, EncoderConfig};
@@ -29,11 +30,26 @@ fn bench_matmul(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(0);
     let a = Tensor::randn(76, 96, 1.0, &mut rng);
     let b = Tensor::randn(96, 96, 1.0, &mut rng);
-    // The dispatching entry point (what the tape actually calls) plus its
-    // two halves, so a regression in either path or in the dispatch
-    // heuristic shows up; the `gemm` bin sweeps the full shape grid.
-    c.bench_function("matmul_76x96x96", |bench| {
-        bench.iter(|| black_box(matmul(black_box(&a), black_box(&b))))
+    // A tape dense layer forward and backward — `X W + b`, then `G Wᵀ`,
+    // `Xᵀ G` and the bias sums behind a softmax cross-entropy (whose row
+    // softmax is cheap beside the three products), what every trainer
+    // records — beside the product's two kernels alone, so a regression in
+    // either path or in the size policy shows up; the `gemm` bin sweeps the
+    // full shape grid.
+    let mut store = ParamStore::new();
+    let (x, w) = (store.add("x", a.clone()), store.add("w", b.clone()));
+    let bias = store.add_randn("b", 1, 96, 1.0, &mut rng);
+    let targets: Vec<u32> = (0..76).collect();
+    c.bench_function("linear_fwd_bwd_76x96x96", |bench| {
+        bench.iter(|| {
+            let mut tape = Tape::new(&store);
+            let xn = tape.param(x);
+            let y = tape.linear(xn, w, bias);
+            let loss = tape.softmax_ce(y, &targets);
+            let mut grads = Gradients::new(&store);
+            tape.backward(loss, &mut grads);
+            black_box(grads.get(w));
+        })
     });
     c.bench_function("matmul_naive_76x96x96", |bench| {
         bench.iter(|| black_box(kernels::matmul_naive(black_box(&a), black_box(&b))))
@@ -235,7 +251,7 @@ fn bench_mha(c: &mut Criterion) {
     let qkv = Tensor::randn(76, 3 * 96, 0.3, &mut rng);
     c.bench_function("mha_fused_s76_d96_h4", |bench| {
         bench.iter_batched(
-            || Tape::inference(&store),
+            || Tape::new(&store),
             |mut tape| {
                 let qkv = tape.input(qkv.clone());
                 black_box(tape.mha_batch_qkv(qkv, 4, &[None], None));

@@ -300,16 +300,15 @@ impl World {
         let tok = &self.lm.tokenizer;
         let train_p = prepare(&model, &splits.train, tok);
         let valid_p = prepare(&model, &splits.valid, tok);
-        let mut loaded_from_cache = false;
-        if !self.opts.no_cache {
-            if let Ok(bytes) = std::fs::read(&path) {
-                if serialize::load(&mut store, &bytes).is_ok() {
-                    loaded_from_cache = true;
-                    eprintln!("[cache] loaded {name} from {}", path.display());
-                }
-            }
-        }
-        if !loaded_from_cache {
+        let cached = if self.opts.no_cache {
+            None
+        } else {
+            std::fs::read(&path).ok().and_then(|blob| restore(&store, &blob))
+        };
+        if let Some(restored) = cached {
+            store = restored;
+            eprintln!("[cache] loaded {name} from {}", path.display());
+        } else {
             let t = Instant::now();
             let report = train(&model, &mut store, &train_p, &valid_p, tasks, cfg);
             eprintln!(
@@ -327,6 +326,18 @@ impl World {
         let test_p = prepare(&model, &splits.test, tok);
         let scores = evaluate(&model, &store, &test_p, doduo_tensor::default_threads());
         TrainedModel { store, model, scores }
+    }
+}
+
+/// `store` with every parameter restored from a cached checkpoint `blob`,
+/// or `None` — a miss — unless the blob sets each of them from a record of
+/// its shape and holds no other record. The restore runs on a copy, so a
+/// miss leaves `store` as it was built, ready to train from.
+fn restore(store: &ParamStore, blob: &[u8]) -> Option<ParamStore> {
+    let mut copy = store.clone();
+    match serialize::load(&mut copy, blob) {
+        Ok(loaded) if loaded == store.len() => Some(copy),
+        _ => None,
     }
 }
 
@@ -515,6 +526,7 @@ fn load_or_pretrain(kb: &KnowledgeBase, opts: &ExpOptions) -> PretrainedLm {
 mod tests {
     use super::*;
     use doduo_datagen::{generate_wikitable, KbConfig, KnowledgeBase, WikiTableConfig};
+    use doduo_tensor::Tensor;
 
     #[test]
     fn scale_parses() {
@@ -604,6 +616,33 @@ mod tests {
         let changed =
             ds.tables.iter().zip(cols.tables.iter()).any(|(a, b)| a.col_types != b.col_types);
         assert!(changed);
+    }
+
+    /// A fresh two-parameter store, `a` then `b`.
+    fn cache_store(a: f32, b_cols: usize) -> ParamStore {
+        let mut store = ParamStore::new();
+        store.add("a", Tensor::full(2, 3, a));
+        store.add("b", Tensor::full(1, b_cols, 2.0));
+        store
+    }
+
+    #[test]
+    fn cache_restore_is_all_or_nothing_on_a_late_shape_mismatch() {
+        // `a`'s record fits and comes first; `b`'s is mis-shaped: a miss,
+        // and the fresh store keeps every value it was built with.
+        let store = cache_store(1.0, 3);
+        let a = store.find("a").expect("a");
+        assert!(restore(&store, &serialize::save(&cache_store(9.0, 4))).is_none());
+        assert_eq!(store.get(a), &Tensor::full(2, 3, 1.0));
+        let restored = restore(&store, &serialize::save(&cache_store(9.0, 3)));
+        assert_eq!(restored.expect("a full blob restores").get(a), &Tensor::full(2, 3, 9.0));
+    }
+
+    #[test]
+    fn cache_restore_misses_on_a_blob_without_every_parameter() {
+        let store = cache_store(1.0, 3);
+        let blob = serialize::save_filtered(&store, |n| n == "a");
+        assert!(restore(&store, &blob).is_none(), "`b` would keep its fresh value");
     }
 
     #[test]

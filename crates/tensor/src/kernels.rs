@@ -1212,9 +1212,10 @@ pub fn gemm_nn(
     gemm_on(Tier::detect(), Layout::NN, c, ldc, c_col0, dims, a, b, None);
 }
 
-/// [`gemm_nn`] as a dense layer calls it — [`crate::tensor::matmul`] and
-/// both forward backends: with the layer's bias, and on the packed kernel
-/// only where [`blocked_worthwhile`] and the `SMALL_MAX_ROWS` floor say so.
+/// [`gemm_nn`] as a dense layer calls it — the tape's dense op and the
+/// executor's, through `forward::dense_segment`: with the layer's bias, and
+/// on the packed kernel only where [`blocked_worthwhile`] and the
+/// `SMALL_MAX_ROWS` floor say so — the one dense-layer size policy.
 /// `panel` is how a caller whose `b` is a constant offers its [`PackedB`]:
 /// it is asked (and so the panel built) only by a product that will run on
 /// it; `None` packs `b` per call.
@@ -1346,9 +1347,10 @@ pub fn matmul_blocked_on(tier: Tier, layout: Layout, a: &Tensor, b: &Tensor) -> 
     out
 }
 
-/// Blocked `A B` (`A` is `[m, k]`, `B` is `[k, n]`). Bit-identical to
-/// [`matmul_naive`]; prefer [`crate::tensor::matmul`], which picks naive vs
-/// blocked by size.
+/// Blocked `A B` (`A` is `[m, k]`, `B` is `[k, n]`), whatever the size.
+/// Bit-identical to [`matmul_naive`]; the whole-tensor products are
+/// reference points for tests and benches, the model runs the strided
+/// entry points above.
 pub fn matmul_blocked(a: &Tensor, b: &Tensor) -> Tensor {
     matmul_blocked_on(Tier::detect(), Layout::NN, a, b)
 }
@@ -1446,7 +1448,7 @@ pub fn matmul_tn_naive(a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 /// True when `m`×`n`×`k` is big enough for packing to pay off — the size
-/// heuristic behind the [`crate::tensor`] dispatchers. Requires the AVX2
+/// heuristic behind [`gemm_nn_dense`]. Requires the AVX2
 /// micro-kernel: on hosts without it both the portable tile and the naive
 /// loops spend their time in libm's `fmaf`, one call per multiply-add, and
 /// packing only adds to that, so dispatch keeps the naive path there.

@@ -4,11 +4,11 @@
 //! (SIGMOD 2022) reproduction. The paper's models were implemented on
 //! PyTorch; this crate stands in for the slice of PyTorch they actually use:
 //!
-//! * [`Tensor`] — row-major 2-D `f32` matrices with the handful of BLAS-like
-//!   kernels a Transformer needs ([`matmul`], [`matmul_nt`], [`matmul_tn`]).
-//! * [`kernels`] — the cache-blocked, register-tiled GEMM layer those entry
-//!   points dispatch to (packed panels, vector tiers picked by the CPU,
-//!   bit-identical to the naive loops by construction).
+//! * [`Tensor`] — row-major 2-D `f32` matrices.
+//! * [`kernels`] — the cache-blocked, register-tiled GEMM layer every
+//!   product runs on (`A B`, `A Bᵀ`, `Aᵀ B` over strided views, packed
+//!   panels, vector tiers picked by the CPU, bit-identical to the naive
+//!   loops by construction).
 //! * [`vmath`] — the in-repo, vectorised `exp`/`tanh` under GELU, softmax
 //!   and sigmoid: no libm, so values are a function of the input bits alone,
 //!   the same on every host and vector tier.
@@ -17,10 +17,11 @@
 //!   activation scales, accuracy-gated rather than bit-identical (see the
 //!   two-tier numerics policy in that module).
 //! * [`Tape`] — an eager autograd tape recording one forward pass; ops cover
-//!   dense layers, LayerNorm, GELU, embedding gather, fused multi-head
-//!   attention with optional visibility masks (for the TURL baseline),
-//!   dropout, and the two losses the paper uses (softmax cross-entropy for
-//!   VizNet, BCE-with-logits for the multi-label WikiTable tasks).
+//!   dense layers (one node each, the fused Q|K|V projection included),
+//!   LayerNorm, GELU, ReLU, embedding gather, fused multi-head attention
+//!   with optional visibility masks (for the TURL baseline), dropout, and
+//!   the two losses the paper uses (softmax cross-entropy for VizNet,
+//!   BCE-with-logits for the multi-label WikiTable tasks).
 //! * [`Executor`] — the forward-only twin of the tape for serving: the same
 //!   forward ops through the same arithmetic, over a per-thread pool of
 //!   reusable buffers — no nodes, no per-op allocation.
@@ -59,5 +60,5 @@ pub use parallel::{default_threads, parallel_map, train_epoch};
 pub use params::{Fill, Gradients, Init, Param, ParamId, ParamStore};
 pub use quant::{quantize_row_i8, quantize_row_u8, QuantScratch, QuantizedLinear};
 pub use tape::{AttnMask, NodeId, Tape, MASK_NEG};
-pub use tensor::{matmul, matmul_nt, matmul_tn, Tensor};
+pub use tensor::Tensor;
 pub use vmath::softmax_row;

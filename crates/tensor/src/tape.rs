@@ -9,7 +9,11 @@
 //! The op set is exactly what a BERT-style encoder plus classification heads
 //! needs; multi-head attention is a single fused op over packed, ragged
 //! blocks ([`Tape::mha_batch_qkv`]) — a lone sequence is the batch of one —
-//! so no general reshape / transpose machinery is required.
+//! so no general reshape / transpose machinery is required. A dense layer is
+//! one node too ([`Tape::linear`]; [`Tape::fused_qkv`] is the same op over
+//! three column segments): the product with its bias in the GEMM epilogue,
+//! as the executor computes it, and per segment a backward of `Xᵀ G` (dW),
+//! in-order row sums (db) and `G Wᵀ` (dx) on the strided GEMM entry points.
 //!
 //! Two ops know that a caller may hold only some rows of an activation,
 //! which is what lets a trainer's top encoder block compute — and
@@ -34,7 +38,7 @@ use crate::forward::{
 };
 use crate::kernels::{gemm_nn, gemm_nt, gemm_tn, View};
 use crate::params::{Gradients, ParamId, ParamStore};
-use crate::tensor::{matmul, matmul_nt, matmul_tn, Tensor};
+use crate::tensor::Tensor;
 use crate::vmath;
 use rand::Rng;
 use std::sync::Arc;
@@ -60,31 +64,11 @@ enum Op {
     Leaf,
     /// Learnable parameter; gradient flows into the [`Gradients`] buffer.
     Param(ParamId),
-    Matmul {
-        a: NodeId,
-        b: NodeId,
-    },
     Add {
         a: NodeId,
         b: NodeId,
     },
-    /// Broadcasts a `[1, d]` bias over the rows of a `[S, d]` input.
-    AddRow {
-        x: NodeId,
-        bias: NodeId,
-    },
-    Mul {
-        a: NodeId,
-        b: NodeId,
-    },
-    Scale {
-        x: NodeId,
-        c: f32,
-    },
     Gelu {
-        x: NodeId,
-    },
-    Tanh {
         x: NodeId,
     },
     Relu {
@@ -96,9 +80,6 @@ enum Op {
         beta: NodeId,
         mean: Vec<f32>,
         rstd: Vec<f32>,
-    },
-    Softmax {
-        x: NodeId,
     },
     /// Row gather from an embedding matrix.
     Embedding {
@@ -115,15 +96,13 @@ enum Op {
         a: NodeId,
         b: NodeId,
     },
-    /// Fused Q/K/V projection: `[X Wq + bq | X Wk + bk | X Wv + bv]` in one
-    /// pass over `X`, producing `[rows, 3d]`. One activation read instead
-    /// of three.
-    FusedQkv {
+    /// Dense layers side by side over one input: `[X W₀ + b₀ | X W₁ + b₁ |
+    /// …]`, each a `[rows, d]` column segment — one segment for
+    /// [`Tape::linear`], three for [`Tape::fused_qkv`].
+    Dense {
         x: NodeId,
-        /// Weight nodes `[wq, wk, wv]` (each `[d_in, d]`).
-        ws: [NodeId; 3],
-        /// Bias nodes `[bq, bk, bv]` (each `[1, d]`).
-        bs: [NodeId; 3],
+        /// `(weight, bias)` nodes per segment, `[d_in, d]` and `[1, d]`.
+        segs: Vec<(NodeId, NodeId)>,
     },
     /// Multi-head self-attention `softmax(QKᵀ · scale + mask) V` per head,
     /// heads concatenated, over a fused `[rows, 3d]` Q|K|V node whose rows
@@ -227,18 +206,9 @@ impl<'s> Tape<'s> {
         self.nodes.len() - 1
     }
 
-    /// `C = A B`.
-    pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = matmul(self.value(a), self.value(b));
-        self.push(v, Op::Matmul { a, b })
-    }
-
-    /// `y = x W + b` — the standard dense layer.
+    /// `y = x W + b` — the standard dense layer, one node.
     pub fn linear(&mut self, x: NodeId, w: ParamId, b: ParamId) -> NodeId {
-        let wn = self.param(w);
-        let bn = self.param(b);
-        let xw = self.matmul(x, wn);
-        self.add_row(xw, bn)
+        self.dense(x, &[(w, b)])
     }
 
     /// Elementwise sum of two same-shaped nodes.
@@ -250,48 +220,11 @@ impl<'s> Tape<'s> {
         self.push(v, Op::Add { a, b })
     }
 
-    /// Adds a `[1, d]` row vector to every row of `x`.
-    pub fn add_row(&mut self, x: NodeId, bias: NodeId) -> NodeId {
-        let (tx, tb) = (self.value(x), self.value(bias));
-        assert_eq!(tb.rows(), 1, "bias must be a row vector");
-        assert_eq!(tx.cols(), tb.cols(), "add_row width mismatch");
-        let mut v = tx.clone();
-        for row in v.data_mut().chunks_exact_mut(tb.cols()) {
-            for (o, &b) in row.iter_mut().zip(tb.row(0)) {
-                *o += b;
-            }
-        }
-        self.push(v, Op::AddRow { x, bias })
-    }
-
-    /// Elementwise product.
-    pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let (ta, tb) = (self.value(a), self.value(b));
-        assert_eq!(ta.shape(), tb.shape(), "mul shape mismatch");
-        let data: Vec<f32> = ta.data().iter().zip(tb.data().iter()).map(|(x, y)| x * y).collect();
-        let v = Tensor::from_vec(ta.rows(), ta.cols(), data);
-        self.push(v, Op::Mul { a, b })
-    }
-
-    /// Multiplication by a constant.
-    pub fn scale(&mut self, x: NodeId, c: f32) -> NodeId {
-        let mut v = self.value(x).clone();
-        v.scale_assign(c);
-        self.push(v, Op::Scale { x, c })
-    }
-
     /// GELU activation (tanh approximation, as in BERT).
     pub fn gelu(&mut self, x: NodeId) -> NodeId {
         let mut v = self.value(x).clone();
         vmath::gelu(v.data_mut());
         self.push(v, Op::Gelu { x })
-    }
-
-    /// Elementwise hyperbolic tangent.
-    pub fn tanh(&mut self, x: NodeId) -> NodeId {
-        let mut v = self.value(x).clone();
-        vmath::tanh(v.data_mut());
-        self.push(v, Op::Tanh { x })
     }
 
     /// Elementwise rectified linear unit.
@@ -319,14 +252,6 @@ impl<'s> Tape<'s> {
             rstds.push(rstd);
         });
         self.push(out, Op::LayerNorm { x, gamma: gn, beta: bn, mean: means, rstd: rstds })
-    }
-
-    /// Row-wise softmax.
-    pub fn softmax(&mut self, x: NodeId) -> NodeId {
-        let mut v = self.value(x).clone();
-        let cols = v.cols();
-        vmath::softmax_rows(v.data_mut(), cols);
-        self.push(v, Op::Softmax { x })
     }
 
     /// Gathers embedding rows for `ids` from parameter `weight` (`[V, d]`).
@@ -357,10 +282,10 @@ impl<'s> Tape<'s> {
     }
 
     /// Fused Q/K/V projection `[x Wq + bq | x Wk + bk | x Wv + bv]` →
-    /// `[rows, 3d]`. Streams `x` once instead of three times; each output
-    /// element is computed with exactly the accumulation order of
-    /// [`Tape::linear`], so the fused result is bit-identical to three
-    /// separate dense layers.
+    /// `[rows, 3d]`: the one dense op over three column segments, each
+    /// computed as [`Tape::linear`] computes its layer, so the fused node
+    /// is bit-identical to three separate dense layers, forward and
+    /// backward.
     #[allow(clippy::too_many_arguments)] // mirrors three linear() calls
     pub fn fused_qkv(
         &mut self,
@@ -372,25 +297,26 @@ impl<'s> Tape<'s> {
         wv: ParamId,
         bv: ParamId,
     ) -> NodeId {
-        let ws = [self.param(wq), self.param(wk), self.param(wv)];
-        let bs = [self.param(bq), self.param(bk), self.param(bv)];
-        let tx = self.value(x);
-        let (rows, k) = tx.shape();
-        let d = self.value(ws[0]).cols();
-        for (&w, &b) in ws.iter().zip(bs.iter()) {
-            assert_eq!(self.value(w).shape(), (k, d), "fused_qkv weight shape");
-            assert_eq!(self.value(b).shape(), (1, d), "fused_qkv bias shape");
+        self.dense(x, &[(wq, bq), (wk, bk), (wv, bv)])
+    }
+
+    /// Records [`Op::Dense`]: each segment's weight and bias, then the
+    /// node. Each segment is `dense_segment` into its columns — per element
+    /// `sum_k x·w`, then `+ b` in the GEMM epilogue, what the executor
+    /// computes.
+    fn dense(&mut self, x: NodeId, params: &[(ParamId, ParamId)]) -> NodeId {
+        let segs: Vec<(NodeId, NodeId)> =
+            params.iter().map(|&(w, b)| (self.param(w), self.param(b))).collect();
+        let (rows, k) = self.value(x).shape();
+        let d = self.value(segs[0].0).cols();
+        let width = segs.len() * d;
+        let mut out = Tensor::zeros(rows, width);
+        for (t, &(w, b)) in segs.iter().enumerate() {
+            let (w, b) = (self.value(w), self.value(b));
+            assert_eq!(w.shape(), (k, d), "dense weight shape");
+            dense_segment(out.data_mut(), width, t * d, rows, View::of(self.value(x)), w, b, None);
         }
-        let mut out = Tensor::zeros(rows, 3 * d);
-        // Each projection is a dense layer into its own column segment:
-        // per element `sum_k x·w` then `+ b` — exactly [`Tape::linear`]'s
-        // order, so the fused node stays bit-identical to three separate
-        // dense layers.
-        for (t, (&w, &b)) in ws.iter().zip(bs.iter()).enumerate() {
-            let (x, w, b) = (View::of(self.value(x)), self.value(w), self.value(b));
-            dense_segment(out.data_mut(), 3 * d, t * d, rows, x, w, b, None);
-        }
-        self.push(out, Op::FusedQkv { x, ws, bs })
+        self.push(out, Op::Dense { x, segs })
     }
 
     /// Multi-head self-attention over a fused `[rows, 3d]` Q|K|V node
@@ -592,69 +518,31 @@ impl<'s> Tape<'s> {
     }
 
     /// Runs reverse-mode differentiation from scalar node `loss`,
-    /// accumulating parameter gradients (scaled by `seed`) into `grads`.
+    /// accumulating parameter gradients into `grads`.
     pub fn backward(&self, loss: NodeId, grads: &mut Gradients) {
-        self.backward_scaled(loss, grads, 1.0);
-    }
-
-    /// [`Tape::backward`] with an upstream seed gradient (used to weight
-    /// losses without extra nodes).
-    pub fn backward_scaled(&self, loss: NodeId, grads: &mut Gradients, seed: f32) {
         assert_eq!(self.value(loss).shape(), (1, 1), "backward root must be scalar");
         let mut local: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        local[loss] = Some(Tensor::scalar(seed));
+        local[loss] = Some(Tensor::scalar(1.0));
 
         for id in (0..=loss).rev() {
             let Some(g) = local[id].take() else { continue };
             match &self.nodes[id].op {
                 Op::Leaf => {}
                 Op::Param(pid) => grads.accumulate(*pid, &g, self.store),
-                Op::Matmul { a, b } => {
-                    let da = matmul_nt(&g, self.value(*b));
-                    let db = matmul_tn(self.value(*a), &g);
-                    acc(&mut local, *a, da);
-                    acc(&mut local, *b, db);
-                }
                 Op::Add { a, b } => {
                     acc(&mut local, *a, g.clone());
                     acc(&mut local, *b, g);
-                }
-                Op::AddRow { x, bias } => {
-                    let mut db = Tensor::zeros(1, g.cols());
-                    for r in 0..g.rows() {
-                        for (o, &gv) in db.row_mut(0).iter_mut().zip(g.row(r).iter()) {
-                            *o += gv;
-                        }
-                    }
-                    acc(&mut local, *bias, db);
-                    acc(&mut local, *x, g);
-                }
-                Op::Mul { a, b } => {
-                    let ta = self.value(*a);
-                    let tb = self.value(*b);
-                    let da = elementwise(&g, tb, |g, y| g * y);
-                    let db = elementwise(&g, ta, |g, x| g * x);
-                    acc(&mut local, *a, da);
-                    acc(&mut local, *b, db);
-                }
-                Op::Scale { x, c } => {
-                    let mut dx = g;
-                    dx.scale_assign(*c);
-                    acc(&mut local, *x, dx);
                 }
                 Op::Gelu { x } => {
                     let mut dx = g;
                     vmath::gelu_grad(dx.data_mut(), self.value(*x).data());
                     acc(&mut local, *x, dx);
                 }
-                Op::Tanh { x } => {
-                    let ty = self.value(id);
-                    let dx = elementwise(&g, ty, |g, y| g * (1.0 - y * y));
-                    acc(&mut local, *x, dx);
-                }
                 Op::Relu { x } => {
-                    let tx = self.value(*x);
-                    let dx = elementwise(&g, tx, |g, x| if x > 0.0 { g } else { 0.0 });
+                    let mut dx = g;
+                    for (d, &v) in dx.data_mut().iter_mut().zip(self.value(*x).data()) {
+                        *d = if v > 0.0 { *d } else { 0.0 };
+                    }
                     acc(&mut local, *x, dx);
                 }
                 Op::LayerNorm { x, gamma, beta, mean, rstd } => {
@@ -691,21 +579,6 @@ impl<'s> Tape<'s> {
                     acc(&mut local, *beta, dbeta);
                     acc(&mut local, *x, dx);
                 }
-                Op::Softmax { x } => {
-                    let ty = self.value(id);
-                    let (rows, cols) = ty.shape();
-                    let mut dx = Tensor::zeros(rows, cols);
-                    for r in 0..rows {
-                        let yr = ty.row(r);
-                        let gr = g.row(r);
-                        let dot: f32 = yr.iter().zip(gr.iter()).map(|(y, g)| y * g).sum();
-                        let dxr = dx.row_mut(r);
-                        for c in 0..cols {
-                            dxr[c] = yr[c] * (gr[c] - dot);
-                        }
-                    }
-                    acc(&mut local, *x, dx);
-                }
                 Op::Embedding { weight, ids } => {
                     // Straight into the table's gradient rows: no dense
                     // `[vocab, d]` detour through `local`.
@@ -736,21 +609,22 @@ impl<'s> Tape<'s> {
                     acc(&mut local, *a, da);
                     acc(&mut local, *b, db);
                 }
-                Op::FusedQkv { x, ws, bs } => {
+                Op::Dense { x, segs } => {
                     let tx = self.value(*x);
                     let (rows, k) = tx.shape();
-                    let d = self.value(ws[0]).cols();
-                    // V, then K, then Q: the order in which three separate
-                    // dense layers recorded as q, k, v would hand their
+                    let width = g.cols();
+                    let d = width / segs.len();
+                    // Last segment first: the order in which separate dense
+                    // layers recorded first to last would hand their
                     // input-gradients to `x` on the reverse walk. Each is a
                     // product computed on its own and then added — float
                     // addition does not associate, so accumulating the
-                    // three GEMMs into one buffer would move bits.
-                    for t in (0..3).rev() {
-                        // This projection's gradient is the `[t*d, (t+1)*d)`
+                    // GEMMs into one buffer would move bits.
+                    for (t, &(w, b)) in segs.iter().enumerate().rev() {
+                        // This segment's gradient is the `[t*d, (t+1)*d)`
                         // column slice of `g`, consumed in place as a
                         // strided view — no materialized copy.
-                        let g_t = View::at(g.data(), 3 * d, 0, t * d);
+                        let g_t = View::at(g.data(), width, 0, t * d);
                         let mut dw = Tensor::zeros(k, d);
                         gemm_tn(dw.data_mut(), d, 0, (k, d, rows), View::of(tx), g_t);
                         let mut db = Tensor::zeros(1, d);
@@ -761,10 +635,9 @@ impl<'s> Tape<'s> {
                             }
                         }
                         let mut dx = Tensor::zeros(rows, k);
-                        let w = View::of(self.value(ws[t]));
-                        gemm_nt(dx.data_mut(), k, 0, (rows, k, d), g_t, w);
-                        acc(&mut local, ws[t], dw);
-                        acc(&mut local, bs[t], db);
+                        gemm_nt(dx.data_mut(), k, 0, (rows, k, d), g_t, View::of(self.value(w)));
+                        acc(&mut local, w, dw);
+                        acc(&mut local, b, db);
                         acc(&mut local, *x, dx);
                     }
                 }
@@ -933,15 +806,10 @@ fn acc(local: &mut [Option<Tensor>], id: NodeId, g: Tensor) {
     }
 }
 
-fn elementwise(g: &Tensor, x: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
-    debug_assert_eq!(g.shape(), x.shape());
-    let data: Vec<f32> = g.data().iter().zip(x.data().iter()).map(|(&g, &x)| f(g, x)).collect();
-    Tensor::from_vec(g.rows(), g.cols(), data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::{matmul_naive_on, matmul_nt_naive, matmul_tn_naive, Layout, Tier};
     use crate::params::{Gradients, ParamStore};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1520,25 +1388,83 @@ mod tests {
     }
 
     #[test]
-    fn gradcheck_softmax_tanh_mul_scale() {
+    fn gradcheck_relu() {
         let mut rng = rng();
         let mut store = ParamStore::new();
-        let a = store.add_randn("a", 2, 3, 0.8, &mut rng);
-        let b = store.add_randn("b", 2, 3, 0.8, &mut rng);
+        let w = store.add_randn("w", 4, 5, 0.8, &mut rng);
+        let b = store.add_randn("b", 1, 5, 0.3, &mut rng);
+        let x = Tensor::randn(3, 4, 1.0, &mut rng);
         gradcheck(
             &mut store,
             move |tape| {
-                let an = tape.param(a);
-                let bn = tape.param(b);
-                let sm = tape.softmax(an);
-                let th = tape.tanh(bn);
-                let m = tape.mul(sm, th);
-                let sc = tape.scale(m, 1.7);
-                let r = tape.relu(sc);
-                tape.softmax_ce(r, &[2, 0])
+                let xn = tape.input(x.clone());
+                let h = tape.linear(xn, w, b);
+                let r = tape.relu(h);
+                tape.softmax_ce(r, &[2, 0, 4])
             },
             2e-2,
         );
+    }
+
+    #[test]
+    fn linear_matches_the_naive_loops_bitwise() {
+        // One dense node against its oracle spelled out: the naive product
+        // plus one bias pass forward; backward `G Wᵀ`, `Xᵀ G` and the bias's
+        // in-order column sums. Shapes on both sides of the plain-loop /
+        // packed-kernel cut-over — one-row inputs (Sherlock's MLP) among
+        // them — and k past one `KC` block.
+        let mut rng = rng();
+        let shapes = [
+            (1, 4, 3),
+            (3, 8, 5),
+            (5, 24, 17),
+            (1, 96, 96),
+            (2, 96, 384),
+            (76, 96, 96),
+            (19, 300, 40),
+        ];
+        for (rows, k, d) in shapes {
+            let mut store = ParamStore::new();
+            let x = store.add_randn("x", rows, k, 1.0, &mut rng);
+            let w = store.add_randn("w", k, d, 0.3, &mut rng);
+            let b = store.add_randn("b", 1, d, 0.3, &mut rng);
+            let targets: Vec<u32> = (0..rows as u32).map(|r| r % d as u32).collect();
+            let mut grads = Gradients::new(&store);
+            let mut tape = Tape::new(&store);
+            let xn = tape.param(x);
+            let y = tape.linear(xn, w, b);
+            let loss = tape.softmax_ce(y, &targets);
+            tape.backward(loss, &mut grads);
+            assert_eq!(tape.len(), 5, "x, w, b, one dense node, the loss");
+
+            let (tx, tw) = (store.get(x), store.get(w));
+            let mut want = matmul_naive_on(Tier::detect(), Layout::NN, tx, tw);
+            for row in want.data_mut().chunks_exact_mut(d) {
+                for (o, &bv) in row.iter_mut().zip(store.get(b).row(0)) {
+                    *o += bv;
+                }
+            }
+            // The gradient the loss hands the dense node.
+            let Op::SoftmaxCe { probs, .. } = &tape.nodes[loss].op else { panic!("loss node") };
+            let mut g = probs.clone();
+            for (r, &t) in targets.iter().enumerate() {
+                g.set(r, t as usize, g.get(r, t as usize) - 1.0);
+            }
+            g.scale_assign(1.0 / rows as f32);
+            let mut db = Tensor::zeros(1, d);
+            for r in 0..rows {
+                for (o, &gv) in db.row_mut(0).iter_mut().zip(g.row(r)) {
+                    *o += gv;
+                }
+            }
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            let grad = |p| bits(grads.get(p).expect("gradient"));
+            let shape = format!("{rows}x{k}x{d}");
+            assert_eq!(bits(tape.value(y)), bits(&want), "{shape}: value");
+            assert_eq!(grad(x), bits(&matmul_nt_naive(&g, tw)), "{shape}: dx");
+            assert_eq!(grad(w), bits(&matmul_tn_naive(tx, &g)), "{shape}: dW");
+            assert_eq!(grad(b), bits(&db), "{shape}: db");
+        }
     }
 
     #[test]

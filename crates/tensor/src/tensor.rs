@@ -3,9 +3,10 @@
 //! Everything in this reproduction is expressed over 2-D matrices: a token
 //! sequence of length `S` embedded in `d` dimensions is `[S, d]`, a weight
 //! matrix is `[in, out]`, a scalar loss is `[1, 1]`. Avoiding general N-d
-//! shapes keeps the autograd kernels simple and fast.
+//! shapes keeps the autograd kernels simple and fast. A `Tensor` is only
+//! the container: every product of two of them runs in [`crate::kernels`],
+//! over [`crate::kernels::View`]s of their buffers.
 
-use crate::kernels::View;
 use rand::Rng;
 
 /// A dense row-major matrix of `f32` values.
@@ -184,44 +185,6 @@ impl Tensor {
     }
 }
 
-/// `C = A * B` where `A` is `[m, k]` and `B` is `[k, n]`.
-///
-/// Dispatches by size: matrices big enough to amortize panel packing go to
-/// the cache-blocked, register-tiled kernel in [`crate::kernels`]; small
-/// ones use the plain ikj loop. Both paths produce bit-identical results —
-/// see the numerics policy in [`crate::kernels`].
-pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.cols, b.rows, "matmul inner dims: {:?} x {:?}", a.shape(), b.shape());
-    let mut out = Tensor::zeros(a.rows, b.cols);
-    let (dims, a, b) = ((a.rows, b.cols, a.cols), View::of(a), View::of(b));
-    crate::kernels::gemm_nn_dense(&mut out.data, dims.1, 0, dims, a, b, None, None);
-    out
-}
-
-/// `C = A * B^T` where `A` is `[m, k]` and `B` is `[n, k]`.
-///
-/// Same size dispatch as [`matmul`]; the blocked path packs `B` transposed
-/// so the inner kernel is identical across all three variants.
-pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
-    if crate::kernels::blocked_worthwhile(a.rows, b.rows, a.cols) {
-        crate::kernels::matmul_nt_blocked(a, b)
-    } else {
-        crate::kernels::matmul_nt_naive(a, b)
-    }
-}
-
-/// `C = A^T * B` where `A` is `[k, m]` and `B` is `[k, n]`.
-///
-/// Same size dispatch as [`matmul`]; the blocked path packs `A` transposed
-/// so the inner kernel is identical across all three variants.
-pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
-    if crate::kernels::blocked_worthwhile(a.cols, b.cols, a.rows) {
-        crate::kernels::matmul_tn_blocked(a, b)
-    } else {
-        crate::kernels::matmul_tn_naive(a, b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,38 +193,6 @@ mod tests {
 
     fn t(rows: usize, cols: usize, v: &[f32]) -> Tensor {
         Tensor::from_vec(rows, cols, v.to_vec())
-    }
-
-    #[test]
-    fn matmul_small() {
-        let a = t(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = t(3, 2, &[7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = matmul(&a, &b);
-        assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn matmul_identity() {
-        let a = t(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let eye = t(2, 2, &[1.0, 0.0, 0.0, 1.0]);
-        assert_eq!(matmul(&a, &eye).data(), a.data());
-        assert_eq!(matmul(&eye, &a).data(), a.data());
-    }
-
-    #[test]
-    fn matmul_transposed_variants_agree() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let a = Tensor::randn(4, 5, 1.0, &mut rng);
-        let b = Tensor::randn(5, 3, 1.0, &mut rng);
-        let c = matmul(&a, &b);
-        // A * B == A * (B^T)^T via matmul_nt.
-        let c_nt = matmul_nt(&a, &b.transpose());
-        // A * B == (A^T)^T * B via matmul_tn.
-        let c_tn = matmul_tn(&a.transpose(), &b);
-        for i in 0..c.len() {
-            assert!((c.data()[i] - c_nt.data()[i]).abs() < 1e-4);
-            assert!((c.data()[i] - c_tn.data()[i]).abs() < 1e-4);
-        }
     }
 
     #[test]
@@ -288,13 +219,5 @@ mod tests {
         assert!(mean.abs() < 0.02, "mean {mean}");
         let var = x.data().iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / x.len() as f32;
         assert!((var.sqrt() - 0.5).abs() < 0.02, "std {}", var.sqrt());
-    }
-
-    #[test]
-    #[should_panic(expected = "matmul inner dims")]
-    fn matmul_shape_mismatch_panics() {
-        let a = Tensor::zeros(2, 3);
-        let b = Tensor::zeros(2, 3);
-        matmul(&a, &b);
     }
 }

@@ -10,9 +10,7 @@
 
 use crate::config::EncoderConfig;
 use crate::encoder::{BatchSeq, Encoder};
-use doduo_tensor::{
-    train_epoch, Adam, Fill, Gradients, Init, LrSchedule, NodeId, ParamId, ParamStore, Tape,
-};
+use doduo_tensor::{train_epoch, Adam, Fill, Init, LrSchedule, NodeId, ParamId, ParamStore, Tape};
 use doduo_tokenizer::MASK;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -232,22 +230,6 @@ pub fn mlm_eval_loss(
     } else {
         total / n as f32
     }
-}
-
-/// Convenience: gradients of one masked example (used by tests).
-pub fn mlm_example_grads(
-    encoder: &Encoder,
-    head: &MlmHead,
-    store: &ParamStore,
-    ex: &MaskedExample,
-) -> Gradients {
-    let mut grads = Gradients::new(store);
-    let mut rng = StdRng::seed_from_u64(0);
-    let mut tape = Tape::inference(store);
-    let logits = head.logits_at(&mut tape, encoder, &ex.input, &ex.positions, &mut rng);
-    let loss = tape.softmax_ce(logits, &ex.targets);
-    tape.backward(loss, &mut grads);
-    grads
 }
 
 #[cfg(test)]

@@ -167,28 +167,27 @@ proptest! {
         let w = store.add_randn("w", 3, inner, 0.5, &mut rng);
         let b = store.add_zeros("b", 1, inner);
         let out = store.add_randn("out", inner, classes, 0.5, &mut rng);
+        let out_b = store.add_zeros("out_b", 1, classes);
         let x = Tensor::randn(rows, 3, 1.0, &mut rng);
         let targets: Vec<u32> = (0..rows).map(|i| (i % classes) as u32).collect();
 
         let loss_fn = |store: &ParamStore| {
-            let mut tape = Tape::inference(store);
+            let mut tape = Tape::new(store);
             let xn = tape.input(x.clone());
             let h = tape.linear(xn, w, b);
             let a = tape.gelu(h);
-            let on = tape.param(out);
-            let logits = tape.matmul(a, on);
+            let logits = tape.linear(a, out, out_b);
             let l = tape.softmax_ce(logits, &targets);
             tape.value(l).scalar_value()
         };
 
         let mut grads = Gradients::new(&store);
         {
-            let mut tape = Tape::inference(&store);
+            let mut tape = Tape::new(&store);
             let xn = tape.input(x.clone());
             let h = tape.linear(xn, w, b);
             let a = tape.gelu(h);
-            let on = tape.param(out);
-            let logits = tape.matmul(a, on);
+            let logits = tape.linear(a, out, out_b);
             let l = tape.softmax_ce(logits, &targets);
             tape.backward(l, &mut grads);
         }
