@@ -30,7 +30,7 @@ fn main() {
     let opts =
         ExpOptions::from_args_for("Table 12: qualitative win/loss cases vs the Sherlock baseline");
     let world = World::bootstrap(opts);
-    let (store, encoder, head) = instantiate_lm(&world.lm);
+    let (store, encoder, head) = instantiate_lm(&world.lm).expect("pretrained LM must load");
     let tok = &world.lm.tokenizer;
     let kb = &world.kb;
     let mut rng = StdRng::seed_from_u64(world.opts.seed ^ 0x12aa);

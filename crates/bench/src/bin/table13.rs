@@ -23,7 +23,7 @@ const SAMPLES_PER_TYPE: usize = 3;
 fn main() {
     let opts = ExpOptions::from_args_for("Table 13: error analysis by column cardinality");
     let world = World::bootstrap(opts);
-    let (store, encoder, head) = instantiate_lm(&world.lm);
+    let (store, encoder, head) = instantiate_lm(&world.lm).expect("pretrained LM must load");
     let tok = &world.lm.tokenizer;
     let mut rng = StdRng::seed_from_u64(world.opts.seed ^ 0x13bb);
 

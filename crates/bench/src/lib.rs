@@ -3,28 +3,32 @@
 //! Every binary follows the same recipe: build the deterministic world
 //! (knowledge base → corpus → pretrained LM → benchmark datasets), train the
 //! models its table needs, and print the paper's numbers next to the
-//! measured ones. Expensive artifacts (the pretrained LM, fine-tuned model
-//! weights) are cached under `target/doduo-cache/` keyed by configuration,
-//! so binaries that share a model (e.g. default Doduo on WikiTable) train it
-//! once.
+//! measured ones. Expensive artifacts are cached under
+//! `target/doduo-cache/` keyed by configuration, so binaries that share a
+//! model (e.g. default Doduo on WikiTable) train it once: the pretrained LM
+//! as its weight records and vocabulary (its encoder shape is the scale's
+//! pretraining recipe's), a fine-tuned model as an [`AnnotatorBundle`]. An
+//! entry is a hit only if its records build its model exactly — anything
+//! else is a miss that trains again — and every entry is written to a
+//! temporary file and renamed into place, so an interrupted run leaves no
+//! torn one.
 //!
 //! Run e.g. `cargo run --release -p doduo-bench --bin table3 -- --scale quick`.
 
 use doduo_core::{
-    build_finetune_model, evaluate, prepare, pretrain_lm, train, AttentionMode, DoduoConfig,
-    DoduoModel, EvalScores, InputMode, PretrainRecipe, PretrainedLm, Task, TrainConfig,
+    build_finetune_model, evaluate, instantiate_lm, prepare, pretrain_lm, train, AnnotatorBundle,
+    AttentionMode, DoduoConfig, DoduoModel, EvalScores, InputMode, PretrainRecipe, PretrainedLm,
+    Task, TrainConfig, ENC_PREFIX,
 };
 use doduo_datagen::{
     generate_corpus, generate_viznet, generate_wikitable, CorpusConfig, KbConfig, KnowledgeBase,
     VizNetConfig, WikiTableConfig,
 };
 use doduo_table::{Dataset, SerializeConfig};
-use doduo_tensor::serialize;
 use doduo_tensor::ParamStore;
 use doduo_tokenizer::{Vocab, WordPiece};
-use doduo_transformer::{EncoderConfig, MlmConfig};
-use std::io::Write as _;
-use std::path::PathBuf;
+use doduo_transformer::MlmConfig;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 pub mod artifact;
@@ -242,33 +246,29 @@ impl World {
         }
     }
 
-    /// Builds a Doduo-family model over the pretrained encoder.
-    pub fn model(
+    /// The configuration of a Doduo-family model over the pretrained
+    /// encoder.
+    fn finetune_config(
         &self,
         spec: &ModelSpec,
         n_types: usize,
         n_rels: usize,
         multi_label: bool,
-    ) -> (ParamStore, DoduoModel) {
-        build_finetune_model(
-            &self.lm,
-            |enc| {
-                let max_seq = enc.max_seq;
-                let mut ser = SerializeConfig::new(spec.max_tokens_per_col, max_seq);
-                if spec.metadata {
-                    ser = ser.with_metadata();
-                }
-                DoduoConfig::new(enc, n_types, n_rels, multi_label)
-                    .with_input_mode(spec.input_mode)
-                    .with_attention(spec.attention)
-                    .with_serialize(ser)
-            },
-            self.opts.seed ^ 0xf1e7,
-        )
+    ) -> DoduoConfig {
+        let enc = self.lm.config.clone();
+        let mut ser = SerializeConfig::new(spec.max_tokens_per_col, enc.max_seq);
+        if spec.metadata {
+            ser = ser.with_metadata();
+        }
+        DoduoConfig::new(enc, n_types, n_rels, multi_label)
+            .with_input_mode(spec.input_mode)
+            .with_attention(spec.attention)
+            .with_serialize(ser)
     }
 
     /// Trains (or loads from cache) a model variant and returns it together
-    /// with its test scores.
+    /// with its test scores. A cached bundle is a hit only when it loads
+    /// and describes this very model.
     pub fn trained_model(
         &self,
         name: &str,
@@ -278,9 +278,9 @@ impl World {
         multi_label: bool,
         cfg: &TrainConfig,
     ) -> TrainedModel {
-        let n_types = splits.train.type_vocab.len();
-        let n_rels = splits.train.rel_vocab.len().max(1);
-        let (mut store, model) = self.model(spec, n_types, n_rels, multi_label);
+        let (type_vocab, rel_vocab) = (&splits.train.type_vocab, &splits.train.rel_vocab);
+        let model_cfg =
+            self.finetune_config(spec, type_vocab.len(), rel_vocab.len().max(1), multi_label);
         let key = format!(
             "{name}-h{}l{}-{:?}-{:?}-b{}-m{}-ml{}-t{:?}-e{}-lr{}-s{}-{:?}",
             self.lm.config.hidden,
@@ -298,47 +298,48 @@ impl World {
         );
         let path = cache_dir().join(format!("{}.ckpt", sanitize(&key)));
         let tok = &self.lm.tokenizer;
-        let train_p = prepare(&model, &splits.train, tok);
-        let valid_p = prepare(&model, &splits.valid, tok);
-        let cached = if self.opts.no_cache {
-            None
-        } else {
-            std::fs::read(&path).ok().and_then(|blob| restore(&store, &blob))
-        };
-        if let Some(restored) = cached {
-            store = restored;
-            eprintln!("[cache] loaded {name} from {}", path.display());
-        } else {
-            let t = Instant::now();
-            let report = train(&model, &mut store, &train_p, &valid_p, tasks, cfg);
-            eprintln!(
-                "[train] {name}: best epoch {} (val {:.3}) in {:?}",
-                report.best_epoch,
-                report.best_score,
-                t.elapsed()
-            );
-            if !self.opts.no_cache {
-                let blob = serialize::save(&store);
-                let mut f = std::fs::File::create(&path).expect("write cache");
-                f.write_all(&blob).expect("write cache");
+        let cached = if self.opts.no_cache { None } else { AnnotatorBundle::load_from(&path).ok() };
+        let (store, model) = match cached.filter(|b| *b.model.config() == model_cfg) {
+            Some(bundle) => {
+                eprintln!("[cache] loaded {name} from {}", path.display());
+                (bundle.store, bundle.model)
             }
-        }
+            None => {
+                let seed = self.opts.seed ^ 0xf1e7;
+                let (mut store, model) = build_finetune_model(&self.lm, |_| model_cfg, seed);
+                let train_p = prepare(&model, &splits.train, tok);
+                let valid_p = prepare(&model, &splits.valid, tok);
+                let t = Instant::now();
+                let report = train(&model, &mut store, &train_p, &valid_p, tasks, cfg);
+                eprintln!(
+                    "[train] {name}: best epoch {} (val {:.3}) in {:?}",
+                    report.best_epoch,
+                    report.best_score,
+                    t.elapsed()
+                );
+                if self.opts.no_cache {
+                    (store, model)
+                } else {
+                    let (tv, rv) = (type_vocab.clone(), rel_vocab.clone());
+                    let bundle =
+                        AnnotatorBundle::new(store, model, tok.clone(), tv, rv, ENC_PREFIX);
+                    write_cache(&path, &bundle.save());
+                    (bundle.store, bundle.model)
+                }
+            }
+        };
         let test_p = prepare(&model, &splits.test, tok);
         let scores = evaluate(&model, &store, &test_p, doduo_tensor::default_threads());
         TrainedModel { store, model, scores }
     }
 }
 
-/// `store` with every parameter restored from a cached checkpoint `blob`,
-/// or `None` — a miss — unless the blob sets each of them from a record of
-/// its shape and holds no other record. The restore runs on a copy, so a
-/// miss leaves `store` as it was built, ready to train from.
-fn restore(store: &ParamStore, blob: &[u8]) -> Option<ParamStore> {
-    let mut copy = store.clone();
-    match serialize::load(&mut copy, blob) {
-        Ok(loaded) if loaded == store.len() => Some(copy),
-        _ => None,
-    }
+/// Writes a cache entry through a temporary file and a rename, so a run
+/// interrupted mid-write leaves the old entry or none, never a torn one.
+fn write_cache(path: &Path, bytes: &[u8]) {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".{}.tmp", std::process::id()));
+    std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path)).expect("write cache");
 }
 
 /// A model-variant specification (the rows of the paper's tables).
@@ -437,37 +438,10 @@ pub fn shuffled_dataset(ds: &Dataset, rows: bool, cols: bool, seed: u64) -> Data
 
 // -------------------------------------------------------- LM caching
 
-fn lm_cache_paths(opts: &ExpOptions) -> (PathBuf, PathBuf, PathBuf) {
+fn lm_cache_paths(opts: &ExpOptions) -> (PathBuf, PathBuf) {
     let dir = cache_dir();
     let stem = format!("lm-v6-{:?}-{}", opts.scale, opts.seed);
-    (
-        dir.join(format!("{stem}.ckpt")),
-        dir.join(format!("{stem}.vocab")),
-        dir.join(format!("{stem}.cfg")),
-    )
-}
-
-fn encoder_cfg_to_text(c: &EncoderConfig) -> String {
-    format!(
-        "{} {} {} {} {} {} {}",
-        c.vocab_size, c.hidden, c.layers, c.heads, c.ffn, c.max_seq, c.dropout
-    )
-}
-
-fn encoder_cfg_from_text(s: &str) -> Option<EncoderConfig> {
-    let parts: Vec<&str> = s.split_whitespace().collect();
-    if parts.len() != 7 {
-        return None;
-    }
-    Some(EncoderConfig {
-        vocab_size: parts[0].parse().ok()?,
-        hidden: parts[1].parse().ok()?,
-        layers: parts[2].parse().ok()?,
-        heads: parts[3].parse().ok()?,
-        ffn: parts[4].parse().ok()?,
-        max_seq: parts[5].parse().ok()?,
-        dropout: parts[6].parse().ok()?,
-    })
+    (dir.join(format!("{stem}.ckpt")), dir.join(format!("{stem}.vocab")))
 }
 
 fn pretrain_recipe(scale: Scale) -> PretrainRecipe {
@@ -484,24 +458,30 @@ fn pretrain_recipe(scale: Scale) -> PretrainRecipe {
     }
 }
 
+/// The LM a cache entry holds, `recipe`'s encoder over the cached
+/// vocabulary, or `None` — a miss — unless the vocabulary parses and the
+/// weights build that encoder and its MLM head exactly.
+fn cached_lm(recipe: &PretrainRecipe, weights: Vec<u8>, vocab_text: &str) -> Option<PretrainedLm> {
+    let vocab = Vocab::from_text(vocab_text)?;
+    let lm = PretrainedLm {
+        config: recipe.encoder_config(vocab.len()),
+        tokenizer: WordPiece::from_vocab(vocab, recipe.tokenizer.max_word_len),
+        weights: weights.into(),
+        losses: Vec::new(),
+    };
+    instantiate_lm(&lm).is_ok().then_some(lm)
+}
+
 fn load_or_pretrain(kb: &KnowledgeBase, opts: &ExpOptions) -> PretrainedLm {
-    let (ckpt, vocab_path, cfg_path) = lm_cache_paths(opts);
+    let (ckpt, vocab_path) = lm_cache_paths(opts);
+    let recipe = pretrain_recipe(opts.scale);
     if !opts.no_cache {
-        if let (Ok(weights), Ok(vocab_text), Ok(cfg_text)) = (
-            std::fs::read(&ckpt),
-            std::fs::read_to_string(&vocab_path),
-            std::fs::read_to_string(&cfg_path),
-        ) {
-            if let (Some(vocab), Some(config)) =
-                (Vocab::from_text(&vocab_text), encoder_cfg_from_text(&cfg_text))
-            {
+        if let (Ok(weights), Ok(vocab_text)) =
+            (std::fs::read(&ckpt), std::fs::read_to_string(&vocab_path))
+        {
+            if let Some(lm) = cached_lm(&recipe, weights, &vocab_text) {
                 eprintln!("[cache] pretrained LM loaded from {}", ckpt.display());
-                return PretrainedLm {
-                    tokenizer: WordPiece::from_vocab(vocab, 48),
-                    config,
-                    weights: bytes::Bytes::from(weights),
-                    losses: Vec::new(),
-                };
+                return lm;
             }
         }
     }
@@ -511,13 +491,11 @@ fn load_or_pretrain(kb: &KnowledgeBase, opts: &ExpOptions) -> PretrainedLm {
         Scale::Full => corpus,
         Scale::Quick => corpus.into_iter().take(4000).collect(),
     };
-    let recipe = pretrain_recipe(opts.scale);
     let lm = pretrain_lm(&corpus, &recipe, opts.seed);
     eprintln!("[pretrain] {} sentences, losses {:?} in {:?}", corpus.len(), lm.losses, t.elapsed());
     if !opts.no_cache {
-        std::fs::write(&ckpt, &lm.weights).expect("cache LM weights");
-        std::fs::write(&vocab_path, lm.tokenizer.vocab().to_text()).expect("cache vocab");
-        std::fs::write(&cfg_path, encoder_cfg_to_text(&lm.config)).expect("cache cfg");
+        write_cache(&vocab_path, lm.tokenizer.vocab().to_text().as_bytes());
+        write_cache(&ckpt, &lm.weights);
     }
     lm
 }
@@ -526,7 +504,6 @@ fn load_or_pretrain(kb: &KnowledgeBase, opts: &ExpOptions) -> PretrainedLm {
 mod tests {
     use super::*;
     use doduo_datagen::{generate_wikitable, KbConfig, KnowledgeBase, WikiTableConfig};
-    use doduo_tensor::Tensor;
 
     #[test]
     fn scale_parses() {
@@ -618,38 +595,23 @@ mod tests {
         assert!(changed);
     }
 
-    /// A fresh two-parameter store, `a` then `b`.
-    fn cache_store(a: f32, b_cols: usize) -> ParamStore {
-        let mut store = ParamStore::new();
-        store.add("a", Tensor::full(2, 3, a));
-        store.add("b", Tensor::full(1, b_cols, 2.0));
-        store
-    }
-
     #[test]
-    fn cache_restore_is_all_or_nothing_on_a_late_shape_mismatch() {
-        // `a`'s record fits and comes first; `b`'s is mis-shaped: a miss,
-        // and the fresh store keeps every value it was built with.
-        let store = cache_store(1.0, 3);
-        let a = store.find("a").expect("a");
-        assert!(restore(&store, &serialize::save(&cache_store(9.0, 4))).is_none());
-        assert_eq!(store.get(a), &Tensor::full(2, 3, 1.0));
-        let restored = restore(&store, &serialize::save(&cache_store(9.0, 3)));
-        assert_eq!(restored.expect("a full blob restores").get(a), &Tensor::full(2, 3, 9.0));
-    }
-
-    #[test]
-    fn cache_restore_misses_on_a_blob_without_every_parameter() {
-        let store = cache_store(1.0, 3);
-        let blob = serialize::save_filtered(&store, |n| n == "a");
-        assert!(restore(&store, &blob).is_none(), "`b` would keep its fresh value");
-    }
-
-    #[test]
-    fn encoder_cfg_text_roundtrip() {
-        let cfg = EncoderConfig::mini(1234);
-        let text = encoder_cfg_to_text(&cfg);
-        assert_eq!(encoder_cfg_from_text(&text), Some(cfg));
-        assert_eq!(encoder_cfg_from_text("1 2 3"), None);
+    fn a_torn_lm_cache_entry_is_a_miss() {
+        let recipe = PretrainRecipe {
+            mlm: MlmConfig { epochs: 1, ..Default::default() },
+            ..PretrainRecipe::tiny()
+        };
+        let corpus: Vec<String> =
+            ["paris is a city", "rome is a city", "nile is a river"].map(String::from).into();
+        let lm = pretrain_lm(&corpus, &recipe, 3);
+        let vocab = lm.tokenizer.vocab().to_text();
+        let hit = cached_lm(&recipe, lm.weights.to_vec(), &vocab).expect("a whole entry hits");
+        assert_eq!((&hit.config, &hit.weights), (&lm.config, &lm.weights));
+        assert_eq!(hit.tokenizer.max_word_len(), recipe.tokenizer.max_word_len);
+        let torn = lm.weights[..lm.weights.len() / 2].to_vec();
+        assert!(cached_lm(&recipe, torn, &vocab).is_none(), "a truncated blob is a miss");
+        let wider = PretrainRecipe { hidden: 2 * recipe.hidden, ..recipe.clone() };
+        assert!(cached_lm(&wider, lm.weights.to_vec(), &vocab).is_none(), "another recipe's LM");
+        assert!(cached_lm(&recipe, lm.weights.to_vec(), "").is_none(), "no vocabulary");
     }
 }

@@ -46,7 +46,7 @@ pub enum AttentionMode {
 }
 
 /// Model + task configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DoduoConfig {
     /// Shape of the shared encoder.
     pub encoder: EncoderConfig,

@@ -11,8 +11,8 @@
 //! tables starts from the same BERT-base.
 
 use crate::model::{DoduoConfig, DoduoModel};
-use doduo_tensor::serialize::{load_lenient, save_filtered, Records};
-use doduo_tensor::ParamStore;
+use doduo_tensor::serialize::{save_filtered, LoadError, Records};
+use doduo_tensor::{Fill, Init, ParamStore, Tensor};
 use doduo_tokenizer::{TrainConfig as TokTrainConfig, WordPiece, CLS, SEP};
 use doduo_transformer::{pretrain_mlm, Encoder, EncoderConfig, MlmConfig, MlmHead};
 use rand::rngs::StdRng;
@@ -28,8 +28,8 @@ pub struct PretrainedLm {
     pub tokenizer: WordPiece,
     /// Shape of the pretrained encoder.
     pub config: EncoderConfig,
-    /// Checkpoint of the encoder plus its MLM head (the head is skipped by
-    /// fine-tuning loads and used by the probing analysis).
+    /// Weight records of the encoder and its MLM head, exactly: fine-tuning
+    /// models take the encoder's, the probing analysis both.
     pub weights: bytes::Bytes,
     /// Mean MLM loss per pretraining epoch (for reporting).
     pub losses: Vec<f32>,
@@ -89,7 +89,9 @@ impl PretrainRecipe {
         }
     }
 
-    fn encoder_config(&self, vocab_size: usize) -> EncoderConfig {
+    /// The encoder this recipe pretrains over a vocabulary of `vocab_size`
+    /// pieces (what [`pretrain_lm`] records as [`PretrainedLm::config`]).
+    pub fn encoder_config(&self, vocab_size: usize) -> EncoderConfig {
         EncoderConfig {
             vocab_size,
             hidden: self.hidden,
@@ -124,48 +126,70 @@ pub fn pretrain_lm(corpus: &[String], recipe: &PretrainRecipe, seed: u64) -> Pre
         })
         .collect();
     let losses = pretrain_mlm(&encoder, &head, &mut store, &sentences, &recipe.mlm);
-    // Keep the MLM head in the checkpoint: fine-tuning models skip it via a
-    // lenient load, while the probing analysis (Tables 12-13) needs it.
+    // Keep the MLM head in the checkpoint: fine-tuning models leave it
+    // unused, while the probing analysis (Tables 12-13) needs it.
     let prefix = format!("{ENC_PREFIX}.");
     let weights = save_filtered(&store, |n| n.starts_with(&prefix));
     PretrainedLm { tokenizer, config, weights, losses }
 }
 
-/// Instantiates a fine-tuning model whose encoder is initialized from the
-/// pretrained checkpoint. `make_cfg` receives the encoder config so callers
-/// can attach their task shape / input mode / attention mode / token budget.
+/// Instantiates a fine-tuning model whose encoder is the pretrained one.
+/// `make_cfg` receives the encoder config so callers can attach their task
+/// shape / input mode / attention mode / token budget. The model is built
+/// once: encoder parameters take their pretrained values, heads are drawn
+/// from `seed`. Panics, naming the parameter, unless the checkpoint holds a
+/// record of each encoder and MLM-head parameter, of its shape, and no
+/// other (see [`instantiate_lm`]).
 pub fn build_finetune_model(
     lm: &PretrainedLm,
     make_cfg: impl FnOnce(EncoderConfig) -> DoduoConfig,
     seed: u64,
 ) -> (ParamStore, DoduoModel) {
-    let mut store = ParamStore::new();
-    let mut rng = StdRng::seed_from_u64(seed);
     let cfg = make_cfg(lm.config.clone());
     assert_eq!(
         cfg.encoder, lm.config,
         "fine-tune encoder shape must match the pretrained checkpoint"
     );
-    // The encoder is drawn and then overwritten on purpose: the heads'
-    // initial values come from where the encoder's draws leave `rng`, and
-    // every fine-tuned model (and training digest) depends on them.
-    let model = DoduoModel::new(&mut store, cfg, ENC_PREFIX, &mut rng);
-    let (loaded, _skipped_mlm_head) =
-        load_lenient(&mut store, &lm.weights).expect("pretrained weights must load");
-    assert!(loaded > 0, "checkpoint was empty");
+    let (pretrained, _, _) =
+        instantiate_lm(lm).unwrap_or_else(|e| panic!("pretrained weights must load: {e}"));
+    let mut init = Pretrained { lm: &pretrained, rng: StdRng::seed_from_u64(seed) };
+    let mut store = ParamStore::new();
+    let model = DoduoModel::new(&mut store, cfg, ENC_PREFIX, &mut init);
     (store, model)
 }
 
+/// A fine-tuning model's [`Init`] over a pretrained LM. Every parameter is
+/// drawn, so the heads start where the encoder's draws leave `rng`, as in a
+/// model built from scratch (every fine-tuned model and training digest
+/// depends on those values); a parameter the LM has then takes the LM's
+/// value instead of its draw.
+struct Pretrained<'a> {
+    lm: &'a ParamStore,
+    rng: StdRng,
+}
+
+impl Init for Pretrained<'_> {
+    fn value(&mut self, name: &str, rows: usize, cols: usize, fill: Fill) -> Tensor {
+        let drawn = self.rng.value(name, rows, cols, fill);
+        match self.lm.find(name) {
+            Some(id) => self.lm.get(id).clone(),
+            None => drawn,
+        }
+    }
+}
+
 /// Re-instantiates the pretrained language model (encoder + MLM head) from
-/// a checkpoint, e.g. for the perplexity-probing analysis of Tables 12-13.
-pub fn instantiate_lm(lm: &PretrainedLm) -> (ParamStore, Encoder, MlmHead) {
+/// its checkpoint, e.g. for the perplexity-probing analysis of Tables
+/// 12-13. Every parameter is built from its record; nothing is drawn. A
+/// checkpoint that does not parse, or lacks, mis-shapes or adds a record,
+/// is an error naming it.
+pub fn instantiate_lm(lm: &PretrainedLm) -> Result<(ParamStore, Encoder, MlmHead), LoadError> {
     let mut store = ParamStore::new();
-    // Every parameter is built from its checkpoint record; nothing is drawn.
-    let mut records = Records::parse(&lm.weights).expect("pretrained weights must parse");
+    let mut records = Records::parse(&lm.weights)?;
     let encoder = Encoder::new(&mut store, lm.config.clone(), ENC_PREFIX, &mut records);
     let head = MlmHead::new(&mut store, &lm.config, ENC_PREFIX, &mut records);
-    records.finish().expect("LM checkpoint should fully match encoder+head");
-    (store, encoder, head)
+    records.finish()?;
+    Ok((store, encoder, head))
 }
 
 /// Builds the same model shape but *without* loading pretrained weights —
@@ -184,7 +208,9 @@ pub fn build_scratch_model(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use doduo_tensor::serialize::save;
     use doduo_tensor::Tape;
+    use std::sync::OnceLock;
 
     fn corpus() -> Vec<String> {
         let mut out = Vec::new();
@@ -205,18 +231,101 @@ mod tests {
         out
     }
 
+    /// One tiny pretrained LM, shared by the tests.
+    fn lm() -> &'static PretrainedLm {
+        static LM: OnceLock<PretrainedLm> = OnceLock::new();
+        LM.get_or_init(|| pretrain_lm(&corpus(), &PretrainRecipe::tiny(), 42))
+    }
+
+    fn finetune_cfg(enc: EncoderConfig) -> DoduoConfig {
+        DoduoConfig::new(enc, 4, 2, true)
+    }
+
+    /// `lm` with its checkpoint rewritten: `edit` maps each record's name
+    /// and value to the records written in its place.
+    fn forged(edit: impl Fn(&str, &Tensor) -> Vec<(String, Tensor)>) -> PretrainedLm {
+        let lm = lm();
+        let (store, _, _) = instantiate_lm(lm).expect("the pretrained LM loads");
+        let mut out = ParamStore::new();
+        for (_, p) in store.iter() {
+            for (name, value) in edit(&p.name, &p.value) {
+                out.add(name, value);
+            }
+        }
+        let (tokenizer, config) = (lm.tokenizer.clone(), lm.config.clone());
+        PretrainedLm { tokenizer, config, weights: save(&out), losses: Vec::new() }
+    }
+
+    #[test]
+    fn build_finetune_model_matches_draw_then_overwrite_bitwise() {
+        let (store, _) = build_finetune_model(lm(), finetune_cfg, 7);
+        // The oracle: the model drawn from the seed, then every parameter
+        // the pretrained LM has overwritten by name.
+        let mut oracle = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(7);
+        DoduoModel::new(&mut oracle, finetune_cfg(lm().config.clone()), ENC_PREFIX, &mut rng);
+        let (pretrained, _, _) = instantiate_lm(lm()).expect("the pretrained LM loads");
+        let mut copied = 0;
+        for (_, p) in pretrained.iter() {
+            if let Some(id) = oracle.find(&p.name) {
+                oracle.set_value(id, p.value.clone());
+                copied += 1;
+            }
+        }
+        assert_eq!(copied, oracle.len() - 8, "every parameter but the eight head ones");
+        assert_eq!(store.len(), oracle.len());
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for ((i, a), (j, b)) in store.iter().zip(oracle.iter()) {
+            assert_eq!((i, &a.name, a.value.shape()), (j, &b.name, b.value.shape()));
+            assert_eq!(bits(&a.value), bits(&b.value), "{}", a.name);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "enc.l0.attn.wq")]
+    fn a_missing_encoder_record_panics_naming_it() {
+        let lm = forged(|name, v| {
+            if name == "enc.l0.attn.wq" {
+                vec![]
+            } else {
+                vec![(name.to_owned(), v.clone())]
+            }
+        });
+        build_finetune_model(&lm, finetune_cfg, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "enc.emb.ln.g")]
+    fn a_misshaped_encoder_record_panics_naming_it() {
+        let lm = forged(|name, v| {
+            let v = if name == "enc.emb.ln.g" { Tensor::zeros(2, v.cols()) } else { v.clone() };
+            vec![(name.to_owned(), v)]
+        });
+        build_finetune_model(&lm, finetune_cfg, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "enc.type.dense.w")]
+    fn a_record_beyond_the_encoder_and_mlm_head_panics_naming_it() {
+        let lm = forged(|name, v| {
+            let mut out = vec![(name.to_owned(), v.clone())];
+            if name == "enc.emb.tok" {
+                out.push(("enc.type.dense.w".to_owned(), Tensor::zeros(1, 1)));
+            }
+            out
+        });
+        build_finetune_model(&lm, finetune_cfg, 7);
+    }
+
     #[test]
     fn pretrain_then_finetune_weights_transfer() {
-        let lm = pretrain_lm(&corpus(), &PretrainRecipe::tiny(), 42);
+        let lm = lm();
         assert!(!lm.losses.is_empty());
-        let (store, model) = build_finetune_model(&lm, |enc| DoduoConfig::new(enc, 4, 2, true), 7);
+        let (store, model) = build_finetune_model(lm, finetune_cfg, 7);
         // The loaded encoder must produce the same embeddings as a second
         // load — i.e. weights really come from the checkpoint, not the RNG.
-        let (store2, model2) = build_finetune_model(
-            &lm,
-            |enc| DoduoConfig::new(enc, 4, 2, true),
-            999, // different seed: heads differ, encoder identical
-        );
+        // A different seed: heads differ, encoder identical.
+        let (store2, model2) = build_finetune_model(lm, finetune_cfg, 999);
         let ids = [CLS, 7, 8, 9, SEP];
         let mut rng = StdRng::seed_from_u64(0);
         let mut t1 = Tape::inference(&store);
@@ -230,11 +339,8 @@ mod tests {
 
     #[test]
     fn scratch_model_differs_from_pretrained() {
-        let lm = pretrain_lm(&corpus(), &PretrainRecipe::tiny(), 42);
-        let (store_p, model_p) =
-            build_finetune_model(&lm, |enc| DoduoConfig::new(enc, 4, 2, true), 7);
-        let (store_s, model_s) =
-            build_scratch_model(&lm, |enc| DoduoConfig::new(enc, 4, 2, true), 7);
+        let (store_p, model_p) = build_finetune_model(lm(), finetune_cfg, 7);
+        let (store_s, model_s) = build_scratch_model(lm(), finetune_cfg, 7);
         let ids = [CLS, 7, 8, 9, SEP];
         let mut rng = StdRng::seed_from_u64(0);
         let mut t1 = Tape::inference(&store_p);
@@ -254,9 +360,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "must match the pretrained checkpoint")]
     fn mismatched_encoder_shape_panics() {
-        let lm = pretrain_lm(&corpus(), &PretrainRecipe::tiny(), 42);
         build_finetune_model(
-            &lm,
+            lm(),
             |mut enc| {
                 enc.hidden = 64;
                 enc.heads = 4;

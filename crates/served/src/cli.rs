@@ -231,8 +231,6 @@ pub fn run(argv: &[String]) -> i32 {
     let cfg = ServeConfig {
         addr: args.addr.clone(),
         policy: BatchPolicy {
-            max_batch_seqs: args.max_batch_seqs,
-            max_batch_tokens: args.max_batch_tokens,
             max_delay: Duration::from_millis(args.max_delay_ms),
             ..BatchPolicy::default()
         },

@@ -1,7 +1,8 @@
 //! The dynamic micro-batching queue.
 //!
 //! [`Batcher`] is the deterministic core: a bounded FIFO of pending jobs
-//! with a *flush-at-N-tokens-or-T-ms* policy. It never looks at a wall
+//! with a *flush-at-N-tokens-or-T-ms* policy, whose N is the engine's
+//! micro-batch budget ([`BatchConfig`]). It never looks at a wall
 //! clock itself — every operation takes `now: Instant` — so the flush
 //! policy is unit-testable without sleeping. The daemon wraps it in a
 //! `Mutex`/`Condvar` pair ([`SharedBatcher`]): connection threads push and
@@ -12,18 +13,15 @@
 //! (leaving the overflow queued) so a burst becomes a train of full batches
 //! rather than one unbounded one.
 
+use doduo_serve::BatchConfig;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Flush policy and bounds for the batching queue.
+/// Flush deadline and bound of the batching queue (its flush budget is
+/// the engine's, see [`Batcher::new`]).
 #[derive(Clone, Debug)]
 pub struct BatchPolicy {
-    /// Flush once this many sequences are pending (tables in table-wise
-    /// mode; a multi-table request contributes all of its sequences).
-    pub max_batch_seqs: usize,
-    /// Flush once this many total tokens are pending.
-    pub max_batch_tokens: usize,
     /// Flush when the oldest pending job has waited this long, even if no
     /// budget is met — the latency bound for isolated requests.
     pub max_delay: Duration,
@@ -34,15 +32,7 @@ pub struct BatchPolicy {
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        BatchPolicy {
-            max_batch_seqs: 32,
-            // Matches BatchConfig::default().max_batch_tokens in doduo-serve:
-            // the engine cuts micro-batches at this budget anyway, so queuing
-            // more per flush only adds queueing latency.
-            max_batch_tokens: 192,
-            max_delay: Duration::from_millis(2),
-            max_queue_jobs: 1024,
-        }
+        BatchPolicy { max_delay: Duration::from_millis(2), max_queue_jobs: 1024 }
     }
 }
 
@@ -70,15 +60,24 @@ pub enum FlushReason {
 #[derive(Debug)]
 pub struct Batcher<T> {
     policy: BatchPolicy,
+    /// Flush once this many sequences are pending (tables in table-wise
+    /// mode; a multi-table request contributes all of its sequences)...
+    max_seqs: usize,
+    /// ...or this many tokens.
+    max_tokens: usize,
     pending: VecDeque<Pending<T>>,
     seqs: usize,
     tokens: usize,
 }
 
 impl<T> Batcher<T> {
-    /// An empty queue under `policy`.
-    pub fn new(policy: BatchPolicy) -> Self {
-        Batcher { policy, pending: VecDeque::new(), seqs: 0, tokens: 0 }
+    /// An empty queue under `policy` that flushes at `engine`'s
+    /// micro-batch budget (`max_batch` sequences, `max_batch_tokens`
+    /// tokens): the engine cuts its forward passes there anyway, so
+    /// queuing more per flush would only add latency.
+    pub fn new(policy: BatchPolicy, engine: &BatchConfig) -> Self {
+        let (max_seqs, max_tokens) = (engine.max_batch, engine.max_batch_tokens);
+        Batcher { policy, max_seqs, max_tokens, pending: VecDeque::new(), seqs: 0, tokens: 0 }
     }
 
     /// Queued job count.
@@ -110,7 +109,7 @@ impl<T> Batcher<T> {
 
     /// True when a budget is already met and a batch should flush now.
     pub fn budget_reached(&self) -> bool {
-        self.seqs >= self.policy.max_batch_seqs || self.tokens >= self.policy.max_batch_tokens
+        self.seqs >= self.max_seqs || self.tokens >= self.max_tokens
     }
 
     /// The instant the oldest pending job must flush by (its arrival plus
@@ -150,8 +149,7 @@ impl<T> Batcher<T> {
         let (mut seqs, mut tokens) = (0usize, 0usize);
         while let Some(front) = self.pending.front() {
             if !out.is_empty()
-                && (seqs + front.seqs > self.policy.max_batch_seqs
-                    || tokens + front.tokens > self.policy.max_batch_tokens)
+                && (seqs + front.seqs > self.max_seqs || tokens + front.tokens > self.max_tokens)
             {
                 break;
             }
@@ -184,10 +182,10 @@ pub struct SharedBatcher<T> {
 }
 
 impl<T> SharedBatcher<T> {
-    /// Wraps an empty queue under `policy`.
-    pub fn new(policy: BatchPolicy) -> Self {
+    /// Wraps an empty [`Batcher::new`] queue.
+    pub fn new(policy: BatchPolicy, engine: &BatchConfig) -> Self {
         SharedBatcher {
-            inner: Mutex::new(Batcher::new(policy)),
+            inner: Mutex::new(Batcher::new(policy, engine)),
             wake: Condvar::new(),
             closed: std::sync::atomic::AtomicBool::new(false),
         }
@@ -267,19 +265,17 @@ impl<T> SharedBatcher<T> {
 mod tests {
     use super::*;
 
-    fn policy(seqs: usize, tokens: usize, delay_ms: u64) -> BatchPolicy {
-        BatchPolicy {
-            max_batch_seqs: seqs,
-            max_batch_tokens: tokens,
-            max_delay: Duration::from_millis(delay_ms),
-            max_queue_jobs: 8,
-        }
+    fn batcher<T>(seqs: usize, tokens: usize, delay_ms: u64) -> Batcher<T> {
+        let policy = BatchPolicy { max_delay: Duration::from_millis(delay_ms), max_queue_jobs: 8 };
+        let engine =
+            BatchConfig { max_batch: seqs, max_batch_tokens: tokens, ..Default::default() };
+        Batcher::new(policy, &engine)
     }
 
     #[test]
     fn flushes_on_token_budget() {
         let t0 = Instant::now();
-        let mut b: Batcher<u32> = Batcher::new(policy(100, 50, 1000));
+        let mut b: Batcher<u32> = batcher(100, 50, 1000);
         b.push(1, 1, 20, t0).unwrap();
         assert!(!b.budget_reached());
         assert_eq!(b.take_due(t0), None, "under budget and before deadline");
@@ -299,7 +295,7 @@ mod tests {
     #[test]
     fn flushes_on_sequence_budget() {
         let t0 = Instant::now();
-        let mut b: Batcher<u32> = Batcher::new(policy(4, 10_000, 1000));
+        let mut b: Batcher<u32> = batcher(4, 10_000, 1000);
         for i in 0..3 {
             b.push(i, 1, 5, t0).unwrap();
             assert_eq!(b.take_due(t0), None, "3 sequences < 4");
@@ -314,7 +310,7 @@ mod tests {
     #[test]
     fn flushes_on_deadline() {
         let t0 = Instant::now();
-        let mut b: Batcher<u32> = Batcher::new(policy(100, 1000, 10));
+        let mut b: Batcher<u32> = batcher(100, 1000, 10);
         b.push(1, 1, 5, t0).unwrap();
         b.push(2, 1, 5, t0 + Duration::from_millis(4)).unwrap();
         assert_eq!(b.deadline(), Some(t0 + Duration::from_millis(10)));
@@ -328,7 +324,7 @@ mod tests {
     #[test]
     fn oversized_job_flushes_alone() {
         let t0 = Instant::now();
-        let mut b: Batcher<u32> = Batcher::new(policy(8, 50, 1000));
+        let mut b: Batcher<u32> = batcher(8, 50, 1000);
         b.push(1, 1, 500, t0).unwrap();
         let (batch, reason) = b.take_due(t0).expect("due");
         assert_eq!(reason, FlushReason::Budget);
@@ -338,7 +334,7 @@ mod tests {
     #[test]
     fn preserves_arrival_order_under_interleaving() {
         let t0 = Instant::now();
-        let mut b: Batcher<(u32, u32)> = Batcher::new(policy(100, 60, 1000));
+        let mut b: Batcher<(u32, u32)> = batcher(100, 60, 1000);
         // Two "connections" interleave pushes; arrival order must be kept
         // within and across batches.
         for (i, conn) in [(0, 0), (1, 1), (2, 0), (3, 1), (4, 0), (5, 1)] {
@@ -355,7 +351,7 @@ mod tests {
     #[test]
     fn bounded_queue_rejects_overflow() {
         let t0 = Instant::now();
-        let mut b: Batcher<u32> = Batcher::new(policy(1000, 100_000, 1000));
+        let mut b: Batcher<u32> = batcher(1000, 100_000, 1000);
         for i in 0..8 {
             b.push(i, 1, 1, t0).unwrap();
         }
@@ -366,7 +362,7 @@ mod tests {
     #[test]
     fn burst_becomes_budgeted_batch_train() {
         let t0 = Instant::now();
-        let mut b: Batcher<u32> = Batcher::new(policy(2, 10_000, 0));
+        let mut b: Batcher<u32> = batcher(2, 10_000, 0);
         for i in 0..7 {
             b.push(i, 1, 1, t0).unwrap();
         }

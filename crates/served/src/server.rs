@@ -96,9 +96,10 @@ const RETRY_AFTER_SECS: u64 = 1;
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (port 0 picks a free port).
     pub addr: String,
-    /// Dynamic micro-batching policy.
+    /// The batching queue's flush deadline and bound.
     pub policy: BatchPolicy,
-    /// Engine knobs (micro-batch cuts, worker threads, tokenization cache).
+    /// Engine knobs (micro-batch cuts — also the queue's flush budget —,
+    /// worker threads, tokenization cache).
     pub engine: BatchConfig,
     /// Maximum concurrent connections; beyond it new ones get 503+close.
     pub max_connections: usize,
@@ -257,7 +258,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             ready: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
-            queue: SharedBatcher::new(cfg.policy.clone()),
+            queue: SharedBatcher::new(cfg.policy.clone(), &cfg.engine),
             stats: ServerStats::default(),
             started: Instant::now(),
             chaos: cfg.chaos.clone().map(ChaosState::new),

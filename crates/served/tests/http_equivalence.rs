@@ -124,15 +124,12 @@ fn concurrent_burst_is_byte_identical_and_batched() {
     let world = synthetic_world(true, 42);
     // A generous deadline forces real coalescing: the burst below lands
     // well inside 50ms, so most responses ride shared batches.
-    let policy = BatchPolicy {
-        max_delay: Duration::from_millis(50),
-        max_batch_seqs: 8,
-        max_batch_tokens: 100_000,
-        ..BatchPolicy::default()
-    };
+    let policy = BatchPolicy { max_delay: Duration::from_millis(50), ..BatchPolicy::default() };
+    let mut cfg = test_config(policy);
+    (cfg.engine.max_batch, cfg.engine.max_batch_tokens) = (8, 100_000);
     let n_clients = 12usize;
     let world_ref = &world;
-    with_server(world_ref, policy, |addr| {
+    with_server_cfg(world_ref, cfg, |addr| {
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for k in 0..n_clients {

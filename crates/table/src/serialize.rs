@@ -14,7 +14,7 @@ use doduo_tokenizer::{WordPiece, CLS, SEP};
 pub const NO_COLUMN: u32 = u32::MAX;
 
 /// Serialization policy.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SerializeConfig {
     /// Token budget per column (Table 8's `MaxToken/col`); `0` = unlimited
     /// up to `max_seq`.

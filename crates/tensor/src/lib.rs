@@ -34,7 +34,8 @@
 //!   decay, one optimizer per task as in Algorithm 1).
 //! * [`serialize`] — binary checkpoints for the pretrain → fine-tune flow;
 //!   their parsed weight records ([`serialize::Records`]) are an [`Init`],
-//!   like any random source, so a loader builds a model from them directly.
+//!   like any random source, and the only way saved bytes become
+//!   parameters: every loader builds its model from them directly.
 //!
 //! Design: one table = one sequence = one tape. There is no batching inside
 //! a tape, so shapes stay 2-D and no padding or masking machinery is needed

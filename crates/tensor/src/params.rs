@@ -180,7 +180,8 @@ impl ParamStore {
         &self.params[id].name
     }
 
-    /// Looks a parameter up by name (used by the weight loader).
+    /// Looks a parameter up by name (the pretrain → fine-tune handoff
+    /// takes encoder values from the pretrained LM this way).
     pub fn find(&self, name: &str) -> Option<ParamId> {
         self.params.iter().position(|p| p.name == name)
     }

@@ -7,9 +7,11 @@
 //! Decoding has one parser, [`Records::parse`], which checks every length
 //! against the bytes that are actually there (a record declaring more
 //! floats than fit in `usize` is as truncated as one declaring more than
-//! the buffer holds). Its result is used two ways: as the [`Init`] a model
-//! constructor builds every parameter from (a checkpoint load), or copied
-//! over a store that already exists ([`load`], [`load_lenient`]).
+//! the buffer holds), and one reader: the parsed [`Records`] are the
+//! [`Init`] a model constructor builds every parameter from, and
+//! [`Records::finish`] rejects a construction that left any parameter
+//! without its record or any record without its parameter. No loader
+//! writes into a store that already exists.
 
 use crate::params::{Fill, Init, ParamStore};
 use crate::Tensor;
@@ -27,7 +29,7 @@ pub enum LoadError {
     Truncated,
     /// A parameter name was not valid UTF-8.
     BadName,
-    /// Checkpoint has a parameter the target store lacks (strict mode).
+    /// The checkpoint holds a record no parameter asked for.
     UnknownParam(String),
     /// The model has a parameter the checkpoint has no record of.
     MissingParam(String),
@@ -50,7 +52,7 @@ impl std::fmt::Display for LoadError {
             LoadError::BadMagic => write!(f, "not a DODUO checkpoint (bad magic)"),
             LoadError::Truncated => write!(f, "checkpoint truncated"),
             LoadError::BadName => write!(f, "parameter name is not valid UTF-8"),
-            LoadError::UnknownParam(n) => write!(f, "checkpoint parameter {n} not in store"),
+            LoadError::UnknownParam(n) => write!(f, "checkpoint record {n} matches no parameter"),
             LoadError::MissingParam(n) => write!(f, "checkpoint has no record of parameter {n}"),
             LoadError::DuplicateParam(n) => write!(f, "checkpoint holds parameter {n} twice"),
             LoadError::ShapeMismatch { name, expected, found } => write!(
@@ -204,49 +206,6 @@ impl Init for Records<'_> {
     }
 }
 
-/// Loads a checkpoint into `store`, matching parameters by name.
-///
-/// Every checkpoint entry must exist in the store with the same shape;
-/// store parameters absent from the checkpoint keep their current values
-/// (this lets a fine-tuning model load a pretrained encoder and keep its
-/// freshly-initialized heads).
-pub fn load(store: &mut ParamStore, data: &[u8]) -> Result<usize, LoadError> {
-    load_impl(store, data, true).map(|(loaded, _)| loaded)
-}
-
-/// Like [`load`], but checkpoint entries with no matching store parameter
-/// are skipped instead of erroring. Returns `(loaded, skipped)`. Used when
-/// a fine-tuning model loads a pretrain checkpoint that still carries the
-/// MLM head.
-pub fn load_lenient(store: &mut ParamStore, data: &[u8]) -> Result<(usize, usize), LoadError> {
-    load_impl(store, data, false)
-}
-
-fn load_impl(
-    store: &mut ParamStore,
-    data: &[u8],
-    strict: bool,
-) -> Result<(usize, usize), LoadError> {
-    let records = Records::parse(data)?;
-    let mut loaded = 0;
-    for rec in &records.records {
-        let Some(pid) = store.find(rec.name) else {
-            if strict {
-                return Err(LoadError::UnknownParam(rec.name.to_owned()));
-            }
-            continue;
-        };
-        let expected = store.get(pid).shape();
-        if expected != rec.shape {
-            let name = rec.name.to_owned();
-            return Err(LoadError::ShapeMismatch { name, expected, found: rec.shape });
-        }
-        store.set_value(pid, rec.tensor());
-        loaded += 1;
-    }
-    Ok((loaded, records.len() - loaded))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,20 +228,6 @@ mod tests {
         s.init("enc.b", 1, 4, Fill::Randn(0.5), init);
         s.init("head.w", 4, 2, Fill::Randn(0.5), init);
         s
-    }
-
-    #[test]
-    fn roundtrip_restores_exact_values() {
-        let src = sample_store();
-        let blob = save(&src);
-        let mut dst = sample_store();
-        // Perturb destination, then load.
-        dst.get_mut(0).data_mut()[0] += 1.0;
-        let n = load(&mut dst, &blob).unwrap();
-        assert_eq!(n, 3);
-        for pid in 0..src.len() {
-            assert_eq!(src.get(pid).data(), dst.get(pid).data());
-        }
     }
 
     #[test]
@@ -341,75 +286,33 @@ mod tests {
     }
 
     #[test]
-    fn partial_load_keeps_extra_params() {
-        let src = sample_store();
-        let blob = save(&src);
-        let mut dst = sample_store();
-        let extra = dst.add("fresh.head", Tensor::row_vector(vec![9.0, 9.0]));
-        let n = load(&mut dst, &blob).unwrap();
-        assert_eq!(n, 3);
-        assert_eq!(dst.get(extra).data(), &[9.0, 9.0]);
-    }
-
-    #[test]
     fn filtered_save_keeps_only_matching() {
         let src = sample_store();
         let blob = save_filtered(&src, |n| n.starts_with("enc."));
-        let mut dst = sample_store();
-        dst.get_mut(2).data_mut()[0] = 99.0; // head.w must stay perturbed
-        let n = load(&mut dst, &blob).unwrap();
-        assert_eq!(n, 2);
-        assert_eq!(dst.get(2).data()[0], 99.0);
-        assert_eq!(dst.get(0).data(), src.get(0).data());
+        let mut records = Records::parse(&blob).unwrap();
+        assert_eq!(records.len(), 2);
+        let mut s = ParamStore::new();
+        s.init("enc.w", 3, 4, Fill::Zeros, &mut records);
+        s.init("enc.b", 1, 4, Fill::Zeros, &mut records);
+        records.finish().unwrap();
+        for pid in 0..s.len() {
+            assert_eq!(s.get(pid).data(), src.get(pid).data());
+        }
+        let mut records = Records::parse(&blob).unwrap();
+        build(&mut records);
+        assert_eq!(records.finish(), Err(LoadError::MissingParam("head.w".into())));
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut dst = sample_store();
-        assert_eq!(load(&mut dst, b"NOTDODUO____"), Err(LoadError::BadMagic));
+        assert_eq!(Records::parse(b"NOTDODUO____").err(), Some(LoadError::BadMagic));
     }
 
     #[test]
     fn truncated_rejected() {
-        let src = sample_store();
-        let blob = save(&src);
-        let mut dst = sample_store();
-        assert_eq!(load(&mut dst, &blob[..blob.len() - 5]), Err(LoadError::Truncated));
-    }
-
-    #[test]
-    fn shape_mismatch_rejected() {
-        let src = sample_store();
-        let blob = save(&src);
-        let mut dst = ParamStore::new();
-        dst.add_zeros("enc.w", 2, 2);
-        dst.add_zeros("enc.b", 1, 4);
-        dst.add_zeros("head.w", 4, 2);
-        match load(&mut dst, &blob) {
-            Err(LoadError::ShapeMismatch { name, .. }) => assert_eq!(name, "enc.w"),
-            other => panic!("expected shape mismatch, got {other:?}"),
+        let blob = save(&sample_store());
+        for cut in [blob.len() - 5, 8 + 2, 8 + 4 + 3] {
+            assert_eq!(Records::parse(&blob[..cut]).err(), Some(LoadError::Truncated), "cut {cut}");
         }
-    }
-
-    #[test]
-    fn unknown_param_rejected() {
-        let src = sample_store();
-        let blob = save(&src);
-        let mut dst = ParamStore::new();
-        dst.add_zeros("something.else", 3, 4);
-        assert!(matches!(load(&mut dst, &blob), Err(LoadError::UnknownParam(_))));
-    }
-
-    #[test]
-    fn lenient_load_skips_unknown() {
-        let src = sample_store();
-        let blob = save(&src);
-        let mut dst = ParamStore::new();
-        dst.add_zeros("enc.w", 3, 4);
-        dst.add_zeros("fresh", 1, 1);
-        let (loaded, skipped) = load_lenient(&mut dst, &blob).unwrap();
-        assert_eq!(loaded, 1);
-        assert_eq!(skipped, 2);
-        assert_eq!(dst.get(0).data(), src.get(0).data());
     }
 }

@@ -18,7 +18,7 @@ fn main() {
     let mut recipe = PretrainRecipe::tiny();
     recipe.mlm.epochs = 12;
     let lm = pretrain_lm(&corpus, &recipe, seed);
-    let (store, encoder, head) = instantiate_lm(&lm);
+    let (store, encoder, head) = instantiate_lm(&lm).expect("pretrained LM must load");
     let tok = &lm.tokenizer;
 
     let ppl = |sentence: &str| {

@@ -9,7 +9,7 @@ use doduo_core::{
 };
 use doduo_datagen::{generate_wikitable, KbConfig, KnowledgeBase, WikiTableConfig};
 use doduo_table::{Dataset, SerializeConfig};
-use doduo_tensor::serialize::{load, save};
+use doduo_tensor::serialize::{save, Records};
 use doduo_tensor::ParamStore;
 use doduo_tokenizer::{TrainConfig as TokTrainConfig, WordPiece};
 use doduo_transformer::EncoderConfig;
@@ -110,12 +110,13 @@ fn one_epoch_train_and_annotate_roundtrip() {
     let again = annotator.annotate(table);
     assert_eq!(format!("{ann:?}"), format!("{again:?}"), "annotate() must be deterministic");
 
-    // Round-trip 2: predictions survive a checkpoint save/load into a
-    // freshly initialized (different-seed) parameter store.
+    // Round-trip 2: predictions survive a checkpoint save/load — a second
+    // model of the same configuration built from the saved weight records.
     let blob = save(&store);
-    let (mut store2, model2) = tiny_model(&tok, &train_ds, 99);
-    let loaded = load(&mut store2, &blob).expect("checkpoint must load");
-    assert_eq!(loaded, store.len(), "every parameter must round-trip");
+    let mut records = Records::parse(&blob).expect("checkpoint must parse");
+    let mut store2 = ParamStore::new();
+    let model2 = DoduoModel::new(&mut store2, model.config().clone(), ENC_PREFIX, &mut records);
+    records.finish().expect("every parameter must round-trip");
     let annotator2 = Annotator {
         model: &model2,
         store: &store2,
