@@ -14,9 +14,10 @@
 //!   connect errors, first-byte timeouts, and complete `5xx`s — but never
 //!   once response bytes have flowed (mid-response failures abort with
 //!   `502` after exactly one dispatch). Overload sheds with
-//!   `503 + Retry-After`; a parked client costs no thread.
-//! * [`backend`] — the balancer→replica connection and the
-//!   before-/mid-response failure classification the retry policy rests on.
+//!   `503 + Retry-After`; a parked client costs no thread. Replica links
+//!   are pooled `doduo_served::http::Client`s, the workspace's one HTTP
+//!   client, which classifies a failure before or after the first
+//!   response byte.
 //! * [`backoff`] — capped exponential backoff with seeded jitter, shared by
 //!   request retries and replica restarts.
 //!
@@ -32,12 +33,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod backend;
 pub mod backoff;
 pub mod proxy;
 pub mod supervisor;
 
-pub use backend::{Backend, BackendResponse, ForwardError};
 pub use backoff::Backoff;
 pub use proxy::{BalanceConfig, BalanceHandle, Balancer};
 pub use supervisor::{Registry, ReplicaState, SupervisorConfig};

@@ -25,16 +25,18 @@
 //! `/v1/annotate` is deterministic and side-effect-free: the same body yields
 //! byte-identical responses on every healthy replica (the daemon's
 //! byte-identity contract). Re-dispatching a request is therefore safe
-//! **iff the client-visible response never started** — the failure classes
-//! of [`crate::backend::ForwardError`]:
+//! **iff the client-visible response never started**. Each replica link is
+//! a pooled [`Client`], whose [`Client::exchange`] splits a failure at the
+//! first response byte ([`ExchangeError`]):
 //!
 //! * before-response failures (connect refused, write error, first-byte
 //!   timeout or EOF) and *complete* `5xx` responses → retry on another
 //!   replica, with capped exponential backoff + seeded jitter between
 //!   rounds;
-//! * mid-response failures → the answer started flowing; a retry could
-//!   deliver a second (or torn) answer, so the balancer aborts with `502`
-//!   after **exactly one dispatch**;
+//! * mid-response failures (a bad head, a body cut short of its framing) →
+//!   the answer started flowing; a retry could deliver a second (or torn)
+//!   answer, so the balancer aborts with `502` after **exactly one
+//!   dispatch**;
 //! * complete `4xx` → the request itself is bad; forwarded as-is, no retry.
 //!
 //! ## Overload
@@ -45,9 +47,9 @@
 //! Queue depth bounded at every layer means overload degrades throughput,
 //! never correctness.
 
-use crate::backend::{Backend, BackendResponse, ForwardError};
 use crate::backoff::{Backoff, SplitMix64};
 use crate::supervisor::{supervise, Registry, ReplicaState, SupervisorConfig};
+use doduo_served::http::{Client, ExchangeError, Response};
 use doduo_served::json::push_escaped;
 use doduo_served::reactor::{
     admit, Dispatch, Driver, NoStream, Reactor, ReactorConfig, Router, Ticket,
@@ -155,7 +157,7 @@ struct Shared {
     started: Instant,
     /// Idle keep-alive links to the replicas by replica id, shared by every
     /// forwarder.
-    links: Mutex<HashMap<usize, Vec<Backend>>>,
+    links: Mutex<HashMap<usize, Vec<Client>>>,
     /// The last model blob every replica accepted — the rollback image for
     /// a failed fan-out and the catch-up image for restarted replicas.
     last_model: Mutex<Option<Vec<u8>>>,
@@ -177,15 +179,15 @@ impl Shared {
     /// A parked link to replica `id`. A zero-timeout readiness probe weeds
     /// out links whose replica restarted while they were parked — those
     /// would otherwise burn a retry attempt as a before-response failure.
-    fn checkout(&self, id: usize) -> Option<Backend> {
+    fn checkout(&self, id: usize) -> Option<Client> {
         let mut links = self.links.lock().expect("links lock");
         let parked = links.get_mut(&id)?;
-        std::iter::from_fn(|| parked.pop()).find(|be| !be.is_stale())
+        std::iter::from_fn(|| parked.pop()).find(|link| !link.is_stale())
     }
 
     /// Parks a link the replica keeps open for the next forward to reuse.
-    fn checkin(&self, id: usize, be: Backend) {
-        self.links.lock().expect("links lock").entry(id).or_default().push(be);
+    fn checkin(&self, id: usize, link: Client) {
+        self.links.lock().expect("links lock").entry(id).or_default().push(link);
     }
 
     fn stats_json(&self) -> String {
@@ -506,7 +508,7 @@ fn proxy_request(req: &HttpRequest, shared: &Shared, cfg: &BalanceConfig) -> Htt
         SplitMix64::new(cfg.seed.wrapping_add(shared.forwards.fetch_add(1, Ordering::Relaxed)));
     let mut backoff = Backoff::new(cfg.retry_backoff_base, cfg.retry_backoff_cap);
     let mut attempts = 0u64;
-    let mut last_5xx: Option<BackendResponse> = None;
+    let mut last_5xx: Option<Response> = None;
     for round in 0..cfg.retry_rounds.max(1) {
         if round > 0 {
             std::thread::sleep(backoff.next_delay(&mut rng));
@@ -517,17 +519,17 @@ fn proxy_request(req: &HttpRequest, shared: &Shared, cfg: &BalanceConfig) -> Htt
             }
             attempts += 1;
             // Reuse a parked link to the replica, or dial.
-            let mut be = match shared.checkout(id) {
+            let mut link = match shared.checkout(id) {
                 Some(b) => b,
-                None => match Backend::connect(&addr, cfg.connect_timeout, cfg.response_timeout) {
+                None => match Client::dial(&addr, cfg.connect_timeout, cfg.response_timeout) {
                     Ok(b) => b,
                     Err(_) => continue,
                 },
             };
-            match be.forward(&req.method, &path, &req.body) {
+            match link.exchange(&req.method, &path, &req.body) {
                 Ok(resp) => {
                     if resp.keep_alive {
-                        shared.checkin(id, be);
+                        shared.checkin(id, link);
                     }
                     if resp.status >= 500 {
                         // A complete 5xx: the replica answered "not me, not
@@ -539,15 +541,15 @@ fn proxy_request(req: &HttpRequest, shared: &Shared, cfg: &BalanceConfig) -> Htt
                     shared.stats.requests_ok.fetch_add(1, Ordering::Relaxed);
                     return relay(resp);
                 }
-                Err(ForwardError::BeforeResponse(_)) => {
+                Err(ExchangeError::BeforeResponse(_)) => {
                     // Zero response bytes: the link is dead but the
                     // request is untainted. Drop the link, try the next
                     // replica.
                 }
-                Err(ForwardError::MidResponse(msg)) => {
+                Err(ExchangeError::MidResponse(e)) => {
                     shared.stats.mid_response_aborts.fetch_add(1, Ordering::Relaxed);
                     shared.stats.requests_failed.fetch_add(1, Ordering::Relaxed);
-                    let msg = format!("replica failed mid-response ({msg}); not retried");
+                    let msg = format!("replica failed mid-response ({e}); not retried");
                     return HttpResponse::error(502, &msg);
                 }
             }
@@ -565,8 +567,9 @@ fn proxy_request(req: &HttpRequest, shared: &Shared, cfg: &BalanceConfig) -> Htt
 
 /// A replica's complete response, for the client: status, content type,
 /// the body bytes exactly, and the `Retry-After` / `x-model-version` hints.
-fn relay(resp: BackendResponse) -> HttpResponse {
-    let mut out = HttpResponse::text(resp.status, &resp.content_type, resp.body);
+fn relay(resp: Response) -> HttpResponse {
+    let content_type = resp.content_type.as_deref().unwrap_or("application/json");
+    let mut out = HttpResponse::text(resp.status, content_type, resp.body);
     if let Some(ra) = resp.retry_after {
         out = out.with_header("retry-after", &ra.to_string());
     }
@@ -580,11 +583,10 @@ fn relay(resp: BackendResponse) -> HttpResponse {
 
 /// One fresh-dialed model upload to a replica (no pooling: uploads are
 /// rare and large, and a stale pooled link must not burn the attempt).
-fn upload_model(addr: &str, blob: &[u8], cfg: &BalanceConfig) -> Result<BackendResponse, String> {
-    let mut be = Backend::connect(addr, cfg.connect_timeout, cfg.response_timeout)
+fn upload_model(addr: &str, blob: &[u8], cfg: &BalanceConfig) -> Result<Response, String> {
+    let mut link = Client::dial(addr, cfg.connect_timeout, cfg.response_timeout)
         .map_err(|e| format!("connect: {e}"))?;
-    be.forward("POST", "/v1/model", blob)
-        .map_err(|(ForwardError::BeforeResponse(msg) | ForwardError::MidResponse(msg))| msg)
+    link.request("POST", "/v1/model", blob).map_err(|e| e.to_string())
 }
 
 /// The per-replica outcome of one fan-out, rendered into the report JSON.
@@ -691,10 +693,10 @@ fn fan_out_model(blob: &[u8], shared: &Shared, cfg: &BalanceConfig) -> HttpRespo
 /// Last-resort rollback: stop a replica that accepted a model the fleet
 /// rejected (the supervisor respawns it on the boot checkpoint).
 fn stop_replica(addr: &str) -> String {
-    match Backend::connect(addr, Duration::from_millis(500), Duration::from_millis(500)) {
-        Ok(mut be) => match be.forward("POST", "/v1/shutdown", b"") {
-            Ok(_) | Err(ForwardError::MidResponse(_)) => "stopped".into(),
-            Err(ForwardError::BeforeResponse(_)) => "inconsistent".into(),
+    match Client::dial(addr, Duration::from_millis(500), Duration::from_millis(500)) {
+        Ok(mut link) => match link.exchange("POST", "/v1/shutdown", b"") {
+            Ok(_) | Err(ExchangeError::MidResponse(_)) => "stopped".into(),
+            Err(ExchangeError::BeforeResponse(_)) => "inconsistent".into(),
         },
         Err(_) => "inconsistent".into(),
     }

@@ -2,9 +2,10 @@
 //!
 //! These tests pin the retry contract without real daemons in the loop:
 //! before-response failures and complete 5xxs fail over; mid-response
-//! failures (a torn body, a chunked head) abort with 502 after exactly one
-//! dispatch; 4xxs are forwarded untouched; a replica that closes after each
-//! answer costs no retry; overload sheds with `503 + Retry-After`;
+//! failures (a torn body, a torn chunked body, a body advertised past any
+//! memory) abort with 502 after exactly one dispatch; 4xxs are forwarded
+//! untouched; a replica that closes after each answer costs no retry;
+//! overload sheds with `503 + Retry-After`;
 //! slow-loris clients are cut off with 408; a fleet swap that fails answers
 //! a parseable 502 report; a fleet whose program cannot be spawned exhausts
 //! its restart budget and stops the balancer with an error.
@@ -40,6 +41,8 @@ enum Behavior {
     PartialThenClose,
     /// A complete-looking `transfer-encoding: chunked` head, then sever.
     ChunkedThenClose,
+    /// Advertise a 1 TiB body, send 2 bytes, sever the connection.
+    HugeLengthThenClose,
     /// Complete 200 with `connection: close`, then close.
     CloseAfterResponse,
     /// Read the request, close without writing a byte.
@@ -103,6 +106,9 @@ impl Driver<TcpStream> for MockDriver {
                 b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
                   transfer-encoding: chunked\r\n\r\n5\r\n{\"mo\r\n"
                     .to_vec(),
+            ),
+            Behavior::HugeLengthThenClose => HttpResponse::RawThenClose(
+                b"HTTP/1.1 200 OK\r\ncontent-length: 1099511627776\r\n\r\n{}".to_vec(),
             ),
             Behavior::CloseAfterResponse => HttpResponse::json(200, "{\"mock\":200}\n").close(),
             Behavior::CloseBeforeResponse => HttpResponse::Hangup,
@@ -393,8 +399,8 @@ fn mid_response_failure_aborts_with_502_after_exactly_one_dispatch() {
     thread.join().expect("join").expect("clean run");
 }
 
-/// A chunked replica response is read through the shared response-head
-/// reader and is still a mid-response failure: the head already flowed.
+/// A chunked replica response cut off mid-body is a mid-response failure:
+/// the head already flowed.
 #[test]
 fn chunked_response_aborts_with_502_after_exactly_one_dispatch() {
     let chunked = mock(Behavior::ChunkedThenClose);
@@ -407,6 +413,28 @@ fn chunked_response_aborts_with_502_after_exactly_one_dispatch() {
     let resp = client.request("POST", "/v1/annotate", b"{}").expect("request");
     assert_eq!(resp.status, 502, "a chunked head is a started response: no retry");
     assert_eq!(chunked.hits.load(Ordering::SeqCst), 1, "exactly one dispatch");
+    assert_eq!(live.hits.load(Ordering::SeqCst), 0, "never re-dispatched to the healthy replica");
+    assert_eq!(stat(&get_stats(&addr), "mid_response_aborts"), 1);
+
+    handle.shutdown();
+    thread.join().expect("join").expect("clean run");
+}
+
+/// A replica advertising a body far beyond memory is read as its bytes
+/// arrive: the balancer survives it, and the torn answer is a mid-response
+/// failure like any other.
+#[test]
+fn huge_content_length_aborts_with_502_after_exactly_one_dispatch() {
+    let huge = mock(Behavior::HugeLengthThenClose);
+    let live = mock(Behavior::Status(200));
+    let (addr, handle, thread) =
+        start_balancer(cfg_with_backends(vec![huge.addr.clone(), live.addr.clone()]));
+
+    let mut client =
+        Client::connect(&addr.to_string(), Some(Duration::from_secs(5))).expect("connect");
+    let resp = client.request("POST", "/v1/annotate", b"{}").expect("request");
+    assert_eq!(resp.status, 502, "response bytes flowed, so no retry is allowed");
+    assert_eq!(huge.hits.load(Ordering::SeqCst), 1, "exactly one dispatch");
     assert_eq!(live.hits.load(Ordering::SeqCst), 0, "never re-dispatched to the healthy replica");
     assert_eq!(stat(&get_stats(&addr), "mid_response_aborts"), 1);
 

@@ -4,7 +4,6 @@
 //! values. This module corrupts tables in controlled ways so that
 //! robustness can be measured (the `ablation_dirty` experiment binary).
 
-use crate::kb::KnowledgeBase;
 use doduo_table::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,19 +104,10 @@ pub fn corruption_rate(clean: &Dataset, dirty: &Dataset) -> f64 {
     }
 }
 
-/// Convenience: generate a corrupted WikiTable-style benchmark directly.
-pub fn dirty_wikitable(
-    kb: &KnowledgeBase,
-    wiki_cfg: &crate::wikitable::WikiTableConfig,
-    dirty_cfg: &DirtyConfig,
-) -> Dataset {
-    corrupt_dataset(&crate::wikitable::generate_wikitable(kb, wiki_cfg), dirty_cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kb::KbConfig;
+    use crate::kb::{KbConfig, KnowledgeBase};
     use crate::wikitable::{generate_wikitable, WikiTableConfig};
 
     fn clean() -> Dataset {

@@ -14,8 +14,14 @@
 //! The hardening guarantees (smuggling rejections, size caps → HTTP 413,
 //! wall-clock deadlines → HTTP 408, see [`ReadError::status`]) are therefore
 //! one implementation on both tiers. Responses are rendered in one place,
-//! [`render_response`]; the client side reads response heads through one
-//! function, [`read_response_head`].
+//! [`render_response`].
+//!
+//! The client side is one blocking [`Client`] — the balancer's replica
+//! links, its supervisor's probes, the benchmarks and the tests all dial
+//! through it. It reads response heads through [`read_response_head`]
+//! (framing and `connection` by the request grammar's rules, capped at
+//! [`MAX_HEAD_BYTES`]) and every response body, `Content-Length` or
+//! chunked, through the server's [`BodyDecoder`].
 //!
 //! Every 4xx/5xx body uses one JSON error envelope (see
 //! [`error_envelope`]): `{"error": {"code", "message", "retry_after_ms"?}}`
@@ -23,7 +29,8 @@
 //! matter which tier rejected them.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::os::fd::AsRawFd;
 use std::time::Duration;
 
 /// Upper bound on the request line + headers (DoS guard → 413).
@@ -124,42 +131,8 @@ impl HeadBuilder {
             return Err(ReadError::Bad(format!("malformed header: {trimmed}")));
         };
         let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            // Ambiguous framing is a request-smuggling vector (the peer
-            // and any intermediary may disagree on where the body ends),
-            // so chunked + Content-Length and repeated Content-Length are
-            // rejected outright rather than resolved.
-            match self.framing {
-                BodyFraming::Chunked => {
-                    return Err(ReadError::Bad(
-                        "both transfer-encoding and content-length present".into(),
-                    ))
-                }
-                BodyFraming::Length(_) => {
-                    return Err(ReadError::Bad("duplicate content-length header".into()))
-                }
-                BodyFraming::None => {}
-            }
-            let n = framing_number(value, 10)
-                .ok_or_else(|| ReadError::Bad(format!("bad content-length: {value}")))?;
-            self.framing = BodyFraming::Length(n);
-        } else if name.eq_ignore_ascii_case("connection") {
-            if value.eq_ignore_ascii_case("close") {
-                self.keep_alive = false;
-            } else if value.eq_ignore_ascii_case("keep-alive") {
-                self.keep_alive = true;
-            }
-        } else if name.eq_ignore_ascii_case("transfer-encoding") {
-            if !value.eq_ignore_ascii_case("chunked") {
-                return Err(ReadError::Bad(format!("unsupported transfer-encoding: {value}")));
-            }
-            if matches!(self.framing, BodyFraming::Length(_)) {
-                return Err(ReadError::Bad(
-                    "both transfer-encoding and content-length present".into(),
-                ));
-            }
-            self.framing = BodyFraming::Chunked;
-        } else if name.eq_ignore_ascii_case("expect") {
+        apply_framing(name, value, &mut self.framing, &mut self.keep_alive)?;
+        if name.eq_ignore_ascii_case("expect") {
             if !value.eq_ignore_ascii_case("100-continue") {
                 return Err(ReadError::Bad(format!("unsupported expectation: {value}")));
             }
@@ -178,6 +151,48 @@ impl HeadBuilder {
             framing: self.framing,
         }
     }
+}
+
+/// Applies a `content-length`, `transfer-encoding` or `connection` header
+/// (any other is left alone) to a head's body framing and persistence — one
+/// rule set for request and response heads. Ambiguous framing is a
+/// smuggling vector (the peer and any intermediary may disagree on where
+/// the body ends), so chunked + `Content-Length` and a repeated
+/// `Content-Length` are rejected outright rather than resolved.
+fn apply_framing(
+    name: &str,
+    value: &str,
+    framing: &mut BodyFraming,
+    keep_alive: &mut bool,
+) -> Result<(), ReadError> {
+    let both = || ReadError::Bad("both transfer-encoding and content-length present".into());
+    if name.eq_ignore_ascii_case("content-length") {
+        match framing {
+            BodyFraming::Chunked => return Err(both()),
+            BodyFraming::Length(_) => {
+                return Err(ReadError::Bad("duplicate content-length header".into()))
+            }
+            BodyFraming::None => {}
+        }
+        let n = framing_number(value, 10)
+            .ok_or_else(|| ReadError::Bad(format!("bad content-length: {value}")))?;
+        *framing = BodyFraming::Length(n);
+    } else if name.eq_ignore_ascii_case("transfer-encoding") {
+        if !value.eq_ignore_ascii_case("chunked") {
+            return Err(ReadError::Bad(format!("unsupported transfer-encoding: {value}")));
+        }
+        if matches!(framing, BodyFraming::Length(_)) {
+            return Err(both());
+        }
+        *framing = BodyFraming::Chunked;
+    } else if name.eq_ignore_ascii_case("connection") {
+        if value.eq_ignore_ascii_case("close") {
+            *keep_alive = false;
+        } else if value.eq_ignore_ascii_case("keep-alive") {
+            *keep_alive = true;
+        }
+    }
+    Ok(())
 }
 
 /// A framing number as RFC 9112 spells it: `1*DIGIT` for a
@@ -499,18 +514,18 @@ pub fn write_last_chunk(stream: &mut impl Write) -> std::io::Result<()> {
     stream.flush()
 }
 
-/// A very small blocking HTTP client — shared by the `serve_load` bench and
-/// the integration tests so they exercise the daemon over real sockets.
-/// One persistent connection; [`Client::request`] for plain
-/// request/response, the `stream_*` family for chunked uploads with
-/// incrementally read chunked responses.
+/// The workspace's one blocking HTTP client (see the module docs): one
+/// persistent connection, [`Client::request`] / [`Client::exchange`] for
+/// plain request/response, the `stream_*` family for chunked uploads with
+/// incrementally read responses. A body grows only as its bytes arrive,
+/// whatever length the peer declared.
 pub struct Client {
     stream: TcpStream,
     reader: BufReader<TcpStream>,
-    /// Dechunking state for an in-flight streaming response.
-    resp_chunk_left: usize,
-    resp_done: bool,
-    resp_buf: Vec<u8>,
+    /// The streaming response's body, from [`Client::stream_status`] on.
+    stream_body: Option<BodyDecoder>,
+    /// Its decoded bytes not yet returned as lines.
+    stream_lines: Vec<u8>,
 }
 
 /// A decoded client-side response.
@@ -518,8 +533,10 @@ pub struct Client {
 pub struct Response {
     /// HTTP status code.
     pub status: u16,
-    /// Body bytes.
+    /// Body bytes (dechunked when the server chunked them).
     pub body: Vec<u8>,
+    /// `Content-Type`, when sent.
+    pub content_type: Option<String>,
     /// Seconds from a `Retry-After` header, if the server sent one (the
     /// backoff hint on 503 backpressure responses).
     pub retry_after: Option<u64>,
@@ -527,6 +544,21 @@ pub struct Response {
     /// `"{version}-{crc:08x}"` label of the model that produced this
     /// response.
     pub model_version: Option<String>,
+    /// Whether the server keeps the connection open for another request.
+    pub keep_alive: bool,
+}
+
+/// Why [`Client::exchange`] failed, split at the first response byte — the
+/// line the balancer's retry policy rests on.
+#[derive(Debug)]
+pub enum ExchangeError {
+    /// The write failed, or the read timed out or met EOF before the first
+    /// byte of the status line: the server cannot have committed to an
+    /// answer, so the request is safe to send elsewhere.
+    BeforeResponse(std::io::Error),
+    /// The response began and then failed (a bad head, a torn body): a
+    /// resend could deliver a second answer.
+    MidResponse(std::io::Error),
 }
 
 /// The response-head fields [`read_response_head`] extracts.
@@ -534,10 +566,8 @@ pub struct Response {
 pub struct ResponseHead {
     /// HTTP status code.
     pub status: u16,
-    /// `Content-Length` (0 when absent; a malformed one is an error).
-    pub content_length: usize,
-    /// `Transfer-Encoding: chunked`.
-    pub chunked: bool,
+    /// How the body is framed ([`BodyFraming::None`]: no body).
+    pub framing: BodyFraming,
     /// `Content-Type`, when sent.
     pub content_type: Option<String>,
     /// Seconds from a `Retry-After` header.
@@ -549,13 +579,27 @@ pub struct ResponseHead {
 }
 
 /// Reads one response's status line and headers from `reader`, skipping
-/// interim `1xx` responses (`100 Continue`) — the one response-head reader
-/// of [`Client`] and `doduo-balance`'s replica links.
+/// interim `1xx` responses (`100 Continue`) — the one response-head reader,
+/// [`Client`]'s. Framing and `connection` are read by the request grammar's
+/// rules (ambiguous framing is an error), and the whole read stops at
+/// [`MAX_HEAD_BYTES`] with an error.
 pub fn read_response_head(reader: &mut impl BufRead) -> std::io::Result<ResponseHead> {
+    let mut budget = MAX_HEAD_BYTES;
     let mut line = String::new();
-    loop {
+    let mut next_line = |line: &mut String| {
         line.clear();
-        reader.read_line(&mut line)?;
+        let n = reader.take(budget as u64 + 1).read_line(line)?;
+        budget = budget
+            .checked_sub(n)
+            .ok_or_else(|| std::io::Error::other("response head too large"))?;
+        if !line.ends_with('\n') {
+            return Err(std::io::Error::other("connection closed mid-head"));
+        }
+        Ok(())
+    };
+    let bad = |e: ReadError| std::io::Error::other(e.status().1.to_string());
+    loop {
+        next_line(&mut line)?;
         let status: u16 = line
             .split_whitespace()
             .nth(1)
@@ -563,38 +607,27 @@ pub fn read_response_head(reader: &mut impl BufRead) -> std::io::Result<Response
             .ok_or_else(|| std::io::Error::other(format!("bad status line: {line:?}")))?;
         let mut head = ResponseHead {
             status,
-            content_length: 0,
-            chunked: false,
+            framing: BodyFraming::None,
             content_type: None,
             retry_after: None,
             model_version: None,
             keep_alive: true,
         };
         loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                return Err(std::io::Error::other("connection closed mid-headers"));
-            }
+            next_line(&mut line)?;
             let t = line.trim_end();
             if t.is_empty() {
                 break;
             }
             let Some((name, value)) = t.split_once(':') else { continue };
             let value = value.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                head.content_length = framing_number(value, 10).ok_or_else(|| {
-                    std::io::Error::other(format!("bad content-length: {value:?}"))
-                })?;
-            } else if name.eq_ignore_ascii_case("transfer-encoding") {
-                head.chunked = value.eq_ignore_ascii_case("chunked");
-            } else if name.eq_ignore_ascii_case("content-type") {
+            apply_framing(name, value, &mut head.framing, &mut head.keep_alive).map_err(bad)?;
+            if name.eq_ignore_ascii_case("content-type") {
                 head.content_type = Some(value.to_string());
             } else if name.eq_ignore_ascii_case("retry-after") {
                 head.retry_after = value.parse().ok();
             } else if name.eq_ignore_ascii_case("x-model-version") {
                 head.model_version = Some(value.to_string());
-            } else if name.eq_ignore_ascii_case("connection") {
-                head.keep_alive = !value.eq_ignore_ascii_case("close");
             }
         }
         if !(100..200).contains(&status) {
@@ -603,36 +636,119 @@ pub fn read_response_head(reader: &mut impl BufRead) -> std::io::Result<Response
     }
 }
 
+/// The next buffered wire bytes, reading the socket when none are
+/// buffered; the peer closing is an [`std::io::ErrorKind::UnexpectedEof`].
+fn fill(reader: &mut BufReader<TcpStream>) -> std::io::Result<&[u8]> {
+    loop {
+        match reader.fill_buf() {
+            Ok([]) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(_) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(reader.buffer())
+}
+
+/// Feeds `body` the next wire bytes, appending what it decodes to `out`.
+fn decode_some(
+    reader: &mut BufReader<TcpStream>,
+    body: &mut BodyDecoder,
+    out: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    let used = body
+        .push(fill(reader)?, out)
+        .map_err(|e| std::io::Error::other(e.status().1.to_string()))?;
+    reader.consume(used);
+    Ok(())
+}
+
 impl Client {
     /// Connects with an optional read timeout.
     pub fn connect(addr: &str, timeout: Option<Duration>) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(timeout)?;
+        Client::over(TcpStream::connect(addr)?, timeout)
+    }
+
+    /// Connects within `connect_timeout`, which then also bounds each
+    /// write; `read_timeout` bounds each wait for response bytes, so a
+    /// stalled server becomes a [`ExchangeError::BeforeResponse`] timeout.
+    /// `addr` is an `ip:port`, as the balancer's replica links dial.
+    pub fn dial(
+        addr: &str,
+        connect_timeout: Duration,
+        read_timeout: Duration,
+    ) -> std::io::Result<Client> {
+        let sock: SocketAddr = addr.parse().map_err(std::io::Error::other)?;
+        let stream = TcpStream::connect_timeout(&sock, connect_timeout)?;
+        stream.set_write_timeout(Some(connect_timeout))?;
+        Client::over(stream, Some(read_timeout))
+    }
+
+    fn over(stream: TcpStream, read_timeout: Option<Duration>) -> std::io::Result<Client> {
+        stream.set_read_timeout(read_timeout)?;
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client { stream, reader, resp_chunk_left: 0, resp_done: true, resp_buf: Vec::new() })
+        Ok(Client { stream, reader, stream_body: None, stream_lines: Vec::new() })
+    }
+
+    /// Whether a parked keep-alive connection has gone stale. An idle link
+    /// must have *nothing* to read: a zero-timeout readiness probe (no byte
+    /// consumed, the shim the reactor runs on) that reports readable means
+    /// EOF — the server restarted — or stray bytes, and either would fail
+    /// the next exchange.
+    pub fn is_stale(&self) -> bool {
+        if !self.reader.buffer().is_empty() {
+            return true;
+        }
+        match epoll::poll_one(self.stream.as_raw_fd(), epoll::EPOLLIN, Some(Duration::ZERO)) {
+            Ok(revents) => revents != 0,
+            Err(_) => true,
+        }
     }
 
     /// Issues one request on the persistent connection and reads the full
     /// response.
     pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> std::io::Result<Response> {
+        self.exchange(method, path, body)
+            .map_err(|(ExchangeError::BeforeResponse(e) | ExchangeError::MidResponse(e))| e)
+    }
+
+    /// [`Client::request`], with a failure classified at the first response
+    /// byte (see [`ExchangeError`]).
+    pub fn exchange(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: &[u8],
+    ) -> Result<Response, ExchangeError> {
         let head = format!(
             "{method} {path} HTTP/1.1\r\nhost: localhost\r\nconnection: keep-alive\r\n\
              content-length: {}\r\n\r\n",
             body.len()
         );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body)?;
-        self.stream.flush()?;
+        self.stream
+            .write_all(head.as_bytes())
+            .and_then(|()| self.stream.write_all(body))
+            .and_then(|()| self.stream.flush())
+            .and_then(|()| fill(&mut self.reader).map(drop))
+            .map_err(ExchangeError::BeforeResponse)?;
+        self.read_response().map_err(ExchangeError::MidResponse)
+    }
 
+    fn read_response(&mut self) -> std::io::Result<Response> {
         let head = read_response_head(&mut self.reader)?;
-        let mut body = vec![0u8; head.content_length];
-        self.reader.read_exact(&mut body)?;
+        let mut decoder = BodyDecoder::unbounded(head.framing);
+        let mut body = Vec::new();
+        while !decoder.is_done() {
+            decode_some(&mut self.reader, &mut decoder, &mut body)?;
+        }
         Ok(Response {
             status: head.status,
             body,
+            content_type: head.content_type,
             retry_after: head.retry_after,
             model_version: head.model_version,
+            keep_alive: head.keep_alive,
         })
     }
 
@@ -647,93 +763,53 @@ impl Client {
         );
         self.stream.write_all(head.as_bytes())?;
         self.stream.flush()?;
-        self.resp_chunk_left = 0;
-        self.resp_done = false;
-        self.resp_buf.clear();
+        self.stream_body = None;
+        self.stream_lines.clear();
         Ok(())
     }
 
     /// Sends one request-body chunk.
     pub fn stream_send(&mut self, data: &[u8]) -> std::io::Result<()> {
-        if data.is_empty() {
-            return Ok(());
-        }
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data)?;
-        self.stream.write_all(b"\r\n")?;
-        self.stream.flush()
+        write_chunk(&mut self.stream, data)
     }
 
     /// Terminates the chunked upload.
     pub fn stream_finish(&mut self) -> std::io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()
+        write_last_chunk(&mut self.stream)
     }
 
     /// Reads the streaming response's status line + headers (call once,
     /// any time after [`Client::stream_open`]).
     pub fn stream_status(&mut self) -> std::io::Result<u16> {
         let head = read_response_head(&mut self.reader)?;
-        if !head.chunked {
-            self.resp_done = true;
-        }
+        self.stream_body = Some(BodyDecoder::unbounded(head.framing));
         Ok(head.status)
     }
 
-    /// Returns the next newline-terminated line of the dechunked response
-    /// body (with its `\n`), or `None` once the final chunk has been read.
-    /// Call after [`Client::stream_status`].
+    /// Returns the next newline-terminated line of the response body (with
+    /// its `\n`; the last line may lack it), or `None` once the body has
+    /// ended. Call after [`Client::stream_status`].
     pub fn stream_next_line(&mut self) -> std::io::Result<Option<String>> {
+        let utf8 = |bytes| {
+            String::from_utf8(bytes)
+                .map_err(|_| std::io::Error::other("response is not valid UTF-8"))
+        };
         loop {
-            if let Some(pos) = self.resp_buf.iter().position(|&b| b == b'\n') {
-                let rest = self.resp_buf.split_off(pos + 1);
-                let line = std::mem::replace(&mut self.resp_buf, rest);
-                let line = String::from_utf8(line)
-                    .map_err(|_| std::io::Error::other("response is not valid UTF-8"))?;
-                return Ok(Some(line));
+            if let Some(pos) = self.stream_lines.iter().position(|&b| b == b'\n') {
+                let rest = self.stream_lines.split_off(pos + 1);
+                return utf8(std::mem::replace(&mut self.stream_lines, rest)).map(Some);
             }
-            if self.resp_done {
-                if self.resp_buf.is_empty() {
-                    return Ok(None);
+            match &mut self.stream_body {
+                Some(body) if !body.is_done() => {
+                    decode_some(&mut self.reader, body, &mut self.stream_lines)?
                 }
-                let line = String::from_utf8(std::mem::take(&mut self.resp_buf))
-                    .map_err(|_| std::io::Error::other("response is not valid UTF-8"))?;
-                return Ok(Some(line));
-            }
-            if self.resp_chunk_left == 0 {
-                let mut line = String::new();
-                self.reader.read_line(&mut line)?;
-                let hex = line.trim();
-                let size = framing_number(hex, 16).ok_or_else(|| {
-                    std::io::Error::other(format!("bad response chunk size: {hex:?}"))
-                })?;
-                if size == 0 {
-                    // Trailer: consume through the blank line.
-                    loop {
-                        line.clear();
-                        self.reader.read_line(&mut line)?;
-                        if line.trim_end().is_empty() {
-                            break;
-                        }
-                    }
-                    self.resp_done = true;
-                    continue;
-                }
-                self.resp_chunk_left = size;
-            }
-            let mut buf = vec![0u8; self.resp_chunk_left];
-            self.reader.read_exact(&mut buf)?;
-            self.resp_buf.extend_from_slice(&buf);
-            self.resp_chunk_left = 0;
-            let mut crlf = [0u8; 2];
-            self.reader.read_exact(&mut crlf)?;
-            if &crlf != b"\r\n" {
-                return Err(std::io::Error::other("missing CRLF after response chunk"));
+                _ if self.stream_lines.is_empty() => return Ok(None),
+                _ => return utf8(std::mem::take(&mut self.stream_lines)).map(Some),
             }
         }
     }
 
-    /// Drains a whole streaming response: status plus every dechunked line.
+    /// Drains a whole streaming response: status plus every line.
     pub fn stream_collect(&mut self) -> std::io::Result<(u16, Vec<String>)> {
         let status = self.stream_status()?;
         let mut lines = Vec::new();
@@ -752,14 +828,42 @@ mod tests {
     fn response_content_length_is_digits_or_an_error() {
         let head = |len: &str| {
             let bytes = format!("HTTP/1.1 200 OK\r\ncontent-length: {len}\r\n\r\nhello");
-            read_response_head(&mut bytes.as_bytes()).map(|h| h.content_length)
+            read_response_head(&mut bytes.as_bytes()).map(|h| h.framing)
         };
-        assert_eq!(head("5").expect("a plain length"), 5);
+        assert_eq!(head("5").expect("a plain length"), BodyFraming::Length(5));
         // A replica link that read these as 5, or as 0, would forward a
         // body the replica never framed.
         for bad in ["+5", "-5", "5x", "0x5", "", "banana", "99999999999999999999999"] {
             let err = head(bad).expect_err(bad);
             assert!(err.to_string().contains("bad content-length"), "{bad:?}: {err}");
         }
+    }
+
+    /// A peer answering on a scripted listener: `wire` is written after the
+    /// request is read, then the connection closes.
+    fn scripted(wire: &'static [u8]) -> String {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        std::thread::spawn(move || {
+            let (mut peer, _) = listener.accept().expect("accept");
+            let mut head = Vec::new();
+            while parse_head(&head).expect("a request head").is_none() {
+                let mut byte = [0u8];
+                peer.read_exact(&mut byte).expect("request byte");
+                head.push(byte[0]);
+            }
+            peer.write_all(wire).expect("answer");
+        });
+        addr
+    }
+
+    #[test]
+    fn a_huge_content_length_is_read_as_bytes_arrive_not_allocated() {
+        // Sizing the body by the declared length would abort the process
+        // before the first body byte arrived.
+        let addr = scripted(b"HTTP/1.1 200 OK\r\ncontent-length: 1099511627776\r\n\r\nhi");
+        let mut c = Client::connect(&addr, Some(Duration::from_secs(5))).expect("connect");
+        let err = c.request("GET", "/", b"").expect_err("a body cut 1 TiB short");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
     }
 }

@@ -60,7 +60,8 @@
 use crate::chaos::{ChaosConfig, ChaosPlan, ChaosState};
 use crate::handler::{HttpRequest, HttpResponse};
 use crate::http::{
-    error_envelope, write_chunk, write_last_chunk, BodyFraming, Head, MAX_BODY_BYTES,
+    error_envelope, render_response, write_chunk, write_last_chunk, BodyFraming, Head,
+    MAX_BODY_BYTES,
 };
 use crate::json::{
     annotation_to_json, annotations_response, table_from_json, Json, StreamSplitter,
@@ -1062,13 +1063,8 @@ fn annotate_submit(
 /// side response bytes *did* start flowing, so this failure must never be
 /// retried by the balancer — the test suites assert exactly that.
 fn render_torn_response(body: &str) -> Vec<u8> {
-    let mut out = format!(
-        "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: \
-         keep-alive\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
-    out.extend_from_slice(&body.as_bytes()[..body.len() / 2]);
+    let mut out = render_response(200, "OK", "application/json", "", body.as_bytes(), true);
+    out.truncate(out.len() - (body.len() - body.len() / 2));
     out
 }
 

@@ -39,13 +39,12 @@ impl LrSchedule {
     }
 }
 
-/// Adam with optional decoupled weight decay (AdamW-style).
+/// Adam as §5.3 runs it (no weight decay).
 #[derive(Clone, Debug)]
 pub struct Adam {
     beta1: f32,
     beta2: f32,
     eps: f32,
-    weight_decay: f32,
     schedule: LrSchedule,
     /// First/second moment estimates, lazily sized like the parameters.
     m: Vec<Option<Tensor>>,
@@ -60,7 +59,6 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             schedule,
             m: vec![None; store.len()],
             v: vec![None; store.len()],
@@ -68,20 +66,9 @@ impl Adam {
         }
     }
 
-    /// Builder-style decoupled weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-
     /// Number of steps taken so far.
     pub fn steps(&self) -> usize {
         self.t
-    }
-
-    /// Learning rate the *next* step will use.
-    pub fn current_lr(&self) -> f32 {
-        self.schedule.at(self.t)
     }
 
     /// Applies one Adam step using the accumulated `grads`.
@@ -106,7 +93,7 @@ impl Adam {
             let v = self.v[pid].get_or_insert_with(|| Tensor::zeros(shape.0, shape.1));
             let p = store.get_mut(pid);
             assert_eq!(g.len(), p.len(), "gradient misaligned with {pid}");
-            let (beta1, beta2, eps, wd) = (self.beta1, self.beta2, self.eps, self.weight_decay);
+            let (beta1, beta2, eps) = (self.beta1, self.beta2, self.eps);
             // Four zipped slices: no index is bounds-checked, and every
             // operation is exact per lane (IEEE `sqrt` and `/` included), so
             // whatever width this vectorises to, no bit depends on it.
@@ -116,11 +103,7 @@ impl Adam {
                 *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
                 let mhat = *mi / bc1;
                 let vhat = *vi / bc2;
-                let mut upd = lr * mhat / (vhat.sqrt() + eps);
-                if wd > 0.0 {
-                    upd += lr * wd * *pi;
-                }
-                *pi -= upd;
+                *pi -= lr * mhat / (vhat.sqrt() + eps);
             }
         }
     }
@@ -201,30 +184,6 @@ mod tests {
         }
         assert!(last < 0.1, "classifier failed to fit: loss {last}");
         use rand::Rng;
-    }
-
-    #[test]
-    fn weight_decay_pulls_weights_toward_zero() {
-        // Same gradient stream with and without decoupled decay: the decayed
-        // run must end with a smaller final weight.
-        let run = |wd: f32| {
-            let mut store = ParamStore::new();
-            let w = store.add("w", Tensor::scalar(4.0));
-            let mut opt = Adam::new(&store, LrSchedule::Constant(0.01)).with_weight_decay(wd);
-            for step in 0..60 {
-                let mut g = Gradients::new(&store);
-                // Alternating gradient: Adam's momentum mostly cancels, so
-                // decay dominates the drift.
-                let sign = if step % 2 == 0 { 1.0 } else { -1.0 };
-                g.accumulate(w, &Tensor::scalar(sign), &store);
-                opt.step(&mut store, &g);
-            }
-            store.get(w).scalar_value()
-        };
-        let plain = run(0.0);
-        let decayed = run(0.5);
-        assert!(decayed < plain, "decay should shrink the weight: {decayed} vs {plain}");
-        assert!(decayed < 3.5, "decayed weight should clearly drop from 4.0: {decayed}");
     }
 
     #[test]

@@ -356,11 +356,6 @@ impl QuantizedLinear {
         QuantizedLinear { k, n, kp, np, w: wq, w4, corr, w_scales, bias: bias_all }
     }
 
-    /// Input width the layer consumes.
-    pub fn in_dim(&self) -> usize {
-        self.k
-    }
-
     /// Output width the layer produces.
     pub fn out_dim(&self) -> usize {
         self.n

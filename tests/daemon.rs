@@ -59,6 +59,14 @@ fn daemon_answers_offline_bytes_and_shuts_down() {
         let expected: Vec<String> = streamed.iter().map(|b| offline(b)).collect();
         assert_eq!(lines, expected, "one offline-identical line per streamed table, in order");
 
+        // The stream route answered a plain request: `request` reads the
+        // whole chunked body, not an empty one.
+        let mut one = Client::connect(&addr, Some(Duration::from_secs(10))).expect("connect");
+        let resp =
+            one.request("POST", "/v1/annotate_stream", bodies[0].as_bytes()).expect("stream");
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.body, offline(&bodies[0]).as_bytes(), "dechunked body == offline");
+
         // The serving bundle's own blob, through the loader thread: a new
         // version, the same bytes.
         let swap = c.request("POST", "/v1/model", &world.bundle.save()).expect("model upload");

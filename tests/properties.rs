@@ -1,14 +1,19 @@
 //! Property-based tests (proptest) over the core invariants of the
 //! reproduction: serialization structure, tokenizer behavior, metric
 //! bounds, clustering-metric invariances, autograd correctness on randomly
-//! shaped inputs, and the two parsers of untrusted bytes — the daemon's
-//! HTTP framing and the checkpoint loader — on generated and arbitrary
-//! bytes.
+//! shaped inputs, and the parsers of untrusted bytes — the daemon's HTTP
+//! framing, the client's response-head reader, the stream endpoint's
+//! document splitter and the checkpoint loader — on generated and
+//! arbitrary bytes.
 #![allow(clippy::needless_range_loop)]
 
 use doduo_core::{AnnotatorBundle, DoduoConfig, DoduoModel};
 use doduo_eval::{completeness, connected_components, homogeneity, multi_label_micro, v_measure};
-use doduo_served::http::{parse_head, BodyDecoder, BodyFraming, Head, ReadError};
+use doduo_served::http::{
+    parse_head, read_response_head, reason_for, render_response, BodyDecoder, BodyFraming, Head,
+    ReadError, MAX_HEAD_BYTES,
+};
+use doduo_served::json::StreamSplitter;
 use doduo_table::{serialize_table, Column, LabelVocab, SerializeConfig, Table};
 use doduo_tensor::{Gradients, ParamStore, Tape, Tensor};
 use doduo_tokenizer::{TrainConfig, WordPiece, CLS, SEP};
@@ -380,6 +385,113 @@ proptest! {
         }
         for framing in [BodyFraming::None, BodyFraming::Length(len), BodyFraming::Chunked] {
             decode_noise(framing, &bytes, &pieces)?;
+        }
+    }
+}
+
+/// Splits `bytes` fed in pieces of `pieces` (cycled), stopping at the
+/// first error as the stream endpoint does: every document, whether it
+/// errored, and whether a document was left open.
+fn split(bytes: &[u8], pieces: &[usize]) -> (Vec<String>, bool, bool) {
+    let mut splitter = StreamSplitter::new(64);
+    let (mut docs, mut at) = (Vec::new(), 0);
+    for &len in pieces.iter().cycle() {
+        if at == bytes.len() {
+            return (docs, false, splitter.mid_document());
+        }
+        let end = (at + len).min(bytes.len());
+        match splitter.push(&bytes[at..end]) {
+            Ok(more) => docs.extend(more),
+            Err(_) => return (docs, true, splitter.mid_document()),
+        }
+        at = end;
+    }
+    unreachable!("the cycle ends when the bytes do")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `read_response_head` — what every client dial reads from a peer —
+    /// reads back what `render_response` wrote (status, length,
+    /// keep-alive, `retry-after`, `x-model-version`); is an error on every
+    /// cut of that head short of its end and on a header line past the
+    /// head cap, even one that ends;
+    /// and never panics on arbitrary bytes, bare or behind a status line.
+    #[test]
+    fn response_head_reader_round_trips_and_never_panics(
+        status in 200u16..600,
+        retry_after in (0u8..2, 0u64..100_000).prop_map(|(on, secs)| (on == 1).then_some(secs)),
+        version in (0u8..2, "[0-9]{1,3}-[0-9a-f]{8}").prop_map(|(on, v)| (on == 1).then_some(v)),
+        body in payload(0..64),
+        keep_alive in (0u8..2).prop_map(|b| b == 1),
+        endless in MAX_HEAD_BYTES..2 * MAX_HEAD_BYTES,
+        noise in noise(),
+    ) {
+        let mut extra = String::new();
+        if let Some(secs) = retry_after {
+            extra.push_str(&format!("retry-after: {secs}\r\n"));
+        }
+        if let Some(v) = &version {
+            extra.push_str(&format!("x-model-version: {v}\r\n"));
+        }
+        let wire = render_response(status, reason_for(status), "application/json", &extra, &body, keep_alive);
+        let head = read_response_head(&mut &wire[..]).map_err(|e| e.to_string())?;
+        prop_assert_eq!(head.status, status);
+        prop_assert_eq!(head.framing, BodyFraming::Length(body.len()));
+        prop_assert_eq!(head.keep_alive, keep_alive);
+        prop_assert_eq!(head.retry_after, retry_after);
+        prop_assert_eq!(head.model_version, version);
+        prop_assert_eq!(head.content_type.as_deref(), Some("application/json"));
+        for end in 0..wire.len() - body.len() {
+            prop_assert!(read_response_head(&mut &wire[..end]).is_err(), "a head cut at {}", end);
+        }
+        let long = [&b"HTTP/1.1 200 OK\r\nx-pad: "[..], &vec![b'x'; endless], b"\r\n\r\n"].concat();
+        prop_assert!(read_response_head(&mut &long[..]).is_err(), "a header line past the cap");
+        let _ = read_response_head(&mut &noise[..]);
+        let _ = read_response_head(&mut &[&b"HTTP/1.1 200 OK\r\n"[..], &noise].concat()[..]);
+    }
+
+    /// `json::StreamSplitter` — what splits `/v1/annotate_stream` uploads —
+    /// never panics on arbitrary bytes (invalid UTF-8, stray quotes and
+    /// escapes, documents past its cap), and fed in any pieces it errors
+    /// exactly when one whole feed does, and otherwise finds the same
+    /// documents and ends in the same state.
+    #[test]
+    fn stream_splitter_is_split_invariant_on_arbitrary_bytes(
+        docs in proptest::collection::vec((0u8..16, proptest::collection::vec(prop_oneof![
+            (0u8..255).prop_map(|b| vec![b]),
+            Just(vec![0xE2, 0x82]),
+            Just(b"{".to_vec()),
+            Just(b"}".to_vec()),
+            Just(b"[]".to_vec()),
+            Just(b"\"".to_vec()),
+            Just(b"\\".to_vec()),
+            Just(b"{}".to_vec()),
+            Just(b"\"k\"".to_vec()),
+            Just(br#""a\"}b""#.to_vec()),
+            Just(b" ".to_vec()),
+            // Plain text, weighted threefold.
+            "[a-z:,]{1,8}".prop_map(String::into_bytes),
+            "[a-z:,]{1,8}".prop_map(String::into_bytes),
+            "[a-z:,]{1,8}".prop_map(String::into_bytes),
+        ], 0..10)), 0..8),
+        pieces in proptest::collection::vec(1usize..12, 1..8),
+    ) {
+        // Mostly documents between whitespace, now and then a stray byte
+        // where a document should open.
+        let bytes: Vec<u8> = docs
+            .into_iter()
+            .flat_map(|(gap, inner)| {
+                let gap = if gap == 0 { vec![b'x'] } else { b" \n"[..gap as usize % 3].to_vec() };
+                [gap, b"{".to_vec(), inner.concat(), b"}".to_vec()].concat()
+            })
+            .collect();
+        let whole = split(&bytes, &[bytes.len().max(1)]);
+        let (docs, errored, open) = split(&bytes, &pieces);
+        prop_assert_eq!(errored, whole.1, "pieces {:?}", pieces);
+        if !errored {
+            prop_assert_eq!((docs, open), (whole.0, whole.2), "pieces {:?}", pieces);
         }
     }
 }
