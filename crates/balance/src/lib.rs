@@ -5,9 +5,10 @@
 //!
 //! * [`supervisor`] — spawns N replica children (same checkpoint, port 0,
 //!   addresses discovered via `--port-file`), admits each only after its
-//!   `/readyz` probe passes, restarts crashed ones under a rate-limited
-//!   restart budget with exponential backoff, and escalates a replica that
-//!   exhausts the budget to permanent failure.
+//!   `/readyz` probe passes and the committed fleet model — which its
+//!   [`Registry`] owns — is installed on it, restarts crashed ones under a
+//!   rate-limited restart budget with exponential backoff, and escalates a
+//!   replica that exhausts the budget to permanent failure.
 //! * [`proxy`] — an HTTP/1.1 keep-alive front, a second driver on the
 //!   daemon's epoll reactor (`doduo_served::reactor`), that forwards each
 //!   request to a ready replica on a forwarder thread and fails over on
@@ -17,7 +18,8 @@
 //!   `503 + Retry-After`; a parked client costs no thread. Replica links
 //!   are pooled `doduo_served::http::Client`s, the workspace's one HTTP
 //!   client, which classifies a failure before or after the first
-//!   response byte.
+//!   response byte. A `POST /v1/model` upload is a fleet fan-out, all
+//!   ready replicas or none.
 //! * [`backoff`] — capped exponential backoff with seeded jitter, shared by
 //!   request retries and replica restarts.
 //!

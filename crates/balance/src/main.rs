@@ -61,9 +61,10 @@ fn usage() -> ! {
                                    fails over (default 30000)\n\
            --seed N                seed for retry/restart jitter (default 0)\n\
          \n\
-         Every unrecognized flag (and its value) is passed through to the\n\
-         replicas verbatim: --checkpoint, --synthetic, --threads, --quant,\n\
-         --max-batch, ... — see `doduo-balance replica --help`.\n\
+         These replica flags pass through with their values: --checkpoint,\n\
+         --synthetic, --seed-world (the replicas' --seed), --save-checkpoint,\n\
+         --quant, --max-batch, --max-batch-tokens, --max-delay-ms, --threads\n\
+         — see `doduo-balance replica --help`. Any other flag is an error.\n\
          \n\
          doduo-balance replica <args…>   run the doduo-served CLI in-process"
     );

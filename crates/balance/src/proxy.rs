@@ -12,13 +12,22 @@
 //!   ├── forwarder × in-flight   one per proxied request or /v1/model
 //!   │        fan-out: the retry loop below over one pool of replica links,
 //!   │        its answer routed back through the reactor's Router
-//!   ├── supervisor × 1   (supervised mode) replicas spawned, probed,
-//!   │        restarted; ends the balancer when every replica has failed
-//!   └── catch-up × 1     (supervised mode) re-pushes the fleet model
+//!   └── supervisor × 1   (supervised mode) replicas spawned, probed,
+//!            admitted on the committed fleet model, restarted; ends the
+//!            balancer when every replica has failed
 //! ```
 //!
-//! Idle, the balancer is three threads however many clients it parks;
+//! Idle, the balancer is two threads however many clients it parks;
 //! `max_inflight` bounds the forwarders.
+//!
+//! ## One model writer
+//!
+//! A replica's model is written by whoever holds the registry's fleet model
+//! ([`Registry::hold_model`]): a `/v1/model` fan-out, from its ready-set
+//! snapshot through commit or rollback, or the supervisor admitting a
+//! (re)started replica on the committed blob. A second upload that finds
+//! it held is refused at once with `503 swap_in_progress`, so two fan-outs
+//! never interleave and every ready replica serves the committed model.
 //!
 //! ## Retry semantics (the idempotency argument)
 //!
@@ -48,14 +57,14 @@
 //! never correctness.
 
 use crate::backoff::{Backoff, SplitMix64};
-use crate::supervisor::{supervise, Registry, ReplicaState, SupervisorConfig};
+use crate::supervisor::{supervise, upload_model, Registry, SupervisorConfig};
 use doduo_served::http::{Client, ExchangeError, Response};
 use doduo_served::json::push_escaped;
 use doduo_served::reactor::{
     admit, Dispatch, Driver, NoStream, Reactor, ReactorConfig, Router, Ticket,
 };
 use doduo_served::{HttpRequest, HttpResponse};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -142,8 +151,6 @@ pub struct BalanceStats {
     pub model_swaps: AtomicU64,
     /// Model uploads rolled back because some replica rejected or died.
     pub model_swap_failures: AtomicU64,
-    /// Restarted replicas caught up to the fleet's current model.
-    pub model_catchups: AtomicU64,
 }
 
 struct Shared {
@@ -158,13 +165,6 @@ struct Shared {
     /// Idle keep-alive links to the replicas by replica id, shared by every
     /// forwarder.
     links: Mutex<HashMap<usize, Vec<Client>>>,
-    /// The last model blob every replica accepted — the rollback image for
-    /// a failed fan-out and the catch-up image for restarted replicas.
-    last_model: Mutex<Option<Vec<u8>>>,
-    /// `(replica id, restart count)` pairs known to serve `last_model`
-    /// (or the boot checkpoint when no upload happened yet). A restart
-    /// changes the key, which is what re-triggers catch-up.
-    converged: Mutex<HashSet<(usize, u64)>>,
 }
 
 impl Shared {
@@ -228,7 +228,7 @@ impl Shared {
             s.conns_rejected.load(Ordering::Relaxed),
             s.model_swaps.load(Ordering::Relaxed),
             s.model_swap_failures.load(Ordering::Relaxed),
-            s.model_catchups.load(Ordering::Relaxed),
+            self.registry.model_catchups(),
             self.registry.total_restarts(),
             self.registry.permanent_failures(),
             replicas.join(","),
@@ -247,11 +247,6 @@ impl BalanceHandle {
     /// every thread, and returns.
     pub fn shutdown(&self) {
         self.shared.request_shutdown();
-    }
-
-    /// True once shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutting_down()
     }
 
     /// The balancer stats document (same JSON as `GET /v1/stats`).
@@ -301,8 +296,6 @@ impl Balancer {
             stats: BalanceStats::default(),
             started: Instant::now(),
             links: Mutex::new(HashMap::new()),
-            last_model: Mutex::new(None),
-            converged: Mutex::new(HashSet::new()),
         });
         Ok(Balancer { listener, addr, cfg, shared })
     }
@@ -319,9 +312,8 @@ impl Balancer {
 
     /// Serves until shutdown (or until every supervised replica has
     /// permanently failed, which is an error). The reactor runs on the
-    /// calling thread; the supervisor, the catch-up loop and the forwarders
-    /// are scoped inside, and supervised children are stopped before this
-    /// returns.
+    /// calling thread; the supervisor and the forwarders are scoped inside,
+    /// and supervised children are stopped before this returns.
     pub fn run(&self) -> Result<(), String> {
         self.listener.set_nonblocking(true).map_err(|e| format!("listener: {e}"))?;
         let (shared, cfg) = (&*self.shared, &self.cfg);
@@ -343,13 +335,10 @@ impl Balancer {
                 .set_listener(self.listener.as_raw_fd())
                 .map_err(|e| format!("listener: {e}"))?;
             let _ = reactor.driver().router.set(reactor.router());
-            let supervisor = cfg.supervisor.as_ref().map(|sup| {
-                // Catch-up: a replica restarted after a fleet-wide swap
-                // boots on its original checkpoint; re-push the accepted
-                // model before mixed-version answers can linger.
-                scope.spawn(move || catchup_loop(shared, cfg));
-                scope.spawn(move || supervise(&shared.registry, sup, &shared.shutdown))
-            });
+            let supervisor = cfg
+                .supervisor
+                .as_ref()
+                .map(|sup| scope.spawn(move || supervise(&shared.registry, sup, &shared.shutdown)));
             let served = reactor.run(&shared.shutdown, Duration::from_secs(5));
             shared.request_shutdown();
             let verdict = supervisor
@@ -581,14 +570,6 @@ fn relay(resp: Response) -> HttpResponse {
 
 // ------------------------------------------------------------- model swap
 
-/// One fresh-dialed model upload to a replica (no pooling: uploads are
-/// rare and large, and a stale pooled link must not burn the attempt).
-fn upload_model(addr: &str, blob: &[u8], cfg: &BalanceConfig) -> Result<Response, String> {
-    let mut link = Client::dial(addr, cfg.connect_timeout, cfg.response_timeout)
-        .map_err(|e| format!("connect: {e}"))?;
-    link.request("POST", "/v1/model", blob).map_err(|e| e.to_string())
-}
-
 /// The per-replica outcome of one fan-out, rendered into the report JSON.
 struct SwapOutcome {
     id: usize,
@@ -596,16 +577,20 @@ struct SwapOutcome {
 }
 
 /// Fans a model upload to every ready replica with all-or-nothing
-/// semantics: the upload stops at the first failure, every replica that
-/// already accepted is rolled back to the retained previous blob — or
-/// stopped outright when there is nothing to roll back to (a stopped
-/// replica is restarted by the supervisor on its boot checkpoint; better
-/// down than serving a model the fleet rejected) — and the client gets a
-/// per-replica report either way.
+/// semantics, holding the fleet model throughout: the upload stops at the
+/// first failure, every replica that already accepted is rolled back to the
+/// committed blob — or stopped outright while the boot checkpoint is the
+/// fleet model (a stopped replica is restarted by the supervisor on it;
+/// better down than serving a model the fleet rejected) — and the client
+/// gets a per-replica report either way.
 fn fan_out_model(blob: &[u8], shared: &Shared, cfg: &BalanceConfig) -> HttpResponse {
     if blob.is_empty() {
         return HttpResponse::error(400, "empty model upload");
     }
+    let Some(mut fleet) = shared.registry.hold_model() else {
+        let msg = "the fleet model is being written (another upload or a replica admission)";
+        return HttpResponse::unavailable("swap_in_progress", msg, RETRY_AFTER_SECS);
+    };
     let mut ready = shared.registry.ready_order();
     ready.sort_by_key(|(id, _)| *id);
     if ready.is_empty() {
@@ -617,8 +602,11 @@ fn fan_out_model(blob: &[u8], shared: &Shared, cfg: &BalanceConfig) -> HttpRespo
     let mut accepted: Vec<(usize, String)> = Vec::new();
     let mut version: Option<String> = None;
     let mut failure: Option<String> = None;
+    let upload = |addr: &str, blob: &[u8]| {
+        upload_model(addr, blob, cfg.connect_timeout, cfg.response_timeout)
+    };
     for (id, addr) in &ready {
-        match upload_model(addr, blob, cfg) {
+        match upload(addr, blob) {
             Ok(resp) if resp.status == 200 => {
                 version = version.or(resp.model_version);
                 accepted.push((*id, addr.clone()));
@@ -640,17 +628,7 @@ fn fan_out_model(blob: &[u8], shared: &Shared, cfg: &BalanceConfig) -> HttpRespo
     }
 
     let Some(reason) = failure else {
-        // Commit: retain the blob for rollback/catch-up and mark every
-        // accepter converged at its current restart generation.
-        *shared.last_model.lock().expect("model lock") = Some(blob.to_vec());
-        let mut converged = shared.converged.lock().expect("converged lock");
-        converged.clear();
-        for r in shared.registry.snapshot() {
-            if accepted.iter().any(|(id, _)| *id == r.id) {
-                converged.insert((r.id, r.restarts));
-            }
-        }
-        drop(converged);
+        *fleet = Some(blob.to_vec());
         shared.stats.model_swaps.fetch_add(1, Ordering::Relaxed);
         let version = version.unwrap_or_default();
         eprintln!("[balance] model swap committed on {} replica(s): {version}", accepted.len());
@@ -666,11 +644,10 @@ fn fan_out_model(blob: &[u8], shared: &Shared, cfg: &BalanceConfig) -> HttpRespo
     // Roll back every accepter so no serving replica keeps the rejected
     // model. Mark untouched replicas explicitly in the report.
     shared.stats.model_swap_failures.fetch_add(1, Ordering::Relaxed);
-    let rollback = shared.last_model.lock().expect("model lock").clone();
     for o in &mut outcomes {
         let Some((_, addr)) = accepted.iter().find(|(id, _)| *id == o.id) else { continue };
-        o.outcome = match &rollback {
-            Some(prev) => match upload_model(addr, prev, cfg) {
+        o.outcome = match fleet.as_deref() {
+            Some(prev) => match upload(addr, prev) {
                 Ok(r) if r.status == 200 => "rolled_back".into(),
                 _ => stop_replica(addr),
             },
@@ -708,41 +685,4 @@ fn render_outcomes(outcomes: &[SwapOutcome]) -> String {
         .map(|o| format!("{{\"id\":{},\"outcome\":\"{}\"}}", o.id, o.outcome))
         .collect::<Vec<_>>()
         .join(",")
-}
-
-/// Re-pushes the committed model to replicas whose `(id, restarts)` key is
-/// new — i.e. freshly (re)started children serving their boot checkpoint
-/// while the fleet already swapped. Runs only in supervised mode.
-fn catchup_loop(shared: &Shared, cfg: &BalanceConfig) {
-    while !shared.shutting_down() {
-        std::thread::sleep(Duration::from_millis(100));
-        let blob = shared.last_model.lock().expect("model lock").clone();
-        for r in shared.registry.snapshot() {
-            if r.state != ReplicaState::Ready {
-                continue;
-            }
-            let Some(addr) = r.addr else { continue };
-            let key = (r.id, r.restarts);
-            if shared.converged.lock().expect("converged lock").contains(&key) {
-                continue;
-            }
-            let Some(blob) = &blob else {
-                // No fleet-wide upload yet: the boot checkpoint IS current.
-                shared.converged.lock().expect("converged lock").insert(key);
-                continue;
-            };
-            match upload_model(&addr, blob, cfg) {
-                Ok(resp) if resp.status == 200 => {
-                    shared.converged.lock().expect("converged lock").insert(key);
-                    shared.stats.model_catchups.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "[balance] replica {} caught up to the fleet model ({})",
-                        r.id,
-                        resp.model_version.as_deref().unwrap_or("?"),
-                    );
-                }
-                _ => {} // retry next tick (replica may still be warming up)
-            }
-        }
-    }
 }

@@ -22,17 +22,28 @@
 //! [`ReplicaState::Failed`] — a crash loop is a deploy problem, not
 //! something to hide behind infinite restarts. A spawn that fails outright
 //! (missing or non-executable `program`) is charged like a crash, so a
-//! fleet that can never start ends `Failed` too. A restarted replica is
-//! **re-admitted only after `/readyz` returns 200**, so the balancer never
-//! routes to a process that is still loading its checkpoint.
+//! fleet that can never start ends `Failed` too.
+//!
+//! ## Admission and the fleet model
+//!
+//! The [`Registry`] owns the committed fleet model: the blob of the last
+//! `POST /v1/model` fan-out that every ready replica accepted, or nothing
+//! while the boot checkpoint is still the fleet model. A started or
+//! restarted replica boots on that checkpoint, so it is **admitted only
+//! after `/readyz` returns 200 and the committed blob is installed on it**
+//! — the balancer never routes to a process that is still loading, nor to
+//! one that would answer with a model the fleet has left. The push holds
+//! the fleet model through admission, so no fan-out commits in between; a
+//! fan-out that holds it makes admission wait a tick, and a failed push
+//! leaves the slot `Starting` under its startup deadline.
 
 use crate::backoff::{Backoff, SplitMix64};
-use doduo_served::http::Client;
+use doduo_served::http::{Client, Response};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
 /// How the supervisor launches and polices replica children.
@@ -165,21 +176,29 @@ impl Slot {
     }
 }
 
-/// The shared replica table: the supervisor mutates it, the proxy reads
-/// round-robin routing snapshots from it.
+/// The shared replica table and the committed fleet model: the supervisor
+/// mutates the table, the proxy reads round-robin routing snapshots from
+/// it, and each holds the fleet model while it writes a replica's model.
 pub struct Registry {
     slots: Mutex<Vec<Slot>>,
+    /// The committed fleet model (`None`: the boot checkpoint). Held, never
+    /// waited on, by a fan-out from its ready-set snapshot through commit or
+    /// rollback and by the supervisor from an admission push through the
+    /// admission. Lock order: this, then `slots`.
+    model: Mutex<Option<Vec<u8>>>,
     rr: AtomicUsize,
     rng: Mutex<SplitMix64>,
     /// Slots escalated to [`ReplicaState::Failed`].
     permanent_failures: AtomicUsize,
+    /// Committed blobs installed on a replica before its admission.
+    model_catchups: AtomicU64,
 }
 
 impl Registry {
     /// A registry of `cfg.replicas` supervised slots (children are spawned
     /// by [`supervise`], not here).
     pub fn supervised(cfg: &SupervisorConfig) -> Registry {
-        let slots = (0..cfg.replicas)
+        let slots: Vec<Slot> = (0..cfg.replicas)
             .map(|id| Slot {
                 id,
                 child: None,
@@ -195,18 +214,13 @@ impl Registry {
                 external: false,
             })
             .collect();
-        Registry {
-            slots: Mutex::new(slots),
-            rr: AtomicUsize::new(0),
-            rng: Mutex::new(SplitMix64::new(cfg.seed.wrapping_add(0x5EED_BA1A))),
-            permanent_failures: AtomicUsize::new(0),
-        }
+        Registry::new(slots, cfg.seed.wrapping_add(0x5EED_BA1A))
     }
 
     /// A registry over fixed, externally managed backend addresses (no
     /// supervision; used by tests and by fronting already-running daemons).
     pub fn static_backends(addrs: &[String]) -> Registry {
-        let slots = addrs
+        let slots: Vec<Slot> = addrs
             .iter()
             .enumerate()
             .map(|(id, addr)| Slot {
@@ -224,12 +238,33 @@ impl Registry {
                 external: true,
             })
             .collect();
+        Registry::new(slots, 0)
+    }
+
+    fn new(slots: Vec<Slot>, seed: u64) -> Registry {
         Registry {
             slots: Mutex::new(slots),
+            model: Mutex::new(None),
             rr: AtomicUsize::new(0),
-            rng: Mutex::new(SplitMix64::new(0)),
+            rng: Mutex::new(SplitMix64::new(seed)),
             permanent_failures: AtomicUsize::new(0),
+            model_catchups: AtomicU64::new(0),
         }
+    }
+
+    /// Holds the committed fleet model for its one writer at a time, or
+    /// `None` at once while another holder has it (see [`Registry`]).
+    pub fn hold_model(&self) -> Option<MutexGuard<'_, Option<Vec<u8>>>> {
+        match self.model.try_lock() {
+            Ok(model) => Some(model),
+            Err(TryLockError::WouldBlock) => None,
+            Err(TryLockError::Poisoned(_)) => panic!("fleet model lock poisoned"),
+        }
+    }
+
+    /// Committed blobs installed on replicas before their admission.
+    pub fn model_catchups(&self) -> u64 {
+        self.model_catchups.load(Ordering::Relaxed)
     }
 
     /// The `Ready` replicas `(id, addr)`, rotated round-robin so
@@ -306,6 +341,20 @@ fn probe_ready(addr: &str, timeout: Duration) -> bool {
     }
 }
 
+/// One fresh-dialed model upload to a replica — the fan-out's and the
+/// admission push's (no pooling: uploads are rare and large, and a stale
+/// pooled link must not burn the attempt).
+pub(crate) fn upload_model(
+    addr: &str,
+    blob: &[u8],
+    connect_timeout: Duration,
+    read_timeout: Duration,
+) -> Result<Response, String> {
+    let mut link =
+        Client::dial(addr, connect_timeout, read_timeout).map_err(|e| format!("connect: {e}"))?;
+    link.request("POST", "/v1/model", blob).map_err(|e| e.to_string())
+}
+
 /// Runs the supervision loop until `shutdown` is set: spawn/respawn
 /// children, discover ports, probe readiness, enforce the restart budget.
 /// When every replica has permanently failed it sets `shutdown` itself and
@@ -335,8 +384,9 @@ pub fn supervise(
 
 fn run_tick(reg: &Registry, cfg: &SupervisorConfig, tick: u32) {
     // Phase 1 (lock held, no network): child liveness, respawns due,
-    // startup deadlines, port-file discovery. Collect the probe list.
-    let mut probes: Vec<(usize, String, ReplicaState)> = Vec::new();
+    // startup deadlines, port-file discovery. Collect the probe list, with
+    // what is left of a starting slot's deadline.
+    let mut probes: Vec<(usize, String, ReplicaState, Duration)> = Vec::new();
     {
         let mut slots = reg.slots.lock().expect("registry lock");
         for s in slots.iter_mut() {
@@ -423,13 +473,14 @@ fn run_tick(reg: &Registry, cfg: &SupervisorConfig, tick: u32) {
                         continue;
                     }
                     if let Some(addr) = &s.addr {
-                        probes.push((s.id, addr.clone(), s.state));
+                        let left = cfg.startup_deadline.saturating_sub(s.started_at.elapsed());
+                        probes.push((s.id, addr.clone(), s.state, left));
                     }
                 }
                 ReplicaState::Ready => {
                     if tick.is_multiple_of(cfg.ready_probe_every.max(1)) {
                         if let Some(addr) = &s.addr {
-                            probes.push((s.id, addr.clone(), s.state));
+                            probes.push((s.id, addr.clone(), s.state, Duration::ZERO));
                         }
                     }
                 }
@@ -438,13 +489,46 @@ fn run_tick(reg: &Registry, cfg: &SupervisorConfig, tick: u32) {
         }
     }
 
-    // Phase 2 (no lock): network probes.
-    let results: Vec<(usize, ReplicaState, bool)> = probes
+    // Phase 2 (no registry lock): network probes, then the admission push —
+    // a starting replica that passed serves its boot checkpoint, and takes
+    // traffic only once it serves the committed fleet model. The fleet
+    // model stays held through phase 3; a fan-out holding it defers
+    // admission to a later tick.
+    let results: Vec<(usize, String, ReplicaState, Duration, bool)> = probes
         .into_iter()
-        .map(|(id, addr, state)| (id, state, probe_ready(&addr, cfg.probe_timeout)))
+        .map(|(id, addr, state, left)| {
+            let ok = probe_ready(&addr, cfg.probe_timeout);
+            (id, addr, state, left, ok)
+        })
+        .collect();
+    let admitting = results.iter().any(|r| r.2 == ReplicaState::Starting && r.4);
+    let fleet = if admitting { reg.hold_model() } else { None };
+    let results: Vec<(usize, ReplicaState, bool)> = results
+        .into_iter()
+        .map(|(id, addr, state, left, ok)| {
+            if state != ReplicaState::Starting || !ok {
+                return (id, state, ok);
+            }
+            let admitted = match fleet.as_deref() {
+                // A fan-out holds the fleet model: a later tick.
+                None => false,
+                // No committed upload: the boot checkpoint is the fleet model.
+                Some(None) => true,
+                Some(Some(blob)) => {
+                    let pushed = upload_model(&addr, blob, left, left).map(|r| r.status);
+                    if pushed == Ok(200) {
+                        reg.model_catchups.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        eprintln!("[balance] replica {id}: fleet model push failed: {pushed:?}");
+                    }
+                    pushed == Ok(200)
+                }
+            };
+            (id, state, admitted)
+        })
         .collect();
 
-    // Phase 3 (lock held): apply probe outcomes.
+    // Phase 3 (registry lock held, after the fleet model): apply outcomes.
     let mut slots = reg.slots.lock().expect("registry lock");
     for (id, was, ok) in results {
         let Some(s) = slots.iter_mut().find(|s| s.id == id) else { continue };

@@ -261,9 +261,9 @@ fn mid_response_resets_surface_as_502_without_redispatch() {
 /// * every `200` is byte-identical to **exactly one** of the two offline
 ///   references (old model XOR new model — never a torn mix), and its
 ///   `x-model-version` CRC names the model that produced those bytes;
-/// * a committed swap eventually converges: restarted replicas boot the
-///   old checkpoint but the catch-up loop re-pushes the fleet model, so
-///   fresh responses settle on the new bytes.
+/// * a committed swap converges: restarted replicas boot the old
+///   checkpoint, and the supervisor admits them only once it has installed
+///   the fleet model on them, so fresh responses settle on the new bytes.
 ///
 /// A chaos crash can strike mid-upload; that surfaces as an all-or-nothing
 /// `502` rollback, after which the fleet is all-old and the upload is
@@ -324,8 +324,8 @@ fn model_swap_under_crash_chaos_is_atomic_and_converges() {
         std::thread::sleep(Duration::from_millis(500));
     }
 
-    // Post-commit: every response is old XOR new (the crash replica boots
-    // old and is caught up asynchronously), and the fleet settles on new.
+    // Post-commit: every response is old XOR new (answers already in
+    // flight at the commit finish on old), and the fleet settles on new.
     let mut consecutive_new = 0usize;
     let mut i = 0usize;
     while consecutive_new < 12 {
@@ -404,5 +404,80 @@ fn crash_loop_exhausts_the_restart_budget_and_is_escalated() {
         let resp = client.request("POST", "/v1/annotate", body.as_bytes()).expect("request");
         assert_eq!(resp.status, 200);
         assert_eq!(resp.body, offline_bytes(&world, idx));
+    }
+}
+
+/// A replica that restarts after a committed swap takes traffic only once
+/// it serves the committed model: it boots the old checkpoint, and the
+/// supervisor installs the fleet model on it before admitting it. So with a
+/// replica crash-looping through the whole test (a budget it cannot
+/// exhaust), every answer after the commit's `200` is the new model's,
+/// across five restarts.
+#[test]
+fn restarted_replicas_answer_with_the_committed_model_only() {
+    let dir = scratch("admit");
+    let (world, ckpt) = world_with_checkpoint(&dir);
+    let new_world = synthetic_world(true, 99);
+    let new_blob = new_world.bundle.save();
+    let new_crc = format!("-{:08x}", blob_crc(&new_blob).expect("next blob crc"));
+    let proc = BalancerProc::start(
+        &dir,
+        &ckpt,
+        &[
+            "--replicas",
+            "2",
+            "--chaos-replica",
+            "0:crash_after=3,seed=11",
+            "--restart-budget",
+            "1000",
+            "--restart-window-secs",
+            "300",
+        ],
+    );
+    let n_tables = world.tables.len().min(3);
+    let bodies: Vec<String> = (0..n_tables).map(|i| table_to_json(&world.tables[i])).collect();
+    let new_refs: Vec<Vec<u8>> = bodies
+        .iter()
+        .map(|b| offline_response(&new_world.bundle, b).expect("offline").into_bytes())
+        .collect();
+
+    // Commit the new model (a replica restarting mid-upload rolls it back
+    // or holds the fleet model; either way the upload is retried).
+    let deadline = Instant::now() + Duration::from_secs(90);
+    loop {
+        assert!(Instant::now() < deadline, "fleet swap never committed");
+        let mut c = Client::connect(&proc.addr, Some(Duration::from_secs(30))).expect("connect");
+        let resp = c.request("POST", "/v1/model", &new_blob).expect("model upload");
+        if resp.status == 200 {
+            break;
+        }
+        let body = String::from_utf8_lossy(&resp.body).to_string();
+        assert!(matches!(resp.status, 502 | 503), "swap must commit or be retried: {body}");
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    let restarts_at_commit = stat(&proc.stats(), "restarts");
+
+    // At least 60 requests, and on until the crash-looping replica has been
+    // restarted five times since the commit (and re-admitted at least four).
+    let mut client = Client::connect(&proc.addr, Some(Duration::from_secs(30))).expect("connect");
+    let mut sent = 0usize;
+    loop {
+        let idx = sent % n_tables;
+        let resp = client.request("POST", "/v1/annotate", bodies[idx].as_bytes()).expect("request");
+        assert_eq!(resp.status, 200, "request {sent}: crashes stay client-invisible");
+        let v = resp.model_version.as_deref().expect("version header").to_string();
+        assert_eq!(resp.body, new_refs[idx], "request {sent}: not the committed model ({v})");
+        assert!(v.ends_with(&new_crc), "request {sent}: version {v} is not the committed model");
+        sent += 1;
+        if sent >= 60 && sent.is_multiple_of(10) {
+            let stats = proc.stats();
+            if stat(&stats, "restarts") >= restarts_at_commit + 5 {
+                assert!(stat(&stats, "model_catchups") >= 4, "stats: {stats}");
+                assert_eq!(stat(&stats, "permanent_failures"), 0, "stats: {stats}");
+                break;
+            }
+            assert!(Instant::now() < deadline, "too few restarts after {sent} requests: {stats}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
     }
 }

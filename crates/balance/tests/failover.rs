@@ -9,6 +9,8 @@
 //! slow-loris clients are cut off with 408; a fleet swap that fails answers
 //! a parseable 502 report; a fleet whose program cannot be spawned exhausts
 //! its restart budget and stops the balancer with an error.
+//! Two model uploads at once leave every replica on the model the balancer
+//! reports committed.
 //!
 //! The mocks are one more [`Driver`] on the daemon's epoll reactor — the
 //! workspace's one HTTP server — answering every request with
@@ -613,4 +615,109 @@ fn a_replica_that_never_starts_exhausts_the_budget_and_stops_the_balancer() {
     let stats = handle.stats_json();
     assert!(stats.contains("\"state\":\"failed\""), "stats: {stats}");
     assert_eq!(handle.total_restarts(), 3, "the budget, spent on spawn attempts: {stats}");
+}
+
+/// A replica that installs model uploads: one at a time and ~50 ms each,
+/// as the daemon's loader thread does, counting each as it starts,
+/// recording the last blob it accepted and rejecting `reject` with a 400.
+struct ModelMockDriver {
+    listener: TcpListener,
+    reject: &'static [u8],
+    hits: Arc<AtomicUsize>,
+    installed: Arc<std::sync::Mutex<Vec<u8>>>,
+}
+
+impl Driver<TcpStream> for ModelMockDriver {
+    type Stream = NoStream;
+
+    fn accept(&self) -> std::io::Result<Option<TcpStream>> {
+        match self.listener.accept() {
+            Ok((stream, _)) => Ok(Some(stream)),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    fn dispatch(&self, _ticket: Ticket, req: HttpRequest, _prior: u64) -> Dispatch {
+        self.hits.fetch_add(1, Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(50));
+        Dispatch::Respond(if req.path != "/v1/model" || req.body == self.reject {
+            HttpResponse::json(400, "{\"mock\":400}\n")
+        } else {
+            *self.installed.lock().expect("installed lock") = req.body;
+            HttpResponse::json(200, "{\"mock\":200}\n")
+        })
+    }
+}
+
+/// A [`ModelMockDriver`] on its own reactor thread, and the blob it holds.
+fn model_mock(reject: &'static [u8]) -> (Mock, Arc<std::sync::Mutex<Vec<u8>>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind mock");
+    listener.set_nonblocking(true).expect("nonblocking mock listener");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let hits = Arc::new(AtomicUsize::new(0));
+    let installed = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let stop = Arc::new(AtomicBool::new(false));
+    let thread = {
+        let (hits, installed, stop) =
+            (Arc::clone(&hits), Arc::clone(&installed), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let fd = listener.as_raw_fd();
+            let driver = ModelMockDriver { listener, reject, hits, installed };
+            let mut reactor = Reactor::new(ReactorConfig::default(), driver).expect("mock reactor");
+            reactor.set_listener(fd).expect("register mock listener");
+            reactor.run(&stop, Duration::ZERO).expect("serve mock");
+        })
+    };
+    (Mock { addr, hits, stop, thread: Some(thread) }, installed)
+}
+
+/// Two uploads at once: with the fleet committed to P, upload A (which
+/// replica 2 rejects) and, once A has reached replica 0, upload B. Had both
+/// fan-outs run — A's rollback re-installing P on replicas 0 and 1 after B
+/// reached them, while B commits — the fleet would serve P, P, B under a
+/// balancer that reports B. The upload that finds the fleet model held is refused
+/// with `503 swap_in_progress` instead, and every replica ends on the model
+/// the answers report committed.
+#[test]
+fn concurrent_model_uploads_leave_every_replica_on_the_committed_model() {
+    let replicas = [model_mock(b""), model_mock(b""), model_mock(b"A")];
+    let backends = replicas.iter().map(|(m, _)| m.addr.clone()).collect();
+    let (addr, handle, thread) = start_balancer(cfg_with_backends(backends));
+    let upload = |blob: &[u8]| {
+        let mut client =
+            Client::connect(&addr.to_string(), Some(Duration::from_secs(10))).expect("connect");
+        client.request("POST", "/v1/model", blob).expect("upload answered")
+    };
+    assert_eq!(upload(b"P").status, 200, "P commits on every replica");
+
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| upload(b"A"));
+        while replicas[0].0.hits.load(Ordering::SeqCst) < 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let b = s.spawn(|| upload(b"B"));
+        (a.join().expect("upload A"), b.join().expect("upload B"))
+    });
+    assert!(matches!(a.status, 502 | 503), "A is rolled back or refused: {}", a.status);
+    assert!(matches!(b.status, 200 | 503), "B commits or is refused: {}", b.status);
+    for refused in [&a, &b].into_iter().filter(|r| r.status == 503) {
+        let body = String::from_utf8_lossy(&refused.body);
+        assert!(body.contains("\"code\":\"swap_in_progress\""), "{body}");
+        assert_eq!(refused.retry_after, Some(1), "{body}");
+    }
+    let committed: &[u8] = if b.status == 200 { b"B" } else { b"P" };
+    for (id, (_, installed)) in replicas.iter().enumerate() {
+        let holds = installed.lock().expect("installed lock").clone();
+        assert_eq!(
+            String::from_utf8_lossy(&holds),
+            String::from_utf8_lossy(committed),
+            "replica {id} (A: {}, B: {})",
+            a.status,
+            b.status
+        );
+    }
+
+    handle.shutdown();
+    thread.join().expect("join").expect("clean run");
 }

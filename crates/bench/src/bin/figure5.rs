@@ -8,7 +8,7 @@
 use doduo_baselines::{Sato, SatoConfig, SherlockConfig};
 use doduo_bench::report::{pct, Report};
 use doduo_bench::{ExpOptions, ModelSpec, Scale, Splits, World};
-use doduo_core::{predict_types, prepare, Task};
+use doduo_core::Task;
 use doduo_datagen::multi_column_only;
 use doduo_eval::{class_support, per_class_prf};
 
@@ -37,15 +37,13 @@ fn variant(world: &World, splits: &Splits, tag: &str) -> (Vec<f64>, Vec<f64>, Ve
         false,
         &cfg,
     );
-    let test_p = prepare(&m.model, &splits.test, &world.lm.tokenizer);
-    let preds = predict_types(&m.model, &m.store, &test_p.types, doduo_tensor::default_threads());
-    let (dp, dg) = preds.single_label();
+    let (dp, dg) = m.types.single_label();
     let doduo_f1: Vec<f64> = per_class_prf(&dp, &dg, n_types).iter().map(|p| p.f1).collect();
     (doduo_f1, sato_f1, class_support(&dg, n_types))
 }
 
 fn main() {
-    let opts = ExpOptions::from_args_for("Figure 5: F1 vs sequence budget curves");
+    let opts = ExpOptions::from_args_for("Figure 5: per-class F1 on VizNet (Doduo vs Sato)");
     let world = World::bootstrap(opts);
     let full = world.viznet();
     let multi = Splits {

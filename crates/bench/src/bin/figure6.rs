@@ -12,7 +12,7 @@ use doduo_core::{attention_dependency, Task};
 use doduo_datagen::multi_column_only;
 
 fn main() {
-    let opts = ExpOptions::from_args_for("Figure 6: learning curves over training epochs");
+    let opts = ExpOptions::from_args_for("Figure 6: inter-column dependency from attention");
     let world = World::bootstrap(opts);
     let full = world.viznet();
     let splits = Splits {

@@ -6,16 +6,17 @@
 //! (e.g. music.writer 75.0 vs 40.0; place_lived 86.0 vs 77.7).
 
 use doduo_bench::report::{pct, Report};
-use doduo_bench::{ExpOptions, ModelSpec, World};
-use doduo_core::{predict_rels, predict_types, prepare, Task};
+use doduo_bench::{ExpOptions, ModelSpec, TrainedModel, World};
+use doduo_core::{Predictions, Task};
 use doduo_eval::per_class_prf_multi;
 
 fn main() {
-    let opts = ExpOptions::from_args_for("Table 10: label-efficiency under reduced training data");
+    let opts = ExpOptions::from_args_for(
+        "Table 10: per-class F1 on confusable WikiTable classes (Doduo vs Dosolo)",
+    );
     let world = World::bootstrap(opts);
     let splits = world.wikitable();
     let cfg = world.train_config();
-    let threads = doduo_tensor::default_threads();
 
     let doduo = world.trained_model(
         "wiki-doduo",
@@ -42,21 +43,16 @@ fn main() {
         &cfg,
     );
 
-    let tok = &world.lm.tokenizer;
-    let test_doduo = prepare(&doduo.model, &splits.test, tok);
+    // All three models are `ModelSpec::doduo()`, so each one's test
+    // predictions are over the same prepared sequences.
     let n_types = splits.train.type_vocab.len();
     let n_rels = splits.train.rel_vocab.len();
-
-    let doduo_types = predict_types(&doduo.model, &doduo.store, &test_doduo.types, threads);
-    let dosolo_types =
-        predict_types(&dosolo_type.model, &dosolo_type.store, &test_doduo.types, threads);
-    let doduo_ty_f1 = per_class_prf_multi(&doduo_types.pred, &doduo_types.gold, n_types);
-    let dosolo_ty_f1 = per_class_prf_multi(&dosolo_types.pred, &dosolo_types.gold, n_types);
-
-    let doduo_rels = predict_rels(&doduo.model, &doduo.store, &test_doduo.rels, threads);
-    let dosolo_rels = predict_rels(&dosolo_rel.model, &dosolo_rel.store, &test_doduo.rels, threads);
-    let doduo_rel_f1 = per_class_prf_multi(&doduo_rels.pred, &doduo_rels.gold, n_rels);
-    let dosolo_rel_f1 = per_class_prf_multi(&dosolo_rels.pred, &dosolo_rels.gold, n_rels);
+    let per_class = |p: &Predictions, n: usize| per_class_prf_multi(&p.pred, &p.gold, n);
+    let rel_f1 = |m: &TrainedModel| per_class(m.rels.as_ref().expect("relations"), n_rels);
+    let doduo_ty_f1 = per_class(&doduo.types, n_types);
+    let dosolo_ty_f1 = per_class(&dosolo_type.types, n_types);
+    let doduo_rel_f1 = rel_f1(&doduo);
+    let dosolo_rel_f1 = rel_f1(&dosolo_rel);
 
     let type_classes: &[(&str, &str, &str)] = &[
         ("music.artist", "84.0", "81.9"),

@@ -8,12 +8,13 @@
 
 use doduo_bench::report::{pct, Report};
 use doduo_bench::{ExpOptions, ModelSpec, World};
-use doduo_core::{predict_types, prepare, Task};
+use doduo_core::Task;
 use doduo_eval::macro_f1;
 
 fn main() {
-    let opts =
-        ExpOptions::from_args_for("Table 11: per-type breakdown on frequent WikiTable types");
+    let opts = ExpOptions::from_args_for(
+        "Table 11: VizNet F1 vs the MaxToken/col budget (Doduo vs DosoloSCol)",
+    );
     let world = World::bootstrap(opts);
     let splits = world.viznet();
     let cfg = world.train_config();
@@ -45,10 +46,7 @@ fn main() {
             _ => format!("viz-{}-b{budget}", name.to_lowercase()),
         };
         let m = world.trained_model(&key, &spec, &splits, &[Task::ColumnType], false, &cfg);
-        let test_p = prepare(&m.model, &splits.test, &world.lm.tokenizer);
-        let preds =
-            predict_types(&m.model, &m.store, &test_p.types, doduo_tensor::default_threads());
-        let (p, g) = preds.single_label();
+        let (p, g) = m.types.single_label();
         let micro = doduo_eval::multi_class_micro(&p, &g).f1;
         let mac = macro_f1(&p, &g, n_types);
         r.row(&[name.into(), budget.to_string(), pct(mac), pct(micro), pm.into(), pi.into()]);

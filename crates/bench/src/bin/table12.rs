@@ -27,8 +27,9 @@ use rand::{Rng, SeedableRng};
 const SAMPLES_PER_CLASS: usize = 6;
 
 fn main() {
-    let opts =
-        ExpOptions::from_args_for("Table 12: qualitative win/loss cases vs the Sherlock baseline");
+    let opts = ExpOptions::from_args_for(
+        "Table 12: probing the pretrained LM on WikiTable types and relations",
+    );
     let world = World::bootstrap(opts);
     let (store, encoder, head) = instantiate_lm(&world.lm).expect("pretrained LM must load");
     let tok = &world.lm.tokenizer;

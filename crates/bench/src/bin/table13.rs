@@ -21,7 +21,9 @@ use rand::SeedableRng;
 const SAMPLES_PER_TYPE: usize = 3;
 
 fn main() {
-    let opts = ExpOptions::from_args_for("Table 13: error analysis by column cardinality");
+    let opts = ExpOptions::from_args_for(
+        "Table 13: probing the pretrained LM on the VizNet type vocabulary",
+    );
     let world = World::bootstrap(opts);
     let (store, encoder, head) = instantiate_lm(&world.lm).expect("pretrained LM must load");
     let tok = &world.lm.tokenizer;

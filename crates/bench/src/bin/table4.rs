@@ -9,7 +9,7 @@
 use doduo_baselines::{Sato, SatoConfig, SherlockConfig};
 use doduo_bench::report::{pct, Report};
 use doduo_bench::{run_sherlock, ExpOptions, ModelSpec, Scale, Splits, World};
-use doduo_core::{predict_types, prepare, Task};
+use doduo_core::Task;
 use doduo_datagen::multi_column_only;
 use doduo_eval::{macro_f1, multi_label_micro};
 
@@ -49,9 +49,7 @@ fn eval_variant(world: &World, splits: &Splits, tag: &str) -> [(String, f64, f64
         false,
         &cfg,
     );
-    let test_p = prepare(&m.model, &splits.test, &world.lm.tokenizer);
-    let preds = predict_types(&m.model, &m.store, &test_p.types, doduo_tensor::default_threads());
-    let (dp, dg) = preds.single_label();
+    let (dp, dg) = m.types.single_label();
     let doduo_micro = doduo_eval::multi_class_micro(&dp, &dg).f1;
     let doduo_macro = macro_f1(&dp, &dg, n_types);
 

@@ -11,7 +11,9 @@ use doduo_bench::{shuffled_dataset, ExpOptions, ModelSpec, Splits, World};
 use doduo_core::Task;
 
 fn main() {
-    let opts = ExpOptions::from_args_for("Table 6: effect of the column-token budget on F1");
+    let opts = ExpOptions::from_args_for(
+        "Table 6: WikiTable ablations (shuffled rows/columns, Dosolo, DosoloSCol)",
+    );
     let world = World::bootstrap(opts);
     let splits = world.wikitable();
     let cfg = world.train_config();

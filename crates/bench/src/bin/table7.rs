@@ -7,7 +7,7 @@
 
 use doduo_bench::report::{pct, Report};
 use doduo_bench::{ExpOptions, ModelSpec, World};
-use doduo_core::{predict_types, prepare, Task};
+use doduo_core::Task;
 use doduo_eval::macro_f1;
 
 fn main() {
@@ -23,10 +23,7 @@ fn main() {
         ("DosoloSCol", ModelSpec::single_column(), "viz-scol"),
     ] {
         let m = world.trained_model(key, &spec, &splits, &[Task::ColumnType], false, &cfg);
-        let test_p = prepare(&m.model, &splits.test, &world.lm.tokenizer);
-        let preds =
-            predict_types(&m.model, &m.store, &test_p.types, doduo_tensor::default_threads());
-        let (p, g) = preds.single_label();
+        let (p, g) = m.types.single_label();
         let micro = doduo_eval::multi_class_micro(&p, &g).f1;
         let mac = macro_f1(&p, &g, n_types);
         rows.push((name, mac, micro));

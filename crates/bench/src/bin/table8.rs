@@ -11,7 +11,7 @@ use doduo_core::Task;
 use doduo_table::SerializeConfig;
 
 fn main() {
-    let opts = ExpOptions::from_args_for("Table 8: metadata (table context) ablation");
+    let opts = ExpOptions::from_args_for("Table 8: WikiTable F1 vs the MaxToken/col budget");
     let world = World::bootstrap(opts);
     let splits = world.wikitable();
     let cfg = world.train_config();

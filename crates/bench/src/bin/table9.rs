@@ -27,7 +27,8 @@ fn scores(gold: &[usize], pred: &[usize]) -> Hcv {
 }
 
 fn main() {
-    let opts = ExpOptions::from_args_for("Table 9: multi-task vs single-task training");
+    let opts =
+        ExpOptions::from_args_for("Table 9: clustering the columns of an HR database (case study)");
     let world = World::bootstrap(opts);
 
     // The Doduo model is trained on WikiTable (a *different domain*, §7).

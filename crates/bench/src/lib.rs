@@ -16,9 +16,9 @@
 //! Run e.g. `cargo run --release -p doduo-bench --bin table3 -- --scale quick`.
 
 use doduo_core::{
-    build_finetune_model, evaluate, instantiate_lm, prepare, pretrain_lm, train, AnnotatorBundle,
-    AttentionMode, DoduoConfig, DoduoModel, EvalScores, InputMode, PretrainRecipe, PretrainedLm,
-    Task, TrainConfig, ENC_PREFIX,
+    build_finetune_model, instantiate_lm, predict_tasks, prepare, pretrain_lm, train,
+    AnnotatorBundle, AttentionMode, DoduoConfig, DoduoModel, EvalScores, InputMode, Predictions,
+    PretrainRecipe, PretrainedLm, Task, TrainConfig, ENC_PREFIX,
 };
 use doduo_datagen::{
     generate_corpus, generate_viznet, generate_wikitable, CorpusConfig, KbConfig, KnowledgeBase,
@@ -267,8 +267,9 @@ impl World {
     }
 
     /// Trains (or loads from cache) a model variant and returns it together
-    /// with its test scores. A cached bundle is a hit only when it loads
-    /// and describes this very model.
+    /// with its test predictions and scores — the one evaluation of the
+    /// test split an experiment needs. A cached bundle is a hit only when
+    /// it loads and describes this very model.
     pub fn trained_model(
         &self,
         name: &str,
@@ -329,8 +330,8 @@ impl World {
             }
         };
         let test_p = prepare(&model, &splits.test, tok);
-        let scores = evaluate(&model, &store, &test_p, doduo_tensor::default_threads());
-        TrainedModel { store, model, scores }
+        let test = predict_tasks(&model, &store, &test_p, doduo_tensor::default_threads());
+        TrainedModel { store, model, scores: test.scores(), types: test.types, rels: test.rels }
     }
 }
 
@@ -384,11 +385,15 @@ impl ModelSpec {
     }
 }
 
-/// A trained variant plus its held-out scores.
+/// A trained variant plus its test-split predictions and their scores.
 pub struct TrainedModel {
     pub store: ParamStore,
     pub model: DoduoModel,
     pub scores: EvalScores,
+    /// Column-type predictions on the test split.
+    pub types: Predictions,
+    /// Relation predictions on the test split, when it has relations.
+    pub rels: Option<Predictions>,
 }
 
 fn sanitize(key: &str) -> String {

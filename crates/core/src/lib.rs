@@ -48,15 +48,14 @@ pub use checkpoint::{blob_crc, AnnotatorBundle, BundleError};
 pub use doduo_eval::decode_labels;
 pub use model::{AttentionMode, DoduoConfig, DoduoModel, InputMode};
 pub use pipeline::{
-    build_finetune_model, build_scratch_model, instantiate_lm, pretrain_lm, PretrainRecipe,
-    PretrainedLm, ENC_PREFIX,
+    build_finetune_model, instantiate_lm, pretrain_lm, PretrainRecipe, PretrainedLm, ENC_PREFIX,
 };
 pub use predictor::{
     scored_labels, Annotator, ColumnTypePrediction, Logits, RelationPrediction, TableAnnotation,
 };
 pub use quant::QuantizedModel;
 pub use trainer::{
-    evaluate, predict_rels, predict_rels_single, predict_types, prepare, train, EpochRecord,
-    EvalScores, Predictions, Prepared, RelExample, RelSingleExample, Task, TrainConfig,
-    TrainReport, TypeExample,
+    evaluate, predict_rels, predict_rels_single, predict_tasks, predict_types, prepare, train,
+    EpochRecord, EvalScores, Predictions, Prepared, RelExample, RelSingleExample, Task,
+    TaskPredictions, TrainConfig, TrainReport, TypeExample,
 };

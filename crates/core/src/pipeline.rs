@@ -192,19 +192,6 @@ pub fn instantiate_lm(lm: &PretrainedLm) -> Result<(ParamStore, Encoder, MlmHead
     Ok((store, encoder, head))
 }
 
-/// Builds the same model shape but *without* loading pretrained weights —
-/// the paper's random-initialization ablation (Appendix A.5).
-pub fn build_scratch_model(
-    lm: &PretrainedLm,
-    make_cfg: impl FnOnce(EncoderConfig) -> DoduoConfig,
-    seed: u64,
-) -> (ParamStore, DoduoModel) {
-    let mut store = ParamStore::new();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let model = DoduoModel::new(&mut store, make_cfg(lm.config.clone()), ENC_PREFIX, &mut rng);
-    (store, model)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,26 +322,6 @@ mod tests {
         for (x, y) in t1.value(a).data().iter().zip(t2.value(b).data().iter()) {
             assert!((x - y).abs() < 1e-6, "encoders must match across loads");
         }
-    }
-
-    #[test]
-    fn scratch_model_differs_from_pretrained() {
-        let (store_p, model_p) = build_finetune_model(lm(), finetune_cfg, 7);
-        let (store_s, model_s) = build_scratch_model(lm(), finetune_cfg, 7);
-        let ids = [CLS, 7, 8, 9, SEP];
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut t1 = Tape::inference(&store_p);
-        let a = model_p.encoder.forward(&mut t1, &ids, None, &mut rng);
-        let mut t2 = Tape::inference(&store_s);
-        let b = model_s.encoder.forward(&mut t2, &ids, None, &mut rng);
-        let diff: f32 = t1
-            .value(a)
-            .data()
-            .iter()
-            .zip(t2.value(b).data().iter())
-            .map(|(x, y)| (x - y).abs())
-            .sum();
-        assert!(diff > 1e-3);
     }
 
     #[test]

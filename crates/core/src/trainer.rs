@@ -295,6 +295,46 @@ impl EvalScores {
     }
 }
 
+/// A model's predictions on a prepared set, task by task.
+#[derive(Clone, Debug, Default)]
+pub struct TaskPredictions {
+    /// Column types.
+    pub types: Predictions,
+    /// Relations, when the set has relation examples for the model's input
+    /// mode.
+    pub rels: Option<Predictions>,
+}
+
+impl TaskPredictions {
+    /// The micro-averaged scores of these predictions.
+    pub fn scores(&self) -> EvalScores {
+        EvalScores {
+            type_micro: self.types.micro(),
+            rel_micro: self.rels.as_ref().map(Predictions::micro),
+        }
+    }
+}
+
+/// Predicts every task of a prepared set.
+pub fn predict_tasks(
+    model: &DoduoModel,
+    store: &ParamStore,
+    data: &Prepared,
+    threads: usize,
+) -> TaskPredictions {
+    let types = predict_types(model, store, &data.types, threads);
+    let rels = match model.config().input_mode {
+        InputMode::TableWise if !data.rels.is_empty() => {
+            Some(predict_rels(model, store, &data.rels, threads))
+        }
+        InputMode::SingleColumn if !data.rels_single.is_empty() => {
+            Some(predict_rels_single(model, store, &data.rels_single, threads))
+        }
+        _ => None,
+    };
+    TaskPredictions { types, rels }
+}
+
 /// Evaluates a model on prepared examples.
 pub fn evaluate(
     model: &DoduoModel,
@@ -302,17 +342,7 @@ pub fn evaluate(
     data: &Prepared,
     threads: usize,
 ) -> EvalScores {
-    let type_micro = predict_types(model, store, &data.types, threads).micro();
-    let rel_micro = match model.config().input_mode {
-        InputMode::TableWise if !data.rels.is_empty() => {
-            Some(predict_rels(model, store, &data.rels, threads).micro())
-        }
-        InputMode::SingleColumn if !data.rels_single.is_empty() => {
-            Some(predict_rels_single(model, store, &data.rels_single, threads).micro())
-        }
-        _ => None,
-    };
-    EvalScores { type_micro, rel_micro }
+    predict_tasks(model, store, data, threads).scores()
 }
 
 /// Per-epoch record in a [`TrainReport`].

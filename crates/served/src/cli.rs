@@ -30,7 +30,6 @@ struct Args {
     threads: usize,
     chaos: Option<ChaosConfig>,
     port_file: Option<String>,
-    feedback_finetune: bool,
 }
 
 fn usage() -> ! {
@@ -55,9 +54,6 @@ fn usage() -> ! {
                                    (how a supervisor discovers an ephemeral port)\n\
            --chaos SPEC            deterministic fault injection, e.g.\n\
                                    crash_after=40,delay_ms=250,reset_prob=0.5,seed=7\n\
-           --feedback-finetune     fold POST /v1/feedback corrections into a\n\
-                                   background fine-tune + hot-swap cycle\n\
-                                   (default off; the journal still accumulates)\n\
          \n\
          other:\n\
            --oneshot FILE          annotate request FILE offline, print the exact\n\
@@ -85,7 +81,6 @@ fn parse_args(argv: &[String]) -> Args {
         threads: doduo_tensor::default_threads(),
         chaos: None,
         port_file: None,
-        feedback_finetune: false,
     };
     let mut i = 0;
     let value = |i: &mut usize| -> String {
@@ -135,7 +130,6 @@ fn parse_args(argv: &[String]) -> Args {
                 }))
             }
             "--port-file" => args.port_file = Some(value(&mut i)),
-            "--feedback-finetune" => args.feedback_finetune = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument {other}");
@@ -242,7 +236,6 @@ pub fn run(argv: &[String]) -> i32 {
             ..BatchConfig::default()
         },
         chaos: args.chaos.clone(),
-        feedback_finetune: args.feedback_finetune,
         ..ServeConfig::default()
     };
     let server = match Server::bind(cfg) {

@@ -44,8 +44,8 @@
 //! * [`queue`] — the deterministic batching core and its `Condvar` wrapper.
 //! * [`lifecycle`] — the versioned live-model layer: atomic blue/green
 //!   hot-swap (`POST /v1/model`), per-response `x-model-version`
-//!   attribution, and the bounded feedback journal behind the opt-in
-//!   fine-tune loop (`POST /v1/feedback`, `--feedback-finetune`).
+//!   attribution, and the bounded feedback journal (`POST /v1/feedback`);
+//!   `POST /v1/model` is the only way a model reaches a running daemon.
 //! * [`stats`] — latency percentiles and aggregate counters (`/v1/stats`).
 //! * [`server`] — reactor wiring, routes, dispatcher, model loader, the
 //!   socket-free stream session, graceful shutdown.

@@ -1,5 +1,5 @@
 //! The live model lifecycle: versioned engines, atomic blue/green
-//! hot-swap, and the feedback journal behind `--feedback-finetune`.
+//! hot-swap, and the feedback journal.
 //!
 //! A running daemon serves exactly one *current* engine at a time, held in
 //! an [`EngineSlot`]. `POST /v1/model` uploads a new [`AnnotatorBundle`]
@@ -24,24 +24,22 @@
 //! from); only a `--synthetic` boot, which has no file, serializes its
 //! bundle once to compute it ([`EngineSlot::new`]).
 //!
-//! `POST /v1/feedback` accumulates corrected labels into a bounded
-//! [`FeedbackJournal`]. When the daemon runs with `--feedback-finetune`, a
-//! background thread folds accumulated entries into a short fine-tune of a
-//! *copy* of the current bundle (via a save/load round-trip — training
-//! never mutates the serving weights) and self-swaps the retrained
-//! checkpoint through [`EngineSlot::swap_blob`], the route uploads take,
-//! closing the serve → correct → retrain → serve loop.
+//! A model has one way into a running daemon: `POST /v1/model`, whose
+//! loader thread is [`EngineSlot::swap_blob`]'s one caller. Behind
+//! `doduo-balance` that upload is the fleet's one writer, which is what
+//! keeps every replica on the committed model — so the daemon never
+//! retrains itself. `POST /v1/feedback` accumulates corrected labels into
+//! a bounded [`FeedbackJournal`], an audit buffer; a model fine-tuned on
+//! them is published through `POST /v1/model` like any other.
 
-use doduo_core::{blob_crc, trainer, AnnotatorBundle, Task, TrainConfig};
+use doduo_core::{blob_crc, AnnotatorBundle};
 use doduo_serve::{BatchAnnotator, BatchConfig};
-use doduo_table::{AnnotatedTable, Dataset, Table};
+use doduo_table::Table;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Feedback entries retained before the oldest are evicted.
 pub const FEEDBACK_JOURNAL_CAP: usize = 1024;
-/// Journal entries that trigger one background fine-tune cycle.
-pub const FINETUNE_BATCH: usize = 8;
 
 /// One serving engine pinned to the model version it was built from.
 ///
@@ -128,7 +126,7 @@ impl EngineSlot {
     }
 
     /// The engine serving right now. Callers capture the `Arc` once per
-    /// request (or stream, or fine-tune cycle) and use it throughout, so a
+    /// request (or stream) and use it throughout, so a
     /// concurrent swap never changes the model under them.
     pub fn current(&self) -> Arc<VersionedEngine> {
         Arc::clone(&self.current.lock().expect("engine slot lock"))
@@ -142,9 +140,10 @@ impl EngineSlot {
     /// Strict-loads a checkpoint blob, builds the replacement engine off
     /// the hot path, and swaps it in. Returns the new engine. In-flight
     /// batches keep the `Arc` they captured and finish on the old model.
-    /// The only way a model reaches the slot after boot — uploads and the
-    /// fine-tune loop alike — so every installed model has passed
-    /// [`AnnotatorBundle::load`]'s checks (structure, CRC, finite weights).
+    /// The only way a model reaches the slot after boot (its one caller is
+    /// the `POST /v1/model` loader thread), so every installed model has
+    /// passed [`AnnotatorBundle::load`]'s checks (structure, CRC, finite
+    /// weights).
     pub fn swap_blob(&self, blob: &[u8]) -> Result<Arc<VersionedEngine>, SwapError> {
         let crc = blob_crc(blob)
             .ok_or_else(|| SwapError::BadBundle("not a checkpoint blob (bad magic)".into()))?;
@@ -170,18 +169,13 @@ pub struct FeedbackEntry {
     pub types: Vec<Vec<String>>,
 }
 
-/// A bounded journal of corrected labels awaiting fine-tuning.
-///
-/// Always accumulates (feedback is accepted even when `--feedback-finetune`
-/// is off — the journal is also an audit buffer); when full, the oldest
+/// A bounded audit journal of corrected labels: when full, the oldest
 /// entries are evicted and counted in `dropped`.
 pub struct FeedbackJournal {
     entries: Mutex<Vec<FeedbackEntry>>,
     cap: usize,
     accepted: AtomicU64,
     dropped: AtomicU64,
-    /// Completed fine-tune + self-swap cycles.
-    finetunes: AtomicU64,
 }
 
 impl FeedbackJournal {
@@ -192,7 +186,6 @@ impl FeedbackJournal {
             cap,
             accepted: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            finetunes: AtomicU64::new(0),
         }
     }
 
@@ -209,19 +202,9 @@ impl FeedbackJournal {
         entries.len()
     }
 
-    /// Entries currently awaiting a fine-tune cycle.
+    /// Entries currently held.
     pub fn pending(&self) -> usize {
         self.entries.lock().expect("journal lock").len()
-    }
-
-    /// Takes every pending entry if at least `min` have accumulated;
-    /// otherwise leaves the journal untouched and returns an empty vec.
-    pub fn drain_if_at_least(&self, min: usize) -> Vec<FeedbackEntry> {
-        let mut entries = self.entries.lock().expect("journal lock");
-        if entries.len() < min {
-            return Vec::new();
-        }
-        std::mem::take(&mut *entries)
     }
 
     /// Total entries ever accepted.
@@ -229,25 +212,15 @@ impl FeedbackJournal {
         self.accepted.load(Ordering::SeqCst)
     }
 
-    /// Entries evicted unprocessed because the journal was full.
+    /// Entries evicted because the journal was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::SeqCst)
-    }
-
-    /// Completed fine-tune + self-swap cycles.
-    pub fn finetunes(&self) -> u64 {
-        self.finetunes.load(Ordering::SeqCst)
-    }
-
-    /// Records one completed fine-tune cycle.
-    pub fn record_finetune(&self) {
-        self.finetunes.fetch_add(1, Ordering::SeqCst);
     }
 }
 
 /// Everything the serving stack shares about the live model: the swap slot
 /// plus the feedback journal. One per daemon, shared by the reactor, the
-/// request workers and the fine-tune loop.
+/// dispatcher and the loader.
 pub struct Lifecycle {
     slot: EngineSlot,
     journal: FeedbackJournal,
@@ -276,59 +249,6 @@ impl Lifecycle {
     pub fn current(&self) -> Arc<VersionedEngine> {
         self.slot.current()
     }
-}
-
-/// Runs one fine-tune cycle over `entries` against (a copy of) `base`'s
-/// bundle: short column-type training on the corrected labels, then a
-/// save to fresh checkpoint bytes — which the caller installs through
-/// [`EngineSlot::swap_blob`] like any upload, so a cycle that diverged to
-/// NaN weights is rejected there and the current engine keeps serving.
-/// Errors are returned as strings (a failed cycle must never take the
-/// daemon down).
-pub fn finetune_bundle(
-    base: &VersionedEngine,
-    entries: &[FeedbackEntry],
-) -> Result<Vec<u8>, String> {
-    let bundle = base.engine().bundle();
-    // Train on a deep copy: serving weights stay immutable, and a failed
-    // or interrupted cycle leaves the current engine untouched.
-    let blob = bundle.save();
-    let mut fresh = AnnotatorBundle::load(&blob).map_err(|e| format!("{e:?}"))?;
-
-    // Fold the corrections into an annotated dataset over the serving
-    // vocabularies. Labels were validated at journal time, but the vocab
-    // may have been swapped since — skip entries that no longer resolve.
-    let mut tables: Vec<AnnotatedTable> = Vec::new();
-    for entry in entries {
-        let col_types: Option<Vec<Vec<_>>> = entry
-            .types
-            .iter()
-            .map(|labels| labels.iter().map(|l| fresh.type_vocab.id(l)).collect())
-            .collect();
-        match col_types {
-            Some(ct) if ct.len() == entry.table.n_cols() => {
-                tables.push(AnnotatedTable {
-                    table: entry.table.clone(),
-                    col_types: ct,
-                    relations: Vec::new(),
-                });
-            }
-            _ => continue,
-        }
-    }
-    if tables.is_empty() {
-        return Err("no usable feedback entries".into());
-    }
-    let ds = Dataset {
-        tables,
-        type_vocab: fresh.type_vocab.clone(),
-        rel_vocab: fresh.rel_vocab.clone(),
-    };
-    let prepared = trainer::prepare(&fresh.model, &ds, &fresh.tokenizer);
-    let cfg =
-        TrainConfig { epochs: 1, batch_size: 8, lr: 1e-3, threads: 1, seed: 7, select_best: false };
-    trainer::train(&fresh.model, &mut fresh.store, &prepared, &prepared, &[Task::ColumnType], &cfg);
-    Ok(fresh.save())
 }
 
 #[cfg(test)]
@@ -383,33 +303,6 @@ mod tests {
         assert_eq!(j.pending(), 3);
         assert_eq!(j.accepted(), 5);
         assert_eq!(j.dropped(), 2);
-        assert!(j.drain_if_at_least(4).is_empty(), "below threshold leaves entries");
-        assert_eq!(j.pending(), 3);
-        let drained = j.drain_if_at_least(3);
-        assert_eq!(drained.len(), 3);
-        assert_eq!(drained[0].table.id, "t2", "oldest entries were the evicted ones");
-        assert_eq!(j.pending(), 0);
-    }
-
-    #[test]
-    fn finetune_produces_an_installable_bundle() {
-        let w = synthetic_world(true, 42);
-        let lc = Lifecycle::new(Arc::clone(&w.bundle), BatchConfig::default());
-        let base = lc.current();
-        let label = w.bundle.type_vocab.name(0).to_string();
-        let entries: Vec<FeedbackEntry> = w.tables[..4]
-            .iter()
-            .map(|t| FeedbackEntry {
-                table: t.clone(),
-                types: t.columns.iter().map(|_| vec![label.clone()]).collect(),
-            })
-            .collect();
-        let blob = finetune_bundle(&base, &entries).expect("finetune runs");
-        let engine = lc.slot().swap_blob(&blob).expect("retrained bundle installs");
-        assert_eq!(engine.version(), 2);
-        assert_eq!(engine.crc(), blob_crc(&blob).expect("crc"));
-        assert_eq!(lc.slot().swaps(), 1);
-        assert_eq!(lc.current().label(), engine.label());
     }
 
     #[test]

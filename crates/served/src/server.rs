@@ -66,9 +66,7 @@ use crate::http::{
 use crate::json::{
     annotation_to_json, annotations_response, table_from_json, Json, StreamSplitter,
 };
-use crate::lifecycle::{
-    finetune_bundle, FeedbackEntry, Lifecycle, VersionedEngine, FINETUNE_BATCH,
-};
+use crate::lifecycle::{FeedbackEntry, Lifecycle, VersionedEngine};
 use crate::queue::{BatchPolicy, PushRejected, SharedBatcher};
 use crate::reactor::{
     admit, BodyEnd, Dispatch, Driver, Next, Reactor, ReactorConfig, Router, StreamHooks, Ticket,
@@ -121,12 +119,6 @@ pub struct ServeConfig {
     /// `crash_after` on a daemon running in its own process (the
     /// `doduo-balance` chaos tests), never on an in-process test server.
     pub chaos: Option<ChaosConfig>,
-    /// Run the background feedback fine-tune loop (`--feedback-finetune`):
-    /// fold accumulated `POST /v1/feedback` corrections into a short
-    /// column-type fine-tune of a copy of the serving model and hot-swap
-    /// the result in. Off by default — the journal still accumulates, but
-    /// nothing retrains or self-swaps.
-    pub feedback_finetune: bool,
 }
 
 impl Default for ServeConfig {
@@ -139,7 +131,6 @@ impl Default for ServeConfig {
             request_deadline: Duration::from_secs(10),
             stream_idle_timeout: Duration::from_secs(30),
             chaos: None,
-            feedback_finetune: false,
         }
     }
 }
@@ -231,11 +222,6 @@ impl ServerHandle {
         self.shared.request_shutdown();
     }
 
-    /// True once shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutting_down()
-    }
-
     /// Aggregate serving counters.
     pub fn stats(&self) -> &ServerStats {
         &self.shared.stats
@@ -294,9 +280,6 @@ impl Server {
         let cfg = &self.cfg;
         std::thread::scope(|scope| {
             scope.spawn(move || dispatcher_loop(shared));
-            if cfg.feedback_finetune {
-                scope.spawn(move || finetune_loop(shared, lifecycle));
-            }
             let (uploads, upload_rx) = mpsc::channel::<Upload>();
             let driver = EpollDriver { listener: &self.listener, shared, lifecycle, cfg, uploads };
             let rcfg =
@@ -569,36 +552,6 @@ fn dispatcher_loop(shared: &Shared) {
     }
 }
 
-/// The `--feedback-finetune` background loop: once enough corrected labels
-/// accumulate, fold them into a short fine-tune of a copy of the current
-/// model and hot-swap the result through the same slot `POST /v1/model`
-/// uses. A failed cycle logs and drops that batch — it must never take the
-/// daemon down or touch the serving weights.
-fn finetune_loop(shared: &Shared, lifecycle: &Lifecycle) {
-    while !shared.shutting_down() {
-        let entries = lifecycle.journal().drain_if_at_least(FINETUNE_BATCH);
-        if entries.is_empty() {
-            std::thread::sleep(Duration::from_millis(100));
-            continue;
-        }
-        let base = lifecycle.current();
-        let swapped = finetune_bundle(&base, &entries)
-            .and_then(|blob| lifecycle.slot().swap_blob(&blob).map_err(|e| e.to_string()));
-        match swapped {
-            Ok(fresh) => {
-                lifecycle.journal().record_finetune();
-                eprintln!(
-                    "[served] feedback fine-tune: {} entries folded; model {} -> {}",
-                    entries.len(),
-                    base.label(),
-                    fresh.label()
-                );
-            }
-            Err(msg) => eprintln!("[served] feedback fine-tune skipped: {msg}"),
-        }
-    }
-}
-
 // ---------------------------------------------------------- inline routes
 
 impl EpollDriver<'_> {
@@ -650,7 +603,6 @@ impl EpollDriver<'_> {
                     feedback_accepted: journal.accepted(),
                     feedback_dropped: journal.dropped(),
                     feedback_pending: journal.pending() as u64,
-                    finetunes: journal.finetunes(),
                 };
                 HttpResponse::json(
                     200,
@@ -712,8 +664,9 @@ fn model_swap_response(shared: &Shared, lifecycle: &Lifecycle, body: &[u8]) -> H
 /// `POST /v1/feedback`: validate one corrected-label observation
 /// (`{"table": {...}, "types": [[label, ...], ...]}`, one label list per
 /// column, labels from the serving type vocabulary) and append it to the
-/// journal. The entry only trains a model when the daemon runs with
-/// `--feedback-finetune`; otherwise the journal is a bounded audit buffer.
+/// journal, a bounded audit buffer. The daemon never retrains itself: a
+/// model fine-tuned on the corrections is published through
+/// `POST /v1/model` like any other.
 fn feedback_response(shared: &Shared, lifecycle: &Lifecycle, body: &[u8]) -> HttpResponse {
     let fail = |msg: &str| {
         shared.stats.requests_failed.fetch_add(1, Ordering::Relaxed);

@@ -92,10 +92,8 @@ pub struct ModelStatus {
     pub feedback_accepted: u64,
     /// Feedback entries evicted unprocessed (journal overflow).
     pub feedback_dropped: u64,
-    /// Feedback entries currently awaiting a fine-tune cycle.
+    /// Feedback entries currently held in the journal.
     pub feedback_pending: u64,
-    /// Completed fine-tune + self-swap cycles.
-    pub finetunes: u64,
 }
 
 /// A percentile summary of one metric window.
@@ -205,7 +203,7 @@ impl ServerStats {
              \"rejected_queue_full\":{},\"tables\":{},\"sequences\":{},\"tokens\":{},\
              \"queue_depth\":{queue_depth},\"cache_hit_rate\":{cache_hit_rate:.4},\
              \"model\":{{\"version\":{model_version},\"swaps\":{},\
-             \"feedback\":{{\"accepted\":{},\"dropped\":{},\"pending\":{},\"finetunes\":{}}}}},\
+             \"feedback\":{{\"accepted\":{},\"dropped\":{},\"pending\":{}}}}},\
              \"connections\":{{\"accepted\":{},\"rejected\":{},\"keepalive_reused\":{}}},\
              \"streams\":{{\"ok\":{},\"failed\":{},\"tables\":{}}},\
              \"flushes\":{{\"budget\":{},\"deadline\":{},\"shutdown\":{}}},\
@@ -224,7 +222,6 @@ impl ServerStats {
             model.feedback_accepted,
             model.feedback_dropped,
             model.feedback_pending,
-            model.finetunes,
             self.conns_accepted.load(Ordering::Relaxed),
             self.conns_rejected.load(Ordering::Relaxed),
             self.keepalive_reused.load(Ordering::Relaxed),
@@ -273,7 +270,6 @@ mod tests {
             feedback_accepted: 5,
             feedback_dropped: 1,
             feedback_pending: 4,
-            finetunes: 0,
         };
         let body = s.to_json(Duration::from_secs(3), 2, 0.5, &model);
         let v = crate::json::Json::parse(body.trim()).expect("stats body parses");

@@ -29,8 +29,6 @@ pub mod quant;
 
 pub use config::EncoderConfig;
 pub use encoder::{all_rows, mask_from_fn, BatchEncoding, BatchSeq, Encoder};
-pub use mlm::{
-    mask_tokens, mlm_eval_loss, pretrain_mlm, pseudo_perplexity, MaskedExample, MlmConfig, MlmHead,
-};
+pub use mlm::{mask_tokens, pretrain_mlm, pseudo_perplexity, MaskedExample, MlmConfig, MlmHead};
 pub use ops::{Dense, Ops};
 pub use quant::QuantEncoder;

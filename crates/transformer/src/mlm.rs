@@ -201,37 +201,6 @@ pub fn pseudo_perplexity(
     (nll / eligible.len() as f32).exp()
 }
 
-/// Mean MLM loss on a held-out set (no gradient, no masking randomness
-/// beyond the given seed) — used to monitor pretraining.
-pub fn mlm_eval_loss(
-    encoder: &Encoder,
-    head: &MlmHead,
-    store: &ParamStore,
-    sequences: &[Vec<u32>],
-    mask_prob: f32,
-    seed: u64,
-) -> f32 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut total = 0.0;
-    let mut n = 0usize;
-    for seq in sequences {
-        let ex = mask_tokens(seq, encoder.config().vocab_size, mask_prob, &mut rng);
-        if ex.positions.is_empty() {
-            continue;
-        }
-        let mut tape = Tape::inference(store);
-        let logits = head.logits_at(&mut tape, encoder, &ex.input, &ex.positions, &mut rng);
-        let loss = tape.softmax_ce(logits, &ex.targets);
-        total += tape.value(loss).scalar_value();
-        n += 1;
-    }
-    if n == 0 {
-        f32::NAN
-    } else {
-        total / n as f32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,12 +320,5 @@ mod tests {
     fn pseudo_perplexity_empty_is_infinite() {
         let (_tok, store, enc, head, _seqs) = setup();
         assert_eq!(pseudo_perplexity(&enc, &head, &store, &[CLS, SEP]), f32::INFINITY);
-    }
-
-    #[test]
-    fn eval_loss_is_finite_and_positive() {
-        let (_tok, store, enc, head, seqs) = setup();
-        let l = mlm_eval_loss(&enc, &head, &store, &seqs, 0.15, 3);
-        assert!(l.is_finite() && l > 0.0);
     }
 }
