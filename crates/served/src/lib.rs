@@ -42,10 +42,10 @@
 //!   TCP admission control. It is the workspace's one HTTP server:
 //!   `doduo-balance`'s front is a second [`reactor::Driver`] on it.
 //! * [`queue`] — the deterministic batching core and its `Condvar` wrapper.
-//! * [`lifecycle`] — the versioned live-model layer: atomic blue/green
-//!   hot-swap (`POST /v1/model`), per-response `x-model-version`
-//!   attribution, and the bounded feedback journal (`POST /v1/feedback`);
-//!   `POST /v1/model` is the only way a model reaches a running daemon.
+//! * [`lifecycle`] — the versioned live model: atomic blue/green hot-swap
+//!   (`POST /v1/model`, the only way a model reaches a running daemon)
+//!   and per-response `x-model-version` attribution. A replica holds its
+//!   model and nothing else.
 //! * [`stats`] — latency percentiles and aggregate counters (`/v1/stats`).
 //! * [`server`] — reactor wiring, routes, dispatcher, model loader, the
 //!   socket-free stream session, graceful shutdown.
@@ -59,10 +59,9 @@
 //!   the balancer can embed a replica daemon in a child process.
 //!
 //! Endpoints are mounted under `/v1` (`POST /v1/annotate`, `POST
-//! /v1/annotate_stream`, `POST /v1/model` (hot-swap upload), `POST
-//! /v1/feedback` (corrected labels), `GET /v1/healthz` (liveness), `GET
-//! /v1/readyz` (readiness), `GET /v1/stats`, `POST /v1/shutdown`); any
-//! other path answers `404`.
+//! /v1/annotate_stream`, `POST /v1/model` (hot-swap upload), `GET
+//! /v1/healthz` (liveness), `GET /v1/readyz` (readiness), `GET /v1/stats`,
+//! `POST /v1/shutdown`); any other path answers `404`.
 #![warn(missing_docs)]
 
 pub mod bootstrap;
@@ -79,7 +78,7 @@ pub mod stats;
 pub mod validate;
 
 pub use handler::{HttpRequest, HttpResponse};
-pub use lifecycle::{EngineSlot, FeedbackJournal, Lifecycle, VersionedEngine};
+pub use lifecycle::{Lifecycle, VersionedEngine};
 pub use queue::{BatchPolicy, Batcher, FlushReason, PushRejected, SharedBatcher};
 pub use server::{ServeConfig, Server, ServerHandle};
 pub use stats::{percentiles, Percentiles, ServerStats};

@@ -1,9 +1,8 @@
-//! The live model lifecycle: versioned engines, atomic blue/green
-//! hot-swap, and the feedback journal.
+//! The live model: versioned engines and atomic blue/green hot-swap.
 //!
 //! A running daemon serves exactly one *current* engine at a time, held in
-//! an [`EngineSlot`]. `POST /v1/model` uploads a new [`AnnotatorBundle`]
-//! checkpoint blob; the slot CRC-verifies and strict-loads it, builds a
+//! its [`Lifecycle`]. `POST /v1/model` uploads a new [`AnnotatorBundle`]
+//! checkpoint blob; the lifecycle CRC-verifies and strict-loads it, builds a
 //! fresh [`BatchAnnotator`] **off the hot path** (no request ever waits on
 //! an engine build), and then swaps one `Arc` pointer. Every request
 //! captures its engine `Arc` at serialize time, so the swap is atomic at
@@ -22,24 +21,19 @@
 //! checkpoint bytes that produced it. An upload's CRC is read from its
 //! header, and so is a `--checkpoint` boot model's (the file it was loaded
 //! from); only a `--synthetic` boot, which has no file, serializes its
-//! bundle once to compute it ([`EngineSlot::new`]).
+//! bundle once to compute it ([`Lifecycle::new`]).
 //!
 //! A model has one way into a running daemon: `POST /v1/model`, whose
-//! loader thread is [`EngineSlot::swap_blob`]'s one caller. Behind
+//! loader thread is [`Lifecycle::swap_blob`]'s one caller. Behind
 //! `doduo-balance` that upload is the fleet's one writer, which is what
-//! keeps every replica on the committed model — so the daemon never
-//! retrains itself. `POST /v1/feedback` accumulates corrected labels into
-//! a bounded [`FeedbackJournal`], an audit buffer; a model fine-tuned on
-//! them is published through `POST /v1/model` like any other.
+//! keeps every replica on the committed model. A replica holds its model
+//! and nothing else: it never retrains itself and keeps no corrections. A
+//! fine-tune on corrected labels runs outside the daemon and publishes
+//! through `POST /v1/model` like any other model.
 
 use doduo_core::{blob_crc, AnnotatorBundle};
 use doduo_serve::{BatchAnnotator, BatchConfig};
-use doduo_table::Table;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Feedback entries retained before the oldest are evicted.
-pub const FEEDBACK_JOURNAL_CAP: usize = 1024;
 
 /// One serving engine pinned to the model version it was built from.
 ///
@@ -75,52 +69,31 @@ impl VersionedEngine {
     }
 }
 
-/// Why a model upload was rejected.
-#[derive(Debug)]
-pub enum SwapError {
-    /// The blob failed strict checkpoint validation (bad magic, truncated,
-    /// checksum mismatch, malformed sections).
-    BadBundle(String),
-}
-
-impl std::fmt::Display for SwapError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SwapError::BadBundle(msg) => write!(f, "{msg}"),
-        }
-    }
-}
-
 /// The daemon's single mutable model pointer: the blue/green swap point.
+/// One per daemon, shared by the reactor, the dispatcher and the loader.
 ///
 /// `current()` is a mutex-guarded `Arc` clone (nanoseconds, never held
 /// across work); `swap_blob` does all expensive work — CRC verification,
 /// deserialization, engine construction, int8 requantization — before
 /// taking the lock.
-pub struct EngineSlot {
+pub struct Lifecycle {
     current: Mutex<Arc<VersionedEngine>>,
-    /// Ordinal handed to the next successful swap.
-    next_version: AtomicU64,
-    /// Completed swaps (the boot engine is not counted).
-    swaps: AtomicU64,
     /// Engine knobs applied to every rebuilt engine (including `quant`).
     engine_cfg: BatchConfig,
 }
 
-impl EngineSlot {
+impl Lifecycle {
     /// Builds the boot engine (version 1) around `bundle`, labelled with
     /// [`AnnotatorBundle::crc`]: a `--checkpoint` boot reuses the CRC its
     /// file was just verified against (no re-serialization), and a
     /// `--synthetic` boot, which has no file, serializes its bundle once to
     /// compute it. Both give the same label for the same model (pinned by
     /// the root `numerics_pin` suite).
-    pub fn new(bundle: Arc<AnnotatorBundle>, engine_cfg: BatchConfig) -> EngineSlot {
+    pub fn new(bundle: Arc<AnnotatorBundle>, engine_cfg: BatchConfig) -> Lifecycle {
         let crc = bundle.crc();
         let engine = BatchAnnotator::with_config(bundle, engine_cfg.clone());
-        EngineSlot {
+        Lifecycle {
             current: Mutex::new(Arc::new(VersionedEngine { engine, version: 1, crc })),
-            next_version: AtomicU64::new(2),
-            swaps: AtomicU64::new(0),
             engine_cfg,
         }
     }
@@ -129,125 +102,31 @@ impl EngineSlot {
     /// request (or stream) and use it throughout, so a
     /// concurrent swap never changes the model under them.
     pub fn current(&self) -> Arc<VersionedEngine> {
-        Arc::clone(&self.current.lock().expect("engine slot lock"))
+        Arc::clone(&self.current.lock().expect("model lock"))
     }
 
-    /// Completed hot-swaps since boot.
+    /// Completed hot-swaps since boot: each one takes the next ordinal.
     pub fn swaps(&self) -> u64 {
-        self.swaps.load(Ordering::SeqCst)
+        self.current().version - 1
     }
 
     /// Strict-loads a checkpoint blob, builds the replacement engine off
     /// the hot path, and swaps it in. Returns the new engine. In-flight
     /// batches keep the `Arc` they captured and finish on the old model.
-    /// The only way a model reaches the slot after boot (its one caller is
-    /// the `POST /v1/model` loader thread), so every installed model has
+    /// The only way a model reaches the daemon after boot (its one caller
+    /// is the `POST /v1/model` loader thread), so every installed model has
     /// passed [`AnnotatorBundle::load`]'s checks (structure, CRC, finite
-    /// weights).
-    pub fn swap_blob(&self, blob: &[u8]) -> Result<Arc<VersionedEngine>, SwapError> {
-        let crc = blob_crc(blob)
-            .ok_or_else(|| SwapError::BadBundle("not a checkpoint blob (bad magic)".into()))?;
-        let bundle =
-            AnnotatorBundle::load(blob).map_err(|e| SwapError::BadBundle(format!("{e:?}")))?;
+    /// weights); a rejected blob's error says which check it failed.
+    pub fn swap_blob(&self, blob: &[u8]) -> Result<Arc<VersionedEngine>, String> {
+        let crc = blob_crc(blob).ok_or("not a checkpoint blob (bad magic)")?;
+        let bundle = AnnotatorBundle::load(blob).map_err(|e| format!("{e:?}"))?;
         // All expensive work (engine build, quantization) happens here,
         // before the lock.
         let engine = BatchAnnotator::with_config(Arc::new(bundle), self.engine_cfg.clone());
-        let version = self.next_version.fetch_add(1, Ordering::SeqCst);
-        let fresh = Arc::new(VersionedEngine { engine, version, crc });
-        *self.current.lock().expect("engine slot lock") = Arc::clone(&fresh);
-        self.swaps.fetch_add(1, Ordering::SeqCst);
+        let mut current = self.current.lock().expect("model lock");
+        let fresh = Arc::new(VersionedEngine { engine, version: current.version + 1, crc });
+        *current = Arc::clone(&fresh);
         Ok(fresh)
-    }
-}
-
-/// One corrected-label observation: a table plus per-column type labels.
-#[derive(Clone, Debug)]
-pub struct FeedbackEntry {
-    /// The table the labels apply to.
-    pub table: Table,
-    /// Per-column corrected type labels (names from the serving vocab).
-    pub types: Vec<Vec<String>>,
-}
-
-/// A bounded audit journal of corrected labels: when full, the oldest
-/// entries are evicted and counted in `dropped`.
-pub struct FeedbackJournal {
-    entries: Mutex<Vec<FeedbackEntry>>,
-    cap: usize,
-    accepted: AtomicU64,
-    dropped: AtomicU64,
-}
-
-impl FeedbackJournal {
-    /// An empty journal bounded at `cap` entries.
-    pub fn new(cap: usize) -> FeedbackJournal {
-        FeedbackJournal {
-            entries: Mutex::new(Vec::new()),
-            cap,
-            accepted: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Appends one entry, evicting the oldest when the journal is full.
-    /// Returns the pending count after the push.
-    pub fn push(&self, entry: FeedbackEntry) -> usize {
-        let mut entries = self.entries.lock().expect("journal lock");
-        if entries.len() >= self.cap {
-            entries.remove(0);
-            self.dropped.fetch_add(1, Ordering::SeqCst);
-        }
-        entries.push(entry);
-        self.accepted.fetch_add(1, Ordering::SeqCst);
-        entries.len()
-    }
-
-    /// Entries currently held.
-    pub fn pending(&self) -> usize {
-        self.entries.lock().expect("journal lock").len()
-    }
-
-    /// Total entries ever accepted.
-    pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::SeqCst)
-    }
-
-    /// Entries evicted because the journal was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::SeqCst)
-    }
-}
-
-/// Everything the serving stack shares about the live model: the swap slot
-/// plus the feedback journal. One per daemon, shared by the reactor, the
-/// dispatcher and the loader.
-pub struct Lifecycle {
-    slot: EngineSlot,
-    journal: FeedbackJournal,
-}
-
-impl Lifecycle {
-    /// Boots the lifecycle around the initial bundle.
-    pub fn new(bundle: Arc<AnnotatorBundle>, engine_cfg: BatchConfig) -> Lifecycle {
-        Lifecycle {
-            slot: EngineSlot::new(bundle, engine_cfg),
-            journal: FeedbackJournal::new(FEEDBACK_JOURNAL_CAP),
-        }
-    }
-
-    /// The swap slot.
-    pub fn slot(&self) -> &EngineSlot {
-        &self.slot
-    }
-
-    /// The feedback journal.
-    pub fn journal(&self) -> &FeedbackJournal {
-        &self.journal
-    }
-
-    /// Shorthand for [`EngineSlot::current`].
-    pub fn current(&self) -> Arc<VersionedEngine> {
-        self.slot.current()
     }
 }
 
@@ -260,7 +139,7 @@ mod tests {
     fn slot_swaps_are_versioned_and_crc_labelled() {
         let a = synthetic_world(true, 42);
         let b = synthetic_world(true, 99);
-        let slot = EngineSlot::new(Arc::clone(&a.bundle), BatchConfig::default());
+        let slot = Lifecycle::new(Arc::clone(&a.bundle), BatchConfig::default());
         let boot = slot.current();
         assert_eq!(boot.version(), 1);
         assert_eq!(slot.swaps(), 0);
@@ -279,30 +158,15 @@ mod tests {
     #[test]
     fn corrupt_blob_is_rejected_and_slot_unchanged() {
         let w = synthetic_world(true, 42);
-        let slot = EngineSlot::new(Arc::clone(&w.bundle), BatchConfig::default());
+        let slot = Lifecycle::new(Arc::clone(&w.bundle), BatchConfig::default());
         let before = slot.current().label();
         let mut blob = w.bundle.save();
         let mid = blob.len() / 2;
         blob[mid] ^= 0xff;
-        assert!(matches!(slot.swap_blob(&blob), Err(SwapError::BadBundle(_))));
+        assert!(slot.swap_blob(&blob).is_err());
         assert!(slot.swap_blob(b"junk").is_err());
         assert_eq!(slot.current().label(), before, "failed swap leaves the slot untouched");
         assert_eq!(slot.swaps(), 0);
-    }
-
-    #[test]
-    fn journal_is_bounded_and_counts_evictions() {
-        let j = FeedbackJournal::new(3);
-        let entry = |id: &str| FeedbackEntry {
-            table: Table { id: id.into(), columns: Vec::new() },
-            types: Vec::new(),
-        };
-        for i in 0..5 {
-            j.push(entry(&format!("t{i}")));
-        }
-        assert_eq!(j.pending(), 3);
-        assert_eq!(j.accepted(), 5);
-        assert_eq!(j.dropped(), 2);
     }
 
     #[test]
@@ -310,12 +174,12 @@ mod tests {
         // What a fine-tune cycle that diverged hands to the install step: a
         // structurally perfect, CRC-valid checkpoint with a NaN weight.
         let w = synthetic_world(true, 42);
-        let slot = EngineSlot::new(Arc::clone(&w.bundle), BatchConfig::default());
+        let slot = Lifecycle::new(Arc::clone(&w.bundle), BatchConfig::default());
         let before = slot.current().label();
         let mut poisoned = AnnotatorBundle::load(&w.bundle.save()).expect("copy loads");
         poisoned.store.get_mut(0).data_mut()[0] = f32::NAN;
         match slot.swap_blob(&poisoned.save()) {
-            Err(SwapError::BadBundle(msg)) => assert!(msg.contains("NonFinite"), "{msg}"),
+            Err(msg) => assert!(msg.contains("NonFinite"), "{msg}"),
             Ok(_) => panic!("a NaN-poisoned bundle was installed"),
         }
         assert_eq!(slot.current().label(), before, "the old engine is still current");

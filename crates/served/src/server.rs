@@ -7,7 +7,7 @@
 //! ```text
 //! reactor × 1 (caller's thread, epoll)   owns the listener and every
 //!   │        connection, streams included; parses requests sans-IO as
-//!   │        bytes arrive; queue-free endpoints (/v1/feedback included)
+//!   │        bytes arrive; queue-free endpoints (/v1/stats, probes)
 //!   │        answered inline; /v1/annotate and each /v1/annotate_stream
 //!   │        table decoded, tokenized (cache) and pushed to the batching
 //!   │        queue right here
@@ -66,7 +66,7 @@ use crate::http::{
 use crate::json::{
     annotation_to_json, annotations_response, table_from_json, Json, StreamSplitter,
 };
-use crate::lifecycle::{FeedbackEntry, Lifecycle, VersionedEngine};
+use crate::lifecycle::{Lifecycle, VersionedEngine};
 use crate::queue::{BatchPolicy, PushRejected, SharedBatcher};
 use crate::reactor::{
     admit, BodyEnd, Dispatch, Driver, Next, Reactor, ReactorConfig, Router, StreamHooks, Ticket,
@@ -596,14 +596,7 @@ impl EpollDriver<'_> {
             }
             ("GET", "/v1/stats") => {
                 let engine = lifecycle.current();
-                let journal = lifecycle.journal();
-                let model = ModelStatus {
-                    model_version: engine.label(),
-                    swaps: lifecycle.slot().swaps(),
-                    feedback_accepted: journal.accepted(),
-                    feedback_dropped: journal.dropped(),
-                    feedback_pending: journal.pending() as u64,
-                };
+                let model = ModelStatus { model_version: engine.label(), swaps: lifecycle.swaps() };
                 HttpResponse::json(
                     200,
                     shared.stats.to_json(
@@ -624,7 +617,6 @@ impl EpollDriver<'_> {
                 shared.stats.record_stream(0, false);
                 HttpResponse::error(400, "streaming requires a chunked or content-length body")
             }
-            ("POST", "/v1/feedback") => feedback_response(shared, lifecycle, &req.body),
             _ => {
                 shared.stats.requests_failed.fetch_add(1, Ordering::Relaxed);
                 HttpResponse::error(404, &format!("no route for {} {}", req.method, req.path))
@@ -641,7 +633,7 @@ impl EpollDriver<'_> {
 /// captured; everything admitted after the swap serves the new one.
 fn model_swap_response(shared: &Shared, lifecycle: &Lifecycle, body: &[u8]) -> HttpResponse {
     let previous = lifecycle.current().label();
-    match lifecycle.slot().swap_blob(body) {
+    match lifecycle.swap_blob(body) {
         Ok(engine) => {
             eprintln!("[served] model hot-swap: {} -> {}", previous, engine.label());
             HttpResponse::json(
@@ -659,67 +651,6 @@ fn model_swap_response(shared: &Shared, lifecycle: &Lifecycle, body: &[u8]) -> H
             HttpResponse::error_code(400, "bad_bundle", &format!("checkpoint rejected: {e}"))
         }
     }
-}
-
-/// `POST /v1/feedback`: validate one corrected-label observation
-/// (`{"table": {...}, "types": [[label, ...], ...]}`, one label list per
-/// column, labels from the serving type vocabulary) and append it to the
-/// journal, a bounded audit buffer. The daemon never retrains itself: a
-/// model fine-tuned on the corrections is published through
-/// `POST /v1/model` like any other.
-fn feedback_response(shared: &Shared, lifecycle: &Lifecycle, body: &[u8]) -> HttpResponse {
-    let fail = |msg: &str| {
-        shared.stats.requests_failed.fetch_add(1, Ordering::Relaxed);
-        HttpResponse::error(400, msg)
-    };
-    let body = match std::str::from_utf8(body) {
-        Ok(s) => s,
-        Err(_) => return fail("body is not valid UTF-8"),
-    };
-    let v = match Json::parse(body) {
-        Ok(v) => v,
-        Err(msg) => return fail(&msg),
-    };
-    let Some(tv) = v.get("table") else {
-        return fail("missing \"table\"");
-    };
-    let table: Table = match table_from_json(tv) {
-        Ok(t) => t,
-        Err(msg) => return fail(&msg),
-    };
-    let Some(types) = v.get("types").and_then(Json::as_array) else {
-        return fail("missing \"types\" (one label list per column)");
-    };
-    if types.len() != table.n_cols() {
-        return fail(&format!(
-            "\"types\" has {} entries but table {:?} has {} columns",
-            types.len(),
-            table.id,
-            table.n_cols()
-        ));
-    }
-    let engine = lifecycle.current();
-    let vocab = &engine.engine().bundle().type_vocab;
-    let mut labels: Vec<Vec<String>> = Vec::with_capacity(types.len());
-    for (ci, col) in types.iter().enumerate() {
-        let Some(list) = col.as_array() else {
-            return fail(&format!("\"types\"[{ci}] is not an array of labels"));
-        };
-        let mut out = Vec::with_capacity(list.len());
-        for l in list {
-            let Some(name) = l.as_str() else {
-                return fail(&format!("\"types\"[{ci}] contains a non-string label"));
-            };
-            if vocab.id(name).is_none() {
-                return fail(&format!("unknown type label {name:?} in column {ci}"));
-            }
-            out.push(name.to_string());
-        }
-        labels.push(out);
-    }
-    let pending = lifecycle.journal().push(FeedbackEntry { table, types: labels });
-    HttpResponse::json(200, format!("{{\"status\":\"accepted\",\"pending\":{pending}}}\n"))
-        .with_header("x-model-version", &engine.label())
 }
 
 // --------------------------------------------------------------- annotate

@@ -79,21 +79,14 @@ impl Ring {
     }
 }
 
-/// The live-model snapshot `/stats` folds into its JSON body: the
-/// lifecycle layer owns these values (`crate::lifecycle`), stats just
-/// renders them.
+/// The live-model snapshot `/stats` renders as its `model` block; the
+/// values belong to [`crate::lifecycle::Lifecycle`].
 #[derive(Clone, Debug, Default)]
 pub struct ModelStatus {
     /// Current engine label, `"{version}-{crc:08x}"`.
     pub model_version: String,
     /// Completed hot-swaps since boot.
     pub swaps: u64,
-    /// Feedback entries ever accepted into the journal.
-    pub feedback_accepted: u64,
-    /// Feedback entries evicted unprocessed (journal overflow).
-    pub feedback_dropped: u64,
-    /// Feedback entries currently held in the journal.
-    pub feedback_pending: u64,
 }
 
 /// A percentile summary of one metric window.
@@ -179,7 +172,7 @@ impl ServerStats {
     }
 
     /// Renders the `/stats` JSON body. `model` is the lifecycle snapshot
-    /// (current version label, swap count, feedback journal counters).
+    /// (current version label, swap count).
     pub fn to_json(
         &self,
         uptime: Duration,
@@ -202,8 +195,7 @@ impl ServerStats {
             "{{\"uptime_secs\":{:.3},\"requests_ok\":{},\"requests_failed\":{},\
              \"rejected_queue_full\":{},\"tables\":{},\"sequences\":{},\"tokens\":{},\
              \"queue_depth\":{queue_depth},\"cache_hit_rate\":{cache_hit_rate:.4},\
-             \"model\":{{\"version\":{model_version},\"swaps\":{},\
-             \"feedback\":{{\"accepted\":{},\"dropped\":{},\"pending\":{}}}}},\
+             \"model\":{{\"version\":{model_version},\"swaps\":{}}},\
              \"connections\":{{\"accepted\":{},\"rejected\":{},\"keepalive_reused\":{}}},\
              \"streams\":{{\"ok\":{},\"failed\":{},\"tables\":{}}},\
              \"flushes\":{{\"budget\":{},\"deadline\":{},\"shutdown\":{}}},\
@@ -219,9 +211,6 @@ impl ServerStats {
             self.seqs.load(Ordering::Relaxed),
             self.tokens.load(Ordering::Relaxed),
             model.swaps,
-            model.feedback_accepted,
-            model.feedback_dropped,
-            model.feedback_pending,
             self.conns_accepted.load(Ordering::Relaxed),
             self.conns_rejected.load(Ordering::Relaxed),
             self.keepalive_reused.load(Ordering::Relaxed),
@@ -264,13 +253,7 @@ mod tests {
         let s = ServerStats::default();
         s.record_request(Duration::from_micros(1500), 1, 1, 40);
         s.record_batch(FlushReason::Deadline, 1);
-        let model = ModelStatus {
-            model_version: "2-0badf00d".into(),
-            swaps: 1,
-            feedback_accepted: 5,
-            feedback_dropped: 1,
-            feedback_pending: 4,
-        };
+        let model = ModelStatus { model_version: "2-0badf00d".into(), swaps: 1 };
         let body = s.to_json(Duration::from_secs(3), 2, 0.5, &model);
         let v = crate::json::Json::parse(body.trim()).expect("stats body parses");
         assert_eq!(v.get("requests_ok").and_then(|j| j.as_f64()), Some(1.0));
@@ -278,9 +261,6 @@ mod tests {
         let m = v.get("model").expect("model");
         assert_eq!(m.get("version").and_then(|j| j.as_str()), Some("2-0badf00d"));
         assert_eq!(m.get("swaps").and_then(|j| j.as_f64()), Some(1.0));
-        let fb = m.get("feedback").expect("feedback");
-        assert_eq!(fb.get("accepted").and_then(|j| j.as_f64()), Some(5.0));
-        assert_eq!(fb.get("pending").and_then(|j| j.as_f64()), Some(4.0));
         let fl = v.get("flushes").expect("flushes");
         assert_eq!(fl.get("deadline").and_then(|j| j.as_f64()), Some(1.0));
         assert!(v.get("latency_ms").unwrap().get("p50").unwrap().as_f64().unwrap() > 1.0);

@@ -613,9 +613,9 @@ fn stat(stats: &Json, path: &[&str]) -> f64 {
 }
 
 /// Open, idle streams hold connections and nothing else: beside three of
-/// them, a new stream and a `/v1/feedback` post are both answered at once.
+/// them, a new stream and a `/v1/stats` request are both answered at once.
 #[test]
-fn idle_streams_delay_neither_a_new_stream_nor_feedback() {
+fn idle_streams_delay_neither_a_new_stream_nor_stats() {
     let world = synthetic_world(true, 42);
     with_server(&world, |addr| {
         let second = Duration::from_secs(1);
@@ -639,12 +639,10 @@ fn idle_streams_delay_neither_a_new_stream_nor_feedback() {
         assert!(start.elapsed() < second, "fourth stream waited {:?}", start.elapsed());
 
         let start = Instant::now();
-        let types = vec!["[]"; t.n_cols()].join(",");
-        let feedback = format!("{{\"table\": {}, \"types\": [{types}]}}", table_to_json(t));
         let mut c = Client::connect(addr, Some(second)).expect("connect");
-        let r = c.request("POST", "/v1/feedback", feedback.as_bytes()).expect("feedback answered");
+        let r = c.request("GET", "/v1/stats", b"").expect("stats answered");
         assert_eq!(r.status, 200, "{}", String::from_utf8_lossy(&r.body));
-        assert!(start.elapsed() < second, "feedback waited {:?}", start.elapsed());
+        assert!(start.elapsed() < second, "stats waited {:?}", start.elapsed());
         drop(idle);
     });
 }

@@ -6,8 +6,8 @@
 //! with the same bytes under version 2; after it installs a different one,
 //! with exactly the bytes offline annotation under *that* bundle produces
 //! (nothing derived from the old weights — a packed GEMM panel, say — may
-//! outlive the swap); `/v1/feedback` is answered inline, an unprefixed path
-//! is a 404; and `POST /v1/shutdown` must make `Server::run` return.
+//! outlive the swap); `/v1/feedback` and an unprefixed path are 404s; and
+//! `POST /v1/shutdown` must make `Server::run` return.
 
 use doduo_core::blob_crc;
 use doduo_served::bootstrap::synthetic_world;
@@ -78,7 +78,8 @@ fn daemon_answers_offline_bytes_and_shuts_down() {
         let types = vec!["[]"; world.tables[0].n_cols()].join(",");
         let feedback = format!("{{\"table\": {}, \"types\": [{types}]}}", bodies[0]);
         let resp = c.request("POST", "/v1/feedback", feedback.as_bytes()).expect("feedback");
-        assert!(String::from_utf8_lossy(&resp.body).contains("\"status\":\"accepted\""));
+        assert_eq!(resp.status, 404, "a replica keeps no corrections");
+        assert!(String::from_utf8_lossy(&resp.body).contains("\"code\":\"not_found\""));
         let resp = c.request("POST", "/annotate", bodies[0].as_bytes()).expect("answered");
         assert_eq!(resp.status, 404, "a route has no unprefixed second name");
 

@@ -3,8 +3,8 @@
 //! bounds, clustering-metric invariances, autograd correctness on randomly
 //! shaped inputs, and the parsers of untrusted bytes — the daemon's HTTP
 //! framing, the client's response-head reader, the stream endpoint's
-//! document splitter and the checkpoint loader — on generated and
-//! arbitrary bytes.
+//! document splitter, the JSON reader and the checkpoint loader — on
+//! generated and arbitrary bytes.
 #![allow(clippy::needless_range_loop)]
 
 use doduo_core::{AnnotatorBundle, DoduoConfig, DoduoModel};
@@ -13,7 +13,7 @@ use doduo_served::http::{
     parse_head, read_response_head, reason_for, render_response, BodyDecoder, BodyFraming, Head,
     ReadError, MAX_HEAD_BYTES,
 };
-use doduo_served::json::StreamSplitter;
+use doduo_served::json::{Json, StreamSplitter};
 use doduo_table::{serialize_table, Column, LabelVocab, SerializeConfig, Table};
 use doduo_tensor::{Gradients, ParamStore, Tape, Tensor};
 use doduo_tokenizer::{TrainConfig, WordPiece, CLS, SEP};
@@ -579,5 +579,91 @@ proptest! {
             prop_assert_eq!(Some(loaded.crc()), doduo_core::blob_crc(&bytes));
             prop_assert!(AnnotatorBundle::load(&loaded.save()).is_ok(), "a loaded bundle re-saves");
         }
+    }
+}
+
+/// The JSON reader's hard cases: punctuation, every escape (`\u` surrogate
+/// pairs, lone or cut halves among them), raw control bytes, and one-,
+/// two-, three- and four-byte characters.
+const JSON_PIECES: &[&str] = &[
+    "{",
+    "}",
+    "[",
+    "]",
+    ",",
+    ":",
+    "\"",
+    "\\",
+    " ",
+    "-1.5e3",
+    "0",
+    "true",
+    "nul",
+    "\\n",
+    "\\\"",
+    "\\\\",
+    "\\/",
+    "\\b\\f\\r\\t",
+    "\\u0041",
+    "\\ud834\\udd1e",
+    "\\ud834",
+    "\\udd1e",
+    "\\u12",
+    "\\x",
+    "\u{0}",
+    "\u{1f}",
+    "\n",
+    "\t",
+    "é",
+    "☃",
+    "𝄞",
+];
+
+fn json_text() -> impl Strategy<Value = String> {
+    let piece =
+        prop_oneof![(0..JSON_PIECES.len()).prop_map(|i| JSON_PIECES[i].to_string()), "[a-z]{1,6}"];
+    proptest::collection::vec(piece, 0..40).prop_map(|pieces| pieces.concat())
+}
+
+/// A random value tree whose strings draw from [`JSON_PIECES`], so its
+/// encoding escapes quotes, backslashes and control bytes and carries
+/// multi-byte and astral characters raw.
+fn json_tree(rng: &mut rand::rngs::StdRng, depth: usize) -> Json {
+    use rand::Rng;
+    let text = |rng: &mut rand::rngs::StdRng| -> String {
+        (0..rng.gen_range(0..6)).map(|_| JSON_PIECES[rng.gen_range(0..JSON_PIECES.len())]).collect()
+    };
+    match rng.gen_range(0..if depth == 0 { 4 } else { 6 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.gen()),
+        2 => Json::Num(rng.gen_range(-1e6..1e6)),
+        3 => Json::Str(text(rng)),
+        4 => Json::Arr((0..rng.gen_range(0..4)).map(|_| json_tree(rng, depth - 1)).collect()),
+        _ => Json::Obj(
+            (0..rng.gen_range(0..4)).map(|_| (text(rng), json_tree(rng, depth - 1))).collect(),
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Json::parse` — what every `/v1/annotate` body and stream document
+    /// goes through on the reactor thread — never panics on text built
+    /// from JSON's hard cases, nor on any prefix of an encoded value tree;
+    /// whatever it accepts re-encodes to text that parses to the same
+    /// value, and a whole encoding parses back to its tree.
+    #[test]
+    fn json_parse_never_panics_and_round_trips(noise in json_text(), seed in 0u64..u64::MAX) {
+        use rand::SeedableRng;
+        if let Ok(v) = Json::parse(&noise) {
+            prop_assert_eq!(Json::parse(&v.encode()), Ok(v), "from {:?}", noise);
+        }
+        let tree = json_tree(&mut rand::rngs::StdRng::seed_from_u64(seed), 2);
+        let enc = tree.encode();
+        for (end, _) in enc.char_indices() {
+            let _ = Json::parse(&enc[..end]);
+        }
+        prop_assert_eq!(Json::parse(&enc), Ok(tree), "{}", enc);
     }
 }
