@@ -9,7 +9,7 @@
 //! small safe API:
 //!
 //! * [`Epoll`] — a readiness set: register fds with a `u64` token, wait for
-//!   events with a millisecond timeout.
+//!   events with a timeout rounded up to whole milliseconds.
 //! * [`EventFd`] — a cross-thread wakeup: any thread [`EventFd::signal`]s,
 //!   the reactor sees the fd readable and [`EventFd::drain`]s it.
 //! * [`poll_one`] — one-shot readiness probe of a single fd (`ppoll`),
@@ -299,6 +299,10 @@ impl Epoll {
     /// `max` events — `out` is cleared first, so it only ever holds this
     /// wait's batch. Returns the number of events delivered; `0` means
     /// the timeout elapsed. `EINTR` is swallowed and reported as `0`.
+    ///
+    /// As in `epoll_wait(2)`, the timeout is a minimum: it is rounded *up*
+    /// to whole milliseconds, so a deadline under 1 ms away blocks rather
+    /// than polls. `Some(Duration::ZERO)` is a non-blocking poll.
     pub fn wait(
         &self,
         out: &mut Vec<Event>,
@@ -313,7 +317,7 @@ impl Epoll {
         let mut raw = [RawEvent { events: 0, data: 0 }; 1024];
         let timeout_ms: isize = match timeout {
             None => -1,
-            Some(d) => d.as_millis().min(i32::MAX as u128) as isize,
+            Some(d) => d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as isize,
         };
         let n = unsafe {
             syscall6(
@@ -524,18 +528,45 @@ mod tests {
         assert_eq!(events[0].token, 7);
         assert!(events[0].readable());
 
+        // Level-triggered: an unread byte is reported again, and `events`
+        // holds only this wait's batch, not the last one's too.
+        let n = ep.wait(&mut events, 8, Some(Duration::from_secs(5))).expect("wait");
+        assert_eq!((n, events.len()), (1, 1));
+        assert!(events[0].readable());
+
         let mut buf = [0u8; 8];
         let mut bb = &b;
         assert_eq!(bb.read(&mut buf).expect("read"), 1);
+        assert_eq!(ep.wait(&mut events, 8, Some(Duration::ZERO)).expect("wait"), 0);
+        assert!(events.is_empty(), "a timed-out wait leaves no stale events");
 
         // Peer close reports a closed condition.
         drop(a);
-        events.clear();
         let n = ep.wait(&mut events, 8, Some(Duration::from_secs(5))).expect("wait");
-        assert_eq!(n, 1);
-        assert!(events[0].closed() || events[0].readable());
+        assert_eq!((n, events.len()), (1, 1));
+        assert!(events[0].closed(), "peer close: {:#x}", events[0].events);
 
         ep.delete(b.as_raw_fd()).expect("delete");
+    }
+
+    /// `epoll_wait(2)`'s timeout is a minimum: a wait with nothing ready
+    /// blocks at least as long as asked, sub-millisecond waits included —
+    /// a reactor whose next deadline is 0.9 ms away must sleep, not spin on
+    /// 0 ms polls — while a zero timeout polls.
+    #[test]
+    fn wait_blocks_at_least_its_timeout() {
+        let ep = Epoll::new().expect("epoll");
+        let mut events = Vec::new();
+        for micros in [300, 900, 1_500, 20_000] {
+            let d = Duration::from_micros(micros);
+            let start = std::time::Instant::now();
+            assert_eq!(ep.wait(&mut events, 8, Some(d)).expect("wait"), 0);
+            let took = start.elapsed();
+            assert!(took >= d, "wait({d:?}) returned after {took:?}");
+        }
+        let start = std::time::Instant::now();
+        assert_eq!(ep.wait(&mut events, 8, Some(Duration::ZERO)).expect("wait"), 0);
+        assert!(start.elapsed() < Duration::from_millis(100), "a zero timeout polls");
     }
 
     #[test]

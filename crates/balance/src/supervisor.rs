@@ -46,6 +46,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
+/// Read timeout for one `/readyz` probe.
+const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
+/// `Ready` replicas are probed every this many ticks (`Starting` ones every
+/// tick, so re-admission is prompt).
+const READY_PROBE_EVERY: u32 = 5;
+/// A child not ready within this long after its spawn is killed.
+const STARTUP_DEADLINE: Duration = Duration::from_secs(120);
+
 /// How the supervisor launches and polices replica children.
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
@@ -67,13 +75,6 @@ pub struct SupervisorConfig {
     pub port_dir: PathBuf,
     /// Supervisor tick interval (child liveness + readiness probing).
     pub probe_interval: Duration,
-    /// Read timeout for one `/readyz` probe.
-    pub probe_timeout: Duration,
-    /// Probe `Ready` replicas only every Nth tick (`Starting` ones are
-    /// probed every tick so re-admission is prompt).
-    pub ready_probe_every: u32,
-    /// Kill a child that has not become ready within this deadline.
-    pub startup_deadline: Duration,
     /// First respawn delay after a crash (doubles per consecutive crash).
     pub restart_backoff_base: Duration,
     /// Ceiling on the respawn delay.
@@ -99,9 +100,6 @@ impl SupervisorConfig {
             replicas,
             port_dir: std::env::temp_dir(),
             probe_interval: Duration::from_millis(100),
-            probe_timeout: Duration::from_millis(500),
-            ready_probe_every: 5,
-            startup_deadline: Duration::from_secs(120),
             restart_backoff_base: Duration::from_millis(100),
             restart_backoff_cap: Duration::from_secs(2),
             restart_budget: 5,
@@ -460,7 +458,7 @@ fn run_tick(reg: &Registry, cfg: &SupervisorConfig, tick: u32) {
                             }
                         }
                     }
-                    if s.started_at.elapsed() > cfg.startup_deadline {
+                    if s.started_at.elapsed() > STARTUP_DEADLINE {
                         eprintln!("[balance] replica {}: startup deadline exceeded; killing", s.id);
                         if let Some(mut child) = s.child.take() {
                             let _ = child.kill();
@@ -473,12 +471,12 @@ fn run_tick(reg: &Registry, cfg: &SupervisorConfig, tick: u32) {
                         continue;
                     }
                     if let Some(addr) = &s.addr {
-                        let left = cfg.startup_deadline.saturating_sub(s.started_at.elapsed());
+                        let left = STARTUP_DEADLINE.saturating_sub(s.started_at.elapsed());
                         probes.push((s.id, addr.clone(), s.state, left));
                     }
                 }
                 ReplicaState::Ready => {
-                    if tick.is_multiple_of(cfg.ready_probe_every.max(1)) {
+                    if tick.is_multiple_of(READY_PROBE_EVERY) {
                         if let Some(addr) = &s.addr {
                             probes.push((s.id, addr.clone(), s.state, Duration::ZERO));
                         }
@@ -497,7 +495,7 @@ fn run_tick(reg: &Registry, cfg: &SupervisorConfig, tick: u32) {
     let results: Vec<(usize, String, ReplicaState, Duration, bool)> = probes
         .into_iter()
         .map(|(id, addr, state, left)| {
-            let ok = probe_ready(&addr, cfg.probe_timeout);
+            let ok = probe_ready(&addr, PROBE_TIMEOUT);
             (id, addr, state, left, ok)
         })
         .collect();

@@ -10,7 +10,8 @@
 //! a parseable 502 report; a fleet whose program cannot be spawned exhausts
 //! its restart budget and stops the balancer with an error.
 //! Two model uploads at once leave every replica on the model the balancer
-//! reports committed.
+//! reports committed. A flag the balancer does not have stops it before it
+//! spawns a replica.
 //!
 //! The mocks are one more [`Driver`] on the daemon's epoll reactor — the
 //! workspace's one HTTP server — answering every request with
@@ -27,7 +28,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What a mock backend does with each fully received request.
 #[derive(Clone, Copy)]
@@ -720,4 +721,54 @@ fn concurrent_model_uploads_leave_every_replica_on_the_committed_model() {
 
     handle.shutdown();
     thread.join().expect("join").expect("clean run");
+}
+
+/// A flag the balancer no longer has (here a deleted replica pass-through)
+/// is a usage error: exit 2 naming it, before any replica is spawned.
+#[test]
+fn a_deleted_flag_stops_the_balancer_before_it_spawns_a_replica() {
+    let dir = std::env::temp_dir().join(format!("doduo-failover-{}-flag", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("port dir");
+    let port_file = dir.join("front.port");
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_doduo-balance"))
+        .args(["--synthetic", "quick", "--addr", "127.0.0.1:0", "--max-batch", "8"])
+        .args(["--replicas", "1", "--port-dir"])
+        .arg(&dir)
+        .arg("--port-file")
+        .arg(&port_file)
+        .stdin(std::process::Stdio::null())
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn doduo-balance");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            // A balancer that took the flag is serving: stop it through its
+            // front so its replica is stopped too, then make sure.
+            if let Ok(addr) = std::fs::read_to_string(&port_file) {
+                if let Ok(mut c) = Client::connect(addr.trim(), Some(Duration::from_secs(2))) {
+                    let _ = c.request("POST", "/v1/shutdown", b"");
+                }
+            }
+            let stop = Instant::now() + Duration::from_secs(10);
+            while child.try_wait().expect("try_wait").is_none() && Instant::now() < stop {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("doduo-balance took --max-batch and kept running");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().expect("piped"), &mut stderr)
+        .expect("stderr");
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown argument --max-batch"), "{stderr}");
+    assert!(!dir.join("replica-0.port").exists(), "no replica was spawned");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -20,7 +20,7 @@
 //!   written, a balancer may safely retry the request elsewhere.
 //! * `delay_ms=D` — hold each finished `/v1/annotate` response back D ms
 //!   before writing it (a slow replica; still answers correctly). The
-//!   response waits on the reactor's timer wheel: delayed requests overlap,
+//!   response waits on the reactor's timer heap: delayed requests overlap,
 //!   and nothing else the daemon serves waits behind them.
 //! * `reset_prob=P` — with probability P per request, write roughly half
 //!   of the response and then sever the connection (a torn, *mid-response*
@@ -45,7 +45,7 @@ pub struct ChaosConfig {
     /// `Some(0)` crashes on the first request).
     pub crash_after: Option<u64>,
     /// Hold each finished `/v1/annotate` response back this long (on the
-    /// reactor's timer wheel; no thread sleeps).
+    /// reactor's timer heap; no thread sleeps).
     pub delay: Duration,
     /// Probability, per request, of writing a partial response and then
     /// severing the connection.

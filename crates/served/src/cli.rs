@@ -10,10 +10,9 @@
 use crate::bootstrap::synthetic_world;
 use crate::chaos::ChaosConfig;
 use crate::validate::{check_label_equivalence, offline_response, offline_response_quant};
-use crate::{BatchPolicy, ServeConfig, Server};
+use crate::{ServeConfig, Server};
 use doduo_core::AnnotatorBundle;
 use doduo_serve::BatchConfig;
-use std::time::Duration;
 
 struct Args {
     addr: String,
@@ -24,9 +23,6 @@ struct Args {
     oneshot: Option<String>,
     compare_labels: Option<(String, String)>,
     quant: bool,
-    max_batch_seqs: usize,
-    max_batch_tokens: usize,
-    max_delay_ms: u64,
     threads: usize,
     chaos: Option<ChaosConfig>,
     port_file: Option<String>,
@@ -44,9 +40,6 @@ fn usage() -> ! {
          \n\
          serving:\n\
            --addr HOST:PORT        bind address (default 127.0.0.1:7878; port 0 = ephemeral)\n\
-           --max-batch N           flush at N pending sequences (default 32)\n\
-           --max-batch-tokens N    flush at N pending tokens (default 192)\n\
-           --max-delay-ms T        flush when the oldest request waited T ms (default 2)\n\
            --threads K             engine worker threads (default: cores - 1,\n\
                                    at least 1)\n\
            --quant int8|off        int8 inference (accuracy-gated; default off)\n\
@@ -75,9 +68,6 @@ fn parse_args(argv: &[String]) -> Args {
         oneshot: None,
         compare_labels: None,
         quant: false,
-        max_batch_seqs: 32,
-        max_batch_tokens: 192,
-        max_delay_ms: 2,
         threads: doduo_tensor::default_threads(),
         chaos: None,
         port_file: None,
@@ -112,15 +102,6 @@ fn parse_args(argv: &[String]) -> Args {
                     "off" => false,
                     _ => usage(),
                 }
-            }
-            "--max-batch" => {
-                args.max_batch_seqs = value(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--max-batch-tokens" => {
-                args.max_batch_tokens = value(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--max-delay-ms" => {
-                args.max_delay_ms = value(&mut i).parse().unwrap_or_else(|_| usage())
             }
             "--threads" => args.threads = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--chaos" => {
@@ -222,15 +203,10 @@ pub fn run(argv: &[String]) -> i32 {
         return 0;
     }
 
+    // The flush budgets are the engine's and the queue's defaults.
     let cfg = ServeConfig {
         addr: args.addr.clone(),
-        policy: BatchPolicy {
-            max_delay: Duration::from_millis(args.max_delay_ms),
-            ..BatchPolicy::default()
-        },
         engine: BatchConfig {
-            max_batch: args.max_batch_seqs,
-            max_batch_tokens: args.max_batch_tokens,
             threads: args.threads.max(1),
             quant: args.quant,
             ..BatchConfig::default()
@@ -257,12 +233,9 @@ pub fn run(argv: &[String]) -> i32 {
         }
     }
     eprintln!(
-        "[served] listening on {} ({}; flush at {} seqs / {} tokens / {} ms; {} engine threads{})",
+        "[served] listening on {} ({}; {} engine threads{})",
         server.addr(),
         if args.quant { "int8" } else { "f32" },
-        args.max_batch_seqs,
-        args.max_batch_tokens,
-        args.max_delay_ms,
         args.threads.max(1),
         if args.chaos.is_some() { "; CHAOS INJECTION ON" } else { "" },
     );

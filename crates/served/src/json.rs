@@ -278,18 +278,25 @@ impl Parser<'_> {
         }
     }
 
+    /// RFC 8259's grammar, `-? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?`,
+    /// before `f64::from_str`, which also takes `1.`, `.5` and `007`.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.i;
+        let bad = || format!("bad number at byte {start}");
         if self.peek() == Some(b'-') {
             self.i += 1;
         }
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            self.i += 1;
+        match self.peek() {
+            Some(b'0') => self.i += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(bad()),
         }
         if self.peek() == Some(b'.') {
             self.i += 1;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.i += 1;
+            if self.digits() == 0 {
+                return Err(bad());
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -297,14 +304,20 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.i += 1;
             }
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.i += 1;
+            if self.digits() == 0 {
+                return Err(bad());
             }
         }
-        self.s[start..self.i]
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number at byte {start}"))
+        self.s[start..self.i].parse::<f64>().map(Json::Num).map_err(|_| bad())
+    }
+
+    /// Skips a run of ASCII digits; returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.i;
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.i += 1;
+        }
+        self.i - start
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -369,7 +382,12 @@ impl Parser<'_> {
         if self.i + 4 > self.s.len() {
             return Err("truncated \\u escape".into());
         }
-        let s = self.s.get(self.i..self.i + 4).ok_or("bad \\u escape")?;
+        // Exactly four hex digits: `from_str_radix` alone also takes a sign.
+        let s = self
+            .s
+            .get(self.i..self.i + 4)
+            .filter(|s| s.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or("bad \\u escape")?;
         let v = u32::from_str_radix(s, 16).map_err(|_| "bad \\u escape".to_string())?;
         self.i += 4;
         Ok(v)
@@ -625,6 +643,46 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "1 2", "{\"a\":1,}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    /// RFC 8259 numbers and `\u` escapes, not whatever `f64::from_str` and
+    /// `u32::from_str_radix` would take.
+    #[test]
+    fn numbers_and_unicode_escapes_follow_the_rfc_grammar() {
+        for bad in [
+            "1.",
+            "-.5",
+            ".5",
+            "007",
+            "-01",
+            "00",
+            "[1.]",
+            "1.e5",
+            "1e",
+            "1e+",
+            "-",
+            "+1",
+            "01.5",
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u 041\"",
+            "\"\\u04g1\"",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+        for (good, v) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-0.5e-1", -0.05),
+            ("1E+2", 100.0),
+            ("1e05", 100000.0),
+            ("120.250", 120.25),
+        ] {
+            assert_eq!(Json::parse(good), Ok(Json::Num(v)), "{good:?}");
+        }
+        assert_eq!(Json::parse("\"\\u00e9\\u00C9\""), Ok(Json::Str("éÉ".into())));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //!   envelope, plus a tiny blocking client for tests and load benches.
 //! * [`handler`] — the transport-independent request / response types.
 //! * [`reactor`] — the epoll event loop: the connection state machine
-//!   (streams included), timer wheel, eventfd completion routing, and the
+//!   (streams included), timer heap, eventfd completion routing, and the
 //!   TCP admission control. It is the workspace's one HTTP server:
 //!   `doduo-balance`'s front is a second [`reactor::Driver`] on it.
 //! * [`queue`] — the deterministic batching core and its `Condvar` wrapper.

@@ -14,8 +14,8 @@
 //!    └──────────────────── outbox drained, keep-alive ───────────────────────┘
 //! ```
 //!
-//! — where every edge has a timeout budget tracked by a hashed
-//! [`TimerWheel`]. Sockets are nonblocking; reads and writes happen only
+//! — where every edge has a timeout budget, armed as an exact deadline on
+//! a min-heap. Sockets are nonblocking; reads and writes happen only
 //! when epoll reports readiness, so ten thousand idle keep-alive
 //! connections cost zero syscalls between requests.
 //!
@@ -26,7 +26,7 @@
 //! touch sockets — they push a [`Completion`] into the [`Router`] and signal
 //! its `eventfd`, which wakes the reactor to write the bytes out. A
 //! completion may carry a not-before instant (a chaos delay): the reactor
-//! parks it on its `Dispatched` connection and a wheel timer writes it.
+//! parks it on its `Dispatched` connection and a timer writes it.
 //!
 //! A request whose head the driver claims ([`Driver::open_stream`]) is
 //! answered at once with a chunked `200` head and goes full duplex in
@@ -52,6 +52,8 @@
 use crate::handler::{render_http_response, HttpRequest, HttpResponse};
 use crate::http::{parse_head, write_chunked_head, BodyDecoder, BodyFraming, Head, ReadError};
 use epoll::{Epoll, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -266,9 +268,6 @@ pub struct ReactorConfig {
     /// arrived within this window gets a `408`; one silent for longer is
     /// closed without a response.
     pub read_grace: Duration,
-    /// Timer wheel tick size; timers fire within one tick of their
-    /// deadline, never early.
-    pub timer_granularity: Duration,
 }
 
 impl Default for ReactorConfig {
@@ -279,103 +278,43 @@ impl Default for ReactorConfig {
             dispatch_timeout: Duration::from_secs(35),
             write_timeout: Duration::from_secs(30),
             read_grace: Duration::from_millis(200),
-            timer_granularity: Duration::from_millis(25),
         }
     }
 }
 
-// ------------------------------------------------------------- timer wheel
+// ------------------------------------------------------------------ timers
 
-/// A hashed timer wheel: deadlines hash into `slots.len()` buckets by tick
-/// number, expiry walks at most the elapsed ticks, and entries further
-/// than one full rotation simply survive extra walks of their bucket.
+/// Armed timers: a min-heap of `(deadline, token)`. An insert is
+/// O(log n), the next deadline a peek, and a timer fires at the first
+/// [`TimerHeap::expire`] at or after its deadline, never before.
 /// Cancellation is lazy — the reactor drops fired tokens whose generation
-/// no longer matches.
-pub struct TimerWheel {
-    slots: Vec<Vec<WheelEntry>>,
-    granularity: Duration,
-    start: Instant,
-    /// Next tick to expire; all entries with `deadline_tick` below this
-    /// have already fired.
-    tick: u64,
-    len: usize,
+/// no longer matches — so an entry stays until its deadline.
+#[derive(Default)]
+struct TimerHeap {
+    heap: BinaryHeap<Reverse<(Instant, u64)>>,
 }
 
-struct WheelEntry {
-    deadline_tick: u64,
-    token: u64,
-}
-
-impl TimerWheel {
-    /// A wheel of `slots` buckets ticking every `granularity`, with tick 0
-    /// anchored at `now`.
-    pub fn new(granularity: Duration, slots: usize, now: Instant) -> TimerWheel {
-        assert!(slots > 0 && granularity > Duration::ZERO);
-        TimerWheel {
-            slots: (0..slots).map(|_| Vec::new()).collect(),
-            granularity,
-            start: now,
-            tick: 0,
-            len: 0,
-        }
+impl TimerHeap {
+    /// Arms a timer; `token` comes back out of [`TimerHeap::expire`].
+    fn insert(&mut self, deadline: Instant, token: u64) {
+        self.heap.push(Reverse((deadline, token)));
     }
 
-    /// The tick at which a deadline fires — rounded *up* so a timer never
-    /// fires before its deadline.
-    fn tick_of(&self, t: Instant) -> u64 {
-        let nanos = t.saturating_duration_since(self.start).as_nanos();
-        let g = self.granularity.as_nanos();
-        (nanos / g) as u64 + 1
-    }
-
-    /// Arms a timer; `token` comes back out of [`TimerWheel::expire`].
-    pub fn insert(&mut self, deadline: Instant, token: u64) {
-        let deadline_tick = self.tick_of(deadline).max(self.tick);
-        let idx = (deadline_tick % self.slots.len() as u64) as usize;
-        self.slots[idx].push(WheelEntry { deadline_tick, token });
-        self.len += 1;
-    }
-
-    /// Collects every token whose deadline has passed by `now`.
-    pub fn expire(&mut self, now: Instant, out: &mut Vec<u64>) {
-        let now_tick = (now.saturating_duration_since(self.start).as_nanos()
-            / self.granularity.as_nanos()) as u64;
-        while self.tick <= now_tick {
-            let idx = (self.tick % self.slots.len() as u64) as usize;
-            let slot = &mut self.slots[idx];
-            let mut i = 0;
-            while i < slot.len() {
-                if slot[i].deadline_tick <= now_tick {
-                    out.push(slot.swap_remove(i).token);
-                    self.len -= 1;
-                } else {
-                    i += 1;
-                }
+    /// Collects, earliest first, every token whose deadline is at or
+    /// before `now`.
+    fn expire(&mut self, now: Instant, out: &mut Vec<u64>) {
+        while let Some(&Reverse((deadline, token))) = self.heap.peek() {
+            if deadline > now {
+                break;
             }
-            self.tick += 1;
+            self.heap.pop();
+            out.push(token);
         }
     }
 
-    /// Time until the earliest armed deadline, or `None` when the wheel is
-    /// empty. Linear in armed timers — the reactor calls it once per loop
-    /// over at most one entry per connection.
-    pub fn next_timeout(&self, now: Instant) -> Option<Duration> {
-        if self.len == 0 {
-            return None;
-        }
-        let min_tick = self.slots.iter().flatten().map(|e| e.deadline_tick).min().expect("len > 0");
-        let due = self.start + self.granularity * (min_tick as u32);
-        Some(due.saturating_duration_since(now))
-    }
-
-    /// Number of armed timers.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no timers are armed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// Time until the earliest armed deadline, or `None` when none is.
+    fn next_timeout(&self, now: Instant) -> Option<Duration> {
+        self.heap.peek().map(|Reverse((deadline, _))| deadline.saturating_duration_since(now))
     }
 }
 
@@ -477,7 +416,7 @@ struct OpenStream<T> {
     wants_body: bool,
     /// When the outbox first met `EAGAIN` since it was last empty.
     stalled_since: Option<Instant>,
-    /// The earliest deadline armed on the wheel for this stream; entries
+    /// The earliest deadline armed on the heap for this stream; entries
     /// armed for a later time than this fire as no-ops.
     timer_at: Option<Instant>,
 }
@@ -513,7 +452,7 @@ pub struct Reactor<S: Source, D: Driver<S>> {
     driver: D,
     epoll: Epoll,
     router: Arc<Router>,
-    wheel: TimerWheel,
+    timers: TimerHeap,
     conns: Vec<Option<ConnEntry<S, D::Stream>>>,
     /// Per-slot request generation: bumped on every state transition so
     /// timers and dispatch tickets from a superseded state are lazily
@@ -536,18 +475,17 @@ pub struct Reactor<S: Source, D: Driver<S>> {
 
 impl<S: Source, D: Driver<S>> Reactor<S, D> {
     /// Builds the reactor: epoll instance, wake `eventfd` (registered
-    /// immediately), timer wheel.
+    /// immediately), timers.
     pub fn new(cfg: ReactorConfig, driver: D) -> std::io::Result<Reactor<S, D>> {
         let epoll = Epoll::new()?;
         let router = Arc::new(Router::new()?);
         epoll.add(router.wake.as_raw_fd(), TOKEN_WAKE, EPOLLIN)?;
-        let wheel = TimerWheel::new(cfg.timer_granularity, 4096, Instant::now());
         Ok(Reactor {
             cfg,
             driver,
             epoll,
             router,
-            wheel,
+            timers: TimerHeap::default(),
             conns: Vec::new(),
             gens: Vec::new(),
             epochs: Vec::new(),
@@ -614,7 +552,7 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
             last_read: Instant::now(),
         });
         self.active += 1;
-        self.wheel.insert(Instant::now() + self.cfg.idle_timeout, token);
+        self.timers.insert(Instant::now() + self.cfg.idle_timeout, token);
         Ok(())
     }
 
@@ -659,7 +597,7 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
 
     fn arm(&mut self, slot: usize, after: Duration) {
         let token = self.token(slot);
-        self.wheel.insert(Instant::now() + after, token);
+        self.timers.insert(Instant::now() + after, token);
     }
 
     /// Tears the connection down: epoll deregistration, optional sever,
@@ -683,7 +621,7 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
     /// Exposed for tests; [`Reactor::run`] loops it.
     pub fn turn(&mut self, cap: Duration) -> std::io::Result<()> {
         let now = Instant::now();
-        let timeout = match self.wheel.next_timeout(now) {
+        let timeout = match self.timers.next_timeout(now) {
             Some(t) => t.min(cap),
             None => cap,
         };
@@ -701,7 +639,7 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
         let now = Instant::now();
         let mut fired = std::mem::take(&mut self.fired);
         fired.clear();
-        self.wheel.expire(now, &mut fired);
+        self.timers.expire(now, &mut fired);
         for &token in &fired {
             self.handle_timer(token);
         }
@@ -1053,7 +991,7 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
                     if at > Instant::now() =>
                 {
                     *held = Some((at, resp));
-                    self.wheel.insert(at, ticket);
+                    self.timers.insert(at, ticket);
                 }
                 (Completion::Response(_, resp, _), _) => {
                     let keep = conn.req_keep_alive;
@@ -1111,7 +1049,7 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
         // Drained → `finish_write`, `EAGAIN` → `pump_out`'s own `Streaming`
         // arm: either way the interest mask is right for the new verdict.
         self.pump_out(slot);
-        // Keep one wheel entry at or before the stream's next deadline: the
+        // Keep one heap entry at or before the stream's next deadline: the
         // session's own, or the write stall's if that comes first.
         let (now, token) = (Instant::now(), self.token(slot));
         let Some(conn) = self.conns[slot].as_mut() else { return };
@@ -1120,7 +1058,7 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
         let due = stall.into_iter().fold(open.session.deadline(now), Instant::min);
         if open.timer_at.is_none_or(|at| due < at) {
             open.timer_at = Some(due);
-            self.wheel.insert(due, token);
+            self.timers.insert(due, token);
         }
     }
 
@@ -1322,10 +1260,6 @@ mod tests {
         .expect("reactor")
     }
 
-    fn quick_cfg() -> ReactorConfig {
-        ReactorConfig { timer_granularity: Duration::from_millis(5), ..ReactorConfig::default() }
-    }
-
     fn request(method: &str, path: &str, body: &[u8]) -> Vec<u8> {
         let mut v = format!("{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n", body.len())
             .into_bytes();
@@ -1412,41 +1346,44 @@ mod tests {
         (b, ticket)
     }
 
-    // ------------------------------------------------------- timer wheel
+    // ------------------------------------------------------------ timers
 
     #[test]
-    fn wheel_fires_in_order_and_never_early() {
+    fn heap_fires_in_deadline_order_and_never_early() {
         let t0 = Instant::now();
-        let mut w = TimerWheel::new(Duration::from_millis(10), 16, t0);
-        w.insert(t0 + Duration::from_millis(25), 1);
-        w.insert(t0 + Duration::from_millis(5), 2);
-        assert_eq!(w.len(), 2);
-        // Earliest entry rounds up to tick 1 = +10ms.
-        assert_eq!(w.next_timeout(t0), Some(Duration::from_millis(10)));
+        let ms = Duration::from_millis;
+        let mut h = TimerHeap::default();
+        assert_eq!(h.next_timeout(t0), None);
+        h.insert(t0 + ms(25), 1);
+        h.insert(t0 + ms(5), 2);
+        h.insert(t0 + ms(25), 3);
+        assert_eq!(h.next_timeout(t0), Some(ms(5)), "the earliest deadline, exactly");
         let mut out = Vec::new();
-        w.expire(t0 + Duration::from_millis(9), &mut out);
-        assert!(out.is_empty(), "nothing fires before its rounded-up tick");
-        w.expire(t0 + Duration::from_millis(10), &mut out);
-        assert_eq!(out, vec![2]);
+        h.expire(t0 + ms(5) - Duration::from_nanos(1), &mut out);
+        assert!(out.is_empty(), "nothing fires before its deadline");
+        h.expire(t0 + ms(5), &mut out);
+        assert_eq!(out, vec![2], "a deadline fires at its own instant");
         out.clear();
-        w.expire(t0 + Duration::from_millis(29), &mut out);
+        h.expire(t0 + ms(24), &mut out);
         assert!(out.is_empty());
-        w.expire(t0 + Duration::from_millis(30), &mut out);
-        assert_eq!(out, vec![1]);
-        assert!(w.is_empty());
-        assert_eq!(w.next_timeout(t0), None);
-    }
+        h.expire(t0 + ms(25), &mut out);
+        out.sort_unstable();
+        assert_eq!(out, vec![1, 3], "equal deadlines both fire");
+        assert_eq!(h.next_timeout(t0), None);
 
-    #[test]
-    fn wheel_entry_survives_a_full_rotation() {
-        let t0 = Instant::now();
-        let mut w = TimerWheel::new(Duration::from_millis(10), 8, t0);
-        // Tick 21 with 8 slots: its bucket is walked twice before it fires.
-        w.insert(t0 + Duration::from_millis(200), 7);
-        let mut out = Vec::new();
-        w.expire(t0 + Duration::from_millis(100), &mut out);
-        assert!(out.is_empty(), "survives earlier walks of its bucket");
-        w.expire(t0 + Duration::from_millis(210), &mut out);
+        // Several due at once come out in deadline order, not insert order.
+        out.clear();
+        h.insert(t0 + ms(40), 4);
+        h.insert(t0 + ms(30), 5);
+        h.insert(t0 + ms(35), 6);
+        h.expire(t0 + ms(50), &mut out);
+        assert_eq!(out, vec![5, 6, 4]);
+
+        // A deadline already past fires on the next expire.
+        out.clear();
+        h.insert(t0, 7);
+        assert_eq!(h.next_timeout(t0 + ms(50)), Some(Duration::ZERO));
+        h.expire(t0 + ms(50), &mut out);
         assert_eq!(out, vec![7]);
     }
 
@@ -1454,7 +1391,7 @@ mod tests {
 
     #[test]
     fn echo_round_trip_and_keep_alive_reuse() {
-        let mut r = reactor(quick_cfg(), Mode::Echo);
+        let mut r = reactor(ReactorConfig::default(), Mode::Echo);
         let (a, b) = UnixStream::pair().expect("pair");
         r.insert(a).expect("insert");
         assert_eq!(r.connections(), 1);
@@ -1484,7 +1421,7 @@ mod tests {
 
     #[test]
     fn pipelined_requests_are_answered_in_order() {
-        let mut r = reactor(quick_cfg(), Mode::Echo);
+        let mut r = reactor(ReactorConfig::default(), Mode::Echo);
         let (a, b) = UnixStream::pair().expect("pair");
         r.insert(a).expect("insert");
 
@@ -1509,7 +1446,7 @@ mod tests {
         // ~1 MiB >> the socketpair buffer, so pump_out must hit EAGAIN and
         // resume from EPOLLOUT several times while the peer drains.
         const N: usize = 1 << 20;
-        let mut r = reactor(quick_cfg(), Mode::Big(N));
+        let mut r = reactor(ReactorConfig::default(), Mode::Big(N));
         let (a, b) = UnixStream::pair().expect("pair");
         r.insert(a).expect("insert");
 
@@ -1527,7 +1464,7 @@ mod tests {
 
     #[test]
     fn queued_completion_routes_back_to_its_connection() {
-        let mut r = reactor(quick_cfg(), Mode::Queue);
+        let mut r = reactor(ReactorConfig::default(), Mode::Queue);
         let router = r.router();
         let (b, ticket) = queued_request(&mut r, 0);
 
@@ -1549,7 +1486,6 @@ mod tests {
         // completion must be discarded by generation, not delivered.
         let cfg = ReactorConfig {
             dispatch_timeout: Duration::from_millis(40),
-            timer_granularity: Duration::from_millis(5),
             ..ReactorConfig::default()
         };
         let mut r = reactor(cfg, Mode::Queue);
@@ -1572,7 +1508,7 @@ mod tests {
     #[test]
     fn held_completion_is_written_by_its_timer_and_blocks_nobody() {
         let tick = Duration::from_millis(50);
-        let cfg = ReactorConfig { timer_granularity: tick, ..ReactorConfig::default() };
+        let cfg = ReactorConfig::default();
         let mut r = reactor(cfg, Mode::Queue);
         let router = r.router();
         let (held_peer, held) = queued_request(&mut r, 0);
@@ -1613,7 +1549,7 @@ mod tests {
     #[test]
     fn held_completion_for_a_reaped_connection_is_dropped() {
         let tick = Duration::from_millis(5);
-        let cfg = ReactorConfig { timer_granularity: tick, ..ReactorConfig::default() };
+        let cfg = ReactorConfig::default();
         let mut r = reactor(cfg, Mode::Queue);
         let router = r.router();
         let (peer, ticket) = queued_request(&mut r, 0);
@@ -1643,7 +1579,6 @@ mod tests {
         let cfg = ReactorConfig {
             request_deadline: Duration::from_millis(50),
             read_grace: Duration::from_secs(10),
-            timer_granularity: Duration::from_millis(5),
             ..ReactorConfig::default()
         };
         let mut r = reactor(cfg, Mode::Echo);
@@ -1670,7 +1605,6 @@ mod tests {
         let cfg = ReactorConfig {
             request_deadline: Duration::from_millis(50),
             read_grace: Duration::ZERO,
-            timer_granularity: Duration::from_millis(5),
             ..ReactorConfig::default()
         };
         let mut r = reactor(cfg, Mode::Echo);
@@ -1686,11 +1620,8 @@ mod tests {
 
     #[test]
     fn idle_timeout_reaps_parked_connections() {
-        let cfg = ReactorConfig {
-            idle_timeout: Duration::from_millis(40),
-            timer_granularity: Duration::from_millis(5),
-            ..ReactorConfig::default()
-        };
+        let cfg =
+            ReactorConfig { idle_timeout: Duration::from_millis(40), ..ReactorConfig::default() };
         let mut r = reactor(cfg, Mode::Echo);
         let peers: Vec<UnixStream> = (0..3)
             .map(|_| {
@@ -1712,7 +1643,7 @@ mod tests {
 
     #[test]
     fn idle_fleet_parks_while_one_connection_serves() {
-        let mut r = reactor(quick_cfg(), Mode::Echo);
+        let mut r = reactor(ReactorConfig::default(), Mode::Echo);
         let idle: Vec<UnixStream> = (0..256)
             .map(|_| {
                 let (a, b) = UnixStream::pair().expect("pair");
@@ -1780,7 +1711,7 @@ mod tests {
         // hundred KB: the outbox must meet EAGAIN, resume from EPOLLOUT,
         // and intake must resume behind it — all on one connection.
         const LINES: usize = 300;
-        let mut r = reactor(quick_cfg(), Mode::Echo);
+        let mut r = reactor(ReactorConfig::default(), Mode::Echo);
         r.driver().line_len.store(4096, Ordering::SeqCst);
         let (a, b) = UnixStream::pair().expect("pair");
         r.insert(a).expect("insert");
@@ -1812,7 +1743,7 @@ mod tests {
 
     #[test]
     fn stream_line_for_a_reaped_slot_is_dropped() {
-        let mut r = reactor(quick_cfg(), Mode::Echo);
+        let mut r = reactor(ReactorConfig::default(), Mode::Echo);
         r.driver().deferred.store(true, Ordering::SeqCst);
         let router = r.router();
         let (a, b) = UnixStream::pair().expect("pair");
@@ -1858,11 +1789,8 @@ mod tests {
         // other connections must be served meanwhile, and `write_timeout`
         // must cut the stream.
         const WINDOW: usize = 64;
-        let cfg = ReactorConfig {
-            write_timeout: Duration::from_millis(150),
-            timer_granularity: Duration::from_millis(5),
-            ..ReactorConfig::default()
-        };
+        let cfg =
+            ReactorConfig { write_timeout: Duration::from_millis(150), ..ReactorConfig::default() };
         let mut r = reactor(cfg, Mode::Echo);
         r.driver().line_len.store(1024, Ordering::SeqCst);
         let (a, b) = UnixStream::pair().expect("pair");

@@ -112,7 +112,7 @@ pub struct ServeConfig {
     /// Deterministic fault injection (`--chaos`), for exercising the
     /// replicated-serving failure paths. `None` in production. One plan is
     /// drawn per `/v1/annotate`, on the reactor thread, in arrival order; a
-    /// delayed response waits on the reactor's timer wheel, so a delay
+    /// delayed response waits on the reactor's timer heap, so a delay
     /// holds its own connection and no thread.
     ///
     /// **Crash faults call `std::process::exit`** — only enable
@@ -542,7 +542,7 @@ fn dispatcher_loop(shared: &Shared) {
                                 .with_header("x-model-version", &jobs[ji].engine.label())
                         };
                         // A chaos delay holds the finished response on the
-                        // reactor's timer wheel, not a thread.
+                        // reactor's timer heap, not a thread.
                         let not_before = chaos.and_then(|p| p.delay).map(|d| Instant::now() + d);
                         router.complete(*ticket, resp, not_before);
                     }

@@ -785,3 +785,32 @@ fn byte_at_a_time_stream_still_parses() {
         assert_eq!(lines, [offline_line(&world, a), offline_line(&world, b)]);
     });
 }
+
+/// A flush flag the daemon no longer has is a usage error: exit 2 naming
+/// it, before any model is built or port bound.
+#[test]
+fn a_deleted_flush_flag_is_an_unknown_argument() {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_doduo-served"))
+        .args(["--synthetic", "quick", "--addr", "127.0.0.1:0", "--max-delay-ms", "5"])
+        .stdin(std::process::Stdio::null())
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn doduo-served");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("doduo-served took --max-delay-ms and kept running");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child.stderr.take().expect("piped").read_to_string(&mut stderr).expect("stderr");
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown argument --max-delay-ms"), "{stderr}");
+}

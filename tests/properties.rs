@@ -582,9 +582,10 @@ proptest! {
     }
 }
 
-/// The JSON reader's hard cases: punctuation, every escape (`\u` surrogate
-/// pairs, lone or cut halves among them), raw control bytes, and one-,
-/// two-, three- and four-byte characters.
+/// The JSON reader's hard cases: punctuation, the pieces of numbers JSON
+/// rejects (`1.`, `-.5`, `007`, `1e`), every escape (`\u` surrogate pairs,
+/// lone or cut halves, a signed `\u+041` among them), raw control bytes,
+/// and one-, two-, three- and four-byte characters.
 const JSON_PIECES: &[&str] = &[
     "{",
     "}",
@@ -597,6 +598,11 @@ const JSON_PIECES: &[&str] = &[
     " ",
     "-1.5e3",
     "0",
+    ".",
+    "e",
+    "+",
+    "00",
+    "\\u+041",
     "true",
     "nul",
     "\\n",
