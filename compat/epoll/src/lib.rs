@@ -1,5 +1,5 @@
 //! Offline stand-in for the Linux readiness syscalls: `epoll_create1` /
-//! `epoll_ctl` / `epoll_wait`, `eventfd`, `ppoll`, and `prlimit64`.
+//! `epoll_ctl` / `epoll_wait`, `eventfd`, and `ppoll`.
 //!
 //! The build environment has no crates-registry access, so — like the other
 //! `compat/` crates — this one brings the missing capability in-tree instead
@@ -14,8 +14,6 @@
 //!   the reactor sees the fd readable and [`EventFd::drain`]s it.
 //! * [`poll_one`] — one-shot readiness probe of a single fd (`ppoll`),
 //!   used to detect stale pooled connections without consuming bytes.
-//! * [`raise_nofile_limit`] — best-effort `RLIMIT_NOFILE` bump for
-//!   benchmarks that open thousands of sockets.
 //!
 //! All `unsafe` in the serving stack lives here; the callers
 //! (`doduo-served`'s reactor, `doduo-balance`'s backend pool) stay
@@ -38,7 +36,6 @@ mod nr {
     pub const EPOLL_PWAIT: usize = 281;
     pub const EVENTFD2: usize = 290;
     pub const EPOLL_CREATE1: usize = 291;
-    pub const PRLIMIT64: usize = 302;
 }
 
 #[cfg(all(target_os = "linux", target_arch = "aarch64"))]
@@ -50,7 +47,6 @@ mod nr {
     pub const EPOLL_PWAIT: usize = 22;
     pub const EVENTFD2: usize = 19;
     pub const EPOLL_CREATE1: usize = 20;
-    pub const PRLIMIT64: usize = 261;
 }
 
 /// Raw 6-argument syscall; returns the kernel's `-errno` convention.
@@ -125,7 +121,6 @@ mod nr {
     pub const EPOLL_PWAIT: usize = 0xffff_0004;
     pub const EVENTFD2: usize = 0xffff_0005;
     pub const EPOLL_CREATE1: usize = 0xffff_0006;
-    pub const PRLIMIT64: usize = 0xffff_0007;
 }
 
 #[cfg(not(target_os = "linux"))]
@@ -153,7 +148,6 @@ unsafe fn syscall6(
         ) -> i32;
         fn eventfd(initval: u32, flags: i32) -> i32;
         fn ppoll(fds: *mut u8, nfds: usize, ts: *const u8, sigmask: *const u8) -> i32;
-        fn prlimit(pid: i32, resource: i32, new_limit: *const u8, old_limit: *mut u8) -> i32;
         fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
         fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     }
@@ -182,9 +176,6 @@ unsafe fn syscall6(
         ) as isize),
         x if x == nr::EVENTFD2 => errno_result(eventfd(a0 as u32, a1 as i32) as isize),
         x if x == nr::EPOLL_CREATE1 => errno_result(epoll_create1(a0 as i32) as isize),
-        x if x == nr::PRLIMIT64 => {
-            errno_result(prlimit(a0 as i32, a1 as i32, a2 as *const u8, a3 as *mut u8) as isize)
-        }
         _ => -38, // ENOSYS
     }
 }
@@ -468,33 +459,6 @@ pub fn poll_one(fd: RawFd, interest: u32, timeout: Option<Duration>) -> io::Resu
     Ok(if n == 0 { 0 } else { pfd.revents as u32 & 0xffff })
 }
 
-// ------------------------------------------------------------------ rlimit
-
-#[repr(C)]
-struct RLimit64 {
-    cur: u64,
-    max: u64,
-}
-
-const RLIMIT_NOFILE: usize = 7;
-
-/// Best-effort raise of the open-file soft limit toward `want` (capped at
-/// the hard limit). Returns the resulting soft limit.
-pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
-    let mut old = RLimit64 { cur: 0, max: 0 };
-    check(unsafe {
-        syscall6(nr::PRLIMIT64, 0, RLIMIT_NOFILE, 0, &mut old as *mut RLimit64 as usize, 0, 0)
-    })?;
-    if old.cur >= want {
-        return Ok(old.cur);
-    }
-    let new = RLimit64 { cur: want.min(old.max), max: old.max };
-    check(unsafe {
-        syscall6(nr::PRLIMIT64, 0, RLIMIT_NOFILE, &new as *const RLimit64 as usize, 0, 0, 0)
-    })?;
-    Ok(new.cur)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,13 +581,5 @@ mod tests {
         let r = poll_one(b.as_raw_fd(), POLLIN | POLLRDHUP, Some(Duration::from_secs(5)))
             .expect("poll");
         assert!(r & (POLLIN | POLLHUP | POLLRDHUP) != 0);
-    }
-
-    #[test]
-    fn nofile_limit_is_queryable_and_raisable() {
-        let now = raise_nofile_limit(0).expect("query");
-        assert!(now > 0);
-        let raised = raise_nofile_limit(now).expect("noop raise");
-        assert!(raised >= now);
     }
 }

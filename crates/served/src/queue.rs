@@ -174,20 +174,20 @@ pub enum PushRejected {
 }
 
 /// [`Batcher`] behind a `Mutex`/`Condvar`: the runtime wrapper the daemon's
-/// connection and dispatcher threads share.
+/// connection and dispatcher threads share. The `bool` beside the batcher
+/// is the closed flag: read and written under the one lock, so no push
+/// slips past a close and no close goes unseen by a waiting dispatcher.
 pub struct SharedBatcher<T> {
-    inner: Mutex<Batcher<T>>,
+    inner: Mutex<(Batcher<T>, bool)>,
     wake: Condvar,
-    closed: std::sync::atomic::AtomicBool,
 }
 
 impl<T> SharedBatcher<T> {
     /// Wraps an empty [`Batcher::new`] queue.
     pub fn new(policy: BatchPolicy, engine: &BatchConfig) -> Self {
         SharedBatcher {
-            inner: Mutex::new(Batcher::new(policy, engine)),
+            inner: Mutex::new((Batcher::new(policy, engine), false)),
             wake: Condvar::new(),
-            closed: std::sync::atomic::AtomicBool::new(false),
         }
     }
 
@@ -196,15 +196,14 @@ impl<T> SharedBatcher<T> {
     /// rebuilding (or cloning) the job.
     pub fn push(&self, payload: T, seqs: usize, tokens: usize) -> Result<(), (PushRejected, T)> {
         let mut guard = self.inner.lock().expect("queue lock");
-        // Checked under the queue lock: `close()` happens strictly before
-        // the dispatcher can observe shutdown (which it also reads under
-        // this lock), so a push that gets past this check is guaranteed to
-        // be seen by the dispatcher's final drain — no job can be queued
-        // after the last drain and left unanswered.
-        if self.closed.load(std::sync::atomic::Ordering::SeqCst) {
+        // Checked under the queue lock, where the dispatcher also reads
+        // it: a push that gets past this check is seen by the dispatcher's
+        // final drain — no job is queued after it and left unanswered.
+        let (queue, closed) = &mut *guard;
+        if *closed {
             return Err((PushRejected::Closed, payload));
         }
-        let r = guard.push(payload, seqs, tokens, Instant::now());
+        let r = queue.push(payload, seqs, tokens, Instant::now());
         drop(guard);
         match r {
             Ok(()) => {
@@ -216,42 +215,35 @@ impl<T> SharedBatcher<T> {
     }
 
     /// Closes the queue: subsequent pushes are rejected with
-    /// [`PushRejected::Closed`]. Call *before* signalling the dispatcher to
-    /// stop, so every accepted job is drained.
+    /// [`PushRejected::Closed`], and the dispatcher drains what was
+    /// accepted without waiting for budgets or deadlines.
     pub fn close(&self) {
-        // Taking the lock serializes with in-flight pushes; the flag is
-        // visible to the next lock holder.
-        let _guard = self.inner.lock().expect("queue lock");
-        self.closed.store(true, std::sync::atomic::Ordering::SeqCst);
+        self.inner.lock().expect("queue lock").1 = true;
+        self.wake.notify_all();
     }
 
     /// Queued job count (for `/stats`).
     pub fn depth(&self) -> usize {
-        self.inner.lock().expect("queue lock").len()
+        self.inner.lock().expect("queue lock").0.len()
     }
 
-    /// Wakes the dispatcher (used on shutdown).
-    pub fn notify(&self) {
-        self.wake.notify_all();
-    }
-
-    /// Dispatcher side: blocks until a batch is due or `stop()` turns true
-    /// with an empty conclusion. Returns `None` when `stop()` is true and —
-    /// after a final drain — the queue is empty.
-    pub fn wait_for_batch(&self, stop: impl Fn() -> bool) -> Option<(Vec<T>, FlushReason)> {
+    /// Dispatcher side: blocks until a batch is due or the queue is
+    /// closed. Returns `None` once the queue is closed and — after a final
+    /// drain — empty.
+    pub fn wait_for_batch(&self) -> Option<(Vec<T>, FlushReason)> {
         let mut guard = self.inner.lock().expect("queue lock");
         loop {
-            if stop() {
-                return guard.take_for_shutdown();
+            let (queue, closed) = &mut *guard;
+            if *closed {
+                return queue.take_for_shutdown();
             }
             let now = Instant::now();
-            if let Some(batch) = guard.take_due(now) {
+            if let Some(batch) = queue.take_due(now) {
                 return Some(batch);
             }
-            guard = match guard.deadline() {
-                // Nothing queued: sleep until a push (or shutdown) wakes us.
-                // The timeout bounds how stale `stop()` can get.
-                None => self.wake.wait_timeout(guard, Duration::from_millis(50)).expect("lock").0,
+            guard = match queue.deadline() {
+                // Nothing queued: sleep until a push or the close wakes us.
+                None => self.wake.wait(guard).expect("lock"),
                 Some(deadline) => {
                     let wait = deadline.saturating_duration_since(now);
                     self.wake.wait_timeout(guard, wait).expect("lock").0
@@ -357,6 +349,44 @@ mod tests {
         }
         assert_eq!(b.push(99, 1, 1, t0), Err(99), "9th job bounces");
         assert_eq!(b.len(), 8);
+    }
+
+    #[test]
+    fn dispatcher_takes_a_job_at_its_deadline_and_returns_on_close() {
+        let delay = Duration::from_millis(20);
+        let policy = BatchPolicy { max_delay: delay, max_queue_jobs: 8 };
+        let queue = std::sync::Arc::new(SharedBatcher::new(policy, &BatchConfig::default()));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let dispatcher = std::sync::Arc::clone(&queue);
+        let handle = std::thread::spawn(move || {
+            while let Some(batch) = dispatcher.wait_for_batch() {
+                tx.send(Some((batch, Instant::now()))).expect("send");
+            }
+            tx.send(None).expect("send");
+        });
+        let within = Duration::from_secs(5);
+
+        // Both checks hold whichever thread gets to the lock first; the
+        // pauses make the dispatcher's blocked wait the likely case, which
+        // is the one a lost wake-up would hang.
+        std::thread::sleep(Duration::from_millis(30));
+        let pushed = Instant::now();
+        assert!(queue.push(7u32, 1, 1).is_ok());
+        let ((batch, reason), taken) = rx.recv_timeout(within).expect("taken").expect("a batch");
+        assert_eq!((batch, reason), (vec![7], FlushReason::Deadline));
+        assert!(taken >= pushed + delay, "taken {:?} after the push", taken - pushed);
+
+        std::thread::sleep(Duration::from_millis(30));
+        let closed = Instant::now();
+        queue.close();
+        assert!(rx.recv_timeout(within).expect("returned").is_none(), "no batch after close");
+        assert!(
+            closed.elapsed() < Duration::from_secs(1),
+            "returned {:?} after close",
+            closed.elapsed()
+        );
+        assert!(matches!(queue.push(8, 1, 1), Err((PushRejected::Closed, 8))));
+        handle.join().expect("dispatcher thread");
     }
 
     #[test]

@@ -37,17 +37,19 @@
 //! outbox is empty, `EPOLLOUT` only while it is not — a client that
 //! uploads without reading is paused, then severed after `write_timeout`.
 //!
-//! Timer entries and dispatch tickets carry a `slot | gen << 32` token;
-//! the generation bumps on every state transition, so a stale timer (or a
-//! completion for a connection that died) is recognized by a mismatched
-//! generation and dropped — lazy cancellation, no timer deletion needed. A
-//! stream keeps one generation to its end (its ticket outlives many
-//! events); its timers are checked against the one deadline it tracks.
-//! Epoll registrations carry a separate `slot | epoch << 32` token whose
-//! epoch bumps only when the slot's socket is closed: readiness events
-//! stay valid across the per-request generation churn, which lets the
-//! reactor skip `epoll_ctl` entirely whenever a transition keeps the
-//! kernel's interest mask unchanged.
+//! Every connection has one deadline — the budget of its current state —
+//! and at most one live entry on the timer heap, at or before it. A
+//! transition only moves the deadline; the heap is pushed only when the
+//! new deadline comes before the entry already armed. An entry that fires
+//! early re-arms at the deadline, and one that was superseded by an
+//! earlier push fires as a no-op, so keep-alive traffic adds no entries
+//! and the heap is bounded by connections, not by requests. Heap entries
+//! and epoll registrations carry a `slot | epoch << 32` token whose epoch
+//! bumps only when the slot's socket is closed, so what a closed
+//! connection left behind is dropped. Dispatch and stream tickets carry a
+//! separate `slot | gen << 32`: the generation bumps when a ticket is
+//! issued and at close, so a late or duplicate completion never answers a
+//! later request.
 
 use crate::handler::{render_http_response, HttpRequest, HttpResponse};
 use crate::http::{parse_head, write_chunked_head, BodyDecoder, BodyFraming, Head, ReadError};
@@ -66,9 +68,10 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 /// Epoll token of the completion-queue `eventfd`.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 
-/// A connection ticket: `slot | generation << 32`. Valid only until the
-/// connection transitions state; the [`Router`] uses it to route
-/// completions back to the right connection (or drop them if it died).
+/// A request ticket: `slot | generation << 32`, issued to one dispatched
+/// request or one stream. It is valid until the connection issues its next
+/// ticket or closes; the [`Router`] uses it to route completions back to
+/// the right connection (or drop them once it moved on).
 pub type Ticket = u64;
 
 fn ticket_slot(t: Ticket) -> usize {
@@ -284,11 +287,11 @@ impl Default for ReactorConfig {
 
 // ------------------------------------------------------------------ timers
 
-/// Armed timers: a min-heap of `(deadline, token)`. An insert is
-/// O(log n), the next deadline a peek, and a timer fires at the first
-/// [`TimerHeap::expire`] at or after its deadline, never before.
-/// Cancellation is lazy — the reactor drops fired tokens whose generation
-/// no longer matches — so an entry stays until its deadline.
+/// Armed timers: a min-heap of `(deadline, connection token)`. An insert
+/// is O(log n), the next deadline a peek, and a timer fires at the first
+/// [`TimerHeap::expire`] at or after its deadline, never before. Nothing
+/// is deleted: the reactor pushes at most one live entry per connection
+/// (see `Reactor::set_deadline`) and lets superseded ones fire as no-ops.
 #[derive(Default)]
 struct TimerHeap {
     heap: BinaryHeap<Reverse<(Instant, u64)>>,
@@ -387,7 +390,7 @@ impl Router {
 
 // ------------------------------------------------------------- connections
 
-/// Which timeout is armed and what readiness means right now.
+/// What the deadline budgets and what readiness means right now.
 enum ConnState<T> {
     /// Keep-alive parking: no partial request buffered.
     Idle,
@@ -416,14 +419,15 @@ struct OpenStream<T> {
     wants_body: bool,
     /// When the outbox first met `EAGAIN` since it was last empty.
     stalled_since: Option<Instant>,
-    /// The earliest deadline armed on the heap for this stream; entries
-    /// armed for a later time than this fire as no-ops.
-    timer_at: Option<Instant>,
 }
 
 struct ConnEntry<S, T> {
     stream: S,
     state: ConnState<T>,
+    /// When the current state's budget runs out.
+    deadline: Instant,
+    /// The earliest of this connection's entries still on the timer heap.
+    armed: Option<Instant>,
     /// Raw bytes read but not yet consumed by parsing.
     inbuf: Vec<u8>,
     /// Parsed head of the in-progress request.
@@ -454,14 +458,12 @@ pub struct Reactor<S: Source, D: Driver<S>> {
     router: Arc<Router>,
     timers: TimerHeap,
     conns: Vec<Option<ConnEntry<S, D::Stream>>>,
-    /// Per-slot request generation: bumped on every state transition so
-    /// timers and dispatch tickets from a superseded state are lazily
-    /// cancelled. Memory-only — never re-registered with the kernel.
+    /// Per-slot ticket generation: bumped when a [`Ticket`] is issued and
+    /// at close, so a completion for an earlier request is dropped.
     gens: Vec<u32>,
     /// Per-slot connection epoch: bumped only when a slot's socket is
-    /// closed. This is what epoll registrations
-    /// carry, so readiness events survive the per-request gen churn while
-    /// events for a recycled slot still drop.
+    /// closed. Epoll registrations and timer entries carry it, so events
+    /// for a recycled slot drop.
     epochs: Vec<u32>,
     /// The interest mask the kernel currently holds per slot; interest
     /// changes that match it skip the `epoll_ctl` syscall.
@@ -535,12 +537,14 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
                 self.conns.len() - 1
             }
         };
-        self.epoll.add(stream.as_raw_fd(), self.evtoken(slot), EPOLLIN)?;
+        self.epoll.add(stream.as_raw_fd(), self.conn_token(slot), EPOLLIN)?;
         self.interests[slot] = EPOLLIN;
-        let token = self.token(slot);
+        let now = Instant::now();
         self.conns[slot] = Some(ConnEntry {
             stream,
             state: ConnState::Idle,
+            deadline: now,
+            armed: None,
             inbuf: Vec::new(),
             head: None,
             decoder: None,
@@ -549,34 +553,31 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
             outpos: 0,
             requests: 0,
             req_keep_alive: true,
-            last_read: Instant::now(),
+            last_read: now,
         });
         self.active += 1;
-        self.timers.insert(Instant::now() + self.cfg.idle_timeout, token);
+        self.set_deadline(slot, now + self.cfg.idle_timeout);
         Ok(())
     }
 
-    /// The timer/ticket token: request-generation scoped.
-    fn token(&self, slot: usize) -> u64 {
+    /// Issues a [`Ticket`] for the slot's next request or stream, which
+    /// retires the one issued before it.
+    fn issue_ticket(&mut self, slot: usize) -> Ticket {
+        self.gens[slot] = self.gens[slot].wrapping_add(1);
         slot as u64 | (u64::from(self.gens[slot]) << 32)
     }
 
-    /// The epoll-registration token: connection-epoch scoped.
-    fn evtoken(&self, slot: usize) -> u64 {
+    /// The epoll-registration and timer token: connection-epoch scoped.
+    fn conn_token(&self, slot: usize) -> u64 {
         slot as u64 | (u64::from(self.epochs[slot]) << 32)
     }
 
-    /// Bumps the slot's request generation, lazily cancelling any timer or
-    /// dispatch ticket armed for the superseded state.
-    fn bump_gen(&mut self, slot: usize) {
-        self.gens[slot] = self.gens[slot].wrapping_add(1);
-    }
-
-    /// [`Reactor::bump_gen`] plus an interest update — the common shape of
-    /// a state transition.
-    fn retoken(&mut self, slot: usize, interest: u32) {
-        self.bump_gen(slot);
-        self.set_interest(slot, interest);
+    /// The slot a connection token addresses, if that connection is still
+    /// open.
+    fn live_slot(&self, token: u64) -> Option<usize> {
+        let slot = ticket_slot(token);
+        let live = self.epochs.get(slot) == Some(&ticket_gen(token));
+        (live && self.conns[slot].is_some()).then_some(slot)
     }
 
     /// Points the kernel at `interest` for the slot's fd. A request that
@@ -590,14 +591,22 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
             Some(conn) => conn.stream.as_raw_fd(),
             None => return,
         };
-        if self.epoll.modify(fd, self.evtoken(slot), interest).is_ok() {
+        if self.epoll.modify(fd, self.conn_token(slot), interest).is_ok() {
             self.interests[slot] = interest;
         }
     }
 
-    fn arm(&mut self, slot: usize, after: Duration) {
-        let token = self.token(slot);
-        self.timers.insert(Instant::now() + after, token);
+    /// Gives the connection's current state the deadline `at`. The heap is
+    /// pushed only when no entry is armed or the armed one comes later;
+    /// otherwise the armed entry fires first and re-arms.
+    fn set_deadline(&mut self, slot: usize, at: Instant) {
+        let token = self.conn_token(slot);
+        let Some(conn) = self.conns[slot].as_mut() else { return };
+        conn.deadline = at;
+        if conn.armed.is_none_or(|armed| at < armed) {
+            conn.armed = Some(at);
+            self.timers.insert(at, token);
+        }
     }
 
     /// Tears the connection down: epoll deregistration, optional sever,
@@ -698,13 +707,9 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
     }
 
     fn handle_conn_event(&mut self, token: u64, flags: u32) {
-        let slot = ticket_slot(token);
-        if slot >= self.conns.len()
-            || self.epochs[slot] != ticket_gen(token)
-            || self.conns[slot].is_none()
-        {
-            return; // stale event for a connection that moved on
-        }
+        let Some(slot) = self.live_slot(token) else {
+            return; // stale event for a connection that closed
+        };
         if flags & (EPOLLERR | EPOLLHUP) != 0 {
             self.close(slot, false);
             return;
@@ -774,8 +779,7 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
                 }
                 if matches!(conn.state, ConnState::Idle) {
                     conn.state = ConnState::Reading;
-                    self.retoken(slot, EPOLLIN);
-                    self.arm(slot, self.cfg.request_deadline);
+                    self.set_deadline(slot, Instant::now() + self.cfg.request_deadline);
                     continue;
                 }
                 match parse_head(&conn.inbuf) {
@@ -785,9 +789,8 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
                         if head.expect_continue && head.framing != BodyFraming::None {
                             conn.outbox.extend_from_slice(b"HTTP/1.1 100 Continue\r\n\r\n");
                         }
-                        // Opening bumps no generation: the ticket is the
-                        // `Reading` token, current to the stream's end.
-                        let (prior, ticket) = (conn.requests, self.token(slot));
+                        let prior = conn.requests;
+                        let ticket = self.issue_ticket(slot);
                         let opened = self.driver.open_stream(&head, ticket, prior);
                         let conn = self.conns[slot].as_mut().expect("checked");
                         if let Some(session) = opened {
@@ -801,7 +804,6 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
                                 session,
                                 wants_body: true,
                                 stalled_since: None,
-                                timer_at: None,
                             });
                             continue;
                         }
@@ -865,9 +867,8 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
         // sees stays valid until the completion (or an immediate answer)
         // arrives.
         conn.state = ConnState::Dispatched(None);
-        self.bump_gen(slot);
-        self.arm(slot, self.cfg.dispatch_timeout);
-        let ticket = self.token(slot);
+        self.set_deadline(slot, Instant::now() + self.cfg.dispatch_timeout);
+        let ticket = self.issue_ticket(slot);
         match self.driver.dispatch(ticket, req, prior) {
             Dispatch::Respond(resp) => self.queue_response(slot, &resp, keep_wish),
             // Pause reads until the completion arrives. An inline respond
@@ -891,8 +892,7 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
         }
         conn.outbox.extend_from_slice(&bytes);
         conn.state = ConnState::Writing { keep, sever };
-        self.bump_gen(slot);
-        self.arm(slot, self.cfg.write_timeout);
+        self.set_deadline(slot, Instant::now() + self.cfg.write_timeout);
         // Write optimistically; `pump_out` arms `EPOLLOUT` only when the
         // socket pushes back, so the common drained-in-one-write response
         // never touches `epoll_ctl`.
@@ -956,8 +956,8 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
                 conn.decoder = None;
                 conn.bodybuf.clear();
                 conn.state = ConnState::Idle;
-                self.retoken(slot, EPOLLIN);
-                self.arm(slot, self.cfg.idle_timeout);
+                self.set_interest(slot, EPOLLIN);
+                self.set_deadline(slot, Instant::now() + self.cfg.idle_timeout);
                 // Pipelined bytes may already hold the next request.
                 self.advance(slot);
             }
@@ -980,20 +980,21 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
         for done in self.router.drain() {
             let (Completion::Response(ticket, ..) | Completion::Line(ticket, ..)) = done;
             let slot = ticket_slot(ticket);
-            if slot >= self.conns.len() || self.gens[slot] != ticket_gen(ticket) {
-                continue; // connection (or stream) ended while the work ran
+            if self.gens.get(slot) != Some(&ticket_gen(ticket)) {
+                continue; // the connection issued a later ticket, or closed
             }
             let Some(conn) = self.conns[slot].as_mut() else { continue };
             match (done, &mut conn.state) {
-                // Ahead of its not-before: parked until the timer armed
-                // here fires (the ticket is the connection's timer token).
-                (Completion::Response(_, resp, Some(at)), ConnState::Dispatched(held))
+                // Ahead of its not-before: parked until its deadline (or
+                // the dispatch backstop, if that comes first) fires.
+                (Completion::Response(_, resp, Some(at)), ConnState::Dispatched(held @ None))
                     if at > Instant::now() =>
                 {
                     *held = Some((at, resp));
-                    self.timers.insert(at, ticket);
+                    let due = at.min(conn.deadline);
+                    self.set_deadline(slot, due);
                 }
-                (Completion::Response(_, resp, _), _) => {
+                (Completion::Response(_, resp, _), ConnState::Dispatched(None)) => {
                     let keep = conn.req_keep_alive;
                     self.queue_response(slot, &resp, keep);
                 }
@@ -1001,7 +1002,8 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
                     let next = open.session.on_line(index, line, &mut conn.outbox);
                     self.stream_settle(slot, next);
                 }
-                (Completion::Line(..), _) => {}
+                // A duplicate, or one for a request already answered.
+                _ => {}
             }
         }
     }
@@ -1040,8 +1042,7 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
             // Replacing the state drops the session: with `close`, one of
             // the two places a stream ends.
             conn.state = ConnState::Writing { keep: false, sever: false };
-            self.bump_gen(slot);
-            self.arm(slot, self.cfg.write_timeout);
+            self.set_deadline(slot, Instant::now() + self.cfg.write_timeout);
             self.pump_out(slot);
             return;
         }
@@ -1049,17 +1050,13 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
         // Drained → `finish_write`, `EAGAIN` → `pump_out`'s own `Streaming`
         // arm: either way the interest mask is right for the new verdict.
         self.pump_out(slot);
-        // Keep one heap entry at or before the stream's next deadline: the
-        // session's own, or the write stall's if that comes first.
-        let (now, token) = (Instant::now(), self.token(slot));
-        let Some(conn) = self.conns[slot].as_mut() else { return };
-        let ConnState::Streaming(open) = &mut conn.state else { return };
+        // The stream's deadline is the session's own, or the write stall's
+        // if that comes first.
+        let Some(conn) = self.conns[slot].as_ref() else { return };
+        let ConnState::Streaming(open) = &conn.state else { return };
         let stall = open.stalled_since.map(|since| since + self.cfg.write_timeout);
-        let due = stall.into_iter().fold(open.session.deadline(now), Instant::min);
-        if open.timer_at.is_none_or(|at| due < at) {
-            open.timer_at = Some(due);
-            self.timers.insert(due, token);
-        }
+        let due = stall.into_iter().fold(open.session.deadline(Instant::now()), Instant::min);
+        self.set_deadline(slot, due);
     }
 
     /// A stream's timer event (also sent once when shutdown begins): cut a
@@ -1076,43 +1073,39 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
         self.stream_settle(slot, next);
     }
 
-    /// A timer fired with a still-current generation: the budget for the
-    /// connection's current state ran out.
+    /// A connection's timer entry fired. One that a later push superseded
+    /// is a no-op; one that fired ahead of a deadline that moved later
+    /// re-arms; otherwise the budget for the current state ran out.
     fn handle_timer(&mut self, token: u64) {
-        let slot = ticket_slot(token);
-        if slot >= self.conns.len()
-            || self.gens[slot] != ticket_gen(token)
-            || self.conns[slot].is_none()
-        {
-            return; // lazily cancelled
+        let Some(slot) = self.live_slot(token) else { return };
+        let conn = self.conns[slot].as_mut().expect("live");
+        let now = Instant::now();
+        if conn.armed.is_some_and(|at| now < at) {
+            return;
         }
-        let conn = self.conns[slot].as_mut().expect("checked");
-        if let ConnState::Streaming(open) = &mut conn.state {
-            // An entry armed for later than the tracked deadline (or left
-            // from `Reading`) is superseded, not due.
-            if open.timer_at.is_some_and(|at| Instant::now() < at) {
-                return;
-            }
-            open.timer_at = None;
-            return self.stream_timer(slot);
+        conn.armed = None;
+        if now < conn.deadline {
+            let deadline = conn.deadline;
+            return self.set_deadline(slot, deadline);
         }
-        if let ConnState::Dispatched(held) = &mut conn.state {
+        match &mut conn.state {
+            ConnState::Streaming(_) => self.stream_timer(slot),
             // A held completion whose instant has come is written; any
             // other expiry here is the dispatch backstop's.
-            if let Some((_, resp)) = held.take_if(|(at, _)| Instant::now() >= *at) {
-                let keep = conn.req_keep_alive;
-                return self.queue_response(slot, &resp, keep);
+            ConnState::Dispatched(held) => match held.take_if(|(at, _)| now >= *at) {
+                Some((_, resp)) => {
+                    let keep = conn.req_keep_alive;
+                    self.queue_response(slot, &resp, keep);
+                }
+                None => self.close(slot, false),
+            },
+            // A dribbling client (bytes within the grace window) earns the
+            // `408`; one that went silent mid-request is closed without a
+            // response.
+            ConnState::Reading if conn.last_read.elapsed() < self.cfg.read_grace => {
+                self.fail_request(slot, &ReadError::TooSlow)
             }
-        }
-        let reading = matches!(conn.state, ConnState::Reading);
-        // A dribbling client (bytes within the grace window) earns the
-        // `408`; one that went silent mid-request is closed without a
-        // response.
-        let dribbling = conn.last_read.elapsed() < self.cfg.read_grace;
-        if reading && dribbling {
-            self.fail_request(slot, &ReadError::TooSlow);
-        } else {
-            self.close(slot, false);
+            _ => self.close(slot, false),
         }
     }
 }
@@ -1483,7 +1476,8 @@ mod tests {
     #[test]
     fn stale_completion_for_a_reaped_connection_is_dropped() {
         // Dispatch backstop fires before the worker answers; the late
-        // completion must be discarded by generation, not delivered.
+        // completion must be discarded by epoch (the close retired the
+        // connection and its ticket), not delivered.
         let cfg = ReactorConfig {
             dispatch_timeout: Duration::from_millis(40),
             ..ReactorConfig::default()
@@ -1503,6 +1497,62 @@ mod tests {
         assert!(read_available(&b, &mut buf), "peer sees EOF");
         assert!(buf.is_empty(), "nothing written for the dead connection");
         assert_eq!(r.connections(), 0);
+    }
+
+    #[test]
+    fn duplicate_completion_for_an_answered_request_is_dropped() {
+        let mut r = reactor(ReactorConfig::default(), Mode::Queue);
+        let router = r.router();
+        let (b, first) = queued_request(&mut r, 0);
+        router.complete(first, HttpResponse::json(200, "{\"first\":true}\n"), None);
+        let mut buf = Vec::new();
+        drive_until(&mut r, SEC, || {
+            read_available(&b, &mut buf);
+            response_complete(&buf)
+        });
+        assert!(String::from_utf8_lossy(&buf).contains("\"first\":true"));
+
+        // Repeated while the connection is parked, then while its next
+        // request is dispatched: neither answers anything.
+        router.complete(first, HttpResponse::json(200, "{\"dup\":1}\n"), None);
+        r.turn(Duration::from_millis(2)).expect("turn");
+        (&b).write_all(&request("POST", "/v1/annotate", b"{}")).expect("write");
+        drive_with(&mut r, SEC, |r| r.driver().tickets.lock().expect("tickets").len() > 1);
+        let second = r.driver().tickets.lock().expect("tickets")[1];
+        assert_ne!(first, second, "each request gets its own ticket");
+        router.complete(first, HttpResponse::json(200, "{\"dup\":2}\n"), None);
+        r.turn(Duration::from_millis(2)).expect("turn");
+        router.complete(second, HttpResponse::json(200, "{\"second\":true}\n"), None);
+        buf.clear();
+        drive_until(&mut r, SEC, || {
+            read_available(&b, &mut buf);
+            response_complete(&buf)
+        });
+        let text = String::from_utf8_lossy(&buf).into_owned();
+        assert!(text.contains("\"second\":true") && !text.contains("dup"), "{text}");
+        assert_eq!(r.connections(), 1);
+    }
+
+    #[test]
+    fn keep_alive_requests_do_not_grow_the_timer_heap() {
+        let mut r = reactor(ReactorConfig::default(), Mode::Echo);
+        let (a, b) = UnixStream::pair().expect("pair");
+        r.insert(a).expect("insert");
+        let req = request("GET", "/v1/healthz", b"");
+        let mut buf = Vec::new();
+        for n in 1..=10_000 {
+            (&b).write_all(&req).expect("write");
+            buf.clear();
+            drive_until(&mut r, SEC, || {
+                read_available(&b, &mut buf);
+                response_complete(&buf)
+            });
+            if n == 100 || n == 10_000 {
+                let entries = r.timers.heap.len();
+                assert!(entries <= 4, "{entries} heap entries after {n} requests");
+            }
+        }
+        assert_eq!(r.connections(), 1);
     }
 
     #[test]

@@ -196,11 +196,11 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Close-before-flag shutdown ordering (see `ServerHandle::shutdown`).
+    /// Closes the queue (the dispatcher drains it and exits), raises the
+    /// flag the reactor and the routes read, and wakes the reactor.
     fn request_shutdown(&self) {
         self.queue.close();
         self.shutdown.store(true, Ordering::SeqCst);
-        self.queue.notify();
         if let Some(router) = self.waker.lock().expect("waker lock").as_ref() {
             router.nudge();
         }
@@ -217,8 +217,6 @@ impl ServerHandle {
     /// Requests graceful shutdown; [`Server::run`] returns once all threads
     /// finish.
     pub fn shutdown(&self) {
-        // Order matters: close the queue *before* raising the flag the
-        // dispatcher polls, so every job that was accepted is also drained.
         self.shared.request_shutdown();
     }
 
@@ -294,7 +292,6 @@ impl Server {
                 shared.request_shutdown();
             }
             *shared.waker.lock().expect("waker lock") = None;
-            shared.queue.notify();
             // The reactor owns the driver and with it the upload queue's only
             // sender: dropping it ends the loader's blocking `recv`.
             drop(reactor);
@@ -462,7 +459,7 @@ impl Collect {
 /// packed forward passes, and routes each table's annotation back the
 /// moment its micro-batch completes — streams get a rendered line per
 /// table, `/v1/annotate` jobs one response when their last table finishes.
-/// Exits when shutdown is set and the queue is drained.
+/// Exits when the queue is closed and drained.
 ///
 /// Every job carries the engine it was serialized against, and the flush
 /// is partitioned by engine identity (`Arc::ptr_eq`): a hot-swap landing
@@ -473,8 +470,7 @@ impl Collect {
 /// produced the bytes. Outside a swap there is exactly one partition and
 /// the batching behavior is unchanged.
 fn dispatcher_loop(shared: &Shared) {
-    let stop = || shared.shutting_down();
-    while let Some((mut jobs, reason)) = shared.queue.wait_for_batch(stop) {
+    while let Some((mut jobs, reason)) = shared.queue.wait_for_batch() {
         let counts: Vec<usize> = jobs.iter().map(|j| j.groups.len()).collect();
         // Group job indices by captured engine (at most two partitions in
         // practice — the models on either side of a swap).
@@ -515,7 +511,7 @@ fn dispatcher_loop(shared: &Shared) {
                 let (ji, li) = routes[fi];
                 match &jobs[ji].reply {
                     // A stream that ended meanwhile no longer holds its
-                    // ticket; the router's generation check drops the line.
+                    // ticket, and the reactor drops the line.
                     Reply::Stream { index, ticket, router } => {
                         let mut line = annotation_to_json(&ann);
                         line.push('\n');
@@ -523,9 +519,8 @@ fn dispatcher_loop(shared: &Shared) {
                     }
                     // Whole-request jobs render and route here, on whichever
                     // engine thread finishes the last table — nothing is
-                    // blocked waiting, and a stale ticket (connection reaped
-                    // meanwhile) is dropped by the router's generation
-                    // check.
+                    // blocked waiting, and the reactor drops the response if
+                    // the connection closed meanwhile.
                     Reply::Reactor { ticket, router, wrapped, t0, counts, chaos } => {
                         let collector = collectors[ji].as_ref().expect("collector exists for job");
                         let Some(anns) = collector.fill(li, ann) else { return };
@@ -1015,7 +1010,7 @@ mod tests {
         fn drain_queue(&self) -> Vec<Job> {
             let mut jobs = Vec::new();
             while self.queue.depth() > 0 {
-                jobs.extend(self.queue.wait_for_batch(|| true).expect("non-empty").0);
+                jobs.extend(self.queue.wait_for_batch().expect("open").0);
             }
             jobs
         }

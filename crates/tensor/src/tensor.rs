@@ -138,14 +138,6 @@ impl Tensor {
         }
     }
 
-    /// `self += c * other` (shapes must match).
-    pub fn axpy(&mut self, c: f32, other: &Tensor) {
-        assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += c * b;
-        }
-    }
-
     /// In-place multiply by a constant.
     pub fn scale_assign(&mut self, c: f32) {
         for a in self.data.iter_mut() {
@@ -203,11 +195,7 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_norms() {
-        let mut a = t(1, 3, &[1.0, 2.0, 2.0]);
-        let b = t(1, 3, &[1.0, 1.0, 1.0]);
-        a.axpy(2.0, &b);
-        assert_eq!(a.data(), &[3.0, 4.0, 4.0]);
+    fn norm_is_the_l2_norm() {
         assert!((t(1, 2, &[3.0, 4.0]).norm() - 5.0).abs() < 1e-6);
     }
 
