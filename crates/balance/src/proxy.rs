@@ -68,7 +68,7 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
 
@@ -165,6 +165,9 @@ struct Shared {
     /// Idle keep-alive links to the replicas by replica id, shared by every
     /// forwarder.
     links: Mutex<HashMap<usize, Vec<Client>>>,
+    /// The front reactor's completion queue while [`Balancer::run`] serves:
+    /// forwarders answer through it, and shutdown nudges it awake.
+    waker: Mutex<Option<Arc<Router>>>,
 }
 
 impl Shared {
@@ -172,8 +175,19 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
+    /// Raises the flag the reactor, the supervisor and the routes read, and
+    /// wakes the reactor, which waits on its sockets and timers alone.
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        if let Some(router) = self.waker.lock().expect("waker lock").as_ref() {
+            router.nudge();
+        }
+    }
+
+    /// The front reactor's completion queue.
+    fn router(&self) -> Arc<Router> {
+        let waker = self.waker.lock().expect("waker lock");
+        Arc::clone(waker.as_ref().expect("router installed before serving"))
     }
 
     /// A parked link to replica `id`. A zero-timeout readiness probe weeds
@@ -296,6 +310,7 @@ impl Balancer {
             stats: BalanceStats::default(),
             started: Instant::now(),
             links: Mutex::new(HashMap::new()),
+            waker: Mutex::new(None),
         });
         Ok(Balancer { listener, addr, cfg, shared })
     }
@@ -318,13 +333,7 @@ impl Balancer {
         self.listener.set_nonblocking(true).map_err(|e| format!("listener: {e}"))?;
         let (shared, cfg) = (&*self.shared, &self.cfg);
         std::thread::scope(|scope| {
-            let driver = ProxyDriver {
-                listener: &self.listener,
-                shared,
-                cfg,
-                scope,
-                router: OnceLock::new(),
-            };
+            let driver = ProxyDriver { listener: &self.listener, shared, cfg, scope };
             let rcfg = ReactorConfig {
                 request_deadline: cfg.request_deadline,
                 dispatch_timeout: dispatch_budget(cfg, shared.registry.snapshot().len()),
@@ -334,11 +343,16 @@ impl Balancer {
             reactor
                 .set_listener(self.listener.as_raw_fd())
                 .map_err(|e| format!("listener: {e}"))?;
-            let _ = reactor.driver().router.set(reactor.router());
-            let supervisor = cfg
-                .supervisor
-                .as_ref()
-                .map(|sup| scope.spawn(move || supervise(&shared.registry, sup, &shared.shutdown)));
+            *shared.waker.lock().expect("waker lock") = Some(reactor.router());
+            // A supervisor that gives up raises the flag itself; the nudge
+            // that wakes the reactor comes when it returns.
+            let supervisor = cfg.supervisor.as_ref().map(|sup| {
+                scope.spawn(move || {
+                    let verdict = supervise(&shared.registry, sup, &shared.shutdown);
+                    shared.request_shutdown();
+                    verdict
+                })
+            });
             let served = reactor.run(&shared.shutdown, Duration::from_secs(5));
             shared.request_shutdown();
             let verdict = supervisor
@@ -370,8 +384,6 @@ struct ProxyDriver<'scope, 'env> {
     shared: &'env Shared,
     cfg: &'env BalanceConfig,
     scope: &'scope Scope<'scope, 'env>,
-    /// The reactor's completion queue, installed once the reactor exists.
-    router: OnceLock<Arc<Router>>,
 }
 
 impl<'scope, 'env> Driver<TcpStream> for ProxyDriver<'scope, 'env> {
@@ -450,7 +462,7 @@ impl<'scope> ProxyDriver<'scope, '_> {
         ticket: Ticket,
         work: impl FnOnce() -> HttpResponse + Send + 'scope,
     ) -> Dispatch {
-        let router = Arc::clone(self.router.get().expect("router installed before serving"));
+        let router = self.shared.router();
         let shared = self.shared;
         // Once shutdown has begun, a connection answered here closes rather
         // than parks again and holds up the reactor's drain.

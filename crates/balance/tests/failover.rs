@@ -21,7 +21,7 @@
 use doduo_balance::{BalanceConfig, BalanceHandle, Balancer, SupervisorConfig};
 use doduo_served::http::Client;
 use doduo_served::json::Json;
-use doduo_served::reactor::{Dispatch, Driver, NoStream, Reactor, ReactorConfig, Ticket};
+use doduo_served::reactor::{Dispatch, Driver, NoStream, Reactor, ReactorConfig, Router, Ticket};
 use doduo_served::{HttpRequest, HttpResponse};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -57,12 +57,42 @@ struct Mock {
     /// Requests fully received (each one is a dispatch from the balancer).
     hits: Arc<AtomicUsize>,
     stop: Arc<AtomicBool>,
+    /// Its reactor's completion queue: what wakes the reactor to see `stop`.
+    router: Arc<Router>,
     thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Mock {
+    /// Serves `driver` on `listener` from a reactor thread of its own.
+    fn serve<D: Driver<TcpStream>>(
+        listener: TcpListener,
+        driver: impl FnOnce(TcpListener) -> D + Send + 'static,
+        hits: Arc<AtomicUsize>,
+    ) -> Mock {
+        listener.set_nonblocking(true).expect("nonblocking mock listener");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let thread = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let fd = listener.as_raw_fd();
+                let mut reactor =
+                    Reactor::new(ReactorConfig::default(), driver(listener)).expect("mock reactor");
+                reactor.set_listener(fd).expect("register mock listener");
+                tx.send(reactor.router()).expect("hand out the router");
+                reactor.run(&stop, Duration::ZERO).expect("serve mock");
+            })
+        };
+        let router = rx.recv().expect("mock reactor started");
+        Mock { addr, hits, stop, router, thread: Some(thread) }
+    }
 }
 
 impl Drop for Mock {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.router.nudge();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -122,21 +152,9 @@ impl Driver<TcpStream> for MockDriver {
 /// A scripted backend: a [`MockDriver`] on its own reactor thread.
 fn mock(behavior: Behavior) -> Mock {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind mock");
-    listener.set_nonblocking(true).expect("nonblocking mock listener");
-    let addr = listener.local_addr().expect("addr").to_string();
     let hits = Arc::new(AtomicUsize::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
-    let thread = {
-        let (hits, stop) = (Arc::clone(&hits), Arc::clone(&stop));
-        std::thread::spawn(move || {
-            let fd = listener.as_raw_fd();
-            let driver = MockDriver { listener, behavior, hits };
-            let mut reactor = Reactor::new(ReactorConfig::default(), driver).expect("mock reactor");
-            reactor.set_listener(fd).expect("register mock listener");
-            reactor.run(&stop, Duration::ZERO).expect("serve mock");
-        })
-    };
-    Mock { addr, hits, stop, thread: Some(thread) }
+    let counter = Arc::clone(&hits);
+    Mock::serve(listener, move |listener| MockDriver { listener, behavior, hits: counter }, hits)
 }
 
 /// An address that refuses connections (bound then immediately released).
@@ -585,6 +603,31 @@ fn local_endpoints_report_health_and_readiness() {
     thread.join().expect("join").expect("clean run");
 }
 
+/// Neither an idle balancer front nor an idle mock reactor polls for its
+/// stop flag: each sleeps on its sockets and timers, and the stop request
+/// from another thread wakes it through its router at once.
+#[test]
+fn an_idle_balancer_and_reactor_stop_at_once() {
+    let live = mock(Behavior::Status(200));
+    let (addr, handle, thread) = start_balancer(cfg_with_backends(vec![live.addr.clone()]));
+    let mut client =
+        Client::connect(&addr.to_string(), Some(Duration::from_secs(5))).expect("connect");
+    assert_eq!(client.request("POST", "/v1/annotate", b"{}").expect("answered").status, 200);
+    drop(client);
+    std::thread::sleep(Duration::from_millis(300));
+    let asked = Instant::now();
+    handle.shutdown();
+    thread.join().expect("join").expect("clean run");
+    let took = asked.elapsed();
+    assert!(took < Duration::from_millis(50), "the balancer stopped {took:?} after shutdown");
+
+    std::thread::sleep(Duration::from_millis(300));
+    let asked = Instant::now();
+    drop(live);
+    let took = asked.elapsed();
+    assert!(took < Duration::from_millis(50), "the mock stopped {took:?} after its stop");
+}
+
 /// A replica whose program cannot even be spawned is charged to the restart
 /// budget like a crash: it ends `Failed`, and with every replica failed the
 /// balancer gives up with an error instead of retrying forever.
@@ -654,23 +697,12 @@ impl Driver<TcpStream> for ModelMockDriver {
 /// A [`ModelMockDriver`] on its own reactor thread, and the blob it holds.
 fn model_mock(reject: &'static [u8]) -> (Mock, Arc<std::sync::Mutex<Vec<u8>>>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind mock");
-    listener.set_nonblocking(true).expect("nonblocking mock listener");
-    let addr = listener.local_addr().expect("addr").to_string();
     let hits = Arc::new(AtomicUsize::new(0));
     let installed = Arc::new(std::sync::Mutex::new(Vec::new()));
-    let stop = Arc::new(AtomicBool::new(false));
-    let thread = {
-        let (hits, installed, stop) =
-            (Arc::clone(&hits), Arc::clone(&installed), Arc::clone(&stop));
-        std::thread::spawn(move || {
-            let fd = listener.as_raw_fd();
-            let driver = ModelMockDriver { listener, reject, hits, installed };
-            let mut reactor = Reactor::new(ReactorConfig::default(), driver).expect("mock reactor");
-            reactor.set_listener(fd).expect("register mock listener");
-            reactor.run(&stop, Duration::ZERO).expect("serve mock");
-        })
-    };
-    (Mock { addr, hits, stop, thread: Some(thread) }, installed)
+    let (counter, held) = (Arc::clone(&hits), Arc::clone(&installed));
+    let driver =
+        move |listener| ModelMockDriver { listener, reject, hits: counter, installed: held };
+    (Mock::serve(listener, driver, hits), installed)
 }
 
 /// Two uploads at once: with the fleet committed to P, upload A (which

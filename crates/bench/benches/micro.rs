@@ -311,6 +311,7 @@ fn bench_checkpoint(c: &mut Criterion) {
         bench.iter(|| black_box(AnnotatorBundle::load(black_box(&blob)).expect("own blob loads")))
     });
     c.bench_function("bundle_save_mini", |bench| bench.iter(|| black_box(bundle.save())));
+    c.bench_function("quantize_mini", |bench| bench.iter(|| black_box(bundle.quantized())));
 }
 
 fn bench_tokenize_and_serialize(c: &mut Criterion) {

@@ -473,6 +473,9 @@ pub struct Reactor<S: Source, D: Driver<S>> {
     events: Vec<epoll::Event>,
     fired: Vec<u64>,
     active: usize,
+    /// `epoll_wait` calls so far: what the idle-wakeup test counts.
+    #[cfg(test)]
+    waits: usize,
 }
 
 impl<S: Source, D: Driver<S>> Reactor<S, D> {
@@ -497,6 +500,8 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
             events: Vec::with_capacity(256),
             fired: Vec::new(),
             active: 0,
+            #[cfg(test)]
+            waits: 0,
         })
     }
 
@@ -627,14 +632,25 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
 
     /// One full event-loop iteration: wait (bounded by `cap` and the
     /// nearest timer), service readiness, drain completions, fire timers.
-    /// Exposed for tests; [`Reactor::run`] loops it.
+    /// Exposed for tests; [`Reactor::run`] loops the same iteration with
+    /// no cap while it serves.
     pub fn turn(&mut self, cap: Duration) -> std::io::Result<()> {
+        self.step(Some(cap))
+    }
+
+    /// [`Reactor::turn`] with an optional cap: `None` waits for an event,
+    /// a completion or the nearest timer, however far off.
+    fn step(&mut self, cap: Option<Duration>) -> std::io::Result<()> {
         let now = Instant::now();
-        let timeout = match self.timers.next_timeout(now) {
-            Some(t) => t.min(cap),
-            None => cap,
+        let timeout = match (self.timers.next_timeout(now), cap) {
+            (Some(t), Some(cap)) => Some(t.min(cap)),
+            (t, cap) => t.or(cap),
         };
-        self.epoll.wait(&mut self.events, 256, Some(timeout))?;
+        #[cfg(test)]
+        {
+            self.waits += 1;
+        }
+        self.epoll.wait(&mut self.events, 256, timeout)?;
         let events = std::mem::take(&mut self.events);
         for ev in &events {
             match ev.token {
@@ -658,10 +674,15 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
 
     /// Runs the loop until `stop` flips true, then drains: new accepts
     /// halt, parked connections close, in-flight requests and open streams
-    /// get `grace` to finish writing.
+    /// get `grace` to finish writing. While serving, a turn waits on its
+    /// sockets and timers alone, so an idle reactor sleeps until its next
+    /// deadline: whoever raises `stop` must also [`Router::nudge`] this
+    /// reactor's router to wake it. While draining, a turn waits no longer
+    /// than the grace deadline.
     pub fn run(&mut self, stop: &AtomicBool, grace: Duration) -> std::io::Result<()> {
         let mut grace_until: Option<Instant> = None;
         loop {
+            let mut cap = None;
             if stop.load(Ordering::SeqCst) {
                 if grace_until.is_none() {
                     grace_until = Some(Instant::now() + grace);
@@ -679,14 +700,16 @@ impl<S: Source, D: Driver<S>> Reactor<S, D> {
                     }
                 }
                 let deadline = grace_until.expect("grace set");
-                if self.active == 0 || Instant::now() >= deadline {
+                let now = Instant::now();
+                if self.active == 0 || now >= deadline {
                     for slot in 0..self.conns.len() {
                         self.close(slot, false);
                     }
                     return Ok(());
                 }
+                cap = Some(deadline - now);
             }
-            self.turn(Duration::from_millis(100))?;
+            self.step(cap)?;
         }
     }
 
@@ -1381,6 +1404,34 @@ mod tests {
     }
 
     // ------------------------------------------------------- event loop
+
+    /// An idle reactor sleeps on its empty timer heap: over a second it
+    /// waits once or twice (a 100 ms cap on each turn would make that 10),
+    /// and a stop raised from another thread with a nudge ends `run` at
+    /// once.
+    #[test]
+    fn an_idle_reactor_sleeps_until_nudged() {
+        let stop = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut r = reactor(ReactorConfig::default(), Mode::Echo);
+                tx.send(r.router()).expect("hand out the router");
+                r.run(&stop, Duration::from_secs(5)).expect("run");
+                r.waits
+            })
+        };
+        let router = rx.recv().expect("router");
+        std::thread::sleep(Duration::from_secs(1));
+        let asked = Instant::now();
+        stop.store(true, Ordering::SeqCst);
+        router.nudge();
+        let waits = runner.join().expect("reactor thread");
+        let took = asked.elapsed();
+        assert!(took < Duration::from_millis(50), "stopped {took:?} after the nudge");
+        assert!(waits <= 3, "an idle reactor waited {waits} times in 1 s");
+    }
 
     #[test]
     fn echo_round_trip_and_keep_alive_reuse() {

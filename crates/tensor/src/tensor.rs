@@ -171,9 +171,14 @@ impl Tensor {
         out
     }
 
-    /// Returns `true` if any element is NaN or infinite.
+    /// Returns `true` if any element is NaN or infinite: its exponent field
+    /// is all ones. The scan ORs that test over every element instead of
+    /// stopping at the first hit, which the compiler vectorizes — about a
+    /// third of the early-exit loop's cost on the finite weights a
+    /// checkpoint load checks, where there is no hit to stop at.
     pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|v| !v.is_finite())
+        const EXP: u32 = 0x7F80_0000;
+        self.data.iter().fold(false, |any, v| any | (v.to_bits() & EXP == EXP))
     }
 }
 
@@ -197,6 +202,27 @@ mod tests {
     #[test]
     fn norm_is_the_l2_norm() {
         assert!((t(1, 2, &[3.0, 4.0]).norm() - 5.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn non_finite_scan_matches_the_early_exit_definition() {
+        let oracle = |v: &[f32]| v.iter().any(|v| !v.is_finite());
+        let check = |v: Vec<f32>| {
+            let want = oracle(&v);
+            assert_eq!(Tensor::from_vec(1, v.len(), v.clone()).has_non_finite(), want, "{v:?}");
+        };
+        let finite = [-0.0, 0.0, f32::MIN_POSITIVE / 2.0, -1e-45, f32::MAX, f32::MIN, 1.5];
+        for len in 0..=40 {
+            let base: Vec<f32> = (0..len).map(|i| finite[i % finite.len()]).collect();
+            check(base.clone());
+            for bad in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                for at in 0..len {
+                    let mut v = base.clone();
+                    v[at] = bad;
+                    check(v);
+                }
+            }
+        }
     }
 
     #[test]
