@@ -4,10 +4,11 @@
 //! re-spawning a crashed replica — use the same discipline: the delay
 //! doubles per consecutive failure up to a cap, and each delay is jittered
 //! uniformly in `[base/2, base]` so a thundering herd of retries decorrelates.
-//! Jitter is drawn from a seeded [`SplitMix64`] stream, so tests that fix
+//! Jitter is drawn from a seeded [`StdRng`] stream, so tests that fix
 //! the seed observe identical schedules run to run.
 
-pub use doduo_served::chaos::SplitMix64;
+use rand::rngs::StdRng;
+use rand::Rng;
 use std::time::Duration;
 
 /// One exponential-backoff schedule. Construct per failure episode (or
@@ -27,7 +28,7 @@ impl Backoff {
 
     /// The next delay: `min(base << attempt, cap)`, jittered down by up to
     /// half. Advances the attempt counter.
-    pub fn next_delay(&mut self, rng: &mut SplitMix64) -> Duration {
+    pub fn next_delay(&mut self, rng: &mut StdRng) -> Duration {
         let exp = self
             .base
             .checked_mul(1u32.checked_shl(self.attempt).unwrap_or(u32::MAX))
@@ -35,7 +36,7 @@ impl Backoff {
             .min(self.cap);
         self.attempt = self.attempt.saturating_add(1);
         // Uniform in [exp/2, exp]: never zero, never past the cap.
-        exp / 2 + exp.mul_f64(0.5 * rng.next_f64())
+        exp / 2 + exp.mul_f64(0.5 * rng.gen::<f64>())
     }
 
     /// Consecutive failures so far (delays handed out).
@@ -52,13 +53,14 @@ impl Backoff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     #[test]
     fn delays_grow_to_the_cap_and_stay_jittered() {
         let base = Duration::from_millis(20);
         let cap = Duration::from_millis(250);
         let mut b = Backoff::new(base, cap);
-        let mut rng = SplitMix64::new(1);
+        let mut rng = StdRng::seed_from_u64(1);
         let mut prev_max = Duration::ZERO;
         for i in 0..10 {
             let d = b.next_delay(&mut rng);
@@ -75,7 +77,7 @@ mod tests {
     fn schedule_is_deterministic_for_a_seed() {
         let run = || {
             let mut b = Backoff::new(Duration::from_millis(10), Duration::from_secs(1));
-            let mut rng = SplitMix64::new(42);
+            let mut rng = StdRng::seed_from_u64(42);
             (0..8).map(|_| b.next_delay(&mut rng)).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
@@ -84,7 +86,7 @@ mod tests {
     #[test]
     fn reset_starts_over() {
         let mut b = Backoff::new(Duration::from_millis(100), Duration::from_secs(10));
-        let mut rng = SplitMix64::new(0);
+        let mut rng = StdRng::seed_from_u64(0);
         let first = b.next_delay(&mut rng);
         let _ = b.next_delay(&mut rng);
         assert_eq!(b.attempts(), 2);
@@ -100,7 +102,7 @@ mod tests {
     #[test]
     fn huge_attempt_counts_do_not_overflow() {
         let mut b = Backoff::new(Duration::from_millis(20), Duration::from_millis(300));
-        let mut rng = SplitMix64::new(3);
+        let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..100 {
             let d = b.next_delay(&mut rng);
             assert!(d <= Duration::from_millis(300));

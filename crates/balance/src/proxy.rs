@@ -56,7 +56,7 @@
 //! Queue depth bounded at every layer means overload degrades throughput,
 //! never correctness.
 
-use crate::backoff::{Backoff, SplitMix64};
+use crate::backoff::Backoff;
 use crate::supervisor::{supervise, upload_model, Registry, SupervisorConfig};
 use doduo_served::http::{Client, ExchangeError, Response};
 use doduo_served::json::push_escaped;
@@ -64,6 +64,8 @@ use doduo_served::reactor::{
     admit, Dispatch, Driver, NoStream, Reactor, ReactorConfig, Router, Ticket,
 };
 use doduo_served::{HttpRequest, HttpResponse};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -505,8 +507,9 @@ impl Drop for InflightGuard<'_> {
 fn proxy_request(req: &HttpRequest, shared: &Shared, cfg: &BalanceConfig) -> HttpResponse {
     let path =
         if req.query.is_empty() { req.path.clone() } else { format!("{}?{}", req.path, req.query) };
-    let mut rng =
-        SplitMix64::new(cfg.seed.wrapping_add(shared.forwards.fetch_add(1, Ordering::Relaxed)));
+    let mut rng = StdRng::seed_from_u64(
+        cfg.seed.wrapping_add(shared.forwards.fetch_add(1, Ordering::Relaxed)),
+    );
     let mut backoff = Backoff::new(cfg.retry_backoff_base, cfg.retry_backoff_cap);
     let mut attempts = 0u64;
     let mut last_5xx: Option<Response> = None;

@@ -37,8 +37,10 @@
 //! fan-out that holds it makes admission wait a tick, and a failed push
 //! leaves the slot `Starting` under its startup deadline.
 
-use crate::backoff::{Backoff, SplitMix64};
+use crate::backoff::Backoff;
 use doduo_served::http::{Client, Response};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -185,7 +187,7 @@ pub struct Registry {
     /// admission. Lock order: this, then `slots`.
     model: Mutex<Option<Vec<u8>>>,
     rr: AtomicUsize,
-    rng: Mutex<SplitMix64>,
+    rng: Mutex<StdRng>,
     /// Slots escalated to [`ReplicaState::Failed`].
     permanent_failures: AtomicUsize,
     /// Committed blobs installed on a replica before its admission.
@@ -244,7 +246,7 @@ impl Registry {
             slots: Mutex::new(slots),
             model: Mutex::new(None),
             rr: AtomicUsize::new(0),
-            rng: Mutex::new(SplitMix64::new(seed)),
+            rng: Mutex::new(StdRng::seed_from_u64(seed)),
             permanent_failures: AtomicUsize::new(0),
             model_catchups: AtomicU64::new(0),
         }

@@ -471,7 +471,7 @@ fn cached_lm(recipe: &PretrainRecipe, weights: Vec<u8>, vocab_text: &str) -> Opt
     let lm = PretrainedLm {
         config: recipe.encoder_config(vocab.len()),
         tokenizer: WordPiece::from_vocab(vocab, recipe.tokenizer.max_word_len),
-        weights: weights.into(),
+        weights,
         losses: Vec::new(),
     };
     instantiate_lm(&lm).is_ok().then_some(lm)
@@ -610,13 +610,13 @@ mod tests {
             ["paris is a city", "rome is a city", "nile is a river"].map(String::from).into();
         let lm = pretrain_lm(&corpus, &recipe, 3);
         let vocab = lm.tokenizer.vocab().to_text();
-        let hit = cached_lm(&recipe, lm.weights.to_vec(), &vocab).expect("a whole entry hits");
+        let hit = cached_lm(&recipe, lm.weights.clone(), &vocab).expect("a whole entry hits");
         assert_eq!((&hit.config, &hit.weights), (&lm.config, &lm.weights));
         assert_eq!(hit.tokenizer.max_word_len(), recipe.tokenizer.max_word_len);
         let torn = lm.weights[..lm.weights.len() / 2].to_vec();
         assert!(cached_lm(&recipe, torn, &vocab).is_none(), "a truncated blob is a miss");
         let wider = PretrainRecipe { hidden: 2 * recipe.hidden, ..recipe.clone() };
-        assert!(cached_lm(&wider, lm.weights.to_vec(), &vocab).is_none(), "another recipe's LM");
-        assert!(cached_lm(&recipe, lm.weights.to_vec(), "").is_none(), "no vocabulary");
+        assert!(cached_lm(&wider, lm.weights.clone(), &vocab).is_none(), "another recipe's LM");
+        assert!(cached_lm(&recipe, lm.weights.clone(), "").is_none(), "no vocabulary");
     }
 }

@@ -7,7 +7,7 @@
 //! [`Annotator`] borrows and round-trips through a single
 //! self-describing binary blob: magic + version, the [`DoduoConfig`] scalars,
 //! the WordPiece vocabulary, both label vocabularies, and the weight records
-//! (via `serialize::save_filtered` on the model's parameter prefix).
+//! (`serialize::save_filtered` on the model's parameter prefix, in place).
 //!
 //! Loading is strict: the model is built once, by its own constructor,
 //! with each parameter taken from its weight record
@@ -490,8 +490,11 @@ impl AnnotatorBundle {
         put_vocab(&mut out, &self.type_vocab);
         put_vocab(&mut out, &self.rel_vocab);
         let dotted = format!("{}.", self.prefix);
-        let weights = serialize::save_filtered(&self.store, |n| n.starts_with(&dotted));
-        put_blob(&mut out, &weights);
+        let at = out.len() + 4;
+        out.extend_from_slice(&[0u8; 4]); // weights length, patched below
+        serialize::save_filtered(&mut out, &self.store, |n| n.starts_with(&dotted));
+        let len = (out.len() - at) as u32;
+        out[at - 4..at].copy_from_slice(&len.to_le_bytes());
         let crc = crc32(&out[MAGIC.len() + 4..]);
         out[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&crc.to_le_bytes());
         out
@@ -714,6 +717,22 @@ mod tests {
             }
         }
         assert_eq!(a.relations.len(), c.relations.len());
+    }
+
+    #[test]
+    fn the_weights_section_is_a_standalone_filtered_save() {
+        let mut b = bundle();
+        // A parameter outside the model's prefix stays out of both.
+        b.store.add_zeros("other.w", 2, 2);
+        let blob = b.save();
+        let mut weights = Vec::new();
+        let dotted = format!("{}.", b.prefix);
+        serialize::save_filtered(&mut weights, &b.store, |n| n.starts_with(&dotted));
+        let (head, section) = blob.split_at(blob.len() - weights.len());
+        assert_eq!(section, weights.as_slice(), "the blob ends with the weights section");
+        assert_eq!(head[head.len() - 4..], (weights.len() as u32).to_le_bytes());
+        let loaded = AnnotatorBundle::load(&blob).expect("bundle loads");
+        assert_eq!(loaded.store.len() + 1, b.store.len());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! tables starts from the same BERT-base.
 
 use crate::model::{DoduoConfig, DoduoModel};
-use doduo_tensor::serialize::{save_filtered, LoadError, Records};
+use doduo_tensor::serialize::{save, LoadError, Records};
 use doduo_tensor::{Fill, Init, ParamStore, Tensor};
 use doduo_tokenizer::{TrainConfig as TokTrainConfig, WordPiece, CLS, SEP};
 use doduo_transformer::{pretrain_mlm, Encoder, EncoderConfig, MlmConfig, MlmHead};
@@ -30,7 +30,7 @@ pub struct PretrainedLm {
     pub config: EncoderConfig,
     /// Weight records of the encoder and its MLM head, exactly: fine-tuning
     /// models take the encoder's, the probing analysis both.
-    pub weights: bytes::Bytes,
+    pub weights: Vec<u8>,
     /// Mean MLM loss per pretraining epoch (for reporting).
     pub losses: Vec<f32>,
 }
@@ -126,10 +126,10 @@ pub fn pretrain_lm(corpus: &[String], recipe: &PretrainRecipe, seed: u64) -> Pre
         })
         .collect();
     let losses = pretrain_mlm(&encoder, &head, &mut store, &sentences, &recipe.mlm);
-    // Keep the MLM head in the checkpoint: fine-tuning models leave it
-    // unused, while the probing analysis (Tables 12-13) needs it.
-    let prefix = format!("{ENC_PREFIX}.");
-    let weights = save_filtered(&store, |n| n.starts_with(&prefix));
+    // The store holds the encoder and its MLM head, and both are kept:
+    // fine-tuning models leave the head unused, while the probing analysis
+    // (Tables 12-13) needs it.
+    let weights = save(&store);
     PretrainedLm { tokenizer, config, weights, losses }
 }
 
@@ -195,7 +195,6 @@ pub fn instantiate_lm(lm: &PretrainedLm) -> Result<(ParamStore, Encoder, MlmHead
 #[cfg(test)]
 mod tests {
     use super::*;
-    use doduo_tensor::serialize::save;
     use doduo_tensor::Tape;
     use std::sync::OnceLock;
 

@@ -5,8 +5,9 @@
 //! die mid-load, replicas that stall, connections that reset after a
 //! partial response. This module makes those failures injectable and — the
 //! part that matters for CI — **reproducible**: every decision is driven
-//! by a request counter and a seeded [`SplitMix64`] stream, never by wall
-//! clock or OS entropy, so a chaos test that passes once passes always.
+//! by a request counter and a seeded [`StdRng`] stream (the workspace's one
+//! seeded generator), never by wall clock or OS entropy, so a chaos test
+//! that passes once passes always.
 //!
 //! The spec grammar is a comma-separated key=value list:
 //!
@@ -34,6 +35,8 @@
 //! the same requests one after another, fail the same ones; concurrent
 //! clients race only for their arrival order.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -112,13 +115,13 @@ pub struct ChaosPlan {
 pub struct ChaosState {
     cfg: ChaosConfig,
     served: AtomicU64,
-    rng: Mutex<SplitMix64>,
+    rng: Mutex<StdRng>,
 }
 
 impl ChaosState {
     /// Chaos state at request zero for `cfg`.
     pub fn new(cfg: ChaosConfig) -> ChaosState {
-        let rng = Mutex::new(SplitMix64::new(cfg.seed));
+        let rng = Mutex::new(StdRng::seed_from_u64(cfg.seed));
         ChaosState { cfg, served: AtomicU64::new(0), rng }
     }
 
@@ -127,7 +130,7 @@ impl ChaosState {
     pub fn on_annotate(&self) -> ChaosPlan {
         let n = self.served.fetch_add(1, Ordering::SeqCst) + 1; // 1-based
         let coin = if self.cfg.reset_prob > 0.0 {
-            self.rng.lock().expect("chaos rng lock").next_f64()
+            self.rng.lock().expect("chaos rng lock").gen::<f64>()
         } else {
             1.0
         };
@@ -142,35 +145,6 @@ fn plan(cfg: &ChaosConfig, request: u64, coin: f64) -> ChaosPlan {
         crash: cfg.crash_after.is_some_and(|n| request >= n.max(1)),
         delay: (cfg.delay > Duration::ZERO).then_some(cfg.delay),
         reset: coin < cfg.reset_prob,
-    }
-}
-
-/// SplitMix64: a tiny, high-quality, seedable PRNG (public-domain
-/// algorithm). Used for chaos coin flips and for backoff jitter in
-/// `doduo-balance` — anywhere randomness must be reproducible from a seed.
-#[derive(Debug)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// A generator whose whole output stream is determined by `seed`.
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed }
-    }
-
-    /// The next 64 uniform bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A uniform draw in `[0, 1)` (53 mantissa bits).
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
@@ -242,18 +216,5 @@ mod tests {
         let plans_b: Vec<ChaosPlan> = (0..64).map(|_| b.on_annotate()).collect();
         assert_eq!(plans_a, plans_b);
         assert!(plans_a.iter().any(|p| p.reset) && plans_a.iter().any(|p| !p.reset));
-    }
-
-    #[test]
-    fn splitmix_reference_values() {
-        // First outputs for seed 0 (SplitMix64 reference implementation).
-        let mut r = SplitMix64::new(0);
-        assert_eq!(r.next_u64(), 0xE220_A839_7B1D_CDAF);
-        assert_eq!(r.next_u64(), 0x6E78_9E6A_A1B9_65F4);
-        let mut f = SplitMix64::new(42);
-        for _ in 0..1000 {
-            let x = f.next_f64();
-            assert!((0.0..1.0).contains(&x));
-        }
     }
 }

@@ -191,11 +191,6 @@ impl ParamStore {
         self.params.iter().enumerate()
     }
 
-    /// Total number of scalar weights (for reporting model size).
-    pub fn num_scalars(&self) -> usize {
-        self.params.iter().map(|p| p.value.len()).sum()
-    }
-
     /// Overwrites the value of `id`. Shape must match (protects optimizer
     /// state alignment).
     pub fn set_value(&mut self, id: ParamId, value: Tensor) {
@@ -337,7 +332,6 @@ mod tests {
         assert_eq!(store.name(w), "enc.w");
         assert_eq!(store.find("enc.b"), Some(b));
         assert_eq!(store.find("missing"), None);
-        assert_eq!(store.num_scalars(), 16);
     }
 
     #[test]

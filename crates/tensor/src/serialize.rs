@@ -2,7 +2,8 @@
 //!
 //! The paper ships fine-tuned checkpoints in its toolbox; we mirror that with
 //! a small self-describing binary format (magic, version, then
-//! `name / shape / f32-LE payload` records) built on the `bytes` crate.
+//! `name / shape / f32-LE payload` records), written by [`save_filtered`]
+//! in one pass into the caller's `Vec<u8>`.
 //!
 //! Decoding has one parser, [`Records::parse`], which checks every length
 //! against the bytes that are actually there (a record declaring more
@@ -15,7 +16,6 @@
 
 use crate::params::{Fill, Init, ParamStore};
 use crate::Tensor;
-use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
 
 const MAGIC: &[u8; 8] = b"DODUOWT1";
@@ -66,28 +66,29 @@ impl std::fmt::Display for LoadError {
 impl std::error::Error for LoadError {}
 
 /// Serializes every parameter (name, shape, row-major f32 LE payload).
-pub fn save(store: &ParamStore) -> Bytes {
-    save_filtered(store, |_| true)
+pub fn save(store: &ParamStore) -> Vec<u8> {
+    let mut out = Vec::new();
+    save_filtered(&mut out, store, |_| true);
+    out
 }
 
-/// Serializes only the parameters whose name satisfies `keep` — e.g.
-/// `|n| n.starts_with("enc.")` to ship a pretrained encoder without its
-/// MLM head (the pretrain → fine-tune handoff).
-pub fn save_filtered(store: &ParamStore, keep: impl Fn(&str) -> bool) -> Bytes {
-    let kept: Vec<_> = store.iter().filter(|(_, p)| keep(&p.name)).collect();
-    let mut buf = BytesMut::with_capacity(64 + store.num_scalars() * 4);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(kept.len() as u32);
-    for (_, p) in kept {
-        buf.put_u32_le(p.name.len() as u32);
-        buf.put_slice(p.name.as_bytes());
-        buf.put_u32_le(p.value.rows() as u32);
-        buf.put_u32_le(p.value.cols() as u32);
-        for &v in p.value.data() {
-            buf.put_f32_le(v);
-        }
+/// Appends the records of the parameters whose name satisfies `keep` to
+/// `out` — e.g. `|n| n.starts_with("enc.")` to ship a pretrained encoder
+/// without its MLM head (the pretrain → fine-tune handoff). Bytes already
+/// in `out` are left as they are.
+pub fn save_filtered(out: &mut Vec<u8>, store: &ParamStore, keep: impl Fn(&str) -> bool) {
+    let kept: Vec<_> = store.iter().filter(|(_, p)| keep(&p.name)).map(|(_, p)| p).collect();
+    let len: usize = kept.iter().map(|p| 12 + p.name.len() + 4 * p.value.data().len()).sum();
+    out.reserve(MAGIC.len() + 4 + len);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&(kept.len() as u32).to_le_bytes());
+    for p in kept {
+        out.extend_from_slice(&(p.name.len() as u32).to_le_bytes());
+        out.extend_from_slice(p.name.as_bytes());
+        out.extend_from_slice(&(p.value.rows() as u32).to_le_bytes());
+        out.extend_from_slice(&(p.value.cols() as u32).to_le_bytes());
+        out.extend(p.value.data().iter().flat_map(|v| v.to_le_bytes()));
     }
-    buf.freeze()
 }
 
 /// One weight record, borrowed from the checkpoint bytes.
@@ -272,14 +273,14 @@ mod tests {
 
     #[test]
     fn oversized_and_duplicated_records_are_errors() {
-        let mut blob = save(&sample_store()).to_vec();
+        let mut blob = save(&sample_store());
         // Record 0 starts after magic + count: name length, "enc.w", rows, cols.
         let dims = 8 + 4 + 4 + "enc.w".len();
         blob[dims..dims + 8].copy_from_slice(&[0, 0, 0, 0x80, 0, 0, 0, 0x80]);
         assert_eq!(Records::parse(&blob).err(), Some(LoadError::Truncated));
         let mut s = ParamStore::new();
         s.add_zeros("w", 1, 1);
-        let one = save(&s).to_vec();
+        let one = save(&s);
         let record = &one[12..];
         let twice = [&one[..8], &2u32.to_le_bytes(), record, record].concat();
         assert_eq!(Records::parse(&twice).err(), Some(LoadError::DuplicateParam("w".into())));
@@ -288,7 +289,8 @@ mod tests {
     #[test]
     fn filtered_save_keeps_only_matching() {
         let src = sample_store();
-        let blob = save_filtered(&src, |n| n.starts_with("enc."));
+        let mut blob = Vec::new();
+        save_filtered(&mut blob, &src, |n| n.starts_with("enc."));
         let mut records = Records::parse(&blob).unwrap();
         assert_eq!(records.len(), 2);
         let mut s = ParamStore::new();
@@ -301,6 +303,23 @@ mod tests {
         let mut records = Records::parse(&blob).unwrap();
         build(&mut records);
         assert_eq!(records.finish(), Err(LoadError::MissingParam("head.w".into())));
+    }
+
+    #[test]
+    fn filtered_save_appends_after_what_the_buffer_holds() {
+        let src = sample_store();
+        let prefix = b"header bytes".to_vec();
+        let mut out = prefix.clone();
+        save_filtered(&mut out, &src, |_| true);
+        assert_eq!(&out[..prefix.len()], prefix.as_slice());
+        assert_eq!(&out[prefix.len()..], save(&src).as_slice());
+        let mut records = Records::parse(&out[prefix.len()..]).unwrap();
+        let built = build(&mut records);
+        records.finish().unwrap();
+        for ((_, a), (_, b)) in src.iter().zip(built.iter()) {
+            assert_eq!((&a.name, a.value.shape()), (&b.name, b.value.shape()));
+            assert_eq!(a.value.data(), b.value.data());
+        }
     }
 
     #[test]
