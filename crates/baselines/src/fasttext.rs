@@ -8,6 +8,7 @@
 //! Doduo's contextualized column embeddings (Table 9).
 
 #![allow(clippy::needless_range_loop)] // index loops over matrix coordinates are clearest here
+use crate::features::fnv1a;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -48,15 +49,6 @@ impl Default for FastTextConfig {
             min_count: 2,
         }
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 fn tokenize(text: &str) -> Vec<String> {

@@ -20,8 +20,9 @@ pub const STAT_DIMS: usize = 18;
 /// Total feature dimensionality.
 pub const FEATURE_DIMS: usize = STAT_DIMS + NGRAM_BUCKETS + WORD_BUCKETS;
 
-/// FNV-1a — a small, dependency-free, stable hash for feature bucketing.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a — a small, dependency-free, stable hash for feature and n-gram
+/// bucketing.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {
         h ^= b as u64;

@@ -17,7 +17,7 @@ use doduo_baselines::{coma_matches, distribution_matches, FastText, FastTextConf
 use doduo_bench::report::{pct, Report};
 use doduo_bench::{ExpOptions, ModelSpec, World};
 use doduo_core::{Annotator, Task};
-use doduo_datagen::{generate_case_study, generate_corpus, CaseStudyConfig, CorpusConfig};
+use doduo_datagen::{generate_case_study, generate_corpus};
 use doduo_eval::{completeness, connected_components, homogeneity, kmeans, v_measure};
 
 type Hcv = (f64, f64, f64);
@@ -50,10 +50,7 @@ fn main() {
         rel_vocab: &splits.train.rel_vocab,
     };
 
-    let study = generate_case_study(
-        &world.kb,
-        &CaseStudyConfig { seed: world.opts.seed, ..Default::default() },
-    );
+    let study = generate_case_study(&world.kb, world.opts.seed);
     let gold: Vec<usize> = study.columns.iter().map(|c| c.cluster as usize).collect();
     let k = doduo_datagen::ALL_CLUSTERS.len();
     let n_cols = gold.len();
@@ -72,8 +69,7 @@ fn main() {
     }
 
     // --- fastText embeddings (trained on the same pretraining corpus).
-    let corpus =
-        generate_corpus(&world.kb, &CorpusConfig { seed: world.opts.seed, ..Default::default() });
+    let corpus = generate_corpus(&world.kb, world.opts.seed);
     let ft =
         FastText::train(&corpus, FastTextConfig { seed: world.opts.seed, ..Default::default() });
     let mut ft_value_embs = Vec::with_capacity(n_cols);

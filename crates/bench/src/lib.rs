@@ -21,8 +21,8 @@ use doduo_core::{
     PretrainRecipe, PretrainedLm, Task, TrainConfig, ENC_PREFIX,
 };
 use doduo_datagen::{
-    generate_corpus, generate_viznet, generate_wikitable, CorpusConfig, KbConfig, KnowledgeBase,
-    VizNetConfig, WikiTableConfig,
+    generate_corpus, generate_viznet, generate_wikitable, KbConfig, KnowledgeBase, VizNetConfig,
+    WikiTableConfig,
 };
 use doduo_table::{Dataset, SerializeConfig};
 use doduo_tensor::ParamStore;
@@ -491,7 +491,7 @@ fn load_or_pretrain(kb: &KnowledgeBase, opts: &ExpOptions) -> PretrainedLm {
         }
     }
     let t = Instant::now();
-    let corpus = generate_corpus(kb, &CorpusConfig { seed: opts.seed, ..Default::default() });
+    let corpus = generate_corpus(kb, opts.seed);
     let corpus = match opts.scale {
         Scale::Full => corpus,
         Scale::Quick => corpus.into_iter().take(4000).collect(),

@@ -610,7 +610,7 @@ mod tests {
             &kb,
             &WikiTableConfig { n_tables: 80, min_rows: 2, max_rows: 3, seed: 7 },
         );
-        let corpus = doduo_datagen::generate_corpus(&kb, &doduo_datagen::CorpusConfig::default());
+        let corpus = doduo_datagen::generate_corpus(&kb, 42);
         let mut recipe = crate::pipeline::PretrainRecipe::tiny();
         recipe.mlm.epochs = 5;
         let lm = crate::pipeline::pretrain_lm(&corpus[..3000.min(corpus.len())], &recipe, 42);

@@ -153,34 +153,23 @@ pub struct CaseStudy {
     pub columns: Vec<HrColumn>,
 }
 
-/// Generation knobs (defaults match the paper: 10 tables, ~50 columns).
-#[derive(Clone, Debug)]
-pub struct CaseStudyConfig {
-    pub n_tables: usize,
-    pub min_cols: usize,
-    pub max_cols: usize,
-    pub n_rows: usize,
-    pub seed: u64,
-}
-
-impl Default for CaseStudyConfig {
-    fn default() -> Self {
-        CaseStudyConfig { n_tables: 10, min_cols: 4, max_cols: 6, n_rows: 8, seed: 42 }
-    }
-}
+/// The paper's shape: 10 tables of 4–6 columns (~50 columns), 8 rows each.
+const N_TABLES: usize = 10;
+const MIN_COLS: usize = 4;
+const MAX_COLS: usize = 6;
+const N_ROWS: usize = 8;
 
 /// Generates the case-study tables. Every cluster appears in at least two
 /// tables (otherwise clustering it would be trivial), and tables mix
 /// "jobsearch" and "review" flavors as in the paper's keyword filter.
-pub fn generate_case_study(kb: &KnowledgeBase, cfg: &CaseStudyConfig) -> CaseStudy {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut tables = Vec::with_capacity(cfg.n_tables);
+pub fn generate_case_study(kb: &KnowledgeBase, seed: u64) -> CaseStudy {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut tables = Vec::with_capacity(N_TABLES);
     let mut columns = Vec::new();
 
     // Build a deck guaranteeing every cluster occurs >= 2 times, then pad
     // with random clusters.
-    let total_cols: usize =
-        (0..cfg.n_tables).map(|_| rng.gen_range(cfg.min_cols..=cfg.max_cols)).sum();
+    let total_cols: usize = (0..N_TABLES).map(|_| rng.gen_range(MIN_COLS..=MAX_COLS)).sum();
     let mut deck: Vec<HrCluster> = Vec::with_capacity(total_cols);
     for c in ALL_CLUSTERS {
         deck.push(c);
@@ -195,8 +184,8 @@ pub fn generate_case_study(kb: &KnowledgeBase, cfg: &CaseStudyConfig) -> CaseStu
     }
 
     let mut deck_iter = deck.into_iter();
-    for ti in 0..cfg.n_tables {
-        let n_cols = rng.gen_range(cfg.min_cols..=cfg.max_cols);
+    for ti in 0..N_TABLES {
+        let n_cols = rng.gen_range(MIN_COLS..=MAX_COLS);
         let flavor = if ti % 2 == 0 { "jobsearch" } else { "review" };
         let mut cols = Vec::with_capacity(n_cols);
         let mut used_names: Vec<String> = Vec::new();
@@ -215,7 +204,7 @@ pub fn generate_case_study(kb: &KnowledgeBase, cfg: &CaseStudyConfig) -> CaseStu
             }
             used_names.push(name.clone());
             let values: Vec<String> =
-                (0..cfg.n_rows).map(|_| cluster.gen_value(kb, &mut rng)).collect();
+                (0..N_ROWS).map(|_| cluster.gen_value(kb, &mut rng)).collect();
             cols.push(Column::with_name(name, values));
             columns.push(HrColumn { table_idx: ti, col_idx: ci, cluster });
         }
@@ -231,7 +220,7 @@ mod tests {
 
     fn study() -> CaseStudy {
         let kb = KnowledgeBase::generate(&KbConfig::default(), 42);
-        generate_case_study(&kb, &CaseStudyConfig::default())
+        generate_case_study(&kb, 42)
     }
 
     #[test]

@@ -13,35 +13,24 @@ use crate::kb::{KnowledgeBase, Profession};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// How many times each fact family is verbalized.
-#[derive(Clone, Debug)]
-pub struct CorpusConfig {
-    /// Repetitions for frequent domains (people, films, cities, teams).
-    pub common_reps: usize,
-    /// Repetitions for rare domains (kingdoms, constellations, organisms,
-    /// inventions, monarch facts) — kept low so probing ranks them poorly,
-    /// as in Table 12.
-    pub rare_reps: usize,
-    pub seed: u64,
-}
+/// Repetitions of each fact in the frequent domains (people, films, cities,
+/// teams).
+const COMMON_REPS: usize = 3;
+/// Repetitions in the rare domains (kingdoms, constellations, organisms,
+/// inventions, monarch facts) — kept low so probing ranks them poorly, as in
+/// Table 12.
+const RARE_REPS: usize = 1;
 
-impl Default for CorpusConfig {
-    fn default() -> Self {
-        CorpusConfig { common_reps: 3, rare_reps: 1, seed: 42 }
-    }
-}
-
-/// Generates the full sentence corpus. Deterministic in `(kb, cfg)`.
-pub fn generate_corpus(kb: &KnowledgeBase, cfg: &CorpusConfig) -> Vec<String> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+/// Generates the full sentence corpus. Deterministic in `(kb, seed)`.
+pub fn generate_corpus(kb: &KnowledgeBase, seed: u64) -> Vec<String> {
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut out: Vec<String> = Vec::new();
     let push_n = |out: &mut Vec<String>, n: usize, s: String| {
         for _ in 0..n {
             out.push(s.clone());
         }
     };
-    let c = cfg.common_reps;
-    let r = cfg.rare_reps.min(cfg.common_reps);
+    let (c, r) = (COMMON_REPS, RARE_REPS);
 
     // People: professions, birthplaces, residences, nationality.
     for p in &kb.people {
@@ -186,7 +175,7 @@ mod tests {
 
     fn corpus() -> (KnowledgeBase, Vec<String>) {
         let kb = KnowledgeBase::generate(&KbConfig::default(), 42);
-        let c = generate_corpus(&kb, &CorpusConfig::default());
+        let c = generate_corpus(&kb, 42);
         (kb, c)
     }
 

@@ -11,13 +11,18 @@
 //!   the probing analysis (Tables 12-13) finds frequent domains probe well
 //!   and rare ones poorly.
 //! * [`wikitable`] — the WikiTable-style benchmark: multi-label Freebase
-//!   types + relations from the subject column (§5.1).
+//!   types + relations from the subject column (§5.1), one schema table
+//!   built by one function.
 //! * [`viznet`] — the VizNet-style benchmark: the paper's 78 types with
 //!   engineered numeric fractions (Table 5) and co-occurrence themes.
 //! * [`casestudy`] — the §7 HR-database clustering scenario (10 tables,
 //!   ~50 columns, 15 ground-truth clusters).
 //!
-//! Everything is deterministic in an explicit `u64` seed.
+//! Everything is deterministic in an explicit `u64` seed:
+//! [`generate_corpus`]`(kb, seed)` and [`generate_case_study`]`(kb, seed)`
+//! take it as their one setting; [`KnowledgeBase::generate`] takes it beside
+//! a [`KbConfig`], and [`WikiTableConfig`], [`VizNetConfig`] and
+//! [`DirtyConfig`] carry it as a field.
 
 pub mod casestudy;
 pub mod corpus;
@@ -27,8 +32,8 @@ pub mod names;
 pub mod viznet;
 pub mod wikitable;
 
-pub use casestudy::{generate_case_study, CaseStudy, CaseStudyConfig, HrCluster, ALL_CLUSTERS};
-pub use corpus::{generate_corpus, CorpusConfig};
+pub use casestudy::{generate_case_study, CaseStudy, HrCluster, ALL_CLUSTERS};
+pub use corpus::generate_corpus;
 pub use dirty::{corrupt_dataset, corruption_rate, DirtyConfig};
 pub use kb::{KbConfig, KnowledgeBase, Profession};
 pub use viznet::{

@@ -8,6 +8,13 @@
 //! by name (Tables 10 and 12): `music.artist`, `music.writer`,
 //! `american_football.*`, `film.film.produced_by`,
 //! `people.person.place_of_birth`, and so on.
+//!
+//! Each table shape is one `Schema` row of the `SCHEMAS` table: a header,
+//! type labels and a relation from column 0 per column, a pool of KB
+//! entities, and a row fn that renders one entity as the row's cells in
+//! column order. One `build` makes every table from its schema, so column 0
+//! is the subject and each later column has exactly one relation from it by
+//! construction.
 
 use crate::kb::{KnowledgeBase, Profession};
 use doduo_table::{AnnotatedTable, Column, Dataset, LabelVocab, RelAnnotation, Table};
@@ -29,22 +36,395 @@ impl Default for WikiTableConfig {
     }
 }
 
-/// Context threaded through schema generators.
-struct Gen<'a> {
-    kb: &'a KnowledgeBase,
-    types: &'a mut LabelVocab,
-    rels: &'a mut LabelVocab,
+/// One table shape.
+struct Schema {
+    /// Table ids read `wiki-{name}-{i}`.
+    name: &'static str,
+    /// Relative frequency of the schema among generated tables.
+    weight: f32,
+    /// `(header, type labels, relation from column 0)` per column; column 0
+    /// is the subject, so its relation is `""`.
+    columns: &'static [(&'static str, &'static [&'static str], &'static str)],
+    /// KB entity indices the table's subjects are sampled from.
+    pool: fn(&KnowledgeBase) -> Vec<usize>,
+    /// One row's cells, in column order, for the pool entity given.
+    row: fn(&KnowledgeBase, &mut StdRng, usize) -> Vec<String>,
 }
 
-impl Gen<'_> {
-    fn ty(&mut self, names: &[&str]) -> Vec<u32> {
-        names.iter().map(|n| self.types.intern(n)).collect()
-    }
+/// Type label sets that several schemas share.
+const PERSON: &[&str] = &["people.person"];
+const CITY: &[&str] = &["location.location", "location.citytown"];
+const COUNTRY: &[&str] = &["location.location", "location.country"];
+const COMPANY: &[&str] = &["business.company"];
+const YEAR: &[&str] = &["time.year"];
 
-    fn rel(&mut self, name: &str) -> u32 {
-        self.rels.intern(name)
-    }
-}
+const MONTHS: [&str; 12] = [
+    "january",
+    "february",
+    "march",
+    "april",
+    "may",
+    "june",
+    "july",
+    "august",
+    "september",
+    "october",
+    "november",
+    "december",
+];
+
+const SCHEMAS: &[Schema] = &[
+    // The Figure 2(a) table.
+    Schema {
+        name: "film",
+        weight: 2.0,
+        columns: &[
+            ("film", &["film.film"], ""),
+            ("director", &["people.person", "film.director"], "film.film.directed_by"),
+            ("producer", &["people.person", "film.producer"], "film.film.produced_by"),
+            ("country", COUNTRY, "film.film.country"),
+        ],
+        pool: |kb| (0..kb.films.len()).collect(),
+        row: |kb, _, i| {
+            let f = &kb.films[i];
+            let names = |ids: &[usize]| {
+                ids.iter().map(|&p| kb.person_name(p)).collect::<Vec<_>>().join(", ")
+            };
+            vec![
+                f.title.clone(),
+                names(&f.directors),
+                names(&f.producers),
+                kb.country_name(f.country).to_string(),
+            ]
+        },
+    },
+    Schema {
+        name: "story",
+        weight: 1.2,
+        columns: &[
+            ("film", &["film.film"], ""),
+            ("story by", &["people.person", "film.writer"], "film.film.story_by"),
+            ("production company", COMPANY, "film.film.production_companies"),
+        ],
+        pool: |kb| (0..kb.films.len()).collect(),
+        row: |kb, _, i| {
+            let f = &kb.films[i];
+            vec![
+                f.title.clone(),
+                kb.person_name(f.story_by).to_string(),
+                kb.companies[f.production_company].name.clone(),
+            ]
+        },
+    },
+    // The Figure 2(b) roster table.
+    Schema {
+        name: "roster",
+        weight: 1.5,
+        columns: &[
+            ("player", &["people.person", "sports.pro_athlete"], ""),
+            ("hometown", CITY, "people.person.place_of_birth"),
+            (
+                "team",
+                &["sports.sports_team", "american_football.football_team"],
+                "sports.pro_athlete.teams",
+            ),
+        ],
+        pool: |kb| kb.people_with(Profession::FootballPlayer),
+        row: |kb, _, i| {
+            let p = &kb.people[i];
+            vec![
+                p.name.clone(),
+                kb.city_name(p.birth_city).to_string(),
+                kb.teams[p.team.expect("athletes have teams")].name.clone(),
+            ]
+        },
+    },
+    Schema {
+        name: "person",
+        weight: 1.5,
+        columns: &[
+            ("name", PERSON, ""),
+            ("residence", CITY, "people.person.place_lived"),
+            ("nationality", COUNTRY, "people.person.nationality"),
+        ],
+        pool: |kb| (0..kb.people.len()).collect(),
+        row: |kb, _, i| {
+            let p = &kb.people[i];
+            vec![
+                p.name.clone(),
+                kb.city_name(p.lived_city).to_string(),
+                kb.country_name(p.nationality).to_string(),
+            ]
+        },
+    },
+    Schema {
+        name: "city",
+        weight: 1.2,
+        columns: &[
+            ("city", CITY, ""),
+            ("country", COUNTRY, "location.location.containedby"),
+            ("population", &["topic.population"], "location.statistical_region.population"),
+        ],
+        pool: |kb| (0..kb.cities.len()).collect(),
+        row: |kb, _, i| {
+            let c = &kb.cities[i];
+            vec![c.name.clone(), kb.country_name(c.country).to_string(), c.population.to_string()]
+        },
+    },
+    // Table 10's music classes.
+    Schema {
+        name: "music",
+        weight: 1.0,
+        columns: &[
+            ("artist", &["people.person", "music.artist"], ""),
+            ("genre", &["music.genre"], "music.artist.genre"),
+            ("songwriter", &["people.person", "music.writer"], "music.artist.songwriter"),
+        ],
+        pool: |kb| kb.people_with(Profession::MusicArtist),
+        row: |kb, rng, i| {
+            let writers = kb.people_with(Profession::MusicWriter);
+            vec![
+                kb.people[i].name.clone(),
+                kb.genres[rng.gen_range(0..kb.genres.len())].to_string(),
+                kb.people[writers[rng.gen_range(0..writers.len())]].name.clone(),
+            ]
+        },
+    },
+    // Table 10's football classes.
+    Schema {
+        name: "football",
+        weight: 1.0,
+        columns: &[
+            ("team", &["sports.sports_team", "american_football.football_team"], ""),
+            (
+                "head coach",
+                &["people.person", "american_football.football_coach"],
+                "american_football.football_team.current_head_coach",
+            ),
+            (
+                "conference",
+                &["american_football.football_conference"],
+                "american_football.football_team.conference",
+            ),
+        ],
+        pool: |kb| (0..kb.teams.len()).filter(|&i| kb.teams[i].football).collect(),
+        row: |kb, _, i| {
+            let t = &kb.teams[i];
+            vec![t.name.clone(), kb.person_name(t.coach).to_string(), t.conference.to_string()]
+        },
+    },
+    Schema {
+        name: "book",
+        weight: 1.0,
+        columns: &[
+            ("title", &["book.book"], ""),
+            ("author", &["people.person", "book.author"], "book.book.author"),
+            ("year", YEAR, "book.book.first_published"),
+        ],
+        pool: |kb| (0..kb.books.len()).collect(),
+        row: |kb, _, i| {
+            let b = &kb.books[i];
+            vec![b.title.clone(), kb.person_name(b.author).to_string(), b.year.to_string()]
+        },
+    },
+    // Table 12's `position_s` relation.
+    Schema {
+        name: "baseball",
+        weight: 1.0,
+        columns: &[
+            ("player", &["people.person", "baseball.baseball_player"], ""),
+            ("position", &["sports.position"], "baseball.baseball_player.position_s"),
+            ("team", &["sports.sports_team"], "sports.pro_athlete.teams"),
+        ],
+        pool: |kb| kb.people_with(Profession::BaseballPlayer),
+        row: |kb, _, i| {
+            let p = &kb.people[i];
+            vec![
+                p.name.clone(),
+                p.position.clone().expect("players have positions"),
+                kb.teams[p.team.expect("players have teams")].name.clone(),
+            ]
+        },
+    },
+    // Table 12's `nearby_airports`.
+    Schema {
+        name: "airport",
+        weight: 0.8,
+        columns: &[
+            ("city", CITY, ""),
+            ("airport", &["aviation.airport"], "location.location.nearby_airports"),
+            ("country", COUNTRY, "location.location.containedby"),
+        ],
+        pool: |kb| (0..kb.cities.len()).filter(|&i| kb.cities[i].airport.is_some()).collect(),
+        row: |kb, _, i| {
+            let c = &kb.cities[i];
+            vec![
+                c.name.clone(),
+                c.airport.clone().expect("filtered"),
+                kb.country_name(c.country).to_string(),
+            ]
+        },
+    },
+    // Table 12's award relations.
+    Schema {
+        name: "award",
+        weight: 0.8,
+        columns: &[
+            ("award", &["award.award"], ""),
+            ("winner", PERSON, "award.award_honor.award_winner"),
+            ("nominee", PERSON, "award.award.award_nominee"),
+        ],
+        pool: |kb| (0..kb.awards.len()).collect(),
+        row: |kb, rng, i| {
+            let a = &kb.awards[i];
+            vec![
+                a.name.clone(),
+                kb.person_name(a.winner).to_string(),
+                kb.person_name(a.nominees[rng.gen_range(0..a.nominees.len())]).to_string(),
+            ]
+        },
+    },
+    Schema {
+        name: "tv",
+        weight: 0.8,
+        columns: &[
+            ("program", &["tv.tv_program"], ""),
+            ("country", COUNTRY, "tv.tv_program.country_of_origin"),
+            ("company", COMPANY, "tv.tv_program.production_company"),
+        ],
+        pool: |kb| (0..kb.tv_programs.len()).collect(),
+        row: |kb, _, i| {
+            let t = &kb.tv_programs[i];
+            vec![
+                t.name.clone(),
+                kb.country_name(t.country).to_string(),
+                kb.companies[t.company].name.clone(),
+            ]
+        },
+    },
+    // Table 12's best-probed type.
+    Schema {
+        name: "election",
+        weight: 0.8,
+        columns: &[
+            ("election", &["government.election"], ""),
+            ("country", COUNTRY, "government.election.country"),
+            ("year", YEAR, "government.election.date"),
+        ],
+        pool: |kb| (0..kb.elections.len()).collect(),
+        row: |kb, _, i| {
+            let e = &kb.elections[i];
+            vec![e.name.clone(), kb.country_name(e.country).to_string(), e.year.to_string()]
+        },
+    },
+    Schema {
+        name: "university",
+        weight: 0.7,
+        columns: &[
+            ("university", &["education.university"], ""),
+            ("city", CITY, "education.university.city"),
+        ],
+        pool: |kb| (0..kb.universities.len()).collect(),
+        row: |kb, _, i| {
+            let u = &kb.universities[i];
+            vec![u.name.clone(), kb.city_name(u.city).to_string()]
+        },
+    },
+    Schema {
+        name: "river",
+        weight: 0.7,
+        columns: &[
+            ("river", &["geography.river"], ""),
+            ("country", COUNTRY, "geography.river.basin_country"),
+            ("length", &["measurement.length"], "geography.river.length"),
+        ],
+        pool: |kb| (0..kb.rivers.len()).collect(),
+        row: |kb, _, i| {
+            let r = &kb.rivers[i];
+            vec![
+                r.name.clone(),
+                kb.country_name(r.country).to_string(),
+                format!("{} km", r.length_km),
+            ]
+        },
+    },
+    // Table 12's worst-probed types.
+    Schema {
+        name: "monarch",
+        weight: 0.5,
+        columns: &[
+            ("monarch", &["people.person", "royalty.monarch"], ""),
+            ("kingdom", &["royalty.kingdom"], "royalty.monarch.kingdom"),
+            ("religion", &["religion.religion"], "people.person.religion"),
+        ],
+        pool: |kb| (0..kb.kingdoms.len()).collect(),
+        row: |kb, rng, i| {
+            let k = &kb.kingdoms[i];
+            vec![
+                kb.person_name(k.monarch).to_string(),
+                k.name.clone(),
+                kb.religions[rng.gen_range(0..kb.religions.len())].to_string(),
+            ]
+        },
+    },
+    // Table 12's `languages_spoken`.
+    Schema {
+        name: "language",
+        weight: 0.6,
+        columns: &[
+            ("country", COUNTRY, ""),
+            ("language", &["language.human_language"], "location.country.languages_spoken"),
+        ],
+        pool: |kb| (0..kb.countries.len()).collect(),
+        row: |kb, _, i| vec![kb.countries[i].name.clone(), kb.countries[i].language.clone()],
+    },
+    Schema {
+        name: "invention",
+        weight: 0.4,
+        columns: &[
+            ("invention", &["law.invention"], ""),
+            ("inventor", PERSON, "law.invention.inventor"),
+            ("year", YEAR, "law.invention.date"),
+        ],
+        pool: |kb| (0..kb.inventions.len()).collect(),
+        row: |kb, _, i| {
+            let inv = &kb.inventions[i];
+            vec![inv.name.clone(), kb.person_name(inv.inventor).to_string(), inv.year.to_string()]
+        },
+    },
+    // Where a species is found: fills the `biology.organism` probing class.
+    Schema {
+        name: "nature",
+        weight: 0.4,
+        columns: &[
+            ("species", &["biology.organism"], ""),
+            ("range", COUNTRY, "biology.organism.found_in"),
+        ],
+        pool: |kb| (0..kb.organisms.len()).collect(),
+        row: |kb, rng, i| {
+            vec![
+                format!("the {}", kb.organisms[i]),
+                kb.countries[rng.gen_range(0..kb.countries.len())].name.clone(),
+            ]
+        },
+    },
+    // Sky observations: fills the `astronomy.constellation` probing class.
+    Schema {
+        name: "sky",
+        weight: 0.4,
+        columns: &[
+            ("constellation", &["astronomy.constellation"], ""),
+            ("best month", &["time.month"], "astronomy.constellation.best_visible"),
+        ],
+        pool: |kb| (0..kb.constellations.len()).collect(),
+        row: |kb, rng, i| {
+            vec![
+                kb.constellations[i].to_string(),
+                MONTHS[rng.gen_range(0..MONTHS.len())].to_string(),
+            ]
+        },
+    },
+];
 
 /// Samples `n` distinct indices from `0..len` (with replacement if the pool
 /// is smaller than `n`).
@@ -62,707 +442,52 @@ fn sample_distinct(rng: &mut StdRng, len: usize, n: usize) -> Vec<usize> {
     picked
 }
 
-type SchemaFn = fn(&mut Gen<'_>, &mut StdRng, usize, usize) -> AnnotatedTable;
-
-fn relation(object_col: usize, relation: u32) -> RelAnnotation {
-    RelAnnotation { subject_col: 0, object_col, relation }
+/// Appends table `ds.tables.len()` of `schema`, `rows` rows long, to `ds`.
+/// Interns every column's types, then the relations, in column order.
+fn build(ds: &mut Dataset, schema: &Schema, kb: &KnowledgeBase, rng: &mut StdRng, rows: usize) {
+    let header = schema.columns;
+    let pool = (schema.pool)(kb);
+    let mut cells = vec![Vec::with_capacity(rows); header.len()];
+    for i in sample_distinct(rng, pool.len(), rows) {
+        let row = (schema.row)(kb, rng, pool[i]);
+        assert_eq!(row.len(), cells.len(), "schema {}: one cell per column", schema.name);
+        cells.iter_mut().zip(row).for_each(|(column, cell)| column.push(cell));
+    }
+    let columns = header.iter().zip(cells).map(|(c, values)| Column::with_name(c.0, values));
+    let table = Table::new(format!("wiki-{}-{}", schema.name, ds.tables.len()), columns.collect());
+    let col_types =
+        header.iter().map(|c| c.1.iter().map(|t| ds.type_vocab.intern(t)).collect()).collect();
+    let relations = (1..header.len())
+        .map(|object_col| {
+            let relation = ds.rel_vocab.intern(header[object_col].2);
+            RelAnnotation { subject_col: 0, object_col, relation }
+        })
+        .collect();
+    let t = AnnotatedTable { table, col_types, relations };
+    debug_assert!(t.validate().is_ok(), "{:?}", t.validate());
+    ds.tables.push(t);
 }
-
-// ---------------------------------------------------------------- schemas
-
-/// `[film, director, producer, country]` — the Figure 2(a) table.
-fn film_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let films = sample_distinct(rng, g.kb.films.len(), rows);
-    let mut titles = Vec::new();
-    let mut directors = Vec::new();
-    let mut producers = Vec::new();
-    let mut countries = Vec::new();
-    for &fi in &films {
-        let f = &g.kb.films[fi];
-        titles.push(f.title.clone());
-        directors.push(
-            f.directors
-                .iter()
-                .map(|&d| g.kb.person_name(d).to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        producers.push(
-            f.producers
-                .iter()
-                .map(|&p| g.kb.person_name(p).to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        countries.push(g.kb.country_name(f.country).to_string());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-film-{id}"),
-            vec![
-                Column::with_name("film", titles),
-                Column::with_name("director", directors),
-                Column::with_name("producer", producers),
-                Column::with_name("country", countries),
-            ],
-        ),
-        col_types: vec![
-            g.ty(&["film.film"]),
-            g.ty(&["people.person", "film.director"]),
-            g.ty(&["people.person", "film.producer"]),
-            g.ty(&["location.location", "location.country"]),
-        ],
-        relations: vec![
-            relation(1, g.rel("film.film.directed_by")),
-            relation(2, g.rel("film.film.produced_by")),
-            relation(3, g.rel("film.film.country")),
-        ],
-    }
-}
-
-/// `[film, story writer, production company]`.
-fn film_story_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let films = sample_distinct(rng, g.kb.films.len(), rows);
-    let mut titles = Vec::new();
-    let mut writers = Vec::new();
-    let mut companies = Vec::new();
-    for &fi in &films {
-        let f = &g.kb.films[fi];
-        titles.push(f.title.clone());
-        writers.push(g.kb.person_name(f.story_by).to_string());
-        companies.push(g.kb.companies[f.production_company].name.clone());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-story-{id}"),
-            vec![
-                Column::with_name("film", titles),
-                Column::with_name("story by", writers),
-                Column::with_name("production company", companies),
-            ],
-        ),
-        col_types: vec![
-            g.ty(&["film.film"]),
-            g.ty(&["people.person", "film.writer"]),
-            g.ty(&["business.company"]),
-        ],
-        relations: vec![
-            relation(1, g.rel("film.film.story_by")),
-            relation(2, g.rel("film.film.production_companies")),
-        ],
-    }
-}
-
-/// `[athlete, birthplace, team]` — the Figure 2(b) roster table.
-fn roster_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let pool = g.kb.people_with(Profession::FootballPlayer);
-    let picks = sample_distinct(rng, pool.len(), rows);
-    let mut names = Vec::new();
-    let mut birth = Vec::new();
-    let mut teams = Vec::new();
-    for &i in &picks {
-        let p = &g.kb.people[pool[i]];
-        names.push(p.name.clone());
-        birth.push(g.kb.city_name(p.birth_city).to_string());
-        teams.push(g.kb.teams[p.team.expect("athletes have teams")].name.clone());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-roster-{id}"),
-            vec![
-                Column::with_name("player", names),
-                Column::with_name("hometown", birth),
-                Column::with_name("team", teams),
-            ],
-        ),
-        col_types: vec![
-            g.ty(&["people.person", "sports.pro_athlete"]),
-            g.ty(&["location.location", "location.citytown"]),
-            g.ty(&["sports.sports_team", "american_football.football_team"]),
-        ],
-        relations: vec![
-            relation(1, g.rel("people.person.place_of_birth")),
-            relation(2, g.rel("sports.pro_athlete.teams")),
-        ],
-    }
-}
-
-/// `[person, residence, nationality]`.
-fn person_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let picks = sample_distinct(rng, g.kb.people.len(), rows);
-    let mut names = Vec::new();
-    let mut lived = Vec::new();
-    let mut nat = Vec::new();
-    for &i in &picks {
-        let p = &g.kb.people[i];
-        names.push(p.name.clone());
-        lived.push(g.kb.city_name(p.lived_city).to_string());
-        nat.push(g.kb.country_name(p.nationality).to_string());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-person-{id}"),
-            vec![
-                Column::with_name("name", names),
-                Column::with_name("residence", lived),
-                Column::with_name("nationality", nat),
-            ],
-        ),
-        col_types: vec![
-            g.ty(&["people.person"]),
-            g.ty(&["location.location", "location.citytown"]),
-            g.ty(&["location.location", "location.country"]),
-        ],
-        relations: vec![
-            relation(1, g.rel("people.person.place_lived")),
-            relation(2, g.rel("people.person.nationality")),
-        ],
-    }
-}
-
-/// `[city, country, population]`.
-fn city_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let picks = sample_distinct(rng, g.kb.cities.len(), rows);
-    let mut names = Vec::new();
-    let mut countries = Vec::new();
-    let mut pops = Vec::new();
-    for &i in &picks {
-        let c = &g.kb.cities[i];
-        names.push(c.name.clone());
-        countries.push(g.kb.country_name(c.country).to_string());
-        pops.push(c.population.to_string());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-city-{id}"),
-            vec![
-                Column::with_name("city", names),
-                Column::with_name("country", countries),
-                Column::with_name("population", pops),
-            ],
-        ),
-        col_types: vec![
-            g.ty(&["location.location", "location.citytown"]),
-            g.ty(&["location.location", "location.country"]),
-            g.ty(&["topic.population"]),
-        ],
-        relations: vec![
-            relation(1, g.rel("location.location.containedby")),
-            relation(2, g.rel("location.statistical_region.population")),
-        ],
-    }
-}
-
-/// `[artist, genre, songwriter]` (Table 10's music classes).
-fn music_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let artists = g.kb.people_with(Profession::MusicArtist);
-    let writers = g.kb.people_with(Profession::MusicWriter);
-    let picks = sample_distinct(rng, artists.len(), rows);
-    let mut names = Vec::new();
-    let mut genres = Vec::new();
-    let mut songwriters = Vec::new();
-    for &i in &picks {
-        names.push(g.kb.people[artists[i]].name.clone());
-        genres.push(g.kb.genres[rng.gen_range(0..g.kb.genres.len())].to_string());
-        songwriters.push(g.kb.people[writers[rng.gen_range(0..writers.len())]].name.clone());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-music-{id}"),
-            vec![
-                Column::with_name("artist", names),
-                Column::with_name("genre", genres),
-                Column::with_name("songwriter", songwriters),
-            ],
-        ),
-        col_types: vec![
-            g.ty(&["people.person", "music.artist"]),
-            g.ty(&["music.genre"]),
-            g.ty(&["people.person", "music.writer"]),
-        ],
-        relations: vec![
-            relation(1, g.rel("music.artist.genre")),
-            relation(2, g.rel("music.artist.songwriter")),
-        ],
-    }
-}
-
-/// `[football team, head coach, conference]` (Table 10's football classes).
-fn football_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let pool: Vec<usize> = (0..g.kb.teams.len()).filter(|&i| g.kb.teams[i].football).collect();
-    let picks = sample_distinct(rng, pool.len(), rows);
-    let mut names = Vec::new();
-    let mut coaches = Vec::new();
-    let mut confs = Vec::new();
-    for &i in &picks {
-        let t = &g.kb.teams[pool[i]];
-        names.push(t.name.clone());
-        coaches.push(g.kb.person_name(t.coach).to_string());
-        confs.push(t.conference.to_string());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-football-{id}"),
-            vec![
-                Column::with_name("team", names),
-                Column::with_name("head coach", coaches),
-                Column::with_name("conference", confs),
-            ],
-        ),
-        col_types: vec![
-            g.ty(&["sports.sports_team", "american_football.football_team"]),
-            g.ty(&["people.person", "american_football.football_coach"]),
-            g.ty(&["american_football.football_conference"]),
-        ],
-        relations: vec![
-            relation(1, g.rel("american_football.football_team.current_head_coach")),
-            relation(2, g.rel("american_football.football_team.conference")),
-        ],
-    }
-}
-
-/// `[book, author, year]`.
-fn book_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let picks = sample_distinct(rng, g.kb.books.len(), rows);
-    let mut titles = Vec::new();
-    let mut authors = Vec::new();
-    let mut years = Vec::new();
-    for &i in &picks {
-        let b = &g.kb.books[i];
-        titles.push(b.title.clone());
-        authors.push(g.kb.person_name(b.author).to_string());
-        years.push(b.year.to_string());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-book-{id}"),
-            vec![
-                Column::with_name("title", titles),
-                Column::with_name("author", authors),
-                Column::with_name("year", years),
-            ],
-        ),
-        col_types: vec![
-            g.ty(&["book.book"]),
-            g.ty(&["people.person", "book.author"]),
-            g.ty(&["time.year"]),
-        ],
-        relations: vec![
-            relation(1, g.rel("book.book.author")),
-            relation(2, g.rel("book.book.first_published")),
-        ],
-    }
-}
-
-/// `[baseball player, position, team]` (Table 12's `position_s` relation).
-fn baseball_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let pool = g.kb.people_with(Profession::BaseballPlayer);
-    let picks = sample_distinct(rng, pool.len(), rows);
-    let mut names = Vec::new();
-    let mut positions = Vec::new();
-    let mut teams = Vec::new();
-    for &i in &picks {
-        let p = &g.kb.people[pool[i]];
-        names.push(p.name.clone());
-        positions.push(p.position.clone().expect("players have positions"));
-        teams.push(g.kb.teams[p.team.expect("players have teams")].name.clone());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-baseball-{id}"),
-            vec![
-                Column::with_name("player", names),
-                Column::with_name("position", positions),
-                Column::with_name("team", teams),
-            ],
-        ),
-        col_types: vec![
-            g.ty(&["people.person", "baseball.baseball_player"]),
-            g.ty(&["sports.position"]),
-            g.ty(&["sports.sports_team"]),
-        ],
-        relations: vec![
-            relation(1, g.rel("baseball.baseball_player.position_s")),
-            relation(2, g.rel("sports.pro_athlete.teams")),
-        ],
-    }
-}
-
-/// `[city, airport, country]` (Table 12's `nearby_airports`).
-fn airport_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let pool: Vec<usize> =
-        (0..g.kb.cities.len()).filter(|&i| g.kb.cities[i].airport.is_some()).collect();
-    let picks = sample_distinct(rng, pool.len(), rows);
-    let mut cities = Vec::new();
-    let mut airports = Vec::new();
-    let mut countries = Vec::new();
-    for &i in &picks {
-        let c = &g.kb.cities[pool[i]];
-        cities.push(c.name.clone());
-        airports.push(c.airport.clone().expect("filtered"));
-        countries.push(g.kb.country_name(c.country).to_string());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-airport-{id}"),
-            vec![
-                Column::with_name("city", cities),
-                Column::with_name("airport", airports),
-                Column::with_name("country", countries),
-            ],
-        ),
-        col_types: vec![
-            g.ty(&["location.location", "location.citytown"]),
-            g.ty(&["aviation.airport"]),
-            g.ty(&["location.location", "location.country"]),
-        ],
-        relations: vec![
-            relation(1, g.rel("location.location.nearby_airports")),
-            relation(2, g.rel("location.location.containedby")),
-        ],
-    }
-}
-
-/// `[award, winner, nominee]` (Table 12's award relations).
-fn award_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let picks = sample_distinct(rng, g.kb.awards.len(), rows);
-    let mut names = Vec::new();
-    let mut winners = Vec::new();
-    let mut nominees = Vec::new();
-    for &i in &picks {
-        let a = &g.kb.awards[i];
-        names.push(a.name.clone());
-        winners.push(g.kb.person_name(a.winner).to_string());
-        nominees.push(g.kb.person_name(a.nominees[rng.gen_range(0..a.nominees.len())]).to_string());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-award-{id}"),
-            vec![
-                Column::with_name("award", names),
-                Column::with_name("winner", winners),
-                Column::with_name("nominee", nominees),
-            ],
-        ),
-        col_types: vec![g.ty(&["award.award"]), g.ty(&["people.person"]), g.ty(&["people.person"])],
-        relations: vec![
-            relation(1, g.rel("award.award_honor.award_winner")),
-            relation(2, g.rel("award.award.award_nominee")),
-        ],
-    }
-}
-
-/// `[tv program, country of origin, production company]`.
-fn tv_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let picks = sample_distinct(rng, g.kb.tv_programs.len(), rows);
-    let mut names = Vec::new();
-    let mut countries = Vec::new();
-    let mut companies = Vec::new();
-    for &i in &picks {
-        let t = &g.kb.tv_programs[i];
-        names.push(t.name.clone());
-        countries.push(g.kb.country_name(t.country).to_string());
-        companies.push(g.kb.companies[t.company].name.clone());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-tv-{id}"),
-            vec![
-                Column::with_name("program", names),
-                Column::with_name("country", countries),
-                Column::with_name("company", companies),
-            ],
-        ),
-        col_types: vec![
-            g.ty(&["tv.tv_program"]),
-            g.ty(&["location.location", "location.country"]),
-            g.ty(&["business.company"]),
-        ],
-        relations: vec![
-            relation(1, g.rel("tv.tv_program.country_of_origin")),
-            relation(2, g.rel("tv.tv_program.production_company")),
-        ],
-    }
-}
-
-/// `[election, country, year]` (Table 12's best-probed type).
-fn election_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let picks = sample_distinct(rng, g.kb.elections.len(), rows);
-    let mut names = Vec::new();
-    let mut countries = Vec::new();
-    let mut years = Vec::new();
-    for &i in &picks {
-        let e = &g.kb.elections[i];
-        names.push(e.name.clone());
-        countries.push(g.kb.country_name(e.country).to_string());
-        years.push(e.year.to_string());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-election-{id}"),
-            vec![
-                Column::with_name("election", names),
-                Column::with_name("country", countries),
-                Column::with_name("year", years),
-            ],
-        ),
-        col_types: vec![
-            g.ty(&["government.election"]),
-            g.ty(&["location.location", "location.country"]),
-            g.ty(&["time.year"]),
-        ],
-        relations: vec![
-            relation(1, g.rel("government.election.country")),
-            relation(2, g.rel("government.election.date")),
-        ],
-    }
-}
-
-/// `[university, city]`.
-fn university_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let picks = sample_distinct(rng, g.kb.universities.len(), rows);
-    let mut names = Vec::new();
-    let mut cities = Vec::new();
-    for &i in &picks {
-        let u = &g.kb.universities[i];
-        names.push(u.name.clone());
-        cities.push(g.kb.city_name(u.city).to_string());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-university-{id}"),
-            vec![Column::with_name("university", names), Column::with_name("city", cities)],
-        ),
-        col_types: vec![
-            g.ty(&["education.university"]),
-            g.ty(&["location.location", "location.citytown"]),
-        ],
-        relations: vec![relation(1, g.rel("education.university.city"))],
-    }
-}
-
-/// `[river, country, length]`.
-fn river_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let picks = sample_distinct(rng, g.kb.rivers.len(), rows);
-    let mut names = Vec::new();
-    let mut countries = Vec::new();
-    let mut lengths = Vec::new();
-    for &i in &picks {
-        let r = &g.kb.rivers[i];
-        names.push(r.name.clone());
-        countries.push(g.kb.country_name(r.country).to_string());
-        lengths.push(format!("{} km", r.length_km));
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-river-{id}"),
-            vec![
-                Column::with_name("river", names),
-                Column::with_name("country", countries),
-                Column::with_name("length", lengths),
-            ],
-        ),
-        col_types: vec![
-            g.ty(&["geography.river"]),
-            g.ty(&["location.location", "location.country"]),
-            g.ty(&["measurement.length"]),
-        ],
-        relations: vec![
-            relation(1, g.rel("geography.river.basin_country")),
-            relation(2, g.rel("geography.river.length")),
-        ],
-    }
-}
-
-/// `[monarch, kingdom, religion]` (Table 12's worst-probed types).
-fn monarch_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let picks = sample_distinct(rng, g.kb.kingdoms.len(), rows);
-    let mut monarchs = Vec::new();
-    let mut kingdoms = Vec::new();
-    let mut religions = Vec::new();
-    for &i in &picks {
-        let k = &g.kb.kingdoms[i];
-        monarchs.push(g.kb.person_name(k.monarch).to_string());
-        kingdoms.push(k.name.clone());
-        religions.push(g.kb.religions[rng.gen_range(0..g.kb.religions.len())].to_string());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-monarch-{id}"),
-            vec![
-                Column::with_name("monarch", monarchs),
-                Column::with_name("kingdom", kingdoms),
-                Column::with_name("religion", religions),
-            ],
-        ),
-        col_types: vec![
-            g.ty(&["people.person", "royalty.monarch"]),
-            g.ty(&["royalty.kingdom"]),
-            g.ty(&["religion.religion"]),
-        ],
-        relations: vec![
-            relation(1, g.rel("royalty.monarch.kingdom")),
-            relation(2, g.rel("people.person.religion")),
-        ],
-    }
-}
-
-/// `[country, language]` (Table 12's `languages_spoken`).
-fn language_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let picks = sample_distinct(rng, g.kb.countries.len(), rows);
-    let mut countries = Vec::new();
-    let mut langs = Vec::new();
-    for &i in &picks {
-        countries.push(g.kb.countries[i].name.clone());
-        langs.push(g.kb.countries[i].language.clone());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-language-{id}"),
-            vec![Column::with_name("country", countries), Column::with_name("language", langs)],
-        ),
-        col_types: vec![
-            g.ty(&["location.location", "location.country"]),
-            g.ty(&["language.human_language"]),
-        ],
-        relations: vec![relation(1, g.rel("location.country.languages_spoken"))],
-    }
-}
-
-/// `[invention, inventor, year]`.
-fn invention_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let picks = sample_distinct(rng, g.kb.inventions.len(), rows);
-    let mut names = Vec::new();
-    let mut inventors = Vec::new();
-    let mut years = Vec::new();
-    for &i in &picks {
-        let inv = &g.kb.inventions[i];
-        names.push(inv.name.clone());
-        inventors.push(g.kb.person_name(inv.inventor).to_string());
-        years.push(inv.year.to_string());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-invention-{id}"),
-            vec![
-                Column::with_name("invention", names),
-                Column::with_name("inventor", inventors),
-                Column::with_name("year", years),
-            ],
-        ),
-        col_types: vec![g.ty(&["law.invention"]), g.ty(&["people.person"]), g.ty(&["time.year"])],
-        relations: vec![
-            relation(1, g.rel("law.invention.inventor")),
-            relation(2, g.rel("law.invention.date")),
-        ],
-    }
-}
-
-/// `[organism, constellation?]` — no; `[organism, country]`: where a species
-/// is found (fills the `biology.organism` / `astronomy.constellation`
-/// probing classes with a nature/sky fact table).
-fn nature_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    let picks = sample_distinct(rng, g.kb.organisms.len(), rows);
-    let mut organisms = Vec::new();
-    let mut countries = Vec::new();
-    for &i in &picks {
-        organisms.push(format!("the {}", g.kb.organisms[i]));
-        countries.push(g.kb.countries[rng.gen_range(0..g.kb.countries.len())].name.clone());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-nature-{id}"),
-            vec![Column::with_name("species", organisms), Column::with_name("range", countries)],
-        ),
-        col_types: vec![
-            g.ty(&["biology.organism"]),
-            g.ty(&["location.location", "location.country"]),
-        ],
-        relations: vec![relation(1, g.rel("biology.organism.found_in"))],
-    }
-}
-
-/// `[constellation, month]` — sky observation tables.
-fn sky_table(g: &mut Gen<'_>, rng: &mut StdRng, rows: usize, id: usize) -> AnnotatedTable {
-    const MONTHS: [&str; 12] = [
-        "january",
-        "february",
-        "march",
-        "april",
-        "may",
-        "june",
-        "july",
-        "august",
-        "september",
-        "october",
-        "november",
-        "december",
-    ];
-    let picks = sample_distinct(rng, g.kb.constellations.len(), rows);
-    let mut cons = Vec::new();
-    let mut months = Vec::new();
-    for &i in &picks {
-        cons.push(g.kb.constellations[i].to_string());
-        months.push(MONTHS[rng.gen_range(0..12usize)].to_string());
-    }
-    AnnotatedTable {
-        table: Table::new(
-            format!("wiki-sky-{id}"),
-            vec![Column::with_name("constellation", cons), Column::with_name("best month", months)],
-        ),
-        col_types: vec![g.ty(&["astronomy.constellation"]), g.ty(&["time.month"])],
-        relations: vec![relation(1, g.rel("astronomy.constellation.best_visible"))],
-    }
-}
-
-const SCHEMAS: &[(SchemaFn, f32)] = &[
-    (film_table, 2.0),
-    (film_story_table, 1.2),
-    (roster_table, 1.5),
-    (person_table, 1.5),
-    (city_table, 1.2),
-    (music_table, 1.0),
-    (football_table, 1.0),
-    (book_table, 1.0),
-    (baseball_table, 1.0),
-    (airport_table, 0.8),
-    (award_table, 0.8),
-    (tv_table, 0.8),
-    (election_table, 0.8),
-    (university_table, 0.7),
-    (river_table, 0.7),
-    (monarch_table, 0.5),
-    (language_table, 0.6),
-    (invention_table, 0.4),
-    (nature_table, 0.4),
-    (sky_table, 0.4),
-];
 
 /// Generates the full WikiTable-style benchmark (tables + both vocabularies).
 pub fn generate_wikitable(kb: &KnowledgeBase, cfg: &WikiTableConfig) -> Dataset {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut types = LabelVocab::new();
-    let mut rels = LabelVocab::new();
-    let total_weight: f32 = SCHEMAS.iter().map(|s| s.1).sum();
-    let mut tables = Vec::with_capacity(cfg.n_tables);
-    for id in 0..cfg.n_tables {
+    let tables = Vec::with_capacity(cfg.n_tables);
+    let mut ds = Dataset { tables, type_vocab: LabelVocab::new(), rel_vocab: LabelVocab::new() };
+    let total_weight: f32 = SCHEMAS.iter().map(|s| s.weight).sum();
+    for _ in 0..cfg.n_tables {
         // Weighted schema pick.
         let mut x = rng.gen_range(0.0..total_weight);
-        let mut chosen = SCHEMAS[0].0;
-        for &(f, w) in SCHEMAS {
-            if x < w {
-                chosen = f;
+        let mut chosen = &SCHEMAS[0];
+        for schema in SCHEMAS {
+            if x < schema.weight {
+                chosen = schema;
                 break;
             }
-            x -= w;
+            x -= schema.weight;
         }
         let rows = rng.gen_range(cfg.min_rows..=cfg.max_rows);
-        let mut g = Gen { kb, types: &mut types, rels: &mut rels };
-        let t = chosen(&mut g, &mut rng, rows, id);
-        debug_assert!(t.validate().is_ok(), "{:?}", t.validate());
-        tables.push(t);
+        build(&mut ds, chosen, kb, &mut rng, rows);
     }
-    let ds = Dataset { tables, type_vocab: types, rel_vocab: rels };
     ds.validate().expect("generated dataset must validate");
     ds
 }
@@ -832,12 +557,84 @@ mod tests {
     }
 
     #[test]
+    fn every_schema_relates_its_subject_to_each_later_column() {
+        for s in SCHEMAS {
+            assert!(s.columns.len() >= 2, "schema {}: a subject and an object", s.name);
+            assert_eq!(s.columns[0].2, "", "schema {}: column 0 is the subject", s.name);
+            for (c, col) in s.columns.iter().enumerate().skip(1) {
+                assert!(!col.2.is_empty(), "schema {}: column {c} has no relation", s.name);
+            }
+        }
+    }
+
+    #[test]
     fn generation_is_deterministic() {
         let a = dataset();
         let b = dataset();
         for (x, y) in a.tables.iter().zip(b.tables.iter()) {
             assert_eq!(x.table.id, y.table.id);
             assert_eq!(x.col_types, y.col_types);
+        }
+    }
+
+    /// FNV-1a over every generated byte: ids, headers, cells, labels and
+    /// both vocabularies in id order. Each field ends in a `0xff` byte, which
+    /// no UTF-8 string contains, so field boundaries are part of the digest.
+    #[test]
+    fn every_schema_generates_its_pinned_bytes() {
+        let kb = KnowledgeBase::generate(&KbConfig::default(), 42);
+        let cfg = WikiTableConfig { n_tables: 400, min_rows: 3, max_rows: 5, seed: 42 };
+        let ds = generate_wikitable(&kb, &cfg);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes.iter().chain([0xff].iter()) {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for t in &ds.tables {
+            eat(t.table.id.as_bytes());
+            for c in &t.table.columns {
+                eat(c.name.as_deref().unwrap_or("").as_bytes());
+                c.values.iter().for_each(|v| eat(v.as_bytes()));
+            }
+            for types in &t.col_types {
+                eat(&types.iter().flat_map(|id| id.to_le_bytes()).collect::<Vec<_>>());
+            }
+            for r in &t.relations {
+                eat(&[r.subject_col as u32, r.object_col as u32, r.relation]
+                    .iter()
+                    .flat_map(|x| x.to_le_bytes())
+                    .collect::<Vec<_>>());
+            }
+        }
+        for vocab in [&ds.type_vocab, &ds.rel_vocab] {
+            vocab.iter().for_each(|(_, name)| eat(name.as_bytes()));
+        }
+        assert_eq!(h, 0xd393_0703_b985_010b, "digest {h:#018x}");
+        for name in [
+            "film",
+            "story",
+            "roster",
+            "person",
+            "city",
+            "music",
+            "football",
+            "book",
+            "baseball",
+            "airport",
+            "award",
+            "tv",
+            "election",
+            "university",
+            "river",
+            "monarch",
+            "language",
+            "invention",
+            "nature",
+            "sky",
+        ] {
+            let prefix = format!("wiki-{name}-");
+            assert!(ds.tables.iter().any(|t| t.table.id.starts_with(&prefix)), "no {name} table");
         }
     }
 

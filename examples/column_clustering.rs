@@ -15,8 +15,8 @@ use doduo_core::{
     Task, TrainConfig,
 };
 use doduo_datagen::{
-    generate_case_study, generate_corpus, generate_wikitable, CaseStudyConfig, CorpusConfig,
-    KbConfig, KnowledgeBase, WikiTableConfig, ALL_CLUSTERS,
+    generate_case_study, generate_corpus, generate_wikitable, KbConfig, KnowledgeBase,
+    WikiTableConfig, ALL_CLUSTERS,
 };
 use doduo_eval::{completeness, homogeneity, kmeans, v_measure};
 use doduo_table::SerializeConfig;
@@ -26,7 +26,7 @@ use rand::SeedableRng;
 fn main() {
     let seed = 42;
     let kb = KnowledgeBase::generate(&KbConfig::default(), seed);
-    let corpus = generate_corpus(&kb, &CorpusConfig::default());
+    let corpus = generate_corpus(&kb, seed);
 
     // Train Doduo on WikiTable (out-of-domain for the HR data).
     println!("[1/3] pretraining LM + fine-tuning Doduo on WikiTable…");
@@ -58,7 +58,7 @@ fn main() {
 
     // The HR database: 10 jobsearch/review tables, 15 ground-truth clusters.
     println!("[2/3] embedding the HR columns…");
-    let study = generate_case_study(&kb, &CaseStudyConfig::default());
+    let study = generate_case_study(&kb, seed);
     let gold: Vec<usize> = study.columns.iter().map(|c| c.cluster as usize).collect();
     let annotator = Annotator {
         model: &model,

@@ -10,7 +10,7 @@ use doduo_core::{
     TrainConfig,
 };
 use doduo_datagen::{
-    generate_corpus, generate_wikitable, CorpusConfig, KbConfig, KnowledgeBase, WikiTableConfig,
+    generate_corpus, generate_wikitable, KbConfig, KnowledgeBase, WikiTableConfig,
 };
 use doduo_table::SerializeConfig;
 use rand::rngs::StdRng;
@@ -19,7 +19,7 @@ use rand::SeedableRng;
 fn main() {
     let seed = 42;
     let kb = KnowledgeBase::generate(&KbConfig::default(), seed);
-    let corpus = generate_corpus(&kb, &CorpusConfig::default());
+    let corpus = generate_corpus(&kb, seed);
     println!("pretraining LM…");
     let mut recipe = PretrainRecipe::tiny();
     recipe.mlm.epochs = 12;

@@ -6,14 +6,14 @@
 //! Run with: `cargo run --release --example lm_probing`
 
 use doduo_core::{instantiate_lm, pretrain_lm, PretrainRecipe};
-use doduo_datagen::{generate_corpus, CorpusConfig, KbConfig, KnowledgeBase, Profession};
+use doduo_datagen::{generate_corpus, KbConfig, KnowledgeBase, Profession};
 use doduo_tokenizer::{CLS, SEP};
 use doduo_transformer::pseudo_perplexity;
 
 fn main() {
     let seed = 42;
     let kb = KnowledgeBase::generate(&KbConfig::default(), seed);
-    let corpus = generate_corpus(&kb, &CorpusConfig::default());
+    let corpus = generate_corpus(&kb, seed);
     println!("pretraining LM on {} sentences…", corpus.len());
     let mut recipe = PretrainRecipe::tiny();
     recipe.mlm.epochs = 12;

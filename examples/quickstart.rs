@@ -13,7 +13,7 @@ use doduo_core::{
     Task, TrainConfig,
 };
 use doduo_datagen::{
-    generate_corpus, generate_wikitable, CorpusConfig, KbConfig, KnowledgeBase, WikiTableConfig,
+    generate_corpus, generate_wikitable, KbConfig, KnowledgeBase, WikiTableConfig,
 };
 use doduo_table::{Column, SerializeConfig, Table};
 use rand::rngs::StdRng;
@@ -25,7 +25,7 @@ fn main() {
     // --- 1. The world: entities, facts, and text about them.
     println!("[1/4] generating knowledge base + corpus…");
     let kb = KnowledgeBase::generate(&KbConfig::default(), seed);
-    let corpus = generate_corpus(&kb, &CorpusConfig::default());
+    let corpus = generate_corpus(&kb, seed);
     println!("      {} sentences, e.g. {:?}", corpus.len(), &corpus[0]);
 
     // --- 2. Pretrain the language model (a scaled-down BERT).

@@ -7,8 +7,8 @@ use doduo_core::{
     PretrainRecipe, Task, TrainConfig,
 };
 use doduo_datagen::{
-    generate_case_study, generate_corpus, generate_wikitable, CaseStudyConfig, CorpusConfig,
-    KbConfig, KnowledgeBase, WikiTableConfig,
+    generate_case_study, generate_corpus, generate_wikitable, KbConfig, KnowledgeBase,
+    WikiTableConfig,
 };
 use doduo_eval::{kmeans, v_measure};
 use doduo_table::SerializeConfig;
@@ -33,7 +33,7 @@ fn pipeline() -> &'static Pipeline {
     PIPE.get_or_init(|| {
         let seed = 42;
         let kb = KnowledgeBase::generate(&KbConfig::default(), seed);
-        let corpus = generate_corpus(&kb, &CorpusConfig::default());
+        let corpus = generate_corpus(&kb, seed);
         let mut recipe = PretrainRecipe::tiny();
         recipe.mlm.epochs = 12;
         let lm = pretrain_lm(&corpus, &recipe, seed);
@@ -129,7 +129,7 @@ fn contextual_embeddings_cluster_hr_columns_better_than_chance() {
         type_vocab: &p.train_ds.type_vocab,
         rel_vocab: &p.train_ds.rel_vocab,
     };
-    let study = generate_case_study(&p.kb, &CaseStudyConfig::default());
+    let study = generate_case_study(&p.kb, 42);
     let gold: Vec<usize> = study.columns.iter().map(|c| c.cluster as usize).collect();
     let mut embs = Vec::new();
     for table in &study.tables {
